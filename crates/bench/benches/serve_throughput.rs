@@ -1,13 +1,16 @@
-//! Criterion bench for the serving runtime: event-loop + device-model
-//! overhead under batched and unbatched policies, one and two devices.
+//! Criterion bench for the serving runtime (one model, FIFO dynamic
+//! batching): event-loop + device-model overhead under batched and
+//! unbatched policies, one to four devices.
 //! (Virtual-time throughput is the `serve_sweep` binary's job; this
 //! bench tracks the *host-side* cost of simulating a serving run.)
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ernn_core::pipeline::Pipeline;
+use ernn_fpga::XCKU060;
 use ernn_model::{CellType, ModelSpec};
 use ernn_serve::loadgen::{open_loop_poisson, synthetic_utterances};
-use ernn_serve::{BatchPolicy, CompiledModel, Request, ServeRuntime};
+use ernn_serve::sched::{ModelRegistry, SchedPolicy, SchedRuntime};
+use ernn_serve::{CompiledModel, Request};
 use rand::SeedableRng;
 use std::time::Duration;
 
@@ -38,12 +41,18 @@ fn bench_serve(c: &mut Criterion) {
 
     let requests = load();
     for (devices, policy, label) in [
-        (1, BatchPolicy::immediate(), "1dev_unbatched"),
-        (1, BatchPolicy::new(8, 200.0), "1dev_batch8"),
-        (2, BatchPolicy::new(8, 200.0), "2dev_batch8"),
-        (4, BatchPolicy::new(16, 400.0), "4dev_batch16"),
+        (1, SchedPolicy::fifo_earliest_free(1, 0.0), "1dev_unbatched"),
+        (1, SchedPolicy::fifo_earliest_free(8, 200.0), "1dev_batch8"),
+        (2, SchedPolicy::fifo_earliest_free(8, 200.0), "2dev_batch8"),
+        (
+            4,
+            SchedPolicy::fifo_earliest_free(16, 400.0),
+            "4dev_batch16",
+        ),
     ] {
-        let runtime = ServeRuntime::new(compiled(), devices, policy);
+        let mut registry = ModelRegistry::new();
+        registry.register("gru-32", compiled());
+        let runtime = SchedRuntime::new(registry, vec![XCKU060; devices], policy);
         group.bench_with_input(BenchmarkId::from_parameter(label), &requests, |b, reqs| {
             b.iter(|| std::hint::black_box(runtime.run(reqs.clone())))
         });

@@ -1,4 +1,5 @@
-//! Sweeps host-executor kind × device count for the serving runtime:
+//! Sweeps host-executor kind × device count for one model under plain
+//! FIFO dynamic batching (`SchedPolicy::fifo_earliest_free`):
 //! virtual-time throughput (which must be identical across executors —
 //! asserted here) against wall-clock host time, where the `ThreadPool`
 //! executor's overlap shows up as real speedup on multi-core hosts.
@@ -9,9 +10,11 @@
 
 use ernn_bench::json::{array, json_path_arg, write_artifact, JsonObject};
 use ernn_core::pipeline::Pipeline;
+use ernn_fpga::XCKU060;
 use ernn_model::{CellType, ModelSpec};
 use ernn_serve::loadgen::{open_loop_poisson, synthetic_utterances};
-use ernn_serve::{BatchPolicy, ExecutorKind, ServeRuntime};
+use ernn_serve::sched::{ModelRegistry, SchedPolicy, SchedRuntime};
+use ernn_serve::ExecutorKind;
 use rand::SeedableRng;
 
 fn main() {
@@ -41,7 +44,7 @@ fn main() {
     // event-loop bookkeeping, offered well above one device's capacity.
     let utterances = synthetic_utterances(12, (30, 60), 52, 21);
     let requests = open_loop_poisson(&utterances, num_requests, 400_000.0, 22);
-    let policy = BatchPolicy::new(8, 200.0);
+    let policy = SchedPolicy::fifo_earliest_free(8, 200.0);
 
     println!(
         "host parallelism: {} cores, {} requests, batch ≤ {}\n",
@@ -59,8 +62,10 @@ fn main() {
         let mut inline_host_us = 0.0f64;
         let mut inline_metrics = None;
         for kind in [ExecutorKind::Inline, ExecutorKind::ThreadPool] {
+            let mut registry = ModelRegistry::new();
+            registry.register_shared("gru-64", std::sync::Arc::clone(&model));
             let runtime =
-                ServeRuntime::with_executor(std::sync::Arc::clone(&model), devices, policy, kind);
+                SchedRuntime::with_executor(registry, vec![XCKU060; devices], policy, kind);
             let report = runtime.run(requests.clone());
             let m = &report.metrics;
             let label = match kind {

@@ -1,5 +1,6 @@
-//! Sweeps device count × batch policy for the serving runtime and prints
-//! the virtual-time throughput/latency frontier — the serving analogue of
+//! Sweeps device count × batch policy for one model under plain FIFO
+//! dynamic batching (`SchedPolicy::fifo_earliest_free`) and prints the
+//! virtual-time throughput/latency frontier — the serving analogue of
 //! the paper's design-space exploration.
 //!
 //! Run with: `cargo run --release -p ernn-bench --bin serve_sweep`
@@ -11,13 +12,16 @@
 
 use ernn_bench::json::{array, json_path_arg, trace_path_arg, write_artifact, JsonObject};
 use ernn_core::pipeline::Pipeline;
+use ernn_fpga::XCKU060;
 use ernn_model::{CellType, ModelSpec};
 use ernn_serve::loadgen::{open_loop_poisson, synthetic_utterances};
+use ernn_serve::sched::{ModelRegistry, SchedPolicy, SchedRuntime};
 use ernn_serve::{
-    chrome_trace_json, prometheus_snapshot_full, BatchPolicy, HealthConfig, RuntimeConfig,
-    ServeRuntime, TimelineConfig, TraceConfig,
+    chrome_trace_json, prometheus_snapshot_full, HealthConfig, RuntimeConfig, TimelineConfig,
+    TraceConfig,
 };
 use rand::SeedableRng;
+use std::sync::Arc;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -28,17 +32,21 @@ fn main() {
 
     // A GRU-64 acoustic model under the paper preset (block 8, 12-bit
     // datapath, XCKU060) — configuration lives in the pipeline, not here.
+    // One Arc'd compile: every runtime in the sweep shares the cached
+    // weight spectra.
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(3);
-    let model = Pipeline::paper(ModelSpec::new(CellType::Gru, 52, 40).layer_dims(&[64]))
-        .expect("valid spec")
-        .init(&mut rng)
-        .project()
-        .expect("paper block policy")
-        .quantize()
-        .expect("paper datapath")
-        .compile()
-        .expect("paper platform")
-        .into_model();
+    let model = Arc::new(
+        Pipeline::paper(ModelSpec::new(CellType::Gru, 52, 40).layer_dims(&[64]))
+            .expect("valid spec")
+            .init(&mut rng)
+            .project()
+            .expect("paper block policy")
+            .quantize()
+            .expect("paper datapath")
+            .compile()
+            .expect("paper platform")
+            .into_model(),
+    );
     println!(
         "model: GRU-64 block 8, II {} cycles, {} cached weight spectra\n",
         model.stage_cycles().ii(),
@@ -57,30 +65,29 @@ fn main() {
     let mut rows: Vec<String> = Vec::new();
     for devices in [1usize, 2, 4] {
         for (policy, label) in [
-            (BatchPolicy::immediate(), "unbatched"),
-            (BatchPolicy::new(4, 100.0), "b4/w100"),
-            (BatchPolicy::new(8, 200.0), "b8/w200"),
-            (BatchPolicy::new(16, 400.0), "b16/w400"),
+            (SchedPolicy::fifo_earliest_free(1, 0.0), "unbatched"),
+            (SchedPolicy::fifo_earliest_free(4, 100.0), "b4/w100"),
+            (SchedPolicy::fifo_earliest_free(8, 200.0), "b8/w200"),
+            (SchedPolicy::fifo_earliest_free(16, 400.0), "b16/w400"),
         ] {
             // Trace the middle-of-the-frontier config (4 devices,
             // b8/w200) when an export path was given.
             let traced = devices == 4 && label == "b8/w200" && trace_path.is_some();
-            let runtime = if traced {
+            let config = if traced {
                 // The exported snapshot carries the full observability
                 // surface: trace counters plus the sampled timeline and
                 // the health verdict.
-                ServeRuntime::with_config(
-                    model.clone(),
-                    devices,
-                    policy,
-                    RuntimeConfig::new()
-                        .tracing(TraceConfig::enabled(1 << 14))
-                        .timeline(TimelineConfig::enabled(100.0, 1 << 13))
-                        .health(HealthConfig::enabled()),
-                )
+                RuntimeConfig::new()
+                    .tracing(TraceConfig::enabled(1 << 14))
+                    .timeline(TimelineConfig::enabled(100.0, 1 << 13))
+                    .health(HealthConfig::enabled())
             } else {
-                ServeRuntime::new(model.clone(), devices, policy)
+                RuntimeConfig::new()
             };
+            let mut registry = ModelRegistry::new();
+            registry.register_shared("gru-64", Arc::clone(&model));
+            let runtime =
+                SchedRuntime::with_config(registry, vec![XCKU060; devices], policy, config);
             let report = runtime.run(requests.clone());
             if traced {
                 let path = trace_path.as_deref().expect("checked above");
@@ -88,7 +95,7 @@ fn main() {
                 let prom = prometheus_snapshot_full(
                     &report.metrics,
                     &report.trace,
-                    None,
+                    Some(&report.sched),
                     Some(&report.timeline),
                     Some(&report.health),
                     None,

@@ -272,8 +272,7 @@ impl FlowReport {
 /// ([`crate::pipeline`]) into a deployable [`PipelineModel`]: the
 /// Phase-I winner's trained weights, quantized for the Phase-II
 /// datapath, compiled for the target device, with the full trial log
-/// and ADMM residual as artifact provenance. The report is bit-identical
-/// to what [`run_flow`] produced.
+/// and ADMM residual as artifact provenance.
 pub fn run_flow_to_artifact(
     config: FlowConfig,
 ) -> Result<(FlowReport, PipelineModel), PipelineError> {
@@ -296,8 +295,7 @@ pub fn run_flow_to_artifact(
 }
 
 /// Runs Phase I + Phase II only, returning the report and the winning
-/// trained model (the shared core of [`run_flow`] and
-/// [`run_flow_to_artifact`]).
+/// trained model (the search half of [`run_flow_to_artifact`]).
 fn flow_phases(
     config: FlowConfig,
 ) -> (
@@ -396,21 +394,6 @@ fn flow_phases(
     )
 }
 
-/// Runs the complete E-RNN methodology and returns the report alone.
-///
-/// Thin compatibility wrapper over the same Phase I/II core that
-/// [`run_flow_to_artifact`] uses — results are bit-identical — but it
-/// discards the trained winner instead of producing a deployable
-/// artifact.
-#[deprecated(
-    since = "0.1.0",
-    note = "use run_flow_to_artifact (or the ernn::pipeline builder) so the flow \
-            produces a deployable ModelArtifact instead of a report-only dead end"
-)]
-pub fn run_flow(config: FlowConfig) -> FlowReport {
-    flow_phases(config).0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -454,18 +437,5 @@ mod tests {
         let reloaded = ernn_serve::CompiledModel::from_artifact(&loaded);
         let frames = vec![vec![0.1f32; artifact.spec.input_dim]; 3];
         assert_eq!(reloaded.infer(&frames), out.model().infer(&frames));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn run_flow_wrapper_matches_the_artifact_flow() {
-        // The deprecated wrapper must stay bit-identical to the new
-        // entry point's report.
-        let report = run_flow(FlowConfig::quick(5));
-        let (report2, _) = run_flow_to_artifact(FlowConfig::quick(5)).expect("flow pipelines");
-        assert_eq!(report.phase1.chosen, report2.phase1.chosen);
-        assert_eq!(report.phase1.trials, report2.phase1.trials);
-        assert_eq!(report.phase2.datapath, report2.phase2.datapath);
-        assert_eq!(report.phase2.quant_trials, report2.phase2.quant_trials);
     }
 }

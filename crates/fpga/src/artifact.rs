@@ -176,7 +176,7 @@ pub struct AdmmProvenance {
 /// structured traces of each lifecycle stage that ran.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Provenance {
-    /// Free-form origin label (e.g. `"ernn_core::flow::run_flow"`).
+    /// Free-form origin label (e.g. `"ernn_core::flow::run_flow_to_artifact"`).
     pub source: String,
     /// Phase-I trial log, when the design-optimization flow produced
     /// this model.

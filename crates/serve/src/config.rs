@@ -1,12 +1,11 @@
-//! Shared runtime configuration for both serving runtimes.
+//! Runtime configuration shared by the scheduler and the cluster tier.
 //!
-//! [`ServeRuntime`](crate::ServeRuntime) and
-//! [`SchedRuntime`](crate::sched::SchedRuntime) used to each grow their
-//! own `new`/`with_executor`/`with_tracing` constructor ladder; every new
-//! option meant touching both. [`RuntimeConfig`] is the one place those
-//! options are declared: build it once with the builder methods and hand
-//! it to either runtime's `with_config` constructor (the legacy
-//! constructors now delegate here).
+//! [`RuntimeConfig`] is the one place run-level options are declared:
+//! build it once with the builder methods and hand it to
+//! [`SchedRuntime::with_config`](crate::sched::SchedRuntime::with_config)
+//! (the shorter constructors delegate there) or to
+//! [`ClusterRuntime::new`](crate::ClusterRuntime::new), which applies
+//! it to every shard.
 
 use crate::executor::ExecutorKind;
 use crate::health::HealthConfig;
@@ -52,8 +51,8 @@ impl RetryPolicy {
     }
 }
 
-/// Builder-style options shared by both runtimes: executor choice,
-/// tracing, streaming-session limits, and fault injection.
+/// Builder-style run options: executor choice, tracing,
+/// streaming-session limits, and fault injection.
 ///
 /// `#[non_exhaustive]`: construct with [`RuntimeConfig::new`] and the
 /// builder methods so future options don't break callers.
@@ -66,14 +65,10 @@ pub struct RuntimeConfig {
     pub trace: TraceConfig,
     /// Maximum concurrently-live streaming sessions, if bounded. The
     /// scheduler sheds the first chunk of a session that would exceed it
-    /// (cancelling the session); the single-model runtime rejects such
-    /// loads at validation.
+    /// (cancelling the session).
     pub max_live_sessions: Option<usize>,
     /// Deterministic device-fault schedule replayed on the virtual
-    /// clock; empty (no faults) by default. Only the multi-model
-    /// [`SchedRuntime`](crate::sched::SchedRuntime) reacts to faults —
-    /// the single-model runtime rejects a non-empty plan at
-    /// construction.
+    /// clock; empty (no faults) by default.
     pub fault_plan: FaultPlan,
     /// Backoff schedule for batches aborted by a fault.
     pub retry: RetryPolicy,

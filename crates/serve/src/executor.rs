@@ -9,15 +9,13 @@
 //! execution to keep every accelerator fed.
 //!
 //! An [`Executor`] owns the host side of that split. It is constructed
-//! over the run's model set — a single-model runtime passes one entry,
-//! the multi-model scheduler passes its whole registry — and each
-//! [`InferenceJob`] names the model it targets by index. The runtime
-//! submits one job per request at dispatch time and collects every result
-//! once the virtual-time event loop has drained:
+//! over the run's model set — the scheduler passes its whole registry —
+//! and each [`InferenceJob`] names the model it targets by index. The
+//! runtime submits one job per request at dispatch time and collects
+//! every result once the virtual-time event loop has drained:
 //!
 //! * [`InlineExecutor`] computes each job synchronously at submit, on the
-//!   event-loop thread — the deterministic reference, and exactly the
-//!   pre-existing single-threaded behaviour.
+//!   event-loop thread — the deterministic reference.
 //! * [`ThreadPoolExecutor`] fans jobs out to a pool of `std::thread`
 //!   workers over channels (no external async runtime), one worker per
 //!   device slot, with jobs pinned to their batch's device so per-worker
@@ -37,7 +35,8 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread;
 
-/// Which host-side executor a [`ServeRuntime`](crate::ServeRuntime) uses.
+/// Which host-side executor a [`SchedRuntime`](crate::sched::SchedRuntime)
+/// uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecutorKind {
     /// Compute logits inline at dispatch, on the event-loop thread.
@@ -50,7 +49,7 @@ pub enum ExecutorKind {
 /// Session identity of one streaming-chunk job.
 ///
 /// Executors keep per-worker `session id → NetworkState` tables; because
-/// the runtimes pin every chunk of a session to one device (and jobs
+/// the scheduler pins every chunk of a session to one device (and jobs
 /// route to workers by device), a session's state lives on exactly one
 /// worker and chunk jobs arrive there in dispatch order — which is what
 /// makes streaming results bit-identical across executors.
@@ -69,14 +68,13 @@ pub struct InferenceJob {
     pub slot: usize,
     /// Device slot the batch ran on; doubles as the worker affinity key.
     pub device: usize,
-    /// Index into the executor's model set (always `0` for single-model
-    /// runtimes).
+    /// Index into the executor's model set.
     pub model: usize,
     /// The request's feature frames (moved in, consumed by inference).
     pub frames: Vec<Vec<f32>>,
     /// Streaming-session identity, or `None` for a whole utterance. A
     /// single fusable run must not contain two chunks of one session
-    /// (lockstep lanes would double-apply the state); the runtimes'
+    /// (lockstep lanes would double-apply the state); the scheduler's
     /// batch formation guarantees this.
     pub session: Option<SessionSlot>,
 }
@@ -231,11 +229,6 @@ impl InlineExecutor {
             fft_start: stats::thread_snapshot(),
         }
     }
-
-    /// Convenience constructor for single-model runtimes.
-    pub fn single(model: Arc<CompiledModel>) -> Self {
-        Self::new(vec![model])
-    }
 }
 
 impl Executor for InlineExecutor {
@@ -368,11 +361,6 @@ impl ThreadPoolExecutor {
             handles,
             submitted: 0,
         }
-    }
-
-    /// Convenience constructor for single-model runtimes.
-    pub fn single(model: Arc<CompiledModel>, workers: usize) -> Self {
-        Self::new(vec![model], workers)
     }
 
     /// Number of worker threads.
@@ -558,8 +546,8 @@ mod tests {
     #[test]
     fn inline_and_pool_outputs_are_bit_identical() {
         let m = model();
-        let mut inline = InlineExecutor::single(Arc::clone(&m));
-        let mut pool = ThreadPoolExecutor::single(Arc::clone(&m), 3);
+        let mut inline = InlineExecutor::new(vec![Arc::clone(&m)]);
+        let mut pool = ThreadPoolExecutor::new(vec![Arc::clone(&m)], 3);
         for job in jobs(10, 3) {
             inline.submit(job);
         }
@@ -610,7 +598,7 @@ mod tests {
     #[test]
     fn pool_routes_by_device_and_accounts_fft_per_worker() {
         let m = model();
-        let mut pool = ThreadPoolExecutor::single(Arc::clone(&m), 2);
+        let mut pool = ThreadPoolExecutor::new(vec![Arc::clone(&m)], 2);
         assert_eq!(pool.workers(), 2);
         // Devices 0 and 1 → workers 0 and 1; both must show FFT activity.
         for job in jobs(8, 2) {
@@ -669,8 +657,8 @@ mod tests {
             }
             sorted_outputs(exec.finish())
         };
-        let inline = run(Box::new(InlineExecutor::single(Arc::clone(&m))));
-        let pool = run(Box::new(ThreadPoolExecutor::single(Arc::clone(&m), 2)));
+        let inline = run(Box::new(InlineExecutor::new(vec![Arc::clone(&m)])));
+        let pool = run(Box::new(ThreadPoolExecutor::new(vec![Arc::clone(&m)], 2)));
         assert_eq!(inline, pool, "executors must agree bit for bit");
         // Each session's chunk logits concatenate to the whole utterance.
         for sess in 0..2 {
@@ -703,7 +691,7 @@ mod tests {
         };
         // Chunks 0–1 on device 0, then the session migrates to device 1
         // (different worker) for chunk 2.
-        let mut pool = ThreadPoolExecutor::single(Arc::clone(&m), 2);
+        let mut pool = ThreadPoolExecutor::new(vec![Arc::clone(&m)], 2);
         pool.submit_batch(vec![chunk(0, 0, 0)]);
         pool.submit_batch(vec![chunk(1, 0, 1)]);
         pool.migrate_session(5, 0, 1);
@@ -712,7 +700,7 @@ mod tests {
         let stitched: Vec<Vec<f32>> = out.into_iter().flat_map(|(_, l)| l).collect();
         assert_eq!(stitched, whole, "migrated session: stitched != whole");
         // Migrating a session that never computed is a clean no-op.
-        let mut pool = ThreadPoolExecutor::single(Arc::clone(&m), 2);
+        let mut pool = ThreadPoolExecutor::new(vec![Arc::clone(&m)], 2);
         pool.migrate_session(99, 0, 1);
         let report = pool.finish();
         assert!(report.outputs.is_empty());
@@ -720,7 +708,7 @@ mod tests {
 
     #[test]
     fn pool_with_zero_jobs_finishes_cleanly() {
-        let mut pool = ThreadPoolExecutor::single(model(), 4);
+        let mut pool = ThreadPoolExecutor::new(vec![model()], 4);
         let report = pool.finish();
         assert!(report.outputs.is_empty());
         assert_eq!(report.worker_fft.len(), 4);
@@ -730,7 +718,7 @@ mod tests {
     #[test]
     fn dropping_an_unfinished_pool_joins_workers() {
         let m = model();
-        let mut pool = ThreadPoolExecutor::single(m, 2);
+        let mut pool = ThreadPoolExecutor::new(vec![m], 2);
         for job in jobs(4, 2) {
             pool.submit(job);
         }
@@ -740,7 +728,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one worker")]
     fn zero_workers_is_rejected() {
-        let _ = ThreadPoolExecutor::single(model(), 0);
+        let _ = ThreadPoolExecutor::new(vec![model()], 0);
     }
 
     #[test]
@@ -756,7 +744,7 @@ mod tests {
         // validates at admission; raw executor use does not) and panics
         // inside the worker's matvec. finish() must re-raise that panic,
         // not a generic channel error.
-        let mut pool = ThreadPoolExecutor::single(model(), 2);
+        let mut pool = ThreadPoolExecutor::new(vec![model()], 2);
         pool.submit(InferenceJob {
             slot: 0,
             device: 0,

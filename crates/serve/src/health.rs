@@ -7,7 +7,7 @@
 //! retry-storm detectors. Every firing is a [`HealthEvent`] — journaled
 //! into the flight recorder as
 //! [`TraceEvent::Health`](crate::trace::TraceEvent) and collected into
-//! the post-run [`HealthReport`] both runtimes attach to their reports.
+//! the post-run [`HealthReport`] the runtime attaches to its report.
 //!
 //! Rules evaluate purely on virtual-clock state, so a run's health
 //! report is bit-identical across
@@ -361,8 +361,7 @@ fn past_sample(
     timeline.recent((back + window).min(oldest_back))
 }
 
-/// Post-run health summary carried on both
-/// [`ServeReport`](crate::ServeReport) and
+/// Post-run health summary carried on
 /// [`SchedReport`](crate::sched::SchedReport).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct HealthReport {

@@ -24,9 +24,18 @@
 //!   boundaries, giving EDF a preemption point every chunk. Session
 //!   limits, executor kind, and tracing are declared once via
 //!   [`RuntimeConfig`]. See `docs/streaming.md`.
-//! * [`DynamicBatcher`] — groups requests under a max-batch / max-wait
-//!   [`BatchPolicy`], the classic throughput-vs-latency dial.
-//! * [`DevicePool`] — shards batches across N simulated accelerators;
+//! * [`sched::SchedRuntime`] — the one deterministic event loop. A
+//!   [`sched::ModelRegistry`] names the models a run serves, a platform
+//!   list names its devices, and a [`sched::SchedPolicy`] sets the
+//!   max-batch / max-wait throughput-vs-latency dial plus queue order,
+//!   placement and admission. One registered model under
+//!   [`sched::SchedPolicy::fifo_earliest_free`] is plain dynamic
+//!   batching over identical devices (the example below);
+//!   [`sched::SchedPolicy::edf_cost_model`] over a mixed registry and a
+//!   heterogeneous pool is the full SLO-aware scheduler (see [`sched`]).
+//!   [`ServeMetrics`] reports p50/p95/p99 latency, throughput,
+//!   per-device occupancy and the batch-size histogram.
+//! * [`DevicePool`] — the N simulated accelerators batches land on;
 //!   each device advances a virtual clock with the cycle-accurate CGPipe
 //!   batch simulation ([`ernn_fpga::sim::simulate_batch`]) while outputs
 //!   come from the quantized datapath ([`ernn_fpga::exec`]), so batched
@@ -41,16 +50,13 @@
 //!   [`CompiledModel::infer_batch_with`] call (one pass over the cached
 //!   weight spectra per batch), and post-warmup the FFT/matvec kernels
 //!   perform zero heap allocations.
-//! * [`ServeRuntime`] — the deterministic event loop; [`ServeMetrics`]
-//!   reports p50/p95/p99 latency, throughput, per-device occupancy and
-//!   the batch-size histogram.
 //! * [`Executor`] — where host-side inference runs: [`InlineExecutor`]
 //!   (deterministic reference, compute at dispatch) or
 //!   [`ThreadPoolExecutor`] (one std-thread worker per device slot, jobs
 //!   over channels), selected per runtime via [`ExecutorKind`]. Virtual
 //!   -time results are bit-identical either way; only the wall-clock
-//!   [`ServeReport::host_us`] and the per-worker FFT ledger
-//!   ([`ServeReport::worker_fft`]) differ.
+//!   [`sched::SchedReport::host_us`] and the per-worker FFT ledger
+//!   ([`sched::SchedReport::worker_fft`]) differ.
 //! * [`trace`] — the observability layer: a zero-steady-state-allocation
 //!   flight recorder ([`FlightRecorder`]) capturing the full request
 //!   lifecycle ([`TraceEvent`]) on the virtual clock, streaming
@@ -74,12 +80,15 @@
 //!   Both are enabled per run via [`RuntimeConfig`] and bit-identical
 //!   across executors.
 //! * [`loadgen`] — open-loop Poisson and closed-loop traffic shapes.
-//! * [`sched`] — the SLO-aware multi-model scheduler on top of all of
-//!   the above: a [`sched::ModelRegistry`] with per-device BRAM
-//!   residency, heterogeneous pools placed by a per-(device, model) cost
-//!   model, EDF deadline-aware batching with a padding cost model, and
-//!   admission control that sheds predicted-late requests (each shed
-//!   [`Response`] carries a [`ShedReason`]).
+//! * [`sched`] — the scheduler's components: a [`sched::ModelRegistry`]
+//!   with per-device BRAM residency (every device pays one cold
+//!   weight-load stall per model it serves), heterogeneous pools placed
+//!   by a per-(device, model) cost model, EDF deadline-aware batching
+//!   with a padding cost model, and admission control that sheds
+//!   predicted-late requests (each shed [`Response`] carries a
+//!   [`ShedReason`]).
+//! * [`cluster`] — N scheduler shards behind a virtual-clock router
+//!   (placement, replication, load-feedback steering, shard failover).
 //! * **Fault injection and recovery** — a deterministic, seeded
 //!   [`FaultPlan`] of [`DeviceFault`]s (crashes, brownouts, transients)
 //!   installed via [`RuntimeConfig::fault_plan`]. The scheduler reacts
@@ -92,7 +101,8 @@
 //! # Example
 //!
 //! ```
-//! use ernn_serve::{BatchPolicy, CompiledModel, ServeRuntime};
+//! use ernn_serve::sched::{ModelRegistry, SchedPolicy, SchedRuntime};
+//! use ernn_serve::CompiledModel;
 //! use ernn_serve::loadgen::{open_loop_poisson, synthetic_utterances};
 //! use ernn_fpga::exec::DatapathConfig;
 //! use ernn_fpga::XCKU060;
@@ -105,15 +115,20 @@
 //! let net = compress_network(&dense, BlockPolicy::uniform(4));
 //! let model = CompiledModel::compile(&net, &DatapathConfig::paper_12bit(), XCKU060);
 //!
-//! // Two devices, batches of up to 4, 100 µs wait budget.
-//! let runtime = ServeRuntime::new(model, 2, BatchPolicy::new(4, 100.0));
+//! // Two devices, FIFO batches of up to 4, 100 µs wait budget.
+//! let mut registry = ModelRegistry::new();
+//! registry.register("gru-16", model);
+//! let runtime = SchedRuntime::new(
+//!     registry,
+//!     vec![XCKU060; 2],
+//!     SchedPolicy::fifo_earliest_free(4, 100.0),
+//! );
 //! let utterances = synthetic_utterances(4, (3, 8), 8, 7);
 //! let report = runtime.run(open_loop_poisson(&utterances, 32, 50_000.0, 9));
 //! assert_eq!(report.responses.len(), 32);
 //! println!("{}", report.metrics);
 //! ```
 
-mod batcher;
 mod cache;
 pub mod cluster;
 mod config;
@@ -123,12 +138,10 @@ pub mod health;
 pub mod loadgen;
 mod metrics;
 mod request;
-mod runtime;
 pub mod sched;
 pub mod timeline;
 pub mod trace;
 
-pub use batcher::{BatchPolicy, BatchReadiness, DynamicBatcher, TakenBatch};
 pub use cache::{CompiledModel, LoadStats};
 pub use cluster::{
     ClusterConfig, ClusterReport, ClusterRuntime, ClusterSpec, ClusterStats, ShardReport, Steering,
@@ -148,7 +161,6 @@ pub use health::{
 };
 pub use metrics::{LatencySummary, ModelMetrics, ServeMetrics};
 pub use request::{Request, Response, ShedReason, Workload};
-pub use runtime::{ServeReport, ServeRuntime};
 pub use timeline::{
     timeline_json, MetricsTimeline, Timeline, TimelineConfig, TimelineProbe, TimelineSample,
 };

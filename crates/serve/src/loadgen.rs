@@ -12,7 +12,7 @@
 //!
 //! Open-loop traffic is materialized up front as a request list; closed
 //! loops need completion feedback and are driven by
-//! [`crate::runtime::ServeRuntime::run_closed_loop`].
+//! [`SchedRuntime::run_closed_loop`](crate::sched::SchedRuntime::run_closed_loop).
 
 use crate::request::Request;
 use rand::{Rng, SeedableRng};

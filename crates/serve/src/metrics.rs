@@ -96,7 +96,7 @@ pub struct ModelMetrics {
 /// deterministic: two runs of the same load under any host executor must
 /// compare equal (`PartialEq` is derived precisely so tests can assert
 /// that bit-identity). Wall-clock host time lives on
-/// [`ServeReport::host_us`](crate::ServeReport::host_us) instead, keeping
+/// [`SchedReport::host_us`](crate::sched::SchedReport::host_us) instead, keeping
 /// nondeterminism out of this struct entirely.
 ///
 /// Shed responses (admission-control rejections) are excluded from the

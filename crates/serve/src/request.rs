@@ -3,8 +3,8 @@
 //! A [`Request`] is either one whole ASR utterance or one **chunk** of a
 //! streaming session ([`Workload`]) — a sequence of feature frames
 //! stamped with a (virtual) arrival time, an optional latency deadline,
-//! and the id of the model it targets (single-model runtimes serve model
-//! `0`; the multi-model scheduler resolves ids through its
+//! and the id of the model it targets (`0` by default; the scheduler
+//! resolves ids through its
 //! [`ModelRegistry`](crate::sched::ModelRegistry)). The runtime answers it
 //! with a [`Response`] carrying the per-frame logits plus the full timing
 //! breakdown, so callers can audit queueing, batching and device time
@@ -61,8 +61,8 @@ impl Workload {
 pub struct Request {
     /// Caller-chosen identifier, echoed on the response.
     pub id: u64,
-    /// Which registered model this request targets (`0` for single-model
-    /// runtimes).
+    /// Which registered model this request targets (`0` unless set
+    /// with [`Request::with_model`]).
     pub model: usize,
     /// Feature frames, each of the model's input dimension.
     pub frames: Vec<Vec<f32>>,
@@ -386,28 +386,6 @@ pub(crate) fn validate_sessions(requests: &[Request]) {
     for (session, (.., done)) in sessions {
         assert!(done, "session {session}: final chunk must be marked `last`");
     }
-}
-
-/// Peak number of concurrently live sessions in a (validated) load: a
-/// session is live from its first chunk's arrival through its `last`
-/// chunk's arrival. Runtimes compare this against a configured
-/// [`RuntimeConfig::max_live_sessions`](crate::RuntimeConfig) limit.
-pub(crate) fn peak_live_sessions(requests: &[Request]) -> usize {
-    let mut order: Vec<&Request> = requests.iter().collect();
-    order.sort_by(|a, b| a.arrival_us.total_cmp(&b.arrival_us));
-    let (mut live, mut peak) = (0usize, 0usize);
-    for r in order {
-        if let Workload::Chunk { index, last, .. } = r.workload {
-            if index == 0 {
-                live += 1;
-                peak = peak.max(live);
-            }
-            if last {
-                live -= 1;
-            }
-        }
-    }
-    peak
 }
 
 #[cfg(test)]

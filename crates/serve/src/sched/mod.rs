@@ -30,11 +30,10 @@
 //! * [`AdmissionPolicy`] — shed predicted-late arrivals with an immediate
 //!   deadline-miss response, and optionally degrade (cap batch size)
 //!   under overload; every decision is logged in an [`AdmissionRecord`].
-//! * [`SchedRuntime`] — the event loop combining all of the above, with
-//!   the same virtual-time determinism contract as the single-model
-//!   runtime: responses, [`ServeMetrics`](crate::ServeMetrics) and
-//!   [`SchedStats`] are bit-identical across
-//!   [`ExecutorKind`](crate::ExecutorKind)s.
+//! * [`SchedRuntime`] — the event loop combining all of the above, under
+//!   the virtual-time determinism contract: responses,
+//!   [`ServeMetrics`](crate::ServeMetrics) and [`SchedStats`] are
+//!   bit-identical across [`ExecutorKind`](crate::ExecutorKind)s.
 //!
 //! Streaming sessions ([`Workload::Chunk`](crate::Workload) requests)
 //! get session-affinity placement: the first dispatched chunk pins the
@@ -118,7 +117,7 @@ mod runtime;
 
 pub use admission::{AdmissionPolicy, AdmissionRecord};
 pub use cost::CostModel;
-pub use queue::{PaddingModel, QueueDiscipline, SchedQueue};
+pub use queue::{PaddingModel, QueueDiscipline, SchedQueue, TakenBatch};
 pub use registry::{ModelId, ModelRegistry};
 pub use residency::{DeviceResidency, ImageKey, LoadEvent, WEIGHT_STREAM_BYTES_PER_US};
 pub(crate) use runtime::SchedEngine;

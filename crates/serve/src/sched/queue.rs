@@ -14,25 +14,27 @@
 //! every same-model key left behind. The property test in
 //! `tests/sched_edf.rs` pins that down.
 //!
-//! Streaming chunks add two more *closing* rules (shared with
-//! [`DynamicBatcher`](crate::DynamicBatcher), see its module docs): a
-//! batch closes before a second chunk of a session already in it, and
-//! before a chunk whose session is bound to a different device than the
-//! batch is pinned to. Both stop formation rather than skip, so the
-//! prefix/no-inversion property is untouched — and because session
-//! validation requires per-session deadlines to be non-decreasing, a
-//! chunk's predecessor always sorts ahead of it, so these rules are also
-//! what serialize a session's chunks into distinct batches in order.
+//! Streaming chunks batch **across sessions at the same chunk
+//! boundary** — several sessions' chunks ride one lockstep batch, each
+//! lane resuming its own recurrent state — under two more *closing*
+//! rules: a batch closes before a second chunk of a session already in
+//! it (two lanes of one session would double-apply state), and before a
+//! chunk whose session is bound to a different device than the batch is
+//! pinned to (state never migrates outside failover). Both stop
+//! formation rather than skip, so the prefix/no-inversion property is
+//! untouched — and because session validation requires per-session
+//! deadlines to be non-decreasing, a chunk's predecessor always sorts
+//! ahead of it, so these rules are also what serialize a session's
+//! chunks into distinct batches in order.
 
 use super::registry::ModelId;
-use crate::batcher::TakenBatch;
 use crate::request::Request;
 use std::collections::BTreeMap;
 
 /// How the queue orders requests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QueueDiscipline {
-    /// Arrival order — the classic dynamic batcher, blind to deadlines.
+    /// Arrival order — classic dynamic batching, blind to deadlines.
     Fifo,
     /// Earliest deadline first; deadline-free requests sort last.
     #[default]
@@ -111,6 +113,16 @@ fn key_bits(x: f64) -> u64 {
     } else {
         b | (1 << 63)
     }
+}
+
+/// A formed batch plus its device constraint.
+#[derive(Debug)]
+pub struct TakenBatch {
+    /// The batch members, in queue order.
+    pub batch: Vec<Request>,
+    /// Device the batch must run on (some member's session is bound
+    /// there), or `None` when placement is free.
+    pub pinned: Option<usize>,
 }
 
 /// The scheduler's central queue, ordered by `(key, seq)` where the key
@@ -403,6 +415,42 @@ mod tests {
             .map(|r| r.id)
             .collect();
         assert_eq!(ids, vec![10, 11, 12, 13]);
+    }
+
+    fn chunk(id: u64, session: u64, index: u32, arrival: f64) -> Request {
+        Request::chunk(id, session, index, false, vec![vec![0.0; 2]], arrival)
+    }
+
+    fn ids(taken: &TakenBatch) -> Vec<u64> {
+        taken.batch.iter().map(|r| r.id).collect()
+    }
+
+    #[test]
+    fn batch_closes_before_a_second_chunk_of_one_session() {
+        let mut q = SchedQueue::new(QueueDiscipline::Fifo);
+        q.push(chunk(0, 7, 0, 0.0), 0, 1.0);
+        q.push(chunk(1, 8, 0, 1.0), 1, 1.0); // different session: batches fine
+        q.push(chunk(2, 7, 1, 2.0), 2, 1.0); // same session again: closes batch
+        q.push(req(3, 0, 1, 3.0, None), 3, 1.0);
+        let first = q.take_batch(0, 4, &PaddingModel::none(), &unbound);
+        assert_eq!(ids(&first), vec![0, 1]);
+        let second = q.take_batch(0, 4, &PaddingModel::none(), &unbound);
+        assert_eq!(ids(&second), vec![2, 3]);
+    }
+
+    #[test]
+    fn batch_closes_at_an_affinity_conflict_and_reports_the_pin() {
+        let mut q = SchedQueue::new(QueueDiscipline::Fifo);
+        q.push(chunk(0, 7, 0, 0.0), 0, 1.0); // bound to device 1
+        q.push(req(1, 0, 1, 0.5, None), 1, 1.0); // utterances ride along freely
+        q.push(chunk(2, 8, 0, 1.0), 2, 1.0); // bound to device 0: conflict
+        let bind = |s: u64| Some(if s == 7 { 1 } else { 0 });
+        let first = q.take_batch(0, 4, &PaddingModel::none(), &bind);
+        assert_eq!(ids(&first), vec![0, 1]);
+        assert_eq!(first.pinned, Some(1));
+        let second = q.take_batch(0, 4, &PaddingModel::none(), &bind);
+        assert_eq!(ids(&second), vec![2]);
+        assert_eq!(second.pinned, Some(0));
     }
 
     /// The pre-index implementation, verbatim: a `(key, seq)`-sorted vec

@@ -4,8 +4,7 @@
 //! registry refreshes the model's block-circulant weight spectra exactly
 //! once — bumping every matrix's
 //! [`spectrum_refresh_count`](ernn_linalg::BlockCirculantMatrix::spectrum_refresh_count),
-//! the same cache-observability counter the single-model runtime uses —
-//! and then freezes it behind an `Arc` so executors and devices share it
+//! the cache-observability counter — and then freezes it behind an `Arc` so executors and devices share it
 //! read-only. From that point on, device-level evict/reload cycles are a
 //! *virtual-time* affair tracked by
 //! [`DeviceResidency`](crate::sched::DeviceResidency): the host-side

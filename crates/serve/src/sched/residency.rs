@@ -3,8 +3,8 @@
 //!
 //! E-RNN's whole design revolves around fitting the FFT'd weight image in
 //! on-chip BRAM (`RnnSpec::weight_bytes` against the platform budget from
-//! Table IV). A multi-model pool therefore has a placement constraint the
-//! single-model runtime never saw: dispatching model *m* to device *d*
+//! Table IV). A multi-model pool therefore has a placement constraint a
+//! one-model deployment never sees: dispatching model *m* to device *d*
 //! requires *m*'s image resident on *d*, and making room may evict
 //! another tenant. Loading is charged in *virtual time* at a PCIe-class
 //! streaming rate — the device stalls for `bytes / bandwidth` before the

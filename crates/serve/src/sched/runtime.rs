@@ -1,23 +1,46 @@
-//! The SLO-aware multi-model scheduling event loop.
+//! The SLO-aware multi-model scheduling event loop — the serving
+//! stack's one event loop.
 //!
-//! [`SchedRuntime`] is the multi-model, heterogeneous-pool counterpart of
-//! [`ServeRuntime`](crate::ServeRuntime). The event loop structure is the
-//! same — arrivals advance a virtual clock, formed batches land on
-//! simulated devices, host inference rides an [`Executor`] — but every
-//! decision point is replaced by a scheduler component:
+//! [`SchedRuntime`] advances a virtual clock over three event kinds —
+//! request arrival, batch-full dispatch, and max-wait flush — places
+//! formed batches on simulated devices, and hands host inference to an
+//! [`Executor`]. Every decision point is a scheduler component:
 //!
-//! * the FIFO batcher becomes a [`SchedQueue`] (EDF or FIFO) with
-//!   per-model, padding-gated batch formation;
-//! * earliest-free placement becomes a choice between
-//!   [`Placement::EarliestFree`] and [`Placement::CostModel`], the latter
-//!   minimizing predicted finish time — device ready time, residency
-//!   load stalls, and per-(device, model) [`StageCycles`] included;
+//! * a [`SchedQueue`] (EDF or FIFO) with per-model, padding-gated batch
+//!   formation;
+//! * placement by [`Placement::EarliestFree`] or
+//!   [`Placement::CostModel`], the latter minimizing predicted finish
+//!   time — device ready time, residency load stalls, and
+//!   per-(device, model) [`StageCycles`](ernn_fpga::StageCycles)
+//!   included;
 //! * every dispatch goes through per-device [`DeviceResidency`]: a cold
 //!   model stalls the device for its weight-streaming time and may evict
 //!   colder tenants;
 //! * arrivals pass [`AdmissionPolicy`]: predicted-late requests can be
 //!   shed with an immediate deadline-miss response, and overload can
 //!   degrade the batch-size cap.
+//!
+//! A one-model registry under [`SchedPolicy::fifo_earliest_free`] is
+//! plain dynamic batching — the classic max-batch / max-wait
+//! throughput-vs-latency dial over a pool of identical devices.
+//!
+//! # Virtual time vs wall clock
+//!
+//! The runtime keeps two clocks strictly apart. **Virtual time** (every
+//! `*_us` field on [`Response`] and [`ServeMetrics`]) is the simulated
+//! deployment's clock: arrival processes, batching waits, and CGPipe
+//! device timing advance it deterministically, and no host-side property
+//! — thread scheduling, CPU load, executor choice — can move a virtual
+//! timestamp. **Wall clock** ([`SchedReport::host_us`]) is the real CPU
+//! time this process spent producing the run; it is the one number an
+//! [`Executor`] is allowed to change. The event loop settles timing
+//! first (dispatch is pure arithmetic) and hands the functional work to
+//! the executor as [`InferenceJob`]s, so with
+//! [`ExecutorKind::ThreadPool`] host inference for one batch overlaps
+//! with event-loop processing of the next. Logits are stitched back into
+//! the responses before metrics are computed, and come from the
+//! quantized datapath per request, so batching changes *when* work
+//! happens, never *what* is computed.
 //!
 //! # The admission predictor
 //!
@@ -35,9 +58,8 @@
 //! [`SchedStats::admission_log`], and `tests/sched_edf.rs` asserts the
 //! shed set is exactly the predicted-late set.
 //!
-//! Virtual-time determinism holds exactly as for the single-model
-//! runtime: all scheduling decisions live on the virtual clock, so
-//! responses, metrics, and [`SchedStats`] are bit-identical across
+//! All scheduling decisions live on the virtual clock, so responses,
+//! metrics, and [`SchedStats`] are bit-identical across
 //! [`ExecutorKind::Inline`] and [`ExecutorKind::ThreadPool`].
 //!
 //! # Fault injection and recovery
@@ -99,7 +121,7 @@ use std::time::Instant;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Placement {
     /// Lowest `free_at` wins (ties to the lowest index) — blind to
-    /// platform speed and residency; the single-model runtime's policy.
+    /// platform speed and residency.
     EarliestFree,
     /// Minimize predicted finish: `max(now, free_at) + cold-load stall +
     /// estimated service` per eligible device (ties to the lowest index).
@@ -207,8 +229,7 @@ impl SchedPolicy {
     }
 
     /// The naive baseline: FIFO ordering, earliest-free placement,
-    /// admit everything — what the pre-scheduler runtime did, lifted to
-    /// multi-model.
+    /// admit everything — plain dynamic batching.
     pub fn fifo_earliest_free(max_batch: usize, max_wait_us: f64) -> Self {
         SchedPolicy {
             discipline: QueueDiscipline::Fifo,
@@ -315,7 +336,9 @@ pub struct SchedReport {
     /// Wall-clock host time for the whole run (µs) — the only
     /// nondeterministic number here.
     pub host_us: f64,
-    /// Host FFT activity per executor worker.
+    /// Exact host FFT activity per executor worker
+    /// ([`ExecutorKind::Inline`] reports a single entry). The entries
+    /// sum to the run's total inference FFT work.
     pub worker_fft: Vec<FftStats>,
     /// Observability capture: the virtual-time event journal (when the
     /// runtime was built [`SchedRuntime::with_tracing`]) plus the
@@ -331,6 +354,15 @@ pub struct SchedReport {
     /// [`RuntimeConfig::health`] enables the monitor). Bit-identical
     /// across executors.
     pub health: HealthReport,
+}
+
+impl SchedReport {
+    /// Total host FFT activity across all executor workers.
+    pub fn host_fft(&self) -> FftStats {
+        self.worker_fft
+            .iter()
+            .fold(FftStats::default(), |acc, w| acc.plus(w))
+    }
 }
 
 /// A timed arrival in the event queue (min-heap by time, then sequence).
@@ -405,11 +437,9 @@ impl SchedRuntime {
     }
 
     /// A scheduler with a full [`RuntimeConfig`] — the one constructor
-    /// the others delegate to, shared in shape with
-    /// [`ServeRuntime::with_config`](crate::ServeRuntime::with_config).
-    /// Unlike the single-model runtime, an over-cap streaming load does
-    /// not panic here: first chunks beyond
-    /// [`RuntimeConfig::max_live_sessions`] are shed at admission.
+    /// the others delegate to. An over-cap streaming load does not
+    /// panic: first chunks beyond [`RuntimeConfig::max_live_sessions`]
+    /// are shed at admission.
     ///
     /// # Panics
     ///
@@ -1480,11 +1510,7 @@ impl<'rt, 'p> SchedEngine<'rt, 'p> {
         let host_start = Instant::now();
         let executor = rt.make_executor();
         let cost = CostModel::build(&rt.platforms, &rt.registry);
-        // Per-device default timing: the first registered model's stages
-        // (only `dispatch_to` is ever used, so this is cosmetic
-        // bookkeeping).
-        let pool =
-            DevicePool::heterogeneous((0..rt.platforms.len()).map(|d| cost.stages(d, 0)).collect());
+        let pool = DevicePool::new(rt.platforms.len());
         let offer_seq = arrivals.len() as u64;
         let state = RunState {
             cost,
@@ -1688,8 +1714,9 @@ impl<'rt, 'p> SchedEngine<'rt, 'p> {
     /// [`SchedRuntime::run`], verbatim.
     pub(crate) fn finish(mut self) -> SchedReport {
         // Stitch host-side logits into the served responses (shed
-        // responses own no job slots) before metrics, exactly like the
-        // single-model runtime.
+        // responses own no job slots) *before* metrics, so
+        // throughput_fps (frames from logits) is identical for every
+        // executor.
         let exec_report = self.executor.finish();
         for (slot, logits) in exec_report.outputs {
             debug_assert!(
@@ -1928,15 +1955,32 @@ mod tests {
     fn timeline_tracks_queue_residency_and_counters() {
         use crate::health::HealthConfig;
         use crate::timeline::TimelineConfig;
-        let rt = SchedRuntime::with_config(
-            registry(),
-            vec![XCKU060, ADM_PCIE_7V3],
-            SchedPolicy::edf_cost_model(4, 100.0),
+        let run = |config: RuntimeConfig| {
+            SchedRuntime::with_config(
+                registry(),
+                vec![XCKU060, ADM_PCIE_7V3],
+                SchedPolicy::edf_cost_model(4, 100.0),
+                config,
+            )
+            .run(load(48, 100_000.0))
+        };
+        let captured = |exec: ExecutorKind| {
             RuntimeConfig::new()
+                .executor(exec)
                 .timeline(TimelineConfig::enabled(100.0, 4096))
-                .health(HealthConfig::enabled()),
-        );
-        let report = rt.run(load(48, 100_000.0));
+                .health(HealthConfig::enabled())
+        };
+        let report = run(captured(ExecutorKind::Inline));
+        // Samples and rule firings are virtual-time-derived: identical
+        // across executors.
+        let pooled = run(captured(ExecutorKind::ThreadPool));
+        assert_eq!(report.timeline, pooled.timeline);
+        assert_eq!(report.health, pooled.health);
+        // Disabled capture leaves both report fields empty.
+        let off = run(RuntimeConfig::new());
+        assert!(off.timeline.samples.is_empty());
+        assert!(off.health.healthy());
+        assert_eq!(off.health.samples_evaluated, 0);
         let tl = &report.timeline;
         assert!(!tl.samples.is_empty());
         assert_eq!(tl.dropped, 0);
@@ -2153,16 +2197,141 @@ mod tests {
             .enumerate()
             .map(|(i, u)| (i % 2, u))
             .collect();
-        let rt = SchedRuntime::new(
-            registry(),
-            vec![XCKU060, ADM_PCIE_7V3],
-            SchedPolicy::edf_cost_model(4, 30.0),
-        );
-        let report = rt.run_closed_loop(&payloads, 3, 30, None);
+        let run = |exec: ExecutorKind| {
+            SchedRuntime::with_executor(
+                registry(),
+                vec![XCKU060, ADM_PCIE_7V3],
+                SchedPolicy::edf_cost_model(4, 30.0),
+                exec,
+            )
+            .run_closed_loop(&payloads, 3, 30, None)
+        };
+        let report = run(ExecutorKind::Inline);
         assert_eq!(report.responses.len(), 30);
         for r in &report.responses {
             assert!(r.batch_size <= 3, "concurrency bounds in-flight work");
         }
+        // Every replacement arrives exactly at some earlier completion.
+        let completions: Vec<f64> = report.responses.iter().map(|r| r.complete_us).collect();
+        for r in report.responses.iter().filter(|r| r.id >= 3) {
+            assert!(
+                completions.contains(&r.arrival_us),
+                "arrival {} matches no completion",
+                r.arrival_us
+            );
+        }
+        // Completion feedback lives on the virtual clock, so the closed
+        // loop is as executor-independent as an open one.
+        let pooled = run(ExecutorKind::ThreadPool);
+        assert_eq!(report.responses, pooled.responses);
+        assert_eq!(report.metrics, pooled.metrics);
+    }
+
+    // ----- one model, FIFO + earliest-free: plain dynamic batching -----
+
+    fn fifo(devices: usize, max_batch: usize, max_wait_us: f64) -> SchedRuntime {
+        let mut reg = ModelRegistry::new();
+        reg.register("gru-16", compiled(21, 16));
+        SchedRuntime::new(
+            reg,
+            vec![XCKU060; devices],
+            SchedPolicy::fifo_earliest_free(max_batch, max_wait_us),
+        )
+    }
+
+    /// Utterances long enough that service time (≈ frames × II) dominates
+    /// the µs-scale arrival gaps used by the pressure tests.
+    fn long_utterances() -> Vec<Vec<Vec<f32>>> {
+        synthetic_utterances(6, (40, 80), DIM, 33)
+    }
+
+    #[test]
+    fn batching_engages_under_pressure() {
+        // Offered load far above single-device capacity forces full
+        // batches once the queue builds.
+        let report =
+            fifo(1, 8, 200.0).run(open_loop_poisson(&long_utterances(), 96, 500_000.0, 44));
+        assert!(
+            report.metrics.mean_batch_size > 2.0,
+            "mean batch {} under heavy load",
+            report.metrics.mean_batch_size
+        );
+        assert!(report.metrics.batch_histogram.contains_key(&8));
+    }
+
+    #[test]
+    fn max_wait_bounds_queue_time_under_light_load() {
+        // One request every millisecond (deterministic spacing far above
+        // the wait budget): every batch is a flushed singleton and
+        // queueing stays within the 50 µs budget.
+        let utts = long_utterances();
+        let reqs: Vec<Request> = (0..20)
+            .map(|i| Request::new(i, utts[i as usize % utts.len()].clone(), i as f64 * 1000.0))
+            .collect();
+        let report = fifo(1, 8, 50.0).run(reqs);
+        for r in &report.responses {
+            assert!(r.queue_us() <= 50.0 + 1e-9, "queue {}", r.queue_us());
+            assert_eq!(r.batch_size, 1);
+        }
+    }
+
+    #[test]
+    fn more_devices_never_slow_the_drain() {
+        let reqs = open_loop_poisson(&long_utterances(), 80, 400_000.0, 44);
+        let one = fifo(1, 4, 100.0).run(reqs.clone());
+        let two = fifo(2, 4, 100.0).run(reqs.clone());
+        let four = fifo(4, 4, 100.0).run(reqs);
+        assert!(two.metrics.makespan_us < one.metrics.makespan_us);
+        assert!(four.metrics.makespan_us <= two.metrics.makespan_us);
+    }
+
+    #[test]
+    fn earliest_free_placement_breaks_ties_to_the_lowest_index() {
+        // Three singleton batches at t = 0 on two idle devices: the tie
+        // goes to device 0, the second batch to the still-idle device 1,
+        // and the third to whichever frees first — device 1, whose
+        // batch was short.
+        let frames = |n: usize| vec![vec![0.1f32; DIM]; n];
+        let report = fifo(2, 1, 0.0).run(vec![
+            Request::new(0, frames(40), 0.0),
+            Request::new(1, frames(2), 0.0),
+            Request::new(2, frames(2), 0.0),
+        ]);
+        let mut by_id: Vec<&Response> = report.responses.iter().collect();
+        by_id.sort_by_key(|r| r.id);
+        let devices: Vec<Option<usize>> = by_id.iter().map(|r| r.device).collect();
+        assert_eq!(devices, vec![Some(0), Some(1), Some(1)]);
+    }
+
+    #[test]
+    fn occupancy_horizon_starts_at_first_arrival() {
+        // All arrivals late on the virtual clock: occupancy must be
+        // measured from the first arrival, not from t = 0.
+        let utts = long_utterances();
+        let reqs: Vec<Request> = (0..32)
+            .map(|i| {
+                Request::new(
+                    i,
+                    utts[i as usize % utts.len()].clone(),
+                    1_000_000.0 + i as f64,
+                )
+            })
+            .collect();
+        let report = fifo(1, 8, 50.0).run(reqs);
+        assert!(
+            report.metrics.device_occupancy[0] > 0.5,
+            "late-start load must still show real occupancy: {:?}",
+            report.metrics.device_occupancy
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "has no frames")]
+    fn closed_loop_validates_all_payloads_up_front() {
+        // The second payload is only reachable via a mid-run
+        // replacement request; admission must still reject it.
+        let good = vec![vec![0.0f32; DIM]; 3];
+        let _ = fifo(1, 1, 0.0).run_closed_loop(&[(0, good), (0, Vec::new())], 1, 10, None);
     }
 
     /// Splits one utterance into `chunk_frames`-sized session chunks with

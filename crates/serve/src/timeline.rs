@@ -165,7 +165,7 @@ pub struct TimelineProbe<'a> {
 }
 
 /// Pre-sized ring of fixed-interval [`TimelineSample`]s plus the
-/// queue-delay EWMA, captured by both runtimes while a run executes.
+/// queue-delay EWMA, captured by the runtime while a run executes.
 ///
 /// All storage is allocated at construction; [`Self::advance`],
 /// [`Self::observe_queue_delay`] and the health monitor's window reads

@@ -123,7 +123,7 @@ pub enum TraceEvent {
         /// The deadline the estimate overshot (µs).
         deadline_us: f64,
     },
-    /// A request entered the scheduling queue (or single-model batcher).
+    /// A request entered the scheduling queue.
     Enqueue {
         /// Virtual time (µs).
         t_us: f64,
@@ -832,7 +832,6 @@ impl StageAttribution {
 
 /// Everything observability captured for one run: the event journal plus
 /// the stage-time attribution table. Carried on
-/// [`ServeReport`](crate::ServeReport) and
 /// [`SchedReport`](crate::sched::SchedReport); derived `PartialEq` is
 /// what the executor bit-identity assertions compare.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -846,8 +845,8 @@ pub struct RunTrace {
 
 /// The event-loop side of observability: owns one run's recorder and
 /// attribution table and translates lifecycle moments into
-/// [`TraceEvent`]s, so both runtimes emit an identical event vocabulary
-/// from one code path.
+/// [`TraceEvent`]s, so the scheduler and the cluster router emit one
+/// event vocabulary from one code path.
 pub(crate) struct Observer {
     recorder: FlightRecorder,
     attribution: StageAttribution,
@@ -884,7 +883,7 @@ impl Observer {
         });
     }
 
-    /// A request entered the queue/batcher at the given resulting depth.
+    /// A request entered the queue at the given resulting depth.
     #[inline]
     pub(crate) fn enqueued(&mut self, t_us: f64, request: &Request, depth: usize) {
         self.recorder.record(TraceEvent::Enqueue {

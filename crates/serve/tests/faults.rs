@@ -13,8 +13,6 @@
 //!   its byte budget, its `used_bytes` accounting exactly matches the
 //!   surviving image set implied by the emitted `LoadEvent`s, and a
 //!   pinned (batch-used) image is never evicted while its pin is held.
-//! * The single-model [`ServeRuntime`] rejects fault plans loudly —
-//!   fault reactions live in the scheduler runtime only.
 
 use ernn_fpga::exec::DatapathConfig;
 use ernn_fpga::XCKU060;
@@ -22,8 +20,7 @@ use ernn_model::{compress_network, BlockPolicy, CellType, NetworkBuilder};
 use ernn_serve::loadgen::synthetic_utterances;
 use ernn_serve::sched::{DeviceResidency, ImageKey, ModelRegistry, SchedPolicy, SchedRuntime};
 use ernn_serve::{
-    BatchPolicy, CompiledModel, DeviceFault, ExecutorKind, FaultEvent, FaultPlan, Request,
-    RuntimeConfig, ServeRuntime,
+    CompiledModel, DeviceFault, ExecutorKind, FaultEvent, FaultPlan, Request, RuntimeConfig,
 };
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -307,16 +304,4 @@ proptest! {
             }
         }
     }
-}
-
-#[test]
-#[should_panic(expected = "fault injection is only supported by the scheduler runtime")]
-fn single_model_runtime_rejects_fault_plans() {
-    let plan = FaultPlan::seeded(1, 2, 10_000.0, 3);
-    let _ = ServeRuntime::with_config(
-        compiled(41, 16),
-        2,
-        BatchPolicy::new(4, 100.0),
-        RuntimeConfig::new().fault_plan(plan),
-    );
 }

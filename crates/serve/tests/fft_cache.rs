@@ -10,7 +10,8 @@ use ernn_fpga::exec::DatapathConfig;
 use ernn_fpga::XCKU060;
 use ernn_model::{compress_network, BlockPolicy, CellType, NetworkBuilder};
 use ernn_serve::loadgen::synthetic_utterances;
-use ernn_serve::{BatchPolicy, CompiledModel, Request, ServeRuntime};
+use ernn_serve::sched::{ModelRegistry, SchedPolicy, SchedRuntime};
+use ernn_serve::{CompiledModel, Request};
 use rand::SeedableRng;
 
 #[test]
@@ -35,8 +36,16 @@ fn weight_spectra_are_computed_at_load_not_per_request() {
     assert!(!refreshes_after_load.is_empty());
 
     // ---- Serve: only input-side transforms may run. ----
+    // (`register_shared`: the compile above already was the load, so
+    // registration must not refresh the spectra again.)
     let utterances = synthetic_utterances(4, (5, 9), 8, 3);
-    let runtime = ServeRuntime::new(model, 2, BatchPolicy::new(4, 50.0));
+    let mut registry = ModelRegistry::new();
+    registry.register_shared("lstm-16", std::sync::Arc::new(model));
+    let runtime = SchedRuntime::new(
+        registry,
+        vec![XCKU060; 2],
+        SchedPolicy::fifo_earliest_free(4, 50.0),
+    );
 
     // Warm-up request to measure the per-request transform cost.
     let probe = utterances[0].clone();
@@ -77,7 +86,7 @@ fn weight_spectra_are_computed_at_load_not_per_request() {
     // The per-matrix refresh counters are the direct cache witness: no
     // weight spectrum was recomputed by any of the requests above.
     assert_eq!(
-        runtime.model().weight_spectrum_refreshes(),
+        runtime.registry().model(0).weight_spectrum_refreshes(),
         refreshes_after_load,
         "weight spectra must not be refreshed during serving"
     );

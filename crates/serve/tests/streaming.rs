@@ -18,10 +18,7 @@ use ernn_fpga::{ADM_PCIE_7V3, XCKU060};
 use ernn_model::{compress_network, BlockPolicy, CellType, NetworkBuilder};
 use ernn_serve::loadgen::{open_loop_sessions, synthetic_utterances, SessionLoad};
 use ernn_serve::sched::{ModelRegistry, SchedPolicy, SchedRuntime};
-use ernn_serve::{
-    BatchPolicy, CompiledModel, ExecutorKind, Request, RuntimeConfig, ServeRuntime, TraceConfig,
-    Workload,
-};
+use ernn_serve::{CompiledModel, ExecutorKind, Request, RuntimeConfig, TraceConfig, Workload};
 use proptest::prelude::*;
 use rand::SeedableRng;
 
@@ -34,6 +31,19 @@ fn compiled(seed: u64, cell: CellType, hidden: usize) -> CompiledModel {
         .build(&mut rng);
     let net = compress_network(&dense, BlockPolicy::uniform(4));
     CompiledModel::compile(&net, &DatapathConfig::paper_12bit(), XCKU060)
+}
+
+/// Plain FIFO dynamic batching of one model over `devices` identical
+/// devices.
+fn fifo_runtime(
+    model: &CompiledModel,
+    devices: usize,
+    policy: SchedPolicy,
+    config: RuntimeConfig,
+) -> SchedRuntime {
+    let mut registry = ModelRegistry::new();
+    registry.register("model", model.clone());
+    SchedRuntime::with_config(registry, vec![XCKU060; devices], policy, config)
 }
 
 /// Splits `utt` into chunks whose sizes cycle through `sizes`, arriving
@@ -68,7 +78,7 @@ fn chunk_requests(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Chunked streaming through the single-model runtime reproduces the
+    /// Chunked streaming under plain FIFO batching reproduces the
     /// whole-utterance logits bit-exactly, for arbitrary chunkings, on
     /// both executors.
     #[test]
@@ -92,10 +102,10 @@ proptest! {
             ));
         }
         let exec = if exec_pool == 1 { ExecutorKind::ThreadPool } else { ExecutorKind::Inline };
-        let rt = ServeRuntime::with_config(
-            model.clone(),
+        let rt = fifo_runtime(
+            &model,
             devices,
-            BatchPolicy::new(4, 60.0),
+            SchedPolicy::fifo_earliest_free(4, 60.0),
             RuntimeConfig::new().executor(exec),
         );
         let report = rt.run(requests);
@@ -181,10 +191,10 @@ fn mixed_streaming_and_utterance_traffic_stays_bit_exact() {
             40.0 + 90.0 * i as f64,
         ));
     }
-    let rt = ServeRuntime::with_config(
-        model.clone(),
+    let rt = fifo_runtime(
+        &model,
         2,
-        BatchPolicy::new(3, 100.0),
+        SchedPolicy::fifo_earliest_free(3, 100.0),
         RuntimeConfig::new()
             .executor(ExecutorKind::ThreadPool)
             .max_live_sessions(4),

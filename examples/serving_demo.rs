@@ -10,11 +10,27 @@
 
 use ernn::asr::{SynthCorpus, SynthCorpusConfig};
 use ernn::fft::stats;
+use ernn::fpga::XCKU060;
 use ernn::model::{CellType, ModelSpec};
 use ernn::pipeline::Pipeline;
 use ernn::serve::loadgen::{open_loop_poisson, with_uniform_slo};
-use ernn::serve::{BatchPolicy, ExecutorKind, ServeRuntime};
+use ernn::serve::sched::{ModelRegistry, SchedPolicy, SchedRuntime};
+use ernn::serve::{CompiledModel, ExecutorKind};
 use rand::SeedableRng;
+use std::sync::Arc;
+
+/// One model under plain FIFO dynamic batching (batches of up to 8, a
+/// 200 µs wait budget) on `devices` XCKU060s.
+fn runtime(model: &Arc<CompiledModel>, devices: usize, executor: ExecutorKind) -> SchedRuntime {
+    let mut registry = ModelRegistry::new();
+    registry.register_shared("gru-64", Arc::clone(model));
+    SchedRuntime::with_executor(
+        registry,
+        vec![XCKU060; devices],
+        SchedPolicy::fifo_earliest_free(8, 200.0),
+        executor,
+    )
+}
 
 fn main() {
     // 1. Load: a reproducible corpus and a compressed acoustic model.
@@ -34,16 +50,18 @@ fn main() {
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
     let spec =
         ModelSpec::new(CellType::Gru, corpus.feature_dim, corpus.num_classes()).layer_dims(&[64]);
-    let model = Pipeline::paper(spec)
-        .expect("valid spec")
-        .init(&mut rng)
-        .project()
-        .expect("paper block policy")
-        .quantize()
-        .expect("paper datapath")
-        .compile()
-        .expect("paper platform")
-        .into_model();
+    let model = Arc::new(
+        Pipeline::paper(spec)
+            .expect("valid spec")
+            .init(&mut rng)
+            .project()
+            .expect("paper block policy")
+            .quantize()
+            .expect("paper datapath")
+            .compile()
+            .expect("paper platform")
+            .into_model(),
+    );
     println!(
         "compiled: {} circulant matrices, {} cached weight spectra, \
          {} weight FFTs at load",
@@ -61,11 +79,10 @@ fn main() {
     //    open-loop Poisson traffic at 500k req/s — above one device's
     //    capacity, so the pool is what keeps latency bounded — with a
     //    5 ms latency SLO.
-    let runtime = ServeRuntime::new(model, 2, BatchPolicy::new(8, 200.0));
     let requests = with_uniform_slo(open_loop_poisson(&utterances, 400, 500_000.0, 11), 5_000.0);
 
     let before = stats::snapshot();
-    let report = runtime.run(requests);
+    let report = runtime(&model, 2, ExecutorKind::Inline).run(requests);
     let during = stats::snapshot().since(&before);
 
     println!("\n== serving report (2 devices, batch ≤ 8, wait ≤ 200 µs) ==");
@@ -81,8 +98,7 @@ fn main() {
     );
 
     // 4. The same load on a single device, for contrast.
-    let single = ServeRuntime::new(runtime.model().clone(), 1, BatchPolicy::new(8, 200.0));
-    let single_report = single.run(with_uniform_slo(
+    let single_report = runtime(&model, 1, ExecutorKind::Inline).run(with_uniform_slo(
         open_loop_poisson(&utterances, 400, 500_000.0, 11),
         5_000.0,
     ));
@@ -97,13 +113,7 @@ fn main() {
     //    per device slot, host inference overlapped across devices. The
     //    virtual-time report is bit-identical; only wall-clock host time
     //    changes (a real speedup on multi-core hosts).
-    let pooled = ServeRuntime::with_executor(
-        runtime.model().clone(),
-        2,
-        BatchPolicy::new(8, 200.0),
-        ExecutorKind::ThreadPool,
-    );
-    let pooled_report = pooled.run(with_uniform_slo(
+    let pooled_report = runtime(&model, 2, ExecutorKind::ThreadPool).run(with_uniform_slo(
         open_loop_poisson(&utterances, 400, 500_000.0, 11),
         5_000.0,
     ));

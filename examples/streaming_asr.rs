@@ -9,12 +9,13 @@
 
 use ernn::asr::phones::PhoneSet;
 use ernn::asr::{decode_frames, IncrementalDecoder, SynthCorpus, SynthCorpusConfig};
+use ernn::fpga::XCKU060;
 use ernn::model::{CellType, ModelSpec};
 use ernn::pipeline::Pipeline;
-use ernn::serve::{
-    BatchPolicy, ExecutorKind, Request, Response, RuntimeConfig, ServeRuntime, Workload,
-};
+use ernn::serve::sched::{ModelRegistry, SchedPolicy, SchedRuntime};
+use ernn::serve::{ExecutorKind, Request, Response, RuntimeConfig, Workload};
 use rand::SeedableRng;
+use std::sync::Arc;
 
 const CHUNK_FRAMES: usize = 8;
 
@@ -70,18 +71,20 @@ fn main() {
     }
     requests.sort_by(|a, b| a.arrival_us.total_cmp(&b.arrival_us).then(a.id.cmp(&b.id)));
 
-    // 3. Serve on two devices with the thread-pool executor. Sessions
-    //    are pinned (state never migrates); batches may span sessions
-    //    but close at chunk boundaries.
-    let runtime = ServeRuntime::with_config(
-        model,
-        2,
-        BatchPolicy::new(4, 60.0),
+    // 3. Serve on two devices with the thread-pool executor. A session
+    //    is pinned where its first chunk lands (state never migrates);
+    //    batches may span sessions but close at chunk boundaries.
+    let model = Arc::new(model);
+    let mut registry = ModelRegistry::new();
+    registry.register_shared("gru-64", Arc::clone(&model));
+    let runtime = SchedRuntime::with_config(
+        registry,
+        vec![XCKU060; 2],
+        SchedPolicy::fifo_earliest_free(4, 60.0),
         RuntimeConfig::new()
             .executor(ExecutorKind::ThreadPool)
             .max_live_sessions(8),
     );
-    let model = runtime.model().clone();
     let report = runtime.run(requests);
     println!(
         "\nserved {} chunks across {} sessions; {}",

@@ -88,9 +88,7 @@
 //!
 //! `examples/quickstart.rs` walks the trained version of this path;
 //! `examples/multi_model_serving.rs` serves two artifact-built tenants
-//! under the scheduler. The pre-pipeline free-function entry points
-//! remain as thin deprecated wrappers (see ROADMAP for the removal
-//! horizon).
+//! under the scheduler.
 
 pub use ernn_admm as admm;
 pub use ernn_asr as asr;

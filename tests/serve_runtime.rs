@@ -1,4 +1,5 @@
-//! Integration tests for the serving runtime (`ernn::serve`):
+//! Integration tests for the serving runtime (`ernn::serve`), one model
+//! under plain FIFO dynamic batching (`SchedPolicy::fifo_earliest_free`):
 //!
 //! * batched execution is **bit-identical** to sequential single-request
 //!   execution through the quantized datapath (`fpga::exec`),
@@ -13,9 +14,10 @@ use ernn::fpga::exec::{DatapathConfig, QuantizedNetwork};
 use ernn::fpga::XCKU060;
 use ernn::model::{compress_network, BlockPolicy, CellType, NetworkBuilder};
 use ernn::serve::loadgen::{open_loop_poisson, synthetic_utterances};
-use ernn::serve::{BatchPolicy, CompiledModel, ExecutorKind, ServeReport, ServeRuntime};
+use ernn::serve::sched::{ModelRegistry, SchedPolicy, SchedReport, SchedRuntime};
+use ernn::serve::{CompiledModel, ExecutorKind};
 use rand::SeedableRng;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 const INPUT_DIM: usize = 10;
 
@@ -39,6 +41,24 @@ fn compiled(cell: CellType) -> CompiledModel {
     CompiledModel::compile(&net, &DatapathConfig::paper_12bit(), XCKU060)
 }
 
+/// One model on `devices` XCKU060s under FIFO batches of up to
+/// `max_batch`, flushed after `max_wait_us`.
+fn fifo_runtime(
+    model: impl Into<Arc<CompiledModel>>,
+    devices: usize,
+    (max_batch, max_wait_us): (usize, f64),
+    executor: ExecutorKind,
+) -> SchedRuntime {
+    let mut registry = ModelRegistry::new();
+    registry.register_shared("model", model.into());
+    SchedRuntime::with_executor(
+        registry,
+        vec![XCKU060; devices],
+        SchedPolicy::fifo_earliest_free(max_batch, max_wait_us),
+        executor,
+    )
+}
+
 #[test]
 fn batched_results_are_bit_identical_to_sequential_exec() {
     let _quiet = serial();
@@ -58,7 +78,7 @@ fn batched_results_are_bit_identical_to_sequential_exec() {
             .collect();
 
         // Serve the same utterances under aggressive batching.
-        let runtime = ServeRuntime::new(compiled(cell), 2, BatchPolicy::new(4, 500.0));
+        let runtime = fifo_runtime(compiled(cell), 2, (4, 500.0), ExecutorKind::Inline);
         let requests = open_loop_poisson(&utterances, 12, 1_000_000.0, 202);
         let report = runtime.run(requests);
         assert_eq!(report.responses.len(), 12);
@@ -86,10 +106,16 @@ fn two_devices_beat_one_under_the_same_open_loop_load() {
     // device can serve them, so the drain time is capacity-bound.
     let utterances = synthetic_utterances(8, (40, 80), INPUT_DIM, 301);
     let requests = open_loop_poisson(&utterances, 96, 400_000.0, 302);
-    let policy = BatchPolicy::new(4, 100.0);
-
-    let one = ServeRuntime::new(compiled(CellType::Gru), 1, policy).run(requests.clone());
-    let two = ServeRuntime::new(compiled(CellType::Gru), 2, policy).run(requests);
+    let run = |devices| {
+        fifo_runtime(
+            compiled(CellType::Gru),
+            devices,
+            (4, 100.0),
+            ExecutorKind::Inline,
+        )
+        .run(requests.clone())
+    };
+    let (one, two) = (run(1), run(2));
 
     assert_eq!(one.responses.len(), 96);
     assert_eq!(two.responses.len(), 96);
@@ -127,7 +153,7 @@ fn compiled_heavy() -> CompiledModel {
     CompiledModel::compile(&net, &DatapathConfig::paper_12bit(), XCKU060)
 }
 
-fn assert_reports_bit_identical(inline: &ServeReport, pool: &ServeReport) {
+fn assert_reports_bit_identical(inline: &SchedReport, pool: &SchedReport) {
     assert_eq!(
         inline.metrics, pool.metrics,
         "virtual-time metrics must not depend on the host executor"
@@ -141,15 +167,16 @@ fn assert_reports_bit_identical(inline: &ServeReport, pool: &ServeReport) {
 fn executors_agree_bit_for_bit_on_the_same_seeded_load() {
     let _quiet = serial();
     let utterances = synthetic_utterances(10, (10, 30), INPUT_DIM, 501);
-    let policy = BatchPolicy::new(4, 100.0);
-    let load = || open_loop_poisson(&utterances, 48, 300_000.0, 502);
-
-    let inline =
-        ServeRuntime::with_executor(compiled(CellType::Gru), 4, policy, ExecutorKind::Inline)
-            .run(load());
-    let pool =
-        ServeRuntime::with_executor(compiled(CellType::Gru), 4, policy, ExecutorKind::ThreadPool)
-            .run(load());
+    let run = |kind| {
+        fifo_runtime(compiled(CellType::Gru), 4, (4, 100.0), kind).run(open_loop_poisson(
+            &utterances,
+            48,
+            300_000.0,
+            502,
+        ))
+    };
+    let inline = run(ExecutorKind::Inline);
+    let pool = run(ExecutorKind::ThreadPool);
 
     assert_reports_bit_identical(&inline, &pool);
 
@@ -171,12 +198,10 @@ fn thread_pool_beats_inline_on_wall_clock_for_cpu_bound_load() {
     let _quiet = serial();
     let utterances = synthetic_utterances(12, (30, 60), 52, 601);
     let requests = open_loop_poisson(&utterances, 64, 400_000.0, 602);
-    let policy = BatchPolicy::new(8, 200.0);
-    // One Arc'd compile shared by all seven runs below.
-    let model = std::sync::Arc::new(compiled_heavy());
+    // One Arc'd compile shared by all six runs below.
+    let model = Arc::new(compiled_heavy());
     let run = |kind: ExecutorKind| {
-        ServeRuntime::with_executor(std::sync::Arc::clone(&model), 4, policy, kind)
-            .run(requests.clone())
+        fifo_runtime(Arc::clone(&model), 4, (8, 200.0), kind).run(requests.clone())
     };
 
     // Best-of-three wall clocks to damp scheduler noise; virtual-time
@@ -184,7 +209,7 @@ fn thread_pool_beats_inline_on_wall_clock_for_cpu_bound_load() {
     let inline_runs = [run(ExecutorKind::Inline), run(ExecutorKind::Inline)];
     let pool_runs = [run(ExecutorKind::ThreadPool), run(ExecutorKind::ThreadPool)];
     assert_reports_bit_identical(&inline_runs[0], &pool_runs[0]);
-    let best = |runs: &[ServeReport], extra: &ServeReport| {
+    let best = |runs: &[SchedReport], extra: &SchedReport| {
         runs.iter().map(|r| r.host_us).fold(extra.host_us, f64::min)
     };
     let inline_us = best(&inline_runs, &run(ExecutorKind::Inline));
@@ -225,10 +250,10 @@ fn facade_reexports_the_serving_surface() {
     // The facade path (`ernn::serve`) must expose the full serving API.
     let model = compiled(CellType::Gru);
     assert_eq!(model.input_dim(), INPUT_DIM);
-    let policy = ernn::serve::BatchPolicy::immediate();
-    let runtime = ernn::serve::ServeRuntime::new(model, 1, policy);
+    let runtime = fifo_runtime(model, 1, (1, 0.0), ExecutorKind::Inline);
     let utterances = synthetic_utterances(1, (3, 3), INPUT_DIM, 7);
-    let report = runtime.run_closed_loop(&utterances, 1, 3);
+    let payloads = [(0, utterances[0].clone())];
+    let report = runtime.run_closed_loop(&payloads, 1, 3, None);
     assert_eq!(report.responses.len(), 3);
     assert!(report.metrics.latency.p99_us > 0.0);
 }
