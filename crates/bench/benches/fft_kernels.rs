@@ -1,7 +1,7 @@
 //! Criterion benches for the FFT kernels underlying every E-RNN matvec.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ernn_fft::{Complex32, FftPlan, RealFft};
+use ernn_fft::{Complex32, FftPlan, RealFft, RealFftScratch};
 use std::time::Duration;
 
 fn bench_fft(c: &mut Criterion) {
@@ -43,5 +43,38 @@ fn bench_real_fft(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_fft, bench_real_fft);
+/// 32 block-sized real transforms: one scalar call per signal against one
+/// lane-batched call (what the block-circulant matvec issues).
+fn bench_lane_fft(c: &mut Criterion) {
+    const W: usize = 32;
+    let mut group = c.benchmark_group("real_fft_32_signals");
+    group
+        .sample_size(20)
+        .measurement_time(Duration::from_millis(800));
+    for &n in &[8usize, 16] {
+        let rfft = RealFft::new(n);
+        let planes: Vec<f32> = (0..n * W).map(|i| (i as f32 * 0.37).sin()).collect();
+        let signal = &planes[..n];
+        let mut spectrum = vec![Complex32::ZERO; rfft.spectrum_len()];
+        let mut scratch = RealFftScratch::new();
+        group.bench_with_input(BenchmarkId::new("scalar", n), &n, |b, _| {
+            b.iter(|| {
+                for _ in 0..W {
+                    rfft.forward_into(std::hint::black_box(signal), &mut spectrum, &mut scratch);
+                }
+            })
+        });
+        let mut time = planes.clone();
+        let mut lanes = vec![0.0f32; rfft.spectrum_len() * 2 * W];
+        group.bench_with_input(BenchmarkId::new("lanes", n), &n, |b, _| {
+            b.iter(|| {
+                time.copy_from_slice(&planes);
+                rfft.forward_lanes::<W>(std::hint::black_box(&mut time), &mut lanes, W);
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_fft, bench_real_fft, bench_lane_fft);
 criterion_main!(benches);

@@ -1,7 +1,7 @@
-//! Sweeps the zero-allocation, batch-fused FFT matvec kernel stack:
+//! Sweeps the zero-allocation, batch-fused, lane-major FFT matvec kernel:
 //! per-call heap-allocation counts for the allocating vs `_into` paths,
-//! and batched-vs-sequential matvec wall clock across block sizes and
-//! batch sizes.
+//! and fused-vs-sequential and direct-vs-FFT wall clock across block
+//! sizes, batch sizes and the paper's matrix shapes.
 //!
 //! The sweep doubles as a correctness harness (CI runs it with `--quick`):
 //!
@@ -9,8 +9,11 @@
 //!   **zero** (counted by the [`ernn_bench::alloc`] global allocator);
 //! * `matvec_batch_into` must stream the cached weight spectra exactly
 //!   once per batch (`p·q` block reads, via `ernn_fft::stats`);
-//! * for batches of 8 or more, one fused call must beat B sequential
-//!   `matvec` calls on wall clock.
+//! * one fused call must cost, per input, at most 1.10 × one
+//!   `matvec_into` — the two sides alternate inside one run, so a slow
+//!   spell of the machine hits both. (The lane-major kernel is FP-issue
+//!   bound and just as fast at batch 1, so "fused beats sequential" is a
+//!   coin flip; "fusing never costs" is the property worth gating.)
 //!
 //! Run with: `cargo run --release -p ernn-bench --bin kernel_sweep`
 //! (`--quick` shrinks the configs for smoke runs, `--json PATH` writes
@@ -21,21 +24,21 @@ use ernn_bench::json::{array, json_path_arg, write_artifact, JsonObject};
 use ernn_fft::stats;
 use ernn_linalg::{BlockCirculantMatrix, MatVecScratch};
 use rand::{Rng, SeedableRng};
+use std::hint::black_box;
 use std::time::Instant;
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
-/// Best-of-`reps` wall time of `f`, in microseconds.
-fn best_us(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t = Instant::now();
-        f();
-        best = best.min(t.elapsed().as_secs_f64() * 1e6);
-    }
-    best
+/// Wall time of one call of `f`, in microseconds.
+fn once_us(mut f: impl FnMut()) -> f64 {
+    let t = Instant::now();
+    f();
+    t.elapsed().as_secs_f64() * 1e6
 }
+
+/// Fused time per input must stay within this factor of one `matvec_into`.
+const FUSED_PER_LANE_CEILING: f64 = 1.10;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -43,90 +46,135 @@ fn main() {
     let json_path = json_path_arg(&args);
     let dim = if quick { 256 } else { 1024 };
     let block_sizes: &[usize] = if quick { &[8, 16] } else { &[8, 16, 32, 64] };
-    let batches: &[usize] = &[1, 4, 8, 16];
     let reps = if quick { 15 } else { 40 };
 
+    // (rows, cols, L_b, batch): the square sweep, then the paper's shapes
+    // (LSTM-1024 recurrent/input/projection-side matrices, Sec. VII).
+    let mut configs: Vec<(usize, usize, usize, usize)> = Vec::new();
+    for &lb in block_sizes {
+        configs.extend([1, 4, 8, 16].map(|batch| (dim, dim, lb, batch)));
+    }
+    for &lb in if quick { &[8][..] } else { &[8, 16][..] } {
+        for (rows, cols) in [(1024, 1024), (2048, 153), (4096, 512)] {
+            configs.extend([1, 16].map(|batch| (rows, cols, lb, batch)));
+        }
+    }
+
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(9);
-    println!("kernel_sweep: {dim}×{dim} block-circulant matvec, best of {reps} reps\n");
+    println!("kernel_sweep: block-circulant matvec, best of {reps} alternating reps\n");
     println!(
-        "{:<6} {:<6} {:>12} {:>12} {:>9} {:>12} {:>12}",
-        "L_b", "batch", "seq µs", "fused µs", "speedup", "seq allocs", "fused allocs"
+        "{:<11} {:<5} {:<6} {:>10} {:>10} {:>10} {:>8} {:>10} {:>11} {:>7} {:>7}",
+        "shape",
+        "L_b",
+        "batch",
+        "seq µs",
+        "fused µs",
+        "into µs",
+        "speedup",
+        "fused/lane",
+        "direct/fft",
+        "seq al.",
+        "fus al."
     );
 
-    let mut rows: Vec<String> = Vec::new();
-    for &lb in block_sizes {
-        let p = dim / lb;
-        let blocks: Vec<f32> = (0..p * p * lb).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let m = BlockCirculantMatrix::from_blocks(dim, dim, lb, blocks);
-        let mut scratch = MatVecScratch::new();
+    let mut rows_json: Vec<String> = Vec::new();
+    let mut scratch = MatVecScratch::new();
+    for (rows, cols, lb, batch) in configs {
+        let (p, q) = (rows.div_ceil(lb), cols.div_ceil(lb));
+        let blocks: Vec<f32> = (0..p * q * lb).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let m = BlockCirculantMatrix::from_blocks(rows, cols, lb, blocks);
+        let xs: Vec<f32> = (0..batch * cols)
+            .map(|_| rng.gen_range(-1.0..1.0))
+            .collect();
+        let mut ys = vec![0.0f32; batch * rows];
 
-        for &batch in batches {
-            let xs: Vec<f32> = (0..batch * dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            let mut ys = vec![0.0f32; batch * dim];
+        // Warm the scratch, then count steady-state allocations and
+        // spectrum-block reads for one fused call.
+        m.matvec_batch_into(&xs, &mut ys, batch, &mut scratch);
+        let (a0, s0) = (allocation_count(), stats::thread_snapshot());
+        m.matvec_batch_into(&xs, &mut ys, batch, &mut scratch);
+        let fused_allocs = allocation_count() - a0;
+        let fused_reads = stats::thread_snapshot().since(&s0).spectrum_block_reads;
+        assert_eq!(
+            fused_allocs, 0,
+            "steady-state matvec_batch_into must not allocate ({rows}×{cols} L_b={lb}, batch={batch})"
+        );
+        assert_eq!(
+            fused_reads,
+            (p * q) as u64,
+            "fused matvec must stream the weight spectra once per batch"
+        );
 
-            // Warm the scratch, then count steady-state allocations and
-            // spectrum-block reads for one fused call.
-            m.matvec_batch_into(&xs, &mut ys, batch, &mut scratch);
-            let (a0, s0) = (allocation_count(), stats::thread_snapshot());
-            m.matvec_batch_into(&xs, &mut ys, batch, &mut scratch);
-            let fused_allocs = allocation_count() - a0;
-            let fused_reads = stats::thread_snapshot().since(&s0).spectrum_block_reads;
-            assert_eq!(
-                fused_allocs, 0,
-                "steady-state matvec_batch_into must not allocate (L_b={lb}, batch={batch})"
-            );
-            assert_eq!(
-                fused_reads,
-                (p * p) as u64,
-                "fused matvec must stream the weight spectra once per batch"
-            );
+        // Allocation count of the B allocating sequential calls.
+        let a0 = allocation_count();
+        for x in xs.chunks(cols) {
+            let _ = m.matvec(x);
+        }
+        let seq_allocs = allocation_count() - a0;
 
-            // Allocation count of the B allocating sequential calls.
-            let a0 = allocation_count();
-            for b in 0..batch {
-                let _ = m.matvec(&xs[b * dim..(b + 1) * dim]);
-            }
-            let seq_allocs = allocation_count() - a0;
-
-            let seq_us = best_us(reps, || {
-                for b in 0..batch {
-                    std::hint::black_box(m.matvec(&xs[b * dim..(b + 1) * dim]));
+        // All four sides alternate inside every rep; each keeps its best.
+        let (mut seq_us, mut fused_us) = (f64::INFINITY, f64::INFINITY);
+        let (mut into_us, mut direct_us) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..reps {
+            seq_us = seq_us.min(once_us(|| {
+                for x in xs.chunks(cols) {
+                    black_box(m.matvec(x));
                 }
-            });
-            let fused_us = best_us(reps, || {
-                m.matvec_batch_into(
-                    std::hint::black_box(&xs),
-                    std::hint::black_box(&mut ys),
-                    batch,
+            }));
+            fused_us = fused_us.min(once_us(|| {
+                m.matvec_batch_into(black_box(&xs), black_box(&mut ys), batch, &mut scratch);
+            }));
+            into_us = into_us.min(once_us(|| {
+                m.matvec_into(
+                    black_box(&xs[..cols]),
+                    black_box(&mut ys[..rows]),
                     &mut scratch,
                 );
-            });
-            let speedup = seq_us / fused_us;
-            if batch >= 8 {
-                assert!(
-                    fused_us < seq_us,
-                    "fused batch {batch} must beat {batch} sequential matvecs \
-                     (L_b={lb}: {fused_us:.1}µs vs {seq_us:.1}µs)"
-                );
-            }
-
-            println!(
-                "{:<6} {:<6} {:>12.1} {:>12.1} {:>8.2}x {:>12} {:>12}",
-                lb, batch, seq_us, fused_us, speedup, seq_allocs, fused_allocs
-            );
-            rows.push(
-                JsonObject::new()
-                    .int("block_size", lb as i64)
-                    .int("batch", batch as i64)
-                    .num("seq_us", seq_us)
-                    .num("fused_us", fused_us)
-                    .num("speedup", speedup)
-                    .int("seq_allocs", seq_allocs as i64)
-                    .int("fused_steady_allocs", fused_allocs as i64)
-                    .int("fused_spectrum_reads", fused_reads as i64)
-                    .render(),
-            );
+            }));
+            direct_us = direct_us.min(once_us(|| {
+                black_box(m.matvec_direct(black_box(&xs[..cols])));
+            }));
         }
+        let speedup = seq_us / fused_us;
+        let fused_per_lane = fused_us / batch as f64 / into_us;
+        let direct_over_fft = direct_us / into_us;
+        assert!(
+            fused_per_lane <= FUSED_PER_LANE_CEILING,
+            "fusing {batch} inputs must not cost more per input than matvec_into \
+             ({rows}×{cols} L_b={lb}: {fused_us:.1}µs / {batch} vs {into_us:.1}µs)"
+        );
+
+        println!(
+            "{:<11} {:<5} {:<6} {:>10.1} {:>10.1} {:>10.1} {:>7.2}x {:>10.2} {:>10.1}x {:>7} {:>7}",
+            format!("{rows}×{cols}"),
+            lb,
+            batch,
+            seq_us,
+            fused_us,
+            into_us,
+            speedup,
+            fused_per_lane,
+            direct_over_fft,
+            seq_allocs,
+            fused_allocs
+        );
+        rows_json.push(
+            JsonObject::new()
+                .int("rows", rows as i64)
+                .int("cols", cols as i64)
+                .int("block_size", lb as i64)
+                .int("batch", batch as i64)
+                .num("seq_us", seq_us)
+                .num("fused_us", fused_us)
+                .num("into_us", into_us)
+                .num("speedup", speedup)
+                .num("fused_per_lane_over_into", fused_per_lane)
+                .num("direct_over_fft", direct_over_fft)
+                .int("seq_allocs", seq_allocs as i64)
+                .int("fused_steady_allocs", fused_allocs as i64)
+                .int("fused_spectrum_reads", fused_reads as i64)
+                .render(),
+        );
     }
 
     // FFT kernels alone: allocating vs `_into`, per call.
@@ -155,7 +203,7 @@ fn main() {
         into_allocs
     );
     println!("(steady-state fused-matvec and FFT `_into` allocation counts asserted zero;");
-    println!(" fused batch ≥ 8 asserted faster than sequential)");
+    println!(" fused time per input asserted ≤ {FUSED_PER_LANE_CEILING:.2} × one matvec_into)");
 
     if let Some(path) = json_path {
         let doc = JsonObject::new()
@@ -163,7 +211,7 @@ fn main() {
             .int("dim", dim as i64)
             .int("fft_forward_allocs", fwd_allocs as i64)
             .int("fft_into_allocs", into_allocs as i64)
-            .raw("rows", array(rows))
+            .raw("rows", array(rows_json))
             .render();
         write_artifact(&path, doc);
     }

@@ -9,7 +9,8 @@
 //! * [`FftPlan`] — an iterative radix-2 Cooley–Tukey FFT with precomputed
 //!   twiddle factors and bit-reversal permutation.
 //! * [`RealFft`] — real-input FFT using the packed half-size complex trick,
-//!   exploiting the Hermitian symmetry the paper leverages in Sec. V-A2.
+//!   exploiting the Hermitian symmetry the paper leverages in Sec. V-A2,
+//!   one signal at a time or a tile of signals side by side.
 //! * [`conv`] — circular convolution/correlation used by circulant matvecs.
 //! * [`cost`] — the multiplication-count model behind Fig. 8 of the paper
 //!   (FFT/IFFT decoupling, real-valued symmetry, trivial-twiddle trimming).
@@ -24,6 +25,33 @@
 //! perform **zero heap allocations** — the contract the serving hot path
 //! in `ernn-serve` is built on. The allocating forms are thin wrappers
 //! over the `_into` kernels, so the two are bit-identical by construction.
+//!
+//! # Lane-batched transforms
+//!
+//! The block-circulant matvec needs hundreds of size-`L_b` transforms per
+//! call, each far too small to vectorise on its own. [`RealFft::forward_lanes`]
+//! / [`RealFft::inverse_lanes`] transform `W` independent signals at once
+//! from planes with the *signal index* in the stride-1 lane axis:
+//!
+//! ```text
+//! time      [sample][lane]           N · W floats
+//! spectrum  [bin][re|im][lane]       (N/2 + 1) · 2 · W floats
+//! ```
+//!
+//! Every arithmetic statement of the scalar kernels becomes a loop over
+//! lanes and nothing else changes — same pack → bit-reverse → radix-2
+//! butterflies → untangle order, same twiddle table, the full complex
+//! multiply even by `1 + 0i` — so per output element the floating-point
+//! operation sequence is the scalar definition's; lanes only run side by
+//! side, and lane `l` is bit-identical to `forward_into` / `inverse_into`
+//! of signal `l` (property-tested, also in `--release`). That contract is
+//! why there is no FMA, `target-cpu`, feature detection or `unsafe` here:
+//! the autovectoriser on baseline SSE2 is the mechanism, and it needs the
+//! lane loops to run over fixed-width `[f32; W]` views (runtime-length
+//! slices measured 2× slower). Radix-4 / split-radix would cut twiddle
+//! multiplies but change the floats, so it is a separate decision.
+//! Counters stay exact without an atomic per transform: a lane call bumps
+//! [`stats`] once, by its number of live lanes.
 //!
 //! Plans themselves are cheap to share: [`RealFft::shared`] returns a
 //! process-wide cached `Arc<RealFft>` per size, so model clones stop
@@ -55,7 +83,7 @@ pub mod stats;
 
 pub use complex::Complex32;
 pub use plan::{dft_naive, FftPlan};
-pub use real::{spectrum_conj_mul, spectrum_conj_mul_acc, spectrum_mul, RealFft, RealFftScratch};
+pub use real::{spectrum_conj_mul, spectrum_mul, RealFft, RealFftScratch};
 
 /// Returns `true` if `n` is a power of two (and non-zero).
 ///

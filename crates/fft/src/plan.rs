@@ -115,6 +115,72 @@ impl FftPlan {
         buf
     }
 
+    /// Lane-batched [`Self::forward`]: `buf` holds `W` independent
+    /// signals as `[sample][re|im][lane]` planes and every lane goes
+    /// through the same permutation and butterflies as the scalar
+    /// transform.
+    pub(crate) fn forward_lanes<const W: usize>(&self, buf: &mut [f32]) {
+        assert_eq!(buf.len(), self.size * 2 * W, "buffer must be size × 2 × W");
+        if self.size <= 1 {
+            return;
+        }
+        self.permute_lanes::<W>(buf);
+        self.butterflies_lanes::<W>(buf, false);
+    }
+
+    /// Lane-batched [`Self::inverse`] (see [`Self::forward_lanes`]).
+    pub(crate) fn inverse_lanes<const W: usize>(&self, buf: &mut [f32]) {
+        assert_eq!(buf.len(), self.size * 2 * W, "buffer must be size × 2 × W");
+        if self.size <= 1 {
+            return;
+        }
+        self.permute_lanes::<W>(buf);
+        self.butterflies_lanes::<W>(buf, true);
+        let scale = 1.0 / self.size as f32;
+        for v in buf.iter_mut() {
+            *v *= scale;
+        }
+    }
+
+    fn permute_lanes<const W: usize>(&self, buf: &mut [f32]) {
+        for (i, &j) in self.bitrev.iter().enumerate() {
+            let j = j as usize;
+            if i < j {
+                let (lo, hi) = buf.split_at_mut(j * 2 * W);
+                let (a_re, a_im) = lane_planes_mut::<W>(&mut lo[i * 2 * W..]);
+                let (b_re, b_im) = lane_planes_mut::<W>(hi);
+                std::mem::swap(a_re, b_re);
+                std::mem::swap(a_im, b_im);
+            }
+        }
+    }
+
+    fn butterflies_lanes<const W: usize>(&self, buf: &mut [f32], inverse: bool) {
+        let n = self.size;
+        let mut len = 2;
+        while len <= n {
+            let half = len / 2;
+            let stride = n / len;
+            for start in (0..n).step_by(len) {
+                for k in 0..half {
+                    let w = self.twiddles[k * stride];
+                    let w = if inverse { w.conj() } else { w };
+                    let (lo, hi) = buf.split_at_mut((start + k + half) * 2 * W);
+                    let (a_re, a_im) = lane_planes_mut::<W>(&mut lo[(start + k) * 2 * W..]);
+                    let (b_re, b_im) = lane_planes_mut::<W>(hi);
+                    for l in 0..W {
+                        let a = Complex32::new(a_re[l], a_im[l]);
+                        let b = Complex32::new(b_re[l], b_im[l]) * w;
+                        let (sum, diff) = (a + b, a - b);
+                        (a_re[l], a_im[l]) = (sum.re, sum.im);
+                        (b_re[l], b_im[l]) = (diff.re, diff.im);
+                    }
+                }
+            }
+            len <<= 1;
+        }
+    }
+
     fn permute(&self, buf: &mut [Complex32]) {
         for (i, &j) in self.bitrev.iter().enumerate() {
             let j = j as usize;
@@ -143,6 +209,27 @@ impl FftPlan {
             len <<= 1;
         }
     }
+}
+
+/// The leading `re` and `im` planes of a `[re|im][lane]` pair as
+/// fixed-width arrays: a compile-time lane count is what lets the
+/// autovectoriser run the per-lane loops side by side (runtime-length
+/// slices measured more than 2× slower).
+pub(crate) fn lane_planes<const W: usize>(s: &[f32]) -> (&[f32; W], &[f32; W]) {
+    let (re, im) = s[..2 * W].split_at(W);
+    (
+        re.try_into().expect("W lanes"),
+        im.try_into().expect("W lanes"),
+    )
+}
+
+/// Mutable [`lane_planes`].
+pub(crate) fn lane_planes_mut<const W: usize>(s: &mut [f32]) -> (&mut [f32; W], &mut [f32; W]) {
+    let (re, im) = s[..2 * W].split_at_mut(W);
+    (
+        re.try_into().expect("W lanes"),
+        im.try_into().expect("W lanes"),
+    )
 }
 
 /// Reference O(N²) DFT used to validate the fast implementation in tests.

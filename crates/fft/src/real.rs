@@ -8,6 +8,7 @@
 //! length plus an O(N) untangling pass — the software analogue of the
 //! hardware optimization.
 
+use crate::plan::{lane_planes, lane_planes_mut};
 use crate::{is_power_of_two, Complex32, FftPlan};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -169,7 +170,7 @@ impl RealFft {
             self.spectrum_len(),
             "spectrum length must be N/2 + 1"
         );
-        crate::stats::count_forward();
+        crate::stats::count_forward(1);
         match self.size {
             1 => spectrum[0] = Complex32::from_real(input[0]),
             2 => {
@@ -186,9 +187,12 @@ impl RealFft {
                     .as_ref()
                     .expect("plan exists for N >= 4")
                     .forward(packed);
+                // `half` is a power of two: wrap with a mask, not two
+                // integer divisions per bin.
+                let wrap = half - 1;
                 for (k, bin) in spectrum.iter_mut().enumerate() {
-                    let zk = packed[k % half];
-                    let znk = packed[(half - k) % half].conj();
+                    let zk = packed[k & wrap];
+                    let znk = packed[(half - k) & wrap].conj();
                     let even = (zk + znk).scale(0.5);
                     let odd = (zk - znk).mul_neg_i().scale(0.5);
                     *bin = even + self.twiddles[k] * odd;
@@ -239,7 +243,7 @@ impl RealFft {
             self.size,
             "output length must match plan size"
         );
-        crate::stats::count_inverse();
+        crate::stats::count_inverse(1);
         match self.size {
             1 => output[0] = spectrum[0].re,
             2 => {
@@ -268,6 +272,137 @@ impl RealFft {
             }
         }
     }
+
+    /// Lane-batched [`Self::forward_into`]: transforms `W` independent
+    /// real signals side by side.
+    ///
+    /// `time` holds the signals as `[sample][lane]` planes (`N·W` floats)
+    /// and doubles as the workspace — it is **clobbered**. `spectrum`
+    /// receives `[bin][re|im][lane]` planes (`spectrum_len()·2·W`
+    /// floats). Every lane goes through the scalar transform's exact
+    /// operation sequence (pack → bit-reverse → radix-2 butterflies →
+    /// untangle, same twiddles), so lane `l` of the result is
+    /// bit-identical to `forward_into` of signal `l`; the lanes only run
+    /// side by side. `live` is how many lanes carry real signals (the
+    /// rest are padding the caller ignores) — it only feeds the
+    /// [`stats`](crate::stats) counters, bumped once per call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a buffer length disagrees with the plan or `live > W`.
+    pub fn forward_lanes<const W: usize>(
+        &self,
+        time: &mut [f32],
+        spectrum: &mut [f32],
+        live: usize,
+    ) {
+        assert_eq!(time.len(), self.size * W, "time planes must be N × W");
+        assert_eq!(
+            spectrum.len(),
+            self.spectrum_len() * 2 * W,
+            "spectrum planes must be (N/2 + 1) × 2 × W"
+        );
+        assert!(live <= W, "at most W live lanes");
+        crate::stats::count_forward(live as u64);
+        match self.size {
+            1 => {
+                spectrum[..W].copy_from_slice(time);
+                spectrum[W..].fill(0.0);
+            }
+            2 => {
+                let (t0, t1) = lane_planes::<W>(time);
+                let (bin0, bin1) = spectrum.split_at_mut(2 * W);
+                let (re0, im0) = lane_planes_mut::<W>(bin0);
+                let (re1, im1) = lane_planes_mut::<W>(bin1);
+                for l in 0..W {
+                    re0[l] = t0[l] + t1[l];
+                    re1[l] = t0[l] - t1[l];
+                }
+                (*im0, *im1) = ([0.0; W], [0.0; W]);
+            }
+            n => {
+                // Samples (2k, 2k+1) are the (re, im) planes of packed
+                // entry k already: the half-size transform runs in place.
+                let half = n / 2;
+                self.half_plan
+                    .as_ref()
+                    .expect("plan exists for N >= 4")
+                    .forward_lanes::<W>(time);
+                let wrap = half - 1;
+                for (k, bin) in spectrum.chunks_exact_mut(2 * W).enumerate() {
+                    let (z_re, z_im) = lane_planes::<W>(&time[(k & wrap) * 2 * W..]);
+                    let (n_re, n_im) = lane_planes::<W>(&time[((half - k) & wrap) * 2 * W..]);
+                    let (o_re, o_im) = lane_planes_mut::<W>(bin);
+                    let tw = self.twiddles[k];
+                    for l in 0..W {
+                        let zk = Complex32::new(z_re[l], z_im[l]);
+                        let znk = Complex32::new(n_re[l], n_im[l]).conj();
+                        let even = (zk + znk).scale(0.5);
+                        let odd = (zk - znk).mul_neg_i().scale(0.5);
+                        let out = even + tw * odd;
+                        (o_re[l], o_im[l]) = (out.re, out.im);
+                    }
+                }
+                // Enforce the exact Hermitian endpoints (fixed-width
+                // stores: a `fill` is a libc call per 16-byte plane at W = 4).
+                *lane_planes_mut::<W>(spectrum).1 = [0.0; W];
+                *lane_planes_mut::<W>(&mut spectrum[2 * half * W..]).1 = [0.0; W];
+            }
+        }
+    }
+
+    /// Lane-batched [`Self::inverse_into`]: `spectrum` holds `W` half
+    /// spectra as `[bin][re|im][lane]` planes, `time` receives the
+    /// signals as `[sample][lane]` planes. Same contract as
+    /// [`Self::forward_lanes`]: per lane the operation sequence is
+    /// `inverse_into`'s, so the bits are too.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a buffer length disagrees with the plan or `live > W`.
+    pub fn inverse_lanes<const W: usize>(&self, spectrum: &[f32], time: &mut [f32], live: usize) {
+        assert_eq!(
+            spectrum.len(),
+            self.spectrum_len() * 2 * W,
+            "spectrum planes must be (N/2 + 1) × 2 × W"
+        );
+        assert_eq!(time.len(), self.size * W, "time planes must be N × W");
+        assert!(live <= W, "at most W live lanes");
+        crate::stats::count_inverse(live as u64);
+        match self.size {
+            1 => time.copy_from_slice(&spectrum[..W]),
+            2 => {
+                let (re0, _) = lane_planes::<W>(spectrum);
+                let (re1, _) = lane_planes::<W>(&spectrum[2 * W..]);
+                let (t0, t1) = lane_planes_mut::<W>(time);
+                for l in 0..W {
+                    t0[l] = 0.5 * (re0[l] + re1[l]);
+                    t1[l] = 0.5 * (re0[l] - re1[l]);
+                }
+            }
+            n => {
+                let half = n / 2;
+                for (k, packed) in time.chunks_exact_mut(2 * W).enumerate() {
+                    let (x_re, x_im) = lane_planes::<W>(&spectrum[k * 2 * W..]);
+                    let (n_re, n_im) = lane_planes::<W>(&spectrum[(half - k) * 2 * W..]);
+                    let (p_re, p_im) = lane_planes_mut::<W>(packed);
+                    let tw = self.twiddles[k].conj();
+                    for l in 0..W {
+                        let xk = Complex32::new(x_re[l], x_im[l]);
+                        let xnk = Complex32::new(n_re[l], n_im[l]).conj();
+                        let even = (xk + xnk).scale(0.5);
+                        let odd = (xk - xnk).scale(0.5) * tw;
+                        let out = even + odd.mul_i();
+                        (p_re[l], p_im[l]) = (out.re, out.im);
+                    }
+                }
+                self.half_plan
+                    .as_ref()
+                    .expect("plan exists for N >= 4")
+                    .inverse_lanes::<W>(time);
+            }
+        }
+    }
 }
 
 /// Element-wise product of two half spectra.
@@ -290,17 +425,6 @@ pub fn spectrum_conj_mul(a: &[Complex32], b: &[Complex32]) -> Vec<Complex32> {
         .zip(b.iter())
         .map(|(&x, &y)| x.conj() * y)
         .collect()
-}
-
-/// Accumulate `conj(a) ∘ b` into `acc` (used by the FFT/IFFT-decoupled
-/// block-circulant matvec, Sec. V-A1: accumulate in the frequency domain,
-/// run a single IFFT per output block).
-pub fn spectrum_conj_mul_acc(acc: &mut [Complex32], a: &[Complex32], b: &[Complex32]) {
-    assert_eq!(a.len(), b.len(), "spectra must have equal length");
-    assert_eq!(acc.len(), a.len(), "accumulator must match spectra length");
-    for ((dst, &x), &y) in acc.iter_mut().zip(a.iter()).zip(b.iter()) {
-        *dst += x.conj() * y;
-    }
 }
 
 #[cfg(test)]
@@ -428,7 +552,78 @@ mod tests {
         let _ = RealFft::shared(12);
     }
 
+    /// Transforms `live` random signals (incl. exact `±0.0` samples) of
+    /// length `n` through the `W`-lane kernels and asserts every live
+    /// lane carries the scalar kernels' exact bits.
+    fn assert_lanes_match_scalar<const W: usize>(n: usize, live: usize, seed: u64) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let rfft = RealFft::new(n);
+        let bins = rfft.spectrum_len();
+        let signals: Vec<Vec<f32>> = (0..live)
+            .map(|_| {
+                (0..n)
+                    .map(|_| match rng.gen_range(0..8) {
+                        0 => 0.0,
+                        1 => -0.0,
+                        _ => rng.gen_range(-2.0f32..2.0),
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut time = vec![0.0f32; n * W];
+        for (l, x) in signals.iter().enumerate() {
+            for (s, &v) in x.iter().enumerate() {
+                time[s * W + l] = v;
+            }
+        }
+        let mut planes = vec![f32::NAN; bins * 2 * W];
+        let before = crate::stats::thread_snapshot();
+        rfft.forward_lanes::<W>(&mut time, &mut planes, live);
+        let mut back = vec![f32::NAN; n * W];
+        rfft.inverse_lanes::<W>(&planes, &mut back, live);
+        let counted = crate::stats::thread_snapshot().since(&before);
+        assert_eq!(counted.forward_transforms, live as u64);
+        assert_eq!(counted.inverse_transforms, live as u64);
+
+        let mut scratch = RealFftScratch::new();
+        let mut spec = vec![Complex32::ZERO; bins];
+        let mut scalar_back = vec![0.0f32; n];
+        for (l, x) in signals.iter().enumerate() {
+            rfft.forward_into(x, &mut spec, &mut scratch);
+            for (k, bin) in spec.iter().enumerate() {
+                let got = (planes[2 * k * W + l], planes[(2 * k + 1) * W + l]);
+                assert_eq!(
+                    (got.0.to_bits(), got.1.to_bits()),
+                    (bin.re.to_bits(), bin.im.to_bits()),
+                    "forward W={W} n={n} lane {l} bin {k}: {got:?} vs {bin}"
+                );
+            }
+            rfft.inverse_into(&spec, &mut scalar_back, &mut scratch);
+            for (s, want) in scalar_back.iter().enumerate() {
+                assert_eq!(
+                    back[s * W + l].to_bits(),
+                    want.to_bits(),
+                    "inverse W={W} n={n} lane {l} sample {s}"
+                );
+            }
+        }
+    }
+
     proptest! {
+        #[test]
+        fn lane_kernels_are_bit_identical_to_scalar_kernels(
+            log_n in 0u32..7,
+            live in 1usize..33,
+            seed in any::<u64>(),
+        ) {
+            let n = 1usize << log_n;
+            assert_lanes_match_scalar::<32>(n, live, seed);
+            assert_lanes_match_scalar::<16>(n, live.min(16), seed);
+            assert_lanes_match_scalar::<8>(n, live.min(8), seed);
+            assert_lanes_match_scalar::<4>(n, live.min(4), seed);
+        }
+
         #[test]
         fn roundtrip_recovers_signal(log_n in 0u32..9, seed in any::<u64>()) {
             use rand::{Rng, SeedableRng};

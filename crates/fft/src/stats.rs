@@ -44,9 +44,11 @@ pub struct FftStats {
     /// [`crate::RealFft::shared`] lookups satisfied from the process-wide
     /// plan cache (no twiddle recomputation).
     pub plan_cache_hits: u64,
-    /// Real-input forward transforms ([`crate::RealFft::forward`]).
+    /// Real-input forward transforms ([`crate::RealFft::forward`]; a
+    /// [`crate::RealFft::forward_lanes`] call counts one per live lane).
     pub forward_transforms: u64,
-    /// Real-output inverse transforms ([`crate::RealFft::inverse`]).
+    /// Real-output inverse transforms ([`crate::RealFft::inverse`]; a
+    /// [`crate::RealFft::inverse_lanes`] call counts one per live lane).
     pub inverse_transforms: u64,
     /// Cached weight-spectrum blocks streamed by block-circulant matvec
     /// kernels (one count per `(i, j)` block visit, however many batch
@@ -122,14 +124,17 @@ pub(crate) fn count_plan_cache_hit() {
     TL_PLAN_CACHE_HITS.set(TL_PLAN_CACHE_HITS.get() + 1);
 }
 
-pub(crate) fn count_forward() {
-    FORWARD_TRANSFORMS.fetch_add(1, Ordering::Relaxed);
-    TL_FORWARD_TRANSFORMS.set(TL_FORWARD_TRANSFORMS.get() + 1);
+/// Records `n` forward transforms with one atomic update — a lane-batched
+/// call counts its live lanes at once, so totals stay exact per signal.
+pub(crate) fn count_forward(n: u64) {
+    FORWARD_TRANSFORMS.fetch_add(n, Ordering::Relaxed);
+    TL_FORWARD_TRANSFORMS.set(TL_FORWARD_TRANSFORMS.get() + n);
 }
 
-pub(crate) fn count_inverse() {
-    INVERSE_TRANSFORMS.fetch_add(1, Ordering::Relaxed);
-    TL_INVERSE_TRANSFORMS.set(TL_INVERSE_TRANSFORMS.get() + 1);
+/// Records `n` inverse transforms (see [`count_forward`]).
+pub(crate) fn count_inverse(n: u64) {
+    INVERSE_TRANSFORMS.fetch_add(n, Ordering::Relaxed);
+    TL_INVERSE_TRANSFORMS.set(TL_INVERSE_TRANSFORMS.get() + n);
 }
 
 /// Records `n` weight-spectrum block reads.

@@ -7,7 +7,7 @@
 //! piecewise-linear sigmoid/tanh — by materializing a quantized copy of
 //! the network and evaluating it with PWL activations injected.
 
-use ernn_linalg::{MatVec, MatVecScratch, Matrix, WeightMatrix};
+use ernn_linalg::{LanePanel, MatVec, MatVecScratch, Matrix, WeightMatrix};
 use ernn_model::{GruLayer, LstmLayer, RnnLayer, RnnNetwork};
 use ernn_quant::{FixedFormat, PiecewiseLinear, Quantizer};
 
@@ -168,6 +168,9 @@ fn quantize_vec(v: &[f32], bits: u8) -> Vec<f32> {
 #[derive(Debug, Clone)]
 pub struct QuantizedNetwork {
     net: RnnNetwork<WeightMatrix>,
+    /// Lane-major copy of `net.classifier_w` the datapath computes the
+    /// logits from — derived state like the weight spectra.
+    classifier_panel: LanePanel,
     activation_format: FixedFormat,
     sigmoid: PiecewiseLinear,
     tanh: PiecewiseLinear,
@@ -228,6 +231,7 @@ impl QuantizedNetwork {
         let activation_format = FixedFormat::for_range(config.activation_bits, 8.0);
 
         QuantizedNetwork {
+            classifier_panel: LanePanel::from_matrix(&classifier_w),
             net: RnnNetwork::from_parts(layers, classifier_w, classifier_b),
             activation_format,
             sigmoid,
@@ -251,6 +255,7 @@ impl QuantizedNetwork {
         report: QuantizationReport,
     ) -> Self {
         QuantizedNetwork {
+            classifier_panel: LanePanel::from_matrix(&net.classifier_w),
             net,
             activation_format: FixedFormat::for_range(config.activation_bits, 8.0),
             sigmoid: PiecewiseLinear::sigmoid(config.pwl_segments),
@@ -268,7 +273,9 @@ impl QuantizedNetwork {
     /// Mutable access to the quantized network, for callers that need to
     /// refresh cached weight-spectrum state (e.g. the serving registry
     /// reloading a model's device image). Functional values must not
-    /// change — the datapath assumes the weights are already quantized.
+    /// change — the datapath assumes the weights are already quantized,
+    /// and it reads the classifier through a lane-major panel built at
+    /// construction, which an edit to `classifier_w` would not reach.
     pub fn network_mut(&mut self) -> &mut RnnNetwork<WeightMatrix> {
         &mut self.net
     }
@@ -452,7 +459,7 @@ impl QuantizedNetwork {
             for (t, row) in seq.iter_mut().enumerate() {
                 let h = &scratch.a[(scratch.off[s] + t) * top_dim..][..top_dim];
                 row.resize(classes, 0.0);
-                self.net.classifier_w.matvec_into(h, row);
+                self.classifier_panel.matvec_into(h, row);
                 for (v, b) in row.iter_mut().zip(self.net.classifier_b.iter()) {
                     *v = self.q(*v + b);
                 }
@@ -740,6 +747,21 @@ mod tests {
                 assert!((a - b).abs() < 0.05, "{cell}: {a} vs {b}");
             }
         }
+    }
+
+    #[test]
+    fn both_constructors_derive_the_classifier_panel_from_classifier_w() {
+        let config = DatapathConfig::paper_12bit();
+        let built = QuantizedNetwork::new(&compressed_net(CellType::Gru), &config);
+        let panel = LanePanel::from_matrix(&built.network().classifier_w);
+        assert_eq!(built.classifier_panel, panel);
+        let loaded = QuantizedNetwork::from_quantized(built.net.clone(), &config, built.report);
+        assert_eq!(loaded.classifier_panel, panel);
+        let frames = vec![vec![0.25f32; 8]; 3];
+        assert_eq!(
+            loaded.forward_logits(&frames),
+            built.forward_logits(&frames)
+        );
     }
 
     #[test]

@@ -16,9 +16,43 @@
 //! computation reductions from Sec. V-A: `FFT(x_j)` is computed once per
 //! input block and the IFFT runs once per output block after
 //! frequency-domain accumulation.
+//!
+//! # Lane-major kernel
+//!
+//! Fig. 10's PE runs its multipliers side by side; the host kernel does
+//! the same with SIMD lanes. Up to 32 consecutive block *rows* `i` form a
+//! **tile** and sit in the stride-1 lane axis of every buffer:
+//!
+//! ```text
+//! weight planes   [tile][j][plane][lane]      plane = re[0], re[L_b/2],
+//!                                             (re, im) of bins 1..L_b/2
+//! input spectra   [chunk][bin][re|im][lane]   32·chunk + lane = b·q + j
+//! accumulators    [b][bin][re|im][lane]       lane = i − tile.first
+//! ```
+//!
+//! Only the `L_b` independent reals of a block's half spectrum are stored
+//! (bins 0 and `L_b/2` of a real signal are real). For each tile the MAC
+//! walks `j` ascending, loads the tile's planes once and, for every batch
+//! input, broadcasts `FFT(x_j)[k]` over the lanes; the FFTs on either
+//! side are [`RealFft::forward_lanes`] / [`RealFft::inverse_lanes`] on the
+//! same planes, so nothing is gathered into `Complex32`. The tail tile is
+//! only as wide as it needs (4, 8, 16 or 32 lanes).
+//!
+//! **Bit-identity contract:** per output element the floating-point
+//! operation sequence is the scalar definition's; lanes only run side by
+//! side. No reduction is re-associated, so allocating == `_into` ==
+//! batched == every executor, bit for bit, and the tests keep the scalar
+//! definition as their oracle. That is also why there is no FMA, no
+//! `target-cpu`, no runtime dispatch and no `unsafe` here: each would
+//! either change floats or fork the kernel; baseline SSE2 through the
+//! autovectoriser is the whole mechanism (`lanes.rs` records the measured
+//! ways it silently falls back to scalar code).
 
+use crate::lanes::{
+    lane_tile, lane_tiles, lanes, lanes_mut, padded_lanes, with_lane_width, LaneTile, TILE,
+};
 use crate::{MatVec, MatVecScratch, Matrix};
-use ernn_fft::{is_power_of_two, spectrum_conj_mul_acc, stats, Complex32, RealFft};
+use ernn_fft::{is_power_of_two, stats, Complex32, RealFft};
 use std::sync::Arc;
 
 /// A block-circulant matrix with cached weight spectra.
@@ -42,8 +76,10 @@ pub struct BlockCirculantMatrix {
     /// Defining first-row vectors, `p*q` blocks × `L_b` entries, block
     /// row-major.
     blocks: Vec<f32>,
-    /// Cached `FFT(w_ij)` half spectra, `p*q` × `spectrum_len` entries.
-    spectra: Vec<Complex32>,
+    /// Cached `FFT(w_ij)` as lane-major planes, `[tile][j][plane][lane]`
+    /// (see the module docs): `L_b` planes per block, block *rows* in the
+    /// stride-1 lane axis, the tail tile zero-padded to its lane width.
+    spectra: Vec<f32>,
     /// Process-wide shared real-FFT plan of size `L_b` (see
     /// [`RealFft::shared`]); clones of this matrix share the plan instead
     /// of recomputing twiddle tables.
@@ -228,22 +264,47 @@ impl BlockCirculantMatrix {
     /// accelerator's BRAM — while keeping the refresh counter honest.
     pub fn refresh_spectra(&mut self) {
         self.refreshes += 1;
-        let sp_len = self.rfft.spectrum_len();
-        self.spectra.clear();
-        self.spectra.reserve(self.p * self.q * sp_len);
-        for b in 0..self.p * self.q {
-            let base = b * self.block_size;
-            let spec = self
-                .rfft
-                .forward(&self.blocks[base..base + self.block_size]);
-            self.spectra.extend_from_slice(&spec);
+        let lb = self.block_size;
+        let mut spectra = std::mem::take(&mut self.spectra);
+        spectra.clear();
+        spectra.resize(padded_lanes(self.p) * self.q * lb, 0.0);
+        let (mut time, mut bins) = (Vec::new(), Vec::new());
+        let mut planes = spectra.as_mut_slice();
+        for tile in lane_tiles(self.p) {
+            let (head, rest) = planes.split_at_mut(tile.width * self.q * lb);
+            planes = rest;
+            with_lane_width!(tile.width, W => self.pack_tile::<W>(tile, head, &mut time, &mut bins));
         }
+        self.spectra = spectra;
     }
 
-    fn spectrum(&self, i: usize, j: usize) -> &[Complex32] {
-        let sp_len = self.rfft.spectrum_len();
-        let base = (i * self.q + j) * sp_len;
-        &self.spectra[base..base + sp_len]
+    /// FFTs the defining vectors of one tile of block rows and packs the
+    /// `L_b` independent reals of every spectrum into `planes`
+    /// (`[j][plane][lane]`). Padding lanes transform zeros, so they pack
+    /// `+0.0` and contribute nothing.
+    fn pack_tile<const W: usize>(
+        &self,
+        tile: LaneTile,
+        planes: &mut [f32],
+        time: &mut Vec<f32>,
+        bins: &mut Vec<f32>,
+    ) {
+        let lb = self.block_size;
+        let half = lb / 2;
+        let time = grown(time, lb * W);
+        let bins = grown(bins, self.rfft.spectrum_len() * 2 * W);
+        for (j, packed) in planes.chunks_exact_mut(lb * W).enumerate() {
+            let blocks = (0..tile.live).map(|l| self.block(tile.first + l, j));
+            gather_lanes::<W>(time, blocks);
+            self.rfft.forward_lanes::<W>(time, bins, tile.live);
+            // re[0], re[L_b/2], then (re, im) of bins 1..L_b/2: the im
+            // planes of the two real bins are +0.0 and are not stored.
+            packed[..W].copy_from_slice(&bins[..W]);
+            if lb >= 2 {
+                packed[W..2 * W].copy_from_slice(&bins[2 * half * W..][..W]);
+                packed[2 * W..].copy_from_slice(&bins[2 * W..2 * half * W]);
+            }
+        }
     }
 
     /// FFT-based matvec `y = W·x` with FFT/IFFT decoupling (Sec. V-A1).
@@ -309,53 +370,108 @@ impl BlockCirculantMatrix {
             "output length must equal batch × rows"
         );
         let lb = self.block_size;
-        let sp_len = self.rfft.spectrum_len();
+        let bins = self.rfft.spectrum_len();
         let MatVecScratch {
-            padded,
-            x_spectra,
-            acc,
-            block_out,
-            fft,
+            time, x_spectra, ..
         } = scratch;
-        padded.resize(lb, 0.0);
-        x_spectra.resize(batch * self.q * sp_len, Complex32::ZERO);
-        acc.resize(batch * sp_len, Complex32::ZERO);
-        block_out.resize(lb, 0.0);
-
-        // Stage 1 (decoupled): FFT of every (zero-padded) input block, once.
-        for b in 0..batch {
-            let x = &xs[b * self.cols..(b + 1) * self.cols];
-            for j in 0..self.q {
-                let start = j * lb;
-                let end = ((j + 1) * lb).min(self.cols);
-                padded.iter_mut().for_each(|v| *v = 0.0);
-                padded[..end - start].copy_from_slice(&x[start..end]);
-                let spec = &mut x_spectra[(b * self.q + j) * sp_len..][..sp_len];
-                self.rfft.forward_into(padded, spec, fft);
-            }
+        // Stage 1 (decoupled): FFT of every (zero-padded) input block,
+        // once. All `batch · q` blocks share one lane axis (block `j` of
+        // input `b` is lane `b·q + j`), so small `q` still fills the
+        // lane-batched transforms; spectra land as
+        // `[chunk][bin][re|im][lane]`.
+        let x_blocks = batch * self.q;
+        let mut x_spec = grown(x_spectra, padded_lanes(x_blocks) * bins * 2);
+        for chunk in lane_tiles(x_blocks) {
+            let (head, rest) = x_spec.split_at_mut(chunk.width * bins * 2);
+            x_spec = rest;
+            let blocks = (chunk.first..chunk.first + chunk.live).map(|f| {
+                let x = &xs[f / self.q * self.cols..][..self.cols];
+                let start = f % self.q * lb;
+                &x[start..(start + lb).min(self.cols)]
+            });
+            with_lane_width!(chunk.width, W => {
+                let time = grown(time, lb * W);
+                gather_lanes::<W>(time, blocks);
+                self.rfft.forward_lanes::<W>(time, head, chunk.live);
+            });
         }
 
-        // Stage 2+3: one pass over the weight spectra per batch — every
-        // block visit feeds all `batch` accumulators — then one IFFT per
-        // (output block, input). The pass visits exactly p·q blocks, so
+        // Stage 2+3: one pass over the weight planes per batch — every
+        // tile visit feeds all `batch` accumulators — then one lane-batched
+        // IFFT per (tile, input). The pass visits exactly p·q blocks, so
         // the read counter is bumped once up front rather than paying an
         // atomic RMW inside the hot accumulate loop.
         stats::count_spectrum_block_reads((self.p * self.q) as u64);
-        for i in 0..self.p {
-            acc.iter_mut().for_each(|v| *v = Complex32::ZERO);
-            for j in 0..self.q {
-                let w = self.spectrum(i, j);
-                for b in 0..batch {
-                    let xsj = &x_spectra[(b * self.q + j) * sp_len..][..sp_len];
-                    spectrum_conj_mul_acc(&mut acc[b * sp_len..][..sp_len], w, xsj);
+        let mut planes = self.spectra.as_slice();
+        for tile in lane_tiles(self.p) {
+            let (head, rest) = planes.split_at(tile.width * self.q * lb);
+            planes = rest;
+            with_lane_width!(tile.width, W => {
+                self.matvec_tile::<W>(tile, head, ys, batch, scratch);
+            });
+        }
+    }
+
+    /// Stages 2+3 for one tile of `W` block rows: frequency-domain
+    /// accumulate over every block column, then IFFT and scatter.
+    ///
+    /// Accumulators are `[b][bin][re|im][lane]` — the layout
+    /// [`RealFft::inverse_lanes`] consumes, so stage 3 needs no gather.
+    /// Per output block the sum over `j` runs in ascending order with the
+    /// scalar definition's operations; only the lanes run side by side.
+    fn matvec_tile<const W: usize>(
+        &self,
+        tile: LaneTile,
+        planes: &[f32],
+        ys: &mut [f32],
+        batch: usize,
+        scratch: &mut MatVecScratch,
+    ) {
+        let MatVecScratch {
+            time,
+            x_spectra,
+            acc,
+        } = scratch;
+        let lb = self.block_size;
+        let half = lb / 2;
+        let bins = self.rfft.spectrum_len();
+        let acc = grown(acc, batch * bins * 2 * W);
+        acc.fill(0.0);
+
+        let x_blocks = batch * self.q;
+        for (j, w) in planes.chunks_exact(lb * W).enumerate() {
+            for (b, acc) in acc.chunks_exact_mut(bins * 2 * W).enumerate() {
+                // `FFT(x_j)[k]` of input `b`, broadcast over the tile's lanes.
+                let lane = (b * self.q + j) % TILE;
+                let chunk = lane_tile(x_blocks, b * self.q + j - lane);
+                let x_spec = &x_spectra[chunk.first * bins * 2..];
+                let x = |k: usize, im: usize| x_spec[(2 * k + im) * chunk.width + lane];
+                mac_real::<W>(&mut acc[..W], &w[..W], x(0, 0));
+                if lb >= 2 {
+                    mac_real::<W>(&mut acc[2 * half * W..], &w[W..], x(half, 0));
+                }
+                for k in 1..half {
+                    mac_conj::<W>(
+                        &mut acc[2 * k * W..],
+                        &w[2 * k * W..],
+                        Complex32::new(x(k, 0), x(k, 1)),
+                    );
                 }
             }
-            let start = i * lb;
-            let end = ((i + 1) * lb).min(self.rows);
-            for b in 0..batch {
-                self.rfft
-                    .inverse_into(&acc[b * sp_len..][..sp_len], block_out, fft);
-                ys[b * self.rows..][start..end].copy_from_slice(&block_out[..end - start]);
+        }
+
+        let time = grown(time, lb * W);
+        for (acc, y) in acc
+            .chunks_exact(bins * 2 * W)
+            .zip(ys.chunks_exact_mut(self.rows))
+        {
+            self.rfft.inverse_lanes::<W>(acc, time, tile.live);
+            // Rows past the logical edge of the last block are dropped.
+            let blocks = y[tile.first * lb..].chunks_mut(lb).take(tile.live);
+            for (l, block) in blocks.enumerate() {
+                for (n, out) in block.iter_mut().enumerate() {
+                    *out = time[n * W + l];
+                }
             }
         }
     }
@@ -539,6 +655,59 @@ impl BlockCirculantMatrix {
     }
 }
 
+/// The first `n` entries of a grow-only scratch buffer.
+fn grown(buf: &mut Vec<f32>, n: usize) -> &mut [f32] {
+    if buf.len() < n {
+        buf.resize(n, 0.0);
+    }
+    &mut buf[..n]
+}
+
+/// Transposes up to `W` blocks into `[sample][lane]` planes; a ragged
+/// last block and the padding lanes read `+0.0`.
+#[inline(always)]
+fn gather_lanes<'a, const W: usize>(time: &mut [f32], blocks: impl Iterator<Item = &'a [f32]>) {
+    time.fill(0.0);
+    for (l, block) in blocks.enumerate() {
+        for (n, &v) in block.iter().enumerate() {
+            time[n * W + l] = v;
+        }
+    }
+}
+
+/// `acc += w · x` over `W` lanes — the MAC of a purely real bin (0 and
+/// `L_b/2`): with both imaginary parts `+0.0` and accumulators that start
+/// at `+0.0` (so never become `−0.0`), the two flops leave the same bits
+/// as the full complex MAC.
+///
+/// The accumulators are copied out and stored back whole: updating them
+/// through the `&mut` left LLVM with 16–32 scalar `mulss`/`addss` chains.
+#[inline(always)]
+fn mac_real<const W: usize>(acc: &mut [f32], w: &[f32], x: f32) {
+    let (acc, w) = (lanes_mut::<W>(acc), lanes::<W>(w));
+    let mut sum = *acc;
+    for l in 0..W {
+        sum[l] += w[l] * x;
+    }
+    *acc = sum;
+}
+
+/// `acc += conj(w) · x` over `W` lanes, planes `[re|im][lane]`: each lane
+/// is the scalar definition's complex MAC.
+#[inline(always)]
+fn mac_conj<const W: usize>(acc: &mut [f32], w: &[f32], x: Complex32) {
+    let (acc_re, acc_im) = acc.split_at_mut(W);
+    let (acc_re, acc_im) = (lanes_mut::<W>(acc_re), lanes_mut::<W>(acc_im));
+    let (w_re, w_im) = (lanes::<W>(w), lanes::<W>(&w[W..]));
+    let (mut re, mut im) = (*acc_re, *acc_im);
+    for l in 0..W {
+        let mut sum = Complex32::new(re[l], im[l]);
+        sum += Complex32::new(w_re[l], w_im[l]).conj() * x;
+        (re[l], im[l]) = (sum.re, sum.im);
+    }
+    (*acc_re, *acc_im) = (re, im);
+}
+
 impl PartialEq for BlockCirculantMatrix {
     /// Two block-circulant matrices are equal when they represent the same
     /// logical matrix: shape, block size and defining vectors all match
@@ -598,6 +767,110 @@ mod tests {
             BlockCirculantMatrix::from_blocks(rows, cols, lb, blocks),
             rng,
         )
+    }
+
+    /// The scalar definition of the FFT matvec — the pre-lane kernel,
+    /// kept as the oracle: AoS `Complex32` spectra from the scalar
+    /// `forward_into`, one bin-major complex MAC per `(i, j, b)`, one
+    /// scalar `inverse_into` per output block.
+    fn reference_matvec_batch(m: &BlockCirculantMatrix, xs: &[f32], batch: usize) -> Vec<f32> {
+        use ernn_fft::{Complex32, RealFftScratch};
+        let (lb, bins) = (m.block_size, m.rfft.spectrum_len());
+        let mut fft = RealFftScratch::new();
+        let mut spectrum_of = |block: &[f32]| {
+            let mut padded = vec![0.0f32; lb];
+            padded[..block.len()].copy_from_slice(block);
+            let mut spec = vec![Complex32::ZERO; bins];
+            m.rfft.forward_into(&padded, &mut spec, &mut fft);
+            spec
+        };
+        let w: Vec<Vec<Complex32>> = m.blocks.chunks(lb).map(&mut spectrum_of).collect();
+        let mut ys = vec![0.0f32; batch * m.rows];
+        for (x, y) in xs.chunks(m.cols).zip(ys.chunks_mut(m.rows)) {
+            let x_spectra: Vec<Vec<Complex32>> = x.chunks(lb).map(&mut spectrum_of).collect();
+            for (i, y_block) in y.chunks_mut(lb).enumerate() {
+                let mut acc = vec![Complex32::ZERO; bins];
+                for (j, x_spec) in x_spectra.iter().enumerate() {
+                    for ((dst, &wv), &xv) in acc.iter_mut().zip(&w[i * m.q + j]).zip(x_spec) {
+                        *dst += wv.conj() * xv;
+                    }
+                }
+                let mut block_out = vec![0.0f32; lb];
+                m.rfft
+                    .inverse_into(&acc, &mut block_out, &mut RealFftScratch::new());
+                y_block.copy_from_slice(&block_out[..y_block.len()]);
+            }
+        }
+        ys
+    }
+
+    /// Inputs with exact `0.0`, `-0.0` and whole zero blocks mixed in.
+    fn tricky_inputs(rng: &mut impl Rng, len: usize, lb: usize) -> Vec<f32> {
+        let mut xs: Vec<f32> = (0..len)
+            .map(|_| match rng.gen_range(0..10) {
+                0 => 0.0,
+                1 => -0.0,
+                _ => rng.gen_range(-1.0..1.0),
+            })
+            .collect();
+        for block in xs.chunks_mut(lb) {
+            if rng.gen_range(0..6) == 0 {
+                block.fill(0.0);
+            }
+        }
+        xs
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `matvec`, `matvec_into` and `matvec_batch_into` against the oracle,
+    /// `f32::to_bits` for `to_bits`, sharing one scratch across batches.
+    fn assert_bitwise_equal_to_reference(rows: usize, cols: usize, lb: usize, batches: &[usize]) {
+        let seed = (rows * 31 + cols * 7 + lb) as u64;
+        let (bc, mut rng) = random_bc(rows, cols, lb, seed);
+        let mut scratch = MatVecScratch::new();
+        for &batch in batches {
+            let xs = tricky_inputs(&mut rng, batch * cols, lb);
+            let want = bits(&reference_matvec_batch(&bc, &xs, batch));
+            let mut ys = vec![f32::NAN; batch * rows];
+            bc.matvec_batch_into(&xs, &mut ys, batch, &mut scratch);
+            assert_eq!(bits(&ys), want, "{rows}×{cols} L_b={lb} batch={batch}");
+            let x0 = &xs[..cols];
+            let mut y0 = vec![f32::NAN; rows];
+            bc.matvec_into(x0, &mut y0, &mut scratch);
+            assert_eq!(bits(&y0), want[..rows], "{rows}×{cols} L_b={lb} into");
+            assert_eq!(bits(&bc.matvec(x0)), want[..rows], "{rows}×{cols} L_b={lb}");
+        }
+    }
+
+    #[test]
+    fn lane_kernel_is_bitwise_the_scalar_definition_around_the_tile_width() {
+        // p and q on both sides of the 32-lane tile (and of the 4-lane
+        // minimum), every FFT size class (1, 2, ≥ 4), ragged edges.
+        const GRID: [usize; 6] = [1, 2, 31, 32, 33, 129];
+        for lb in [1usize, 2, 4, 8, 16, 32] {
+            for p in GRID {
+                for q in GRID {
+                    let batches: &[usize] = if p.max(q) > 33 { &[1, 3] } else { &[1, 3, 16] };
+                    assert_bitwise_equal_to_reference(p * lb, q * lb, lb, batches);
+                    if lb > 1 {
+                        let (rows, cols) = (p * lb - lb / 2, q * lb - 1);
+                        assert_bitwise_equal_to_reference(rows, cols, lb, &[3]);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lane_kernel_is_bitwise_the_scalar_definition_on_the_paper_shapes() {
+        for lb in [8usize, 16] {
+            for (rows, cols) in [(1024, 1024), (2048, 153), (4096, 512)] {
+                assert_bitwise_equal_to_reference(rows, cols, lb, &[1, 16]);
+            }
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Dense row-major matrix used for uncompressed weights and training state.
 
+use crate::lanes::{lane_tiles, lanes, with_lane_width};
 use rand::Rng;
 use std::fmt;
 
@@ -276,6 +277,89 @@ impl fmt::Display for Matrix {
     }
 }
 
+/// A lane-major copy of a dense matrix for `y = A·x`.
+///
+/// [`Matrix::matvec_into`] runs one latency-bound scalar add chain per
+/// row. The panel stores the same entries as `[tile][col][lane]` — a tile
+/// of up to 32 consecutive *rows* in the stride-1 lane axis, zero-padded
+/// at the tail — so a tile's rows advance side by side through the
+/// columns, each row still summing `a[r][c]·x[c]` over `c` ascending
+/// from `+0.0`. Results are bit-identical to [`Matrix::matvec_into`]; only
+/// which rows advance together changes.
+///
+/// ```
+/// use ernn_linalg::{LanePanel, Matrix};
+/// let m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
+/// let mut y = [0.0; 2];
+/// LanePanel::from_matrix(&m).matvec_into(&[1.0, 1.0], &mut y);
+/// assert_eq!(y, [3.0, 7.0]);
+/// ```
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct LanePanel {
+    rows: usize,
+    cols: usize,
+    data: Vec<f32>,
+}
+
+impl LanePanel {
+    /// Re-lays `m` out lane-major.
+    pub fn from_matrix(m: &Matrix) -> Self {
+        let mut data = Vec::new();
+        for tile in lane_tiles(m.rows) {
+            for c in 0..m.cols {
+                data.extend((0..tile.live).map(|l| m.data[(tile.first + l) * m.cols + c]));
+                data.resize(data.len() + tile.width - tile.live, 0.0);
+            }
+        }
+        LanePanel {
+            rows: m.rows,
+            cols: m.cols,
+            data,
+        }
+    }
+
+    /// Number of rows of the represented matrix.
+    #[inline]
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Number of columns of the represented matrix.
+    #[inline]
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// `y = A·x` into a caller-provided buffer (no allocation),
+    /// bit-identical to [`Matrix::matvec_into`] on the source matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if dimensions disagree.
+    pub fn matvec_into(&self, x: &[f32], y: &mut [f32]) {
+        assert_eq!(x.len(), self.cols, "input length must equal cols");
+        assert_eq!(y.len(), self.rows, "output length must equal rows");
+        let mut data = self.data.as_slice();
+        for tile in lane_tiles(self.rows) {
+            let (panel, rest) = data.split_at(tile.width * self.cols);
+            data = rest;
+            let y = &mut y[tile.first..][..tile.live];
+            with_lane_width!(tile.width, W => {
+                // Accumulators start at +0.0 and so never hold −0.0:
+                // storing them equals `matvec_into`'s `0.0 + acc`.
+                let mut acc = [0.0f32; W];
+                for (col, &xv) in panel.chunks_exact(W).zip(x) {
+                    let col = lanes::<W>(col);
+                    for l in 0..W {
+                        acc[l] += col[l] * xv;
+                    }
+                }
+                y.copy_from_slice(&acc[..tile.live]);
+            });
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,6 +370,30 @@ mod tests {
     fn matvec_matches_hand_computation() {
         let m = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
         assert_eq!(m.matvec(&[1.0, 0.0, -1.0]), vec![-2.0, -2.0]);
+    }
+
+    #[test]
+    fn lane_panel_is_bitwise_matvec_into() {
+        use rand::Rng;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(61);
+        // The paper's classifier heads, then shapes on both sides of the
+        // tile widths; weights and inputs include exact ±0.0.
+        for (rows, cols) in [(61, 1024), (61, 512), (5, 16), (33, 7), (1, 1), (64, 3)] {
+            let mut value = |_: usize, _: usize| match rng.gen_range(0..8) {
+                0 => 0.0,
+                1 => -0.0,
+                _ => rng.gen_range(-1.0f32..1.0),
+            };
+            let m = Matrix::from_fn(rows, cols, &mut value);
+            let x: Vec<f32> = (0..cols).map(|c| value(0, c)).collect();
+            let panel = LanePanel::from_matrix(&m);
+            assert_eq!((panel.rows(), panel.cols()), (rows, cols));
+            let (mut want, mut got) = (vec![f32::NAN; rows], vec![f32::NAN; rows]);
+            m.matvec_into(&x, &mut want);
+            panel.matvec_into(&x, &mut got);
+            let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "{rows}×{cols}");
+        }
     }
 
     #[test]

@@ -36,21 +36,46 @@
 //! intermediates. The allocating forms are thin wrappers over the `_into`
 //! kernels — bit-identical by construction — while the `_into` forms
 //! perform **zero heap allocations** once the scratch has grown to the
-//! shapes in play. `matvec_batch_into` additionally fuses a whole batch:
+//! shapes in play (its buffers are grow-only: a smaller batch or matrix
+//! reuses a prefix). `matvec_batch_into` additionally fuses a whole batch:
 //! all inputs are FFT'd first and the cached weight spectra are streamed
-//! once per *batch* rather than once per input (the cache-locality win
-//! that makes host-side batching pay; see
+//! once per *batch* rather than once per input (see
 //! [`BlockCirculantMatrix::matvec_batch_into`]). One [`MatVecScratch`]
 //! serves every matrix in a model — keep it per worker and thread it
 //! through.
+//!
+//! # Lane-major kernels
+//!
+//! The two inference kernels — the block-circulant matvec and the dense
+//! [`LanePanel`] behind the classifier head — put *independent outputs*
+//! (block rows, matrix rows) in the stride-1 axis of every buffer, 32 to
+//! a tile, so the autovectoriser runs them side by side:
+//!
+//! ```text
+//! circulant weights   [tile][j][plane][lane]    L_b planes per block
+//! circulant scratch   [bin][re|im][lane]        FFT in, MAC, FFT out
+//! dense panel         [tile][col][lane]         one row per lane
+//! ```
+//!
+//! The bit-identity contract in one sentence: per output element the
+//! floating-point operation sequence is the scalar definition's; lanes
+//! only run side by side. Hence no FMA contraction, no `target-cpu`, no
+//! runtime feature dispatch and no `unsafe` — each would change floats or
+//! fork the kernel — and hence one representation, one kernel. The cost is
+//! that speed rests on LLVM seeing fixed-width lane loops: `[f32; 32]`
+//! views via `try_into`, accumulators copied out and stored back whole
+//! (measured: runtime-length slices are 2× slower, in-place `&mut`
+//! updates fall back to scalar `mulss` chains). The oracle tests run in
+//! `--release` in CI for that reason.
 
 mod circulant;
 mod dense;
+mod lanes;
 pub mod ops;
 mod scratch;
 mod weight;
 
 pub use circulant::BlockCirculantMatrix;
-pub use dense::Matrix;
+pub use dense::{LanePanel, Matrix};
 pub use scratch::MatVecScratch;
 pub use weight::{MatVec, WeightMatrix};

@@ -1,7 +1,5 @@
 //! Reusable workspace for the matvec kernels.
 
-use ernn_fft::{Complex32, RealFftScratch};
-
 /// Caller-owned scratch space for the `_into` matvec kernels.
 ///
 /// One scratch serves matrices of any shape and any batch size: every
@@ -13,16 +11,12 @@ use ernn_fft::{Complex32, RealFftScratch};
 /// lifetime and threads it through every layer.
 #[derive(Debug, Clone, Default)]
 pub struct MatVecScratch {
-    /// Zero-padded copy of one input block (`L_b`).
-    pub(crate) padded: Vec<f32>,
-    /// FFT'd input blocks, `batch · q · spectrum_len` entries.
-    pub(crate) x_spectra: Vec<Complex32>,
-    /// Frequency-domain accumulators, `batch · spectrum_len` entries.
-    pub(crate) acc: Vec<Complex32>,
-    /// Time-domain output of one block IFFT (`L_b`).
-    pub(crate) block_out: Vec<f32>,
-    /// Packed-buffer scratch for the real FFT itself.
-    pub(crate) fft: RealFftScratch,
+    /// Time-domain lane planes of one FFT call, `[sample][lane]`.
+    pub(crate) time: Vec<f32>,
+    /// FFT'd input blocks of the whole batch, `[chunk][bin][re|im][lane]`.
+    pub(crate) x_spectra: Vec<f32>,
+    /// Frequency-domain accumulators of one tile, `[b][bin][re|im][lane]`.
+    pub(crate) acc: Vec<f32>,
 }
 
 impl MatVecScratch {

@@ -32,8 +32,16 @@
 //! capture and health rules on in production without perturbing the
 //! hot path.
 
+//!
+//! ISSUE 13 re-proves the base claim for the lane-major kernels: one
+//! [`MatVecScratch`]'s plane buffers (lane-batched FFT workspace, input
+//! spectra, tile accumulators) are grow-only, so a batch that shrinks
+//! 16 → 3 → 16 and a tiny matrix sharing the scratch with a large one
+//! allocate nothing once the largest shape has been seen.
+
 use ernn::fpga::exec::{DatapathConfig, ExecScratch};
 use ernn::fpga::{FaultPlan, FaultTimeline, XCKU060};
+use ernn::linalg::{BlockCirculantMatrix, MatVecScratch};
 use ernn::model::{compress_network, BlockPolicy, CellType, NetworkBuilder};
 use ernn::serve::trace::{
     FlightRecorder, LatencyHistogram, StageAttribution, StageBreakdown, TraceConfig, TraceEvent,
@@ -47,9 +55,41 @@ use rand::{Rng, SeedableRng};
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
+/// One scratch, two matrices on opposite sides of the 32-lane tile width
+/// (ragged edges included), batches 16 → 3 → 16: after the warm-up call
+/// nothing allocates, and a shrunken batch leaves no stale lanes behind.
+fn lane_kernel_scratch_is_grow_only(rng: &mut impl Rng) {
+    let mut random = |n: usize| -> Vec<f32> { (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect() };
+    let big = BlockCirculantMatrix::from_blocks(300, 153, 8, random(38 * 20 * 8));
+    let small = BlockCirculantMatrix::from_blocks(8, 8, 8, random(8));
+    let xs = random(16 * 153);
+    let mut ys = vec![0.0f32; 16 * 300];
+    let mut small_y = [0.0f32; 8];
+    let mut scratch = MatVecScratch::new();
+    big.matvec_batch_into(&xs, &mut ys, 16, &mut scratch);
+    let reference = ys.clone();
+
+    let before = allocation_count();
+    for batch in [3usize, 16, 1, 16] {
+        ys.fill(f32::NAN);
+        big.matvec_batch_into(
+            &xs[..batch * 153],
+            &mut ys[..batch * 300],
+            batch,
+            &mut scratch,
+        );
+        small.matvec_into(&xs[..8], &mut small_y, &mut scratch);
+        assert_eq!(ys[..batch * 300], reference[..batch * 300], "batch {batch}");
+    }
+    let delta = allocation_count() - before;
+    assert_eq!(delta, 0, "warm lane-major matvecs allocated {delta} times");
+    assert_eq!(small_y.to_vec(), small.matvec(&xs[..8]));
+}
+
 #[test]
 fn steady_state_batched_inference_performs_zero_allocations() {
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(29);
+    lane_kernel_scratch_is_grow_only(&mut rng);
     for cell in [CellType::Gru, CellType::Lstm] {
         let dense = NetworkBuilder::new(cell, 12, 7)
             .layer_dims(&[16, 16])
