@@ -20,7 +20,33 @@ fn bench_quant(c: &mut Criterion) {
         })
     });
 
+    // The datapath's own forms: the paper's Q4.7 activation format over a
+    // whole slice, and the same work one `quantize_f32` call at a time
+    // with each result kept apart so the loop cannot vectorise.
+    let fmt = FixedFormat::for_range(12, 8.0);
+    group.bench_function("quantize_slice_4096_q4_7", |b| {
+        b.iter(|| {
+            let mut d = data.clone();
+            fmt.quantize_slice(&mut d);
+            std::hint::black_box(d)
+        })
+    });
+    group.bench_function("quantize_f32_x4096_q4_7", |b| {
+        b.iter(|| {
+            for &x in &data {
+                std::hint::black_box(fmt.quantize_f32(std::hint::black_box(x)));
+            }
+        })
+    });
+
     let pwl = PiecewiseLinear::sigmoid(64);
+    group.bench_function("pwl_sigmoid_eval_x4096", |b| {
+        b.iter(|| {
+            for &x in &data {
+                std::hint::black_box(pwl.eval(std::hint::black_box(x)));
+            }
+        })
+    });
     group.bench_function("pwl_sigmoid_4096", |b| {
         b.iter(|| {
             let mut d = data.clone();

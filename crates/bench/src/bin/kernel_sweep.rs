@@ -15,6 +15,14 @@
 //!   bound and just as fast at batch 1, so "fused beats sequential" is a
 //!   coin flip; "fusing never costs" is the property worth gating.)
 //!
+//! After the matvec table it prices the fixed-point cell datapath around
+//! those matvecs: ns per element of `FixedFormat::quantize_slice` and
+//! `PiecewiseLinear::eval_slice` (≈ 0.7 and ≈ 1.1 when the loops
+//! vectorise; the scalar forms they replaced cost ≈ 6 and ≈ 10), and for
+//! the paper's LSTM-1024 at B = 1 and GRU-1024 at B = 16 the quantized
+//! forward pass per frame, the cell matvecs inside it, and the share left
+//! over for the pointwise work.
+//!
 //! Run with: `cargo run --release -p ernn-bench --bin kernel_sweep`
 //! (`--quick` shrinks the configs for smoke runs, `--json PATH` writes
 //! the rows as a bench artifact for CI trend tracking).
@@ -22,7 +30,10 @@
 use ernn_bench::alloc::{allocation_count, CountingAllocator};
 use ernn_bench::json::{array, json_path_arg, write_artifact, JsonObject};
 use ernn_fft::stats;
-use ernn_linalg::{BlockCirculantMatrix, MatVecScratch};
+use ernn_fpga::exec::{DatapathConfig, ExecScratch, QuantizedNetwork};
+use ernn_linalg::{BlockCirculantMatrix, MatVec, MatVecScratch, WeightMatrix};
+use ernn_model::{compress_network, BlockPolicy, CellType, NetworkBuilder, RnnLayer};
+use ernn_quant::{FixedFormat, PiecewiseLinear};
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 use std::time::Instant;
@@ -35,6 +46,89 @@ fn once_us(mut f: impl FnMut()) -> f64 {
     let t = Instant::now();
     f();
     t.elapsed().as_secs_f64() * 1e6
+}
+
+/// Best-of-`reps` ns per element of `f` run in place over a fresh copy of
+/// `source` (the copy is inside the timed region on purpose: it is what a
+/// caller's preceding pass costs, and it keeps every rep on the same data).
+fn slice_ns_per_elem(source: &[f32], reps: usize, mut f: impl FnMut(&mut [f32])) -> f64 {
+    let mut buf = source.to_vec();
+    let mut best = f64::INFINITY;
+    for _ in 0..reps {
+        best = best.min(once_us(|| {
+            buf.copy_from_slice(source);
+            f(black_box(&mut buf));
+        }));
+    }
+    best * 1e3 / source.len() as f64
+}
+
+/// One paper-shaped single-layer model through the quantized datapath at
+/// `batch` lanes × `frames` timesteps: µs per frame of the whole forward
+/// pass, µs per frame of the cell's matvecs alone (same matrices, same
+/// batch), and the share of the frame that is not those matvecs.
+fn cell_datapath_row(
+    name: &str,
+    cell: CellType,
+    batch: usize,
+    frames: usize,
+    reps: usize,
+    rng: &mut impl Rng,
+) -> String {
+    const IN_DIM: usize = 153;
+    let mut builder = NetworkBuilder::new(cell, IN_DIM, 61).layer_dims(&[1024]);
+    if cell == CellType::Lstm {
+        builder = builder.projection(512).peephole(true);
+    }
+    let net = compress_network(&builder.build(rng), BlockPolicy::uniform(8));
+    let q = QuantizedNetwork::new(&net, &DatapathConfig::paper_12bit());
+    let utts: Vec<Vec<Vec<f32>>> = (0..batch)
+        .map(|_| {
+            (0..frames)
+                .map(|_| (0..IN_DIM).map(|_| rng.gen_range(-1.0f32..1.0)).collect())
+                .collect()
+        })
+        .collect();
+    let refs: Vec<&[Vec<f32>]> = utts.iter().map(Vec::as_slice).collect();
+    let (mut out, mut scratch) = (Vec::new(), ExecScratch::new());
+    q.forward_logits_batch_into(&refs, &mut out, &mut scratch);
+
+    let weights: Vec<&WeightMatrix> = match &q.network().layers()[0] {
+        RnnLayer::Lstm(l) => [Some(&l.wx), Some(&l.wr), l.wym.as_ref()]
+            .into_iter()
+            .flatten()
+            .collect(),
+        RnnLayer::Gru(g) => vec![&g.wzr_x, &g.wzr_c, &g.wcx, &g.wcc],
+    };
+    let xs: Vec<f32> = (0..batch * 1024)
+        .map(|_| rng.gen_range(-1.0..1.0))
+        .collect();
+    let mut ys = vec![0.0f32; batch * 4096];
+    let mut mv = MatVecScratch::new();
+
+    let (mut frame_us, mut matvec_us) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..reps {
+        frame_us = frame_us.min(once_us(|| {
+            q.forward_logits_batch_into(black_box(&refs), &mut out, &mut scratch);
+        }));
+        matvec_us = matvec_us.min(once_us(|| {
+            for w in &weights {
+                let (x, y) = (&xs[..batch * w.cols()], &mut ys[..batch * w.rows()]);
+                w.matvec_batch_into(black_box(x), black_box(y), batch, &mut mv);
+            }
+        }));
+    }
+    let frame_us = frame_us / (batch * frames) as f64;
+    let matvec_us = matvec_us / batch as f64;
+    let pointwise_frac = (frame_us - matvec_us) / frame_us;
+    println!("{name:<14} B={batch:<3} {frame_us:>9.1} {matvec_us:>10.1} {pointwise_frac:>14.2}");
+    JsonObject::new()
+        .str("model", name)
+        .int("batch", batch as i64)
+        .num("frame_us", frame_us)
+        .num("matvec_us", matvec_us)
+        .num("pointwise_frac", pointwise_frac)
+        .render()
 }
 
 /// Fused time per input must stay within this factor of one `matvec_into`.
@@ -205,12 +299,37 @@ fn main() {
     println!("(steady-state fused-matvec and FFT `_into` allocation counts asserted zero;");
     println!(" fused time per input asserted ≤ {FUSED_PER_LANE_CEILING:.2} × one matvec_into)");
 
+    // The pointwise half of a frame: the paper's Q4.7 activation format
+    // and 64-segment sigmoid over pre-activation-like data.
+    let pre: Vec<f32> = (0..4096).map(|_| rng.gen_range(-9.0f32..9.0)).collect();
+    let fmt = FixedFormat::for_range(12, 8.0);
+    let sigmoid = PiecewiseLinear::sigmoid(64);
+    let quantize_ns = slice_ns_per_elem(&pre, 20 * reps, |xs| fmt.quantize_slice(xs));
+    let pwl_ns = slice_ns_per_elem(&pre, 20 * reps, |xs| sigmoid.eval_slice(xs));
+    println!("\npointwise kernels over 4096 elements, ns per element:");
+    println!(
+        "  quantize_slice ({fmt}) {quantize_ns:.2}   eval_slice (sigmoid, 64 seg) {pwl_ns:.2}"
+    );
+    println!("\nquantized forward pass, per frame:");
+    println!(
+        "{:<14} {:<5} {:>9} {:>10} {:>14}",
+        "model", "batch", "frame µs", "matvec µs", "pointwise frac"
+    );
+    let frames = if quick { 4 } else { 16 };
+    let cells_json = vec![
+        cell_datapath_row("lstm1024", CellType::Lstm, 1, frames, reps, &mut rng),
+        cell_datapath_row("gru1024", CellType::Gru, 16, frames, reps, &mut rng),
+    ];
+
     if let Some(path) = json_path {
         let doc = JsonObject::new()
             .bench_header("kernel_sweep")
             .int("dim", dim as i64)
             .int("fft_forward_allocs", fwd_allocs as i64)
             .int("fft_into_allocs", into_allocs as i64)
+            .num("quantize_ns_per_elem", quantize_ns)
+            .num("pwl_ns_per_elem", pwl_ns)
+            .raw("cells", array(cells_json))
             .raw("rows", array(rows_json))
             .render();
         write_artifact(&path, doc);

@@ -42,7 +42,6 @@ pub struct ExecScratch {
     pre: Vec<f32>,
     rec: Vec<f32>,
     m: Vec<f32>,
-    z: Vec<f32>,
     rc: Vec<f32>,
     pre_c: Vec<f32>,
     rec_c: Vec<f32>,
@@ -159,8 +158,27 @@ fn quantize_weight(m: &WeightMatrix, bits: u8, report: &mut QuantizationReport) 
 
 fn quantize_vec(v: &[f32], bits: u8) -> Vec<f32> {
     let max_abs = v.iter().fold(0.0f32, |m, x| m.max(x.abs())).max(1e-6);
-    let fmt = FixedFormat::for_range(bits, max_abs);
-    v.iter().map(|&x| fmt.quantize_f32(x)).collect()
+    let mut q = v.to_vec();
+    FixedFormat::for_range(bits, max_abs).quantize_slice(&mut q);
+    q
+}
+
+/// `pre ← Q(pre + rec + bias)` on every lane of a `lanes × bias.len()`
+/// plane: the accumulate-and-requantize after a cell's paired matvecs.
+fn add_bias(fmt: FixedFormat, pre: &mut [f32], rec: &[f32], bias: &[f32]) {
+    let width = bias.len();
+    for (pre, rec) in pre.chunks_exact_mut(width).zip(rec.chunks_exact(width)) {
+        for ((p, rv), b) in pre.iter_mut().zip(rec.iter()).zip(bias.iter()) {
+            *p = fmt.quantize_f32(*p + rv + b);
+        }
+    }
+}
+
+/// `gate ← Q(gate + w ⊙ c)`: one peephole connection over a gate plane.
+fn add_peephole(fmt: FixedFormat, gate: &mut [f32], w: &[f32], c: &[f32]) {
+    for ((p, w), c) in gate.iter_mut().zip(w.iter()).zip(c.iter()) {
+        *p = fmt.quantize_f32(*p + w * c);
+    }
 }
 
 /// A network whose weights are quantized and whose activations run through
@@ -226,8 +244,10 @@ impl QuantizedNetwork {
         let classifier_w: Matrix = classifier_w_data;
         let classifier_b = quantize_vec(&net.classifier_b, bits);
 
-        // Activations in RNNs live in (−8, 8) comfortably; Q(int=3) covers
-        // the pre-activation range seen in practice.
+        // Activations in RNNs live in (−8, 8) comfortably. `for_range`
+        // wants `max_abs < 2^int`, and 8 is not below 2³, so this is four
+        // integer bits: Q4.7 at 12 bits, range ±16 — the format every
+        // committed logit was computed in.
         let activation_format = FixedFormat::for_range(config.activation_bits, 8.0);
 
         QuantizedNetwork {
@@ -280,9 +300,12 @@ impl QuantizedNetwork {
         &mut self.net
     }
 
-    #[inline]
-    fn q(&self, x: f32) -> f32 {
-        self.activation_format.quantize_f32(x)
+    /// The PWL unit computing `act`.
+    fn unit(&self, act: ernn_model::Act) -> &PiecewiseLinear {
+        match act {
+            ernn_model::Act::Sigmoid => &self.sigmoid,
+            ernn_model::Act::Tanh => &self.tanh,
+        }
     }
 
     /// A zero-initialized [`NetworkState`] sized for this network — the
@@ -413,6 +436,7 @@ impl QuantizedNetwork {
     ) {
         let n = utterances.len();
         let in_dim = self.net.input_dim();
+        let fmt = self.activation_format;
 
         // Quantized input frames into ping-pong buffer `a`. `off` holds
         // n+1 frame offsets (total as the sentinel), so per-sequence
@@ -430,7 +454,7 @@ impl QuantizedNetwork {
                 assert_eq!(f.len(), in_dim, "input length must equal the feature dim");
                 let dst = &mut scratch.a[(scratch.off[s] + t) * in_dim..][..in_dim];
                 for (d, &v) in dst.iter_mut().zip(f.iter()) {
-                    *d = self.q(v);
+                    *d = fmt.quantize_f32(v);
                 }
             }
         }
@@ -461,7 +485,7 @@ impl QuantizedNetwork {
                 row.resize(classes, 0.0);
                 self.classifier_panel.matvec_into(h, row);
                 for (v, b) in row.iter_mut().zip(self.net.classifier_b.iter()) {
-                    *v = self.q(*v + b);
+                    *v = fmt.quantize_f32(*v + b);
                 }
             }
         }
@@ -503,6 +527,8 @@ impl QuantizedNetwork {
             mv,
             ..
         } = scratch;
+        let fmt = self.activation_format;
+        let cell_act = self.unit(cfg.cell_activation);
         let len_of = |s: usize| off[s + 1] - off[s];
         let max_t = (0..n).map(len_of).max().unwrap_or(0);
         b.resize(off[n] * r, 0.0);
@@ -541,44 +567,48 @@ impl QuantizedNetwork {
             m.resize(bsz * h, 0.0);
             l.wx.matvec_batch_into(xb, pre, bsz, mv);
             l.wr.matvec_batch_into(yb, rec, bsz, mv);
+            // Whole-slice passes, one operator at a time: every loop is
+            // straight-line per element, so it vectorises, and the PWL
+            // units see contiguous gate planes.
+            add_bias(fmt, pre, rec, &l.bias);
             for bi in 0..bsz {
-                let pre = &mut pre[bi * 4 * h..(bi + 1) * 4 * h];
-                let rec = &rec[bi * 4 * h..(bi + 1) * 4 * h];
                 let c = &cb[bi * h..(bi + 1) * h];
                 let c_new = &mut cn[bi * h..(bi + 1) * h];
                 let m = &mut m[bi * h..(bi + 1) * h];
-                for ((p, rv), bias) in pre.iter_mut().zip(rec.iter()).zip(l.bias.iter()) {
-                    *p = self.q(*p + rv + bias);
-                }
+                let (gates_if, rest) = pre[bi * 4 * h..(bi + 1) * 4 * h].split_at_mut(2 * h);
+                let (g_cell, o_gate) = rest.split_at_mut(h);
                 if let Some([pi, pf, _]) = &l.peepholes {
-                    for k in 0..h {
-                        pre[k] = self.q(pre[k] + pi[k] * c[k]);
-                        pre[h + k] = self.q(pre[h + k] + pf[k] * c[k]);
-                    }
+                    let (i_gate, f_gate) = gates_if.split_at_mut(h);
+                    add_peephole(fmt, i_gate, pi, c);
+                    add_peephole(fmt, f_gate, pf, c);
                 }
-                for k in 0..h {
-                    let i_gate = self.sigmoid.eval(pre[k]);
-                    let f_gate = self.sigmoid.eval(pre[h + k]);
-                    let g_cell = match cfg.cell_activation {
-                        ernn_model::Act::Sigmoid => self.sigmoid.eval(pre[2 * h + k]),
-                        ernn_model::Act::Tanh => self.tanh.eval(pre[2 * h + k]),
-                    };
-                    c_new[k] = self.q(f_gate * c[k] + g_cell * i_gate);
+                self.sigmoid.eval_slice(gates_if);
+                cell_act.eval_slice(g_cell);
+                let (i_gate, f_gate) = gates_if.split_at(h);
+                for ((((cn, f), c), g), i) in c_new
+                    .iter_mut()
+                    .zip(f_gate.iter())
+                    .zip(c.iter())
+                    .zip(g_cell.iter())
+                    .zip(i_gate.iter())
+                {
+                    *cn = fmt.quantize_f32(f * c + g * i);
                 }
-                for k in 0..h {
-                    let mut po = pre[3 * h + k];
-                    if let Some([_, _, p_o]) = &l.peepholes {
-                        po = self.q(po + p_o[k] * c_new[k]);
-                    }
-                    let o_gate = self.sigmoid.eval(po);
-                    m[k] = self.q(o_gate * self.tanh.eval(c_new[k]));
+                if let Some([_, _, p_o]) = &l.peepholes {
+                    add_peephole(fmt, o_gate, p_o, c_new);
+                }
+                self.sigmoid.eval_slice(o_gate);
+                m.copy_from_slice(c_new);
+                self.tanh.eval_slice(m);
+                for (m, o) in m.iter_mut().zip(o_gate.iter()) {
+                    *m = fmt.quantize_f32(o * *m);
                 }
             }
             match &l.wym {
                 Some(w) => {
                     yn.resize(bsz * r, 0.0);
                     w.matvec_batch_into(m, yn, bsz, mv);
-                    yn.iter_mut().for_each(|v| *v = self.q(*v));
+                    fmt.quantize_slice(yn);
                 }
                 None => {
                     yn.clear();
@@ -630,7 +660,6 @@ impl QuantizedNetwork {
             cn,
             pre,
             rec,
-            z,
             rc,
             pre_c,
             rec_c,
@@ -638,6 +667,8 @@ impl QuantizedNetwork {
             mv,
             ..
         } = scratch;
+        let fmt = self.activation_format;
+        let candidate_act = self.unit(g.candidate_activation);
         let len_of = |s: usize| off[s + 1] - off[s];
         let max_t = (0..n).map(len_of).max().unwrap_or(0);
         b.resize(off[n] * h, 0.0);
@@ -662,41 +693,42 @@ impl QuantizedNetwork {
             }
             pre.resize(bsz * 2 * h, 0.0);
             rec.resize(bsz * 2 * h, 0.0);
-            z.resize(bsz * h, 0.0);
             rc.resize(bsz * h, 0.0);
             pre_c.resize(bsz * h, 0.0);
             rec_c.resize(bsz * h, 0.0);
             cn.resize(bsz * h, 0.0);
             g.wzr_x.matvec_batch_into(xb, pre, bsz, mv);
             g.wzr_c.matvec_batch_into(cb, rec, bsz, mv);
-            for bi in 0..bsz {
-                let pre = &mut pre[bi * 2 * h..(bi + 1) * 2 * h];
-                let rec = &rec[bi * 2 * h..(bi + 1) * 2 * h];
-                let c = &cb[bi * h..(bi + 1) * h];
-                for ((p, rv), bias) in pre.iter_mut().zip(rec.iter()).zip(g.bias_zr.iter()) {
-                    *p = self.q(*p + rv + bias);
-                }
-                for k in 0..h {
-                    z[bi * h + k] = self.sigmoid.eval(pre[k]);
-                    rc[bi * h + k] = self.q(self.sigmoid.eval(pre[h + k]) * c[k]);
+            // Whole-slice passes, one operator at a time (see the LSTM);
+            // the PWL units take every active lane in one call.
+            add_bias(fmt, pre, rec, &g.bias_zr);
+            self.sigmoid.eval_slice(pre);
+            for ((zr, c), rc) in pre
+                .chunks_exact(2 * h)
+                .zip(cb.chunks_exact(h))
+                .zip(rc.chunks_exact_mut(h))
+            {
+                for ((rc, r_gate), c) in rc.iter_mut().zip(zr[h..].iter()).zip(c.iter()) {
+                    *rc = fmt.quantize_f32(r_gate * c);
                 }
             }
             g.wcx.matvec_batch_into(xb, pre_c, bsz, mv);
             g.wcc.matvec_batch_into(rc, rec_c, bsz, mv);
-            for bi in 0..bsz {
-                let pre_c = &mut pre_c[bi * h..(bi + 1) * h];
-                let rec_c = &rec_c[bi * h..(bi + 1) * h];
-                let c = &cb[bi * h..(bi + 1) * h];
-                let c_new = &mut cn[bi * h..(bi + 1) * h];
-                for ((p, rv), bias) in pre_c.iter_mut().zip(rec_c.iter()).zip(g.bias_c.iter()) {
-                    *p = self.q(*p + rv + bias);
-                }
-                for k in 0..h {
-                    let c_tilde = match g.candidate_activation {
-                        ernn_model::Act::Sigmoid => self.sigmoid.eval(pre_c[k]),
-                        ernn_model::Act::Tanh => self.tanh.eval(pre_c[k]),
-                    };
-                    c_new[k] = self.q((1.0 - z[bi * h + k]) * c[k] + z[bi * h + k] * c_tilde);
+            add_bias(fmt, pre_c, rec_c, &g.bias_c);
+            candidate_act.eval_slice(pre_c);
+            for (((c_new, zr), c), c_tilde) in cn
+                .chunks_exact_mut(h)
+                .zip(pre.chunks_exact(2 * h))
+                .zip(cb.chunks_exact(h))
+                .zip(pre_c.chunks_exact(h))
+            {
+                for (((cn, z), c), ct) in c_new
+                    .iter_mut()
+                    .zip(zr[..h].iter())
+                    .zip(c.iter())
+                    .zip(c_tilde.iter())
+                {
+                    *cn = fmt.quantize_f32((1.0 - z) * c + z * ct);
                 }
             }
             for (bi, &s) in active.iter().enumerate() {
@@ -715,6 +747,9 @@ impl QuantizedNetwork {
         }
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -747,6 +782,19 @@ mod tests {
                 assert!((a - b).abs() < 0.05, "{cell}: {a} vs {b}");
             }
         }
+    }
+
+    #[test]
+    fn paper_datapath_activations_are_q4_7() {
+        // `for_range(12, 8.0)` needs `8 < 2^int`, so four integer bits and
+        // seven fractional ones — not the Q3.8 the range (−8, 8) suggests.
+        // Every committed logit and baseline was computed in this format.
+        let config = DatapathConfig::paper_12bit();
+        let built = QuantizedNetwork::new(&compressed_net(CellType::Gru), &config);
+        assert_eq!(built.activation_format, FixedFormat::new(12, 7));
+        assert_eq!(built.activation_format.to_string(), "Q4.7 (12b)");
+        let loaded = QuantizedNetwork::from_quantized(built.net.clone(), &config, built.report);
+        assert_eq!(loaded.activation_format, built.activation_format);
     }
 
     #[test]

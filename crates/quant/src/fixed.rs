@@ -5,6 +5,11 @@
 //! `word − 1 − frac` integer bits and `frac` fractional bits. Values are
 //! represented as scaled integers `round(x · 2^frac)` saturated to the word
 //! range — exactly what a DSP-slice datapath does.
+//!
+//! [`FixedFormat::quantize_f32`] is defined as
+//! `dequantize_raw(quantize_raw(x))`; it and [`FixedFormat::quantize_slice`]
+//! compute that value with the call-free `f32` lane kernel described in the
+//! crate docs, so a loop over them vectorises.
 
 /// A signed fixed-point format.
 ///
@@ -80,10 +85,11 @@ impl FixedFormat {
         self.word_bits - 1 - self.frac_bits
     }
 
-    /// The quantization step `2^(−frac)`.
+    /// The quantization step `2^(−frac)`, built exactly from its exponent
+    /// field (`frac ≤ 31`, so it is always a normal number).
     #[inline]
     pub fn step(&self) -> f32 {
-        (2.0f32).powi(-(self.frac_bits as i32))
+        f32::from_bits((127 - self.frac_bits as u32) << 23)
     }
 
     /// Largest representable value.
@@ -126,13 +132,36 @@ impl FixedFormat {
 
     /// Round-trips a value through the format (quantize then dequantize) —
     /// the standard way to simulate fixed-point behaviour inside an `f32`
-    /// pipeline.
+    /// pipeline. Defined as `dequantize_raw(quantize_raw(x))` and
+    /// bit-identical to it for every `f32`, but computed without leaving
+    /// `f32` (no `round`/`powi` call, no `f64`, no float-to-int cast, no
+    /// branch), so a loop over it vectorises:
+    ///
+    /// * saturate first: the bounds are multiples of `step`, so clamping
+    ///   commutes with rounding to one (past 2²⁴ steps `max_value` is the
+    ///   rounded `raw_max as f32` that `dequantize_raw` would produce);
+    /// * with `magic = 2²³ · step`, `(a + magic) − magic` rounds
+    ///   `0 ≤ a < magic` to the nearest multiple `t` of `step`, ties to
+    ///   even (the sum has no bits below `step`; the subtraction is exact,
+    ///   and so is `a − t`) — so a tie is exactly where `a − t` equals
+    ///   `step / 2`, and there `t` is moved one step away from zero;
+    /// * from `magic` up an `f32` has no bits below `step` left to round;
+    /// * `+ 0.0` turns the −0 of a negative input that rounds to zero into
+    ///   the +0 the integer path returns.
     #[inline]
     pub fn quantize_f32(&self, x: f32) -> f32 {
-        self.dequantize_raw(self.quantize_raw(x))
+        let step = self.step();
+        let magic = (1u32 << 23) as f32 * step;
+        let x = if x.is_nan() { 0.0 } else { x };
+        let c = x.clamp(self.min_value(), self.max_value());
+        let a = c.abs();
+        let t = (a + magic) - magic;
+        let tie = if a - t == 0.5 * step { step } else { 0.0 };
+        let r = if a >= magic { a } else { t + tie };
+        r.copysign(c) + 0.0
     }
 
-    /// Quantizes a slice in place.
+    /// Quantizes a slice in place: [`Self::quantize_f32`] on every element.
     pub fn quantize_slice(&self, xs: &mut [f32]) {
         for x in xs {
             *x = self.quantize_f32(*x);
@@ -212,7 +241,109 @@ impl Quantizer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::{for_each_block, SPECIAL_BITS};
     use proptest::prelude::*;
+
+    /// The scalar definition the lane kernel replaced, kept word for word:
+    /// `f64` scale, libm `round`, saturating `i64`, `powi` step.
+    fn quantize_oracle(fmt: FixedFormat, x: f32) -> f32 {
+        let raw = if x.is_nan() {
+            0
+        } else {
+            let scaled = (x as f64 * (1i64 << fmt.frac_bits) as f64).round();
+            (scaled as i64).clamp(fmt.raw_min(), fmt.raw_max())
+        };
+        raw as f32 * (2.0f32).powi(-(fmt.frac_bits as i32))
+    }
+
+    /// Holds `quantize_f32`, its documented definition and `quantize_slice`
+    /// to the oracle's bits on every input of `bits`.
+    fn assert_matches_oracle(fmt: FixedFormat, bits: impl Iterator<Item = u32>) {
+        for_each_block(bits, |block| {
+            let mut sliced = block.to_vec();
+            fmt.quantize_slice(&mut sliced);
+            for (&x, &got) in block.iter().zip(sliced.iter()) {
+                let want = quantize_oracle(fmt, x).to_bits();
+                let input = x.to_bits();
+                assert_eq!(got.to_bits(), want, "{fmt} slice, input {input:#010x}");
+                let scalar = fmt.quantize_f32(x).to_bits();
+                assert_eq!(scalar, want, "{fmt} scalar, input {input:#010x}");
+                let defined = fmt.dequantize_raw(fmt.quantize_raw(x)).to_bits();
+                assert_eq!(defined, want, "{fmt} definition, input {input:#010x}");
+            }
+        });
+    }
+
+    /// The special values and — within two ulps on both signs — the
+    /// half-way points and saturation edges of `fmt`.
+    fn edge_bits(fmt: FixedFormat) -> Vec<u32> {
+        let mut out = SPECIAL_BITS.to_vec();
+        let top = fmt.raw_max() as f64;
+        let mut raws = vec![0.5, 1.0, 1.5, 2.5, 3.5, 126.5, 127.5];
+        raws.extend([top - 1.5, top - 0.5, top, top + 0.5, top + 1.0, top + 1.5]);
+        raws.extend([22, 23, 24, 25].map(|e| (1u64 << e) as f64));
+        raws.extend([22, 23].map(|e| (1u64 << e) as f64 - 0.5));
+        for raw in raws {
+            let x = (raw * fmt.step() as f64) as f32;
+            for near in x.to_bits() - 2..=x.to_bits() + 2 {
+                out.extend([near, near | 0x8000_0000]);
+            }
+        }
+        out
+    }
+
+    const FORMATS: [(u8, u8); 16] = [
+        (2, 0),
+        (2, 1),
+        (8, 4),
+        (8, 7),
+        (12, 7),
+        (12, 10),
+        (16, 0),
+        (16, 11),
+        (24, 0),
+        (24, 12),
+        (24, 23),
+        (25, 3),
+        (28, 5),
+        (32, 0),
+        (32, 16),
+        (32, 31),
+    ];
+
+    #[test]
+    fn lane_kernel_matches_scalar_oracle_on_a_strided_sweep() {
+        for (n, (word, frac)) in FORMATS.into_iter().enumerate() {
+            let fmt = FixedFormat::new(word, frac);
+            assert_matches_oracle(fmt, edge_bits(fmt).into_iter());
+            // A different residue class per format, all exponents and
+            // both signs in each.
+            assert_matches_oracle(fmt, (n as u32 * 977..=u32::MAX).step_by(16_411));
+        }
+    }
+
+    /// Every `f32` there is, through the paper's activation format.
+    /// `cargo test --release -p ernn-quant -- --ignored`
+    #[test]
+    #[ignore = "exhaustive over 2^32 inputs: about a minute in release"]
+    fn lane_kernel_matches_scalar_oracle_on_every_f32() {
+        assert_matches_oracle(FixedFormat::for_range(12, 8.0), 0..=u32::MAX);
+    }
+
+    #[test]
+    fn step_and_bounds_are_built_exactly() {
+        for frac in 0..=31u8 {
+            let fmt = FixedFormat::new(32, frac);
+            let powi = (2.0f32).powi(-(frac as i32));
+            assert_eq!(fmt.step().to_bits(), powi.to_bits(), "frac {frac}");
+            for word in frac + 1..=32 {
+                let fmt = FixedFormat::new(word.max(2), frac);
+                let (lo, hi) = (fmt.raw_min() as f32 * powi, fmt.raw_max() as f32 * powi);
+                assert_eq!(fmt.min_value().to_bits(), lo.to_bits(), "{fmt}");
+                assert_eq!(fmt.max_value().to_bits(), hi.to_bits(), "{fmt}");
+            }
+        }
+    }
 
     #[test]
     fn step_and_bounds_are_consistent() {
@@ -324,6 +455,22 @@ mod tests {
             let fmt = FixedFormat::new(word, frac);
             let once = fmt.quantize_f32(x);
             prop_assert_eq!(fmt.quantize_f32(once), once);
+        }
+
+        #[test]
+        fn quantize_slice_is_quantize_f32_per_element(
+            word in 2u8..33,
+            frac in 0u8..32,
+            bits in collection::vec(any::<u32>(), 0..70),
+        ) {
+            prop_assume!(frac < word);
+            let fmt = FixedFormat::new(word, frac);
+            let xs: Vec<f32> = bits.into_iter().map(f32::from_bits).collect();
+            let mut sliced = xs.clone();
+            fmt.quantize_slice(&mut sliced);
+            for (x, got) in xs.iter().zip(sliced.iter()) {
+                prop_assert_eq!(got.to_bits(), fmt.quantize_f32(*x).to_bits());
+            }
         }
 
         #[test]
