@@ -497,7 +497,6 @@ impl PipelineModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ernn_fpga::exec::ExecScratch;
     use ernn_model::{CellType, NetworkBuilder};
     use rand::SeedableRng;
 
@@ -593,11 +592,7 @@ mod tests {
         let loaded = ModelArtifact::load_bytes(&bytes).expect("decodes");
         let reloaded = CompiledModel::from_artifact(&loaded);
         let frames = vec![vec![0.2f32; 4]; 6];
-        let mut scratch = ExecScratch::new();
-        assert_eq!(
-            reloaded.infer_with(&frames, &mut scratch),
-            out.model().infer(&frames)
-        );
+        assert_eq!(reloaded.infer(&frames), out.model().infer(&frames));
         assert_eq!(reloaded.stage_cycles(), out.model().stage_cycles());
     }
 

@@ -5,18 +5,27 @@
 //! This module runs a trained network the way the hardware would —
 //! quantized weights, quantized activations after every operator, and
 //! piecewise-linear sigmoid/tanh — by materializing a quantized copy of
-//! the network and evaluating it with PWL activations injected.
+//! the network and stepping its cells in the fixed-point arithmetic.
+//!
+//! The twin is the model's cell by construction, not by mirroring: Eqn. 1
+//! and Eqn. 2 exist once, in [`LstmLayer::step_batch_with`] and
+//! [`GruLayer::step_batch_with`], and this module only supplies the
+//! [`CellArith`] they are evaluated in (a [`FixedFormat`] and the PWL
+//! units) plus the lockstep driver around them. `exec/reference.rs` keeps
+//! the per-element datapath that preceded the shared step as the
+//! bit-for-bit oracle.
 
-use ernn_linalg::{LanePanel, MatVec, MatVecScratch, Matrix, WeightMatrix};
-use ernn_model::{GruLayer, LstmLayer, RnnLayer, RnnNetwork};
+use ernn_linalg::{LanePanel, Matrix, WeightMatrix};
+use ernn_model::{Act, CellArith, CellScratch, GruLayer, LstmLayer, RnnLayer, RnnNetwork};
 use ernn_quant::{FixedFormat, PiecewiseLinear, Quantizer};
 
 /// Reusable workspace for the quantized datapath
 /// ([`QuantizedNetwork::forward_logits_batch_into`] and friends).
 ///
 /// Holds the ping-pong inter-layer activation buffers, the per-timestep
-/// gather/scatter buffers for lockstep batching, and the shared
-/// [`MatVecScratch`] that threads down into the FFT kernels. Every buffer
+/// gather/scatter buffers for lockstep batching, and the one
+/// [`CellScratch`] (cell planes plus the matvec workspace that threads
+/// down into the FFT kernels) every layer steps in. Every buffer
 /// grows to the largest shape seen and is then reused, so post-warmup
 /// inference performs zero heap allocations in the FFT/matvec kernels —
 /// and, when paired with [`QuantizedNetwork::forward_logits_batch_into`]
@@ -38,18 +47,12 @@ pub struct ExecScratch {
     /// Next states for the active lanes.
     cn: Vec<f32>,
     yn: Vec<f32>,
-    /// Cell intermediates (`batch × …`).
-    pre: Vec<f32>,
-    rec: Vec<f32>,
-    m: Vec<f32>,
-    rc: Vec<f32>,
-    pre_c: Vec<f32>,
-    rec_c: Vec<f32>,
     /// Persistent per-sequence recurrent state for the current layer.
     c_state: Vec<f32>,
     y_state: Vec<f32>,
-    /// Matvec workspace shared by every weight matrix in the model.
-    mv: MatVecScratch,
+    /// Cell planes and the matvec workspace shared by every weight matrix
+    /// in the model.
+    cell: CellScratch,
 }
 
 impl ExecScratch {
@@ -76,15 +79,6 @@ impl DatapathConfig {
         DatapathConfig {
             weight_bits: 12,
             activation_bits: 12,
-            pwl_segments: 64,
-        }
-    }
-
-    /// The 16-bit configuration C-LSTM used.
-    pub fn clstm_16bit() -> Self {
-        DatapathConfig {
-            weight_bits: 16,
-            activation_bits: 16,
             pwl_segments: 64,
         }
     }
@@ -163,21 +157,55 @@ fn quantize_vec(v: &[f32], bits: u8) -> Vec<f32> {
     q
 }
 
-/// `pre ← Q(pre + rec + bias)` on every lane of a `lanes × bias.len()`
-/// plane: the accumulate-and-requantize after a cell's paired matvecs.
-fn add_bias(fmt: FixedFormat, pre: &mut [f32], rec: &[f32], bias: &[f32]) {
-    let width = bias.len();
-    for (pre, rec) in pre.chunks_exact_mut(width).zip(rec.chunks_exact(width)) {
-        for ((p, rv), b) in pre.iter_mut().zip(rec.iter()).zip(bias.iter()) {
-            *p = fmt.quantize_f32(*p + rv + b);
-        }
+/// Widths `(|c|, |y|)` of a layer's recurrent state. A GRU's cell state
+/// doubles as its output, so its `y` is zero-wide.
+fn state_dims(layer: &RnnLayer<WeightMatrix>) -> (usize, usize) {
+    match layer {
+        RnnLayer::Lstm(l) => (l.config().hidden_dim, l.config().output_dim),
+        RnnLayer::Gru(g) => (g.hidden_dim(), 0),
     }
 }
 
-/// `gate ← Q(gate + w ⊙ c)`: one peephole connection over a gate plane.
-fn add_peephole(fmt: FixedFormat, gate: &mut [f32], w: &[f32], c: &[f32]) {
-    for ((p, w), c) in gate.iter_mut().zip(w.iter()).zip(c.iter()) {
-        *p = fmt.quantize_f32(*p + w * c);
+/// The datapath's arithmetic, the second [`CellArith`] next to the model's
+/// float one: every sum and product is re-rounded to the activation
+/// format `Q`, and sigmoid/tanh are the piecewise-linear units.
+struct FixedArith<'a> {
+    fmt: FixedFormat,
+    sigmoid: &'a PiecewiseLinear,
+    tanh: &'a PiecewiseLinear,
+}
+
+impl CellArith for FixedArith<'_> {
+    /// `pre ← Q((pre + rec) + bias)`.
+    #[inline]
+    fn accumulate(&self, pre: &mut [f32], rec: &[f32], bias: &[f32]) {
+        let width = bias.len();
+        for (pre, rec) in pre.chunks_exact_mut(width).zip(rec.chunks_exact(width)) {
+            for ((p, rv), b) in pre.iter_mut().zip(rec.iter()).zip(bias.iter()) {
+                *p = self.fmt.quantize_f32(*p + rv + b);
+            }
+        }
+    }
+
+    /// `gate ← Q(gate + w ⊙ c)`.
+    #[inline]
+    fn peephole(&self, gate: &mut [f32], w: &[f32], c: &[f32]) {
+        for ((p, w), c) in gate.iter_mut().zip(w.iter()).zip(c.iter()) {
+            *p = self.fmt.quantize_f32(*p + w * c);
+        }
+    }
+
+    #[inline]
+    fn activate(&self, act: Act, xs: &mut [f32]) {
+        match act {
+            Act::Sigmoid => self.sigmoid.eval_slice(xs),
+            Act::Tanh => self.tanh.eval_slice(xs),
+        }
+    }
+
+    #[inline]
+    fn round(&self, v: f32) -> f32 {
+        self.fmt.quantize_f32(v)
     }
 }
 
@@ -300,14 +328,6 @@ impl QuantizedNetwork {
         &mut self.net
     }
 
-    /// The PWL unit computing `act`.
-    fn unit(&self, act: ernn_model::Act) -> &PiecewiseLinear {
-        match act {
-            ernn_model::Act::Sigmoid => &self.sigmoid,
-            ernn_model::Act::Tanh => &self.tanh,
-        }
-    }
-
     /// A zero-initialized [`NetworkState`] sized for this network — the
     /// state of a streaming session before its first chunk.
     pub fn fresh_state(&self) -> NetworkState {
@@ -315,15 +335,12 @@ impl QuantizedNetwork {
             .net
             .layers()
             .iter()
-            .map(|layer| match layer {
-                RnnLayer::Lstm(l) => LayerState {
-                    c: vec![0.0; l.config().hidden_dim],
-                    y: vec![0.0; l.config().output_dim],
-                },
-                RnnLayer::Gru(g) => LayerState {
-                    c: vec![0.0; g.hidden_dim()],
-                    y: Vec::new(),
-                },
+            .map(|layer| {
+                let (h, r) = state_dims(layer);
+                LayerState {
+                    c: vec![0.0; h],
+                    y: vec![0.0; r],
+                }
             })
             .collect();
         NetworkState { layers }
@@ -338,9 +355,9 @@ impl QuantizedNetwork {
             .net
             .layers()
             .iter()
-            .map(|layer| match layer {
-                RnnLayer::Lstm(l) => (l.config().hidden_dim + l.config().output_dim) as u64,
-                RnnLayer::Gru(g) => g.hidden_dim() as u64,
+            .map(|layer| {
+                let (h, r) = state_dims(layer);
+                (h + r) as u64
             })
             .sum();
         elems * word
@@ -355,28 +372,9 @@ impl QuantizedNetwork {
     /// throwaway scratch; results are bit-identical to every other entry
     /// point by construction.
     pub fn forward_logits(&self, frames: &[Vec<f32>]) -> Vec<Vec<f32>> {
-        self.forward_logits_with(frames, &mut ExecScratch::new())
-    }
-
-    /// [`Self::forward_logits`] reusing a caller-owned scratch — the
-    /// per-worker serving form: post-warmup, the FFT/matvec kernels
-    /// allocate nothing and only the returned logits are fresh.
-    pub fn forward_logits_with(
-        &self,
-        frames: &[Vec<f32>],
-        scratch: &mut ExecScratch,
-    ) -> Vec<Vec<f32>> {
         let mut out = Vec::new();
-        self.forward_logits_batch_into(&[frames], &mut out, scratch);
+        self.forward_logits_batch_into(&[frames], &mut out, &mut ExecScratch::new());
         out.pop().expect("one sequence in, one sequence out")
-    }
-
-    /// Batched forward pass over several utterances at once; allocating
-    /// wrapper over [`Self::forward_logits_batch_into`].
-    pub fn forward_logits_batch(&self, utterances: &[&[Vec<f32>]]) -> Vec<Vec<Vec<f32>>> {
-        let mut out = Vec::new();
-        self.forward_logits_batch_into(utterances, &mut out, &mut ExecScratch::new());
-        out
     }
 
     /// The quantized-datapath kernel: runs `utterances` in lockstep so
@@ -462,10 +460,7 @@ impl QuantizedNetwork {
         // Through the stack: each layer consumes `a`, produces `b`, swap.
         for (li, layer) in self.net.layers().iter().enumerate() {
             let st = states.as_deref_mut();
-            match layer {
-                RnnLayer::Lstm(l) => self.lstm_seq_batch(l, li, n, st, scratch),
-                RnnLayer::Gru(g) => self.gru_seq_batch(g, li, n, st, scratch),
-            }
+            self.layer_seq_batch(layer, li, n, st, scratch);
             std::mem::swap(&mut scratch.a, &mut scratch.b);
         }
 
@@ -491,24 +486,22 @@ impl QuantizedNetwork {
         }
     }
 
-    /// Batched LSTM lockstep with the hardware datapath (mirrors
-    /// `ernn_model::LstmLayer::step` with quantization and PWL injected —
-    /// kept in sync by the agreement tests below). Reads activations from
-    /// `scratch.a`, writes to `scratch.b`. Lane `s` starts from layer
-    /// `li` of `states[s]` when present (zeros otherwise) and writes its
-    /// final recurrent state back there.
-    fn lstm_seq_batch(
+    /// The lockstep driver: steps whichever lanes are still active at each
+    /// timestep through `layer`'s cell in the fixed-point arithmetic.
+    /// Reads activations from `scratch.a`, writes to `scratch.b`. Lane `s`
+    /// starts from layer `li` of `states[s]` when present (zeros otherwise)
+    /// and writes its final recurrent state back there.
+    fn layer_seq_batch(
         &self,
-        l: &LstmLayer<WeightMatrix>,
+        layer: &RnnLayer<WeightMatrix>,
         li: usize,
         n: usize,
         states: Option<&mut [Option<NetworkState>]>,
         scratch: &mut ExecScratch,
     ) {
-        let cfg = l.config();
-        let h = cfg.hidden_dim;
-        let r = cfg.output_dim;
-        let in_dim = cfg.input_dim;
+        let (h, r) = state_dims(layer);
+        let in_dim = layer.input_dim();
+        let out_dim = layer.output_dim();
         let ExecScratch {
             a,
             b,
@@ -519,19 +512,18 @@ impl QuantizedNetwork {
             yb,
             cn,
             yn,
-            pre,
-            rec,
-            m,
             c_state,
             y_state,
-            mv,
-            ..
+            cell,
         } = scratch;
-        let fmt = self.activation_format;
-        let cell_act = self.unit(cfg.cell_activation);
+        let arith = FixedArith {
+            fmt: self.activation_format,
+            sigmoid: &self.sigmoid,
+            tanh: &self.tanh,
+        };
         let len_of = |s: usize| off[s + 1] - off[s];
         let max_t = (0..n).map(len_of).max().unwrap_or(0);
-        b.resize(off[n] * r, 0.0);
+        b.resize(off[n] * out_dim, 0.0);
         c_state.resize(n * h, 0.0);
         y_state.resize(n * r, 0.0);
         for s in 0..n {
@@ -543,8 +535,8 @@ impl QuantizedNetwork {
                     ys.copy_from_slice(&ns.layers[li].y);
                 }
                 None => {
-                    cs.iter_mut().for_each(|v| *v = 0.0);
-                    ys.iter_mut().for_each(|v| *v = 0.0);
+                    cs.fill(0.0);
+                    ys.fill(0.0);
                 }
             }
         }
@@ -561,64 +553,23 @@ impl QuantizedNetwork {
                 cb.extend_from_slice(&c_state[s * h..(s + 1) * h]);
                 yb.extend_from_slice(&y_state[s * r..(s + 1) * r]);
             }
-            pre.resize(bsz * 4 * h, 0.0);
-            rec.resize(bsz * 4 * h, 0.0);
             cn.resize(bsz * h, 0.0);
-            m.resize(bsz * h, 0.0);
-            l.wx.matvec_batch_into(xb, pre, bsz, mv);
-            l.wr.matvec_batch_into(yb, rec, bsz, mv);
-            // Whole-slice passes, one operator at a time: every loop is
-            // straight-line per element, so it vectorises, and the PWL
-            // units see contiguous gate planes.
-            add_bias(fmt, pre, rec, &l.bias);
-            for bi in 0..bsz {
-                let c = &cb[bi * h..(bi + 1) * h];
-                let c_new = &mut cn[bi * h..(bi + 1) * h];
-                let m = &mut m[bi * h..(bi + 1) * h];
-                let (gates_if, rest) = pre[bi * 4 * h..(bi + 1) * 4 * h].split_at_mut(2 * h);
-                let (g_cell, o_gate) = rest.split_at_mut(h);
-                if let Some([pi, pf, _]) = &l.peepholes {
-                    let (i_gate, f_gate) = gates_if.split_at_mut(h);
-                    add_peephole(fmt, i_gate, pi, c);
-                    add_peephole(fmt, f_gate, pf, c);
+            yn.resize(bsz * r, 0.0);
+            let out = match layer {
+                RnnLayer::Lstm(l) => {
+                    l.step_batch_with(&arith, xb, cb, yb, cn, yn, bsz, cell);
+                    &*yn
                 }
-                self.sigmoid.eval_slice(gates_if);
-                cell_act.eval_slice(g_cell);
-                let (i_gate, f_gate) = gates_if.split_at(h);
-                for ((((cn, f), c), g), i) in c_new
-                    .iter_mut()
-                    .zip(f_gate.iter())
-                    .zip(c.iter())
-                    .zip(g_cell.iter())
-                    .zip(i_gate.iter())
-                {
-                    *cn = fmt.quantize_f32(f * c + g * i);
+                RnnLayer::Gru(g) => {
+                    g.step_batch_with(&arith, xb, cb, cn, bsz, cell);
+                    &*cn
                 }
-                if let Some([_, _, p_o]) = &l.peepholes {
-                    add_peephole(fmt, o_gate, p_o, c_new);
-                }
-                self.sigmoid.eval_slice(o_gate);
-                m.copy_from_slice(c_new);
-                self.tanh.eval_slice(m);
-                for (m, o) in m.iter_mut().zip(o_gate.iter()) {
-                    *m = fmt.quantize_f32(o * *m);
-                }
-            }
-            match &l.wym {
-                Some(w) => {
-                    yn.resize(bsz * r, 0.0);
-                    w.matvec_batch_into(m, yn, bsz, mv);
-                    fmt.quantize_slice(yn);
-                }
-                None => {
-                    yn.clear();
-                    yn.extend_from_slice(m);
-                }
-            }
+            };
             for (bi, &s) in active.iter().enumerate() {
                 c_state[s * h..(s + 1) * h].copy_from_slice(&cn[bi * h..(bi + 1) * h]);
                 y_state[s * r..(s + 1) * r].copy_from_slice(&yn[bi * r..(bi + 1) * r]);
-                b[(off[s] + t) * r..][..r].copy_from_slice(&yn[bi * r..(bi + 1) * r]);
+                b[(off[s] + t) * out_dim..][..out_dim]
+                    .copy_from_slice(&out[bi * out_dim..(bi + 1) * out_dim]);
             }
         }
         if let Some(st) = states {
@@ -630,118 +581,6 @@ impl QuantizedNetwork {
                     ns.layers[li]
                         .y
                         .copy_from_slice(&y_state[s * r..(s + 1) * r]);
-                }
-            }
-        }
-    }
-
-    /// Batched GRU lockstep with the hardware datapath (mirrors
-    /// `ernn_model::GruLayer::step`). Reads activations from `scratch.a`,
-    /// writes to `scratch.b`. Lane `s` starts from layer `li` of
-    /// `states[s]` when present (zeros otherwise) and writes its final
-    /// cell state back there.
-    fn gru_seq_batch(
-        &self,
-        g: &GruLayer<WeightMatrix>,
-        li: usize,
-        n: usize,
-        states: Option<&mut [Option<NetworkState>]>,
-        scratch: &mut ExecScratch,
-    ) {
-        let h = g.hidden_dim();
-        let in_dim = g.input_dim();
-        let ExecScratch {
-            a,
-            b,
-            off,
-            active,
-            xb,
-            cb,
-            cn,
-            pre,
-            rec,
-            rc,
-            pre_c,
-            rec_c,
-            c_state,
-            mv,
-            ..
-        } = scratch;
-        let fmt = self.activation_format;
-        let candidate_act = self.unit(g.candidate_activation);
-        let len_of = |s: usize| off[s + 1] - off[s];
-        let max_t = (0..n).map(len_of).max().unwrap_or(0);
-        b.resize(off[n] * h, 0.0);
-        c_state.resize(n * h, 0.0);
-        for s in 0..n {
-            let cs = &mut c_state[s * h..(s + 1) * h];
-            match states.as_ref().and_then(|st| st[s].as_ref()) {
-                Some(ns) => cs.copy_from_slice(&ns.layers[li].c),
-                None => cs.iter_mut().for_each(|v| *v = 0.0),
-            }
-        }
-
-        for t in 0..max_t {
-            active.clear();
-            active.extend((0..n).filter(|&s| t < len_of(s)));
-            let bsz = active.len();
-            xb.clear();
-            cb.clear();
-            for &s in active.iter() {
-                xb.extend_from_slice(&a[(off[s] + t) * in_dim..][..in_dim]);
-                cb.extend_from_slice(&c_state[s * h..(s + 1) * h]);
-            }
-            pre.resize(bsz * 2 * h, 0.0);
-            rec.resize(bsz * 2 * h, 0.0);
-            rc.resize(bsz * h, 0.0);
-            pre_c.resize(bsz * h, 0.0);
-            rec_c.resize(bsz * h, 0.0);
-            cn.resize(bsz * h, 0.0);
-            g.wzr_x.matvec_batch_into(xb, pre, bsz, mv);
-            g.wzr_c.matvec_batch_into(cb, rec, bsz, mv);
-            // Whole-slice passes, one operator at a time (see the LSTM);
-            // the PWL units take every active lane in one call.
-            add_bias(fmt, pre, rec, &g.bias_zr);
-            self.sigmoid.eval_slice(pre);
-            for ((zr, c), rc) in pre
-                .chunks_exact(2 * h)
-                .zip(cb.chunks_exact(h))
-                .zip(rc.chunks_exact_mut(h))
-            {
-                for ((rc, r_gate), c) in rc.iter_mut().zip(zr[h..].iter()).zip(c.iter()) {
-                    *rc = fmt.quantize_f32(r_gate * c);
-                }
-            }
-            g.wcx.matvec_batch_into(xb, pre_c, bsz, mv);
-            g.wcc.matvec_batch_into(rc, rec_c, bsz, mv);
-            add_bias(fmt, pre_c, rec_c, &g.bias_c);
-            candidate_act.eval_slice(pre_c);
-            for (((c_new, zr), c), c_tilde) in cn
-                .chunks_exact_mut(h)
-                .zip(pre.chunks_exact(2 * h))
-                .zip(cb.chunks_exact(h))
-                .zip(pre_c.chunks_exact(h))
-            {
-                for (((cn, z), c), ct) in c_new
-                    .iter_mut()
-                    .zip(zr[..h].iter())
-                    .zip(c.iter())
-                    .zip(c_tilde.iter())
-                {
-                    *cn = fmt.quantize_f32((1.0 - z) * c + z * ct);
-                }
-            }
-            for (bi, &s) in active.iter().enumerate() {
-                c_state[s * h..(s + 1) * h].copy_from_slice(&cn[bi * h..(bi + 1) * h]);
-                b[(off[s] + t) * h..][..h].copy_from_slice(&cn[bi * h..(bi + 1) * h]);
-            }
-        }
-        if let Some(st) = states {
-            for s in 0..n {
-                if let Some(ns) = st[s].as_mut() {
-                    ns.layers[li]
-                        .c
-                        .copy_from_slice(&c_state[s * h..(s + 1) * h]);
                 }
             }
         }
@@ -885,16 +724,15 @@ mod tests {
                 })
                 .collect();
             let refs: Vec<&[Vec<f32>]> = utts.iter().map(Vec::as_slice).collect();
-            let batched = q.forward_logits_batch(&refs);
             let mut scratch = ExecScratch::new();
+            let mut batched = Vec::new();
+            q.forward_logits_batch_into(&refs, &mut batched, &mut scratch);
+            let mut single = Vec::new();
             for (s, utt) in utts.iter().enumerate() {
                 assert_eq!(batched[s], q.forward_logits(utt), "{cell} utterance {s}");
                 // Scratch reuse across calls changes nothing either.
-                assert_eq!(
-                    batched[s],
-                    q.forward_logits_with(utt, &mut scratch),
-                    "{cell} scratch reuse, utterance {s}"
-                );
+                q.forward_logits_batch_into(&[utt.as_slice()], &mut single, &mut scratch);
+                assert_eq!(batched[s], single[0], "{cell} scratch reuse, utterance {s}");
             }
         }
     }
@@ -937,7 +775,8 @@ mod tests {
             })
             .collect();
         let refs: Vec<&[Vec<f32>]> = utts.iter().map(Vec::as_slice).collect();
-        let stateless = q.forward_logits_batch(&refs);
+        let mut stateless = Vec::new();
+        q.forward_logits_batch_into(&refs, &mut stateless, &mut ExecScratch::new());
         // Middle lane stateful, outer lanes stateless: identical logits,
         // and only the stateful lane's state is written back.
         let mut states = vec![None, Some(q.fresh_state()), None];

@@ -3,9 +3,11 @@
 //! quantizer and the PWL units called once per `k` inside mixed loops,
 //! `match cell_activation` inside them. The quantizer here is its `i64`
 //! definition rather than the lane kernel; the PWL units' scalar `eval`
-//! has its own oracle in `ernn-quant`.
+//! has its own oracle in `ernn-quant`. The cell planes and the matvec
+//! workspace, which [`ExecScratch`] used to declare itself, are locals.
 
 use super::*;
+use ernn_linalg::{MatVec, MatVecScratch};
 use ernn_model::{compress_network, Act, BlockPolicy, CellType, NetworkBuilder};
 use rand::{Rng, SeedableRng};
 
@@ -100,14 +102,12 @@ impl QuantizedNetwork {
             yb,
             cn,
             yn,
-            pre,
-            rec,
-            m,
             c_state,
             y_state,
-            mv,
             ..
         } = scratch;
+        let (pre, rec, m) = (&mut Vec::new(), &mut Vec::new(), &mut Vec::new());
+        let mv = &mut MatVecScratch::default();
         let len_of = |s: usize| off[s + 1] - off[s];
         let max_t = (0..n).map(len_of).max().unwrap_or(0);
         b.resize(off[n] * r, 0.0);
@@ -228,15 +228,12 @@ impl QuantizedNetwork {
             xb,
             cb,
             cn,
-            pre,
-            rec,
-            rc,
-            pre_c,
-            rec_c,
             c_state,
-            mv,
             ..
         } = scratch;
+        let (pre, rec, rc) = (&mut Vec::new(), &mut Vec::new(), &mut Vec::new());
+        let (pre_c, rec_c) = (&mut Vec::new(), &mut Vec::new());
+        let mv = &mut MatVecScratch::default();
         let mut z = Vec::new();
         let len_of = |s: usize| off[s + 1] - off[s];
         let max_t = (0..n).map(len_of).max().unwrap_or(0);

@@ -476,23 +476,6 @@ impl BlockCirculantMatrix {
         }
     }
 
-    /// Convenience batched matvec over separate input vectors; thin
-    /// allocating wrapper over [`Self::matvec_batch_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any input's length differs from `cols`.
-    pub fn matvec_batch(&self, xs: &[Vec<f32>]) -> Vec<Vec<f32>> {
-        let mut flat = Vec::with_capacity(xs.len() * self.cols);
-        for x in xs {
-            assert_eq!(x.len(), self.cols, "input length must equal cols");
-            flat.extend_from_slice(x);
-        }
-        let mut ys = vec![0.0f32; xs.len() * self.rows];
-        self.matvec_batch_into(&flat, &mut ys, xs.len(), &mut MatVecScratch::new());
-        ys.chunks(self.rows).map(|c| c.to_vec()).collect()
-    }
-
     /// Direct (no-FFT) matvec, O(L_b²) per block. Reference implementation
     /// used to validate [`Self::matvec`] and by the fixed-point simulator,
     /// which mirrors the hardware's integer datapath.
@@ -1101,9 +1084,6 @@ mod tests {
             for (b, want) in expected.iter().enumerate() {
                 prop_assert_eq!(&ys[b * rows..(b + 1) * rows], want.as_slice());
             }
-
-            // Allocating batch wrapper agrees too.
-            prop_assert_eq!(bc.matvec_batch(&xs), expected);
         }
 
         #[test]

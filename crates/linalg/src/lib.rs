@@ -30,11 +30,11 @@
 
 //! # Scratch / `_into` conventions
 //!
-//! Every matvec kernel has an allocating form (`matvec`, `matvec_batch`)
-//! and an in-place form (`matvec_into`, `matvec_batch_into`) that writes
-//! into caller-provided buffers and borrows a [`MatVecScratch`] for its
-//! intermediates. The allocating forms are thin wrappers over the `_into`
-//! kernels — bit-identical by construction — while the `_into` forms
+//! Every matvec kernel has an allocating form (`matvec`) and in-place
+//! forms (`matvec_into`, `matvec_batch_into`) that write into
+//! caller-provided buffers and borrow a [`MatVecScratch`] for their
+//! intermediates. The allocating form is a thin wrapper over the `_into`
+//! kernel — bit-identical by construction — while the `_into` forms
 //! perform **zero heap allocations** once the scratch has grown to the
 //! shapes in play (its buffers are grow-only: a smaller batch or matrix
 //! reuses a prefix). `matvec_batch_into` additionally fuses a whole batch:

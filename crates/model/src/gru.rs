@@ -7,39 +7,10 @@
 //! `W_c̃x·x` plus `W_c̃c·(r ⊙ c_{t−1})` — three matvecs per timestep versus
 //! the LSTM's two larger ones.
 
-use crate::activation::{sigmoid, Act};
-use ernn_linalg::{MatVec, MatVecScratch, Matrix};
+use crate::activation::Act;
+use crate::cell::{CellArith, FloatArith, GruScratch};
+use ernn_linalg::{MatVec, Matrix};
 use rand::Rng;
-
-/// Reusable workspace for the allocation-free GRU step kernels
-/// ([`GruLayer::step_into`] / [`GruLayer::step_batch_into`]).
-///
-/// One scratch serves any layer shape and batch size; buffers grow to the
-/// largest size seen and are then reused.
-#[derive(Debug, Clone, Default)]
-pub struct GruScratch {
-    /// Fused gate pre-activations (`batch × 2H`).
-    pre: Vec<f32>,
-    /// Recurrent gate matvec output (`batch × 2H`).
-    rec: Vec<f32>,
-    /// Update gate `z` (`batch × H`).
-    z: Vec<f32>,
-    /// Reset-gated state `r ⊙ c_{t-1}` (`batch × H`).
-    rc: Vec<f32>,
-    /// Candidate pre-activations (`batch × H`).
-    pre_c: Vec<f32>,
-    /// Candidate recurrent matvec output (`batch × H`).
-    rec_c: Vec<f32>,
-    /// Matvec workspace shared by all weight matrices.
-    pub mv: MatVecScratch,
-}
-
-impl GruScratch {
-    /// An empty scratch; buffers are grown on first use.
-    pub fn new() -> Self {
-        GruScratch::default()
-    }
-}
 
 /// One GRU layer, generic over the weight representation.
 ///
@@ -162,82 +133,39 @@ impl<M: MatVec> GruLayer<M> {
         vec![0.0; self.hidden_dim]
     }
 
-    /// One timestep of Eqn. 2.
+    /// One timestep of Eqn. 2 for training: a batch-1
+    /// [`Self::step_batch_into`], plus (optionally) the cache needed for
+    /// backpropagation, read from the activated gate planes the step left
+    /// in `scratch`.
     ///
     /// # Panics
     ///
     /// Panics if `x` or `c_prev` have the wrong dimension.
-    pub fn step(
+    fn step(
         &self,
         x: &[f32],
         c_prev: &[f32],
         want_cache: bool,
+        scratch: &mut GruScratch,
     ) -> (Vec<f32>, Option<GruCache>) {
         let h = self.hidden_dim;
-        assert_eq!(x.len(), self.input_dim, "input dimension mismatch");
-        assert_eq!(c_prev.len(), h, "state dimension mismatch");
-
-        // Fused gates: z, r = σ(W_(zr)x·x + W_(zr)c·c_{t-1} + b)  (2a, 2b).
-        let mut pre = self.wzr_x.matvec(x);
-        let rec = self.wzr_c.matvec(c_prev);
-        for ((p, r), b) in pre.iter_mut().zip(rec.iter()).zip(self.bias_zr.iter()) {
-            *p += r + b;
-        }
-        let z: Vec<f32> = pre[..h].iter().map(|&v| sigmoid(v)).collect();
-        let r: Vec<f32> = pre[h..].iter().map(|&v| sigmoid(v)).collect();
-
-        // c̃ = h(W_c̃x·x + W_c̃c·(r ⊙ c_{t-1}) + b_c̃)   (2c).
-        let rc: Vec<f32> = r.iter().zip(c_prev.iter()).map(|(a, b)| a * b).collect();
-        let mut pre_c = self.wcx.matvec(x);
-        let rec_c = self.wcc.matvec(&rc);
-        for ((p, r), b) in pre_c.iter_mut().zip(rec_c.iter()).zip(self.bias_c.iter()) {
-            *p += r + b;
-        }
-        let c_tilde: Vec<f32> = pre_c
-            .iter()
-            .map(|&v| self.candidate_activation.eval(v))
-            .collect();
-
-        // c_t = (1 − z) ⊙ c_{t-1} + z ⊙ c̃   (2d).
-        let c: Vec<f32> = (0..h)
-            .map(|k| (1.0 - z[k]) * c_prev[k] + z[k] * c_tilde[k])
-            .collect();
-
+        let mut c = self.zero_state();
+        self.step_batch_into(x, c_prev, &mut c, 1, scratch);
         let cache = want_cache.then(|| GruCache {
             x: x.to_vec(),
             c_prev: c_prev.to_vec(),
-            z,
-            r,
-            rc,
-            c_tilde,
+            z: scratch.pre[..h].to_vec(),
+            r: scratch.pre[h..].to_vec(),
+            rc: scratch.rc.clone(),
+            c_tilde: scratch.pre_c.clone(),
         });
         (c, cache)
     }
 
-    /// One timestep of Eqn. 2 written into a caller-provided state, with
-    /// every intermediate in `scratch` — the allocation-free inference
-    /// form of [`Self::step`], bit-identical to it by construction (same
-    /// kernels, same operation order; asserted by tests).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` or `c_prev` have the wrong dimension.
-    pub fn step_into(
-        &self,
-        x: &[f32],
-        c_prev: &[f32],
-        c_next: &mut Vec<f32>,
-        scratch: &mut GruScratch,
-    ) {
-        c_next.resize(self.hidden_dim, 0.0);
-        self.step_batch_into(x, c_prev, c_next, 1, scratch);
-    }
-
-    /// One timestep of Eqn. 2 for `batch` independent states at once, over
-    /// flat `batch × dim` buffers. The three matvecs are batch-fused
-    /// (block-circulant weights stream their cached spectra once per
-    /// batch); the element-wise gate math runs per lane, so every lane's
-    /// result is bit-identical to a standalone [`Self::step`].
+    /// One timestep of Eqn. 2 in `f32` for `batch` independent states at
+    /// once, over flat `batch × dim` buffers:
+    /// [`Self::step_batch_with`] at the float arithmetic. Every lane's
+    /// result is bit-identical to a batch of one.
     ///
     /// Allocation-free once `scratch` has grown to this shape and batch.
     ///
@@ -253,6 +181,29 @@ impl<M: MatVec> GruLayer<M> {
         batch: usize,
         scratch: &mut GruScratch,
     ) {
+        self.step_batch_with(&FloatArith, xs, c_prev, c_next, batch, scratch);
+    }
+
+    /// Eqn. 2, the one definition: a timestep for `batch` independent
+    /// states over flat `batch × dim` buffers, evaluated in `arith`. The
+    /// four matvecs are batch-fused (block-circulant weights stream their
+    /// cached spectra once per batch); the gate math is whole-plane passes,
+    /// one operator at a time, and the activation units take every lane in
+    /// one call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any slice length disagrees with `batch` and the layer
+    /// dimensions.
+    pub fn step_batch_with<A: CellArith>(
+        &self,
+        arith: &A,
+        xs: &[f32],
+        c_prev: &[f32],
+        c_next: &mut [f32],
+        batch: usize,
+        scratch: &mut GruScratch,
+    ) {
         let h = self.hidden_dim;
         assert_eq!(xs.len(), batch * self.input_dim, "input dimension mismatch");
         assert_eq!(c_prev.len(), batch * h, "state dimension mismatch");
@@ -261,15 +212,14 @@ impl<M: MatVec> GruLayer<M> {
         let GruScratch {
             pre,
             rec,
-            z,
             rc,
             pre_c,
             rec_c,
             mv,
+            ..
         } = scratch;
         pre.resize(batch * 2 * h, 0.0);
         rec.resize(batch * 2 * h, 0.0);
-        z.resize(batch * h, 0.0);
         rc.resize(batch * h, 0.0);
         pre_c.resize(batch * h, 0.0);
         rec_c.resize(batch * h, 0.0);
@@ -277,71 +227,40 @@ impl<M: MatVec> GruLayer<M> {
         // Fused gates: z, r = σ(W_(zr)x·x + W_(zr)c·c_{t-1} + b)  (2a, 2b).
         self.wzr_x.matvec_batch_into(xs, pre, batch, mv);
         self.wzr_c.matvec_batch_into(c_prev, rec, batch, mv);
-        for b in 0..batch {
-            let pre = &mut pre[b * 2 * h..(b + 1) * 2 * h];
-            let rec = &rec[b * 2 * h..(b + 1) * 2 * h];
-            let cp = &c_prev[b * h..(b + 1) * h];
-            for ((p, rv), bias) in pre.iter_mut().zip(rec.iter()).zip(self.bias_zr.iter()) {
-                *p += rv + bias;
-            }
-            for k in 0..h {
-                z[b * h + k] = sigmoid(pre[k]);
-                rc[b * h + k] = sigmoid(pre[h + k]) * cp[k];
+        arith.accumulate(pre, rec, &self.bias_zr);
+        arith.sigmoid(pre);
+        for ((zr, c), rc) in pre
+            .chunks_exact(2 * h)
+            .zip(c_prev.chunks_exact(h))
+            .zip(rc.chunks_exact_mut(h))
+        {
+            for ((rc, r_gate), c) in rc.iter_mut().zip(zr[h..].iter()).zip(c.iter()) {
+                *rc = arith.round(r_gate * c);
             }
         }
 
-        // c̃ = h(W_c̃x·x + W_c̃c·(r ⊙ c_{t-1}) + b_c̃)   (2c);
-        // c_t = (1 − z) ⊙ c_{t-1} + z ⊙ c̃   (2d).
+        // c̃ = h(W_c̃x·x + W_c̃c·(r ⊙ c_{t-1}) + b_c̃)   (2c).
         self.wcx.matvec_batch_into(xs, pre_c, batch, mv);
         self.wcc.matvec_batch_into(rc, rec_c, batch, mv);
-        for b in 0..batch {
-            let pre_c = &mut pre_c[b * h..(b + 1) * h];
-            let rec_c = &rec_c[b * h..(b + 1) * h];
-            let cp = &c_prev[b * h..(b + 1) * h];
-            let cn = &mut c_next[b * h..(b + 1) * h];
-            for ((p, rv), bias) in pre_c.iter_mut().zip(rec_c.iter()).zip(self.bias_c.iter()) {
-                *p += rv + bias;
-            }
-            for k in 0..h {
-                let c_tilde = self.candidate_activation.eval(pre_c[k]);
-                cn[k] = (1.0 - z[b * h + k]) * cp[k] + z[b * h + k] * c_tilde;
-            }
-        }
-    }
+        arith.accumulate(pre_c, rec_c, &self.bias_c);
+        arith.activate(self.candidate_activation, pre_c);
 
-    /// Runs a batch of sequences in lockstep through this layer, fusing
-    /// the matvecs across whatever subset of sequences is still active at
-    /// each timestep. Per-sequence outputs are bit-identical to
-    /// [`Self::forward_seq`].
-    pub fn forward_seq_batch(&self, seqs: &[Vec<Vec<f32>>]) -> Vec<Vec<Vec<f32>>> {
-        let h = self.hidden_dim;
-        let n = seqs.len();
-        let max_t = seqs.iter().map(Vec::len).max().unwrap_or(0);
-        let mut c = vec![0.0f32; n * h];
-        let mut outs: Vec<Vec<Vec<f32>>> =
-            seqs.iter().map(|s| Vec::with_capacity(s.len())).collect();
-        let mut scratch = GruScratch::new();
-        let (mut xb, mut cb, mut cn) = (Vec::new(), Vec::new(), Vec::new());
-        let mut active = Vec::with_capacity(n);
-        for t in 0..max_t {
-            active.clear();
-            active.extend((0..n).filter(|&s| t < seqs[s].len()));
-            let bsz = active.len();
-            xb.clear();
-            cb.clear();
-            for &s in &active {
-                assert_eq!(seqs[s][t].len(), self.input_dim, "input dimension mismatch");
-                xb.extend_from_slice(&seqs[s][t]);
-                cb.extend_from_slice(&c[s * h..(s + 1) * h]);
-            }
-            cn.resize(bsz * h, 0.0);
-            self.step_batch_into(&xb, &cb, &mut cn, bsz, &mut scratch);
-            for (b, &s) in active.iter().enumerate() {
-                c[s * h..(s + 1) * h].copy_from_slice(&cn[b * h..(b + 1) * h]);
-                outs[s].push(cn[b * h..(b + 1) * h].to_vec());
+        // c_t = (1 − z) ⊙ c_{t-1} + z ⊙ c̃   (2d).
+        for (((c_new, zr), c), c_tilde) in c_next
+            .chunks_exact_mut(h)
+            .zip(pre.chunks_exact(2 * h))
+            .zip(c_prev.chunks_exact(h))
+            .zip(pre_c.chunks_exact(h))
+        {
+            for (((cn, z), c), ct) in c_new
+                .iter_mut()
+                .zip(zr[..h].iter())
+                .zip(c.iter())
+                .zip(c_tilde.iter())
+            {
+                *cn = arith.round((1.0 - z) * c + z * ct);
             }
         }
-        outs
     }
 
     /// Runs a full sequence, returning the state trajectory (the layer
@@ -352,10 +271,11 @@ impl<M: MatVec> GruLayer<M> {
         want_cache: bool,
     ) -> (Vec<Vec<f32>>, Vec<GruCache>) {
         let mut state = self.zero_state();
+        let mut scratch = GruScratch::new();
         let mut outputs = Vec::with_capacity(inputs.len());
         let mut caches = Vec::with_capacity(if want_cache { inputs.len() } else { 0 });
         for x in inputs {
-            let (next, cache) = self.step(x, &state, want_cache);
+            let (next, cache) = self.step(x, &state, want_cache, &mut scratch);
             outputs.push(next.clone());
             if let Some(c) = cache {
                 caches.push(c);
@@ -494,6 +414,9 @@ impl GruLayer<Matrix> {
 }
 
 #[cfg(test)]
+mod reference;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use rand::SeedableRng;
@@ -509,44 +432,13 @@ mod tests {
         // |c_prev| ≤ 1 the state stays in (−1, 1) forever.
         let layer = tiny_layer(1);
         let mut c = layer.zero_state();
+        let mut scratch = GruScratch::new();
         for t in 0..100 {
             let x = vec![(t as f32 * 0.3).sin(), -0.2, 0.7];
-            c = layer.step(&x, &c, false).0;
+            c = layer.step(&x, &c, false, &mut scratch).0;
             for &v in &c {
                 assert!(v.abs() <= 1.0, "state escaped the invariant: {v}");
             }
-        }
-    }
-
-    #[test]
-    fn step_into_is_bit_identical_to_step() {
-        let layer = tiny_layer(9);
-        let mut scratch = GruScratch::new();
-        let mut c = layer.zero_state();
-        let mut next = layer.zero_state();
-        for t in 0..8 {
-            let x = vec![(t as f32 * 0.4).sin(), 0.2, -0.6];
-            let (want, _) = layer.step(&x, &c, false);
-            layer.step_into(&x, &c, &mut next, &mut scratch);
-            assert_eq!(next, want, "t={t}");
-            c = want;
-        }
-    }
-
-    #[test]
-    fn forward_seq_batch_is_bit_identical_to_per_sequence() {
-        let layer = tiny_layer(10);
-        let seqs: Vec<Vec<Vec<f32>>> = (0..5)
-            .map(|s| {
-                (0..2 + s * 3)
-                    .map(|t| vec![0.2 * t as f32 - s as f32 * 0.1, 0.4, -0.3])
-                    .collect()
-            })
-            .collect();
-        let batched = layer.forward_seq_batch(&seqs);
-        for (s, seq) in seqs.iter().enumerate() {
-            let (want, _) = layer.forward_seq(seq, false);
-            assert_eq!(batched[s], want, "sequence {s}");
         }
     }
 
@@ -557,8 +449,9 @@ mod tests {
         let (outputs, caches) = layer.forward_seq(&inputs, true);
         assert_eq!(caches.len(), 5);
         let mut c = layer.zero_state();
+        let mut scratch = GruScratch::new();
         for (t, x) in inputs.iter().enumerate() {
-            c = layer.step(x, &c, false).0;
+            c = layer.step(x, &c, false, &mut scratch).0;
             assert_eq!(outputs[t], c);
         }
     }
@@ -662,6 +555,6 @@ mod tests {
     #[should_panic(expected = "state dimension")]
     fn step_rejects_bad_state_dim() {
         let layer = tiny_layer(6);
-        let _ = layer.step(&[0.0; 3], &[0.0; 7], false);
+        let _ = layer.step(&[0.0; 3], &[0.0; 7], false, &mut GruScratch::new());
     }
 }

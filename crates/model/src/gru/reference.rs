@@ -1,0 +1,132 @@
+//! `GruLayer::step` as it stood before Eqn. 2 was written once over
+//! [`CellArith`], kept word for word as the float oracle (see
+//! `lstm/reference.rs`). The shared step at the float arithmetic is held
+//! to its bits.
+
+use super::*;
+use crate::activation::sigmoid;
+use crate::{compress_network, BlockPolicy, CellType, NetworkBuilder, RnnLayer};
+use rand::{Rng, SeedableRng};
+
+impl<M: MatVec> GruLayer<M> {
+    fn step_reference(&self, x: &[f32], c_prev: &[f32]) -> (Vec<f32>, GruCache) {
+        let h = self.hidden_dim;
+        assert_eq!(x.len(), self.input_dim, "input dimension mismatch");
+        assert_eq!(c_prev.len(), h, "state dimension mismatch");
+
+        // Fused gates: z, r = σ(W_(zr)x·x + W_(zr)c·c_{t-1} + b)  (2a, 2b).
+        let mut pre = self.wzr_x.matvec(x);
+        let rec = self.wzr_c.matvec(c_prev);
+        for ((p, r), b) in pre.iter_mut().zip(rec.iter()).zip(self.bias_zr.iter()) {
+            *p += r + b;
+        }
+        let z: Vec<f32> = pre[..h].iter().map(|&v| sigmoid(v)).collect();
+        let r: Vec<f32> = pre[h..].iter().map(|&v| sigmoid(v)).collect();
+
+        // c̃ = h(W_c̃x·x + W_c̃c·(r ⊙ c_{t-1}) + b_c̃)   (2c).
+        let rc: Vec<f32> = r.iter().zip(c_prev.iter()).map(|(a, b)| a * b).collect();
+        let mut pre_c = self.wcx.matvec(x);
+        let rec_c = self.wcc.matvec(&rc);
+        for ((p, r), b) in pre_c.iter_mut().zip(rec_c.iter()).zip(self.bias_c.iter()) {
+            *p += r + b;
+        }
+        let c_tilde: Vec<f32> = pre_c
+            .iter()
+            .map(|&v| self.candidate_activation.eval(v))
+            .collect();
+
+        // c_t = (1 − z) ⊙ c_{t-1} + z ⊙ c̃   (2d).
+        let c: Vec<f32> = (0..h)
+            .map(|k| (1.0 - z[k]) * c_prev[k] + z[k] * c_tilde[k])
+            .collect();
+
+        let cache = GruCache {
+            x: x.to_vec(),
+            c_prev: c_prev.to_vec(),
+            z,
+            r,
+            rc,
+            c_tilde,
+        };
+        (c, cache)
+    }
+}
+
+const IN_DIM: usize = 12;
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+fn random_vec(rng: &mut impl Rng, len: usize, bound: f32) -> Vec<f32> {
+    (0..len).map(|_| rng.gen_range(-bound..bound)).collect()
+}
+
+/// The training `step` (state and every cache plane, over a carried state)
+/// and every lane of `step_batch_into` at batches 1, 3 and 16 against the
+/// oracle, in bits.
+fn assert_bitwise_equal_to_reference<M: MatVec>(layer: &GruLayer<M>, what: &str) {
+    let h = layer.hidden_dim();
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(43);
+    let mut scratch = GruScratch::new();
+
+    let mut state = layer.zero_state();
+    for t in 0..3 {
+        let x = random_vec(&mut rng, IN_DIM, 2.0);
+        let (want, want_cache) = layer.step_reference(&x, &state);
+        let (got, got_cache) = layer.step(&x, &state, true, &mut scratch);
+        let got_cache = got_cache.expect("cache was asked for");
+        assert_eq!(bits(&got), bits(&want), "{what} t={t}: c");
+        for (plane, got, want) in [
+            ("x", &got_cache.x, &want_cache.x),
+            ("c_prev", &got_cache.c_prev, &want_cache.c_prev),
+            ("z", &got_cache.z, &want_cache.z),
+            ("r", &got_cache.r, &want_cache.r),
+            ("rc", &got_cache.rc, &want_cache.rc),
+            ("c_tilde", &got_cache.c_tilde, &want_cache.c_tilde),
+        ] {
+            assert_eq!(bits(got), bits(want), "{what} t={t}: cache plane {plane}");
+        }
+        state = want;
+    }
+
+    for batch in [1usize, 3, 16] {
+        let xs = random_vec(&mut rng, batch * IN_DIM, 2.0);
+        let c_prev = random_vec(&mut rng, batch * h, 1.0);
+        let mut c_next = vec![0.0; batch * h];
+        layer.step_batch_into(&xs, &c_prev, &mut c_next, batch, &mut scratch);
+        for b in 0..batch {
+            let x = &xs[b * IN_DIM..(b + 1) * IN_DIM];
+            let (want, _) = layer.step_reference(x, &c_prev[b * h..(b + 1) * h]);
+            let c = &c_next[b * h..(b + 1) * h];
+            assert_eq!(bits(c), bits(&want), "{what} batch {batch} lane {b}: c");
+        }
+    }
+}
+
+#[test]
+fn shared_step_at_float_is_bitwise_the_per_element_step() {
+    for (hidden, block) in [(8, 4), (20, 4), (256, 8)] {
+        for act in [Act::Tanh, Act::Sigmoid] {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(41);
+            let mut dense = NetworkBuilder::new(CellType::Gru, IN_DIM, 5)
+                .layer_dims(&[hidden])
+                .build(&mut rng);
+            for layer in dense.layers_mut() {
+                if let RnnLayer::Gru(g) = layer {
+                    g.candidate_activation = act;
+                }
+            }
+            let what = format!("H={hidden} {act:?}");
+            let RnnLayer::Gru(layer) = &dense.layers()[0] else {
+                unreachable!("built as a GRU");
+            };
+            assert_bitwise_equal_to_reference(layer, &format!("dense {what}"));
+            let compressed = compress_network(&dense, BlockPolicy::uniform(block));
+            let RnnLayer::Gru(layer) = &compressed.layers()[0] else {
+                unreachable!("built as a GRU");
+            };
+            assert_bitwise_equal_to_reference(layer, &format!("circulant {what}"));
+        }
+    }
+}

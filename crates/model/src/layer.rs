@@ -60,16 +60,6 @@ impl<M: MatVec> RnnLayer<M> {
         }
     }
 
-    /// Runs a batch of sequences in lockstep, fusing the cell matvecs
-    /// across the active sequences at each timestep. Per-sequence outputs
-    /// are bit-identical to [`Self::forward_seq`].
-    pub fn forward_seq_batch(&self, seqs: &[Vec<Vec<f32>>]) -> Vec<Vec<Vec<f32>>> {
-        match self {
-            RnnLayer::Lstm(l) => l.forward_seq_batch(seqs),
-            RnnLayer::Gru(g) => g.forward_seq_batch(seqs),
-        }
-    }
-
     /// Runs the layer over a sequence.
     pub fn forward_seq(
         &self,

@@ -13,6 +13,19 @@
 //!
 //! Both cells are generic over [`MatVec`], so the identical forward code
 //! runs dense training weights and block-circulant inference weights.
+//!
+//! Each equation is written **once**: Eqn. 1 is
+//! [`LstmLayer::step_batch_with`] and Eqn. 2 is
+//! [`GruLayer::step_batch_with`], whole-plane passes over the five hooks of
+//! a statically dispatched [`CellArith`] — `accumulate` (`pre ⊕ rec ⊕
+//! bias`), `peephole`, `sigmoid`, `activate` and `round` — which are the
+//! only places float and fixed-point evaluation differ. The training
+//! forward ([`LstmLayer::forward_seq`], which reads its BPTT cache out of
+//! the step's activated gate planes) and float inference
+//! ([`LstmLayer::step_batch_into`]) are that step at the `f32` arithmetic;
+//! `ernn_fpga::exec` is the same step at (word length, PWL units). Tests
+//! hold the float instance to the bits of the per-element steps it
+//! replaced (`lstm/reference.rs`, `gru/reference.rs`).
 //! Full backpropagation through time is implemented for the dense
 //! representation ([`RnnNetwork::forward_backward`]) and validated by
 //! finite-difference tests.
@@ -32,6 +45,7 @@
 //! ```
 
 mod activation;
+mod cell;
 mod compress;
 mod gru;
 mod layer;
@@ -43,11 +57,12 @@ mod spec;
 pub mod trainer;
 
 pub use activation::Act;
+pub use cell::{CellArith, CellScratch, GruScratch, LstmScratch};
 pub use compress::{compress_network, compress_network_layers, BlockPolicy};
-pub use gru::{GruCache, GruGrads, GruLayer, GruScratch};
+pub use gru::{GruCache, GruGrads, GruLayer};
 pub use layer::{LayerCaches, LayerGrads, RnnLayer};
 pub use loss::softmax_cross_entropy;
-pub use lstm::{LstmCache, LstmConfig, LstmGrads, LstmLayer, LstmScratch, LstmState, ParamCount};
+pub use lstm::{LstmCache, LstmConfig, LstmGrads, LstmLayer, LstmState, ParamCount};
 pub use network::{CellType, NetworkBuilder, NetworkGrads, RnnNetwork, WeightRole};
 pub use optim::{Adam, Optimizer, Sgd};
 pub use spec::ModelSpec;

@@ -9,35 +9,11 @@
 //! and the optional projection `W_ym` maps the cell output `m_t` to the
 //! lower-dimensional recurrent output `y_t` (Eqn. 1g).
 
-use crate::activation::{sigmoid, Act};
+use crate::activation::Act;
+use crate::cell::{CellArith, FloatArith, LstmScratch};
 use ernn_linalg::ops::hadamard_acc;
-use ernn_linalg::{MatVec, MatVecScratch, Matrix};
+use ernn_linalg::{MatVec, Matrix};
 use rand::Rng;
-
-/// Reusable workspace for the allocation-free LSTM step kernels
-/// ([`LstmLayer::step_into`] / [`LstmLayer::step_batch_into`]).
-///
-/// One scratch serves any layer shape and batch size; buffers grow to the
-/// largest size seen and are then reused, and the embedded
-/// [`MatVecScratch`] threads straight down into the FFT kernels.
-#[derive(Debug, Clone, Default)]
-pub struct LstmScratch {
-    /// Gate pre-activations (`batch × 4H`).
-    pre: Vec<f32>,
-    /// Recurrent matvec output (`batch × 4H`).
-    rec: Vec<f32>,
-    /// Cell output `m_t` before projection (`batch × H`).
-    m: Vec<f32>,
-    /// Matvec workspace shared by all weight matrices.
-    pub mv: MatVecScratch,
-}
-
-impl LstmScratch {
-    /// An empty scratch; buffers are grown on first use.
-    pub fn new() -> Self {
-        LstmScratch::default()
-    }
-}
 
 /// Static configuration of one LSTM layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -180,123 +156,43 @@ impl<M: MatVec> LstmLayer<M> {
         }
     }
 
-    /// One timestep of Eqn. 1, returning the new state and (optionally) the
-    /// cache needed for backpropagation.
+    /// One timestep of Eqn. 1 for training: a batch-1
+    /// [`Self::step_batch_into`], plus (optionally) the cache needed for
+    /// backpropagation, read from the activated gate planes the step left
+    /// in `scratch`.
     ///
     /// # Panics
     ///
     /// Panics if `x` or the state dimensions disagree with the config.
-    pub fn step(
+    fn step(
         &self,
         x: &[f32],
         state: &LstmState,
         want_cache: bool,
+        scratch: &mut LstmScratch,
     ) -> (LstmState, Option<LstmCache>) {
         let h = self.cfg.hidden_dim;
-        assert_eq!(x.len(), self.cfg.input_dim, "input dimension mismatch");
-        assert_eq!(state.c.len(), h, "cell state dimension mismatch");
-        assert_eq!(
-            state.y.len(),
-            self.cfg.output_dim,
-            "output dimension mismatch"
-        );
-
-        // Fused pre-activations: W_(ifgo)x · x + W_(ifgo)r · y_{t-1} + b.
-        let mut pre = self.wx.matvec(x);
-        let rec = self.wr.matvec(&state.y);
-        for ((p, r), b) in pre.iter_mut().zip(rec.iter()).zip(self.bias.iter()) {
-            *p += r + b;
-        }
-
-        // Peepholes on i and f read c_{t-1} (Eqn. 1a/1b).
-        if let Some([pi, pf, _]) = &self.peepholes {
-            for k in 0..h {
-                pre[k] += pi[k] * state.c[k];
-                pre[h + k] += pf[k] * state.c[k];
-            }
-        }
-
-        let mut i_gate = vec![0.0f32; h];
-        let mut f_gate = vec![0.0f32; h];
-        let mut g_cell = vec![0.0f32; h];
-        for k in 0..h {
-            i_gate[k] = sigmoid(pre[k]);
-            f_gate[k] = sigmoid(pre[h + k]);
-            g_cell[k] = self.cfg.cell_activation.eval(pre[2 * h + k]);
-        }
-
-        // c_t = f ⊙ c_{t-1} + g ⊙ i   (Eqn. 1d)
-        let mut c = vec![0.0f32; h];
-        for k in 0..h {
-            c[k] = f_gate[k] * state.c[k] + g_cell[k] * i_gate[k];
-        }
-
-        // Peephole on o reads c_t (Eqn. 1e).
-        let mut o_gate = vec![0.0f32; h];
-        for k in 0..h {
-            let mut po = pre[3 * h + k];
-            if let Some([_, _, p_o]) = &self.peepholes {
-                po += p_o[k] * c[k];
-            }
-            o_gate[k] = sigmoid(po);
-        }
-
-        // m_t = o ⊙ tanh(c_t)   (Eqn. 1f, h = tanh)
-        let tanh_c: Vec<f32> = c.iter().map(|&v| v.tanh()).collect();
-        let m: Vec<f32> = o_gate
-            .iter()
-            .zip(tanh_c.iter())
-            .map(|(&o, &tc)| o * tc)
-            .collect();
-
-        // y_t = W_ym · m_t   (Eqn. 1g) or identity without projection.
-        let y = match &self.wym {
-            Some(w) => w.matvec(&m),
-            None => m.clone(),
-        };
-
+        let mut next = self.zero_state();
+        self.step_batch_into(x, &state.c, &state.y, &mut next.c, &mut next.y, 1, scratch);
         let cache = want_cache.then(|| LstmCache {
             x: x.to_vec(),
             y_prev: state.y.clone(),
             c_prev: state.c.clone(),
-            i: i_gate,
-            f: f_gate,
-            g: g_cell,
-            o: o_gate,
-            c: c.clone(),
-            tanh_c,
-            m,
+            i: scratch.pre[..h].to_vec(),
+            f: scratch.pre[h..2 * h].to_vec(),
+            g: scratch.pre[2 * h..3 * h].to_vec(),
+            o: scratch.pre[3 * h..].to_vec(),
+            c: next.c.clone(),
+            tanh_c: scratch.tanh_c.clone(),
+            m: scratch.m.clone(),
         });
-        (LstmState { c, y }, cache)
+        (next, cache)
     }
 
-    /// One timestep of Eqn. 1 written into caller-provided state, with
-    /// every intermediate in `scratch` — the allocation-free inference
-    /// form of [`Self::step`], bit-identical to it by construction (same
-    /// kernels, same operation order; asserted by tests).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` or the state dimensions disagree with the config.
-    pub fn step_into(
-        &self,
-        x: &[f32],
-        state: &LstmState,
-        next: &mut LstmState,
-        scratch: &mut LstmScratch,
-    ) {
-        next.c.resize(self.cfg.hidden_dim, 0.0);
-        next.y.resize(self.cfg.output_dim, 0.0);
-        self.step_batch_into(x, &state.c, &state.y, &mut next.c, &mut next.y, 1, scratch);
-    }
-
-    /// One timestep of Eqn. 1 for `batch` independent states at once, over
-    /// flat `batch × dim` buffers. The two gate matvecs are batch-fused
-    /// (block-circulant weights stream their cached spectra once per
-    /// batch, see
-    /// [`matvec_batch_into`](ernn_linalg::MatVec::matvec_batch_into));
-    /// the element-wise gate math runs per lane, so every lane's result
-    /// is bit-identical to a standalone [`Self::step`].
+    /// One timestep of Eqn. 1 in `f32` for `batch` independent states at
+    /// once, over flat `batch × dim` buffers:
+    /// [`Self::step_batch_with`] at the float arithmetic. Every lane's
+    /// result is bit-identical to a batch of one.
     ///
     /// Allocation-free once `scratch` has grown to this shape and batch.
     ///
@@ -306,6 +202,42 @@ impl<M: MatVec> LstmLayer<M> {
     #[allow(clippy::too_many_arguments)]
     pub fn step_batch_into(
         &self,
+        xs: &[f32],
+        c_prev: &[f32],
+        y_prev: &[f32],
+        c_next: &mut [f32],
+        y_next: &mut [f32],
+        batch: usize,
+        scratch: &mut LstmScratch,
+    ) {
+        self.step_batch_with(
+            &FloatArith,
+            xs,
+            c_prev,
+            y_prev,
+            c_next,
+            y_next,
+            batch,
+            scratch,
+        );
+    }
+
+    /// Eqn. 1, the one definition: a timestep for `batch` independent
+    /// states over flat `batch × dim` buffers, evaluated in `arith`. The
+    /// two gate matvecs are batch-fused (block-circulant weights stream
+    /// their cached spectra once per batch, see
+    /// [`matvec_batch_into`](ernn_linalg::MatVec::matvec_batch_into)); the
+    /// gate math is whole-plane passes, one operator at a time, so every
+    /// loop is straight-line per element and the activation units see
+    /// contiguous gate planes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any slice length disagrees with `batch` and the config.
+    #[allow(clippy::too_many_arguments)]
+    pub fn step_batch_with<A: CellArith>(
+        &self,
+        arith: &A,
         xs: &[f32],
         c_prev: &[f32],
         y_prev: &[f32],
@@ -330,99 +262,76 @@ impl<M: MatVec> LstmLayer<M> {
         );
         assert_eq!(y_next.len(), batch * r, "next output dimension mismatch");
 
-        let LstmScratch { pre, rec, m, mv } = scratch;
+        let LstmScratch {
+            pre,
+            rec,
+            tanh_c,
+            m,
+            mv,
+            ..
+        } = scratch;
         pre.resize(batch * 4 * h, 0.0);
         rec.resize(batch * 4 * h, 0.0);
+        tanh_c.resize(batch * h, 0.0);
         m.resize(batch * h, 0.0);
 
         // Fused pre-activations: W_(ifgo)x · x + W_(ifgo)r · y_{t-1} + b.
         self.wx.matvec_batch_into(xs, pre, batch, mv);
         self.wr.matvec_batch_into(y_prev, rec, batch, mv);
+        arith.accumulate(pre, rec, &self.bias);
         for b in 0..batch {
-            let pre = &mut pre[b * 4 * h..(b + 1) * 4 * h];
-            let rec = &rec[b * 4 * h..(b + 1) * 4 * h];
             let c_prev = &c_prev[b * h..(b + 1) * h];
             let c = &mut c_next[b * h..(b + 1) * h];
+            let tanh_c = &mut tanh_c[b * h..(b + 1) * h];
             let m = &mut m[b * h..(b + 1) * h];
-            for ((p, rv), bias) in pre.iter_mut().zip(rec.iter()).zip(self.bias.iter()) {
-                *p += rv + bias;
-            }
+            let (gates_if, rest) = pre[b * 4 * h..(b + 1) * 4 * h].split_at_mut(2 * h);
+            let (g_cell, o_gate) = rest.split_at_mut(h);
 
             // Peepholes on i and f read c_{t-1} (Eqn. 1a/1b).
             if let Some([pi, pf, _]) = &self.peepholes {
-                for k in 0..h {
-                    pre[k] += pi[k] * c_prev[k];
-                    pre[h + k] += pf[k] * c_prev[k];
-                }
+                let (i_gate, f_gate) = gates_if.split_at_mut(h);
+                arith.peephole(i_gate, pi, c_prev);
+                arith.peephole(f_gate, pf, c_prev);
             }
+            arith.sigmoid(gates_if);
+            arith.activate(self.cfg.cell_activation, g_cell);
 
             // c_t = f ⊙ c_{t-1} + g ⊙ i   (Eqn. 1d)
-            for k in 0..h {
-                let i_gate = sigmoid(pre[k]);
-                let f_gate = sigmoid(pre[h + k]);
-                let g_cell = self.cfg.cell_activation.eval(pre[2 * h + k]);
-                c[k] = f_gate * c_prev[k] + g_cell * i_gate;
+            let (i_gate, f_gate) = gates_if.split_at(h);
+            for ((((c, f), c_prev), g), i) in c
+                .iter_mut()
+                .zip(f_gate.iter())
+                .zip(c_prev.iter())
+                .zip(g_cell.iter())
+                .zip(i_gate.iter())
+            {
+                *c = arith.round(f * c_prev + g * i);
             }
 
-            // Peephole on o reads c_t (Eqn. 1e); m_t = o ⊙ tanh(c_t).
-            for k in 0..h {
-                let mut po = pre[3 * h + k];
-                if let Some([_, _, p_o]) = &self.peepholes {
-                    po += p_o[k] * c[k];
-                }
-                let o_gate = sigmoid(po);
-                m[k] = o_gate * c[k].tanh();
+            // Peephole on o reads c_t (Eqn. 1e).
+            if let Some([_, _, p_o]) = &self.peepholes {
+                arith.peephole(o_gate, p_o, c);
+            }
+            arith.sigmoid(o_gate);
+
+            // m_t = o ⊙ tanh(c_t)   (Eqn. 1f, h = tanh)
+            tanh_c.copy_from_slice(c);
+            arith.activate(Act::Tanh, tanh_c);
+            for ((m, o), tc) in m.iter_mut().zip(o_gate.iter()).zip(tanh_c.iter()) {
+                *m = arith.round(o * tc);
             }
         }
 
         // y_t = W_ym · m_t   (Eqn. 1g) or identity without projection.
         match &self.wym {
-            Some(w) => w.matvec_batch_into(m, y_next, batch, mv),
+            Some(w) => {
+                w.matvec_batch_into(m, y_next, batch, mv);
+                for y in y_next.iter_mut() {
+                    *y = arith.round(*y);
+                }
+            }
             None => y_next.copy_from_slice(m),
         }
-    }
-
-    /// Runs a batch of sequences in lockstep through this layer, fusing
-    /// the gate matvecs across whatever subset of sequences is still
-    /// active at each timestep. Per-sequence outputs are bit-identical to
-    /// [`Self::forward_seq`].
-    pub fn forward_seq_batch(&self, seqs: &[Vec<Vec<f32>>]) -> Vec<Vec<Vec<f32>>> {
-        let h = self.cfg.hidden_dim;
-        let r = self.cfg.output_dim;
-        let i_dim = self.cfg.input_dim;
-        let n = seqs.len();
-        let max_t = seqs.iter().map(Vec::len).max().unwrap_or(0);
-        let mut c = vec![0.0f32; n * h];
-        let mut y = vec![0.0f32; n * r];
-        let mut outs: Vec<Vec<Vec<f32>>> =
-            seqs.iter().map(|s| Vec::with_capacity(s.len())).collect();
-        let mut scratch = LstmScratch::new();
-        let (mut xb, mut cb, mut yb) = (Vec::new(), Vec::new(), Vec::new());
-        let (mut cn, mut yn) = (Vec::new(), Vec::new());
-        let mut active = Vec::with_capacity(n);
-        for t in 0..max_t {
-            active.clear();
-            active.extend((0..n).filter(|&s| t < seqs[s].len()));
-            let bsz = active.len();
-            xb.clear();
-            cb.clear();
-            yb.clear();
-            for &s in &active {
-                assert_eq!(seqs[s][t].len(), i_dim, "input dimension mismatch");
-                xb.extend_from_slice(&seqs[s][t]);
-                cb.extend_from_slice(&c[s * h..(s + 1) * h]);
-                yb.extend_from_slice(&y[s * r..(s + 1) * r]);
-            }
-            cn.resize(bsz * h, 0.0);
-            yn.resize(bsz * r, 0.0);
-            self.step_batch_into(&xb, &cb, &yb, &mut cn, &mut yn, bsz, &mut scratch);
-            for (b, &s) in active.iter().enumerate() {
-                c[s * h..(s + 1) * h].copy_from_slice(&cn[b * h..(b + 1) * h]);
-                y[s * r..(s + 1) * r].copy_from_slice(&yn[b * r..(b + 1) * r]);
-                outs[s].push(yn[b * r..(b + 1) * r].to_vec());
-            }
-        }
-        outs
     }
 
     /// Runs a full sequence, returning outputs per frame (and caches when
@@ -433,10 +342,11 @@ impl<M: MatVec> LstmLayer<M> {
         want_cache: bool,
     ) -> (Vec<Vec<f32>>, Vec<LstmCache>) {
         let mut state = self.zero_state();
+        let mut scratch = LstmScratch::new();
         let mut outputs = Vec::with_capacity(inputs.len());
         let mut caches = Vec::with_capacity(if want_cache { inputs.len() } else { 0 });
         for x in inputs {
-            let (next, cache) = self.step(x, &state, want_cache);
+            let (next, cache) = self.step(x, &state, want_cache, &mut scratch);
             outputs.push(next.y.clone());
             if let Some(c) = cache {
                 caches.push(c);
@@ -636,6 +546,9 @@ impl LstmLayer<Matrix> {
 }
 
 #[cfg(test)]
+mod reference;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use rand::SeedableRng;
@@ -656,7 +569,7 @@ mod tests {
     fn step_produces_correct_shapes() {
         let layer = tiny_layer(true, true, 1);
         let state = layer.zero_state();
-        let (next, cache) = layer.step(&[0.1, -0.2, 0.3], &state, true);
+        let (next, cache) = layer.step(&[0.1, -0.2, 0.3], &state, true, &mut LstmScratch::new());
         assert_eq!(next.c.len(), 4);
         assert_eq!(next.y.len(), 2);
         assert!(cache.is_some());
@@ -667,7 +580,12 @@ mod tests {
         // With zero input/state, gates see only biases; cell state stays
         // small and bounded.
         let layer = tiny_layer(false, false, 2);
-        let (next, _) = layer.step(&[0.0, 0.0, 0.0], &layer.zero_state(), false);
+        let (next, _) = layer.step(
+            &[0.0, 0.0, 0.0],
+            &layer.zero_state(),
+            false,
+            &mut LstmScratch::new(),
+        );
         for &c in &next.c {
             assert!(c.abs() < 1.0);
         }
@@ -679,48 +597,13 @@ mod tests {
         // input, |c_t| <= t. Check stability for a moderately long run.
         let layer = tiny_layer(true, false, 3);
         let mut state = layer.zero_state();
+        let mut scratch = LstmScratch::new();
         for t in 0..200 {
             let x = vec![(t as f32 * 0.1).sin(), 0.3, -0.5];
-            state = layer.step(&x, &state, false).0;
+            state = layer.step(&x, &state, false, &mut scratch).0;
         }
         for &c in &state.c {
             assert!(c.is_finite() && c.abs() < 50.0);
-        }
-    }
-
-    #[test]
-    fn step_into_is_bit_identical_to_step() {
-        for (peep, proj) in [(false, false), (true, false), (false, true), (true, true)] {
-            let layer = tiny_layer(peep, proj, 11);
-            let mut scratch = LstmScratch::new();
-            let mut state = layer.zero_state();
-            let mut next = layer.zero_state();
-            for t in 0..8 {
-                let x = vec![0.3 * t as f32, -0.4, 0.2];
-                let (want, _) = layer.step(&x, &state, false);
-                layer.step_into(&x, &state, &mut next, &mut scratch);
-                assert_eq!(next.c, want.c, "peep={peep} proj={proj} t={t}");
-                assert_eq!(next.y, want.y, "peep={peep} proj={proj} t={t}");
-                state = want;
-            }
-        }
-    }
-
-    #[test]
-    fn forward_seq_batch_is_bit_identical_to_per_sequence() {
-        let layer = tiny_layer(true, true, 12);
-        // Ragged lengths exercise the shrinking active set.
-        let seqs: Vec<Vec<Vec<f32>>> = (0..4)
-            .map(|s| {
-                (0..3 + s * 2)
-                    .map(|t| vec![0.1 * t as f32, -0.2 + s as f32 * 0.05, 0.3])
-                    .collect()
-            })
-            .collect();
-        let batched = layer.forward_seq_batch(&seqs);
-        for (s, seq) in seqs.iter().enumerate() {
-            let (want, _) = layer.forward_seq(seq, false);
-            assert_eq!(batched[s], want, "sequence {s}");
         }
     }
 
@@ -734,8 +617,9 @@ mod tests {
         assert_eq!(outputs.len(), 6);
         assert_eq!(caches.len(), 6);
         let mut state = layer.zero_state();
+        let mut scratch = LstmScratch::new();
         for (t, x) in inputs.iter().enumerate() {
-            let (next, _) = layer.step(x, &state, false);
+            let (next, _) = layer.step(x, &state, false, &mut scratch);
             assert_eq!(outputs[t], next.y);
             state = next;
         }
@@ -857,6 +741,6 @@ mod tests {
     fn step_rejects_bad_input_dim() {
         let layer = tiny_layer(false, false, 7);
         let state = layer.zero_state();
-        let _ = layer.step(&[0.0; 5], &state, false);
+        let _ = layer.step(&[0.0; 5], &state, false, &mut LstmScratch::new());
     }
 }

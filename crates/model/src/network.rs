@@ -235,35 +235,6 @@ impl<M: MatVec> RnnNetwork<M> {
             .collect()
     }
 
-    /// Batched forward pass over several utterances at once, producing
-    /// framewise logits per utterance.
-    ///
-    /// The sequences advance in lockstep so each cell's matvecs fuse
-    /// across the batch — with block-circulant weights the cached weight
-    /// spectra are streamed once per (timestep, matrix) instead of once
-    /// per sequence. Sequences may have unequal lengths; whichever are
-    /// still active at a timestep form that step's batch. Per-utterance
-    /// results are bit-identical to [`Self::forward_logits`].
-    pub fn forward_logits_batch(&self, utterances: &[Vec<Vec<f32>>]) -> Vec<Vec<Vec<f32>>> {
-        let mut seqs: Vec<Vec<Vec<f32>>> = utterances.to_vec();
-        for layer in &self.layers {
-            seqs = layer.forward_seq_batch(&seqs);
-        }
-        seqs.iter()
-            .map(|seq| {
-                seq.iter()
-                    .map(|h| {
-                        let mut logits = self.classifier_w.matvec(h);
-                        for (l, b) in logits.iter_mut().zip(self.classifier_b.iter()) {
-                            *l += b;
-                        }
-                        logits
-                    })
-                    .collect()
-            })
-            .collect()
-    }
-
     /// Average framewise cross-entropy and accuracy on one labelled
     /// sequence (no gradients).
     ///
@@ -583,34 +554,6 @@ mod tests {
             let logits = net.forward_logits(&frames);
             assert_eq!(logits.len(), 7);
             assert!(logits.iter().all(|l| l.len() == 3));
-        }
-    }
-
-    #[test]
-    fn forward_logits_batch_is_bit_identical_to_sequential() {
-        for cell in [CellType::Lstm, CellType::Gru] {
-            let net = tiny_net(cell, 8);
-            let utterances: Vec<Vec<Vec<f32>>> = (0..4)
-                .map(|s| {
-                    (0..3 + s * 2)
-                        .map(|t| vec![0.1 * t as f32, -0.2, 0.05 * s as f32, 0.3])
-                        .collect()
-                })
-                .collect();
-            let batched = net.forward_logits_batch(&utterances);
-            for (s, utt) in utterances.iter().enumerate() {
-                assert_eq!(batched[s], net.forward_logits(utt), "{cell} utterance {s}");
-            }
-            // Compressed weights take the batch-fused circulant kernel.
-            let compressed = crate::compress_network(&net, crate::BlockPolicy::uniform(4));
-            let batched = compressed.forward_logits_batch(&utterances);
-            for (s, utt) in utterances.iter().enumerate() {
-                assert_eq!(
-                    batched[s],
-                    compressed.forward_logits(utt),
-                    "{cell} compressed utterance {s}"
-                );
-            }
         }
     }
 

@@ -168,28 +168,6 @@ impl CompiledModel {
         self.qnet.forward_logits(frames)
     }
 
-    /// [`Self::infer`] reusing a caller-owned scratch: the per-worker
-    /// serving form. Post-warmup, the FFT/matvec kernels allocate
-    /// nothing; logits are bit-identical to [`Self::infer`].
-    pub fn infer_with(&self, frames: &[Vec<f32>], scratch: &mut ExecScratch) -> Vec<Vec<f32>> {
-        self.qnet.forward_logits_with(frames, scratch)
-    }
-
-    /// Batch-fused inference over several utterances: the cell matvecs
-    /// fuse across the batch, so block-circulant weight spectra are
-    /// streamed once per batch instead of once per request. Per-utterance
-    /// logits are bit-identical to [`Self::infer`].
-    pub fn infer_batch_with(
-        &self,
-        batch: &[&[Vec<f32>]],
-        scratch: &mut ExecScratch,
-    ) -> Vec<Vec<Vec<f32>>> {
-        let mut out = Vec::with_capacity(batch.len());
-        self.qnet
-            .forward_logits_batch_into(batch, &mut out, scratch);
-        out
-    }
-
     /// Fully in-place batch inference: logits land in `out`, reusing its
     /// allocations when shapes repeat. With a warmed scratch and steady
     /// shapes this performs zero heap allocations end to end — the

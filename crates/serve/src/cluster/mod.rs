@@ -222,9 +222,6 @@ pub struct ClusterConfig {
     pub failover: bool,
     /// Seed for [`Steering::Random`].
     pub seed: u64,
-    /// Virtual ring nodes per shard in the placement hash; 16 by
-    /// default.
-    pub vnodes: usize,
     /// Flight-recorder capture for the *router's* journal (`Forward`,
     /// `Replicate`, `ShardDown`, `SessionReroute`, router-level
     /// sheds); disabled by default. Shard-level journals are configured
@@ -241,7 +238,6 @@ impl Default for ClusterConfig {
             shard_faults: FaultPlan::empty(),
             failover: true,
             seed: 0,
-            vnodes: 16,
             trace: TraceConfig::default(),
         }
     }
@@ -293,17 +289,6 @@ impl ClusterConfig {
     /// Seeds the random steering hash.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets the virtual ring nodes per shard.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vnodes` is zero.
-    pub fn vnodes(mut self, vnodes: usize) -> Self {
-        assert!(vnodes > 0, "vnodes must be at least 1");
-        self.vnodes = vnodes;
         self
     }
 
@@ -449,7 +434,6 @@ impl ClusterRuntime {
             &spec.names(),
             shard_platforms.len(),
             cluster.replication,
-            cluster.vnodes,
         );
         ClusterRuntime {
             spec,

@@ -5,7 +5,7 @@
 //! with splitmix64) to a ring point and walks clockwise collecting the
 //! first `replication` **distinct** shards — the first is the primary,
 //! the rest are replicas in chain order. The walk is a pure function of
-//! (model name, shard count, replication, vnodes), so placement is
+//! (model name, shard count, replication), so placement is
 //! deterministic, and consistent hashing keeps it stable: adding or
 //! removing a shard moves only the models whose arcs it owned, which is
 //! what makes the elastic-shard-count follow-on tractable.
@@ -31,6 +31,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+/// Virtual ring nodes per shard, smoothing the distribution of arcs.
+const VNODES: usize = 16;
+
 /// The cluster's model → replica-set map, built once per
 /// [`ClusterRuntime`](super::ClusterRuntime) from the registered model
 /// names.
@@ -45,27 +48,21 @@ pub struct PlacementMap {
 impl PlacementMap {
     /// Places `model_names` (dense id order) across `shards` shards
     /// with `replication` replicas each (capped at the shard count) and
-    /// `vnodes` ring points per shard.
+    /// `VNODES` ring points per shard.
     ///
     /// # Panics
     ///
-    /// Panics if `shards`, `replication`, or `vnodes` is zero.
-    pub fn consistent_hash(
-        model_names: &[&str],
-        shards: usize,
-        replication: usize,
-        vnodes: usize,
-    ) -> Self {
+    /// Panics if `shards` or `replication` is zero.
+    pub fn consistent_hash(model_names: &[&str], shards: usize, replication: usize) -> Self {
         assert!(shards > 0, "need at least one shard");
         assert!(replication > 0, "need at least one replica per model");
-        assert!(vnodes > 0, "need at least one vnode per shard");
         let replication = replication.min(shards);
 
         // Ring points: (hash, shard), sorted by hash. Ties are broken
         // by shard index so the ring is a deterministic total order.
-        let mut ring: Vec<(u64, usize)> = Vec::with_capacity(shards * vnodes);
+        let mut ring: Vec<(u64, usize)> = Vec::with_capacity(shards * VNODES);
         for s in 0..shards {
-            for v in 0..vnodes {
+            for v in 0..VNODES {
                 ring.push((splitmix64(((s as u64) << 20) | v as u64), s));
             }
         }
@@ -123,8 +120,8 @@ mod tests {
     #[test]
     fn placement_is_deterministic_and_distinct() {
         let names = ["gru-a", "gru-b", "gru-c", "gru-d"];
-        let a = PlacementMap::consistent_hash(&names, 16, 3, 16);
-        let b = PlacementMap::consistent_hash(&names, 16, 3, 16);
+        let a = PlacementMap::consistent_hash(&names, 16, 3);
+        let b = PlacementMap::consistent_hash(&names, 16, 3);
         assert_eq!(a, b);
         for m in 0..names.len() {
             let set = a.replicas(m);
@@ -139,14 +136,14 @@ mod tests {
 
     #[test]
     fn replication_caps_at_shard_count() {
-        let map = PlacementMap::consistent_hash(&["m"], 2, 5, 8);
+        let map = PlacementMap::consistent_hash(&["m"], 2, 5);
         assert_eq!(map.replicas(0).len(), 2);
     }
 
     #[test]
     fn models_on_inverts_replicas() {
         let names = ["x", "y", "z"];
-        let map = PlacementMap::consistent_hash(&names, 8, 2, 16);
+        let map = PlacementMap::consistent_hash(&names, 8, 2);
         for s in 0..8 {
             for m in map.models_on(s) {
                 assert!(map.replicas(m).contains(&s));
@@ -161,8 +158,8 @@ mod tests {
         // shards, most primaries stay put.
         let names: Vec<String> = (0..32).map(|i| format!("model-{i}")).collect();
         let refs: Vec<&str> = names.iter().map(|s| s.as_str()).collect();
-        let before = PlacementMap::consistent_hash(&refs, 16, 1, 16);
-        let after = PlacementMap::consistent_hash(&refs, 17, 1, 16);
+        let before = PlacementMap::consistent_hash(&refs, 16, 1);
+        let after = PlacementMap::consistent_hash(&refs, 17, 1);
         let moved = (0..32)
             .filter(|&m| before.replicas(m)[0] != after.replicas(m)[0])
             .count();

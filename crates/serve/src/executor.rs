@@ -163,8 +163,10 @@ fn infer_run(
 ) -> Vec<Vec<Vec<f32>>> {
     let model = &models[jobs[0].model];
     let frames: Vec<&[Vec<f32>]> = jobs.iter().map(|j| j.frames.as_slice()).collect();
+    let mut out = Vec::with_capacity(jobs.len());
     if jobs.iter().all(|j| j.session.is_none()) {
-        return model.infer_batch_with(&frames, scratch);
+        model.infer_batch_into(&frames, &mut out, scratch);
+        return out;
     }
     debug_assert!(
         {
@@ -187,7 +189,6 @@ fn infer_run(
             })
         })
         .collect();
-    let mut out = Vec::with_capacity(jobs.len());
     model.infer_batch_states_into(&frames, &mut states, &mut out, scratch);
     for (job, state) in jobs.iter().zip(states) {
         if let (Some(slot), Some(state)) = (job.session, state) {

@@ -47,7 +47,7 @@
 //!   [`ernn_fft::stats`]). Inference runs on the zero-allocation,
 //!   batch-fused kernel stack: executors keep one [`ExecScratch`] per
 //!   worker, a dispatched batch is computed with one fused
-//!   [`CompiledModel::infer_batch_with`] call (one pass over the cached
+//!   [`CompiledModel::infer_batch_into`] call (one pass over the cached
 //!   weight spectra per batch), and post-warmup the FFT/matvec kernels
 //!   perform zero heap allocations.
 //! * [`Executor`] — where host-side inference runs: [`InlineExecutor`]

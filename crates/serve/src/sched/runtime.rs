@@ -200,12 +200,9 @@ pub struct SchedPolicy {
     pub max_wait_us: f64,
     /// When mixing unequal utterance lengths stops paying.
     pub padding: PaddingModel,
-    /// Fraction of each platform's BRAM available for weight images
-    /// (the remainder is reserved for I/O buffers, matching
-    /// `RnnSpec::fits_in_bram`).
-    pub bram_budget_frac: f64,
     /// Optional absolute per-device cap (bytes) on the weight-image
-    /// budget, applied after the fraction — models a deployment that
+    /// budget, applied after the platform's own fraction (see
+    /// [`Self::device_budget_bytes`]) — models a deployment that
     /// reserves a fixed slice of BRAM for weights across heterogeneous
     /// platforms. `None` leaves the fractional budget alone.
     pub bram_budget_bytes: Option<u64>,
@@ -223,7 +220,6 @@ impl SchedPolicy {
             max_batch,
             max_wait_us,
             padding: PaddingModel::none(),
-            bram_budget_frac: 0.8,
             bram_budget_bytes: None,
         }
     }
@@ -250,26 +246,18 @@ impl SchedPolicy {
         self
     }
 
-    /// Replaces the BRAM budget fraction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `frac` is outside `(0, 1]`.
-    pub fn with_bram_budget_frac(mut self, frac: f64) -> Self {
-        assert!(frac > 0.0 && frac <= 1.0, "budget fraction in (0, 1]");
-        self.bram_budget_frac = frac;
-        self
-    }
-
     /// Caps every device's weight-image budget at an absolute byte count.
     pub fn with_bram_budget_bytes(mut self, bytes: u64) -> Self {
         self.bram_budget_bytes = Some(bytes);
         self
     }
 
-    /// The effective weight-image budget (bytes) on a platform.
+    /// The effective weight-image budget (bytes) on a platform: 80 % of
+    /// its BRAM (the remainder is reserved for I/O buffers, matching
+    /// `RnnSpec::fits_in_bram`), capped by [`Self::bram_budget_bytes`].
     pub fn device_budget_bytes(&self, platform: &Device) -> u64 {
-        let frac = (platform.bram_bytes() as f64 * self.bram_budget_frac) as u64;
+        const BRAM_BUDGET_FRAC: f64 = 0.8;
+        let frac = (platform.bram_bytes() as f64 * BRAM_BUDGET_FRAC) as u64;
         match self.bram_budget_bytes {
             Some(cap) => frac.min(cap),
             None => frac,
@@ -2093,11 +2081,11 @@ mod tests {
         let total_bytes: u64 = (0..reg.len()).map(|m| reg.weight_bytes(m)).sum();
         // 90% of the combined footprint: each model fits alone, both
         // together never do.
-        let frac = (total_bytes as f64 * 0.9) / XCKU060.bram_bytes() as f64;
+        let budget = (total_bytes as f64 * 0.9) as u64;
         let rt = SchedRuntime::new(
             reg,
             vec![XCKU060],
-            SchedPolicy::edf_cost_model(1, 0.0).with_bram_budget_frac(frac),
+            SchedPolicy::edf_cost_model(1, 0.0).with_bram_budget_bytes(budget),
         );
         let report = rt.run(load(12, 50_000.0));
         assert_eq!(report.responses.len(), 12);
