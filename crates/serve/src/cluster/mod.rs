@@ -37,11 +37,12 @@
 //!   failover disabled, shed with
 //!   [`ShedReason::NoShardCapacity`](crate::ShedReason::NoShardCapacity).
 //!
-//! Everything runs on one virtual clock. The router advances every
-//! shard engine to each event time before deciding, so steering sees
-//! exactly the load a real router would; and because shards execute the
-//! unmodified scheduler event loop, the whole cluster is bit-identical
-//! across host executors, journals cluster-scope
+//! Everything runs on one virtual clock. Before each decision the router
+//! steps every shard engine that has an event due by then (a shard with
+//! nothing due is already in the state it would be stepped to), so
+//! steering sees exactly the load a real router would; and because
+//! shards execute the unmodified scheduler event loop, the whole cluster
+//! is bit-identical across host executors, journals cluster-scope
 //! [`TraceEvent`](crate::TraceEvent)s (`Forward`, `Replicate`,
 //! `ShardDown`, `SessionReroute`), and exports per-shard
 //! [`ShardGauges`] to the Prometheus snapshot. See `docs/cluster.md`.
@@ -52,6 +53,7 @@ mod shard;
 
 pub use placement::PlacementMap;
 
+use std::fmt;
 use std::sync::Arc;
 
 use crate::cache::CompiledModel;
@@ -381,6 +383,65 @@ impl ClusterReport {
     }
 }
 
+/// Why a [`ClusterRuntime`] configuration was rejected — the typed form
+/// of the constructor's panics, returned by [`ClusterRuntime::try_new`].
+/// [`ClusterRuntime::new`] formats this error as its panic message, so
+/// the messages are stable either way.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ClusterConfigError {
+    /// The cluster spec registers no models.
+    EmptySpec,
+    /// The shard platform list is empty.
+    NoShards,
+    /// A shard was given an empty device list.
+    ShardWithoutDevices {
+        /// The device-less shard.
+        shard: usize,
+    },
+    /// [`ClusterConfig::replication`] is zero (reachable by assigning
+    /// the public field; the builder method refuses it).
+    ZeroReplication,
+    /// The shard-fault schedule names a shard the cluster does not have.
+    FaultShardOutOfRange {
+        /// The out-of-range shard index named by the schedule.
+        shard: usize,
+        /// The shard count.
+        shards: usize,
+    },
+    /// The shard-fault schedule carries a fault other than
+    /// [`DeviceFault::Crash`] — the only kind meaningful at this tier.
+    NonCrashShardFault {
+        /// The shard the event targets.
+        shard: usize,
+        /// The offending fault.
+        fault: DeviceFault,
+    },
+}
+
+impl fmt::Display for ClusterConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ClusterConfigError::EmptySpec => write!(f, "cluster spec has no models"),
+            ClusterConfigError::NoShards => write!(f, "cluster has no shards"),
+            ClusterConfigError::ShardWithoutDevices { shard } => {
+                write!(f, "shard {shard} has no devices")
+            }
+            ClusterConfigError::ZeroReplication => write!(f, "replication must be at least 1"),
+            ClusterConfigError::FaultShardOutOfRange { shard, shards } => {
+                write!(
+                    f,
+                    "shard fault names shard {shard} but the cluster has {shards}"
+                )
+            }
+            ClusterConfigError::NonCrashShardFault { fault, .. } => {
+                write!(f, "cluster-tier faults must be crashes, got {fault:?}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ClusterConfigError {}
+
 /// The sharded virtual-time cluster: N scheduler shards, a consistent-
 /// hash placement, and the affinity router that drives them on one
 /// clock. See the [module docs](self) for the full model.
@@ -392,6 +453,10 @@ pub struct ClusterRuntime {
     pub(crate) shard_config: RuntimeConfig,
     pub(crate) cluster: ClusterConfig,
     pub(crate) placement: PlacementMap,
+    /// Test oracle switch: route with the wake-every-shard clock (see
+    /// `router.rs`).
+    #[cfg(test)]
+    pub(crate) wake_all: bool,
 }
 
 impl ClusterRuntime {
@@ -402,9 +467,8 @@ impl ClusterRuntime {
     ///
     /// # Panics
     ///
-    /// Panics when the spec is empty, there are no shards, any shard
-    /// has no devices, or the shard-fault schedule names a shard out of
-    /// range or a fault other than [`DeviceFault::Crash`].
+    /// Panics with the [`ClusterConfigError`] message when
+    /// [`Self::try_new`] would reject the configuration.
     pub fn new(
         spec: ClusterSpec,
         shard_platforms: Vec<Vec<Device>>,
@@ -412,37 +476,68 @@ impl ClusterRuntime {
         shard_config: RuntimeConfig,
         cluster: ClusterConfig,
     ) -> Self {
-        assert!(!spec.is_empty(), "cluster spec has no models");
-        assert!(!shard_platforms.is_empty(), "cluster has no shards");
-        for (s, platform) in shard_platforms.iter().enumerate() {
-            assert!(!platform.is_empty(), "shard {s} has no devices");
+        match Self::try_new(spec, shard_platforms, policy, shard_config, cluster) {
+            Ok(rt) => rt,
+            Err(e) => panic!("{e}"),
+        }
+    }
+
+    /// The fallible form of [`Self::new`]: an empty spec, no shards, a
+    /// shard with no devices, a zero replication degree, or a
+    /// shard-fault schedule naming a shard out of range or a fault other
+    /// than [`DeviceFault::Crash`] is returned as a typed
+    /// [`ClusterConfigError`] instead of a panic. (The shard schedulers
+    /// themselves are built per run; a shard configuration they reject
+    /// still panics there with its
+    /// [`SchedConfigError`](crate::sched::SchedConfigError) message.)
+    pub fn try_new(
+        spec: ClusterSpec,
+        shard_platforms: Vec<Vec<Device>>,
+        policy: SchedPolicy,
+        shard_config: RuntimeConfig,
+        cluster: ClusterConfig,
+    ) -> Result<Self, ClusterConfigError> {
+        if spec.is_empty() {
+            return Err(ClusterConfigError::EmptySpec);
+        }
+        if shard_platforms.is_empty() {
+            return Err(ClusterConfigError::NoShards);
+        }
+        if let Some(shard) = shard_platforms.iter().position(Vec::is_empty) {
+            return Err(ClusterConfigError::ShardWithoutDevices { shard });
+        }
+        if cluster.replication == 0 {
+            return Err(ClusterConfigError::ZeroReplication);
         }
         for ev in cluster.shard_faults.events() {
-            assert!(
-                ev.device < shard_platforms.len(),
-                "shard fault names shard {} but the cluster has {}",
-                ev.device,
-                shard_platforms.len()
-            );
-            assert!(
-                matches!(ev.fault, DeviceFault::Crash { .. }),
-                "cluster-tier faults must be crashes, got {:?}",
-                ev.fault
-            );
+            if ev.device >= shard_platforms.len() {
+                return Err(ClusterConfigError::FaultShardOutOfRange {
+                    shard: ev.device,
+                    shards: shard_platforms.len(),
+                });
+            }
+            if !matches!(ev.fault, DeviceFault::Crash { .. }) {
+                return Err(ClusterConfigError::NonCrashShardFault {
+                    shard: ev.device,
+                    fault: ev.fault,
+                });
+            }
         }
         let placement = PlacementMap::consistent_hash(
             &spec.names(),
             shard_platforms.len(),
             cluster.replication,
         );
-        ClusterRuntime {
+        Ok(ClusterRuntime {
             spec,
             shard_platforms,
             policy,
             shard_config,
             cluster,
             placement,
-        }
+            #[cfg(test)]
+            wake_all: false,
+        })
     }
 
     /// Number of shards.

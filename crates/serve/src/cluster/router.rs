@@ -2,7 +2,7 @@
 //!
 //! [`ClusterRuntime::run`] merges the request stream with the
 //! shard-kill schedule into a single time-ordered event list. At each
-//! event it first advances every live shard engine to the event time —
+//! event it first brings every live shard engine to the event time —
 //! so steering always reads the load a real router would observe — and
 //! then decides: forward (charging the frames' wire time and waiting
 //! out replica readiness), re-pin, or shed with
@@ -15,6 +15,14 @@
 //! shards' virtual-time gauges, and the shards run the unmodified
 //! scheduler loop — so the merged responses, metrics, stats and both
 //! journals are bit-identical across host executors.
+//!
+//! The clock is event-driven: the router keeps each shard's next event
+//! time ([`SchedEngine::next_event_us`]) in one contiguous `next_due`
+//! vector and, at an event at time *t*, steps only the shards with
+//! `next_due ≤ t`. That is exact, not approximate — `run_until(t)` on an
+//! engine whose next event lies after *t* mutates nothing — and the
+//! wake-every-shard loop it replaced survives as the `#[cfg(test)]`
+//! oracle the differential test below compares against.
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -23,15 +31,18 @@ use super::placement::{splitmix64, PlacementMap};
 use super::shard::{shard_runtime, ShardSim};
 use super::{ClusterReport, ClusterRuntime, ClusterStats, ShardReport, Steering};
 use crate::metrics::ServeMetrics;
-use crate::request::{validate_sessions, Request, Response, ShedReason, Workload};
+use crate::request::{validate_sessions, validate_timing, Request, Response, ShedReason, Workload};
 use crate::sched::{SchedEngine, SchedRuntime};
 use crate::trace::{Observer, ShardGauges};
 use ernn_fpga::transfer::TransferModel;
 
-/// What the router remembers about every request it accepted: the
+/// What the router remembers about every request of the run: the
 /// cluster-global metadata that shard-local responses must get back
-/// before they are returned to the caller.
+/// before they are returned to the caller. The run's route table holds
+/// one per request, sorted by id, so a request's position in it is also
+/// its position in the merged, id-ordered response list.
 struct RouteMeta {
+    id: u64,
     model: usize,
     workload: Workload,
     arrival_us: f64,
@@ -49,6 +60,14 @@ struct SessionRoute {
     /// earlier chunk's — the shard-local arrival is clamped to never
     /// run backwards within an incarnation.
     last_arrival_us: f64,
+}
+
+/// The rank of request `id` in the id-sorted route table: the index of
+/// its [`RouteMeta`] and of its slot in the merged response list.
+fn rank_of(routes: &[RouteMeta], id: u64) -> usize {
+    routes
+        .binary_search_by_key(&id, |m| m.id)
+        .expect("every request a shard holds came through the route table")
 }
 
 fn frame_bytes(frames: &[Vec<f32>]) -> u64 {
@@ -77,21 +96,56 @@ struct Router<'rt, 'p> {
     /// same least-loaded shard. Pruned against the clock in
     /// [`Router::advance`].
     inflight: Vec<Vec<(f64, f64)>>,
-    /// `(model, shard) →` virtual time the replica becomes servable.
-    ready: HashMap<(usize, usize), f64>,
+    /// Per shard: the virtual time of its engine's next event (`∞` for
+    /// an idle, engine-less or dead shard). Invariant: `next_due[s] ≤
+    /// engine.next_event_us()` for every live shard — refreshed after
+    /// each `run_until`, lowered on each `offer` — so a shard with
+    /// `next_due > t` has nothing to do at `t` and is not touched.
+    next_due: Vec<f64>,
+    /// `model × shards + shard →` virtual time the replica becomes
+    /// servable (`∞` where the shard holds no replica).
+    ready: Vec<f64>,
     sessions: HashMap<u64, SessionRoute>,
-    meta: HashMap<u64, RouteMeta>,
+    /// Every request of the run, sorted by id.
+    routes: Vec<RouteMeta>,
     next_local_session: u64,
     obs: Observer,
     stats: ClusterStats,
     sheds: Vec<Response>,
+    /// Test oracle switch: step every live shard at every event, as the
+    /// router did before it kept `next_due`.
+    #[cfg(test)]
+    wake_all: bool,
 }
 
 impl Router<'_, '_> {
-    /// Advances every live shard's virtual clock to `t` and drops
-    /// in-flight records for forwards that have landed (the engines now
-    /// count them in their own backlog).
+    /// Brings the cluster to virtual time `t`: steps every live shard
+    /// whose next event is due, and drops its in-flight records for
+    /// forwards that have landed (the engine now counts them in its own
+    /// backlog). A shard that is not due is not touched: every in-flight
+    /// forward is an arrival in its engine's heap, so `next_due ≤` each
+    /// record's landing time and there is nothing to drop either.
     fn advance(&mut self, t: f64) {
+        #[cfg(test)]
+        if self.wake_all {
+            return self.advance_wake_all(t);
+        }
+        for s in 0..self.sims.len() {
+            if self.next_due[s] > t || !self.sims[s].alive {
+                continue;
+            }
+            if let Some(engine) = self.sims[s].engine.as_mut() {
+                engine.run_until(t);
+                self.next_due[s] = engine.next_event_us();
+            }
+            self.inflight[s].retain(|&(effective, _)| effective > t);
+        }
+    }
+
+    /// The pre-`next_due` clock, verbatim: advances every live shard to
+    /// `t` and prunes every shard's in-flight records.
+    #[cfg(test)]
+    fn advance_wake_all(&mut self, t: f64) {
         for sim in self.sims.iter_mut().filter(|s| s.alive) {
             if let Some(engine) = sim.engine.as_mut() {
                 engine.run_until(t);
@@ -102,23 +156,28 @@ impl Router<'_, '_> {
         }
     }
 
+    /// When `model`'s replica on shard `s` becomes servable.
+    fn ready_us(&self, model: usize, s: usize) -> f64 {
+        self.ready[model * self.sims.len() + s]
+    }
+
     /// Picks a live replica shard for `model` at time `t`, or `None`
     /// when every holder is down (or excluded).
     fn steer(&self, model: usize, t: f64, salt: u64, exclude: Option<usize>) -> Option<usize> {
-        let candidates: Vec<usize> = self
+        let mut candidates = self
             .placement
             .replicas(model)
             .iter()
             .copied()
-            .filter(|&s| self.sims[s].alive && Some(s) != exclude)
-            .collect();
-        if candidates.is_empty() {
-            return None;
-        }
+            .filter(|&s| self.sims[s].alive && Some(s) != exclude);
         match self.steering {
             Steering::Random => {
-                let pick = splitmix64(self.seed ^ splitmix64(salt)) % candidates.len() as u64;
-                Some(candidates[pick as usize])
+                let live = candidates.clone().count() as u64;
+                if live == 0 {
+                    return None;
+                }
+                let pick = splitmix64(self.seed ^ splitmix64(salt)) % live;
+                candidates.nth(pick as usize)
             }
             // Least expected wait: replica-readiness stall plus the
             // shard's instantaneous device backlog — rate-aware (a slow
@@ -128,13 +187,12 @@ impl Router<'_, '_> {
             // the EWMA queue delay breaks remaining ties toward shards
             // that have recently been fast.
             Steering::LoadFeedback => candidates
-                .into_iter()
                 .map(|s| {
                     let engine = self.sims[s]
                         .engine
                         .as_ref()
-                        .expect("replica holder has no engine");
-                    let wait = (self.ready[&(model, s)] - t).max(0.0);
+                        .expect("placement gave this shard a replica, so it has an engine");
+                    let wait = (self.ready_us(model, s) - t).max(0.0);
                     let wire: f64 = self.inflight[s].iter().map(|&(_, est)| est).sum();
                     (
                         wait + engine.backlog_us() + wire,
@@ -171,7 +229,10 @@ impl Router<'_, '_> {
     /// incarnation (recurrent state restarts from zero — cross-shard
     /// state migration is an explicit follow-on).
     fn repin(&mut self, session: u64, from: usize, to: usize, t: f64) {
-        let route = self.sessions.get_mut(&session).expect("unknown session");
+        let route = self
+            .sessions
+            .get_mut(&session)
+            .expect("only a pinned session is re-pinned");
         route.shard = to;
         route.local = self.next_local_session;
         self.next_local_session += 1;
@@ -192,10 +253,13 @@ impl Router<'_, '_> {
         self.stats.forwarded_bytes += bytes;
         self.stats.forward_us_total += hop;
         let local_model = self.sims[s].local_model(r.model);
-        let mut effective = (t + hop).max(self.ready[&(r.model, s)]);
+        let mut effective = (t + hop).max(self.ready_us(r.model, s));
         let local = match chunk {
             Some((session, last)) => {
-                let route = self.sessions.get_mut(&session).expect("unknown session");
+                let route = self
+                    .sessions
+                    .get_mut(&session)
+                    .expect("a chunk is forwarded only after its session is pinned");
                 effective = effective.max(route.last_arrival_us);
                 route.last_arrival_us = effective;
                 let index = route.next_index;
@@ -211,24 +275,16 @@ impl Router<'_, '_> {
         let engine = self.sims[s]
             .engine
             .as_mut()
-            .expect("forwarded to a shard with no engine");
+            .expect("steering picks replica holders, and every holder has an engine");
         let est = engine.estimate_frames_us(local_model, local.num_frames() as u64);
         self.inflight[s].push((effective, est));
         engine.offer(local);
+        self.next_due[s] = self.next_due[s].min(effective);
     }
 
     /// Routes one fresh arrival.
     fn route_arrival(&mut self, r: Request) {
         let t = r.arrival_us;
-        let prev = self.meta.insert(
-            r.id,
-            RouteMeta {
-                model: r.model,
-                workload: r.workload,
-                arrival_us: t,
-            },
-        );
-        assert!(prev.is_none(), "duplicate request id {}", r.id);
         match r.workload {
             Workload::Utterance => match self.steer(r.model, t, r.id, None) {
                 Some(s) => {
@@ -300,6 +356,7 @@ impl Router<'_, '_> {
             None => Vec::new(),
         };
         self.sims[s].alive = false;
+        self.next_due[s] = f64::INFINITY;
         self.inflight[s].clear();
         self.stats.shard_kills += 1;
         self.stats.reclaimed += pending.len() as u64;
@@ -313,10 +370,7 @@ impl Router<'_, '_> {
                 .then_with(|| a.id.cmp(&b.id))
         });
         for p in pending {
-            let meta = self
-                .meta
-                .get(&p.id)
-                .expect("reclaimed request was never routed");
+            let meta = &self.routes[rank_of(&self.routes, p.id)];
             let (model, workload, arrival_us) = (meta.model, meta.workload, meta.arrival_us);
             // Rebuild the cluster-global form from the route record.
             let mut global = match workload {
@@ -344,6 +398,8 @@ impl Router<'_, '_> {
                     None => self.shed(t, global),
                 },
                 Workload::Chunk { session, last, .. } => {
+                    // A reclaimed chunk reached the shard through
+                    // `forward`, which pinned its session first.
                     let pinned = self.sessions[&session].shard;
                     let target = if self.sims[pinned].alive {
                         // An earlier reclaimed chunk already re-pinned
@@ -382,12 +438,13 @@ impl ClusterRuntime {
     ///
     /// # Panics
     ///
-    /// Panics on invalid sessions, duplicate request ids, or a request
-    /// targeting an unregistered model.
+    /// Panics on invalid sessions, duplicate request ids, a request
+    /// targeting an unregistered model, or a request with a non-finite
+    /// arrival time or a NaN deadline.
     pub fn run(&self, requests: Vec<Request>) -> ClusterReport {
         let host_start = Instant::now();
-        validate_sessions(&requests);
         for r in &requests {
+            validate_timing(r);
             assert!(
                 r.model < self.spec.len(),
                 "request {} targets unregistered model {}",
@@ -395,7 +452,29 @@ impl ClusterRuntime {
                 r.model
             );
         }
+        validate_sessions(&requests);
         let total = requests.len();
+
+        // The route table: every request's cluster-global metadata in
+        // id order, so a shard-local response finds its record — and its
+        // slot in the merged response list — by binary search.
+        let mut routes: Vec<RouteMeta> = requests
+            .iter()
+            .map(|r| RouteMeta {
+                id: r.id,
+                model: r.model,
+                workload: r.workload,
+                arrival_us: r.arrival_us,
+            })
+            .collect();
+        routes.sort_unstable_by_key(|m| m.id);
+        for pair in routes.windows(2) {
+            assert!(
+                pair[0].id < pair[1].id,
+                "duplicate request id {}",
+                pair[1].id
+            );
+        }
 
         // Shard schedulers (placement-empty shards hold none).
         let runtimes: Vec<Option<SchedRuntime>> = (0..self.shards())
@@ -430,7 +509,8 @@ impl ClusterRuntime {
         // Artifact replication: the primary is servable at t=0 (it was
         // provisioned with the cluster); replica k comes up one chained
         // artifact transfer after replica k−1.
-        let mut ready: HashMap<(usize, usize), f64> = HashMap::new();
+        let shard_count = sims.len();
+        let mut ready = vec![f64::INFINITY; self.spec.len() * shard_count];
         let mut repl: Vec<(f64, usize, usize, usize, u64, f64)> = Vec::new();
         for m in 0..self.spec.len() {
             let bytes = self.spec.artifact_bytes(m);
@@ -438,7 +518,7 @@ impl ClusterRuntime {
             let replicas = self.placement.replicas(m);
             for (k, &s) in replicas.iter().enumerate() {
                 let at = k as f64 * hop;
-                ready.insert((m, s), at);
+                ready[m * shard_count + s] = at;
                 if k > 0 {
                     repl.push((at, m, replicas[k - 1], s, bytes, hop));
                     stats.replications += 1;
@@ -451,7 +531,6 @@ impl ClusterRuntime {
             obs.replicated(at, m, from, to, bytes, hop);
         }
 
-        let shard_count = sims.len();
         let mut router = Router {
             placement: &self.placement,
             transfer: self.cluster.transfer,
@@ -460,13 +539,16 @@ impl ClusterRuntime {
             failover: self.cluster.failover,
             sims,
             inflight: vec![Vec::new(); shard_count],
+            next_due: vec![f64::INFINITY; shard_count],
             ready,
             sessions: HashMap::new(),
-            meta: HashMap::new(),
+            routes,
             next_local_session: 0,
             obs,
             stats,
             sheds: Vec::new(),
+            #[cfg(test)]
+            wake_all: self.wake_all,
         };
 
         // One time-ordered event stream: kills at time t fire before
@@ -490,7 +572,9 @@ impl ClusterRuntime {
         let mut slots: Vec<Option<Request>> = requests.into_iter().map(Some).collect();
         let mut ki = 0usize;
         for idx in order {
-            let r = slots[idx].take().expect("arrival consumed twice");
+            let r = slots[idx]
+                .take()
+                .expect("`order` is a permutation, so each slot is taken once");
             while ki < kills.len() && kills[ki].0 <= r.arrival_us {
                 let (kt, ks) = kills[ki];
                 ki += 1;
@@ -515,14 +599,30 @@ impl ClusterRuntime {
             busy.extend(sim.busy_us());
         }
 
+        // Merge by rank: each response lands in its request's slot of the
+        // id-ordered list, so "answered exactly once" is one slot filled
+        // exactly once.
+        let mut merged: Vec<Option<Response>> = Vec::new();
+        merged.resize_with(total, || None);
+        let mut place = |rank: usize, r: Response| {
+            assert!(
+                merged[rank].is_none(),
+                "request {} answered more than once",
+                r.id
+            );
+            merged[rank] = Some(r);
+        };
         let Router {
             sims,
-            meta,
+            routes,
             obs,
             stats,
-            sheds: mut responses,
+            sheds,
             ..
         } = router;
+        for shed in sheds {
+            place(rank_of(&routes, shed.id), shed);
+        }
         let mut shards = Vec::with_capacity(sims.len());
         for sim in sims {
             let ShardSim {
@@ -536,13 +636,14 @@ impl ClusterRuntime {
             let report = engine.map(SchedEngine::finish);
             if let Some(rep) = &report {
                 for resp in &rep.responses {
-                    let meta = meta.get(&resp.id).expect("response for unrouted request");
+                    let rank = rank_of(&routes, resp.id);
+                    let meta = &routes[rank];
                     let mut r = resp.clone();
                     r.model = meta.model;
                     r.workload = meta.workload;
                     r.arrival_us = meta.arrival_us;
                     r.device = r.device.map(|d| d + device_base);
-                    responses.push(r);
+                    place(rank, r);
                 }
             }
             shards.push(ShardReport {
@@ -553,21 +654,12 @@ impl ClusterRuntime {
                 report,
             });
         }
-        responses.sort_by_key(|r| r.id);
+        let answered = merged.iter().flatten().count();
         assert_eq!(
-            responses.len(),
-            total,
-            "cluster answered {} of {} requests",
-            responses.len(),
-            total
+            answered, total,
+            "cluster answered {answered} of {total} requests"
         );
-        for pair in responses.windows(2) {
-            assert!(
-                pair[0].id < pair[1].id,
-                "request {} answered more than once",
-                pair[1].id
-            );
-        }
+        let responses: Vec<Response> = merged.into_iter().flatten().collect();
 
         let metrics = ServeMetrics::compute(&responses, busy);
         ClusterReport {
@@ -577,6 +669,170 @@ impl ClusterRuntime {
             shards,
             trace: obs.into_trace(),
             host_us: host_start.elapsed().as_secs_f64() * 1e6,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cluster::{ClusterConfig, ClusterSpec};
+    use crate::loadgen::synthetic_utterances;
+    use crate::sched::SchedPolicy;
+    use crate::{
+        chrome_trace_json, CompiledModel, DeviceFault, FaultEvent, FaultPlan, HealthConfig,
+        RuntimeConfig, TimelineConfig, TraceConfig,
+    };
+    use ernn_fpga::exec::DatapathConfig;
+    use ernn_fpga::{ADM_PCIE_7V3, XCKU060};
+    use ernn_model::{compress_network, BlockPolicy, CellType, NetworkBuilder};
+    use proptest::prelude::*;
+    use rand::SeedableRng;
+
+    const DIM: usize = 8;
+
+    fn spec() -> ClusterSpec {
+        let mut spec = ClusterSpec::new();
+        for (name, seed, hidden) in [("gru-8", 61, 8), ("gru-16", 62, 16), ("gru-8b", 63, 8)] {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let dense = NetworkBuilder::new(CellType::Gru, DIM, 5)
+                .layer_dims(&[hidden])
+                .build(&mut rng);
+            let net = compress_network(&dense, BlockPolicy::uniform(4));
+            spec.register(
+                name,
+                CompiledModel::compile(&net, &DatapathConfig::paper_12bit(), XCKU060),
+            );
+        }
+        spec
+    }
+
+    /// A `cluster_tiny`-shaped load from `seed`: `sessions` streaming
+    /// sessions of four short chunks on model 0 plus `utterances`
+    /// whole utterances over the three tenants, arrivals spread over
+    /// ≈ 1.5 ms so bursts, idle gaps and max-wait flushes all occur.
+    /// Ids are dense but arrival order is not id order.
+    fn load(seed: u64, sessions: usize, utterances: usize) -> Vec<Request> {
+        let mut state = seed;
+        let mut rand = move || {
+            state = splitmix64(state);
+            state
+        };
+        let audio = synthetic_utterances(sessions + utterances, (1, 4), DIM, seed ^ 0xA5);
+        let mut requests = Vec::new();
+        for (s, utt) in audio.iter().enumerate().take(sessions) {
+            let t0 = (rand() % 900) as f64;
+            let gap = 20.0 + (rand() % 150) as f64;
+            for index in 0..4u32 {
+                let t = t0 + index as f64 * gap;
+                let id = requests.len() as u64;
+                requests.push(
+                    Request::chunk(id, s as u64, index, index == 3, utt.clone(), t)
+                        .with_deadline(t + 20_000.0),
+                );
+            }
+        }
+        for utt in &audio[sessions..] {
+            // Coarse grid: simultaneous arrivals are common.
+            let t = (rand() % 300) as f64 * 5.0;
+            let id = requests.len() as u64;
+            requests.push(
+                Request::new(id, utt.clone(), t)
+                    .with_model((rand() % 3) as usize)
+                    .with_deadline(t + 10_000.0 + (rand() % 4) as f64 * 500.0),
+            );
+        }
+        requests
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The event-driven clock against the wake-every-shard oracle,
+        /// with every observer on: skipping shards that are not due must
+        /// not change one bit of any report.
+        #[test]
+        fn waking_only_due_shards_matches_waking_all(
+            shards in 1usize..7,
+            replication in 1usize..5,
+            random in any::<bool>(),
+            failover in any::<bool>(),
+            // A free wire lands forwards at the routing instant itself,
+            // so same-instant arrivals probe the `next_due == t` edge.
+            free_wire in any::<bool>(),
+            seed in any::<u64>(),
+            kill_times in proptest::collection::vec(0.0f64..1_600.0, 0..3),
+            kill_salt in any::<u64>(),
+            max_batch in 1usize..5,
+            max_wait_us in 0.0f64..120.0,
+        ) {
+            let requests = load(seed, 5, 60);
+            let total = requests.len();
+            let plan = FaultPlan::new(
+                kill_times
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &t_us)| FaultEvent {
+                        t_us,
+                        device: (kill_salt >> (8 * k)) as usize % shards,
+                        fault: DeviceFault::Crash { down_us: f64::INFINITY },
+                    })
+                    .collect(),
+            );
+            let spec = spec();
+            let build = |wake_all: bool| {
+                let mut rt = ClusterRuntime::new(
+                    spec.clone(),
+                    (0..shards)
+                        .map(|s| vec![if s % 2 == 0 { XCKU060 } else { ADM_PCIE_7V3 }])
+                        .collect(),
+                    SchedPolicy::edf_cost_model(max_batch, max_wait_us),
+                    RuntimeConfig::new()
+                        .tracing(TraceConfig::enabled(4096))
+                        .timeline(TimelineConfig::enabled(40.0, 4096))
+                        .health(HealthConfig::enabled()),
+                    ClusterConfig::new()
+                        .replication(replication)
+                        .steering(if random { Steering::Random } else { Steering::LoadFeedback })
+                        .seed(seed)
+                        .failover(failover)
+                        .transfer(if free_wire {
+                            TransferModel::zero()
+                        } else {
+                            TransferModel::intra_rack()
+                        })
+                        .shard_faults(plan.clone())
+                        .tracing(TraceConfig::enabled(8192)),
+                );
+                rt.wake_all = wake_all;
+                rt
+            };
+            let fast = build(false).run(requests.clone());
+            let oracle = build(true).run(requests);
+
+            prop_assert_eq!(fast.responses.len(), total);
+            prop_assert_eq!(&fast.responses, &oracle.responses);
+            prop_assert_eq!(&fast.metrics, &oracle.metrics);
+            prop_assert_eq!(fast.stats, oracle.stats);
+            prop_assert_eq!(chrome_trace_json(&fast.trace), chrome_trace_json(&oracle.trace));
+            prop_assert_eq!(&fast.trace, &oracle.trace);
+            prop_assert_eq!(fast.shards.len(), oracle.shards.len());
+            for (a, b) in fast.shards.iter().zip(&oracle.shards) {
+                prop_assert_eq!((a.shard, a.alive, &a.placed), (b.shard, b.alive, &b.placed));
+                prop_assert_eq!(a.gauges, b.gauges);
+                match (&a.report, &b.report) {
+                    (Some(ra), Some(rb)) => {
+                        prop_assert_eq!(&ra.responses, &rb.responses);
+                        prop_assert_eq!(&ra.metrics, &rb.metrics);
+                        prop_assert_eq!(&ra.sched, &rb.sched);
+                        prop_assert_eq!(&ra.trace, &rb.trace);
+                        prop_assert_eq!(&ra.timeline, &rb.timeline);
+                        prop_assert_eq!(&ra.health, &rb.health);
+                    }
+                    (None, None) => {}
+                    _ => prop_assert!(false, "shard {} holds an engine on one side only", a.shard),
+                }
+            }
         }
     }
 }

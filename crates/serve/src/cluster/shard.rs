@@ -5,9 +5,10 @@
 //! whose registry holds exactly the models consistent hashing placed on
 //! it. The router drives it through the crate-internal
 //! [`SchedEngine`](crate::sched::SchedEngine) stepping interface —
-//! `run_until` to advance its virtual clock to each routing decision,
-//! `offer` to hand it forwarded requests, `take_pending` to reclaim its
-//! backlog when it is killed — so a shard executes *exactly* the code
+//! `next_event_us` to know when it next has anything to do, `run_until`
+//! to step it through the events due by a routing decision, `offer` to
+//! hand it forwarded requests, `take_pending` to reclaim its backlog
+//! when it is killed — so a shard executes *exactly* the code
 //! path a standalone scheduler does, and bit-identity across executors
 //! is inherited rather than re-proven.
 

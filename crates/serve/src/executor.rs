@@ -115,6 +115,15 @@ pub trait Executor {
         }
     }
 
+    /// An empty job list to fill for the next [`Self::submit_batch`].
+    /// An executor that is done with a batch when `submit_batch` returns
+    /// hands the previous batch's (emptied) list back here, so the
+    /// runtime's dispatch path stops allocating one per batch; the
+    /// default is a fresh list.
+    fn job_buffer(&mut self) -> Vec<InferenceJob> {
+        Vec::new()
+    }
+
     /// Moves a streaming session's host-side [`NetworkState`] from the
     /// worker serving `from_device` to the worker serving `to_device` —
     /// the host half of a failover: when the runtime re-pins a crashed
@@ -133,71 +142,88 @@ pub trait Executor {
     fn finish(&mut self) -> ExecutorReport;
 }
 
-/// Splits a job list into maximal contiguous runs sharing (device, model)
-/// — the fusable unit — and feeds each run to `consume`. Runtime batches
-/// arrive as a single run; arbitrary callers stay correct.
-fn for_each_fusable_run(jobs: Vec<InferenceJob>, mut consume: impl FnMut(Vec<InferenceJob>)) {
-    let mut jobs = jobs.into_iter().peekable();
-    while let Some(first) = jobs.next() {
-        let key = (first.device, first.model);
-        let mut run = vec![first];
-        while jobs.peek().is_some_and(|j| (j.device, j.model) == key) {
-            run.push(jobs.next().expect("peeked job exists"));
-        }
-        consume(run);
-    }
+/// Whether two jobs may share one batch-fused inference call: same
+/// device (one worker) and same model. Runtime batches are one such run;
+/// the executors split arbitrary callers' job lists into maximal
+/// contiguous runs.
+fn same_run(a: &InferenceJob, b: &InferenceJob) -> bool {
+    (a.device, a.model) == (b.device, b.model)
+}
+
+/// Hands an emptied vector's allocation on under another borrow
+/// lifetime, so a scratch `Vec<&T>` can outlive the borrows it held for
+/// one call. std's in-place `collect` keeps the buffer; were it ever not
+/// to, the only loss is the allocation the scratch exists to save (and
+/// `tests/cluster_alloc.rs` would say so).
+fn recycle<'b, T: ?Sized>(mut v: Vec<&T>) -> Vec<&'b T> {
+    v.clear();
+    v.into_iter()
+        .map(|_| unreachable!("the vector was just cleared"))
+        .collect()
+}
+
+/// [`infer_run`]'s grow-once bookkeeping, one per worker next to its
+/// [`ExecScratch`]: all three lists are empty between runs and keep the
+/// largest run's capacity.
+#[derive(Debug, Default)]
+struct RunScratch {
+    /// The run's frame slices, in job order (the kernels' batch view).
+    frames: Vec<&'static [Vec<f32>]>,
+    /// Per-lane recurrent state of a run that carries session chunks.
+    states: Vec<Option<NetworkState>>,
+    /// The run's logits, one entry per job, for the caller to drain.
+    logits: Vec<Vec<Vec<f32>>>,
 }
 
 /// Computes one fusable run's logits with a single batch-fused inference
-/// call. All jobs must share a model (guaranteed by
-/// [`for_each_fusable_run`]). Runs with no session chunks take the
-/// zero-allocation stateless path unchanged; runs with chunks pull each
-/// session's [`NetworkState`] out of `sessions` (materializing a fresh
-/// one on first touch), thread it through the lockstep kernel, and store
-/// it back unless the chunk was the session's last.
+/// call and leaves them in `run.logits`, one entry per job. All jobs
+/// must share a model (see [`same_run`]). Runs with no session chunks
+/// take the stateless path; runs with chunks pull each session's
+/// [`NetworkState`] out of `sessions` (materializing a fresh one on
+/// first touch), thread it through the lockstep kernel, and store it
+/// back unless the chunk was the session's last.
 fn infer_run(
     models: &[Arc<CompiledModel>],
     jobs: &[InferenceJob],
     scratch: &mut ExecScratch,
     sessions: &mut HashMap<u64, NetworkState>,
-) -> Vec<Vec<Vec<f32>>> {
+    run: &mut RunScratch,
+) {
     let model = &models[jobs[0].model];
-    let frames: Vec<&[Vec<f32>]> = jobs.iter().map(|j| j.frames.as_slice()).collect();
-    let mut out = Vec::with_capacity(jobs.len());
+    let mut frames: Vec<&[Vec<f32>]> = std::mem::take(&mut run.frames);
+    frames.extend(jobs.iter().map(|j| j.frames.as_slice()));
+    debug_assert!(run.logits.is_empty(), "the previous run was not drained");
     if jobs.iter().all(|j| j.session.is_none()) {
-        model.infer_batch_into(&frames, &mut out, scratch);
-        return out;
-    }
-    debug_assert!(
-        {
-            let mut ids: Vec<u64> = jobs
-                .iter()
-                .filter_map(|j| j.session.map(|s| s.id))
-                .collect();
-            ids.sort_unstable();
-            ids.windows(2).all(|w| w[0] != w[1])
-        },
-        "a fusable run must not carry two chunks of one session"
-    );
-    let mut states: Vec<Option<NetworkState>> = jobs
-        .iter()
-        .map(|j| {
+        model.infer_batch_into(&frames, &mut run.logits, scratch);
+    } else {
+        debug_assert!(
+            {
+                let mut ids: Vec<u64> = jobs
+                    .iter()
+                    .filter_map(|j| j.session.map(|s| s.id))
+                    .collect();
+                ids.sort_unstable();
+                ids.windows(2).all(|w| w[0] != w[1])
+            },
+            "a fusable run must not carry two chunks of one session"
+        );
+        run.states.extend(jobs.iter().map(|j| {
             j.session.map(|s| {
                 sessions
                     .remove(&s.id)
                     .unwrap_or_else(|| model.fresh_state())
             })
-        })
-        .collect();
-    model.infer_batch_states_into(&frames, &mut states, &mut out, scratch);
-    for (job, state) in jobs.iter().zip(states) {
-        if let (Some(slot), Some(state)) = (job.session, state) {
-            if !slot.last {
-                sessions.insert(slot.id, state);
+        }));
+        model.infer_batch_states_into(&frames, &mut run.states, &mut run.logits, scratch);
+        for (job, state) in jobs.iter().zip(run.states.drain(..)) {
+            if let (Some(slot), Some(state)) = (job.session, state) {
+                if !slot.last {
+                    sessions.insert(slot.id, state);
+                }
             }
         }
     }
-    out
+    run.frames = recycle(frames);
 }
 
 /// The deterministic reference executor: jobs run synchronously at submit
@@ -209,7 +235,10 @@ pub struct InlineExecutor {
     models: Vec<Arc<CompiledModel>>,
     outputs: Vec<(usize, Vec<Vec<f32>>)>,
     scratch: ExecScratch,
+    run: RunScratch,
     sessions: HashMap<u64, NetworkState>,
+    /// The last batch's job list, emptied — see [`Executor::job_buffer`].
+    spare_jobs: Vec<InferenceJob>,
     fft_start: FftStats,
 }
 
@@ -226,7 +255,9 @@ impl InlineExecutor {
             models,
             outputs: Vec::new(),
             scratch: ExecScratch::new(),
+            run: RunScratch::default(),
             sessions: HashMap::new(),
+            spare_jobs: Vec::new(),
             fft_start: stats::thread_snapshot(),
         }
     }
@@ -237,13 +268,25 @@ impl Executor for InlineExecutor {
         self.submit_batch(vec![job]);
     }
 
-    fn submit_batch(&mut self, jobs: Vec<InferenceJob>) {
-        for_each_fusable_run(jobs, |run| {
-            let logits = infer_run(&self.models, &run, &mut self.scratch, &mut self.sessions);
-            for (job, l) in run.into_iter().zip(logits) {
-                self.outputs.push((job.slot, l));
-            }
-        });
+    fn submit_batch(&mut self, mut jobs: Vec<InferenceJob>) {
+        for run in jobs.chunk_by(same_run) {
+            infer_run(
+                &self.models,
+                run,
+                &mut self.scratch,
+                &mut self.sessions,
+                &mut self.run,
+            );
+            let logits = self.run.logits.drain(..);
+            self.outputs
+                .extend(run.iter().map(|job| job.slot).zip(logits));
+        }
+        jobs.clear();
+        self.spare_jobs = jobs;
+    }
+
+    fn job_buffer(&mut self) -> Vec<InferenceJob> {
+        std::mem::take(&mut self.spare_jobs)
     }
 
     fn finish(&mut self) -> ExecutorReport {
@@ -327,12 +370,13 @@ impl ThreadPoolExecutor {
             handles.push(thread::spawn(move || {
                 let fft_start = stats::thread_snapshot();
                 let mut scratch = ExecScratch::new();
+                let mut run = RunScratch::default();
                 let mut sessions = HashMap::new();
                 while let Ok(cmd) = job_rx.recv() {
                     match cmd {
                         WorkerCmd::Batch(jobs) => {
-                            let logits = infer_run(&models, &jobs, &mut scratch, &mut sessions);
-                            for (job, l) in jobs.iter().zip(logits) {
+                            infer_run(&models, &jobs, &mut scratch, &mut sessions, &mut run);
+                            for (job, l) in jobs.iter().zip(run.logits.drain(..)) {
                                 if result_tx.send(WorkerMessage::Output(job.slot, l)).is_err() {
                                     // Receiver gone: the executor was
                                     // dropped without finish(); nothing
@@ -408,14 +452,14 @@ impl Executor for ThreadPoolExecutor {
         self.send_run(vec![job]);
     }
 
-    fn submit_batch(&mut self, jobs: Vec<InferenceJob>) {
-        // Runtime batches share (device, model), but stay correct for
-        // arbitrary callers: split into fusable runs so each lands on its
-        // pinned worker as one fused batch.
-        let mut runs = Vec::new();
-        for_each_fusable_run(jobs, |run| runs.push(run));
-        for run in runs {
-            self.send_run(run);
+    fn submit_batch(&mut self, mut jobs: Vec<InferenceJob>) {
+        // Runtime batches share (device, model) and go out whole, but
+        // stay correct for arbitrary callers: split off each fusable run
+        // so it lands on its pinned worker as one fused batch.
+        while let Some(first) = jobs.first() {
+            let len = jobs.iter().take_while(|j| same_run(first, j)).count();
+            let rest = jobs.split_off(len);
+            self.send_run(std::mem::replace(&mut jobs, rest));
         }
     }
 

@@ -144,7 +144,8 @@ pub mod trace;
 
 pub use cache::{CompiledModel, LoadStats};
 pub use cluster::{
-    ClusterConfig, ClusterReport, ClusterRuntime, ClusterSpec, ClusterStats, ShardReport, Steering,
+    ClusterConfig, ClusterConfigError, ClusterReport, ClusterRuntime, ClusterSpec, ClusterStats,
+    ShardReport, Steering,
 };
 pub use config::{RetryPolicy, RuntimeConfig};
 pub use device::{BatchExecution, DevicePool, VirtualDevice};

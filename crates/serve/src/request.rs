@@ -315,6 +315,34 @@ impl Response {
     }
 }
 
+/// Rejects timestamps no event loop can order: a non-finite
+/// `arrival_us` never compares at or before any horizon (a NaN arrival
+/// would sit in the arrival heap forever and its request would vanish
+/// without a response), and a NaN deadline poisons every EDF key it is
+/// compared with. An infinite deadline is fine — it sorts last, like
+/// none at all. Every entry point that accepts requests
+/// ([`SchedRuntime`](crate::sched::SchedRuntime)'s `run`,
+/// `run_closed_loop` and stepped `offer`, and
+/// [`ClusterRuntime::run`](crate::ClusterRuntime::run)) checks this
+/// before its event loop starts.
+///
+/// # Panics
+///
+/// Panics naming the request id.
+pub(crate) fn validate_timing(r: &Request) {
+    assert!(
+        r.arrival_us.is_finite(),
+        "request {}: arrival_us must be finite, got {}",
+        r.id,
+        r.arrival_us
+    );
+    assert!(
+        !r.deadline_us.is_some_and(f64::is_nan),
+        "request {}: deadline_us must not be NaN",
+        r.id
+    );
+}
+
 /// Validates the streaming invariants over a whole submitted load: for
 /// every session, chunk indexes are contiguous from 0 in arrival order
 /// with strictly increasing arrivals and non-decreasing deadlines (a

@@ -150,6 +150,11 @@ pub struct SchedQueue {
     /// (representative arrival, count)`.
     arrivals: BTreeMap<u64, (f64, usize)>,
     backlog_us: f64,
+    /// [`Self::take_batch`] scratch, grown once to the largest batch:
+    /// the keys selected for removal and the sessions already in the
+    /// forming batch.
+    take: Vec<(u64, u64)>,
+    sessions_in: Vec<u64>,
 }
 
 impl SchedQueue {
@@ -161,6 +166,8 @@ impl SchedQueue {
             model_counts: Vec::new(),
             arrivals: BTreeMap::new(),
             backlog_us: 0.0,
+            take: Vec::new(),
+            sessions_in: Vec::new(),
         }
     }
 
@@ -271,8 +278,9 @@ impl SchedQueue {
         padding: &PaddingModel,
         affinity: &dyn Fn(u64) -> Option<usize>,
     ) -> TakenBatch {
-        let mut take: Vec<(u64, u64)> = Vec::new();
-        let mut sessions_in: Vec<u64> = Vec::new();
+        // Moved out for the removal loop below, which needs all of `self`.
+        let mut take = std::mem::take(&mut self.take);
+        self.sessions_in.clear();
         let mut pinned: Option<usize> = None;
         let (mut max_len, mut sum_len) = (0u64, 0u64);
         for (&key, q) in self.items.iter() {
@@ -280,7 +288,7 @@ impl SchedQueue {
                 continue;
             }
             let bound = match q.request.session() {
-                Some(session) if sessions_in.contains(&session) => break,
+                Some(session) if self.sessions_in.contains(&session) => break,
                 Some(session) => {
                     let bound = affinity(session);
                     if let (Some(d), Some(p)) = (bound, pinned) {
@@ -299,7 +307,7 @@ impl SchedQueue {
             max_len = max_len.max(len);
             sum_len += len;
             if let Some(session) = q.request.session() {
-                sessions_in.push(session);
+                self.sessions_in.push(session);
             }
             if bound.is_some() {
                 pinned = bound;
@@ -310,11 +318,12 @@ impl SchedQueue {
             }
         }
         let mut batch = Vec::with_capacity(take.len());
-        for key in take {
+        for key in take.drain(..) {
             let q = self.items.remove(&key).expect("key was just observed");
             self.forget(&q);
             batch.push(q.request);
         }
+        self.take = take;
         // Rounding drift from the running sum cannot go negative.
         if self.items.is_empty() {
             self.backlog_us = 0.0;

@@ -106,7 +106,7 @@ use crate::executor::{
 };
 use crate::health::{HealthMonitor, HealthReport};
 use crate::metrics::ServeMetrics;
-use crate::request::{validate_sessions, Request, Response, ShedReason, Workload};
+use crate::request::{validate_sessions, validate_timing, Request, Response, ShedReason, Workload};
 use crate::timeline::{MetricsTimeline, Timeline, TimelineProbe};
 use crate::trace::{Observer, RunTrace, TraceConfig};
 use ernn_fft::stats::FftStats;
@@ -544,12 +544,17 @@ impl SchedRuntime {
     /// # Panics
     ///
     /// Panics if any request names an unregistered model, has no frames,
-    /// or disagrees with its model's input dimension.
+    /// disagrees with its model's input dimension, or carries a
+    /// non-finite arrival time or a NaN deadline.
     pub fn run(&self, requests: Vec<Request>) -> SchedReport {
+        // Per-request checks first: the session pass orders by arrival
+        // and would blame a NaN timestamp on the session's shape.
+        for request in &requests {
+            self.validate(request);
+        }
         validate_sessions(&requests);
         let mut heap = BinaryHeap::with_capacity(requests.len());
         for (seq, request) in requests.into_iter().enumerate() {
-            self.validate(&request);
             heap.push(Arrival {
                 t_us: request.arrival_us,
                 seq: seq as u64,
@@ -607,6 +612,7 @@ impl SchedRuntime {
     }
 
     fn validate(&self, request: &Request) {
+        validate_timing(request);
         assert!(
             request.model < self.registry.len(),
             "request {} targets unregistered model {}",
@@ -967,8 +973,11 @@ impl SchedRuntime {
         };
         let batch = taken.batch;
         debug_assert!(!batch.is_empty(), "head model yields a non-empty batch");
-        let frame_counts: Vec<u64> = batch.iter().map(|r| r.num_frames() as u64).collect();
-        let total_frames: u64 = frame_counts.iter().sum();
+        state.frame_counts.clear();
+        state
+            .frame_counts
+            .extend(batch.iter().map(|r| r.num_frames() as u64));
+        let total_frames: u64 = state.frame_counts.iter().sum();
         let bytes = self.registry.weight_bytes(model);
 
         // Session affinity beats placement policy: a batch carrying a
@@ -1025,13 +1034,13 @@ impl SchedRuntime {
             DeviceResidency::load_us(bytes)
         };
         let mut prospective_state_us = 0.0;
-        let mut seen_sessions: Vec<u64> = Vec::new();
+        state.seen_sessions.clear();
         for r in &batch {
             let Some(session) = r.session() else { continue };
-            if seen_sessions.contains(&session) {
+            if state.seen_sessions.contains(&session) {
                 continue; // a later chunk of the same session hits
             }
-            seen_sessions.push(session);
+            state.seen_sessions.push(session);
             let materialized = state.sessions.get(&session).is_some_and(|e| e.materialized);
             if materialized && !state.residency[device].is_state_resident(session) {
                 prospective_state_us += DeviceResidency::load_us(state_bytes);
@@ -1079,7 +1088,7 @@ impl SchedRuntime {
         // submitted, and the reload charge above doubles as the
         // migration's streaming cost.
         let mut state_us = 0.0;
-        let mut state_loads: Vec<(u64, f64, usize)> = Vec::new();
+        state.state_loads.clear();
         for r in &batch {
             let Some(session) = r.session() else { continue };
             let entry = state
@@ -1101,7 +1110,9 @@ impl SchedRuntime {
             if ev.loaded {
                 state.stats.state_loads += 1;
                 state.stats.state_load_us_total += ev.load_us;
-                state_loads.push((session, ev.load_us, ev.evicted.len()));
+                state
+                    .state_loads
+                    .push((session, ev.load_us, ev.evicted.len()));
                 state_us += ev.load_us;
             }
             state.stats.model_evictions += ev.evicted_weights();
@@ -1121,7 +1132,7 @@ impl SchedRuntime {
             state.now_us,
             load.load_us + state_us,
             stages,
-            &frame_counts,
+            &state.frame_counts,
         );
         debug_assert!(
             exec.start_us == start_us,
@@ -1131,7 +1142,7 @@ impl SchedRuntime {
             state.now_us,
             model,
             &batch,
-            &frame_counts,
+            &state.frame_counts,
             &exec,
             load.load_us,
             state_us,
@@ -1147,7 +1158,7 @@ impl SchedRuntime {
             );
         }
         let mut stall_at = exec.start_us + load.load_us;
-        for (session, load_us, evicted) in state_loads {
+        for &(session, load_us, evicted) in &state.state_loads {
             state
                 .obs
                 .session_state_load(stall_at, device, session, load_us, evicted);
@@ -1155,7 +1166,7 @@ impl SchedRuntime {
         }
 
         let batch_size = batch.len();
-        let mut jobs = Vec::with_capacity(batch_size);
+        let mut jobs = executor.job_buffer();
         for (request, &complete_us) in batch.into_iter().zip(exec.complete_us.iter()) {
             let Request {
                 id,
@@ -1396,6 +1407,15 @@ struct RunState<'p> {
     /// Per-device busy-time scratch refilled on every sample
     /// (pre-sized: the steady-state hot path never allocates).
     busy_scratch: Vec<f64>,
+    /// Per-dispatch scratch, cleared and refilled by every
+    /// [`SchedRuntime::dispatch`] so a batch's bookkeeping stops
+    /// allocating once the largest batch has been seen: the members'
+    /// frame counts, the sessions already priced into the prospective
+    /// window, and the `(session, load µs, evictions)` state reloads to
+    /// journal.
+    frame_counts: Vec<u64>,
+    seen_sessions: Vec<u64>,
+    state_loads: Vec<(u64, f64, usize)>,
     /// Requests served to completion so far (sheds excluded).
     completed: u64,
     /// Deadline-carrying requests that missed (sheds included).
@@ -1465,8 +1485,9 @@ struct RetryInfo {
 /// is **one** event loop, parameterized by its horizon, so the batch
 /// entry points ([`SchedRuntime::run`],
 /// [`SchedRuntime::run_closed_loop`]) and any stepped driver can never
-/// drift behaviorally. The cluster router is the stepped consumer: it
-/// advances every shard to each routing instant, injects forwarded
+/// drift behaviorally. The cluster router is the stepped consumer: at
+/// each routing instant it steps the shards whose
+/// [`next_event_us`](Self::next_event_us) is due, injects forwarded
 /// requests with [`offer`](Self::offer), reads the live queue-delay
 /// EWMA for load-feedback steering, and on a shard kill reclaims the
 /// undispatched backlog with [`take_pending`](Self::take_pending).
@@ -1523,6 +1544,9 @@ impl<'rt, 'p> SchedEngine<'rt, 'p> {
             timeline: MetricsTimeline::new(rt.config.timeline, rt.platforms.len()),
             health: HealthMonitor::new(rt.config.health, rt.platforms.len()),
             busy_scratch: vec![0.0; rt.platforms.len()],
+            frame_counts: Vec::new(),
+            seen_sessions: Vec::new(),
+            state_loads: Vec::new(),
             completed: 0,
             deadline_misses: 0,
         };
@@ -1614,6 +1638,22 @@ impl<'rt, 'p> SchedEngine<'rt, 'p> {
                 self.state.capture_timeline(false);
                 rt.dispatch(&mut self.state, self.executor.as_mut());
             }
+        }
+    }
+
+    /// The virtual time of the earliest event [`run_until`](Self::run_until)
+    /// would execute: the next arrival while the queue is empty,
+    /// otherwise the earlier of the next arrival and the max-wait flush
+    /// of the longest-waiting queued request; `∞` when nothing is
+    /// pending. `run_until(t)` with `t < next_event_us()` mutates
+    /// nothing — a batch that is already full dispatches inside the
+    /// `run_until` that filled it, never across a return — which is
+    /// what lets the cluster router skip shards that are not due.
+    pub(crate) fn next_event_us(&self) -> f64 {
+        let next_arrival = self.state.arrivals.peek().map_or(f64::INFINITY, |a| a.t_us);
+        match self.state.queue.oldest_arrival_us() {
+            Some(oldest) => next_arrival.min(oldest + self.rt.policy.max_wait_us),
+            None => next_arrival,
         }
     }
 
@@ -2554,6 +2594,159 @@ mod tests {
             SchedPolicy::edf_cost_model(1, 0.0),
         );
         let _ = rt.run(vec![Request::new(0, vec![vec![0.0; 3]], 0.0)]);
+    }
+
+    /// The issue-16 regression: `[0.0, NaN, −5.0]` used to come back as
+    /// two responses for three requests — `total_cmp` sorts the NaN
+    /// arrival last in the heap and no horizon ever reaches it.
+    #[test]
+    #[should_panic(expected = "request 1: arrival_us must be finite")]
+    fn rejects_a_nan_arrival_instead_of_losing_the_request() {
+        let rt = SchedRuntime::new(
+            registry(),
+            vec![XCKU060],
+            SchedPolicy::edf_cost_model(1, 0.0),
+        );
+        let frames = || vec![vec![0.0; DIM]];
+        let _ = rt.run(vec![
+            Request::new(0, frames(), 0.0),
+            Request::new(1, frames(), f64::NAN),
+            Request::new(2, frames(), -5.0),
+        ]);
+    }
+
+    #[test]
+    #[should_panic(expected = "request 4: arrival_us must be finite")]
+    fn stepped_offers_reject_infinite_arrivals() {
+        let rt = SchedRuntime::new(
+            registry(),
+            vec![XCKU060],
+            SchedPolicy::edf_cost_model(1, 0.0),
+        );
+        SchedEngine::new(&rt).offer(Request::new(4, vec![vec![0.0; DIM]], f64::INFINITY));
+    }
+
+    #[test]
+    #[should_panic(expected = "request 0: deadline_us must not be NaN")]
+    fn closed_loop_rejects_a_nan_deadline_up_front() {
+        let rt = SchedRuntime::new(
+            registry(),
+            vec![XCKU060],
+            SchedPolicy::edf_cost_model(1, 0.0),
+        );
+        let payloads = vec![(0, vec![vec![0.0; DIM]])];
+        let _ = rt.run_closed_loop(&payloads, 1, 2, Some(f64::NAN));
+    }
+
+    /// Everything a `run_until` may touch, bit-exact.
+    fn engine_fingerprint(e: &SchedEngine<'_, '_>) -> impl PartialEq + std::fmt::Debug {
+        let s = &e.state;
+        (
+            (s.responses.clone(), s.stats.clone()),
+            (s.now_us.to_bits(), s.admit_seq, s.live_sessions),
+            (s.queue.len(), s.queue.backlog_us().to_bits()),
+            s.arrivals.len(),
+            s.pool
+                .devices()
+                .iter()
+                .map(|d| (d.free_at_us().to_bits(), d.busy_us().to_bits(), d.batches))
+                .collect::<Vec<_>>(),
+            (e.ewma_queue_us().to_bits(), e.resident_bytes()),
+        )
+    }
+
+    /// The invariant the cluster router's wake index rests on: stepping
+    /// an engine to any horizon short of `next_event_us()` changes
+    /// nothing — and the bound is tight, stepping *to* it does.
+    #[test]
+    fn run_until_short_of_the_next_event_mutates_nothing() {
+        let mut state = 0x5EED_0016_u64;
+        let mut rand = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let utts = synthetic_utterances(8, (2, 9), DIM, 77);
+        for case in 0..24 {
+            let max_batch = 1 + (rand() % 4) as usize;
+            let max_wait_us = (rand() % 4) as f64 * 60.0;
+            let policy = if case % 2 == 0 {
+                SchedPolicy::edf_cost_model(max_batch, max_wait_us)
+            } else {
+                SchedPolicy::fifo_earliest_free(max_batch, max_wait_us)
+            };
+            let rt = SchedRuntime::new(registry(), vec![XCKU060, ADM_PCIE_7V3], policy);
+            let mut engine = SchedEngine::new(&rt);
+            let (mut t, mut next_id, mut probes, mut wakes) = (0.0f64, 0u64, 0, 0);
+            // One streaming session open at a time: (id, next chunk
+            // index, last chunk's arrival — a session's arrivals must
+            // strictly increase).
+            let mut open_session: Option<(u64, u32, f64)> = None;
+            for step in 0..120 {
+                // Offer a burst (sometimes empty, sometimes in the past,
+                // sometimes simultaneous), mixing in the session.
+                for _ in 0..rand() % 3 {
+                    let arrival = t + (rand() % 5) as f64 * 17.0 - 20.0;
+                    let utt = utts[(rand() % 8) as usize].clone();
+                    let r = match open_session {
+                        Some((session, index, prev)) if rand() % 3 == 0 => {
+                            let (last, arrival) = (index == 5, arrival.max(prev + 1.0));
+                            open_session = (!last).then_some((session, index + 1, arrival));
+                            Request::chunk(next_id, session, index, last, utt, arrival)
+                        }
+                        None if rand() % 4 == 0 => {
+                            open_session = Some((step, 1, arrival));
+                            Request::chunk(next_id, step, 0, false, utt, arrival)
+                        }
+                        _ => Request::new(next_id, utt, arrival)
+                            .with_model((rand() % 2) as usize)
+                            .with_deadline(arrival + (rand() % 900) as f64),
+                    };
+                    next_id += 1;
+                    engine.offer(r);
+                }
+                let next = engine.next_event_us();
+                if next > t {
+                    // Any horizon in [t, next): the far end, when finite.
+                    let short = if next.is_finite() {
+                        t + (next - t) * 0.999
+                    } else {
+                        t + 1e9
+                    };
+                    let before = engine_fingerprint(&engine);
+                    engine.run_until(short);
+                    assert_eq!(
+                        before,
+                        engine_fingerprint(&engine),
+                        "case {case} step {step}: run_until({short}) ran an event \
+                         before next_event_us() = {next}"
+                    );
+                    assert_eq!(engine.next_event_us().to_bits(), next.to_bits());
+                    probes += 1;
+                }
+                if next.is_finite() {
+                    let before = engine_fingerprint(&engine);
+                    engine.run_until(next);
+                    assert_ne!(
+                        before,
+                        engine_fingerprint(&engine),
+                        "case {case} step {step}: nothing was due at next_event_us() = {next}"
+                    );
+                    wakes += 1;
+                }
+                t = t.max(next.min(t + 200.0)) + (rand() % 3) as f64 * 11.0;
+                engine.run_until(t);
+                assert!(engine.next_event_us() > t);
+            }
+            assert!(probes > 20 && wakes > 20, "case {case}: {probes} / {wakes}");
+            // Drain: the sessions left open never finish, which is fine —
+            // the engine is stepped, not validated as a whole load.
+            engine.run_until(f64::INFINITY);
+            assert_eq!(engine.next_event_us(), f64::INFINITY);
+            assert_eq!(engine.finish().responses.len() as u64, next_id);
+        }
     }
 
     // ----- fault injection, failover, and migration -----

@@ -11,6 +11,10 @@
 //! * **Bit-identity across executors** — responses, metrics, router
 //!   stats, per-shard gauges and the rendered router journal are equal
 //!   under `Inline` and `ThreadPool` execution, kill included.
+//! * **Bad input fails at the door** — a non-finite arrival time is
+//!   rejected naming the request (it used to surface as "cluster
+//!   answered N−1 of N"), and every constructor panic has a typed
+//!   [`ClusterConfigError`] behind [`ClusterRuntime::try_new`].
 //! * **Routing is deterministic (property)** — over random shard
 //!   counts, replication degrees, steering policies, seeds and kill
 //!   times, two identical runs produce byte-identical journals and
@@ -22,9 +26,9 @@ use ernn_model::{compress_network, BlockPolicy, CellType, NetworkBuilder};
 use ernn_serve::loadgen::synthetic_utterances;
 use ernn_serve::sched::{ModelRegistry, SchedPolicy, SchedRuntime};
 use ernn_serve::{
-    chrome_trace_json, ClusterConfig, ClusterRuntime, ClusterSpec, CompiledModel, DeviceFault,
-    ExecutorKind, FaultEvent, FaultPlan, Request, RuntimeConfig, ShedReason, Steering, TraceConfig,
-    TransferModel,
+    chrome_trace_json, ClusterConfig, ClusterConfigError, ClusterRuntime, ClusterSpec,
+    CompiledModel, DeviceFault, ExecutorKind, FaultEvent, FaultPlan, Request, RuntimeConfig,
+    ShedReason, Steering, TraceConfig, TransferModel,
 };
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -230,6 +234,93 @@ fn cluster_is_bit_identical_across_executors() {
             _ => panic!("shard {} placement differs across executors", sa.shard),
         }
     }
+}
+
+#[test]
+#[should_panic(expected = "request 1: arrival_us must be finite")]
+fn nan_arrival_is_rejected_naming_the_request() {
+    let frames = || vec![vec![0.0; DIM]];
+    let _ = four_shard_cluster(FaultPlan::empty(), ExecutorKind::Inline).run(vec![
+        Request::new(0, frames(), 0.0),
+        Request::new(1, frames(), f64::NAN),
+        Request::new(2, frames(), -5.0),
+    ]);
+}
+
+#[test]
+fn try_new_reports_typed_errors() {
+    let try_new = |spec: ClusterSpec, platforms: Vec<Vec<_>>, cluster: ClusterConfig| {
+        ClusterRuntime::try_new(spec, platforms, policy(), RuntimeConfig::new(), cluster)
+            .map(|_| ())
+    };
+    let one = || vec![vec![XCKU060]];
+
+    let err = try_new(ClusterSpec::new(), one(), ClusterConfig::new()).unwrap_err();
+    assert_eq!(err, ClusterConfigError::EmptySpec);
+    assert_eq!(err.to_string(), "cluster spec has no models");
+
+    let err = try_new(spec(), Vec::new(), ClusterConfig::new()).unwrap_err();
+    assert_eq!(err, ClusterConfigError::NoShards);
+
+    let err = try_new(
+        spec(),
+        vec![vec![XCKU060], Vec::new()],
+        ClusterConfig::new(),
+    )
+    .unwrap_err();
+    assert_eq!(err, ClusterConfigError::ShardWithoutDevices { shard: 1 });
+    assert_eq!(err.to_string(), "shard 1 has no devices");
+
+    // The builder refuses zero; the public field does not.
+    let mut zero = ClusterConfig::new();
+    zero.replication = 0;
+    assert_eq!(
+        try_new(spec(), one(), zero).unwrap_err(),
+        ClusterConfigError::ZeroReplication
+    );
+
+    let err = try_new(
+        spec(),
+        one(),
+        ClusterConfig::new().shard_faults(kill_at(5.0, 3)),
+    )
+    .unwrap_err();
+    assert_eq!(
+        err,
+        ClusterConfigError::FaultShardOutOfRange {
+            shard: 3,
+            shards: 1
+        }
+    );
+
+    let transient = FaultPlan::new(vec![FaultEvent {
+        t_us: 5.0,
+        device: 0,
+        fault: DeviceFault::Transient,
+    }]);
+    let err = try_new(spec(), one(), ClusterConfig::new().shard_faults(transient)).unwrap_err();
+    assert_eq!(
+        err,
+        ClusterConfigError::NonCrashShardFault {
+            shard: 0,
+            fault: DeviceFault::Transient
+        }
+    );
+    assert!(err.to_string().contains("must be crashes"));
+
+    assert!(try_new(spec(), one(), ClusterConfig::new()).is_ok());
+}
+
+#[test]
+#[should_panic(expected = "shard 0 has no devices")]
+fn new_panics_with_the_typed_message() {
+    let _ = ClusterRuntime::new(
+        spec(),
+        vec![Vec::new()],
+        policy(),
+        RuntimeConfig::new(),
+        ClusterConfig::new(),
+    );
 }
 
 proptest! {
