@@ -5,27 +5,16 @@
 //! bench tracks the *host-side* cost of simulating a serving run.)
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ernn_core::pipeline::Pipeline;
+use ernn_bench::sweep::paper_model;
 use ernn_fpga::XCKU060;
 use ernn_model::{CellType, ModelSpec};
 use ernn_serve::loadgen::{open_loop_poisson, synthetic_utterances};
 use ernn_serve::sched::{ModelRegistry, SchedPolicy, SchedRuntime};
 use ernn_serve::{CompiledModel, Request};
-use rand::SeedableRng;
 use std::time::Duration;
 
 fn compiled() -> CompiledModel {
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(3);
-    Pipeline::paper(ModelSpec::new(CellType::Gru, 16, 8).layer_dims(&[32]))
-        .expect("valid spec")
-        .init(&mut rng)
-        .project()
-        .expect("paper block policy")
-        .quantize()
-        .expect("paper datapath")
-        .compile()
-        .expect("paper platform")
-        .into_model()
+    paper_model(ModelSpec::new(CellType::Gru, 16, 8).layer_dims(&[32]), 3)
 }
 
 fn load() -> Vec<Request> {

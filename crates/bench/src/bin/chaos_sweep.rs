@@ -20,57 +20,41 @@
 //! * **failover pays**: the deadline-miss rate with failover is
 //!   *strictly* lower than without (stranded chunks shed as
 //!   `CapacityLoss`/`SessionCancelled`, scored as misses);
-//! * **faulted runs stay deterministic**: responses, metrics, scheduler
-//!   stats, and the flight-recorder journal are bit-identical across
-//!   `Inline` and `ThreadPool` executors.
+//! * **the live counters are honest**: the shed counter and the final
+//!   timeline sample's shed / deadline-miss counters agree with the
+//!   responses — dispatch-time capacity-loss sheds included;
+//! * **faulted runs stay deterministic**: both runs are executor-blind
+//!   ([`assert_executor_blind`]).
 //!
 //! Run with: `cargo run --release -p ernn-bench --bin chaos_sweep`
-//! (`--quick` shrinks the trace for smoke runs, `--json PATH` writes a
-//! `BENCH_chaos.json` artifact, `--trace-out PATH` writes the failover
-//! run's flight-recorder journal — crash, retries, failovers, and
-//! migrations included — as Perfetto-loadable Chrome trace JSON plus a
-//! Prometheus snapshot at `PATH.prom`).
+//! (flags: [`SweepArgs`]; `--trace-out` exports the failover run — crash,
+//! retries, failovers and migrations on one timeline).
 
-use ernn_bench::json::{array, json_path_arg, trace_path_arg, write_artifact, JsonObject};
-use ernn_core::pipeline::Pipeline;
+use ernn_bench::json::{array, JsonObject};
+use ernn_bench::sweep::{
+    acoustic_gru, assert_answered_once, assert_counters_match_responses, assert_executor_blind,
+    SweepArgs, DIM,
+};
 use ernn_fpga::{DeviceFault, FaultEvent, FaultPlan, XCKU060};
-use ernn_model::{CellType, ModelSpec};
-use ernn_serve::loadgen::synthetic_utterances;
+use ernn_serve::loadgen::{paced_session, synthetic_utterances};
 use ernn_serve::sched::{
     AdmissionPolicy, CostModel, DeviceResidency, ModelRegistry, SchedPolicy, SchedReport,
     SchedRuntime,
 };
 use ernn_serve::{
-    chrome_trace_json, prometheus_snapshot_full, CompiledModel, ExecutorKind, Request, Response,
-    RuntimeConfig, ShedReason, TraceConfig, TraceEvent,
+    ExecutorKind, Request, Response, RuntimeConfig, ShedReason, TimelineConfig, TraceConfig,
+    TraceEvent,
 };
 use rand::{Rng, SeedableRng};
 
-const DIM: usize = 52;
 const UTT_FRAMES: usize = 36;
 const CHUNK_FRAMES: usize = 6;
 const DEVICES: usize = 3;
 
-/// Compiles a tenant model under the paper preset via the lifecycle
-/// pipeline.
-fn compile(seed: u64, hidden: usize) -> CompiledModel {
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-    Pipeline::paper(ModelSpec::new(CellType::Gru, DIM, 40).layer_dims(&[hidden]))
-        .expect("valid spec")
-        .init(&mut rng)
-        .project()
-        .expect("paper block policy")
-        .quantize()
-        .expect("paper datapath")
-        .compile()
-        .expect("paper platform")
-        .into_model()
-}
-
 fn registry() -> ModelRegistry {
     let mut reg = ModelRegistry::new();
-    reg.register("gru-64-stream", compile(5, 64));
-    reg.register("gru-96-batch", compile(6, 96));
+    reg.register("gru-64-stream", acoustic_gru(5, 64));
+    reg.register("gru-96-batch", acoustic_gru(6, 96));
     reg
 }
 
@@ -94,21 +78,15 @@ fn build_trace(
     let chunks = UTT_FRAMES / CHUNK_FRAMES;
     let mut requests = Vec::new();
     for (s, utt) in session_audio.iter().enumerate() {
-        let start = s as f64 * 2.0 * gap_us;
-        for i in 0..chunks {
-            let arrival = start + i as f64 * gap_us;
-            requests.push(
-                Request::chunk(
-                    (s * chunks + i) as u64,
-                    s as u64,
-                    i as u32,
-                    i == chunks - 1,
-                    utt[i * CHUNK_FRAMES..(i + 1) * CHUNK_FRAMES].to_vec(),
-                    arrival,
-                )
-                .with_deadline(arrival + chunk_slo_us),
-            );
-        }
+        requests.extend(paced_session(
+            utt,
+            s as u64,
+            (s * chunks) as u64,
+            s as f64 * 2.0 * gap_us,
+            gap_us,
+            CHUNK_FRAMES,
+            Some(chunk_slo_us),
+        ));
     }
     // Utterance traffic for model 1, spread over the session span so it
     // competes for (and fails over across) the same pool.
@@ -130,32 +108,6 @@ fn build_trace(
     }
 }
 
-/// Deadline-miss rate over deadline-tracked responses; shed responses
-/// score as misses.
-fn miss_rate(responses: &[Response]) -> f64 {
-    let tracked: Vec<&Response> = responses.iter().filter(|r| r.deadline_tracked).collect();
-    let missed = tracked.iter().filter(|r| !r.deadline_met).count();
-    missed as f64 / tracked.len().max(1) as f64
-}
-
-/// Asserts the served and shed responses partition the submitted ids
-/// exactly — the "zero requests lost" guarantee.
-fn assert_partition(label: &str, requests: &[Request], report: &SchedReport) {
-    let mut submitted: Vec<u64> = requests.iter().map(|r| r.id).collect();
-    submitted.sort_unstable();
-    let mut answered: Vec<u64> = report.responses.iter().map(|r| r.id).collect();
-    answered.sort_unstable();
-    assert_eq!(
-        submitted, answered,
-        "{label}: responses must partition the submitted ids exactly"
-    );
-    let shed = report.responses.iter().filter(|r| r.shed).count();
-    assert_eq!(
-        shed, report.sched.shed,
-        "{label}: the shed counter must agree with the response partition"
-    );
-}
-
 fn run(requests: &[Request], plan: &FaultPlan, failover: bool, exec: ExecutorKind) -> SchedReport {
     SchedRuntime::with_config(
         registry(),
@@ -164,18 +116,19 @@ fn run(requests: &[Request], plan: &FaultPlan, failover: bool, exec: ExecutorKin
         RuntimeConfig::new()
             .executor(exec)
             .fault_plan(plan.clone())
-            .failover(failover),
+            .failover(failover)
+            .tracing(TraceConfig::enabled(1 << 15))
+            // An interval no arrival, flush or retry time is a multiple
+            // of: a run whose last event sits exactly on a grid point
+            // gets no off-grid closing sample.
+            .timeline(TimelineConfig::enabled(61.8, 1 << 12)),
     )
-    .with_tracing(TraceConfig::enabled(1 << 15))
     .run(requests.to_vec())
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let json_path = json_path_arg(&args);
-    let trace_path = trace_path_arg(&args);
-    let (sessions, utterances) = if quick { (3, 12) } else { (6, 30) };
+    let args = SweepArgs::from_env();
+    let (sessions, utterances) = if args.quick { (3, 12) } else { (6, 30) };
 
     // Timebase and SLOs from the cost model: chunks arrive at real-time
     // pace with 20% device headroom, and deadlines budget weight + state
@@ -255,66 +208,44 @@ fn main() {
     );
 
     let failover = run(&trace.requests, &plan, true, ExecutorKind::Inline);
-    let failover_mt = run(&trace.requests, &plan, true, ExecutorKind::ThreadPool);
     let stranded = run(&trace.requests, &plan, false, ExecutorKind::Inline);
-    let stranded_mt = run(&trace.requests, &plan, false, ExecutorKind::ThreadPool);
 
     // Determinism: the full fault-reaction surface is executor-blind,
     // journal included.
-    assert_eq!(
-        (
-            &failover.responses,
-            &failover.metrics,
-            &failover.sched,
-            &failover.trace
-        ),
-        (
-            &failover_mt.responses,
-            &failover_mt.metrics,
-            &failover_mt.sched,
-            &failover_mt.trace
-        ),
-        "failover run must be bit-identical across executors"
-    );
-    assert_eq!(
-        (
-            &stranded.responses,
-            &stranded.metrics,
-            &stranded.sched,
-            &stranded.trace
-        ),
-        (
-            &stranded_mt.responses,
-            &stranded_mt.metrics,
-            &stranded_mt.sched,
-            &stranded_mt.trace
-        ),
-        "no-failover run must be bit-identical across executors"
-    );
-
-    if let Some(path) = &trace_path {
-        // The failover run's journal is the interesting one: the crash,
-        // the aborted batches, their retries, the failover re-placement,
-        // and the session-state migrations are all visible as events.
-        write_artifact(path, chrome_trace_json(&failover.trace));
-        let prom = prometheus_snapshot_full(
-            &failover.metrics,
-            &failover.trace,
-            Some(&failover.sched),
-            None,
-            None,
-            None,
+    for (label, report, failover_on) in [
+        ("failover", &failover, true),
+        ("no-failover", &stranded, false),
+    ] {
+        let pooled = run(
+            &trace.requests,
+            &plan,
+            failover_on,
+            ExecutorKind::ThreadPool,
         );
-        write_artifact(&format!("{path}.prom"), prom);
+        assert_executor_blind(label, report, &pooled);
     }
 
-    // Zero requests lost, in every configuration.
+    // The failover run's journal is the interesting one: the crash, the
+    // aborted batches, their retries, the failover re-placement, and the
+    // session-state migrations are all visible as events.
+    args.export(
+        &failover.metrics,
+        &failover.trace,
+        Some(&failover.sched),
+        None,
+        None,
+        None,
+    );
+
+    // Zero requests lost, and live counters that agree with the
+    // responses, in every configuration.
     for (label, report) in [
         ("discovery", &discovery),
         ("failover", &failover),
         ("no-failover", &stranded),
     ] {
-        assert_partition(label, &trace.requests, report);
+        assert_answered_once(label, &trace.requests, &report.responses);
+        assert_counters_match_responses(label, report);
     }
 
     // Migration preserved the streaming contract: sessions re-pinned
@@ -399,7 +330,7 @@ fn main() {
     );
     let mut json_rows: Vec<String> = Vec::new();
     for (label, report) in &rows {
-        let miss = miss_rate(&report.responses);
+        let miss = report.metrics.deadline_miss_rate;
         let served = report.responses.iter().filter(|r| !r.shed).count();
         println!(
             "{:<12} {:>9.1}% {:>7} {:>6} {:>7} {:>8} {:>9} {:>11} {:>10.1}",
@@ -434,8 +365,8 @@ fn main() {
     }
 
     // Failover pays, strictly.
-    let miss_on = miss_rate(&failover.responses);
-    let miss_off = miss_rate(&stranded.responses);
+    let miss_on = failover.metrics.deadline_miss_rate;
+    let miss_off = stranded.metrics.deadline_miss_rate;
     assert!(
         miss_on < miss_off,
         "failover must strictly beat no-failover on deadline-miss rate: \
@@ -450,8 +381,8 @@ fn main() {
         failover.sched.failovers,
     );
 
-    if let Some(path) = json_path {
-        let doc = JsonObject::new()
+    args.write_bench(
+        JsonObject::new()
             .bench_header("chaos_sweep")
             .int("sessions", sessions as i64)
             .int("utterances", utterances as i64)
@@ -460,8 +391,6 @@ fn main() {
             .num("crash_us", crash_us)
             .num("chunk_slo_us", chunk_slo_us)
             .num("utt_slo_us", utt_slo_us)
-            .raw("rows", array(json_rows))
-            .render();
-        write_artifact(&path, doc);
-    }
+            .raw("rows", array(json_rows)),
+    );
 }

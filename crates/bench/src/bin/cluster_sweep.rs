@@ -32,32 +32,27 @@
 //!   answered exactly once — no losses, no duplicates — and every shed
 //!   response anywhere carries an accurate `ShedReason`, with
 //!   `NoShardCapacity` appearing exactly on router-level sheds;
-//! * **the cluster is deterministic**: responses, metrics, router
-//!   stats, per-shard gauges and the rendered router journal are
-//!   bit-identical across `Inline` and `ThreadPool` executors.
+//! * **the cluster is deterministic**: the feedback and killed runs are
+//!   executor-blind ([`assert_cluster_executor_blind`]).
 //!
 //! Run with: `cargo run --release -p ernn-bench --bin cluster_sweep`
-//! (`--quick` shrinks the cluster and load for smoke runs, `--json
-//! PATH` writes a `BENCH_cluster.json` artifact, `--trace-out PATH`
-//! writes the killed run's router journal — forwards, replications,
-//! the shard death and session reroutes — as Perfetto-loadable Chrome
-//! trace JSON plus a Prometheus snapshot with per-shard gauges at
-//! `PATH.prom`).
+//! (flags: [`SweepArgs`]; `--trace-out` exports the killed run's router
+//! journal — forwards, replications, the shard death and session
+//! reroutes — with per-shard gauges in the `.prom` snapshot).
 
-use ernn_bench::json::{array, json_path_arg, trace_path_arg, write_artifact, JsonObject};
-use ernn_core::pipeline::Pipeline;
+use ernn_bench::json::{array, JsonObject};
+use ernn_bench::sweep::{
+    acoustic_gru, assert_answered_once, assert_cluster_executor_blind, SweepArgs, DIM,
+};
 use ernn_fpga::{Device, DeviceFault, FaultEvent, FaultPlan, ADM_PCIE_7V3, XCKU060};
-use ernn_model::{CellType, ModelSpec};
-use ernn_serve::loadgen::synthetic_utterances;
+use ernn_serve::loadgen::{paced_session, synthetic_utterances};
 use ernn_serve::sched::{CostModel, DeviceResidency, ModelRegistry, SchedPolicy};
 use ernn_serve::{
-    chrome_trace_json, prometheus_snapshot_full, ClusterConfig, ClusterReport, ClusterRuntime,
-    ClusterSpec, CompiledModel, ExecutorKind, Request, Response, RuntimeConfig, ShedReason,
-    Steering, TraceConfig, TransferModel,
+    ClusterConfig, ClusterReport, ClusterRuntime, ClusterSpec, ExecutorKind, Request,
+    RuntimeConfig, ShedReason, Steering, TraceConfig, TransferModel,
 };
 use rand::{Rng, SeedableRng};
 
-const DIM: usize = 52;
 const CHUNK_FRAMES: usize = 6;
 const SESSION_FRAMES: usize = 36;
 const FAT_DEVICES: usize = 4;
@@ -66,25 +61,11 @@ const FAT_DEVICES: usize = 4;
 const TARGET_PARALLELISM: f64 = 10.0;
 const SLO_MULT: f64 = 3.0;
 
-fn compile(seed: u64, hidden: usize) -> CompiledModel {
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-    Pipeline::paper(ModelSpec::new(CellType::Gru, DIM, 40).layer_dims(&[hidden]))
-        .expect("valid spec")
-        .init(&mut rng)
-        .project()
-        .expect("paper block policy")
-        .quantize()
-        .expect("paper datapath")
-        .compile()
-        .expect("paper platform")
-        .into_model()
-}
-
 fn tenant_spec() -> ClusterSpec {
     let mut spec = ClusterSpec::new();
-    spec.register("gru-64-stream", compile(5, 64));
-    spec.register("gru-96-batch", compile(6, 96));
-    spec.register("gru-64-tail", compile(7, 64));
+    spec.register("gru-64-stream", acoustic_gru(5, 64));
+    spec.register("gru-96-batch", acoustic_gru(6, 96));
+    spec.register("gru-64-tail", acoustic_gru(7, 64));
     spec
 }
 
@@ -170,21 +151,15 @@ fn build_load(utterances: usize, sessions: usize, spec: &ClusterSpec, seed: u64)
         seed ^ 0xFEED,
     );
     for (s, utt) in session_audio.iter().enumerate() {
-        let start = (s as f64 + 0.5) * span_us / (2.0 * sessions as f64);
-        for i in 0..chunks {
-            let arrival = start + i as f64 * gap_us;
-            requests.push(
-                Request::chunk(
-                    (s * chunks + i) as u64,
-                    s as u64,
-                    i as u32,
-                    i == chunks - 1,
-                    utt[i * CHUNK_FRAMES..(i + 1) * CHUNK_FRAMES].to_vec(),
-                    arrival,
-                )
-                .with_deadline(arrival + chunk_slo_us),
-            );
-        }
+        requests.extend(paced_session(
+            utt,
+            s as u64,
+            (s * chunks) as u64,
+            (s as f64 + 0.5) * span_us / (2.0 * sessions as f64),
+            gap_us,
+            CHUNK_FRAMES,
+            Some(chunk_slo_us),
+        ));
     }
     // Utterances: uniform arrivals with per-model SLOs.
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed ^ 0xABCD);
@@ -219,25 +194,11 @@ fn build_load(utterances: usize, sessions: usize, spec: &ClusterSpec, seed: u64)
     }
 }
 
-/// Deadline-miss rate over deadline-tracked responses; shed responses
-/// score as misses.
-fn miss_rate(responses: &[Response]) -> f64 {
-    let tracked: Vec<&Response> = responses.iter().filter(|r| r.deadline_tracked).collect();
-    let missed = tracked.iter().filter(|r| !r.deadline_met).count();
-    missed as f64 / tracked.len().max(1) as f64
-}
-
 /// Zero requests lost: the responses partition the submitted ids, and
 /// every shed response carries an accurate reason — `NoShardCapacity`
 /// exactly on (and only on) router-level sheds.
 fn assert_accounting(label: &str, requests: &[Request], report: &ClusterReport) {
-    let mut submitted: Vec<u64> = requests.iter().map(|r| r.id).collect();
-    submitted.sort_unstable();
-    let answered: Vec<u64> = report.responses.iter().map(|r| r.id).collect();
-    assert_eq!(
-        submitted, answered,
-        "{label}: responses must partition the submitted ids exactly"
-    );
+    assert_answered_once(label, requests, &report.responses);
     let mut router_sheds = 0u64;
     for r in &report.responses {
         if r.shed {
@@ -271,11 +232,12 @@ struct Shape {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let json_path = json_path_arg(&args);
-    let trace_path = trace_path_arg(&args);
-    let (shards, utterances, sessions) = if quick { (16, 2000, 8) } else { (32, 4000, 12) };
+    let args = SweepArgs::from_env();
+    let (shards, utterances, sessions) = if args.quick {
+        (16, 2000, 8)
+    } else {
+        (32, 4000, 12)
+    };
     // Replicas per model scale with the cluster so aggregate capacity
     // does too: hash placement overlaps across models, so half the
     // shards per model keeps most of the ring covered while the
@@ -386,23 +348,10 @@ fn main() {
     };
 
     // Determinism: the cluster's entire virtual-time surface is
-    // executor-blind — merged responses, metrics, router stats, shard
-    // gauges, and the rendered router journal.
-    for shape in [&calm_shapes[2], &kill_shapes[0]] {
-        let a = run(shape, ExecutorKind::Inline);
-        let b = run(shape, ExecutorKind::ThreadPool);
-        assert_eq!(
-            (&a.responses, &a.metrics, &a.stats, a.shard_gauges()),
-            (&b.responses, &b.metrics, &b.stats, b.shard_gauges()),
-            "{}: cluster run must be bit-identical across executors",
-            shape.name
-        );
-        assert_eq!(
-            chrome_trace_json(&a.trace),
-            chrome_trace_json(&b.trace),
-            "{}: router journal must be bit-identical across executors",
-            shape.name
-        );
+    // executor-blind — merged responses, metrics, router stats, the
+    // router journal and its rendering, and every shard's own report.
+    for (shape, report) in [(&calm_shapes[2], feedback), (&kill_shapes[0], killed)] {
+        assert_cluster_executor_blind(shape.name, report, &run(shape, ExecutorKind::ThreadPool));
     }
 
     for (shape, report) in shapes.iter().zip(&reports) {
@@ -415,7 +364,7 @@ fn main() {
     );
     let mut json_rows: Vec<String> = Vec::new();
     for (shape, report) in shapes.iter().zip(&reports) {
-        let miss = miss_rate(&report.responses);
+        let miss = report.metrics.deadline_miss_rate;
         let served = report.responses.iter().filter(|r| !r.shed).count();
         println!(
             "{:<17} {:>7} {:>7} {:>6} {:>9.1}% {:>10.1} {:>10.1} {:>9} {:>9}",
@@ -458,9 +407,9 @@ fn main() {
         fat.metrics.latency.p999_us
     );
     let (miss_feedback, miss_fat, miss_random) = (
-        miss_rate(&feedback.responses),
-        miss_rate(&fat.responses),
-        miss_rate(&random.responses),
+        feedback.metrics.deadline_miss_rate,
+        fat.metrics.deadline_miss_rate,
+        random.metrics.deadline_miss_rate,
     );
     assert!(
         miss_feedback < miss_fat,
@@ -488,23 +437,18 @@ fn main() {
         "the no-failover kill must shed the dead shard's traffic"
     );
     assert!(
-        miss_rate(&killed.responses) < miss_rate(&stranded.responses),
+        killed.metrics.deadline_miss_rate < stranded.metrics.deadline_miss_rate,
         "failover must beat no-failover on miss rate"
     );
 
-    if let Some(path) = &trace_path {
-        write_artifact(path, chrome_trace_json(&killed.trace));
-        let gauges = killed.shard_gauges();
-        let prom = prometheus_snapshot_full(
-            &killed.metrics,
-            &killed.trace,
-            None,
-            None,
-            None,
-            Some(&gauges),
-        );
-        write_artifact(&format!("{path}.prom"), prom);
-    }
+    args.export(
+        &killed.metrics,
+        &killed.trace,
+        None,
+        None,
+        None,
+        Some(&killed.shard_gauges()),
+    );
 
     println!(
         "\nscale-out p99.9 {:.1} µs vs fat-node {:.1} µs; miss rate feedback {:.2}% < random \
@@ -520,8 +464,8 @@ fn main() {
         killed.stats.sessions_rerouted,
     );
 
-    if let Some(path) = json_path {
-        let doc = JsonObject::new()
+    args.write_bench(
+        JsonObject::new()
             .bench_header("cluster_sweep")
             .int("shards", shards as i64)
             .int("replication", replication as i64)
@@ -533,8 +477,6 @@ fn main() {
             .num("span_us", load.span_us)
             .num("kill_us", kill_us)
             .int("kill_shard", victim as i64)
-            .raw("rows", array(json_rows))
-            .render();
-        write_artifact(&path, doc);
-    }
+            .raw("rows", array(json_rows)),
+    );
 }

@@ -28,7 +28,8 @@
 //! the rows as a bench artifact for CI trend tracking).
 
 use ernn_bench::alloc::{allocation_count, CountingAllocator};
-use ernn_bench::json::{array, json_path_arg, write_artifact, JsonObject};
+use ernn_bench::json::{array, JsonObject};
+use ernn_bench::sweep::SweepArgs;
 use ernn_fft::stats;
 use ernn_fpga::exec::{DatapathConfig, ExecScratch, QuantizedNetwork};
 use ernn_linalg::{BlockCirculantMatrix, MatVec, MatVecScratch, WeightMatrix};
@@ -135,9 +136,8 @@ fn cell_datapath_row(
 const FUSED_PER_LANE_CEILING: f64 = 1.10;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let json_path = json_path_arg(&args);
+    let args = SweepArgs::from_env();
+    let quick = args.quick;
     let dim = if quick { 256 } else { 1024 };
     let block_sizes: &[usize] = if quick { &[8, 16] } else { &[8, 16, 32, 64] };
     let reps = if quick { 15 } else { 40 };
@@ -321,8 +321,8 @@ fn main() {
         cell_datapath_row("gru1024", CellType::Gru, 16, frames, reps, &mut rng),
     ];
 
-    if let Some(path) = json_path {
-        let doc = JsonObject::new()
+    args.write_bench(
+        JsonObject::new()
             .bench_header("kernel_sweep")
             .int("dim", dim as i64)
             .int("fft_forward_allocs", fwd_allocs as i64)
@@ -330,8 +330,6 @@ fn main() {
             .num("quantize_ns_per_elem", quantize_ns)
             .num("pwl_ns_per_elem", pwl_ns)
             .raw("cells", array(cells_json))
-            .raw("rows", array(rows_json))
-            .render();
-        write_artifact(&path, doc);
-    }
+            .raw("rows", array(rows_json)),
+    );
 }

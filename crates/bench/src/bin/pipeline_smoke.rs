@@ -14,11 +14,10 @@
 //!   artifact replaces.
 //!
 //! Run with: `cargo run --release -p ernn-bench --bin pipeline_smoke`
-//! (`--quick` shrinks the training run for CI smoke, `--json PATH`
-//! writes artifact size and load-vs-retrain timings as a bench
-//! artifact).
+//! (flags: [`SweepArgs`]).
 
-use ernn_bench::json::{json_path_arg, write_artifact, JsonObject};
+use ernn_bench::json::JsonObject;
+use ernn_bench::sweep::SweepArgs;
 use ernn_core::pipeline::{CompressSettings, Pipeline, PipelineModel, TrainSettings};
 use ernn_model::trainer::Sequence;
 use ernn_model::{CellType, ModelSpec};
@@ -83,9 +82,8 @@ fn build(quick: bool, data: &[Sequence]) -> PipelineModel {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let json_path = json_path_arg(&args);
+    let args = SweepArgs::from_env();
+    let quick = args.quick;
     let data = toy_data(if quick { 8 } else { 24 }, 10, 5);
 
     // 1. Build in-process, timed: the cost the artifact amortizes away.
@@ -155,8 +153,8 @@ fn main() {
     );
     println!("(assertions passed: byte identity, logit/StageCycles bit-identity, zero-refresh registration)");
 
-    if let Some(path) = json_path {
-        let doc = JsonObject::new()
+    args.write_bench(
+        JsonObject::new()
             .bench_header("pipeline_smoke")
             .int("artifact_bytes", bytes.len() as i64)
             .num("build_us", build_us)
@@ -164,8 +162,6 @@ fn main() {
             .num("load_speedup", speedup)
             .int("closed_loop_responses", report.metrics.completed as i64)
             .num("throughput_rps", report.metrics.throughput_rps)
-            .latency("", &report.metrics.latency)
-            .render();
-        write_artifact(&path, doc);
-    }
+            .latency("", &report.metrics.latency),
+    );
 }

@@ -13,10 +13,8 @@
 //!
 //! * EDF + cost-model misses strictly fewer deadlines than FIFO +
 //!   earliest-free at the same load,
-//! * virtual-time results (responses, metrics, scheduler stats, the
-//!   flight-recorder trace — including its Chrome trace-event rendering,
-//!   byte for byte — the metrics timeline, and the health report) are
-//!   bit-identical across the `Inline` and `ThreadPool` executors,
+//! * every config's run is executor-blind
+//!   ([`assert_executor_blind`]: everything but wall-clock time),
 //! * every request's critical-path decomposition (queue + load + state +
 //!   compute from [`analyze`]) sums exactly to that request's observed
 //!   response latency, and
@@ -25,53 +23,31 @@
 //!   device-stuck/thrash/retry pathologies.
 //!
 //! Run with: `cargo run --release -p ernn-bench --bin sched_sweep`
-//! (`--quick` shrinks the load for smoke runs, `--json PATH` writes the
-//! rows as a bench artifact for CI trend tracking, `--trace-out PATH`
-//! writes the shed config's flight-recorder journal as Perfetto-loadable
-//! Chrome trace JSON, a Prometheus text snapshot at `PATH.prom`, and the
-//! timeline/health exports as sibling `TIMELINE_*`/`HEALTH_*` files).
+//! (flags: [`SweepArgs`]; `--trace-out` exports the shed config's run,
+//! timeline and health report included).
 
-use ernn_bench::json::{array, json_path_arg, trace_path_arg, write_artifact, JsonObject};
-use ernn_core::pipeline::Pipeline;
+use ernn_bench::json::{array, JsonObject};
+use ernn_bench::sweep::{
+    acoustic_gru, assert_counters_match_responses, assert_executor_blind, SweepArgs,
+    DIM as INPUT_DIM,
+};
 use ernn_fpga::{ADM_PCIE_7V3, XCKU060};
-use ernn_model::{CellType, ModelSpec};
 use ernn_serve::loadgen::{open_loop_poisson, synthetic_utterances};
-use ernn_serve::sched::{
-    AdmissionPolicy, ModelRegistry, PaddingModel, SchedPolicy, SchedReport, SchedRuntime,
-};
+use ernn_serve::sched::{AdmissionPolicy, ModelRegistry, PaddingModel, SchedPolicy, SchedRuntime};
 use ernn_serve::{
-    analyze, chrome_trace_json, health_json, prometheus_snapshot_full, timeline_json,
-    CompiledModel, ExecutorKind, HealthConfig, HealthRuleKind, Request, RuntimeConfig,
-    TimelineConfig, TraceConfig,
+    analyze, ExecutorKind, HealthConfig, HealthRuleKind, Request, RuntimeConfig, TimelineConfig,
+    TraceConfig,
 };
-use rand::SeedableRng;
 
-const INPUT_DIM: usize = 52;
 /// Interactive tenant: model 0, short utterances, tight SLO.
 const INTERACTIVE_SLO_US: f64 = 60.0;
 /// Batch tenant: model 1, long utterances, loose SLO.
 const BATCH_SLO_US: f64 = 20_000.0;
 
-/// Compiles a tenant model under the paper preset (block 8, 12-bit
-/// datapath, XCKU060) via the lifecycle pipeline.
-fn compile(seed: u64, hidden: usize) -> CompiledModel {
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-    Pipeline::paper(ModelSpec::new(CellType::Gru, INPUT_DIM, 40).layer_dims(&[hidden]))
-        .expect("valid spec")
-        .init(&mut rng)
-        .project()
-        .expect("paper block policy")
-        .quantize()
-        .expect("paper datapath")
-        .compile()
-        .expect("paper platform")
-        .into_model()
-}
-
 fn registry() -> ModelRegistry {
     let mut reg = ModelRegistry::new();
-    reg.register("gru-64-interactive", compile(3, 64));
-    reg.register("gru-256-batch", compile(4, 256));
+    reg.register("gru-64-interactive", acoustic_gru(3, 64));
+    reg.register("gru-256-batch", acoustic_gru(4, 256));
     reg
 }
 
@@ -118,25 +94,9 @@ const TIMELINE_INTERVAL_US: f64 = 50.0;
 /// (`dropped: 0` is asserted).
 const TIMELINE_CAPACITY: usize = 1 << 14;
 
-/// Renames an artifact path's `PREFIX_` (e.g. `TRACE_sched.json` →
-/// `TIMELINE_sched.json`) so the timeline/health exports land next to
-/// the trace with the naming CI's upload globs expect.
-fn sibling_artifact(path: &str, prefix: &str) -> String {
-    let p = std::path::Path::new(path);
-    let file = p.file_name().and_then(|f| f.to_str()).unwrap_or(path);
-    let renamed = match file.split_once('_') {
-        Some((_, rest)) => format!("{prefix}_{rest}"),
-        None => format!("{prefix}_{file}"),
-    };
-    p.with_file_name(renamed).to_string_lossy().into_owned()
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let json_path = json_path_arg(&args);
-    let trace_path = trace_path_arg(&args);
-    let num_requests = if quick { 200 } else { 600 };
+    let args = SweepArgs::from_env();
+    let num_requests = if args.quick { 200 } else { 600 };
 
     let reg = registry();
     // A weight budget that holds exactly one model per device: placement
@@ -205,47 +165,11 @@ fn main() {
 
         // Correctness harness: the thread-pool executor must reproduce
         // every virtual-time result bit for bit.
-        let pool_report: SchedReport = run(ExecutorKind::ThreadPool);
-        assert_eq!(
-            report.responses, pool_report.responses,
-            "{}: executor changed responses",
-            config.label
-        );
-        assert_eq!(
-            report.metrics, pool_report.metrics,
-            "{}: executor changed virtual-time metrics",
-            config.label
-        );
-        assert_eq!(
-            report.sched, pool_report.sched,
-            "{}: executor changed scheduler stats",
-            config.label
-        );
-        assert_eq!(
-            report.trace, pool_report.trace,
-            "{}: executor changed the flight-recorder trace",
-            config.label
-        );
-        let chrome = chrome_trace_json(&report.trace);
-        assert_eq!(
-            chrome,
-            chrome_trace_json(&pool_report.trace),
-            "{}: executor changed the Chrome trace rendering",
-            config.label
-        );
+        assert_executor_blind(config.label, &report, &run(ExecutorKind::ThreadPool));
+        assert_counters_match_responses(config.label, &report);
         assert_eq!(
             report.trace.journal.dropped, 0,
             "{}: trace overflow",
-            config.label
-        );
-        assert_eq!(
-            report.timeline, pool_report.timeline,
-            "{}: executor changed the metrics timeline",
-            config.label
-        );
-        assert_eq!(
-            report.health, pool_report.health,
-            "{}: executor changed the health report",
             config.label
         );
         assert_eq!(
@@ -315,26 +239,14 @@ fn main() {
         }
 
         if config.label == "edf+cost+shed" {
-            if let Some(path) = &trace_path {
-                write_artifact(path, chrome);
-                let prom = prometheus_snapshot_full(
-                    &report.metrics,
-                    &report.trace,
-                    Some(&report.sched),
-                    Some(&report.timeline),
-                    Some(&report.health),
-                    None,
-                );
-                write_artifact(&format!("{path}.prom"), prom);
-                write_artifact(
-                    &sibling_artifact(path, "TIMELINE"),
-                    timeline_json(&report.timeline),
-                );
-                write_artifact(
-                    &sibling_artifact(path, "HEALTH"),
-                    health_json(&report.health),
-                );
-            }
+            args.export(
+                &report.metrics,
+                &report.trace,
+                Some(&report.sched),
+                Some(&report.timeline),
+                Some(&report.health),
+                None,
+            );
         }
 
         let m = &report.metrics;
@@ -439,15 +351,13 @@ fn main() {
     );
     println!("(assertions passed: EDF beats FIFO; executors bit-identical)");
 
-    if let Some(path) = json_path {
-        let doc = JsonObject::new()
+    args.write_bench(
+        JsonObject::new()
             .bench_header("sched_sweep")
             .int("requests", num_requests as i64)
             .num("interactive_slo_us", INTERACTIVE_SLO_US)
             .num("batch_slo_us", BATCH_SLO_US)
             .int("weight_budget_bytes", tight_budget as i64)
-            .raw("rows", array(rows))
-            .render();
-        write_artifact(&path, doc);
-    }
+            .raw("rows", array(rows)),
+    );
 }

@@ -4,49 +4,26 @@
 //! the paper's design-space exploration.
 //!
 //! Run with: `cargo run --release -p ernn-bench --bin serve_sweep`
-//! (`--quick` halves the request count for smoke runs, `--json PATH`
-//! writes the rows as a bench artifact for CI trend tracking,
-//! `--trace-out PATH` writes one configuration's flight-recorder journal
-//! as Perfetto-loadable Chrome trace JSON plus a Prometheus snapshot at
-//! `PATH.prom`).
+//! (flags: [`SweepArgs`]; `--trace-out` exports the 4-device `b8/w200`
+//! run, timeline and health report included).
 
-use ernn_bench::json::{array, json_path_arg, trace_path_arg, write_artifact, JsonObject};
-use ernn_core::pipeline::Pipeline;
+use ernn_bench::json::{array, JsonObject};
+use ernn_bench::sweep::{acoustic_gru, SweepArgs, DIM};
 use ernn_fpga::XCKU060;
-use ernn_model::{CellType, ModelSpec};
 use ernn_serve::loadgen::{open_loop_poisson, synthetic_utterances};
 use ernn_serve::sched::{ModelRegistry, SchedPolicy, SchedRuntime};
-use ernn_serve::{
-    chrome_trace_json, prometheus_snapshot_full, HealthConfig, RuntimeConfig, TimelineConfig,
-    TraceConfig,
-};
-use rand::SeedableRng;
+use ernn_serve::{HealthConfig, RuntimeConfig, TimelineConfig, TraceConfig};
 use std::sync::Arc;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let json_path = json_path_arg(&args);
-    let trace_path = trace_path_arg(&args);
-    let num_requests = if quick { 200 } else { 400 };
+    let args = SweepArgs::from_env();
+    let num_requests = if args.quick { 200 } else { 400 };
 
     // A GRU-64 acoustic model under the paper preset (block 8, 12-bit
     // datapath, XCKU060) — configuration lives in the pipeline, not here.
     // One Arc'd compile: every runtime in the sweep shares the cached
     // weight spectra.
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(3);
-    let model = Arc::new(
-        Pipeline::paper(ModelSpec::new(CellType::Gru, 52, 40).layer_dims(&[64]))
-            .expect("valid spec")
-            .init(&mut rng)
-            .project()
-            .expect("paper block policy")
-            .quantize()
-            .expect("paper datapath")
-            .compile()
-            .expect("paper platform")
-            .into_model(),
-    );
+    let model = Arc::new(acoustic_gru(3, 64));
     println!(
         "model: GRU-64 block 8, II {} cycles, {} cached weight spectra\n",
         model.stage_cycles().ii(),
@@ -55,7 +32,7 @@ fn main() {
 
     // Offered load: ~2× one device's capacity, so batching and sharding
     // both matter.
-    let utterances = synthetic_utterances(12, (20, 60), 52, 21);
+    let utterances = synthetic_utterances(12, (20, 60), DIM, 21);
     let requests = open_loop_poisson(&utterances, num_requests, 400_000.0, 22);
 
     println!(
@@ -72,7 +49,7 @@ fn main() {
         ] {
             // Trace the middle-of-the-frontier config (4 devices,
             // b8/w200) when an export path was given.
-            let traced = devices == 4 && label == "b8/w200" && trace_path.is_some();
+            let traced = devices == 4 && label == "b8/w200" && args.exports();
             let config = if traced {
                 // The exported snapshot carries the full observability
                 // surface: trace counters plus the sampled timeline and
@@ -90,9 +67,7 @@ fn main() {
                 SchedRuntime::with_config(registry, vec![XCKU060; devices], policy, config);
             let report = runtime.run(requests.clone());
             if traced {
-                let path = trace_path.as_deref().expect("checked above");
-                write_artifact(path, chrome_trace_json(&report.trace));
-                let prom = prometheus_snapshot_full(
+                args.export(
                     &report.metrics,
                     &report.trace,
                     Some(&report.sched),
@@ -100,7 +75,6 @@ fn main() {
                     Some(&report.health),
                     None,
                 );
-                write_artifact(&format!("{path}.prom"), prom);
             }
             let m = &report.metrics;
             let mean_occ =
@@ -134,12 +108,10 @@ fn main() {
         num_requests
     );
 
-    if let Some(path) = json_path {
-        let doc = JsonObject::new()
+    args.write_bench(
+        JsonObject::new()
             .bench_header("serve_sweep")
             .int("requests", num_requests as i64)
-            .raw("rows", array(rows))
-            .render();
-        write_artifact(&path, doc);
-    }
+            .raw("rows", array(rows)),
+    );
 }

@@ -15,47 +15,28 @@
 //! The bin asserts the streaming configuration *strictly* reduces both
 //! deadline-miss rates on the single-device trace — probe misses
 //! (chunk-boundary preemption) and session-chunk misses vs the
-//! utterance-level deadline — and that the streaming run is bit-identical
-//! across host executors.
+//! utterance-level deadline — and that the streaming run is
+//! executor-blind ([`assert_executor_blind`]).
 //!
 //! Run with: `cargo run --release -p ernn-bench --bin stream_sweep`
-//! (`--quick` shrinks the trace for smoke runs, `--json PATH` writes a
-//! `BENCH_stream.json` artifact, `--trace-out PATH` writes the streaming
-//! run's flight-recorder journal as Perfetto-loadable Chrome trace JSON
-//! plus a Prometheus snapshot at `PATH.prom`).
+//! (flags: [`SweepArgs`]; `--trace-out` exports the streaming run).
 
-use ernn_bench::json::{array, json_path_arg, trace_path_arg, write_artifact, JsonObject};
-use ernn_core::pipeline::Pipeline;
+use ernn_bench::json::{array, JsonObject};
+use ernn_bench::sweep::{acoustic_gru, assert_executor_blind, SweepArgs, DIM};
 use ernn_fpga::XCKU060;
-use ernn_model::{CellType, ModelSpec};
-use ernn_serve::loadgen::synthetic_utterances;
+use ernn_serve::loadgen::{paced_session, synthetic_utterances};
 use ernn_serve::sched::{
     CostModel, DeviceResidency, ModelRegistry, SchedPolicy, SchedReport, SchedRuntime,
 };
-use ernn_serve::{
-    chrome_trace_json, prometheus_snapshot_full, ExecutorKind, Request, Response, RuntimeConfig,
-    TraceConfig, Workload,
-};
+use ernn_serve::{ExecutorKind, Request, Response, RuntimeConfig, TraceConfig, Workload};
 use rand::{Rng, SeedableRng};
 
-const DIM: usize = 52;
 const UTT_FRAMES: usize = 60;
 const CHUNK_FRAMES: usize = 6;
 
 fn registry() -> ModelRegistry {
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(3);
-    let model = Pipeline::paper(ModelSpec::new(CellType::Gru, DIM, 40).layer_dims(&[64]))
-        .expect("valid spec")
-        .init(&mut rng)
-        .project()
-        .expect("paper block policy")
-        .quantize()
-        .expect("paper datapath")
-        .compile()
-        .expect("paper platform")
-        .into_model();
     let mut reg = ModelRegistry::new();
-    reg.register("gru-64", model);
+    reg.register("gru-64", acoustic_gru(3, 64));
     reg
 }
 
@@ -84,25 +65,18 @@ fn build_trace(
     let chunk_gap_us = CHUNK_FRAMES as f64 * frame_us;
     let mut stream = Vec::new();
     let mut utterance = Vec::new();
-    let mut next_id = 0u64;
     for (s, utt) in audio.iter().enumerate() {
         let start = s as f64 * session_stagger_us;
         let chunks = UTT_FRAMES / CHUNK_FRAMES;
-        for i in 0..chunks {
-            let arrival = start + i as f64 * chunk_gap_us;
-            stream.push(
-                Request::chunk(
-                    next_id,
-                    s as u64,
-                    i as u32,
-                    i == chunks - 1,
-                    utt[i * CHUNK_FRAMES..(i + 1) * CHUNK_FRAMES].to_vec(),
-                    arrival,
-                )
-                .with_deadline(arrival + chunk_slo_us),
-            );
-            next_id += 1;
-        }
+        stream.extend(paced_session(
+            utt,
+            s as u64,
+            stream.len() as u64,
+            start,
+            chunk_gap_us,
+            CHUNK_FRAMES,
+            Some(chunk_slo_us),
+        ));
         // The whole utterance exists only once the last chunk is spoken,
         // and must answer by the same absolute deadline.
         let end_of_speech = start + (chunks - 1) as f64 * chunk_gap_us;
@@ -155,11 +129,8 @@ fn run(requests: Vec<Request>, exec: ExecutorKind) -> SchedReport {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let json_path = json_path_arg(&args);
-    let trace_path = trace_path_arg(&args);
-    let (sessions, probes) = if quick { (4, 20) } else { (8, 40) };
+    let args = SweepArgs::from_env();
+    let (sessions, probes) = if args.quick { (4, 20) } else { (8, 40) };
 
     // Timebase from the cost model: speech is delivered 20% slower than
     // the device can serve it, so streaming keeps up with headroom. The
@@ -200,31 +171,22 @@ fn main() {
     };
 
     let stream = run(trace.stream.clone(), ExecutorKind::Inline);
-    let stream_mt = run(trace.stream.clone(), ExecutorKind::ThreadPool);
-    assert_eq!(
-        (&stream.responses, &stream.metrics, &stream.sched),
-        (&stream_mt.responses, &stream_mt.metrics, &stream_mt.sched),
-        "streaming run must be bit-identical across executors"
+    assert_executor_blind(
+        "stream",
+        &stream,
+        &run(trace.stream.clone(), ExecutorKind::ThreadPool),
     );
-    assert_eq!(
-        stream.trace, stream_mt.trace,
-        "streaming trace must be bit-identical across executors"
+    // The streaming run's journal shows the chunk-boundary preemption
+    // this sweep is about: probe dispatches interleave between session
+    // chunks in the Perfetto timeline.
+    args.export(
+        &stream.metrics,
+        &stream.trace,
+        Some(&stream.sched),
+        None,
+        None,
+        None,
     );
-    if let Some(path) = &trace_path {
-        // The streaming run's journal shows the chunk-boundary
-        // preemption this sweep is about: probe dispatches interleave
-        // between session chunks in the Perfetto timeline.
-        write_artifact(path, chrome_trace_json(&stream.trace));
-        let prom = prometheus_snapshot_full(
-            &stream.metrics,
-            &stream.trace,
-            Some(&stream.sched),
-            None,
-            None,
-            None,
-        );
-        write_artifact(&format!("{path}.prom"), prom);
-    }
     let baseline = run(trace.utterance.clone(), ExecutorKind::Inline);
 
     let probe_pick = is_probe(&trace.probe_ids);
@@ -293,16 +255,14 @@ fn main() {
         stream_audio * 100.0
     );
 
-    if let Some(path) = json_path {
-        let doc = JsonObject::new()
+    args.write_bench(
+        JsonObject::new()
             .bench_header("stream_sweep")
             .int("sessions", sessions as i64)
             .int("probes", probes as i64)
             .int("chunk_frames", CHUNK_FRAMES as i64)
             .num("chunk_slo_us", chunk_slo_us)
             .num("probe_slo_us", probe_slo_us)
-            .raw("rows", array(json_rows))
-            .render();
-        write_artifact(&path, doc);
-    }
+            .raw("rows", array(json_rows)),
+    );
 }

@@ -197,7 +197,11 @@ mod tests {
 
     #[test]
     fn latency_helper_emits_the_quantile_schema() {
-        let s = ernn_serve::LatencySummary::from_samples(&[1.0, 2.0, 3.0, 4.0]);
+        let mut hist = ernn_serve::LatencyHistogram::new();
+        for v in [1.0, 2.0, 3.0, 4.0] {
+            hist.record(v);
+        }
+        let s = hist.summary();
         let doc = JsonObject::new().latency("", &s).render();
         for key in ["p50_us", "p95_us", "p99_us", "p999_us"] {
             assert!(doc.contains(&format!("\"{key}\"")), "{doc}");

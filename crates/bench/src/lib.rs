@@ -16,6 +16,7 @@
 pub mod alloc;
 pub mod diff;
 pub mod json;
+pub mod sweep;
 
 use ernn_admm::{AdmmConfig, AdmmTrainer};
 use ernn_asr::{evaluate_per, SynthCorpus};

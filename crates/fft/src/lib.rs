@@ -11,7 +11,6 @@
 //! * [`RealFft`] — real-input FFT using the packed half-size complex trick,
 //!   exploiting the Hermitian symmetry the paper leverages in Sec. V-A2,
 //!   one signal at a time or a tile of signals side by side.
-//! * [`conv`] — circular convolution/correlation used by circulant matvecs.
 //! * [`cost`] — the multiplication-count model behind Fig. 8 of the paper
 //!   (FFT/IFFT decoupling, real-valued symmetry, trivial-twiddle trimming).
 //!
@@ -77,7 +76,6 @@ mod complex;
 mod plan;
 mod real;
 
-pub mod conv;
 pub mod cost;
 pub mod stats;
 

@@ -318,16 +318,6 @@ impl QuantizedNetwork {
         &self.net
     }
 
-    /// Mutable access to the quantized network, for callers that need to
-    /// refresh cached weight-spectrum state (e.g. the serving registry
-    /// reloading a model's device image). Functional values must not
-    /// change — the datapath assumes the weights are already quantized,
-    /// and it reads the classifier through a lane-major panel built at
-    /// construction, which an edit to `classifier_w` would not reach.
-    pub fn network_mut(&mut self) -> &mut RnnNetwork<WeightMatrix> {
-        &mut self.net
-    }
-
     /// A zero-initialized [`NetworkState`] sized for this network — the
     /// state of a streaming session before its first chunk.
     pub fn fresh_state(&self) -> NetworkState {

@@ -227,43 +227,6 @@ impl CompiledModel {
     pub fn weight_bytes(&self) -> u64 {
         self.spec.weight_bytes()
     }
-
-    /// Recomputes every block-circulant weight spectrum from the defining
-    /// vectors, bumping each matrix's
-    /// [`spectrum_refresh_count`](ernn_linalg::BlockCirculantMatrix::spectrum_refresh_count).
-    /// Values are bit-identical (same blocks, same FFT); what moves is the
-    /// counter and the host FFT ledger. The scheduler's
-    /// [`ModelRegistry`](crate::sched::ModelRegistry) calls this when a
-    /// model enters the serving tier — the "load" event of the
-    /// weight-cache residency story — while it still owns the model
-    /// exclusively; once the model is shared behind an `Arc`, device-level
-    /// evict/reload cycles are accounted in virtual time only.
-    ///
-    /// Returns the number of matrices refreshed.
-    pub fn refresh_weight_spectra(&mut self) -> usize {
-        let mut refreshed = 0;
-        for layer in self.qnet.network_mut().layers_mut() {
-            let weights: Vec<&mut WeightMatrix> = match layer {
-                RnnLayer::Lstm(l) => {
-                    let mut w = vec![&mut l.wx, &mut l.wr];
-                    if let Some(wym) = &mut l.wym {
-                        w.push(wym);
-                    }
-                    w
-                }
-                RnnLayer::Gru(g) => {
-                    vec![&mut g.wzr_x, &mut g.wzr_c, &mut g.wcx, &mut g.wcc]
-                }
-            };
-            for w in weights {
-                if let WeightMatrix::Circulant(c) = w {
-                    c.refresh_spectra();
-                    refreshed += 1;
-                }
-            }
-        }
-        refreshed
-    }
 }
 
 /// Collects references to every block-circulant weight matrix.
@@ -371,25 +334,6 @@ mod tests {
     fn lstm_spec_sees_projection_absence() {
         let m = model(CellType::Lstm);
         assert_eq!(m.spec().cell, HwCell::Lstm { projection: None });
-    }
-
-    #[test]
-    fn refresh_weight_spectra_bumps_every_counter_once() {
-        for cell in [CellType::Lstm, CellType::Gru] {
-            let mut m = model(cell);
-            let before = m.weight_spectrum_refreshes();
-            let frames = vec![vec![0.25; 8]; 3];
-            let baseline_logits = m.infer(&frames);
-            let n = m.refresh_weight_spectra();
-            assert_eq!(n, m.load_stats.circulant_matrices);
-            let after = m.weight_spectrum_refreshes();
-            assert_eq!(after.len(), before.len());
-            for (a, b) in after.iter().zip(before.iter()) {
-                assert_eq!(*a, b + 1);
-            }
-            // A refresh re-streams the same spectra: logits are unchanged.
-            assert_eq!(m.infer(&frames), baseline_logits);
-        }
     }
 
     #[test]

@@ -94,9 +94,8 @@ impl ClusterSpec {
         Self::default()
     }
 
-    /// Registers a compiled model under a unique name, refreshing its
-    /// weight spectra once (the load into the serving tier), and
-    /// returns its dense cluster-global id. The replication byte count
+    /// Registers a compiled model under a unique name and returns its
+    /// dense cluster-global id. The replication byte count
     /// falls back to the on-chip weight-image size — register through
     /// [`Self::register_artifact`] to replicate the real artifact
     /// image.
@@ -105,16 +104,14 @@ impl ClusterSpec {
     ///
     /// Panics if `name` is already registered — placement hashes names,
     /// so they must be distinct.
-    pub fn register(&mut self, name: impl Into<String>, mut model: CompiledModel) -> usize {
-        model.refresh_weight_spectra();
+    pub fn register(&mut self, name: impl Into<String>, model: CompiledModel) -> usize {
         let bytes = model.weight_bytes();
         self.push(name.into(), Arc::new(model), bytes)
     }
 
     /// Registers a model from its deployment artifact — the cluster
     /// path: the artifact's serialized byte image is what replication
-    /// ships between shards, and decoding already computed every weight
-    /// spectrum, so no extra refreshes happen here.
+    /// ships between shards.
     ///
     /// # Panics
     ///

@@ -33,7 +33,7 @@ use super::{ClusterReport, ClusterRuntime, ClusterStats, ShardReport, Steering};
 use crate::metrics::ServeMetrics;
 use crate::request::{validate_sessions, validate_timing, Request, Response, ShedReason, Workload};
 use crate::sched::{SchedEngine, SchedRuntime};
-use crate::trace::{Observer, ShardGauges};
+use crate::trace::{Observer, ShardGauges, TraceEvent};
 use ernn_fpga::transfer::TransferModel;
 
 /// What the router remembers about every request of the run: the
@@ -225,37 +225,26 @@ impl Router<'_, '_> {
         ));
     }
 
-    /// Re-pins a session to a surviving shard as a fresh shard-local
-    /// incarnation (recurrent state restarts from zero — cross-shard
-    /// state migration is an explicit follow-on).
-    fn repin(&mut self, session: u64, from: usize, to: usize, t: f64) {
-        let route = self
-            .sessions
-            .get_mut(&session)
-            .expect("only a pinned session is re-pinned");
-        route.shard = to;
-        route.local = self.next_local_session;
-        self.next_local_session += 1;
-        route.next_index = 0;
-        route.last_arrival_us = 0.0;
-        self.obs.session_reroute(t, session, from, to);
-        self.stats.sessions_rerouted += 1;
-    }
-
     /// Forwards `r` (global form) to shard `s` at decision time `t`:
     /// charges the hop, waits out replica readiness, renumbers chunks
     /// into the session's shard-local incarnation, and offers the
     /// shard-local request to the engine.
-    fn forward(&mut self, s: usize, t: f64, r: Request, chunk: Option<(u64, bool)>) {
+    fn forward(&mut self, s: usize, t: f64, r: Request) {
         let bytes = frame_bytes(&r.frames);
         let hop = self.transfer.transfer_us(bytes);
-        self.obs.forwarded(t, r.id, r.model, s, hop);
+        self.obs.record(TraceEvent::Forward {
+            t_us: t,
+            id: r.id,
+            model: r.model,
+            shard: s,
+            transfer_us: hop,
+        });
         self.stats.forwarded_bytes += bytes;
         self.stats.forward_us_total += hop;
         let local_model = self.sims[s].local_model(r.model);
         let mut effective = (t + hop).max(self.ready_us(r.model, s));
-        let local = match chunk {
-            Some((session, last)) => {
+        let local = match r.workload {
+            Workload::Chunk { session, last, .. } => {
                 let route = self
                     .sessions
                     .get_mut(&session)
@@ -266,7 +255,7 @@ impl Router<'_, '_> {
                 route.next_index += 1;
                 Request::chunk(r.id, route.local, index, last, r.frames, effective)
             }
-            None => Request::new(r.id, r.frames, effective),
+            Workload::Utterance => Request::new(r.id, r.frames, effective),
         };
         let mut local = local.with_model(local_model);
         if let Some(d) = r.deadline_us {
@@ -282,70 +271,67 @@ impl Router<'_, '_> {
         self.next_due[s] = self.next_due[s].min(effective);
     }
 
-    /// Routes one fresh arrival.
-    fn route_arrival(&mut self, r: Request) {
-        let t = r.arrival_us;
-        match r.workload {
-            Workload::Utterance => match self.steer(r.model, t, r.id, None) {
-                Some(s) => {
-                    self.stats.routed += 1;
-                    self.forward(s, t, r, None);
-                }
-                None => self.shed(t, r),
-            },
-            Workload::Chunk { session, last, .. } => {
-                let target = match self.sessions.get(&session) {
-                    // Pinned and healthy: affinity wins over load.
-                    Some(route) if self.sims[route.shard].alive => Some(route.shard),
-                    // Pinned shard died since the last chunk.
-                    Some(route) => {
-                        let from = route.shard;
-                        if !self.failover {
-                            None
-                        } else {
-                            match self.steer(r.model, t, r.id, Some(from)) {
-                                Some(to) => {
-                                    self.repin(session, from, to, t);
-                                    Some(to)
-                                }
-                                None => None,
-                            }
-                        }
-                    }
-                    // First chunk: steer, then pin.
-                    None => match self.steer(r.model, t, r.id, None) {
-                        Some(s) => {
-                            self.sessions.insert(
-                                session,
-                                SessionRoute {
-                                    shard: s,
-                                    local: self.next_local_session,
-                                    next_index: 0,
-                                    last_arrival_us: 0.0,
-                                },
-                            );
-                            self.next_local_session += 1;
-                            Some(s)
-                        }
-                        None => None,
-                    },
-                };
-                match target {
-                    Some(s) => {
-                        self.stats.routed += 1;
-                        self.forward(s, t, r, Some((session, last)));
-                    }
-                    None => self.shed(t, r),
-                }
+    /// The one placement path, for fresh arrivals and for the backlog
+    /// reclaimed from a killed shard alike: steer → pin or re-pin →
+    /// forward, else shed. An utterance, or a chunk whose session is not
+    /// pinned yet, steers among live replicas other than `exclude`; a
+    /// chunk of a pinned session follows its pin — affinity wins over
+    /// load — unless the pinned shard is dead, in which case (failover
+    /// permitting) it steers among the survivors. A session pins where
+    /// its chunk lands; a re-pin is a fresh shard-local incarnation
+    /// (recurrent state restarts from zero — cross-shard state migration
+    /// is an explicit follow-on). `counter` names the [`ClusterStats`]
+    /// field a successful placement bumps (`routed` or `rerouted`).
+    fn place(
+        &mut self,
+        r: Request,
+        t: f64,
+        exclude: Option<usize>,
+        counter: fn(&mut ClusterStats) -> &mut u64,
+    ) {
+        let session = r.session();
+        let pin = session
+            .and_then(|s| self.sessions.get(&s))
+            .map(|route| route.shard);
+        let target = match pin {
+            Some(shard) if self.sims[shard].alive => Some(shard),
+            Some(dead) if self.failover => self.steer(r.model, t, r.id, Some(dead)),
+            Some(_) => None,
+            None => self.steer(r.model, t, r.id, exclude),
+        };
+        let Some(to) = target else {
+            return self.shed(t, r);
+        };
+        if let Some(session) = session.filter(|_| pin != Some(to)) {
+            self.sessions.insert(
+                session,
+                SessionRoute {
+                    shard: to,
+                    local: self.next_local_session,
+                    next_index: 0,
+                    last_arrival_us: 0.0,
+                },
+            );
+            self.next_local_session += 1;
+            if let Some(from) = pin {
+                self.obs.record(TraceEvent::SessionReroute {
+                    t_us: t,
+                    session,
+                    from_shard: from,
+                    to_shard: to,
+                });
+                self.stats.sessions_rerouted += 1;
             }
         }
+        *counter(&mut self.stats) += 1;
+        self.forward(to, t, r);
     }
 
     /// Processes one shard kill: reclaims the shard's undelivered
-    /// backlog and re-steers (or sheds) every reclaimed request.
-    /// Batches already dispatched complete — their responses were
-    /// committed at dispatch on the virtual clock — so a kill never
-    /// loses a request.
+    /// backlog and re-places (or, with failover off, sheds) every
+    /// reclaimed request. Batches already dispatched complete — their
+    /// responses were committed at dispatch on the virtual clock — so a
+    /// kill never loses a request.
     fn kill(&mut self, t: f64, s: usize) {
         self.advance(t);
         if !self.sims[s].alive {
@@ -360,7 +346,11 @@ impl Router<'_, '_> {
         self.inflight[s].clear();
         self.stats.shard_kills += 1;
         self.stats.reclaimed += pending.len() as u64;
-        self.obs.shard_down(t, s, pending.len());
+        self.obs.record(TraceEvent::ShardDown {
+            t_us: t,
+            shard: s,
+            reclaimed: pending.len(),
+        });
         // Re-offer in (arrival, chunk index, id) order so a session's
         // chunks re-number in their original order.
         pending.sort_by(|a, b| {
@@ -370,58 +360,24 @@ impl Router<'_, '_> {
                 .then_with(|| a.id.cmp(&b.id))
         });
         for p in pending {
-            let meta = &self.routes[rank_of(&self.routes, p.id)];
-            let (model, workload, arrival_us) = (meta.model, meta.workload, meta.arrival_us);
             // Rebuild the cluster-global form from the route record.
-            let mut global = match workload {
+            let meta = &self.routes[rank_of(&self.routes, p.id)];
+            let mut global = match meta.workload {
                 Workload::Chunk {
                     session,
                     index,
                     last,
-                } => Request::chunk(p.id, session, index, last, p.frames, arrival_us),
-                Workload::Utterance => Request::new(p.id, p.frames, arrival_us),
+                } => Request::chunk(p.id, session, index, last, p.frames, meta.arrival_us),
+                Workload::Utterance => Request::new(p.id, p.frames, meta.arrival_us),
             };
-            global = global.with_model(model);
+            global = global.with_model(meta.model);
             if let Some(d) = p.deadline_us {
                 global = global.with_deadline(d);
             }
-            if !self.failover {
+            if self.failover {
+                self.place(global, t, Some(s), |stats| &mut stats.rerouted);
+            } else {
                 self.shed(t, global);
-                continue;
-            }
-            match workload {
-                Workload::Utterance => match self.steer(model, t, global.id, Some(s)) {
-                    Some(to) => {
-                        self.stats.rerouted += 1;
-                        self.forward(to, t, global, None);
-                    }
-                    None => self.shed(t, global),
-                },
-                Workload::Chunk { session, last, .. } => {
-                    // A reclaimed chunk reached the shard through
-                    // `forward`, which pinned its session first.
-                    let pinned = self.sessions[&session].shard;
-                    let target = if self.sims[pinned].alive {
-                        // An earlier reclaimed chunk already re-pinned
-                        // the session; follow it.
-                        Some(pinned)
-                    } else {
-                        match self.steer(model, t, global.id, Some(s)) {
-                            Some(to) => {
-                                self.repin(session, s, to, t);
-                                Some(to)
-                            }
-                            None => None,
-                        }
-                    };
-                    match target {
-                        Some(to) => {
-                            self.stats.rerouted += 1;
-                            self.forward(to, t, global, Some((session, last)));
-                        }
-                        None => self.shed(t, global),
-                    }
-                }
             }
         }
     }
@@ -528,7 +484,14 @@ impl ClusterRuntime {
         }
         repl.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.3.cmp(&b.3)));
         for (at, m, from, to, bytes, hop) in repl {
-            obs.replicated(at, m, from, to, bytes, hop);
+            obs.record(TraceEvent::Replicate {
+                t_us: at,
+                model: m,
+                from_shard: from,
+                to_shard: to,
+                bytes,
+                transfer_us: hop,
+            });
         }
 
         let mut router = Router {
@@ -570,22 +533,19 @@ impl ClusterRuntime {
         kills.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
 
         let mut slots: Vec<Option<Request>> = requests.into_iter().map(Some).collect();
-        let mut ki = 0usize;
+        let mut kills = kills.into_iter().peekable();
         for idx in order {
             let r = slots[idx]
                 .take()
                 .expect("`order` is a permutation, so each slot is taken once");
-            while ki < kills.len() && kills[ki].0 <= r.arrival_us {
-                let (kt, ks) = kills[ki];
-                ki += 1;
+            let t = r.arrival_us;
+            while let Some((kt, ks)) = kills.next_if(|k| k.0 <= t) {
                 router.kill(kt, ks);
             }
-            router.advance(r.arrival_us);
-            router.route_arrival(r);
+            router.advance(t);
+            router.place(r, t, None, |stats| &mut stats.routed);
         }
-        while ki < kills.len() {
-            let (kt, ks) = kills[ki];
-            ki += 1;
+        for (kt, ks) in kills {
             router.kill(kt, ks);
         }
 

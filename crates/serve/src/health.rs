@@ -22,6 +22,7 @@
 //! incidents both stay quiet.
 
 use crate::timeline::MetricsTimeline;
+use crate::trace::num;
 
 /// Which declarative rule fired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -385,15 +386,6 @@ impl HealthReport {
     /// How many stored events fired a given rule.
     pub fn count(&self, rule: HealthRuleKind) -> usize {
         self.events.iter().filter(|e| e.rule == rule).count()
-    }
-}
-
-/// Renders an `f64` with full precision (`0` for non-finite values).
-fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_string()
     }
 }
 

@@ -66,14 +66,54 @@ pub fn open_loop_poisson(
         .collect()
 }
 
+/// One utterance as a paced streaming session: `chunk_frames`-frame
+/// chunks (the last may be shorter) of session `session`, the first
+/// arriving at `start_us` and each next one `chunk_gap_us` later — a
+/// microphone delivering audio in real time. Request ids count up from
+/// `first_id`, the final chunk carries the `last` mark, and `chunk_slo_us`
+/// (when given) sets every chunk's deadline relative to its own arrival.
+///
+/// # Panics
+///
+/// Panics if `chunk_frames` is zero.
+pub fn paced_session(
+    utterance: &[Vec<f32>],
+    session: u64,
+    first_id: u64,
+    start_us: f64,
+    chunk_gap_us: f64,
+    chunk_frames: usize,
+    chunk_slo_us: Option<f64>,
+) -> impl Iterator<Item = Request> + '_ {
+    assert!(chunk_frames >= 1, "chunks need at least one frame");
+    let num_chunks = utterance.len().div_ceil(chunk_frames);
+    utterance
+        .chunks(chunk_frames)
+        .enumerate()
+        .map(move |(i, frames)| {
+            let arrival = start_us + i as f64 * chunk_gap_us;
+            let r = Request::chunk(
+                first_id + i as u64,
+                session,
+                i as u32,
+                i == num_chunks - 1,
+                frames.to_vec(),
+                arrival,
+            );
+            match chunk_slo_us {
+                Some(slo) => r.with_deadline(arrival + slo),
+                None => r,
+            }
+        })
+}
+
 /// Generates `num_sessions` open-loop streaming sessions: session starts
-/// follow a Poisson process at `shape.session_rate_sps`, each session
-/// streams one utterance from the pool (cycled) as
-/// `shape.chunk_frames`-frame chunks arriving every `shape.chunk_gap_us`,
-/// and every chunk carries session id, chunk index, a `last` mark on the
-/// final chunk, and (optionally) a per-chunk deadline. Request ids are
-/// globally unique and the returned list is sorted by arrival time, so
-/// concurrent sessions interleave exactly as a runtime would see them.
+/// follow a Poisson process at `shape.session_rate_sps`, and each session
+/// streams one utterance from the pool (cycled) as a [`paced_session`]
+/// of `shape.chunk_frames`-frame chunks every `shape.chunk_gap_us`,
+/// optionally with a per-chunk deadline. Request ids are globally unique
+/// and the returned list is sorted by arrival time, so concurrent
+/// sessions interleave exactly as a runtime would see them.
 /// Deterministic in `seed`.
 ///
 /// # Panics
@@ -92,7 +132,6 @@ pub fn open_loop_sessions(
         "session rate must be positive, got {}",
         shape.session_rate_sps
     );
-    assert!(shape.chunk_frames >= 1, "chunks need at least one frame");
     assert!(
         shape.chunk_gap_us > 0.0,
         "chunk cadence must be positive, got {}",
@@ -101,29 +140,17 @@ pub fn open_loop_sessions(
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut start_us = 0.0f64;
     let mut requests = Vec::new();
-    let mut next_id = 0u64;
     for session in 0..num_sessions {
         start_us += exp_gap_us(shape.session_rate_sps, &mut rng);
-        let utt = &utterances[session % utterances.len()];
-        let num_chunks = utt.len().div_ceil(shape.chunk_frames);
-        for i in 0..num_chunks {
-            let frames =
-                utt[i * shape.chunk_frames..((i + 1) * shape.chunk_frames).min(utt.len())].to_vec();
-            let arrival = start_us + i as f64 * shape.chunk_gap_us;
-            let mut r = Request::chunk(
-                next_id,
-                session as u64,
-                i as u32,
-                i == num_chunks - 1,
-                frames,
-                arrival,
-            );
-            if let Some(slo) = shape.chunk_slo_us {
-                r = r.with_deadline(arrival + slo);
-            }
-            requests.push(r);
-            next_id += 1;
-        }
+        requests.extend(paced_session(
+            &utterances[session % utterances.len()],
+            session as u64,
+            requests.len() as u64,
+            start_us,
+            shape.chunk_gap_us,
+            shape.chunk_frames,
+            shape.chunk_slo_us,
+        ));
     }
     requests.sort_by(|a, b| a.arrival_us.total_cmp(&b.arrival_us).then(a.id.cmp(&b.id)));
     requests
@@ -247,6 +274,32 @@ mod tests {
             changes += usize::from(w[0] != w[1]);
         }
         assert!(changes + 1 > 6, "sessions interleave: {changes} switches");
+    }
+
+    #[test]
+    fn paced_session_numbers_paces_and_marks_its_chunks() {
+        let utt = &synthetic_utterances(1, (7, 7), 4, 2)[0];
+        let chunks: Vec<Request> = paced_session(utt, 9, 100, 50.0, 12.5, 3, Some(80.0)).collect();
+        assert_eq!(chunks.len(), 3);
+        for (i, c) in chunks.iter().enumerate() {
+            assert_eq!(c.id, 100 + i as u64);
+            assert_eq!(c.arrival_us, 50.0 + i as f64 * 12.5);
+            assert_eq!(c.deadline_us, Some(c.arrival_us + 80.0));
+            assert_eq!(
+                c.workload,
+                crate::request::Workload::Chunk {
+                    session: 9,
+                    index: i as u32,
+                    last: i == 2
+                }
+            );
+        }
+        // The ragged tail keeps the leftover frame; nothing is dropped.
+        let frames: Vec<Vec<f32>> = chunks.iter().flat_map(|c| c.frames.clone()).collect();
+        assert_eq!(&frames, utt);
+        assert_eq!(chunks[2].num_frames(), 1);
+        let free = paced_session(utt, 0, 0, 0.0, 1.0, 7, None).next().unwrap();
+        assert_eq!(free.deadline_us, None);
     }
 
     #[test]

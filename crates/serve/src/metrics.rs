@@ -8,8 +8,7 @@
 //! quantiles carry the histogram's documented error bound (they never
 //! underestimate; see [`LatencyHistogram::RELATIVE_ERROR_BOUND`]). The
 //! histograms themselves ride along on [`ServeMetrics`] so exporters can
-//! render full distributions. [`LatencySummary::from_samples`] remains
-//! the exact store-every-sample path for external callers.
+//! render full distributions.
 
 use crate::request::{Response, Workload};
 use crate::trace::LatencyHistogram;
@@ -34,45 +33,6 @@ pub struct LatencySummary {
     pub p999_us: f64,
     /// Maximum.
     pub max_us: f64,
-}
-
-impl LatencySummary {
-    /// Computes the summary; returns an all-zero summary for no samples.
-    pub fn from_samples(samples: &[f64]) -> Self {
-        if samples.is_empty() {
-            return LatencySummary {
-                count: 0,
-                mean_us: 0.0,
-                p50_us: 0.0,
-                p95_us: 0.0,
-                p99_us: 0.0,
-                p999_us: 0.0,
-                max_us: 0.0,
-            };
-        }
-        let mut sorted = samples.to_vec();
-        // total_cmp: a stray NaN sorts to the end instead of panicking
-        // the metrics path mid-run.
-        sorted.sort_by(f64::total_cmp);
-        let mean = sorted.iter().sum::<f64>() / sorted.len() as f64;
-        LatencySummary {
-            count: sorted.len(),
-            mean_us: mean,
-            p50_us: percentile(&sorted, 0.50),
-            p95_us: percentile(&sorted, 0.95),
-            p99_us: percentile(&sorted, 0.99),
-            p999_us: percentile(&sorted, 0.999),
-            max_us: *sorted.last().expect("non-empty"),
-        }
-    }
-}
-
-/// Nearest-rank percentile over an ascending-sorted slice.
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    assert!(!sorted.is_empty(), "percentile of empty sample set");
-    assert!((0.0..=1.0).contains(&q), "percentile rank {q}");
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
 }
 
 /// Per-model slice of a serving run: what one tenant of a shared pool
@@ -377,50 +337,15 @@ mod tests {
     }
 
     fn shed_resp(arrival: f64, model: usize) -> Response {
-        Response::shed(0, model, Workload::Utterance, arrival, Some(arrival + 1.0))
-    }
-
-    #[test]
-    fn percentiles_use_nearest_rank() {
-        let samples: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        let s = LatencySummary::from_samples(&samples);
-        assert_eq!(s.p50_us, 50.0);
-        assert_eq!(s.p95_us, 95.0);
-        assert_eq!(s.p99_us, 99.0);
-        // With 100 samples the 99.9th nearest rank is the maximum.
-        assert_eq!(s.p999_us, 100.0);
-        assert_eq!(s.max_us, 100.0);
-        assert_eq!(s.count, 100);
-        // At 1000 samples p99.9 separates from the max.
-        let big: Vec<f64> = (1..=1000).map(|i| i as f64).collect();
-        let s = LatencySummary::from_samples(&big);
-        assert_eq!(s.p999_us, 999.0);
-        assert_eq!(s.max_us, 1000.0);
-    }
-
-    #[test]
-    fn hostile_samples_never_panic_the_summary() {
-        // A NaN or infinite sample must degrade gracefully, not panic
-        // (the old partial_cmp sort aborted the whole metrics path).
-        let s = LatencySummary::from_samples(&[3.0, f64::NAN, 1.0, f64::INFINITY, 2.0]);
-        assert_eq!(s.count, 5);
-        // total_cmp sorts NaN above +∞: finite quantiles stay sensible.
-        assert_eq!(s.p50_us, 3.0);
-        // The tail reports the non-finite stragglers rather than lying.
-        assert!(s.max_us.is_nan());
-        assert!(s.p999_us.is_nan() || s.p999_us.is_infinite());
-        // All-NaN input survives too.
-        let s = LatencySummary::from_samples(&[f64::NAN, f64::NAN]);
-        assert_eq!(s.count, 2);
-        assert!(s.p50_us.is_nan());
-    }
-
-    #[test]
-    fn empty_samples_yield_zeroes() {
-        let s = LatencySummary::from_samples(&[]);
-        assert_eq!(s.count, 0);
-        assert_eq!(s.p99_us, 0.0);
-        assert_eq!(s.p999_us, 0.0);
+        let reason = crate::ShedReason::DeadlineInfeasible;
+        Response::shed_with(
+            0,
+            model,
+            Workload::Utterance,
+            arrival,
+            Some(arrival + 1.0),
+            reason,
+        )
     }
 
     #[test]

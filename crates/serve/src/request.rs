@@ -144,10 +144,6 @@ impl Request {
 /// by cause instead of guessing from timing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShedReason {
-    /// Generic admission rejection — the reason recorded by the legacy
-    /// [`Response::shed`] constructor, kept for callers that predate
-    /// reason tracking.
-    Admission,
     /// The admission predictor saw no device that could meet the
     /// request's deadline under current load.
     DeadlineInfeasible,
@@ -176,9 +172,8 @@ pub enum ShedReason {
 /// Every field is deterministic (virtual-clock timing plus bit-exact
 /// logits), so whole responses compare meaningfully with `==` — the
 /// cross-executor tests rely on this to assert bit-identity. Construct
-/// through [`Response::served`]/[`Response::shed`]/
-/// [`Response::shed_with`], which encode the served/shed invariants
-/// once instead of at every call site.
+/// through [`Response::served`]/[`Response::shed_with`], which encode
+/// the served/shed invariants once instead of at every call site.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub struct Response {
@@ -252,28 +247,8 @@ impl Response {
     }
 
     /// A shed response: no logits, no device, timing collapsed to the
-    /// arrival instant, and the deadline (if any) scored as missed.
-    /// Records the generic [`ShedReason::Admission`]; prefer
-    /// [`Response::shed_with`] when the cause is known.
-    pub fn shed(
-        id: u64,
-        model: usize,
-        workload: Workload,
-        arrival_us: f64,
-        deadline_us: Option<f64>,
-    ) -> Self {
-        Self::shed_with(
-            id,
-            model,
-            workload,
-            arrival_us,
-            deadline_us,
-            ShedReason::Admission,
-        )
-    }
-
-    /// A shed response carrying an explicit [`ShedReason`] — the
-    /// non-breaking extension of [`Response::shed`].
+    /// arrival instant, the deadline (if any) scored as missed, and the
+    /// [`ShedReason`] that explains it.
     pub fn shed_with(
         id: u64,
         model: usize,
@@ -439,7 +414,9 @@ mod tests {
 
     #[test]
     fn shed_collapses_timing_and_drops_the_device() {
-        let r = Response::shed(3, 1, Workload::Utterance, 12.0, Some(20.0));
+        let reason = ShedReason::DeadlineInfeasible;
+        let r = Response::shed_with(3, 1, Workload::Utterance, 12.0, Some(20.0), reason);
+        assert_eq!(r.shed_reason, Some(reason));
         assert_eq!(r.device, None);
         assert_eq!((r.dispatch_us, r.complete_us), (12.0, 12.0));
         assert!(r.shed && r.deadline_tracked && !r.deadline_met);

@@ -8,9 +8,9 @@
 //! requests actually meet their SLOs on bounded hardware:
 //!
 //! * [`ModelRegistry`] — the model set a run serves. Registration
-//!   refreshes a model's FFT'd weight spectra once (the load into the
-//!   serving tier, observable via `spectrum_refresh_count`) and freezes
-//!   it behind an `Arc` for the executors.
+//!   freezes a model behind an `Arc` for the executors and recomputes
+//!   nothing: its FFT'd weight spectra date from compilation
+//!   (`spectrum_refresh_count` does not move).
 //! * [`DeviceResidency`] — per-device image residency against the
 //!   platform's BRAM budget ([`RnnSpec::weight_bytes`] vs Table IV),
 //!   holding two [`ImageKey`] classes behind one LRU: **weight images**
@@ -34,6 +34,22 @@
 //!   the virtual-time determinism contract: responses,
 //!   [`ServeMetrics`](crate::ServeMetrics) and [`SchedStats`] are
 //!   bit-identical across [`ExecutorKind`](crate::ExecutorKind)s.
+//!
+//! The event loop is four files around one stateful type. `runtime.rs`
+//! holds what is fixed before a run: [`SchedPolicy`], [`SchedConfigError`]
+//! and [`SchedRuntime`] — validated configuration plus the entry points
+//! [`SchedRuntime::run`] / [`SchedRuntime::run_closed_loop`]. A run is one
+//! crate-internal `SchedEngine`, which owns everything the run mutates
+//! and every decision as a method: `engine.rs` has the clock (`run_until`,
+//! `next_event_us`), admission with its predictor, and **the single shed
+//! path** (`SchedEngine::shed`, for admission sheds and dispatch-time
+//! capacity-loss sheds alike); `dispatch.rs` has placement, the
+//! prospective occupancy window, commit, abort / retry and fault
+//! application; `report.rs` has [`SchedStats`], [`SchedReport`] and the
+//! closing `finish`. The cluster router steps the same engine per shard
+//! and has the matching single paths: one `place` (steer → pin / re-pin →
+//! forward, else shed) for fresh arrivals and a killed shard's reclaimed
+//! backlog, and one `shed`.
 //!
 //! Streaming sessions ([`Workload::Chunk`](crate::Workload) requests)
 //! get session-affinity placement: the first dispatched chunk pins the
@@ -110,17 +126,19 @@
 
 mod admission;
 mod cost;
+mod dispatch;
+mod engine;
 mod queue;
 mod registry;
+mod report;
 mod residency;
 mod runtime;
 
 pub use admission::{AdmissionPolicy, AdmissionRecord};
 pub use cost::CostModel;
+pub(crate) use engine::SchedEngine;
 pub use queue::{PaddingModel, QueueDiscipline, SchedQueue, TakenBatch};
 pub use registry::{ModelId, ModelRegistry};
+pub use report::{SchedReport, SchedStats};
 pub use residency::{DeviceResidency, ImageKey, LoadEvent, WEIGHT_STREAM_BYTES_PER_US};
-pub(crate) use runtime::SchedEngine;
-pub use runtime::{
-    Placement, SchedConfigError, SchedPolicy, SchedReport, SchedRuntime, SchedStats,
-};
+pub use runtime::{Placement, SchedConfigError, SchedPolicy, SchedRuntime};

@@ -1,11 +1,14 @@
 //! The multi-model registry: every model a scheduler run can serve.
 //!
 //! Registration is the moment a model enters the serving tier: the
-//! registry refreshes the model's block-circulant weight spectra exactly
-//! once — bumping every matrix's
+//! registry freezes it behind an `Arc` so executors and devices share it
+//! read-only. Every block-circulant weight spectrum was computed when the
+//! model was compiled (or decoded from its artifact), and registration —
+//! by any of the three entry points — adds **zero** refreshes: each
+//! matrix's
 //! [`spectrum_refresh_count`](ernn_linalg::BlockCirculantMatrix::spectrum_refresh_count),
-//! the cache-observability counter — and then freezes it behind an `Arc` so executors and devices share it
-//! read-only. From that point on, device-level evict/reload cycles are a
+//! the cache-observability counter, stays where construction left it.
+//! From that point on, device-level evict/reload cycles are a
 //! *virtual-time* affair tracked by
 //! [`DeviceResidency`](crate::sched::DeviceResidency): the host-side
 //! spectra stay cached (recomputing them per reload would be exactly the
@@ -40,12 +43,9 @@ impl ModelRegistry {
         Self::default()
     }
 
-    /// Registers a model, refreshing its weight spectra (the load into
-    /// the serving tier — every circulant matrix's refresh counter moves
-    /// by exactly one) and returning its id. Ids are dense and assigned
+    /// Registers a model and returns its id. Ids are dense and assigned
     /// in registration order.
-    pub fn register(&mut self, name: impl Into<String>, mut model: CompiledModel) -> ModelId {
-        model.refresh_weight_spectra();
+    pub fn register(&mut self, name: impl Into<String>, model: CompiledModel) -> ModelId {
         self.register_shared(name, Arc::new(model))
     }
 
@@ -54,8 +54,7 @@ impl ModelRegistry {
     /// deployment path: no recompression, no requantization, and **zero
     /// additional spectrum refreshes**. Decoding the artifact already
     /// computed every weight spectrum once (that construction *was* the
-    /// load into the serving tier), so unlike [`Self::register`] this
-    /// does not refresh again; each matrix's
+    /// load into the serving tier); each matrix's
     /// [`spectrum_refresh_count`](ernn_linalg::BlockCirculantMatrix::spectrum_refresh_count)
     /// stays exactly where artifact decoding left it.
     pub fn register_artifact(
@@ -66,8 +65,8 @@ impl ModelRegistry {
         self.register_shared(name, Arc::new(CompiledModel::from_artifact(artifact)))
     }
 
-    /// Registers an already-shared model without touching its spectra
-    /// (the caller warmed it — e.g. one compile shared across sweeps).
+    /// Registers an already-shared model (e.g. one compile shared across
+    /// sweeps or across a cluster's shards).
     pub fn register_shared(
         &mut self,
         name: impl Into<String>,
@@ -146,11 +145,9 @@ mod tests {
         assert_eq!(reg.len(), 2);
         assert_eq!(reg.name(0), "gru-a");
         assert!(reg.weight_bytes(0) > 0);
-        // Entering the serving tier refreshed every matrix exactly once.
-        let after = reg.model(0).weight_spectrum_refreshes();
-        for (x, y) in after.iter().zip(baseline.iter()) {
-            assert_eq!(*x, y + 1);
-        }
+        // Once in all — at compile: entering the serving tier recomputes
+        // nothing.
+        assert_eq!(reg.model(0).weight_spectrum_refreshes(), baseline);
         assert_eq!(reg.models().len(), 2);
     }
 
@@ -182,8 +179,7 @@ mod tests {
         let at_load = model.weight_spectrum_refreshes();
         assert!(at_load.iter().all(|&c| c == 1), "{at_load:?}");
 
-        // Registration adds zero further refreshes — unlike `register`,
-        // which refreshes once for models that skipped the artifact path.
+        // Registration adds zero further refreshes.
         let mut reg = ModelRegistry::new();
         let id = reg.register_artifact("from-bytes", &loaded);
         assert_eq!(reg.model(id).weight_spectrum_refreshes(), at_load);

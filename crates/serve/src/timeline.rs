@@ -23,6 +23,8 @@
 //! [`prometheus_snapshot_full`](crate::trace::prometheus_snapshot_full)
 //! merges the newest sample into the scrape text.
 
+use crate::trace::num;
+
 /// Timeline capture configuration: off by default, or a fixed sampling
 /// grid with a bounded ring.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -327,7 +329,24 @@ impl MetricsTimeline {
         // Utilization over the whole span covered by this advance.
         let pending = 1 + ((now_us - self.next_sample_us) / self.config.interval_us) as usize;
         let newest_grid = self.next_sample_us + (pending - 1) as f64 * self.config.interval_us;
-        let span = newest_grid - self.prev_t_us;
+        let mean_utilization = self.account_busy_to(newest_grid, probe);
+
+        let mut emitted = 0usize;
+        while self.next_sample_us <= now_us {
+            let t_us = self.next_sample_us;
+            self.emit(t_us, probe, mean_utilization);
+            self.next_sample_us = t_us + self.config.interval_us;
+            emitted += 1;
+        }
+        emitted
+    }
+
+    /// Moves the utilization accounting point to `t_us`: spreads each
+    /// device's busy-time delta since the previous point over the span
+    /// into the utilization row the next [`emit`](Self::emit)s carry, and
+    /// returns the mean across devices.
+    fn account_busy_to(&mut self, t_us: f64, probe: &TimelineProbe<'_>) -> f64 {
+        let span = t_us - self.prev_t_us;
         let mut util_sum = 0.0;
         for d in 0..self.num_devices {
             let u = if span > 0.0 {
@@ -338,42 +357,36 @@ impl MetricsTimeline {
             self.util_scratch[d] = u;
             util_sum += u;
         }
-        let mean_utilization = if self.num_devices > 0 {
+        self.prev_t_us = t_us;
+        self.prev_busy_us.copy_from_slice(probe.device_busy_us);
+        if self.num_devices > 0 {
             util_sum / self.num_devices as f64
         } else {
             0.0
-        };
-        self.prev_t_us = newest_grid;
-        self.prev_busy_us.copy_from_slice(probe.device_busy_us);
-
-        let mut emitted = 0usize;
-        while self.next_sample_us <= now_us {
-            let t_us = self.next_sample_us;
-            self.push_sample(TimelineSample {
-                t_us,
-                queue_depth: probe.queue_depth,
-                oldest_wait_us: probe.oldest_wait_us,
-                live_sessions: probe.live_sessions,
-                weights_bytes: probe.weights_bytes,
-                state_bytes: probe.state_bytes,
-                completed: probe.completed,
-                shed: probe.shed,
-                deadline_misses: probe.deadline_misses,
-                weight_loads: probe.weight_loads,
-                state_loads: probe.state_loads,
-                retries: probe.retries,
-                ewma_queue_us: self.ewma_queue_us,
-                mean_utilization,
-            });
-            self.next_sample_us = t_us + self.config.interval_us;
-            emitted += 1;
         }
-        emitted
     }
 
-    /// Pushes one sample plus its utilization row into the rings
-    /// (growing until capacity, overwriting at `head` afterwards).
-    fn push_sample(&mut self, sample: TimelineSample) {
+    /// The one sample-emission path: a sample stamped `t_us` reading
+    /// state from `probe`, pushed with the current utilization row into
+    /// the rings (growing until capacity, overwriting at `head`
+    /// afterwards).
+    fn emit(&mut self, t_us: f64, probe: &TimelineProbe<'_>, mean_utilization: f64) {
+        let sample = TimelineSample {
+            t_us,
+            queue_depth: probe.queue_depth,
+            oldest_wait_us: probe.oldest_wait_us,
+            live_sessions: probe.live_sessions,
+            weights_bytes: probe.weights_bytes,
+            state_bytes: probe.state_bytes,
+            completed: probe.completed,
+            shed: probe.shed,
+            deadline_misses: probe.deadline_misses,
+            weight_loads: probe.weight_loads,
+            state_loads: probe.state_loads,
+            retries: probe.retries,
+            ewma_queue_us: self.ewma_queue_us,
+            mean_utilization,
+        };
         let cap = self.config.capacity;
         let n = self.num_devices;
         if self.samples.len() < cap {
@@ -402,42 +415,9 @@ impl MetricsTimeline {
             "probe device count mismatch"
         );
         let mut emitted = self.advance(now_us, probe);
-        let past_last = self.recent(0).is_none_or(|s| now_us > s.t_us);
-        if past_last {
-            let span = now_us - self.prev_t_us;
-            let mut util_sum = 0.0;
-            for d in 0..self.num_devices {
-                let u = if span > 0.0 {
-                    (probe.device_busy_us[d] - self.prev_busy_us[d]) / span
-                } else {
-                    0.0
-                };
-                self.util_scratch[d] = u;
-                util_sum += u;
-            }
-            let mean_utilization = if self.num_devices > 0 {
-                util_sum / self.num_devices as f64
-            } else {
-                0.0
-            };
-            self.prev_t_us = now_us;
-            self.prev_busy_us.copy_from_slice(probe.device_busy_us);
-            self.push_sample(TimelineSample {
-                t_us: now_us,
-                queue_depth: probe.queue_depth,
-                oldest_wait_us: probe.oldest_wait_us,
-                live_sessions: probe.live_sessions,
-                weights_bytes: probe.weights_bytes,
-                state_bytes: probe.state_bytes,
-                completed: probe.completed,
-                shed: probe.shed,
-                deadline_misses: probe.deadline_misses,
-                weight_loads: probe.weight_loads,
-                state_loads: probe.state_loads,
-                retries: probe.retries,
-                ewma_queue_us: self.ewma_queue_us,
-                mean_utilization,
-            });
+        if self.recent(0).is_none_or(|s| now_us > s.t_us) {
+            let mean_utilization = self.account_busy_to(now_us, probe);
+            self.emit(now_us, probe, mean_utilization);
             emitted += 1;
         }
         emitted
@@ -500,16 +480,6 @@ impl Timeline {
     pub fn device_util_row(&self, i: usize) -> &[f64] {
         let base = i * self.num_devices;
         &self.device_util[base..base + self.num_devices]
-    }
-}
-
-/// Renders an `f64` with full precision (`0` for non-finite values, so
-/// the output stays strict JSON).
-fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_string()
     }
 }
 

@@ -23,7 +23,7 @@
 use ernn_fpga::exec::DatapathConfig;
 use ernn_fpga::{ADM_PCIE_7V3, XCKU060};
 use ernn_model::{compress_network, BlockPolicy, CellType, NetworkBuilder};
-use ernn_serve::loadgen::synthetic_utterances;
+use ernn_serve::loadgen::{paced_session, synthetic_utterances};
 use ernn_serve::sched::{ModelRegistry, SchedPolicy, SchedRuntime};
 use ernn_serve::{
     chrome_trace_json, ClusterConfig, ClusterConfigError, ClusterRuntime, ClusterSpec,
@@ -67,17 +67,10 @@ fn session_chunks(
     gap_us: f64,
 ) -> Vec<Request> {
     let per = utt.len().div_ceil(pieces).max(1);
-    let n = utt.len().div_ceil(per);
-    (0..n)
-        .map(|i| {
-            let frames = utt[i * per..((i + 1) * per).min(utt.len())].to_vec();
-            let id = *next_id;
-            *next_id += 1;
-            let t = t0 + i as f64 * gap_us;
-            Request::chunk(id, session, i as u32, i == n - 1, frames, t)
-                .with_model(model)
-                .with_deadline(t + 30_000.0)
-        })
+    let first_id = *next_id;
+    *next_id += utt.len().div_ceil(per) as u64;
+    paced_session(utt, session, first_id, t0, gap_us, per, Some(30_000.0))
+        .map(|r| r.with_model(model))
         .collect()
 }
 

@@ -17,7 +17,7 @@
 use ernn_fpga::exec::DatapathConfig;
 use ernn_fpga::XCKU060;
 use ernn_model::{compress_network, BlockPolicy, CellType, NetworkBuilder};
-use ernn_serve::loadgen::synthetic_utterances;
+use ernn_serve::loadgen::{paced_session, synthetic_utterances};
 use ernn_serve::sched::{DeviceResidency, ImageKey, ModelRegistry, SchedPolicy, SchedRuntime};
 use ernn_serve::{
     CompiledModel, DeviceFault, ExecutorKind, FaultEvent, FaultPlan, Request, RuntimeConfig,
@@ -43,25 +43,6 @@ fn registry() -> ModelRegistry {
     reg
 }
 
-/// Splits one utterance into `chunk_frames`-sized session chunks
-/// arriving every `gap_us`.
-fn chunked(session: u64, utt: &[Vec<f32>], chunk_frames: usize, gap_us: f64) -> Vec<Request> {
-    let n = utt.len().div_ceil(chunk_frames);
-    (0..n)
-        .map(|i| {
-            let frames = utt[i * chunk_frames..((i + 1) * chunk_frames).min(utt.len())].to_vec();
-            Request::chunk(
-                i as u64,
-                session,
-                i as u32,
-                i == n - 1,
-                frames,
-                gap_us * i as f64,
-            )
-        })
-        .collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
     /// The tentpole acceptance property: crash the pinned device at an
@@ -75,7 +56,8 @@ proptest! {
     ) {
         let gap_us = 300.0;
         let utts = synthetic_utterances(1, (utt_len, utt_len), DIM, utt_seed);
-        let requests = chunked(9, &utts[0], chunk_frames, gap_us);
+        let requests: Vec<Request> =
+            paced_session(&utts[0], 9, 0, 0.0, gap_us, chunk_frames, None).collect();
         let n_chunks = requests.len();
         let policy = || SchedPolicy::edf_cost_model(2, 50.0);
         // Discovery run: find the device the session pins to, then

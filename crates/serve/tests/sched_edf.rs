@@ -20,7 +20,7 @@ use ernn_serve::sched::{
     AdmissionPolicy, CostModel, DeviceResidency, ModelRegistry, PaddingModel, QueueDiscipline,
     SchedPolicy, SchedQueue, SchedRuntime,
 };
-use ernn_serve::{CompiledModel, ExecutorKind, Request};
+use ernn_serve::{CompiledModel, ExecutorKind, Request, RuntimeConfig};
 use proptest::prelude::*;
 use rand::SeedableRng;
 
@@ -224,13 +224,13 @@ fn saturating_closed_loop_sheds_consistently_with_the_predictor() {
 #[test]
 fn sched_reports_are_bit_identical_across_executors() {
     let make = |kind| {
-        SchedRuntime::with_executor(
+        SchedRuntime::with_config(
             registry(),
             vec![XCKU060, ADM_PCIE_7V3],
             SchedPolicy::edf_cost_model(4, 100.0)
                 .with_admission(AdmissionPolicy::ShedPredictedLate)
                 .with_padding(PaddingModel::new(0.5)),
-            kind,
+            RuntimeConfig::new().executor(kind),
         )
     };
     let load = || {

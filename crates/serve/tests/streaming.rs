@@ -147,13 +147,7 @@ proptest! {
         let run = |exec: ExecutorKind| {
             let mut registry = ModelRegistry::new();
             registry.register("lstm-16", compiled(3, CellType::Lstm, 16));
-            SchedRuntime::with_executor(
-                registry,
-                vec![XCKU060, ADM_PCIE_7V3],
-                SchedPolicy::edf_cost_model(4, 80.0),
-                exec,
-            )
-            .with_tracing(TraceConfig::enabled(8192))
+            SchedRuntime::with_config(registry, vec![XCKU060, ADM_PCIE_7V3], SchedPolicy::edf_cost_model(4, 80.0), RuntimeConfig::new().executor(exec).tracing(TraceConfig::enabled(8192)))
             .run(requests.clone())
         };
         let inline = run(ExecutorKind::Inline);

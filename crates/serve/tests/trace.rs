@@ -22,7 +22,7 @@ use ernn_model::{compress_network, BlockPolicy, CellType, NetworkBuilder};
 use ernn_serve::loadgen::{open_loop_poisson, synthetic_utterances};
 use ernn_serve::sched::{AdmissionPolicy, ModelRegistry, SchedPolicy, SchedRuntime};
 use ernn_serve::trace::{chrome_trace_json, LatencyHistogram, RunTrace, TraceConfig};
-use ernn_serve::{CompiledModel, ExecutorKind, Request};
+use ernn_serve::{CompiledModel, ExecutorKind, Request, RuntimeConfig};
 use proptest::prelude::*;
 use rand::SeedableRng;
 
@@ -57,13 +57,14 @@ fn load(n: usize, rate: f64, slo_us: f64, seed: u64) -> Vec<Request> {
 }
 
 fn traced_run(kind: ExecutorKind, capacity: usize, reqs: Vec<Request>) -> (RunTrace, String) {
-    let report = SchedRuntime::with_executor(
+    let report = SchedRuntime::with_config(
         registry(),
         vec![XCKU060, ADM_PCIE_7V3],
         SchedPolicy::edf_cost_model(4, 100.0).with_admission(AdmissionPolicy::ShedPredictedLate),
-        kind,
+        RuntimeConfig::new()
+            .executor(kind)
+            .tracing(TraceConfig::enabled(capacity)),
     )
-    .with_tracing(TraceConfig::enabled(capacity))
     .run(reqs);
     let rendered = chrome_trace_json(&report.trace);
     (report.trace, rendered)

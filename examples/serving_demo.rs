@@ -15,7 +15,7 @@ use ernn::model::{CellType, ModelSpec};
 use ernn::pipeline::Pipeline;
 use ernn::serve::loadgen::{open_loop_poisson, with_uniform_slo};
 use ernn::serve::sched::{ModelRegistry, SchedPolicy, SchedRuntime};
-use ernn::serve::{CompiledModel, ExecutorKind};
+use ernn::serve::{CompiledModel, ExecutorKind, RuntimeConfig};
 use rand::SeedableRng;
 use std::sync::Arc;
 
@@ -24,11 +24,11 @@ use std::sync::Arc;
 fn runtime(model: &Arc<CompiledModel>, devices: usize, executor: ExecutorKind) -> SchedRuntime {
     let mut registry = ModelRegistry::new();
     registry.register_shared("gru-64", Arc::clone(model));
-    SchedRuntime::with_executor(
+    SchedRuntime::with_config(
         registry,
         vec![XCKU060; devices],
         SchedPolicy::fifo_earliest_free(8, 200.0),
-        executor,
+        RuntimeConfig::new().executor(executor),
     )
 }
 

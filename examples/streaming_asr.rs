@@ -12,6 +12,7 @@ use ernn::asr::{decode_frames, IncrementalDecoder, SynthCorpus, SynthCorpusConfi
 use ernn::fpga::XCKU060;
 use ernn::model::{CellType, ModelSpec};
 use ernn::pipeline::Pipeline;
+use ernn::serve::loadgen::paced_session;
 use ernn::serve::sched::{ModelRegistry, SchedPolicy, SchedRuntime};
 use ernn::serve::{ExecutorKind, Request, Response, RuntimeConfig, Workload};
 use rand::SeedableRng;
@@ -48,25 +49,22 @@ fn main() {
         .take(2)
         .map(|u| u.features.clone())
         .collect();
-    let mut requests = Vec::new();
-    let mut next_id = 0u64;
+    let mut requests: Vec<Request> = Vec::new();
     for (session, utt) in utts.iter().enumerate() {
-        let chunks = utt.len().div_ceil(CHUNK_FRAMES);
-        for i in 0..chunks {
-            let frames = utt[i * CHUNK_FRAMES..((i + 1) * CHUNK_FRAMES).min(utt.len())].to_vec();
-            requests.push(Request::chunk(
-                next_id,
-                session as u64,
-                i as u32,
-                i == chunks - 1,
-                frames,
-                40.0 * session as f64 + 120.0 * i as f64,
-            ));
-            next_id += 1;
-        }
+        let first_id = requests.len();
+        requests.extend(paced_session(
+            utt,
+            session as u64,
+            first_id as u64,
+            40.0 * session as f64,
+            120.0,
+            CHUNK_FRAMES,
+            None,
+        ));
         println!(
-            "session {session}: {} frames as {chunks} chunks of ≤ {CHUNK_FRAMES}",
-            utt.len()
+            "session {session}: {} frames as {} chunks of ≤ {CHUNK_FRAMES}",
+            utt.len(),
+            requests.len() - first_id
         );
     }
     requests.sort_by(|a, b| a.arrival_us.total_cmp(&b.arrival_us).then(a.id.cmp(&b.id)));

@@ -15,7 +15,7 @@ use ernn::fpga::XCKU060;
 use ernn::model::{compress_network, BlockPolicy, CellType, NetworkBuilder};
 use ernn::serve::loadgen::{open_loop_poisson, synthetic_utterances};
 use ernn::serve::sched::{ModelRegistry, SchedPolicy, SchedReport, SchedRuntime};
-use ernn::serve::{CompiledModel, ExecutorKind};
+use ernn::serve::{CompiledModel, ExecutorKind, RuntimeConfig};
 use rand::SeedableRng;
 use std::sync::{Arc, Mutex};
 
@@ -51,11 +51,11 @@ fn fifo_runtime(
 ) -> SchedRuntime {
     let mut registry = ModelRegistry::new();
     registry.register_shared("model", model.into());
-    SchedRuntime::with_executor(
+    SchedRuntime::with_config(
         registry,
         vec![XCKU060; devices],
         SchedPolicy::fifo_earliest_free(max_batch, max_wait_us),
-        executor,
+        RuntimeConfig::new().executor(executor),
     )
 }
 
