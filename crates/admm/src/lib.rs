@@ -19,6 +19,8 @@
 //! circulant model" box of Fig. 6), after which the compression in
 //! `ernn-model` is lossless.
 
+#![forbid(unsafe_code)]
+
 mod constraint;
 mod trainer;
 

@@ -30,6 +30,8 @@
 //! assert_eq!(utt.features.len(), utt.frame_labels.len());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod dataset;
 pub mod decode;
 pub mod features;

@@ -12,6 +12,8 @@
 //!   paper's accuracy comparison (0.14% vs 0.32% PER degradation at block
 //!   8) is between `ernn-admm` and this trainer.
 
+#![forbid(unsafe_code)]
+
 pub mod clstm;
 pub mod prune;
 pub mod sparse;

@@ -33,6 +33,7 @@ pub struct CountingAllocator;
 
 // SAFETY: defers every operation to `System`, which upholds the
 // `GlobalAlloc` contract; the counter is a relaxed atomic side effect.
+#[allow(unsafe_code)]
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);

@@ -13,6 +13,9 @@
 //! | `fig8`          | Fig. 8    (multiplication-count curves)  |
 //! | `phase1_trials` | Sec. VI   (Phase-I trial-count claim)    |
 
+// The one exception is the `GlobalAlloc` impl in `alloc.rs`.
+#![deny(unsafe_code)]
+
 pub mod alloc;
 pub mod diff;
 pub mod json;

@@ -32,6 +32,8 @@
 //! assert!(curve.points().len() > 4);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod explore;
 pub mod flow;
 pub mod phase1;

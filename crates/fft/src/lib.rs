@@ -45,9 +45,11 @@
 //! side, and lane `l` is bit-identical to `forward_into` / `inverse_into`
 //! of signal `l` (property-tested, also in `--release`). That contract is
 //! why there is no FMA, `target-cpu`, feature detection or `unsafe` here:
-//! the autovectoriser on baseline SSE2 is the mechanism, and it needs the
-//! lane loops to run over fixed-width `[f32; W]` views (runtime-length
-//! slices measured 2× slower). Radix-4 / split-radix would cut twiddle
+//! the autovectoriser on the build's baseline ISA is the mechanism (the
+//! one wider instantiation in the stack, `ernn-linalg`'s AVX2 tile stage,
+//! calls these transforms as they are), and it needs the lane loops to
+//! run over fixed-width `[f32; W]` views (runtime-length slices measured
+//! 2× slower). Radix-4 / split-radix would cut twiddle
 //! multiplies but change the floats, so it is a separate decision.
 //! Counters stay exact without an atomic per transform: a lane call bumps
 //! [`stats`] once, by its number of live lanes.
@@ -71,6 +73,8 @@
 //!     assert!((a.re - b.re).abs() < 1e-4);
 //! }
 //! ```
+
+#![forbid(unsafe_code)]
 
 mod complex;
 mod plan;

@@ -41,6 +41,8 @@
 //! on are the *ratios* between designs, which come from counted work and
 //! resource budgets rather than calibration.
 
+#![forbid(unsafe_code)]
+
 mod accelerator;
 pub mod artifact;
 pub mod baseline;

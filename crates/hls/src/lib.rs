@@ -17,6 +17,8 @@
 //! * [`generate_code`] — C-like source for the scheduled design, built
 //!   from the operation templates.
 
+#![forbid(unsafe_code)]
+
 mod codegen;
 mod graph;
 mod scheduler;

@@ -42,11 +42,25 @@
 //! operation sequence is the scalar definition's; lanes only run side by
 //! side. No reduction is re-associated, so allocating == `_into` ==
 //! batched == every executor, bit for bit, and the tests keep the scalar
-//! definition as their oracle. That is also why there is no FMA, no
-//! `target-cpu`, no runtime dispatch and no `unsafe` here: each would
-//! either change floats or fork the kernel; baseline SSE2 through the
-//! autovectoriser is the whole mechanism (`lanes.rs` records the measured
-//! ways it silently falls back to scalar code).
+//! definition as their oracle.
+//!
+//! # Two instantiations
+//!
+//! The tile stage (MAC over `j`, IFFT, scatter) is one `#[inline(always)]`
+//! body, `tile_stage`, with two thin callers: `matvec_tile_baseline`
+//! (the build target's own ISA — SSE2 on x86-64 — and the only one other
+//! targets compile) and, on x86-64, `matvec_tile_avx2`, the same body
+//! under `#[target_feature(enable = "avx2")]`. `matvec_tile` picks per
+//! tile: AVX2 when `is_x86_feature_detected!("avx2")` holds **and** the
+//! tile is wider than four lanes. A four-lane tile is one `xmm` register
+//! either way, so matrices with `p ≤ 4` (GRU-8) keep executing exactly
+//! the baseline code — `W` is a constant, the dispatch folds away. Stage 1
+//! and the lane FFTs are not dispatched: force-inlining them into the
+//! AVX2 caller bought 3 µs of an LSTM-1024 frame and cost the GRU-8 path
+//! 8 %. The rule this follows (no FMA, no intrinsics, no build flag, both
+//! instantiations under the oracle) is in the crate docs; `lanes.rs`
+//! records the measured ways a lane loop silently falls back to scalar
+//! code, and what AVX2 costs to wake.
 
 use crate::lanes::{
     lane_tile, lane_tiles, lanes, lanes_mut, padded_lanes, with_lane_width, LaneTile, TILE,
@@ -369,16 +383,32 @@ impl BlockCirculantMatrix {
             batch * self.rows,
             "output length must equal batch × rows"
         );
+        self.input_spectra(xs, batch, scratch);
+
+        // Stage 2+3: one pass over the weight planes per batch — every
+        // tile visit feeds all `batch` accumulators — then one lane-batched
+        // IFFT per (tile, input). The pass visits exactly p·q blocks, so
+        // the read counter is bumped once up front rather than paying an
+        // atomic RMW inside the hot accumulate loop.
+        stats::count_spectrum_block_reads((self.p * self.q) as u64);
+        for (tile, planes) in self.weight_tiles() {
+            with_lane_width!(tile.width, W => {
+                self.matvec_tile::<W>(tile, planes, ys, batch, scratch);
+            });
+        }
+    }
+
+    /// Stage 1 (decoupled): FFT of every (zero-padded) input block, once,
+    /// into `scratch.x_spectra`. All `batch · q` blocks share one lane
+    /// axis (block `j` of input `b` is lane `b·q + j`), so small `q` still
+    /// fills the lane-batched transforms; spectra land as
+    /// `[chunk][bin][re|im][lane]`.
+    fn input_spectra(&self, xs: &[f32], batch: usize, scratch: &mut MatVecScratch) {
         let lb = self.block_size;
         let bins = self.rfft.spectrum_len();
         let MatVecScratch {
             time, x_spectra, ..
         } = scratch;
-        // Stage 1 (decoupled): FFT of every (zero-padded) input block,
-        // once. All `batch · q` blocks share one lane axis (block `j` of
-        // input `b` is lane `b·q + j`), so small `q` still fills the
-        // lane-batched transforms; spectra land as
-        // `[chunk][bin][re|im][lane]`.
         let x_blocks = batch * self.q;
         let mut x_spec = grown(x_spectra, padded_lanes(x_blocks) * bins * 2);
         for chunk in lane_tiles(x_blocks) {
@@ -395,21 +425,66 @@ impl BlockCirculantMatrix {
                 self.rfft.forward_lanes::<W>(time, head, chunk.live);
             });
         }
+    }
 
-        // Stage 2+3: one pass over the weight planes per batch — every
-        // tile visit feeds all `batch` accumulators — then one lane-batched
-        // IFFT per (tile, input). The pass visits exactly p·q blocks, so
-        // the read counter is bumped once up front rather than paying an
-        // atomic RMW inside the hot accumulate loop.
-        stats::count_spectrum_block_reads((self.p * self.q) as u64);
+    /// The tiles of block rows with their weight planes (`[j][plane][lane]`).
+    fn weight_tiles(&self) -> impl Iterator<Item = (LaneTile, &[f32])> {
         let mut planes = self.spectra.as_slice();
-        for tile in lane_tiles(self.p) {
-            let (head, rest) = planes.split_at(tile.width * self.q * lb);
+        lane_tiles(self.p).map(move |tile| {
+            let (head, rest) = planes.split_at(tile.width * self.q * self.block_size);
             planes = rest;
-            with_lane_width!(tile.width, W => {
-                self.matvec_tile::<W>(tile, head, ys, batch, scratch);
-            });
+            (tile, head)
+        })
+    }
+
+    /// Stages 2+3 for one tile: picks the instantiation of
+    /// [`Self::tile_stage`] from the CPU and the tile width (see the module
+    /// docs, "Two instantiations"). `W` is a constant, so a 4-lane tile
+    /// compiles to the baseline call alone, without the detection.
+    #[allow(unsafe_code)]
+    fn matvec_tile<const W: usize>(
+        &self,
+        tile: LaneTile,
+        planes: &[f32],
+        ys: &mut [f32],
+        batch: usize,
+        scratch: &mut MatVecScratch,
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if W > crate::lanes::MIN_TILE && is_x86_feature_detected!("avx2") {
+            // SAFETY: the condition of this `if` has just observed AVX2 on
+            // the running CPU, which is all `matvec_tile_avx2` requires.
+            return unsafe { self.matvec_tile_avx2::<W>(tile, planes, ys, batch, scratch) };
         }
+        self.matvec_tile_baseline::<W>(tile, planes, ys, batch, scratch);
+    }
+
+    /// [`Self::tile_stage`] compiled for the build's baseline target.
+    fn matvec_tile_baseline<const W: usize>(
+        &self,
+        tile: LaneTile,
+        planes: &[f32],
+        ys: &mut [f32],
+        batch: usize,
+        scratch: &mut MatVecScratch,
+    ) {
+        self.tile_stage::<W>(tile, planes, ys, batch, scratch);
+    }
+
+    /// [`Self::tile_stage`] compiled with 256-bit lanes.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn matvec_tile_avx2<const W: usize>(
+        &self,
+        tile: LaneTile,
+        planes: &[f32],
+        ys: &mut [f32],
+        batch: usize,
+        scratch: &mut MatVecScratch,
+    ) {
+        #[cfg(test)]
+        tests::AVX2_TILES.with(|n| n.set(n.get() + 1));
+        self.tile_stage::<W>(tile, planes, ys, batch, scratch);
     }
 
     /// Stages 2+3 for one tile of `W` block rows: frequency-domain
@@ -419,7 +494,12 @@ impl BlockCirculantMatrix {
     /// [`RealFft::inverse_lanes`] consumes, so stage 3 needs no gather.
     /// Per output block the sum over `j` runs in ascending order with the
     /// scalar definition's operations; only the lanes run side by side.
-    fn matvec_tile<const W: usize>(
+    ///
+    /// This is the one source body of the tile stage; it is only ever
+    /// inlined into [`Self::matvec_tile_baseline`] and
+    /// [`Self::matvec_tile_avx2`].
+    #[inline(always)]
+    fn tile_stage<const W: usize>(
         &self,
         tile: LaneTile,
         planes: &[f32],
@@ -735,6 +815,12 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Tiles this thread has run through `matvec_tile_avx2`.
+        pub(super) static AVX2_TILES: Cell<u64> = const { Cell::new(0) };
+    }
 
     fn random_bc(
         rows: usize,
@@ -808,7 +894,27 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// `matvec`, `matvec_into` and `matvec_batch_into` against the oracle,
+    /// `matvec_batch_into` with every tile sent through the baseline
+    /// caller, whatever the CPU: the instantiation a machine without AVX2
+    /// runs, reachable on one that has it.
+    fn baseline_matvec_batch(
+        m: &BlockCirculantMatrix,
+        xs: &[f32],
+        batch: usize,
+        scratch: &mut MatVecScratch,
+    ) -> Vec<f32> {
+        let mut ys = vec![f32::NAN; batch * m.rows];
+        m.input_spectra(xs, batch, scratch);
+        for (tile, planes) in m.weight_tiles() {
+            with_lane_width!(tile.width, W => {
+                m.matvec_tile_baseline::<W>(tile, planes, &mut ys, batch, scratch);
+            });
+        }
+        ys
+    }
+
+    /// The baseline caller, then `matvec_batch_into`, `matvec_into` and
+    /// `matvec` (the dispatched entry points) against the oracle,
     /// `f32::to_bits` for `to_bits`, sharing one scratch across batches.
     fn assert_bitwise_equal_to_reference(rows: usize, cols: usize, lb: usize, batches: &[usize]) {
         let seed = (rows * 31 + cols * 7 + lb) as u64;
@@ -817,6 +923,12 @@ mod tests {
         for &batch in batches {
             let xs = tricky_inputs(&mut rng, batch * cols, lb);
             let want = bits(&reference_matvec_batch(&bc, &xs, batch));
+            let baseline = baseline_matvec_batch(&bc, &xs, batch, &mut scratch);
+            assert_eq!(
+                bits(&baseline),
+                want,
+                "{rows}×{cols} L_b={lb} batch={batch} baseline"
+            );
             let mut ys = vec![f32::NAN; batch * rows];
             bc.matvec_batch_into(&xs, &mut ys, batch, &mut scratch);
             assert_eq!(bits(&ys), want, "{rows}×{cols} L_b={lb} batch={batch}");
@@ -825,6 +937,36 @@ mod tests {
             bc.matvec_into(x0, &mut y0, &mut scratch);
             assert_eq!(bits(&y0), want[..rows], "{rows}×{cols} L_b={lb} into");
             assert_eq!(bits(&bc.matvec(x0)), want[..rows], "{rows}×{cols} L_b={lb}");
+        }
+    }
+
+    #[test]
+    fn tiles_wider_than_four_lanes_take_the_avx2_caller_when_the_cpu_has_it() {
+        let avx2_tiles_of = |p: usize| {
+            let (bc, _) = random_bc(p * 8, 16, 8, p as u64);
+            let before = AVX2_TILES.with(Cell::get);
+            bc.matvec(&[0.5; 16]);
+            AVX2_TILES.with(Cell::get) - before
+        };
+        // p ≤ 4 is one 4-lane tile — one `xmm` register on either path, so
+        // GRU-8-sized matrices run the baseline caller on every CPU.
+        for p in 1..=4 {
+            assert_eq!(avx2_tiles_of(p), 0, "p = {p}");
+        }
+        // 5 → one 8-lane tile; 37 → a 32-lane and an 8-lane tile; 68 → two
+        // 32-lane tiles and a 4-lane tail that stays on the baseline.
+        let wide = u64::from(crate::lane_isa() == "avx2");
+        for (p, wide_tiles) in [(5, 1), (16, 1), (37, 2), (68, 2)] {
+            assert_eq!(avx2_tiles_of(p), wide * wide_tiles, "p = {p}");
+        }
+        if wide == 0 {
+            // Written past libtest's capture so a CI log shows it.
+            use std::io::Write;
+            let note = "ernn-linalg: no AVX2 on this CPU, the oracle tests ran the baseline \
+                        instantiation only\n";
+            std::io::stderr()
+                .write_all(note.as_bytes())
+                .expect("stderr");
         }
     }
 
@@ -1052,38 +1194,36 @@ mod tests {
         #[test]
         fn into_and_batch_paths_are_bit_identical_to_matvec(
             lb_pow in 0u32..5,
-            p in 1usize..4,
+            p in 1usize..12,
             q in 1usize..4,
             batch in 1usize..5,
             rows_off in 0usize..3,
             cols_off in 0usize..3,
             seed in any::<u64>(),
         ) {
-            // Padded edge blocks included: logical dims need not divide L_b.
+            // Padded edge blocks included: logical dims need not divide
+            // L_b; p crosses the 4-lane width, so both callers are drawn.
             let lb = 1usize << lb_pow;
             let rows = (p * lb).saturating_sub(rows_off).max(1);
             let cols = (q * lb).saturating_sub(cols_off).max(1);
             let (bc, mut rng) = random_bc(rows, cols, lb, seed);
-            let xs: Vec<Vec<f32>> = (0..batch)
-                .map(|_| (0..cols).map(|_| rng.gen_range(-1.0..1.0)).collect())
-                .collect();
-            let expected: Vec<Vec<f32>> = xs.iter().map(|x| bc.matvec(x)).collect();
+            let flat = tricky_inputs(&mut rng, batch * cols, lb);
+            let want = bits(&reference_matvec_batch(&bc, &flat, batch));
 
-            // matvec_into, with one reused scratch across calls.
+            // The baseline caller, then the dispatched entry points, with
+            // one reused scratch across calls.
             let mut scratch = MatVecScratch::new();
-            for (x, want) in xs.iter().zip(expected.iter()) {
-                let mut y = vec![0.0f32; rows];
+            let baseline = baseline_matvec_batch(&bc, &flat, batch, &mut scratch);
+            prop_assert_eq!(&bits(&baseline), &want);
+            for (x, want) in flat.chunks(cols).zip(want.chunks(rows)) {
+                prop_assert_eq!(bits(&bc.matvec(x)), want);
+                let mut y = vec![f32::NAN; rows];
                 bc.matvec_into(x, &mut y, &mut scratch);
-                prop_assert_eq!(&y, want);
+                prop_assert_eq!(bits(&y), want);
             }
-
-            // matvec_batch_into over the flattened batch.
-            let flat: Vec<f32> = xs.iter().flatten().copied().collect();
-            let mut ys = vec![0.0f32; batch * rows];
+            let mut ys = vec![f32::NAN; batch * rows];
             bc.matvec_batch_into(&flat, &mut ys, batch, &mut scratch);
-            for (b, want) in expected.iter().enumerate() {
-                prop_assert_eq!(&ys[b * rows..(b + 1) * rows], want.as_slice());
-            }
+            prop_assert_eq!(&bits(&ys), &want);
         }
 
         #[test]

@@ -8,18 +8,39 @@
 
 /// Widest lane count of a tile: 32 outputs advance together.
 ///
-/// Measured on 1024² `L_b = 8` (baseline SSE2): lane loops over
-/// fixed-width `[f32; 32]` arrays (`try_into`) whose accumulators are
-/// copied out and stored back whole run the MAC at 25–31 µs. The same
-/// loops over runtime-length zipped slices take 69 µs, and updating the
-/// accumulators through their `&mut` leaves 16–32 scalar `mulss`/`addss`
-/// chains after full unrolling (83–142 µs). Check the disassembly for
-/// `mulps` after touching a lane loop.
+/// Measured on 1024² `L_b = 8`: lane loops over fixed-width `[f32; 32]`
+/// arrays (`try_into`) whose accumulators are copied out and stored back
+/// whole run the MAC at 25–31 µs on baseline SSE2 and 19 µs in the AVX2
+/// instantiation. The same loops over runtime-length zipped slices take
+/// 69 µs, and updating the accumulators through their `&mut` leaves 16–32
+/// scalar `mulss`/`addss` chains after full unrolling (83–142 µs). Check
+/// the disassembly for `mulps` (and `vmulps … %ymm` in
+/// `matvec_tile_avx2`, never `vfmadd`) after touching a lane loop.
+///
+/// AVX2 has a wake-up cost the baseline does not: after ≈ 0.7 ms without
+/// a 256-bit instruction the core powers its upper lanes down, and the
+/// next ≈ 0.3 ms of tiles run at a third of their speed (measured: 63
+/// instead of 19 µs per 1024² call after a 0.75 ms scalar stretch).
+/// Steady inference never gets there — tiles are 70 % of an LSTM frame —
+/// but a benchmark that interleaves long scalar work will read it.
 pub(crate) const TILE: usize = 32;
 
 /// Narrowest lane count: tiny matrices (GRU-8 has `p ≤ 2`) must not pay
-/// for 32 lanes of FFT and MAC.
-const MIN_TILE: usize = 4;
+/// for 32 lanes of FFT and MAC. One `xmm` register, so also the width at
+/// and below which a tile stays on the baseline instantiation.
+pub(crate) const MIN_TILE: usize = 4;
+
+/// The instruction set the block-circulant matvec runs its tiles wider
+/// than four lanes on, on this CPU: `"avx2"` (256-bit lanes, detected at
+/// run time) or `"baseline"` (the build target's own, SSE2 on x86-64).
+/// Floats do not depend on it; bench artifacts record it because time does.
+pub fn lane_isa() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        return "avx2";
+    }
+    "baseline"
+}
 
 /// A run of consecutive outputs that share the lane axis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -59,14 +59,48 @@
 //!
 //! The bit-identity contract in one sentence: per output element the
 //! floating-point operation sequence is the scalar definition's; lanes
-//! only run side by side. Hence no FMA contraction, no `target-cpu`, no
-//! runtime feature dispatch and no `unsafe` — each would change floats or
-//! fork the kernel — and hence one representation, one kernel. The cost is
-//! that speed rests on LLVM seeing fixed-width lane loops: `[f32; 32]`
-//! views via `try_into`, accumulators copied out and stored back whole
-//! (measured: runtime-length slices are 2× slower, in-place `&mut`
-//! updates fall back to scalar `mulss` chains). The oracle tests run in
-//! `--release` in CI for that reason.
+//! only run side by side. Hence one representation and one kernel source.
+//! The cost is that speed rests on LLVM seeing fixed-width lane loops:
+//! `[f32; 32]` views via `try_into`, accumulators copied out and stored
+//! back whole (measured: runtime-length slices are 2× slower, in-place
+//! `&mut` updates fall back to scalar `mulss` chains). The oracle tests
+//! run in `--release` in CI for that reason.
+//!
+//! # Two instantiations
+//!
+//! How wide the lanes of that one source may run is a narrow rule:
+//!
+//! * **One source body**, safe Rust written for the autovectoriser.
+//! * **A second instantiation only as a `#[target_feature]` caller of
+//!   that body**, selected at run time from what the kernel can observe —
+//!   the CPU (`is_x86_feature_detected!`) and the tile width — never from
+//!   a build flag, `target-cpu`, Cargo feature, env var or option. There
+//!   is one: the block-circulant tile stage runs tiles wider than four
+//!   lanes with `avx2` enabled. `vmulps` / `vaddps` on `ymm` are the same
+//!   IEEE per-lane operations as `mulps` / `addps`, eight at a time
+//!   (1024² `L_b = 8`: 27 → 19 µs). [`lane_isa`] names what the running
+//!   CPU selects; other targets compile the baseline caller only.
+//! * **Never FMA, never intrinsics.** A contracted `a·b + c` rounds once
+//!   instead of twice — the one way a wider ISA could change floats. Rust
+//!   never contracts by itself, `avx2` does not imply `fma`, and CI greps
+//!   the release binary for `vfmadd`.
+//! * **Both instantiations under the scalar oracle**, `to_bits`, debug
+//!   and `--release`: the tests call the baseline caller directly, next to
+//!   the dispatched entry points.
+//! * **Four-lane tiles stay baseline.** Four `f32` lanes are one `xmm`
+//!   register on either path, so matrices with at most four block rows —
+//!   the GRU-8 models of the cluster tier, where the per-call fixed cost
+//!   is the whole cost — execute the code they always did; for `W = 4`
+//!   the dispatch compiles away, detection included.
+//!
+//! The call into the `#[target_feature]` caller is the only `unsafe` in
+//! product code (the `GlobalAlloc` impl of `ernn-bench`'s counting
+//! allocator aside): this crate is `#![deny(unsafe_code)]` with a single
+//! `allow` on the dispatch, every other library crate `forbid`s it.
+
+// The one exception is the tile dispatch in `circulant.rs` (see "Two
+// instantiations" above); a second `unsafe` anywhere is a compile error.
+#![deny(unsafe_code)]
 
 mod circulant;
 mod dense;
@@ -77,5 +111,6 @@ mod weight;
 
 pub use circulant::BlockCirculantMatrix;
 pub use dense::{LanePanel, Matrix};
+pub use lanes::lane_isa;
 pub use scratch::MatVecScratch;
 pub use weight::{MatVec, WeightMatrix};

@@ -44,6 +44,8 @@
 //! assert_eq!(logits[0].len(), 10);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod activation;
 mod cell;
 mod compress;

@@ -54,6 +54,8 @@
 //! assert!(tanh.max_error(1000) < 5e-3);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod fixed;
 mod pwl;
 

@@ -129,6 +129,8 @@
 //! println!("{}", report.metrics);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod cache;
 pub mod cluster;
 mod config;

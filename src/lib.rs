@@ -90,6 +90,8 @@
 //! `examples/multi_model_serving.rs` serves two artifact-built tenants
 //! under the scheduler.
 
+#![forbid(unsafe_code)]
+
 pub use ernn_admm as admm;
 pub use ernn_asr as asr;
 pub use ernn_baselines as baselines;
