@@ -22,7 +22,11 @@
 //! per-call fixed cost — one 4-lane tile, which runs the baseline
 //! instantiation on every CPU.
 //!
-//! After the matvec table it prices the fixed-point cell datapath around
+//! Below the matvec table it prints what the `ernn_fft::stats` counters
+//! cost the 8×8 call: the call as it runs, and its pure-arithmetic floor
+//! (the call minus its three counter updates, timed on their own).
+//!
+//! After that it prices the fixed-point cell datapath around
 //! those matvecs: ns per element of `FixedFormat::quantize_slice` and
 //! `PiecewiseLinear::eval_slice` (≈ 0.7 and ≈ 1.1 when the loops
 //! vectorise; the scalar forms they replaced cost ≈ 6 and ≈ 10), and for
@@ -152,6 +156,59 @@ fn cell_datapath_row(
         .num("frame_us", frame_us)
         .num("matvec_us", matvec_us)
         .num("pointwise_frac", pointwise_frac)
+        .render()
+}
+
+/// What the `ernn_fft::stats` counters cost the smallest call that carries
+/// them — the GRU-8 kernel call (8×8, `L_b = 8`, batch 1), which counts
+/// three times: one forward transform, one block read, one inverse
+/// transform. The counters cannot be compiled out, so the call's
+/// pure-arithmetic floor is the measured call minus three counter updates
+/// timed back to back on their own (dependent through memory there, so if
+/// anything this over-prices them: inside the kernel they overlap with
+/// arithmetic).
+fn cost_of_observing(reps: usize, rng: &mut impl Rng) -> String {
+    const UPDATES_PER_CALL: u64 = 3;
+    const CALLS: usize = 4096;
+    let blocks: Vec<f32> = (0..8).map(|_| rng.gen_range(-1.0..1.0)).collect();
+    let m = BlockCirculantMatrix::from_blocks(8, 8, 8, blocks);
+    let x: Vec<f32> = (0..8).map(|_| rng.gen_range(-1.0..1.0)).collect();
+    let (mut y, mut scratch) = ([0.0f32; 8], MatVecScratch::new());
+    let s0 = stats::thread_snapshot();
+    m.matvec_into(&x, &mut y, &mut scratch);
+    let counted = stats::thread_snapshot().since(&s0);
+    assert_eq!(
+        (
+            counted.forward_transforms,
+            counted.spectrum_block_reads,
+            counted.inverse_transforms
+        ),
+        (1, 1, 1),
+        "an 8×8 single-block call counts once per counter"
+    );
+
+    let (mut call_ns, mut update_ns) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..reps {
+        call_ns = call_ns.min(
+            1e3 * per_call_us(CALLS, || {
+                m.matvec_into(black_box(&x), black_box(&mut y), &mut scratch);
+            }),
+        );
+        update_ns = update_ns
+            .min(1e3 * per_call_us(CALLS, || stats::count_spectrum_block_reads(black_box(1))));
+    }
+    let floor_ns = call_ns - UPDATES_PER_CALL as f64 * update_ns;
+    println!("\ncost of observing, 8×8 L_b=8 batch 1 (ns per call):");
+    println!(
+        "  with counting {call_ns:.1}   floor {floor_ns:.1}   \
+         ({UPDATES_PER_CALL} counter updates at {update_ns:.2} ns each, {:.1} % of the call)",
+        100.0 * (call_ns - floor_ns) / call_ns
+    );
+    JsonObject::new()
+        .num("call_ns", call_ns)
+        .num("floor_ns", floor_ns)
+        .num("update_ns", update_ns)
+        .int("updates_per_call", UPDATES_PER_CALL as i64)
         .render()
 }
 
@@ -325,6 +382,8 @@ fn main() {
         );
     }
 
+    let observing_json = cost_of_observing(reps, &mut rng);
+
     // FFT kernels alone: allocating vs `_into`, per call.
     let rfft = ernn_fft::RealFft::new(if quick { 256 } else { 1024 });
     let signal: Vec<f32> = (0..rfft.size()).map(|i| (i as f32 * 0.7).sin()).collect();
@@ -384,6 +443,7 @@ fn main() {
             .int("fft_into_allocs", into_allocs as i64)
             .num("quantize_ns_per_elem", quantize_ns)
             .num("pwl_ns_per_elem", pwl_ns)
+            .raw("observing", observing_json)
             .raw("cells", array(cells_json))
             .raw("rows", array(rows_json)),
     );

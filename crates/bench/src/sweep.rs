@@ -159,7 +159,8 @@ pub fn assert_executor_blind(label: &str, a: &SchedReport, b: &SchedReport) {
 
 /// [`assert_executor_blind`] for the cluster tier: merged responses,
 /// metrics, router stats, the router journal (and its Chrome bytes), and
-/// every shard's liveness, placement, gauges and own report.
+/// every shard's liveness, placement, gauges, answered count and own
+/// report — whose response list the merge has emptied by contract.
 pub fn assert_cluster_executor_blind(label: &str, a: &ClusterReport, b: &ClusterReport) {
     assert_eq!(
         (&a.responses, &a.metrics, &a.stats, &a.trace),
@@ -172,14 +173,24 @@ pub fn assert_cluster_executor_blind(label: &str, a: &ClusterReport, b: &Cluster
         "{label}: router journal must be bit-identical across executors"
     );
     assert_eq!(a.shards.len(), b.shards.len());
+    assert_eq!(
+        a.shards.iter().map(|s| s.answered).sum::<usize>() + a.stats.shed_no_capacity as usize,
+        a.responses.len(),
+        "{label}: shard answers plus router sheds must be every response"
+    );
     for (sa, sb) in a.shards.iter().zip(&b.shards) {
         assert_eq!(
-            (sa.shard, sa.alive, &sa.placed, sa.gauges),
-            (sb.shard, sb.alive, &sb.placed, sb.gauges),
+            (sa.shard, sa.alive, &sa.placed, sa.gauges, sa.answered),
+            (sb.shard, sb.alive, &sb.placed, sb.gauges, sb.answered),
             "{label}: executor changed a shard's state"
         );
         match (&sa.report, &sb.report) {
             (Some(ra), Some(rb)) => {
+                assert!(
+                    ra.responses.is_empty() && rb.responses.is_empty(),
+                    "{label}: shard {} kept responses the merge should have moved",
+                    sa.shard
+                );
                 assert_executor_blind(&format!("{label} shard {}", sa.shard), ra, rb)
             }
             (None, None) => {}

@@ -1,39 +1,118 @@
-//! Process-wide FFT invocation counters.
+//! FFT invocation counters, process-wide and per thread.
 //!
 //! The serving runtime's weight-spectrum cache (see `ernn-serve`) claims
 //! that block-circulant weight FFTs run once per model load rather than
 //! once per request. These counters make that claim *observable*: plan
-//! construction and forward/inverse transform invocations are counted
-//! globally (relaxed atomics, negligible cost), so a test or a demo can
-//! snapshot the counters around a serving run and show that only
-//! input-side transforms grow with request count.
+//! construction and forward/inverse transform invocations are counted, so
+//! a test or a demo can snapshot the counters around a serving run and
+//! show that only input-side transforms grow with request count.
 //!
-//! Counters are process-global and monotonically increasing; consumers
-//! should compare [`FftStats`] snapshots rather than absolute values, and
-//! tests that assert exact deltas must not run concurrently with other
+//! There is one set of counter cells per thread and nothing else. A
+//! thread registers its cells on first use and is their only writer, so
+//! an increment is a plain load and a plain store — no locked
+//! read-modify-write sits inside `forward_lanes`, `inverse_lanes` or the
+//! block-circulant matvec, which count three to five times per 8 × 8
+//! call (`kernel_sweep` prints what one count costs next to the call it
+//! sits in: the cost of observing is a measured number, not an
+//! adjective). [`thread_snapshot`] reads the caller's cells: a delta
+//! between two of them is exactly the FFT work that thread did, whatever
+//! other threads are doing, which is how the parallel host executor
+//! attributes work to its workers. [`snapshot`] sums every thread's cells
+//! under the registry lock; a thread that exits folds its counts into a
+//! retired total on the way out, so the sum never loses them and the
+//! registry stays as small as the set of live threads.
+//!
+//! Counters are monotonically increasing; consumers should compare
+//! [`FftStats`] snapshots rather than absolute values, and tests that
+//! assert exact [`snapshot`] deltas must not run concurrently with other
 //! FFT-using tests in the same process.
-//!
-//! Every increment is mirrored into a **thread-local** counter set
-//! ([`thread_snapshot`]). Unlike the globals, a thread-local delta is
-//! immune to concurrent FFT users on other threads, so a parallel host
-//! executor (see `ernn-serve`) can attribute FFT work to individual
-//! workers exactly: the per-worker deltas always sum to the global delta.
 
-use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-static PLANS_CREATED: AtomicU64 = AtomicU64::new(0);
-static PLAN_CACHE_HITS: AtomicU64 = AtomicU64::new(0);
-static FORWARD_TRANSFORMS: AtomicU64 = AtomicU64::new(0);
-static INVERSE_TRANSFORMS: AtomicU64 = AtomicU64::new(0);
-static SPECTRUM_BLOCK_READS: AtomicU64 = AtomicU64::new(0);
+/// One thread's counters. Atomics only so that [`snapshot`] may read them
+/// from another thread; the owner is the sole writer (see [`bump`]).
+#[derive(Debug, Default)]
+struct Cells {
+    plans_created: AtomicU64,
+    plan_cache_hits: AtomicU64,
+    forward_transforms: AtomicU64,
+    inverse_transforms: AtomicU64,
+    spectrum_block_reads: AtomicU64,
+}
+
+impl Cells {
+    fn read(&self) -> FftStats {
+        FftStats {
+            plans_created: self.plans_created.load(Ordering::Relaxed),
+            plan_cache_hits: self.plan_cache_hits.load(Ordering::Relaxed),
+            forward_transforms: self.forward_transforms.load(Ordering::Relaxed),
+            inverse_transforms: self.inverse_transforms.load(Ordering::Relaxed),
+            spectrum_block_reads: self.spectrum_block_reads.load(Ordering::Relaxed),
+        }
+    }
+}
+
+/// Every live thread's cells, plus the folded counts of threads that
+/// have exited.
+struct Registry {
+    live: Vec<Arc<Cells>>,
+    retired: FftStats,
+}
+
+static REGISTRY: Mutex<Registry> = Mutex::new(Registry {
+    live: Vec::new(),
+    retired: FftStats {
+        plans_created: 0,
+        plan_cache_hits: 0,
+        forward_transforms: 0,
+        inverse_transforms: 0,
+        spectrum_block_reads: 0,
+    },
+});
+
+/// The registry, poisoned or not: every update below leaves it valid at
+/// each step (a push, an addition, a removal), so a panic elsewhere on a
+/// thread holding the lock cannot have left it half-written.
+fn registry() -> MutexGuard<'static, Registry> {
+    REGISTRY.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A thread's handle on its registered cells.
+struct Owner(Arc<Cells>);
+
+impl Owner {
+    fn register() -> Self {
+        let cells = Arc::new(Cells::default());
+        registry().live.push(Arc::clone(&cells));
+        Owner(cells)
+    }
+}
+
+impl Drop for Owner {
+    /// Thread exit: move the counts from the live list to the retired
+    /// total in one critical section, so no [`snapshot`] sees them twice
+    /// or not at all.
+    fn drop(&mut self) {
+        let mut reg = registry();
+        reg.retired = reg.retired.plus(&self.0.read());
+        reg.live.retain(|cells| !Arc::ptr_eq(cells, &self.0));
+    }
+}
 
 thread_local! {
-    static TL_PLANS_CREATED: Cell<u64> = const { Cell::new(0) };
-    static TL_PLAN_CACHE_HITS: Cell<u64> = const { Cell::new(0) };
-    static TL_FORWARD_TRANSFORMS: Cell<u64> = const { Cell::new(0) };
-    static TL_INVERSE_TRANSFORMS: Cell<u64> = const { Cell::new(0) };
-    static TL_SPECTRUM_BLOCK_READS: Cell<u64> = const { Cell::new(0) };
+    static CELLS: Owner = Owner::register();
+}
+
+/// Adds `n` to one of the calling thread's cells. The thread is the
+/// cell's only writer, so load-then-store loses nothing, and `Relaxed`
+/// suffices because the value publishes no other data.
+#[inline]
+fn bump(cell: impl FnOnce(&Cells) -> &AtomicU64, n: u64) {
+    CELLS.with(|owner| {
+        let cell = cell(&owner.0);
+        cell.store(cell.load(Ordering::Relaxed) + n, Ordering::Relaxed);
+    });
 }
 
 /// A snapshot of the process-wide FFT counters.
@@ -87,15 +166,13 @@ impl FftStats {
     }
 }
 
-/// Takes a snapshot of the counters.
+/// Takes a snapshot of the process-wide counters: the sum over every
+/// thread that has ever counted, exited threads included.
 pub fn snapshot() -> FftStats {
-    FftStats {
-        plans_created: PLANS_CREATED.load(Ordering::Relaxed),
-        plan_cache_hits: PLAN_CACHE_HITS.load(Ordering::Relaxed),
-        forward_transforms: FORWARD_TRANSFORMS.load(Ordering::Relaxed),
-        inverse_transforms: INVERSE_TRANSFORMS.load(Ordering::Relaxed),
-        spectrum_block_reads: SPECTRUM_BLOCK_READS.load(Ordering::Relaxed),
-    }
+    let reg = registry();
+    reg.live
+        .iter()
+        .fold(reg.retired, |sum, cells| sum.plus(&cells.read()))
 }
 
 /// Takes a snapshot of the *calling thread's* counters.
@@ -105,36 +182,26 @@ pub fn snapshot() -> FftStats {
 /// what other threads are doing — so exact-delta assertions are safe even
 /// in multi-threaded test binaries.
 pub fn thread_snapshot() -> FftStats {
-    FftStats {
-        plans_created: TL_PLANS_CREATED.get(),
-        plan_cache_hits: TL_PLAN_CACHE_HITS.get(),
-        forward_transforms: TL_FORWARD_TRANSFORMS.get(),
-        inverse_transforms: TL_INVERSE_TRANSFORMS.get(),
-        spectrum_block_reads: TL_SPECTRUM_BLOCK_READS.get(),
-    }
+    CELLS.with(|owner| owner.0.read())
 }
 
 pub(crate) fn count_plan() {
-    PLANS_CREATED.fetch_add(1, Ordering::Relaxed);
-    TL_PLANS_CREATED.set(TL_PLANS_CREATED.get() + 1);
+    bump(|c| &c.plans_created, 1);
 }
 
 pub(crate) fn count_plan_cache_hit() {
-    PLAN_CACHE_HITS.fetch_add(1, Ordering::Relaxed);
-    TL_PLAN_CACHE_HITS.set(TL_PLAN_CACHE_HITS.get() + 1);
+    bump(|c| &c.plan_cache_hits, 1);
 }
 
-/// Records `n` forward transforms with one atomic update — a lane-batched
-/// call counts its live lanes at once, so totals stay exact per signal.
+/// Records `n` forward transforms with one update — a lane-batched call
+/// counts its live lanes at once, so totals stay exact per signal.
 pub(crate) fn count_forward(n: u64) {
-    FORWARD_TRANSFORMS.fetch_add(n, Ordering::Relaxed);
-    TL_FORWARD_TRANSFORMS.set(TL_FORWARD_TRANSFORMS.get() + n);
+    bump(|c| &c.forward_transforms, n);
 }
 
 /// Records `n` inverse transforms (see [`count_forward`]).
 pub(crate) fn count_inverse(n: u64) {
-    INVERSE_TRANSFORMS.fetch_add(n, Ordering::Relaxed);
-    TL_INVERSE_TRANSFORMS.set(TL_INVERSE_TRANSFORMS.get() + n);
+    bump(|c| &c.inverse_transforms, n);
 }
 
 /// Records `n` weight-spectrum block reads.
@@ -146,8 +213,7 @@ pub(crate) fn count_inverse(n: u64) {
 /// matvec streams the weight spectra once per batch instead of once per
 /// input.
 pub fn count_spectrum_block_reads(n: u64) {
-    SPECTRUM_BLOCK_READS.fetch_add(n, Ordering::Relaxed);
-    TL_SPECTRUM_BLOCK_READS.set(TL_SPECTRUM_BLOCK_READS.get() + n);
+    bump(|c| &c.spectrum_block_reads, n);
 }
 
 #[cfg(test)]

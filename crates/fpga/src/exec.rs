@@ -16,7 +16,9 @@
 //! bit-for-bit oracle.
 
 use ernn_linalg::{LanePanel, Matrix, WeightMatrix};
-use ernn_model::{Act, CellArith, CellScratch, GruLayer, LstmLayer, RnnLayer, RnnNetwork};
+use ernn_model::{
+    Act, CellArith, CellScratch, GruInputStack, GruLayer, LstmLayer, RnnLayer, RnnNetwork,
+};
 use ernn_quant::{FixedFormat, PiecewiseLinear, Quantizer};
 
 /// Reusable workspace for the quantized datapath
@@ -166,6 +168,17 @@ fn state_dims(layer: &RnnLayer<WeightMatrix>) -> (usize, usize) {
     }
 }
 
+/// Each layer's [`GruLayer::input_stack`] (`None` for LSTM layers).
+fn input_stacks(net: &RnnNetwork<WeightMatrix>) -> Vec<Option<GruInputStack>> {
+    net.layers()
+        .iter()
+        .map(|layer| match layer {
+            RnnLayer::Lstm(_) => None,
+            RnnLayer::Gru(g) => g.input_stack(),
+        })
+        .collect()
+}
+
 /// The datapath's arithmetic, the second [`CellArith`] next to the model's
 /// float one: every sum and product is re-rounded to the activation
 /// format `Q`, and sigmoid/tanh are the piecewise-linear units.
@@ -217,6 +230,12 @@ pub struct QuantizedNetwork {
     /// Lane-major copy of `net.classifier_w` the datapath computes the
     /// logits from — derived state like the weight spectra.
     classifier_panel: LanePanel,
+    /// Per layer, a GRU's `[wzr_x; wcx]` stacked as one operand so a step
+    /// of [`Self::forward_logits_batch_in_place`] projects `x_t` with one
+    /// kernel call — derived from `net` like the panel, never serialized.
+    /// `None` for an LSTM layer (its single `wx` already is one) and for a
+    /// GRU whose pair cannot stack.
+    input_stacks: Vec<Option<GruInputStack>>,
     activation_format: FixedFormat,
     sigmoid: PiecewiseLinear,
     tanh: PiecewiseLinear,
@@ -229,8 +248,6 @@ impl QuantizedNetwork {
     pub fn new(net: &RnnNetwork<WeightMatrix>, config: &DatapathConfig) -> Self {
         let mut report = QuantizationReport::default();
         let bits = config.weight_bits;
-        let sigmoid = PiecewiseLinear::sigmoid(config.pwl_segments);
-        let tanh = PiecewiseLinear::tanh(config.pwl_segments);
 
         let layers = net
             .layers()
@@ -272,28 +289,20 @@ impl QuantizedNetwork {
         let classifier_w: Matrix = classifier_w_data;
         let classifier_b = quantize_vec(&net.classifier_b, bits);
 
-        // Activations in RNNs live in (−8, 8) comfortably. `for_range`
-        // wants `max_abs < 2^int`, and 8 is not below 2³, so this is four
-        // integer bits: Q4.7 at 12 bits, range ±16 — the format every
-        // committed logit was computed in.
-        let activation_format = FixedFormat::for_range(config.activation_bits, 8.0);
-
-        QuantizedNetwork {
-            classifier_panel: LanePanel::from_matrix(&classifier_w),
-            net: RnnNetwork::from_parts(layers, classifier_w, classifier_b),
-            activation_format,
-            sigmoid,
-            tanh,
+        Self::from_quantized(
+            RnnNetwork::from_parts(layers, classifier_w, classifier_b),
+            config,
             report,
-        }
+        )
     }
 
     /// Rebuilds the functional twin around weights that are **already
     /// quantized** for `config` — the artifact-loading path
-    /// ([`crate::artifact::ModelArtifact`]): no quantization pass runs,
-    /// the PWL units and activation format are re-derived from `config`
-    /// exactly as [`Self::new`] derives them, and `report` restores the
-    /// statistics recorded when the weights were first quantized. Feeding
+    /// ([`crate::artifact::ModelArtifact`]), and the tail of [`Self::new`]:
+    /// no quantization pass runs, the PWL units, the activation format and
+    /// the derived operands (classifier panel, GRU input stacks) are built
+    /// from `config` and `net`, and `report` restores the statistics
+    /// recorded when the weights were first quantized. Feeding
     /// weights quantized for a *different* datapath silently produces a
     /// network that disagrees with the hardware; callers own that
     /// invariant.
@@ -304,7 +313,12 @@ impl QuantizedNetwork {
     ) -> Self {
         QuantizedNetwork {
             classifier_panel: LanePanel::from_matrix(&net.classifier_w),
+            input_stacks: input_stacks(&net),
             net,
+            // Activations in RNNs live in (−8, 8) comfortably. `for_range`
+            // wants `max_abs < 2^int`, and 8 is not below 2³, so this is
+            // four integer bits: Q4.7 at 12 bits, range ±16 — the format
+            // every committed logit was computed in.
             activation_format: FixedFormat::for_range(config.activation_bits, 8.0),
             sigmoid: PiecewiseLinear::sigmoid(config.pwl_segments),
             tanh: PiecewiseLinear::tanh(config.pwl_segments),
@@ -376,6 +390,14 @@ impl QuantizedNetwork {
     /// single-utterance execution — batching changes *when* work happens,
     /// never *what* is computed.
     ///
+    /// This entry point multiplies by the weight matrices exactly as
+    /// [`Self::network`] stores them, one kernel call and one set of
+    /// input-block FFTs per matrix: `benchmark/`'s ledger derives the
+    /// expected transform count from those matrices and checks it against
+    /// [`ernn_fft::stats`] around this call. The served path,
+    /// [`Self::forward_logits_batch_in_place`], shares a GRU step's
+    /// `FFT(x_t)` between `wzr_x` and `wcx`; the logits are the same bits.
+    ///
     /// # Panics
     ///
     /// Panics if any frame's dimension disagrees with the model.
@@ -385,7 +407,7 @@ impl QuantizedNetwork {
         out: &mut Vec<Vec<Vec<f32>>>,
         scratch: &mut ExecScratch,
     ) {
-        self.forward_batch_core(utterances, None, out, scratch);
+        self.forward_batch_into(utterances, None, out, scratch);
     }
 
     /// [`Self::forward_logits_batch_into`] with per-lane recurrent state:
@@ -407,22 +429,69 @@ impl QuantizedNetwork {
         out: &mut Vec<Vec<Vec<f32>>>,
         scratch: &mut ExecScratch,
     ) {
-        assert_eq!(
-            states.len(),
-            utterances.len(),
-            "one state slot per utterance"
-        );
-        self.forward_batch_core(utterances, Some(states), out, scratch);
+        self.forward_batch_into(utterances, Some(states), out, scratch);
     }
 
-    fn forward_batch_core(
+    /// The kernel in place: each utterance's frame buffer becomes its
+    /// logits buffer. On return `utterances[s][t]` holds the logits of
+    /// what was frame `t` of utterance `s` (the frames were copied,
+    /// quantized, into `scratch` before the first layer ran, so nothing
+    /// reads them afterwards). A row is reused when its capacity holds the
+    /// class count and replaced by an exactly-sized one otherwise, so a
+    /// request whose feature dimension is at least the class count is
+    /// answered without allocating. A GRU step projects `x_t` through the
+    /// layer's stacked `[wzr_x; wcx]` operand — one kernel call and one
+    /// `FFT(x_t)` for the gate and the candidate matrices, as in the
+    /// paper's PE — where the `_into` kernels make two. `states` as in
+    /// [`Self::forward_logits_batch_states_into`]; `None` runs every lane
+    /// stateless. Bit-identical to the `_into` kernels.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::forward_logits_batch_states_into`].
+    pub fn forward_logits_batch_in_place(
+        &self,
+        utterances: &mut [Vec<Vec<f32>>],
+        states: Option<&mut [Option<NetworkState>]>,
+        scratch: &mut ExecScratch,
+    ) {
+        let frames = utterances.iter().map(Vec::as_slice);
+        self.hidden_batch(frames, states, &self.input_stacks, scratch);
+        self.classify_into(utterances, scratch);
+    }
+
+    /// The `_into` kernels: the one core without input stacks, and `out`
+    /// shaped like `utterances` before the classifier fills it.
+    fn forward_batch_into(
         &self,
         utterances: &[&[Vec<f32>]],
-        mut states: Option<&mut [Option<NetworkState>]>,
+        states: Option<&mut [Option<NetworkState>]>,
         out: &mut Vec<Vec<Vec<f32>>>,
         scratch: &mut ExecScratch,
     ) {
+        self.hidden_batch(utterances.iter().copied(), states, &[], scratch);
+        out.resize_with(utterances.len(), Vec::new);
+        for (seq, u) in out.iter_mut().zip(utterances) {
+            seq.resize_with(u.len(), Vec::new);
+        }
+        self.classify_into(out, scratch);
+    }
+
+    /// First half of the core: quantizes every frame into `scratch` and
+    /// runs the layer stack over them in lockstep, leaving the top layer's
+    /// activations (and the frame offsets) in `scratch`. Layer `li` steps
+    /// through `stacks[li]` when there is one (`&[]`: no layer does).
+    fn hidden_batch<'u>(
+        &self,
+        utterances: impl ExactSizeIterator<Item = &'u [Vec<f32>]> + Clone,
+        mut states: Option<&mut [Option<NetworkState>]>,
+        stacks: &[Option<GruInputStack>],
+        scratch: &mut ExecScratch,
+    ) {
         let n = utterances.len();
+        if let Some(states) = &states {
+            assert_eq!(states.len(), n, "one state slot per utterance");
+        }
         let in_dim = self.net.input_dim();
         let fmt = self.activation_format;
 
@@ -431,13 +500,13 @@ impl QuantizedNetwork {
         // lengths are derivable without a separate buffer.
         scratch.off.clear();
         let mut total = 0usize;
-        for u in utterances {
+        for u in utterances.clone() {
             scratch.off.push(total);
             total += u.len();
         }
         scratch.off.push(total);
         scratch.a.resize(total * in_dim, 0.0);
-        for (s, u) in utterances.iter().enumerate() {
+        for (s, u) in utterances.enumerate() {
             for (t, f) in u.iter().enumerate() {
                 assert_eq!(f.len(), in_dim, "input length must equal the feature dim");
                 let dst = &mut scratch.a[(scratch.off[s] + t) * in_dim..][..in_dim];
@@ -450,11 +519,18 @@ impl QuantizedNetwork {
         // Through the stack: each layer consumes `a`, produces `b`, swap.
         for (li, layer) in self.net.layers().iter().enumerate() {
             let st = states.as_deref_mut();
-            self.layer_seq_batch(layer, li, n, st, scratch);
+            let stack = stacks.get(li).and_then(Option::as_ref);
+            self.layer_seq_batch(layer, stack, li, n, st, scratch);
             std::mem::swap(&mut scratch.a, &mut scratch.b);
         }
+    }
 
-        // Classifier head, reusing `out`'s allocations when shapes match.
+    /// Second half of the core: the classifier head over the activations
+    /// [`Self::hidden_batch`] left in `scratch`, one logits row per frame
+    /// into `out`, which already has the batch's shape (its rows hold
+    /// anything — stale logits, the frames themselves, nothing).
+    fn classify_into(&self, out: &mut [Vec<Vec<f32>>], scratch: &ExecScratch) {
+        let fmt = self.activation_format;
         let top_dim = self
             .net
             .layers()
@@ -462,12 +538,16 @@ impl QuantizedNetwork {
             .expect("network has at least one layer")
             .output_dim();
         let classes = self.net.classifier_b.len();
-        out.resize(n, Vec::new());
-        for (s, seq) in out.iter_mut().enumerate() {
-            seq.resize(utterances[s].len(), Vec::new());
+        for (seq, &first) in out.iter_mut().zip(&scratch.off) {
             for (t, row) in seq.iter_mut().enumerate() {
-                let h = &scratch.a[(scratch.off[s] + t) * top_dim..][..top_dim];
-                row.resize(classes, 0.0);
+                let h = &scratch.a[(first + t) * top_dim..][..top_dim];
+                if row.capacity() < classes {
+                    // Not `resize`: growing a 39-wide row to 40 classes
+                    // would double it.
+                    *row = vec![0.0; classes];
+                } else {
+                    row.resize(classes, 0.0);
+                }
                 self.classifier_panel.matvec_into(h, row);
                 for (v, b) in row.iter_mut().zip(self.net.classifier_b.iter()) {
                     *v = fmt.quantize_f32(*v + b);
@@ -480,10 +560,12 @@ impl QuantizedNetwork {
     /// timestep through `layer`'s cell in the fixed-point arithmetic.
     /// Reads activations from `scratch.a`, writes to `scratch.b`. Lane `s`
     /// starts from layer `li` of `states[s]` when present (zeros otherwise)
-    /// and writes its final recurrent state back there.
+    /// and writes its final recurrent state back there. A GRU layer
+    /// projects its input through `stack` when given one.
     fn layer_seq_batch(
         &self,
         layer: &RnnLayer<WeightMatrix>,
+        stack: Option<&GruInputStack>,
         li: usize,
         n: usize,
         states: Option<&mut [Option<NetworkState>]>,
@@ -551,7 +633,12 @@ impl QuantizedNetwork {
                     &*yn
                 }
                 RnnLayer::Gru(g) => {
-                    g.step_batch_with(&arith, xb, cb, cn, bsz, cell);
+                    match stack {
+                        Some(stack) => {
+                            g.step_batch_stacked_with(&arith, stack, xb, cb, cn, bsz, cell)
+                        }
+                        None => g.step_batch_with(&arith, xb, cb, cn, bsz, cell),
+                    }
                     &*cn
                 }
             };
@@ -639,6 +726,154 @@ mod tests {
             loaded.forward_logits(&frames),
             built.forward_logits(&frames)
         );
+    }
+
+    #[test]
+    fn both_constructors_derive_the_input_stacks_from_the_quantized_gru_pairs() {
+        let config = DatapathConfig::paper_12bit();
+        let built = QuantizedNetwork::new(&compressed_net(CellType::Gru), &config);
+        let RnnLayer::Gru(g) = &built.network().layers()[0] else {
+            unreachable!("built as a GRU");
+        };
+        assert_eq!(built.input_stacks, vec![g.input_stack()]);
+        assert!(built.input_stacks[0].is_some());
+        let loaded = QuantizedNetwork::from_quantized(built.net.clone(), &config, built.report);
+        assert_eq!(loaded.input_stacks, built.input_stacks);
+        // An LSTM's single `wx` already takes `x_t` once.
+        let lstm = QuantizedNetwork::new(&compressed_net(CellType::Lstm), &config);
+        assert_eq!(lstm.input_stacks, vec![None]);
+    }
+
+    /// A GRU batch's logits and final states, for comparing datapaths.
+    fn run_stateful(
+        q: &QuantizedNetwork,
+        refs: &[&[Vec<f32>]],
+    ) -> (Vec<Vec<Vec<f32>>>, Vec<Option<NetworkState>>) {
+        let mut states: Vec<_> = refs.iter().map(|_| Some(q.fresh_state())).collect();
+        let mut out = Vec::new();
+        q.forward_logits_batch_states_into(refs, &mut states, &mut out, &mut ExecScratch::new());
+        (out, states)
+    }
+
+    /// The in-place kernel (one stacked x-side call per GRU step) against
+    /// the `_into` kernel (the layer's own two), in bits: logits, final
+    /// states, and the forward transforms the stack saves.
+    #[test]
+    fn stacked_projection_is_bit_identical_to_the_two_call_projection() {
+        use rand::Rng;
+        let policies = [
+            BlockPolicy::uniform(1),
+            BlockPolicy::uniform(4),
+            BlockPolicy::with_io_block(4, 8),
+            BlockPolicy::with_io_block(8, 16),
+        ];
+        // 2H and H on and off the block boundaries; two layers, so the
+        // second projects a hidden-wide input; 256 spans three lane tiles.
+        for (in_dim, hidden) in [(8, 8), (12, 20), (7, 5), (12, 13), (153, 256)] {
+            for policy in policies {
+                let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(31);
+                let dense = NetworkBuilder::new(CellType::Gru, in_dim, 5)
+                    .layer_dims(&[hidden, hidden])
+                    .build(&mut rng);
+                let net = compress_network(&dense, policy);
+                let q = QuantizedNetwork::new(&net, &DatapathConfig::paper_12bit());
+                assert!(q.input_stacks.iter().all(Option::is_some));
+                // Ragged lengths: the active set shrinks to a tail of one.
+                let utts: Vec<Vec<Vec<f32>>> = (0..5)
+                    .map(|s| {
+                        (0..1 + s * 2)
+                            .map(|_| (0..in_dim).map(|_| rng.gen_range(-10.0f32..10.0)).collect())
+                            .collect()
+                    })
+                    .collect();
+                let refs: Vec<&[Vec<f32>]> = utts.iter().map(Vec::as_slice).collect();
+                let what = format!("I={in_dim} H={hidden} {policy:?}");
+
+                let before = ernn_fft::stats::thread_snapshot();
+                let (want, want_states) = run_stateful(&q, &refs);
+                let two_calls = ernn_fft::stats::thread_snapshot().since(&before);
+                let mut got = utts.clone();
+                let mut got_states: Vec<_> = refs.iter().map(|_| Some(q.fresh_state())).collect();
+                let mut scratch = ExecScratch::new();
+                let before = ernn_fft::stats::thread_snapshot();
+                q.forward_logits_batch_in_place(&mut got, Some(&mut got_states), &mut scratch);
+                let one_call = ernn_fft::stats::thread_snapshot().since(&before);
+
+                let bits = |rows: &[Vec<Vec<f32>>]| -> Vec<u32> {
+                    rows.iter()
+                        .flatten()
+                        .flatten()
+                        .map(|v| v.to_bits())
+                        .collect()
+                };
+                assert_eq!(bits(&got), bits(&want), "{what}");
+                assert_eq!(got_states, want_states, "{what}");
+                // Per frame and layer the stack saves `wcx`'s input-block
+                // FFTs; block reads and inverse transforms are the same.
+                let frames: u64 = utts.iter().map(|u| u.len() as u64).sum();
+                let saved = if policy.input > 1 {
+                    frames * (in_dim.div_ceil(policy.input) + hidden.div_ceil(policy.input)) as u64
+                } else {
+                    0
+                };
+                assert_eq!(
+                    two_calls.forward_transforms - one_call.forward_transforms,
+                    saved,
+                    "{what}"
+                );
+                assert_eq!(
+                    (one_call.inverse_transforms, one_call.spectrum_block_reads),
+                    (two_calls.inverse_transforms, two_calls.spectrum_block_reads),
+                    "{what}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn in_place_forward_turns_frame_rows_into_the_same_logits() {
+        use rand::Rng;
+        for (cell, in_dim, classes) in [(CellType::Gru, 8, 5), (CellType::Lstm, 6, 9)] {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(37);
+            let dense = NetworkBuilder::new(cell, in_dim, classes)
+                .layer_dims(&[16])
+                .build(&mut rng);
+            let net = compress_network(&dense, BlockPolicy::uniform(4));
+            let q = QuantizedNetwork::new(&net, &DatapathConfig::paper_12bit());
+            let utts: Vec<Vec<Vec<f32>>> = (0..4)
+                .map(|s| {
+                    (0..2 + s * 3)
+                        .map(|_| (0..in_dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect())
+                        .collect()
+                })
+                .collect();
+            let refs: Vec<&[Vec<f32>]> = utts.iter().map(Vec::as_slice).collect();
+            let (want, want_states) = run_stateful(&q, &refs);
+
+            let mut in_place = utts.clone();
+            let rows_before: Vec<*const f32> =
+                in_place.iter().flatten().map(|row| row.as_ptr()).collect();
+            let mut states: Vec<_> = refs.iter().map(|_| Some(q.fresh_state())).collect();
+            let mut scratch = ExecScratch::new();
+            q.forward_logits_batch_in_place(&mut in_place, Some(&mut states), &mut scratch);
+            assert_eq!(in_place, want, "{cell}: in place != _into");
+            assert_eq!(states, want_states, "{cell}: states");
+            // A frame row that holds the class count is the logits row;
+            // a narrower one is replaced by an exactly-sized row.
+            for (row, before) in in_place.iter().flatten().zip(rows_before) {
+                if in_dim >= classes {
+                    assert_eq!(row.as_ptr(), before, "{cell}: row was reallocated");
+                } else {
+                    assert_eq!(row.capacity(), classes, "{cell}: row is over-sized");
+                }
+            }
+            // Stateless, on the now logits-shaped rows of another batch.
+            let mut again = utts.clone();
+            q.forward_logits_batch_in_place(&mut again, None, &mut scratch);
+            let mut stateless = Vec::new();
+            q.forward_logits_batch_into(&refs, &mut stateless, &mut scratch);
+            assert_eq!(again, stateless, "{cell}: stateless in place");
+        }
     }
 
     #[test]

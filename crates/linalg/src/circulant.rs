@@ -193,6 +193,28 @@ impl BlockCirculantMatrix {
         BlockCirculantMatrix::from_blocks(rows, cols, block_size, blocks)
     }
 
+    /// `[self; below]` as one operand: `below`'s block rows appended under
+    /// this matrix's, so one matvec FFTs a shared input once and its
+    /// output holds `self·x` in rows `..self.rows()` and `below·x` from row
+    /// `p·L_b` on (when `self.rows()` is not a multiple of `L_b` the rows
+    /// in between continue its last block row's circulants; no caller
+    /// reads them).
+    /// Per output block the blocks and their `j` order are the operands'
+    /// own, so both slices are bit-identical to the separate matvecs.
+    /// `None` when block size or column count differ.
+    pub fn stack_block_rows(&self, below: &Self) -> Option<Self> {
+        if (self.block_size, self.cols) != (below.block_size, below.cols) {
+            return None;
+        }
+        let blocks = [self.blocks.as_slice(), &below.blocks].concat();
+        Some(Self::from_blocks(
+            self.p * self.block_size + below.rows,
+            self.cols,
+            self.block_size,
+            blocks,
+        ))
+    }
+
     /// Logical number of rows.
     #[inline]
     pub fn rows(&self) -> usize {

@@ -138,6 +138,28 @@ impl WeightMatrix {
             WeightMatrix::Circulant(m) => m.to_dense(),
         }
     }
+
+    /// `[self; below]` as one operand sharing one input, with the output
+    /// row at which `below`'s product starts: a row concatenation for a
+    /// dense pair, [`BlockCirculantMatrix::stack_block_rows`] for a
+    /// block-circulant pair (whose second half starts on a block
+    /// boundary). Both output slices are bit-identical to the separate
+    /// matvecs. `None` when the representations, block sizes or column
+    /// counts differ.
+    pub fn stack_rows(&self, below: &WeightMatrix) -> Option<(WeightMatrix, usize)> {
+        match (self, below) {
+            (WeightMatrix::Dense(a), WeightMatrix::Dense(b)) if a.cols() == b.cols() => {
+                let data = [a.as_slice(), b.as_slice()].concat();
+                let stacked = Matrix::from_vec(a.rows() + b.rows(), a.cols(), data);
+                Some((WeightMatrix::Dense(stacked), a.rows()))
+            }
+            (WeightMatrix::Circulant(a), WeightMatrix::Circulant(b)) => {
+                let offset = a.grid().0 * a.block_size();
+                Some((WeightMatrix::Circulant(a.stack_block_rows(b)?), offset))
+            }
+            _ => None,
+        }
+    }
 }
 
 impl MatVec for WeightMatrix {
@@ -200,7 +222,8 @@ impl From<BlockCirculantMatrix> for WeightMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn enum_dispatch_matches_inner() {
@@ -216,6 +239,76 @@ mod tests {
         assert_eq!(w.matvec(&x), bc.matvec(&x));
         assert_eq!(w.param_count(), bc.param_count());
         assert_eq!(w.block_size(), 4);
+    }
+
+    /// A random `rows × cols` weight matrix: dense for `block ≤ 1`, else
+    /// block-circulant with ragged edges wherever the dims do not divide.
+    fn random_weight(rows: usize, cols: usize, block: usize, rng: &mut impl Rng) -> WeightMatrix {
+        let mut random =
+            |n: usize| -> Vec<f32> { (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect() };
+        if block <= 1 {
+            return WeightMatrix::Dense(Matrix::from_vec(rows, cols, random(rows * cols)));
+        }
+        let blocks = random(rows.div_ceil(block) * cols.div_ceil(block) * block);
+        WeightMatrix::Circulant(BlockCirculantMatrix::from_blocks(rows, cols, block, blocks))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// One matvec through `[top; below]` against the two separate
+        /// matvecs, in bits — dense pairs and block-circulant pairs, row
+        /// counts on and off a block boundary, tiles on both sides of the
+        /// 4-lane width, batches with their own scratch reuse.
+        #[test]
+        fn stacked_rows_are_bit_identical_to_the_two_matvecs(
+            lb_pow in 0u32..5,
+            h in 1usize..40,
+            cols in 1usize..30,
+            batch in 1usize..5,
+            seed in any::<u64>(),
+        ) {
+            let block = 1usize << lb_pow;
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let top = random_weight(2 * h, cols, block, &mut rng);
+            let below = random_weight(h, cols, block, &mut rng);
+            let (stacked, offset) = top.stack_rows(&below).expect("same representation");
+            prop_assert_eq!(offset, (2 * h).div_ceil(block) * block);
+            prop_assert_eq!((stacked.rows(), stacked.cols()), (offset + h, cols));
+
+            let xs: Vec<f32> = (0..batch * cols).map(|_| rng.gen_range(-2.0..2.0)).collect();
+            let mut scratch = MatVecScratch::new();
+            let run = |w: &WeightMatrix, scratch: &mut MatVecScratch| {
+                let mut ys = vec![f32::NAN; batch * w.rows()];
+                w.matvec_batch_into(&xs, &mut ys, batch, scratch);
+                ys
+            };
+            let (want_top, want_below) = (run(&top, &mut scratch), run(&below, &mut scratch));
+            let got = run(&stacked, &mut scratch);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            for (b, lane) in got.chunks(stacked.rows()).enumerate() {
+                prop_assert_eq!(bits(&lane[..2 * h]), bits(&want_top[b * 2 * h..][..2 * h]));
+                prop_assert_eq!(bits(&lane[offset..]), bits(&want_below[b * h..][..h]));
+            }
+        }
+    }
+
+    #[test]
+    fn operands_that_differ_in_kind_block_or_width_do_not_stack() {
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(9);
+        let bc8 = random_weight(16, 8, 8, &mut rng);
+        for other in [
+            random_weight(8, 8, 1, &mut rng),
+            random_weight(8, 8, 4, &mut rng),
+            random_weight(8, 16, 8, &mut rng),
+        ] {
+            assert!(bc8.stack_rows(&other).is_none());
+            assert!(other.stack_rows(&bc8).is_none());
+        }
+        let dense = random_weight(16, 8, 1, &mut rng);
+        assert!(dense
+            .stack_rows(&random_weight(8, 9, 1, &mut rng))
+            .is_none());
     }
 
     #[test]

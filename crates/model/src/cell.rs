@@ -101,6 +101,9 @@ pub struct CellScratch {
     pub(crate) pre_c: Vec<f32>,
     /// GRU candidate recurrent matvec output (`batch × H`).
     pub(crate) rec_c: Vec<f32>,
+    /// GRU stacked x-side projection (`batch ×` the stack's rows), before
+    /// it is split into `pre` and `pre_c`.
+    pub(crate) stacked: Vec<f32>,
     /// Matvec workspace shared by all weight matrices.
     pub(crate) mv: MatVecScratch,
 }

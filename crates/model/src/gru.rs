@@ -9,7 +9,7 @@
 
 use crate::activation::Act;
 use crate::cell::{CellArith, FloatArith, GruScratch};
-use ernn_linalg::{MatVec, Matrix};
+use ernn_linalg::{MatVec, Matrix, WeightMatrix};
 use rand::Rng;
 
 /// One GRU layer, generic over the weight representation.
@@ -33,6 +33,18 @@ pub struct GruLayer<M> {
     pub wcc: M,
     /// Candidate bias `(H)`.
     pub bias_c: Vec<f32>,
+}
+
+/// `[wzr_x; wcx]` of one [`GruLayer`] stacked as a single operand
+/// ([`WeightMatrix::stack_rows`]): derived state for inference over fixed
+/// weights, built by [`GruLayer::input_stack`] and consumed by
+/// [`GruLayer::step_batch_stacked_with`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct GruInputStack {
+    w: WeightMatrix,
+    /// Output row at which `wcx`'s product starts (`2H` rounded up to a
+    /// block boundary).
+    candidate_row: usize,
 }
 
 /// Per-timestep values cached for BPTT.
@@ -185,11 +197,11 @@ impl<M: MatVec> GruLayer<M> {
     }
 
     /// Eqn. 2, the one definition: a timestep for `batch` independent
-    /// states over flat `batch × dim` buffers, evaluated in `arith`. The
-    /// four matvecs are batch-fused (block-circulant weights stream their
-    /// cached spectra once per batch); the gate math is whole-plane passes,
-    /// one operator at a time, and the activation units take every lane in
-    /// one call.
+    /// states over flat `batch × dim` buffers, evaluated in `arith` — the
+    /// x-side projection through this layer's own two operands
+    /// (`wzr_x`, `wcx`), then the recurrence (`recur_batch_with`).
+    /// The four matvecs are batch-fused (block-circulant weights stream
+    /// their cached spectra once per batch).
     ///
     /// # Panics
     ///
@@ -206,6 +218,74 @@ impl<M: MatVec> GruLayer<M> {
     ) {
         let h = self.hidden_dim;
         assert_eq!(xs.len(), batch * self.input_dim, "input dimension mismatch");
+        let GruScratch { pre, pre_c, mv, .. } = scratch;
+        pre.resize(batch * 2 * h, 0.0);
+        pre_c.resize(batch * h, 0.0);
+        self.wzr_x.matvec_batch_into(xs, pre, batch, mv);
+        self.wcx.matvec_batch_into(xs, pre_c, batch, mv);
+        self.recur_batch_with(arith, c_prev, c_next, batch, scratch);
+    }
+
+    /// [`Self::step_batch_with`] projecting `x_t` through `stack` — this
+    /// layer's [`Self::input_stack`] — in one kernel call instead of two:
+    /// one `FFT(x_t)` feeds the gate and the candidate matrices, as in the
+    /// paper's PE (Sec. II-B, Fig. 10). Bit-identical to
+    /// [`Self::step_batch_with`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stack` was built for another shape, or as
+    /// [`Self::step_batch_with`] does.
+    #[allow(clippy::too_many_arguments)]
+    pub fn step_batch_stacked_with<A: CellArith>(
+        &self,
+        arith: &A,
+        stack: &GruInputStack,
+        xs: &[f32],
+        c_prev: &[f32],
+        c_next: &mut [f32],
+        batch: usize,
+        scratch: &mut GruScratch,
+    ) {
+        let h = self.hidden_dim;
+        let rows = stack.w.rows();
+        assert_eq!(xs.len(), batch * self.input_dim, "input dimension mismatch");
+        assert_eq!(
+            (stack.w.cols(), rows),
+            (self.input_dim, stack.candidate_row + h),
+            "input stack shape"
+        );
+        let GruScratch {
+            pre,
+            pre_c,
+            stacked,
+            mv,
+            ..
+        } = scratch;
+        stacked.resize(batch * rows, 0.0);
+        stack.w.matvec_batch_into(xs, stacked, batch, mv);
+        pre.clear();
+        pre_c.clear();
+        for lane in stacked.chunks_exact(rows) {
+            pre.extend_from_slice(&lane[..2 * h]);
+            pre_c.extend_from_slice(&lane[stack.candidate_row..]);
+        }
+        self.recur_batch_with(arith, c_prev, c_next, batch, scratch);
+    }
+
+    /// Everything of Eqn. 2 after the x-side projection, which the caller
+    /// has left in `scratch.pre` (`W_(zr)x·x`) and `scratch.pre_c`
+    /// (`W_c̃x·x`): the gate math as whole-plane passes, one operator at a
+    /// time, the activation units taking every lane in one call.
+    fn recur_batch_with<A: CellArith>(
+        &self,
+        arith: &A,
+        c_prev: &[f32],
+        c_next: &mut [f32],
+        batch: usize,
+        scratch: &mut GruScratch,
+    ) {
+        let h = self.hidden_dim;
         assert_eq!(c_prev.len(), batch * h, "state dimension mismatch");
         assert_eq!(c_next.len(), batch * h, "next state dimension mismatch");
 
@@ -218,14 +298,11 @@ impl<M: MatVec> GruLayer<M> {
             mv,
             ..
         } = scratch;
-        pre.resize(batch * 2 * h, 0.0);
         rec.resize(batch * 2 * h, 0.0);
         rc.resize(batch * h, 0.0);
-        pre_c.resize(batch * h, 0.0);
         rec_c.resize(batch * h, 0.0);
 
         // Fused gates: z, r = σ(W_(zr)x·x + W_(zr)c·c_{t-1} + b)  (2a, 2b).
-        self.wzr_x.matvec_batch_into(xs, pre, batch, mv);
         self.wzr_c.matvec_batch_into(c_prev, rec, batch, mv);
         arith.accumulate(pre, rec, &self.bias_zr);
         arith.sigmoid(pre);
@@ -240,7 +317,6 @@ impl<M: MatVec> GruLayer<M> {
         }
 
         // c̃ = h(W_c̃x·x + W_c̃c·(r ⊙ c_{t-1}) + b_c̃)   (2c).
-        self.wcx.matvec_batch_into(xs, pre_c, batch, mv);
         self.wcc.matvec_batch_into(rc, rec_c, batch, mv);
         arith.accumulate(pre_c, rec_c, &self.bias_c);
         arith.activate(self.candidate_activation, pre_c);
@@ -296,6 +372,17 @@ impl<M: MatVec> GruLayer<M> {
             + self.wcx.param_count()
             + self.wcc.param_count()
             + self.bias_c.len()
+    }
+}
+
+impl GruLayer<WeightMatrix> {
+    /// The x-side operands stacked for [`Self::step_batch_stacked_with`],
+    /// or `None` when `wzr_x` and `wcx` do not share a representation and
+    /// block size (then only the two-operand step applies). The stack
+    /// copies the weights as they are now; rebuild it after changing them.
+    pub fn input_stack(&self) -> Option<GruInputStack> {
+        let (w, candidate_row) = self.wzr_x.stack_rows(&self.wcx)?;
+        Some(GruInputStack { w, candidate_row })
     }
 }
 

@@ -130,3 +130,84 @@ fn shared_step_at_float_is_bitwise_the_per_element_step() {
         }
     }
 }
+
+/// The stacked x-side projection against the layer's own two calls: the
+/// next state and both gate planes, in bits, over one reused scratch with
+/// the batch shrinking the way a lockstep driver's ragged tail does.
+#[test]
+fn stacked_projection_is_bitwise_the_two_call_projection() {
+    let policies = [
+        BlockPolicy::uniform(1),
+        BlockPolicy::uniform(4),
+        BlockPolicy::uniform(8),
+        BlockPolicy::with_io_block(4, 8),
+        BlockPolicy::with_io_block(8, 16),
+    ];
+    // 2H and H on and off every block boundary above, and an input width
+    // that leaves a ragged block column.
+    for (in_dim, hidden) in [(8, 8), (12, 20), (7, 5), (12, 13), (153, 64)] {
+        for policy in policies {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(47);
+            let dense = NetworkBuilder::new(CellType::Gru, in_dim, 5)
+                .layer_dims(&[hidden])
+                .build(&mut rng);
+            let compressed = compress_network(&dense, policy);
+            let RnnLayer::Gru(layer) = &compressed.layers()[0] else {
+                unreachable!("built as a GRU");
+            };
+            let what = format!("I={in_dim} H={hidden} {policy:?}");
+            let stack = layer
+                .input_stack()
+                .expect("one policy block for both operands");
+            let (mut two, mut one) = (GruScratch::new(), GruScratch::new());
+            for batch in [16usize, 3, 1, 16] {
+                let xs = random_vec(&mut rng, batch * in_dim, 2.0);
+                let c_prev = random_vec(&mut rng, batch * hidden, 1.0);
+                let mut want = vec![0.0; batch * hidden];
+                let mut got = vec![f32::NAN; batch * hidden];
+                layer.step_batch_with(&FloatArith, &xs, &c_prev, &mut want, batch, &mut two);
+                layer.step_batch_stacked_with(
+                    &FloatArith,
+                    &stack,
+                    &xs,
+                    &c_prev,
+                    &mut got,
+                    batch,
+                    &mut one,
+                );
+                assert_eq!(bits(&got), bits(&want), "{what} batch {batch}: c");
+                assert_eq!(bits(&one.pre), bits(&two.pre), "{what} batch {batch}: z, r");
+                assert_eq!(
+                    bits(&one.pre_c),
+                    bits(&two.pre_c),
+                    "{what} batch {batch}: c̃"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn operands_of_different_kinds_have_no_input_stack() {
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(53);
+    let dense = NetworkBuilder::new(CellType::Gru, IN_DIM, 5)
+        .layer_dims(&[8])
+        .build(&mut rng);
+    let compressed = compress_network(&dense, BlockPolicy::uniform(4));
+    let RnnLayer::Gru(g) = &compressed.layers()[0] else {
+        unreachable!("built as a GRU");
+    };
+    let mixed = GruLayer::from_parts(
+        g.input_dim(),
+        g.hidden_dim(),
+        g.candidate_activation,
+        g.wzr_x.clone(),
+        g.wzr_c.clone(),
+        g.bias_zr.clone(),
+        ernn_linalg::WeightMatrix::Dense(g.wcx.to_dense()),
+        g.wcc.clone(),
+        g.bias_c.clone(),
+    );
+    assert!(g.input_stack().is_some());
+    assert!(mixed.input_stack().is_none());
+}

@@ -61,7 +61,7 @@ pub mod trainer;
 pub use activation::Act;
 pub use cell::{CellArith, CellScratch, GruScratch, LstmScratch};
 pub use compress::{compress_network, compress_network_layers, BlockPolicy};
-pub use gru::{GruCache, GruGrads, GruLayer};
+pub use gru::{GruCache, GruGrads, GruInputStack, GruLayer};
 pub use layer::{LayerCaches, LayerGrads, RnnLayer};
 pub use loss::softmax_cross_entropy;
 pub use lstm::{LstmCache, LstmConfig, LstmGrads, LstmLayer, LstmState, ParamCount};

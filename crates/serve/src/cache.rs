@@ -197,6 +197,23 @@ impl CompiledModel {
             .forward_logits_batch_states_into(batch, states, out, scratch);
     }
 
+    /// Batch inference in place: each utterance's frame buffer becomes
+    /// its logits buffer, so a served request's response costs no logits
+    /// allocation when its feature dimension holds the class count (one
+    /// exactly-sized row per frame otherwise). `states` as in
+    /// [`Self::infer_batch_states_into`], `None` for an all-stateless
+    /// batch. This is what the executors run; see
+    /// [`QuantizedNetwork::forward_logits_batch_in_place`].
+    pub fn infer_batch_in_place(
+        &self,
+        batch: &mut [Vec<Vec<f32>>],
+        states: Option<&mut [Option<NetworkState>]>,
+        scratch: &mut ExecScratch,
+    ) {
+        self.qnet
+            .forward_logits_batch_in_place(batch, states, scratch);
+    }
+
     /// A zero-initialized per-session recurrent state for this model.
     pub fn fresh_state(&self) -> NetworkState {
         self.qnet.fresh_state()

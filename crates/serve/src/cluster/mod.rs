@@ -1,8 +1,8 @@
 //! Cluster-tier serving: a deterministic virtual-time cluster of
 //! scheduler shards behind an affinity router.
 //!
-//! One [`SchedRuntime`](crate::sched::SchedRuntime) models a single
-//! node — a handful of FPGAs behind one scheduler. This module scales
+//! One [`SchedRuntime`] models a single node — a handful of FPGAs
+//! behind one scheduler. This module scales
 //! the same simulation out: N shards, each an ordinary scheduler over
 //! its own device platform, behind a front-end router that owns every
 //! cluster-scope decision:
@@ -60,7 +60,7 @@ use crate::cache::CompiledModel;
 use crate::config::RuntimeConfig;
 use crate::metrics::ServeMetrics;
 use crate::request::Response;
-use crate::sched::{SchedPolicy, SchedReport};
+use crate::sched::{SchedConfigError, SchedPolicy, SchedReport, SchedRuntime};
 use crate::trace::{RunTrace, ShardGauges, TraceConfig};
 use ernn_fpga::artifact::ModelArtifact;
 use ernn_fpga::fault::{DeviceFault, FaultPlan};
@@ -343,8 +343,14 @@ pub struct ShardReport {
     /// Load gauges at end of run (frozen at kill time for dead shards)
     /// — the per-shard Prometheus export.
     pub gauges: ShardGauges,
+    /// How many of the run's requests this shard answered (served, or
+    /// shed by its own admission control).
+    pub answered: usize,
     /// The shard scheduler's own report; `None` for shards placement
-    /// left empty.
+    /// left empty. Its `responses` list is empty: the merge moves every
+    /// response, logits and all, into [`ClusterReport::responses`] (count
+    /// them with [`Self::answered`]); metrics, stats, journal, timeline
+    /// and health were computed over them first and stay.
     pub report: Option<SchedReport>,
 }
 
@@ -413,6 +419,14 @@ pub enum ClusterConfigError {
         /// The offending fault.
         fault: DeviceFault,
     },
+    /// A shard's scheduler rejected the shared policy or per-shard
+    /// runtime configuration over the models placed on it.
+    Shard {
+        /// The shard whose scheduler could not be built.
+        shard: usize,
+        /// Why.
+        error: SchedConfigError,
+    },
 }
 
 impl fmt::Display for ClusterConfigError {
@@ -433,6 +447,7 @@ impl fmt::Display for ClusterConfigError {
             ClusterConfigError::NonCrashShardFault { fault, .. } => {
                 write!(f, "cluster-tier faults must be crashes, got {fault:?}")
             }
+            ClusterConfigError::Shard { shard, error } => write!(f, "shard {shard}: {error}"),
         }
     }
 }
@@ -446,10 +461,12 @@ impl std::error::Error for ClusterConfigError {}
 pub struct ClusterRuntime {
     pub(crate) spec: ClusterSpec,
     pub(crate) shard_platforms: Vec<Vec<Device>>,
-    pub(crate) policy: SchedPolicy,
-    pub(crate) shard_config: RuntimeConfig,
     pub(crate) cluster: ClusterConfig,
     pub(crate) placement: PlacementMap,
+    /// One scheduler per shard over the models placed there, built once;
+    /// every run steps a fresh engine over each. `None` where placement
+    /// left the shard empty.
+    pub(crate) shard_runtimes: Vec<Option<SchedRuntime>>,
     /// Test oracle switch: route with the wake-every-shard clock (see
     /// `router.rs`).
     #[cfg(test)]
@@ -483,10 +500,9 @@ impl ClusterRuntime {
     /// shard with no devices, a zero replication degree, or a
     /// shard-fault schedule naming a shard out of range or a fault other
     /// than [`DeviceFault::Crash`] is returned as a typed
-    /// [`ClusterConfigError`] instead of a panic. (The shard schedulers
-    /// themselves are built per run; a shard configuration they reject
-    /// still panics there with its
-    /// [`SchedConfigError`](crate::sched::SchedConfigError) message.)
+    /// [`ClusterConfigError`] instead of a panic — as is a policy or shard
+    /// configuration one of the shard schedulers, which are built here,
+    /// rejects ([`ClusterConfigError::Shard`]).
     pub fn try_new(
         spec: ClusterSpec,
         shard_platforms: Vec<Vec<Device>>,
@@ -525,13 +541,26 @@ impl ClusterRuntime {
             shard_platforms.len(),
             cluster.replication,
         );
+        let shard_runtimes = shard_platforms
+            .iter()
+            .enumerate()
+            .map(|(shard, platform)| {
+                shard::shard_runtime(
+                    &spec,
+                    &placement.models_on(shard),
+                    platform,
+                    policy,
+                    &shard_config,
+                )
+                .map_err(|error| ClusterConfigError::Shard { shard, error })
+            })
+            .collect::<Result<_, _>>()?;
         Ok(ClusterRuntime {
             spec,
             shard_platforms,
-            policy,
-            shard_config,
             cluster,
             placement,
+            shard_runtimes,
             #[cfg(test)]
             wake_all: false,
         })

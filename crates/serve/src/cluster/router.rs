@@ -28,11 +28,11 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use super::placement::{splitmix64, PlacementMap};
-use super::shard::{shard_runtime, ShardSim};
+use super::shard::ShardSim;
 use super::{ClusterReport, ClusterRuntime, ClusterStats, ShardReport, Steering};
 use crate::metrics::ServeMetrics;
 use crate::request::{validate_sessions, validate_timing, Request, Response, ShedReason, Workload};
-use crate::sched::{SchedEngine, SchedRuntime};
+use crate::sched::SchedEngine;
 use crate::trace::{Observer, ShardGauges, TraceEvent};
 use ernn_fpga::transfer::TransferModel;
 
@@ -432,21 +432,11 @@ impl ClusterRuntime {
             );
         }
 
-        // Shard schedulers (placement-empty shards hold none).
-        let runtimes: Vec<Option<SchedRuntime>> = (0..self.shards())
-            .map(|s| {
-                shard_runtime(
-                    &self.spec,
-                    &self.placement.models_on(s),
-                    &self.shard_platforms[s],
-                    self.policy,
-                    &self.shard_config,
-                )
-            })
-            .collect();
-        let mut sims = Vec::with_capacity(runtimes.len());
+        // A fresh engine over each shard's scheduler (placement-empty
+        // shards hold none).
+        let mut sims = Vec::with_capacity(self.shards());
         let mut device_base = 0usize;
-        for (s, rt) in runtimes.iter().enumerate() {
+        for (s, rt) in self.shard_runtimes.iter().enumerate() {
             let device_count = self.shard_platforms[s].len();
             sims.push(ShardSim {
                 shard: s,
@@ -593,12 +583,13 @@ impl ClusterRuntime {
                 device_base,
                 ..
             } = sim;
-            let report = engine.map(SchedEngine::finish);
-            if let Some(rep) = &report {
-                for resp in &rep.responses {
-                    let rank = rank_of(&routes, resp.id);
+            let mut report = engine.map(SchedEngine::finish);
+            let mut answered = 0;
+            if let Some(rep) = &mut report {
+                answered = rep.responses.len();
+                for mut r in std::mem::take(&mut rep.responses) {
+                    let rank = rank_of(&routes, r.id);
                     let meta = &routes[rank];
-                    let mut r = resp.clone();
                     r.model = meta.model;
                     r.workload = meta.workload;
                     r.arrival_us = meta.arrival_us;
@@ -611,6 +602,7 @@ impl ClusterRuntime {
                 placed,
                 alive,
                 gauges: gauges[shard],
+                answered,
                 report,
             });
         }
@@ -777,12 +769,21 @@ mod tests {
             prop_assert_eq!(chrome_trace_json(&fast.trace), chrome_trace_json(&oracle.trace));
             prop_assert_eq!(&fast.trace, &oracle.trace);
             prop_assert_eq!(fast.shards.len(), oracle.shards.len());
+            prop_assert_eq!(
+                fast.shards.iter().map(|s| s.answered).sum::<usize>()
+                    + fast.stats.shed_no_capacity as usize,
+                total
+            );
             for (a, b) in fast.shards.iter().zip(&oracle.shards) {
                 prop_assert_eq!((a.shard, a.alive, &a.placed), (b.shard, b.alive, &b.placed));
                 prop_assert_eq!(a.gauges, b.gauges);
+                prop_assert_eq!(a.answered, b.answered);
                 match (&a.report, &b.report) {
                     (Some(ra), Some(rb)) => {
-                        prop_assert_eq!(&ra.responses, &rb.responses);
+                        // The merge moved every shard response into the
+                        // cluster list compared above.
+                        prop_assert!(ra.responses.is_empty() && rb.responses.is_empty());
+                        prop_assert_eq!(ra.metrics.completed + ra.metrics.shed, a.answered);
                         prop_assert_eq!(&ra.metrics, &rb.metrics);
                         prop_assert_eq!(&ra.sched, &rb.sched);
                         prop_assert_eq!(&ra.trace, &rb.trace);

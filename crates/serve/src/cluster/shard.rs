@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use super::ClusterSpec;
 use crate::config::RuntimeConfig;
-use crate::sched::{ModelRegistry, SchedEngine, SchedPolicy, SchedRuntime};
+use crate::sched::{ModelRegistry, SchedConfigError, SchedEngine, SchedPolicy, SchedRuntime};
 use crate::trace::ShardGauges;
 use ernn_fpga::Device;
 
@@ -31,20 +31,15 @@ pub(crate) fn shard_runtime(
     platform: &[Device],
     policy: SchedPolicy,
     config: &RuntimeConfig,
-) -> Option<SchedRuntime> {
+) -> Result<Option<SchedRuntime>, SchedConfigError> {
     if placed.is_empty() {
-        return None;
+        return Ok(None);
     }
     let mut registry = ModelRegistry::new();
     for &global in placed {
         registry.register_shared(spec.name(global), Arc::clone(spec.model(global)));
     }
-    Some(SchedRuntime::with_config(
-        registry,
-        platform.to_vec(),
-        policy,
-        config.clone(),
-    ))
+    SchedRuntime::try_with_config(registry, platform.to_vec(), policy, config.clone()).map(Some)
 }
 
 /// The router's view of one shard: the live engine (if any), which

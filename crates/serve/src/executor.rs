@@ -70,7 +70,8 @@ pub struct InferenceJob {
     pub device: usize,
     /// Index into the executor's model set.
     pub model: usize,
-    /// The request's feature frames (moved in, consumed by inference).
+    /// The request's feature frames (moved in; inference turns this very
+    /// buffer into the logits [`ExecutorReport::outputs`] hands back).
     pub frames: Vec<Vec<f32>>,
     /// Streaming-session identity, or `None` for a whole utterance. A
     /// single fusable run must not contain two chunks of one session
@@ -150,51 +151,42 @@ fn same_run(a: &InferenceJob, b: &InferenceJob) -> bool {
     (a.device, a.model) == (b.device, b.model)
 }
 
-/// Hands an emptied vector's allocation on under another borrow
-/// lifetime, so a scratch `Vec<&T>` can outlive the borrows it held for
-/// one call. std's in-place `collect` keeps the buffer; were it ever not
-/// to, the only loss is the allocation the scratch exists to save (and
-/// `tests/cluster_alloc.rs` would say so).
-fn recycle<'b, T: ?Sized>(mut v: Vec<&T>) -> Vec<&'b T> {
-    v.clear();
-    v.into_iter()
-        .map(|_| unreachable!("the vector was just cleared"))
-        .collect()
-}
-
 /// [`infer_run`]'s grow-once bookkeeping, one per worker next to its
-/// [`ExecScratch`]: all three lists are empty between runs and keep the
+/// [`ExecScratch`]: both lists are empty between runs and keep the
 /// largest run's capacity.
 #[derive(Debug, Default)]
 struct RunScratch {
-    /// The run's frame slices, in job order (the kernels' batch view).
-    frames: Vec<&'static [Vec<f32>]>,
+    /// The run's frame buffers, moved out of its jobs in job order; after
+    /// inference they hold the run's logits for the caller to drain.
+    utterances: Vec<Vec<Vec<f32>>>,
     /// Per-lane recurrent state of a run that carries session chunks.
     states: Vec<Option<NetworkState>>,
-    /// The run's logits, one entry per job, for the caller to drain.
-    logits: Vec<Vec<Vec<f32>>>,
 }
 
-/// Computes one fusable run's logits with a single batch-fused inference
-/// call and leaves them in `run.logits`, one entry per job. All jobs
-/// must share a model (see [`same_run`]). Runs with no session chunks
-/// take the stateless path; runs with chunks pull each session's
-/// [`NetworkState`] out of `sessions` (materializing a fresh one on
-/// first touch), thread it through the lockstep kernel, and store it
+/// Computes one fusable run's logits with a single batch-fused, in-place
+/// inference call: every job's frame buffer is moved into
+/// `run.utterances` and comes back as that job's logits, one entry per
+/// job. All jobs must share a model (see [`same_run`]). Runs with no
+/// session chunks take the stateless path; runs with chunks pull each
+/// session's [`NetworkState`] out of `sessions` (materializing a fresh one
+/// on first touch), thread it through the lockstep kernel, and store it
 /// back unless the chunk was the session's last.
 fn infer_run(
     models: &[Arc<CompiledModel>],
-    jobs: &[InferenceJob],
+    jobs: &mut [InferenceJob],
     scratch: &mut ExecScratch,
     sessions: &mut HashMap<u64, NetworkState>,
     run: &mut RunScratch,
 ) {
     let model = &models[jobs[0].model];
-    let mut frames: Vec<&[Vec<f32>]> = std::mem::take(&mut run.frames);
-    frames.extend(jobs.iter().map(|j| j.frames.as_slice()));
-    debug_assert!(run.logits.is_empty(), "the previous run was not drained");
+    debug_assert!(
+        run.utterances.is_empty(),
+        "the previous run was not drained"
+    );
+    run.utterances
+        .extend(jobs.iter_mut().map(|j| std::mem::take(&mut j.frames)));
     if jobs.iter().all(|j| j.session.is_none()) {
-        model.infer_batch_into(&frames, &mut run.logits, scratch);
+        model.infer_batch_in_place(&mut run.utterances, None, scratch);
     } else {
         debug_assert!(
             {
@@ -214,7 +206,7 @@ fn infer_run(
                     .unwrap_or_else(|| model.fresh_state())
             })
         }));
-        model.infer_batch_states_into(&frames, &mut run.states, &mut run.logits, scratch);
+        model.infer_batch_in_place(&mut run.utterances, Some(&mut run.states), scratch);
         for (job, state) in jobs.iter().zip(run.states.drain(..)) {
             if let (Some(slot), Some(state)) = (job.session, state) {
                 if !slot.last {
@@ -223,7 +215,6 @@ fn infer_run(
             }
         }
     }
-    run.frames = recycle(frames);
 }
 
 /// The deterministic reference executor: jobs run synchronously at submit
@@ -269,7 +260,7 @@ impl Executor for InlineExecutor {
     }
 
     fn submit_batch(&mut self, mut jobs: Vec<InferenceJob>) {
-        for run in jobs.chunk_by(same_run) {
+        for run in jobs.chunk_by_mut(same_run) {
             infer_run(
                 &self.models,
                 run,
@@ -277,7 +268,7 @@ impl Executor for InlineExecutor {
                 &mut self.sessions,
                 &mut self.run,
             );
-            let logits = self.run.logits.drain(..);
+            let logits = self.run.utterances.drain(..);
             self.outputs
                 .extend(run.iter().map(|job| job.slot).zip(logits));
         }
@@ -374,9 +365,9 @@ impl ThreadPoolExecutor {
                 let mut sessions = HashMap::new();
                 while let Ok(cmd) = job_rx.recv() {
                     match cmd {
-                        WorkerCmd::Batch(jobs) => {
-                            infer_run(&models, &jobs, &mut scratch, &mut sessions, &mut run);
-                            for (job, l) in jobs.iter().zip(run.logits.drain(..)) {
+                        WorkerCmd::Batch(mut jobs) => {
+                            infer_run(&models, &mut jobs, &mut scratch, &mut sessions, &mut run);
+                            for (job, l) in jobs.iter().zip(run.utterances.drain(..)) {
                                 if result_tx.send(WorkerMessage::Output(job.slot, l)).is_err() {
                                     // Receiver gone: the executor was
                                     // dropped without finish(); nothing

@@ -47,9 +47,10 @@
 //!   [`ernn_fft::stats`]). Inference runs on the zero-allocation,
 //!   batch-fused kernel stack: executors keep one [`ExecScratch`] per
 //!   worker, a dispatched batch is computed with one fused
-//!   [`CompiledModel::infer_batch_into`] call (one pass over the cached
-//!   weight spectra per batch), and post-warmup the FFT/matvec kernels
-//!   perform zero heap allocations.
+//!   [`CompiledModel::infer_batch_in_place`] call (one pass over the
+//!   cached weight spectra per batch) that turns each request's frame
+//!   buffer into its logits buffer, and post-warmup the FFT/matvec
+//!   kernels perform zero heap allocations.
 //! * [`Executor`] — where host-side inference runs: [`InlineExecutor`]
 //!   (deterministic reference, compute at dispatch) or
 //!   [`ThreadPoolExecutor`] (one std-thread worker per device slot, jobs

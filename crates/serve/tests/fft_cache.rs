@@ -1,9 +1,11 @@
 //! Proves the FFT'd-weight cache: block-circulant weight spectra are
 //! computed once per model load, never per request.
 //!
-//! This file deliberately holds a single `#[test]` so the process-global
-//! FFT counters in [`ernn_fft::stats`] see no concurrent activity and
-//! exact-delta assertions are sound.
+//! This file deliberately holds a single `#[test]` so the process-wide
+//! sum of the FFT counters in [`ernn_fft::stats`] sees no concurrent
+//! activity and exact-delta assertions are sound. The same test therefore
+//! also checks that sum against a thread-pool run: it must equal the
+//! workers' own ledgers added up, read after the workers have exited.
 
 use ernn_fft::stats;
 use ernn_fpga::exec::DatapathConfig;
@@ -11,7 +13,7 @@ use ernn_fpga::XCKU060;
 use ernn_model::{compress_network, BlockPolicy, CellType, NetworkBuilder};
 use ernn_serve::loadgen::synthetic_utterances;
 use ernn_serve::sched::{ModelRegistry, SchedPolicy, SchedRuntime};
-use ernn_serve::{CompiledModel, Request};
+use ernn_serve::{CompiledModel, ExecutorKind, Request, RuntimeConfig};
 use rand::SeedableRng;
 
 #[test]
@@ -82,6 +84,37 @@ fn weight_spectra_are_computed_at_load_not_per_request() {
         "inverse FFTs must scale with requests only"
     );
     assert_eq!(delta.plans_created, 0);
+
+    // The same requests on the thread pool: the process-wide delta is
+    // exactly the sum of the workers' own ledgers — the event-loop thread
+    // runs no FFT — and it is read after `run` has joined them, so a
+    // worker that has exited has kept its counts.
+    let pooled = SchedRuntime::with_config(
+        {
+            let mut registry = ModelRegistry::new();
+            registry.register_shared(
+                "lstm-16",
+                std::sync::Arc::clone(runtime.registry().model(0)),
+            );
+            registry
+        },
+        vec![XCKU060; 2],
+        SchedPolicy::fifo_earliest_free(4, 50.0),
+        RuntimeConfig::new().executor(ExecutorKind::ThreadPool),
+    );
+    let before_pool = stats::snapshot();
+    let loop_thread_before = stats::thread_snapshot();
+    let report = pooled.run(
+        (0..n)
+            .map(|i| Request::new(i, probe.clone(), i as f64 * 10.0))
+            .collect(),
+    );
+    let delta = stats::snapshot().since(&before_pool);
+    assert_eq!(report.worker_fft.len(), 2);
+    assert!(report.worker_fft.iter().all(|w| w.forward_transforms > 0));
+    assert_eq!(delta, report.host_fft(), "snapshot != sum of worker deltas");
+    assert_eq!(delta.forward_transforms, per_request.forward_transforms * n);
+    assert_eq!(stats::thread_snapshot(), loop_thread_before);
 
     // The per-matrix refresh counters are the direct cache witness: no
     // weight spectrum was recomputed by any of the requests above.

@@ -281,7 +281,7 @@ fn serve_cluster(tenants: &[(&str, &[u8])], shards: usize, budget: u64) {
             shard.shard,
             if shard.alive { "up" } else { "down" },
             verdict,
-            shard.report.as_ref().map_or(0, |sr| sr.responses.len()),
+            shard.answered,
             shard.gauges.ewma_queue_us,
             shard.gauges.live_sessions,
             placed.join(", "),

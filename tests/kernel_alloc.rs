@@ -38,6 +38,12 @@
 //! spectra, tile accumulators) are grow-only, so a batch that shrinks
 //! 16 → 3 → 16 and a tiny matrix sharing the scratch with a large one
 //! allocate nothing once the largest shape has been seen.
+//!
+//! ISSUE 21 adds the path the executors actually run,
+//! [`CompiledModel::infer_batch_in_place`]: a request's frame rows become
+//! its logits rows, so answering it allocates nothing when the feature
+//! dimension holds the class count — and exactly one exactly-sized row
+//! per frame, nothing else, when it does not.
 
 use ernn::fpga::exec::{DatapathConfig, ExecScratch};
 use ernn::fpga::{FaultPlan, FaultTimeline, XCKU060};
@@ -109,8 +115,11 @@ fn steady_state_batched_inference_performs_zero_allocations() {
 
         let mut scratch = ExecScratch::new();
         let mut out = Vec::new();
-        // Warmup grows every scratch buffer and the output shape.
+        // Warmup grows every scratch buffer and the output shape — on
+        // both kernels: the in-place one steps a GRU through its stacked
+        // x-side operand, which has a scratch plane of its own.
         model.infer_batch_into(&batch, &mut out, &mut scratch);
+        model.infer_batch_in_place(&mut utterances.clone(), None, &mut scratch);
 
         // Tracing state, pre-sized at construction: a flight recorder
         // whose ring we will deliberately overflow, a histogram (fixed
@@ -129,8 +138,13 @@ fn steady_state_batched_inference_performs_zero_allocations() {
         let mut health = HealthMonitor::new(HealthConfig::enabled(), 2);
         let busy = [0.0f64; 2];
 
+        // The batch as a request hands it over: owned frame rows.
+        let mut in_place = utterances.clone();
+
         let before = allocation_count();
         model.infer_batch_into(&batch, &mut out, &mut scratch);
+        // 12 features ≥ 7 classes: every frame row is reused as is.
+        model.infer_batch_in_place(&mut in_place, None, &mut scratch);
         // 2× ring capacity exercises both the fill and the wraparound
         // overwrite paths of the recorder.
         for i in 0..8192u64 {
@@ -214,5 +228,28 @@ fn steady_state_batched_inference_performs_zero_allocations() {
         for (s, utt) in utterances.iter().enumerate() {
             assert_eq!(out[s], model.infer(utt), "{cell} utterance {s}");
         }
+        assert_eq!(
+            in_place, out,
+            "{cell}: frame rows did not become the logits"
+        );
+
+        // More classes than features: each frame row is replaced by one
+        // exactly-sized logits row, and that is every allocation there is.
+        let wide = NetworkBuilder::new(cell, 12, 20)
+            .layer_dims(&[16])
+            .build(&mut rng);
+        let wide = compress_network(&wide, BlockPolicy::uniform(8));
+        let wide = CompiledModel::compile(&wide, &DatapathConfig::paper_12bit(), XCKU060);
+        wide.infer_batch_in_place(&mut utterances.clone(), None, &mut scratch);
+        let mut in_place = utterances.clone();
+        let rows: usize = in_place.iter().map(Vec::len).sum();
+        let before = allocation_count();
+        wide.infer_batch_in_place(&mut in_place, None, &mut scratch);
+        let delta = allocation_count() - before;
+        assert_eq!(
+            delta, rows as u64,
+            "{cell}: one logits row per frame expected"
+        );
+        assert!(in_place.iter().flatten().all(|row| row.capacity() == 20));
     }
 }

@@ -1,18 +1,23 @@
-//! Integration test of the Phase I → Phase II framework against a
-//! deterministic oracle, plus the paper's trial-count claim.
+//! The *search logic* of the Phase I → Phase II framework — trial bound,
+//! fallback, GRU switch, word-length scan — driven by stand-ins that are
+//! fed the paper's own numbers (Table I, the 12-bit knee). Nothing here is
+//! trained or measured, so nothing here is evidence for the paper's
+//! accuracy claims: given those numbers, the flow must pick what the
+//! paper picked, and that is all these tests say.
 
 use ernn::core::phase1::{run_phase1, CandidateSpec, Phase1Config, TrainOracle};
 use ernn::core::phase2::{run_phase2, Phase2Config};
 use ernn::fpga::{RnnSpec, ADM_PCIE_7V3, XCKU060};
 use ernn::model::CellType;
 
-/// PER grows gently with block size; GRU is at parity (the paper's ASR
-/// observation).
-struct PaperLikeOracle {
+/// Answers every trial with Table I's degradations, hard-coded: PER
+/// grows gently with block size and GRU is at parity. A stand-in for
+/// training, not a result of it.
+struct TableOneFedIn {
     evaluations: usize,
 }
 
-impl TrainOracle for PaperLikeOracle {
+impl TrainOracle for TableOneFedIn {
     fn baseline_per(&mut self, _cell: CellType) -> f64 {
         20.01
     }
@@ -32,10 +37,10 @@ impl TrainOracle for PaperLikeOracle {
 }
 
 #[test]
-fn phase1_reproduces_the_paper_choice_under_a_03_budget() {
+fn phase1_search_fed_table_one_picks_the_papers_point_within_six_trials() {
     // With the paper's 0.3 pp budget, block 16 is right at the edge and
     // block 8-with-io-16 is the fine-tuned pick when 16-16 misses.
-    let mut oracle = PaperLikeOracle { evaluations: 0 };
+    let mut oracle = TableOneFedIn { evaluations: 0 };
     for dev in [XCKU060, ADM_PCIE_7V3] {
         let result = run_phase1(
             &mut oracle,
@@ -61,7 +66,7 @@ fn phase1_reproduces_the_paper_choice_under_a_03_budget() {
 }
 
 #[test]
-fn phase2_finishes_the_design_with_12_bits() {
+fn phase2_scan_fed_the_12_bit_knee_stops_at_12_bits() {
     let quant = |bits: u8| -> f64 {
         // The paper's quantization knee: <0.1% at 12 bits.
         match bits {
