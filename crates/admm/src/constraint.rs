@@ -44,16 +44,11 @@ impl CirculantConstraint {
     /// Panics if `block_size` is not a power of two.
     pub fn new(block_size: usize) -> Self {
         assert!(
-            ernn_fft_is_power_of_two(block_size),
+            block_size.is_power_of_two(),
             "block size must be a power of two, got {block_size}"
         );
         CirculantConstraint { block_size }
     }
-}
-
-// Local helper to avoid a direct ernn-fft dependency for one predicate.
-fn ernn_fft_is_power_of_two(n: usize) -> bool {
-    n != 0 && n & (n - 1) == 0
 }
 
 impl Constraint for CirculantConstraint {

@@ -17,12 +17,19 @@
 //! On convergence `W ≈ Z` and [`AdmmTrainer::finalize`] snaps the weights
 //! exactly onto the constraint set (the "retrain to obtain the block
 //! circulant model" box of Fig. 6), after which the compression in
-//! `ernn-model` is lossless.
+//! `ernn-model` is lossless. [`Recipe`] is the whole of Fig. 6 — dense
+//! pre-training, this loop, the constrained retraining and the extraction
+//! — with the hyperparameters every caller shares.
 
 #![forbid(unsafe_code)]
 
 mod constraint;
+pub mod recipe;
 mod trainer;
 
 pub use constraint::{CirculantConstraint, Constraint, QuantizeConstraint};
-pub use trainer::{AdmmConfig, AdmmIterStats, AdmmReport, AdmmTrainer};
+pub use recipe::Recipe;
+pub use trainer::{
+    circulant_constraints, project_weights, train_projected, AdmmConfig, AdmmIterStats, AdmmReport,
+    AdmmTrainer,
+};

@@ -2,7 +2,7 @@
 
 use crate::constraint::{CirculantConstraint, Constraint};
 use ernn_linalg::Matrix;
-use ernn_model::trainer::{train_with_hook, Sequence, TrainOptions};
+use ernn_model::trainer::{train_with_hook, EpochStats, Sequence, TrainOptions};
 use ernn_model::{BlockPolicy, NetworkGrads, Optimizer, RnnNetwork};
 use rand::Rng;
 
@@ -49,7 +49,7 @@ pub struct AdmmIterStats {
 }
 
 /// Full record of an ADMM run.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AdmmReport {
     /// Per-iteration statistics.
     pub iterations: Vec<AdmmIterStats>,
@@ -93,27 +93,78 @@ pub struct AdmmTrainer {
     u: Vec<Matrix>,
 }
 
+/// One block-circulant constraint per compressible weight matrix (aligned
+/// with `RnnNetwork::weight_matrices`): the block size its layer's policy
+/// gives its role, with 0 and 1 both leaving the matrix dense.
+///
+/// # Panics
+///
+/// Panics if `policies.len()` differs from the network's layer count.
+pub fn circulant_constraints(
+    net: &RnnNetwork<Matrix>,
+    policies: &[BlockPolicy],
+) -> Vec<Box<dyn Constraint>> {
+    assert_eq!(
+        policies.len(),
+        net.num_layers(),
+        "need one block policy per layer"
+    );
+    net.weight_matrices()
+        .iter()
+        .zip(net.weight_layer_indices())
+        .map(|((_, role, _), layer)| {
+            let block = policies[layer].for_role(*role).max(1);
+            Box::new(CirculantConstraint::new(block)) as Box<dyn Constraint>
+        })
+        .collect()
+}
+
+/// Snaps every compressible weight matrix onto its constraint set
+/// (`W ← Π(W)`).
+pub fn project_weights(net: &mut RnnNetwork<Matrix>, constraints: &[Box<dyn Constraint>]) {
+    for (w, c) in net.weight_matrices_mut().into_iter().zip(constraints) {
+        *w = c.project(w);
+    }
+}
+
+/// Trains with every gradient projected onto its constraint's tangent
+/// subspace, so weights that start on the constraint sets stay on them —
+/// the "retrain" phase of Fig. 6, and all of C-LSTM-style direct
+/// training. Constraints without a subspace structure keep their raw
+/// gradient; the weights are re-projected after training either way
+/// (momentum state may have drifted).
+pub fn train_projected(
+    net: &mut RnnNetwork<Matrix>,
+    data: &[Sequence],
+    opts: TrainOptions,
+    optimizer: &mut dyn Optimizer,
+    rng: &mut impl Rng,
+    constraints: &[Box<dyn Constraint>],
+) -> Vec<EpochStats> {
+    let stats = train_with_hook(
+        net,
+        data,
+        opts,
+        optimizer,
+        rng,
+        |_net: &RnnNetwork<Matrix>, grads: &mut NetworkGrads| {
+            for (gw, c) in grads.weight_matrices_mut().into_iter().zip(constraints) {
+                if let Some(projected) = c.project_gradient(gw) {
+                    *gw = projected;
+                }
+            }
+        },
+    );
+    project_weights(net, constraints);
+    stats
+}
+
 impl AdmmTrainer {
     /// Builds a trainer whose constraints follow the given block policy
-    /// (per weight role), initializing `Z = Π(W)` and `U = 0`.
+    /// (per weight role) on every layer, initializing `Z = Π(W)` and
+    /// `U = 0`.
     pub fn new(net: &RnnNetwork<Matrix>, policy: BlockPolicy, config: AdmmConfig) -> Self {
-        let mats = net.weight_matrices();
-        let mut constraints: Vec<Box<dyn Constraint>> = Vec::with_capacity(mats.len());
-        let mut z = Vec::with_capacity(mats.len());
-        let mut u = Vec::with_capacity(mats.len());
-        for (_, role, m) in &mats {
-            let block = policy.for_role(*role);
-            let c = CirculantConstraint::new(block.max(1));
-            z.push(c.project(m));
-            u.push(Matrix::zeros(m.rows(), m.cols()));
-            constraints.push(Box::new(c));
-        }
-        AdmmTrainer {
-            config,
-            constraints,
-            z,
-            u,
-        }
+        Self::with_layer_policies(net, &vec![policy; net.num_layers()], config)
     }
 
     /// Builds a trainer with one block policy per stacked layer — the
@@ -128,22 +179,7 @@ impl AdmmTrainer {
         policies: &[BlockPolicy],
         config: AdmmConfig,
     ) -> Self {
-        assert_eq!(
-            policies.len(),
-            net.num_layers(),
-            "need one block policy per layer"
-        );
-        let layer_of = net.weight_layer_indices();
-        let constraints: Vec<Box<dyn Constraint>> = net
-            .weight_matrices()
-            .iter()
-            .zip(layer_of.iter())
-            .map(|((_, role, _), &layer)| {
-                let block = policies[layer].for_role(*role).max(1);
-                Box::new(CirculantConstraint::new(block)) as Box<dyn Constraint>
-            })
-            .collect();
-        AdmmTrainer::with_constraints(net, constraints, config)
+        Self::with_constraints(net, circulant_constraints(net, policies), config)
     }
 
     /// Builds a trainer with explicit per-matrix constraints (advanced use,
@@ -265,10 +301,10 @@ impl AdmmTrainer {
     /// The whole Fig.-6 compression recipe in one call: ADMM iterations
     /// ([`Self::run`]), hard projection onto the constraint sets
     /// ([`Self::finalize`]), then `retrain_epochs` of constrained
-    /// fine-tuning ([`Self::retrain_constrained`]) with `retrain_opt`.
-    /// Exactly the sequence the flow oracle, the quickstart and the
-    /// lifecycle pipeline previously re-chained by hand — results are
+    /// fine-tuning ([`Self::retrain_constrained`]) with `retrain_opt` —
     /// bit-identical to calling the three steps yourself.
+    /// [`Recipe::compress`](crate::Recipe::compress) is this with the
+    /// recipe's optimizers, followed by the block-circulant extraction.
     pub fn fit(
         &mut self,
         net: &mut RnnNetwork<Matrix>,
@@ -283,12 +319,10 @@ impl AdmmTrainer {
         report
     }
 
-    /// Constrained fine-tuning after [`Self::finalize`]: trains with
-    /// gradients projected onto each constraint's tangent subspace so the
-    /// weights remain exactly structured — the "retrain to obtain the
-    /// block circulant model" phase of Fig. 6. Constraints without a
-    /// subspace structure keep their raw gradient and are re-projected
-    /// after training.
+    /// Constrained fine-tuning after [`Self::finalize`]
+    /// ([`train_projected`] at a constant learning rate): the weights
+    /// remain exactly structured — the "retrain to obtain the block
+    /// circulant model" phase of Fig. 6.
     pub fn retrain_constrained(
         &self,
         net: &mut RnnNetwork<Matrix>,
@@ -300,36 +334,19 @@ impl AdmmTrainer {
         if epochs == 0 {
             return;
         }
-        let constraints = &self.constraints;
-        train_with_hook(
-            net,
-            data,
-            TrainOptions {
-                epochs,
-                lr_decay: 1.0,
-                shuffle: true,
-            },
-            optimizer,
-            rng,
-            |_net: &RnnNetwork<Matrix>, grads: &mut NetworkGrads| {
-                for (gw, c) in grads.weight_matrices_mut().into_iter().zip(constraints) {
-                    if let Some(projected) = c.project_gradient(gw) {
-                        *gw = projected;
-                    }
-                }
-            },
-        );
-        // Momentum of non-subspace constraints may have drifted; snap back.
-        self.finalize(net);
+        let opts = TrainOptions {
+            epochs,
+            lr_decay: 1.0,
+            shuffle: true,
+        };
+        train_projected(net, data, opts, optimizer, rng, &self.constraints);
     }
 
     /// Snaps the weights exactly onto the constraint sets (`W ← Π(W)`),
     /// making the subsequent block-circulant extraction lossless. Call
     /// after [`Self::run`].
     pub fn finalize(&self, net: &mut RnnNetwork<Matrix>) {
-        for (i, w) in net.weight_matrices_mut().into_iter().enumerate() {
-            *w = self.constraints[i].project(w);
-        }
+        project_weights(net, &self.constraints);
     }
 
     /// Descriptions of the per-matrix constraints (for reports).
@@ -520,6 +537,32 @@ mod tests {
             trainer.constraint_descriptions().len(),
             net.weight_matrices().len()
         );
+    }
+
+    #[test]
+    fn one_policy_is_that_policy_on_every_layer() {
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(45);
+        let policy = BlockPolicy::with_io_block(4, 8);
+        for cell in [CellType::Lstm, CellType::Gru] {
+            let net = NetworkBuilder::new(cell, 8, 3)
+                .layer_dims(&[16, 8, 16])
+                .build(&mut rng);
+            let one = AdmmTrainer::new(&net, policy, AdmmConfig::default());
+            let per_layer =
+                AdmmTrainer::with_layer_policies(&net, &[policy; 3], AdmmConfig::default());
+            assert_eq!(one.z, per_layer.z, "{cell}");
+            assert_eq!(one.u, per_layer.u, "{cell}");
+            assert_eq!(
+                one.constraint_descriptions(),
+                per_layer.constraint_descriptions()
+            );
+            // And it is the role's block size: Z = Π_role(W), U = 0.
+            for (((_, role, w), z), u) in net.weight_matrices().iter().zip(&one.z).zip(&one.u) {
+                let c = CirculantConstraint::new(policy.for_role(*role));
+                assert_eq!(z, &c.project(w), "{cell}");
+                assert!(u.as_slice().iter().all(|&v| v == 0.0));
+            }
+        }
     }
 
     #[test]

@@ -9,7 +9,6 @@
 use crate::dataset::Utterance;
 use crate::phones::PhoneSet;
 use ernn_linalg::ops::argmax;
-use ernn_model::RnnNetwork;
 
 /// Collapses framewise logits into a phone sequence: temporal smoothing
 /// (3-frame moving average over logits), argmax per frame, merge
@@ -225,18 +224,20 @@ pub fn phone_error_rate(refs: &[Vec<usize>], hyps: &[Vec<usize>]) -> f64 {
     errors as f64 / total.max(1) as f64
 }
 
-/// Decodes a network over a set of utterances and returns the PER (%).
+/// Decodes what `forward` (frames in, framewise logits out) makes of each
+/// utterance and returns the PER (%).
 ///
-/// Works for any weight representation (dense training checkpoints and
-/// block-circulant compressed models alike).
-pub fn evaluate_per<M: ernn_linalg::MatVec>(net: &RnnNetwork<M>, utterances: &[Utterance]) -> f64 {
+/// `forward` is any model's forward pass — a dense training checkpoint,
+/// a block-circulant compressed network, the fixed-point datapath:
+/// `evaluate_per(|f| net.forward_logits(f), &corpus.test)`.
+pub fn evaluate_per(
+    forward: impl Fn(&[Vec<f32>]) -> Vec<Vec<f32>>,
+    utterances: &[Utterance],
+) -> f64 {
     let refs: Vec<Vec<usize>> = utterances.iter().map(|u| u.phone_seq.clone()).collect();
     let hyps: Vec<Vec<usize>> = utterances
         .iter()
-        .map(|u| {
-            let logits = net.forward_logits(&u.features);
-            decode_frames(&logits, PhoneSet::SILENCE, 2)
-        })
+        .map(|u| decode_frames(&forward(&u.features), PhoneSet::SILENCE, 2))
         .collect();
     phone_error_rate(&refs, &hyps) * 100.0
 }

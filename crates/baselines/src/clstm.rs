@@ -17,10 +17,10 @@
 //! *is* the diagonal averaging. That is how [`train_circulant_direct`]
 //! proceeds, reusing the dense BPTT engine.
 
-use ernn_admm::{CirculantConstraint, Constraint};
+use ernn_admm::{circulant_constraints, project_weights, train_projected};
 use ernn_linalg::Matrix;
-use ernn_model::trainer::{train_with_hook, EpochStats, Sequence, TrainOptions};
-use ernn_model::{BlockPolicy, NetworkGrads, Optimizer, RnnNetwork, WeightRole};
+use ernn_model::trainer::{EpochStats, Sequence, TrainOptions};
+use ernn_model::{BlockPolicy, Optimizer, RnnNetwork};
 
 /// Trains a network in the block-circulant parameterization, C-LSTM style:
 /// hard-project the initial weights, then keep every update on the
@@ -37,50 +37,17 @@ pub fn train_circulant_direct(
     optimizer: &mut dyn Optimizer,
     rng: &mut impl rand::Rng,
 ) -> Vec<EpochStats> {
-    // Per-matrix constraints by role.
-    let roles: Vec<WeightRole> = net
-        .weight_matrices()
-        .iter()
-        .map(|(_, role, _)| *role)
-        .collect();
-    let constraints: Vec<CirculantConstraint> = roles
-        .iter()
-        .map(|r| CirculantConstraint::new(policy.for_role(*r).max(1)))
-        .collect();
-
+    let constraints = circulant_constraints(net, &vec![policy; net.num_layers()]);
     // Hard projection onto the manifold (C-LSTM initializes the circulant
     // parameters from the pretrained dense weights the same way).
-    for (w, c) in net.weight_matrices_mut().into_iter().zip(&constraints) {
-        *w = c.project(w);
-    }
-
-    let stats = train_with_hook(
-        net,
-        data,
-        opts,
-        optimizer,
-        rng,
-        |_net: &RnnNetwork<Matrix>, grads: &mut NetworkGrads| {
-            for (g, c) in grads.weight_matrices_mut().into_iter().zip(&constraints) {
-                if let Some(projected) = c.project_gradient(g) {
-                    *g = projected;
-                }
-            }
-        },
-    );
-
-    // Numerical drift from momentum state is negligible but snap anyway so
-    // downstream compression is exactly lossless.
-    for (w, c) in net.weight_matrices_mut().into_iter().zip(&constraints) {
-        *w = c.project(w);
-    }
-    stats
+    project_weights(net, &constraints);
+    train_projected(net, data, opts, optimizer, rng, &constraints)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ernn_admm::{AdmmConfig, AdmmTrainer};
+    use ernn_admm::{AdmmConfig, AdmmTrainer, CirculantConstraint, Constraint};
     use ernn_model::{compress_network, CellType, NetworkBuilder, Sgd};
     use rand::SeedableRng;
 

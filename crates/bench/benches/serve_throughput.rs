@@ -1,7 +1,7 @@
 //! Criterion bench for the serving runtime (one model, FIFO dynamic
 //! batching): event-loop + device-model overhead under batched and
 //! unbatched policies, one to four devices.
-//! (Virtual-time throughput is the `serve_sweep` binary's job; this
+//! (Virtual-time throughput is the `sched_sweep` binary's job; this
 //! bench tracks the *host-side* cost of simulating a serving run.)
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

@@ -2,20 +2,26 @@
 //! only ~5 training trials thanks to the two exploration bounds.
 //!
 //! Runs the full flow (Phase I with real ADMM training on the synthetic
-//! corpus, then Phase II) and prints the trial log.
+//! corpus, then Phase II) and prints the trial log; `--json PATH` writes
+//! the trials as trained rows (flags: [`SweepArgs`]).
 
+use ernn_bench::sweep::SweepArgs;
+use ernn_bench::{write_paper_rows, ModelRow, RowResult};
 use ernn_core::flow::{run_flow_to_artifact, FlowConfig};
+use ernn_model::{BlockPolicy, ModelSpec};
+
+const SEED: u64 = 11;
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let config = if quick {
-        FlowConfig::quick(11)
+    let args = SweepArgs::from_env();
+    let config = if args.quick {
+        FlowConfig::quick(SEED)
     } else {
-        FlowConfig::standard(11)
+        FlowConfig::standard(SEED)
     };
     eprintln!(
         "running the E-RNN flow{} ...",
-        if quick { " [quick]" } else { "" }
+        if args.quick { " [quick]" } else { "" }
     );
     let (report, built) = run_flow_to_artifact(config).expect("flow pipelines");
     println!("{}", report.render());
@@ -43,4 +49,29 @@ fn main() {
         "deployable artifact: {} bytes (trial log travels as provenance)",
         built.save_bytes().len()
     );
+
+    // Every trial is scored against the LSTM baseline, whatever its cell.
+    let shape = &built.artifact().spec;
+    let trials = report.phase1.trials.iter().zip(&report.trial_training);
+    let rows: Vec<RowResult> = trials
+        .enumerate()
+        .map(|(i, (t, training))| {
+            let policy = BlockPolicy::with_io_block(t.spec.block, t.spec.io_block);
+            RowResult {
+                row: ModelRow {
+                    id: i + 1,
+                    spec: ModelSpec::new(t.spec.cell, shape.input_dim, shape.classes)
+                        .layer_dims(&t.spec.layer_dims)
+                        .peephole(true),
+                    policies: Some(vec![policy; t.spec.layer_dims.len()]),
+                },
+                seed: SEED,
+                baseline_per: report.phase1.baseline_per,
+                per: t.per,
+                admm: Some(training.admm.clone()),
+                wall_s: training.wall_s,
+            }
+        })
+        .collect();
+    write_paper_rows(&args, "phase1_trials", &rows);
 }

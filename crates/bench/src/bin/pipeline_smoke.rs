@@ -16,9 +16,10 @@
 //! Run with: `cargo run --release -p ernn-bench --bin pipeline_smoke`
 //! (flags: [`SweepArgs`]).
 
+use ernn_admm::{AdmmConfig, Recipe};
 use ernn_bench::json::JsonObject;
 use ernn_bench::sweep::SweepArgs;
-use ernn_core::pipeline::{CompressSettings, Pipeline, PipelineModel, TrainSettings};
+use ernn_core::pipeline::{Pipeline, PipelineModel};
 use ernn_model::trainer::Sequence;
 use ernn_model::{CellType, ModelSpec};
 use ernn_serve::sched::{ModelRegistry, SchedPolicy, SchedRuntime};
@@ -48,32 +49,23 @@ fn toy_data(n: usize, len: usize, seed: u64) -> Vec<Sequence> {
 fn build(quick: bool, data: &[Sequence]) -> PipelineModel {
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(11);
     let spec = ModelSpec::new(CellType::Gru, DIM, CLASSES).layer_dims(&[32]);
+    let recipe = Recipe {
+        pretrain_epochs: if quick { 2 } else { 6 },
+        admm: AdmmConfig {
+            iterations: if quick { 2 } else { 4 },
+            epochs_per_iter: 1,
+            retrain_epochs: 1,
+            ..AdmmConfig::default()
+        },
+        ..Recipe::default()
+    };
     Pipeline::paper(spec)
         .expect("valid spec")
         .block_policy(ernn_model::BlockPolicy::uniform(8))
         .source("ernn-bench pipeline_smoke")
-        .train(
-            data,
-            TrainSettings {
-                epochs: if quick { 2 } else { 6 },
-                ..TrainSettings::default()
-            },
-            &mut rng,
-        )
+        .train(data, &recipe, &mut rng)
         .expect("non-empty data")
-        .compress(
-            data,
-            CompressSettings {
-                admm: ernn_admm::AdmmConfig {
-                    iterations: if quick { 2 } else { 4 },
-                    epochs_per_iter: 1,
-                    retrain_epochs: 1,
-                    ..ernn_admm::AdmmConfig::default()
-                },
-                lr: 0.02,
-            },
-            &mut rng,
-        )
+        .compress(data, &recipe, &mut rng)
         .expect("non-empty data")
         .quantize()
         .expect("paper datapath")

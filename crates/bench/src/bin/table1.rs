@@ -4,54 +4,16 @@
 //! Layer sizes are scaled ÷8 from the paper (32/64/128 for 256/512/1024)
 //! to keep the run tractable on a laptop; block sizes and the table
 //! structure match the paper row for row. Run with `--quick` for a smoke
-//! pass (fewer epochs, 64-64 group only).
+//! pass (fewer epochs, 64-64 group only) and `--json PATH` for the rows
+//! as a bench artifact (flags: [`ernn_bench::sweep::SweepArgs`]).
 
-use ernn_asr::{SynthCorpus, SynthCorpusConfig};
-use ernn_bench::{render_model_table, run_grid, table1_grid, RowRecipe};
+use ernn_bench::run_model_table;
 use ernn_model::CellType;
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let recipe = if quick {
-        RowRecipe::quick()
-    } else {
-        RowRecipe::full()
-    };
-    let corpus = SynthCorpus::generate(&SynthCorpusConfig::standard(42));
-    let mut grid = table1_grid();
-    if quick {
-        grid.retain(|r| r.layer_dims == vec![64, 64]);
-    }
-    eprintln!(
-        "table1: {} rows ({} corpus utterances){}",
-        grid.len(),
-        corpus.train.len(),
-        if quick { " [quick]" } else { "" }
-    );
-    let results = run_grid(CellType::Lstm, grid, &corpus, &recipe, 7);
-    println!(
-        "{}",
-        render_model_table(
-            "Table I — LSTM-based RNN models (synthetic ASR corpus, layer sizes ÷8)",
-            &results
-        )
-    );
-    // The paper's qualitative checks.
-    let small_block_ok = results
-        .iter()
-        .filter(|r| {
-            r.row
-                .blocks
-                .as_ref()
-                .is_some_and(|b| b.iter().all(|&x| x <= 4))
-        })
-        .all(|r| r.degradation < 3.0);
-    println!(
-        "check: block size <= 4 keeps degradation small ... {}",
-        if small_block_ok {
-            "PASS"
-        } else {
-            "MIXED (see EXPERIMENTS.md on PER noise)"
-        }
+    run_model_table(
+        CellType::Lstm,
+        "table1",
+        "Table I — LSTM-based RNN models (synthetic ASR corpus, layer sizes ÷8)",
     );
 }

@@ -1,43 +1,22 @@
 //! Regenerates **Table II**: comparison among GRU-based RNN models.
 //!
-//! Same structure as `table1` with GRU cells (paper Sec. IV, Table II).
+//! Same structure and flags as `table1` with GRU cells (paper Sec. IV,
+//! Table II).
 
-use ernn_asr::{SynthCorpus, SynthCorpusConfig};
-use ernn_bench::{render_model_table, run_grid, table2_grid, RowRecipe};
+use ernn_bench::run_model_table;
 use ernn_model::CellType;
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let recipe = if quick {
-        RowRecipe::quick()
-    } else {
-        RowRecipe::full()
-    };
-    let corpus = SynthCorpus::generate(&SynthCorpusConfig::standard(42));
-    let mut grid = table2_grid();
-    if quick {
-        grid.retain(|r| r.layer_dims == vec![64, 64]);
-    }
-    eprintln!(
-        "table2: {} rows ({} corpus utterances){}",
-        grid.len(),
-        corpus.train.len(),
-        if quick { " [quick]" } else { "" }
+    let results = run_model_table(
+        CellType::Gru,
+        "table2",
+        "Table II — GRU-based RNN models (synthetic ASR corpus, layer sizes ÷8)",
     );
-    let results = run_grid(CellType::Gru, grid, &corpus, &recipe, 7);
-    println!(
-        "{}",
-        render_model_table(
-            "Table II — GRU-based RNN models (synthetic ASR corpus, layer sizes ÷8)",
-            &results
-        )
-    );
-    // Paper observation: switching LSTM -> GRU costs ~nothing; compare the
-    // baselines against Table I's published 20.83/20.53/20.01 pattern by
-    // eye — here we just verify GRU baselines are in a sane range.
+    // Paper observation: switching LSTM -> GRU costs ~nothing; compare
+    // with Table I's baselines by eye.
     let baselines: Vec<f64> = results
         .iter()
-        .filter(|r| r.row.blocks.is_none())
+        .filter(|r| r.row.policies.is_none())
         .map(|r| r.per)
         .collect();
     println!("GRU baselines PER: {baselines:?}");

@@ -2,17 +2,18 @@
 //! (ESE, C-LSTM, E-RNN FFT8/FFT16, LSTM and GRU, both platforms).
 //!
 //! Hardware numbers come from the resource/cycle/power models in
-//! `ernn-fpga` (see DESIGN.md for the calibration notes). PER-degradation
-//! rows are taken from the paper for the baselines we cannot train
-//! (TIMIT) and measured on the synthetic corpus for E-RNN when
-//! `--accuracy` is passed.
+//! `ernn-fpga`. PER-degradation rows are taken from the paper for the
+//! baselines we cannot train (TIMIT) and measured on the synthetic corpus
+//! for E-RNN when `--accuracy` is passed (`--quick`: the reduced recipe;
+//! `--json PATH`: the trained rows as a bench artifact).
 
 use ernn_asr::{SynthCorpus, SynthCorpusConfig};
-use ernn_bench::{evaluate_compressed_row, train_baseline, ModelRow, RowRecipe};
+use ernn_bench::sweep::SweepArgs;
+use ernn_bench::{run_grid, write_paper_rows, ModelRow, RowResult};
 use ernn_fpga::baseline::{clstm_report, EseModel};
 use ernn_fpga::power::{board_power, energy_efficiency};
 use ernn_fpga::{AccelReport, Accelerator, RnnSpec, ADM_PCIE_7V3, XCKU060};
-use ernn_model::CellType;
+use ernn_model::{BlockPolicy, CellType, ModelSpec};
 
 struct Row {
     report: AccelReport,
@@ -21,40 +22,36 @@ struct Row {
 }
 
 fn main() {
-    let with_accuracy = std::env::args().any(|a| a == "--accuracy");
+    let args = SweepArgs::from_env();
 
-    // Optional accuracy measurements (E-RNN LSTM/GRU at block 8/16).
-    let mut measured: Vec<(String, f64)> = Vec::new();
-    if with_accuracy {
+    // Optional accuracy measurements (E-RNN LSTM/GRU at block 8/16): per
+    // cell a 64-64 baseline and one row per block size, whose id — and so
+    // whose seed offset — is the block size.
+    let mut trained: Vec<RowResult> = Vec::new();
+    if std::env::args().any(|a| a == "--accuracy") {
         eprintln!("measuring PER degradation on the synthetic corpus ...");
         let corpus = SynthCorpus::generate(&SynthCorpusConfig::standard(42));
-        let recipe = RowRecipe::full();
         for cell in [CellType::Lstm, CellType::Gru] {
-            let row = ModelRow {
-                id: 0,
-                layer_dims: vec![64, 64],
-                blocks: None,
-                peephole: cell == CellType::Lstm,
-                projection: None,
-            };
-            let (baseline, base_per) = train_baseline(cell, &row, &corpus, &recipe, 7);
-            for block in [8usize, 16] {
-                let per = evaluate_compressed_row(
-                    &baseline,
-                    &[block, block],
-                    &corpus,
-                    &recipe,
-                    7 + block as u64,
-                );
-                measured.push((format!("{cell:?}-FFT{block}"), per - base_per));
-            }
+            let spec = ModelSpec::new(cell, corpus.feature_dim, corpus.num_classes())
+                .layer_dims(&[64, 64])
+                .peephole(cell == CellType::Lstm);
+            let rows = [0usize, 8, 16]
+                .map(|block| ModelRow {
+                    id: block,
+                    spec: spec.clone(),
+                    policies: (block > 0).then(|| vec![BlockPolicy::uniform(block); 2]),
+                })
+                .to_vec();
+            trained.extend(run_grid(rows, &corpus, &args.recipe(), 7));
         }
+        write_paper_rows(&args, "table3", &trained);
     }
+    trained.retain(|r| r.row.policies.is_some());
     let lookup = |cell: CellType, block: usize| -> Option<f64> {
-        measured
+        trained
             .iter()
-            .find(|(k, _)| *k == format!("{cell:?}-FFT{block}"))
-            .map(|(_, v)| *v)
+            .find(|r| r.row.spec.cell == cell && r.row.id == block)
+            .map(RowResult::degradation)
     };
 
     let mut rows: Vec<Row> = Vec::new();
@@ -164,10 +161,11 @@ fn main() {
             r.ff_pct,
         );
     }
-    if !measured.is_empty() {
+    if !trained.is_empty() {
         println!("\nmeasured PER degradation (synthetic corpus, pp):");
-        for (k, v) in &measured {
-            println!("  {k}: {v:+.2}");
+        for r in &trained {
+            let (cell, block) = (r.row.spec.cell, r.row.id);
+            println!("  {cell:?}-FFT{block}: {:+.2}", r.degradation());
         }
     }
 

@@ -168,12 +168,12 @@ mod tests {
     #[test]
     fn renders_flat_objects_in_order() {
         let obj = JsonObject::new()
-            .str("bench", "serve_sweep")
+            .str("bench", "sched_sweep")
             .int("devices", 4)
             .num("p99_us", 123.5);
         assert_eq!(
             obj.render(),
-            r#"{"bench":"serve_sweep","devices":4,"p99_us":123.5}"#
+            r#"{"bench":"sched_sweep","devices":4,"p99_us":123.5}"#
         );
     }
 

@@ -1,7 +1,6 @@
 //! Shared harness utilities for the table/figure regeneration binaries.
 //!
-//! Each binary regenerates one table or figure of the paper (see
-//! `DESIGN.md` for the experiment index):
+//! Each binary regenerates one table or figure of the paper:
 //!
 //! | binary          | artifact  |
 //! |-----------------|-----------|
@@ -12,6 +11,10 @@
 //! | `fig5`          | Fig. 5    (Euclidean mapping example)    |
 //! | `fig8`          | Fig. 8    (multiplication-count curves)  |
 //! | `phase1_trials` | Sec. VI   (Phase-I trial-count claim)    |
+//!
+//! The four that train (`table1`, `table2`, `table3 --accuracy`,
+//! `phase1_trials`) do so through [`ernn_admm::Recipe`] and share this
+//! crate's row type, grid runner and `--json` rows.
 
 // The one exception is the `GlobalAlloc` impl in `alloc.rs`.
 #![deny(unsafe_code)]
@@ -21,158 +24,82 @@ pub mod diff;
 pub mod json;
 pub mod sweep;
 
-use ernn_admm::{AdmmConfig, AdmmTrainer};
-use ernn_asr::{evaluate_per, SynthCorpus};
-use ernn_model::trainer::{train, TrainOptions};
-use ernn_model::{
-    compress_network_layers, BlockPolicy, CellType, Matrix, NetworkBuilder, RnnNetwork, Sgd,
-};
+use ernn_admm::{AdmmReport, Recipe};
+use ernn_asr::{evaluate_per, SynthCorpus, SynthCorpusConfig};
+use ernn_model::{BlockPolicy, CellType, ModelSpec};
+use json::{array, JsonObject};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-
-/// Training recipe for one table row.
-#[derive(Debug, Clone, Copy)]
-pub struct RowRecipe {
-    /// Dense pre-training epochs (for the shared baseline).
-    pub pretrain_epochs: usize,
-    /// ADMM outer iterations.
-    pub admm_iterations: usize,
-    /// Epochs per ADMM iteration.
-    pub admm_epochs: usize,
-    /// Constrained retraining epochs after projection.
-    pub retrain_epochs: usize,
-    /// Pre-training learning rate.
-    pub pretrain_lr: f32,
-    /// ADMM/retraining learning rate.
-    pub admm_lr: f32,
-}
-
-impl RowRecipe {
-    /// The recipe used for the recorded experiment runs.
-    pub fn full() -> Self {
-        RowRecipe {
-            pretrain_epochs: 24,
-            admm_iterations: 8,
-            admm_epochs: 2,
-            retrain_epochs: 6,
-            pretrain_lr: 0.08,
-            admm_lr: 0.02,
-        }
-    }
-
-    /// A reduced recipe for smoke runs (`--quick`).
-    pub fn quick() -> Self {
-        RowRecipe {
-            pretrain_epochs: 8,
-            admm_iterations: 3,
-            admm_epochs: 1,
-            retrain_epochs: 2,
-            pretrain_lr: 0.08,
-            admm_lr: 0.02,
-        }
-    }
-}
+use std::time::Instant;
+use sweep::SweepArgs;
 
 /// One row of a Table I/II-style model grid.
 #[derive(Debug, Clone)]
 pub struct ModelRow {
     /// Row id, matching the paper's table.
     pub id: usize,
-    /// Hidden dims per layer (the paper's "Layer Size", scaled ÷8).
-    pub layer_dims: Vec<usize>,
-    /// Per-layer block sizes; `None` marks the uncompressed baseline row.
-    pub blocks: Option<Vec<usize>>,
-    /// LSTM peephole connections.
-    pub peephole: bool,
-    /// LSTM projection dim.
-    pub projection: Option<usize>,
+    /// The model's shape (layer dims are the paper's "Layer Size" ÷ 8).
+    pub spec: ModelSpec,
+    /// One block policy per layer; `None` marks the uncompressed
+    /// baseline row.
+    pub policies: Option<Vec<BlockPolicy>>,
 }
 
-/// Result of evaluating one row.
+/// Result of training one row.
 #[derive(Debug, Clone)]
 pub struct RowResult {
     /// The row definition.
     pub row: ModelRow,
-    /// Measured test PER (%).
+    /// Seed of the row's rng.
+    pub seed: u64,
+    /// Test PER (%) of the row's dense baseline.
+    pub baseline_per: f64,
+    /// Measured test PER (%); the baseline's own on baseline rows.
     pub per: f64,
-    /// Degradation versus this row's baseline (PER percentage points);
-    /// zero (by definition) for baseline rows.
-    pub degradation: f64,
+    /// The ADMM record of a compressed row.
+    pub admm: Option<AdmmReport>,
+    /// Wall seconds the row's training and scoring took.
+    pub wall_s: f64,
 }
 
-/// Builds and pre-trains the dense baseline for a layer-size group.
-pub fn train_baseline(
-    cell: CellType,
-    row: &ModelRow,
-    corpus: &SynthCorpus,
-    recipe: &RowRecipe,
-    seed: u64,
-) -> (RnnNetwork<Matrix>, f64) {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut builder = NetworkBuilder::new(cell, corpus.feature_dim, corpus.num_classes())
-        .layer_dims(&row.layer_dims)
-        .peephole(row.peephole);
-    if let Some(p) = row.projection {
-        builder = builder.projection(p);
+impl RowResult {
+    /// PER degradation versus the row's baseline (percentage points);
+    /// zero on baseline rows.
+    pub fn degradation(&self) -> f64 {
+        self.per - self.baseline_per
     }
-    let mut net = builder.build(&mut rng);
-    let data = corpus.train_sequences();
-    let mut opt = Sgd::new(recipe.pretrain_lr).momentum(0.9).clip_norm(2.0);
-    train(
-        &mut net,
-        &data,
-        TrainOptions {
-            epochs: recipe.pretrain_epochs,
-            lr_decay: 0.92,
-            shuffle: true,
-        },
-        &mut opt,
-        &mut rng,
-    );
-    let per = evaluate_per(&net, &corpus.test);
-    (net, per)
+
+    /// The row as a `BENCH_paper.json` record, keyed by (cell, layer
+    /// dims, blocks, io blocks, seed).
+    pub fn json(&self) -> JsonObject {
+        let doc = JsonObject::new()
+            .str("cell", &format!("{:?}", self.row.spec.cell))
+            .str("layer_dims", &dims_label(&self.row.spec.layer_dims))
+            .str("blocks", &self.row.blocks_label(|p| p.recurrent))
+            .str("io_blocks", &self.row.blocks_label(|p| p.input))
+            .int("seed", self.seed as i64)
+            .num("baseline_per", self.baseline_per)
+            .num("per", self.per)
+            .num("degradation", self.degradation());
+        let doc = match &self.admm {
+            None => doc,
+            Some(admm) => doc
+                .num("final_residual", admm.final_residual() as f64)
+                .int("admm_iterations", admm.iterations.len() as i64)
+                .raw("converged", admm.converged.to_string()),
+        };
+        doc.num("wall_s", self.wall_s)
+    }
 }
 
-/// Runs the ADMM pipeline for one compressed row starting from a
-/// pre-trained baseline and returns the compressed-model PER (%).
-pub fn evaluate_compressed_row(
-    baseline: &RnnNetwork<Matrix>,
-    blocks: &[usize],
-    corpus: &SynthCorpus,
-    recipe: &RowRecipe,
-    seed: u64,
-) -> f64 {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut net = baseline.clone();
-    let policies: Vec<BlockPolicy> = blocks.iter().map(|&b| BlockPolicy::uniform(b)).collect();
-    let cfg = AdmmConfig {
-        rho: 0.05,
-        rho_growth: 1.5,
-        iterations: recipe.admm_iterations,
-        epochs_per_iter: recipe.admm_epochs,
-        retrain_epochs: recipe.retrain_epochs,
-        residual_tol: 1e-4,
-    };
-    let mut trainer = AdmmTrainer::with_layer_policies(&net, &policies, cfg);
-    let data = corpus.train_sequences();
-    let mut opt = Sgd::new(recipe.admm_lr).momentum(0.9).clip_norm(2.0);
-    trainer.run(&mut net, &data, &mut opt, &mut rng);
-    trainer.finalize(&mut net);
-    let mut opt2 = Sgd::new(recipe.admm_lr * 0.75).momentum(0.9).clip_norm(2.0);
-    trainer.retrain_constrained(&mut net, &data, recipe.retrain_epochs, &mut opt2, &mut rng);
-    let compressed = compress_network_layers(&net, &policies);
-    evaluate_per(&compressed, &corpus.test)
-}
-
-/// Formats a block-size list like the paper ("4-8", "-" for baselines).
-pub fn blocks_label(blocks: &Option<Vec<usize>>) -> String {
-    match blocks {
-        None => "-".to_string(),
-        Some(bs) => bs
-            .iter()
-            .map(|b| b.to_string())
-            .collect::<Vec<_>>()
-            .join("-"),
+impl ModelRow {
+    /// Formats one block size per layer like the paper ("4-8", "-" for
+    /// baselines).
+    pub fn blocks_label(&self, block: impl Fn(&BlockPolicy) -> usize) -> String {
+        match &self.policies {
+            None => "-".to_string(),
+            Some(ps) => dims_label(&ps.iter().map(block).collect::<Vec<_>>()),
+        }
     }
 }
 
@@ -184,187 +111,142 @@ pub fn dims_label(dims: &[usize]) -> String {
         .join("-")
 }
 
-/// The Table I (LSTM) grid, scaled ÷8 from the paper's layer sizes.
-pub fn table1_grid() -> Vec<ModelRow> {
+/// The Table I (LSTM) / Table II (GRU) grid, layer sizes scaled ÷8 from
+/// the paper's: per layer-size group one baseline row, then one row per
+/// block-size combination. The paper's LSTMs add peepholes from 512 up
+/// and a projection at 1024; GRUs have neither.
+pub fn model_grid(cell: CellType, corpus: &SynthCorpus) -> Vec<ModelRow> {
+    let lstm = cell == CellType::Lstm;
+    let spec = ModelSpec::new(cell, corpus.feature_dim, corpus.num_classes());
+    let mut large = spec.clone().layer_dims(&[128, 128]).peephole(lstm);
+    if lstm {
+        large = large.projection(64);
+    }
+    let small_blocks: &[&[usize]] = if lstm {
+        &[&[2, 2, 2], &[4, 4, 4]]
+    } else {
+        &[&[4, 4, 4], &[8, 8, 8]]
+    };
+    let groups: [(ModelSpec, &[&[usize]]); 3] = [
+        // 256-256-256 -> 32-32-32.
+        (spec.clone().layer_dims(&[32, 32, 32]), small_blocks),
+        // 512-512 -> 64-64.
+        (
+            spec.layer_dims(&[64, 64]).peephole(lstm),
+            &[&[4, 4], &[4, 8], &[8, 4], &[8, 8]],
+        ),
+        // 1024-1024 -> 128-128.
+        (
+            large,
+            &[
+                &[4, 4],
+                &[4, 8],
+                &[8, 4],
+                &[8, 8],
+                &[8, 16],
+                &[16, 8],
+                &[16, 16],
+            ],
+        ),
+    ];
     let mut rows = Vec::new();
-    let mut id = 1;
-    // 256-256-256 group -> 32-32-32 (no peephole, no projection).
-    for blocks in [None, Some(vec![2, 2, 2]), Some(vec![4, 4, 4])] {
-        rows.push(ModelRow {
-            id,
-            layer_dims: vec![32, 32, 32],
-            blocks,
-            peephole: false,
-            projection: None,
-        });
-        id += 1;
-    }
-    // 512-512 group -> 64-64 (peephole).
-    for blocks in [
-        None,
-        Some(vec![4, 4]),
-        Some(vec![4, 8]),
-        Some(vec![8, 4]),
-        Some(vec![8, 8]),
-    ] {
-        rows.push(ModelRow {
-            id,
-            layer_dims: vec![64, 64],
-            blocks,
-            peephole: true,
-            projection: None,
-        });
-        id += 1;
-    }
-    // 1024-1024 group -> 128-128 with projection 64 (peephole+projection).
-    for blocks in [
-        None,
-        Some(vec![4, 4]),
-        Some(vec![4, 8]),
-        Some(vec![8, 4]),
-        Some(vec![8, 8]),
-        Some(vec![8, 16]),
-        Some(vec![16, 8]),
-        Some(vec![16, 16]),
-    ] {
-        rows.push(ModelRow {
-            id,
-            layer_dims: vec![128, 128],
-            blocks,
-            peephole: true,
-            projection: Some(64),
-        });
-        id += 1;
+    for (spec, block_sets) in groups {
+        let uniform = |bs: &&[usize]| Some(bs.iter().map(|&b| BlockPolicy::uniform(b)).collect());
+        for policies in std::iter::once(None).chain(block_sets.iter().map(uniform)) {
+            rows.push(ModelRow {
+                id: rows.len() + 1,
+                spec: spec.clone(),
+                policies,
+            });
+        }
     }
     rows
 }
 
-/// The Table II (GRU) grid — same structure, no peephole/projection
-/// options (GRUs have neither).
-pub fn table2_grid() -> Vec<ModelRow> {
-    let mut rows = Vec::new();
-    let mut id = 1;
-    for blocks in [None, Some(vec![4, 4, 4]), Some(vec![8, 8, 8])] {
-        rows.push(ModelRow {
-            id,
-            layer_dims: vec![32, 32, 32],
-            blocks,
-            peephole: false,
-            projection: None,
-        });
-        id += 1;
-    }
-    for blocks in [
-        None,
-        Some(vec![4, 4]),
-        Some(vec![4, 8]),
-        Some(vec![8, 4]),
-        Some(vec![8, 8]),
-    ] {
-        rows.push(ModelRow {
-            id,
-            layer_dims: vec![64, 64],
-            blocks,
-            peephole: false,
-            projection: None,
-        });
-        id += 1;
-    }
-    for blocks in [
-        None,
-        Some(vec![4, 4]),
-        Some(vec![4, 8]),
-        Some(vec![8, 4]),
-        Some(vec![8, 8]),
-        Some(vec![8, 16]),
-        Some(vec![16, 8]),
-        Some(vec![16, 16]),
-    ] {
-        rows.push(ModelRow {
-            id,
-            layer_dims: vec![128, 128],
-            blocks,
-            peephole: false,
-            projection: None,
-        });
-        id += 1;
-    }
-    rows
-}
-
-/// Runs a whole grid: baselines are trained once per layer-size group and
-/// shared by that group's compressed rows; rows run on two worker threads.
+/// Runs a whole grid through `recipe`: each baseline row is pre-trained
+/// with an rng seeded `seed` and shared by the compressed rows of its
+/// shape, which run on two worker threads with rngs seeded `seed + id`.
+///
+/// # Panics
+///
+/// Panics if a compressed row's shape has no baseline row.
 pub fn run_grid(
-    cell: CellType,
     rows: Vec<ModelRow>,
     corpus: &SynthCorpus,
-    recipe: &RowRecipe,
+    recipe: &Recipe,
     seed: u64,
 ) -> Vec<RowResult> {
-    use std::collections::HashMap;
-    // Baselines per (dims, peephole, projection) group.
-    let mut baselines: HashMap<String, (RnnNetwork<Matrix>, f64)> = HashMap::new();
-    for row in rows.iter().filter(|r| r.blocks.is_none()) {
-        let key = format!("{:?}{:?}{:?}", row.layer_dims, row.peephole, row.projection);
-        baselines
-            .entry(key)
-            .or_insert_with(|| train_baseline(cell, row, corpus, recipe, seed));
+    let data = corpus.train_sequences();
+    let mut results: Vec<Option<RowResult>> = vec![None; rows.len()];
+    let mut baselines = Vec::new();
+    for (i, row) in rows.iter().enumerate() {
+        if row.policies.is_some() {
+            continue;
+        }
+        let started = Instant::now();
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let net = recipe.pretrain(&row.spec, &data, &mut rng);
+        let per = evaluate_per(|f| net.forward_logits(f), &corpus.test);
+        baselines.push((&row.spec, net, per));
+        results[i] = Some(RowResult {
+            row: row.clone(),
+            seed,
+            baseline_per: per,
+            per,
+            admm: None,
+            wall_s: started.elapsed().as_secs_f64(),
+        });
     }
 
     // Compressed rows in parallel (2 workers — the host has 2 cores).
-    let jobs: Vec<(usize, ModelRow)> = rows
+    let jobs: Vec<(usize, &ModelRow)> = rows
         .iter()
         .enumerate()
-        .filter(|(_, r)| r.blocks.is_some())
-        .map(|(i, r)| (i, r.clone()))
+        .filter(|(_, r)| r.policies.is_some())
         .collect();
-    let mut pers: Vec<Option<f64>> = vec![None; rows.len()];
     std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for chunk in jobs.chunks(jobs.len().div_ceil(2).max(1)) {
-            let chunk = chunk.to_vec();
-            let baselines = &baselines;
-            handles.push(scope.spawn(move || {
-                let mut out = Vec::new();
-                for (i, row) in chunk {
-                    let key = format!("{:?}{:?}{:?}", row.layer_dims, row.peephole, row.projection);
-                    let (baseline, _) = &baselines[&key];
-                    let blocks = row.blocks.clone().expect("compressed row");
-                    let per = evaluate_compressed_row(
-                        baseline,
-                        &blocks,
-                        corpus,
-                        recipe,
-                        seed.wrapping_add(row.id as u64),
-                    );
-                    out.push((i, per));
-                }
-                out
-            }));
-        }
+        let handles: Vec<_> = jobs
+            .chunks(jobs.len().div_ceil(2).max(1))
+            .map(|chunk| {
+                let (baselines, data) = (&baselines, &data);
+                scope.spawn(move || {
+                    chunk
+                        .iter()
+                        .map(|&(i, row)| {
+                            let started = Instant::now();
+                            let (_, baseline, baseline_per) = baselines
+                                .iter()
+                                .find(|(spec, ..)| *spec == &row.spec)
+                                .expect("a baseline row for every shape");
+                            let policies = row.policies.as_ref().expect("compressed row");
+                            let seed = seed.wrapping_add(row.id as u64);
+                            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                            let (compressed, admm) =
+                                recipe.compress(&mut baseline.clone(), policies, data, &mut rng);
+                            let per = evaluate_per(|f| compressed.forward_logits(f), &corpus.test);
+                            let result = RowResult {
+                                row: row.clone(),
+                                seed,
+                                baseline_per: *baseline_per,
+                                per,
+                                admm: Some(admm),
+                                wall_s: started.elapsed().as_secs_f64(),
+                            };
+                            (i, result)
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
         for h in handles {
-            for (i, per) in h.join().expect("worker thread") {
-                pers[i] = Some(per);
+            for (i, result) in h.join().expect("worker thread") {
+                results[i] = Some(result);
             }
         }
     });
-
-    rows.into_iter()
-        .enumerate()
-        .map(|(i, row)| {
-            let key = format!("{:?}{:?}{:?}", row.layer_dims, row.peephole, row.projection);
-            let base_per = baselines[&key].1;
-            let per = pers[i].unwrap_or(base_per);
-            RowResult {
-                degradation: if row.blocks.is_none() {
-                    0.0
-                } else {
-                    per - base_per
-                },
-                per,
-                row,
-            }
-        })
+    results
+        .into_iter()
+        .map(|r| r.expect("every row ran"))
         .collect()
 }
 
@@ -374,23 +256,57 @@ pub fn render_model_table(title: &str, results: &[RowResult]) -> String {
     out.push_str(&format!("{title}\n"));
     out.push_str("ID  Layer Size   Block Size  Peep  Proj  PER (%)  PER degradation (pp)\n");
     for r in results {
+        let spec = &r.row.spec;
         out.push_str(&format!(
             "{:<3} {:<12} {:<11} {:<5} {:<5} {:<8.2} {}\n",
             r.row.id,
-            dims_label(&r.row.layer_dims),
-            blocks_label(&r.row.blocks),
-            if r.row.peephole { "y" } else { "n" },
-            r.row
-                .projection
+            dims_label(&spec.layer_dims),
+            r.row.blocks_label(|p| p.recurrent),
+            if spec.peephole { "y" } else { "n" },
+            spec.projection
                 .map(|p| p.to_string())
                 .unwrap_or_else(|| "n".into()),
             r.per,
-            if r.row.blocks.is_none() {
+            if r.row.policies.is_none() {
                 "-".to_string()
             } else {
-                format!("{:+.2}", r.degradation)
+                format!("{:+.2}", r.degradation())
             },
         ));
     }
     out
+}
+
+/// Writes a paper bin's trained rows to its `--json` path, if one was
+/// given.
+pub fn write_paper_rows(args: &SweepArgs, bench: &str, results: &[RowResult]) {
+    args.write_bench(
+        JsonObject::new()
+            .bench_header(bench)
+            .raw("quick", args.quick.to_string())
+            .raw("rows", array(results.iter().map(|r| r.json().render()))),
+    );
+}
+
+/// The body of `table1` / `table2`: trains the cell's [`model_grid`] on
+/// the standard corpus (`--quick`: the reduced recipe, 64-64 group
+/// only), prints the table, writes the `--json` rows and returns the
+/// results.
+pub fn run_model_table(cell: CellType, bench: &str, title: &str) -> Vec<RowResult> {
+    let args = SweepArgs::from_env();
+    let corpus = SynthCorpus::generate(&SynthCorpusConfig::standard(42));
+    let mut grid = model_grid(cell, &corpus);
+    if args.quick {
+        grid.retain(|r| r.spec.layer_dims == [64, 64]);
+    }
+    eprintln!(
+        "{bench}: {} rows ({} corpus utterances){}",
+        grid.len(),
+        corpus.train.len(),
+        if args.quick { " [quick]" } else { "" }
+    );
+    let results = run_grid(grid, &corpus, &args.recipe(), 7);
+    println!("{}", render_model_table(title, &results));
+    write_paper_rows(&args, bench, &results);
+    results
 }

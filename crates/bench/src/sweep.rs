@@ -1,12 +1,13 @@
-//! The one harness behind the sweeps (`sched_sweep`, `serve_sweep`,
-//! `stream_sweep`, `chaos_sweep`, `cluster_sweep`, `executor_scaling`,
-//! `pipeline_smoke`; `kernel_sweep` for its flags): flag parsing, the
+//! The one harness behind the sweeps (`sched_sweep`, `stream_sweep`,
+//! `chaos_sweep`, `cluster_sweep`, `pipeline_smoke`; `kernel_sweep` and
+//! the paper bins for its flags): flag parsing, the
 //! paper-preset model fixture, the executor-bit-identity,
 //! answered-exactly-once and live-counter oracles, and artifact export. A
 //! sweep keeps only its workload and the claims it asserts beyond these; a
 //! check every run should pass is added here, once.
 
 use crate::json::{json_path_arg, trace_path_arg, write_artifact, JsonObject};
+use ernn_admm::Recipe;
 use ernn_core::pipeline::Pipeline;
 use ernn_model::{CellType, ModelSpec};
 use ernn_serve::sched::{SchedReport, SchedStats};
@@ -37,6 +38,16 @@ impl SweepArgs {
             quick: args.iter().any(|a| a == "--quick"),
             json: json_path_arg(&args),
             trace_out: trace_path_arg(&args),
+        }
+    }
+
+    /// The Fig. 6 recipe a paper bin trains with: the recorded runs'
+    /// [`Recipe::full`], cut to [`Recipe::quick`] under `--quick`.
+    pub fn recipe(&self) -> Recipe {
+        if self.quick {
+            Recipe::quick()
+        } else {
+            Recipe::full()
         }
     }
 

@@ -10,18 +10,15 @@
 use crate::phase1::{run_phase1, CandidateSpec, Phase1Config, Phase1Result, TrainOracle};
 use crate::phase2::{run_phase2, Phase2Config, Phase2Result};
 use crate::pipeline::{PipelineError, PipelineModel};
-use ernn_admm::{AdmmConfig, AdmmReport, AdmmTrainer};
+use ernn_admm::{AdmmReport, Recipe};
 use ernn_asr::{evaluate_per, SynthCorpus, SynthCorpusConfig};
-use ernn_fpga::artifact::AdmmProvenance;
 use ernn_fpga::exec::{DatapathConfig, QuantizedNetwork};
 use ernn_fpga::{Device, HwCell, RnnSpec};
-use ernn_model::trainer::{train, TrainOptions};
-use ernn_model::{
-    compress_network, BlockPolicy, CellType, Matrix, NetworkBuilder, RnnNetwork, Sgd, WeightMatrix,
-};
+use ernn_model::{BlockPolicy, CellType, Matrix, ModelSpec, RnnNetwork, WeightMatrix};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::HashMap;
+use std::time::Instant;
 
 /// Configuration of the end-to-end flow.
 #[derive(Debug, Clone)]
@@ -30,14 +27,8 @@ pub struct FlowConfig {
     pub corpus: SynthCorpusConfig,
     /// Hidden dims of the trained (scaled-down) candidates.
     pub layer_dims: Vec<usize>,
-    /// Dense pre-training epochs.
-    pub pretrain_epochs: usize,
-    /// ADMM outer iterations / epochs per iteration / retrain epochs.
-    pub admm: AdmmConfig,
-    /// Learning rates for pre-training and ADMM/retraining.
-    pub pretrain_lr: f32,
-    /// ADMM and retraining learning rate.
-    pub admm_lr: f32,
+    /// The Fig. 6 recipe every candidate is trained with.
+    pub recipe: Recipe,
     /// Accuracy budget for Phase I (PER percentage points).
     pub accuracy_budget: f64,
     /// Block-size cap for the scaled training proxy (see
@@ -65,17 +56,7 @@ impl FlowConfig {
                 ..SynthCorpusConfig::tiny(seed)
             },
             layer_dims: vec![32],
-            pretrain_epochs: 8,
-            admm: AdmmConfig {
-                rho: 0.05,
-                rho_growth: 1.6,
-                iterations: 3,
-                epochs_per_iter: 1,
-                retrain_epochs: 2,
-                residual_tol: 1e-4,
-            },
-            pretrain_lr: 0.08,
-            admm_lr: 0.02,
+            recipe: Recipe::quick(),
             accuracy_budget: 3.0,
             max_block: Some(16),
             device: ernn_fpga::XCKU060,
@@ -89,17 +70,7 @@ impl FlowConfig {
         FlowConfig {
             corpus: SynthCorpusConfig::standard(seed),
             layer_dims: vec![64, 64],
-            pretrain_epochs: 24,
-            admm: AdmmConfig {
-                rho: 0.05,
-                rho_growth: 1.5,
-                iterations: 8,
-                epochs_per_iter: 2,
-                retrain_epochs: 6,
-                residual_tol: 1e-4,
-            },
-            pretrain_lr: 0.08,
-            admm_lr: 0.02,
+            recipe: Recipe::full(),
             accuracy_budget: 3.0,
             max_block: Some(32),
             device: ernn_fpga::XCKU060,
@@ -109,16 +80,25 @@ impl FlowConfig {
     }
 }
 
+/// What training one Phase-I candidate recorded besides its PER.
+#[derive(Debug, Clone)]
+pub struct TrialTraining {
+    /// The ADMM residual trace.
+    pub admm: AdmmReport,
+    /// Wall seconds of the candidate's compression training.
+    pub wall_s: f64,
+}
+
 /// The [`TrainOracle`] backed by the synthetic corpus and ADMM training.
 pub struct AsrOracle {
     corpus: SynthCorpus,
     config: FlowConfig,
     rng: ChaCha8Rng,
     baselines: HashMap<&'static str, (RnnNetwork<Matrix>, f64)>,
-    /// Trained compressed models with their ADMM reports, keyed by
+    /// Trained compressed models with their training records, keyed by
     /// candidate identity, so Phase II can reuse the Phase-I winner and
     /// the artifact can carry its compression provenance.
-    trained: HashMap<String, (RnnNetwork<WeightMatrix>, AdmmReport)>,
+    trained: HashMap<String, (RnnNetwork<WeightMatrix>, TrialTraining)>,
 }
 
 fn cell_key(cell: CellType) -> &'static str {
@@ -161,26 +141,12 @@ impl AsrOracle {
         if let Some(hit) = self.baselines.get(cell_key(cell)) {
             return hit.clone();
         }
-        let mut net = NetworkBuilder::new(cell, self.corpus.feature_dim, self.corpus.num_classes())
+        let spec = ModelSpec::new(cell, self.corpus.feature_dim, self.corpus.num_classes())
             .layer_dims(&self.config.layer_dims)
-            .peephole(true)
-            .build(&mut self.rng);
+            .peephole(true);
         let data = self.corpus.train_sequences();
-        let mut opt = Sgd::new(self.config.pretrain_lr)
-            .momentum(0.9)
-            .clip_norm(2.0);
-        train(
-            &mut net,
-            &data,
-            TrainOptions {
-                epochs: self.config.pretrain_epochs,
-                lr_decay: 0.92,
-                shuffle: true,
-            },
-            &mut opt,
-            &mut self.rng,
-        );
-        let per = evaluate_per(&net, &self.corpus.test);
+        let net = self.config.recipe.pretrain(&spec, &data, &mut self.rng);
+        let per = evaluate_per(|f| net.forward_logits(f), &self.corpus.test);
         self.baselines.insert(cell_key(cell), (net.clone(), per));
         (net, per)
     }
@@ -191,10 +157,9 @@ impl AsrOracle {
         self.trained.get(&spec_key(spec)).map(|(net, _)| net)
     }
 
-    /// The ADMM report of a candidate's compression training, if Phase I
-    /// evaluated it.
-    pub fn admm_report(&self, spec: &CandidateSpec) -> Option<&AdmmReport> {
-        self.trained.get(&spec_key(spec)).map(|(_, report)| report)
+    /// The training record of a candidate, if Phase I evaluated it.
+    pub fn training(&self, spec: &CandidateSpec) -> Option<&TrialTraining> {
+        self.trained.get(&spec_key(spec)).map(|(_, t)| t)
     }
 }
 
@@ -205,21 +170,16 @@ impl TrainOracle for AsrOracle {
 
     fn evaluate(&mut self, spec: &CandidateSpec) -> f64 {
         let (mut net, _) = self.pretrained(spec.cell);
-        let policy = BlockPolicy {
-            recurrent: spec.block,
-            input: spec.io_block,
-            output: spec.io_block,
-        };
-        let mut trainer = AdmmTrainer::new(&net, policy, self.config.admm);
-        let mut opt = Sgd::new(self.config.admm_lr).momentum(0.9).clip_norm(2.0);
-        let mut retrain_opt = Sgd::new(self.config.admm_lr * 0.75)
-            .momentum(0.9)
-            .clip_norm(2.0);
+        let started = Instant::now();
+        let policy = BlockPolicy::with_io_block(spec.block, spec.io_block);
+        let policies = vec![policy; net.num_layers()];
         let data = self.corpus.train_sequences();
-        let report = trainer.fit(&mut net, &data, &mut opt, &mut retrain_opt, &mut self.rng);
-        let compressed = compress_network(&net, policy);
-        let per = evaluate_per(&compressed, &self.corpus.test);
-        self.trained.insert(spec_key(spec), (compressed, report));
+        let recipe = self.config.recipe;
+        let (compressed, admm) = recipe.compress(&mut net, &policies, &data, &mut self.rng);
+        let per = evaluate_per(|f| compressed.forward_logits(f), &self.corpus.test);
+        let wall_s = started.elapsed().as_secs_f64();
+        let training = TrialTraining { admm, wall_s };
+        self.trained.insert(spec_key(spec), (compressed, training));
         per
     }
 }
@@ -231,6 +191,8 @@ pub struct FlowReport {
     pub phase1: Phase1Result,
     /// Phase-II result (datapath + hardware report).
     pub phase2: Phase2Result,
+    /// The training record of each Phase-I trial, in trial order.
+    pub trial_training: Vec<TrialTraining>,
 }
 
 impl FlowReport {
@@ -288,7 +250,7 @@ pub fn run_flow_to_artifact(
         .source("ernn_core::flow::run_flow_to_artifact");
     let out = stage
         .with_compressed(winner)?
-        .admm_provenance(admm)
+        .admm_provenance(&admm)
         .quantize_chosen(choice)?
         .compile()?;
     Ok((report, out))
@@ -301,7 +263,7 @@ fn flow_phases(
 ) -> (
     FlowReport,
     RnnNetwork<WeightMatrix>,
-    AdmmProvenance,
+    AdmmReport,
     usize,
     usize,
 ) {
@@ -328,16 +290,17 @@ fn flow_phases(
         .trained_network(&phase1.chosen)
         .cloned()
         .expect("phase 1 trained its winner");
-    let admm = {
-        let report = oracle
-            .admm_report(&phase1.chosen)
-            .expect("phase 1 trained its winner");
-        AdmmProvenance {
-            final_residual: report.final_residual(),
-            iterations: report.iterations.len(),
-            converged: report.converged,
-        }
-    };
+    let admm = oracle
+        .training(&phase1.chosen)
+        .expect("phase 1 trained its winner")
+        .admm
+        .clone();
+    let trial_training = phase1
+        .trials
+        .iter()
+        .map(|t| oracle.training(&t.spec).cloned())
+        .collect::<Option<Vec<_>>>()
+        .expect("phase 1 trained every trial");
     let input_dim = oracle.corpus().feature_dim;
     let classes = oracle.corpus().num_classes();
     let test = oracle.corpus().test.clone();
@@ -350,15 +313,7 @@ fn flow_phases(
                 pwl_segments: 64,
             },
         );
-        let refs: Vec<Vec<usize>> = test.iter().map(|u| u.phone_seq.clone()).collect();
-        let hyps: Vec<Vec<usize>> = test
-            .iter()
-            .map(|u| {
-                let logits = q.forward_logits(&u.features);
-                ernn_asr::decode_frames(&logits, ernn_asr::PhoneSet::SILENCE, 2)
-            })
-            .collect();
-        ernn_asr::phone_error_rate(&refs, &hyps) * 100.0
+        evaluate_per(|f| q.forward_logits(f), &test)
     };
 
     let hw_spec = RnnSpec {
@@ -385,18 +340,44 @@ fn flow_phases(
         },
     );
 
-    (
-        FlowReport { phase1, phase2 },
-        winner,
-        admm,
-        input_dim,
-        classes,
-    )
+    let report = FlowReport {
+        phase1,
+        phase2,
+        trial_training,
+    };
+    (report, winner, admm, input_dim, classes)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn evaluate_per_scores_the_quantized_datapath_like_the_loop_it_replaced() {
+        let corpus = SynthCorpus::generate(&SynthCorpusConfig::tiny(5));
+        let mut rng = ChaCha8Rng::seed_from_u64(6);
+        let dense = ModelSpec::new(CellType::Gru, corpus.feature_dim, corpus.num_classes())
+            .layer_dims(&[16])
+            .builder()
+            .build(&mut rng);
+        let net = ernn_model::compress_network(&dense, BlockPolicy::uniform(4));
+        let q = QuantizedNetwork::new(&net, &DatapathConfig::paper_12bit());
+
+        let refs: Vec<Vec<usize>> = corpus.test.iter().map(|u| u.phone_seq.clone()).collect();
+        let hyps: Vec<Vec<usize>> = corpus
+            .test
+            .iter()
+            .map(|u| {
+                let logits = q.forward_logits(&u.features);
+                ernn_asr::decode_frames(&logits, ernn_asr::PhoneSet::SILENCE, 2)
+            })
+            .collect();
+        let by_hand = ernn_asr::phone_error_rate(&refs, &hyps) * 100.0;
+
+        let per = evaluate_per(|f| q.forward_logits(f), &corpus.test);
+        assert_eq!(per.to_bits(), by_hand.to_bits());
+        assert!(per > 0.0, "an untrained model makes errors to count");
+    }
 
     #[test]
     fn quick_flow_runs_end_to_end() {

@@ -10,12 +10,14 @@
 //! offers the operations that are legal next, so an unquantized model
 //! cannot be compiled and a spec cannot be compressed before it has
 //! weights. Failures are values — every stage returns
-//! [`PipelineError`] instead of panicking.
+//! [`PipelineError`] instead of panicking. The two training stages are
+//! the two halves of the Fig. 6 [`Recipe`], which owns their
+//! hyperparameters.
 //!
 //! ```text
 //! Pipeline::spec(s)?                          SpecStage
-//!   .train(..)? / .init(..) / .with_pretrained(..)?   TrainedStage
-//!   .compress(..)? / .project()?              CompressedStage
+//!   .train(data, &recipe, rng)? / .init(rng) / .with_pretrained(..)?   TrainedStage
+//!   .compress(data, &recipe, rng)? / .project()?   CompressedStage
 //!   .quantize()? / .quantize_with(..)?        QuantizedStage
 //!   .compile()? / .compile_for(dev)?          PipelineModel
 //! ```
@@ -31,15 +33,15 @@
 //! paper's deployment defaults (block 8, 12-bit datapath, XCKU060) that
 //! examples and benches previously spelled out literal by literal.
 
-use ernn_admm::{AdmmConfig, AdmmTrainer};
+use ernn_admm::{AdmmReport, Recipe};
 use ernn_fpga::artifact::{
     validate_datapath, validate_policy, validate_spec, AdmmProvenance, ModelArtifact,
     Phase1Provenance, Provenance,
 };
 use ernn_fpga::exec::DatapathConfig;
 use ernn_fpga::Device;
-use ernn_model::trainer::{train, Sequence, TrainOptions};
-use ernn_model::{compress_network, BlockPolicy, Matrix, ModelSpec, RnnNetwork, Sgd, WeightMatrix};
+use ernn_model::trainer::Sequence;
+use ernn_model::{compress_network, BlockPolicy, Matrix, ModelSpec, RnnNetwork, WeightMatrix};
 use ernn_serve::CompiledModel;
 use rand::Rng;
 
@@ -76,53 +78,6 @@ impl PipelineSettings {
 impl Default for PipelineSettings {
     fn default() -> Self {
         PipelineSettings::paper()
-    }
-}
-
-/// Dense pre-training hyperparameters for [`SpecStage::train`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TrainSettings {
-    /// SGD epochs.
-    pub epochs: usize,
-    /// Initial learning rate.
-    pub lr: f32,
-    /// Multiplicative learning-rate decay per epoch.
-    pub lr_decay: f32,
-    /// SGD momentum.
-    pub momentum: f32,
-    /// Global gradient-norm clip.
-    pub clip_norm: f32,
-}
-
-impl Default for TrainSettings {
-    fn default() -> Self {
-        TrainSettings {
-            epochs: 8,
-            lr: 0.08,
-            lr_decay: 0.92,
-            momentum: 0.9,
-            clip_norm: 2.0,
-        }
-    }
-}
-
-/// ADMM compression hyperparameters for [`TrainedStage::compress`]: the
-/// outer-loop schedule plus the learning rate of the subproblem-1 SGD
-/// (constrained retraining runs at `0.75 × lr`, the flow's convention).
-#[derive(Debug, Clone, Copy)]
-pub struct CompressSettings {
-    /// The ADMM outer-loop schedule.
-    pub admm: AdmmConfig,
-    /// Subproblem-1 learning rate.
-    pub lr: f32,
-}
-
-impl Default for CompressSettings {
-    fn default() -> Self {
-        CompressSettings {
-            admm: AdmmConfig::default(),
-            lr: 0.02,
-        }
     }
 }
 
@@ -235,33 +190,24 @@ impl SpecStage {
         }
     }
 
-    /// Instantiates the spec and pre-trains it densely (the start of the
-    /// paper's Fig. 6).
+    /// Instantiates the spec and pre-trains it densely
+    /// ([`Recipe::pretrain`], the start of the paper's Fig. 6).
     pub fn train(
         self,
         data: &[Sequence],
-        opts: TrainSettings,
+        recipe: &Recipe,
         rng: &mut impl Rng,
     ) -> Result<TrainedStage, PipelineError> {
         if data.is_empty() {
             return Err(PipelineError::EmptyTrainingSet);
         }
-        let mut stage = self.init(rng);
-        let mut opt = Sgd::new(opts.lr)
-            .momentum(opts.momentum)
-            .clip_norm(opts.clip_norm);
-        train(
-            &mut stage.net,
-            data,
-            TrainOptions {
-                epochs: opts.epochs,
-                lr_decay: opts.lr_decay,
-                shuffle: true,
-            },
-            &mut opt,
-            rng,
-        );
-        Ok(stage)
+        let net = recipe.pretrain(&self.spec, data, rng);
+        Ok(TrainedStage {
+            spec: self.spec,
+            settings: self.settings,
+            provenance: self.provenance,
+            net,
+        })
     }
 
     /// Adopts an externally trained dense network, checking it actually
@@ -312,35 +258,29 @@ impl TrainedStage {
         &self.net
     }
 
-    /// Compresses with the full ADMM recipe of Fig. 6 (ADMM iterations,
-    /// hard projection, constrained retraining) under the pipeline's
-    /// block policy, recording the residual trace as provenance.
+    /// Compresses with the rest of Fig. 6 ([`Recipe::compress`]: ADMM
+    /// iterations, hard projection, constrained retraining) under the
+    /// pipeline's block policy, recording the residual trace as
+    /// provenance.
     pub fn compress(
         mut self,
         data: &[Sequence],
-        opts: CompressSettings,
+        recipe: &Recipe,
         rng: &mut impl Rng,
     ) -> Result<CompressedStage, PipelineError> {
         validate_policy(&self.settings.block)?;
         if data.is_empty() {
             return Err(PipelineError::EmptyTrainingSet);
         }
-        let mut trainer = AdmmTrainer::new(&self.net, self.settings.block, opts.admm);
-        let mut opt = Sgd::new(opts.lr).momentum(0.9).clip_norm(2.0);
-        let mut retrain_opt = Sgd::new(opts.lr * 0.75).momentum(0.9).clip_norm(2.0);
-        let report = trainer.fit(&mut self.net, data, &mut opt, &mut retrain_opt, rng);
-        self.provenance.admm = Some(AdmmProvenance {
-            final_residual: report.final_residual(),
-            iterations: report.iterations.len(),
-            converged: report.converged,
-        });
-        let net = compress_network(&self.net, self.settings.block);
-        Ok(CompressedStage {
+        let policies = vec![self.settings.block; self.net.num_layers()];
+        let (net, report) = recipe.compress(&mut self.net, &policies, data, rng);
+        let stage = CompressedStage {
             spec: self.spec,
             settings: self.settings,
             provenance: self.provenance,
             net,
-        })
+        };
+        Ok(stage.admm_provenance(&report))
     }
 
     /// Projects directly onto the block-circulant manifold **without**
@@ -373,10 +313,15 @@ impl CompressedStage {
         &self.net
     }
 
-    /// Records the ADMM residual trace for models whose compression ran
-    /// outside the pipeline (the flow oracle's candidates).
-    pub fn admm_provenance(mut self, admm: AdmmProvenance) -> Self {
-        self.provenance.admm = Some(admm);
+    /// Records an ADMM run's residual trace — also for models whose
+    /// compression ran outside the pipeline (the flow oracle's
+    /// candidates).
+    pub fn admm_provenance(mut self, report: &AdmmReport) -> Self {
+        self.provenance.admm = Some(AdmmProvenance {
+            final_residual: report.final_residual(),
+            iterations: report.iterations.len(),
+            converged: report.converged,
+        });
         self
     }
 
@@ -497,6 +442,7 @@ impl PipelineModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ernn_admm::AdmmConfig;
     use ernn_model::{CellType, NetworkBuilder};
     use rand::SeedableRng;
 
@@ -550,32 +496,23 @@ mod tests {
         let data = toy_data(6, 8, 5);
         let spec = ModelSpec::new(CellType::Gru, 4, 3).layer_dims(&[8]);
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
+        let recipe = Recipe {
+            pretrain_epochs: 2,
+            admm: AdmmConfig {
+                iterations: 2,
+                epochs_per_iter: 1,
+                retrain_epochs: 1,
+                ..AdmmConfig::default()
+            },
+            ..Recipe::default()
+        };
         let out = Pipeline::spec(spec)
             .expect("valid spec")
             .block_policy(BlockPolicy::uniform(4))
             .source("pipeline unit test")
-            .train(
-                &data,
-                TrainSettings {
-                    epochs: 2,
-                    ..TrainSettings::default()
-                },
-                &mut rng,
-            )
+            .train(&data, &recipe, &mut rng)
             .expect("non-empty data")
-            .compress(
-                &data,
-                CompressSettings {
-                    admm: AdmmConfig {
-                        iterations: 2,
-                        epochs_per_iter: 1,
-                        retrain_epochs: 1,
-                        ..AdmmConfig::default()
-                    },
-                    lr: 0.02,
-                },
-                &mut rng,
-            )
+            .compress(&data, &recipe, &mut rng)
             .expect("non-empty data")
             .quantize()
             .expect("valid datapath")
@@ -609,7 +546,7 @@ mod tests {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
         let err = Pipeline::spec(spec.clone())
             .expect("valid")
-            .train(&[], TrainSettings::default(), &mut rng)
+            .train(&[], &Recipe::default(), &mut rng)
             .unwrap_err();
         assert_eq!(err, PipelineError::EmptyTrainingSet);
         // Non-power-of-two block.

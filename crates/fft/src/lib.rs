@@ -85,7 +85,7 @@ pub mod stats;
 
 pub use complex::Complex32;
 pub use plan::{dft_naive, FftPlan};
-pub use real::{spectrum_conj_mul, spectrum_mul, RealFft, RealFftScratch};
+pub use real::{RealFft, RealFftScratch};
 
 /// Returns `true` if `n` is a power of two (and non-zero).
 ///

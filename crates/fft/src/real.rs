@@ -405,28 +405,6 @@ impl RealFft {
     }
 }
 
-/// Element-wise product of two half spectra.
-///
-/// Applying [`RealFft::inverse`] to the result yields the circular
-/// convolution of the two time-domain signals — the core of Eqn. 4.
-pub fn spectrum_mul(a: &[Complex32], b: &[Complex32]) -> Vec<Complex32> {
-    assert_eq!(a.len(), b.len(), "spectra must have equal length");
-    a.iter().zip(b.iter()).map(|(&x, &y)| x * y).collect()
-}
-
-/// Element-wise product with the conjugate of `a`: `conj(a) ∘ b`.
-///
-/// Inverting the result gives the circular *cross-correlation*, which is the
-/// operation a row-defined circulant matrix–vector product performs; this is
-/// why the E-RNN PE datapath contains a conjugation operator (Fig. 10).
-pub fn spectrum_conj_mul(a: &[Complex32], b: &[Complex32]) -> Vec<Complex32> {
-    assert_eq!(a.len(), b.len(), "spectra must have equal length");
-    a.iter()
-        .zip(b.iter())
-        .map(|(&x, &y)| x.conj() * y)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -487,14 +465,6 @@ mod tests {
         for bin in &spec[1..] {
             assert!(bin.abs() < 1e-4);
         }
-    }
-
-    #[test]
-    fn spectrum_mul_rejects_length_mismatch() {
-        let a = vec![Complex32::ONE; 3];
-        let b = vec![Complex32::ONE; 4];
-        let result = std::panic::catch_unwind(|| spectrum_mul(&a, &b));
-        assert!(result.is_err());
     }
 
     #[test]

@@ -6,10 +6,10 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use ernn::admm::AdmmConfig;
+use ernn::admm::Recipe;
 use ernn::asr::{evaluate_per, SynthCorpus, SynthCorpusConfig};
 use ernn::model::{CellType, ModelSpec};
-use ernn::pipeline::{CompressSettings, Pipeline, PipelineError, TrainSettings};
+use ernn::pipeline::{Pipeline, PipelineError};
 use ernn::serve::{CompiledModel, ModelArtifact};
 use rand::SeedableRng;
 
@@ -26,33 +26,25 @@ fn main() -> Result<(), PipelineError> {
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
 
     // 2. The lifecycle pipeline under the paper's deployment defaults
-    //    (block 8, 12-bit datapath, XCKU060): dense pre-training, then
-    //    the full ADMM recipe of Fig. 6 (ADMM iterations, projection,
-    //    constrained retraining).
+    //    (block 8, 12-bit datapath, XCKU060) and one Fig. 6 recipe: dense
+    //    pre-training, then ADMM iterations, projection and constrained
+    //    retraining.
     let spec = ModelSpec::new(CellType::Lstm, corpus.feature_dim, corpus.num_classes())
         .layer_dims(&[64, 64])
         .peephole(true);
-    let trained = Pipeline::paper(spec)?.source("examples/quickstart").train(
-        &data,
-        TrainSettings {
-            epochs: 16,
-            ..TrainSettings::default()
-        },
-        &mut rng,
-    )?;
-    let dense_per = evaluate_per(trained.network(), &corpus.test);
+    let recipe = Recipe {
+        pretrain_epochs: 16,
+        ..Recipe::default()
+    };
+    let trained = Pipeline::paper(spec)?
+        .source("examples/quickstart")
+        .train(&data, &recipe, &mut rng)?;
+    let dense_per = evaluate_per(|f| trained.network().forward_logits(f), &corpus.test);
     let dense_params = trained.network().param_count();
     println!("dense LSTM: {dense_params} params, test PER {dense_per:.2}%");
 
-    let compressed = trained.compress(
-        &data,
-        CompressSettings {
-            admm: AdmmConfig::default(),
-            lr: 0.02,
-        },
-        &mut rng,
-    )?;
-    let compressed_per = evaluate_per(compressed.network(), &corpus.test);
+    let compressed = trained.compress(&data, &recipe, &mut rng)?;
+    let compressed_per = evaluate_per(|f| compressed.network().forward_logits(f), &corpus.test);
     let compressed_params = compressed.network().param_count();
     println!(
         "block-circulant LSTM (L_b=8): {compressed_params} params ({}x smaller), \

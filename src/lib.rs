@@ -16,7 +16,8 @@
 //! * [`quant`] — fixed-point arithmetic and piecewise-linear activations.
 //! * [`model`] — LSTM/GRU cells, stacked networks, BPTT training, and the
 //!   declarative [`model::ModelSpec`].
-//! * [`admm`] — ADMM-based structured training (the paper's Sec. III-B).
+//! * [`admm`] — ADMM-based structured training (the paper's Sec. III-B)
+//!   and [`admm::Recipe`], the Fig. 6 recipe every training caller shares.
 //! * [`asr`] — synthetic speech corpus, DSP front end, PER scoring.
 //! * [`baselines`] — ESE-style pruned LSTM and C-LSTM-style training.
 //! * [`fpga`] — device models, PE/CU designs, cycle simulator, power model,
@@ -48,8 +49,9 @@
 //!
 //! // 1. Specify and build under the paper's deployment defaults
 //! //    (block 8, 12-bit datapath, XCKU060). `init` skips training —
-//! //    random weights exercise the same lifecycle; use `.train(..)` /
-//! //    `.compress(..)` for the real Fig.-6 recipe.
+//! //    random weights exercise the same lifecycle; use
+//! //    `.train(data, &recipe, rng)` / `.compress(data, &recipe, rng)`
+//! //    with an `admm::Recipe` for the real Fig.-6 recipe.
 //! let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
 //! let spec = ModelSpec::new(CellType::Gru, 8, 5).layer_dims(&[16]);
 //! let built = Pipeline::paper(spec)?

@@ -37,7 +37,7 @@ fn three_compression_methods_produce_working_models() {
     let prune_report = pruned.report(12, 12);
     assert!(prune_report.weight_compression > 6.0);
     assert!(prune_report.effective_compression < prune_report.weight_compression);
-    let per_pruned = evaluate_per(&pruned.net, &corpus.test);
+    let per_pruned = evaluate_per(|f| pruned.net.forward_logits(f), &corpus.test);
 
     // (b) C-LSTM: direct circulant training.
     let mut clstm = dense.clone();
@@ -54,7 +54,7 @@ fn three_compression_methods_produce_working_models() {
         &mut rng,
     );
     let clstm_compressed = compress_network(&clstm, BlockPolicy::uniform(4));
-    let per_clstm = evaluate_per(&clstm_compressed, &corpus.test);
+    let per_clstm = evaluate_per(|f| clstm_compressed.forward_logits(f), &corpus.test);
 
     // (c) E-RNN: ADMM.
     let mut admm_net = dense.clone();
@@ -69,7 +69,7 @@ fn three_compression_methods_produce_working_models() {
     trainer.run(&mut admm_net, &data, &mut opt_a, &mut rng);
     trainer.finalize(&mut admm_net);
     let admm_compressed = compress_network(&admm_net, BlockPolicy::uniform(4));
-    let per_admm = evaluate_per(&admm_compressed, &corpus.test);
+    let per_admm = evaluate_per(|f| admm_compressed.forward_logits(f), &corpus.test);
 
     // All three produce finite, comparable PERs on the same corpus.
     for per in [per_pruned, per_clstm, per_admm] {

@@ -59,8 +59,8 @@ fn pipeline(cell: CellType) {
     }
 
     // PER is computable for every representation, including fixed point.
-    let per_dense = evaluate_per(&net, &corpus.test);
-    let per_comp = evaluate_per(&compressed, &corpus.test);
+    let per_dense = evaluate_per(|f| net.forward_logits(f), &corpus.test);
+    let per_comp = evaluate_per(|f| compressed.forward_logits(f), &corpus.test);
     assert!((per_dense - per_comp).abs() < 20.0);
 
     let quantized = QuantizedNetwork::new(&compressed, &DatapathConfig::paper_12bit());
