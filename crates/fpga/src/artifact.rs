@@ -468,7 +468,7 @@ impl ModelArtifact {
         if n_layers == 0 {
             return Err(PipelineError::Corrupt("network has no layers".into()));
         }
-        let mut layers = Vec::with_capacity(n_layers);
+        let mut layers: Vec<RnnLayer<WeightMatrix>> = Vec::with_capacity(n_layers);
         for i in 0..n_layers {
             let layer = match d.u8()? {
                 0 => {
@@ -534,6 +534,18 @@ impl ModelArtifact {
                     )))
                 }
             };
+            // `RnnNetwork::from_parts` asserts the chain; answer a corrupt
+            // one here, before it can.
+            if let Some(below) = layers.last() {
+                if layer.input_dim() != below.output_dim() {
+                    return Err(PipelineError::Corrupt(format!(
+                        "layer {i} input dim {} disagrees with layer {} output dim {}",
+                        layer.input_dim(),
+                        i - 1,
+                        below.output_dim()
+                    )));
+                }
+            }
             layers.push(layer);
         }
         let top_dim = layers.last().expect("checked non-empty").output_dim();
@@ -866,8 +878,12 @@ mod tests {
     use rand::SeedableRng;
 
     fn artifact(cell: CellType) -> ModelArtifact {
+        artifact_with_layers(cell, &[16])
+    }
+
+    fn artifact_with_layers(cell: CellType, layer_dims: &[usize]) -> ModelArtifact {
         let spec = ModelSpec::new(cell, 8, 5)
-            .layer_dims(&[16])
+            .layer_dims(layer_dims)
             .peephole(cell == CellType::Lstm);
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(4);
         let dense = spec.builder().build(&mut rng);
@@ -965,6 +981,34 @@ mod tests {
             ModelArtifact::load_bytes(&bytes),
             Err(PipelineError::Corrupt(_))
         ));
+    }
+
+    #[test]
+    fn a_layer_that_does_not_chain_is_an_error_not_a_panic() {
+        // Layer 1 of an 8 → 16 → 16 artifact replaced by layer 1 of an
+        // 8 → 12 → 16 one: every record is well-shaped, the classifier
+        // still fits, but layer 1 now reads 12 of layer 0's 16 outputs.
+        let whole = artifact_with_layers(CellType::Gru, &[16, 16]).save_bytes();
+        let donor = artifact_with_layers(CellType::Gru, &[12, 16]).save_bytes();
+        // A GRU layer record opens with its tag, input dim, hidden dim and
+        // activation, then `wzr_x`'s own tag and row count.
+        let layer_1 = |bytes: &[u8], in_dim: u64| {
+            let mut head = vec![1u8];
+            head.extend_from_slice(&in_dim.to_le_bytes());
+            head.extend_from_slice(&16u64.to_le_bytes());
+            head.extend_from_slice(&[act_tag(Act::Tanh), 1]);
+            head.extend_from_slice(&32u64.to_le_bytes());
+            let at = bytes.windows(head.len()).rposition(|w| w == head);
+            at.expect("layer 1 record")
+        };
+        let mut spliced = whole[..layer_1(&whole, 16)].to_vec();
+        spliced.extend_from_slice(&donor[layer_1(&donor, 12)..]);
+        match ModelArtifact::load_bytes(&spliced) {
+            Err(PipelineError::Corrupt(why)) => {
+                assert!(why.contains("layer 1 input dim 12"), "{why}")
+            }
+            other => panic!("expected a corrupt-artifact error, got {other:?}"),
+        }
     }
 
     #[test]

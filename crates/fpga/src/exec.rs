@@ -7,62 +7,21 @@
 //! piecewise-linear sigmoid/tanh — by materializing a quantized copy of
 //! the network and stepping its cells in the fixed-point arithmetic.
 //!
-//! The twin is the model's cell by construction, not by mirroring: Eqn. 1
-//! and Eqn. 2 exist once, in [`LstmLayer::step_batch_with`] and
-//! [`GruLayer::step_batch_with`], and this module only supplies the
+//! The twin is the model's network by construction, not by mirroring:
+//! Eqn. 1 and Eqn. 2 exist once, in [`LstmLayer::step_batch_with`] and
+//! [`GruLayer::step_batch_with`], and the loop around them exists once, in
+//! [`RnnNetwork::hidden_batch_with`] — the walker that also runs float
+//! inference and the training forward. This module supplies the
 //! [`CellArith`] they are evaluated in (a [`FixedFormat`] and the PWL
-//! units) plus the lockstep driver around them. `exec/reference.rs` keeps
-//! the per-element datapath that preceded the shared step as the
-//! bit-for-bit oracle.
+//! units), the GRU input stacks, and its own classifier head.
+//! `exec/reference.rs` keeps the per-element datapath and the sequence
+//! walker that preceded the shared ones as the bit-for-bit oracle.
 
 use ernn_linalg::{LanePanel, Matrix, WeightMatrix};
-use ernn_model::{
-    Act, CellArith, CellScratch, GruInputStack, GruLayer, LstmLayer, RnnLayer, RnnNetwork,
-};
+use ernn_model::{Act, CellArith, GruInputStack, GruLayer, LstmLayer, RnnLayer, RnnNetwork};
 use ernn_quant::{FixedFormat, PiecewiseLinear, Quantizer};
 
-/// Reusable workspace for the quantized datapath
-/// ([`QuantizedNetwork::forward_logits_batch_into`] and friends).
-///
-/// Holds the ping-pong inter-layer activation buffers, the per-timestep
-/// gather/scatter buffers for lockstep batching, and the one
-/// [`CellScratch`] (cell planes plus the matvec workspace that threads
-/// down into the FFT kernels) every layer steps in. Every buffer
-/// grows to the largest shape seen and is then reused, so post-warmup
-/// inference performs zero heap allocations in the FFT/matvec kernels —
-/// and, when paired with [`QuantizedNetwork::forward_logits_batch_into`]
-/// on a steady shape, zero allocations altogether. Serving executors keep
-/// one `ExecScratch` per worker for its whole lifetime.
-#[derive(Debug, Clone, Default)]
-pub struct ExecScratch {
-    /// Ping-pong activation buffers (all sequences' frames, flattened).
-    a: Vec<f32>,
-    b: Vec<f32>,
-    /// Per-sequence starting frame offset into the activation buffers.
-    off: Vec<usize>,
-    /// Sequence indices still active at the current timestep.
-    active: Vec<usize>,
-    /// Gathered inputs / states for the active lanes.
-    xb: Vec<f32>,
-    cb: Vec<f32>,
-    yb: Vec<f32>,
-    /// Next states for the active lanes.
-    cn: Vec<f32>,
-    yn: Vec<f32>,
-    /// Persistent per-sequence recurrent state for the current layer.
-    c_state: Vec<f32>,
-    y_state: Vec<f32>,
-    /// Cell planes and the matvec workspace shared by every weight matrix
-    /// in the model.
-    cell: CellScratch,
-}
-
-impl ExecScratch {
-    /// An empty scratch; buffers are grown on first use.
-    pub fn new() -> Self {
-        ExecScratch::default()
-    }
-}
+pub use ernn_model::{ExecScratch, NetworkState};
 
 /// Hardware datapath configuration for functional simulation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -83,35 +42,6 @@ impl DatapathConfig {
             activation_bits: 12,
             pwl_segments: 64,
         }
-    }
-}
-
-/// Persistent recurrent state of one streaming session.
-///
-/// Holds, per stacked layer, the cell state `c` and — for LSTM layers
-/// with an output/projection dimension — the output state `y` (empty for
-/// GRU layers, whose cell state doubles as the output). A fresh state is
-/// all zeros, so running a sequence through
-/// [`QuantizedNetwork::forward_logits_batch_states_into`] with a fresh
-/// state is bit-identical to the stateless entry points; carrying the
-/// state across chunk boundaries continues the recurrence exactly where
-/// the previous chunk left off.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NetworkState {
-    layers: Vec<LayerState>,
-}
-
-/// Recurrent state of a single stacked layer.
-#[derive(Debug, Clone, PartialEq)]
-struct LayerState {
-    c: Vec<f32>,
-    y: Vec<f32>,
-}
-
-impl NetworkState {
-    /// Number of `f32` state elements across all layers.
-    pub fn num_elements(&self) -> usize {
-        self.layers.iter().map(|l| l.c.len() + l.y.len()).sum()
     }
 }
 
@@ -157,15 +87,6 @@ fn quantize_vec(v: &[f32], bits: u8) -> Vec<f32> {
     let mut q = v.to_vec();
     FixedFormat::for_range(bits, max_abs).quantize_slice(&mut q);
     q
-}
-
-/// Widths `(|c|, |y|)` of a layer's recurrent state. A GRU's cell state
-/// doubles as its output, so its `y` is zero-wide.
-fn state_dims(layer: &RnnLayer<WeightMatrix>) -> (usize, usize) {
-    match layer {
-        RnnLayer::Lstm(l) => (l.config().hidden_dim, l.config().output_dim),
-        RnnLayer::Gru(g) => (g.hidden_dim(), 0),
-    }
 }
 
 /// Each layer's [`GruLayer::input_stack`] (`None` for LSTM layers).
@@ -335,19 +256,7 @@ impl QuantizedNetwork {
     /// A zero-initialized [`NetworkState`] sized for this network — the
     /// state of a streaming session before its first chunk.
     pub fn fresh_state(&self) -> NetworkState {
-        let layers = self
-            .net
-            .layers()
-            .iter()
-            .map(|layer| {
-                let (h, r) = state_dims(layer);
-                LayerState {
-                    c: vec![0.0; h],
-                    y: vec![0.0; r],
-                }
-            })
-            .collect();
-        NetworkState { layers }
+        self.net.fresh_state()
     }
 
     /// On-device footprint of one session's [`NetworkState`] in bytes, at
@@ -360,7 +269,7 @@ impl QuantizedNetwork {
             .layers()
             .iter()
             .map(|layer| {
-                let (h, r) = state_dims(layer);
+                let (h, r) = layer.state_dims();
                 (h + r) as u64
             })
             .sum();
@@ -456,7 +365,9 @@ impl QuantizedNetwork {
         scratch: &mut ExecScratch,
     ) {
         let frames = utterances.iter().map(Vec::as_slice);
-        self.hidden_batch(frames, states, &self.input_stacks, scratch);
+        let stacks = &self.input_stacks;
+        self.net
+            .hidden_batch_with(&self.arith(), frames, states, stacks, scratch, None);
         self.classify_into(utterances, scratch);
     }
 
@@ -469,7 +380,9 @@ impl QuantizedNetwork {
         out: &mut Vec<Vec<Vec<f32>>>,
         scratch: &mut ExecScratch,
     ) {
-        self.hidden_batch(utterances.iter().copied(), states, &[], scratch);
+        let frames = utterances.iter().copied();
+        self.net
+            .hidden_batch_with(&self.arith(), frames, states, &[], scratch, None);
         out.resize_with(utterances.len(), Vec::new);
         for (seq, u) in out.iter_mut().zip(utterances) {
             seq.resize_with(u.len(), Vec::new);
@@ -477,188 +390,36 @@ impl QuantizedNetwork {
         self.classify_into(out, scratch);
     }
 
-    /// First half of the core: quantizes every frame into `scratch` and
-    /// runs the layer stack over them in lockstep, leaving the top layer's
-    /// activations (and the frame offsets) in `scratch`. Layer `li` steps
-    /// through `stacks[li]` when there is one (`&[]`: no layer does).
-    fn hidden_batch<'u>(
-        &self,
-        utterances: impl ExactSizeIterator<Item = &'u [Vec<f32>]> + Clone,
-        mut states: Option<&mut [Option<NetworkState>]>,
-        stacks: &[Option<GruInputStack>],
-        scratch: &mut ExecScratch,
-    ) {
-        let n = utterances.len();
-        if let Some(states) = &states {
-            assert_eq!(states.len(), n, "one state slot per utterance");
-        }
-        let in_dim = self.net.input_dim();
-        let fmt = self.activation_format;
-
-        // Quantized input frames into ping-pong buffer `a`. `off` holds
-        // n+1 frame offsets (total as the sentinel), so per-sequence
-        // lengths are derivable without a separate buffer.
-        scratch.off.clear();
-        let mut total = 0usize;
-        for u in utterances.clone() {
-            scratch.off.push(total);
-            total += u.len();
-        }
-        scratch.off.push(total);
-        scratch.a.resize(total * in_dim, 0.0);
-        for (s, u) in utterances.enumerate() {
-            for (t, f) in u.iter().enumerate() {
-                assert_eq!(f.len(), in_dim, "input length must equal the feature dim");
-                let dst = &mut scratch.a[(scratch.off[s] + t) * in_dim..][..in_dim];
-                for (d, &v) in dst.iter_mut().zip(f.iter()) {
-                    *d = fmt.quantize_f32(v);
-                }
-            }
-        }
-
-        // Through the stack: each layer consumes `a`, produces `b`, swap.
-        for (li, layer) in self.net.layers().iter().enumerate() {
-            let st = states.as_deref_mut();
-            let stack = stacks.get(li).and_then(Option::as_ref);
-            self.layer_seq_batch(layer, stack, li, n, st, scratch);
-            std::mem::swap(&mut scratch.a, &mut scratch.b);
+    /// The arithmetic the network's sequence walker is evaluated in here.
+    fn arith(&self) -> FixedArith<'_> {
+        FixedArith {
+            fmt: self.activation_format,
+            sigmoid: &self.sigmoid,
+            tanh: &self.tanh,
         }
     }
 
-    /// Second half of the core: the classifier head over the activations
-    /// [`Self::hidden_batch`] left in `scratch`, one logits row per frame
+    /// The classifier head over the activations the walker
+    /// ([`RnnNetwork::hidden_batch_with`]) left in `scratch`, one logits row per frame
     /// into `out`, which already has the batch's shape (its rows hold
     /// anything — stale logits, the frames themselves, nothing).
     fn classify_into(&self, out: &mut [Vec<Vec<f32>>], scratch: &ExecScratch) {
         let fmt = self.activation_format;
-        let top_dim = self
-            .net
-            .layers()
-            .last()
-            .expect("network has at least one layer")
-            .output_dim();
+        let top_dim = self.net.classifier_w.cols();
         let classes = self.net.classifier_b.len();
-        for (seq, &first) in out.iter_mut().zip(&scratch.off) {
-            for (t, row) in seq.iter_mut().enumerate() {
-                let h = &scratch.a[(first + t) * top_dim..][..top_dim];
-                if row.capacity() < classes {
-                    // Not `resize`: growing a 39-wide row to 40 classes
-                    // would double it.
-                    *row = vec![0.0; classes];
-                } else {
-                    row.resize(classes, 0.0);
-                }
-                self.classifier_panel.matvec_into(h, row);
-                for (v, b) in row.iter_mut().zip(self.net.classifier_b.iter()) {
-                    *v = fmt.quantize_f32(*v + b);
-                }
+        let mut hidden = scratch.outputs().chunks_exact(top_dim);
+        for row in out.iter_mut().flatten() {
+            let h = hidden.next().expect("one activation row per frame");
+            if row.capacity() < classes {
+                // Not `resize`: growing a 39-wide row to 40 classes
+                // would double it.
+                *row = vec![0.0; classes];
+            } else {
+                row.resize(classes, 0.0);
             }
-        }
-    }
-
-    /// The lockstep driver: steps whichever lanes are still active at each
-    /// timestep through `layer`'s cell in the fixed-point arithmetic.
-    /// Reads activations from `scratch.a`, writes to `scratch.b`. Lane `s`
-    /// starts from layer `li` of `states[s]` when present (zeros otherwise)
-    /// and writes its final recurrent state back there. A GRU layer
-    /// projects its input through `stack` when given one.
-    fn layer_seq_batch(
-        &self,
-        layer: &RnnLayer<WeightMatrix>,
-        stack: Option<&GruInputStack>,
-        li: usize,
-        n: usize,
-        states: Option<&mut [Option<NetworkState>]>,
-        scratch: &mut ExecScratch,
-    ) {
-        let (h, r) = state_dims(layer);
-        let in_dim = layer.input_dim();
-        let out_dim = layer.output_dim();
-        let ExecScratch {
-            a,
-            b,
-            off,
-            active,
-            xb,
-            cb,
-            yb,
-            cn,
-            yn,
-            c_state,
-            y_state,
-            cell,
-        } = scratch;
-        let arith = FixedArith {
-            fmt: self.activation_format,
-            sigmoid: &self.sigmoid,
-            tanh: &self.tanh,
-        };
-        let len_of = |s: usize| off[s + 1] - off[s];
-        let max_t = (0..n).map(len_of).max().unwrap_or(0);
-        b.resize(off[n] * out_dim, 0.0);
-        c_state.resize(n * h, 0.0);
-        y_state.resize(n * r, 0.0);
-        for s in 0..n {
-            let cs = &mut c_state[s * h..(s + 1) * h];
-            let ys = &mut y_state[s * r..(s + 1) * r];
-            match states.as_ref().and_then(|st| st[s].as_ref()) {
-                Some(ns) => {
-                    cs.copy_from_slice(&ns.layers[li].c);
-                    ys.copy_from_slice(&ns.layers[li].y);
-                }
-                None => {
-                    cs.fill(0.0);
-                    ys.fill(0.0);
-                }
-            }
-        }
-
-        for t in 0..max_t {
-            active.clear();
-            active.extend((0..n).filter(|&s| t < len_of(s)));
-            let bsz = active.len();
-            xb.clear();
-            cb.clear();
-            yb.clear();
-            for &s in active.iter() {
-                xb.extend_from_slice(&a[(off[s] + t) * in_dim..][..in_dim]);
-                cb.extend_from_slice(&c_state[s * h..(s + 1) * h]);
-                yb.extend_from_slice(&y_state[s * r..(s + 1) * r]);
-            }
-            cn.resize(bsz * h, 0.0);
-            yn.resize(bsz * r, 0.0);
-            let out = match layer {
-                RnnLayer::Lstm(l) => {
-                    l.step_batch_with(&arith, xb, cb, yb, cn, yn, bsz, cell);
-                    &*yn
-                }
-                RnnLayer::Gru(g) => {
-                    match stack {
-                        Some(stack) => {
-                            g.step_batch_stacked_with(&arith, stack, xb, cb, cn, bsz, cell)
-                        }
-                        None => g.step_batch_with(&arith, xb, cb, cn, bsz, cell),
-                    }
-                    &*cn
-                }
-            };
-            for (bi, &s) in active.iter().enumerate() {
-                c_state[s * h..(s + 1) * h].copy_from_slice(&cn[bi * h..(bi + 1) * h]);
-                y_state[s * r..(s + 1) * r].copy_from_slice(&yn[bi * r..(bi + 1) * r]);
-                b[(off[s] + t) * out_dim..][..out_dim]
-                    .copy_from_slice(&out[bi * out_dim..(bi + 1) * out_dim]);
-            }
-        }
-        if let Some(st) = states {
-            for s in 0..n {
-                if let Some(ns) = st[s].as_mut() {
-                    ns.layers[li]
-                        .c
-                        .copy_from_slice(&c_state[s * h..(s + 1) * h]);
-                    ns.layers[li]
-                        .y
-                        .copy_from_slice(&y_state[s * r..(s + 1) * r]);
-                }
+            self.classifier_panel.matvec_into(h, row);
+            for (v, b) in row.iter_mut().zip(self.net.classifier_b.iter()) {
+                *v = fmt.quantize_f32(*v + b);
             }
         }
     }
@@ -1011,6 +772,37 @@ mod tests {
         assert!(states[0].is_none() && states[2].is_none());
         let advanced = states[1].take().expect("state written back");
         assert_ne!(advanced, q.fresh_state(), "state should have advanced");
+    }
+
+    #[test]
+    fn a_state_of_another_shape_is_rejected_before_any_lane_is_written() {
+        let config = DatapathConfig::paper_12bit();
+        let build = |hidden: &[usize]| {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(29);
+            let dense = NetworkBuilder::new(CellType::Gru, 8, 5)
+                .layer_dims(hidden)
+                .build(&mut rng);
+            QuantizedNetwork::new(&compress_network(&dense, BlockPolicy::uniform(4)), &config)
+        };
+        let q = build(&[16, 16]);
+        // Right in layer 0, so a check made layer by layer would have
+        // written lane 0's layer-0 state before meeting lane 1's layer 1.
+        let narrower_on_top = build(&[16, 8]).fresh_state();
+        let utt = vec![vec![0.25f32; 8]; 3];
+        let refs = [utt.as_slice(), utt.as_slice()];
+        let mut states = vec![Some(q.fresh_state()), Some(narrower_on_top.clone())];
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let (mut out, mut scratch) = (Vec::new(), ExecScratch::new());
+            q.forward_logits_batch_states_into(&refs, &mut states, &mut out, &mut scratch);
+        }))
+        .expect_err("a state from another model must be rejected");
+        let why = panic.downcast_ref::<String>().expect("a formatted panic");
+        assert!(
+            why.contains("lane 1:")
+                && why.contains("[(16, 0), (8, 0)], the network [(16, 0), (16, 0)]"),
+            "{why}"
+        );
+        assert_eq!(states, [Some(q.fresh_state()), Some(narrower_on_top)]);
     }
 
     #[test]

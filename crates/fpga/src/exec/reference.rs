@@ -1,15 +1,38 @@
-//! The cell datapath as it stood before the slice passes, kept word for
+//! The cell datapath as it stood before the slice passes, and the sequence
+//! walker as it stood before it moved into `ernn-model`, kept word for
 //! word as the oracle the vectorised [`QuantizedNetwork`] is held to: the
 //! quantizer and the PWL units called once per `k` inside mixed loops,
 //! `match cell_activation` inside them. The quantizer here is its `i64`
 //! definition rather than the lane kernel; the PWL units' scalar `eval`
-//! has its own oracle in `ernn-quant`. The cell planes and the matvec
-//! workspace, which [`ExecScratch`] used to declare itself, are locals.
+//! has its own oracle in `ernn-quant`. The walker's buffers and carried
+//! states, which [`ExecScratch`] and [`NetworkState`] keep to themselves,
+//! are this module's own; the cell planes and the matvec workspace are
+//! locals.
 
 use super::*;
 use ernn_linalg::{MatVec, MatVecScratch};
 use ernn_model::{compress_network, Act, BlockPolicy, CellType, NetworkBuilder};
 use rand::{Rng, SeedableRng};
+
+/// The walker's buffers, as [`ExecScratch`] declares them.
+#[derive(Default)]
+struct RefScratch {
+    a: Vec<f32>,
+    b: Vec<f32>,
+    off: Vec<usize>,
+    active: Vec<usize>,
+    xb: Vec<f32>,
+    cb: Vec<f32>,
+    yb: Vec<f32>,
+    cn: Vec<f32>,
+    yn: Vec<f32>,
+    c_state: Vec<f32>,
+    y_state: Vec<f32>,
+}
+
+/// One lane's carried state: `(c, y)` per layer, as [`NetworkState`] holds
+/// it.
+type RefState = Vec<(Vec<f32>, Vec<f32>)>;
 
 impl QuantizedNetwork {
     fn q(&self, x: f32) -> f32 {
@@ -20,9 +43,9 @@ impl QuantizedNetwork {
     fn forward_batch_core_reference(
         &self,
         utterances: &[&[Vec<f32>]],
-        mut states: Option<&mut [Option<NetworkState>]>,
+        mut states: Option<&mut [Option<RefState>]>,
         out: &mut Vec<Vec<Vec<f32>>>,
-        scratch: &mut ExecScratch,
+        scratch: &mut RefScratch,
     ) {
         let n = utterances.len();
         let in_dim = self.net.input_dim();
@@ -85,14 +108,14 @@ impl QuantizedNetwork {
         l: &LstmLayer<WeightMatrix>,
         li: usize,
         n: usize,
-        states: Option<&mut [Option<NetworkState>]>,
-        scratch: &mut ExecScratch,
+        states: Option<&mut [Option<RefState>]>,
+        scratch: &mut RefScratch,
     ) {
         let cfg = l.config();
         let h = cfg.hidden_dim;
         let r = cfg.output_dim;
         let in_dim = cfg.input_dim;
-        let ExecScratch {
+        let RefScratch {
             a,
             b,
             off,
@@ -118,8 +141,8 @@ impl QuantizedNetwork {
             let ys = &mut y_state[s * r..(s + 1) * r];
             match states.as_ref().and_then(|st| st[s].as_ref()) {
                 Some(ns) => {
-                    cs.copy_from_slice(&ns.layers[li].c);
-                    ys.copy_from_slice(&ns.layers[li].y);
+                    cs.copy_from_slice(&ns[li].0);
+                    ys.copy_from_slice(&ns[li].1);
                 }
                 None => {
                     cs.iter_mut().for_each(|v| *v = 0.0);
@@ -199,12 +222,8 @@ impl QuantizedNetwork {
         if let Some(st) = states {
             for s in 0..n {
                 if let Some(ns) = st[s].as_mut() {
-                    ns.layers[li]
-                        .c
-                        .copy_from_slice(&c_state[s * h..(s + 1) * h]);
-                    ns.layers[li]
-                        .y
-                        .copy_from_slice(&y_state[s * r..(s + 1) * r]);
+                    ns[li].0.copy_from_slice(&c_state[s * h..(s + 1) * h]);
+                    ns[li].1.copy_from_slice(&y_state[s * r..(s + 1) * r]);
                 }
             }
         }
@@ -215,12 +234,12 @@ impl QuantizedNetwork {
         g: &GruLayer<WeightMatrix>,
         li: usize,
         n: usize,
-        states: Option<&mut [Option<NetworkState>]>,
-        scratch: &mut ExecScratch,
+        states: Option<&mut [Option<RefState>]>,
+        scratch: &mut RefScratch,
     ) {
         let h = g.hidden_dim();
         let in_dim = g.input_dim();
-        let ExecScratch {
+        let RefScratch {
             a,
             b,
             off,
@@ -242,7 +261,7 @@ impl QuantizedNetwork {
         for s in 0..n {
             let cs = &mut c_state[s * h..(s + 1) * h];
             match states.as_ref().and_then(|st| st[s].as_ref()) {
-                Some(ns) => cs.copy_from_slice(&ns.layers[li].c),
+                Some(ns) => cs.copy_from_slice(&ns[li].0),
                 None => cs.iter_mut().for_each(|v| *v = 0.0),
             }
         }
@@ -304,9 +323,7 @@ impl QuantizedNetwork {
         if let Some(st) = states {
             for s in 0..n {
                 if let Some(ns) = st[s].as_mut() {
-                    ns.layers[li]
-                        .c
-                        .copy_from_slice(&c_state[s * h..(s + 1) * h]);
+                    ns[li].0.copy_from_slice(&c_state[s * h..(s + 1) * h]);
                 }
             }
         }
@@ -356,7 +373,7 @@ fn bits(v: &[f32]) -> Vec<u32> {
 fn assert_bitwise_equal_to_reference(shape: Shape, max_frames: usize) {
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(41);
     let q = shape.build(&mut rng);
-    let (mut scratch, mut ref_scratch) = (ExecScratch::new(), ExecScratch::new());
+    let (mut scratch, mut ref_scratch) = (ExecScratch::new(), RefScratch::default());
     for n in [1usize, 3, 16] {
         // Inputs past ±8 in places: saturation and both PWL boundaries.
         let utts: Vec<Vec<Vec<f32>>> = (0..n)
@@ -368,7 +385,11 @@ fn assert_bitwise_equal_to_reference(shape: Shape, max_frames: usize) {
             .collect();
         let refs: Vec<&[Vec<f32>]> = utts.iter().map(Vec::as_slice).collect();
         let mut states: Vec<_> = (0..n).map(|_| Some(q.fresh_state())).collect();
-        let mut ref_states = states.clone();
+        let fresh = |state: &NetworkState| -> RefState {
+            let layers = state.layers();
+            layers.map(|(c, y)| (c.to_vec(), y.to_vec())).collect()
+        };
+        let mut ref_states: Vec<_> = states.iter().map(|s| s.as_ref().map(fresh)).collect();
         let (mut out, mut ref_out) = (Vec::new(), Vec::new());
         // Two chunks, so the second starts from a carried state.
         for _ in 0..2 {
@@ -383,9 +404,9 @@ fn assert_bitwise_equal_to_reference(shape: Shape, max_frames: usize) {
                 assert_eq!(bits(got), bits(want), "{shape:?} batch {n}: logits");
             }
             for (got, want) in states.iter().flatten().zip(ref_states.iter().flatten()) {
-                for (g, w) in got.layers.iter().zip(want.layers.iter()) {
-                    assert_eq!(bits(&g.c), bits(&w.c), "{shape:?} batch {n}: c state");
-                    assert_eq!(bits(&g.y), bits(&w.y), "{shape:?} batch {n}: y state");
+                for (g, w) in got.layers().zip(want.iter()) {
+                    assert_eq!(bits(g.0), bits(&w.0), "{shape:?} batch {n}: c state");
+                    assert_eq!(bits(g.1), bits(&w.1), "{shape:?} batch {n}: y state");
                 }
             }
         }

@@ -82,8 +82,9 @@ impl CellArith for FloatArith {
 /// size seen, and the embedded [`MatVecScratch`] threads straight down into
 /// the FFT kernels.
 ///
-/// After a step the gate planes hold the *activated* gates, which is where
-/// the training forward reads its BPTT cache from.
+/// After a step the gate planes hold the *activated* gates; the sequence
+/// walker appends them, row by row, to the
+/// [`LayerTape`](crate::LayerTape) the training forward asks for.
 #[derive(Debug, Clone, Default)]
 pub struct CellScratch {
     /// Fused gates (`batch ×` LSTM `4H` as `i, f, g, o` / GRU `2H` as

@@ -9,6 +9,7 @@
 
 use crate::activation::Act;
 use crate::cell::{CellArith, FloatArith, GruScratch};
+use crate::seq::LayerTape;
 use ernn_linalg::{MatVec, Matrix, WeightMatrix};
 use rand::Rng;
 
@@ -45,17 +46,6 @@ pub struct GruInputStack {
     /// Output row at which `wcx`'s product starts (`2H` rounded up to a
     /// block boundary).
     candidate_row: usize,
-}
-
-/// Per-timestep values cached for BPTT.
-#[derive(Debug, Clone)]
-pub struct GruCache {
-    x: Vec<f32>,
-    c_prev: Vec<f32>,
-    z: Vec<f32>,
-    r: Vec<f32>,
-    rc: Vec<f32>,
-    c_tilde: Vec<f32>,
 }
 
 /// Gradients of one GRU layer, shaped like the parameters.
@@ -138,40 +128,6 @@ impl<M: MatVec> GruLayer<M> {
     /// take the cell state as output, Sec. II-B).
     pub fn hidden_dim(&self) -> usize {
         self.hidden_dim
-    }
-
-    /// Initial all-zero state.
-    pub fn zero_state(&self) -> Vec<f32> {
-        vec![0.0; self.hidden_dim]
-    }
-
-    /// One timestep of Eqn. 2 for training: a batch-1
-    /// [`Self::step_batch_into`], plus (optionally) the cache needed for
-    /// backpropagation, read from the activated gate planes the step left
-    /// in `scratch`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` or `c_prev` have the wrong dimension.
-    fn step(
-        &self,
-        x: &[f32],
-        c_prev: &[f32],
-        want_cache: bool,
-        scratch: &mut GruScratch,
-    ) -> (Vec<f32>, Option<GruCache>) {
-        let h = self.hidden_dim;
-        let mut c = self.zero_state();
-        self.step_batch_into(x, c_prev, &mut c, 1, scratch);
-        let cache = want_cache.then(|| GruCache {
-            x: x.to_vec(),
-            c_prev: c_prev.to_vec(),
-            z: scratch.pre[..h].to_vec(),
-            r: scratch.pre[h..].to_vec(),
-            rc: scratch.rc.clone(),
-            c_tilde: scratch.pre_c.clone(),
-        });
-        (c, cache)
     }
 
     /// One timestep of Eqn. 2 in `f32` for `batch` independent states at
@@ -339,28 +295,6 @@ impl<M: MatVec> GruLayer<M> {
         }
     }
 
-    /// Runs a full sequence, returning the state trajectory (the layer
-    /// output) and caches when training.
-    pub fn forward_seq(
-        &self,
-        inputs: &[Vec<f32>],
-        want_cache: bool,
-    ) -> (Vec<Vec<f32>>, Vec<GruCache>) {
-        let mut state = self.zero_state();
-        let mut scratch = GruScratch::new();
-        let mut outputs = Vec::with_capacity(inputs.len());
-        let mut caches = Vec::with_capacity(if want_cache { inputs.len() } else { 0 });
-        for x in inputs {
-            let (next, cache) = self.step(x, &state, want_cache, &mut scratch);
-            outputs.push(next.clone());
-            if let Some(c) = cache {
-                caches.push(c);
-            }
-            state = next;
-        }
-        (outputs, caches)
-    }
-
     /// Number of stored parameters.
     pub fn param_count(&self) -> usize
     where
@@ -414,28 +348,38 @@ impl GruLayer<Matrix> {
         }
     }
 
-    /// Backpropagation through time; see
+    /// Backpropagation through time over `tape`; see
     /// [`LstmLayer::backward_seq`](crate::LstmLayer::backward_seq) for the
     /// calling convention.
     ///
     /// # Panics
     ///
-    /// Panics if `caches.len() != d_outputs.len()`.
-    pub fn backward_seq(
+    /// Panics if `tape` and `d_outputs` differ in length.
+    pub(crate) fn backward_seq(
         &self,
-        caches: &[GruCache],
+        tape: &LayerTape,
         d_outputs: &[Vec<f32>],
         grads: &mut GruGrads,
     ) -> Vec<Vec<f32>> {
-        assert_eq!(caches.len(), d_outputs.len(), "sequence length mismatch");
         let h = self.hidden_dim;
-        let t_len = caches.len();
+        let in_dim = self.input_dim;
+        let t_len = d_outputs.len();
+        assert_eq!(tape.x.len(), t_len * in_dim, "sequence length mismatch");
         let mut dx_seq = vec![Vec::new(); t_len];
         let mut dc_rec = vec![0.0f32; h];
+        let zeros = vec![0.0f32; h];
 
-        for t in (0..t_len).rev() {
-            let cache = &caches[t];
-            let mut dct = d_outputs[t].clone();
+        for row in (0..t_len).rev() {
+            let x = &tape.x[row * in_dim..][..in_dim];
+            let (gate_z, gate_r) = tape.gates[row * 2 * h..][..2 * h].split_at(h);
+            let rc = &tape.rc[row * h..][..h];
+            let c_tilde = &tape.c_tilde[row * h..][..h];
+            // The lane starts from the zero state.
+            let c_prev = match row {
+                0 => &zeros[..],
+                _ => &tape.c[(row - 1) * h..][..h],
+            };
+            let mut dct = d_outputs[row].clone();
             for (a, b) in dct.iter_mut().zip(dc_rec.iter()) {
                 *a += b;
             }
@@ -445,40 +389,35 @@ impl GruLayer<Matrix> {
             let mut dc_tilde = vec![0.0f32; h];
             let mut dc_prev = vec![0.0f32; h];
             for k in 0..h {
-                dz[k] = dct[k] * (cache.c_tilde[k] - cache.c_prev[k]);
-                dc_tilde[k] = dct[k] * cache.z[k];
-                dc_prev[k] = dct[k] * (1.0 - cache.z[k]);
+                dz[k] = dct[k] * (c_tilde[k] - c_prev[k]);
+                dc_tilde[k] = dct[k] * gate_z[k];
+                dc_prev[k] = dct[k] * (1.0 - gate_z[k]);
             }
 
             // Through c̃ = h(pre_c).
             let dpre_c: Vec<f32> = (0..h)
-                .map(|k| {
-                    dc_tilde[k]
-                        * self
-                            .candidate_activation
-                            .deriv_from_output(cache.c_tilde[k])
-                })
+                .map(|k| dc_tilde[k] * self.candidate_activation.deriv_from_output(c_tilde[k]))
                 .collect();
-            grads.wcx.add_outer(1.0, &dpre_c, &cache.x);
-            grads.wcc.add_outer(1.0, &dpre_c, &cache.rc);
+            grads.wcx.add_outer(1.0, &dpre_c, x);
+            grads.wcc.add_outer(1.0, &dpre_c, rc);
             for (b, d) in grads.bias_c.iter_mut().zip(dpre_c.iter()) {
                 *b += d;
             }
             let drc = self.wcc.matvec_t(&dpre_c);
             let mut dr = vec![0.0f32; h];
             for k in 0..h {
-                dr[k] = drc[k] * cache.c_prev[k];
-                dc_prev[k] += drc[k] * cache.r[k];
+                dr[k] = drc[k] * c_prev[k];
+                dc_prev[k] += drc[k] * gate_r[k];
             }
 
             // Through the fused gates.
             let mut dpre_zr = vec![0.0f32; 2 * h];
             for k in 0..h {
-                dpre_zr[k] = dz[k] * cache.z[k] * (1.0 - cache.z[k]);
-                dpre_zr[h + k] = dr[k] * cache.r[k] * (1.0 - cache.r[k]);
+                dpre_zr[k] = dz[k] * gate_z[k] * (1.0 - gate_z[k]);
+                dpre_zr[h + k] = dr[k] * gate_r[k] * (1.0 - gate_r[k]);
             }
-            grads.wzr_x.add_outer(1.0, &dpre_zr, &cache.x);
-            grads.wzr_c.add_outer(1.0, &dpre_zr, &cache.c_prev);
+            grads.wzr_x.add_outer(1.0, &dpre_zr, x);
+            grads.wzr_c.add_outer(1.0, &dpre_zr, c_prev);
             for (b, d) in grads.bias_zr.iter_mut().zip(dpre_zr.iter()) {
                 *b += d;
             }
@@ -488,7 +427,7 @@ impl GruLayer<Matrix> {
             for (a, b) in dx.iter_mut().zip(dx_c.iter()) {
                 *a += b;
             }
-            dx_seq[t] = dx;
+            dx_seq[row] = dx;
 
             let dc_gate = self.wzr_c.matvec_t(&dpre_zr);
             for (a, b) in dc_prev.iter_mut().zip(dc_gate.iter()) {
@@ -506,6 +445,8 @@ mod reference;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::seq::walk_layer;
+    use crate::RnnLayer;
     use rand::SeedableRng;
 
     fn tiny_layer(seed: u64) -> GruLayer<Matrix> {
@@ -513,33 +454,31 @@ mod tests {
         GruLayer::new_dense(3, 4, &mut rng)
     }
 
+    /// One float step of a single lane from `c_prev`.
+    fn step(
+        layer: &GruLayer<Matrix>,
+        x: &[f32],
+        c_prev: &[f32],
+        scratch: &mut GruScratch,
+    ) -> Vec<f32> {
+        let mut c = vec![0.0; layer.hidden_dim()];
+        layer.step_batch_into(x, c_prev, &mut c, 1, scratch);
+        c
+    }
+
     #[test]
     fn step_shapes_and_interpolation_bound() {
         // c_t is a convex combination of c_prev and c̃ ∈ (−1, 1), so with
         // |c_prev| ≤ 1 the state stays in (−1, 1) forever.
         let layer = tiny_layer(1);
-        let mut c = layer.zero_state();
+        let mut c = vec![0.0; layer.hidden_dim()];
         let mut scratch = GruScratch::new();
         for t in 0..100 {
             let x = vec![(t as f32 * 0.3).sin(), -0.2, 0.7];
-            c = layer.step(&x, &c, false, &mut scratch).0;
+            c = step(&layer, &x, &c, &mut scratch);
             for &v in &c {
                 assert!(v.abs() <= 1.0, "state escaped the invariant: {v}");
             }
-        }
-    }
-
-    #[test]
-    fn forward_seq_matches_manual_stepping() {
-        let layer = tiny_layer(2);
-        let inputs: Vec<Vec<f32>> = (0..5).map(|t| vec![t as f32 * 0.2, 0.1, -0.3]).collect();
-        let (outputs, caches) = layer.forward_seq(&inputs, true);
-        assert_eq!(caches.len(), 5);
-        let mut c = layer.zero_state();
-        let mut scratch = GruScratch::new();
-        for (t, x) in inputs.iter().enumerate() {
-            c = layer.step(x, &c, false, &mut scratch).0;
-            assert_eq!(outputs[t], c);
         }
     }
 
@@ -551,17 +490,18 @@ mod tests {
         let inputs: Vec<Vec<f32>> = (0..5)
             .map(|_| (0..3).map(|_| rng.gen_range(-1.0f32..1.0)).collect())
             .collect();
+        let forward = |layer: &GruLayer<Matrix>| walk_layer(RnnLayer::Gru(layer.clone()), &inputs);
         let loss = |layer: &GruLayer<Matrix>| -> f32 {
-            let (outs, _) = layer.forward_seq(&inputs, false);
+            let (outs, _) = forward(layer);
             outs.iter()
                 .flat_map(|o| o.iter())
                 .map(|v| 0.5 * v * v)
                 .sum()
         };
 
-        let (outs, caches) = layer.forward_seq(&inputs, true);
+        let (outs, tape) = forward(&layer);
         let mut grads = layer.zero_grads();
-        layer.backward_seq(&caches, &outs, &mut grads);
+        layer.backward_seq(&tape, &outs, &mut grads);
 
         let eps = 1e-2f32;
         let mut p = layer.clone();
@@ -642,6 +582,6 @@ mod tests {
     #[should_panic(expected = "state dimension")]
     fn step_rejects_bad_state_dim() {
         let layer = tiny_layer(6);
-        let _ = layer.step(&[0.0; 3], &[0.0; 7], false, &mut GruScratch::new());
+        let _ = step(&layer, &[0.0; 3], &[0.0; 7], &mut GruScratch::new());
     }
 }

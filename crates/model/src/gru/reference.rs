@@ -1,15 +1,26 @@
 //! `GruLayer::step` as it stood before Eqn. 2 was written once over
 //! [`CellArith`], kept word for word as the float oracle (see
 //! `lstm/reference.rs`). The shared step at the float arithmetic is held
-//! to its bits.
+//! to its bits, and so is the sequence walker's tape.
 
 use super::*;
 use crate::activation::sigmoid;
 use crate::{compress_network, BlockPolicy, CellType, NetworkBuilder, RnnLayer};
 use rand::{Rng, SeedableRng};
 
+/// Per-timestep values the per-element step cached for BPTT.
+#[derive(Debug, Clone)]
+pub(crate) struct GruCache {
+    pub(crate) x: Vec<f32>,
+    pub(crate) c_prev: Vec<f32>,
+    pub(crate) z: Vec<f32>,
+    pub(crate) r: Vec<f32>,
+    pub(crate) rc: Vec<f32>,
+    pub(crate) c_tilde: Vec<f32>,
+}
+
 impl<M: MatVec> GruLayer<M> {
-    fn step_reference(&self, x: &[f32], c_prev: &[f32]) -> (Vec<f32>, GruCache) {
+    pub(crate) fn step_reference(&self, x: &[f32], c_prev: &[f32]) -> (Vec<f32>, GruCache) {
         let h = self.hidden_dim;
         assert_eq!(x.len(), self.input_dim, "input dimension mismatch");
         assert_eq!(c_prev.len(), h, "state dimension mismatch");
@@ -62,28 +73,26 @@ fn random_vec(rng: &mut impl Rng, len: usize, bound: f32) -> Vec<f32> {
     (0..len).map(|_| rng.gen_range(-bound..bound)).collect()
 }
 
-/// The training `step` (state and every cache plane, over a carried state)
-/// and every lane of `step_batch_into` at batches 1, 3 and 16 against the
-/// oracle, in bits.
+/// A batch-1 `step_batch_into` over a carried state (next state and every
+/// plane the tape is appended from) and every lane of it at batches 1, 3
+/// and 16 against the oracle, in bits.
 fn assert_bitwise_equal_to_reference<M: MatVec>(layer: &GruLayer<M>, what: &str) {
     let h = layer.hidden_dim();
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(43);
     let mut scratch = GruScratch::new();
 
-    let mut state = layer.zero_state();
+    let mut state = vec![0.0; h];
     for t in 0..3 {
         let x = random_vec(&mut rng, IN_DIM, 2.0);
         let (want, want_cache) = layer.step_reference(&x, &state);
-        let (got, got_cache) = layer.step(&x, &state, true, &mut scratch);
-        let got_cache = got_cache.expect("cache was asked for");
+        let mut got = vec![0.0; h];
+        layer.step_batch_into(&x, &state, &mut got, 1, &mut scratch);
         assert_eq!(bits(&got), bits(&want), "{what} t={t}: c");
         for (plane, got, want) in [
-            ("x", &got_cache.x, &want_cache.x),
-            ("c_prev", &got_cache.c_prev, &want_cache.c_prev),
-            ("z", &got_cache.z, &want_cache.z),
-            ("r", &got_cache.r, &want_cache.r),
-            ("rc", &got_cache.rc, &want_cache.rc),
-            ("c_tilde", &got_cache.c_tilde, &want_cache.c_tilde),
+            ("z", &scratch.pre[..h], &want_cache.z),
+            ("r", &scratch.pre[h..], &want_cache.r),
+            ("rc", &scratch.rc[..], &want_cache.rc),
+            ("c_tilde", &scratch.pre_c[..], &want_cache.c_tilde),
         ] {
             assert_eq!(bits(got), bits(want), "{what} t={t}: cache plane {plane}");
         }

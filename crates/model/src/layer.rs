@@ -1,7 +1,8 @@
 //! Uniform wrapper over the two cell types.
 
-use crate::gru::{GruCache, GruGrads, GruLayer};
-use crate::lstm::{LstmCache, LstmGrads, LstmLayer, ParamCount};
+use crate::gru::{GruGrads, GruLayer};
+use crate::lstm::{LstmGrads, LstmLayer, ParamCount};
+use crate::seq::LayerTape;
 use ernn_linalg::{MatVec, Matrix};
 
 /// A stacked-RNN layer: either cell type behind one interface.
@@ -15,15 +16,6 @@ pub enum RnnLayer<M> {
     Lstm(LstmLayer<M>),
     /// A GRU layer (paper Eqn. 2).
     Gru(GruLayer<M>),
-}
-
-/// Forward caches for one layer over a sequence.
-#[derive(Debug, Clone)]
-pub enum LayerCaches {
-    /// Caches of an LSTM layer.
-    Lstm(Vec<LstmCache>),
-    /// Caches of a GRU layer.
-    Gru(Vec<GruCache>),
 }
 
 /// Gradients for one layer.
@@ -60,24 +52,6 @@ impl<M: MatVec> RnnLayer<M> {
         }
     }
 
-    /// Runs the layer over a sequence.
-    pub fn forward_seq(
-        &self,
-        inputs: &[Vec<f32>],
-        want_cache: bool,
-    ) -> (Vec<Vec<f32>>, LayerCaches) {
-        match self {
-            RnnLayer::Lstm(l) => {
-                let (out, caches) = l.forward_seq(inputs, want_cache);
-                (out, LayerCaches::Lstm(caches))
-            }
-            RnnLayer::Gru(g) => {
-                let (out, caches) = g.forward_seq(inputs, want_cache);
-                (out, LayerCaches::Gru(caches))
-            }
-        }
-    }
-
     /// Number of stored parameters.
     pub fn param_count(&self) -> usize
     where
@@ -99,25 +73,28 @@ impl RnnLayer<Matrix> {
         }
     }
 
-    /// Backpropagation through time; dispatches on the cell type.
+    /// Backpropagation through time over `tape`; dispatches on the cell
+    /// type.
     ///
     /// # Panics
     ///
-    /// Panics if the cache variant does not match the layer type.
-    pub fn backward_seq(
+    /// Panics if the gradients were not shaped, or the tape not recorded,
+    /// by this layer's cell type.
+    pub(crate) fn backward_seq(
         &self,
-        caches: &LayerCaches,
+        tape: &LayerTape,
         d_outputs: &[Vec<f32>],
         grads: &mut LayerGrads,
     ) -> Vec<Vec<f32>> {
-        match (self, caches, grads) {
-            (RnnLayer::Lstm(l), LayerCaches::Lstm(c), LayerGrads::Lstm(g)) => {
-                l.backward_seq(c, d_outputs, g)
+        // A cell fills only its own planes of the tape.
+        match (self, grads) {
+            (RnnLayer::Lstm(l), LayerGrads::Lstm(g)) if tape.rc.is_empty() => {
+                l.backward_seq(tape, d_outputs, g)
             }
-            (RnnLayer::Gru(l), LayerCaches::Gru(c), LayerGrads::Gru(g)) => {
-                l.backward_seq(c, d_outputs, g)
+            (RnnLayer::Gru(l), LayerGrads::Gru(g)) if tape.m.is_empty() => {
+                l.backward_seq(tape, d_outputs, g)
             }
-            _ => panic!("layer/cache/grads variant mismatch"),
+            _ => panic!("layer/tape/grads variant mismatch"),
         }
     }
 }
@@ -147,13 +124,9 @@ mod tests {
         let lstm_layer = LstmLayer::new_dense(LstmConfig::simple(2, 3), &mut rng);
         let gru_layer = GruLayer::new_dense(2, 3, &mut rng);
         let inputs = vec![vec![0.0, 0.0]];
-        let (_, gru_caches) = gru_layer.forward_seq(&inputs, true);
+        let (_, gru_tape) = crate::seq::walk_layer(RnnLayer::Gru(gru_layer), &inputs);
         let layer = RnnLayer::Lstm(lstm_layer);
         let mut grads = layer.zero_grads();
-        let _ = layer.backward_seq(
-            &LayerCaches::Gru(gru_caches),
-            &[vec![0.0, 0.0, 0.0]],
-            &mut grads,
-        );
+        let _ = layer.backward_seq(&gru_tape, &[vec![0.0, 0.0, 0.0]], &mut grads);
     }
 }

@@ -19,13 +19,19 @@
 //! [`GruLayer::step_batch_with`], whole-plane passes over the five hooks of
 //! a statically dispatched [`CellArith`] — `accumulate` (`pre ⊕ rec ⊕
 //! bias`), `peephole`, `sigmoid`, `activate` and `round` — which are the
-//! only places float and fixed-point evaluation differ. The training
-//! forward ([`LstmLayer::forward_seq`], which reads its BPTT cache out of
-//! the step's activated gate planes) and float inference
-//! ([`LstmLayer::step_batch_into`]) are that step at the `f32` arithmetic;
-//! `ernn_fpga::exec` is the same step at (word length, PWL units). Tests
-//! hold the float instance to the bits of the per-element steps it
-//! replaced (`lstm/reference.rs`, `gru/reference.rs`).
+//! only places float and fixed-point evaluation differ. The loop around
+//! the step is written once too: [`RnnNetwork::hidden_batch_with`]
+//! (`seq.rs`) walks a batch of utterances through the layer stack in
+//! lock-step — ragged lengths, an optional carried [`NetworkState`] per
+//! lane, allocation-free over an [`ExecScratch`] — in whatever
+//! `CellArith` it is handed. It has three callers: float inference
+//! ([`RnnNetwork::forward_logits`]) and the training forward
+//! ([`RnnNetwork::forward_backward`], which has it record a [`LayerTape`]
+//! of each layer's activated gate planes for BPTT) at the `f32` arithmetic, and
+//! `ernn_fpga::exec` at (word length, PWL units). Tests hold the float
+//! step to the bits of the per-element steps it replaced
+//! (`lstm/reference.rs`, `gru/reference.rs`), the tape to the cache those
+//! return, and a ragged batch to its lanes walked alone.
 //! Full backpropagation through time is implemented for the dense
 //! representation ([`RnnNetwork::forward_backward`]) and validated by
 //! finite-difference tests.
@@ -55,18 +61,20 @@ mod loss;
 mod lstm;
 mod network;
 mod optim;
+mod seq;
 mod spec;
 pub mod trainer;
 
 pub use activation::Act;
 pub use cell::{CellArith, CellScratch, GruScratch, LstmScratch};
 pub use compress::{compress_network, compress_network_layers, BlockPolicy};
-pub use gru::{GruCache, GruGrads, GruInputStack, GruLayer};
-pub use layer::{LayerCaches, LayerGrads, RnnLayer};
+pub use gru::{GruGrads, GruInputStack, GruLayer};
+pub use layer::{LayerGrads, RnnLayer};
 pub use loss::softmax_cross_entropy;
-pub use lstm::{LstmCache, LstmConfig, LstmGrads, LstmLayer, LstmState, ParamCount};
+pub use lstm::{LstmConfig, LstmGrads, LstmLayer, ParamCount};
 pub use network::{CellType, NetworkBuilder, NetworkGrads, RnnNetwork, WeightRole};
 pub use optim::{Adam, Optimizer, Sgd};
+pub use seq::{ExecScratch, LayerTape, NetworkState};
 pub use spec::ModelSpec;
 
 pub use ernn_linalg::{BlockCirculantMatrix, MatVec, Matrix, WeightMatrix};

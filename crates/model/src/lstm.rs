@@ -11,6 +11,7 @@
 
 use crate::activation::Act;
 use crate::cell::{CellArith, FloatArith, LstmScratch};
+use crate::seq::LayerTape;
 use ernn_linalg::ops::hadamard_acc;
 use ernn_linalg::{MatVec, Matrix};
 use rand::Rng;
@@ -65,30 +66,6 @@ pub struct LstmLayer<M> {
     pub peepholes: Option<[Vec<f32>; 3]>,
     /// Projection `W_ym (R × H)`, present iff `cfg.has_projection()`.
     pub wym: Option<M>,
-}
-
-/// Recurrent state carried across timesteps.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LstmState {
-    /// Cell state `c_t` (`hidden_dim`).
-    pub c: Vec<f32>,
-    /// Projected output `y_t` (`output_dim`).
-    pub y: Vec<f32>,
-}
-
-/// Per-timestep values cached by the forward pass for BPTT.
-#[derive(Debug, Clone)]
-pub struct LstmCache {
-    x: Vec<f32>,
-    y_prev: Vec<f32>,
-    c_prev: Vec<f32>,
-    i: Vec<f32>,
-    f: Vec<f32>,
-    g: Vec<f32>,
-    o: Vec<f32>,
-    c: Vec<f32>,
-    tanh_c: Vec<f32>,
-    m: Vec<f32>,
 }
 
 /// Gradients of one LSTM layer, shaped like the parameters.
@@ -146,47 +123,6 @@ impl<M: MatVec> LstmLayer<M> {
     /// Layer configuration.
     pub fn config(&self) -> &LstmConfig {
         &self.cfg
-    }
-
-    /// Initial all-zero state.
-    pub fn zero_state(&self) -> LstmState {
-        LstmState {
-            c: vec![0.0; self.cfg.hidden_dim],
-            y: vec![0.0; self.cfg.output_dim],
-        }
-    }
-
-    /// One timestep of Eqn. 1 for training: a batch-1
-    /// [`Self::step_batch_into`], plus (optionally) the cache needed for
-    /// backpropagation, read from the activated gate planes the step left
-    /// in `scratch`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` or the state dimensions disagree with the config.
-    fn step(
-        &self,
-        x: &[f32],
-        state: &LstmState,
-        want_cache: bool,
-        scratch: &mut LstmScratch,
-    ) -> (LstmState, Option<LstmCache>) {
-        let h = self.cfg.hidden_dim;
-        let mut next = self.zero_state();
-        self.step_batch_into(x, &state.c, &state.y, &mut next.c, &mut next.y, 1, scratch);
-        let cache = want_cache.then(|| LstmCache {
-            x: x.to_vec(),
-            y_prev: state.y.clone(),
-            c_prev: state.c.clone(),
-            i: scratch.pre[..h].to_vec(),
-            f: scratch.pre[h..2 * h].to_vec(),
-            g: scratch.pre[2 * h..3 * h].to_vec(),
-            o: scratch.pre[3 * h..].to_vec(),
-            c: next.c.clone(),
-            tanh_c: scratch.tanh_c.clone(),
-            m: scratch.m.clone(),
-        });
-        (next, cache)
     }
 
     /// One timestep of Eqn. 1 in `f32` for `batch` independent states at
@@ -334,28 +270,6 @@ impl<M: MatVec> LstmLayer<M> {
         }
     }
 
-    /// Runs a full sequence, returning outputs per frame (and caches when
-    /// training).
-    pub fn forward_seq(
-        &self,
-        inputs: &[Vec<f32>],
-        want_cache: bool,
-    ) -> (Vec<Vec<f32>>, Vec<LstmCache>) {
-        let mut state = self.zero_state();
-        let mut scratch = LstmScratch::new();
-        let mut outputs = Vec::with_capacity(inputs.len());
-        let mut caches = Vec::with_capacity(if want_cache { inputs.len() } else { 0 });
-        for x in inputs {
-            let (next, cache) = self.step(x, &state, want_cache, &mut scratch);
-            outputs.push(next.y.clone());
-            if let Some(c) = cache {
-                caches.push(c);
-            }
-            state = next;
-        }
-        (outputs, caches)
-    }
-
     /// Number of stored parameters (weights + biases + peepholes).
     pub fn param_count(&self) -> usize
     where
@@ -441,7 +355,9 @@ impl LstmLayer<Matrix> {
         }
     }
 
-    /// Backpropagation through time for a full sequence.
+    /// Backpropagation through time over `tape`, what
+    /// [`RnnNetwork::hidden_batch_with`](crate::RnnNetwork::hidden_batch_with)
+    /// recorded for this layer walking one sequence (frame `t` is row `t`).
     ///
     /// `d_outputs[t]` is `∂L/∂y_t` from the layers above (classifier and/or
     /// next stacked layer). Accumulates parameter gradients into `grads`
@@ -449,24 +365,36 @@ impl LstmLayer<Matrix> {
     ///
     /// # Panics
     ///
-    /// Panics if `caches.len() != d_outputs.len()`.
-    pub fn backward_seq(
+    /// Panics if `tape` and `d_outputs` differ in length.
+    pub(crate) fn backward_seq(
         &self,
-        caches: &[LstmCache],
+        tape: &LayerTape,
         d_outputs: &[Vec<f32>],
         grads: &mut LstmGrads,
     ) -> Vec<Vec<f32>> {
-        assert_eq!(caches.len(), d_outputs.len(), "sequence length mismatch");
         let h = self.cfg.hidden_dim;
-        let t_len = caches.len();
+        let r = self.cfg.output_dim;
+        let in_dim = self.cfg.input_dim;
+        let t_len = d_outputs.len();
+        assert_eq!(tape.x.len(), t_len * in_dim, "sequence length mismatch");
         let mut dx_seq = vec![Vec::new(); t_len];
-        let mut dy_rec = vec![0.0f32; self.cfg.output_dim];
+        let mut dy_rec = vec![0.0f32; r];
         let mut dc_next = vec![0.0f32; h];
+        let zeros = vec![0.0f32; h.max(r)];
 
-        for t in (0..t_len).rev() {
-            let cache = &caches[t];
+        for row in (0..t_len).rev() {
+            let (gate_i, rest) = tape.gates[row * 4 * h..][..4 * h].split_at(h);
+            let (gate_f, rest) = rest.split_at(h);
+            let (gate_g, gate_o) = rest.split_at(h);
+            let c = &tape.c[row * h..][..h];
+            let tanh_c = &tape.tanh_c[row * h..][..h];
+            // The lane starts from the zero state.
+            let (c_prev, y_prev) = match row {
+                0 => (&zeros[..h], &zeros[..r]),
+                _ => (&tape.c[(row - 1) * h..][..h], &tape.y[(row - 1) * r..][..r]),
+            };
             // Total gradient on y_t: external + recurrent from t+1.
-            let mut dy = d_outputs[t].clone();
+            let mut dy = d_outputs[row].clone();
             for (a, b) in dy.iter_mut().zip(dy_rec.iter()) {
                 *a += b;
             }
@@ -478,7 +406,7 @@ impl LstmLayer<Matrix> {
                         .wym
                         .as_mut()
                         .expect("grads shaped like layer")
-                        .add_outer(1.0, &dy, &cache.m);
+                        .add_outer(1.0, &dy, &tape.m[row * h..][..h]);
                     w.matvec_t(&dy)
                 }
                 None => dy,
@@ -488,9 +416,9 @@ impl LstmLayer<Matrix> {
             let mut dc = dc_next.clone();
             let mut dpre_o = vec![0.0f32; h];
             for k in 0..h {
-                let d_o = dm[k] * cache.tanh_c[k];
-                dc[k] += dm[k] * cache.o[k] * (1.0 - cache.tanh_c[k] * cache.tanh_c[k]);
-                dpre_o[k] = d_o * cache.o[k] * (1.0 - cache.o[k]);
+                let d_o = dm[k] * tanh_c[k];
+                dc[k] += dm[k] * gate_o[k] * (1.0 - tanh_c[k] * tanh_c[k]);
+                dpre_o[k] = d_o * gate_o[k] * (1.0 - gate_o[k]);
             }
             // Peephole o feeds back into c_t.
             if let Some([_, _, p_o]) = &self.peepholes {
@@ -498,7 +426,7 @@ impl LstmLayer<Matrix> {
                 for k in 0..h {
                     dc[k] += dpre_o[k] * p_o[k];
                 }
-                hadamard_acc(&mut g_peep[2], &dpre_o, &cache.c);
+                hadamard_acc(&mut g_peep[2], &dpre_o, c);
             }
 
             // Through c = f ⊙ c_prev + g ⊙ i.
@@ -507,21 +435,21 @@ impl LstmLayer<Matrix> {
             let mut dpre_g = vec![0.0f32; h];
             let mut dc_prev = vec![0.0f32; h];
             for k in 0..h {
-                let di = dc[k] * cache.g[k];
-                let dg = dc[k] * cache.i[k];
-                let df = dc[k] * cache.c_prev[k];
-                dc_prev[k] = dc[k] * cache.f[k];
-                dpre_i[k] = di * cache.i[k] * (1.0 - cache.i[k]);
-                dpre_f[k] = df * cache.f[k] * (1.0 - cache.f[k]);
-                dpre_g[k] = dg * self.cfg.cell_activation.deriv_from_output(cache.g[k]);
+                let di = dc[k] * gate_g[k];
+                let dg = dc[k] * gate_i[k];
+                let df = dc[k] * c_prev[k];
+                dc_prev[k] = dc[k] * gate_f[k];
+                dpre_i[k] = di * gate_i[k] * (1.0 - gate_i[k]);
+                dpre_f[k] = df * gate_f[k] * (1.0 - gate_f[k]);
+                dpre_g[k] = dg * self.cfg.cell_activation.deriv_from_output(gate_g[k]);
             }
             if let Some([p_i, p_f, _]) = &self.peepholes {
                 let g_peep = grads.peepholes.as_mut().expect("grads shaped like layer");
                 for k in 0..h {
                     dc_prev[k] += dpre_i[k] * p_i[k] + dpre_f[k] * p_f[k];
                 }
-                hadamard_acc(&mut g_peep[0], &dpre_i, &cache.c_prev);
-                hadamard_acc(&mut g_peep[1], &dpre_f, &cache.c_prev);
+                hadamard_acc(&mut g_peep[0], &dpre_i, c_prev);
+                hadamard_acc(&mut g_peep[1], &dpre_f, c_prev);
             }
 
             // Fused gate pre-activation gradient (i, f, g, o lanes).
@@ -534,10 +462,12 @@ impl LstmLayer<Matrix> {
             for (b, d) in grads.bias.iter_mut().zip(dpre.iter()) {
                 *b += d;
             }
-            grads.wx.add_outer(1.0, &dpre, &cache.x);
-            grads.wr.add_outer(1.0, &dpre, &cache.y_prev);
+            grads
+                .wx
+                .add_outer(1.0, &dpre, &tape.x[row * in_dim..][..in_dim]);
+            grads.wr.add_outer(1.0, &dpre, y_prev);
 
-            dx_seq[t] = self.wx.matvec_t(&dpre);
+            dx_seq[row] = self.wx.matvec_t(&dpre);
             dy_rec = self.wr.matvec_t(&dpre);
             dc_next = dc_prev;
         }
@@ -551,6 +481,8 @@ mod reference;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::seq::walk_layer;
+    use crate::RnnLayer;
     use rand::SeedableRng;
 
     fn tiny_layer(peephole: bool, projection: bool, seed: u64) -> LstmLayer<Matrix> {
@@ -565,14 +497,33 @@ mod tests {
         LstmLayer::new_dense(cfg, &mut rng)
     }
 
+    /// One float step of a single lane from `(c, y)`.
+    fn step(
+        layer: &LstmLayer<Matrix>,
+        x: &[f32],
+        (c, y): &(Vec<f32>, Vec<f32>),
+        scratch: &mut LstmScratch,
+    ) -> (Vec<f32>, Vec<f32>) {
+        let mut next = zero_state(layer);
+        layer.step_batch_into(x, c, y, &mut next.0, &mut next.1, 1, scratch);
+        next
+    }
+
+    fn zero_state(layer: &LstmLayer<Matrix>) -> (Vec<f32>, Vec<f32>) {
+        let cfg = layer.config();
+        (vec![0.0; cfg.hidden_dim], vec![0.0; cfg.output_dim])
+    }
+
     #[test]
     fn step_produces_correct_shapes() {
         let layer = tiny_layer(true, true, 1);
-        let state = layer.zero_state();
-        let (next, cache) = layer.step(&[0.1, -0.2, 0.3], &state, true, &mut LstmScratch::new());
-        assert_eq!(next.c.len(), 4);
-        assert_eq!(next.y.len(), 2);
-        assert!(cache.is_some());
+        let mut scratch = LstmScratch::new();
+        let (c, y) = step(&layer, &[0.1, -0.2, 0.3], &zero_state(&layer), &mut scratch);
+        assert_eq!(c.len(), 4);
+        assert_eq!(y.len(), 2);
+        // The planes a tape is appended from.
+        assert_eq!(scratch.pre.len(), 16);
+        assert_eq!((scratch.tanh_c.len(), scratch.m.len()), (4, 4));
     }
 
     #[test]
@@ -580,13 +531,13 @@ mod tests {
         // With zero input/state, gates see only biases; cell state stays
         // small and bounded.
         let layer = tiny_layer(false, false, 2);
-        let (next, _) = layer.step(
+        let (c, _) = step(
+            &layer,
             &[0.0, 0.0, 0.0],
-            &layer.zero_state(),
-            false,
+            &zero_state(&layer),
             &mut LstmScratch::new(),
         );
-        for &c in &next.c {
+        for &c in &c {
             assert!(c.abs() < 1.0);
         }
     }
@@ -596,32 +547,14 @@ mod tests {
         // Sigmoid gates keep |c| growth linear at worst; with tanh cell
         // input, |c_t| <= t. Check stability for a moderately long run.
         let layer = tiny_layer(true, false, 3);
-        let mut state = layer.zero_state();
+        let mut state = zero_state(&layer);
         let mut scratch = LstmScratch::new();
         for t in 0..200 {
             let x = vec![(t as f32 * 0.1).sin(), 0.3, -0.5];
-            state = layer.step(&x, &state, false, &mut scratch).0;
+            state = step(&layer, &x, &state, &mut scratch);
         }
-        for &c in &state.c {
+        for &c in &state.0 {
             assert!(c.is_finite() && c.abs() < 50.0);
-        }
-    }
-
-    #[test]
-    fn forward_seq_matches_manual_stepping() {
-        let layer = tiny_layer(true, true, 4);
-        let inputs: Vec<Vec<f32>> = (0..6)
-            .map(|t| vec![t as f32 * 0.1, -0.2, 0.05 * t as f32])
-            .collect();
-        let (outputs, caches) = layer.forward_seq(&inputs, true);
-        assert_eq!(outputs.len(), 6);
-        assert_eq!(caches.len(), 6);
-        let mut state = layer.zero_state();
-        let mut scratch = LstmScratch::new();
-        for (t, x) in inputs.iter().enumerate() {
-            let (next, _) = layer.step(x, &state, false, &mut scratch);
-            assert_eq!(outputs[t], next.y);
-            state = next;
         }
     }
 
@@ -635,18 +568,20 @@ mod tests {
             .map(|_| (0..3).map(|_| rng.gen_range(-1.0f32..1.0)).collect())
             .collect();
         // Loss: sum of squares of outputs — simple and smooth.
+        let forward =
+            |layer: &LstmLayer<Matrix>| walk_layer(RnnLayer::Lstm(layer.clone()), &inputs);
         let loss = |layer: &LstmLayer<Matrix>| -> f32 {
-            let (outs, _) = layer.forward_seq(&inputs, false);
+            let (outs, _) = forward(layer);
             outs.iter()
                 .flat_map(|o| o.iter())
                 .map(|v| 0.5 * v * v)
                 .sum()
         };
 
-        let (outs, caches) = layer.forward_seq(&inputs, true);
+        let (outs, tape) = forward(&layer);
         let d_outputs: Vec<Vec<f32>> = outs.clone();
         let mut grads = layer.zero_grads();
-        layer.backward_seq(&caches, &d_outputs, &mut grads);
+        layer.backward_seq(&tape, &d_outputs, &mut grads);
 
         let eps = 1e-2f32;
         // Check a sample of wx, wr, bias and (if present) peephole params.
@@ -740,7 +675,11 @@ mod tests {
     #[should_panic(expected = "input dimension")]
     fn step_rejects_bad_input_dim() {
         let layer = tiny_layer(false, false, 7);
-        let state = layer.zero_state();
-        let _ = layer.step(&[0.0; 5], &state, false, &mut LstmScratch::new());
+        let _ = step(
+            &layer,
+            &[0.0; 5],
+            &zero_state(&layer),
+            &mut LstmScratch::new(),
+        );
     }
 }

@@ -1,15 +1,45 @@
 //! `LstmLayer::step` as it stood before Eqn. 1 was written once over
 //! [`CellArith`], kept word for word as the float oracle: allocating
 //! matvecs, the gate math in mixed per-`k` loops, every cache plane its own
-//! `Vec`. The shared step at the float arithmetic is held to its bits.
+//! `Vec`. The shared step at the float arithmetic is held to its bits, and
+//! so is the sequence walker's tape (`seq.rs` loops this step by hand).
 
 use super::*;
 use crate::activation::sigmoid;
 use crate::{compress_network, BlockPolicy, CellType, NetworkBuilder, RnnLayer};
 use rand::{Rng, SeedableRng};
 
+/// Recurrent state carried across timesteps.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct LstmState {
+    pub(crate) c: Vec<f32>,
+    pub(crate) y: Vec<f32>,
+}
+
+/// Per-timestep values the per-element step cached for BPTT.
+#[derive(Debug, Clone)]
+pub(crate) struct LstmCache {
+    pub(crate) x: Vec<f32>,
+    pub(crate) y_prev: Vec<f32>,
+    pub(crate) c_prev: Vec<f32>,
+    pub(crate) i: Vec<f32>,
+    pub(crate) f: Vec<f32>,
+    pub(crate) g: Vec<f32>,
+    pub(crate) o: Vec<f32>,
+    pub(crate) c: Vec<f32>,
+    pub(crate) tanh_c: Vec<f32>,
+    pub(crate) m: Vec<f32>,
+}
+
 impl<M: MatVec> LstmLayer<M> {
-    fn step_reference(&self, x: &[f32], state: &LstmState) -> (LstmState, LstmCache) {
+    pub(crate) fn zero_state(&self) -> LstmState {
+        LstmState {
+            c: vec![0.0; self.cfg.hidden_dim],
+            y: vec![0.0; self.cfg.output_dim],
+        }
+    }
+
+    pub(crate) fn step_reference(&self, x: &[f32], state: &LstmState) -> (LstmState, LstmCache) {
         let h = self.cfg.hidden_dim;
         assert_eq!(x.len(), self.cfg.input_dim, "input dimension mismatch");
         assert_eq!(state.c.len(), h, "cell state dimension mismatch");
@@ -99,11 +129,12 @@ fn random_vec(rng: &mut impl Rng, len: usize, bound: f32) -> Vec<f32> {
     (0..len).map(|_| rng.gen_range(-bound..bound)).collect()
 }
 
-/// The training `step` (state and every cache plane, over a carried state)
-/// and every lane of `step_batch_into` at batches 1, 3 and 16 against the
-/// oracle, in bits.
+/// A batch-1 `step_batch_into` over a carried state (next state and every
+/// plane the tape is appended from) and every lane of it at batches 1, 3
+/// and 16 against the oracle, in bits.
 fn assert_bitwise_equal_to_reference<M: MatVec>(layer: &LstmLayer<M>, what: &str) {
     let cfg = *layer.config();
+    let h = cfg.hidden_dim;
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(43);
     let mut scratch = LstmScratch::new();
 
@@ -111,28 +142,33 @@ fn assert_bitwise_equal_to_reference<M: MatVec>(layer: &LstmLayer<M>, what: &str
     for t in 0..3 {
         let x = random_vec(&mut rng, cfg.input_dim, 2.0);
         let (want, want_cache) = layer.step_reference(&x, &state);
-        let (got, got_cache) = layer.step(&x, &state, true, &mut scratch);
-        let got_cache = got_cache.expect("cache was asked for");
+        let mut got = layer.zero_state();
+        layer.step_batch_into(
+            &x,
+            &state.c,
+            &state.y,
+            &mut got.c,
+            &mut got.y,
+            1,
+            &mut scratch,
+        );
         assert_eq!(bits(&got.c), bits(&want.c), "{what} t={t}: c");
         assert_eq!(bits(&got.y), bits(&want.y), "{what} t={t}: y");
         for (plane, got, want) in [
-            ("x", &got_cache.x, &want_cache.x),
-            ("y_prev", &got_cache.y_prev, &want_cache.y_prev),
-            ("c_prev", &got_cache.c_prev, &want_cache.c_prev),
-            ("i", &got_cache.i, &want_cache.i),
-            ("f", &got_cache.f, &want_cache.f),
-            ("g", &got_cache.g, &want_cache.g),
-            ("o", &got_cache.o, &want_cache.o),
-            ("c", &got_cache.c, &want_cache.c),
-            ("tanh_c", &got_cache.tanh_c, &want_cache.tanh_c),
-            ("m", &got_cache.m, &want_cache.m),
+            ("i", &scratch.pre[..h], &want_cache.i),
+            ("f", &scratch.pre[h..2 * h], &want_cache.f),
+            ("g", &scratch.pre[2 * h..3 * h], &want_cache.g),
+            ("o", &scratch.pre[3 * h..], &want_cache.o),
+            ("c", &got.c[..], &want_cache.c),
+            ("tanh_c", &scratch.tanh_c[..], &want_cache.tanh_c),
+            ("m", &scratch.m[..], &want_cache.m),
         ] {
             assert_eq!(bits(got), bits(want), "{what} t={t}: cache plane {plane}");
         }
         state = want;
     }
 
-    let (h, r) = (cfg.hidden_dim, cfg.output_dim);
+    let r = cfg.output_dim;
     for batch in [1usize, 3, 16] {
         let xs = random_vec(&mut rng, batch * cfg.input_dim, 2.0);
         let c_prev = random_vec(&mut rng, batch * h, 1.0);

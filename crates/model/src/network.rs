@@ -1,8 +1,10 @@
 //! Stacked RNN networks with a framewise classifier head.
 
-use crate::layer::{LayerCaches, LayerGrads, RnnLayer};
+use crate::cell::FloatArith;
+use crate::layer::{LayerGrads, RnnLayer};
 use crate::loss::softmax_cross_entropy;
 use crate::lstm::{LstmConfig, LstmLayer, ParamCount};
+use crate::seq::ExecScratch;
 use crate::{Act, GruLayer};
 use ernn_linalg::{MatVec, Matrix};
 use rand::Rng;
@@ -154,13 +156,24 @@ impl<M: MatVec> RnnNetwork<M> {
     ///
     /// # Panics
     ///
-    /// Panics if the classifier input dimension does not match the top
-    /// layer's output dimension.
+    /// Panics if there is no layer, if a layer's input dimension is not the
+    /// output dimension of the layer below it (the sequence walker indexes
+    /// activation rows by the consumer's width, so a narrower consumer
+    /// would read the wrong rows without failing), or if the classifier
+    /// does not match the top layer's output dimension and the bias length.
     pub fn from_parts(
         layers: Vec<RnnLayer<M>>,
         classifier_w: Matrix,
         classifier_b: Vec<f32>,
     ) -> Self {
+        for (i, pair) in layers.windows(2).enumerate() {
+            assert_eq!(
+                pair[1].input_dim(),
+                pair[0].output_dim(),
+                "layer {} input dim must equal layer {i} output dim",
+                i + 1
+            );
+        }
         let top = layers
             .last()
             .expect("network needs at least one layer")
@@ -217,14 +230,16 @@ impl<M: MatVec> RnnNetwork<M> {
         rnn + self.classifier_w.rows() * self.classifier_w.cols() + self.classifier_b.len()
     }
 
-    /// Forward pass producing framewise logits.
+    /// Forward pass producing framewise logits: the sequence walker
+    /// ([`Self::hidden_batch_with`]) over one utterance in `f32`, then the
+    /// classifier head.
     pub fn forward_logits(&self, frames: &[Vec<f32>]) -> Vec<Vec<f32>> {
-        let mut seq: Vec<Vec<f32>> = frames.to_vec();
-        for layer in &self.layers {
-            let (out, _) = layer.forward_seq(&seq, false);
-            seq = out;
-        }
-        seq.iter()
+        let mut scratch = ExecScratch::new();
+        let lane = std::iter::once(frames);
+        self.hidden_batch_with(&FloatArith, lane, None, &[], &mut scratch, None);
+        scratch
+            .outputs()
+            .chunks_exact(self.classifier_w.cols())
             .map(|h| {
                 let mut logits = self.classifier_w.matvec(h);
                 for (l, b) in logits.iter_mut().zip(self.classifier_b.iter()) {
@@ -284,22 +299,16 @@ impl RnnNetwork<Matrix> {
         assert_eq!(frames.len(), targets.len(), "frame/label length mismatch");
         assert!(!frames.is_empty(), "empty sequence");
 
-        // Forward through the stack, keeping caches and inter-layer
-        // activations.
-        let mut seqs: Vec<Vec<Vec<f32>>> = Vec::with_capacity(self.layers.len() + 1);
-        seqs.push(frames.to_vec());
-        let mut caches: Vec<LayerCaches> = Vec::with_capacity(self.layers.len());
-        for layer in &self.layers {
-            let (out, cache) = layer.forward_seq(seqs.last().expect("non-empty"), true);
-            caches.push(cache);
-            seqs.push(out);
-        }
-        let top = seqs.last().expect("non-empty").clone();
+        // Forward through the stack, taping what the backward pass reads.
+        let (mut scratch, mut tape) = (ExecScratch::new(), Vec::new());
+        let lane = std::iter::once(frames);
+        self.hidden_batch_with(&FloatArith, lane, None, &[], &mut scratch, Some(&mut tape));
+        let top = scratch.outputs().chunks_exact(self.classifier_w.cols());
 
         // Classifier + loss, building ∂L/∂h for the top layer.
         let mut loss = 0.0f32;
         let mut d_top: Vec<Vec<f32>> = Vec::with_capacity(frames.len());
-        for (h, &t) in top.iter().zip(targets.iter()) {
+        for (h, &t) in top.zip(targets.iter()) {
             let mut logits = self.classifier_w.matvec(h);
             for (l, b) in logits.iter_mut().zip(self.classifier_b.iter()) {
                 *l += b;
@@ -316,7 +325,7 @@ impl RnnNetwork<Matrix> {
         // Backward through the stack.
         let mut d_seq = d_top;
         for (i, layer) in self.layers.iter().enumerate().rev() {
-            d_seq = layer.backward_seq(&caches[i], &d_seq, &mut grads.layers[i]);
+            d_seq = layer.backward_seq(&tape[i], &d_seq, &mut grads.layers[i]);
         }
         (loss, frames.len())
     }
@@ -670,6 +679,19 @@ mod tests {
         // Second layer consumes the first layer's projected output.
         assert_eq!(net.layers()[1].input_dim(), 8);
         assert_eq!(net.classifier_w.cols(), 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "layer 1 input dim must equal layer 0 output dim")]
+    fn from_parts_rejects_a_layer_that_does_not_read_what_the_one_below_writes() {
+        // Narrower than its producer: every row index the walker computes
+        // stays in bounds, so nothing else would stop this.
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(8);
+        let layers = vec![
+            RnnLayer::Gru(GruLayer::new_dense(4, 8, &mut rng)),
+            RnnLayer::Gru(GruLayer::new_dense(6, 5, &mut rng)),
+        ];
+        let _ = RnnNetwork::from_parts(layers, Matrix::zeros(3, 5), vec![0.0; 3]);
     }
 
     #[test]

@@ -152,9 +152,10 @@ impl ModelSpec {
         }
         for (i, layer) in net.layers().iter().enumerate() {
             // Inter-layer chaining: layer i must consume exactly what the
-            // previous layer (or the input) produces. Individually
-            // well-shaped layers can still disagree here, and a chained
-            // mismatch only surfaces as a matvec panic at inference time.
+            // previous layer (or the input) produces. `from_parts` asserts
+            // it, but `layers_mut` can swap in a well-shaped layer that
+            // disagrees here, and the sequence walker would read a narrower
+            // consumer's rows from the wrong offsets without failing.
             let expect_in = if i == 0 {
                 self.input_dim
             } else {
@@ -266,9 +267,9 @@ mod tests {
     #[test]
     fn matches_rejects_broken_inter_layer_chaining() {
         use crate::{GruLayer, Matrix, RnnLayer};
-        // Two GRU layers, each internally consistent, but layer 1 reads a
-        // 12-wide input while layer 0 outputs 8 — only the chaining check
-        // can catch this before an inference-time matvec panic.
+        // Two GRU layers, each internally consistent, but after the swap
+        // layer 1 reads a 12-wide input while layer 0 outputs 8 — only the
+        // chaining check can catch this before inference.
         let gru = |in_dim: usize, h: usize| {
             GruLayer::from_parts(
                 in_dim,
@@ -282,11 +283,12 @@ mod tests {
                 vec![0.0; h],
             )
         };
-        let net = RnnNetwork::from_parts(
-            vec![RnnLayer::Gru(gru(6, 8)), RnnLayer::Gru(gru(12, 16))],
+        let mut net = RnnNetwork::from_parts(
+            vec![RnnLayer::Gru(gru(6, 8)), RnnLayer::Gru(gru(8, 16))],
             Matrix::zeros(5, 16),
             vec![0.0; 5],
         );
+        net.layers_mut()[1] = RnnLayer::Gru(gru(12, 16));
         let spec = ModelSpec::new(CellType::Gru, 6, 5).layer_dims(&[8, 16]);
         let err = spec.matches(&net).unwrap_err();
         assert!(err.contains("layer 1 input dim"), "{err}");
