@@ -79,6 +79,21 @@ impl Complex32 {
         Complex32::new(theta.cos() as f32, theta.sin() as f32)
     }
 
+    /// The forward twiddle `W_n^k = e^{-2πik/n}`, with the quarter turns
+    /// exact: `(1, 0)`, `(0, −1)`, `(−1, 0)`, `(0, 1)` where [`Self::cis`]
+    /// would leave `cos(π/2) ≈ 6.1e-17` in the table. Multiplying by those
+    /// four is an add / sub / swap (the paper's multiplier-free "trivial
+    /// twiddles", Sec. V), and only with exact zeros does the full complex
+    /// multiply the radix-2 plan runs agree with that shortcut.
+    #[inline]
+    pub fn twiddle(k: usize, n: usize) -> Self {
+        if (4 * k) % n == 0 {
+            let (re, im) = [(1.0, 0.0), (0.0, -1.0), (-1.0, 0.0), (0.0, 1.0)][4 * k / n % 4];
+            return Complex32::new(re, im);
+        }
+        Complex32::cis(-2.0 * std::f64::consts::PI * k as f64 / n as f64)
+    }
+
     /// Multiply by `i` without a full complex multiplication.
     #[inline]
     pub fn mul_i(self) -> Self {

@@ -49,11 +49,7 @@ impl FftPlan {
             is_power_of_two(size),
             "FFT size must be a power of two, got {size}"
         );
-        let mut twiddles = Vec::with_capacity(size / 2);
-        for k in 0..size / 2 {
-            let theta = -2.0 * std::f64::consts::PI * (k as f64) / (size as f64);
-            twiddles.push(Complex32::cis(theta));
-        }
+        let twiddles = (0..size / 2).map(|k| Complex32::twiddle(k, size)).collect();
         let bits = size.trailing_zeros();
         let bitrev = (0..size as u32)
             .map(|i| i.reverse_bits() >> (32 - bits.max(1)))
@@ -276,6 +272,31 @@ mod tests {
         plan.forward(&mut buf);
         assert!(close(buf[0], Complex32::from_real(3.0), 1e-6));
         assert!(close(buf[1], Complex32::from_real(-1.0), 1e-6));
+    }
+
+    #[test]
+    fn quarter_turn_twiddles_are_exact() {
+        let bits = |w: Complex32| (w.re.to_bits(), w.im.to_bits());
+        for n in [4usize, 8, 16, 32, 64, 128] {
+            let plan = FftPlan::new(n);
+            assert_eq!(
+                bits(plan.twiddles[0]),
+                bits(Complex32::new(1.0, 0.0)),
+                "n={n}"
+            );
+            assert_eq!(
+                bits(plan.twiddles[n / 4]),
+                bits(Complex32::new(0.0, -1.0)),
+                "n={n}"
+            );
+            // Every other entry is still `cis`'s.
+            for (k, &w) in plan.twiddles.iter().enumerate() {
+                if k % (n / 4) != 0 {
+                    let theta = -2.0 * std::f64::consts::PI * k as f64 / n as f64;
+                    assert_eq!(bits(w), bits(Complex32::cis(theta)), "n={n} k={k}");
+                }
+            }
+        }
     }
 
     #[test]

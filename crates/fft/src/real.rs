@@ -82,7 +82,7 @@ impl RealFft {
             None
         };
         let twiddles = (0..=size / 2)
-            .map(|k| Complex32::cis(-2.0 * std::f64::consts::PI * k as f64 / size as f64))
+            .map(|k| Complex32::twiddle(k, size))
             .collect();
         crate::stats::count_plan();
         RealFft {
@@ -433,6 +433,17 @@ mod tests {
                 spectra_close(&spec, &expected, 2e-3),
                 "n={n}: {spec:?} vs {expected:?}"
             );
+        }
+    }
+
+    #[test]
+    fn quarter_turn_twiddles_are_exact() {
+        let bits = |w: Complex32| (w.re.to_bits(), w.im.to_bits());
+        for n in [4usize, 8, 16, 32, 64, 128] {
+            let tw = &RealFft::new(n).twiddles;
+            assert_eq!(bits(tw[0]), bits(Complex32::new(1.0, 0.0)), "n={n}");
+            assert_eq!(bits(tw[n / 4]), bits(Complex32::new(0.0, -1.0)), "n={n}");
+            assert_eq!(bits(tw[n / 2]), bits(Complex32::new(-1.0, 0.0)), "n={n}");
         }
     }
 
