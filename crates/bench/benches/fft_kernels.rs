@@ -44,7 +44,8 @@ fn bench_real_fft(c: &mut Criterion) {
 }
 
 /// 32 block-sized real transforms: one scalar call per signal against one
-/// lane-batched call (what the block-circulant matvec issues).
+/// lane-batched call (what the block-circulant matvec issues), then the
+/// lane-batched inverse of those spectra (its stage 3).
 fn bench_lane_fft(c: &mut Criterion) {
     const W: usize = 32;
     let mut group = c.benchmark_group("real_fft_32_signals");
@@ -71,6 +72,9 @@ fn bench_lane_fft(c: &mut Criterion) {
                 time.copy_from_slice(&planes);
                 rfft.forward_lanes::<W>(std::hint::black_box(&mut time), &mut lanes, W);
             })
+        });
+        group.bench_with_input(BenchmarkId::new("inverse_lanes", n), &n, |b, _| {
+            b.iter(|| rfft.inverse_lanes::<W>(std::hint::black_box(&lanes), &mut time, W))
         });
     }
     group.finish();

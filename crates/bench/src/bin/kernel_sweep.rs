@@ -26,6 +26,15 @@
 //! cost the 8×8 call: the call as it runs, and its pure-arithmetic floor
 //! (the call minus its three counter updates, timed on their own).
 //!
+//! Then the lane transforms on their own: ns per
+//! `RealFft::{forward,inverse}_lanes` tile at 4 and 32 lanes for
+//! `L_b` ∈ {8, 16, 32} — 8 and 16 run the straight-line codelets, 32 the
+//! radix-2 plan, so the 32 rows are the ones a codelet change must not
+//! move — and the share of the 1024² `L_b = 8` batch-1 call that its
+//! stage-1 and stage-3 transforms take (the call's `into µs` from the
+//! table, then the eight tile transforms it issues timed on planes of the
+//! same shape).
+//!
 //! After that it prices the fixed-point cell datapath around
 //! those matvecs: ns per element of `FixedFormat::quantize_slice` and
 //! `PiecewiseLinear::eval_slice` (≈ 0.7 and ≈ 1.1 when the loops
@@ -41,7 +50,7 @@
 use ernn_bench::alloc::{allocation_count, CountingAllocator};
 use ernn_bench::json::{array, JsonObject};
 use ernn_bench::sweep::SweepArgs;
-use ernn_fft::stats;
+use ernn_fft::{stats, RealFft};
 use ernn_fpga::exec::{DatapathConfig, ExecScratch, QuantizedNetwork};
 use ernn_linalg::{lane_isa, BlockCirculantMatrix, MatVec, MatVecScratch, WeightMatrix};
 use ernn_model::{compress_network, BlockPolicy, CellType, NetworkBuilder, RnnLayer};
@@ -212,6 +221,83 @@ fn cost_of_observing(reps: usize, rng: &mut impl Rng) -> String {
         .render()
 }
 
+/// Best-of-`reps` ns per `forward_lanes::<W>` and per `inverse_lanes::<W>`
+/// call of size `lb`. The plan's forward clobbers its time planes, so the
+/// forward side refills them inside the timed region, as the matvec's
+/// gather does before every transform it issues.
+fn fft_lanes_ns<const W: usize>(lb: usize, reps: usize, rng: &mut impl Rng) -> (f64, f64) {
+    const CALLS: usize = 1024;
+    let rfft = RealFft::shared(lb);
+    let signals: Vec<f32> = (0..lb * W).map(|_| rng.gen_range(-1.0..1.0)).collect();
+    let mut time = signals.clone();
+    let mut spectrum = vec![0.0f32; rfft.spectrum_len() * 2 * W];
+    let (mut forward_ns, mut inverse_ns) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..reps {
+        forward_ns = forward_ns.min(
+            1e3 * per_call_us(CALLS, || {
+                time.copy_from_slice(&signals);
+                rfft.forward_lanes::<W>(black_box(&mut time), &mut spectrum, W);
+            }),
+        );
+        inverse_ns = inverse_ns.min(
+            1e3 * per_call_us(CALLS, || {
+                rfft.inverse_lanes::<W>(black_box(&spectrum), &mut time, W);
+            }),
+        );
+    }
+    (forward_ns, inverse_ns)
+}
+
+/// The lane transforms alone (see the module docs): one row per
+/// (`L_b`, lane count), then what stages 1 and 3 take of the 1024²
+/// `L_b = 8` batch-1 call (`call_us`, from the matvec table), which issues
+/// 128 / 32 = 4 forward and 4 inverse 32-lane tiles.
+fn fft_lanes_report(call_us: f64, reps: usize, rng: &mut impl Rng) -> (String, String) {
+    println!("\nlane transforms, ns per tile (L_b = 32 runs the radix-2 plan):");
+    println!(
+        "{:<5} {:<6} {:>12} {:>12}",
+        "L_b", "lanes", "forward ns", "inverse ns"
+    );
+    let mut rows = Vec::new();
+    let mut tile8 = (f64::NAN, f64::NAN);
+    for lb in [8, 16, 32] {
+        let narrow = fft_lanes_ns::<4>(lb, reps, rng);
+        let wide = fft_lanes_ns::<32>(lb, reps, rng);
+        if lb == 8 {
+            tile8 = wide;
+        }
+        for (lanes, (forward_ns, inverse_ns)) in [(4, narrow), (32, wide)] {
+            println!("{lb:<5} {lanes:<6} {forward_ns:>12.1} {inverse_ns:>12.1}");
+            rows.push(
+                JsonObject::new()
+                    .int("block_size", lb as i64)
+                    .int("lanes", lanes)
+                    .num("fft_forward_lanes_ns", forward_ns)
+                    .num("fft_inverse_lanes_ns", inverse_ns)
+                    .render(),
+            );
+        }
+    }
+
+    const TILES: f64 = 4.0;
+    let (stage1_us, stage3_us) = (TILES * tile8.0 / 1e3, TILES * tile8.1 / 1e3);
+    let (stage1_share, stage3_share) = (stage1_us / call_us, stage3_us / call_us);
+    println!(
+        "1024×1024 L_b=8 batch 1: call {call_us:.1} µs, stage-1 transforms {stage1_us:.2} µs \
+         ({:.1} %), stage-3 transforms {stage3_us:.2} µs ({:.1} %)",
+        100.0 * stage1_share,
+        100.0 * stage3_share
+    );
+    let share = JsonObject::new()
+        .num("call_us", call_us)
+        .num("stage1_us", stage1_us)
+        .num("stage3_us", stage3_us)
+        .num("stage1_share", stage1_share)
+        .num("stage3_share", stage3_share)
+        .render();
+    (array(rows), share)
+}
+
 /// Fused time per input must stay within this factor of one `matvec_into`.
 const FUSED_PER_LANE_CEILING: f64 = 1.10;
 
@@ -261,6 +347,8 @@ fn main() {
 
     let mut rows_json: Vec<String> = Vec::new();
     let mut scratch = MatVecScratch::new();
+    // `into µs` of the 1024² `L_b = 8` batch-1 row, for the FFT stage shares.
+    let mut call_1024_us = f64::NAN;
     for (rows, cols, lb, batch) in configs {
         let (p, q) = (rows.div_ceil(lb), cols.div_ceil(lb));
         let blocks: Vec<f32> = (0..p * q * lb).map(|_| rng.gen_range(-1.0..1.0)).collect();
@@ -342,6 +430,9 @@ fn main() {
         fused_per_lane.sort_by(f64::total_cmp);
         let fused_per_lane = fused_per_lane[reps / 2];
         let direct_over_fft = direct_us / into_us;
+        if (rows, cols, lb, batch) == (1024, 1024, 8, 1) {
+            call_1024_us = into_us;
+        }
         assert!(
             fused_per_lane <= FUSED_PER_LANE_CEILING,
             "fusing {batch} inputs must not cost more per input than matvec_into \
@@ -383,9 +474,10 @@ fn main() {
     }
 
     let observing_json = cost_of_observing(reps, &mut rng);
+    let (fft_lanes_json, fft_share_json) = fft_lanes_report(call_1024_us, reps, &mut rng);
 
     // FFT kernels alone: allocating vs `_into`, per call.
-    let rfft = ernn_fft::RealFft::new(if quick { 256 } else { 1024 });
+    let rfft = RealFft::new(if quick { 256 } else { 1024 });
     let signal: Vec<f32> = (0..rfft.size()).map(|i| (i as f32 * 0.7).sin()).collect();
     let mut spec = vec![ernn_fft::Complex32::ZERO; rfft.spectrum_len()];
     let mut back = vec![0.0f32; rfft.size()];
@@ -444,6 +536,8 @@ fn main() {
             .num("quantize_ns_per_elem", quantize_ns)
             .num("pwl_ns_per_elem", pwl_ns)
             .raw("observing", observing_json)
+            .raw("fft_lanes", fft_lanes_json)
+            .raw("fft_share_1024_lb8", fft_share_json)
             .raw("cells", array(cells_json))
             .raw("rows", array(rows_json)),
     );

@@ -87,7 +87,7 @@ impl Complex32 {
     /// multiply the radix-2 plan runs agree with that shortcut.
     #[inline]
     pub fn twiddle(k: usize, n: usize) -> Self {
-        if (4 * k) % n == 0 {
+        if (4 * k).is_multiple_of(n) {
             let (re, im) = [(1.0, 0.0), (0.0, -1.0), (-1.0, 0.0), (0.0, 1.0)][4 * k / n % 4];
             return Complex32::new(re, im);
         }

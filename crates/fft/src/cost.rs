@@ -15,7 +15,12 @@
 //!
 //! The model is exact combinatorial counting (not asymptotics), so it can be
 //! cross-checked against an instrumented FFT in tests and reused by the
-//! hardware cost model in `ernn-fpga`.
+//! hardware cost model in `ernn-fpga`. The host executes all three
+//! reductions: `ernn-linalg`'s matvec decouples the transforms, and at the
+//! two sizes the paper builds `RealFft` runs straight-line FFT8 / FFT16
+//! codelets whose quarter-turn twiddles are an add / sub / swap and whose
+//! twiddle multiplications (2 and 14 distinct products) stay within what
+//! [`CostModel::fft_real_mults`] charges (4 and 20).
 
 use crate::{is_power_of_two, log2};
 
@@ -244,6 +249,15 @@ mod tests {
             // log2(8) - 3 = 0, closed form = 2. General check:
             assert_eq!(m.fft_complex_mults(n), expected, "n={n}");
         }
+    }
+
+    #[test]
+    fn paper_sizes_charge_the_codelets_multiplication_budget() {
+        // The FFT8 / FFT16 codelets in `real.rs` name their twiddle
+        // multiplications against these two numbers.
+        let m = CostModel::paper();
+        assert_eq!(m.fft_real_mults(8), 4);
+        assert_eq!(m.fft_real_mults(16), 20);
     }
 
     #[test]

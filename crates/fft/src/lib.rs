@@ -10,7 +10,9 @@
 //!   twiddle factors and bit-reversal permutation.
 //! * [`RealFft`] — real-input FFT using the packed half-size complex trick,
 //!   exploiting the Hermitian symmetry the paper leverages in Sec. V-A2,
-//!   one signal at a time or a tile of signals side by side.
+//!   one signal at a time or a tile of signals side by side; straight-line
+//!   codelets with multiplier-free trivial twiddles at the paper's FFT8 and
+//!   FFT16.
 //! * [`cost`] — the multiplication-count model behind Fig. 8 of the paper
 //!   (FFT/IFFT decoupling, real-valued symmetry, trivial-twiddle trimming).
 //!
@@ -38,19 +40,38 @@
 //! ```
 //!
 //! Every arithmetic statement of the scalar kernels becomes a loop over
-//! lanes and nothing else changes — same pack → bit-reverse → radix-2
-//! butterflies → untangle order, same twiddle table, the full complex
-//! multiply even by `1 + 0i` — so per output element the floating-point
-//! operation sequence is the scalar definition's; lanes only run side by
-//! side, and lane `l` is bit-identical to `forward_into` / `inverse_into`
-//! of signal `l` (property-tested, also in `--release`). That contract is
-//! why there is no FMA, `target-cpu`, feature detection or `unsafe` here:
-//! the autovectoriser on the build's baseline ISA is the mechanism (the
-//! one wider instantiation in the stack, `ernn-linalg`'s AVX2 tile stage,
-//! calls these transforms as they are), and it needs the lane loops to
-//! run over fixed-width `[f32; W]` views (runtime-length slices measured
-//! 2× slower). Radix-4 / split-radix would cut twiddle
-//! multiplies but change the floats, so it is a separate decision.
+//! lanes and nothing else changes, so per output element the
+//! floating-point operation sequence is the scalar entry point's; lanes
+//! only run side by side, and lane `l` is bit-identical to `forward_into`
+//! / `inverse_into` of signal `l` (property-tested, also in `--release`).
+//!
+//! What that sequence *is* depends on the size. The definition, for every
+//! size, is the radix-2 [`FftPlan`] on the packed half-length signal plus a
+//! table-driven untangling loop: pack → bit-reverse → butterflies →
+//! untangle, a full complex multiply even by `1 + 0i` (the tables hold
+//! exact quarter turns, [`Complex32::twiddle`], so that multiply returns
+//! its operand). The two sizes the paper builds — FFT8 and FFT16, which is
+//! every served model — run a straight-line **codelet** instead (see
+//! `real.rs`): quarter-turn twiddles as add / sub / swap (Sec. V's third
+//! reduction, the one `cost::CostModel::trivial_twiddles` charges for),
+//! even/odd untangling terms shared between bins `k` and `N/2 − k`, `1/N`
+//! folded into the untangling's `1/2`, no permutation pass, one trip
+//! through the planes. Contract: a codelet's outputs are `==` the plan's
+//! on every input whose intermediates stay normal, the sign of an exact
+//! zero excepted — nothing float `+`, `×`, a comparison or
+//! `quantize_f32`'s closing `+ 0.0` can observe — and the plan stays in
+//! the tests as the codelets' oracle. Per 32-lane tile at `L_b = 8` the
+//! inverse went from ≈ 210–260 ns to ≈ 45–55 and the forward from
+//! ≈ 220–280 to ≈ 60 (`kernel_sweep`, "lane transforms"); `L_b = 32`
+//! still runs the plan, ≈ 1.5–1.8 µs.
+//!
+//! That contract is why there is no FMA, `target-cpu`, feature detection
+//! or `unsafe` here: the autovectoriser on the build's baseline ISA is the
+//! mechanism, and it needs the lane loops to run over fixed-width
+//! `[f32; W]` views (runtime-length slices measured 2× slower). The one
+//! wider instantiation in the stack, `ernn-linalg`'s AVX2 tile stage,
+//! calls these transforms as they are — the codelets are `inline(never)`,
+//! compiled once for the baseline ISA.
 //! Counters stay exact without an atomic per transform: a lane call bumps
 //! [`stats`] once, by its number of live lanes.
 //!

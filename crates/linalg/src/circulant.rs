@@ -42,7 +42,20 @@
 //! operation sequence is the scalar definition's; lanes only run side by
 //! side. No reduction is re-associated, so allocating == `_into` ==
 //! batched == every executor, bit for bit, and the tests keep the scalar
-//! definition as their oracle.
+//! definition as their oracle. The transforms on either side are
+//! `RealFft`'s, scalar in the oracle and lane-batched here, which at
+//! `L_b` 8 and 16 both run the same straight-line codelet (`ernn-fft`'s
+//! contract for those: `==` the radix-2 plan, sign of an exact zero
+//! excepted).
+//!
+//! Where the time goes, 1024² `L_b = 8` at batch 1 (≈ 15–17 µs on AVX2
+//! tiles, ≈ 22 on baseline SSE2): the MAC; the eight 32-lane tile
+//! transforms are ≈ 0.4 µs of it since the codelets (≈ 1.7 µs on the
+//! radix-2 plan). The LSTM-1024
+//! matrices are tall — 4096×512 issues 16 inverse tiles, 4096×153 another
+//! 16 — which is where the plan's ≈ 210–260 ns per inverse tile was
+//! ≈ 7 µs of a frame; what stage 3 still pays per frame there is the
+//! scatter out of the `[sample][lane]` planes, ≈ 6.5 µs.
 //!
 //! # Two instantiations
 //!
@@ -55,9 +68,11 @@
 //! tile is wider than four lanes. A four-lane tile is one `xmm` register
 //! either way, so matrices with `p ≤ 4` (GRU-8) keep executing exactly
 //! the baseline code — `W` is a constant, the dispatch folds away. Stage 1
-//! and the lane FFTs are not dispatched: force-inlining them into the
-//! AVX2 caller bought 3 µs of an LSTM-1024 frame and cost the GRU-8 path
-//! 8 %. The rule this follows (no FMA, no intrinsics, no build flag, both
+//! and the lane FFTs are not dispatched: force-inlining the radix-2 lane
+//! FFTs into the AVX2 caller bought 3 µs of an LSTM-1024 frame and cost
+//! the GRU-8 path 8 %, and the FFT8 / FFT16 codelets that replaced them
+//! are `inline(never)` in `ernn-fft` — one baseline-ISA body, ≈ 42–60 ns
+//! per 32-lane tile, ≈ 9–15 ns per 4-lane tile. The rule this follows (no FMA, no intrinsics, no build flag, both
 //! instantiations under the oracle) is in the crate docs; `lanes.rs`
 //! records the measured ways a lane loop silently falls back to scalar
 //! code, and what AVX2 costs to wake.

@@ -5,13 +5,21 @@
 //! matvec) put *independent outputs* in a stride-1 lane axis and advance
 //! a whole tile of them side by side, each output keeping its own scalar
 //! operation sequence. This module decides how outputs are cut into tiles.
+//!
+//! The transforms around the block-circulant MAC are `ernn_fft::RealFft`'s
+//! lane-batched ones, on the same planes. At `L_b` 8 and 16 they are
+//! straight-line codelets whose outputs are `==` the radix-2 plan's, the
+//! sign of an exact zero excepted, and the scalar oracle runs the same
+//! codelet at one lane — so "its own scalar operation sequence" is the
+//! codelet's there.
 
 /// Widest lane count of a tile: 32 outputs advance together.
 ///
 /// Measured on 1024² `L_b = 8`: lane loops over fixed-width `[f32; 32]`
 /// arrays (`try_into`) whose accumulators are copied out and stored back
 /// whole run the MAC at 25–31 µs on baseline SSE2 and 19 µs in the AVX2
-/// instantiation. The same loops over runtime-length zipped slices take
+/// instantiation (the whole call, on the radix-2 lane FFTs; the FFT8
+/// codelets took ≈ 1.5 µs off both). The same loops over runtime-length zipped slices take
 /// 69 µs, and updating the accumulators through their `&mut` leaves 16–32
 /// scalar `mulss`/`addss` chains after full unrolling (83–142 µs). Check
 /// the disassembly for `mulps` (and `vmulps … %ymm` in
@@ -27,7 +35,10 @@ pub(crate) const TILE: usize = 32;
 
 /// Narrowest lane count: tiny matrices (GRU-8 has `p ≤ 2`) must not pay
 /// for 32 lanes of FFT and MAC. One `xmm` register, so also the width at
-/// and below which a tile stays on the baseline instantiation.
+/// and below which a tile stays on the baseline instantiation. An 8×8
+/// `L_b = 8` call is one forward and one inverse 4-lane codelet (≈ 9–15
+/// and ≈ 9–11 ns; ≈ 35–49 and ≈ 34–42 on the radix-2 plan) around one
+/// MAC: ≈ 65–70 ns where it was ≈ 105–118.
 pub(crate) const MIN_TILE: usize = 4;
 
 /// The instruction set the block-circulant matvec runs its tiles wider
