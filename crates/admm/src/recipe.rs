@@ -203,10 +203,9 @@ mod tests {
             let mut rng = ChaCha8Rng::seed_from_u64(3);
             let constraints = by_hand
                 .weight_matrices()
-                .iter()
-                .zip(by_hand.weight_layer_indices())
-                .map(|((_, role, _), layer)| {
-                    let block = policies[layer].for_role(*role);
+                .into_iter()
+                .map(|(layer, role, _)| {
+                    let block = policies[layer].for_role(role);
                     Box::new(CirculantConstraint::new(block)) as Box<dyn Constraint>
                 })
                 .collect();

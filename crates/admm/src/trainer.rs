@@ -3,7 +3,7 @@
 use crate::constraint::{CirculantConstraint, Constraint};
 use ernn_linalg::Matrix;
 use ernn_model::trainer::{train_with_hook, EpochStats, Sequence, TrainOptions};
-use ernn_model::{BlockPolicy, NetworkGrads, Optimizer, RnnNetwork};
+use ernn_model::{BlockPolicy, Optimizer, RnnNetwork};
 use rand::Rng;
 
 /// Hyperparameters of the ADMM loop.
@@ -110,10 +110,9 @@ pub fn circulant_constraints(
         "need one block policy per layer"
     );
     net.weight_matrices()
-        .iter()
-        .zip(net.weight_layer_indices())
-        .map(|((_, role, _), layer)| {
-            let block = policies[layer].for_role(*role).max(1);
+        .into_iter()
+        .map(|(layer, role, _)| {
+            let block = policies[layer].for_role(role).max(1);
             Box::new(CirculantConstraint::new(block)) as Box<dyn Constraint>
         })
         .collect()
@@ -147,7 +146,7 @@ pub fn train_projected(
         opts,
         optimizer,
         rng,
-        |_net: &RnnNetwork<Matrix>, grads: &mut NetworkGrads| {
+        |_net: &RnnNetwork<Matrix>, grads: &mut RnnNetwork<Matrix>| {
             for (gw, c) in grads.weight_matrices_mut().into_iter().zip(constraints) {
                 if let Some(projected) = c.project_gradient(gw) {
                     *gw = projected;
@@ -257,7 +256,7 @@ impl AdmmTrainer {
                 },
                 optimizer,
                 rng,
-                |net_ref: &RnnNetwork<Matrix>, grads: &mut NetworkGrads| {
+                |net_ref: &RnnNetwork<Matrix>, grads: &mut RnnNetwork<Matrix>| {
                     let mats = net_ref.weight_matrices();
                     let g = grads.weight_matrices_mut();
                     for (((_, _, w), gw), (zi, ui)) in

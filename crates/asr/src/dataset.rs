@@ -124,11 +124,6 @@ impl SynthCorpus {
         self.train.iter().map(Utterance::as_sequence).collect()
     }
 
-    /// Test data in trainer format.
-    pub fn test_sequences(&self) -> Vec<(Vec<Vec<f32>>, Vec<usize>)> {
-        self.test.iter().map(Utterance::as_sequence).collect()
-    }
-
     /// Number of classifier classes (phone inventory size).
     pub fn num_classes(&self) -> usize {
         self.phones.len()

@@ -14,47 +14,27 @@ use ernn_linalg::ops::argmax;
 /// (3-frame moving average over logits), argmax per frame, merge
 /// consecutive repeats, drop silence, and ignore runs shorter than
 /// `min_run` frames (de-noising, 2 is a good default at a 10 ms hop).
+///
+/// This is [`IncrementalDecoder`] fed the whole utterance as one chunk,
+/// so a streamed decode and this one are one implementation.
 pub fn decode_frames(logits: &[Vec<f32>], silence_id: usize, min_run: usize) -> Vec<usize> {
-    let smoothed = smooth_logits(logits);
-    let logits = &smoothed;
-    let mut out = Vec::new();
-    let mut current: Option<(usize, usize)> = None; // (phone, run length)
-    let flush = |cur: Option<(usize, usize)>, out: &mut Vec<usize>| {
-        if let Some((p, run)) = cur {
-            if p != silence_id && run >= min_run {
-                out.push(p);
-            }
-        }
-    };
-    for frame in logits {
-        let p = argmax(frame);
-        match current {
-            Some((cp, run)) if cp == p => current = Some((cp, run + 1)),
-            other => {
-                flush(other, &mut out);
-                current = Some((p, 1));
-            }
-        }
-    }
-    flush(current, &mut out);
-    // Merge adjacent duplicates that can appear after dropping short runs.
-    out.dedup();
-    out
+    let mut decoder = IncrementalDecoder::new(silence_id, min_run);
+    decoder.push_chunk(logits);
+    decoder.finish()
 }
 
-/// Streaming counterpart of [`decode_frames`]: feed logits chunk by
-/// chunk as they come off a streaming session and read partial
-/// hypotheses between chunks.
+/// The greedy decoder ([`decode_frames`] is this over one chunk): feed
+/// logits chunk by chunk as they come off a streaming session and read
+/// partial hypotheses between chunks.
 ///
-/// The batch decoder smooths each frame over a centered 3-frame window,
-/// so the incremental decoder holds exactly one frame of lookahead: a
-/// frame's smoothed value is emitted when its successor arrives (or at
+/// Each frame is smoothed over a centered 3-frame window, so the decoder
+/// holds exactly one frame of lookahead: a frame's smoothed value is
+/// emitted when its successor arrives (or at
 /// [`IncrementalDecoder::finish`], where the window is clamped at the
-/// utterance edge just like the batch path). That makes the equality
-/// exact, not approximate:
-/// `finish()` over any chunking of an utterance returns bit-identically
-/// what `decode_frames` returns on the whole utterance — the property
-/// `tests` checks over randomized chunkings.
+/// utterance edge). `finish()` over any chunking of an utterance returns
+/// exactly what it returns over the whole utterance at once, which is
+/// what the whole-utterance smoothing, run collapse and `dedup` it
+/// replaced returned — `tests` checks both over randomized chunkings.
 ///
 /// [`IncrementalDecoder::hypothesis`] is the partial transcript the
 /// committed frames support; it never includes the lookahead frame or
@@ -111,7 +91,7 @@ impl IncrementalDecoder {
 
     /// Consumes the decoder at end of utterance: smooths the lookahead
     /// frame against the clamped window edge, closes the final run, and
-    /// returns the complete phone sequence — bit-identical to
+    /// returns the complete phone sequence — identical to
     /// [`decode_frames`] over the concatenated frames.
     pub fn finish(mut self) -> Vec<usize> {
         if let Some(last) = self.pending.take() {
@@ -136,8 +116,7 @@ impl IncrementalDecoder {
     }
 
     /// Commits a closed run, applying the silence / `min_run` / adjacent
-    /// -dedup rules (dedup on push is equivalent to the batch decoder's
-    /// final `dedup()`).
+    /// -dedup rules (dedup on push is equivalent to a final `dedup()`).
     fn flush(cur: Option<(usize, usize)>, silence_id: usize, min_run: usize, out: &mut Vec<usize>) {
         if let Some((p, run)) = cur {
             if p != silence_id && run >= min_run && out.last() != Some(&p) {
@@ -148,7 +127,7 @@ impl IncrementalDecoder {
 }
 
 /// The centered moving average of `mid` over whichever of its neighbors
-/// exist — the streaming form of [`smooth_logits`]'s clamped window.
+/// exist — a 3-frame window clamped at the utterance edges.
 fn average(before: Option<&[f32]>, mid: &[f32], after: Option<&[f32]>) -> Vec<f32> {
     let span = 1 + usize::from(before.is_some()) + usize::from(after.is_some());
     (0..mid.len())
@@ -161,26 +140,6 @@ fn average(before: Option<&[f32]>, mid: &[f32], after: Option<&[f32]>) -> Vec<f3
                 s += a[d];
             }
             s / span as f32
-        })
-        .collect()
-}
-
-/// Three-frame moving average over logits — suppresses single-frame
-/// glitches at phone boundaries before the argmax.
-fn smooth_logits(logits: &[Vec<f32>]) -> Vec<Vec<f32>> {
-    let n = logits.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    (0..n)
-        .map(|t| {
-            let lo = t.saturating_sub(1);
-            let hi = (t + 1).min(n - 1);
-            let span = (hi - lo + 1) as f32;
-            let dim = logits[t].len();
-            (0..dim)
-                .map(|d| (lo..=hi).map(|u| logits[u][d]).sum::<f32>() / span)
-                .collect()
         })
         .collect()
 }
@@ -246,6 +205,56 @@ pub fn evaluate_per(
 mod tests {
     use super::*;
 
+    /// The whole-utterance greedy decode `decode_frames` ran before it
+    /// became [`IncrementalDecoder`] over one chunk, kept as the oracle.
+    fn batch_decode(logits: &[Vec<f32>], silence_id: usize, min_run: usize) -> Vec<usize> {
+        let smoothed = smooth_logits(logits);
+        let logits = &smoothed;
+        let mut out = Vec::new();
+        let mut current: Option<(usize, usize)> = None; // (phone, run length)
+        let flush = |cur: Option<(usize, usize)>, out: &mut Vec<usize>| {
+            if let Some((p, run)) = cur {
+                if p != silence_id && run >= min_run {
+                    out.push(p);
+                }
+            }
+        };
+        for frame in logits {
+            let p = argmax(frame);
+            match current {
+                Some((cp, run)) if cp == p => current = Some((cp, run + 1)),
+                other => {
+                    flush(other, &mut out);
+                    current = Some((p, 1));
+                }
+            }
+        }
+        flush(current, &mut out);
+        // Merge adjacent duplicates that can appear after dropping short runs.
+        out.dedup();
+        out
+    }
+
+    /// Three-frame moving average over logits — suppresses single-frame
+    /// glitches at phone boundaries before the argmax.
+    fn smooth_logits(logits: &[Vec<f32>]) -> Vec<Vec<f32>> {
+        let n = logits.len();
+        if n == 0 {
+            return Vec::new();
+        }
+        (0..n)
+            .map(|t| {
+                let lo = t.saturating_sub(1);
+                let hi = (t + 1).min(n - 1);
+                let span = (hi - lo + 1) as f32;
+                let dim = logits[t].len();
+                (0..dim)
+                    .map(|d| (lo..=hi).map(|u| logits[u][d]).sum::<f32>() / span)
+                    .collect()
+            })
+            .collect()
+    }
+
     fn one_hot(id: usize, n: usize, conf: f32) -> Vec<f32> {
         let mut v = vec![0.0; n];
         v[id] = conf;
@@ -280,7 +289,7 @@ mod tests {
         let mut dec = IncrementalDecoder::new(0, 2);
         dec.push_chunk(&frames[..5]);
         dec.push_chunk(&frames[5..]);
-        assert_eq!(dec.finish(), decode_frames(&frames, 0, 2));
+        assert_eq!(dec.finish(), batch_decode(&frames, 0, 2));
     }
 
     #[test]
@@ -305,7 +314,12 @@ mod tests {
                         .collect()
                 })
                 .collect();
-            let expected = decode_frames(&frames, 0, 2);
+            let expected = batch_decode(&frames, 0, 2);
+            assert_eq!(
+                decode_frames(&frames, 0, 2),
+                expected,
+                "trial {trial} (n = {n})"
+            );
             let mut dec = IncrementalDecoder::new(0, 2);
             let mut at = 0;
             while at < n {
@@ -333,7 +347,7 @@ mod tests {
         assert_eq!(dec.hypothesis(), vec![1]);
         dec.push_chunk(&frames[8..]);
         assert_eq!(dec.hypothesis(), vec![1, 2]);
-        assert_eq!(dec.finish(), decode_frames(&frames, 0, 2));
+        assert_eq!(dec.finish(), batch_decode(&frames, 0, 2));
     }
 
     #[test]
@@ -342,7 +356,7 @@ mod tests {
         let frames = vec![one_hot(2, 3, 5.0)];
         let mut dec = IncrementalDecoder::new(0, 1);
         dec.push_chunk(&frames);
-        assert_eq!(dec.finish(), decode_frames(&frames, 0, 1));
+        assert_eq!(dec.finish(), batch_decode(&frames, 0, 1));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use crate::sparse::CsrMatrix;
 use ernn_linalg::Matrix;
 use ernn_model::trainer::{train_with_hook, Sequence, TrainOptions};
-use ernn_model::{NetworkGrads, Optimizer, RnnNetwork};
+use ernn_model::{Optimizer, RnnNetwork};
 use rand::Rng;
 
 /// Compression accounting for a pruned network.
@@ -39,13 +39,7 @@ impl PrunedNetwork {
     /// Re-applies the masks (used after any update that may have
     /// resurrected pruned weights).
     pub fn enforce_masks(&mut self) {
-        for (w, mask) in self.net.weight_matrices_mut().into_iter().zip(&self.masks) {
-            for (v, &keep) in w.as_mut_slice().iter_mut().zip(mask.iter()) {
-                if !keep {
-                    *v = 0.0;
-                }
-            }
-        }
+        apply_masks(self.net.weight_matrices_mut(), &self.masks);
     }
 
     /// Masked retraining: gradients of pruned weights are zeroed so the
@@ -71,14 +65,8 @@ impl PrunedNetwork {
             },
             optimizer,
             rng,
-            |_net: &RnnNetwork<Matrix>, grads: &mut NetworkGrads| {
-                for (g, mask) in grads.weight_matrices_mut().into_iter().zip(&masks) {
-                    for (v, &keep) in g.as_mut_slice().iter_mut().zip(mask.iter()) {
-                        if !keep {
-                            *v = 0.0;
-                        }
-                    }
-                }
+            |_net: &RnnNetwork<Matrix>, grads: &mut RnnNetwork<Matrix>| {
+                apply_masks(grads.weight_matrices_mut(), &masks);
             },
         );
         // Momentum can leak tiny values into masked positions; snap back.
@@ -107,14 +95,17 @@ impl PrunedNetwork {
             load_imbalance: worst_imbalance,
         }
     }
+}
 
-    /// The weight matrices in CSR form (what ESE's PEs walk).
-    pub fn csr_weights(&self) -> Vec<CsrMatrix> {
-        self.net
-            .weight_matrices()
-            .iter()
-            .map(|(_, _, w)| CsrMatrix::from_dense(w))
-            .collect()
+/// Zeroes the pruned positions of each weight matrix (or of its gradient),
+/// `weights` aligned with `masks` as [`RnnNetwork::weight_matrices`] is.
+fn apply_masks(weights: Vec<&mut Matrix>, masks: &[Vec<bool>]) {
+    for (w, mask) in weights.into_iter().zip(masks) {
+        for (v, &keep) in w.as_mut_slice().iter_mut().zip(mask.iter()) {
+            if !keep {
+                *v = 0.0;
+            }
+        }
     }
 }
 

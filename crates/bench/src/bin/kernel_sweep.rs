@@ -53,7 +53,7 @@ use ernn_bench::sweep::SweepArgs;
 use ernn_fft::{stats, RealFft};
 use ernn_fpga::exec::{DatapathConfig, ExecScratch, QuantizedNetwork};
 use ernn_linalg::{lane_isa, BlockCirculantMatrix, MatVec, MatVecScratch, WeightMatrix};
-use ernn_model::{compress_network, BlockPolicy, CellType, NetworkBuilder, RnnLayer};
+use ernn_model::{compress_network, BlockPolicy, CellType, NetworkBuilder};
 use ernn_quant::{FixedFormat, PiecewiseLinear};
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -130,13 +130,12 @@ fn cell_datapath_row(
     let (mut out, mut scratch) = (Vec::new(), ExecScratch::new());
     q.forward_logits_batch_into(&refs, &mut out, &mut scratch);
 
-    let weights: Vec<&WeightMatrix> = match &q.network().layers()[0] {
-        RnnLayer::Lstm(l) => [Some(&l.wx), Some(&l.wr), l.wym.as_ref()]
-            .into_iter()
-            .flatten()
-            .collect(),
-        RnnLayer::Gru(g) => vec![&g.wzr_x, &g.wzr_c, &g.wcx, &g.wcc],
-    };
+    let weights: Vec<&WeightMatrix> = q
+        .network()
+        .weight_matrices()
+        .into_iter()
+        .map(|(_, _, w)| w)
+        .collect();
     let xs: Vec<f32> = (0..batch * 1024)
         .map(|_| rng.gen_range(-1.0..1.0))
         .collect();

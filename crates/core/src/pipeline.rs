@@ -167,16 +167,6 @@ impl SpecStage {
         self
     }
 
-    /// The spec this pipeline will instantiate.
-    pub fn model_spec(&self) -> &ModelSpec {
-        &self.spec
-    }
-
-    /// The lifecycle settings in force.
-    pub fn pipeline_settings(&self) -> &PipelineSettings {
-        &self.settings
-    }
-
     /// Instantiates the spec with seeded random weights and **no**
     /// training — the serving-bench path, where random weights exercise
     /// exactly the same downstream lifecycle as trained ones.
@@ -426,16 +416,6 @@ impl PipelineModel {
     /// Consumes the pair, keeping the servable model.
     pub fn into_model(self) -> CompiledModel {
         self.model
-    }
-
-    /// Consumes the pair, keeping the artifact.
-    pub fn into_artifact(self) -> ModelArtifact {
-        self.artifact
-    }
-
-    /// Consumes the pair into `(model, artifact)`.
-    pub fn into_parts(self) -> (CompiledModel, ModelArtifact) {
-        (self.model, self.artifact)
     }
 }
 

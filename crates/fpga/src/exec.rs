@@ -8,8 +8,10 @@
 //! the network and stepping its cells in the fixed-point arithmetic.
 //!
 //! The twin is the model's network by construction, not by mirroring:
-//! Eqn. 1 and Eqn. 2 exist once, in [`LstmLayer::step_batch_with`] and
-//! [`GruLayer::step_batch_with`], and the loop around them exists once, in
+//! Eqn. 1 and Eqn. 2 exist once, in
+//! [`LstmLayer::step_batch_with`](ernn_model::LstmLayer::step_batch_with)
+//! and [`GruLayer::step_batch_with`](ernn_model::GruLayer::step_batch_with),
+//! and the loop around them exists once, in
 //! [`RnnNetwork::hidden_batch_with`] — the walker that also runs float
 //! inference and the training forward. This module supplies the
 //! [`CellArith`] they are evaluated in (a [`FixedFormat`] and the PWL
@@ -17,8 +19,8 @@
 //! `exec/reference.rs` keeps the per-element datapath and the sequence
 //! walker that preceded the shared ones as the bit-for-bit oracle.
 
-use ernn_linalg::{LanePanel, Matrix, WeightMatrix};
-use ernn_model::{Act, CellArith, GruInputStack, GruLayer, LstmLayer, RnnLayer, RnnNetwork};
+use ernn_linalg::{LanePanel, WeightMatrix};
+use ernn_model::{Act, CellArith, GruInputStack, RnnLayer, RnnNetwork};
 use ernn_quant::{FixedFormat, PiecewiseLinear, Quantizer};
 
 pub use ernn_model::{ExecScratch, NetworkState};
@@ -89,7 +91,8 @@ fn quantize_vec(v: &[f32], bits: u8) -> Vec<f32> {
     q
 }
 
-/// Each layer's [`GruLayer::input_stack`] (`None` for LSTM layers).
+/// Each layer's [`GruLayer::input_stack`](ernn_model::GruLayer::input_stack)
+/// (`None` for LSTM layers).
 fn input_stacks(net: &RnnNetwork<WeightMatrix>) -> Vec<Option<GruInputStack>> {
     net.layers()
         .iter()
@@ -165,56 +168,25 @@ pub struct QuantizedNetwork {
 }
 
 impl QuantizedNetwork {
-    /// Quantizes a compressed network for the given datapath.
+    /// Quantizes a compressed network for the given datapath: one
+    /// [`RnnNetwork::map`] over its tensors in list order, each weight
+    /// matrix and each vector to a word-length format fitted to its own
+    /// range, the dense classifier likewise.
     pub fn new(net: &RnnNetwork<WeightMatrix>, config: &DatapathConfig) -> Self {
         let mut report = QuantizationReport::default();
         let bits = config.weight_bits;
 
-        let layers = net
-            .layers()
-            .iter()
-            .map(|layer| match layer {
-                RnnLayer::Lstm(l) => RnnLayer::Lstm(LstmLayer::from_parts(
-                    *l.config(),
-                    quantize_weight(&l.wx, bits, &mut report),
-                    quantize_weight(&l.wr, bits, &mut report),
-                    quantize_vec(&l.bias, bits),
-                    l.peepholes.as_ref().map(|p| {
-                        [
-                            quantize_vec(&p[0], bits),
-                            quantize_vec(&p[1], bits),
-                            quantize_vec(&p[2], bits),
-                        ]
-                    }),
-                    l.wym
-                        .as_ref()
-                        .map(|w| quantize_weight(w, bits, &mut report)),
-                )),
-                RnnLayer::Gru(g) => RnnLayer::Gru(GruLayer::from_parts(
-                    g.input_dim(),
-                    g.hidden_dim(),
-                    g.candidate_activation,
-                    quantize_weight(&g.wzr_x, bits, &mut report),
-                    quantize_weight(&g.wzr_c, bits, &mut report),
-                    quantize_vec(&g.bias_zr, bits),
-                    quantize_weight(&g.wcx, bits, &mut report),
-                    quantize_weight(&g.wcc, bits, &mut report),
-                    quantize_vec(&g.bias_c, bits),
-                )),
-            })
-            .collect();
-
-        let mut classifier_w_data = net.classifier_w.clone();
-        let fmt = FixedFormat::for_range(bits, classifier_w_data.max_abs().max(1e-6));
-        Quantizer::new(fmt).apply(classifier_w_data.as_mut_slice());
-        let classifier_w: Matrix = classifier_w_data;
-        let classifier_b = quantize_vec(&net.classifier_b, bits);
-
-        Self::from_quantized(
-            RnnNetwork::from_parts(layers, classifier_w, classifier_b),
-            config,
-            report,
-        )
+        let quantized = net.map(
+            |_, _, w| quantize_weight(w, bits, &mut report),
+            |v| quantize_vec(v, bits),
+            |w| {
+                let mut q = w.clone();
+                let fmt = FixedFormat::for_range(bits, q.max_abs().max(1e-6));
+                Quantizer::new(fmt).apply(q.as_mut_slice());
+                q
+            },
+        );
+        Self::from_quantized(quantized, config, report)
     }
 
     /// Rebuilds the functional twin around weights that are **already
@@ -820,5 +792,47 @@ mod tests {
         let q = QuantizedNetwork::new(&net, &DatapathConfig::paper_12bit());
         assert!(q.report.max_weight_error > 0.0);
         assert!(q.report.max_weight_error < 0.01);
+    }
+
+    #[test]
+    fn quantization_visits_the_list_in_order() {
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(12);
+        let config = DatapathConfig::paper_12bit();
+        let policy = BlockPolicy {
+            recurrent: 4,
+            input: 8,
+            output: 1,
+        };
+        for cell in [CellType::Lstm, CellType::Gru] {
+            let dense = NetworkBuilder::new(cell, 8, 5)
+                .layer_dims(&[16, 16])
+                .peephole(true)
+                .projection(8)
+                .build(&mut rng);
+            let mut net = compress_network(&dense, policy);
+            // Matrix `i` carries `i` extra spectrum refreshes, which its
+            // quantized clone inherits: a matrix out of place shows.
+            for (i, w) in net.weight_matrices_mut().into_iter().enumerate() {
+                if let WeightMatrix::Circulant(c) = w {
+                    (0..i).for_each(|_| c.refresh_spectra());
+                }
+            }
+            let q = QuantizedNetwork::new(&net, &config);
+            let (listed, quantized) = (net.weight_matrices(), q.network().weight_matrices());
+            assert_eq!(listed.len(), quantized.len(), "{cell}");
+            let mut report = QuantizationReport::default();
+            for (i, ((li, role, w), (qli, qrole, qw))) in
+                listed.into_iter().zip(quantized).enumerate()
+            {
+                assert_eq!((qli, qrole), (li, role), "{cell}");
+                assert_eq!(*qw, quantize_weight(w, config.weight_bits, &mut report));
+                if let WeightMatrix::Circulant(c) = qw {
+                    assert_eq!(c.spectrum_refresh_count(), i as u64 + 2, "{cell}");
+                }
+            }
+            assert_eq!(q.report, report, "{cell}");
+            let bias = quantize_vec(&net.classifier_b, config.weight_bits);
+            assert_eq!(q.network().classifier_b, bias, "{cell}");
+        }
     }
 }

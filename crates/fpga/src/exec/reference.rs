@@ -11,7 +11,9 @@
 
 use super::*;
 use ernn_linalg::{MatVec, MatVecScratch};
-use ernn_model::{compress_network, Act, BlockPolicy, CellType, NetworkBuilder};
+use ernn_model::{
+    compress_network, Act, BlockPolicy, CellType, GruLayer, LstmLayer, NetworkBuilder,
+};
 use rand::{Rng, SeedableRng};
 
 /// The walker's buffers, as [`ExecScratch`] declares them.

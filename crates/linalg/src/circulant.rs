@@ -830,9 +830,6 @@ impl MatVec for BlockCirculantMatrix {
     fn matvec(&self, x: &[f32]) -> Vec<f32> {
         BlockCirculantMatrix::matvec(self, x)
     }
-    fn matvec_t(&self, x: &[f32]) -> Vec<f32> {
-        BlockCirculantMatrix::matvec_t(self, x)
-    }
     fn matvec_into(&self, x: &[f32], y: &mut [f32], scratch: &mut MatVecScratch) {
         BlockCirculantMatrix::matvec_into(self, x, y, scratch);
     }

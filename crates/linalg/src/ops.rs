@@ -5,16 +5,6 @@
 //! as named free functions makes the cell implementations read like the
 //! paper's equations and gives the benches a single place to measure.
 
-/// `out[i] = a[i] * b[i]` — the paper's `⊙` operator.
-///
-/// # Panics
-///
-/// Panics if lengths differ.
-pub fn hadamard(a: &[f32], b: &[f32]) -> Vec<f32> {
-    assert_eq!(a.len(), b.len(), "length mismatch");
-    a.iter().zip(b.iter()).map(|(x, y)| x * y).collect()
-}
-
 /// `acc[i] += a[i] * b[i]`.
 ///
 /// # Panics
@@ -28,33 +18,6 @@ pub fn hadamard_acc(acc: &mut [f32], a: &[f32], b: &[f32]) {
     }
 }
 
-/// `out[i] = a[i] + b[i]`.
-///
-/// # Panics
-///
-/// Panics if lengths differ.
-pub fn add(a: &[f32], b: &[f32]) -> Vec<f32> {
-    assert_eq!(a.len(), b.len(), "length mismatch");
-    a.iter().zip(b.iter()).map(|(x, y)| x + y).collect()
-}
-
-/// `acc[i] += alpha * x[i]`.
-///
-/// # Panics
-///
-/// Panics if lengths differ.
-pub fn axpy(acc: &mut [f32], alpha: f32, x: &[f32]) {
-    assert_eq!(acc.len(), x.len(), "length mismatch");
-    for (o, v) in acc.iter_mut().zip(x.iter()) {
-        *o += alpha * v;
-    }
-}
-
-/// Euclidean norm.
-pub fn norm2(x: &[f32]) -> f32 {
-    x.iter().map(|v| v * v).sum::<f32>().sqrt()
-}
-
 /// Dot product.
 ///
 /// # Panics
@@ -63,15 +26,6 @@ pub fn norm2(x: &[f32]) -> f32 {
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "length mismatch");
     a.iter().zip(b.iter()).map(|(x, y)| x * y).sum()
-}
-
-/// Concatenates two vectors — used for the paper's fused inputs
-/// `[xᵀ, yᵀ₋₁]ᵀ` (LSTM) and `[xᵀ, cᵀ₋₁]ᵀ` (GRU).
-pub fn concat(a: &[f32], b: &[f32]) -> Vec<f32> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    out.extend_from_slice(a);
-    out.extend_from_slice(b);
-    out
 }
 
 /// Numerically stable softmax.
@@ -98,24 +52,9 @@ pub fn argmax(x: &[f32]) -> usize {
     best
 }
 
-/// Clips every element to `[-limit, limit]` and returns the pre-clip norm —
-/// gradient clipping for BPTT stability.
-pub fn clip_in_place(x: &mut [f32], limit: f32) -> f32 {
-    let n = norm2(x);
-    for v in x.iter_mut() {
-        *v = v.clamp(-limit, limit);
-    }
-    n
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn hadamard_multiplies_pointwise() {
-        assert_eq!(hadamard(&[1.0, 2.0], &[3.0, -1.0]), vec![3.0, -2.0]);
-    }
 
     #[test]
     fn softmax_sums_to_one_and_orders() {
@@ -137,18 +76,6 @@ mod tests {
     #[test]
     fn argmax_returns_first_max() {
         assert_eq!(argmax(&[1.0, 5.0, 5.0, 2.0]), 1);
-    }
-
-    #[test]
-    fn concat_preserves_order() {
-        assert_eq!(concat(&[1.0], &[2.0, 3.0]), vec![1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn clip_bounds_entries() {
-        let mut x = vec![10.0, -3.0, 0.5];
-        clip_in_place(&mut x, 1.0);
-        assert_eq!(x, vec![1.0, -1.0, 0.5]);
     }
 
     #[test]

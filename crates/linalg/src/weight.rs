@@ -8,7 +8,8 @@
 
 use crate::{BlockCirculantMatrix, MatVecScratch, Matrix};
 
-/// A matrix that can multiply a vector (and its transpose).
+/// A matrix that can multiply a vector. (BPTT's transpose product is the
+/// inherent [`Matrix::matvec_t`]: training is dense.)
 ///
 /// This is the only capability an RNN cell's forward pass needs from its
 /// weights. The trait is sealed-by-convention: the workspace implements it
@@ -25,8 +26,6 @@ pub trait MatVec {
     fn cols(&self) -> usize;
     /// `y = A·x`.
     fn matvec(&self, x: &[f32]) -> Vec<f32>;
-    /// `y = Aᵀ·x`.
-    fn matvec_t(&self, x: &[f32]) -> Vec<f32>;
 
     /// `y = A·x` into a caller-provided buffer, borrowing `scratch` for
     /// intermediates. Bit-identical to [`Self::matvec`].
@@ -84,9 +83,6 @@ impl MatVec for Matrix {
     }
     fn matvec(&self, x: &[f32]) -> Vec<f32> {
         Matrix::matvec(self, x)
-    }
-    fn matvec_t(&self, x: &[f32]) -> Vec<f32> {
-        Matrix::matvec_t(self, x)
     }
     fn matvec_into(&self, x: &[f32], y: &mut [f32], _scratch: &mut MatVecScratch) {
         Matrix::matvec_into(self, x, y);
@@ -181,12 +177,6 @@ impl MatVec for WeightMatrix {
             WeightMatrix::Circulant(m) => m.matvec(x),
         }
     }
-    fn matvec_t(&self, x: &[f32]) -> Vec<f32> {
-        match self {
-            WeightMatrix::Dense(m) => m.matvec_t(x),
-            WeightMatrix::Circulant(m) => m.matvec_t(x),
-        }
-    }
     fn matvec_into(&self, x: &[f32], y: &mut [f32], scratch: &mut MatVecScratch) {
         match self {
             WeightMatrix::Dense(m) => MatVec::matvec_into(m, x, y, scratch),
@@ -232,7 +222,6 @@ mod tests {
         let x: Vec<f32> = (0..8).map(|i| i as f32 * 0.1).collect();
         let w = WeightMatrix::Dense(dense.clone());
         assert_eq!(w.matvec(&x), dense.matvec(&x));
-        assert_eq!(w.matvec_t(&x), dense.matvec_t(&x));
 
         let bc = BlockCirculantMatrix::project_dense(&dense, 4);
         let w = WeightMatrix::Circulant(bc.clone());

@@ -9,7 +9,6 @@
 //! [`compress_network`] applies it, producing a network whose forward pass
 //! runs on FFT kernels.
 
-use crate::layer::RnnLayer;
 use crate::network::{RnnNetwork, WeightRole};
 use ernn_linalg::{BlockCirculantMatrix, Matrix, WeightMatrix};
 
@@ -113,39 +112,17 @@ pub fn compress_network_layers(
         net.num_layers(),
         "need one block policy per layer"
     );
-    let layers = net
-        .layers()
-        .iter()
-        .zip(policies.iter())
-        .map(|(layer, policy)| match layer {
-            RnnLayer::Lstm(l) => RnnLayer::Lstm(crate::LstmLayer::from_parts(
-                *l.config(),
-                compress_matrix(&l.wx, policy.input),
-                compress_matrix(&l.wr, policy.recurrent),
-                l.bias.clone(),
-                l.peepholes.clone(),
-                l.wym.as_ref().map(|w| compress_matrix(w, policy.output)),
-            )),
-            RnnLayer::Gru(g) => RnnLayer::Gru(crate::GruLayer::from_parts(
-                g.input_dim(),
-                g.hidden_dim(),
-                g.candidate_activation,
-                compress_matrix(&g.wzr_x, policy.input),
-                compress_matrix(&g.wzr_c, policy.recurrent),
-                g.bias_zr.clone(),
-                compress_matrix(&g.wcx, policy.input),
-                compress_matrix(&g.wcc, policy.recurrent),
-                g.bias_c.clone(),
-            )),
-        })
-        .collect();
-    RnnNetwork::from_parts(layers, net.classifier_w.clone(), net.classifier_b.clone())
+    net.map(
+        |li, role, w| compress_matrix(w, policies[li].for_role(role)),
+        <[f32]>::to_vec,
+        Matrix::clone,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CellType, NetworkBuilder};
+    use crate::{CellType, NetworkBuilder, RnnLayer};
     use rand::SeedableRng;
 
     fn dense_net(cell: CellType) -> RnnNetwork<Matrix> {

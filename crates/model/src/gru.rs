@@ -9,6 +9,8 @@
 
 use crate::activation::Act;
 use crate::cell::{CellArith, FloatArith, GruScratch};
+use crate::layer::Tensor;
+use crate::network::WeightRole;
 use crate::seq::LayerTape;
 use ernn_linalg::{MatVec, Matrix, WeightMatrix};
 use rand::Rng;
@@ -46,23 +48,6 @@ pub struct GruInputStack {
     /// Output row at which `wcx`'s product starts (`2H` rounded up to a
     /// block boundary).
     candidate_row: usize,
-}
-
-/// Gradients of one GRU layer, shaped like the parameters.
-#[derive(Debug, Clone)]
-pub struct GruGrads {
-    /// Gradient of [`GruLayer::wzr_x`].
-    pub wzr_x: Matrix,
-    /// Gradient of [`GruLayer::wzr_c`].
-    pub wzr_c: Matrix,
-    /// Gradient of the fused gate biases.
-    pub bias_zr: Vec<f32>,
-    /// Gradient of [`GruLayer::wcx`].
-    pub wcx: Matrix,
-    /// Gradient of [`GruLayer::wcc`].
-    pub wcc: Matrix,
-    /// Gradient of the candidate bias.
-    pub bias_c: Vec<f32>,
 }
 
 impl<M: MatVec> GruLayer<M> {
@@ -128,6 +113,63 @@ impl<M: MatVec> GruLayer<M> {
     /// take the cell state as output, Sec. II-B).
     pub fn hidden_dim(&self) -> usize {
         self.hidden_dim
+    }
+
+    /// The tensors in list order: `wzr_x, wzr_c, bias_zr, wcx, wcc, bias_c`
+    /// (see [`RnnLayer::tensors`](crate::RnnLayer::tensors)).
+    pub(crate) fn tensors(&self) -> impl Iterator<Item = Tensor<&M, &[f32]>> {
+        [
+            Tensor::Weight(WeightRole::Input, &self.wzr_x),
+            Tensor::Weight(WeightRole::Recurrent, &self.wzr_c),
+            Tensor::Vector(&self.bias_zr[..]),
+            Tensor::Weight(WeightRole::Input, &self.wcx),
+            Tensor::Weight(WeightRole::Recurrent, &self.wcc),
+            Tensor::Vector(&self.bias_c[..]),
+        ]
+        .into_iter()
+    }
+
+    /// [`Self::tensors`], mutably.
+    pub(crate) fn tensors_mut(&mut self) -> impl Iterator<Item = Tensor<&mut M, &mut [f32]>> {
+        let GruLayer {
+            wzr_x,
+            wzr_c,
+            bias_zr,
+            wcx,
+            wcc,
+            bias_c,
+            ..
+        } = self;
+        [
+            Tensor::Weight(WeightRole::Input, wzr_x),
+            Tensor::Weight(WeightRole::Recurrent, wzr_c),
+            Tensor::Vector(&mut bias_zr[..]),
+            Tensor::Weight(WeightRole::Input, wcx),
+            Tensor::Weight(WeightRole::Recurrent, wcc),
+            Tensor::Vector(&mut bias_c[..]),
+        ]
+        .into_iter()
+    }
+
+    /// This layer through [`Self::from_parts`], each tensor mapped in
+    /// [`Self::tensors`] order (see
+    /// [`RnnLayer::map`](crate::RnnLayer::map)).
+    pub(crate) fn map<N: MatVec>(
+        &self,
+        mut weight: impl FnMut(WeightRole, &M) -> N,
+        mut vector: impl FnMut(&[f32]) -> Vec<f32>,
+    ) -> GruLayer<N> {
+        GruLayer::from_parts(
+            self.input_dim,
+            self.hidden_dim,
+            self.candidate_activation,
+            weight(WeightRole::Input, &self.wzr_x),
+            weight(WeightRole::Recurrent, &self.wzr_c),
+            vector(&self.bias_zr),
+            weight(WeightRole::Input, &self.wcx),
+            weight(WeightRole::Recurrent, &self.wcc),
+            vector(&self.bias_c),
+        )
     }
 
     /// One timestep of Eqn. 2 in `f32` for `batch` independent states at
@@ -294,19 +336,6 @@ impl<M: MatVec> GruLayer<M> {
             }
         }
     }
-
-    /// Number of stored parameters.
-    pub fn param_count(&self) -> usize
-    where
-        M: crate::lstm::ParamCount,
-    {
-        self.wzr_x.param_count()
-            + self.wzr_c.param_count()
-            + self.bias_zr.len()
-            + self.wcx.param_count()
-            + self.wcc.param_count()
-            + self.bias_c.len()
-    }
 }
 
 impl GruLayer<WeightMatrix> {
@@ -336,18 +365,6 @@ impl GruLayer<Matrix> {
         }
     }
 
-    /// Zero-initialized gradients shaped like this layer.
-    pub fn zero_grads(&self) -> GruGrads {
-        GruGrads {
-            wzr_x: Matrix::zeros(self.wzr_x.rows(), self.wzr_x.cols()),
-            wzr_c: Matrix::zeros(self.wzr_c.rows(), self.wzr_c.cols()),
-            bias_zr: vec![0.0; self.bias_zr.len()],
-            wcx: Matrix::zeros(self.wcx.rows(), self.wcx.cols()),
-            wcc: Matrix::zeros(self.wcc.rows(), self.wcc.cols()),
-            bias_c: vec![0.0; self.bias_c.len()],
-        }
-    }
-
     /// Backpropagation through time over `tape`; see
     /// [`LstmLayer::backward_seq`](crate::LstmLayer::backward_seq) for the
     /// calling convention.
@@ -359,7 +376,7 @@ impl GruLayer<Matrix> {
         &self,
         tape: &LayerTape,
         d_outputs: &[Vec<f32>],
-        grads: &mut GruGrads,
+        grads: &mut GruLayer<Matrix>,
     ) -> Vec<Vec<f32>> {
         let h = self.hidden_dim;
         let in_dim = self.input_dim;
@@ -500,7 +517,10 @@ mod tests {
         };
 
         let (outs, tape) = forward(&layer);
-        let mut grads = layer.zero_grads();
+        let mut grads = layer.map(
+            |_, w| Matrix::zeros(w.rows(), w.cols()),
+            |v| vec![0.0; v.len()],
+        );
         layer.backward_seq(&tape, &outs, &mut grads);
 
         let eps = 1e-2f32;
@@ -572,9 +592,9 @@ mod tests {
         // The paper's Table III shows GRU-1024 at ~0.45M vs LSTM 0.73M top
         // layer params: GRUs have 3 gate matrices vs the LSTM's 4.
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5);
-        let gru = GruLayer::new_dense(16, 32, &mut rng);
+        let gru = RnnLayer::Gru(GruLayer::new_dense(16, 32, &mut rng));
         let lstm_cfg = crate::LstmConfig::simple(16, 32);
-        let lstm = crate::LstmLayer::new_dense(lstm_cfg, &mut rng);
+        let lstm = RnnLayer::Lstm(crate::LstmLayer::new_dense(lstm_cfg, &mut rng));
         assert!(gru.param_count() < lstm.param_count());
     }
 

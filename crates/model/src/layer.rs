@@ -1,7 +1,9 @@
-//! Uniform wrapper over the two cell types.
+//! Uniform wrapper over the two cell types, and the parameter list every
+//! per-tensor walk goes through.
 
-use crate::gru::{GruGrads, GruLayer};
-use crate::lstm::{LstmGrads, LstmLayer, ParamCount};
+use crate::gru::GruLayer;
+use crate::lstm::{LstmLayer, ParamCount};
+use crate::network::WeightRole;
 use crate::seq::LayerTape;
 use ernn_linalg::{MatVec, Matrix};
 
@@ -18,13 +20,15 @@ pub enum RnnLayer<M> {
     Gru(GruLayer<M>),
 }
 
-/// Gradients for one layer.
-#[derive(Debug, Clone)]
-pub enum LayerGrads {
-    /// Gradients of an LSTM layer.
-    Lstm(LstmGrads),
-    /// Gradients of a GRU layer.
-    Gru(GruGrads),
+/// One entry of a layer's parameter list ([`RnnLayer::tensors`]): a weight
+/// matrix with its [`WeightRole`], or a bias / peephole vector. `W` and `V`
+/// are shared (`&M`, `&[f32]`) or mutable (`&mut M`, `&mut [f32]`)
+/// borrows.
+pub(crate) enum Tensor<W, V> {
+    /// A weight matrix and the role Phase I sizes its block by.
+    Weight(WeightRole, W),
+    /// A bias or peephole vector.
+    Vector(V),
 }
 
 impl<M: MatVec> RnnLayer<M> {
@@ -52,27 +56,57 @@ impl<M: MatVec> RnnLayer<M> {
         }
     }
 
+    /// The layer's parameter list, written once per cell: LSTM `wx, wr,
+    /// bias, p_i, p_f, p_o, wym` (absent tensors skipped), GRU `wzr_x,
+    /// wzr_c, bias_zr, wcx, wcc, bias_c`. Gradients, the optimizer's
+    /// slices, ADMM, compression, quantization and the serving spectrum
+    /// cache all walk this order; [`Self::map`] rebuilds a layer in it.
+    pub(crate) fn tensors(&self) -> impl Iterator<Item = Tensor<&M, &[f32]>> {
+        let (lstm, gru) = match self {
+            RnnLayer::Lstm(l) => (Some(l.tensors()), None),
+            RnnLayer::Gru(g) => (None, Some(g.tensors())),
+        };
+        lstm.into_iter().flatten().chain(gru.into_iter().flatten())
+    }
+
+    /// [`Self::tensors`], mutably.
+    pub(crate) fn tensors_mut(&mut self) -> impl Iterator<Item = Tensor<&mut M, &mut [f32]>> {
+        let (lstm, gru) = match self {
+            RnnLayer::Lstm(l) => (Some(l.tensors_mut()), None),
+            RnnLayer::Gru(g) => (None, Some(g.tensors_mut())),
+        };
+        lstm.into_iter().flatten().chain(gru.into_iter().flatten())
+    }
+
+    /// The same layer in another weight representation: each weight
+    /// matrix through `weight` (given its role), each vector through
+    /// `vector`, called in [`Self::tensors`] order.
+    pub(crate) fn map<N: MatVec>(
+        &self,
+        weight: impl FnMut(WeightRole, &M) -> N,
+        vector: impl FnMut(&[f32]) -> Vec<f32>,
+    ) -> RnnLayer<N> {
+        match self {
+            RnnLayer::Lstm(l) => RnnLayer::Lstm(l.map(weight, vector)),
+            RnnLayer::Gru(g) => RnnLayer::Gru(g.map(weight, vector)),
+        }
+    }
+
     /// Number of stored parameters.
     pub fn param_count(&self) -> usize
     where
         M: ParamCount,
     {
-        match self {
-            RnnLayer::Lstm(l) => l.param_count(),
-            RnnLayer::Gru(g) => g.param_count(),
-        }
+        self.tensors()
+            .map(|t| match t {
+                Tensor::Weight(_, w) => w.param_count(),
+                Tensor::Vector(v) => v.len(),
+            })
+            .sum()
     }
 }
 
 impl RnnLayer<Matrix> {
-    /// Zero gradients shaped like this layer.
-    pub fn zero_grads(&self) -> LayerGrads {
-        match self {
-            RnnLayer::Lstm(l) => LayerGrads::Lstm(l.zero_grads()),
-            RnnLayer::Gru(g) => LayerGrads::Gru(g.zero_grads()),
-        }
-    }
-
     /// Backpropagation through time over `tape`; dispatches on the cell
     /// type.
     ///
@@ -84,14 +118,14 @@ impl RnnLayer<Matrix> {
         &self,
         tape: &LayerTape,
         d_outputs: &[Vec<f32>],
-        grads: &mut LayerGrads,
+        grads: &mut RnnLayer<Matrix>,
     ) -> Vec<Vec<f32>> {
         // A cell fills only its own planes of the tape.
         match (self, grads) {
-            (RnnLayer::Lstm(l), LayerGrads::Lstm(g)) if tape.rc.is_empty() => {
+            (RnnLayer::Lstm(l), RnnLayer::Lstm(g)) if tape.rc.is_empty() => {
                 l.backward_seq(tape, d_outputs, g)
             }
-            (RnnLayer::Gru(l), LayerGrads::Gru(g)) if tape.m.is_empty() => {
+            (RnnLayer::Gru(l), RnnLayer::Gru(g)) if tape.m.is_empty() => {
                 l.backward_seq(tape, d_outputs, g)
             }
             _ => panic!("layer/tape/grads variant mismatch"),
@@ -126,7 +160,10 @@ mod tests {
         let inputs = vec![vec![0.0, 0.0]];
         let (_, gru_tape) = crate::seq::walk_layer(RnnLayer::Gru(gru_layer), &inputs);
         let layer = RnnLayer::Lstm(lstm_layer);
-        let mut grads = layer.zero_grads();
+        let mut grads = layer.map(
+            |_, w| Matrix::zeros(w.rows(), w.cols()),
+            |v| vec![0.0; v.len()],
+        );
         let _ = layer.backward_seq(&gru_tape, &[vec![0.0, 0.0, 0.0]], &mut grads);
     }
 }

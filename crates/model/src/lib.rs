@@ -36,6 +36,19 @@
 //! representation ([`RnnNetwork::forward_backward`]) and validated by
 //! finite-difference tests.
 //!
+//! Each cell lists its tensors **once**, in `lstm.rs` / `gru.rs`: an
+//! ordered list of its weight matrices (each with its [`WeightRole`]) and
+//! bias / peephole vectors, and one `map` that rebuilds the layer in
+//! another representation through `from_parts`. Gradients are an
+//! `RnnNetwork<Matrix>` ([`RnnNetwork::zero_grads`]) — each `∂L/∂θ` sits
+//! in its `θ`'s field — and everything else that visits every tensor
+//! folds over that list or that map: the optimizer's slice pairs
+//! ([`RnnNetwork::param_slices`] / [`RnnNetwork::param_slices_mut`]),
+//! zeroing and scaling, [`RnnNetwork::weight_matrices`] (ADMM's
+//! constraints, pruning masks, the serving spectrum cache), parameter
+//! counts, [`compress_network_layers`] and the fixed-point quantization
+//! pass ([`RnnNetwork::map`]).
+//!
 //! ```
 //! use ernn_model::{NetworkBuilder, CellType};
 //! use rand::SeedableRng;
@@ -68,11 +81,11 @@ pub mod trainer;
 pub use activation::Act;
 pub use cell::{CellArith, CellScratch, GruScratch, LstmScratch};
 pub use compress::{compress_network, compress_network_layers, BlockPolicy};
-pub use gru::{GruGrads, GruInputStack, GruLayer};
-pub use layer::{LayerGrads, RnnLayer};
+pub use gru::{GruInputStack, GruLayer};
+pub use layer::RnnLayer;
 pub use loss::softmax_cross_entropy;
-pub use lstm::{LstmConfig, LstmGrads, LstmLayer, ParamCount};
-pub use network::{CellType, NetworkBuilder, NetworkGrads, RnnNetwork, WeightRole};
+pub use lstm::{LstmConfig, LstmLayer, ParamCount};
+pub use network::{CellType, NetworkBuilder, RnnNetwork, WeightRole};
 pub use optim::{Adam, Optimizer, Sgd};
 pub use seq::{ExecScratch, LayerTape, NetworkState};
 pub use spec::ModelSpec;

@@ -11,6 +11,8 @@
 
 use crate::activation::Act;
 use crate::cell::{CellArith, FloatArith, LstmScratch};
+use crate::layer::Tensor;
+use crate::network::WeightRole;
 use crate::seq::LayerTape;
 use ernn_linalg::ops::hadamard_acc;
 use ernn_linalg::{MatVec, Matrix};
@@ -68,21 +70,6 @@ pub struct LstmLayer<M> {
     pub wym: Option<M>,
 }
 
-/// Gradients of one LSTM layer, shaped like the parameters.
-#[derive(Debug, Clone)]
-pub struct LstmGrads {
-    /// Gradient of [`LstmLayer::wx`].
-    pub wx: Matrix,
-    /// Gradient of [`LstmLayer::wr`].
-    pub wr: Matrix,
-    /// Gradient of the gate biases.
-    pub bias: Vec<f32>,
-    /// Gradients of the peephole vectors.
-    pub peepholes: Option<[Vec<f32>; 3]>,
-    /// Gradient of the projection matrix.
-    pub wym: Option<Matrix>,
-}
-
 impl<M: MatVec> LstmLayer<M> {
     /// Assembles a layer from explicit parts (used by the compression pass
     /// to rebuild a layer with block-circulant weights).
@@ -123,6 +110,72 @@ impl<M: MatVec> LstmLayer<M> {
     /// Layer configuration.
     pub fn config(&self) -> &LstmConfig {
         &self.cfg
+    }
+
+    /// The tensors in list order: `wx, wr, bias, p_i, p_f, p_o, wym`
+    /// (see [`RnnLayer::tensors`](crate::RnnLayer::tensors)).
+    pub(crate) fn tensors(&self) -> impl Iterator<Item = Tensor<&M, &[f32]>> {
+        let peepholes = self.peepholes.iter().flatten();
+        [
+            Tensor::Weight(WeightRole::Input, &self.wx),
+            Tensor::Weight(WeightRole::Recurrent, &self.wr),
+            Tensor::Vector(&self.bias[..]),
+        ]
+        .into_iter()
+        .chain(peepholes.map(|p| Tensor::Vector(&p[..])))
+        .chain(
+            self.wym
+                .iter()
+                .map(|w| Tensor::Weight(WeightRole::Output, w)),
+        )
+    }
+
+    /// [`Self::tensors`], mutably.
+    pub(crate) fn tensors_mut(&mut self) -> impl Iterator<Item = Tensor<&mut M, &mut [f32]>> {
+        let LstmLayer {
+            wx,
+            wr,
+            bias,
+            peepholes,
+            wym,
+            ..
+        } = self;
+        [
+            Tensor::Weight(WeightRole::Input, wx),
+            Tensor::Weight(WeightRole::Recurrent, wr),
+            Tensor::Vector(&mut bias[..]),
+        ]
+        .into_iter()
+        .chain(
+            peepholes
+                .iter_mut()
+                .flatten()
+                .map(|p| Tensor::Vector(&mut p[..])),
+        )
+        .chain(
+            wym.iter_mut()
+                .map(|w| Tensor::Weight(WeightRole::Output, w)),
+        )
+    }
+
+    /// This layer through [`Self::from_parts`], each tensor mapped in
+    /// [`Self::tensors`] order (see
+    /// [`RnnLayer::map`](crate::RnnLayer::map)).
+    pub(crate) fn map<N: MatVec>(
+        &self,
+        mut weight: impl FnMut(WeightRole, &M) -> N,
+        mut vector: impl FnMut(&[f32]) -> Vec<f32>,
+    ) -> LstmLayer<N> {
+        LstmLayer::from_parts(
+            self.cfg,
+            weight(WeightRole::Input, &self.wx),
+            weight(WeightRole::Recurrent, &self.wr),
+            vector(&self.bias),
+            self.peepholes
+                .as_ref()
+                .map(|p| p.each_ref().map(|v| vector(v))),
+            self.wym.as_ref().map(|w| weight(WeightRole::Output, w)),
+        )
     }
 
     /// One timestep of Eqn. 1 in `f32` for `batch` independent states at
@@ -269,21 +322,6 @@ impl<M: MatVec> LstmLayer<M> {
             None => y_next.copy_from_slice(m),
         }
     }
-
-    /// Number of stored parameters (weights + biases + peepholes).
-    pub fn param_count(&self) -> usize
-    where
-        M: ParamCount,
-    {
-        let mut n = self.wx.param_count() + self.wr.param_count() + self.bias.len();
-        if let Some(peeps) = &self.peepholes {
-            n += peeps.iter().map(Vec::len).sum::<usize>();
-        }
-        if let Some(w) = &self.wym {
-            n += w.param_count();
-        }
-        n
-    }
 }
 
 /// Parameter counting for weight representations (dense counts `rows·cols`,
@@ -338,29 +376,13 @@ impl LstmLayer<Matrix> {
         }
     }
 
-    /// Zero-initialized gradients shaped like this layer.
-    pub fn zero_grads(&self) -> LstmGrads {
-        LstmGrads {
-            wx: Matrix::zeros(self.wx.rows(), self.wx.cols()),
-            wr: Matrix::zeros(self.wr.rows(), self.wr.cols()),
-            bias: vec![0.0; self.bias.len()],
-            peepholes: self.peepholes.as_ref().map(|p| {
-                [
-                    vec![0.0; p[0].len()],
-                    vec![0.0; p[1].len()],
-                    vec![0.0; p[2].len()],
-                ]
-            }),
-            wym: self.wym.as_ref().map(|w| Matrix::zeros(w.rows(), w.cols())),
-        }
-    }
-
     /// Backpropagation through time over `tape`, what
     /// [`RnnNetwork::hidden_batch_with`](crate::RnnNetwork::hidden_batch_with)
     /// recorded for this layer walking one sequence (frame `t` is row `t`).
     ///
     /// `d_outputs[t]` is `∂L/∂y_t` from the layers above (classifier and/or
-    /// next stacked layer). Accumulates parameter gradients into `grads`
+    /// next stacked layer). Accumulates parameter gradients into `grads`,
+    /// a layer of this shape holding `∂L/∂θ` in each parameter's place,
     /// and returns `∂L/∂x_t` for the layer below.
     ///
     /// # Panics
@@ -370,7 +392,7 @@ impl LstmLayer<Matrix> {
         &self,
         tape: &LayerTape,
         d_outputs: &[Vec<f32>],
-        grads: &mut LstmGrads,
+        grads: &mut LstmLayer<Matrix>,
     ) -> Vec<Vec<f32>> {
         let h = self.cfg.hidden_dim;
         let r = self.cfg.output_dim;
@@ -580,7 +602,10 @@ mod tests {
 
         let (outs, tape) = forward(&layer);
         let d_outputs: Vec<Vec<f32>> = outs.clone();
-        let mut grads = layer.zero_grads();
+        let mut grads = layer.map(
+            |_, w| Matrix::zeros(w.rows(), w.cols()),
+            |v| vec![0.0; v.len()],
+        );
         layer.backward_seq(&tape, &d_outputs, &mut grads);
 
         let eps = 1e-2f32;
@@ -666,7 +691,7 @@ mod tests {
 
     #[test]
     fn param_count_accounts_for_all_tensors() {
-        let layer = tiny_layer(true, true, 6);
+        let layer = RnnLayer::Lstm(tiny_layer(true, true, 6));
         // wx: 16x3, wr: 16x2, bias: 16, peep: 3*4, wym: 2x4.
         assert_eq!(layer.param_count(), 48 + 32 + 16 + 12 + 8);
     }

@@ -1,7 +1,7 @@
 //! Stacked RNN networks with a framewise classifier head.
 
 use crate::cell::FloatArith;
-use crate::layer::{LayerGrads, RnnLayer};
+use crate::layer::{RnnLayer, Tensor};
 use crate::loss::softmax_cross_entropy;
 use crate::lstm::{LstmConfig, LstmLayer, ParamCount};
 use crate::seq::ExecScratch;
@@ -40,17 +40,6 @@ pub struct RnnNetwork<M> {
     /// and is not compressed in the paper either.
     pub classifier_w: Matrix,
     /// Classifier bias `(classes)`.
-    pub classifier_b: Vec<f32>,
-}
-
-/// Gradients shaped like an [`RnnNetwork<Matrix>`].
-#[derive(Debug, Clone)]
-pub struct NetworkGrads {
-    /// Per-layer gradients.
-    pub layers: Vec<LayerGrads>,
-    /// Classifier weight gradient.
-    pub classifier_w: Matrix,
-    /// Classifier bias gradient.
     pub classifier_b: Vec<f32>,
 }
 
@@ -230,6 +219,47 @@ impl<M: MatVec> RnnNetwork<M> {
         rnn + self.classifier_w.rows() * self.classifier_w.cols() + self.classifier_b.len()
     }
 
+    /// The weight matrices in list order (see [`Self::param_slices`]),
+    /// each with its layer index and role — the compressible matrices ADMM
+    /// constrains, one per constraint.
+    pub fn weight_matrices(&self) -> Vec<(usize, WeightRole, &M)> {
+        let layers = self.layers.iter().enumerate();
+        let tensors = layers.flat_map(|(li, layer)| layer.tensors().map(move |t| (li, t)));
+        let weights = tensors.filter_map(|(li, t)| match t {
+            Tensor::Weight(role, w) => Some((li, role, w)),
+            Tensor::Vector(_) => None,
+        });
+        weights.collect()
+    }
+
+    /// [`Self::weight_matrices`], mutably.
+    pub fn weight_matrices_mut(&mut self) -> Vec<&mut M> {
+        let tensors = self.layers.iter_mut().flat_map(RnnLayer::tensors_mut);
+        let weights = tensors.filter_map(|t| match t {
+            Tensor::Weight(_, w) => Some(w),
+            Tensor::Vector(_) => None,
+        });
+        weights.collect()
+    }
+
+    /// The same network in another weight representation, each layer
+    /// rebuilt through its `from_parts`: layer `li`'s weight matrices
+    /// through `weight(li, role, w)` and every vector — biases, peepholes,
+    /// then `classifier_b` — through `vector`, in list order (see
+    /// [`Self::param_slices`]); the dense `classifier_w` through `head`.
+    pub fn map<N: MatVec>(
+        &self,
+        mut weight: impl FnMut(usize, WeightRole, &M) -> N,
+        mut vector: impl FnMut(&[f32]) -> Vec<f32>,
+        head: impl FnOnce(&Matrix) -> Matrix,
+    ) -> RnnNetwork<N> {
+        let layers = self.layers.iter().enumerate();
+        let layers = layers
+            .map(|(li, layer)| layer.map(|role, w| weight(li, role, w), &mut vector))
+            .collect();
+        RnnNetwork::from_parts(layers, head(&self.classifier_w), vector(&self.classifier_b))
+    }
+
     /// Forward pass producing framewise logits: the sequence walker
     /// ([`Self::hidden_batch_with`]) over one utterance in `f32`, then the
     /// classifier head.
@@ -273,19 +303,19 @@ impl<M: MatVec> RnnNetwork<M> {
 }
 
 impl RnnNetwork<Matrix> {
-    /// Zero gradients shaped like this network.
-    pub fn zero_grads(&self) -> NetworkGrads {
-        NetworkGrads {
-            layers: self.layers.iter().map(|l| l.zero_grads()).collect(),
-            classifier_w: Matrix::zeros(self.classifier_w.rows(), self.classifier_w.cols()),
-            classifier_b: vec![0.0; self.classifier_b.len()],
-        }
+    /// Zero gradients: a network of this shape with every tensor zero
+    /// ([`Self::map`]). Gradients are networks — each `∂L/∂θ` sits where
+    /// its `θ` does — so the list and the folds over it serve both.
+    pub fn zero_grads(&self) -> RnnNetwork<Matrix> {
+        let zeros = |m: &Matrix| Matrix::zeros(m.rows(), m.cols());
+        self.map(|_, _, w| zeros(w), |v| vec![0.0; v.len()], zeros)
     }
 
     /// Full forward + backward on one labelled sequence.
     ///
-    /// Accumulates gradients into `grads` (so minibatches sum naturally)
-    /// and returns `(summed loss, frame count)`.
+    /// Accumulates gradients into `grads` (a [`Self::zero_grads`] network,
+    /// so minibatches sum naturally) and returns `(summed loss, frame
+    /// count)`.
     ///
     /// # Panics
     ///
@@ -294,7 +324,7 @@ impl RnnNetwork<Matrix> {
         &self,
         frames: &[Vec<f32>],
         targets: &[usize],
-        grads: &mut NetworkGrads,
+        grads: &mut RnnNetwork<Matrix>,
     ) -> (f32, usize) {
         assert_eq!(frames.len(), targets.len(), "frame/label length mismatch");
         assert!(!frames.is_empty(), "empty sequence");
@@ -330,104 +360,50 @@ impl RnnNetwork<Matrix> {
         (loss, frames.len())
     }
 
-    /// All trainable parameters as mutable slices, in a stable order that
-    /// matches [`NetworkGrads::slices`]. Optimizers iterate these pairs.
+    /// Every parameter as a flat slice, in list order: each layer's
+    /// tensors bottom layer first — LSTM `wx, wr, bias, p_i, p_f, p_o,
+    /// wym` (absent ones skipped), GRU `wzr_x, wzr_c, bias_zr, wcx, wcc,
+    /// bias_c` — then `classifier_w`, `classifier_b`. On a gradient
+    /// network ([`Self::zero_grads`]) the same positions hold `∂L/∂θ`, so
+    /// this and [`Self::param_slices_mut`] are what an
+    /// [`Optimizer`](crate::Optimizer) steps, pair by pair.
+    pub fn param_slices(&self) -> Vec<&[f32]> {
+        let tensors = self.layers.iter().flat_map(RnnLayer::tensors);
+        let mut out: Vec<&[f32]> = tensors
+            .map(|t| match t {
+                Tensor::Weight(_, w) => w.as_slice(),
+                Tensor::Vector(v) => v,
+            })
+            .collect();
+        out.extend([self.classifier_w.as_slice(), &self.classifier_b[..]]);
+        out
+    }
+
+    /// [`Self::param_slices`], mutably.
     pub fn param_slices_mut(&mut self) -> Vec<&mut [f32]> {
-        let mut out: Vec<&mut [f32]> = Vec::new();
-        for layer in &mut self.layers {
-            match layer {
-                RnnLayer::Lstm(l) => {
-                    out.push(l.wx.as_mut_slice());
-                    out.push(l.wr.as_mut_slice());
-                    out.push(l.bias.as_mut_slice());
-                    if let Some(peeps) = &mut l.peepholes {
-                        for p in peeps.iter_mut() {
-                            out.push(p.as_mut_slice());
-                        }
-                    }
-                    if let Some(w) = &mut l.wym {
-                        out.push(w.as_mut_slice());
-                    }
-                }
-                RnnLayer::Gru(g) => {
-                    out.push(g.wzr_x.as_mut_slice());
-                    out.push(g.wzr_c.as_mut_slice());
-                    out.push(g.bias_zr.as_mut_slice());
-                    out.push(g.wcx.as_mut_slice());
-                    out.push(g.wcc.as_mut_slice());
-                    out.push(g.bias_c.as_mut_slice());
-                }
-            }
-        }
-        out.push(self.classifier_w.as_mut_slice());
-        out.push(self.classifier_b.as_mut_slice());
+        let tensors = self.layers.iter_mut().flat_map(RnnLayer::tensors_mut);
+        let mut out: Vec<&mut [f32]> = tensors
+            .map(|t| match t {
+                Tensor::Weight(_, w) => w.as_mut_slice(),
+                Tensor::Vector(v) => v,
+            })
+            .collect();
+        out.extend([self.classifier_w.as_mut_slice(), &mut self.classifier_b[..]]);
         out
     }
 
-    /// The compressible weight matrices with stable names and roles, for
-    /// ADMM and analysis. Order matches
-    /// [`Self::weight_matrices_mut`] and
-    /// [`NetworkGrads::weight_matrices_mut`].
-    pub fn weight_matrices(&self) -> Vec<(String, WeightRole, &Matrix)> {
-        let mut out = Vec::new();
-        for (i, layer) in self.layers.iter().enumerate() {
-            match layer {
-                RnnLayer::Lstm(l) => {
-                    out.push((format!("layer{i}.wx"), WeightRole::Input, &l.wx));
-                    out.push((format!("layer{i}.wr"), WeightRole::Recurrent, &l.wr));
-                    if let Some(w) = &l.wym {
-                        out.push((format!("layer{i}.wym"), WeightRole::Output, w));
-                    }
-                }
-                RnnLayer::Gru(g) => {
-                    out.push((format!("layer{i}.wzr_x"), WeightRole::Input, &g.wzr_x));
-                    out.push((format!("layer{i}.wzr_c"), WeightRole::Recurrent, &g.wzr_c));
-                    out.push((format!("layer{i}.wcx"), WeightRole::Input, &g.wcx));
-                    out.push((format!("layer{i}.wcc"), WeightRole::Recurrent, &g.wcc));
-                }
-            }
+    /// Multiplies every parameter by `s` (a gradient network by `1/frames`
+    /// for the mean loss).
+    pub fn scale(&mut self, s: f32) {
+        for p in self.param_slices_mut() {
+            p.iter_mut().for_each(|v| *v *= s);
         }
-        out
     }
 
-    /// The stacked-layer index of each compressible weight matrix, aligned
-    /// with [`Self::weight_matrices`] — used for per-layer block-size
-    /// policies (the paper's Table I assigns block sizes per layer, e.g.
-    /// "4-8" for a two-layer model).
-    pub fn weight_layer_indices(&self) -> Vec<usize> {
-        let mut out = Vec::new();
-        for (i, layer) in self.layers.iter().enumerate() {
-            let count = match layer {
-                RnnLayer::Lstm(l) => 2 + usize::from(l.wym.is_some()),
-                RnnLayer::Gru(_) => 4,
-            };
-            out.extend(std::iter::repeat_n(i, count));
-        }
-        out
-    }
-
-    /// Mutable access to the compressible weight matrices (same order as
-    /// [`Self::weight_matrices`]).
-    pub fn weight_matrices_mut(&mut self) -> Vec<&mut Matrix> {
-        let mut out: Vec<&mut Matrix> = Vec::new();
-        for layer in &mut self.layers {
-            match layer {
-                RnnLayer::Lstm(l) => {
-                    out.push(&mut l.wx);
-                    out.push(&mut l.wr);
-                    if let Some(w) = &mut l.wym {
-                        out.push(w);
-                    }
-                }
-                RnnLayer::Gru(g) => {
-                    out.push(&mut g.wzr_x);
-                    out.push(&mut g.wzr_c);
-                    out.push(&mut g.wcx);
-                    out.push(&mut g.wcc);
-                }
-            }
-        }
-        out
+    /// Resets every parameter to zero, reusing the allocations (`× 0.0`,
+    /// as [`Self::scale`]).
+    pub fn zero(&mut self) {
+        self.scale(0.0);
     }
 }
 
@@ -443,103 +419,6 @@ pub enum WeightRole {
     Recurrent,
     /// Produces the layer output (LSTM projection).
     Output,
-}
-
-impl NetworkGrads {
-    /// Gradient slices in the order of
-    /// [`RnnNetwork::param_slices_mut`].
-    pub fn slices(&self) -> Vec<&[f32]> {
-        let mut out: Vec<&[f32]> = Vec::new();
-        for layer in &self.layers {
-            match layer {
-                LayerGrads::Lstm(g) => {
-                    out.push(g.wx.as_slice());
-                    out.push(g.wr.as_slice());
-                    out.push(g.bias.as_slice());
-                    if let Some(peeps) = &g.peepholes {
-                        for p in peeps.iter() {
-                            out.push(p.as_slice());
-                        }
-                    }
-                    if let Some(w) = &g.wym {
-                        out.push(w.as_slice());
-                    }
-                }
-                LayerGrads::Gru(g) => {
-                    out.push(g.wzr_x.as_slice());
-                    out.push(g.wzr_c.as_slice());
-                    out.push(g.bias_zr.as_slice());
-                    out.push(g.wcx.as_slice());
-                    out.push(g.wcc.as_slice());
-                    out.push(g.bias_c.as_slice());
-                }
-            }
-        }
-        out.push(self.classifier_w.as_slice());
-        out.push(self.classifier_b.as_slice());
-        out
-    }
-
-    /// Mutable weight-matrix gradients in the order of
-    /// [`RnnNetwork::weight_matrices`] — the hook ADMM uses to add its
-    /// proximal term.
-    pub fn weight_matrices_mut(&mut self) -> Vec<&mut Matrix> {
-        let mut out: Vec<&mut Matrix> = Vec::new();
-        for layer in &mut self.layers {
-            match layer {
-                LayerGrads::Lstm(g) => {
-                    out.push(&mut g.wx);
-                    out.push(&mut g.wr);
-                    if let Some(w) = &mut g.wym {
-                        out.push(w);
-                    }
-                }
-                LayerGrads::Gru(g) => {
-                    out.push(&mut g.wzr_x);
-                    out.push(&mut g.wzr_c);
-                    out.push(&mut g.wcx);
-                    out.push(&mut g.wcc);
-                }
-            }
-        }
-        out
-    }
-
-    /// Scales every gradient by `s` (e.g. `1/frames` for mean loss).
-    pub fn scale(&mut self, s: f32) {
-        for layer in &mut self.layers {
-            match layer {
-                LayerGrads::Lstm(g) => {
-                    g.wx.scale(s);
-                    g.wr.scale(s);
-                    g.bias.iter_mut().for_each(|v| *v *= s);
-                    if let Some(peeps) = &mut g.peepholes {
-                        for p in peeps.iter_mut() {
-                            p.iter_mut().for_each(|v| *v *= s);
-                        }
-                    }
-                    if let Some(w) = &mut g.wym {
-                        w.scale(s);
-                    }
-                }
-                LayerGrads::Gru(g) => {
-                    g.wzr_x.scale(s);
-                    g.wzr_c.scale(s);
-                    g.bias_zr.iter_mut().for_each(|v| *v *= s);
-                    g.wcx.scale(s);
-                    g.wcc.scale(s);
-                    g.bias_c.iter_mut().for_each(|v| *v *= s);
-                }
-            }
-        }
-        self.classifier_w.scale(s);
-        self.classifier_b.iter_mut().for_each(|v| *v *= s);
-    }
-
-    /// Resets all gradients to zero (reusing allocations).
-    pub fn zero(&mut self) {
-        self.scale(0.0);
-    }
 }
 
 #[cfg(test)]
@@ -571,7 +450,7 @@ mod tests {
         for cell in [CellType::Lstm, CellType::Gru] {
             let mut net = tiny_net(cell, 2);
             let grads = net.zero_grads();
-            let g_slices = grads.slices();
+            let g_slices = grads.param_slices();
             let p_slices = net.param_slices_mut();
             assert_eq!(p_slices.len(), g_slices.len(), "{cell}");
             for (p, g) in p_slices.iter().zip(g_slices.iter()) {
@@ -584,19 +463,147 @@ mod tests {
     fn weight_matrices_align_with_grads() {
         for cell in [CellType::Lstm, CellType::Gru] {
             let mut net = tiny_net(cell, 3);
-            let named = net
+            let shapes = net
                 .weight_matrices()
                 .iter()
-                .map(|(n, _, m)| (n.clone(), m.rows(), m.cols()))
+                .map(|(_, _, m)| (m.rows(), m.cols()))
                 .collect::<Vec<_>>();
             let mut grads = net.zero_grads();
             let g = grads.weight_matrices_mut();
-            assert_eq!(named.len(), g.len());
-            for ((_, r, c), gm) in named.iter().zip(g.iter()) {
+            assert_eq!(shapes.len(), g.len());
+            for ((r, c), gm) in shapes.iter().zip(g.iter()) {
                 assert_eq!((gm.rows(), gm.cols()), (*r, *c));
             }
             let w = net.weight_matrices_mut();
-            assert_eq!(named.len(), w.len());
+            assert_eq!(shapes.len(), w.len());
+        }
+    }
+
+    /// Two LSTM layers with peepholes and a projection (`I = 4`, `H = 5`,
+    /// `R = 3`, `C = 3`) and two GRU layers (`H = 5`): every tensor a cell
+    /// owns, in the order the optimizer's momentum is laid out.
+    fn listed_nets() -> [RnnNetwork<Matrix>; 2] {
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(11);
+        let lstm = NetworkBuilder::new(CellType::Lstm, 4, 3)
+            .layer_dims(&[5, 5])
+            .peephole(true)
+            .projection(3)
+            .build(&mut rng);
+        [lstm, tiny_net(CellType::Gru, 11)]
+    }
+
+    #[test]
+    fn param_slices_follow_the_hand_written_order() {
+        let (i, h, r, c) = (4, 5, 3, 3);
+        let lstm_layer = |i| [4 * h * i, 4 * h * r, 4 * h, h, h, h, r * h];
+        let gru_layer = |i| [2 * h * i, 2 * h * h, 2 * h, h * i, h * h, h];
+        let lstm = [&lstm_layer(i)[..], &lstm_layer(r), &[c * r, c]].concat();
+        let gru = [&gru_layer(i)[..], &gru_layer(h), &[c * h, c]].concat();
+        for (mut net, expected) in listed_nets().into_iter().zip([lstm, gru]) {
+            let grads = net.zero_grads();
+            let lens = |s: Vec<&[f32]>| s.iter().map(|s| s.len()).collect::<Vec<_>>();
+            assert_eq!(lens(grads.param_slices()), expected);
+            let p = net.param_slices_mut().into_iter().map(|s| &*s).collect();
+            assert_eq!(lens(p), expected);
+        }
+    }
+
+    #[test]
+    fn weight_matrices_yield_layer_role_and_shape() {
+        use WeightRole::{Input, Output, Recurrent};
+        let (i, h, r) = (4, 5, 3);
+        let lstm_layer = |li, i| {
+            [
+                (li, Input, 4 * h, i),
+                (li, Recurrent, 4 * h, r),
+                (li, Output, r, h),
+            ]
+        };
+        let gru_layer = |li, i| {
+            let (zr, c) = (2 * h, h);
+            [
+                (li, Input, zr, i),
+                (li, Recurrent, zr, h),
+                (li, Input, c, i),
+                (li, Recurrent, c, h),
+            ]
+        };
+        let lstm = [lstm_layer(0, i), lstm_layer(1, r)].concat();
+        let gru = [gru_layer(0, i), gru_layer(1, h)].concat();
+        for (net, expected) in listed_nets().iter().zip([lstm, gru]) {
+            let listed: Vec<_> = net
+                .weight_matrices()
+                .into_iter()
+                .map(|(li, role, w)| (li, role, w.rows(), w.cols()))
+                .collect();
+            assert_eq!(listed, expected);
+        }
+    }
+
+    #[test]
+    fn zero_grads_has_the_network_shapes_and_is_zero() {
+        for net in listed_nets() {
+            let grads = net.zero_grads();
+            let shape = |n: &RnnNetwork<Matrix>| {
+                let weights = n.weight_matrices().into_iter();
+                let weights = weights.map(|(li, role, w)| (li, role, w.rows(), w.cols()));
+                let dims = n.layers().iter().map(|l| (l.input_dim(), l.hidden_dim()));
+                (weights.collect::<Vec<_>>(), dims.collect::<Vec<_>>())
+            };
+            assert_eq!(shape(&grads), shape(&net));
+            let slices = grads.param_slices();
+            assert_eq!(slices.len(), net.param_slices().len());
+            assert!(slices
+                .iter()
+                .flat_map(|s| s.iter())
+                .all(|&v| v.to_bits() == 0));
+        }
+    }
+
+    /// Every bias / peephole vector in list order, then `classifier_b`.
+    fn vectors<M: MatVec>(net: &RnnNetwork<M>) -> Vec<Vec<f32>> {
+        let tensors = net.layers().iter().flat_map(RnnLayer::tensors);
+        let vectors = tensors.filter_map(|t| match t {
+            Tensor::Weight(..) => None,
+            Tensor::Vector(v) => Some(v.to_vec()),
+        });
+        vectors.chain([net.classifier_b.clone()]).collect()
+    }
+
+    #[test]
+    fn compress_visits_the_list_in_order() {
+        use crate::{compress_network_layers, BlockPolicy};
+        use ernn_linalg::{BlockCirculantMatrix, WeightMatrix};
+        // A different block size per (layer, role), so a matrix compressed
+        // out of order cannot land on the right block size.
+        let policies = [
+            BlockPolicy {
+                recurrent: 2,
+                input: 4,
+                output: 1,
+            },
+            BlockPolicy {
+                recurrent: 4,
+                input: 1,
+                output: 2,
+            },
+        ];
+        for net in listed_nets() {
+            let compressed = compress_network_layers(&net, &policies);
+            let (dense, packed) = (net.weight_matrices(), compressed.weight_matrices());
+            assert_eq!(dense.len(), packed.len());
+            for ((li, role, w), (cli, crole, cw)) in dense.into_iter().zip(packed) {
+                assert_eq!((cli, crole), (li, role));
+                let block = policies[li].for_role(role);
+                assert_eq!(cw.block_size(), block);
+                let expected = match block {
+                    1 => WeightMatrix::Dense(w.clone()),
+                    _ => WeightMatrix::Circulant(BlockCirculantMatrix::project_dense(w, block)),
+                };
+                assert_eq!(*cw, expected);
+            }
+            assert_eq!(vectors(&compressed), vectors(&net));
+            assert_eq!(compressed.classifier_w, net.classifier_w);
         }
     }
 
@@ -701,7 +708,7 @@ mod tests {
         let frames = vec![vec![0.5f32; 4]; 3];
         net.forward_backward(&frames, &[0, 1, 2], &mut grads);
         let norm_before: f32 = grads
-            .slices()
+            .param_slices()
             .iter()
             .flat_map(|s| s.iter())
             .map(|v| v * v)
@@ -709,7 +716,7 @@ mod tests {
         assert!(norm_before > 0.0);
         grads.zero();
         let norm_after: f32 = grads
-            .slices()
+            .param_slices()
             .iter()
             .flat_map(|s| s.iter())
             .map(|v| v * v)

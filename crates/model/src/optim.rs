@@ -5,10 +5,12 @@
 //! (Sec. III-B); the paper also notes compatibility with "recent progress
 //! in stochastic gradient descent (e.g., ADAM)". Both are provided.
 //!
-//! Optimizers operate on the flattened parameter/gradient slice pairs from
-//! [`crate::RnnNetwork::param_slices_mut`] /
-//! [`crate::NetworkGrads::slices`], keeping their own state in a single
-//! flat buffer.
+//! Gradients are an `RnnNetwork<Matrix>` shaped like the parameters
+//! ([`crate::RnnNetwork::zero_grads`]), and each cell lists its tensors
+//! once, so optimizers operate on the flattened parameter/gradient slice
+//! pairs [`crate::RnnNetwork::param_slices_mut`] /
+//! [`crate::RnnNetwork::param_slices`] yield from that one list, in one
+//! order, keeping their own state in a single flat buffer.
 
 /// A first-order optimizer over flat parameter slices.
 pub trait Optimizer {

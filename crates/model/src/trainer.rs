@@ -6,7 +6,7 @@
 //! term `ρ(W − Z + U)` before each update. [`train_with_hook`] exposes that
 //! seam.
 
-use crate::network::{NetworkGrads, RnnNetwork};
+use crate::network::RnnNetwork;
 use crate::optim::Optimizer;
 use ernn_linalg::Matrix;
 use rand::seq::SliceRandom;
@@ -46,7 +46,9 @@ pub struct EpochStats {
 }
 
 /// Trains with a gradient hook invoked after backprop and before the
-/// optimizer step — ADMM's injection point.
+/// optimizer step — ADMM's injection point. The hook sees the network and
+/// its mean-loss gradients, a [`RnnNetwork::zero_grads`] network holding
+/// `∂L/∂θ` in each parameter's place.
 ///
 /// Returns one [`EpochStats`] per epoch.
 ///
@@ -59,7 +61,7 @@ pub fn train_with_hook(
     opts: TrainOptions,
     optimizer: &mut dyn Optimizer,
     rng: &mut impl Rng,
-    mut hook: impl FnMut(&RnnNetwork<Matrix>, &mut NetworkGrads),
+    mut hook: impl FnMut(&RnnNetwork<Matrix>, &mut RnnNetwork<Matrix>),
 ) -> Vec<EpochStats> {
     assert!(!data.is_empty(), "training data must be non-empty");
     let mut order: Vec<usize> = (0..data.len()).collect();
@@ -77,7 +79,7 @@ pub fn train_with_hook(
             let (loss, n) = net.forward_backward(frames, targets, &mut grads);
             grads.scale(1.0 / n as f32);
             hook(net, &mut grads);
-            let g_slices = grads.slices();
+            let g_slices = grads.param_slices();
             let mut p_slices = net.param_slices_mut();
             optimizer.step(&mut p_slices, &g_slices);
             loss_sum += loss as f64;

@@ -15,7 +15,7 @@ use ernn_fft::stats::{self, FftStats};
 use ernn_fpga::artifact::ModelArtifact;
 use ernn_fpga::exec::{DatapathConfig, ExecScratch, NetworkState, QuantizedNetwork};
 use ernn_fpga::{Accelerator, Device, HwCell, RnnSpec, StageCycles};
-use ernn_linalg::WeightMatrix;
+use ernn_linalg::{BlockCirculantMatrix, WeightMatrix};
 use ernn_model::{RnnLayer, RnnNetwork};
 
 /// FFT activity recorded while compiling a model.
@@ -181,28 +181,12 @@ impl CompiledModel {
         self.qnet.forward_logits_batch_into(batch, out, scratch);
     }
 
-    /// [`Self::infer_batch_into`] with per-lane recurrent state for
-    /// streaming sessions: lane `s` resumes from `states[s]` (fresh state
-    /// ≡ stateless) and leaves its post-chunk state there for the
-    /// session's next chunk; `None` lanes run the stateless path. See
-    /// [`QuantizedNetwork::forward_logits_batch_states_into`].
-    pub fn infer_batch_states_into(
-        &self,
-        batch: &[&[Vec<f32>]],
-        states: &mut [Option<NetworkState>],
-        out: &mut Vec<Vec<Vec<f32>>>,
-        scratch: &mut ExecScratch,
-    ) {
-        self.qnet
-            .forward_logits_batch_states_into(batch, states, out, scratch);
-    }
-
     /// Batch inference in place: each utterance's frame buffer becomes
     /// its logits buffer, so a served request's response costs no logits
     /// allocation when its feature dimension holds the class count (one
     /// exactly-sized row per frame otherwise). `states` as in
-    /// [`Self::infer_batch_states_into`], `None` for an all-stateless
-    /// batch. This is what the executors run; see
+    /// [`QuantizedNetwork::forward_logits_batch_states_into`], `None` for an
+    /// all-stateless batch. This is what the executors run; see
     /// [`QuantizedNetwork::forward_logits_batch_in_place`].
     pub fn infer_batch_in_place(
         &self,
@@ -246,27 +230,15 @@ impl CompiledModel {
     }
 }
 
-/// Collects references to every block-circulant weight matrix.
-fn circulant_matrices(net: &RnnNetwork<WeightMatrix>) -> Vec<&ernn_linalg::BlockCirculantMatrix> {
-    let mut out = Vec::new();
-    for layer in net.layers() {
-        let weights: Vec<&WeightMatrix> = match layer {
-            RnnLayer::Lstm(l) => {
-                let mut w = vec![&l.wx, &l.wr];
-                if let Some(wym) = &l.wym {
-                    w.push(wym);
-                }
-                w
-            }
-            RnnLayer::Gru(g) => vec![&g.wzr_x, &g.wzr_c, &g.wcx, &g.wcc],
-        };
-        for w in weights {
-            if let WeightMatrix::Circulant(c) = w {
-                out.push(c);
-            }
-        }
-    }
-    out
+/// Every block-circulant weight matrix, in list order
+/// ([`RnnNetwork::weight_matrices`]).
+fn circulant_matrices(net: &RnnNetwork<WeightMatrix>) -> Vec<&BlockCirculantMatrix> {
+    let weights = net.weight_matrices().into_iter();
+    let circulant = weights.filter_map(|(_, _, w)| match w {
+        WeightMatrix::Circulant(c) => Some(c),
+        WeightMatrix::Dense(_) => None,
+    });
+    circulant.collect()
 }
 
 /// Derives the hardware workload spec from the network's top RNN layer
@@ -334,6 +306,34 @@ mod tests {
             let _ = m.infer(&[vec![0.1; 8], vec![-0.2; 8]]);
         }
         assert_eq!(m.weight_spectrum_refreshes(), baseline);
+    }
+
+    #[test]
+    fn spectrum_refreshes_follow_the_list_order() {
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(6);
+        let policy = BlockPolicy {
+            recurrent: 4,
+            input: 1,
+            output: 4,
+        };
+        for cell in [CellType::Lstm, CellType::Gru] {
+            let dense = NetworkBuilder::new(cell, 8, 5)
+                .layer_dims(&[16, 16])
+                .projection(8)
+                .build(&mut rng);
+            let mut net = compress_network(&dense, policy);
+            // Matrix `i` carries `i` extra refreshes; quantization adds one.
+            let mut expected = Vec::new();
+            for (i, w) in net.weight_matrices_mut().into_iter().enumerate() {
+                if let WeightMatrix::Circulant(c) = w {
+                    (0..i).for_each(|_| c.refresh_spectra());
+                    expected.push(i as u64 + 2);
+                }
+            }
+            let m = CompiledModel::compile(&net, &DatapathConfig::paper_12bit(), XCKU060);
+            assert_eq!(m.weight_spectrum_refreshes(), expected, "{cell}");
+            assert_eq!(m.load_stats.circulant_matrices, expected.len(), "{cell}");
+        }
     }
 
     #[test]

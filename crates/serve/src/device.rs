@@ -2,9 +2,13 @@
 //! on.
 //!
 //! Each [`VirtualDevice`] advances its own clock using CGPipe stage
-//! timing ([`ernn_fpga::sim::simulate_batch`]): a dispatched batch
-//! streams its utterances' frames back-to-back through the 3-stage
-//! pipeline and the device is busy until the last frame drains.
+//! timing: a dispatched batch streams its utterances' frames back-to-back
+//! through the 3-stage pipeline and the device is busy until the last
+//! frame drains. The clock reads the closed form
+//! [`StageCycles::stream_completion_cycles`] — the formula the scheduler's
+//! cost model predicts with — which is cycle-exact against the event
+//! simulation [`ernn_fpga::sim::simulate_batch`] (property-tested in
+//! `ernn-fpga`, and here against the clock it used to drive).
 //!
 //! A device carries no timing of its own. A heterogeneous pool mixes
 //! platforms (e.g. the [`StageCycles::xcku060`] /
@@ -14,7 +18,6 @@
 //! which takes the (device, model) timing and an optional weight-load
 //! setup delay explicitly.
 
-use ernn_fpga::sim::{simulate_batch_into, BatchTrace};
 use ernn_fpga::{Device, StageCycles};
 
 /// Timing of one dispatched batch on a device.
@@ -45,9 +48,6 @@ pub struct VirtualDevice {
     pub requests: u64,
     /// Frames executed.
     pub frames: u64,
-    /// Reusable pipeline-simulation scratch (keeps the per-dispatch hot
-    /// path allocation-free; never observable from outside `execute`).
-    scratch: BatchTrace,
 }
 
 impl VirtualDevice {
@@ -65,7 +65,8 @@ impl VirtualDevice {
     /// returns absolute per-utterance completion times. `setup_us` stalls
     /// the device before compute (weight-image streaming on a residency
     /// miss); `stages` is the timing of the dispatched model on this
-    /// platform.
+    /// platform. Utterance `j` completes when its last frame, the
+    /// cumulative frame count through `j`, leaves the pipeline.
     fn execute(
         &mut self,
         index: usize,
@@ -76,15 +77,18 @@ impl VirtualDevice {
     ) -> BatchExecution {
         let start_us = dispatch_us.max(self.free_at_us);
         let compute_start_us = start_us + setup_us;
-        simulate_batch_into(stages, frame_counts, &mut self.scratch);
+        assert!(!frame_counts.is_empty(), "need at least one utterance");
         let period_us = Device::clock_period_us();
-        let complete_us: Vec<f64> = self
-            .scratch
-            .completion_cycles
+        let mut streamed = 0u64;
+        let complete_us: Vec<f64> = frame_counts
             .iter()
-            .map(|&c| compute_start_us + c as f64 * period_us)
+            .map(|&frames| {
+                assert!(frames > 0, "every utterance needs at least one frame");
+                streamed += frames;
+                compute_start_us + stages.stream_completion_cycles(streamed) as f64 * period_us
+            })
             .collect();
-        let makespan_us = self.scratch.makespan_cycles as f64 * period_us;
+        let makespan_us = stages.stream_completion_cycles(streamed) as f64 * period_us;
         self.free_at_us = compute_start_us + makespan_us;
         self.busy_us += setup_us + makespan_us;
         self.batches += 1;
@@ -201,6 +205,8 @@ impl DevicePool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ernn_fpga::sim::simulate_batch;
+    use proptest::prelude::*;
 
     fn stages() -> StageCycles {
         StageCycles {
@@ -289,5 +295,62 @@ mod tests {
         let a = pool.dispatch_to(0, 0.0, 0.0, fast_stages(), &[4]);
         let b = pool.dispatch_to(0, a.free_us, 0.0, stages(), &[4]);
         assert!((b.free_us - b.start_us) > (a.free_us - a.start_us));
+    }
+
+    /// `(complete_us, free_us, busy_us)` of one batch as the device clock
+    /// computed them from the event simulation, frame by frame.
+    fn simulated(
+        (free_at_us, busy_us): (f64, f64),
+        dispatch_us: f64,
+        setup_us: f64,
+        stages: StageCycles,
+        frame_counts: &[u64],
+    ) -> (Vec<f64>, f64, f64) {
+        let compute_start_us = dispatch_us.max(free_at_us) + setup_us;
+        let trace = simulate_batch(stages, frame_counts);
+        let period_us = Device::clock_period_us();
+        let complete_us = trace.completion_cycles.iter();
+        let complete_us = complete_us.map(|&c| compute_start_us + c as f64 * period_us);
+        let makespan_us = trace.makespan_cycles as f64 * period_us;
+        let free_us = compute_start_us + makespan_us;
+        (
+            complete_us.collect(),
+            free_us,
+            busy_us + (setup_us + makespan_us),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn closed_form_clock_is_the_event_sim_to_the_bit(
+            s1 in 1u64..300,
+            s2 in 1u64..300,
+            s3 in 1u64..300,
+            brownout in 1.0f64..3.0,
+            browned in any::<bool>(),
+            counts in proptest::collection::vec(1u64..40, 1..7),
+            dispatch in proptest::collection::vec(0.0f64..200.0, 3),
+            setup in proptest::collection::vec(0.0f64..50.0, 3),
+            cold in any::<bool>(),
+        ) {
+            let base = StageCycles { stage1: s1, stage2: s2, stage3: s3 };
+            let stages = if browned { base.scaled(brownout) } else { base };
+            let mut pool = DevicePool::new(1);
+            // Three batches back to back, so later ones queue behind the
+            // clock the earlier ones left.
+            for (i, (&at, &stall)) in dispatch.iter().zip(&setup).enumerate() {
+                let stall = if cold { stall } else { 0.0 };
+                let counts = &counts[..counts.len() - i.min(counts.len() - 1)];
+                let dev = &pool.devices()[0];
+                let before = (dev.free_at_us(), dev.busy_us());
+                let (complete, free, busy) = simulated(before, at, stall, stages, counts);
+                let exec = pool.dispatch_to(0, at, stall, stages, counts);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&exec.complete_us), bits(&complete));
+                prop_assert_eq!(exec.free_us.to_bits(), free.to_bits());
+                prop_assert_eq!(pool.devices()[0].busy_us().to_bits(), busy.to_bits());
+            }
+        }
     }
 }

@@ -1,9 +1,10 @@
 //! Host-side inference executors: *where* `forward_logits` runs.
 //!
 //! The serving runtime separates two clocks. The **virtual clock** decides
-//! when batches form and how long devices take (`DevicePool` +
-//! [`ernn_fpga::sim::simulate_batch`]) — it is pure arithmetic and fully
-//! deterministic. The **host clock** is the real CPU time spent computing
+//! when batches form and how long devices take (`DevicePool`, whose
+//! clocks read the closed form
+//! [`StageCycles::stream_completion_cycles`](ernn_fpga::StageCycles::stream_completion_cycles))
+//! — it is pure arithmetic and fully deterministic. The **host clock** is the real CPU time spent computing
 //! logits through the quantized datapath, which on a live deployment is
 //! the pre/post-processing work the host must overlap with device
 //! execution to keep every accelerator fed.

@@ -36,10 +36,12 @@
 //!   [`ServeMetrics`] reports p50/p95/p99 latency, throughput,
 //!   per-device occupancy and the batch-size histogram.
 //! * [`DevicePool`] — the N simulated accelerators batches land on;
-//!   each device advances a virtual clock with the cycle-accurate CGPipe
-//!   batch simulation ([`ernn_fpga::sim::simulate_batch`]) while outputs
-//!   come from the quantized datapath ([`ernn_fpga::exec`]), so batched
-//!   results are bit-identical to sequential execution.
+//!   each device advances a virtual clock by the closed-form CGPipe
+//!   stream timing
+//!   ([`StageCycles::stream_completion_cycles`](ernn_fpga::StageCycles::stream_completion_cycles), cycle-exact
+//!   against the batch simulation [`ernn_fpga::sim::simulate_batch`])
+//!   while outputs come from the quantized datapath ([`ernn_fpga::exec`]),
+//!   so batched results are bit-identical to sequential execution.
 //! * [`CompiledModel`] — model load with a once-per-load FFT'd-weight
 //!   cache: every block-circulant weight spectrum is computed exactly
 //!   once at compile time and only input-side FFTs run per request

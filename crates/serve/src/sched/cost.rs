@@ -9,8 +9,9 @@
 //! ([`Accelerator::new`] is pure arithmetic), then answers
 //! `estimate_batch_us` with the closed form
 //! [`StageCycles::stream_completion_cycles`], which is *exact* against
-//! the event-driven device simulation — so cost-model placement predicts
-//! precisely the makespan the device will report, and the only
+//! the event-driven batch simulation and is what the device clocks read
+//! — so cost-model placement predicts precisely the makespan the device
+//! will report, and the only
 //! approximation left in admission control is the queue-backlog term.
 
 use super::registry::ModelRegistry;

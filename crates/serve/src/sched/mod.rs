@@ -22,8 +22,8 @@
 //! * [`CostModel`] — per-(device, model) [`StageCycles`] derived once per
 //!   run (the [`StageCycles::xcku060`]/[`StageCycles::virtex7_690t`]
 //!   presets name the paper's platforms), answering
-//!   [`CostModel::estimate_batch_us`] with a closed form that is exact
-//!   against the device simulation.
+//!   [`CostModel::estimate_batch_us`] with the closed form the device
+//!   clocks read, exact against the batch simulation.
 //! * [`SchedQueue`] — EDF (or FIFO) ordering with per-model batch
 //!   formation, gated by a [`PaddingModel`] that closes a batch when
 //!   mixing unequal utterance lengths stops paying.
