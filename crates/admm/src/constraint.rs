@@ -1,33 +1,14 @@
-//! Constraint sets and their Euclidean projections.
+//! The block-circulant constraint set and its Euclidean projection.
 //!
 //! ADMM's second subproblem is `min_Z g(Z) + (ρ/2)‖Z − (W + U)‖²` where `g`
 //! encodes membership of a constraint set; its solution is the Euclidean
 //! projection of `W + U` onto the set. The paper proves the diagonal
-//! averaging of Eqn. 6 is optimal for block-circulant structure and notes
-//! that quantization fits the same template ("For special types of
-//! combinatorial constraints, including structured matrices, quantization,
-//! etc., the second subproblem can be optimally and analytically solved").
+//! averaging of Eqn. 6 is optimal for block-circulant structure. It also
+//! notes that quantization fits the same template; this repository does
+//! not reproduce that remark (word lengths are chosen after training, by
+//! Phase II).
 
 use ernn_linalg::{BlockCirculantMatrix, Matrix};
-
-/// A combinatorial constraint set with an analytic Euclidean projection.
-pub trait Constraint: std::fmt::Debug {
-    /// The Euclidean projection `Π(m)` onto the constraint set.
-    fn project(&self, m: &Matrix) -> Matrix;
-
-    /// Projects a *gradient* onto the constraint set's tangent space, when
-    /// the set is a linear subspace (block-circulant matrices are one).
-    /// Updating with projected gradients keeps weights exactly on the
-    /// manifold — the "retrain" phase of the paper's Fig. 6. Returns
-    /// `None` for non-subspace sets (e.g. quantization).
-    fn project_gradient(&self, g: &Matrix) -> Option<Matrix> {
-        let _ = g;
-        None
-    }
-
-    /// Human-readable description for reports.
-    fn describe(&self) -> String;
-}
 
 /// Block-circulant structure with a fixed block size (paper Eqn. 6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,66 +30,17 @@ impl CirculantConstraint {
         );
         CirculantConstraint { block_size }
     }
-}
 
-impl Constraint for CirculantConstraint {
-    fn project(&self, m: &Matrix) -> Matrix {
+    /// The Euclidean projection `Π(m)` onto the block-circulant matrices
+    /// (the identity at block size 1). They form a linear subspace, so the
+    /// same diagonal averaging also projects a *gradient* onto it:
+    /// updating with projected gradients keeps weights exactly on the
+    /// manifold — the "retrain" phase of the paper's Fig. 6.
+    pub fn project(&self, m: &Matrix) -> Matrix {
         if self.block_size <= 1 {
             return m.clone();
         }
         BlockCirculantMatrix::project_dense(m, self.block_size).to_dense()
-    }
-
-    fn project_gradient(&self, g: &Matrix) -> Option<Matrix> {
-        // The block-circulant matrices form a linear subspace, and the
-        // orthogonal projection onto a subspace is the same diagonal
-        // averaging as the point projection.
-        Some(self.project(g))
-    }
-
-    fn describe(&self) -> String {
-        format!("block-circulant L_b={}", self.block_size)
-    }
-}
-
-/// Uniform symmetric quantization to `2^(bits−1) − 1` levels of step
-/// `step` — the alternative constraint set the paper mentions. Projection
-/// is round-to-nearest-level, which is the exact Euclidean minimizer.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QuantizeConstraint {
-    /// Word length in bits (including sign).
-    pub bits: u8,
-    /// Quantization step between adjacent levels.
-    pub step: f32,
-}
-
-impl QuantizeConstraint {
-    /// Creates the constraint.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits < 2` or `step` is not positive.
-    pub fn new(bits: u8, step: f32) -> Self {
-        assert!(bits >= 2, "need at least a sign and one magnitude bit");
-        assert!(step > 0.0, "step must be positive");
-        QuantizeConstraint { bits, step }
-    }
-}
-
-impl Constraint for QuantizeConstraint {
-    fn project(&self, m: &Matrix) -> Matrix {
-        let max_level = (1i64 << (self.bits - 1)) - 1;
-        let mut out = m.clone();
-        for v in out.as_mut_slice() {
-            let level = (*v / self.step).round() as i64;
-            let level = level.clamp(-max_level, max_level);
-            *v = level as f32 * self.step;
-        }
-        out
-    }
-
-    fn describe(&self) -> String {
-        format!("quantized {}b step {}", self.bits, self.step)
     }
 }
 
@@ -155,27 +87,6 @@ mod tests {
         let m = Matrix::xavier(5, 7, &mut rng);
         let c = CirculantConstraint::new(1);
         assert_eq!(c.project(&m), m);
-    }
-
-    #[test]
-    fn quantize_projection_rounds_and_saturates() {
-        let q = QuantizeConstraint::new(4, 0.25); // levels ±7 · 0.25
-        let m = Matrix::from_rows(&[&[0.3, -0.12, 10.0]]);
-        let p = q.project(&m);
-        assert_eq!(p.row(0), &[0.25, 0.0, 1.75]);
-    }
-
-    #[test]
-    fn quantize_projection_is_idempotent() {
-        let q = QuantizeConstraint::new(8, 0.01);
-        let m = Matrix::from_rows(&[&[0.123, -0.456]]);
-        assert_eq!(q.project(&q.project(&m)), q.project(&m));
-    }
-
-    #[test]
-    fn descriptions_are_informative() {
-        assert!(CirculantConstraint::new(8).describe().contains('8'));
-        assert!(QuantizeConstraint::new(12, 0.001).describe().contains("12"));
     }
 
     #[test]

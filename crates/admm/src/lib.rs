@@ -9,9 +9,9 @@
 //!    SGD; the quadratic term enters as an extra gradient `ρ(W − Z + U)`.
 //! 2. **Subproblem 2** — `Z ← Π(W + U)`, the Euclidean projection onto the
 //!    constraint set. For block-circulant structure the optimal projection
-//!    is the diagonal averaging of Eqn. 6 (implemented in `ernn-linalg`);
-//!    quantization is supported as an alternative constraint set, which the
-//!    paper notes ADMM handles in the same framework.
+//!    is the diagonal averaging of Eqn. 6 (implemented in `ernn-linalg`).
+//!    The paper notes ADMM handles quantization sets in the same framework;
+//!    this repository does not reproduce that remark.
 //! 3. **Dual update** — `U ← U + W − Z`.
 //!
 //! On convergence `W ≈ Z` and [`AdmmTrainer::finalize`] snaps the weights
@@ -27,7 +27,7 @@ mod constraint;
 pub mod recipe;
 mod trainer;
 
-pub use constraint::{CirculantConstraint, Constraint, QuantizeConstraint};
+pub use constraint::CirculantConstraint;
 pub use recipe::Recipe;
 pub use trainer::{
     circulant_constraints, project_weights, train_projected, AdmmConfig, AdmmIterStats, AdmmReport,

@@ -90,7 +90,6 @@ impl Recipe {
         let opts = TrainOptions {
             epochs: self.pretrain_epochs,
             lr_decay: PRETRAIN_LR_DECAY,
-            shuffle: true,
         };
         train(
             &mut net,
@@ -145,7 +144,7 @@ impl Default for Recipe {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::constraint::{CirculantConstraint, Constraint};
+    use crate::constraint::CirculantConstraint;
     use ernn_model::CellType;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -204,10 +203,7 @@ mod tests {
             let constraints = by_hand
                 .weight_matrices()
                 .into_iter()
-                .map(|(layer, role, _)| {
-                    let block = policies[layer].for_role(role);
-                    Box::new(CirculantConstraint::new(block)) as Box<dyn Constraint>
-                })
+                .map(|(layer, role, _)| CirculantConstraint::new(policies[layer].for_role(role)))
                 .collect();
             let mut trainer = AdmmTrainer::with_constraints(&by_hand, constraints, recipe.admm);
             let mut opt = Sgd::new(0.02).momentum(0.9).clip_norm(2.0);

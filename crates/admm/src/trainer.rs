@@ -1,9 +1,9 @@
 //! The ADMM training loop over a stacked RNN (paper Fig. 6).
 
-use crate::constraint::{CirculantConstraint, Constraint};
+use crate::constraint::CirculantConstraint;
 use ernn_linalg::Matrix;
 use ernn_model::trainer::{train_with_hook, EpochStats, Sequence, TrainOptions};
-use ernn_model::{BlockPolicy, Optimizer, RnnNetwork};
+use ernn_model::{BlockPolicy, RnnNetwork, Sgd};
 use rand::Rng;
 
 /// Hyperparameters of the ADMM loop.
@@ -65,7 +65,7 @@ impl AdmmReport {
 }
 
 /// Trains the compressible weight matrices of a network onto per-matrix
-/// constraint sets with ADMM.
+/// block-circulant constraint sets with ADMM.
 ///
 /// ```no_run
 /// use ernn_admm::{AdmmConfig, AdmmTrainer};
@@ -86,7 +86,7 @@ pub struct AdmmTrainer {
     config: AdmmConfig,
     /// One constraint per compressible weight matrix (aligned with
     /// `RnnNetwork::weight_matrices`).
-    constraints: Vec<Box<dyn Constraint>>,
+    constraints: Vec<CirculantConstraint>,
     /// Structured copies `Z`.
     z: Vec<Matrix>,
     /// Scaled duals `U`.
@@ -103,7 +103,7 @@ pub struct AdmmTrainer {
 pub fn circulant_constraints(
     net: &RnnNetwork<Matrix>,
     policies: &[BlockPolicy],
-) -> Vec<Box<dyn Constraint>> {
+) -> Vec<CirculantConstraint> {
     assert_eq!(
         policies.len(),
         net.num_layers(),
@@ -111,34 +111,30 @@ pub fn circulant_constraints(
     );
     net.weight_matrices()
         .into_iter()
-        .map(|(layer, role, _)| {
-            let block = policies[layer].for_role(role).max(1);
-            Box::new(CirculantConstraint::new(block)) as Box<dyn Constraint>
-        })
+        .map(|(layer, role, _)| CirculantConstraint::new(policies[layer].for_role(role).max(1)))
         .collect()
 }
 
 /// Snaps every compressible weight matrix onto its constraint set
 /// (`W ← Π(W)`).
-pub fn project_weights(net: &mut RnnNetwork<Matrix>, constraints: &[Box<dyn Constraint>]) {
+pub fn project_weights(net: &mut RnnNetwork<Matrix>, constraints: &[CirculantConstraint]) {
     for (w, c) in net.weight_matrices_mut().into_iter().zip(constraints) {
         *w = c.project(w);
     }
 }
 
-/// Trains with every gradient projected onto its constraint's tangent
+/// Trains with every weight gradient projected onto its constraint's
 /// subspace, so weights that start on the constraint sets stay on them —
 /// the "retrain" phase of Fig. 6, and all of C-LSTM-style direct
-/// training. Constraints without a subspace structure keep their raw
-/// gradient; the weights are re-projected after training either way
-/// (momentum state may have drifted).
+/// training. The weights are re-projected after training (momentum state
+/// may have drifted).
 pub fn train_projected(
     net: &mut RnnNetwork<Matrix>,
     data: &[Sequence],
     opts: TrainOptions,
-    optimizer: &mut dyn Optimizer,
+    optimizer: &mut Sgd,
     rng: &mut impl Rng,
-    constraints: &[Box<dyn Constraint>],
+    constraints: &[CirculantConstraint],
 ) -> Vec<EpochStats> {
     let stats = train_with_hook(
         net,
@@ -148,9 +144,7 @@ pub fn train_projected(
         rng,
         |_net: &RnnNetwork<Matrix>, grads: &mut RnnNetwork<Matrix>| {
             for (gw, c) in grads.weight_matrices_mut().into_iter().zip(constraints) {
-                if let Some(projected) = c.project_gradient(gw) {
-                    *gw = projected;
-                }
+                *gw = c.project(gw);
             }
         },
     );
@@ -181,8 +175,8 @@ impl AdmmTrainer {
         Self::with_constraints(net, circulant_constraints(net, policies), config)
     }
 
-    /// Builds a trainer with explicit per-matrix constraints (advanced use,
-    /// e.g. mixing circulant and quantization sets).
+    /// Builds a trainer with explicit per-matrix constraints, aligned with
+    /// `RnnNetwork::weight_matrices`.
     ///
     /// # Panics
     ///
@@ -190,7 +184,7 @@ impl AdmmTrainer {
     /// compressible-matrix count.
     pub fn with_constraints(
         net: &RnnNetwork<Matrix>,
-        constraints: Vec<Box<dyn Constraint>>,
+        constraints: Vec<CirculantConstraint>,
         config: AdmmConfig,
     ) -> Self {
         let mats = net.weight_matrices();
@@ -237,7 +231,7 @@ impl AdmmTrainer {
         &mut self,
         net: &mut RnnNetwork<Matrix>,
         data: &[Sequence],
-        optimizer: &mut dyn Optimizer,
+        optimizer: &mut Sgd,
         rng: &mut impl Rng,
     ) -> AdmmReport {
         let mut report = AdmmReport::default();
@@ -252,7 +246,6 @@ impl AdmmTrainer {
                 TrainOptions {
                     epochs: self.config.epochs_per_iter,
                     lr_decay: 1.0,
-                    shuffle: true,
                 },
                 optimizer,
                 rng,
@@ -308,8 +301,8 @@ impl AdmmTrainer {
         &mut self,
         net: &mut RnnNetwork<Matrix>,
         data: &[Sequence],
-        optimizer: &mut dyn Optimizer,
-        retrain_opt: &mut dyn Optimizer,
+        optimizer: &mut Sgd,
+        retrain_opt: &mut Sgd,
         rng: &mut impl Rng,
     ) -> AdmmReport {
         let report = self.run(net, data, optimizer, rng);
@@ -327,7 +320,7 @@ impl AdmmTrainer {
         net: &mut RnnNetwork<Matrix>,
         data: &[Sequence],
         epochs: usize,
-        optimizer: &mut dyn Optimizer,
+        optimizer: &mut Sgd,
         rng: &mut impl Rng,
     ) {
         if epochs == 0 {
@@ -336,7 +329,6 @@ impl AdmmTrainer {
         let opts = TrainOptions {
             epochs,
             lr_decay: 1.0,
-            shuffle: true,
         };
         train_projected(net, data, opts, optimizer, rng, &self.constraints);
     }
@@ -346,11 +338,6 @@ impl AdmmTrainer {
     /// after [`Self::run`].
     pub fn finalize(&self, net: &mut RnnNetwork<Matrix>) {
         project_weights(net, &self.constraints);
-    }
-
-    /// Descriptions of the per-matrix constraints (for reports).
-    pub fn constraint_descriptions(&self) -> Vec<String> {
-        self.constraints.iter().map(|c| c.describe()).collect()
     }
 }
 
@@ -481,7 +468,6 @@ mod tests {
             TrainOptions {
                 epochs: 8,
                 lr_decay: 0.9,
-                ..TrainOptions::default()
             },
             &mut opt,
             &mut rng,
@@ -526,19 +512,6 @@ mod tests {
     }
 
     #[test]
-    fn constraint_descriptions_cover_all_matrices() {
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(40);
-        let net = NetworkBuilder::new(CellType::Lstm, 2, 2)
-            .layer_dims(&[8, 8])
-            .build(&mut rng);
-        let trainer = AdmmTrainer::new(&net, BlockPolicy::uniform(4), AdmmConfig::default());
-        assert_eq!(
-            trainer.constraint_descriptions().len(),
-            net.weight_matrices().len()
-        );
-    }
-
-    #[test]
     fn one_policy_is_that_policy_on_every_layer() {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(45);
         let policy = BlockPolicy::with_io_block(4, 8);
@@ -551,10 +524,8 @@ mod tests {
                 AdmmTrainer::with_layer_policies(&net, &[policy; 3], AdmmConfig::default());
             assert_eq!(one.z, per_layer.z, "{cell}");
             assert_eq!(one.u, per_layer.u, "{cell}");
-            assert_eq!(
-                one.constraint_descriptions(),
-                per_layer.constraint_descriptions()
-            );
+            assert_eq!(one.constraints, per_layer.constraints, "{cell}");
+            assert_eq!(one.constraints.len(), net.weight_matrices().len());
             // And it is the role's block size: Z = Π_role(W), U = 0.
             for (((_, role, w), z), u) in net.weight_matrices().iter().zip(&one.z).zip(&one.u) {
                 let c = CirculantConstraint::new(policy.for_role(*role));

@@ -20,7 +20,7 @@
 use ernn_admm::{circulant_constraints, project_weights, train_projected};
 use ernn_linalg::Matrix;
 use ernn_model::trainer::{EpochStats, Sequence, TrainOptions};
-use ernn_model::{BlockPolicy, Optimizer, RnnNetwork};
+use ernn_model::{BlockPolicy, RnnNetwork, Sgd};
 
 /// Trains a network in the block-circulant parameterization, C-LSTM style:
 /// hard-project the initial weights, then keep every update on the
@@ -34,7 +34,7 @@ pub fn train_circulant_direct(
     policy: BlockPolicy,
     data: &[Sequence],
     opts: TrainOptions,
-    optimizer: &mut dyn Optimizer,
+    optimizer: &mut Sgd,
     rng: &mut impl rand::Rng,
 ) -> Vec<EpochStats> {
     let constraints = circulant_constraints(net, &vec![policy; net.num_layers()]);
@@ -47,8 +47,8 @@ pub fn train_circulant_direct(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ernn_admm::{AdmmConfig, AdmmTrainer, CirculantConstraint, Constraint};
-    use ernn_model::{compress_network, CellType, NetworkBuilder, Sgd};
+    use ernn_admm::{AdmmConfig, AdmmTrainer, CirculantConstraint};
+    use ernn_model::{compress_network, CellType, NetworkBuilder};
     use rand::SeedableRng;
 
     fn toy_data(n_seqs: usize, seq_len: usize, seed: u64) -> Vec<Sequence> {
@@ -124,7 +124,6 @@ mod tests {
             TrainOptions {
                 epochs: 8,
                 lr_decay: 0.9,
-                ..TrainOptions::default()
             },
             &mut opt,
             &mut rng,
@@ -152,7 +151,6 @@ mod tests {
             TrainOptions {
                 epochs: 6,
                 lr_decay: 0.9,
-                ..TrainOptions::default()
             },
             &mut opt,
             &mut rng,
@@ -168,7 +166,6 @@ mod tests {
             TrainOptions {
                 epochs: 10,
                 lr_decay: 0.95,
-                ..TrainOptions::default()
             },
             &mut opt_d,
             &mut rng,

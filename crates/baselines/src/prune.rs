@@ -9,7 +9,7 @@
 use crate::sparse::CsrMatrix;
 use ernn_linalg::Matrix;
 use ernn_model::trainer::{train_with_hook, Sequence, TrainOptions};
-use ernn_model::{Optimizer, RnnNetwork};
+use ernn_model::{RnnNetwork, Sgd};
 use rand::Rng;
 
 /// Compression accounting for a pruned network.
@@ -48,7 +48,7 @@ impl PrunedNetwork {
         &mut self,
         data: &[Sequence],
         epochs: usize,
-        optimizer: &mut dyn Optimizer,
+        optimizer: &mut Sgd,
         rng: &mut impl Rng,
     ) {
         if epochs == 0 {
@@ -61,7 +61,6 @@ impl PrunedNetwork {
             TrainOptions {
                 epochs,
                 lr_decay: 1.0,
-                shuffle: true,
             },
             optimizer,
             rng,
@@ -138,7 +137,7 @@ pub fn magnitude_prune(net: &RnnNetwork<Matrix>, sparsity: f64) -> PrunedNetwork
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ernn_model::{CellType, NetworkBuilder, Sgd};
+    use ernn_model::{CellType, NetworkBuilder};
     use rand::SeedableRng;
 
     fn toy_net() -> RnnNetwork<Matrix> {

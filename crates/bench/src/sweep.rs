@@ -51,11 +51,6 @@ impl SweepArgs {
         }
     }
 
-    /// Whether `--trace-out` was given, i.e. [`Self::export`] will write.
-    pub fn exports(&self) -> bool {
-        self.trace_out.is_some()
-    }
-
     /// Writes the `BENCH_*.json` document to the `--json` path, if one
     /// was given. `doc` opens with [`JsonObject::bench_header`].
     pub fn write_bench(&self, doc: JsonObject) {

@@ -300,36 +300,6 @@ impl FaultTimeline {
             .any(|c| t >= c.start_us && t < c.end_us)
     }
 
-    /// Whether device `d` is down at `t` and never recovers (an
-    /// infinite crash).
-    pub fn is_down_forever(&self, d: usize, t: f64) -> bool {
-        self.crashes[d]
-            .iter()
-            .any(|c| t >= c.start_us && c.end_us == f64::INFINITY)
-    }
-
-    /// The earliest time `>= t` at which device `d` is up, pushing `t`
-    /// past every covering down interval; `INFINITY` if the device is
-    /// inside a permanent crash.
-    pub fn next_up(&self, d: usize, t: f64) -> f64 {
-        let mut t = t;
-        // Down intervals may chain (a crash during another's recovery
-        // window), so iterate to a fixed point; each pass either leaves
-        // `t` unchanged or advances it past one interval's end.
-        loop {
-            let mut moved = false;
-            for c in &self.crashes[d] {
-                if t >= c.start_us && t < c.end_us {
-                    t = c.end_us;
-                    moved = true;
-                }
-            }
-            if !moved {
-                return t;
-            }
-        }
-    }
-
     /// The stage-cycle stretch factor in force on device `d` at time
     /// `t`: the multiplier of the first active brownout, or `1.0` when
     /// the device is healthy.
@@ -537,8 +507,6 @@ mod tests {
         assert!(tl.is_down(0, 149.9));
         assert!(!tl.is_down(0, 150.0));
         assert!(!tl.is_down(1, 120.0));
-        assert_eq!(tl.next_up(0, 120.0), 150.0);
-        assert_eq!(tl.next_up(0, 99.0), 99.0);
         assert_eq!(tl.devices_up(120.0), 1);
         assert_eq!(tl.devices_up(200.0), 2);
     }
@@ -546,8 +514,7 @@ mod tests {
     #[test]
     fn permanent_crashes_never_recover() {
         let mut tl = FaultPlan::new(vec![crash(10.0, 0, f64::INFINITY)]).timeline(1);
-        assert!(tl.is_down_forever(0, 10.0));
-        assert_eq!(tl.next_up(0, 10.0), f64::INFINITY);
+        assert!(tl.is_down(0, 10.0) && tl.is_down(0, f64::MAX));
         assert_eq!(tl.pop_crash_through(20.0), Some((0, 10.0, f64::INFINITY)));
         // An infinite crash's recovery never arrives.
         assert_eq!(tl.pop_recovery_through(f64::MAX), None);

@@ -293,13 +293,6 @@ impl BlockCirculantMatrix {
         self.refresh_spectra();
     }
 
-    /// Applies `f` to the defining vectors in place (e.g. an SGD step in
-    /// C-LSTM-style training) and refreshes the cached spectra.
-    pub fn update_blocks(&mut self, f: impl FnOnce(&mut [f32])) {
-        f(&mut self.blocks);
-        self.refresh_spectra();
-    }
-
     /// Lifetime count of weight-spectrum recomputations (see the field
     /// docs); serving-layer tests use this to prove the FFT'd-weight cache
     /// is hit rather than rebuilt per request.
@@ -1180,7 +1173,8 @@ mod tests {
     fn update_blocks_refreshes_spectra() {
         let (mut bc, mut rng) = random_bc(8, 8, 4, 37);
         let x: Vec<f32> = (0..8).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        bc.update_blocks(|b| b.iter_mut().for_each(|v| *v *= 2.0));
+        let doubled: Vec<f32> = bc.blocks().iter().map(|v| v * 2.0).collect();
+        bc.set_blocks(&doubled);
         let got = bc.matvec(&x);
         let expected = bc.matvec_direct(&x);
         for (a, b) in got.iter().zip(expected.iter()) {

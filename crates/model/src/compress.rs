@@ -59,20 +59,6 @@ impl BlockPolicy {
             WeightRole::Output => self.output,
         }
     }
-
-    /// The number of distinct block sizes used (the paper's control logic
-    /// supports at most 2).
-    pub fn distinct_sizes(&self) -> usize {
-        let mut v = [self.recurrent, self.input, self.output];
-        v.sort_unstable();
-        let mut n = 1;
-        for w in v.windows(2) {
-            if w[0] != w[1] {
-                n += 1;
-            }
-        }
-        n
-    }
 }
 
 fn compress_matrix(m: &Matrix, block: usize) -> WeightMatrix {
@@ -163,7 +149,6 @@ mod tests {
     fn io_policy_gives_larger_input_blocks() {
         let net = dense_net(CellType::Gru);
         let policy = BlockPolicy::with_io_block(4, 8);
-        assert_eq!(policy.distinct_sizes(), 2);
         let compressed = compress_network(&net, policy);
         if let RnnLayer::Gru(g) = &compressed.layers()[0] {
             assert_eq!(g.wzr_x.block_size(), 8);

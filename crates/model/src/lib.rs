@@ -86,7 +86,7 @@ pub use layer::RnnLayer;
 pub use loss::softmax_cross_entropy;
 pub use lstm::{LstmConfig, LstmLayer, ParamCount};
 pub use network::{CellType, NetworkBuilder, RnnNetwork, WeightRole};
-pub use optim::{Adam, Optimizer, Sgd};
+pub use optim::Sgd;
 pub use seq::{ExecScratch, LayerTape, NetworkState};
 pub use spec::ModelSpec;
 

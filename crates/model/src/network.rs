@@ -366,7 +366,7 @@ impl RnnNetwork<Matrix> {
     /// bias_c` — then `classifier_w`, `classifier_b`. On a gradient
     /// network ([`Self::zero_grads`]) the same positions hold `∂L/∂θ`, so
     /// this and [`Self::param_slices_mut`] are what an
-    /// [`Optimizer`](crate::Optimizer) steps, pair by pair.
+    /// [`Sgd`](crate::Sgd) steps, pair by pair.
     pub fn param_slices(&self) -> Vec<&[f32]> {
         let tensors = self.layers.iter().flat_map(RnnLayer::tensors);
         let mut out: Vec<&[f32]> = tensors

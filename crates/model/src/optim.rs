@@ -1,39 +1,16 @@
-//! Gradient-descent optimizers.
+//! The gradient-descent optimizer.
 //!
 //! The ADMM first subproblem "can be solved by stochastic gradient descent
 //! and the complexity is the same as training the original RNN"
-//! (Sec. III-B); the paper also notes compatibility with "recent progress
-//! in stochastic gradient descent (e.g., ADAM)". Both are provided.
+//! (Sec. III-B). Every training phase here runs [`Sgd`]; the paper's
+//! remark that ADAM also fits is not reproduced.
 //!
 //! Gradients are an `RnnNetwork<Matrix>` shaped like the parameters
 //! ([`crate::RnnNetwork::zero_grads`]), and each cell lists its tensors
-//! once, so optimizers operate on the flattened parameter/gradient slice
-//! pairs [`crate::RnnNetwork::param_slices_mut`] /
+//! once, so the optimizer operates on the flattened parameter/gradient
+//! slice pairs [`crate::RnnNetwork::param_slices_mut`] /
 //! [`crate::RnnNetwork::param_slices`] yield from that one list, in one
-//! order, keeping their own state in a single flat buffer.
-
-/// A first-order optimizer over flat parameter slices.
-pub trait Optimizer {
-    /// Applies one update step.
-    ///
-    /// `params[i]` and `grads[i]` must have identical lengths and identical
-    /// ordering across calls (state is kept positionally).
-    ///
-    /// # Panics
-    ///
-    /// Implementations panic on shape mismatches.
-    fn step(&mut self, params: &mut [&mut [f32]], grads: &[&[f32]]);
-
-    /// Current learning rate.
-    fn learning_rate(&self) -> f32;
-
-    /// Overrides the learning rate (learning-rate schedules).
-    fn set_learning_rate(&mut self, lr: f32);
-}
-
-fn total_len(grads: &[&[f32]]) -> usize {
-    grads.iter().map(|g| g.len()).sum()
-}
+//! order, keeping its momentum in a single flat buffer.
 
 fn global_norm(grads: &[&[f32]]) -> f32 {
     grads
@@ -47,7 +24,7 @@ fn global_norm(grads: &[&[f32]]) -> f32 {
 /// SGD with classical momentum and global-norm gradient clipping.
 ///
 /// ```
-/// use ernn_model::{Optimizer, Sgd};
+/// use ernn_model::Sgd;
 /// let mut opt = Sgd::new(0.1).momentum(0.9).clip_norm(5.0);
 /// let mut w = vec![1.0f32, -1.0];
 /// let g = vec![0.5f32, -0.5];
@@ -87,12 +64,18 @@ impl Sgd {
         self.clip = Some(limit);
         self
     }
-}
 
-impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut [&mut [f32]], grads: &[&[f32]]) {
+    /// Applies one update step.
+    ///
+    /// `params[i]` and `grads[i]` must have identical lengths and identical
+    /// ordering across calls (the momentum is kept positionally).
+    ///
+    /// # Panics
+    ///
+    /// Panics on shape mismatches.
+    pub fn step(&mut self, params: &mut [&mut [f32]], grads: &[&[f32]]) {
         assert_eq!(params.len(), grads.len(), "param/grad group mismatch");
-        let n = total_len(grads);
+        let n = grads.iter().map(|g| g.len()).sum();
         if self.velocity.len() != n {
             self.velocity = vec![0.0; n];
         }
@@ -119,98 +102,13 @@ impl Optimizer for Sgd {
         }
     }
 
-    fn learning_rate(&self) -> f32 {
+    /// Current learning rate.
+    pub fn learning_rate(&self) -> f32 {
         self.lr
     }
 
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-}
-
-/// Adam (Kingma & Ba) with bias correction and optional global-norm
-/// clipping.
-#[derive(Debug, Clone)]
-pub struct Adam {
-    lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
-    clip: Option<f32>,
-    t: u64,
-    m: Vec<f32>,
-    v: Vec<f32>,
-}
-
-impl Adam {
-    /// Adam with standard hyperparameters (β₁ = 0.9, β₂ = 0.999, ε = 1e-8).
-    pub fn new(lr: f32) -> Self {
-        assert!(lr > 0.0, "learning rate must be positive");
-        Adam {
-            lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            clip: None,
-            t: 0,
-            m: Vec::new(),
-            v: Vec::new(),
-        }
-    }
-
-    /// Enables global-norm gradient clipping.
-    pub fn clip_norm(mut self, limit: f32) -> Self {
-        assert!(limit > 0.0, "clip limit must be positive");
-        self.clip = Some(limit);
-        self
-    }
-}
-
-impl Optimizer for Adam {
-    fn step(&mut self, params: &mut [&mut [f32]], grads: &[&[f32]]) {
-        assert_eq!(params.len(), grads.len(), "param/grad group mismatch");
-        let n = total_len(grads);
-        if self.m.len() != n {
-            self.m = vec![0.0; n];
-            self.v = vec![0.0; n];
-            self.t = 0;
-        }
-        self.t += 1;
-        let scale = match self.clip {
-            Some(limit) => {
-                let norm = global_norm(grads);
-                if norm > limit {
-                    limit / norm
-                } else {
-                    1.0
-                }
-            }
-            None => 1.0,
-        };
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        let mut off = 0usize;
-        for (p, g) in params.iter_mut().zip(grads.iter()) {
-            assert_eq!(p.len(), g.len(), "param/grad length mismatch");
-            for (k, (pv, gv)) in p.iter_mut().zip(g.iter()).enumerate() {
-                let gv = scale * gv;
-                let m = &mut self.m[off + k];
-                let v = &mut self.v[off + k];
-                *m = self.beta1 * *m + (1.0 - self.beta1) * gv;
-                *v = self.beta2 * *v + (1.0 - self.beta2) * gv * gv;
-                let m_hat = *m / bc1;
-                let v_hat = *v / bc2;
-                *pv -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
-            }
-            off += p.len();
-        }
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
+    /// Overrides the learning rate (learning-rate schedules).
+    pub fn set_learning_rate(&mut self, lr: f32) {
         self.lr = lr;
     }
 }
@@ -220,7 +118,7 @@ mod tests {
     use super::*;
 
     /// Minimizes f(w) = 0.5‖w − target‖² with gradient w − target.
-    fn run_to_convergence(opt: &mut dyn Optimizer, steps: usize) -> Vec<f32> {
+    fn run_to_convergence(opt: &mut Sgd, steps: usize) -> Vec<f32> {
         let target = [3.0f32, -2.0, 0.5];
         let mut w = vec![0.0f32; 3];
         for _ in 0..steps {
@@ -242,13 +140,6 @@ mod tests {
         let mut opt = Sgd::new(0.05).momentum(0.9);
         let w = run_to_convergence(&mut opt, 300);
         assert!((w[1] + 2.0).abs() < 1e-2, "{w:?}");
-    }
-
-    #[test]
-    fn adam_converges_on_quadratic() {
-        let mut opt = Adam::new(0.1);
-        let w = run_to_convergence(&mut opt, 500);
-        assert!((w[2] - 0.5).abs() < 1e-2, "{w:?}");
     }
 
     #[test]
@@ -277,7 +168,7 @@ mod tests {
 
     #[test]
     fn learning_rate_is_adjustable() {
-        let mut opt = Adam::new(0.1);
+        let mut opt = Sgd::new(0.1);
         opt.set_learning_rate(0.01);
         assert_eq!(opt.learning_rate(), 0.01);
     }

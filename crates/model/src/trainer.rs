@@ -7,7 +7,7 @@
 //! seam.
 
 use crate::network::RnnNetwork;
-use crate::optim::Optimizer;
+use crate::optim::Sgd;
 use ernn_linalg::Matrix;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -15,15 +15,14 @@ use rand::Rng;
 /// A labelled training sequence: frames and framewise targets.
 pub type Sequence = (Vec<Vec<f32>>, Vec<usize>);
 
-/// Options for the sequence-training loop.
+/// Options for the sequence-training loop. The sequence order is
+/// reshuffled from the caller's rng at the start of every epoch.
 #[derive(Debug, Clone, Copy)]
 pub struct TrainOptions {
     /// Number of passes over the data set.
     pub epochs: usize,
     /// Multiplicative learning-rate decay applied after each epoch.
     pub lr_decay: f32,
-    /// Whether to shuffle the sequence order each epoch.
-    pub shuffle: bool,
 }
 
 impl Default for TrainOptions {
@@ -31,7 +30,6 @@ impl Default for TrainOptions {
         TrainOptions {
             epochs: 5,
             lr_decay: 1.0,
-            shuffle: true,
         }
     }
 }
@@ -59,7 +57,7 @@ pub fn train_with_hook(
     net: &mut RnnNetwork<Matrix>,
     data: &[Sequence],
     opts: TrainOptions,
-    optimizer: &mut dyn Optimizer,
+    optimizer: &mut Sgd,
     rng: &mut impl Rng,
     mut hook: impl FnMut(&RnnNetwork<Matrix>, &mut RnnNetwork<Matrix>),
 ) -> Vec<EpochStats> {
@@ -68,9 +66,7 @@ pub fn train_with_hook(
     let mut grads = net.zero_grads();
     let mut history = Vec::with_capacity(opts.epochs);
     for _ in 0..opts.epochs {
-        if opts.shuffle {
-            order.shuffle(rng);
-        }
+        order.shuffle(rng);
         let mut loss_sum = 0.0f64;
         let mut frames_sum = 0usize;
         for &idx in &order {
@@ -108,7 +104,7 @@ pub fn train(
     net: &mut RnnNetwork<Matrix>,
     data: &[Sequence],
     opts: TrainOptions,
-    optimizer: &mut dyn Optimizer,
+    optimizer: &mut Sgd,
     rng: &mut impl Rng,
 ) -> Vec<EpochStats> {
     train_with_hook(net, data, opts, optimizer, rng, |_, _| {})
@@ -174,7 +170,6 @@ mod tests {
                 TrainOptions {
                     epochs: 10,
                     lr_decay: 0.85,
-                    ..TrainOptions::default()
                 },
                 &mut opt,
                 &mut rng,

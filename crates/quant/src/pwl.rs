@@ -84,12 +84,6 @@ impl PiecewiseLinear {
         self.segments.len()
     }
 
-    /// The approximated domain.
-    #[inline]
-    pub fn domain(&self) -> (f32, f32) {
-        (self.lo, self.hi)
-    }
-
     /// Table index of the segment containing `x`: `(x − lo) / width`
     /// truncated, saturated into `0..segments` (NaN reads segment 0), with
     /// no float-to-int cast — those saturate in Rust and do not vectorise

@@ -188,8 +188,8 @@ pub enum Steering {
     /// queue delay break ties. Steers traffic away from hot shards.
     #[default]
     LoadFeedback,
-    /// Seeded-hash uniform choice among live replicas — the
-    /// feedback-blind baseline.
+    /// Hash-uniform choice among live replicas (a hash of the request
+    /// id) — the feedback-blind baseline.
     Random,
 }
 
@@ -203,7 +203,8 @@ pub enum Steering {
 #[non_exhaustive]
 pub struct ClusterConfig {
     /// Replica shards per model (capped at the shard count); 2 by
-    /// default so every model survives one shard kill.
+    /// default so every model survives one shard kill. Zero is rejected
+    /// by [`ClusterRuntime::try_new`].
     pub replication: usize,
     /// Replica-choice policy.
     pub steering: Steering,
@@ -219,8 +220,6 @@ pub struct ClusterConfig {
     /// (on by default). Off, its backlog and future session chunks are
     /// shed with [`ShedReason::NoShardCapacity`](crate::ShedReason::NoShardCapacity).
     pub failover: bool,
-    /// Seed for [`Steering::Random`].
-    pub seed: u64,
     /// Flight-recorder capture for the *router's* journal (`Forward`,
     /// `Replicate`, `ShardDown`, `SessionReroute`, router-level
     /// sheds); disabled by default. Shard-level journals are configured
@@ -236,7 +235,6 @@ impl Default for ClusterConfig {
             transfer: TransferModel::intra_rack(),
             shard_faults: FaultPlan::empty(),
             failover: true,
-            seed: 0,
             trace: TraceConfig::default(),
         }
     }
@@ -250,12 +248,7 @@ impl ClusterConfig {
     }
 
     /// Sets the replica count per model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `replication` is zero.
     pub fn replication(mut self, replication: usize) -> Self {
-        assert!(replication > 0, "replication must be at least 1");
         self.replication = replication;
         self
     }
@@ -282,12 +275,6 @@ impl ClusterConfig {
     /// Enables or disables backlog failover on shard kills.
     pub fn failover(mut self, failover: bool) -> Self {
         self.failover = failover;
-        self
-    }
-
-    /// Seeds the random steering hash.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
         self
     }
 
@@ -401,8 +388,7 @@ pub enum ClusterConfigError {
         /// The device-less shard.
         shard: usize,
     },
-    /// [`ClusterConfig::replication`] is zero (reachable by assigning
-    /// the public field; the builder method refuses it).
+    /// [`ClusterConfig::replication`] is zero.
     ZeroReplication,
     /// The shard-fault schedule names a shard the cluster does not have.
     FaultShardOutOfRange {

@@ -86,7 +86,6 @@ struct Router<'rt, 'p> {
     placement: &'p PlacementMap,
     transfer: TransferModel,
     steering: Steering,
-    seed: u64,
     failover: bool,
     sims: Vec<ShardSim<'rt>>,
     /// Per shard: `(effective arrival, estimated service µs)` of
@@ -176,7 +175,7 @@ impl Router<'_, '_> {
                 if live == 0 {
                     return None;
                 }
-                let pick = splitmix64(self.seed ^ splitmix64(salt)) % live;
+                let pick = splitmix64(splitmix64(salt)) % live;
                 candidates.nth(pick as usize)
             }
             // Least expected wait: replica-readiness stall plus the
@@ -488,7 +487,6 @@ impl ClusterRuntime {
             placement: &self.placement,
             transfer: self.cluster.transfer,
             steering: self.cluster.steering,
-            seed: self.cluster.seed,
             failover: self.cluster.failover,
             sims,
             inflight: vec![Vec::new(); shard_count],
@@ -746,7 +744,6 @@ mod tests {
                     ClusterConfig::new()
                         .replication(replication)
                         .steering(if random { Steering::Random } else { Steering::LoadFeedback })
-                        .seed(seed)
                         .failover(failover)
                         .transfer(if free_wire {
                             TransferModel::zero()

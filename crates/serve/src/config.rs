@@ -13,42 +13,24 @@ use crate::timeline::TimelineConfig;
 use crate::trace::TraceConfig;
 use ernn_fpga::fault::FaultPlan;
 
-/// Retry semantics for batches aborted by an injected fault: a capped
-/// exponential backoff on the *virtual* clock. An aborted batch's
-/// members re-enter the scheduler as fresh arrivals at
-/// `abort + backoff(attempt)`; a request that exhausts
-/// [`RetryPolicy::max_attempts`] is shed with
-/// [`ShedReason::CapacityLoss`](crate::ShedReason::CapacityLoss) so no
+/// Backoff before the first retry of a batch aborted by an injected
+/// fault (µs). Retries back off exponentially on the *virtual* clock: an
+/// aborted batch's members re-enter the scheduler as fresh arrivals at
+/// `abort + backoff_us(attempt)`.
+pub const BASE_BACKOFF_US: f64 = 50.0;
+/// Ceiling on the exponential retry backoff (µs).
+pub const MAX_BACKOFF_US: f64 = 5_000.0;
+/// Retry attempts per request before it is shed with
+/// [`ShedReason::CapacityLoss`](crate::ShedReason::CapacityLoss), so no
 /// request is ever silently lost.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// Backoff before the first retry (µs).
-    pub base_backoff_us: f64,
-    /// Ceiling on the exponential backoff (µs).
-    pub max_backoff_us: f64,
-    /// Maximum retry attempts per request before it is shed.
-    pub max_attempts: u32,
-}
+pub const MAX_RETRY_ATTEMPTS: u32 = 5;
 
-impl Default for RetryPolicy {
-    /// 50 µs base, 5 ms cap, 5 attempts — a few frame-latencies of
-    /// pause that doubles toward the cap.
-    fn default() -> Self {
-        RetryPolicy {
-            base_backoff_us: 50.0,
-            max_backoff_us: 5_000.0,
-            max_attempts: 5,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The backoff before retry number `attempt` (1-indexed):
-    /// `min(base · 2^(attempt−1), max)`.
-    pub fn backoff_us(&self, attempt: u32) -> f64 {
-        let exp = attempt.saturating_sub(1).min(63);
-        (self.base_backoff_us * (1u64 << exp) as f64).min(self.max_backoff_us)
-    }
+/// The backoff before retry number `attempt` (1-indexed):
+/// `min(BASE_BACKOFF_US · 2^(attempt−1), MAX_BACKOFF_US)` — a few
+/// frame-latencies of pause that doubles toward the cap.
+pub fn backoff_us(attempt: u32) -> f64 {
+    let exp = attempt.saturating_sub(1).min(63);
+    (BASE_BACKOFF_US * (1u64 << exp) as f64).min(MAX_BACKOFF_US)
 }
 
 /// Builder-style run options: executor choice, tracing,
@@ -65,13 +47,12 @@ pub struct RuntimeConfig {
     pub trace: TraceConfig,
     /// Maximum concurrently-live streaming sessions, if bounded. The
     /// scheduler sheds the first chunk of a session that would exceed it
-    /// (cancelling the session).
+    /// (cancelling the session). A limit of zero is rejected by
+    /// [`SchedRuntime::try_with_config`](crate::sched::SchedRuntime::try_with_config).
     pub max_live_sessions: Option<usize>,
     /// Deterministic device-fault schedule replayed on the virtual
     /// clock; empty (no faults) by default.
     pub fault_plan: FaultPlan,
-    /// Backoff schedule for batches aborted by a fault.
-    pub retry: RetryPolicy,
     /// Whether streaming sessions pinned to a crashed device fail over
     /// (re-pin, with state migration) to a surviving device. On by
     /// default; turn off to measure the no-failover baseline — chunks
@@ -97,7 +78,6 @@ impl Default for RuntimeConfig {
             trace: TraceConfig::default(),
             max_live_sessions: None,
             fault_plan: FaultPlan::empty(),
-            retry: RetryPolicy::default(),
             failover: true,
             timeline: TimelineConfig::default(),
             health: HealthConfig::default(),
@@ -126,7 +106,6 @@ impl RuntimeConfig {
 
     /// Bounds the number of concurrently-live streaming sessions.
     pub fn max_live_sessions(mut self, limit: usize) -> Self {
-        assert!(limit > 0, "session limit must be at least 1");
         self.max_live_sessions = Some(limit);
         self
     }
@@ -134,12 +113,6 @@ impl RuntimeConfig {
     /// Installs a deterministic fault schedule.
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = plan;
-        self
-    }
-
-    /// Sets the retry/backoff policy for fault-aborted batches.
-    pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
         self
     }
 
@@ -179,11 +152,6 @@ mod tests {
             .tracing(TraceConfig::enabled(64))
             .max_live_sessions(8)
             .fault_plan(plan.clone())
-            .retry(RetryPolicy {
-                base_backoff_us: 10.0,
-                max_backoff_us: 100.0,
-                max_attempts: 2,
-            })
             .failover(false)
             .timeline(TimelineConfig::enabled(100.0, 256))
             .health(HealthConfig::enabled());
@@ -191,7 +159,6 @@ mod tests {
         assert!(cfg.trace.is_enabled());
         assert_eq!(cfg.max_live_sessions, Some(8));
         assert_eq!(cfg.fault_plan, plan);
-        assert_eq!(cfg.retry.max_attempts, 2);
         assert!(!cfg.failover);
         assert!(cfg.timeline.is_enabled());
         assert_eq!(cfg.timeline.capacity, 256);
@@ -206,25 +173,17 @@ mod tests {
         assert_eq!(cfg.max_live_sessions, None);
         assert!(cfg.fault_plan.is_empty());
         assert!(cfg.failover);
-        assert_eq!(cfg.retry, RetryPolicy::default());
         assert!(!cfg.timeline.is_enabled());
         assert!(!cfg.health.enabled);
     }
 
     #[test]
     fn backoff_doubles_and_caps() {
-        let retry = RetryPolicy::default();
-        assert_eq!(retry.backoff_us(1), 50.0);
-        assert_eq!(retry.backoff_us(2), 100.0);
-        assert_eq!(retry.backoff_us(3), 200.0);
+        assert_eq!(backoff_us(1), 50.0);
+        assert_eq!(backoff_us(2), 100.0);
+        assert_eq!(backoff_us(3), 200.0);
         // Doubling hits the 5 ms ceiling and stays there.
-        assert_eq!(retry.backoff_us(8), 5_000.0);
-        assert_eq!(retry.backoff_us(63), 5_000.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 1")]
-    fn zero_session_limit_is_rejected() {
-        let _ = RuntimeConfig::new().max_live_sessions(0);
+        assert_eq!(backoff_us(8), 5_000.0);
+        assert_eq!(backoff_us(63), 5_000.0);
     }
 }

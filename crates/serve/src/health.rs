@@ -17,9 +17,10 @@
 //!
 //! The multi-window burn-rate rule follows the shape popularized by the
 //! Google SRE workbook: alert only when the *fast* window burns error
-//! budget at ≥ `fast_burn`× the sustainable rate **and** the *slow*
-//! window confirms at ≥ `slow_burn`× — fast-only spikes and long-dead
-//! incidents both stay quiet.
+//! budget at ≥ 5× the sustainable rate (12 samples) **and** the *slow*
+//! window confirms at ≥ 1.25× (60 samples) against a 1 % miss budget —
+//! fast-only spikes and long-dead incidents both stay quiet. Every
+//! threshold is a fixed constant of this module.
 
 use crate::timeline::MetricsTimeline;
 use crate::trace::num;
@@ -63,92 +64,55 @@ pub struct HealthEvent {
     /// Observed value (burn rate multiple, stuck-sample count, loads or
     /// retries per window).
     pub value: f64,
-    /// The configured threshold the value crossed.
+    /// The threshold the value crossed.
     pub threshold: f64,
 }
 
-/// Health-rule configuration. Disabled by default; `enabled()` turns on
-/// every rule with conservative defaults, and the public fields let
-/// callers tune individual rules.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Deadline-miss budget as a fraction of completed-or-shed requests (1 %
+/// of requests may miss).
+const SLO_MISS_BUDGET: f64 = 0.01;
+/// Fast burn-rate window, in timeline samples.
+const FAST_WINDOW: usize = 12;
+/// Slow (confirmation) burn-rate window, in timeline samples.
+const SLOW_WINDOW: usize = 60;
+/// Fast-window burn multiple required to alert.
+const FAST_BURN: f64 = 5.0;
+/// Slow-window burn multiple required to confirm.
+const SLOW_BURN: f64 = 1.25;
+/// Consecutive samples a device must sit idle with work queued before
+/// `DeviceStuck` fires.
+const STUCK_SAMPLES: usize = 8;
+/// Utilization below this counts as idle for `DeviceStuck`.
+const UTIL_EPSILON: f64 = 1e-3;
+/// Window (samples) for the residency-thrash rule.
+const THRASH_WINDOW: usize = 16;
+/// Weight+state loads within [`THRASH_WINDOW`] that count as thrash.
+const THRASH_LOADS: u64 = 12;
+/// Window (samples) for the retry-storm rule.
+const RETRY_WINDOW: usize = 16;
+/// Retries within [`RETRY_WINDOW`] that count as a storm.
+const RETRY_STORM: u64 = 8;
+/// Cap on stored events; further firings are counted as dropped.
+const MAX_EVENTS: usize = 256;
+
+/// Health-rule configuration: off by default; `enabled()` turns on every
+/// rule. The thresholds are fixed (see the module's constants) and each
+/// firing reports the one it crossed in [`HealthEvent::threshold`].
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct HealthConfig {
     /// Master switch; when false the monitor never fires.
     pub enabled: bool,
-    /// Deadline-miss budget as a fraction of completed-or-shed requests
-    /// (e.g. `0.01` = 1% of requests may miss).
-    pub slo_miss_budget: f64,
-    /// Fast burn-rate window, in timeline samples.
-    pub fast_window: usize,
-    /// Slow (confirmation) burn-rate window, in timeline samples.
-    pub slow_window: usize,
-    /// Fast-window burn multiple required to alert (e.g. `5.0`).
-    pub fast_burn: f64,
-    /// Slow-window burn multiple required to confirm (e.g. `1.25`).
-    pub slow_burn: f64,
-    /// Consecutive samples a device must sit idle with work queued
-    /// before `DeviceStuck` fires.
-    pub stuck_samples: usize,
-    /// Utilization below this counts as idle for `DeviceStuck`.
-    pub util_epsilon: f64,
-    /// Window (samples) for the residency-thrash rule.
-    pub thrash_window: usize,
-    /// Weight+state loads within `thrash_window` that count as thrash.
-    pub thrash_loads: u64,
-    /// Window (samples) for the retry-storm rule.
-    pub retry_window: usize,
-    /// Retries within `retry_window` that count as a storm.
-    pub retry_storm: u64,
-    /// Cap on stored events; further firings are counted as dropped.
-    pub max_events: usize,
 }
 
 impl HealthConfig {
     /// Monitoring off (the default).
     pub fn disabled() -> Self {
-        HealthConfig {
-            enabled: false,
-            slo_miss_budget: 0.01,
-            fast_window: 12,
-            slow_window: 60,
-            fast_burn: 5.0,
-            slow_burn: 1.25,
-            stuck_samples: 8,
-            util_epsilon: 1e-3,
-            thrash_window: 16,
-            thrash_loads: 12,
-            retry_window: 16,
-            retry_storm: 8,
-            max_events: 256,
-        }
+        HealthConfig { enabled: false }
     }
 
-    /// All rules on with the default thresholds above.
+    /// All rules on.
     pub fn enabled() -> Self {
-        HealthConfig {
-            enabled: true,
-            ..Self::disabled()
-        }
-    }
-
-    /// Replaces the SLO miss budget (fraction of requests allowed to
-    /// miss their deadline).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `budget` is not in `(0, 1]`.
-    pub fn with_slo_budget(mut self, budget: f64) -> Self {
-        assert!(
-            budget > 0.0 && budget <= 1.0,
-            "SLO miss budget must be in (0, 1], got {budget}"
-        );
-        self.slo_miss_budget = budget;
-        self
-    }
-}
-
-impl Default for HealthConfig {
-    fn default() -> Self {
-        Self::disabled()
+        HealthConfig { enabled: true }
     }
 }
 
@@ -156,7 +120,7 @@ impl Default for HealthConfig {
 /// are emitted; all storage pre-sized, steady-state allocation-free.
 #[derive(Debug)]
 pub struct HealthMonitor {
-    config: HealthConfig,
+    enabled: bool,
     events: Vec<HealthEvent>,
     dropped: u64,
     /// Consecutive idle-with-backlog samples per device.
@@ -173,9 +137,9 @@ pub struct HealthMonitor {
 impl HealthMonitor {
     /// A monitor for `num_devices` devices under `config`.
     pub fn new(config: HealthConfig, num_devices: usize) -> Self {
-        let cap = if config.enabled { config.max_events } else { 0 };
+        let cap = if config.enabled { MAX_EVENTS } else { 0 };
         HealthMonitor {
-            config,
+            enabled: config.enabled,
             events: Vec::with_capacity(cap),
             dropped: 0,
             stuck_counts: vec![0; num_devices],
@@ -189,12 +153,7 @@ impl HealthMonitor {
 
     /// Whether any rule can fire.
     pub fn is_enabled(&self) -> bool {
-        self.config.enabled
-    }
-
-    /// The rule configuration.
-    pub fn config(&self) -> HealthConfig {
-        self.config
+        self.enabled
     }
 
     /// Events recorded so far.
@@ -202,7 +161,7 @@ impl HealthMonitor {
         &self.events
     }
 
-    /// Firings discarded after `max_events` was reached.
+    /// Firings discarded after the event cap was reached.
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
@@ -214,7 +173,7 @@ impl HealthMonitor {
     /// that slice into the flight recorder.
     pub fn on_samples(&mut self, timeline: &MetricsTimeline, emitted: usize) -> (usize, usize) {
         let start = self.events.len();
-        if !self.config.enabled || emitted == 0 {
+        if !self.enabled || emitted == 0 {
             return (start, start);
         }
         // Oldest newly emitted sample first: back = emitted-1 .. 0.
@@ -231,19 +190,18 @@ impl HealthMonitor {
             return;
         };
         let sample = *sample;
-        let c = self.config;
 
         // --- SLO burn rate (multi-window) -------------------------------
-        let fast = window_burn(timeline, back, c.fast_window, c.slo_miss_budget);
-        let slow = window_burn(timeline, back, c.slow_window, c.slo_miss_budget);
-        let violating = fast >= c.fast_burn && slow >= c.slow_burn;
+        let fast = window_burn(timeline, back, FAST_WINDOW);
+        let slow = window_burn(timeline, back, SLOW_WINDOW);
+        let violating = fast >= FAST_BURN && slow >= SLOW_BURN;
         if violating && !self.slo_active {
             self.push(HealthEvent {
                 t_us: sample.t_us,
                 rule: HealthRuleKind::SloBurnRate,
                 device: None,
                 value: fast,
-                threshold: c.fast_burn,
+                threshold: FAST_BURN,
             });
         }
         self.slo_active = violating;
@@ -251,14 +209,14 @@ impl HealthMonitor {
         // --- Device stuck -----------------------------------------------
         if let Some(util) = timeline.recent_device_util(back) {
             for (d, &u) in util.iter().enumerate().take(self.stuck_counts.len()) {
-                let idle_with_backlog = u < c.util_epsilon && sample.queue_depth > 0;
+                let idle_with_backlog = u < UTIL_EPSILON && sample.queue_depth > 0;
                 if idle_with_backlog {
                     self.stuck_counts[d] = self.stuck_counts[d].saturating_add(1);
                 } else {
                     self.stuck_counts[d] = 0;
                     self.stuck_active[d] = false;
                 }
-                let stuck = self.stuck_counts[d] as usize >= c.stuck_samples;
+                let stuck = self.stuck_counts[d] as usize >= STUCK_SAMPLES;
                 if stuck && !self.stuck_active[d] {
                     self.stuck_active[d] = true;
                     self.push(HealthEvent {
@@ -266,7 +224,7 @@ impl HealthMonitor {
                         rule: HealthRuleKind::DeviceStuck,
                         device: Some(d),
                         value: self.stuck_counts[d] as f64,
-                        threshold: c.stuck_samples as f64,
+                        threshold: STUCK_SAMPLES as f64,
                     });
                 }
             }
@@ -274,39 +232,39 @@ impl HealthMonitor {
 
         // --- Residency thrash -------------------------------------------
         let loads_now = sample.weight_loads + sample.state_loads;
-        let loads_then = past_sample(timeline, back, c.thrash_window)
+        let loads_then = past_sample(timeline, back, THRASH_WINDOW)
             .map_or(0, |s| s.weight_loads + s.state_loads);
         let loads = loads_now.saturating_sub(loads_then);
-        let thrashing = loads >= c.thrash_loads;
+        let thrashing = loads >= THRASH_LOADS;
         if thrashing && !self.thrash_active {
             self.push(HealthEvent {
                 t_us: sample.t_us,
                 rule: HealthRuleKind::ResidencyThrash,
                 device: None,
                 value: loads as f64,
-                threshold: c.thrash_loads as f64,
+                threshold: THRASH_LOADS as f64,
             });
         }
         self.thrash_active = thrashing;
 
         // --- Retry storm ------------------------------------------------
-        let retries_then = past_sample(timeline, back, c.retry_window).map_or(0, |s| s.retries);
+        let retries_then = past_sample(timeline, back, RETRY_WINDOW).map_or(0, |s| s.retries);
         let retries = sample.retries.saturating_sub(retries_then);
-        let storming = retries >= c.retry_storm;
+        let storming = retries >= RETRY_STORM;
         if storming && !self.retry_active {
             self.push(HealthEvent {
                 t_us: sample.t_us,
                 rule: HealthRuleKind::RetryStorm,
                 device: None,
                 value: retries as f64,
-                threshold: c.retry_storm as f64,
+                threshold: RETRY_STORM as f64,
             });
         }
         self.retry_active = storming;
     }
 
     fn push(&mut self, event: HealthEvent) {
-        if self.events.len() < self.config.max_events {
+        if self.events.len() < MAX_EVENTS {
             self.events.push(event);
         } else {
             self.dropped += 1;
@@ -326,10 +284,10 @@ impl HealthMonitor {
 }
 
 /// Burn-rate multiple over the window ending at the sample `back` steps
-/// behind newest: (window miss-rate) / budget, using the cumulative
-/// counters of the window's endpoint samples. Windows clamp to
+/// behind newest: (window miss-rate) / [`SLO_MISS_BUDGET`], using the
+/// cumulative counters of the window's endpoint samples. Windows clamp to
 /// available history; an empty window burns 0.
-fn window_burn(timeline: &MetricsTimeline, back: usize, window: usize, budget: f64) -> f64 {
+fn window_burn(timeline: &MetricsTimeline, back: usize, window: usize) -> f64 {
     let Some(now) = timeline.recent(back) else {
         return 0.0;
     };
@@ -337,10 +295,10 @@ fn window_burn(timeline: &MetricsTimeline, back: usize, window: usize, budget: f
     let (m0, t0) = then.map_or((0, 0), |s| (s.deadline_misses, s.completed + s.shed));
     let misses = now.deadline_misses.saturating_sub(m0);
     let total = (now.completed + now.shed).saturating_sub(t0);
-    if total == 0 || budget <= 0.0 {
+    if total == 0 {
         return 0.0;
     }
-    (misses as f64 / total as f64) / budget
+    (misses as f64 / total as f64) / SLO_MISS_BUDGET
 }
 
 /// The sample `window` steps before the one at `back`, or the oldest
@@ -504,27 +462,25 @@ mod tests {
 
     #[test]
     fn fast_spike_without_slow_confirmation_stays_quiet() {
-        let mut rig = Rig::new(
-            HealthConfig {
-                fast_window: 4,
-                slow_window: 40,
-                ..HealthConfig::enabled().with_slo_budget(0.05)
-            },
-            1,
-        );
+        let mut rig = Rig::new(HealthConfig::enabled(), 1);
         let mut busy = [0.0];
         let mut misses = 0u64;
-        for step in 1..=60u64 {
+        let mut peak_fast = 0.0f64;
+        for step in 1..=100u64 {
             busy[0] = step as f64 * 90.0;
-            if (41..=42).contains(&step) {
-                misses += 2; // brief spike: 100% of the fast window
+            if step == 81 {
+                misses += 7; // brief spike, 10 requests per sample
             }
-            let p = probe(&busy, 1, step * 4, misses, 0, 0);
+            let p = probe(&busy, 1, step * 10, misses, 0, 0);
             rig.step(&p);
+            let fast = window_burn(&rig.timeline, 0, FAST_WINDOW);
+            peak_fast = peak_fast.max(fast);
         }
         let report = rig.monitor.into_report(0.0);
-        // Fast window burns ≥5× during the spike, slow window stays
-        // ~4/160/0.05 = 0.5× — below the 1.25× confirmation.
+        // The fast window burns 7/120/0.01 ≈ 5.8× ≥ 5× during the spike;
+        // the slow window stays at 7/600/0.01 ≈ 1.17× — below the 1.25×
+        // confirmation.
+        assert!(peak_fast >= FAST_BURN, "{peak_fast}");
         assert_eq!(report.count(HealthRuleKind::SloBurnRate), 0);
     }
 
@@ -574,18 +530,17 @@ mod tests {
         assert_eq!((a, b), (0, 0));
         assert!(off.into_report(0.0).healthy());
 
-        let capped = HealthConfig {
-            max_events: 1,
-            stuck_samples: 1,
-            ..HealthConfig::enabled()
-        };
-        let mut mon = HealthMonitor::new(capped, 2);
-        // Both devices stuck on the same sample: second event dropped.
-        let mut tl2 = MetricsTimeline::new(TimelineConfig::enabled(10.0, 8), 2);
-        let emitted = tl2.advance(10.0, &probe(&[0.0, 0.0], 5, 0, 0, 0, 0));
+        // One more device than the event cap, all stuck from the first
+        // sample: they fire together on the eighth, and the last is dropped.
+        let devices = MAX_EVENTS + 1;
+        let mut mon = HealthMonitor::new(HealthConfig::enabled(), devices);
+        let mut tl2 = MetricsTimeline::new(TimelineConfig::enabled(10.0, 8), devices);
+        let busy = vec![0.0; devices];
+        let emitted = tl2.advance(10.0 * STUCK_SAMPLES as f64, &probe(&busy, 5, 0, 0, 0, 0));
+        assert_eq!(emitted, STUCK_SAMPLES);
         mon.on_samples(&tl2, emitted);
         let report = mon.into_report(0.0);
-        assert_eq!(report.events.len(), 1);
+        assert_eq!(report.events.len(), MAX_EVENTS);
         assert_eq!(report.dropped, 1);
         assert!(!report.healthy());
     }

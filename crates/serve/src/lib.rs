@@ -96,7 +96,7 @@
 //!   [`FaultPlan`] of [`DeviceFault`]s (crashes, brownouts, transients)
 //!   installed via [`RuntimeConfig::fault_plan`]. The scheduler reacts
 //!   with pre-commit batch aborts, capped-exponential-backoff retries
-//!   ([`RetryPolicy`]), failover re-placement onto surviving devices,
+//!   ([`backoff_us`], at most [`MAX_RETRY_ATTEMPTS`]), failover re-placement onto surviving devices,
 //!   and session-state migration — all on the virtual clock, observable
 //!   through [`TraceEvent`]s, and bit-identical across executors. See
 //!   `docs/fault_tolerance.md`.
@@ -152,7 +152,7 @@ pub use cluster::{
     ClusterConfig, ClusterConfigError, ClusterReport, ClusterRuntime, ClusterSpec, ClusterStats,
     ShardReport, Steering,
 };
-pub use config::{RetryPolicy, RuntimeConfig};
+pub use config::{backoff_us, RuntimeConfig, BASE_BACKOFF_US, MAX_BACKOFF_US, MAX_RETRY_ATTEMPTS};
 pub use device::{BatchExecution, DevicePool, VirtualDevice};
 pub use ernn_fpga::artifact::{ModelArtifact, PipelineError};
 pub use ernn_fpga::exec::{ExecScratch, NetworkState};

@@ -8,6 +8,7 @@ use super::engine::{Arrival, RetryInfo, SchedEngine};
 use super::registry::ModelId;
 use super::residency::{DeviceResidency, ImageKey};
 use super::runtime::Placement;
+use crate::config::{backoff_us, MAX_RETRY_ATTEMPTS};
 use crate::executor::{InferenceJob, SessionSlot};
 use crate::request::{Request, Response, ShedReason, Workload};
 use crate::trace::TraceEvent;
@@ -388,7 +389,6 @@ impl SchedEngine<'_, '_> {
             self.faults.consume_transient(device, f);
             self.stats.device_transients += 1;
         }
-        let retry = self.rt.config().retry;
         for request in batch {
             let info = self.retries.entry(request.id).or_insert(RetryInfo {
                 attempts: 0,
@@ -397,11 +397,11 @@ impl SchedEngine<'_, '_> {
             info.attempts += 1;
             info.last_device = device;
             let attempt = info.attempts;
-            if attempt > retry.max_attempts {
+            if attempt > MAX_RETRY_ATTEMPTS {
                 self.stats.retries_exhausted += 1;
                 self.shed(request, f, f64::INFINITY, ShedReason::CapacityLoss);
             } else {
-                let retry_at_us = f + retry.backoff_us(attempt);
+                let retry_at_us = f + backoff_us(attempt);
                 self.stats.retries_scheduled += 1;
                 self.obs.record(TraceEvent::RetryScheduled {
                     t_us: f,

@@ -65,7 +65,7 @@
 //! Under an installed [`FaultPlan`](crate::FaultPlan) the runtime adds a
 //! fault-tolerance layer: batches abort before commit when a fault lands
 //! inside their occupancy window, aborted requests retry with capped
-//! exponential backoff ([`RetryPolicy`](crate::RetryPolicy)), crashes
+//! exponential backoff ([`backoff_us`](crate::backoff_us)), crashes
 //! wipe residency and fail work over to surviving devices, and pinned
 //! sessions re-pin with their state recharged — stitched logits stay
 //! bit-identical to whole-utterance inference across a mid-session

@@ -45,7 +45,7 @@ pub struct SchedStats {
     /// Abort-path retries pushed back into the arrival queue.
     pub retries_scheduled: u64,
     /// Requests shed after exhausting
-    /// [`RetryPolicy::max_attempts`](crate::RetryPolicy::max_attempts).
+    /// [`MAX_RETRY_ATTEMPTS`](crate::MAX_RETRY_ATTEMPTS).
     pub retries_exhausted: u64,
     /// Retried requests that committed on a different device than the
     /// one that aborted them.

@@ -147,18 +147,6 @@ impl DeviceResidency {
             .any(|&(k, _)| k == ImageKey::State(session))
     }
 
-    /// Resident model ids (weight images only), least recently used
-    /// first.
-    pub fn resident_models(&self) -> Vec<ModelId> {
-        self.resident
-            .iter()
-            .filter_map(|&(k, _)| match k {
-                ImageKey::Weights(m) => Some(m),
-                ImageKey::State(_) => None,
-            })
-            .collect()
-    }
-
     /// Virtual streaming cost of loading `bytes` of image.
     pub fn load_us(bytes: u64) -> f64 {
         bytes as f64 / WEIGHT_STREAM_BYTES_PER_US
@@ -316,7 +304,8 @@ mod tests {
             load.evicted,
             vec![ImageKey::Weights(0), ImageKey::Weights(2)]
         );
-        assert_eq!(r.resident_models(), vec![3]);
+        assert!(r.is_resident(3));
+        assert_eq!(r.used_bytes(), 1000);
     }
 
     #[test]

@@ -74,7 +74,7 @@
 //!   transient is **aborted before commit**: the device is charged the
 //!   wasted time as a stall, and every member re-enters admission
 //!   through the arrival queue after a capped exponential backoff
-//!   ([`RetryPolicy`](crate::RetryPolicy)); exhausted retries shed
+//!   ([`backoff_us`](crate::backoff_us)); exhausted retries shed
 //!   with [`ShedReason::CapacityLoss`];
 //! * a crash wipes the device's residency (weight and state images
 //!   reload on recovery, charged as usual) and, when
@@ -133,6 +133,9 @@ pub enum SchedConfigError {
     ZeroMaxBatch,
     /// `max_wait_us` is negative.
     NegativeMaxWait,
+    /// [`RuntimeConfig::max_live_sessions`] is `Some(0)`: no session
+    /// could ever start.
+    ZeroSessionLimit,
     /// A registered model's weight image exceeds every device's BRAM
     /// budget — no placement could ever dispatch it.
     ModelFitsNoDevice {
@@ -158,6 +161,7 @@ impl fmt::Display for SchedConfigError {
             SchedConfigError::NoDevices => write!(f, "need at least one device"),
             SchedConfigError::ZeroMaxBatch => write!(f, "max_batch must be at least 1"),
             SchedConfigError::NegativeMaxWait => write!(f, "max_wait_us must be ≥ 0"),
+            SchedConfigError::ZeroSessionLimit => write!(f, "session limit must be at least 1"),
             SchedConfigError::ModelFitsNoDevice { model, name } => {
                 write!(f, "model {model} ({name}) fits no device's BRAM budget")
             }
@@ -302,7 +306,8 @@ impl SchedRuntime {
     /// The fallible form of [`Self::with_config`]: every registration
     /// or configuration problem the panicking constructors catch is
     /// returned as a typed [`SchedConfigError`] instead — an empty
-    /// registry or pool, a degenerate policy, a registered model whose
+    /// registry or pool, a degenerate policy, a zero session limit, a
+    /// registered model whose
     /// weight image fits no device's budget, or a fault plan naming a
     /// device the pool does not have.
     pub fn try_with_config(
@@ -322,6 +327,9 @@ impl SchedRuntime {
         }
         if policy.max_wait_us.is_nan() || policy.max_wait_us < 0.0 {
             return Err(SchedConfigError::NegativeMaxWait);
+        }
+        if config.max_live_sessions == Some(0) {
+            return Err(SchedConfigError::ZeroSessionLimit);
         }
         if let Some(device) = config.fault_plan.max_device() {
             if device >= platforms.len() {

@@ -946,7 +946,7 @@ fn run_until_short_of_the_next_event_mutates_nothing() {
 
 // ----- fault injection, failover, and migration -----
 
-use crate::config::RetryPolicy;
+use crate::config::backoff_us;
 use crate::request::ShedReason;
 use ernn_fpga::{DeviceFault, FaultEvent, FaultPlan};
 
@@ -1027,6 +1027,19 @@ fn try_with_config_reports_typed_errors() {
             devices: 1
         }
     );
+}
+
+#[test]
+fn zero_session_limit_is_rejected() {
+    let err = SchedRuntime::try_with_config(
+        registry(),
+        vec![XCKU060],
+        SchedPolicy::edf_cost_model(1, 0.0),
+        RuntimeConfig::new().max_live_sessions(0),
+    )
+    .unwrap_err();
+    assert_eq!(err, SchedConfigError::ZeroSessionLimit);
+    assert_eq!(err.to_string(), "session limit must be at least 1");
 }
 
 #[test]
@@ -1237,37 +1250,33 @@ fn permanent_crash_fails_over_sessions_and_migrates_state() {
 
 #[test]
 fn retry_exhaustion_sheds_with_capacity_loss() {
-    // Three transients, each timed inside the window of the batch's
-    // next attempt; max_attempts = 2 means the third abort sheds.
-    let retry = RetryPolicy {
-        base_backoff_us: 50.0,
-        max_backoff_us: 5_000.0,
-        max_attempts: 2,
-    };
+    // Six transients, each timed inside the window of the batch's next
+    // attempt; MAX_RETRY_ATTEMPTS = 5 means the sixth abort sheds.
     let reg = registry();
     let cost = CostModel::build(&[XCKU060], &reg);
     let est = cost.estimate_frames_us(0, 0, 20);
     assert!(est > 1.0, "test assumes a multi-µs service time");
-    let t1 = 0.5;
-    let r1 = t1 + retry.backoff_us(1);
-    let t2 = r1 + 0.25;
-    let r2 = t2 + retry.backoff_us(2);
-    let t3 = r2 + 0.25;
-    let transient = |t_us| FaultEvent {
-        t_us,
-        device: 0,
-        fault: DeviceFault::Transient,
-    };
-    let plan = FaultPlan::new(vec![transient(t1), transient(t2), transient(t3)]);
+    let mut fault_at = vec![0.5];
+    for attempt in 1..=5 {
+        let retry_at = fault_at[attempt - 1] + backoff_us(attempt as u32);
+        fault_at.push(retry_at + 0.25);
+    }
+    let plan = FaultPlan::new(
+        fault_at
+            .into_iter()
+            .map(|t_us| FaultEvent {
+                t_us,
+                device: 0,
+                fault: DeviceFault::Transient,
+            })
+            .collect(),
+    );
     let utts = synthetic_utterances(1, (20, 20), DIM, 23);
     let rt = SchedRuntime::with_config(
         reg,
         vec![XCKU060],
         SchedPolicy::edf_cost_model(1, 0.0),
-        RuntimeConfig::new()
-            .fault_plan(plan)
-            .retry(retry)
-            .timeline(sampled()),
+        RuntimeConfig::new().fault_plan(plan).timeline(sampled()),
     );
     let report = rt.run(vec![
         Request::new(0, utts[0].clone(), 0.0).with_deadline(1e6)
@@ -1276,9 +1285,9 @@ fn retry_exhaustion_sheds_with_capacity_loss() {
     let r = &report.responses[0];
     assert!(r.shed);
     assert_eq!(r.shed_reason, Some(ShedReason::CapacityLoss));
-    assert_eq!(report.sched.batches_aborted, 3);
-    assert_eq!(report.sched.device_transients, 3);
-    assert_eq!(report.sched.retries_scheduled, 2);
+    assert_eq!(report.sched.batches_aborted, 6);
+    assert_eq!(report.sched.device_transients, 6);
+    assert_eq!(report.sched.retries_scheduled, 5);
     assert_eq!(report.sched.retries_exhausted, 1);
     // The dispatch-time shed is a deadline miss on the live counters too.
     assert_eq!(report.metrics.deadline_miss_rate, 1.0);

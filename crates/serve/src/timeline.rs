@@ -25,6 +25,10 @@
 
 use crate::trace::num;
 
+/// EWMA smoothing factor of the queue-delay signal: the weight of the
+/// newest observation.
+const EWMA_ALPHA: f64 = 0.2;
+
 /// Timeline capture configuration: off by default, or a fixed sampling
 /// grid with a bounded ring.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -34,9 +38,6 @@ pub struct TimelineConfig {
     /// Ring capacity in samples; `0` disables capture. Once full, the
     /// oldest samples are overwritten (and counted as dropped).
     pub capacity: usize,
-    /// EWMA smoothing factor for the queue-delay signal in `(0, 1]`
-    /// (weight of the newest observation).
-    pub ewma_alpha: f64,
 }
 
 impl TimelineConfig {
@@ -46,7 +47,6 @@ impl TimelineConfig {
         TimelineConfig {
             interval_us: 0.0,
             capacity: 0,
-            ewma_alpha: 0.2,
         }
     }
 
@@ -66,22 +66,7 @@ impl TimelineConfig {
         TimelineConfig {
             interval_us,
             capacity,
-            ewma_alpha: 0.2,
         }
-    }
-
-    /// Replaces the EWMA smoothing factor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha` is outside `(0, 1]`.
-    pub fn with_ewma_alpha(mut self, alpha: f64) -> Self {
-        assert!(
-            alpha > 0.0 && alpha <= 1.0,
-            "EWMA alpha must be in (0, 1], got {alpha}"
-        );
-        self.ewma_alpha = alpha;
-        self
     }
 
     /// Whether sampling is on.
@@ -263,8 +248,7 @@ impl MetricsTimeline {
     /// disabled — the signal is cheap and always worth having.
     pub fn observe_queue_delay(&mut self, queued_us: f64) {
         if self.ewma_seeded {
-            let a = self.config.ewma_alpha;
-            self.ewma_queue_us = a * queued_us + (1.0 - a) * self.ewma_queue_us;
+            self.ewma_queue_us = EWMA_ALPHA * queued_us + (1.0 - EWMA_ALPHA) * self.ewma_queue_us;
         } else {
             self.ewma_queue_us = queued_us;
             self.ewma_seeded = true;
@@ -634,10 +618,11 @@ mod tests {
 
     #[test]
     fn ewma_is_order_dependent_and_seeded_by_first_observation() {
-        let mut tl = MetricsTimeline::new(TimelineConfig::enabled(1.0, 2).with_ewma_alpha(0.5), 1);
+        let mut tl = MetricsTimeline::new(TimelineConfig::enabled(1.0, 2), 1);
         tl.observe_queue_delay(10.0);
         assert_eq!(tl.ewma_queue_us(), 10.0);
+        // α = 0.2: 0.2 · 20 + 0.8 · 10.
         tl.observe_queue_delay(20.0);
-        assert!((tl.ewma_queue_us() - 15.0).abs() < 1e-12);
+        assert!((tl.ewma_queue_us() - 12.0).abs() < 1e-12);
     }
 }

@@ -16,7 +16,7 @@
 //!   answered N−1 of N"), and every constructor panic has a typed
 //!   [`ClusterConfigError`] behind [`ClusterRuntime::try_new`].
 //! * **Routing is deterministic (property)** — over random shard
-//!   counts, replication degrees, steering policies, seeds and kill
+//!   counts, replication degrees, steering policies and kill
 //!   times, two identical runs produce byte-identical journals and
 //!   equal responses, and a shard kill never loses a request.
 
@@ -268,13 +268,9 @@ fn try_new_reports_typed_errors() {
     assert_eq!(err, ClusterConfigError::ShardWithoutDevices { shard: 1 });
     assert_eq!(err.to_string(), "shard 1 has no devices");
 
-    // The builder refuses zero; the public field does not.
-    let mut zero = ClusterConfig::new();
-    zero.replication = 0;
-    assert_eq!(
-        try_new(spec(), one(), zero).unwrap_err(),
-        ClusterConfigError::ZeroReplication
-    );
+    let err = try_new(spec(), one(), ClusterConfig::new().replication(0)).unwrap_err();
+    assert_eq!(err, ClusterConfigError::ZeroReplication);
+    assert_eq!(err.to_string(), "replication must be at least 1");
 
     let err = try_new(
         spec(),
@@ -323,7 +319,7 @@ fn new_panics_with_the_typed_message() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Routing is a pure function of (placement inputs, seed, load):
+    /// Routing is a pure function of (placement inputs, load):
     /// identical runs are byte-identical, and a shard kill with
     /// failover never loses a request — every id is answered exactly
     /// once, shed only with the cluster-scope reason.
@@ -331,7 +327,6 @@ proptest! {
     fn routing_is_deterministic_and_kills_lose_nothing(
         shards in 1usize..5,
         replication in 1usize..3,
-        seed in any::<u64>(),
         random in any::<bool>(),
         kill_t in 0.0f64..2_000.0,
     ) {
@@ -349,7 +344,6 @@ proptest! {
             ClusterConfig::new()
                 .replication(replication)
                 .steering(steering)
-                .seed(seed)
                 .shard_faults(kill_at(kill_t, 0))
                 .tracing(TraceConfig::enabled(4096)),
         );

@@ -50,7 +50,6 @@ fn main() {
         TrainOptions {
             epochs: 12,
             lr_decay: 0.92,
-            shuffle: true,
         },
         &mut opt,
         &mut rng,
