@@ -22,7 +22,14 @@
 //! per-call fixed cost — one 4-lane tile, which runs the baseline
 //! instantiation on every CPU.
 //!
-//! Below the matvec table it prints what the `ernn_fft::stats` counters
+//! Then the "two cores" table: µs per call of the shapes on either side of
+//! the split threshold, with the share of calls the helper thread ran and
+//! the share the caller took back; every split call is asserted equal to
+//! the serial kernel bit for bit and, with `available_parallelism` ≥ 2,
+//! the helper must have run at least once. The header prints the core
+//! count and the threshold.
+//!
+//! Below that it prints what the `ernn_fft::stats` counters
 //! cost the 8×8 call: the call as it runs, and its pure-arithmetic floor
 //! (the call minus its three counter updates, timed on their own).
 //!
@@ -52,7 +59,10 @@ use ernn_bench::json::{array, JsonObject};
 use ernn_bench::sweep::SweepArgs;
 use ernn_fft::{stats, RealFft};
 use ernn_fpga::exec::{DatapathConfig, ExecScratch, QuantizedNetwork};
-use ernn_linalg::{lane_isa, BlockCirculantMatrix, MatVec, MatVecScratch, WeightMatrix};
+use ernn_linalg::{
+    lane_isa, split_stats, BlockCirculantMatrix, MatVec, MatVecScratch, WeightMatrix, HELPER_SPIN,
+    SPLIT_MIN_WORK,
+};
 use ernn_model::{compress_network, BlockPolicy, CellType, NetworkBuilder};
 use ernn_quant::{FixedFormat, PiecewiseLinear};
 use rand::{Rng, SeedableRng};
@@ -297,6 +307,110 @@ fn fft_lanes_report(call_us: f64, reps: usize, rng: &mut impl Rng) -> (String, S
     (array(rows), share)
 }
 
+/// The two-core split (`ernn_linalg`'s crate docs, "Two cores"): µs per
+/// call of the shapes on either side of [`SPLIT_MIN_WORK`] — the LSTM-1024
+/// matrices at B = 1, GRU-1024's stacked x-side operand at B = 16, a
+/// GRU-256 matrix at B = 1 and 8, GRU-8's 8×8 — with the share of each
+/// row's calls the helper ran, the share taken back (the caller ran the
+/// helper's half too) and the share that found the helper busy or resting
+/// and ran serially. Every row's output is asserted `to_bits` equal to the
+/// serial kernel's, computed one 32-row tile at a time: a one-tile matrix
+/// never splits, and a block row's bits do not depend on the tile it sits
+/// in.
+fn two_cores_report(reps: usize, rng: &mut impl Rng) -> String {
+    const LB: usize = 8;
+    const SHAPES: [(usize, usize, usize); 8] = [
+        (1024, 1024, 1),
+        (4096, 512, 1),
+        (4096, 153, 1),
+        (512, 1024, 1),
+        (3072, 153, 16),
+        (512, 256, 1),
+        (512, 256, 8),
+        (8, 8, 1),
+    ];
+    println!(
+        "\ntwo cores, L_b = {LB}: a call of ≥ 2 tiles and p·q·batch ≥ {SPLIT_MIN_WORK} gives its \
+         upper tiles to the helper (which spins at most {} µs, then parks)",
+        HELPER_SPIN.as_micros()
+    );
+    println!(
+        "{:<11} {:<6} {:>9} {:>6} {:>10} {:>11} {:>11} {:>7}",
+        "shape", "batch", "p·q·B", "split", "µs/call", "helper ran", "taken back", "serial"
+    );
+    let mut rows_json = Vec::new();
+    let mut scratch = MatVecScratch::new();
+    for (rows, cols, batch) in SHAPES {
+        let (p, q) = (rows.div_ceil(LB), cols.div_ceil(LB));
+        let work = p * q * batch;
+        let blocks: Vec<f32> = (0..p * q * LB).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let m = BlockCirculantMatrix::from_blocks(rows, cols, LB, blocks.clone());
+        let xs: Vec<f32> = (0..batch * cols)
+            .map(|_| rng.gen_range(-1.0..1.0))
+            .collect();
+        let mut ys = vec![0.0f32; batch * rows];
+
+        // The serial bits, one 32-block-row tile at a time.
+        let mut serial = vec![0.0f32; batch * rows];
+        let tile_rows = 32 * LB;
+        for (t, tile_blocks) in blocks.chunks(32 * q * LB).enumerate() {
+            let first = t * tile_rows;
+            let height = tile_rows.min(rows - first);
+            let tile = BlockCirculantMatrix::from_blocks(height, cols, LB, tile_blocks.to_vec());
+            let mut out = vec![0.0f32; batch * height];
+            tile.matvec_batch_into(&xs, &mut out, batch, &mut scratch);
+            for (y, o) in serial.chunks_mut(rows).zip(out.chunks(height)) {
+                y[first..first + height].copy_from_slice(o);
+            }
+        }
+
+        let calls = (2_000_000 / work).clamp(4, 4096);
+        let before = split_stats();
+        let mut us = f64::INFINITY;
+        for _ in 0..reps {
+            us = us.min(per_call_us(calls, || {
+                m.matvec_batch_into(black_box(&xs), black_box(&mut ys), batch, &mut scratch);
+            }));
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&ys),
+                bits(&serial),
+                "the split {rows}×{cols} batch-{batch} call must equal the serial kernel bit for bit"
+            );
+        }
+        let split = split_stats().since(&before);
+        let share = |n: u64| n as f64 / (reps * calls) as f64;
+        let (ran, taken_back) = (share(split.helper_ran), share(split.taken_back));
+        let serial = share(split.busy + split.rested);
+        let splits = split.helper_ran + split.taken_back + split.busy + split.rested > 0;
+        println!(
+            "{:<11} {:<6} {:>9} {:>6} {:>10} {:>11.2} {:>11.2} {:>7.2}",
+            format!("{rows}×{cols}"),
+            batch,
+            work,
+            if splits { "yes" } else { "no" },
+            us_cell(us),
+            ran,
+            taken_back,
+            serial
+        );
+        rows_json.push(
+            JsonObject::new()
+                .int("rows", rows as i64)
+                .int("cols", cols as i64)
+                .int("block_size", LB as i64)
+                .int("batch", batch as i64)
+                .int("work", work as i64)
+                .num("us", us)
+                .num("helper_ran_share", ran)
+                .num("taken_back_share", taken_back)
+                .num("serial_share", serial)
+                .render(),
+        );
+    }
+    array(rows_json)
+}
+
 /// Fused time per input must stay within this factor of one `matvec_into`.
 const FUSED_PER_LANE_CEILING: f64 = 1.10;
 
@@ -325,8 +439,10 @@ fn main() {
     }
 
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(9);
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
     println!(
-        "kernel_sweep: block-circulant matvec, best of {reps} alternating reps, lane ISA {}\n",
+        "kernel_sweep: block-circulant matvec, best of {reps} alternating reps, lane ISA {}, \
+         available_parallelism {cores}, split at p·q·batch ≥ {SPLIT_MIN_WORK}\n",
         lane_isa()
     );
     println!(
@@ -472,6 +588,14 @@ fn main() {
         );
     }
 
+    let two_cores_json = two_cores_report(reps, &mut rng);
+    let ran_total = split_stats().helper_ran;
+    if cores >= 2 {
+        assert!(
+            ran_total > 0,
+            "on {cores} cores the helper thread never ran a delegated half"
+        );
+    }
     let observing_json = cost_of_observing(reps, &mut rng);
     let (fft_lanes_json, fft_share_json) = fft_lanes_report(call_1024_us, reps, &mut rng);
 
@@ -530,10 +654,15 @@ fn main() {
             .bench_header("kernel_sweep")
             .int("dim", dim as i64)
             .str("lane_isa", lane_isa())
+            .int("available_parallelism", cores as i64)
+            .int("split_min_work", SPLIT_MIN_WORK as i64)
+            .num("helper_spin_us", HELPER_SPIN.as_secs_f64() * 1e6)
+            .int("helper_ran", ran_total as i64)
             .int("fft_forward_allocs", fwd_allocs as i64)
             .int("fft_into_allocs", into_allocs as i64)
             .num("quantize_ns_per_elem", quantize_ns)
             .num("pwl_ns_per_elem", pwl_ns)
+            .raw("two_cores", two_cores_json)
             .raw("observing", observing_json)
             .raw("fft_lanes", fft_lanes_json)
             .raw("fft_share_1024_lb8", fft_share_json)

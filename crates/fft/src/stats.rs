@@ -22,11 +22,20 @@
 //! retired total on the way out, so the sum never loses them and the
 //! registry stays as small as the set of live threads.
 //!
+//! Work one thread does on another's behalf is charged to the thread it
+//! was done for. The block-circulant matvec's helper thread (the second
+//! core of `ernn-linalg`) [`detach_thread`]s itself, so neither
+//! [`snapshot`] nor any other thread sees its cells; the caller whose
+//! tiles it ran adds the helper's measured delta to its own cells with
+//! [`charge`]. A call's counts are therefore the same whichever thread
+//! ran which part of it.
+//!
 //! Counters are monotonically increasing; consumers should compare
 //! [`FftStats`] snapshots rather than absolute values, and tests that
 //! assert exact [`snapshot`] deltas must not run concurrently with other
 //! FFT-using tests in the same process.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -78,25 +87,38 @@ fn registry() -> MutexGuard<'static, Registry> {
     REGISTRY.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// A thread's handle on its registered cells.
-struct Owner(Arc<Cells>);
+/// A thread's handle on its cells.
+struct Owner {
+    cells: Arc<Cells>,
+    /// The cells are still in the registry (see [`detach_thread`]).
+    registered: Cell<bool>,
+}
 
 impl Owner {
     fn register() -> Self {
         let cells = Arc::new(Cells::default());
         registry().live.push(Arc::clone(&cells));
-        Owner(cells)
+        Owner {
+            cells,
+            registered: Cell::new(true),
+        }
+    }
+
+    /// Moves the counts from the live list to the retired total in one
+    /// critical section, so no [`snapshot`] sees them twice or not at all.
+    fn retire(&self) {
+        if self.registered.replace(false) {
+            let mut reg = registry();
+            reg.retired = reg.retired.plus(&self.cells.read());
+            reg.live.retain(|cells| !Arc::ptr_eq(cells, &self.cells));
+        }
     }
 }
 
 impl Drop for Owner {
-    /// Thread exit: move the counts from the live list to the retired
-    /// total in one critical section, so no [`snapshot`] sees them twice
-    /// or not at all.
+    /// Thread exit: [`Owner::retire`], unless the thread detached first.
     fn drop(&mut self) {
-        let mut reg = registry();
-        reg.retired = reg.retired.plus(&self.0.read());
-        reg.live.retain(|cells| !Arc::ptr_eq(cells, &self.0));
+        self.retire();
     }
 }
 
@@ -110,7 +132,7 @@ thread_local! {
 #[inline]
 fn bump(cell: impl FnOnce(&Cells) -> &AtomicU64, n: u64) {
     CELLS.with(|owner| {
-        let cell = cell(&owner.0);
+        let cell = cell(&owner.cells);
         cell.store(cell.load(Ordering::Relaxed) + n, Ordering::Relaxed);
     });
 }
@@ -182,7 +204,25 @@ pub fn snapshot() -> FftStats {
 /// what other threads are doing — so exact-delta assertions are safe even
 /// in multi-threaded test binaries.
 pub fn thread_snapshot() -> FftStats {
-    CELLS.with(|owner| owner.0.read())
+    CELLS.with(|owner| owner.cells.read())
+}
+
+/// Takes the calling thread off the ledger for good: its counts so far
+/// are retired as at thread exit, and what it counts from now on reaches
+/// only its own [`thread_snapshot`], never [`snapshot`]. For a helper
+/// thread whose work the threads it serves [`charge`] to themselves.
+pub fn detach_thread() {
+    CELLS.with(Owner::retire);
+}
+
+/// Adds `delta` to the calling thread's cells: work a detached helper
+/// measured with [`thread_snapshot`] while doing it for this thread.
+pub fn charge(delta: &FftStats) {
+    bump(|c| &c.plans_created, delta.plans_created);
+    bump(|c| &c.plan_cache_hits, delta.plan_cache_hits);
+    bump(|c| &c.forward_transforms, delta.forward_transforms);
+    bump(|c| &c.inverse_transforms, delta.inverse_transforms);
+    bump(|c| &c.spectrum_block_reads, delta.spectrum_block_reads);
 }
 
 pub(crate) fn count_plan() {

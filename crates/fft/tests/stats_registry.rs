@@ -1,6 +1,9 @@
 //! `snapshot()` is the sum of every thread's counter cells — threads
 //! still running and threads long gone alike.
 //!
+//! A thread that detaches from the ledger reaches the sum only through
+//! the thread its work is charged to.
+//!
 //! This file deliberately holds a single `#[test]` so no other test's FFT
 //! activity reaches the process-wide sum and exact equality is sound
 //! (see `crates/serve/tests/fft_cache.rs` for the same arrangement).
@@ -59,4 +62,36 @@ fn snapshot_sums_live_and_exited_threads_exactly() {
     assert_eq!(stats::snapshot().since(&before), sum, "exited threads");
     // And none of it landed on this thread's ledger.
     assert_eq!(stats::thread_snapshot(), main_before);
+
+    // A helper counts one pair on the ledger, detaches, then does two more
+    // on this thread's behalf: those reach the sum only once charged here,
+    // and its exit does not retire the first pair a second time.
+    let before = stats::snapshot();
+    let helper = thread::spawn(move || {
+        let pair = || {
+            let spectrum = rfft.forward(&[0.5f32; 16]);
+            let _ = rfft.inverse(&spectrum);
+        };
+        pair();
+        stats::detach_thread();
+        let start = stats::thread_snapshot();
+        pair();
+        pair();
+        stats::thread_snapshot().since(&start)
+    });
+    let on_behalf = helper.join().expect("helper thread panicked");
+    assert_eq!(on_behalf.transforms(), 4);
+    let one_pair = FftStats {
+        forward_transforms: 1,
+        inverse_transforms: 1,
+        ..FftStats::default()
+    };
+    assert_eq!(stats::snapshot().since(&before), one_pair, "detached");
+    stats::charge(&on_behalf);
+    assert_eq!(
+        stats::snapshot().since(&before),
+        one_pair.plus(&on_behalf),
+        "charged"
+    );
+    assert_eq!(stats::thread_snapshot().since(&main_before), on_behalf);
 }

@@ -49,13 +49,17 @@
 //! excepted).
 //!
 //! Where the time goes, 1024² `L_b = 8` at batch 1 (≈ 15–17 µs on AVX2
-//! tiles, ≈ 22 on baseline SSE2): the MAC; the eight 32-lane tile
-//! transforms are ≈ 0.4 µs of it since the codelets (≈ 1.7 µs on the
-//! radix-2 plan). The LSTM-1024
-//! matrices are tall — 4096×512 issues 16 inverse tiles, 4096×153 another
-//! 16 — which is where the plan's ≈ 210–260 ns per inverse tile was
-//! ≈ 7 µs of a frame; what stage 3 still pays per frame there is the
-//! scatter out of the `[sample][lane]` planes, ≈ 6.5 µs.
+//! tiles on one core, ≈ 22 on baseline SSE2): the MAC; the eight 32-lane
+//! tile transforms are ≈ 0.4 µs of it since the codelets (≈ 1.7 µs on the
+//! radix-2 plan). With the second core (crate docs, "Two cores") its four
+//! tiles go two and two and the call reads ≈ 10–12 µs: half the MAC plus
+//! ≈ 2–3 µs of handoff — the input spectra copied into the job, the
+//! helper's start, its rows copied back. The LSTM-1024 matrices are tall —
+//! 4096×512 issues 16 inverse tiles, 4096×153 another 16 — which is where
+//! the plan's ≈ 210–260 ns per inverse tile was ≈ 7 µs of a frame; they
+//! split eight and eight (4096×512: ≈ 31 → 18–22 µs). What stage 3 still
+//! pays per frame there is the scatter out of the `[sample][lane]` planes,
+//! ≈ 6.5 µs on one core.
 //!
 //! # Two instantiations
 //!
@@ -77,12 +81,19 @@
 //! records the measured ways a lane loop silently falls back to scalar
 //! code, and what AVX2 costs to wake.
 
+use crate::helper::{self, Helper, Job};
 use crate::lanes::{
     lane_tile, lane_tiles, lanes, lanes_mut, padded_lanes, with_lane_width, LaneTile, TILE,
 };
 use crate::{MatVec, MatVecScratch, Matrix};
 use ernn_fft::{is_power_of_two, stats, Complex32, RealFft};
+use std::ops::Range;
 use std::sync::Arc;
+
+/// The least work, `p·q·batch` block MACs, at which a call of at least
+/// two tiles hands the upper half of them to the helper thread (see the
+/// crate docs, "Two cores").
+pub const SPLIT_MIN_WORK: usize = 8192;
 
 /// A block-circulant matrix with cached weight spectra.
 ///
@@ -103,12 +114,13 @@ pub struct BlockCirculantMatrix {
     /// Number of block columns, `⌈cols / L_b⌉`.
     q: usize,
     /// Defining first-row vectors, `p*q` blocks × `L_b` entries, block
-    /// row-major.
-    blocks: Vec<f32>,
+    /// row-major. Shared by clones, as are the spectra, so the helper
+    /// thread can hold the matrix without copying it.
+    blocks: Arc<[f32]>,
     /// Cached `FFT(w_ij)` as lane-major planes, `[tile][j][plane][lane]`
     /// (see the module docs): `L_b` planes per block, block *rows* in the
     /// stride-1 lane axis, the tail tile zero-padded to its lane width.
-    spectra: Vec<f32>,
+    spectra: Arc<[f32]>,
     /// Process-wide shared real-FFT plan of size `L_b` (see
     /// [`RealFft::shared`]); clones of this matrix share the plan instead
     /// of recomputing twiddle tables.
@@ -152,8 +164,8 @@ impl BlockCirculantMatrix {
             block_size,
             p,
             q,
-            blocks,
-            spectra: Vec::new(),
+            blocks: blocks.into(),
+            spectra: Arc::new([]),
             rfft,
             refreshes: 0,
         };
@@ -221,7 +233,7 @@ impl BlockCirculantMatrix {
         if (self.block_size, self.cols) != (below.block_size, below.cols) {
             return None;
         }
-        let blocks = [self.blocks.as_slice(), &below.blocks].concat();
+        let blocks = [&self.blocks[..], &below.blocks].concat();
         Some(Self::from_blocks(
             self.p * self.block_size + below.rows,
             self.cols,
@@ -289,7 +301,7 @@ impl BlockCirculantMatrix {
     /// Panics if `blocks.len()` differs from [`Self::param_count`].
     pub fn set_blocks(&mut self, blocks: &[f32]) {
         assert_eq!(blocks.len(), self.blocks.len(), "block length mismatch");
-        self.blocks.copy_from_slice(blocks);
+        Arc::make_mut(&mut self.blocks).copy_from_slice(blocks);
         self.refresh_spectra();
     }
 
@@ -309,9 +321,7 @@ impl BlockCirculantMatrix {
     pub fn refresh_spectra(&mut self) {
         self.refreshes += 1;
         let lb = self.block_size;
-        let mut spectra = std::mem::take(&mut self.spectra);
-        spectra.clear();
-        spectra.resize(padded_lanes(self.p) * self.q * lb, 0.0);
+        let mut spectra = vec![0.0; padded_lanes(self.p) * self.q * lb];
         let (mut time, mut bins) = (Vec::new(), Vec::new());
         let mut planes = spectra.as_mut_slice();
         for tile in lane_tiles(self.p) {
@@ -319,7 +329,7 @@ impl BlockCirculantMatrix {
             planes = rest;
             with_lane_width!(tile.width, W => self.pack_tile::<W>(tile, head, &mut time, &mut bins));
         }
-        self.spectra = spectra;
+        self.spectra = spectra.into();
     }
 
     /// FFTs the defining vectors of one tile of block rows and packs the
@@ -421,11 +431,87 @@ impl BlockCirculantMatrix {
         // the read counter is bumped once up front rather than paying an
         // atomic RMW inside the hot accumulate loop.
         stats::count_spectrum_block_reads((self.p * self.q) as u64);
-        for (tile, planes) in self.weight_tiles() {
+        let tiles = self.p.div_ceil(TILE);
+        if self.p * self.q * batch >= SPLIT_MIN_WORK && tiles >= 2 {
+            if let Some(helper) = helper::process_helper() {
+                return self.run_tiles_split(helper, tiles, ys, batch, scratch);
+            }
+        }
+        self.run_tiles(0..tiles, ys, batch, scratch);
+    }
+
+    /// Stages 2+3 for tiles `tiles` of block rows. Inlined: called once
+    /// out of line, it put ≈ 5 ns on GRU-8's ≈ 65 ns 8×8 call.
+    #[inline(always)]
+    pub(crate) fn run_tiles(
+        &self,
+        tiles: Range<usize>,
+        ys: &mut [f32],
+        batch: usize,
+        scratch: &mut MatVecScratch,
+    ) {
+        for t in tiles {
+            let (tile, planes) = self.weight_tile(t);
             with_lane_width!(tile.width, W => {
                 self.matvec_tile::<W>(tile, planes, ys, batch, scratch);
             });
         }
+    }
+
+    /// Stages 2+3 for all `tiles` tiles, the upper half on `helper` when
+    /// this thread can claim it (see the crate docs, "Two cores"). The
+    /// caller runs the lower half, then copies the helper's rows in — or
+    /// runs the upper half too, when the helper has not started it or not
+    /// finished it in time. Each tile runs the one tile stage either way,
+    /// so the bits never depend on which thread ran it.
+    pub(crate) fn run_tiles_split(
+        &self,
+        helper: &Helper,
+        tiles: usize,
+        ys: &mut [f32],
+        batch: usize,
+        scratch: &mut MatVecScratch,
+    ) {
+        #[cfg(test)]
+        tests::SPLIT_CALLS.with(|n| n.set(n.get() + 1));
+        let Some(mut claim) = helper.try_claim() else {
+            return self.run_tiles(0..tiles, ys, batch, scratch);
+        };
+        let split = tiles.div_ceil(2);
+        claim.post(|job| self.delegate(job, split..tiles, batch, scratch));
+        self.run_tiles(0..split, ys, batch, scratch);
+        match claim.collect() {
+            Some(job) => {
+                // Rows of the delegated tiles, per input; the helper's FFT
+                // work is this call's, so this thread's ledger carries it.
+                let first = split * TILE * self.block_size;
+                for (y, done) in ys
+                    .chunks_exact_mut(self.rows)
+                    .zip(job.ys.chunks_exact(self.rows))
+                {
+                    y[first..].copy_from_slice(&done[first..]);
+                }
+                stats::charge(&job.fft);
+            }
+            None => self.run_tiles(split..tiles, ys, batch, scratch),
+        };
+    }
+
+    /// Loads `job` with `tiles` of this call: the matrix (a clone that
+    /// shares its buffers), stage 1's input spectra from `scratch`, and
+    /// every buffer the helper writes grown to size here, on the caller,
+    /// so the helper thread never allocates.
+    fn delegate(&self, job: &mut Job, tiles: Range<usize>, batch: usize, scratch: &MatVecScratch) {
+        let lb = self.block_size;
+        let bins = self.rfft.spectrum_len();
+        let spectra = padded_lanes(batch * self.q) * bins * 2;
+        grown(&mut job.scratch.x_spectra, spectra).copy_from_slice(&scratch.x_spectra[..spectra]);
+        grown(&mut job.scratch.acc, batch * bins * 2 * TILE);
+        grown(&mut job.scratch.time, lb * TILE);
+        grown(&mut job.ys, batch * self.rows);
+        job.matrix = Some(self.clone());
+        job.tiles = tiles;
+        job.batch = batch;
     }
 
     /// Stage 1 (decoupled): FFT of every (zero-padded) input block, once,
@@ -457,14 +543,12 @@ impl BlockCirculantMatrix {
         }
     }
 
-    /// The tiles of block rows with their weight planes (`[j][plane][lane]`).
-    fn weight_tiles(&self) -> impl Iterator<Item = (LaneTile, &[f32])> {
-        let mut planes = self.spectra.as_slice();
-        lane_tiles(self.p).map(move |tile| {
-            let (head, rest) = planes.split_at(tile.width * self.q * self.block_size);
-            planes = rest;
-            (tile, head)
-        })
+    /// Tile `t` of block rows with its weight planes (`[j][plane][lane]`);
+    /// every tile but the last is [`TILE`] lanes wide.
+    fn weight_tile(&self, t: usize) -> (LaneTile, &[f32]) {
+        let tile = lane_tile(self.p, t * TILE);
+        let len = self.q * self.block_size;
+        (tile, &self.spectra[t * TILE * len..][..tile.width * len])
     }
 
     /// Stages 2+3 for one tile: picks the instantiation of
@@ -838,15 +922,20 @@ impl MatVec for BlockCirculantMatrix {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::helper::SplitStats;
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
     use std::cell::Cell;
+    use std::sync::{mpsc, OnceLock};
+    use std::thread;
 
     thread_local! {
         /// Tiles this thread has run through `matvec_tile_avx2`.
         pub(super) static AVX2_TILES: Cell<u64> = const { Cell::new(0) };
+        /// Calls this thread has sent down the split path.
+        pub(super) static SPLIT_CALLS: Cell<u64> = const { Cell::new(0) };
     }
 
     fn random_bc(
@@ -932,12 +1021,63 @@ mod tests {
     ) -> Vec<f32> {
         let mut ys = vec![f32::NAN; batch * m.rows];
         m.input_spectra(xs, batch, scratch);
-        for (tile, planes) in m.weight_tiles() {
+        for t in 0..m.p.div_ceil(TILE) {
+            let (tile, planes) = m.weight_tile(t);
             with_lane_width!(tile.width, W => {
                 m.matvec_tile_baseline::<W>(tile, planes, &mut ys, batch, scratch);
             });
         }
         ys
+    }
+
+    /// Stages 2+3 all on this thread: the serial path, whatever the size.
+    fn serial_matvec_batch(
+        m: &BlockCirculantMatrix,
+        xs: &[f32],
+        batch: usize,
+        scratch: &mut MatVecScratch,
+    ) -> Vec<f32> {
+        let mut ys = vec![f32::NAN; batch * m.rows];
+        m.input_spectra(xs, batch, scratch);
+        m.run_tiles(0..m.p.div_ceil(TILE), &mut ys, batch, scratch);
+        ys
+    }
+
+    /// Stages 2+3 down the split path on `helper`, whatever the size.
+    pub(crate) fn split_matvec_batch(
+        m: &BlockCirculantMatrix,
+        xs: &[f32],
+        batch: usize,
+        helper: &Helper,
+        scratch: &mut MatVecScratch,
+    ) -> Vec<f32> {
+        let mut ys = vec![f32::NAN; batch * m.rows];
+        m.input_spectra(xs, batch, scratch);
+        m.run_tiles_split(helper, m.p.div_ceil(TILE), &mut ys, batch, scratch);
+        ys
+    }
+
+    /// A started helper of the split proptest's own, so its counts are
+    /// the proptest's.
+    fn free_helper() -> &'static Helper {
+        static FREE: OnceLock<&'static Helper> = OnceLock::new();
+        FREE.get_or_init(Helper::spawn)
+    }
+
+    /// `f` while another thread holds `helper`'s claim.
+    fn while_claimed<T>(helper: &Helper, f: impl FnOnce() -> T) -> T {
+        thread::scope(|s| {
+            let (claimed, release) = (mpsc::channel(), mpsc::channel::<()>());
+            s.spawn(move || {
+                let claim = helper.try_claim();
+                claimed.0.send(claim.is_some()).expect("test thread waits");
+                let _ = release.1.recv();
+            });
+            assert!(claimed.1.recv().expect("claimer reports"), "claim taken");
+            let out = f();
+            release.0.send(()).expect("claimer waits");
+            out
+        })
     }
 
     /// The baseline caller, then `matvec_batch_into`, `matvec_into` and
@@ -1216,8 +1356,113 @@ mod tests {
         assert_eq!(fused.inverse_transforms, seq.inverse_transforms);
     }
 
+    #[test]
+    fn the_helper_thread_runs_delegated_tiles() {
+        let (bc, mut rng) = random_bc(520, 300, 8, 43);
+        let xs = tricky_inputs(&mut rng, 2 * 300, 8);
+        let want = bits(&reference_matvec_batch(&bc, &xs, 2));
+        let (helper, mut scratch) = (Helper::spawn(), MatVecScratch::new());
+        let before = helper.stats();
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while helper.stats().since(&before).helper_ran == 0 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the helper ran none of {:?}",
+                helper.stats().since(&before)
+            );
+            let ys = split_matvec_batch(&bc, &xs, 2, helper, &mut scratch);
+            assert_eq!(bits(&ys), want);
+        }
+    }
+
+    #[test]
+    fn four_threads_sharing_split_size_matrices_get_the_serial_bits() {
+        // (rows, cols, batch): 2 tiles at exactly the threshold, 4 tiles
+        // above it with a ragged edge.
+        let cases = [(512, 1024, 1), (797, 300, 3)];
+        let cases: Vec<_> = cases
+            .iter()
+            .enumerate()
+            .map(|(i, &(rows, cols, batch))| {
+                let (bc, mut rng) = random_bc(rows, cols, 8, 47 + i as u64);
+                let (p, q) = bc.grid();
+                assert!(p > TILE && p * q * batch >= SPLIT_MIN_WORK);
+                let xs = tricky_inputs(&mut rng, batch * cols, 8);
+                let want = serial_matvec_batch(&bc, &xs, batch, &mut MatVecScratch::new());
+                (Arc::new(bc), xs, batch, bits(&want))
+            })
+            .collect();
+        thread::scope(|s| {
+            for t in 0..4 {
+                let cases = &cases;
+                s.spawn(move || {
+                    let mut scratch = MatVecScratch::new();
+                    for i in 0..24 {
+                        let (bc, xs, batch, want) = &cases[(i + t) % cases.len()];
+                        let mut ys = vec![f32::NAN; batch * bc.rows()];
+                        bc.matvec_batch_into(xs, &mut ys, *batch, &mut scratch);
+                        assert_eq!(&bits(&ys), want, "thread {t} call {i}");
+                    }
+                });
+            }
+        });
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn split_path_is_bitwise_the_serial_path_and_the_scalar_definition(
+            tiles in 0usize..3,
+            tail in 1usize..33,
+            lb in 0usize..3,
+            batch in 0usize..3,
+            straddle in 0usize..3,
+            rows_off in 0usize..4,
+            cols_off in 0usize..4,
+            seed in any::<u64>(),
+        ) {
+            // 2, 3 or 16 tiles, L_b 4, 8 or 16, batch 1, 3 or 16; p·q·batch
+            // one block column below, at or above the threshold; logical
+            // dims that need not divide L_b.
+            let (tiles, lb, batch) = ([2, 3, 16][tiles], [4, 8, 16][lb], [1, 3, 16][batch]);
+            let p = (tiles - 1) * TILE + tail;
+            let q = (SPLIT_MIN_WORK.div_ceil(p * batch) + straddle).max(2) - 1;
+            let (rows, cols) = (p * lb - rows_off, q * lb - cols_off);
+            let (bc, mut rng) = random_bc(rows, cols, lb, seed);
+            let xs = tricky_inputs(&mut rng, batch * cols, lb);
+            let want = bits(&reference_matvec_batch(&bc, &xs, batch));
+            let mut scratch = MatVecScratch::new();
+            prop_assert_eq!(&bits(&serial_matvec_batch(&bc, &xs, batch, &mut scratch)), &want);
+
+            // The dispatched entry point takes the split path exactly when
+            // the work reaches the threshold (and the machine has a helper).
+            let (calls, mut ys) = (SPLIT_CALLS.with(Cell::get), vec![f32::NAN; batch * rows]);
+            bc.matvec_batch_into(&xs, &mut ys, batch, &mut scratch);
+            prop_assert_eq!(&bits(&ys), &want);
+            let splits = p * q * batch >= SPLIT_MIN_WORK && helper::process_helper().is_some();
+            prop_assert_eq!(SPLIT_CALLS.with(Cell::get) - calls, u64::from(splits));
+
+            // Helper free: it ran the upper half, or the caller took it
+            // back, or the helper was resting — one of the four, once.
+            let free = free_helper();
+            let before = free.stats();
+            let ys = split_matvec_batch(&bc, &xs, batch, free, &mut scratch);
+            prop_assert_eq!(&bits(&ys), &want);
+            let s = free.stats().since(&before);
+            prop_assert_eq!(s.helper_ran + s.taken_back + s.busy + s.rested, 1);
+
+            // Helper held elsewhere: a helper thread that never starts the
+            // job (taken back), and a claim another thread holds (serial).
+            let never = Helper::new();
+            let ys = split_matvec_batch(&bc, &xs, batch, &never, &mut scratch);
+            prop_assert_eq!(&bits(&ys), &want);
+            prop_assert_eq!(never.stats(), SplitStats { taken_back: 1, ..SplitStats::default() });
+            let held = Helper::new();
+            let ys = while_claimed(&held, || split_matvec_batch(&bc, &xs, batch, &held, &mut scratch));
+            prop_assert_eq!(&bits(&ys), &want);
+            prop_assert_eq!(held.stats(), SplitStats { busy: 1, ..SplitStats::default() });
+        }
 
         #[test]
         fn into_and_batch_paths_are_bit_identical_to_matvec(

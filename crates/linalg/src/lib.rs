@@ -97,20 +97,60 @@
 //! product code (the `GlobalAlloc` impl of `ernn-bench`'s counting
 //! allocator aside): this crate is `#![deny(unsafe_code)]` with a single
 //! `allow` on the dispatch, every other library crate `forbid`s it.
+//!
+//! # Two cores
+//!
+//! Fig. 10's PEs also work on different output blocks at once. The host
+//! does the same with a second core, under a rule as narrow as the one
+//! above:
+//!
+//! * **One tile body, two runners.** The block-circulant tile loop is
+//!   partitioned, not rewritten: the caller runs the lower half of a
+//!   call's tiles and one process-wide helper thread the upper half, each
+//!   through the same tile stage. Tiles are independent, so **the bits
+//!   never depend on which thread ran a tile** (the tests hold the split
+//!   path `to_bits` to the serial path and the scalar oracle, helper free
+//!   and held).
+//! * **Selected only from what the kernel observes:** at least two tiles,
+//!   `p·q·batch` ≥ [`SPLIT_MIN_WORK`] (below it a call pays one
+//!   comparison; GRU-8 never gets there), a second core
+//!   (`available_parallelism`), and a helper that is free — not claimed
+//!   by another thread, not finishing a job its caller stopped waiting
+//!   for, not resting. No option, env var, Cargo feature or `cfg`.
+//! * **A busy second core cannot stall a call.** A caller that finishes
+//!   its half before the helper has started takes the job back (the loss
+//!   is the handoff); one whose helper has not finished after as long
+//!   again runs the tiles itself (at most ≈ 1.5 serial calls); repeated
+//!   misses rest the helper so its core goes idle (see `helper.rs`). After a job the helper spins no longer than the job
+//!   took (at most [`HELPER_SPIN`]), then parks. [`split_stats`] counts
+//!   what happened to every split-size call.
+//! * **No `unsafe`.** The matrix's blocks and spectra are `Arc<[f32]>`, so
+//!   the job holds a clone without copying them; the job slot is a
+//!   `Mutex` that is never contended; callers claim the helper with an
+//!   atomic try-claim.
+//! * **Nothing else moves:** the helper spawns once, on the first call
+//!   that qualifies; the caller grows every buffer the helper writes, so
+//!   steady state allocates nothing on either thread; the helper is off
+//!   the FFT ledger and its work is charged to the caller
+//!   (`ernn_fft::stats::charge`), so a split call counts exactly what the
+//!   serial call counts, on the calling thread.
 
 // The one exception is the tile dispatch in `circulant.rs` (see "Two
-// instantiations" above); a second `unsafe` anywhere is a compile error.
+// instantiations" above); a second `unsafe` anywhere is a compile error,
+// the helper thread of "Two cores" included.
 #![deny(unsafe_code)]
 
 mod circulant;
 mod dense;
+mod helper;
 mod lanes;
 pub mod ops;
 mod scratch;
 mod weight;
 
-pub use circulant::BlockCirculantMatrix;
+pub use circulant::{BlockCirculantMatrix, SPLIT_MIN_WORK};
 pub use dense::{LanePanel, Matrix};
+pub use helper::{split_stats, SplitStats, HELPER_SPIN};
 pub use lanes::lane_isa;
 pub use scratch::MatVecScratch;
 pub use weight::{MatVec, WeightMatrix};
