@@ -59,35 +59,6 @@ impl CsrMatrix {
         self.values.len()
     }
 
-    /// Density (nnz / total entries).
-    pub fn density(&self) -> f64 {
-        self.nnz() as f64 / (self.rows * self.cols).max(1) as f64
-    }
-
-    /// Sparse matvec `y = A·x`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != cols`.
-    pub fn matvec(&self, x: &[f32]) -> Vec<f32> {
-        assert_eq!(x.len(), self.cols, "input length must equal cols");
-        let mut y = vec![0.0f32; self.rows];
-        for (r, out) in y.iter_mut().enumerate() {
-            let mut acc = 0.0f32;
-            for k in self.row_ptr[r]..self.row_ptr[r + 1] {
-                acc += self.values[k] * x[self.col_idx[k] as usize];
-            }
-            *out = acc;
-        }
-        y
-    }
-
-    /// Storage bits including indices (the accounting behind the paper's
-    /// "effective compression" for ESE).
-    pub fn storage_bits(&self, weight_bits: u8, index_bits: u8) -> u64 {
-        self.nnz() as u64 * (weight_bits as u64 + index_bits as u64) + (self.rows as u64 + 1) * 32
-    }
-
     /// Load imbalance across `channels` row-interleaved PEs: the ratio of
     /// the busiest channel's non-zeros to the mean — the quantity that
     /// throttles ESE's parallel efficiency.
@@ -121,8 +92,6 @@ impl CsrMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-    use rand::{Rng, SeedableRng};
 
     #[test]
     fn roundtrip_preserves_matrix() {
@@ -130,32 +99,6 @@ mod tests {
         let csr = CsrMatrix::from_dense(&dense);
         assert_eq!(csr.nnz(), 3);
         assert_eq!(csr.to_dense(), dense);
-    }
-
-    #[test]
-    fn matvec_matches_dense() {
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
-        let dense = Matrix::from_fn(10, 8, |_, _| {
-            if rng.gen_bool(0.3) {
-                rng.gen_range(-1.0..1.0)
-            } else {
-                0.0
-            }
-        });
-        let csr = CsrMatrix::from_dense(&dense);
-        let x: Vec<f32> = (0..8).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-        let a = dense.matvec(&x);
-        let b = csr.matvec(&x);
-        for (p, q) in a.iter().zip(b.iter()) {
-            assert!((p - q).abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    fn storage_accounts_for_indices() {
-        let dense = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]);
-        let csr = CsrMatrix::from_dense(&dense);
-        assert_eq!(csr.storage_bits(12, 12), 2 * 24 + 3 * 32);
     }
 
     #[test]
@@ -171,22 +114,5 @@ mod tests {
         let dense = Matrix::from_fn(4, 8, |r, _| if r == 0 { 1.0 } else { 0.0 });
         let csr = CsrMatrix::from_dense(&dense);
         assert!((csr.load_imbalance(4) - 4.0).abs() < 1e-9);
-    }
-
-    proptest! {
-        #[test]
-        fn csr_matvec_equals_dense(seed in any::<u64>(), density in 0.05f64..0.9) {
-            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-            let dense = Matrix::from_fn(12, 9, |_, _| {
-                if rng.gen_bool(density) { rng.gen_range(-1.0..1.0) } else { 0.0 }
-            });
-            let csr = CsrMatrix::from_dense(&dense);
-            let x: Vec<f32> = (0..9).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-            let a = dense.matvec(&x);
-            let b = csr.matvec(&x);
-            for (p, q) in a.iter().zip(b.iter()) {
-                prop_assert!((p - q).abs() < 1e-4);
-            }
-        }
     }
 }

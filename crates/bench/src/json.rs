@@ -130,22 +130,34 @@ impl JsonObject {
 }
 
 /// Pulls the value following a `--json` flag out of an argument list.
-pub fn json_path_arg(args: &[String]) -> Option<String> {
+///
+/// # Errors
+///
+/// A `--json` with nothing after it, or with another `--flag` there, is
+/// a usage error naming the flag.
+pub fn json_path_arg(args: &[String]) -> Result<Option<String>, String> {
     flag_value(args, "--json")
 }
 
 /// Pulls the value following a `--trace-out` flag out of an argument
 /// list — the path the sweeps write their Chrome trace-event JSON to
 /// (with a Prometheus text snapshot beside it at `<path>.prom`).
-pub fn trace_path_arg(args: &[String]) -> Option<String> {
+///
+/// # Errors
+///
+/// As [`json_path_arg`], for `--trace-out`.
+pub fn trace_path_arg(args: &[String]) -> Result<Option<String>, String> {
     flag_value(args, "--trace-out")
 }
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+fn flag_value(args: &[String], flag: &str) -> Result<Option<String>, String> {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    match args.get(i + 1) {
+        Some(value) if !value.starts_with("--") => Ok(Some(value.clone())),
+        _ => Err(format!("{flag} needs a PATH after it")),
+    }
 }
 
 /// Writes a rendered JSON document as a newline-terminated bench
@@ -210,24 +222,35 @@ mod tests {
         assert!(doc.contains("\"queue_p999_us\""));
     }
 
+    fn strings(args: &[&str]) -> Vec<String> {
+        args.iter().map(|s| s.to_string()).collect()
+    }
+
     #[test]
     fn json_path_arg_finds_the_flag_value() {
-        let args: Vec<String> = ["x", "--quick", "--json", "out.json"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(json_path_arg(&args).as_deref(), Some("out.json"));
-        assert_eq!(json_path_arg(&args[..2]), None);
+        let args = strings(&["x", "--quick", "--json", "out.json"]);
+        assert_eq!(json_path_arg(&args), Ok(Some("out.json".to_string())));
+        assert_eq!(json_path_arg(&args[..2]), Ok(None));
     }
 
     #[test]
     fn trace_path_arg_finds_the_flag_value() {
-        let args: Vec<String> = ["x", "--trace-out", "TRACE_sched.json"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(trace_path_arg(&args).as_deref(), Some("TRACE_sched.json"));
-        assert_eq!(trace_path_arg(&args[..1]), None);
+        let args = strings(&["x", "--trace-out", "TRACE_sched.json"]);
+        assert_eq!(
+            trace_path_arg(&args),
+            Ok(Some("TRACE_sched.json".to_string()))
+        );
+        assert_eq!(trace_path_arg(&args[..1]), Ok(None));
+    }
+
+    #[test]
+    fn a_path_flag_without_a_path_is_a_usage_error() {
+        // Followed by another flag: that flag is not swallowed as the path.
+        let err = json_path_arg(&strings(&["table1", "--json", "--quick"])).unwrap_err();
+        assert!(err.contains("--json"), "{err}");
+        // Trailing: nothing is silently left unwritten.
+        let err = trace_path_arg(&strings(&["sched_sweep", "--trace-out"])).unwrap_err();
+        assert!(err.contains("--trace-out"), "{err}");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The one harness behind the sweeps (`sched_sweep`, `stream_sweep`,
-//! `chaos_sweep`, `cluster_sweep`, `pipeline_smoke`; `kernel_sweep` and
-//! the paper bins for its flags): flag parsing, the
+//! `chaos_sweep`, `cluster_sweep`; `kernel_sweep` and the paper bins for
+//! its flags): flag parsing, the
 //! paper-preset model fixture, the executor-bit-identity,
 //! answered-exactly-once and live-counter oracles, and artifact export. A
 //! sweep keeps only its workload and the claims it asserts beyond these; a
@@ -31,13 +31,20 @@ pub struct SweepArgs {
 }
 
 impl SweepArgs {
-    /// Parses the process arguments; unknown flags are ignored.
+    /// Parses the process arguments; unknown flags are ignored. A
+    /// `--json` / `--trace-out` without a path exits with status 2.
     pub fn from_env() -> Self {
         let args: Vec<String> = std::env::args().collect();
+        let path = |parsed: Result<Option<String>, String>| {
+            parsed.unwrap_or_else(|err| {
+                eprintln!("usage error: {err}");
+                std::process::exit(2)
+            })
+        };
         SweepArgs {
             quick: args.iter().any(|a| a == "--quick"),
-            json: json_path_arg(&args),
-            trace_out: trace_path_arg(&args),
+            json: path(json_path_arg(&args)),
+            trace_out: path(trace_path_arg(&args)),
         }
     }
 

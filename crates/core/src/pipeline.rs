@@ -19,7 +19,7 @@
 //!   .train(data, &recipe, rng)? / .init(rng) / .with_pretrained(..)?   TrainedStage
 //!   .compress(data, &recipe, rng)? / .project()?   CompressedStage
 //!   .quantize()? / .quantize_with(..)?        QuantizedStage
-//!   .compile()? / .compile_for(dev)?          PipelineModel
+//!   .compile()?                               PipelineModel
 //! ```
 //!
 //! The terminal [`PipelineModel`] pairs the in-memory
@@ -50,7 +50,7 @@ pub use ernn_fpga::artifact::PipelineError;
 /// Lifecycle settings a pipeline carries from spec to compile: the block
 /// policy for compression, the datapath for quantization, the target
 /// platform for compilation. Stages consume these unless an explicit
-/// `_with`/`_for` variant overrides them.
+/// `_with` variant overrides them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PipelineSettings {
     /// Block-circulant policy applied by the compression stage.
@@ -123,12 +123,6 @@ pub struct SpecStage {
 }
 
 impl SpecStage {
-    /// Replaces all lifecycle settings.
-    pub fn settings(mut self, settings: PipelineSettings) -> Self {
-        self.settings = settings;
-        self
-    }
-
     /// Overrides the compression block policy.
     pub fn block_policy(mut self, policy: BlockPolicy) -> Self {
         self.settings.block = policy;
@@ -359,16 +353,12 @@ pub struct QuantizedStage {
 }
 
 impl QuantizedStage {
-    /// Compiles for the pipeline's target platform.
+    /// Compiles for the pipeline's target platform ([`SpecStage::device`]):
+    /// quantizes the weights, derives the accelerator timing model, and
+    /// packages the result as both a servable [`CompiledModel`] and a
+    /// persistable [`ModelArtifact`].
     pub fn compile(self) -> Result<PipelineModel, PipelineError> {
         let device = self.settings.device;
-        self.compile_for(device)
-    }
-
-    /// Compiles for an explicit platform: quantizes the weights, derives
-    /// the accelerator timing model, and packages the result as both a
-    /// servable [`CompiledModel`] and a persistable [`ModelArtifact`].
-    pub fn compile_for(self, device: Device) -> Result<PipelineModel, PipelineError> {
         if Device::by_name(device.name) != Some(device) {
             return Err(PipelineError::UnknownDevice(device.name.to_string()));
         }
@@ -424,6 +414,7 @@ mod tests {
     use super::*;
     use ernn_admm::AdmmConfig;
     use ernn_model::{CellType, NetworkBuilder};
+    use ernn_serve::sched::{ModelRegistry, SchedPolicy, SchedRuntime};
     use rand::SeedableRng;
 
     fn toy_data(n: usize, len: usize, seed: u64) -> Vec<Sequence> {
@@ -507,10 +498,29 @@ mod tests {
         // Bytes round-trip into an identical servable model.
         let bytes = out.save_bytes();
         let loaded = ModelArtifact::load_bytes(&bytes).expect("decodes");
+        assert_eq!(loaded.save_bytes(), bytes, "save(load(bytes)) == bytes");
         let reloaded = CompiledModel::from_artifact(&loaded);
         let frames = vec![vec![0.2f32; 4]; 6];
         assert_eq!(reloaded.infer(&frames), out.model().infer(&frames));
         assert_eq!(reloaded.stage_cycles(), out.model().stage_cycles());
+
+        // Registering the decoded artifact refreshes no weight spectra
+        // (decoding was the load event), and the registry serves.
+        let mut registry = ModelRegistry::new();
+        let id = registry.register_artifact("trained", &loaded);
+        assert_eq!(
+            registry.model(id).weight_spectrum_refreshes(),
+            reloaded.weight_spectrum_refreshes()
+        );
+        let runtime = SchedRuntime::new(
+            registry,
+            vec![ernn_fpga::XCKU060],
+            SchedPolicy::edf_cost_model(4, 100.0),
+        );
+        let payloads: Vec<_> = data.iter().take(4).map(|(f, _)| (id, f.clone())).collect();
+        let report = runtime.run_closed_loop(&payloads, 4, 24, Some(10_000.0));
+        assert_eq!(report.responses.len(), 24);
+        assert_eq!(report.metrics.completed, 24);
     }
 
     #[test]

@@ -29,8 +29,6 @@ pub struct Complex32 {
 impl Complex32 {
     /// The additive identity.
     pub const ZERO: Complex32 = Complex32 { re: 0.0, im: 0.0 };
-    /// The multiplicative identity.
-    pub const ONE: Complex32 = Complex32 { re: 1.0, im: 0.0 };
     /// The imaginary unit `i`.
     pub const I: Complex32 = Complex32 { re: 0.0, im: 1.0 };
 

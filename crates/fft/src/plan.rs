@@ -101,16 +101,6 @@ impl FftPlan {
         }
     }
 
-    /// Forward FFT of a real signal, convenience wrapper producing the full
-    /// complex spectrum. Prefer [`crate::RealFft`] when only the unique half
-    /// spectrum is needed.
-    pub fn forward_real(&self, input: &[f32]) -> Vec<Complex32> {
-        assert_eq!(input.len(), self.size, "input length must match plan size");
-        let mut buf: Vec<Complex32> = input.iter().map(|&x| Complex32::from_real(x)).collect();
-        self.forward(&mut buf);
-        buf
-    }
-
     /// Lane-batched [`Self::forward`]: `buf` holds `W` independent
     /// signals as `[sample][re|im][lane]` planes and every lane goes
     /// through the same permutation and butterflies as the scalar

@@ -96,8 +96,9 @@ impl CompiledModel {
     /// artifact's weights are already quantized; reconstructing their
     /// block-circulant matrices (done while decoding the artifact) was
     /// the load event of the FFT'd-weight cache, so this adds **zero**
-    /// spectrum refreshes — `tests/pipeline_artifact.rs` and the
-    /// `pipeline_smoke` bench pin that down.
+    /// spectrum refreshes — `tests/pipeline_artifact.rs` and `ernn-core`'s
+    /// `trained_compressed_pipeline_round_trips_through_bytes` pin that
+    /// down.
     pub fn from_artifact(artifact: &ModelArtifact) -> Self {
         Self::from_quantized(
             artifact.to_quantized(),
