@@ -70,7 +70,9 @@ impl RowResult {
     }
 
     /// The row as a `BENCH_paper.json` record, keyed by (cell, layer
-    /// dims, blocks, io blocks, seed).
+    /// dims, blocks, io blocks, seed). A compressed row adds its ADMM
+    /// summary and `admm_trace`: one `{iteration, mean_loss, residual}`
+    /// per outer iteration, numbered from 1.
     pub fn json(&self) -> JsonObject {
         let doc = JsonObject::new()
             .str("cell", &format!("{:?}", self.row.spec.cell))
@@ -86,7 +88,17 @@ impl RowResult {
             Some(admm) => doc
                 .num("final_residual", admm.final_residual() as f64)
                 .int("admm_iterations", admm.iterations.len() as i64)
-                .raw("converged", admm.converged.to_string()),
+                .raw("converged", admm.converged.to_string())
+                .raw(
+                    "admm_trace",
+                    array(admm.iterations.iter().zip(1..).map(|(it, iteration)| {
+                        JsonObject::new()
+                            .int("iteration", iteration)
+                            .num("mean_loss", it.mean_loss as f64)
+                            .num("residual", it.residual as f64)
+                            .render()
+                    })),
+                ),
         };
         doc.num("wall_s", self.wall_s)
     }

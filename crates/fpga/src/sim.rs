@@ -125,9 +125,8 @@ pub fn simulate_batch(stages: StageCycles, frame_counts: &[u64]) -> BatchTrace {
 }
 
 /// [`simulate_batch`] writing into a caller-owned trace, reusing its
-/// `completion_cycles` allocation. The serving runtime's device pool keeps
-/// one scratch trace per virtual device so the per-dispatch hot path stays
-/// allocation-free; results are identical to [`simulate_batch`].
+/// `completion_cycles` allocation, so a caller that simulates batch after
+/// batch allocates once; results are identical to [`simulate_batch`].
 ///
 /// # Panics
 ///

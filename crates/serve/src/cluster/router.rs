@@ -31,7 +31,10 @@ use super::placement::{splitmix64, PlacementMap};
 use super::shard::ShardSim;
 use super::{ClusterReport, ClusterRuntime, ClusterStats, ShardReport, Steering};
 use crate::metrics::ServeMetrics;
-use crate::request::{validate_sessions, validate_timing, Request, Response, ShedReason, Workload};
+use crate::request::{
+    validate_sessions, validate_timing, validate_unique_ids, Request, Response, ShedReason,
+    Workload,
+};
 use crate::sched::SchedEngine;
 use crate::trace::{Observer, ShardGauges, TraceEvent};
 use ernn_fpga::transfer::TransferModel;
@@ -423,13 +426,7 @@ impl ClusterRuntime {
             })
             .collect();
         routes.sort_unstable_by_key(|m| m.id);
-        for pair in routes.windows(2) {
-            assert!(
-                pair[0].id < pair[1].id,
-                "duplicate request id {}",
-                pair[1].id
-            );
-        }
+        validate_unique_ids(routes.iter().map(|m| m.id));
 
         // A fresh engine over each shard's scheduler (placement-empty
         // shards hold none).

@@ -1,10 +1,10 @@
 //! Host-side inference executors: *where* `forward_logits` runs.
 //!
 //! The serving runtime separates two clocks. The **virtual clock** decides
-//! when batches form and how long devices take (`DevicePool`, whose
-//! clocks read the closed form
-//! [`StageCycles::stream_completion_cycles`](ernn_fpga::StageCycles::stream_completion_cycles))
-//! — it is pure arithmetic and fully deterministic. The **host clock** is the real CPU time spent computing
+//! when batches form and how long devices take (the scheduler's device
+//! clocks, advanced by the closed form
+//! [`CostModel::stream_us`](crate::sched::CostModel::stream_us)) — it is
+//! pure arithmetic and fully deterministic. The **host clock** is the real CPU time spent computing
 //! logits through the quantized datapath, which on a live deployment is
 //! the pre/post-processing work the host must overlap with device
 //! execution to keep every accelerator fed.
@@ -101,21 +101,13 @@ pub struct ExecutorReport {
 ///   model and frames, whatever thread computes them;
 /// * [`Executor::finish`] blocks until all submitted work is done.
 pub trait Executor {
-    /// Accepts one inference job. May compute it immediately (inline) or
-    /// hand it to a worker and return at once (thread pool).
-    fn submit(&mut self, job: InferenceJob);
-
     /// Accepts every job of one dispatched batch at once, so the
     /// executor can batch-fuse host inference across them (the runtime
     /// dispatches a formed batch to a single device with a single model,
-    /// so batch members share both). The default degrades to per-job
-    /// [`Self::submit`]; implementations that fuse must keep logits
-    /// bit-identical to the per-job path.
-    fn submit_batch(&mut self, jobs: Vec<InferenceJob>) {
-        for job in jobs {
-            self.submit(job);
-        }
-    }
+    /// so batch members share both). May compute them immediately
+    /// (inline) or hand them to a worker and return at once (thread
+    /// pool); either way logits are bit-identical to one-job batches.
+    fn submit_batch(&mut self, jobs: Vec<InferenceJob>);
 
     /// An empty job list to fill for the next [`Self::submit_batch`].
     /// An executor that is done with a batch when `submit_batch` returns
@@ -140,7 +132,7 @@ pub trait Executor {
     }
 
     /// Waits for every submitted job and returns the collected outputs.
-    /// Must be called exactly once, after the last `submit`.
+    /// Must be called exactly once, after the last `submit_batch`.
     fn finish(&mut self) -> ExecutorReport;
 }
 
@@ -256,10 +248,6 @@ impl InlineExecutor {
 }
 
 impl Executor for InlineExecutor {
-    fn submit(&mut self, job: InferenceJob) {
-        self.submit_batch(vec![job]);
-    }
-
     fn submit_batch(&mut self, mut jobs: Vec<InferenceJob>) {
         for run in jobs.chunk_by_mut(same_run) {
             infer_run(
@@ -440,10 +428,6 @@ impl ThreadPoolExecutor {
 }
 
 impl Executor for ThreadPoolExecutor {
-    fn submit(&mut self, job: InferenceJob) {
-        self.send_run(vec![job]);
-    }
-
     fn submit_batch(&mut self, mut jobs: Vec<InferenceJob>) {
         // Runtime batches share (device, model) and go out whole, but
         // stay correct for arbitrary callers: split off each fusable run
@@ -586,10 +570,10 @@ mod tests {
         let mut inline = InlineExecutor::new(vec![Arc::clone(&m)]);
         let mut pool = ThreadPoolExecutor::new(vec![Arc::clone(&m)], 3);
         for job in jobs(10, 3) {
-            inline.submit(job);
+            inline.submit_batch(vec![job]);
         }
         for job in jobs(10, 3) {
-            pool.submit(job);
+            pool.submit_batch(vec![job]);
         }
         let a = sorted_outputs(inline.finish());
         let b = sorted_outputs(pool.finish());
@@ -639,7 +623,7 @@ mod tests {
         assert_eq!(pool.workers(), 2);
         // Devices 0 and 1 → workers 0 and 1; both must show FFT activity.
         for job in jobs(8, 2) {
-            pool.submit(job);
+            pool.submit_batch(vec![job]);
         }
         let report = pool.finish();
         assert_eq!(report.outputs.len(), 8);
@@ -757,7 +741,7 @@ mod tests {
         let m = model();
         let mut pool = ThreadPoolExecutor::new(vec![m], 2);
         for job in jobs(4, 2) {
-            pool.submit(job);
+            pool.submit_batch(vec![job]);
         }
         drop(pool); // must not hang or leak threads
     }
@@ -782,13 +766,13 @@ mod tests {
         // inside the worker's matvec. finish() must re-raise that panic,
         // not a generic channel error.
         let mut pool = ThreadPoolExecutor::new(vec![model()], 2);
-        pool.submit(InferenceJob {
+        pool.submit_batch(vec![InferenceJob {
             slot: 0,
             device: 0,
             model: 0,
             frames: vec![vec![0.0; 3]], // model expects dim 8
             session: None,
-        });
+        }]);
         let _ = pool.finish();
     }
 }

@@ -35,11 +35,12 @@
 //!   heterogeneous pool is the full SLO-aware scheduler (see [`sched`]).
 //!   [`ServeMetrics`] reports p50/p95/p99 latency, throughput,
 //!   per-device occupancy and the batch-size histogram.
-//! * [`DevicePool`] — the N simulated accelerators batches land on;
-//!   each device advances a virtual clock by the closed-form CGPipe
-//!   stream timing
+//! * [`sched::CostModel`] — the one timing model of the N simulated
+//!   accelerators batches land on: every prediction and every device
+//!   clock advance is [`sched::CostModel::stream_us`], the closed-form
+//!   CGPipe stream timing
 //!   ([`StageCycles::stream_completion_cycles`](ernn_fpga::StageCycles::stream_completion_cycles), cycle-exact
-//!   against the batch simulation [`ernn_fpga::sim::simulate_batch`])
+//!   against the batch simulation [`ernn_fpga::sim::simulate_batch`]),
 //!   while outputs come from the quantized datapath ([`ernn_fpga::exec`]),
 //!   so batched results are bit-identical to sequential execution.
 //! * [`CompiledModel`] — model load with a once-per-load FFT'd-weight
@@ -137,7 +138,6 @@
 mod cache;
 pub mod cluster;
 mod config;
-mod device;
 mod executor;
 pub mod health;
 pub mod loadgen;
@@ -153,7 +153,6 @@ pub use cluster::{
     ShardReport, Steering,
 };
 pub use config::{backoff_us, RuntimeConfig, BASE_BACKOFF_US, MAX_BACKOFF_US, MAX_RETRY_ATTEMPTS};
-pub use device::{BatchExecution, DevicePool, VirtualDevice};
 pub use ernn_fpga::artifact::{ModelArtifact, PipelineError};
 pub use ernn_fpga::exec::{ExecScratch, NetworkState};
 pub use ernn_fpga::fault::{DeviceFault, FaultEvent, FaultPlan};

@@ -391,6 +391,22 @@ pub(crate) fn validate_sessions(requests: &[Request]) {
     }
 }
 
+/// Checks that a submitted load's ids, given in ascending order, are
+/// distinct: the runtimes key retry records and route tables by id, so
+/// two requests sharing one would corrupt each other's. Both runtimes'
+/// `run` call this before starting their event loops.
+///
+/// # Panics
+///
+/// Panics naming the first repeated id.
+pub(crate) fn validate_unique_ids(sorted_ids: impl IntoIterator<Item = u64>) {
+    let mut previous = None;
+    for id in sorted_ids {
+        assert!(previous != Some(id), "duplicate request id {id}");
+        previous = Some(id);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -6,12 +6,13 @@
 //! the same design runs a shorter II there — exactly the per-platform gap
 //! in the paper's Table III). The cost model derives every registered
 //! model's stage timing on every platform once at pool build
-//! ([`Accelerator::new`] is pure arithmetic), then answers
-//! `estimate_batch_us` with the closed form
+//! ([`Accelerator::new`] is pure arithmetic). Every batch time in the
+//! scheduler — the admission and placement prediction, the dispatch
+//! fault window, each member's committed completion — is one
+//! [`CostModel::stream_us`] call: the closed form
 //! [`StageCycles::stream_completion_cycles`], which is *exact* against
-//! the event-driven batch simulation and is what the device clocks read
-//! — so cost-model placement predicts precisely the makespan the device
-//! will report, and the only
+//! the event-driven batch simulation. So cost-model placement predicts
+//! precisely the makespan the device clock commits, and the only
 //! approximation left in admission control is the queue-backlog term.
 
 use super::registry::ModelRegistry;
@@ -38,9 +39,27 @@ impl CostModel {
         CostModel { stage_table }
     }
 
-    /// Stage timing of `model` on `device`'s platform.
-    pub fn stages(&self, device: usize, model: usize) -> StageCycles {
-        self.stage_table[device][model]
+    /// Stage timing of `model` on `device`'s platform, stretched by a
+    /// brownout's cycle multiplier `mult` (1.0 on a healthy device).
+    pub fn stages(&self, device: usize, model: usize, mult: f64) -> StageCycles {
+        let stages = self.stage_table[device][model];
+        if mult > 1.0 {
+            stages.scaled(mult)
+        } else {
+            stages
+        }
+    }
+
+    /// Time (µs) from compute start until the `frames`-th back-to-back
+    /// frame (1-indexed) leaves `stages`' pipeline: a batch's service
+    /// time at its total frame count, a member's completion offset at
+    /// the cumulative count through it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `frames == 0`.
+    pub fn stream_us(stages: StageCycles, frames: u64) -> f64 {
+        stages.stream_completion_cycles(frames) as f64 * Device::clock_period_us()
     }
 
     /// Predicted service time (µs) of a batch with the given per-request
@@ -59,8 +78,7 @@ impl CostModel {
     /// `model` on `device` — the solo-request form the admission
     /// predictor uses.
     pub fn estimate_frames_us(&self, device: usize, model: usize, frames: u64) -> f64 {
-        let cycles = self.stages(device, model).stream_completion_cycles(frames);
-        cycles as f64 * Device::clock_period_us()
+        Self::stream_us(self.stages(device, model, 1.0), frames)
     }
 
     /// Number of devices in the table.
@@ -107,10 +125,11 @@ mod tests {
         for device in 0..2 {
             for model in 0..reg.len() {
                 let counts = [3u64, 7, 1];
-                let sim = simulate_batch(cost.stages(device, model), &counts);
+                let sim = simulate_batch(cost.stages(device, model, 1.0), &counts);
                 let est = cost.estimate_batch_us(device, model, &counts);
-                assert!(
-                    (est - sim.makespan_cycles as f64 * period).abs() < 1e-12,
+                assert_eq!(
+                    est.to_bits(),
+                    (sim.makespan_cycles as f64 * period).to_bits(),
                     "device {device} model {model}: est {est}"
                 );
             }

@@ -4,6 +4,7 @@
 //! [`SchedEngine`]; a request this path cannot serve leaves through
 //! [`SchedEngine::shed`] like any other.
 
+use super::cost::CostModel;
 use super::engine::{Arrival, RetryInfo, SchedEngine};
 use super::registry::ModelId;
 use super::residency::{DeviceResidency, ImageKey};
@@ -12,7 +13,7 @@ use crate::config::{backoff_us, MAX_RETRY_ATTEMPTS};
 use crate::executor::{InferenceJob, SessionSlot};
 use crate::request::{Request, Response, ShedReason, Workload};
 use crate::trace::TraceEvent;
-use ernn_fpga::Device;
+use ernn_fpga::StageCycles;
 
 impl SchedEngine<'_, '_> {
     /// Applies every fault whose effect time the virtual clock has
@@ -45,7 +46,7 @@ impl SchedEngine<'_, '_> {
             device,
             down_us: end_us - start_us,
         });
-        self.pool.push_free_at(device, end_us);
+        self.free_at_us[device] = self.free_at_us[device].max(end_us);
         if self.rt.config().failover {
             for entry in self.sessions.values_mut() {
                 if entry.device == Some(device) && !entry.cancelled {
@@ -61,10 +62,11 @@ impl SchedEngine<'_, '_> {
     /// time sits at its recovery point, so placement steers around
     /// outages on its own.
     fn place(&self, model: ModelId, total_frames: u64) -> Option<usize> {
-        let eligible = (0..self.pool.devices().len()).filter(|&d| self.rt.eligible(d, model));
+        let eligible = (0..self.free_at_us.len()).filter(|&d| self.rt.eligible(d, model));
         match self.rt.policy.placement {
-            Placement::EarliestFree => eligible
-                .min_by(|&a, &b| self.pool.free_at_us(a).total_cmp(&self.pool.free_at_us(b))),
+            Placement::EarliestFree => {
+                eligible.min_by(|&a, &b| self.free_at_us[a].total_cmp(&self.free_at_us[b]))
+            }
             Placement::CostModel => eligible.min_by(|&a, &b| {
                 self.predicted_finish_us(a, model, total_frames)
                     .total_cmp(&self.predicted_finish_us(b, model, total_frames))
@@ -76,13 +78,13 @@ impl SchedEngine<'_, '_> {
     ///
     /// Fault handling happens here, **before commit**: the batch's
     /// prospective occupancy window is computed exactly as the
-    /// residency layer and device sim will compute it, the fault
-    /// schedule is scanned over that window, and a crash or transient
-    /// hit aborts the batch — the device is charged the wasted time as
-    /// a stall and every member retries through the arrival queue (or
-    /// sheds once its retry budget is spent). Nothing is ever
-    /// committed across an abort. A batch whose chosen device can
-    /// never come back (a permanently crashed pinned device) sheds
+    /// residency layer will charge it and the device clock will commit
+    /// it, the fault schedule is scanned over that window, and a crash
+    /// or transient hit aborts the batch — the device is charged the
+    /// wasted time as a stall and every member retries through the
+    /// arrival queue (or sheds once its retry budget is spent). Nothing
+    /// is ever committed across an abort. A batch whose chosen device
+    /// can never come back (a permanently crashed pinned device) sheds
     /// whole as [`ShedReason::CapacityLoss`].
     pub(super) fn dispatch(&mut self) {
         self.apply_faults_up_to();
@@ -119,7 +121,7 @@ impl SchedEngine<'_, '_> {
         // placed) onto a device that never comes back. Either way the
         // members were already admitted, so they respond as
         // capacity-loss sheds.
-        let start = device.map(|d| (d, self.now_us.max(self.pool.free_at_us(d))));
+        let start = device.map(|d| (d, self.now_us.max(self.free_at_us[d])));
         let Some((device, start_us)) = start.filter(|&(_, start_us)| start_us.is_finite()) else {
             for request in batch {
                 self.shed(
@@ -143,8 +145,9 @@ impl SchedEngine<'_, '_> {
         }
 
         // Prospective occupancy window [start, end): mirrors the
-        // residency charges and the device sim so a fault inside the
-        // window can abort before anything is committed.
+        // residency charges below, and is the window the device clock
+        // commits, so a fault inside it can abort before anything is
+        // committed.
         let state_bytes = self.rt.registry().model(model).state_bytes();
         let w_load_us = if self.residency[device].is_resident(model) {
             0.0
@@ -169,15 +172,9 @@ impl SchedEngine<'_, '_> {
         // batch (the multiplier is sampled once — a batch is the unit
         // of degradation).
         let mult = self.faults.cycle_multiplier(device, start_us);
-        let base_stages = self.cost.stages(device, model);
-        let stages = if mult > 1.0 {
-            base_stages.scaled(mult)
-        } else {
-            base_stages
-        };
-        let est_us =
-            stages.stream_completion_cycles(total_frames) as f64 * Device::clock_period_us();
-        let end_us = start_us + setup_us + est_us;
+        let stages = self.cost.stages(device, model, mult);
+        let batch_us = CostModel::stream_us(stages, total_frames);
+        let end_us = start_us + setup_us + batch_us;
 
         // Scan [now, end) — a fault striking before the batch even
         // starts (while the device runs earlier committed work) dooms
@@ -247,38 +244,30 @@ impl SchedEngine<'_, '_> {
             }
         }
         self.residency[device].unpin_all();
+        debug_assert_eq!(
+            (load.load_us + state_us).to_bits(),
+            setup_us.to_bits(),
+            "the residency charges diverged from the prospective setup"
+        );
 
-        let exec = self.pool.dispatch_to(
-            device,
-            self.now_us,
-            load.load_us + state_us,
-            stages,
-            &self.frame_counts,
-        );
-        debug_assert!(
-            exec.start_us == start_us,
-            "prospective start diverged from the sim"
-        );
+        self.commit_clock(device, start_us, setup_us, stages, batch_us);
         self.obs.batch_dispatched(
             self.now_us,
             model,
             &batch,
             &self.frame_counts,
-            &exec,
+            device,
+            start_us,
+            end_us,
             load.load_us,
             state_us,
             stages.ii(),
         );
         if load.loaded {
-            self.obs.residency_load(
-                exec.start_us,
-                device,
-                model,
-                load.load_us,
-                load.evicted.len(),
-            );
+            self.obs
+                .residency_load(start_us, device, model, load.load_us, load.evicted.len());
         }
-        let mut stall_at = exec.start_us + load.load_us;
+        let mut stall_at = start_us + load.load_us;
         for &(session, load_us, evicted) in &self.state_loads {
             self.obs
                 .session_state_load(stall_at, device, session, load_us, evicted);
@@ -287,7 +276,8 @@ impl SchedEngine<'_, '_> {
 
         let batch_size = batch.len();
         let mut jobs = self.executor.job_buffer();
-        for (request, &complete_us) in batch.into_iter().zip(exec.complete_us.iter()) {
+        for (member, request) in batch.into_iter().enumerate() {
+            let complete_us = self.complete_us[member];
             let Request {
                 id,
                 model,
@@ -299,13 +289,13 @@ impl SchedEngine<'_, '_> {
             // A retried request committing on a different device than
             // the one whose fault aborted it completed a failover.
             if let Some(info) = self.retries.remove(&id) {
-                if info.last_device != exec.device {
+                if info.last_device != device {
                     self.stats.failovers += 1;
                     self.obs.record(TraceEvent::Failover {
                         t_us: self.now_us,
                         id,
                         from_device: info.last_device,
-                        to_device: exec.device,
+                        to_device: device,
                     });
                 }
             }
@@ -331,7 +321,7 @@ impl SchedEngine<'_, '_> {
             };
             jobs.push(InferenceJob {
                 slot: self.responses.len(),
-                device: exec.device,
+                device,
                 model,
                 frames,
                 session,
@@ -341,9 +331,9 @@ impl SchedEngine<'_, '_> {
                 model,
                 workload,
                 arrival_us,
-                exec.start_us,
+                start_us,
                 complete_us,
-                exec.device,
+                device,
                 batch_size,
                 deadline_us,
             ));
@@ -357,6 +347,33 @@ impl SchedEngine<'_, '_> {
             self.feedback_arrival(complete_us);
         }
         self.executor.submit_batch(jobs);
+    }
+
+    /// Commits a batch to `device`'s clock: from `start_us` the device
+    /// stalls `setup_us` for weight and state loads, then streams the
+    /// members' frames (`self.frame_counts`) back to back through
+    /// `stages` for `batch_us` — the window the fault scan checked.
+    /// Member `j` completes when its last frame, the cumulative count
+    /// through `j`, leaves the pipeline; those times go to
+    /// `self.complete_us`.
+    pub(super) fn commit_clock(
+        &mut self,
+        device: usize,
+        start_us: f64,
+        setup_us: f64,
+        stages: StageCycles,
+        batch_us: f64,
+    ) {
+        let compute_start_us = start_us + setup_us;
+        self.free_at_us[device] = compute_start_us + batch_us;
+        self.busy_us[device] += setup_us + batch_us;
+        self.complete_us.clear();
+        let mut streamed = 0;
+        for &frames in &self.frame_counts {
+            streamed += frames;
+            let complete_us = compute_start_us + CostModel::stream_us(stages, streamed);
+            self.complete_us.push(complete_us);
+        }
     }
 
     /// A fault struck the batch's prospective occupancy window: charge
@@ -376,7 +393,8 @@ impl SchedEngine<'_, '_> {
         if f > start_us {
             // The device held the batch from its start to the fault —
             // real occupancy, zero useful work.
-            self.pool.stall(device, start_us, f);
+            self.busy_us[device] += f - start_us;
+            self.free_at_us[device] = self.free_at_us[device].max(f);
             self.obs.batch_aborted(device, model, f - start_us);
         }
         if hit.is_crash {

@@ -1,6 +1,6 @@
 //! The stepped event loop: one [`SchedEngine`] owns everything a run
-//! mutates — the clock, the arrival heap, the queue, the device pool and
-//! its residency, the session and retry tables, the observers — and
+//! mutates — the clock, the arrival heap, the queue, the device clocks
+//! and residency, the session and retry tables, the observers — and
 //! every decision is a method on it. This file holds the clock
 //! ([`run_until`](SchedEngine::run_until),
 //! [`next_event_us`](SchedEngine::next_event_us)), admission with its
@@ -15,13 +15,12 @@ use super::registry::ModelId;
 use super::residency::DeviceResidency;
 use super::runtime::{Feedback, SchedRuntime};
 use super::{SchedReport, SchedStats};
-use crate::device::DevicePool;
 use crate::executor::Executor;
 use crate::health::HealthMonitor;
 use crate::request::{Request, Response, ShedReason, Workload};
 use crate::timeline::{MetricsTimeline, TimelineProbe};
 use crate::trace::{Observer, TraceEvent};
-use ernn_fpga::{Device, FaultTimeline};
+use ernn_fpga::FaultTimeline;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
 use std::time::Instant;
@@ -119,7 +118,12 @@ pub(crate) struct SchedEngine<'rt, 'p> {
     /// pop in offer order.
     offer_seq: u64,
     pub(super) cost: CostModel,
-    pub(super) pool: DevicePool,
+    /// Per device: when it finishes its last committed batch (µs). A
+    /// crashed device sits at its recovery point (∞ when permanent).
+    pub(super) free_at_us: Vec<f64>,
+    /// Per device: total occupied time (µs) — compute, weight and state
+    /// load stalls, and the wasted stretch of aborted batches.
+    pub(super) busy_us: Vec<f64>,
     pub(super) residency: Vec<DeviceResidency>,
     pub(super) queue: SchedQueue,
     pub(super) responses: Vec<Response>,
@@ -143,16 +147,14 @@ pub(crate) struct SchedEngine<'rt, 'p> {
     pub(super) timeline: MetricsTimeline,
     /// Declarative health rules evaluated over the timeline.
     pub(super) health: HealthMonitor,
-    /// Per-device busy-time scratch refilled on every sample
-    /// (pre-sized: the steady-state hot path never allocates).
-    busy_scratch: Vec<f64>,
     /// Per-dispatch scratch, cleared and refilled by every
     /// [`dispatch`](Self::dispatch) so a batch's bookkeeping stops
     /// allocating once the largest batch has been seen: the members'
-    /// frame counts, the sessions already priced into the prospective
-    /// window, and the `(session, load µs, evictions)` state reloads to
-    /// journal.
+    /// frame counts and completion times, the sessions already priced
+    /// into the prospective window, and the `(session, load µs,
+    /// evictions)` state reloads to journal.
     pub(super) frame_counts: Vec<u64>,
+    pub(super) complete_us: Vec<f64>,
     pub(super) seen_sessions: Vec<u64>,
     pub(super) state_loads: Vec<(u64, f64, usize)>,
     /// Requests served to completion so far (sheds excluded).
@@ -194,7 +196,8 @@ impl<'rt, 'p> SchedEngine<'rt, 'p> {
             host_start,
             offer_seq: arrivals.len() as u64,
             cost: CostModel::build(rt.platforms(), rt.registry()),
-            pool: DevicePool::new(devices),
+            free_at_us: vec![0.0; devices],
+            busy_us: vec![0.0; devices],
             residency: rt
                 .platforms()
                 .iter()
@@ -214,8 +217,8 @@ impl<'rt, 'p> SchedEngine<'rt, 'p> {
             obs: Observer::new(rt.config().trace),
             timeline: MetricsTimeline::new(rt.config().timeline, devices),
             health: HealthMonitor::new(rt.config().health, devices),
-            busy_scratch: vec![0.0; devices],
             frame_counts: Vec::new(),
+            complete_us: Vec::new(),
             seen_sessions: Vec::new(),
             state_loads: Vec::new(),
             completed: 0,
@@ -360,10 +363,9 @@ impl<'rt, 'p> SchedEngine<'rt, 'p> {
     /// least-work-left term in cluster load-feedback steering.
     pub(crate) fn backlog_us(&self) -> f64 {
         let device_wait = self
-            .pool
-            .devices()
+            .free_at_us
             .iter()
-            .map(|d| d.free_at_us() - self.now_us)
+            .map(|&free| free - self.now_us)
             .fold(f64::INFINITY, f64::min)
             .max(0.0);
         device_wait + self.queued_work_per_live_device_us()
@@ -383,7 +385,7 @@ impl<'rt, 'p> SchedEngine<'rt, 'p> {
     /// work it has forwarded but that is still on the wire (invisible
     /// to [`SchedEngine::backlog_us`] until it lands).
     pub(crate) fn estimate_frames_us(&self, model: ModelId, frames: u64) -> f64 {
-        (0..self.pool.devices().len())
+        (0..self.free_at_us.len())
             .map(|d| self.cost.estimate_frames_us(d, model, frames))
             .fold(f64::INFINITY, f64::min)
     }
@@ -402,7 +404,7 @@ impl<'rt, 'p> SchedEngine<'rt, 'p> {
     /// Per-device busy time so far (virtual µs) — the cluster report
     /// flattens these into one pool-wide utilization vector.
     pub(crate) fn device_busy_us(&self) -> Vec<f64> {
-        self.pool.devices().iter().map(|d| d.busy_us()).collect()
+        self.busy_us.clone()
     }
 
     /// The batch-size cap right now: degraded when the policy says so and
@@ -414,8 +416,10 @@ impl<'rt, 'p> SchedEngine<'rt, 'p> {
             queue_delay_budget_us,
         } = policy.admission
         {
-            let best_delay = (0..self.pool.devices().len())
-                .map(|d| (self.pool.free_at_us(d) - self.now_us).max(0.0))
+            let best_delay = self
+                .free_at_us
+                .iter()
+                .map(|&free| (free - self.now_us).max(0.0))
                 .fold(f64::INFINITY, f64::min);
             if best_delay > queue_delay_budget_us {
                 return degraded_max_batch.min(policy.max_batch).max(1);
@@ -446,19 +450,10 @@ impl<'rt, 'p> SchedEngine<'rt, 'p> {
         } else {
             DeviceResidency::load_us(self.rt.registry().weight_bytes(model))
         };
-        let ready = self.now_us.max(self.pool.free_at_us(device));
+        let ready = self.now_us.max(self.free_at_us[device]);
         let mult = self.faults.cycle_multiplier(device, ready);
-        let est = if mult > 1.0 {
-            let cycles = self
-                .cost
-                .stages(device, model)
-                .scaled(mult)
-                .stream_completion_cycles(total_frames);
-            cycles as f64 * Device::clock_period_us()
-        } else {
-            self.cost.estimate_frames_us(device, model, total_frames)
-        };
-        ready + load_us + est
+        let stages = self.cost.stages(device, model, mult);
+        ready + load_us + CostModel::stream_us(stages, total_frames)
     }
 
     /// The device a request's streaming session is bound to, if any.
@@ -478,7 +473,7 @@ impl<'rt, 'p> SchedEngine<'rt, 'p> {
         let frames = request.num_frames() as u64;
         let bound = self.bound_device(request);
         let (mut best_finish, mut best_est) = (f64::INFINITY, f64::INFINITY);
-        for d in 0..self.pool.devices().len() {
+        for d in 0..self.free_at_us.len() {
             if !self.rt.eligible(d, m) || bound.is_some_and(|b| b != d) {
                 continue;
             }
@@ -562,7 +557,7 @@ impl<'rt, 'p> SchedEngine<'rt, 'p> {
                 let now = self.now_us;
                 let down_dependency = match self.bound_device(&request) {
                     Some(d) => self.faults.is_down(d, now),
-                    None => (0..self.pool.devices().len())
+                    None => (0..self.free_at_us.len())
                         .any(|d| self.rt.eligible(d, request.model) && self.faults.is_down(d, now)),
                 };
                 if down_dependency {
@@ -655,9 +650,6 @@ impl<'rt, 'p> SchedEngine<'rt, 'p> {
         if !self.timeline.is_enabled() {
             return;
         }
-        for (slot, d) in self.busy_scratch.iter_mut().zip(self.pool.devices()) {
-            *slot = d.busy_us();
-        }
         let (mut weights_bytes, mut state_bytes) = (0u64, 0u64);
         for residency in &self.residency {
             let (w, s) = residency.used_bytes_by_class();
@@ -679,7 +671,7 @@ impl<'rt, 'p> SchedEngine<'rt, 'p> {
             weight_loads: self.stats.model_loads,
             state_loads: self.stats.state_loads,
             retries: self.stats.retries_scheduled,
-            device_busy_us: &self.busy_scratch,
+            device_busy_us: &self.busy_us,
         };
         let emitted = if final_flush {
             self.timeline.finish_sample(self.now_us, &probe)

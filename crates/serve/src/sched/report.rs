@@ -117,7 +117,7 @@ impl SchedEngine<'_, '_> {
         // drains, so the closing sample reflects the finished run. A
         // crashed device can stay "free at infinity"; keep the stamp
         // finite by falling back to the event-loop clock.
-        let drained_us = self.pool.drained_at_us();
+        let drained_us = self.free_at_us.iter().copied().fold(0.0, f64::max);
         if drained_us.is_finite() {
             self.now_us = self.now_us.max(drained_us);
         }

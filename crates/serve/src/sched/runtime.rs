@@ -101,7 +101,7 @@ use super::registry::{ModelId, ModelRegistry};
 use super::SchedReport;
 use crate::config::RuntimeConfig;
 use crate::executor::{Executor, ExecutorKind, InlineExecutor, ThreadPoolExecutor};
-use crate::request::{validate_sessions, validate_timing, Request};
+use crate::request::{validate_sessions, validate_timing, validate_unique_ids, Request};
 use ernn_fpga::Device;
 use std::fmt;
 use std::sync::Arc;
@@ -387,7 +387,8 @@ impl SchedRuntime {
     ///
     /// Panics if any request names an unregistered model, has no frames,
     /// disagrees with its model's input dimension, or carries a
-    /// non-finite arrival time or a NaN deadline.
+    /// non-finite arrival time or a NaN deadline, on invalid sessions,
+    /// and on duplicate request ids.
     pub fn run(&self, requests: Vec<Request>) -> SchedReport {
         // Per-request checks first: the session pass orders by arrival
         // and would blame a NaN timestamp on the session's shape.
@@ -395,6 +396,9 @@ impl SchedRuntime {
             self.validate(request);
         }
         validate_sessions(&requests);
+        let mut ids: Vec<u64> = requests.iter().map(|r| r.id).collect();
+        ids.sort_unstable();
+        validate_unique_ids(ids);
         SchedEngine::start(self, requests.into_iter(), None).run_to_drain()
     }
 

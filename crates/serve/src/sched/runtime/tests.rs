@@ -7,8 +7,10 @@ use crate::loadgen::{open_loop_poisson, paced_session, synthetic_utterances};
 use crate::sched::{CostModel, DeviceResidency};
 use crate::{CompiledModel, Response, TraceConfig};
 use ernn_fpga::exec::DatapathConfig;
-use ernn_fpga::{ADM_PCIE_7V3, XCKU060};
+use ernn_fpga::sim::simulate_batch;
+use ernn_fpga::{StageCycles, ADM_PCIE_7V3, XCKU060};
 use ernn_model::{compress_network, BlockPolicy, CellType, NetworkBuilder};
+use proptest::prelude::*;
 use rand::SeedableRng;
 
 const DIM: usize = 8;
@@ -821,6 +823,25 @@ fn stepped_offers_reject_infinite_arrivals() {
     SchedEngine::new(&rt).offer(Request::new(4, vec![vec![0.0; DIM]], f64::INFINITY));
 }
 
+/// Two requests sharing an id would share one retry record: the first
+/// to commit would erase the other's attempt count. The cluster already
+/// rejects such a load; the scheduler rejects it with the same message.
+#[test]
+#[should_panic(expected = "duplicate request id 3")]
+fn duplicate_request_ids_are_rejected() {
+    let rt = SchedRuntime::new(
+        registry(),
+        vec![XCKU060],
+        SchedPolicy::edf_cost_model(1, 0.0),
+    );
+    let frames = || vec![vec![0.0; DIM]];
+    let _ = rt.run(vec![
+        Request::new(3, frames(), 0.0),
+        Request::new(7, frames(), 1.0),
+        Request::new(3, frames(), 2.0),
+    ]);
+}
+
 #[test]
 #[should_panic(expected = "request 0: deadline_us must not be NaN")]
 fn closed_loop_rejects_a_nan_deadline_up_front() {
@@ -833,6 +854,210 @@ fn closed_loop_rejects_a_nan_deadline_up_front() {
     let _ = rt.run_closed_loop(&payloads, 1, 2, Some(f64::NAN));
 }
 
+fn slow_stages() -> StageCycles {
+    StageCycles {
+        stage1: 100,
+        stage2: 60,
+        stage3: 80,
+    }
+}
+
+fn fast_stages() -> StageCycles {
+    StageCycles {
+        stage1: 50,
+        stage2: 30,
+        stage3: 40,
+    }
+}
+
+/// Books a batch of `frame_counts` on `device`'s clock the way
+/// `dispatch` does once the fault scan passes: occupancy starts at
+/// `max(dispatch_us, free_at)`, and the batch time is the closed form of
+/// the total frames.
+fn book(
+    engine: &mut SchedEngine<'_, '_>,
+    device: usize,
+    dispatch_us: f64,
+    setup_us: f64,
+    stages: StageCycles,
+    frame_counts: &[u64],
+) {
+    let start_us = dispatch_us.max(engine.free_at_us[device]);
+    engine.frame_counts.clear();
+    engine.frame_counts.extend_from_slice(frame_counts);
+    let batch_us = CostModel::stream_us(stages, frame_counts.iter().sum());
+    engine.commit_clock(device, start_us, setup_us, stages, batch_us);
+}
+
+/// `(complete_us, free_us, busy_us)` of one batch as the event
+/// simulation times it, frame by frame, on a clock that stood at
+/// `(free_at_us, busy_us)`.
+fn simulated(
+    (free_at_us, busy_us): (f64, f64),
+    dispatch_us: f64,
+    setup_us: f64,
+    stages: StageCycles,
+    frame_counts: &[u64],
+) -> (Vec<f64>, f64, f64) {
+    let compute_start_us = dispatch_us.max(free_at_us) + setup_us;
+    let trace = simulate_batch(stages, frame_counts);
+    let period_us = Device::clock_period_us();
+    let complete_us = trace.completion_cycles.iter();
+    let complete_us = complete_us.map(|&c| compute_start_us + c as f64 * period_us);
+    let makespan_us = trace.makespan_cycles as f64 * period_us;
+    let free_us = compute_start_us + makespan_us;
+    (
+        complete_us.collect(),
+        free_us,
+        busy_us + (setup_us + makespan_us),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+    #[test]
+    fn closed_form_clock_is_the_event_sim_to_the_bit(
+        s1 in 1u64..300,
+        s2 in 1u64..300,
+        s3 in 1u64..300,
+        brownout in 1.0f64..3.0,
+        browned in any::<bool>(),
+        counts in proptest::collection::vec(1u64..40, 1..7),
+        dispatch in proptest::collection::vec(0.0f64..200.0, 3),
+        setup in proptest::collection::vec(0.0f64..50.0, 3),
+        cold in any::<bool>(),
+    ) {
+        let base = StageCycles { stage1: s1, stage2: s2, stage3: s3 };
+        let stages = if browned { base.scaled(brownout) } else { base };
+        let rt = SchedRuntime::new(registry(), vec![XCKU060], SchedPolicy::edf_cost_model(1, 0.0));
+        let mut engine = SchedEngine::new(&rt);
+        // Three batches back to back, so later ones queue behind the
+        // clock the earlier ones left.
+        for (i, (&at, &stall)) in dispatch.iter().zip(&setup).enumerate() {
+            let stall = if cold { stall } else { 0.0 };
+            let counts = &counts[..counts.len() - i.min(counts.len() - 1)];
+            let before = (engine.free_at_us[0], engine.busy_us[0]);
+            let (complete, free, busy) = simulated(before, at, stall, stages, counts);
+            book(&mut engine, 0, at, stall, stages, counts);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&engine.complete_us), bits(&complete));
+            prop_assert_eq!(engine.free_at_us[0].to_bits(), free.to_bits());
+            prop_assert_eq!(engine.busy_us[0].to_bits(), busy.to_bits());
+        }
+    }
+}
+
+#[test]
+fn device_clock_charges_setup_before_compute() {
+    let rt = SchedRuntime::new(
+        registry(),
+        vec![XCKU060, XCKU060],
+        SchedPolicy::edf_cost_model(1, 0.0),
+    );
+    let mut engine = SchedEngine::new(&rt);
+    // Device 0 stalls 7.5 µs for a load first; device 1 starts warm.
+    book(&mut engine, 0, 0.0, 7.5, slow_stages(), &[2, 3]);
+    let cold = engine.complete_us.clone();
+    book(&mut engine, 1, 0.0, 0.0, slow_stages(), &[2, 3]);
+    let warm = engine.complete_us.clone();
+    // Completions and the free time shift by the setup...
+    for (c, w) in cold.iter().zip(&warm) {
+        assert!((c - w - 7.5).abs() < 1e-9);
+    }
+    assert!((engine.free_at_us[0] - engine.free_at_us[1] - 7.5).abs() < 1e-9);
+    // ...and busy time includes the stall.
+    assert!((engine.busy_us[0] - engine.busy_us[1] - 7.5).abs() < 1e-9);
+}
+
+#[test]
+fn a_batch_waits_for_its_device_to_free_up() {
+    let rt = SchedRuntime::new(
+        registry(),
+        vec![XCKU060],
+        SchedPolicy::fifo_earliest_free(1, 0.0),
+    );
+    let frames = || vec![vec![0.1; DIM]; 4];
+    let report = rt.run(vec![
+        Request::new(0, frames(), 0.0),
+        Request::new(1, frames(), 0.0),
+    ]);
+    let (first, second) = (&report.responses[0], &report.responses[1]);
+    assert_eq!((first.id, second.id), (0, 1));
+    // The second batch is formed at t = 0 but starts the instant the
+    // first one's last frame leaves the pipeline.
+    assert!(first.complete_us > 0.0);
+    assert_eq!(second.dispatch_us, first.complete_us);
+}
+
+#[test]
+fn each_device_clock_keeps_its_own_timing() {
+    let rt = SchedRuntime::new(
+        registry(),
+        vec![XCKU060, ADM_PCIE_7V3, XCKU060],
+        SchedPolicy::edf_cost_model(1, 0.0),
+    );
+    let mut engine = SchedEngine::new(&rt);
+    // Same batch, per-platform timing: the fast device finishes in half
+    // the cycles.
+    book(&mut engine, 0, 0.0, 0.0, slow_stages(), &[4]);
+    book(&mut engine, 1, 0.0, 0.0, fast_stages(), &[4]);
+    assert!((engine.free_at_us[0] - 2.0 * engine.free_at_us[1]).abs() < 1e-9);
+}
+
+#[test]
+fn busy_time_tracks_only_the_work_a_device_ran() {
+    let rt = SchedRuntime::new(
+        registry(),
+        vec![XCKU060, XCKU060],
+        SchedPolicy::edf_cost_model(1, 0.0),
+    );
+    let mut engine = SchedEngine::new(&rt);
+    book(&mut engine, 0, 0.0, 0.0, slow_stages(), &[3]);
+    // A device busy from t = 0 was busy until it freed; one nobody used
+    // stays idle.
+    assert!((engine.busy_us[0] - engine.free_at_us[0]).abs() < 1e-9);
+    assert!(engine.busy_us[0] > 0.0);
+    assert_eq!((engine.free_at_us[1], engine.busy_us[1]), (0.0, 0.0));
+}
+
+#[test]
+fn two_device_clocks_drain_sooner_than_one() {
+    let one_rt = SchedRuntime::new(
+        registry(),
+        vec![XCKU060],
+        SchedPolicy::edf_cost_model(1, 0.0),
+    );
+    let two_rt = SchedRuntime::new(
+        registry(),
+        vec![XCKU060, XCKU060],
+        SchedPolicy::edf_cost_model(1, 0.0),
+    );
+    let (mut one, mut two) = (SchedEngine::new(&one_rt), SchedEngine::new(&two_rt));
+    for i in 0..8 {
+        book(&mut one, 0, 0.0, 0.0, slow_stages(), &[5]);
+        book(&mut two, i % 2, 0.0, 0.0, slow_stages(), &[5]);
+    }
+    let drained = |e: &SchedEngine<'_, '_>| e.free_at_us.iter().copied().fold(0.0, f64::max);
+    assert!(drained(&two) < drained(&one));
+}
+
+#[test]
+fn one_device_clock_times_each_batch_with_its_own_stages() {
+    let rt = SchedRuntime::new(
+        registry(),
+        vec![XCKU060],
+        SchedPolicy::edf_cost_model(1, 0.0),
+    );
+    let mut engine = SchedEngine::new(&rt);
+    // One device, two "models": the batch booked with the slow model's
+    // stages occupies the device longer than the fast model's did.
+    book(&mut engine, 0, 0.0, 0.0, fast_stages(), &[4]);
+    let fast_us = engine.free_at_us[0];
+    book(&mut engine, 0, fast_us, 0.0, slow_stages(), &[4]);
+    let slow_us = engine.free_at_us[0] - fast_us;
+    assert!(slow_us > fast_us);
+}
+
 /// Everything a `run_until` may touch, bit-exact.
 fn engine_fingerprint(e: &SchedEngine<'_, '_>) -> impl PartialEq + std::fmt::Debug {
     let s = e;
@@ -841,10 +1066,10 @@ fn engine_fingerprint(e: &SchedEngine<'_, '_>) -> impl PartialEq + std::fmt::Deb
         (s.now_us.to_bits(), s.admit_seq, s.live_sessions),
         (s.queue.len(), s.queue.backlog_us().to_bits()),
         s.arrivals.len(),
-        s.pool
-            .devices()
+        s.free_at_us
             .iter()
-            .map(|d| (d.free_at_us().to_bits(), d.busy_us().to_bits(), d.batches))
+            .zip(&s.busy_us)
+            .map(|(free, busy)| (free.to_bits(), busy.to_bits()))
             .collect::<Vec<_>>(),
         (e.ewma_queue_us().to_bits(), e.resident_bytes()),
     )

@@ -4,7 +4,6 @@
 use super::{
     FlightRecorder, StageAttribution, StageBreakdown, TraceConfig, TraceEvent, TraceJournal,
 };
-use crate::device::BatchExecution;
 use crate::request::{Request, Response};
 use ernn_fpga::Device;
 
@@ -102,12 +101,12 @@ impl Observer {
         });
     }
 
-    /// A formed batch landed on a device: records per-member dequeues,
-    /// the batch-formation and dispatch events, and charges the
-    /// (device, model) attribution cell — queue wait from arrivals,
-    /// weight-load/state-load/compute split of the device occupancy, and
-    /// padding waste at the model's steady-state frame time (`ii_cycles`
-    /// per frame).
+    /// A formed batch landed on `device`, occupying it from `start_us`
+    /// until `free_us`: records per-member dequeues, the batch-formation
+    /// and dispatch events, and charges the (device, model) attribution
+    /// cell — queue wait from arrivals, weight-load/state-load/compute
+    /// split of the device occupancy, and padding waste at the model's
+    /// steady-state frame time (`ii_cycles` per frame).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn batch_dispatched(
         &mut self,
@@ -115,7 +114,9 @@ impl Observer {
         model: usize,
         batch: &[Request],
         frame_counts: &[u64],
-        exec: &BatchExecution,
+        device: usize,
+        start_us: f64,
+        free_us: f64,
         load_us: f64,
         state_us: f64,
         ii_cycles: u64,
@@ -131,7 +132,7 @@ impl Observer {
                 model: r.model,
                 queued_us: t_us - r.arrival_us,
             });
-            queue_us += exec.start_us - r.arrival_us;
+            queue_us += start_us - r.arrival_us;
         }
         self.recorder.record(TraceEvent::BatchFormed {
             t_us,
@@ -142,15 +143,15 @@ impl Observer {
         });
         self.recorder.record(TraceEvent::Dispatch {
             t_us,
-            device: exec.device,
+            device,
             model,
             size,
-            start_us: exec.start_us,
-            busy_us: exec.free_us - exec.start_us,
+            start_us,
+            busy_us: free_us - start_us,
         });
         let padded_frames = size as u64 * max_frames - total_frames;
         self.attribution.charge(
-            exec.device,
+            device,
             model,
             StageBreakdown {
                 requests: size as u64,
@@ -158,7 +159,7 @@ impl Observer {
                 queue_us,
                 load_us,
                 state_us,
-                compute_us: exec.free_us - exec.start_us - load_us - state_us,
+                compute_us: free_us - start_us - load_us - state_us,
                 padding_us: padded_frames as f64 * ii_cycles as f64 * Device::clock_period_us(),
                 aborted_us: 0.0,
             },

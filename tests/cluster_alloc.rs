@@ -18,10 +18,11 @@
 //! before ISSUE 16 and 8.1 after it, ≈ 4.7 of that the logits rows (one
 //! `Vec` per frame plus one per response, allocated by inference and
 //! cloned again at the merge). Since ISSUE 21 a request's frame rows *are*
-//! its logits rows and the merge moves them, so a round is ≈ 3.4: the
-//! clone of the load, and ≈ 1.0 inside `run` that is per batch (≈ 0.32
-//! batches per request) — the formed batch, its completion times, B-tree
-//! nodes of a queue that keeps running empty — plus per-run tables.
+//! its logits rows and the merge moves them, and a batch's completion
+//! times fill engine scratch, so a round is ≈ 3.05: the clone of the
+//! load, and ≈ 0.7 inside `run` that is per batch (≈ 0.32 batches per
+//! request) — the formed batch and B-tree nodes of a queue that keeps
+//! running empty — plus per-run tables.
 //!
 //! A regression here is what a per-request `Vec` in `Router::steer`, a
 //! per-batch `collect()` in `SchedRuntime::dispatch` or a fresh run
@@ -170,8 +171,8 @@ fn a_routed_request_costs_at_most_five_allocations() {
         "{per_request:.2} allocations per request (budget {BUDGET_PER_REQUEST}): \
          {allocations} for {requests} requests in {batches} batches, \
          {cloned} of them cloning the load (one per request and one per frame), \
-         {in_run} inside run ({:.2} per batch: the formed batch, its completion \
-         times, queue nodes, per-run tables; none for logits)",
+         {in_run} inside run ({:.2} per batch: the formed batch, queue nodes, \
+         per-run tables; none for logits)",
         in_run as f64 / batches as f64
     );
     println!("{summary}");
