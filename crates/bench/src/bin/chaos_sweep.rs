@@ -359,7 +359,6 @@ fn main() {
                 .int("failovers", report.sched.failovers as i64)
                 .int("state_migrations", report.sched.state_migrations as i64)
                 .latency("", &report.metrics.latency)
-                .num("host_us", report.host_us)
                 .render(),
         );
     }

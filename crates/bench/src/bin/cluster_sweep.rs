@@ -394,7 +394,6 @@ fn main() {
                 .num("forward_us_total", report.stats.forward_us_total)
                 .num("replication_us_total", report.stats.replication_us_total)
                 .latency("", &report.metrics.latency)
-                .num("host_us", report.host_us)
                 .render(),
         );
     }

@@ -312,7 +312,6 @@ fn main() {
                 .int("model_loads", report.sched.model_loads as i64)
                 .int("model_evictions", report.sched.model_evictions as i64)
                 .num("load_us_total", report.sched.load_us_total)
-                .num("host_us", report.host_us)
                 .int("admission_decisions", log.len() as i64)
                 .int("admission_admitted", admitted as i64)
                 .raw("admission_shed", admission_shed)

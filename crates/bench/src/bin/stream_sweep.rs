@@ -229,7 +229,6 @@ fn main() {
                 .int("sessions", m.sessions as i64)
                 .int("chunks", m.chunks as i64)
                 .int("state_loads", report.sched.state_loads as i64)
-                .num("host_us", report.host_us)
                 .render(),
         );
     }

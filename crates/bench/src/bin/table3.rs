@@ -28,7 +28,7 @@ fn main() {
     // cell a 64-64 baseline and one row per block size, whose id — and so
     // whose seed offset — is the block size.
     let mut trained: Vec<RowResult> = Vec::new();
-    if std::env::args().any(|a| a == "--accuracy") {
+    if args.accuracy {
         eprintln!("measuring PER degradation on the synthetic corpus ...");
         let corpus = SynthCorpus::generate(&SynthCorpusConfig::standard(42));
         for cell in [CellType::Lstm, CellType::Gru] {

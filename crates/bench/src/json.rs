@@ -15,8 +15,9 @@ use std::fmt::Write as _;
 ///
 /// History: 1 = pre-versioning artifacts (no `schema_version` field);
 /// 2 = adds `schema_version`, stage-time attribution, and the admission
-/// audit export.
-pub const BENCH_SCHEMA_VERSION: i64 = 2;
+/// audit export; 3 = the serving sweeps' rows drop wall-clock `host_us`,
+/// so their artifacts are pure functions of the code.
+pub const BENCH_SCHEMA_VERSION: i64 = 3;
 
 /// A flat JSON object built field by field, rendered in insertion order.
 #[derive(Debug, Default, Clone)]
@@ -129,37 +130,6 @@ impl JsonObject {
     }
 }
 
-/// Pulls the value following a `--json` flag out of an argument list.
-///
-/// # Errors
-///
-/// A `--json` with nothing after it, or with another `--flag` there, is
-/// a usage error naming the flag.
-pub fn json_path_arg(args: &[String]) -> Result<Option<String>, String> {
-    flag_value(args, "--json")
-}
-
-/// Pulls the value following a `--trace-out` flag out of an argument
-/// list — the path the sweeps write their Chrome trace-event JSON to
-/// (with a Prometheus text snapshot beside it at `<path>.prom`).
-///
-/// # Errors
-///
-/// As [`json_path_arg`], for `--trace-out`.
-pub fn trace_path_arg(args: &[String]) -> Result<Option<String>, String> {
-    flag_value(args, "--trace-out")
-}
-
-fn flag_value(args: &[String], flag: &str) -> Result<Option<String>, String> {
-    let Some(i) = args.iter().position(|a| a == flag) else {
-        return Ok(None);
-    };
-    match args.get(i + 1) {
-        Some(value) if !value.starts_with("--") => Ok(Some(value.clone())),
-        _ => Err(format!("{flag} needs a PATH after it")),
-    }
-}
-
 /// Writes a rendered JSON document as a newline-terminated bench
 /// artifact and announces the path (the CI artifact-upload step globs
 /// these files).
@@ -222,40 +192,9 @@ mod tests {
         assert!(doc.contains("\"queue_p999_us\""));
     }
 
-    fn strings(args: &[&str]) -> Vec<String> {
-        args.iter().map(|s| s.to_string()).collect()
-    }
-
-    #[test]
-    fn json_path_arg_finds_the_flag_value() {
-        let args = strings(&["x", "--quick", "--json", "out.json"]);
-        assert_eq!(json_path_arg(&args), Ok(Some("out.json".to_string())));
-        assert_eq!(json_path_arg(&args[..2]), Ok(None));
-    }
-
-    #[test]
-    fn trace_path_arg_finds_the_flag_value() {
-        let args = strings(&["x", "--trace-out", "TRACE_sched.json"]);
-        assert_eq!(
-            trace_path_arg(&args),
-            Ok(Some("TRACE_sched.json".to_string()))
-        );
-        assert_eq!(trace_path_arg(&args[..1]), Ok(None));
-    }
-
-    #[test]
-    fn a_path_flag_without_a_path_is_a_usage_error() {
-        // Followed by another flag: that flag is not swallowed as the path.
-        let err = json_path_arg(&strings(&["table1", "--json", "--quick"])).unwrap_err();
-        assert!(err.contains("--json"), "{err}");
-        // Trailing: nothing is silently left unwritten.
-        let err = trace_path_arg(&strings(&["sched_sweep", "--trace-out"])).unwrap_err();
-        assert!(err.contains("--trace-out"), "{err}");
-    }
-
     #[test]
     fn bench_header_stamps_the_schema_version() {
         let doc = JsonObject::new().bench_header("sched_sweep").render();
-        assert_eq!(doc, r#"{"bench":"sched_sweep","schema_version":2}"#);
+        assert_eq!(doc, r#"{"bench":"sched_sweep","schema_version":3}"#);
     }
 }

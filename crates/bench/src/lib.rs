@@ -20,7 +20,6 @@
 #![deny(unsafe_code)]
 
 pub mod alloc;
-pub mod diff;
 pub mod json;
 pub mod sweep;
 

@@ -6,13 +6,13 @@
 //! sweep keeps only its workload and the claims it asserts beyond these; a
 //! check every run should pass is added here, once.
 
-use crate::json::{json_path_arg, trace_path_arg, write_artifact, JsonObject};
+use crate::json::{write_artifact, JsonObject};
 use ernn_admm::Recipe;
 use ernn_core::pipeline::Pipeline;
 use ernn_model::{CellType, ModelSpec};
 use ernn_serve::sched::{SchedReport, SchedStats};
 use ernn_serve::{
-    chrome_trace_json, health_json, prometheus_snapshot_full, timeline_json, ClusterReport,
+    chrome_trace_json, health_json, prometheus_snapshot, timeline_json, ClusterReport,
     CompiledModel, HealthReport, Request, Response, RunTrace, ServeMetrics, ShardGauges, Timeline,
 };
 use rand::SeedableRng;
@@ -20,32 +20,55 @@ use rand::SeedableRng;
 /// Feature dimension of the sweeps' synthetic acoustic models.
 pub const DIM: usize = 52;
 
-/// The flags every sweep takes: `--quick` (smoke-sized load), `--json
-/// PATH` (bench artifact) and `--trace-out PATH` (journal export).
-#[derive(Debug)]
+/// The flags every sweep and paper bin takes: `--quick` (smoke-sized
+/// load), `--json PATH` (bench artifact), `--trace-out PATH` (journal
+/// export) and `--accuracy` (`table3`: train the E-RNN rows).
+#[derive(Debug, Default)]
 pub struct SweepArgs {
     /// Shrink the load for smoke runs.
     pub quick: bool,
+    /// Measure the trained rows as well (`table3`).
+    pub accuracy: bool,
     json: Option<String>,
     trace_out: Option<String>,
 }
 
 impl SweepArgs {
-    /// Parses the process arguments; unknown flags are ignored. A
-    /// `--json` / `--trace-out` without a path exits with status 2.
+    /// Parses the process arguments; on a usage error (see
+    /// [`SweepArgs::parse`]) prints it and exits with status 2.
     pub fn from_env() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        let path = |parsed: Result<Option<String>, String>| {
-            parsed.unwrap_or_else(|err| {
-                eprintln!("usage error: {err}");
-                std::process::exit(2)
-            })
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        Self::parse(&args).unwrap_or_else(|err| {
+            eprintln!("usage error: {err}");
+            eprintln!("usage: [--quick] [--json PATH] [--trace-out PATH] [--accuracy]");
+            std::process::exit(2)
+        })
+    }
+
+    /// Parses an argument list (without the program name).
+    ///
+    /// # Errors
+    ///
+    /// An argument that is not one of the four flags, or a `--json` /
+    /// `--trace-out` with nothing after it or with another `--flag`
+    /// there, is a usage error naming it.
+    pub fn parse(args: &[String]) -> Result<Self, String> {
+        let path = |flag: &str, value: Option<&String>| match value {
+            Some(value) if !value.starts_with("--") => Ok(Some(value.clone())),
+            _ => Err(format!("{flag} needs a PATH after it")),
         };
-        SweepArgs {
-            quick: args.iter().any(|a| a == "--quick"),
-            json: path(json_path_arg(&args)),
-            trace_out: path(trace_path_arg(&args)),
+        let mut parsed = SweepArgs::default();
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            match arg.as_str() {
+                "--quick" => parsed.quick = true,
+                "--accuracy" => parsed.accuracy = true,
+                "--json" => parsed.json = path(arg, args.next())?,
+                "--trace-out" => parsed.trace_out = path(arg, args.next())?,
+                _ => return Err(format!("unknown argument {arg:?}")),
+            }
         }
+        Ok(parsed)
     }
 
     /// The Fig. 6 recipe a paper bin trains with: the recorded runs'
@@ -84,7 +107,7 @@ impl SweepArgs {
         write_artifact(path, chrome_trace_json(trace));
         write_artifact(
             &format!("{path}.prom"),
-            prometheus_snapshot_full(metrics, trace, sched, timeline, health, shards),
+            prometheus_snapshot(metrics, trace, sched, timeline, health, shards),
         );
         if let Some(t) = timeline {
             write_artifact(&sibling_artifact(path, "TIMELINE"), timeline_json(t));
@@ -239,4 +262,48 @@ pub fn assert_counters_match_responses(label: &str, report: &SchedReport) {
         (shed, shed as u64, missed),
         "{label}: shed and deadline-miss counters must agree with the responses"
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<SweepArgs, String> {
+        SweepArgs::parse(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn parse_finds_the_json_path() {
+        let args = parse(&["--quick", "--json", "out.json"]).unwrap();
+        assert_eq!(args.json.as_deref(), Some("out.json"));
+        assert!(args.quick && !args.accuracy);
+        assert_eq!(parse(&["--quick"]).unwrap().json, None);
+    }
+
+    #[test]
+    fn parse_finds_the_trace_path() {
+        let args = parse(&["--trace-out", "TRACE_sched.json", "--accuracy"]).unwrap();
+        assert_eq!(args.trace_out.as_deref(), Some("TRACE_sched.json"));
+        assert!(args.accuracy && !args.quick);
+        assert_eq!(parse(&[]).unwrap().trace_out, None);
+    }
+
+    #[test]
+    fn a_path_flag_without_a_path_is_a_usage_error() {
+        // Followed by another flag: that flag is not swallowed as the path.
+        let err = parse(&["--json", "--quick"]).unwrap_err();
+        assert!(err.contains("--json"), "{err}");
+        // Trailing: nothing is silently left unwritten.
+        let err = parse(&["--trace-out"]).unwrap_err();
+        assert!(err.contains("--trace-out"), "{err}");
+    }
+
+    #[test]
+    fn an_unknown_argument_is_a_usage_error() {
+        // A misspelt `--quick` must not silently run the full sweep.
+        let err = parse(&["--quik"]).unwrap_err();
+        assert!(err.contains("--quik"), "{err}");
+        let err = parse(&["--quick", "out.json"]).unwrap_err();
+        assert!(err.contains("out.json"), "{err}");
+    }
 }

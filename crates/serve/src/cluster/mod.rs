@@ -367,7 +367,7 @@ pub struct ClusterReport {
 
 impl ClusterReport {
     /// The per-shard gauges in shard order — ready for
-    /// [`prometheus_snapshot_full`](crate::prometheus_snapshot_full).
+    /// [`prometheus_snapshot`](crate::prometheus_snapshot).
     pub fn shard_gauges(&self) -> Vec<ShardGauges> {
         self.shards.iter().map(|s| s.gauges).collect()
     }

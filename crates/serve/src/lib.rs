@@ -68,9 +68,8 @@
 //!   model) stage-time attribution ([`StageAttribution`]), per-request
 //!   critical-path analysis ([`trace::analyze`]), and exporters
 //!   to Chrome trace-event JSON ([`chrome_trace_json`], loadable in
-//!   Perfetto) and Prometheus text ([`prometheus_snapshot`] /
-//!   [`prometheus_snapshot_full`]). Journals are bit-identical across
-//!   executors.
+//!   Perfetto) and Prometheus text ([`prometheus_snapshot`]). Journals
+//!   are bit-identical across executors.
 //! * [`timeline`] + [`health`] — the operational-judgment layer on top
 //!   of tracing: a pre-sized, zero-steady-state-allocation
 //!   [`MetricsTimeline`] ring of fixed-interval virtual-clock samples
@@ -171,7 +170,6 @@ pub use timeline::{
 };
 pub use trace::analyze::{analyze, PathTotals, RequestSpan, SlowRequest, TraceAnalysis};
 pub use trace::{
-    chrome_trace_json, prometheus_snapshot, prometheus_snapshot_full, FlightRecorder,
-    LatencyHistogram, RunTrace, ShardGauges, StageAttribution, StageBreakdown, TraceConfig,
-    TraceEvent, TraceJournal,
+    chrome_trace_json, prometheus_snapshot, FlightRecorder, LatencyHistogram, RunTrace,
+    ShardGauges, StageAttribution, StageBreakdown, TraceConfig, TraceEvent, TraceJournal,
 };

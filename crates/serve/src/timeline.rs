@@ -20,7 +20,7 @@
 //! The [`HealthMonitor`](crate::health::HealthMonitor) evaluates its
 //! declarative rules over this ring; [`timeline_json`] exports the
 //! finished timeline, and
-//! [`prometheus_snapshot_full`](crate::trace::prometheus_snapshot_full)
+//! [`prometheus_snapshot`](crate::trace::prometheus_snapshot)
 //! merges the newest sample into the scrape text.
 
 use crate::trace::num;

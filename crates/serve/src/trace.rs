@@ -22,7 +22,7 @@
 //! | `attribution.rs` | [`StageAttribution`] — per-(device, model) totals of where virtual time went: queue wait, load stalls, compute, padding waste |
 //! | `observer.rs`    | [`RunTrace`] (what a report carries) and the crate-internal `Observer` the event loops write through: an event whose fields the caller already knows is recorded directly; a method exists only where something is computed on the way |
 //! | `chrome.rs`      | [`chrome_trace_json`] — Chrome trace-event JSON, loadable in Perfetto (`ui.perfetto.dev`) or `chrome://tracing` |
-//! | `prometheus.rs`  | [`prometheus_snapshot`] / [`prometheus_snapshot_full`] — Prometheus text exposition; the full form additionally merges [`SchedStats`](crate::sched::SchedStats), the newest [`Timeline`](crate::Timeline) sample, the [`HealthReport`](crate::HealthReport) and per-shard [`ShardGauges`] |
+//! | `prometheus.rs`  | [`prometheus_snapshot`] — Prometheus text exposition of the run's metrics and attribution, merging whichever optional sections are passed: [`SchedStats`](crate::sched::SchedStats), the newest [`Timeline`](crate::Timeline) sample, the [`HealthReport`](crate::HealthReport) and per-shard [`ShardGauges`] |
 //! | `analyze.rs`     | [`analyze`] — per-request critical paths reconstructed from a captured journal |
 //!
 //! The exporters' bytes are pinned by `tests/exporter_golden.rs`. See
@@ -46,7 +46,7 @@ pub use event::TraceEvent;
 pub use histogram::{LatencyHistogram, HIST_SUB_BUCKETS};
 pub(crate) use observer::Observer;
 pub use observer::RunTrace;
-pub use prometheus::{prometheus_snapshot, prometheus_snapshot_full, ShardGauges};
+pub use prometheus::{prometheus_snapshot, ShardGauges};
 pub use recorder::{FlightRecorder, TraceConfig, TraceJournal};
 
 /// Formats a float the way every exporter needs it: shortest-round-trip

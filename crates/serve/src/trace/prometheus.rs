@@ -8,19 +8,10 @@ use crate::sched::SchedStats;
 use crate::timeline::Timeline;
 use std::fmt::Write as _;
 
-/// Renders run metrics plus attribution as a Prometheus text-exposition
-/// snapshot (counters, two histograms, per-cell stage gauges).
-///
-/// Equivalent to [`prometheus_snapshot_full`] with no scheduler stats,
-/// timeline, health report, or shard gauges.
-pub fn prometheus_snapshot(metrics: &ServeMetrics, trace: &RunTrace) -> String {
-    prometheus_snapshot_full(metrics, trace, None, None, None, None)
-}
-
 /// Per-shard point-in-time gauges for the cluster-scope Prometheus
 /// export: one row per shard in a
 /// [`ClusterReport`](crate::cluster::ClusterReport), rendered by
-/// [`prometheus_snapshot_full`] as `ernn_shard_*` gauge families with a
+/// [`prometheus_snapshot`] as `ernn_shard_*` gauge families with a
 /// `shard` label.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ShardGauges {
@@ -36,15 +27,14 @@ pub struct ShardGauges {
     pub live_sessions: usize,
 }
 
-/// The full Prometheus snapshot: everything [`prometheus_snapshot`]
-/// renders, plus (when given) the scheduler's
-/// [`SchedStats`] counters — residency,
-/// session-state, fault, retry, failover, and migration activity — the
-/// newest [`Timeline`] sample as point-in-time
-/// gauges with the queue-delay EWMA, the
-/// [`HealthReport`] rule-firing counters, and the cluster tier's
-/// per-shard [`ShardGauges`].
-pub fn prometheus_snapshot_full(
+/// Renders a run as a Prometheus text-exposition snapshot: run metrics
+/// plus attribution (counters, two histograms, per-cell stage gauges),
+/// plus (when given) the scheduler's [`SchedStats`] counters —
+/// residency, session-state, fault, retry, failover, and migration
+/// activity — the newest [`Timeline`] sample as point-in-time gauges
+/// with the queue-delay EWMA, the [`HealthReport`] rule-firing counters,
+/// and the cluster tier's per-shard [`ShardGauges`].
+pub fn prometheus_snapshot(
     metrics: &ServeMetrics,
     trace: &RunTrace,
     sched: Option<&SchedStats>,

@@ -311,7 +311,7 @@ fn prometheus_export_has_counters_histograms_and_stages() {
             aborted_us: 0.0,
         },
     );
-    let text = prometheus_snapshot(&metrics, &trace);
+    let text = prometheus_snapshot(&metrics, &trace, None, None, None, None);
     assert!(text.contains("ernn_requests_completed_total 1"));
     assert!(text.contains("ernn_latency_us_bucket{le=\"+Inf\"} 1"));
     assert!(text.contains("ernn_latency_us_count 1"));
@@ -388,7 +388,7 @@ fn full_prometheus_export_merges_sched_timeline_and_health() {
         ewma_queue_us: 250.25,
         samples_evaluated: 1,
     };
-    let text = prometheus_snapshot_full(
+    let text = prometheus_snapshot(
         &metrics,
         &trace,
         Some(&sched),

@@ -5,13 +5,13 @@
 //! infinite `down_us`, a run-wide `Health` event, a `Shed` whose
 //! prediction is infinite) plus a two-cell attribution table, rendered by
 //! [`chrome_trace_json`] and — with all four optional sections present —
-//! [`prometheus_snapshot_full`], compared byte for byte with the strings
+//! [`prometheus_snapshot`], compared byte for byte with the strings
 //! committed under `tests/golden/`. The other exporter tests are
 //! structural; this one pins the bytes a refactor of `trace/` must keep.
 
 use ernn_serve::sched::SchedStats;
 use ernn_serve::{
-    chrome_trace_json, prometheus_snapshot_full, FlightRecorder, HealthEvent, HealthReport,
+    chrome_trace_json, prometheus_snapshot, FlightRecorder, HealthEvent, HealthReport,
     HealthRuleKind, Response, RunTrace, ServeMetrics, ShardGauges, ShedReason, StageAttribution,
     StageBreakdown, Timeline, TimelineSample, TraceConfig, TraceEvent, Workload,
 };
@@ -166,7 +166,7 @@ fn snapshot() -> String {
             live_sessions: 1,
         },
     ];
-    prometheus_snapshot_full(
+    prometheus_snapshot(
         &metrics(),
         &trace(),
         Some(&sched),
