@@ -118,9 +118,6 @@ fn run(requests: &[Request], plan: &FaultPlan, failover: bool, exec: ExecutorKin
             .fault_plan(plan.clone())
             .failover(failover)
             .tracing(TraceConfig::enabled(1 << 15))
-            // An interval no arrival, flush or retry time is a multiple
-            // of: a run whose last event sits exactly on a grid point
-            // gets no off-grid closing sample.
             .timeline(TimelineConfig::enabled(61.8, 1 << 12)),
     )
     .run(requests.to_vec())

@@ -6,7 +6,7 @@
 //! the trials as trained rows (flags: [`SweepArgs`]).
 
 use ernn_bench::sweep::SweepArgs;
-use ernn_bench::{write_paper_rows, ModelRow, RowResult};
+use ernn_bench::{paper_rows, ModelRow, RowResult};
 use ernn_core::flow::{run_flow_to_artifact, FlowConfig};
 use ernn_model::{BlockPolicy, ModelSpec};
 
@@ -52,10 +52,10 @@ fn main() {
 
     // Every trial is scored against the LSTM baseline, whatever its cell.
     let shape = &built.artifact().spec;
-    let trials = report.phase1.trials.iter().zip(&report.trial_training);
+    let trials = report.phase1.trials.iter().zip(&report.trial_admm);
     let rows: Vec<RowResult> = trials
         .enumerate()
-        .map(|(i, (t, training))| {
+        .map(|(i, (t, admm))| {
             let policy = BlockPolicy::with_io_block(t.spec.block, t.spec.io_block);
             RowResult {
                 row: ModelRow {
@@ -68,10 +68,9 @@ fn main() {
                 seed: SEED,
                 baseline_per: report.phase1.baseline_per,
                 per: t.per,
-                admm: Some(training.admm.clone()),
-                wall_s: training.wall_s,
+                admm: Some(admm.clone()),
             }
         })
         .collect();
-    write_paper_rows(&args, "phase1_trials", &rows);
+    args.write_bench(paper_rows(&args, "phase1_trials", &rows));
 }

@@ -4,12 +4,14 @@
 //! Hardware numbers come from the resource/cycle/power models in
 //! `ernn-fpga`. PER-degradation rows are taken from the paper for the
 //! baselines we cannot train (TIMIT) and measured on the synthetic corpus
-//! for E-RNN when `--accuracy` is passed (`--quick`: the reduced recipe;
-//! `--json PATH`: the trained rows as a bench artifact).
+//! for E-RNN when `--accuracy` is passed (`--quick`: the reduced recipe).
+//! `--json PATH` writes one row per design point, the headline ratios and,
+//! under `--accuracy`, the trained rows.
 
 use ernn_asr::{SynthCorpus, SynthCorpusConfig};
+use ernn_bench::json::{array, JsonObject};
 use ernn_bench::sweep::SweepArgs;
-use ernn_bench::{run_grid, write_paper_rows, ModelRow, RowResult};
+use ernn_bench::{paper_rows, run_grid, ModelRow, RowResult};
 use ernn_fpga::baseline::{clstm_report, EseModel};
 use ernn_fpga::power::{board_power, energy_efficiency};
 use ernn_fpga::{AccelReport, Accelerator, RnnSpec, ADM_PCIE_7V3, XCKU060};
@@ -17,7 +19,7 @@ use ernn_model::{BlockPolicy, CellType, ModelSpec};
 
 struct Row {
     report: AccelReport,
-    power_w: Option<f64>,
+    power_w: f64,
     per_degradation: Option<f64>,
 }
 
@@ -44,8 +46,8 @@ fn main() {
                 .to_vec();
             trained.extend(run_grid(rows, &corpus, &args.recipe(), 7));
         }
-        write_paper_rows(&args, "table3", &trained);
     }
+    let doc = paper_rows(&args, "table3", &trained);
     trained.retain(|r| r.row.policies.is_some());
     let lookup = |cell: CellType, block: usize| -> Option<f64> {
         trained
@@ -83,17 +85,16 @@ fn main() {
             ff_used: 0,
             ff_pct: ff,
         },
-        power_w: Some(EseModel::published_power_w()),
+        power_w: EseModel::published_power_w(),
         per_degradation: Some(0.30),
     });
 
     // C-LSTM FFT8 and FFT16 (7V3).
     for block in [8usize, 16] {
         let r = clstm_report(block, ADM_PCIE_7V3);
-        let p = board_power(&r, &ADM_PCIE_7V3, false);
         rows.push(Row {
+            power_w: board_power(&r, &ADM_PCIE_7V3, false),
             report: r,
-            power_w: Some(p),
             per_degradation: Some(if block == 8 { 0.32 } else { 0.41 }),
         });
     }
@@ -107,9 +108,8 @@ fn main() {
                     CellType::Gru => RnnSpec::gru_1024(block, 12),
                 };
                 let r = Accelerator::new(spec, dev).report(format!("E-RNN FFT{block} {label}"));
-                let p = board_power(&r, &dev, false);
                 rows.push(Row {
-                    power_w: Some(p),
+                    power_w: board_power(&r, &dev, false),
                     per_degradation: lookup(cell, block),
                     report: r,
                 });
@@ -136,9 +136,10 @@ fn main() {
         "LUT%",
         "FF%"
     );
+    let fps_per_w = |row: &Row| energy_efficiency(row.report.fps, row.power_w);
+    let mut designs = Vec::new();
     for row in &rows {
         let r = &row.report;
-        let power = row.power_w.unwrap_or(f64::NAN);
         let deg = row
             .per_degradation
             .map(|d| format!("{d:+.2}"))
@@ -153,12 +154,28 @@ fn main() {
             deg,
             r.latency_us,
             r.fps,
-            power,
-            energy_efficiency(r.fps, power),
+            row.power_w,
+            fps_per_w(row),
             r.dsp_pct,
             r.bram_pct,
             r.lut_pct,
             r.ff_pct,
+        );
+        designs.push(
+            JsonObject::new()
+                .str("design", &r.name)
+                .str("platform", r.platform)
+                .int("bits", r.quant_bits.into())
+                .num("latency_us", r.latency_us)
+                .num("fps", r.fps)
+                .num("power_w", row.power_w)
+                .num("fps_per_w", fps_per_w(row))
+                .num("dsp_pct", r.dsp_pct)
+                .num("bram_pct", r.bram_pct)
+                .num("lut_pct", r.lut_pct)
+                .num("ff_pct", r.ff_pct)
+                .num("per_degradation", row.per_degradation.unwrap_or(f64::NAN))
+                .render(),
         );
     }
     if !trained.is_empty() {
@@ -169,19 +186,13 @@ fn main() {
         }
     }
 
-    // Headline ratios (paper: 37.4x vs ESE, >2x vs C-LSTM, GRU best).
-    let eff = |name: &str| {
-        rows.iter()
-            .find(|r| r.report.name.contains(name))
-            .map(|r| energy_efficiency(r.report.fps, r.power_w.unwrap_or(f64::NAN)))
-            .unwrap_or(f64::NAN)
-    };
-    let ese_eff = eff("ESE");
-    let clstm_eff = eff("C-LSTM FFT8");
+    // Headline ratios (paper: 37.4x vs ESE, >2x vs C-LSTM, GRU best)
+    // over rows 0 (ESE) and 1 (C-LSTM FFT8).
+    let (ese_eff, clstm_eff) = (fps_per_w(&rows[0]), fps_per_w(&rows[1]));
     let gru16 = rows
         .iter()
         .filter(|r| r.report.name.contains("GRU") && r.report.name.contains("16"))
-        .map(|r| energy_efficiency(r.report.fps, r.power_w.unwrap_or(f64::NAN)))
+        .map(fps_per_w)
         .fold(0.0f64, f64::max);
     println!("\nheadline ratios:");
     println!(
@@ -191,5 +202,10 @@ fn main() {
     println!(
         "  E-RNN GRU FFT16 vs C-LSTM  : {:.1}x (paper: ~2x)",
         gru16 / clstm_eff
+    );
+    args.write_bench(
+        doc.raw("designs", array(designs))
+            .num("gru16_over_ese_fps_per_w", gru16 / ese_eff)
+            .num("gru16_over_clstm8_fps_per_w", gru16 / clstm_eff),
     );
 }

@@ -16,8 +16,9 @@ use std::fmt::Write as _;
 /// History: 1 = pre-versioning artifacts (no `schema_version` field);
 /// 2 = adds `schema_version`, stage-time attribution, and the admission
 /// audit export; 3 = the serving sweeps' rows drop wall-clock `host_us`,
-/// so their artifacts are pure functions of the code.
-pub const BENCH_SCHEMA_VERSION: i64 = 3;
+/// so their artifacts are pure functions of the code; 4 = the paper bins'
+/// trained rows drop wall-clock `wall_s` likewise.
+pub const BENCH_SCHEMA_VERSION: i64 = 4;
 
 /// A flat JSON object built field by field, rendered in insertion order.
 #[derive(Debug, Default, Clone)]
@@ -195,6 +196,6 @@ mod tests {
     #[test]
     fn bench_header_stamps_the_schema_version() {
         let doc = JsonObject::new().bench_header("sched_sweep").render();
-        assert_eq!(doc, r#"{"bench":"sched_sweep","schema_version":3}"#);
+        assert_eq!(doc, r#"{"bench":"sched_sweep","schema_version":4}"#);
     }
 }

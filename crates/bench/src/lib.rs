@@ -1,20 +1,23 @@
 //! Shared harness utilities for the table/figure regeneration binaries.
 //!
-//! Each binary regenerates one table or figure of the paper:
+//! Each binary regenerates one table or figure of the paper and takes
+//! the [`sweep::SweepArgs`] flags; `--json PATH` writes its numbers:
 //!
-//! | binary          | artifact  |
-//! |-----------------|-----------|
-//! | `table1`        | Table I   (LSTM PER vs layer/block size) |
-//! | `table2`        | Table II  (GRU PER vs layer/block size)  |
-//! | `table3`        | Table III (hardware comparison)          |
-//! | `table4`        | Table IV  (platform resources)           |
-//! | `fig5`          | Fig. 5    (Euclidean mapping example)    |
-//! | `fig8`          | Fig. 8    (multiplication-count curves)  |
-//! | `phase1_trials` | Sec. VI   (Phase-I trial-count claim)    |
+//! | binary          | artifact                                 | `--json` rows |
+//! |-----------------|------------------------------------------|---------------|
+//! | `table1`        | Table I   (LSTM PER vs layer/block size) | trained rows |
+//! | `table2`        | Table II  (GRU PER vs layer/block size)  | trained rows |
+//! | `table3`        | Table III (hardware comparison)          | design points, headline ratios; trained rows with `--accuracy` |
+//! | `table4`        | Table IV  (platform resources)           | one per platform |
+//! | `fig5`          | Fig. 5    (Euclidean mapping example)    | matrices, block vectors, distance² |
+//! | `fig8`          | Fig. 8    (multiplication-count curves)  | `(layer, Lb, model)` points, upper bounds |
+//! | `phase1_trials` | Sec. VI   (Phase-I trial-count claim)    | one trained row per trial |
 //!
+//! No row carries a wall-clock field, so each `--quick` artifact is
+//! compared byte for byte with its baseline in `crates/bench/baselines/`.
 //! The four that train (`table1`, `table2`, `table3 --accuracy`,
 //! `phase1_trials`) do so through [`ernn_admm::Recipe`] and share this
-//! crate's row type, grid runner and `--json` rows.
+//! crate's row type, grid runner and [`paper_rows`].
 
 // The one exception is the `GlobalAlloc` impl in `alloc.rs`.
 #![deny(unsafe_code)]
@@ -29,7 +32,6 @@ use ernn_model::{BlockPolicy, CellType, ModelSpec};
 use json::{array, JsonObject};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::time::Instant;
 use sweep::SweepArgs;
 
 /// One row of a Table I/II-style model grid.
@@ -57,8 +59,6 @@ pub struct RowResult {
     pub per: f64,
     /// The ADMM record of a compressed row.
     pub admm: Option<AdmmReport>,
-    /// Wall seconds the row's training and scoring took.
-    pub wall_s: f64,
 }
 
 impl RowResult {
@@ -68,10 +68,11 @@ impl RowResult {
         self.per - self.baseline_per
     }
 
-    /// The row as a `BENCH_paper.json` record, keyed by (cell, layer
-    /// dims, blocks, io blocks, seed). A compressed row adds its ADMM
-    /// summary and `admm_trace`: one `{iteration, mean_loss, residual}`
-    /// per outer iteration, numbered from 1.
+    /// The row as a `--json` record, keyed by (cell, layer dims, blocks,
+    /// io blocks, seed). A compressed row adds its ADMM summary and
+    /// `admm_trace`: one `{iteration, mean_loss, residual}` per outer
+    /// iteration, numbered from 1. No field is wall-clock, so the
+    /// record is a pure function of the code and the platform's libm.
     pub fn json(&self) -> JsonObject {
         let doc = JsonObject::new()
             .str("cell", &format!("{:?}", self.row.spec.cell))
@@ -82,7 +83,7 @@ impl RowResult {
             .num("baseline_per", self.baseline_per)
             .num("per", self.per)
             .num("degradation", self.degradation());
-        let doc = match &self.admm {
+        match &self.admm {
             None => doc,
             Some(admm) => doc
                 .num("final_residual", admm.final_residual() as f64)
@@ -98,8 +99,7 @@ impl RowResult {
                             .render()
                     })),
                 ),
-        };
-        doc.num("wall_s", self.wall_s)
+        }
     }
 }
 
@@ -194,7 +194,6 @@ pub fn run_grid(
         if row.policies.is_some() {
             continue;
         }
-        let started = Instant::now();
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let net = recipe.pretrain(&row.spec, &data, &mut rng);
         let per = evaluate_per(|f| net.forward_logits(f), &corpus.test);
@@ -205,7 +204,6 @@ pub fn run_grid(
             baseline_per: per,
             per,
             admm: None,
-            wall_s: started.elapsed().as_secs_f64(),
         });
     }
 
@@ -224,7 +222,6 @@ pub fn run_grid(
                     chunk
                         .iter()
                         .map(|&(i, row)| {
-                            let started = Instant::now();
                             let (_, baseline, baseline_per) = baselines
                                 .iter()
                                 .find(|(spec, ..)| *spec == &row.spec)
@@ -241,7 +238,6 @@ pub fn run_grid(
                                 baseline_per: *baseline_per,
                                 per,
                                 admm: Some(admm),
-                                wall_s: started.elapsed().as_secs_f64(),
                             };
                             (i, result)
                         })
@@ -288,15 +284,13 @@ pub fn render_model_table(title: &str, results: &[RowResult]) -> String {
     out
 }
 
-/// Writes a paper bin's trained rows to its `--json` path, if one was
-/// given.
-pub fn write_paper_rows(args: &SweepArgs, bench: &str, results: &[RowResult]) {
-    args.write_bench(
-        JsonObject::new()
-            .bench_header(bench)
-            .raw("quick", args.quick.to_string())
-            .raw("rows", array(results.iter().map(|r| r.json().render()))),
-    );
+/// A paper bin's `--json` document: the bench header, `quick` and the
+/// trained rows.
+pub fn paper_rows(args: &SweepArgs, bench: &str, results: &[RowResult]) -> JsonObject {
+    JsonObject::new()
+        .bench_header(bench)
+        .raw("quick", args.quick.to_string())
+        .raw("rows", array(results.iter().map(|r| r.json().render())))
 }
 
 /// The body of `table1` / `table2`: trains the cell's [`model_grid`] on
@@ -318,6 +312,6 @@ pub fn run_model_table(cell: CellType, bench: &str, title: &str) -> Vec<RowResul
     );
     let results = run_grid(grid, &corpus, &args.recipe(), 7);
     println!("{}", render_model_table(title, &results));
-    write_paper_rows(&args, bench, &results);
+    args.write_bench(paper_rows(&args, bench, &results));
     results
 }

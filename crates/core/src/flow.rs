@@ -18,7 +18,6 @@ use ernn_model::{BlockPolicy, CellType, Matrix, ModelSpec, RnnNetwork, WeightMat
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::HashMap;
-use std::time::Instant;
 
 /// Configuration of the end-to-end flow.
 #[derive(Debug, Clone)]
@@ -80,25 +79,16 @@ impl FlowConfig {
     }
 }
 
-/// What training one Phase-I candidate recorded besides its PER.
-#[derive(Debug, Clone)]
-pub struct TrialTraining {
-    /// The ADMM residual trace.
-    pub admm: AdmmReport,
-    /// Wall seconds of the candidate's compression training.
-    pub wall_s: f64,
-}
-
 /// The [`TrainOracle`] backed by the synthetic corpus and ADMM training.
 pub struct AsrOracle {
     corpus: SynthCorpus,
     config: FlowConfig,
     rng: ChaCha8Rng,
     baselines: HashMap<&'static str, (RnnNetwork<Matrix>, f64)>,
-    /// Trained compressed models with their training records, keyed by
+    /// Trained compressed models with their ADMM records, keyed by
     /// candidate identity, so Phase II can reuse the Phase-I winner and
     /// the artifact can carry its compression provenance.
-    trained: HashMap<String, (RnnNetwork<WeightMatrix>, TrialTraining)>,
+    trained: HashMap<String, (RnnNetwork<WeightMatrix>, AdmmReport)>,
 }
 
 fn cell_key(cell: CellType) -> &'static str {
@@ -157,9 +147,9 @@ impl AsrOracle {
         self.trained.get(&spec_key(spec)).map(|(net, _)| net)
     }
 
-    /// The training record of a candidate, if Phase I evaluated it.
-    pub fn training(&self, spec: &CandidateSpec) -> Option<&TrialTraining> {
-        self.trained.get(&spec_key(spec)).map(|(_, t)| t)
+    /// The ADMM record of a candidate, if Phase I evaluated it.
+    pub fn admm(&self, spec: &CandidateSpec) -> Option<&AdmmReport> {
+        self.trained.get(&spec_key(spec)).map(|(_, admm)| admm)
     }
 }
 
@@ -170,16 +160,13 @@ impl TrainOracle for AsrOracle {
 
     fn evaluate(&mut self, spec: &CandidateSpec) -> f64 {
         let (mut net, _) = self.pretrained(spec.cell);
-        let started = Instant::now();
         let policy = BlockPolicy::with_io_block(spec.block, spec.io_block);
         let policies = vec![policy; net.num_layers()];
         let data = self.corpus.train_sequences();
         let recipe = self.config.recipe;
         let (compressed, admm) = recipe.compress(&mut net, &policies, &data, &mut self.rng);
         let per = evaluate_per(|f| compressed.forward_logits(f), &self.corpus.test);
-        let wall_s = started.elapsed().as_secs_f64();
-        let training = TrialTraining { admm, wall_s };
-        self.trained.insert(spec_key(spec), (compressed, training));
+        self.trained.insert(spec_key(spec), (compressed, admm));
         per
     }
 }
@@ -191,8 +178,8 @@ pub struct FlowReport {
     pub phase1: Phase1Result,
     /// Phase-II result (datapath + hardware report).
     pub phase2: Phase2Result,
-    /// The training record of each Phase-I trial, in trial order.
-    pub trial_training: Vec<TrialTraining>,
+    /// The ADMM record of each Phase-I trial, in trial order.
+    pub trial_admm: Vec<AdmmReport>,
 }
 
 impl FlowReport {
@@ -291,14 +278,13 @@ fn flow_phases(
         .cloned()
         .expect("phase 1 trained its winner");
     let admm = oracle
-        .training(&phase1.chosen)
+        .admm(&phase1.chosen)
         .expect("phase 1 trained its winner")
-        .admm
         .clone();
-    let trial_training = phase1
+    let trial_admm = phase1
         .trials
         .iter()
-        .map(|t| oracle.training(&t.spec).cloned())
+        .map(|t| oracle.admm(&t.spec).cloned())
         .collect::<Option<Vec<_>>>()
         .expect("phase 1 trained every trial");
     let input_dim = oracle.corpus().feature_dim;
@@ -343,7 +329,7 @@ fn flow_phases(
     let report = FlowReport {
         phase1,
         phase2,
-        trial_training,
+        trial_admm,
     };
     (report, winner, admm, input_dim, classes)
 }

@@ -6,7 +6,9 @@
 //! an `N`-input adder tree. The PE streams one spectrum bin per cycle:
 //! a block-pair multiply–accumulate (`conj(FFT(w_ij)) ∘ FFT(x_j)` plus
 //! accumulation) of block size `L_b` therefore occupies the PE for
-//! `L_b/2 + 1` cycles (Hermitian symmetry halves the bins, Sec. V-A2).
+//! `L_b/2 + 1` cycles (Hermitian symmetry halves the bins, Sec. V-A2);
+//! [`Accelerator::stage_cycles`](crate::Accelerator::stage_cycles)
+//! applies that rule per matvec block.
 
 use crate::device::Device;
 
@@ -79,12 +81,6 @@ impl PeDesign {
         (self.lut_per_pe() as f64 * 0.9) as u32
     }
 
-    /// Cycles a PE is busy per block-pair multiply–accumulate: one
-    /// Hermitian-unique spectrum bin per cycle.
-    pub fn cycles_per_block_op(&self) -> u64 {
-        (self.block_size as u64 / 2 + 1).max(1)
-    }
-
     /// The paper's PE-count rule (Sec. VII-B):
     /// `#PE = min(⌊DSP/ΔDSP⌋, ⌊LUT/ΔLUT⌋)`, applied to the fraction of the
     /// device the accelerator may claim (`budget`, e.g. 0.75 leaves room
@@ -118,12 +114,6 @@ mod tests {
         let narrow = PeDesign::new(8, 12).dsp_per_pe();
         let wide = PeDesign::new(8, 24).dsp_per_pe();
         assert_eq!(wide, 2 * narrow);
-    }
-
-    #[test]
-    fn cycles_per_block_op_uses_hermitian_half() {
-        assert_eq!(PeDesign::new(8, 12).cycles_per_block_op(), 5);
-        assert_eq!(PeDesign::new(16, 12).cycles_per_block_op(), 9);
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Cycle-level simulation of the 3-stage CGPipe with double buffers.
 //!
 //! The analytical model in [`crate::Accelerator`] assumes ideal double
-//! buffering (`II = max stage`, latency = `3·II`). This module *simulates*
-//! the pipeline event by event — each frame must wait for both its
-//! predecessor stage and the stage's previous occupant — and is
-//! property-tested against the closed form. It also reports per-stage
-//! occupancy, which the Phase II report uses to show pipeline balance.
+//! buffering (`II = max stage`, latency = `3·II`), and
+//! [`StageCycles::stream_completion_cycles`] is the closed form every
+//! committed number reads. This module is that closed form's oracle: it
+//! *simulates* the pipeline event by event — each frame must wait for
+//! both its predecessor stage and the stage's previous occupant — and is
+//! property-tested cycle for cycle against it.
 
 use crate::accelerator::StageCycles;
 
@@ -13,8 +14,6 @@ use crate::accelerator::StageCycles;
 /// stage `s` starts when the frame leaves stage `s−1` *and* stage `s`'s
 /// previous occupant has vacated its buffer. Updates per-stage finish
 /// times and busy counters, returning when the frame exits stage 3.
-/// Shared by [`simulate_pipeline`] and [`simulate_batch`] so the timing
-/// model exists in exactly one place.
 #[inline]
 fn advance_frame(durations: &[u64; 3], finish: &mut [u64; 3], busy: &mut [u64; 3]) -> u64 {
     let mut t = finish[0];
@@ -26,70 +25,6 @@ fn advance_frame(durations: &[u64; 3], finish: &mut [u64; 3], busy: &mut [u64; 3
         t = end;
     }
     t
-}
-
-/// Result of simulating `frames` frames through the pipeline.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SimResult {
-    /// Total cycles from first input to last output.
-    pub makespan_cycles: u64,
-    /// Mean per-frame end-to-end latency in cycles.
-    pub mean_latency_cycles: f64,
-    /// Worst per-frame latency in cycles.
-    pub max_latency_cycles: u64,
-    /// Steady-state throughput in frames per cycle.
-    pub throughput_fpc: f64,
-    /// Fraction of the makespan each stage was busy.
-    pub occupancy: [f64; 3],
-}
-
-/// Simulates `frames` frames through a double-buffered 3-stage pipeline.
-///
-/// Stage `s` of frame `f` starts when both stage `s−1` of frame `f` has
-/// finished *and* stage `s` of frame `f−1` has vacated its buffer — the
-/// exact behaviour of the CGPipe double buffers in Fig. 11.
-///
-/// # Panics
-///
-/// Panics if `frames == 0`.
-pub fn simulate_pipeline(stages: StageCycles, frames: u64) -> SimResult {
-    assert!(frames > 0, "need at least one frame");
-    let durations = stages.as_array();
-    // finish[s] = when stage s finished its latest frame.
-    let mut finish = [0u64; 3];
-    let mut busy = [0u64; 3];
-    let mut total_latency = 0u64;
-    let mut max_latency = 0u64;
-    let mut first_output = 0u64;
-
-    for f in 0..frames {
-        let enter = finish[0];
-        let t = advance_frame(&durations, &mut finish, &mut busy);
-        let latency = t - enter;
-        total_latency += latency;
-        max_latency = max_latency.max(latency);
-        if f == 0 {
-            first_output = t;
-        }
-    }
-    let makespan = finish[2];
-    let steady_frames = frames.saturating_sub(1);
-    let throughput = if steady_frames > 0 {
-        steady_frames as f64 / (makespan - first_output) as f64
-    } else {
-        1.0 / makespan as f64
-    };
-    SimResult {
-        makespan_cycles: makespan,
-        mean_latency_cycles: total_latency as f64 / frames as f64,
-        max_latency_cycles: max_latency,
-        throughput_fpc: throughput,
-        occupancy: [
-            busy[0] as f64 / makespan as f64,
-            busy[1] as f64 / makespan as f64,
-            busy[2] as f64 / makespan as f64,
-        ],
-    }
 }
 
 /// Result of simulating a *batch* of utterances whose frames stream
@@ -110,10 +45,11 @@ pub struct BatchTrace {
 /// through the double-buffered 3-stage pipeline, frames back-to-back in
 /// submission order, and records when each utterance finishes.
 ///
-/// Feeding one utterance reproduces [`simulate_pipeline`]'s makespan
-/// exactly (property-tested below); batching amortizes the pipeline fill
-/// across utterances, which is precisely the win the serving runtime's
-/// dynamic batcher is after.
+/// Stage `s` of frame `f` starts when both stage `s−1` of frame `f` has
+/// finished *and* stage `s` of frame `f−1` has vacated its buffer — the
+/// exact behaviour of the CGPipe double buffers in Fig. 11. Batching
+/// amortizes the pipeline fill across utterances, which is precisely the
+/// win the serving runtime's dynamic batcher is after.
 ///
 /// # Panics
 ///
@@ -170,22 +106,21 @@ mod tests {
 
     #[test]
     fn single_frame_latency_is_stage_sum() {
-        let r = simulate_pipeline(stages(100, 50, 80), 1);
+        let r = simulate_batch(stages(100, 50, 80), &[1]);
         assert_eq!(r.makespan_cycles, 230);
-        assert_eq!(r.max_latency_cycles, 230);
+        assert_eq!(r.completion_cycles, vec![230]);
     }
 
     #[test]
     fn steady_state_matches_ii() {
-        let s = stages(100, 50, 80);
-        let r = simulate_pipeline(s, 1000);
-        let ii = s.ii() as f64;
-        assert!(
-            (r.throughput_fpc - 1.0 / ii).abs() < 1e-4,
-            "throughput {} vs 1/II {}",
-            r.throughput_fpc,
-            1.0 / ii
-        );
+        // One-frame utterances mark every frame's exit: past the fill, a
+        // frame leaves every II cycles, whichever stage is the bottleneck.
+        for s in [stages(100, 50, 80), stages(40, 120, 60), stages(30, 20, 90)] {
+            let r = simulate_batch(s, &[1; 1000]);
+            for w in r.completion_cycles.windows(2) {
+                assert_eq!(w[1] - w[0], s.ii(), "{s:?}");
+            }
+        }
     }
 
     #[test]
@@ -193,37 +128,28 @@ mod tests {
         // makespan = fill (sum of stages) + (frames − 1) · II for a
         // bottleneck-first pipeline.
         let s = stages(100, 50, 80);
-        let r = simulate_pipeline(s, 10);
+        let r = simulate_batch(s, &[10]);
         assert_eq!(r.makespan_cycles, 230 + 9 * 100);
     }
 
     #[test]
     fn bottleneck_stage_is_fully_occupied() {
         let s = stages(100, 40, 60);
-        let r = simulate_pipeline(s, 500);
+        let r = simulate_batch(s, &[500]);
         assert!(r.occupancy[0] > 0.99);
         assert!(r.occupancy[1] < r.occupancy[0]);
     }
 
     #[test]
     fn balanced_pipeline_latency_is_three_ii() {
-        // The paper's latency convention: with balanced stages, per-frame
-        // latency settles at 3·II.
+        // The paper's latency convention: with balanced stages, frame `j`
+        // enters at `j·II` and leaves at `3·II + j·II`.
         let s = stages(90, 90, 90);
-        let r = simulate_pipeline(s, 100);
-        assert!((r.mean_latency_cycles - 270.0).abs() < 1.0);
-        assert_eq!(s.latency_cycles(), 270);
-    }
-
-    #[test]
-    fn batch_of_one_matches_pipeline_sim() {
-        let s = stages(100, 50, 80);
-        for frames in [1u64, 2, 7, 64] {
-            let pipe = simulate_pipeline(s, frames);
-            let batch = simulate_batch(s, &[frames]);
-            assert_eq!(batch.makespan_cycles, pipe.makespan_cycles);
-            assert_eq!(batch.completion_cycles, vec![pipe.makespan_cycles]);
+        let r = simulate_batch(s, &[1; 100]);
+        for (j, &done) in (0u64..).zip(&r.completion_cycles) {
+            assert_eq!(done - j * s.ii(), 270);
         }
+        assert_eq!(s.latency_cycles(), 270);
     }
 
     #[test]
@@ -237,17 +163,10 @@ mod tests {
             *trace.completion_cycles.last().unwrap(),
             trace.makespan_cycles
         );
-        // Occupancy semantics match the streaming sim exactly (same
-        // frames, same timing kernel): bottleneck stage saturates.
-        let stream = simulate_pipeline(s, 11);
-        for (a, b) in trace.occupancy.iter().zip(stream.occupancy.iter()) {
-            assert!(
-                (a - b).abs() < 1e-12,
-                "{:?} vs {:?}",
-                trace.occupancy,
-                stream.occupancy
-            );
-        }
+        // Utterance boundaries do not change occupancy (same frames, same
+        // timing kernel): the bottleneck stage saturates.
+        let stream = simulate_batch(s, &[11]);
+        assert_eq!(trace.occupancy, stream.occupancy);
         assert!(trace.occupancy[1] > trace.occupancy[0]);
     }
 
@@ -307,7 +226,7 @@ mod tests {
         let batched = simulate_batch(s, &counts).makespan_cycles;
         let solo: u64 = counts
             .iter()
-            .map(|&f| simulate_pipeline(s, f).makespan_cycles)
+            .map(|&f| simulate_batch(s, &[f]).makespan_cycles)
             .sum();
         assert!(batched < solo, "batched {batched} vs solo {solo}");
     }
@@ -327,7 +246,7 @@ mod tests {
             // the pipeline timing — only add completion markers.
             let s = stages(s1, s2, s3);
             let batch = simulate_batch(s, &[a, b]);
-            let stream = simulate_pipeline(s, a + b);
+            let stream = simulate_batch(s, &[a + b]);
             prop_assert_eq!(batch.makespan_cycles, stream.makespan_cycles);
         }
     }
@@ -341,7 +260,7 @@ mod tests {
             frames in 1u64..200,
         ) {
             let s = stages(a, b, c);
-            let r = simulate_pipeline(s, frames);
+            let r = simulate_batch(s, &[frames]);
             // With a single bottleneck stage, makespan = sum + (n−1)·II.
             // When the first stage is the bottleneck this is exact; in
             // general it is an upper bound within one fill.
@@ -349,17 +268,6 @@ mod tests {
             let sum = a + b + c;
             prop_assert!(r.makespan_cycles >= sum + (frames - 1) * ii - sum);
             prop_assert!(r.makespan_cycles <= sum + (frames - 1) * ii);
-            // Latency of any frame is at least the raw stage sum.
-            prop_assert!(r.mean_latency_cycles >= sum as f64 - 1e-9);
-        }
-
-        #[test]
-        fn throughput_never_exceeds_bottleneck(
-            a in 1u64..300, b in 1u64..300, c in 1u64..300,
-        ) {
-            let s = stages(a, b, c);
-            let r = simulate_pipeline(s, 300);
-            prop_assert!(r.throughput_fpc <= 1.0 / s.ii() as f64 + 1e-9);
         }
     }
 }

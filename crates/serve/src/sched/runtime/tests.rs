@@ -1175,9 +1175,7 @@ use crate::config::backoff_us;
 use crate::request::ShedReason;
 use ernn_fpga::{DeviceFault, FaultEvent, FaultPlan};
 
-/// A timeline config for the faulted tests (an interval their event
-/// times are not multiples of: a run whose last event sits exactly on a
-/// grid point gets no off-grid closing sample).
+/// A timeline config for the faulted tests.
 fn sampled() -> crate::TimelineConfig {
     crate::TimelineConfig::enabled(40.0, 1024)
 }
@@ -1201,6 +1199,34 @@ fn assert_final_sample_matches_responses(report: &SchedReport) {
         last.deadline_misses as usize,
         count(|r| r.deadline_tracked && !r.deadline_met)
     );
+}
+
+#[test]
+fn a_run_ending_on_a_grid_point_closes_with_a_fresh_sample() {
+    use crate::health::{HealthConfig, HealthRuleKind};
+    use crate::timeline::TimelineConfig;
+    // The grid sample at 100 µs is taken as the clock reaches the
+    // arrival, before admission sheds it; the closing sample at the same
+    // instant must read the shed, and the burn-rate rule must see it.
+    let rt = SchedRuntime::with_config(
+        registry(),
+        vec![XCKU060],
+        SchedPolicy::edf_cost_model(1, 0.0).with_admission(AdmissionPolicy::ShedPredictedLate),
+        RuntimeConfig::new()
+            .timeline(TimelineConfig::enabled(100.0, 64))
+            .health(HealthConfig::enabled()),
+    );
+    let utts = synthetic_utterances(1, (10, 10), DIM, 5);
+    let report = rt.run(vec![
+        Request::new(0, utts[0].clone(), 100.0).with_deadline(100.0)
+    ]);
+    assert!(report.responses[0].shed);
+    let times: Vec<f64> = report.timeline.samples.iter().map(|s| s.t_us).collect();
+    assert_eq!(times, [100.0, 100.0]);
+    assert_eq!(report.timeline.samples[0].shed, 0);
+    assert_final_sample_matches_responses(&report);
+    let rules: Vec<_> = report.health.events.iter().map(|e| e.rule).collect();
+    assert_eq!(rules, [HealthRuleKind::SloBurnRate]);
 }
 
 #[test]

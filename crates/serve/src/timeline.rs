@@ -385,10 +385,11 @@ impl MetricsTimeline {
         self.offered += 1;
     }
 
-    /// Emits a final sample stamped at `now_us` (when enabled and past
-    /// the last grid point), so even a run shorter than one interval
-    /// produces at least one sample. Returns how many samples were
-    /// emitted — pending grid points are flushed first.
+    /// Emits a final sample stamped at `now_us` reading the finished run
+    /// (after a grid sample taken there before the instant's last events,
+    /// too), so even a run shorter than one interval produces one.
+    /// Returns how many samples were emitted — pending grid points are
+    /// flushed first.
     pub fn finish_sample(&mut self, now_us: f64, probe: &TimelineProbe<'_>) -> usize {
         if !self.config.is_enabled() {
             return 0;
@@ -399,7 +400,7 @@ impl MetricsTimeline {
             "probe device count mismatch"
         );
         let mut emitted = self.advance(now_us, probe);
-        if self.recent(0).is_none_or(|s| now_us > s.t_us) {
+        if emitted == 0 || self.recent(0).is_some_and(|s| now_us > s.t_us) {
             let mean_utilization = self.account_busy_to(now_us, probe);
             self.emit(now_us, probe, mean_utilization);
             emitted += 1;

@@ -6,7 +6,7 @@
 
 use ernn::fpga::baseline::{clstm_report, EseModel};
 use ernn::fpga::power::{board_power, energy_efficiency};
-use ernn::fpga::sim::simulate_pipeline;
+use ernn::fpga::sim::simulate_batch;
 use ernn::fpga::{Accelerator, HwCell, RnnSpec, ADM_PCIE_7V3, XCKU060};
 use ernn::hls::{generate_code, generate_report, graph_for_spec, schedule, ResourcePool};
 
@@ -31,12 +31,11 @@ fn main() {
     );
 
     // 2. Cycle-level simulation of 100k frames through the CGPipe.
-    let sim = simulate_pipeline(report.stages, 100_000);
+    let sim = simulate_batch(report.stages, &[100_000]);
     println!(
-        "cycle sim: makespan {} cycles, mean frame latency {:.0} cycles, throughput {:.0} FPS, occupancy {:?}",
+        "cycle sim: makespan {} cycles, throughput {:.0} FPS, occupancy {:?}",
         sim.makespan_cycles,
-        sim.mean_latency_cycles,
-        sim.throughput_fpc * 200e6,
+        100_000.0 * 200e6 / sim.makespan_cycles as f64,
         sim.occupancy.map(|o| (o * 100.0).round())
     );
 

@@ -2,7 +2,7 @@
 //! cycle-level simulator and the HLS scheduler must tell one consistent
 //! story.
 
-use ernn::fpga::sim::simulate_pipeline;
+use ernn::fpga::sim::simulate_batch;
 use ernn::fpga::{Accelerator, RnnSpec, ADM_PCIE_7V3, XCKU060};
 use ernn::hls::{graph_for_spec, schedule, ResourcePool};
 
@@ -17,19 +17,14 @@ fn simulator_confirms_analytical_ii_and_latency() {
         for dev in [XCKU060, ADM_PCIE_7V3] {
             let acc = Accelerator::new(spec, dev);
             let stages = acc.stage_cycles();
-            let sim = simulate_pipeline(stages, 5000);
-            // Steady-state throughput equals 1/II.
-            let analytic = 1.0 / stages.ii() as f64;
-            assert!(
-                (sim.throughput_fpc - analytic).abs() / analytic < 1e-3,
-                "{}: sim {} vs analytic {}",
-                dev.name,
-                sim.throughput_fpc,
-                analytic
-            );
-            // No frame can beat the raw stage sum.
+            let sim = simulate_batch(stages, &[1; 5000]);
+            // The first frame leaves after the raw stage sum, and every
+            // later one II cycles after its predecessor.
             let sum: u64 = stages.as_array().iter().sum();
-            assert!(sim.mean_latency_cycles + 1e-6 >= sum as f64);
+            assert_eq!(sim.completion_cycles[0], sum, "{}", dev.name);
+            for w in sim.completion_cycles.windows(2) {
+                assert_eq!(w[1] - w[0], stages.ii(), "{}", dev.name);
+            }
         }
     }
 }
