@@ -48,8 +48,8 @@ use ernn_fpga::{Device, DeviceFault, FaultEvent, FaultPlan, ADM_PCIE_7V3, XCKU06
 use ernn_serve::loadgen::{paced_session, synthetic_utterances};
 use ernn_serve::sched::{CostModel, DeviceResidency, ModelRegistry, SchedPolicy};
 use ernn_serve::{
-    ClusterConfig, ClusterReport, ClusterRuntime, ClusterSpec, ExecutorKind, Request,
-    RuntimeConfig, ShedReason, Steering, TraceConfig, TransferModel,
+    ClusterConfig, ClusterReport, ClusterRuntime, ExecutorKind, Request, RuntimeConfig, ShedReason,
+    Steering, TraceConfig, TransferModel,
 };
 use rand::{Rng, SeedableRng};
 
@@ -61,12 +61,12 @@ const FAT_DEVICES: usize = 4;
 const TARGET_PARALLELISM: f64 = 10.0;
 const SLO_MULT: f64 = 3.0;
 
-fn tenant_spec() -> ClusterSpec {
-    let mut spec = ClusterSpec::new();
-    spec.register("gru-64-stream", acoustic_gru(5, 64));
-    spec.register("gru-96-batch", acoustic_gru(6, 96));
-    spec.register("gru-64-tail", acoustic_gru(7, 64));
-    spec
+fn tenants() -> ModelRegistry {
+    let mut tenants = ModelRegistry::new();
+    tenants.register("gru-64-stream", acoustic_gru(5, 64));
+    tenants.register("gru-96-batch", acoustic_gru(6, 96));
+    tenants.register("gru-64-tail", acoustic_gru(7, 64));
+    tenants
 }
 
 /// Heterogeneous scale-out platforms: one device per shard, alternating
@@ -104,18 +104,13 @@ struct Load {
 /// weight-load stall, and two network hops — tight enough that real
 /// queueing turns into misses, loose enough that an idle shard always
 /// makes them.
-fn build_load(utterances: usize, sessions: usize, spec: &ClusterSpec, seed: u64) -> Load {
-    // Cost estimates come from a registry sharing the spec's models (no
-    // recompiles) over the fat pool's device set, which has both board
-    // kinds at indices 0 and 1.
-    let mut reg = ModelRegistry::new();
-    for m in 0..spec.len() {
-        reg.register_shared(spec.name(m).to_string(), spec.model(m).clone());
-    }
-    let cost = CostModel::build(&fat_platform(), &reg);
+fn build_load(utterances: usize, sessions: usize, tenants: &ModelRegistry, seed: u64) -> Load {
+    // Cost estimates over the fat pool's device set, which has both
+    // board kinds at indices 0 and 1.
+    let cost = CostModel::build(&fat_platform(), tenants);
     let load_us = DeviceResidency::load_us(
-        (0..spec.len())
-            .map(|m| reg.weight_bytes(m))
+        (0..tenants.len())
+            .map(|m| tenants.weight_bytes(m))
             .fold(0, u64::max),
     );
     let est_worst = |model: usize, frames: u64| -> f64 {
@@ -129,7 +124,7 @@ fn build_load(utterances: usize, sessions: usize, spec: &ClusterSpec, seed: u64)
     let total_work: f64 = audio
         .iter()
         .enumerate()
-        .map(|(i, utt)| cost.estimate_frames_us(0, i % spec.len(), utt.len() as u64))
+        .map(|(i, utt)| cost.estimate_frames_us(0, i % tenants.len(), utt.len() as u64))
         .sum();
     let span_us = total_work / TARGET_PARALLELISM;
     let unit_us = total_work / utterances as f64;
@@ -164,7 +159,7 @@ fn build_load(utterances: usize, sessions: usize, spec: &ClusterSpec, seed: u64)
     // Utterances: uniform arrivals with per-model SLOs.
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed ^ 0xABCD);
     for (u, utt) in audio.iter().enumerate() {
-        let model = u % spec.len();
+        let model = u % tenants.len();
         let arrival = rng.gen_range(0.02..0.98) * span_us;
         let slo = SLO_MULT * est_worst(model, utt.len() as u64) + 2.0 * hop(utt.len()) + slack_us;
         requests.push(
@@ -179,8 +174,8 @@ fn build_load(utterances: usize, sessions: usize, spec: &ClusterSpec, seed: u64)
          artifact hop {:.1} µs)",
         requests.len(),
         transfer.transfer_us(
-            (0..spec.len())
-                .map(|m| spec.artifact_bytes(m))
+            (0..tenants.len())
+                .map(|m| tenants.artifact_bytes(m))
                 .fold(0, u64::max)
         ),
     );
@@ -245,8 +240,8 @@ fn main() {
     // stays a modest fraction of the run.
     let replication = (shards / 2).max(2);
 
-    let spec = tenant_spec();
-    let load = build_load(utterances, sessions, &spec, 29);
+    let tenants = tenants();
+    let load = build_load(utterances, sessions, &tenants, 29);
     let total = load.requests.len();
     let policy = SchedPolicy::edf_cost_model(4, load.max_wait_us);
 
@@ -260,7 +255,7 @@ fn main() {
     };
     let run = |shape: &Shape, exec: ExecutorKind| {
         ClusterRuntime::new(
-            spec.clone(),
+            tenants.clone(),
             shape.platforms.clone(),
             policy,
             RuntimeConfig::new().executor(exec),
@@ -469,7 +464,7 @@ fn main() {
             .int("shards", shards as i64)
             .int("replication", replication as i64)
             .int("fat_devices", FAT_DEVICES as i64)
-            .int("models", spec.len() as i64)
+            .int("models", tenants.len() as i64)
             .int("utterances", utterances as i64)
             .int("sessions", sessions as i64)
             .int("requests", total as i64)

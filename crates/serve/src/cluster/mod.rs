@@ -7,10 +7,13 @@
 //! its own device platform, behind a front-end router that owns every
 //! cluster-scope decision:
 //!
-//! * **Placement** — models land on shards by consistent hashing over
-//!   their registered names ([`PlacementMap`]), with `replication`
-//!   replicas each. The replication unit is the serialized
-//!   [`ModelArtifact`] byte image —
+//! * **Placement** — the cluster serves one [`ModelRegistry`], the same
+//!   type a single scheduler serves, and models land on shards by
+//!   consistent hashing over its names ([`PlacementMap`]), with
+//!   `replication` replicas each; every shard's scheduler gets a
+//!   registry of the models placed on it, sharing their `Arc`s. The
+//!   replication unit is the serialized
+//!   [`ModelArtifact`](crate::ModelArtifact) byte image —
 //!   the same bytes the deployment pipeline ships — and replicas become
 //!   servable in chain order, each one artifact-transfer later than the
 //!   previous ([`TransferModel`]).
@@ -37,6 +40,10 @@
 //!   failover disabled, shed with
 //!   [`ShedReason::NoShardCapacity`](crate::ShedReason::NoShardCapacity).
 //!
+//! A load is checked before the first event by the scheduler's own
+//! validator, so [`ClusterRuntime::run`] rejects exactly the loads
+//! [`SchedRuntime::run`] rejects, with the same messages.
+//!
 //! Everything runs on one virtual clock. Before each decision the router
 //! steps every shard engine that has an event due by then (a shard with
 //! nothing due is already in the state it would be stepped to), so
@@ -54,123 +61,20 @@ mod shard;
 pub use placement::PlacementMap;
 
 use std::fmt;
-use std::sync::Arc;
 
-use crate::cache::CompiledModel;
 use crate::config::RuntimeConfig;
 use crate::metrics::ServeMetrics;
 use crate::request::Response;
-use crate::sched::{SchedConfigError, SchedPolicy, SchedReport, SchedRuntime};
+use crate::sched::{ModelRegistry, SchedConfigError, SchedPolicy, SchedReport, SchedRuntime};
 use crate::trace::{RunTrace, ShardGauges, TraceConfig};
-use ernn_fpga::artifact::ModelArtifact;
 use ernn_fpga::fault::{DeviceFault, FaultPlan};
 use ernn_fpga::transfer::TransferModel;
 use ernn_fpga::Device;
 
-/// One registered tenant model.
-#[derive(Debug, Clone)]
-struct SpecEntry {
-    name: String,
-    model: Arc<CompiledModel>,
-    /// Bytes replicated when this model is placed on an extra shard —
-    /// the serialized artifact image when registered through
-    /// [`ClusterSpec::register_artifact`], the on-chip weight-image
-    /// size otherwise.
-    artifact_bytes: u64,
-}
-
-/// The cluster's tenant set: every model served anywhere in the
-/// cluster, registered once by name. Shards share the compiled models
-/// behind `Arc`s, so a cluster compiles (and FFTs) each model exactly
-/// once no matter how many replicas placement creates.
-#[derive(Debug, Clone, Default)]
-pub struct ClusterSpec {
-    entries: Vec<SpecEntry>,
-}
-
-impl ClusterSpec {
-    /// An empty spec.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers a compiled model under a unique name and returns its
-    /// dense cluster-global id. The replication byte count
-    /// falls back to the on-chip weight-image size — register through
-    /// [`Self::register_artifact`] to replicate the real artifact
-    /// image.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is already registered — placement hashes names,
-    /// so they must be distinct.
-    pub fn register(&mut self, name: impl Into<String>, model: CompiledModel) -> usize {
-        let bytes = model.weight_bytes();
-        self.push(name.into(), Arc::new(model), bytes)
-    }
-
-    /// Registers a model from its deployment artifact — the cluster
-    /// path: the artifact's serialized byte image is what replication
-    /// ships between shards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is already registered.
-    pub fn register_artifact(
-        &mut self,
-        name: impl Into<String>,
-        artifact: &ModelArtifact,
-    ) -> usize {
-        let bytes = artifact.save_bytes().len() as u64;
-        self.push(
-            name.into(),
-            Arc::new(CompiledModel::from_artifact(artifact)),
-            bytes,
-        )
-    }
-
-    fn push(&mut self, name: String, model: Arc<CompiledModel>, artifact_bytes: u64) -> usize {
-        assert!(
-            self.entries.iter().all(|e| e.name != name),
-            "model name {name:?} registered twice"
-        );
-        self.entries.push(SpecEntry {
-            name,
-            model,
-            artifact_bytes,
-        });
-        self.entries.len() - 1
-    }
-
-    /// Number of registered models.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing is registered.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The registered name behind a cluster-global model id.
-    pub fn name(&self, id: usize) -> &str {
-        &self.entries[id].name
-    }
-
-    /// The compiled model behind a cluster-global model id.
-    pub fn model(&self, id: usize) -> &Arc<CompiledModel> {
-        &self.entries[id].model
-    }
-
-    /// Bytes replication ships when placing `id` on an extra shard.
-    pub fn artifact_bytes(&self, id: usize) -> u64 {
-        self.entries[id].artifact_bytes
-    }
-
-    fn names(&self) -> Vec<&str> {
-        self.entries.iter().map(|e| e.name.as_str()).collect()
-    }
-}
+/// The former name of the cluster's tenant set, which is a plain
+/// [`ModelRegistry`]; kept only because `benchmark/` still names it, and
+/// deleted by ROADMAP item 9 (a).
+pub type ClusterSpec = ModelRegistry;
 
 /// How the router picks among a model's live replica shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -379,7 +283,7 @@ impl ClusterReport {
 /// the messages are stable either way.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ClusterConfigError {
-    /// The cluster spec registers no models.
+    /// The model registry is empty.
     EmptySpec,
     /// The shard platform list is empty.
     NoShards,
@@ -445,7 +349,7 @@ impl std::error::Error for ClusterConfigError {}
 /// clock. See the [module docs](self) for the full model.
 #[derive(Debug)]
 pub struct ClusterRuntime {
-    pub(crate) spec: ClusterSpec,
+    pub(crate) registry: ModelRegistry,
     pub(crate) shard_platforms: Vec<Vec<Device>>,
     pub(crate) cluster: ClusterConfig,
     pub(crate) placement: PlacementMap,
@@ -461,28 +365,30 @@ pub struct ClusterRuntime {
 
 impl ClusterRuntime {
     /// A cluster of `shard_platforms.len()` shards (each a device list
-    /// handed to its shard scheduler), serving `spec`'s models under a
-    /// shared scheduling policy and per-shard runtime configuration.
-    /// Placement is computed here, once, from the registered names.
+    /// handed to its shard scheduler), serving `registry`'s models under
+    /// a shared scheduling policy and per-shard runtime configuration.
+    /// Placement is computed here, once, from the registered names, and
+    /// each shard's scheduler gets a registry of the models placed on it,
+    /// sharing their `Arc`s.
     ///
     /// # Panics
     ///
     /// Panics with the [`ClusterConfigError`] message when
     /// [`Self::try_new`] would reject the configuration.
     pub fn new(
-        spec: ClusterSpec,
+        registry: ModelRegistry,
         shard_platforms: Vec<Vec<Device>>,
         policy: SchedPolicy,
         shard_config: RuntimeConfig,
         cluster: ClusterConfig,
     ) -> Self {
-        match Self::try_new(spec, shard_platforms, policy, shard_config, cluster) {
+        match Self::try_new(registry, shard_platforms, policy, shard_config, cluster) {
             Ok(rt) => rt,
             Err(e) => panic!("{e}"),
         }
     }
 
-    /// The fallible form of [`Self::new`]: an empty spec, no shards, a
+    /// The fallible form of [`Self::new`]: an empty registry, no shards, a
     /// shard with no devices, a zero replication degree, or a
     /// shard-fault schedule naming a shard out of range or a fault other
     /// than [`DeviceFault::Crash`] is returned as a typed
@@ -490,13 +396,13 @@ impl ClusterRuntime {
     /// configuration one of the shard schedulers, which are built here,
     /// rejects ([`ClusterConfigError::Shard`]).
     pub fn try_new(
-        spec: ClusterSpec,
+        registry: ModelRegistry,
         shard_platforms: Vec<Vec<Device>>,
         policy: SchedPolicy,
         shard_config: RuntimeConfig,
         cluster: ClusterConfig,
     ) -> Result<Self, ClusterConfigError> {
-        if spec.is_empty() {
+        if registry.is_empty() {
             return Err(ClusterConfigError::EmptySpec);
         }
         if shard_platforms.is_empty() {
@@ -523,7 +429,7 @@ impl ClusterRuntime {
             }
         }
         let placement = PlacementMap::consistent_hash(
-            &spec.names(),
+            &registry.names(),
             shard_platforms.len(),
             cluster.replication,
         );
@@ -532,7 +438,7 @@ impl ClusterRuntime {
             .enumerate()
             .map(|(shard, platform)| {
                 shard::shard_runtime(
-                    &spec,
+                    &registry,
                     &placement.models_on(shard),
                     platform,
                     policy,
@@ -542,7 +448,7 @@ impl ClusterRuntime {
             })
             .collect::<Result<_, _>>()?;
         Ok(ClusterRuntime {
-            spec,
+            registry,
             shard_platforms,
             cluster,
             placement,
@@ -563,7 +469,7 @@ impl ClusterRuntime {
     }
 
     /// The registered tenant set.
-    pub fn spec(&self) -> &ClusterSpec {
-        &self.spec
+    pub fn registry(&self) -> &ModelRegistry {
+        &self.registry
     }
 }

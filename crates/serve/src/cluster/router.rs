@@ -31,10 +31,7 @@ use super::placement::{splitmix64, PlacementMap};
 use super::shard::ShardSim;
 use super::{ClusterReport, ClusterRuntime, ClusterStats, ShardReport, Steering};
 use crate::metrics::ServeMetrics;
-use crate::request::{
-    validate_sessions, validate_timing, validate_unique_ids, Request, Response, ShedReason,
-    Workload,
-};
+use crate::request::{validate_load, Request, Response, ShedReason, Workload};
 use crate::sched::SchedEngine;
 use crate::trace::{Observer, ShardGauges, TraceEvent};
 use ernn_fpga::transfer::TransferModel;
@@ -396,21 +393,16 @@ impl ClusterRuntime {
     ///
     /// # Panics
     ///
-    /// Panics on invalid sessions, duplicate request ids, a request
-    /// targeting an unregistered model, or a request with a non-finite
-    /// arrival time or a NaN deadline.
+    /// Before the first event, exactly where and with the message
+    /// [`SchedRuntime::run`](crate::sched::SchedRuntime::run) panics on
+    /// the same load against the same registry: if any request names an
+    /// unregistered model, has no frames, disagrees with its model's
+    /// input dimension, or carries a non-finite arrival time or a NaN
+    /// deadline, on invalid sessions, and on duplicate request ids. This
+    /// holds for a request no live shard could ever serve, too.
     pub fn run(&self, requests: Vec<Request>) -> ClusterReport {
         let host_start = Instant::now();
-        for r in &requests {
-            validate_timing(r);
-            assert!(
-                r.model < self.spec.len(),
-                "request {} targets unregistered model {}",
-                r.id,
-                r.model
-            );
-        }
-        validate_sessions(&requests);
+        validate_load(&self.registry, &requests);
         let total = requests.len();
 
         // The route table: every request's cluster-global metadata in
@@ -426,7 +418,6 @@ impl ClusterRuntime {
             })
             .collect();
         routes.sort_unstable_by_key(|m| m.id);
-        validate_unique_ids(routes.iter().map(|m| m.id));
 
         // A fresh engine over each shard's scheduler (placement-empty
         // shards hold none).
@@ -452,10 +443,10 @@ impl ClusterRuntime {
         // provisioned with the cluster); replica k comes up one chained
         // artifact transfer after replica k−1.
         let shard_count = sims.len();
-        let mut ready = vec![f64::INFINITY; self.spec.len() * shard_count];
+        let mut ready = vec![f64::INFINITY; self.registry.len() * shard_count];
         let mut repl: Vec<(f64, usize, usize, usize, u64, f64)> = Vec::new();
-        for m in 0..self.spec.len() {
-            let bytes = self.spec.artifact_bytes(m);
+        for m in 0..self.registry.len() {
+            let bytes = self.registry.artifact_bytes(m);
             let hop = self.cluster.transfer.transfer_us(bytes);
             let replicas = self.placement.replicas(m);
             for (k, &s) in replicas.iter().enumerate() {
@@ -623,9 +614,9 @@ impl ClusterRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::{ClusterConfig, ClusterSpec};
+    use crate::cluster::ClusterConfig;
     use crate::loadgen::synthetic_utterances;
-    use crate::sched::SchedPolicy;
+    use crate::sched::{ModelRegistry, SchedPolicy};
     use crate::{
         chrome_trace_json, CompiledModel, DeviceFault, FaultEvent, FaultPlan, HealthConfig,
         RuntimeConfig, TimelineConfig, TraceConfig,
@@ -638,20 +629,20 @@ mod tests {
 
     const DIM: usize = 8;
 
-    fn spec() -> ClusterSpec {
-        let mut spec = ClusterSpec::new();
+    fn registry() -> ModelRegistry {
+        let mut registry = ModelRegistry::new();
         for (name, seed, hidden) in [("gru-8", 61, 8), ("gru-16", 62, 16), ("gru-8b", 63, 8)] {
             let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
             let dense = NetworkBuilder::new(CellType::Gru, DIM, 5)
                 .layer_dims(&[hidden])
                 .build(&mut rng);
             let net = compress_network(&dense, BlockPolicy::uniform(4));
-            spec.register(
+            registry.register(
                 name,
                 CompiledModel::compile(&net, &DatapathConfig::paper_12bit(), XCKU060),
             );
         }
-        spec
+        registry
     }
 
     /// A `cluster_tiny`-shaped load from `seed`: `sessions` streaming
@@ -726,10 +717,10 @@ mod tests {
                     })
                     .collect(),
             );
-            let spec = spec();
+            let registry = registry();
             let build = |wake_all: bool| {
                 let mut rt = ClusterRuntime::new(
-                    spec.clone(),
+                    registry.clone(),
                     (0..shards)
                         .map(|s| vec![if s % 2 == 0 { XCKU060 } else { ADM_PCIE_7V3 }])
                         .collect(),

@@ -14,7 +14,6 @@
 
 use std::sync::Arc;
 
-use super::ClusterSpec;
 use crate::config::RuntimeConfig;
 use crate::sched::{ModelRegistry, SchedConfigError, SchedEngine, SchedPolicy, SchedRuntime};
 use crate::trace::ShardGauges;
@@ -22,11 +21,11 @@ use ernn_fpga::Device;
 
 /// Builds one shard's scheduler: a local registry holding the shard's
 /// placed models — local id = position in `placed` (sorted global-id
-/// order) — sharing the spec's compiled models, so sharding adds zero
-/// weight-spectrum refreshes. Returns `None` when placement put nothing
-/// on the shard: an idle shard holds no scheduler at all.
+/// order) — sharing the cluster registry's compiled models, so sharding
+/// adds zero weight-spectrum refreshes. Returns `None` when placement put
+/// nothing on the shard: an idle shard holds no scheduler at all.
 pub(crate) fn shard_runtime(
-    spec: &ClusterSpec,
+    cluster: &ModelRegistry,
     placed: &[usize],
     platform: &[Device],
     policy: SchedPolicy,
@@ -37,7 +36,7 @@ pub(crate) fn shard_runtime(
     }
     let mut registry = ModelRegistry::new();
     for &global in placed {
-        registry.register_shared(spec.name(global), Arc::clone(spec.model(global)));
+        registry.register_shared(cluster.name(global), Arc::clone(cluster.model(global)));
     }
     SchedRuntime::try_with_config(registry, platform.to_vec(), policy, config.clone()).map(Some)
 }

@@ -378,7 +378,7 @@ pub fn health_json(report: &HealthReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::timeline::{MetricsTimeline, TimelineConfig, TimelineProbe};
+    use crate::timeline::{MetricsTimeline, TimelineConfig, TimelineSample};
 
     /// Drives a timeline + monitor with a scripted probe sequence.
     struct Rig {
@@ -396,34 +396,28 @@ mod tests {
             }
         }
 
-        fn step(&mut self, probe: &TimelineProbe<'_>) {
+        fn step(&mut self, state: &TimelineSample, busy: &[f64]) {
             self.now_us += 100.0;
-            let emitted = self.timeline.advance(self.now_us, probe);
+            let emitted = self.timeline.advance(self.now_us, state, busy);
             self.monitor.on_samples(&self.timeline, emitted);
         }
     }
 
-    fn probe<'a>(
-        busy: &'a [f64],
+    fn state(
         queue_depth: usize,
         completed: u64,
         misses: u64,
         loads: u64,
         retries: u64,
-    ) -> TimelineProbe<'a> {
-        TimelineProbe {
+    ) -> TimelineSample {
+        TimelineSample {
             queue_depth,
             oldest_wait_us: if queue_depth > 0 { 50.0 } else { 0.0 },
-            live_sessions: 0,
-            weights_bytes: 0,
-            state_bytes: 0,
             completed,
-            shed: 0,
             deadline_misses: misses,
             weight_loads: loads,
-            state_loads: 0,
             retries,
-            device_busy_us: busy,
+            ..TimelineSample::default()
         }
     }
 
@@ -433,8 +427,7 @@ mod tests {
         let mut busy = [0.0];
         for step in 1..=100u64 {
             busy[0] = step as f64 * 90.0; // ~90% utilization
-            let p = probe(&busy, 1, step * 4, 0, 1, 0);
-            rig.step(&p);
+            rig.step(&state(1, step * 4, 0, 1, 0), &busy);
         }
         let report = rig.monitor.into_report(rig.timeline.ewma_queue_us());
         assert!(report.healthy(), "unexpected events: {:?}", report.events);
@@ -449,8 +442,7 @@ mod tests {
         // windows once enough history accrues.
         for step in 1..=80u64 {
             busy[0] = step as f64 * 90.0;
-            let p = probe(&busy, 1, step * 4, step, 0, 0);
-            rig.step(&p);
+            rig.step(&state(1, step * 4, step, 0, 0), &busy);
         }
         let report = rig.monitor.into_report(0.0);
         assert_eq!(report.count(HealthRuleKind::SloBurnRate), 1);
@@ -471,8 +463,7 @@ mod tests {
             if step == 81 {
                 misses += 7; // brief spike, 10 requests per sample
             }
-            let p = probe(&busy, 1, step * 10, misses, 0, 0);
-            rig.step(&p);
+            rig.step(&state(1, step * 10, misses, 0, 0), &busy);
             let fast = window_burn(&rig.timeline, 0, FAST_WINDOW);
             peak_fast = peak_fast.max(fast);
         }
@@ -491,8 +482,7 @@ mod tests {
         for step in 1..=20u64 {
             busy[0] = step as f64 * 90.0; // device 0 healthy
                                           // device 1 stays at 0 busy with a queue the whole time
-            let p = probe(&busy, 3, step, 0, 0, 0);
-            rig.step(&p);
+            rig.step(&state(3, step, 0, 0, 0), &busy);
         }
         let report = rig.monitor.into_report(0.0);
         assert_eq!(report.count(HealthRuleKind::DeviceStuck), 1);
@@ -512,8 +502,7 @@ mod tests {
             busy[0] = step as f64 * 90.0;
             // 2 loads and 1 retry per sample: 32 loads and 16 retries
             // per 16-sample window, past both thresholds.
-            let p = probe(&busy, 1, step, 0, step * 2, step);
-            rig.step(&p);
+            rig.step(&state(1, step, 0, step * 2, step), &busy);
         }
         let report = rig.monitor.into_report(0.0);
         assert_eq!(report.count(HealthRuleKind::ResidencyThrash), 1);
@@ -525,7 +514,7 @@ mod tests {
     fn disabled_monitor_never_fires_and_event_cap_counts_drops() {
         let mut off = HealthMonitor::new(HealthConfig::disabled(), 1);
         let mut tl = MetricsTimeline::new(TimelineConfig::enabled(10.0, 8), 1);
-        let emitted = tl.advance(50.0, &probe(&[0.0], 5, 0, 0, 0, 0));
+        let emitted = tl.advance(50.0, &state(5, 0, 0, 0, 0), &[0.0]);
         let (a, b) = off.on_samples(&tl, emitted);
         assert_eq!((a, b), (0, 0));
         assert!(off.into_report(0.0).healthy());
@@ -536,7 +525,7 @@ mod tests {
         let mut mon = HealthMonitor::new(HealthConfig::enabled(), devices);
         let mut tl2 = MetricsTimeline::new(TimelineConfig::enabled(10.0, 8), devices);
         let busy = vec![0.0; devices];
-        let emitted = tl2.advance(10.0 * STUCK_SAMPLES as f64, &probe(&busy, 5, 0, 0, 0, 0));
+        let emitted = tl2.advance(10.0 * STUCK_SAMPLES as f64, &state(5, 0, 0, 0, 0), &busy);
         assert_eq!(emitted, STUCK_SAMPLES);
         mon.on_samples(&tl2, emitted);
         let report = mon.into_report(0.0);

@@ -92,6 +92,9 @@
 //!   [`ShedReason`]).
 //! * [`cluster`] — N scheduler shards behind a virtual-clock router
 //!   (placement, replication, load-feedback steering, shard failover).
+//!   The cluster serves one [`sched::ModelRegistry`], the scheduler's
+//!   own type, and checks a load with the scheduler's own validator, so
+//!   it rejects what [`sched::SchedRuntime::run`] rejects, identically.
 //! * **Fault injection and recovery** — a deterministic, seeded
 //!   [`FaultPlan`] of [`DeviceFault`]s (crashes, brownouts, transients)
 //!   installed via [`RuntimeConfig::fault_plan`]. The scheduler reacts
@@ -165,9 +168,7 @@ pub use health::{
 };
 pub use metrics::{LatencySummary, ModelMetrics, ServeMetrics};
 pub use request::{Request, Response, ShedReason, Workload};
-pub use timeline::{
-    timeline_json, MetricsTimeline, Timeline, TimelineConfig, TimelineProbe, TimelineSample,
-};
+pub use timeline::{timeline_json, MetricsTimeline, Timeline, TimelineConfig, TimelineSample};
 pub use trace::analyze::{analyze, PathTotals, RequestSpan, SlowRequest, TraceAnalysis};
 pub use trace::{
     chrome_trace_json, prometheus_snapshot, FlightRecorder, LatencyHistogram, RunTrace,

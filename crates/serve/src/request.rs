@@ -19,6 +19,8 @@
 //! constructors, and note that `Response::device` is now `Option<usize>` —
 //! `None` when shed — instead of a meaningless `0`.)
 
+use crate::sched::ModelRegistry;
+
 /// The shape of work a [`Request`] carries.
 ///
 /// Marked `#[non_exhaustive]`: match with a wildcard arm so new workload
@@ -290,21 +292,46 @@ impl Response {
     }
 }
 
-/// Rejects timestamps no event loop can order: a non-finite
-/// `arrival_us` never compares at or before any horizon (a NaN arrival
-/// would sit in the arrival heap forever and its request would vanish
-/// without a response), and a NaN deadline poisons every EDF key it is
-/// compared with. An infinite deadline is fine — it sorts last, like
-/// none at all. Every entry point that accepts requests
-/// ([`SchedRuntime`](crate::sched::SchedRuntime)'s `run`,
-/// `run_closed_loop` and stepped `offer`, and
-/// [`ClusterRuntime::run`](crate::ClusterRuntime::run)) checks this
-/// before its event loop starts.
+/// The one load validator, shared by both tiers: the per-request checks
+/// of [`validate_request`] on every request, then the session invariants
+/// ([`validate_sessions`]), then id uniqueness — in that order, because
+/// the session pass orders by arrival and would blame a NaN timestamp on
+/// the session's shape. [`SchedRuntime::run`](crate::sched::SchedRuntime::run)
+/// and [`ClusterRuntime::run`](crate::ClusterRuntime::run) call it before
+/// their first event, so a load one rejects the other rejects with the
+/// same message, whether or not any shard would ever see the request.
+/// Ids must be distinct because the runtimes key retry records and route
+/// tables by id: two requests sharing one would corrupt each other's.
+///
+/// # Panics
+///
+/// Panics with a message naming the offending request, session or id.
+pub(crate) fn validate_load(registry: &ModelRegistry, requests: &[Request]) {
+    for request in requests {
+        validate_request(registry, request);
+    }
+    validate_sessions(requests);
+    let mut ids: Vec<u64> = requests.iter().map(|r| r.id).collect();
+    ids.sort_unstable();
+    if let Some(pair) = ids.windows(2).find(|pair| pair[0] == pair[1]) {
+        panic!("duplicate request id {}", pair[0]);
+    }
+}
+
+/// The checks one request must pass on its own against the registry it
+/// is served from: a finite arrival (a NaN arrival never compares at or
+/// before any horizon, so it would sit in the arrival heap forever and
+/// its request would vanish without a response), a deadline that is not
+/// NaN (NaN poisons every EDF key it is compared with; an infinite
+/// deadline sorts last, like none at all), a registered model, at least
+/// one frame, and the model's input dimension on every frame. Besides
+/// [`validate_load`], the stepped `offer` and the closed-loop payload
+/// pool apply it to requests that arrive one at a time.
 ///
 /// # Panics
 ///
 /// Panics naming the request id.
-pub(crate) fn validate_timing(r: &Request) {
+pub(crate) fn validate_request(registry: &ModelRegistry, r: &Request) {
     assert!(
         r.arrival_us.is_finite(),
         "request {}: arrival_us must be finite, got {}",
@@ -316,6 +343,20 @@ pub(crate) fn validate_timing(r: &Request) {
         "request {}: deadline_us must not be NaN",
         r.id
     );
+    assert!(
+        r.model < registry.len(),
+        "request {} targets unregistered model {}",
+        r.id,
+        r.model
+    );
+    assert!(!r.frames.is_empty(), "request {} has no frames", r.id);
+    let dim = registry.model(r.model).input_dim();
+    assert!(
+        r.frames.iter().all(|f| f.len() == dim),
+        "request {} frame dimension must be {dim} for model {}",
+        r.id,
+        registry.name(r.model)
+    );
 }
 
 /// Validates the streaming invariants over a whole submitted load: for
@@ -324,8 +365,7 @@ pub(crate) fn validate_timing(r: &Request) {
 /// chunk without a deadline counts as infinitely late, so it can only be
 /// followed by more deadline-free chunks), all chunks target one model,
 /// only the final chunk is marked `last` (and the final chunk must be).
-/// Utterance requests pass through untouched. Both runtimes call this
-/// before starting their event loops.
+/// Utterance requests pass through untouched. Part of [`validate_load`].
 ///
 /// The deadline-monotonicity rule is what lets EDF stay streaming-safe:
 /// it guarantees a session's chunks sort in index order in the scheduler
@@ -335,7 +375,7 @@ pub(crate) fn validate_timing(r: &Request) {
 /// # Panics
 ///
 /// Panics with a descriptive message on the first violated invariant.
-pub(crate) fn validate_sessions(requests: &[Request]) {
+fn validate_sessions(requests: &[Request]) {
     use std::collections::HashMap;
     // Per session: (next index, last arrival, last deadline, model, done).
     let mut sessions: HashMap<u64, (u32, f64, f64, usize, bool)> = HashMap::new();
@@ -380,30 +420,10 @@ pub(crate) fn validate_sessions(requests: &[Request]) {
             r.model, entry.3,
             "session {session}: chunks must target one model"
         );
-        assert!(
-            !r.frames.is_empty(),
-            "session {session}: chunks must carry at least one frame"
-        );
         *entry = (index + 1, r.arrival_us, deadline, r.model, last);
     }
     for (session, (.., done)) in sessions {
         assert!(done, "session {session}: final chunk must be marked `last`");
-    }
-}
-
-/// Checks that a submitted load's ids, given in ascending order, are
-/// distinct: the runtimes key retry records and route tables by id, so
-/// two requests sharing one would corrupt each other's. Both runtimes'
-/// `run` call this before starting their event loops.
-///
-/// # Panics
-///
-/// Panics naming the first repeated id.
-pub(crate) fn validate_unique_ids(sorted_ids: impl IntoIterator<Item = u64>) {
-    let mut previous = None;
-    for id in sorted_ids {
-        assert!(previous != Some(id), "duplicate request id {id}");
-        previous = Some(id);
     }
 }
 

@@ -1,5 +1,5 @@
-//! Admission control: reject or degrade when the predicted queue delay
-//! blows the SLO budget, instead of letting doomed requests poison the
+//! Admission control: shed an arrival when its predicted completion
+//! blows its deadline, instead of letting doomed requests poison the
 //! queue for everyone behind them.
 //!
 //! The predictor is deliberately simple and fully deterministic (see
@@ -11,7 +11,7 @@
 //! predicted-late set and sweeps can audit the predictor's calibration.
 
 /// What admission control does with predicted-late arrivals.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdmissionPolicy {
     /// Admit everything; deadline misses happen in the queue.
     AdmitAll,
@@ -20,25 +20,6 @@ pub enum AdmissionPolicy {
     /// return ([`Response::shed`](crate::Response::shed)) instead of a
     /// late answer.
     ShedPredictedLate,
-    /// [`Self::ShedPredictedLate`], plus service degradation under
-    /// overload: while the pool's best queue delay exceeds
-    /// `queue_delay_budget_us`, batches are capped at
-    /// `degraded_max_batch` — smaller batches cut the queueing each
-    /// member adds to the ones behind it, trading peak throughput for
-    /// the deadline tail.
-    DegradeThenShed {
-        /// Batch-size cap while over the queue-delay budget.
-        degraded_max_batch: usize,
-        /// Queue-delay headroom (µs) beyond which degradation kicks in.
-        queue_delay_budget_us: f64,
-    },
-}
-
-impl AdmissionPolicy {
-    /// Whether this policy sheds predicted-late arrivals.
-    pub fn sheds(&self) -> bool {
-        !matches!(self, AdmissionPolicy::AdmitAll)
-    }
 }
 
 /// One admission decision, in arrival order — the audit trail of the
@@ -55,20 +36,4 @@ pub struct AdmissionRecord {
     pub deadline_us: Option<f64>,
     /// True when the request entered the queue; false when it was shed.
     pub admitted: bool,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn policy_knows_whether_it_sheds() {
-        assert!(!AdmissionPolicy::AdmitAll.sheds());
-        assert!(AdmissionPolicy::ShedPredictedLate.sheds());
-        assert!(AdmissionPolicy::DegradeThenShed {
-            degraded_max_batch: 2,
-            queue_delay_budget_us: 100.0,
-        }
-        .sheds());
-    }
 }

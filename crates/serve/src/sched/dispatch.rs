@@ -93,17 +93,14 @@ impl SchedEngine<'_, '_> {
             return;
         };
         let model = head.model;
-        let max_batch = self.effective_max_batch();
-        if max_batch < self.rt.policy.max_batch {
-            self.stats.degraded_batches += 1;
-        }
         let taken = {
             // Disjoint field borrows: formation mutates the queue while
             // the affinity closure reads the session table.
             let sessions = &self.sessions;
             let affinity = |s: u64| sessions.get(&s).and_then(|e| e.device);
+            let policy = &self.rt.policy;
             self.queue
-                .take_batch(model, max_batch, &self.rt.policy.padding, &affinity)
+                .take_batch(model, policy.max_batch, &policy.padding, &affinity)
         };
         let batch = taken.batch;
         debug_assert!(!batch.is_empty(), "head model yields a non-empty batch");

@@ -17,8 +17,8 @@ use super::runtime::{Feedback, SchedRuntime};
 use super::{SchedReport, SchedStats};
 use crate::executor::Executor;
 use crate::health::HealthMonitor;
-use crate::request::{Request, Response, ShedReason, Workload};
-use crate::timeline::{MetricsTimeline, TimelineProbe};
+use crate::request::{validate_request, Request, Response, ShedReason, Workload};
+use crate::timeline::{MetricsTimeline, TimelineSample};
 use crate::trace::{Observer, TraceEvent};
 use ernn_fpga::FaultTimeline;
 use std::cmp::Ordering;
@@ -239,10 +239,11 @@ impl<'rt, 'p> SchedEngine<'rt, 'p> {
     ///
     /// # Panics
     ///
-    /// Panics if the request fails [`SchedRuntime`] validation
-    /// (unregistered model, empty frames, dimension mismatch).
+    /// Panics if the request fails the per-request checks of the load
+    /// validator (non-finite arrival, NaN deadline, unregistered model,
+    /// empty frames, dimension mismatch).
     pub(crate) fn offer(&mut self, request: Request) {
-        self.rt.validate(&request);
+        validate_request(self.rt.registry(), &request);
         self.arrivals.push(Arrival {
             t_us: request.arrival_us,
             seq: self.offer_seq,
@@ -269,7 +270,7 @@ impl<'rt, 'p> SchedEngine<'rt, 'p> {
             }
 
             let head_model = self.queue.head().map(|r| r.model).unwrap_or_default();
-            let full = self.queue.count_model(head_model) >= self.effective_max_batch();
+            let full = self.queue.count_model(head_model) >= self.rt.policy.max_batch;
             // The flush clock anchors to the longest-waiting request, so
             // no request outwaits the budget regardless of its deadline
             // position.
@@ -407,27 +408,6 @@ impl<'rt, 'p> SchedEngine<'rt, 'p> {
         self.busy_us.clone()
     }
 
-    /// The batch-size cap right now: degraded when the policy says so and
-    /// the pool's best queue delay exceeds the budget.
-    pub(super) fn effective_max_batch(&self) -> usize {
-        let policy = &self.rt.policy;
-        if let AdmissionPolicy::DegradeThenShed {
-            degraded_max_batch,
-            queue_delay_budget_us,
-        } = policy.admission
-        {
-            let best_delay = self
-                .free_at_us
-                .iter()
-                .map(|&free| (free - self.now_us).max(0.0))
-                .fold(f64::INFINITY, f64::min);
-            if best_delay > queue_delay_budget_us {
-                return degraded_max_batch.min(policy.max_batch).max(1);
-            }
-        }
-        policy.max_batch
-    }
-
     /// Predicted absolute finish time (µs) of dispatching `total_frames`
     /// frames of `model` on `device` right now: device ready time, a
     /// cold-load stall if the weight image is not resident, and the
@@ -535,7 +515,7 @@ impl<'rt, 'p> SchedEngine<'rt, 'p> {
                 .is_some_and(|cap| self.live_sessions >= cap);
         let admitted = !cancelled
             && !over_cap
-            && (!self.rt.policy.admission.sheds()
+            && (self.rt.policy.admission == AdmissionPolicy::AdmitAll
                 || request.deadline_us.is_none_or(|d| predicted_us <= d));
         self.stats.admission_log.push(AdmissionRecord {
             id: request.id,
@@ -656,7 +636,8 @@ impl<'rt, 'p> SchedEngine<'rt, 'p> {
             weights_bytes += w;
             state_bytes += s;
         }
-        let probe = TimelineProbe {
+        // The timeline stamps the time, EWMA and utilization fields.
+        let sample = TimelineSample {
             queue_depth: self.queue.len(),
             oldest_wait_us: self
                 .queue
@@ -671,12 +652,13 @@ impl<'rt, 'p> SchedEngine<'rt, 'p> {
             weight_loads: self.stats.model_loads,
             state_loads: self.stats.state_loads,
             retries: self.stats.retries_scheduled,
-            device_busy_us: &self.busy_us,
+            ..TimelineSample::default()
         };
         let emitted = if final_flush {
-            self.timeline.finish_sample(self.now_us, &probe)
+            self.timeline
+                .finish_sample(self.now_us, &sample, &self.busy_us)
         } else {
-            self.timeline.advance(self.now_us, &probe)
+            self.timeline.advance(self.now_us, &sample, &self.busy_us)
         };
         let (start, end) = self.health.on_samples(&self.timeline, emitted);
         for event in &self.health.events()[start..end] {

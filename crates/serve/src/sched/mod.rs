@@ -7,7 +7,8 @@
 //! live traffic, **what runs where and when** so deadline-carrying
 //! requests actually meet their SLOs on bounded hardware:
 //!
-//! * [`ModelRegistry`] — the model set a run serves. Registration
+//! * [`ModelRegistry`] — the model set a run (or a whole cluster)
+//!   serves, one unique name per model. Registration
 //!   freezes a model behind an `Arc` for the executors and recomputes
 //!   nothing: its FFT'd weight spectra date from compilation
 //!   (`spectrum_refresh_count` does not move).
@@ -28,8 +29,8 @@
 //!   formation, gated by a [`PaddingModel`] that closes a batch when
 //!   mixing unequal utterance lengths stops paying.
 //! * [`AdmissionPolicy`] — shed predicted-late arrivals with an immediate
-//!   deadline-miss response, and optionally degrade (cap batch size)
-//!   under overload; every decision is logged in an [`AdmissionRecord`].
+//!   deadline-miss response; every decision is logged in an
+//!   [`AdmissionRecord`].
 //! * [`SchedRuntime`] — the event loop combining all of the above, under
 //!   the virtual-time determinism contract: responses,
 //!   [`ServeMetrics`](crate::ServeMetrics) and [`SchedStats`] are

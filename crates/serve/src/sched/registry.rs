@@ -1,4 +1,5 @@
-//! The multi-model registry: every model a scheduler run can serve.
+//! The multi-model registry: every model a scheduler run — or a whole
+//! cluster, across its shards — can serve, each under a unique name.
 //!
 //! Registration is the moment a model enters the serving tier: the
 //! registry freezes it behind an `Arc` so executors and devices share it
@@ -16,6 +17,7 @@
 //! the BRAM streaming time.
 
 use crate::cache::CompiledModel;
+use ernn_fpga::artifact::ModelArtifact;
 use std::sync::Arc;
 
 /// Index of a registered model. Requests name their target model by id
@@ -24,15 +26,19 @@ use std::sync::Arc;
 pub type ModelId = usize;
 
 /// A named, registered model.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct ModelEntry {
     name: String,
     model: Arc<CompiledModel>,
     weight_bytes: u64,
+    artifact_bytes: u64,
 }
 
-/// The set of models one scheduler run serves.
-#[derive(Debug, Default)]
+/// The set of models one scheduler run, or one cluster, serves. A clone
+/// shares the compiled models behind their `Arc`s, so a cluster compiles
+/// (and FFTs) each model exactly once however many shards hold a
+/// replica.
+#[derive(Debug, Clone, Default)]
 pub struct ModelRegistry {
     entries: Vec<ModelEntry>,
 }
@@ -45,24 +51,35 @@ impl ModelRegistry {
 
     /// Registers a model and returns its id. Ids are dense and assigned
     /// in registration order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` is already registered — cluster placement hashes
+    /// names, so they must be distinct. The same holds for the other two
+    /// entry points.
     pub fn register(&mut self, name: impl Into<String>, model: CompiledModel) -> ModelId {
         self.register_shared(name, Arc::new(model))
     }
 
-    /// Registers a model loaded from a serialized
-    /// [`ModelArtifact`](ernn_fpga::artifact::ModelArtifact) — the
+    /// Registers a model loaded from a serialized [`ModelArtifact`] — the
     /// deployment path: no recompression, no requantization, and **zero
     /// additional spectrum refreshes**. Decoding the artifact already
     /// computed every weight spectrum once (that construction *was* the
     /// load into the serving tier); each matrix's
     /// [`spectrum_refresh_count`](ernn_linalg::BlockCirculantMatrix::spectrum_refresh_count)
-    /// stays exactly where artifact decoding left it.
+    /// stays exactly where artifact decoding left it. The artifact's
+    /// encoded length becomes the model's [`Self::artifact_bytes`].
     pub fn register_artifact(
         &mut self,
         name: impl Into<String>,
-        artifact: &ernn_fpga::artifact::ModelArtifact,
+        artifact: &ModelArtifact,
     ) -> ModelId {
-        self.register_shared(name, Arc::new(CompiledModel::from_artifact(artifact)))
+        let bytes = artifact.save_bytes().len() as u64;
+        self.push(
+            name.into(),
+            Arc::new(CompiledModel::from_artifact(artifact)),
+            bytes,
+        )
     }
 
     /// Registers an already-shared model (e.g. one compile shared across
@@ -72,11 +89,20 @@ impl ModelRegistry {
         name: impl Into<String>,
         model: Arc<CompiledModel>,
     ) -> ModelId {
-        let weight_bytes = model.weight_bytes();
+        let bytes = model.weight_bytes();
+        self.push(name.into(), model, bytes)
+    }
+
+    fn push(&mut self, name: String, model: Arc<CompiledModel>, artifact_bytes: u64) -> ModelId {
+        assert!(
+            self.entries.iter().all(|e| e.name != name),
+            "model name {name:?} registered twice"
+        );
         self.entries.push(ModelEntry {
-            name: name.into(),
+            name,
+            weight_bytes: model.weight_bytes(),
             model,
-            weight_bytes,
+            artifact_bytes,
         });
         self.entries.len() - 1
     }
@@ -109,6 +135,19 @@ impl ModelRegistry {
     /// tracking charges against a device's BRAM budget.
     pub fn weight_bytes(&self, id: ModelId) -> u64 {
         self.entries[id].weight_bytes
+    }
+
+    /// Bytes a cluster ships when it places the model on an extra shard:
+    /// the serialized artifact image when registered through
+    /// [`Self::register_artifact`], the on-chip weight-image size
+    /// otherwise.
+    pub fn artifact_bytes(&self, id: ModelId) -> u64 {
+        self.entries[id].artifact_bytes
+    }
+
+    /// Every registered name, in id order — what cluster placement hashes.
+    pub(crate) fn names(&self) -> Vec<&str> {
+        self.entries.iter().map(|e| e.name.as_str()).collect()
     }
 
     /// A snapshot of all models in id order — the executor's model set.
@@ -145,6 +184,8 @@ mod tests {
         assert_eq!(reg.len(), 2);
         assert_eq!(reg.name(0), "gru-a");
         assert!(reg.weight_bytes(0) > 0);
+        // Without an artifact, replication ships the weight image.
+        assert_eq!(reg.artifact_bytes(0), reg.weight_bytes(0));
         // Once in all — at compile: entering the serving tier recomputes
         // nothing.
         assert_eq!(reg.model(0).weight_spectrum_refreshes(), baseline);
@@ -152,8 +193,16 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "model name \"gru-a\" registered twice")]
+    fn a_name_registers_once() {
+        let mut reg = ModelRegistry::new();
+        reg.register("gru-a", model(1));
+        reg.register_shared("gru-a", Arc::new(model(2)));
+    }
+
+    #[test]
     fn register_artifact_adds_zero_spectrum_refreshes() {
-        use ernn_fpga::artifact::{ModelArtifact, Provenance};
+        use ernn_fpga::artifact::Provenance;
         use ernn_model::ModelSpec;
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(9);
         let spec = ModelSpec::new(CellType::Gru, 8, 5).layer_dims(&[16]);
@@ -179,10 +228,13 @@ mod tests {
         let at_load = model.weight_spectrum_refreshes();
         assert!(at_load.iter().all(|&c| c == 1), "{at_load:?}");
 
-        // Registration adds zero further refreshes.
+        // Registration adds zero further refreshes, and records the
+        // encoded length as the bytes replication ships.
         let mut reg = ModelRegistry::new();
         let id = reg.register_artifact("from-bytes", &loaded);
         assert_eq!(reg.model(id).weight_spectrum_refreshes(), at_load);
+        assert_eq!(reg.artifact_bytes(id), bytes.len() as u64);
+        assert_eq!(reg.weight_bytes(id), compiled.weight_bytes());
 
         // And the loaded model is functionally the compiled one, bit for
         // bit.

@@ -24,8 +24,6 @@ pub struct SchedStats {
     pub model_evictions: u64,
     /// Total virtual time devices spent streaming weight images (µs).
     pub load_us_total: f64,
-    /// Batches dispatched under a degraded (capped) batch size.
-    pub degraded_batches: u64,
     /// Session state images streamed back after an eviction (reloads;
     /// first materializations are free and uncounted).
     pub state_loads: u64,

@@ -17,8 +17,7 @@
 //!   model stalls the device for its weight-streaming time and may evict
 //!   colder tenants;
 //! * arrivals pass [`AdmissionPolicy`]: predicted-late requests can be
-//!   shed with an immediate deadline-miss response, and overload can
-//!   degrade the batch-size cap.
+//!   shed with an immediate deadline-miss response.
 //!
 //! A one-model registry under [`SchedPolicy::fifo_earliest_free`] is
 //! plain dynamic batching — the classic max-batch / max-wait
@@ -101,7 +100,7 @@ use super::registry::{ModelId, ModelRegistry};
 use super::SchedReport;
 use crate::config::RuntimeConfig;
 use crate::executor::{Executor, ExecutorKind, InlineExecutor, ThreadPoolExecutor};
-use crate::request::{validate_sessions, validate_timing, validate_unique_ids, Request};
+use crate::request::{validate_load, validate_request, Request};
 use ernn_fpga::Device;
 use std::fmt;
 use std::sync::Arc;
@@ -390,15 +389,7 @@ impl SchedRuntime {
     /// non-finite arrival time or a NaN deadline, on invalid sessions,
     /// and on duplicate request ids.
     pub fn run(&self, requests: Vec<Request>) -> SchedReport {
-        // Per-request checks first: the session pass orders by arrival
-        // and would blame a NaN timestamp on the session's shape.
-        for request in &requests {
-            self.validate(request);
-        }
-        validate_sessions(&requests);
-        let mut ids: Vec<u64> = requests.iter().map(|r| r.id).collect();
-        ids.sort_unstable();
-        validate_unique_ids(ids);
+        validate_load(&self.registry, &requests);
         SchedEngine::start(self, requests.into_iter(), None).run_to_drain()
     }
 
@@ -431,7 +422,7 @@ impl SchedRuntime {
         // minting path replacements use mid-run — long past the
         // admission point.
         for i in 0..payloads.len() {
-            self.validate(&feedback.mint(payloads, i, 0.0));
+            validate_request(&self.registry, &feedback.mint(payloads, i, 0.0));
         }
         let initial = concurrency.min(total_requests);
         let first = (0..initial).map(|i| feedback.mint(payloads, i, 0.0));
@@ -440,30 +431,6 @@ impl SchedRuntime {
             ..feedback
         };
         SchedEngine::start(self, first, Some((live, payloads))).run_to_drain()
-    }
-
-    /// The per-request checks every entry point applies (see
-    /// [`Self::run`]'s panics).
-    pub(super) fn validate(&self, request: &Request) {
-        validate_timing(request);
-        assert!(
-            request.model < self.registry.len(),
-            "request {} targets unregistered model {}",
-            request.id,
-            request.model
-        );
-        let dim = self.registry.model(request.model).input_dim();
-        assert!(
-            !request.frames.is_empty(),
-            "request {} has no frames",
-            request.id
-        );
-        assert!(
-            request.frames.iter().all(|f| f.len() == dim),
-            "request {} frame dimension must be {dim} for model {}",
-            request.id,
-            self.registry.name(request.model)
-        );
     }
 
     /// The executor instance for one run, sharing the registry's model

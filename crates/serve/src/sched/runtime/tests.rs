@@ -402,35 +402,6 @@ fn edf_serves_urgent_requests_first_under_backlog() {
 }
 
 #[test]
-fn degrade_caps_batches_under_overload() {
-    let policy =
-        SchedPolicy::edf_cost_model(8, 1_000.0).with_admission(AdmissionPolicy::DegradeThenShed {
-            degraded_max_batch: 2,
-            queue_delay_budget_us: 1.0,
-        });
-    let rt = SchedRuntime::new(registry(), vec![XCKU060], policy);
-    // Saturating load with deadlines generous enough not to shed.
-    let requests: Vec<Request> = load(48, 2_000_000.0)
-        .into_iter()
-        .map(|r| {
-            let arrival = r.arrival_us;
-            r.with_deadline(arrival + 1e9)
-        })
-        .collect();
-    let report = rt.run(requests);
-    assert!(report.sched.degraded_batches > 0);
-    // Once degraded, batches respect the cap.
-    let max_batch = report.responses.iter().map(|r| r.batch_size).max().unwrap();
-    assert!(max_batch <= 8);
-    assert!(
-        report.metrics.batch_histogram.keys().any(|&s| s <= 2),
-        "{:?}",
-        report.metrics.batch_histogram
-    );
-    assert_eq!(report.sched.shed + report.metrics.completed, 48);
-}
-
-#[test]
 fn closed_loop_respects_budget_and_mints_on_completion() {
     let utts = synthetic_utterances(4, (3, 6), DIM, 11);
     let payloads: Vec<(ModelId, Vec<Vec<f32>>)> = utts

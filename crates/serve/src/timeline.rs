@@ -8,7 +8,10 @@
 //! sessions, cumulative completion/shed/miss/load/retry counters, and
 //! an EWMA of the observed queue delay — on a fixed virtual-time grid
 //! into a pre-sized ring, so steady-state capture performs **zero heap
-//! allocations** (proven in `tests/kernel_alloc.rs`).
+//! allocations** (proven in `tests/kernel_alloc.rs`). There is one record
+//! type: the runtime hands each capture its state as a [`TimelineSample`]
+//! plus the per-device busy times, and the timeline stamps the sample's
+//! time, EWMA and mean utilization.
 //!
 //! Everything here lives on the virtual clock, so a run's finished
 //! [`Timeline`] is bit-identical across
@@ -118,37 +121,6 @@ pub struct TimelineSample {
     /// Mean per-device utilization over the span since the previous
     /// sample (busy-time delta over elapsed virtual time).
     pub mean_utilization: f64,
-}
-
-/// The runtime state a timeline sample is taken from. The runtime fills
-/// this from caller-owned scratch each time the virtual clock advances;
-/// nothing here is stored, so the borrow is transient.
-#[derive(Debug)]
-pub struct TimelineProbe<'a> {
-    /// Requests currently queued.
-    pub queue_depth: usize,
-    /// Wait of the longest-queued request (µs); zero when empty.
-    pub oldest_wait_us: f64,
-    /// Live streaming sessions.
-    pub live_sessions: usize,
-    /// Resident weight bytes, summed over devices.
-    pub weights_bytes: u64,
-    /// Resident state bytes, summed over devices.
-    pub state_bytes: u64,
-    /// Cumulative served-to-completion count.
-    pub completed: u64,
-    /// Cumulative shed count.
-    pub shed: u64,
-    /// Cumulative deadline misses (shed included).
-    pub deadline_misses: u64,
-    /// Cumulative weight-image loads.
-    pub weight_loads: u64,
-    /// Cumulative session-state reloads.
-    pub state_loads: u64,
-    /// Cumulative retries scheduled.
-    pub retries: u64,
-    /// Per-device cumulative busy time (µs), one slot per device.
-    pub device_busy_us: &'a [f64],
 }
 
 /// Pre-sized ring of fixed-interval [`TimelineSample`]s plus the
@@ -287,10 +259,13 @@ impl MetricsTimeline {
         }
     }
 
-    /// Emits one sample per grid point the virtual clock has reached,
-    /// each stamped at its grid time and reading state from `probe`.
-    /// Returns how many samples were emitted (so the caller can run the
-    /// health rules once per new sample).
+    /// Emits one sample per grid point the virtual clock has reached:
+    /// copies of `state` (the runtime's queue, residency and counter
+    /// fields) with `t_us` set to the grid time and `ewma_queue_us` and
+    /// `mean_utilization` filled in here — whatever `state` carries in
+    /// those three fields is ignored. `device_busy_us` is each device's
+    /// cumulative busy time (µs). Returns how many samples were emitted
+    /// (so the caller can run the health rules once per new sample).
     ///
     /// Utilization attribution: the busy-time delta since the previous
     /// accounting point is spread evenly over the span up to the newest
@@ -299,26 +274,31 @@ impl MetricsTimeline {
     ///
     /// # Panics
     ///
-    /// Panics if `probe.device_busy_us` disagrees with the device count
-    /// the timeline was built for.
-    pub fn advance(&mut self, now_us: f64, probe: &TimelineProbe<'_>) -> usize {
+    /// Panics if `device_busy_us` disagrees with the device count the
+    /// timeline was built for.
+    pub fn advance(
+        &mut self,
+        now_us: f64,
+        state: &TimelineSample,
+        device_busy_us: &[f64],
+    ) -> usize {
         if !self.config.is_enabled() || now_us < self.next_sample_us {
             return 0;
         }
         assert_eq!(
-            probe.device_busy_us.len(),
+            device_busy_us.len(),
             self.num_devices,
-            "probe device count mismatch"
+            "busy-time device count mismatch"
         );
         // Utilization over the whole span covered by this advance.
         let pending = 1 + ((now_us - self.next_sample_us) / self.config.interval_us) as usize;
         let newest_grid = self.next_sample_us + (pending - 1) as f64 * self.config.interval_us;
-        let mean_utilization = self.account_busy_to(newest_grid, probe);
+        let mean_utilization = self.account_busy_to(newest_grid, device_busy_us);
 
         let mut emitted = 0usize;
         while self.next_sample_us <= now_us {
             let t_us = self.next_sample_us;
-            self.emit(t_us, probe, mean_utilization);
+            self.emit(t_us, state, mean_utilization);
             self.next_sample_us = t_us + self.config.interval_us;
             emitted += 1;
         }
@@ -329,12 +309,12 @@ impl MetricsTimeline {
     /// device's busy-time delta since the previous point over the span
     /// into the utilization row the next [`emit`](Self::emit)s carry, and
     /// returns the mean across devices.
-    fn account_busy_to(&mut self, t_us: f64, probe: &TimelineProbe<'_>) -> f64 {
+    fn account_busy_to(&mut self, t_us: f64, device_busy_us: &[f64]) -> f64 {
         let span = t_us - self.prev_t_us;
         let mut util_sum = 0.0;
-        for d in 0..self.num_devices {
+        for (d, &busy) in device_busy_us.iter().enumerate() {
             let u = if span > 0.0 {
-                (probe.device_busy_us[d] - self.prev_busy_us[d]) / span
+                (busy - self.prev_busy_us[d]) / span
             } else {
                 0.0
             };
@@ -342,7 +322,7 @@ impl MetricsTimeline {
             util_sum += u;
         }
         self.prev_t_us = t_us;
-        self.prev_busy_us.copy_from_slice(probe.device_busy_us);
+        self.prev_busy_us.copy_from_slice(device_busy_us);
         if self.num_devices > 0 {
             util_sum / self.num_devices as f64
         } else {
@@ -350,26 +330,16 @@ impl MetricsTimeline {
         }
     }
 
-    /// The one sample-emission path: a sample stamped `t_us` reading
-    /// state from `probe`, pushed with the current utilization row into
-    /// the rings (growing until capacity, overwriting at `head`
-    /// afterwards).
-    fn emit(&mut self, t_us: f64, probe: &TimelineProbe<'_>, mean_utilization: f64) {
+    /// The one sample-emission path: `state` stamped `t_us` with the
+    /// current EWMA and `mean_utilization`, pushed with the current
+    /// utilization row into the rings (growing until capacity,
+    /// overwriting at `head` afterwards).
+    fn emit(&mut self, t_us: f64, state: &TimelineSample, mean_utilization: f64) {
         let sample = TimelineSample {
             t_us,
-            queue_depth: probe.queue_depth,
-            oldest_wait_us: probe.oldest_wait_us,
-            live_sessions: probe.live_sessions,
-            weights_bytes: probe.weights_bytes,
-            state_bytes: probe.state_bytes,
-            completed: probe.completed,
-            shed: probe.shed,
-            deadline_misses: probe.deadline_misses,
-            weight_loads: probe.weight_loads,
-            state_loads: probe.state_loads,
-            retries: probe.retries,
             ewma_queue_us: self.ewma_queue_us,
             mean_utilization,
+            ..*state
         };
         let cap = self.config.capacity;
         let n = self.num_devices;
@@ -389,20 +359,25 @@ impl MetricsTimeline {
     /// (after a grid sample taken there before the instant's last events,
     /// too), so even a run shorter than one interval produces one.
     /// Returns how many samples were emitted — pending grid points are
-    /// flushed first.
-    pub fn finish_sample(&mut self, now_us: f64, probe: &TimelineProbe<'_>) -> usize {
+    /// flushed first. Arguments and panics as in [`Self::advance`].
+    pub fn finish_sample(
+        &mut self,
+        now_us: f64,
+        state: &TimelineSample,
+        device_busy_us: &[f64],
+    ) -> usize {
         if !self.config.is_enabled() {
             return 0;
         }
         assert_eq!(
-            probe.device_busy_us.len(),
+            device_busy_us.len(),
             self.num_devices,
-            "probe device count mismatch"
+            "busy-time device count mismatch"
         );
-        let mut emitted = self.advance(now_us, probe);
+        let mut emitted = self.advance(now_us, state, device_busy_us);
         if emitted == 0 || self.recent(0).is_some_and(|s| now_us > s.t_us) {
-            let mean_utilization = self.account_busy_to(now_us, probe);
-            self.emit(now_us, probe, mean_utilization);
+            let mean_utilization = self.account_busy_to(now_us, device_busy_us);
+            self.emit(now_us, state, mean_utilization);
             emitted += 1;
         }
         emitted
@@ -520,22 +495,22 @@ pub fn timeline_json(timeline: &Timeline) -> String {
 mod tests {
     use super::*;
 
-    fn probe(busy: &[f64]) -> TimelineProbe<'_> {
-        TimelineProbe {
-            queue_depth: 2,
-            oldest_wait_us: 10.0,
-            live_sessions: 1,
-            weights_bytes: 1024,
-            state_bytes: 64,
-            completed: 5,
-            shed: 1,
-            deadline_misses: 1,
-            weight_loads: 3,
-            state_loads: 2,
-            retries: 0,
-            device_busy_us: busy,
-        }
-    }
+    const STATE: TimelineSample = TimelineSample {
+        t_us: 0.0,
+        queue_depth: 2,
+        oldest_wait_us: 10.0,
+        live_sessions: 1,
+        weights_bytes: 1024,
+        state_bytes: 64,
+        completed: 5,
+        shed: 1,
+        deadline_misses: 1,
+        weight_loads: 3,
+        state_loads: 2,
+        retries: 0,
+        ewma_queue_us: 0.0,
+        mean_utilization: 0.0,
+    };
 
     #[test]
     fn disabled_timeline_emits_nothing_but_tracks_ewma() {
@@ -543,8 +518,8 @@ mod tests {
         assert!(!tl.is_enabled());
         tl.observe_queue_delay(100.0);
         tl.observe_queue_delay(0.0);
-        assert_eq!(tl.advance(1_000.0, &probe(&[0.0, 0.0])), 0);
-        assert_eq!(tl.finish_sample(2_000.0, &probe(&[0.0, 0.0])), 0);
+        assert_eq!(tl.advance(1_000.0, &STATE, &[0.0, 0.0]), 0);
+        assert_eq!(tl.finish_sample(2_000.0, &STATE, &[0.0, 0.0]), 0);
         let t = tl.into_timeline();
         assert!(t.samples.is_empty());
         assert_eq!(t.dropped, 0);
@@ -556,7 +531,7 @@ mod tests {
     fn samples_land_on_the_grid_and_carry_probe_state() {
         let mut tl = MetricsTimeline::new(TimelineConfig::enabled(100.0, 64), 2);
         // Clock reaches 250 µs: grid points 100 and 200 emit.
-        assert_eq!(tl.advance(250.0, &probe(&[100.0, 50.0])), 2);
+        assert_eq!(tl.advance(250.0, &STATE, &[100.0, 50.0]), 2);
         assert_eq!(tl.len(), 2);
         let newest = tl.recent(0).unwrap();
         assert_eq!(newest.t_us, 200.0);
@@ -568,7 +543,7 @@ mod tests {
         assert!((util[1] - 0.25).abs() < 1e-12);
         assert!((newest.mean_utilization - 0.375).abs() < 1e-12);
         // finish emits a final off-grid sample at the end of run.
-        assert_eq!(tl.finish_sample(260.0, &probe(&[110.0, 55.0])), 1);
+        assert_eq!(tl.finish_sample(260.0, &STATE, &[110.0, 55.0]), 1);
         let t = tl.into_timeline();
         assert_eq!(t.samples.len(), 3);
         assert_eq!(t.samples[2].t_us, 260.0);
@@ -578,9 +553,8 @@ mod tests {
     #[test]
     fn ring_wraparound_keeps_newest_and_counts_dropped() {
         let mut tl = MetricsTimeline::new(TimelineConfig::enabled(10.0, 4), 1);
-        let busy = [0.0];
         for step in 1..=10u32 {
-            tl.advance(step as f64 * 10.0, &probe(&busy));
+            tl.advance(step as f64 * 10.0, &STATE, &[0.0]);
         }
         assert_eq!(tl.len(), 4);
         assert_eq!(tl.emitted(), 10);
@@ -595,7 +569,7 @@ mod tests {
     fn timeline_json_is_strict_and_balanced() {
         let mut tl = MetricsTimeline::new(TimelineConfig::enabled(50.0, 8), 2);
         tl.observe_queue_delay(42.0);
-        tl.advance(120.0, &probe(&[30.0, 60.0]));
+        tl.advance(120.0, &STATE, &[30.0, 60.0]);
         let t = tl.into_timeline();
         let json = timeline_json(&t);
         let depth = json.chars().fold(0i64, |d, c| match c {

@@ -151,11 +151,6 @@ pub fn prometheus_snapshot(
                 s.model_evictions,
             ),
             (
-                "ernn_sched_degraded_batches_total",
-                "Batches capped by overload degradation.",
-                s.degraded_batches,
-            ),
-            (
                 "ernn_sched_state_loads_total",
                 "Session-state reloads after eviction.",
                 s.state_loads,

@@ -13,8 +13,11 @@
 //!   under `Inline` and `ThreadPool` execution, kill included.
 //! * **Bad input fails at the door** — a non-finite arrival time is
 //!   rejected naming the request (it used to surface as "cluster
-//!   answered N−1 of N"), and every constructor panic has a typed
-//!   [`ClusterConfigError`] behind [`ClusterRuntime::try_new`].
+//!   answered N−1 of N"), every malformed load the scheduler rejects
+//!   the cluster rejects with the same message, before any routing
+//!   (even for a model no live shard holds), and every constructor
+//!   panic has a typed [`ClusterConfigError`] behind
+//!   [`ClusterRuntime::try_new`].
 //! * **Routing is deterministic (property)** — over random shard
 //!   counts, replication degrees, steering policies and kill
 //!   times, two identical runs produce byte-identical journals and
@@ -26,12 +29,13 @@ use ernn_model::{compress_network, BlockPolicy, CellType, NetworkBuilder};
 use ernn_serve::loadgen::{paced_session, synthetic_utterances};
 use ernn_serve::sched::{ModelRegistry, SchedPolicy, SchedRuntime};
 use ernn_serve::{
-    chrome_trace_json, ClusterConfig, ClusterConfigError, ClusterRuntime, ClusterSpec,
-    CompiledModel, DeviceFault, ExecutorKind, FaultEvent, FaultPlan, Request, RuntimeConfig,
-    ShedReason, Steering, TraceConfig, TransferModel,
+    chrome_trace_json, ClusterConfig, ClusterConfigError, ClusterRuntime, CompiledModel,
+    DeviceFault, ExecutorKind, FaultEvent, FaultPlan, Request, RuntimeConfig, ShedReason, Steering,
+    TraceConfig, TransferModel,
 };
 use proptest::prelude::*;
 use rand::SeedableRng;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 const DIM: usize = 8;
 
@@ -44,11 +48,11 @@ fn compiled(seed: u64, hidden: usize) -> CompiledModel {
     CompiledModel::compile(&net, &DatapathConfig::paper_12bit(), XCKU060)
 }
 
-fn spec() -> ClusterSpec {
-    let mut spec = ClusterSpec::new();
-    spec.register("gru-16", compiled(41, 16));
-    spec.register("gru-32", compiled(42, 32));
-    spec
+fn registry() -> ModelRegistry {
+    let mut registry = ModelRegistry::new();
+    registry.register("gru-16", compiled(41, 16));
+    registry.register("gru-32", compiled(42, 32));
+    registry
 }
 
 fn policy() -> SchedPolicy {
@@ -109,14 +113,12 @@ fn mixed_load(n_utts: usize, n_sessions: usize, models: usize) -> Vec<Request> {
 fn single_shard_cluster_matches_bare_scheduler() {
     let requests = mixed_load(10, 2, 2);
 
-    let mut registry = ModelRegistry::new();
-    registry.register("gru-16", compiled(41, 16));
-    registry.register("gru-32", compiled(42, 32));
-    let direct = SchedRuntime::with_config(registry, vec![XCKU060], policy(), RuntimeConfig::new())
-        .run(requests.clone());
+    let direct =
+        SchedRuntime::with_config(registry(), vec![XCKU060], policy(), RuntimeConfig::new())
+            .run(requests.clone());
 
     let cluster = ClusterRuntime::new(
-        spec(),
+        registry(),
         vec![vec![XCKU060]],
         policy(),
         RuntimeConfig::new(),
@@ -138,7 +140,7 @@ fn single_shard_cluster_matches_bare_scheduler() {
 /// so a response's device tells us which shard served it.
 fn four_shard_cluster(shard_faults: FaultPlan, executor: ExecutorKind) -> ClusterRuntime {
     ClusterRuntime::new(
-        spec(),
+        registry(),
         vec![
             vec![XCKU060],
             vec![ADM_PCIE_7V3],
@@ -244,23 +246,114 @@ fn nan_arrival_is_rejected_naming_the_request() {
     ]);
 }
 
+/// A request no live shard holds is still checked: with replication 1
+/// the only holder of model 0 dies at t = 0, so routing would shed the
+/// zero-frame request as `NoShardCapacity` — the load is rejected before
+/// that, as the scheduler rejects it.
+#[test]
+#[should_panic(expected = "request 1 has no frames")]
+fn a_zero_frame_request_is_rejected_even_when_no_live_shard_holds_its_model() {
+    let cluster = |shard_faults: FaultPlan| {
+        ClusterRuntime::new(
+            registry(),
+            vec![vec![XCKU060], vec![ADM_PCIE_7V3]],
+            policy(),
+            RuntimeConfig::new(),
+            ClusterConfig::new()
+                .replication(1)
+                .shard_faults(shard_faults),
+        )
+    };
+    let holder = cluster(FaultPlan::empty()).placement().replicas(0)[0];
+    let _ = cluster(kill_at(0.0, holder)).run(vec![
+        Request::new(0, vec![vec![0.0; DIM]], 0.0),
+        Request::new(1, Vec::new(), 0.0),
+    ]);
+}
+
+/// The panic message of `run`, or `None` when it returns.
+fn panic_message(run: impl FnOnce()) -> Option<String> {
+    let payload = catch_unwind(AssertUnwindSafe(run)).err()?;
+    Some(match payload.downcast::<String>() {
+        Ok(message) => *message,
+        Err(payload) => payload
+            .downcast_ref::<&str>()
+            .map_or_else(String::new, |s| s.to_string()),
+    })
+}
+
+#[test]
+fn malformed_loads_fail_alike_in_the_scheduler_and_the_cluster() {
+    let frames = || vec![vec![0.0; DIM]];
+    let ok = || Request::new(0, frames(), 0.0);
+    let table: Vec<(&str, Vec<Request>)> = vec![
+        (
+            "request 1 targets unregistered model 2",
+            vec![ok(), Request::new(1, frames(), 5.0).with_model(2)],
+        ),
+        (
+            "request 1 has no frames",
+            vec![ok(), Request::new(1, Vec::new(), 5.0)],
+        ),
+        (
+            "request 1 frame dimension must be 8 for model gru-32",
+            vec![
+                ok(),
+                Request::new(1, vec![vec![0.0; DIM + 1]], 5.0).with_model(1),
+            ],
+        ),
+        (
+            "request 1: arrival_us must be finite, got NaN",
+            vec![ok(), Request::new(1, frames(), f64::NAN)],
+        ),
+        (
+            "duplicate request id 0",
+            vec![ok(), Request::new(0, frames(), 5.0)],
+        ),
+        (
+            "session 7: expected chunk index 1 next, got 2",
+            vec![
+                ok(),
+                Request::chunk(1, 7, 0, false, frames(), 5.0),
+                Request::chunk(2, 7, 2, true, frames(), 9.0),
+            ],
+        ),
+    ];
+    let scheduler =
+        SchedRuntime::with_config(registry(), vec![XCKU060], policy(), RuntimeConfig::new());
+    let cluster = ClusterRuntime::new(
+        registry(),
+        vec![vec![XCKU060]],
+        policy(),
+        RuntimeConfig::new(),
+        ClusterConfig::new().replication(1),
+    );
+    for (expected, load) in table {
+        let by_scheduler = panic_message(|| drop(scheduler.run(load.clone())))
+            .unwrap_or_else(|| panic!("the scheduler accepted the load for {expected:?}"));
+        let by_cluster = panic_message(|| drop(cluster.run(load)));
+        assert!(by_scheduler.contains(expected), "{by_scheduler}");
+        assert_eq!(by_cluster, Some(by_scheduler));
+    }
+}
+
 #[test]
 fn try_new_reports_typed_errors() {
-    let try_new = |spec: ClusterSpec, platforms: Vec<Vec<_>>, cluster: ClusterConfig| {
-        ClusterRuntime::try_new(spec, platforms, policy(), RuntimeConfig::new(), cluster)
+    let try_new = |registry: ModelRegistry, platforms: Vec<Vec<_>>, cluster: ClusterConfig| {
+        ClusterRuntime::try_new(registry, platforms, policy(), RuntimeConfig::new(), cluster)
             .map(|_| ())
     };
     let one = || vec![vec![XCKU060]];
 
-    let err = try_new(ClusterSpec::new(), one(), ClusterConfig::new()).unwrap_err();
+    let err = try_new(ModelRegistry::new(), one(), ClusterConfig::new()).unwrap_err();
     assert_eq!(err, ClusterConfigError::EmptySpec);
     assert_eq!(err.to_string(), "cluster spec has no models");
 
-    let err = try_new(spec(), Vec::new(), ClusterConfig::new()).unwrap_err();
+    let err = try_new(registry(), Vec::new(), ClusterConfig::new()).unwrap_err();
     assert_eq!(err, ClusterConfigError::NoShards);
 
     let err = try_new(
-        spec(),
+        registry(),
         vec![vec![XCKU060], Vec::new()],
         ClusterConfig::new(),
     )
@@ -268,12 +361,12 @@ fn try_new_reports_typed_errors() {
     assert_eq!(err, ClusterConfigError::ShardWithoutDevices { shard: 1 });
     assert_eq!(err.to_string(), "shard 1 has no devices");
 
-    let err = try_new(spec(), one(), ClusterConfig::new().replication(0)).unwrap_err();
+    let err = try_new(registry(), one(), ClusterConfig::new().replication(0)).unwrap_err();
     assert_eq!(err, ClusterConfigError::ZeroReplication);
     assert_eq!(err.to_string(), "replication must be at least 1");
 
     let err = try_new(
-        spec(),
+        registry(),
         one(),
         ClusterConfig::new().shard_faults(kill_at(5.0, 3)),
     )
@@ -291,7 +384,12 @@ fn try_new_reports_typed_errors() {
         device: 0,
         fault: DeviceFault::Transient,
     }]);
-    let err = try_new(spec(), one(), ClusterConfig::new().shard_faults(transient)).unwrap_err();
+    let err = try_new(
+        registry(),
+        one(),
+        ClusterConfig::new().shard_faults(transient),
+    )
+    .unwrap_err();
     assert_eq!(
         err,
         ClusterConfigError::NonCrashShardFault {
@@ -301,14 +399,14 @@ fn try_new_reports_typed_errors() {
     );
     assert!(err.to_string().contains("must be crashes"));
 
-    assert!(try_new(spec(), one(), ClusterConfig::new()).is_ok());
+    assert!(try_new(registry(), one(), ClusterConfig::new()).is_ok());
 }
 
 #[test]
 #[should_panic(expected = "shard 0 has no devices")]
 fn new_panics_with_the_typed_message() {
     let _ = ClusterRuntime::new(
-        spec(),
+        registry(),
         vec![Vec::new()],
         policy(),
         RuntimeConfig::new(),
@@ -337,7 +435,7 @@ proptest! {
             .collect();
         let steering = if random { Steering::Random } else { Steering::LoadFeedback };
         let build = || ClusterRuntime::new(
-            spec(),
+            registry(),
             platforms.clone(),
             policy(),
             RuntimeConfig::new(),

@@ -104,7 +104,6 @@ fn snapshot() -> String {
         model_loads: 3,
         model_evictions: 1,
         load_us_total: 123.5,
-        degraded_batches: 4,
         state_loads: 5,
         state_evictions: 6,
         state_load_us_total: 3.75,

@@ -42,8 +42,8 @@ use ernn::pipeline::Pipeline;
 use ernn::serve::loadgen::{open_loop_poisson, synthetic_utterances};
 use ernn::serve::sched::{AdmissionPolicy, ModelRegistry, SchedPolicy, SchedRuntime};
 use ernn::serve::{
-    chrome_trace_json, ClusterConfig, ClusterRuntime, ClusterSpec, HealthConfig, ModelArtifact,
-    Request, RuntimeConfig, Steering, TimelineConfig, TraceConfig,
+    chrome_trace_json, ClusterConfig, ClusterRuntime, HealthConfig, ModelArtifact, Request,
+    RuntimeConfig, Steering, TimelineConfig, TraceConfig,
 };
 use rand::SeedableRng;
 
@@ -227,11 +227,6 @@ fn main() {
 /// router, with the metrics timeline and health monitor on every
 /// shard's scheduler.
 fn serve_cluster(tenants: &[(&str, &[u8])], shards: usize, budget: u64) {
-    let mut spec = ClusterSpec::new();
-    for (name, bytes) in tenants {
-        let artifact = ModelArtifact::load_bytes(bytes).expect("artifact decodes");
-        spec.register_artifact(*name, &artifact);
-    }
     let platforms: Vec<_> = (0..shards)
         .map(|s| vec![if s % 2 == 0 { XCKU060 } else { ADM_PCIE_7V3 }])
         .collect();
@@ -239,7 +234,7 @@ fn serve_cluster(tenants: &[(&str, &[u8])], shards: usize, budget: u64) {
     // the cluster, and any shard can lose a neighbor.
     let replication = (shards / 2).max(2).min(shards);
     let runtime = ClusterRuntime::new(
-        spec,
+        registry(tenants),
         platforms,
         SchedPolicy::edf_cost_model(8, 200.0)
             .with_bram_budget_bytes(budget)
@@ -269,7 +264,7 @@ fn serve_cluster(tenants: &[(&str, &[u8])], shards: usize, budget: u64) {
         let placed: Vec<&str> = shard
             .placed
             .iter()
-            .map(|&m| runtime.spec().name(m))
+            .map(|&m| runtime.registry().name(m))
             .collect();
         let verdict = match &shard.report {
             Some(sr) if sr.health.healthy() => "HEALTHY".to_string(),

@@ -28,8 +28,6 @@
 //! per-batch `collect()` in `SchedRuntime::dispatch` or a fresh run
 //! list in the executor looks like.
 
-use std::sync::Arc;
-
 use ernn::fpga::exec::DatapathConfig;
 use ernn::fpga::{TransferModel, ADM_PCIE_7V3, XCKU060};
 use ernn::model::{compress_network, BlockPolicy, CellType, NetworkBuilder};
@@ -37,9 +35,7 @@ use ernn::serve::loadgen::{
     open_loop_poisson, open_loop_sessions, synthetic_utterances, SessionLoad,
 };
 use ernn::serve::sched::{CostModel, ModelRegistry, SchedPolicy};
-use ernn::serve::{
-    ClusterConfig, ClusterRuntime, ClusterSpec, CompiledModel, Request, RuntimeConfig, Steering,
-};
+use ernn::serve::{ClusterConfig, ClusterRuntime, CompiledModel, Request, RuntimeConfig, Steering};
 use ernn_bench::alloc::{allocation_count, CountingAllocator};
 use rand::SeedableRng;
 
@@ -71,20 +67,16 @@ fn a_routed_request_costs_at_most_five_allocations() {
             .map(|d| if d % 2 == 0 { XCKU060 } else { ADM_PCIE_7V3 })
             .collect()
     };
-    let mut spec = ClusterSpec::new();
+    let mut registry = ModelRegistry::new();
     for (i, name) in ["gru-8-stream", "gru-8-batch", "gru-8-tail"]
         .iter()
         .enumerate()
     {
-        spec.register(*name, gru8(160 + i as u64));
+        registry.register(*name, gru8(160 + i as u64));
     }
 
     // Size the arrival rate from the cost model, as the benchmark's
     // `cluster_tiny` does: total work spread over PARALLELISM devices.
-    let mut registry = ModelRegistry::new();
-    for m in 0..spec.len() {
-        registry.register_shared(spec.name(m).to_string(), Arc::clone(spec.model(m)));
-    }
     let cost = CostModel::build(&boards(2), &registry);
     let worst_us = |model: usize, frames: u64| {
         cost.estimate_frames_us(0, model, frames)
@@ -96,7 +88,7 @@ fn a_routed_request_costs_at_most_five_allocations() {
     let work_us: f64 = audio
         .iter()
         .enumerate()
-        .map(|(i, u)| worst_us(i % spec.len(), u.len() as u64))
+        .map(|(i, u)| worst_us(i % registry.len(), u.len() as u64))
         .sum::<f64>()
         + (SESSIONS * SESSION_CHUNKS) as f64 * worst_us(0, 1);
     let span_us = work_us / PARALLELISM;
@@ -125,7 +117,7 @@ fn a_routed_request_costs_at_most_five_allocations() {
             .map(|(i, r)| {
                 let arrival = r.arrival_us;
                 Request::new(id_base + r.id, r.frames, arrival)
-                    .with_model(i % spec.len())
+                    .with_model(i % registry.len())
                     .with_deadline(arrival + slo_us)
             }),
     );
@@ -133,7 +125,7 @@ fn a_routed_request_costs_at_most_five_allocations() {
     assert_eq!(requests, SESSIONS * SESSION_CHUNKS + UTTERANCES);
 
     let runtime = ClusterRuntime::new(
-        spec,
+        registry,
         boards(SHARDS).into_iter().map(|d| vec![d]).collect(),
         SchedPolicy::edf_cost_model(4, max_wait_us),
         RuntimeConfig::new(),

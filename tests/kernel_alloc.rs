@@ -60,7 +60,7 @@ use ernn::serve::trace::{
     FlightRecorder, LatencyHistogram, StageAttribution, StageBreakdown, TraceConfig, TraceEvent,
 };
 use ernn::serve::{
-    CompiledModel, HealthConfig, HealthMonitor, MetricsTimeline, TimelineConfig, TimelineProbe,
+    CompiledModel, HealthConfig, HealthMonitor, MetricsTimeline, TimelineConfig, TimelineSample,
 };
 use ernn_bench::alloc::{allocation_count, CountingAllocator};
 use rand::{Rng, SeedableRng};
@@ -243,21 +243,16 @@ fn steady_state_batched_inference_performs_zero_allocations() {
         let mut fired = 0usize;
         for i in 0..8192u64 {
             timeline.observe_queue_delay(5.0 + (i % 7) as f64);
-            let probe = TimelineProbe {
-                queue_depth: 0,
-                oldest_wait_us: 0.0,
+            let state = TimelineSample {
                 live_sessions: 2,
                 weights_bytes: 4096,
                 state_bytes: 512,
                 completed: i,
-                shed: 0,
-                deadline_misses: 0,
                 weight_loads: 1,
                 state_loads: 1,
-                retries: 0,
-                device_busy_us: &busy,
+                ..TimelineSample::default()
             };
-            let emitted = timeline.advance((i + 1) as f64 * 10.0, &probe);
+            let emitted = timeline.advance((i + 1) as f64 * 10.0, &state, &busy);
             let (start, end) = health.on_samples(&timeline, emitted);
             fired += end - start;
         }
