@@ -86,7 +86,7 @@ impl Recipe {
         data: &[Sequence],
         rng: &mut impl Rng,
     ) -> RnnNetwork<Matrix> {
-        let mut net = spec.builder().build(rng);
+        let mut net = spec.build(rng);
         let opts = TrainOptions {
             epochs: self.pretrain_epochs,
             lr_decay: PRETRAIN_LR_DECAY,

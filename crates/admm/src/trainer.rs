@@ -69,11 +69,11 @@ impl AdmmReport {
 ///
 /// ```no_run
 /// use ernn_admm::{AdmmConfig, AdmmTrainer};
-/// use ernn_model::{BlockPolicy, CellType, NetworkBuilder, Sgd};
+/// use ernn_model::{BlockPolicy, CellType, ModelSpec, Sgd};
 /// use rand::SeedableRng;
 ///
 /// let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0);
-/// let mut net = NetworkBuilder::new(CellType::Gru, 4, 3).layer_dims(&[8]).build(&mut rng);
+/// let mut net = ModelSpec::new(CellType::Gru, 4, 3).layer_dims(&[8]).build(&mut rng);
 /// let data: Vec<(Vec<Vec<f32>>, Vec<usize>)> = vec![(vec![vec![0.0; 4]; 6], vec![0; 6])];
 /// let mut trainer = AdmmTrainer::new(&net, BlockPolicy::uniform(4), AdmmConfig::default());
 /// let mut opt = Sgd::new(0.05).momentum(0.9).clip_norm(5.0);
@@ -344,7 +344,7 @@ impl AdmmTrainer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ernn_model::{compress_network, CellType, NetworkBuilder, Sgd};
+    use ernn_model::{compress_network, CellType, ModelSpec, Sgd};
     use rand::SeedableRng;
 
     fn toy_data(n_seqs: usize, seq_len: usize, seed: u64) -> Vec<Sequence> {
@@ -369,7 +369,7 @@ mod tests {
     #[test]
     fn residual_shrinks_over_iterations() {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(10);
-        let mut net = NetworkBuilder::new(CellType::Gru, 2, 2)
+        let mut net = ModelSpec::new(CellType::Gru, 2, 2)
             .layer_dims(&[8])
             .build(&mut rng);
         let data = toy_data(12, 10, 11);
@@ -410,7 +410,7 @@ mod tests {
     #[test]
     fn finalize_makes_compression_lossless() {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(20);
-        let mut net = NetworkBuilder::new(CellType::Lstm, 2, 2)
+        let mut net = ModelSpec::new(CellType::Lstm, 2, 2)
             .layer_dims(&[8])
             .build(&mut rng);
         let data = toy_data(8, 8, 21);
@@ -456,7 +456,7 @@ mod tests {
         // beats projecting a trained model. Compare frame accuracy after
         // (a) hard projection of a dense model and (b) ADMM + projection.
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(30);
-        let mut net = NetworkBuilder::new(CellType::Gru, 2, 2)
+        let mut net = ModelSpec::new(CellType::Gru, 2, 2)
             .layer_dims(&[12])
             .build(&mut rng);
         let train_data = toy_data(24, 12, 31);
@@ -516,7 +516,7 @@ mod tests {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(45);
         let policy = BlockPolicy::with_io_block(4, 8);
         for cell in [CellType::Lstm, CellType::Gru] {
-            let net = NetworkBuilder::new(cell, 8, 3)
+            let net = ModelSpec::new(cell, 8, 3)
                 .layer_dims(&[16, 8, 16])
                 .build(&mut rng);
             let one = AdmmTrainer::new(&net, policy, AdmmConfig::default());
@@ -539,7 +539,7 @@ mod tests {
     #[should_panic(expected = "one constraint per")]
     fn with_constraints_validates_count() {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(50);
-        let net = NetworkBuilder::new(CellType::Gru, 2, 2)
+        let net = ModelSpec::new(CellType::Gru, 2, 2)
             .layer_dims(&[4])
             .build(&mut rng);
         let _ = AdmmTrainer::with_constraints(&net, vec![], AdmmConfig::default());

@@ -48,7 +48,7 @@ pub fn train_circulant_direct(
 mod tests {
     use super::*;
     use ernn_admm::{AdmmConfig, AdmmTrainer, CirculantConstraint};
-    use ernn_model::{compress_network, CellType, NetworkBuilder};
+    use ernn_model::{compress_network, CellType, ModelSpec};
     use rand::SeedableRng;
 
     fn toy_data(n_seqs: usize, seq_len: usize, seed: u64) -> Vec<Sequence> {
@@ -73,7 +73,7 @@ mod tests {
     #[test]
     fn result_is_exactly_circulant() {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
-        let mut net = NetworkBuilder::new(CellType::Gru, 2, 2)
+        let mut net = ModelSpec::new(CellType::Gru, 2, 2)
             .layer_dims(&[8])
             .build(&mut rng);
         let data = toy_data(8, 8, 2);
@@ -112,7 +112,7 @@ mod tests {
     #[test]
     fn direct_training_learns_on_the_manifold() {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(3);
-        let mut net = NetworkBuilder::new(CellType::Lstm, 2, 2)
+        let mut net = ModelSpec::new(CellType::Lstm, 2, 2)
             .layer_dims(&[8])
             .build(&mut rng);
         let data = toy_data(20, 10, 4);
@@ -139,7 +139,7 @@ mod tests {
         // The paper's accuracy argument (Sec. VIII-B2). On a toy task the
         // gap is small; assert ADMM is not worse beyond noise.
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5);
-        let mut pretrained = NetworkBuilder::new(CellType::Gru, 2, 2)
+        let mut pretrained = ModelSpec::new(CellType::Gru, 2, 2)
             .layer_dims(&[12])
             .build(&mut rng);
         let train_data = toy_data(24, 12, 6);

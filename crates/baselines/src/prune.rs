@@ -137,12 +137,12 @@ pub fn magnitude_prune(net: &RnnNetwork<Matrix>, sparsity: f64) -> PrunedNetwork
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ernn_model::{CellType, NetworkBuilder};
+    use ernn_model::{CellType, ModelSpec};
     use rand::SeedableRng;
 
     fn toy_net() -> RnnNetwork<Matrix> {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
-        NetworkBuilder::new(CellType::Lstm, 3, 2)
+        ModelSpec::new(CellType::Lstm, 3, 2)
             .layer_dims(&[8])
             .build(&mut rng)
     }

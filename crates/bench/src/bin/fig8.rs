@@ -6,8 +6,7 @@
 
 use ernn_bench::json::{array, JsonObject};
 use ernn_bench::sweep::SweepArgs;
-use ernn_core::explore::Fig8Curve;
-use ernn_fft::cost::{block_size_upper_bound, CostModel, DEFAULT_MIN_GAIN};
+use ernn_fft::cost::{block_size_upper_bound, fig8_curve, CostModel, DEFAULT_MIN_GAIN};
 
 const ALL: &str = "all optimizations";
 
@@ -26,9 +25,9 @@ fn main() {
     let mut points = Vec::new();
     for layer in [512usize, 1024] {
         println!("=== Fig. 8 ({layer}) — paper model (all optimizations) ===");
-        let curve = Fig8Curve::paper(layer);
-        print!("{}", curve.render());
-        for p in curve.points() {
+        println!("Layer size {layer}\n  Lb    norm. mults");
+        for p in fig8_curve(CostModel::paper(), layer, 256) {
+            println!("  {:<5} {:.4}", p.block_size, p.normalized_mults);
             points.push(point(layer, p.block_size, ALL, p.normalized_mults));
         }
         let ub = block_size_upper_bound(CostModel::paper(), layer, DEFAULT_MIN_GAIN);

@@ -63,7 +63,7 @@ use ernn_linalg::{
     lane_isa, split_stats, BlockCirculantMatrix, MatVec, MatVecScratch, WeightMatrix, HELPER_SPIN,
     SPLIT_MIN_WORK,
 };
-use ernn_model::{compress_network, BlockPolicy, CellType, NetworkBuilder};
+use ernn_model::{compress_network, BlockPolicy, CellType, ModelSpec};
 use ernn_quant::{FixedFormat, PiecewiseLinear};
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -123,7 +123,7 @@ fn cell_datapath_row(
     rng: &mut impl Rng,
 ) -> String {
     const IN_DIM: usize = 153;
-    let mut builder = NetworkBuilder::new(cell, IN_DIM, 61).layer_dims(&[1024]);
+    let mut builder = ModelSpec::new(cell, IN_DIM, 61).layer_dims(&[1024]);
     if cell == CellType::Lstm {
         builder = builder.projection(512).peephole(true);
     }

@@ -2,60 +2,13 @@
 //!
 //! * **Bottom-up** (paper Sec. V, Fig. 8): the multiplication count of a
 //!   layer as a function of block size converges at 32–64; larger blocks
-//!   buy (almost) nothing, so Phase I never trains beyond that bound.
+//!   buy (almost) nothing, so Phase I never trains beyond that bound. The
+//!   curve is [`ernn_fft::cost::fig8_curve`].
 //! * **Storage floor** (Fig. 2 step 1): the smallest block size whose
 //!   compressed model fits in on-chip BRAM is the search's lower bound.
 
-use ernn_fft::cost::{fig8_curve, CostModel, MultCurvePoint, DEFAULT_MIN_GAIN};
+use ernn_fft::cost::{CostModel, DEFAULT_MIN_GAIN};
 use ernn_fpga::{Device, RnnSpec};
-
-/// The Fig. 8 curve for one layer size.
-#[derive(Debug, Clone)]
-pub struct Fig8Curve {
-    layer_size: usize,
-    points: Vec<MultCurvePoint>,
-}
-
-impl Fig8Curve {
-    /// Computes the curve with the paper's full optimization set
-    /// (FFT/IFFT decoupling, real symmetry, trivial twiddles).
-    pub fn paper(layer_size: usize) -> Self {
-        Fig8Curve {
-            layer_size,
-            points: fig8_curve(CostModel::paper(), layer_size, 256.min(layer_size)),
-        }
-    }
-
-    /// Computes the curve with a custom cost model (for the ablations).
-    pub fn with_model(model: CostModel, layer_size: usize) -> Self {
-        Fig8Curve {
-            layer_size,
-            points: fig8_curve(model, layer_size, 256.min(layer_size)),
-        }
-    }
-
-    /// The layer size this curve was computed for.
-    pub fn layer_size(&self) -> usize {
-        self.layer_size
-    }
-
-    /// The `(block size, normalized multiplications)` points.
-    pub fn points(&self) -> &[MultCurvePoint] {
-        &self.points
-    }
-
-    /// Renders the curve as an ASCII table (the Fig. 8 regeneration).
-    pub fn render(&self) -> String {
-        let mut out = format!("Layer size {}\n  Lb    norm. mults\n", self.layer_size);
-        for p in &self.points {
-            out.push_str(&format!(
-                "  {:<5} {:.4}\n",
-                p.block_size, p.normalized_mults
-            ));
-        }
-        out
-    }
-}
 
 /// Block-size search bounds for Phase I.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,13 +31,8 @@ pub fn block_size_bounds(deploy_hidden: usize, device: &Device) -> BlockSizeBoun
     let mut lower = 1usize;
     while lower < upper {
         let spec = RnnSpec {
-            block_size: lower,
-            io_block_size: lower,
-            ..RnnSpec::lstm_1024(lower.max(1), 12)
-        };
-        let spec = RnnSpec {
             hidden_dim: deploy_hidden,
-            ..spec
+            ..RnnSpec::lstm_1024(lower, 12)
         };
         if spec.fits_in_bram(device) {
             break;
@@ -138,27 +86,6 @@ mod tests {
                 dev.name,
                 b.candidates
             );
-        }
-    }
-
-    #[test]
-    fn fig8_curve_is_monotone_until_convergence() {
-        let curve = Fig8Curve::paper(512);
-        let pts = curve.points();
-        for pair in pts.windows(2) {
-            assert!(
-                pair[1].normalized_mults <= pair[0].normalized_mults + 1e-9,
-                "optimized curve should be non-increasing over this range"
-            );
-        }
-    }
-
-    #[test]
-    fn render_contains_all_block_sizes() {
-        let curve = Fig8Curve::paper(512);
-        let s = curve.render();
-        for p in curve.points() {
-            assert!(s.contains(&format!("{}", p.block_size)));
         }
     }
 

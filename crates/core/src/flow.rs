@@ -344,7 +344,6 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(6);
         let dense = ModelSpec::new(CellType::Gru, corpus.feature_dim, corpus.num_classes())
             .layer_dims(&[16])
-            .builder()
             .build(&mut rng);
         let net = ernn_model::compress_network(&dense, BlockPolicy::uniform(4));
         let q = QuantizedNetwork::new(&net, &DatapathConfig::paper_12bit());

@@ -21,15 +21,13 @@
 //! [`ModelArtifact`](ernn_fpga::artifact::ModelArtifact).
 //!
 //! ```
-//! use ernn_core::explore::{block_size_bounds, Fig8Curve};
+//! use ernn_core::explore::block_size_bounds;
 //! use ernn_fpga::XCKU060;
 //!
 //! // The bottom-up analysis (paper Fig. 8) caps the block size at 32–64
 //! // and the BRAM sanity check floors it (Fig. 2 step 1).
 //! let bounds = block_size_bounds(1024, &XCKU060);
 //! assert!(bounds.lower <= bounds.upper);
-//! let curve = Fig8Curve::paper(512);
-//! assert!(curve.points().len() > 4);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -40,7 +38,7 @@ pub mod phase1;
 pub mod phase2;
 pub mod pipeline;
 
-pub use explore::{block_size_bounds, BlockSizeBounds, Fig8Curve};
+pub use explore::{block_size_bounds, BlockSizeBounds};
 pub use phase1::{run_phase1, CandidateSpec, Phase1Config, Phase1Result, TrainOracle, Trial};
 pub use phase2::{run_phase2, Phase2Config, Phase2Result};
 pub use pipeline::{Pipeline, PipelineError, PipelineModel, PipelineSettings};

@@ -3,7 +3,7 @@
 //!
 //! Every stage of the E-RNN lifecycle — specify, train, compress with
 //! ADMM, quantize, compile — used to be a hand-chained sequence of free
-//! functions (`NetworkBuilder → compress_network → AdmmTrainer →
+//! functions (`ModelSpec::build → compress_network → AdmmTrainer →
 //! QuantizedNetwork → CompiledModel::compile`) with configuration
 //! literals duplicated at every call site. This module replaces that
 //! with a **typestate builder**: each stage is its own type and only
@@ -165,7 +165,7 @@ impl SpecStage {
     /// training — the serving-bench path, where random weights exercise
     /// exactly the same downstream lifecycle as trained ones.
     pub fn init(self, rng: &mut impl Rng) -> TrainedStage {
-        let net = self.spec.builder().build(rng);
+        let net = self.spec.build(rng);
         TrainedStage {
             spec: self.spec,
             settings: self.settings,
@@ -413,7 +413,7 @@ impl PipelineModel {
 mod tests {
     use super::*;
     use ernn_admm::AdmmConfig;
-    use ernn_model::{CellType, NetworkBuilder};
+    use ernn_model::{CellType, ModelSpec};
     use ernn_serve::sched::{ModelRegistry, SchedPolicy, SchedRuntime};
     use rand::SeedableRng;
 
@@ -449,7 +449,7 @@ mod tests {
             .expect("known device");
 
         let mut rng_b = rand_chacha::ChaCha8Rng::seed_from_u64(3);
-        let dense = NetworkBuilder::new(CellType::Gru, 6, 4)
+        let dense = ModelSpec::new(CellType::Gru, 6, 4)
             .layer_dims(&[16])
             .build(&mut rng_b);
         let net = compress_network(&dense, BlockPolicy::uniform(4));
@@ -562,7 +562,7 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, PipelineError::InvalidDatapath(_)));
         // Mismatched pretrained network.
-        let other = NetworkBuilder::new(CellType::Lstm, 4, 3)
+        let other = ModelSpec::new(CellType::Lstm, 4, 3)
             .layer_dims(&[8])
             .build(&mut rng);
         let err = Pipeline::spec(spec)

@@ -323,6 +323,17 @@ mod tests {
     }
 
     #[test]
+    fn fig8_curve_is_monotone_until_convergence() {
+        let curve = fig8_curve(CostModel::paper(), 512, 256);
+        for pair in curve.windows(2) {
+            assert!(
+                pair[1].normalized_mults <= pair[0].normalized_mults + 1e-9,
+                "optimized curve should be non-increasing over this range"
+            );
+        }
+    }
+
+    #[test]
     fn undecoupled_computation_exceeds_dense_at_small_blocks() {
         // Without FFT/IFFT decoupling every block pair pays a fresh
         // transform; at small block sizes the total *exceeds* the dense

@@ -874,7 +874,7 @@ impl<'a> Dec<'a> {
 mod tests {
     use super::*;
     use crate::device::XCKU060;
-    use ernn_model::{compress_network, NetworkBuilder};
+    use ernn_model::{compress_network, ModelSpec};
     use rand::SeedableRng;
 
     fn artifact(cell: CellType) -> ModelArtifact {
@@ -886,7 +886,7 @@ mod tests {
             .layer_dims(layer_dims)
             .peephole(cell == CellType::Lstm);
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(4);
-        let dense = spec.builder().build(&mut rng);
+        let dense = spec.build(&mut rng);
         let policy = BlockPolicy::uniform(4);
         let net = compress_network(&dense, policy);
         let datapath = DatapathConfig::paper_12bit();
@@ -1015,7 +1015,7 @@ mod tests {
     fn unknown_device_is_rejected_at_construction() {
         let spec = ModelSpec::new(CellType::Gru, 8, 5).layer_dims(&[16]);
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(4);
-        let dense = spec.builder().build(&mut rng);
+        let dense = spec.build(&mut rng);
         let net = compress_network(&dense, BlockPolicy::uniform(4));
         let datapath = DatapathConfig::paper_12bit();
         let qnet = QuantizedNetwork::new(&net, &datapath);
@@ -1039,7 +1039,7 @@ mod tests {
     fn shape_mismatch_is_rejected_at_construction() {
         let spec = ModelSpec::new(CellType::Gru, 8, 5).layer_dims(&[32]);
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(4);
-        let dense = NetworkBuilder::new(CellType::Gru, 8, 5)
+        let dense = ModelSpec::new(CellType::Gru, 8, 5)
             .layer_dims(&[16])
             .build(&mut rng);
         let net = compress_network(&dense, BlockPolicy::uniform(4));

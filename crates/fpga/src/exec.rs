@@ -403,12 +403,12 @@ mod reference;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ernn_model::{compress_network, BlockPolicy, CellType, NetworkBuilder};
+    use ernn_model::{compress_network, BlockPolicy, CellType, ModelSpec};
     use rand::SeedableRng;
 
     fn compressed_net(cell: CellType) -> RnnNetwork<WeightMatrix> {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(3);
-        let dense = NetworkBuilder::new(cell, 8, 5)
+        let dense = ModelSpec::new(cell, 8, 5)
             .layer_dims(&[16])
             .peephole(true)
             .build(&mut rng);
@@ -505,7 +505,7 @@ mod tests {
         for (in_dim, hidden) in [(8, 8), (12, 20), (7, 5), (12, 13), (153, 256)] {
             for policy in policies {
                 let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(31);
-                let dense = NetworkBuilder::new(CellType::Gru, in_dim, 5)
+                let dense = ModelSpec::new(CellType::Gru, in_dim, 5)
                     .layer_dims(&[hidden, hidden])
                     .build(&mut rng);
                 let net = compress_network(&dense, policy);
@@ -568,7 +568,7 @@ mod tests {
         use rand::Rng;
         for (cell, in_dim, classes) in [(CellType::Gru, 8, 5), (CellType::Lstm, 6, 9)] {
             let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(37);
-            let dense = NetworkBuilder::new(cell, in_dim, classes)
+            let dense = ModelSpec::new(cell, in_dim, classes)
                 .layer_dims(&[16])
                 .build(&mut rng);
             let net = compress_network(&dense, BlockPolicy::uniform(4));
@@ -751,7 +751,7 @@ mod tests {
         let config = DatapathConfig::paper_12bit();
         let build = |hidden: &[usize]| {
             let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(29);
-            let dense = NetworkBuilder::new(CellType::Gru, 8, 5)
+            let dense = ModelSpec::new(CellType::Gru, 8, 5)
                 .layer_dims(hidden)
                 .build(&mut rng);
             QuantizedNetwork::new(&compress_network(&dense, BlockPolicy::uniform(4)), &config)
@@ -804,7 +804,7 @@ mod tests {
             output: 1,
         };
         for cell in [CellType::Lstm, CellType::Gru] {
-            let dense = NetworkBuilder::new(cell, 8, 5)
+            let dense = ModelSpec::new(cell, 8, 5)
                 .layer_dims(&[16, 16])
                 .peephole(true)
                 .projection(8)

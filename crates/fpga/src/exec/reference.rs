@@ -11,9 +11,7 @@
 
 use super::*;
 use ernn_linalg::{MatVec, MatVecScratch};
-use ernn_model::{
-    compress_network, Act, BlockPolicy, CellType, GruLayer, LstmLayer, NetworkBuilder,
-};
+use ernn_model::{compress_network, Act, BlockPolicy, CellType, GruLayer, LstmLayer, ModelSpec};
 use rand::{Rng, SeedableRng};
 
 /// The walker's buffers, as [`ExecScratch`] declares them.
@@ -346,7 +344,7 @@ struct Shape {
 
 impl Shape {
     fn build(self, rng: &mut impl Rng) -> QuantizedNetwork {
-        let mut builder = NetworkBuilder::new(self.cell, IN_DIM, 5)
+        let mut builder = ModelSpec::new(self.cell, IN_DIM, 5)
             .layer_dims(&vec![self.hidden; self.layers])
             .peephole(self.peephole)
             .cell_activation(self.act);

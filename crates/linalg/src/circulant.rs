@@ -283,12 +283,6 @@ impl BlockCirculantMatrix {
         &self.blocks[base..base + self.block_size]
     }
 
-    /// Number of stored parameters (`p·q·L_b`).
-    #[inline]
-    pub fn param_count(&self) -> usize {
-        self.blocks.len()
-    }
-
     /// Compression ratio versus dense storage of the logical matrix.
     pub fn compression_ratio(&self) -> f64 {
         (self.rows * self.cols) as f64 / self.param_count() as f64
@@ -903,6 +897,10 @@ impl MatVec for BlockCirculantMatrix {
     }
     fn cols(&self) -> usize {
         self.cols
+    }
+    /// `p·q·L_b`.
+    fn param_count(&self) -> usize {
+        self.blocks.len()
     }
     fn matvec(&self, x: &[f32]) -> Vec<f32> {
         BlockCirculantMatrix::matvec(self, x)

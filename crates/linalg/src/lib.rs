@@ -15,7 +15,7 @@
 //! second subproblem.
 //!
 //! ```
-//! use ernn_linalg::{BlockCirculantMatrix, Matrix};
+//! use ernn_linalg::{BlockCirculantMatrix, MatVec, Matrix};
 //!
 //! let dense = Matrix::from_fn(8, 8, |r, c| (r * 8 + c) as f32 * 0.01);
 //! let bc = BlockCirculantMatrix::project_dense(&dense, 4);

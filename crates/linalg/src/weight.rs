@@ -24,6 +24,9 @@ pub trait MatVec {
     fn rows(&self) -> usize;
     /// Input dimension.
     fn cols(&self) -> usize;
+    /// Number of stored parameters (dense: `rows·cols`; block-circulant:
+    /// the defining vectors).
+    fn param_count(&self) -> usize;
     /// `y = A·x`.
     fn matvec(&self, x: &[f32]) -> Vec<f32>;
 
@@ -81,6 +84,9 @@ impl MatVec for Matrix {
     fn cols(&self) -> usize {
         Matrix::cols(self)
     }
+    fn param_count(&self) -> usize {
+        self.rows() * self.cols()
+    }
     fn matvec(&self, x: &[f32]) -> Vec<f32> {
         Matrix::matvec(self, x)
     }
@@ -111,14 +117,6 @@ pub enum WeightMatrix {
 }
 
 impl WeightMatrix {
-    /// Number of stored parameters.
-    pub fn param_count(&self) -> usize {
-        match self {
-            WeightMatrix::Dense(m) => m.rows() * m.cols(),
-            WeightMatrix::Circulant(m) => m.param_count(),
-        }
-    }
-
     /// Block size of the representation (1 for dense).
     pub fn block_size(&self) -> usize {
         match self {
@@ -169,6 +167,12 @@ impl MatVec for WeightMatrix {
         match self {
             WeightMatrix::Dense(m) => m.cols(),
             WeightMatrix::Circulant(m) => m.cols(),
+        }
+    }
+    fn param_count(&self) -> usize {
+        match self {
+            WeightMatrix::Dense(m) => m.param_count(),
+            WeightMatrix::Circulant(m) => m.param_count(),
         }
     }
     fn matvec(&self, x: &[f32]) -> Vec<f32> {

@@ -108,12 +108,12 @@ pub fn compress_network_layers(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CellType, NetworkBuilder, RnnLayer};
+    use crate::{CellType, ModelSpec, RnnLayer};
     use rand::SeedableRng;
 
     fn dense_net(cell: CellType) -> RnnNetwork<Matrix> {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(9);
-        NetworkBuilder::new(cell, 8, 5)
+        ModelSpec::new(cell, 8, 5)
             .layer_dims(&[16, 16])
             .peephole(true)
             .build(&mut rng)

@@ -5,7 +5,7 @@
 
 use super::*;
 use crate::activation::sigmoid;
-use crate::{compress_network, BlockPolicy, CellType, NetworkBuilder, RnnLayer};
+use crate::{compress_network, BlockPolicy, CellType, ModelSpec, RnnLayer};
 use rand::{Rng, SeedableRng};
 
 /// Per-timestep values the per-element step cached for BPTT.
@@ -118,7 +118,7 @@ fn shared_step_at_float_is_bitwise_the_per_element_step() {
     for (hidden, block) in [(8, 4), (20, 4), (256, 8)] {
         for act in [Act::Tanh, Act::Sigmoid] {
             let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(41);
-            let mut dense = NetworkBuilder::new(CellType::Gru, IN_DIM, 5)
+            let mut dense = ModelSpec::new(CellType::Gru, IN_DIM, 5)
                 .layer_dims(&[hidden])
                 .build(&mut rng);
             for layer in dense.layers_mut() {
@@ -157,7 +157,7 @@ fn stacked_projection_is_bitwise_the_two_call_projection() {
     for (in_dim, hidden) in [(8, 8), (12, 20), (7, 5), (12, 13), (153, 64)] {
         for policy in policies {
             let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(47);
-            let dense = NetworkBuilder::new(CellType::Gru, in_dim, 5)
+            let dense = ModelSpec::new(CellType::Gru, in_dim, 5)
                 .layer_dims(&[hidden])
                 .build(&mut rng);
             let compressed = compress_network(&dense, policy);
@@ -199,7 +199,7 @@ fn stacked_projection_is_bitwise_the_two_call_projection() {
 #[test]
 fn operands_of_different_kinds_have_no_input_stack() {
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(53);
-    let dense = NetworkBuilder::new(CellType::Gru, IN_DIM, 5)
+    let dense = ModelSpec::new(CellType::Gru, IN_DIM, 5)
         .layer_dims(&[8])
         .build(&mut rng);
     let compressed = compress_network(&dense, BlockPolicy::uniform(4));

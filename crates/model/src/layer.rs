@@ -2,7 +2,7 @@
 //! per-tensor walk goes through.
 
 use crate::gru::GruLayer;
-use crate::lstm::{LstmLayer, ParamCount};
+use crate::lstm::LstmLayer;
 use crate::network::WeightRole;
 use crate::seq::LayerTape;
 use ernn_linalg::{MatVec, Matrix};
@@ -93,10 +93,7 @@ impl<M: MatVec> RnnLayer<M> {
     }
 
     /// Number of stored parameters.
-    pub fn param_count(&self) -> usize
-    where
-        M: ParamCount,
-    {
+    pub fn param_count(&self) -> usize {
         self.tensors()
             .map(|t| match t {
                 Tensor::Weight(_, w) => w.param_count(),

@@ -49,12 +49,17 @@
 //! counts, [`compress_network_layers`] and the fixed-point quantization
 //! pass ([`RnnNetwork::map`]).
 //!
+//! A model's shape is written down once, as a [`ModelSpec`] (cell type,
+//! dimensions, layer stack, peepholes, projection); [`ModelSpec::build`]
+//! instantiates it as a dense, Xavier-initialized network, and
+//! [`ModelSpec::matches`] checks a network against it.
+//!
 //! ```
-//! use ernn_model::{NetworkBuilder, CellType};
+//! use ernn_model::{CellType, ModelSpec};
 //! use rand::SeedableRng;
 //!
 //! let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
-//! let mut net = NetworkBuilder::new(CellType::Lstm, 8, 10)
+//! let net = ModelSpec::new(CellType::Lstm, 8, 10)
 //!     .layer_dims(&[16, 16])
 //!     .build(&mut rng);
 //! let frames = vec![vec![0.1f32; 8]; 5];
@@ -84,8 +89,8 @@ pub use compress::{compress_network, compress_network_layers, BlockPolicy};
 pub use gru::{GruInputStack, GruLayer};
 pub use layer::RnnLayer;
 pub use loss::softmax_cross_entropy;
-pub use lstm::{LstmConfig, LstmLayer, ParamCount};
-pub use network::{CellType, NetworkBuilder, RnnNetwork, WeightRole};
+pub use lstm::{LstmConfig, LstmLayer};
+pub use network::{CellType, RnnNetwork, WeightRole};
 pub use optim::Sgd;
 pub use seq::{ExecScratch, LayerTape, NetworkState};
 pub use spec::ModelSpec;

@@ -324,31 +324,6 @@ impl<M: MatVec> LstmLayer<M> {
     }
 }
 
-/// Parameter counting for weight representations (dense counts `rows·cols`,
-/// circulant counts the defining vectors).
-pub trait ParamCount {
-    /// Number of stored parameters.
-    fn param_count(&self) -> usize;
-}
-
-impl ParamCount for Matrix {
-    fn param_count(&self) -> usize {
-        self.rows() * self.cols()
-    }
-}
-
-impl ParamCount for ernn_linalg::BlockCirculantMatrix {
-    fn param_count(&self) -> usize {
-        ernn_linalg::BlockCirculantMatrix::param_count(self)
-    }
-}
-
-impl ParamCount for ernn_linalg::WeightMatrix {
-    fn param_count(&self) -> usize {
-        ernn_linalg::WeightMatrix::param_count(self)
-    }
-}
-
 impl LstmLayer<Matrix> {
     /// Creates a dense layer with Xavier-initialized weights and the forget
     /// gate bias set to 1 (standard practice for gradient flow).

@@ -6,7 +6,7 @@
 
 use super::*;
 use crate::activation::sigmoid;
-use crate::{compress_network, BlockPolicy, CellType, NetworkBuilder, RnnLayer};
+use crate::{compress_network, BlockPolicy, CellType, ModelSpec, RnnLayer};
 use rand::{Rng, SeedableRng};
 
 /// Recurrent state carried across timesteps.
@@ -205,7 +205,7 @@ fn shared_step_at_float_is_bitwise_the_per_element_step() {
         for act in [Act::Tanh, Act::Sigmoid] {
             for peephole in [false, true] {
                 for projection in [None, Some(hidden / 2)] {
-                    let mut builder = NetworkBuilder::new(CellType::Lstm, IN_DIM, 5)
+                    let mut builder = ModelSpec::new(CellType::Lstm, IN_DIM, 5)
                         .layer_dims(&[hidden])
                         .peephole(peephole)
                         .cell_activation(act);

@@ -3,11 +3,8 @@
 use crate::cell::FloatArith;
 use crate::layer::{RnnLayer, Tensor};
 use crate::loss::softmax_cross_entropy;
-use crate::lstm::{LstmConfig, LstmLayer, ParamCount};
 use crate::seq::ExecScratch;
-use crate::{Act, GruLayer};
 use ernn_linalg::{MatVec, Matrix};
-use rand::Rng;
 
 /// Which recurrent cell the network stacks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,102 +38,6 @@ pub struct RnnNetwork<M> {
     pub classifier_w: Matrix,
     /// Classifier bias `(classes)`.
     pub classifier_b: Vec<f32>,
-}
-
-/// Builder for [`RnnNetwork`] (dense representation).
-///
-/// ```
-/// use ernn_model::{NetworkBuilder, CellType};
-/// use rand::SeedableRng;
-/// let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0);
-/// let net = NetworkBuilder::new(CellType::Lstm, 26, 20)
-///     .layer_dims(&[64, 64])
-///     .peephole(true)
-///     .projection(32)
-///     .build(&mut rng);
-/// assert_eq!(net.num_layers(), 2);
-/// ```
-#[derive(Debug, Clone)]
-pub struct NetworkBuilder {
-    cell: CellType,
-    input_dim: usize,
-    classes: usize,
-    layer_dims: Vec<usize>,
-    peephole: bool,
-    projection: Option<usize>,
-    cell_activation: Act,
-}
-
-impl NetworkBuilder {
-    /// Starts a builder for a network mapping `input_dim` features to
-    /// `classes` framewise posteriors.
-    pub fn new(cell: CellType, input_dim: usize, classes: usize) -> Self {
-        NetworkBuilder {
-            cell,
-            input_dim,
-            classes,
-            layer_dims: vec![128],
-            peephole: false,
-            projection: None,
-            cell_activation: Act::Tanh,
-        }
-    }
-
-    /// Hidden dimension of each stacked layer (the paper's "layer size",
-    /// e.g. `256-256-256`).
-    pub fn layer_dims(mut self, dims: &[usize]) -> Self {
-        assert!(!dims.is_empty(), "need at least one layer");
-        self.layer_dims = dims.to_vec();
-        self
-    }
-
-    /// Enables LSTM peephole connections (ignored for GRU).
-    pub fn peephole(mut self, on: bool) -> Self {
-        self.peephole = on;
-        self
-    }
-
-    /// Enables an LSTM recurrent projection of the given dimension
-    /// (ignored for GRU).
-    pub fn projection(mut self, dim: usize) -> Self {
-        self.projection = Some(dim);
-        self
-    }
-
-    /// Sets the cell-input activation (Eqn. 1c); see [`Act`].
-    pub fn cell_activation(mut self, act: Act) -> Self {
-        self.cell_activation = act;
-        self
-    }
-
-    /// Instantiates the dense network with seeded random initialization.
-    pub fn build(&self, rng: &mut impl Rng) -> RnnNetwork<Matrix> {
-        let mut layers = Vec::with_capacity(self.layer_dims.len());
-        let mut in_dim = self.input_dim;
-        for &h in &self.layer_dims {
-            let layer = match self.cell {
-                CellType::Lstm => {
-                    let out = self.projection.map_or(h, |p| p.min(h));
-                    let cfg = LstmConfig {
-                        input_dim: in_dim,
-                        hidden_dim: h,
-                        output_dim: out,
-                        peephole: self.peephole,
-                        cell_activation: self.cell_activation,
-                    };
-                    RnnLayer::Lstm(LstmLayer::new_dense(cfg, rng))
-                }
-                CellType::Gru => RnnLayer::Gru(GruLayer::new_dense(in_dim, h, rng)),
-            };
-            in_dim = layer.output_dim();
-            layers.push(layer);
-        }
-        RnnNetwork {
-            layers,
-            classifier_w: Matrix::xavier(self.classes, in_dim, rng),
-            classifier_b: vec![0.0; self.classes],
-        }
-    }
 }
 
 impl<M: MatVec> RnnNetwork<M> {
@@ -211,10 +112,7 @@ impl<M: MatVec> RnnNetwork<M> {
     }
 
     /// Total stored parameters (RNN layers + classifier).
-    pub fn param_count(&self) -> usize
-    where
-        M: ParamCount,
-    {
+    pub fn param_count(&self) -> usize {
         let rnn: usize = self.layers.iter().map(|l| l.param_count()).sum();
         rnn + self.classifier_w.rows() * self.classifier_w.cols() + self.classifier_b.len()
     }
@@ -424,11 +322,12 @@ pub enum WeightRole {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{GruLayer, ModelSpec};
     use rand::SeedableRng;
 
     fn tiny_net(cell: CellType, seed: u64) -> RnnNetwork<Matrix> {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-        NetworkBuilder::new(cell, 4, 3)
+        ModelSpec::new(cell, 4, 3)
             .layer_dims(&[5, 5])
             .peephole(true)
             .build(&mut rng)
@@ -484,7 +383,7 @@ mod tests {
     /// owns, in the order the optimizer's momentum is laid out.
     fn listed_nets() -> [RnnNetwork<Matrix>; 2] {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(11);
-        let lstm = NetworkBuilder::new(CellType::Lstm, 4, 3)
+        let lstm = ModelSpec::new(CellType::Lstm, 4, 3)
             .layer_dims(&[5, 5])
             .peephole(true)
             .projection(3)
@@ -679,7 +578,7 @@ mod tests {
     #[test]
     fn builder_projection_chains_layer_dims() {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(6);
-        let net = NetworkBuilder::new(CellType::Lstm, 8, 5)
+        let net = ModelSpec::new(CellType::Lstm, 8, 5)
             .layer_dims(&[16, 16])
             .projection(8)
             .build(&mut rng);

@@ -364,7 +364,7 @@ pub(crate) fn walk_layer(
 mod tests {
     use super::*;
     use crate::cell::FloatArith;
-    use crate::{CellType, Matrix, NetworkBuilder};
+    use crate::{CellType, Matrix, ModelSpec};
     use rand::{Rng, SeedableRng};
 
     const IN_DIM: usize = 6;
@@ -376,7 +376,7 @@ mod tests {
     /// LSTM with peepholes and a projection, or GRU (which ignores both).
     fn network(cell: CellType, layers: &[usize]) -> RnnNetwork<Matrix> {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(61);
-        NetworkBuilder::new(cell, IN_DIM, 4)
+        ModelSpec::new(cell, IN_DIM, 4)
             .layer_dims(layers)
             .peephole(true)
             .projection(5)

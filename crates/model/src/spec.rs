@@ -1,19 +1,21 @@
-//! A declarative model-shape description shared by the pipeline builder
-//! and the serialized model artifact.
+//! The one description of a model's shape.
 //!
 //! [`ModelSpec`] is the "what" of a model — cell type, dimensions, layer
 //! stack, structural options — separated from the "how" (training
-//! hyperparameters, block policy, datapath), so the same value can seed a
-//! [`NetworkBuilder`], validate an externally trained network, and travel
-//! inside a serialized artifact as provenance of the deployed shape.
+//! hyperparameters, block policy, datapath). The same value builds the
+//! dense network ([`ModelSpec::build`]), checks an externally trained
+//! network against the shape ([`ModelSpec::matches`]), and travels inside
+//! a serialized artifact as provenance of the deployed shape.
 
 use crate::layer::RnnLayer;
-use crate::network::{CellType, NetworkBuilder, RnnNetwork};
-use crate::Act;
-use ernn_linalg::MatVec;
+use crate::network::{CellType, RnnNetwork};
+use crate::{Act, GruLayer, LstmConfig, LstmLayer};
+use ernn_linalg::{MatVec, Matrix};
+use rand::Rng;
 
-/// The declarative shape of an acoustic model: everything
-/// [`NetworkBuilder`] needs, as plain data.
+/// The declarative shape of an acoustic model, as plain data; the
+/// builder-style setters refine the [`Self::new`] defaults and
+/// [`Self::build`] instantiates it.
 ///
 /// ```
 /// use ernn_model::{CellType, ModelSpec};
@@ -39,8 +41,9 @@ pub struct ModelSpec {
 }
 
 impl ModelSpec {
-    /// A spec with the [`NetworkBuilder`] defaults: one 128-wide layer,
-    /// no peepholes, no projection, tanh cell input.
+    /// A spec mapping `input_dim` features to `classes` framewise
+    /// posteriors, with the defaults: one 128-wide layer, no peepholes, no
+    /// projection, tanh cell input.
     pub fn new(cell: CellType, input_dim: usize, classes: usize) -> Self {
         ModelSpec {
             cell,
@@ -53,25 +56,27 @@ impl ModelSpec {
         }
     }
 
-    /// Replaces the stacked layer dimensions.
+    /// Replaces the stacked layer dimensions (the paper's "layer size",
+    /// e.g. `256-256-256`).
     pub fn layer_dims(mut self, dims: &[usize]) -> Self {
         self.layer_dims = dims.to_vec();
         self
     }
 
-    /// Enables LSTM peephole connections.
+    /// Enables LSTM peephole connections (ignored for GRU).
     pub fn peephole(mut self, on: bool) -> Self {
         self.peephole = on;
         self
     }
 
-    /// Enables an LSTM recurrent projection of the given dimension.
+    /// Enables an LSTM recurrent projection of the given dimension
+    /// (ignored for GRU).
     pub fn projection(mut self, dim: usize) -> Self {
         self.projection = Some(dim);
         self
     }
 
-    /// Sets the cell-input activation.
+    /// Sets the cell-input activation (Eqn. 1c); see [`Act`].
     pub fn cell_activation(mut self, act: Act) -> Self {
         self.cell_activation = act;
         self
@@ -98,20 +103,48 @@ impl ModelSpec {
         Ok(())
     }
 
-    /// The [`NetworkBuilder`] configured exactly as this spec describes.
+    /// Instantiates the dense network with seeded random initialization:
+    /// one Xavier draw per weight tensor, layer by layer, then the
+    /// classifier.
+    ///
+    /// ```
+    /// use ernn_model::{CellType, ModelSpec};
+    /// use rand::SeedableRng;
+    /// let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0);
+    /// let net = ModelSpec::new(CellType::Lstm, 26, 20)
+    ///     .layer_dims(&[64, 64])
+    ///     .peephole(true)
+    ///     .projection(32)
+    ///     .build(&mut rng);
+    /// assert_eq!(net.num_layers(), 2);
+    /// ```
     ///
     /// # Panics
     ///
     /// Panics if the spec is invalid (see [`Self::validate`]).
-    pub fn builder(&self) -> NetworkBuilder {
-        let mut b = NetworkBuilder::new(self.cell, self.input_dim, self.classes)
-            .layer_dims(&self.layer_dims)
-            .peephole(self.peephole)
-            .cell_activation(self.cell_activation);
-        if let Some(p) = self.projection {
-            b = b.projection(p);
+    pub fn build(&self, rng: &mut impl Rng) -> RnnNetwork<Matrix> {
+        self.validate().unwrap_or_else(|e| panic!("{e}"));
+        let mut layers = Vec::with_capacity(self.layer_dims.len());
+        let mut in_dim = self.input_dim;
+        for (i, &h) in self.layer_dims.iter().enumerate() {
+            let layer = match self.cell {
+                CellType::Lstm => {
+                    let cfg = LstmConfig {
+                        input_dim: in_dim,
+                        hidden_dim: h,
+                        output_dim: self.layer_output_dim(i),
+                        peephole: self.peephole,
+                        cell_activation: self.cell_activation,
+                    };
+                    RnnLayer::Lstm(LstmLayer::new_dense(cfg, rng))
+                }
+                CellType::Gru => RnnLayer::Gru(GruLayer::new_dense(in_dim, h, rng)),
+            };
+            in_dim = layer.output_dim();
+            layers.push(layer);
         }
-        b
+        let classifier_w = Matrix::xavier(self.classes, in_dim, rng);
+        RnnNetwork::from_parts(layers, classifier_w, vec![0.0; self.classes])
     }
 
     /// The output dimension of stacked layer `i` under this spec
@@ -219,23 +252,33 @@ mod tests {
                 .layer_dims(&[8, 8])
                 .peephole(true);
             let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
-            let net = spec.builder().build(&mut rng);
+            let net = spec.build(&mut rng);
             assert_eq!(spec.matches(&net), Ok(()), "{cell}");
         }
     }
 
     #[test]
-    fn builder_matches_hand_rolled_construction_bit_for_bit() {
-        // The spec path must be a pure re-packaging of NetworkBuilder:
-        // identical RNG stream, identical weights.
-        let spec = ModelSpec::new(CellType::Gru, 5, 3).layer_dims(&[8]);
+    fn build_draws_each_layer_in_order_then_the_classifier() {
+        // The draw order every trained digit and served byte depends on:
+        // one Xavier draw per weight tensor, layer by layer, classifier last.
         let mut a = rand_chacha::ChaCha8Rng::seed_from_u64(9);
         let mut b = rand_chacha::ChaCha8Rng::seed_from_u64(9);
-        let via_spec = spec.builder().build(&mut a);
-        let by_hand = NetworkBuilder::new(CellType::Gru, 5, 3)
-            .layer_dims(&[8])
-            .build(&mut b);
-        assert_eq!(via_spec, by_hand);
+        let spec = ModelSpec::new(CellType::Lstm, 5, 3)
+            .layer_dims(&[8, 6])
+            .peephole(true)
+            .projection(4);
+        let cfg = |input_dim, hidden_dim| LstmConfig {
+            input_dim,
+            hidden_dim,
+            output_dim: 4,
+            peephole: true,
+            cell_activation: Act::Tanh,
+        };
+        let l0 = RnnLayer::Lstm(LstmLayer::new_dense(cfg(5, 8), &mut b));
+        let l1 = RnnLayer::Lstm(LstmLayer::new_dense(cfg(4, 6), &mut b));
+        let head = Matrix::xavier(3, 4, &mut b);
+        let by_hand = RnnNetwork::from_parts(vec![l0, l1], head, vec![0.0; 3]);
+        assert_eq!(spec.build(&mut a), by_hand);
     }
 
     #[test]
@@ -252,11 +295,46 @@ mod tests {
             .is_err());
     }
 
+    fn build(spec: ModelSpec) {
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(4);
+        let _ = spec.build(&mut rng);
+    }
+
+    #[test]
+    #[should_panic(expected = "input dimension must be non-zero")]
+    fn build_rejects_a_zero_input_dim() {
+        build(ModelSpec::new(CellType::Gru, 0, 4));
+    }
+
+    #[test]
+    #[should_panic(expected = "class count must be non-zero")]
+    fn build_rejects_zero_classes() {
+        build(ModelSpec::new(CellType::Gru, 4, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one layer")]
+    fn build_rejects_an_empty_layer_stack() {
+        build(ModelSpec::new(CellType::Gru, 4, 4).layer_dims(&[]));
+    }
+
+    #[test]
+    #[should_panic(expected = "layer dimension must be non-zero, got 0")]
+    fn build_rejects_a_zero_layer() {
+        build(ModelSpec::new(CellType::Gru, 4, 4).layer_dims(&[8, 0]));
+    }
+
+    #[test]
+    #[should_panic(expected = "projection dimension must be non-zero")]
+    fn build_rejects_a_zero_projection() {
+        build(ModelSpec::new(CellType::Lstm, 4, 4).projection(0));
+    }
+
     #[test]
     fn matches_rejects_shape_drift() {
         let spec = ModelSpec::new(CellType::Gru, 6, 4).layer_dims(&[8]);
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(2);
-        let net = spec.builder().build(&mut rng);
+        let net = spec.build(&mut rng);
         assert!(spec.matches(&net).is_ok());
         let wrong_dims = spec.clone().layer_dims(&[16]);
         assert!(wrong_dims.matches(&net).is_err());
@@ -300,7 +378,7 @@ mod tests {
             .layer_dims(&[16, 16])
             .projection(8);
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(3);
-        let net = spec.builder().build(&mut rng);
+        let net = spec.build(&mut rng);
         assert_eq!(spec.matches(&net), Ok(()));
     }
 }

@@ -130,7 +130,7 @@ pub fn evaluate_set<M: ernn_linalg::MatVec>(net: &RnnNetwork<M>, data: &[Sequenc
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CellType, NetworkBuilder, Sgd};
+    use crate::{CellType, ModelSpec, Sgd};
     use rand::SeedableRng;
 
     /// A learnable toy task: classify whether the running sum of the first
@@ -159,9 +159,7 @@ mod tests {
     fn training_reduces_loss() {
         for cell in [CellType::Lstm, CellType::Gru] {
             let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0);
-            let mut net = NetworkBuilder::new(cell, 2, 2)
-                .layer_dims(&[8])
-                .build(&mut rng);
+            let mut net = ModelSpec::new(cell, 2, 2).layer_dims(&[8]).build(&mut rng);
             let data = toy_data(20, 12, 1);
             let mut opt = Sgd::new(0.1).momentum(0.9).clip_norm(5.0);
             let stats = train(
@@ -188,7 +186,7 @@ mod tests {
     #[test]
     fn hook_sees_and_can_modify_grads() {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(2);
-        let mut net = NetworkBuilder::new(CellType::Gru, 2, 2)
+        let mut net = ModelSpec::new(CellType::Gru, 2, 2)
             .layer_dims(&[4])
             .build(&mut rng);
         let before = net.clone();
@@ -217,7 +215,7 @@ mod tests {
     #[test]
     fn evaluate_set_averages_over_frames() {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(4);
-        let net = NetworkBuilder::new(CellType::Lstm, 2, 2)
+        let net = ModelSpec::new(CellType::Lstm, 2, 2)
             .layer_dims(&[4])
             .build(&mut rng);
         let data = toy_data(5, 7, 5);
@@ -230,7 +228,7 @@ mod tests {
     #[should_panic(expected = "non-empty")]
     fn train_rejects_empty_data() {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(6);
-        let mut net = NetworkBuilder::new(CellType::Gru, 2, 2)
+        let mut net = ModelSpec::new(CellType::Gru, 2, 2)
             .layer_dims(&[4])
             .build(&mut rng);
         let mut opt = Sgd::new(0.1);

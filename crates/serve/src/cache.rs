@@ -282,14 +282,12 @@ fn derive_spec(net: &RnnNetwork<WeightMatrix>, weight_bits: u8) -> RnnSpec {
 mod tests {
     use super::*;
     use ernn_fpga::XCKU060;
-    use ernn_model::{compress_network, BlockPolicy, CellType, NetworkBuilder};
+    use ernn_model::{compress_network, BlockPolicy, CellType, ModelSpec};
     use rand::SeedableRng;
 
     fn model(cell: CellType) -> CompiledModel {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5);
-        let dense = NetworkBuilder::new(cell, 8, 5)
-            .layer_dims(&[16])
-            .build(&mut rng);
+        let dense = ModelSpec::new(cell, 8, 5).layer_dims(&[16]).build(&mut rng);
         let net = compress_network(&dense, BlockPolicy::uniform(4));
         CompiledModel::compile(&net, &DatapathConfig::paper_12bit(), XCKU060)
     }
@@ -318,7 +316,7 @@ mod tests {
             output: 4,
         };
         for cell in [CellType::Lstm, CellType::Gru] {
-            let dense = NetworkBuilder::new(cell, 8, 5)
+            let dense = ModelSpec::new(cell, 8, 5)
                 .layer_dims(&[16, 16])
                 .projection(8)
                 .build(&mut rng);

@@ -623,7 +623,7 @@ mod tests {
     };
     use ernn_fpga::exec::DatapathConfig;
     use ernn_fpga::{ADM_PCIE_7V3, XCKU060};
-    use ernn_model::{compress_network, BlockPolicy, CellType, NetworkBuilder};
+    use ernn_model::{compress_network, BlockPolicy, CellType, ModelSpec};
     use proptest::prelude::*;
     use rand::SeedableRng;
 
@@ -633,7 +633,7 @@ mod tests {
         let mut registry = ModelRegistry::new();
         for (name, seed, hidden) in [("gru-8", 61, 8), ("gru-16", 62, 16), ("gru-8b", 63, 8)] {
             let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-            let dense = NetworkBuilder::new(CellType::Gru, DIM, 5)
+            let dense = ModelSpec::new(CellType::Gru, DIM, 5)
                 .layer_dims(&[hidden])
                 .build(&mut rng);
             let net = compress_network(&dense, BlockPolicy::uniform(4));

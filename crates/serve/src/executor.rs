@@ -527,12 +527,12 @@ mod tests {
     use super::*;
     use ernn_fpga::exec::DatapathConfig;
     use ernn_fpga::XCKU060;
-    use ernn_model::{compress_network, BlockPolicy, CellType, NetworkBuilder};
+    use ernn_model::{compress_network, BlockPolicy, CellType, ModelSpec};
     use rand::SeedableRng;
 
     fn model_seeded(seed: u64) -> Arc<CompiledModel> {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-        let dense = NetworkBuilder::new(CellType::Gru, 8, 5)
+        let dense = ModelSpec::new(CellType::Gru, 8, 5)
             .layer_dims(&[16])
             .build(&mut rng);
         let net = compress_network(&dense, BlockPolicy::uniform(4));

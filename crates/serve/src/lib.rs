@@ -112,12 +112,12 @@
 //! use ernn_serve::loadgen::{open_loop_poisson, synthetic_utterances};
 //! use ernn_fpga::exec::DatapathConfig;
 //! use ernn_fpga::XCKU060;
-//! use ernn_model::{compress_network, BlockPolicy, CellType, NetworkBuilder};
+//! use ernn_model::{compress_network, BlockPolicy, CellType, ModelSpec};
 //! use rand::SeedableRng;
 //!
 //! // Compress a small GRU and compile it for serving.
 //! let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
-//! let dense = NetworkBuilder::new(CellType::Gru, 8, 5).layer_dims(&[16]).build(&mut rng);
+//! let dense = ModelSpec::new(CellType::Gru, 8, 5).layer_dims(&[16]).build(&mut rng);
 //! let net = compress_network(&dense, BlockPolicy::uniform(4));
 //! let model = CompiledModel::compile(&net, &DatapathConfig::paper_12bit(), XCKU060);
 //!

@@ -94,7 +94,7 @@ mod tests {
     use ernn_fpga::exec::DatapathConfig;
     use ernn_fpga::sim::simulate_batch;
     use ernn_fpga::{ADM_PCIE_7V3, XCKU060};
-    use ernn_model::{compress_network, BlockPolicy, CellType, NetworkBuilder};
+    use ernn_model::{compress_network, BlockPolicy, CellType, ModelSpec};
     use rand::SeedableRng;
 
     fn registry() -> ModelRegistry {
@@ -104,7 +104,7 @@ mod tests {
         let mut reg = ModelRegistry::new();
         for (seed, dims) in [(1u64, 64usize), (2, 256)] {
             let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-            let dense = NetworkBuilder::new(CellType::Gru, 52, 40)
+            let dense = ModelSpec::new(CellType::Gru, 52, 40)
                 .layer_dims(&[dims])
                 .build(&mut rng);
             let net = compress_network(&dense, BlockPolicy::uniform(8));

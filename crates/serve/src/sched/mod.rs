@@ -97,14 +97,14 @@
 //! use ernn_serve::CompiledModel;
 //! use ernn_fpga::exec::DatapathConfig;
 //! use ernn_fpga::{ADM_PCIE_7V3, XCKU060};
-//! use ernn_model::{compress_network, BlockPolicy, CellType, NetworkBuilder};
+//! use ernn_model::{compress_network, BlockPolicy, CellType, ModelSpec};
 //! use rand::SeedableRng;
 //!
 //! // Two small models sharing a two-platform pool.
 //! let mut registry = ModelRegistry::new();
 //! for (seed, name) in [(1u64, "gru-a"), (2, "gru-b")] {
 //!     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-//!     let dense = NetworkBuilder::new(CellType::Gru, 8, 5).layer_dims(&[16]).build(&mut rng);
+//!     let dense = ModelSpec::new(CellType::Gru, 8, 5).layer_dims(&[16]).build(&mut rng);
 //!     let net = compress_network(&dense, BlockPolicy::uniform(4));
 //!     registry.register(name, CompiledModel::compile(&net, &DatapathConfig::paper_12bit(), XCKU060));
 //! }

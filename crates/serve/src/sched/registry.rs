@@ -161,12 +161,12 @@ mod tests {
     use super::*;
     use ernn_fpga::exec::DatapathConfig;
     use ernn_fpga::XCKU060;
-    use ernn_model::{compress_network, BlockPolicy, CellType, NetworkBuilder};
+    use ernn_model::{compress_network, BlockPolicy, CellType, ModelSpec};
     use rand::SeedableRng;
 
     fn model(seed: u64) -> CompiledModel {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-        let dense = NetworkBuilder::new(CellType::Gru, 8, 5)
+        let dense = ModelSpec::new(CellType::Gru, 8, 5)
             .layer_dims(&[16])
             .build(&mut rng);
         let net = compress_network(&dense, BlockPolicy::uniform(4));
@@ -206,7 +206,7 @@ mod tests {
         use ernn_model::ModelSpec;
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(9);
         let spec = ModelSpec::new(CellType::Gru, 8, 5).layer_dims(&[16]);
-        let dense = spec.builder().build(&mut rng);
+        let dense = spec.build(&mut rng);
         let policy = BlockPolicy::uniform(4);
         let net = compress_network(&dense, policy);
         let datapath = DatapathConfig::paper_12bit();

@@ -9,7 +9,7 @@ use crate::{CompiledModel, Response, TraceConfig};
 use ernn_fpga::exec::DatapathConfig;
 use ernn_fpga::sim::simulate_batch;
 use ernn_fpga::{StageCycles, ADM_PCIE_7V3, XCKU060};
-use ernn_model::{compress_network, BlockPolicy, CellType, NetworkBuilder};
+use ernn_model::{compress_network, BlockPolicy, CellType, ModelSpec};
 use proptest::prelude::*;
 use rand::SeedableRng;
 
@@ -17,7 +17,7 @@ const DIM: usize = 8;
 
 fn compiled(seed: u64, hidden: usize) -> CompiledModel {
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-    let dense = NetworkBuilder::new(CellType::Gru, DIM, 5)
+    let dense = ModelSpec::new(CellType::Gru, DIM, 5)
         .layer_dims(&[hidden])
         .build(&mut rng);
     let net = compress_network(&dense, BlockPolicy::uniform(4));

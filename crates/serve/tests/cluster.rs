@@ -25,7 +25,7 @@
 
 use ernn_fpga::exec::DatapathConfig;
 use ernn_fpga::{ADM_PCIE_7V3, XCKU060};
-use ernn_model::{compress_network, BlockPolicy, CellType, NetworkBuilder};
+use ernn_model::{compress_network, BlockPolicy, CellType, ModelSpec};
 use ernn_serve::loadgen::{paced_session, synthetic_utterances};
 use ernn_serve::sched::{ModelRegistry, SchedPolicy, SchedRuntime};
 use ernn_serve::{
@@ -41,7 +41,7 @@ const DIM: usize = 8;
 
 fn compiled(seed: u64, hidden: usize) -> CompiledModel {
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-    let dense = NetworkBuilder::new(CellType::Gru, DIM, 5)
+    let dense = ModelSpec::new(CellType::Gru, DIM, 5)
         .layer_dims(&[hidden])
         .build(&mut rng);
     let net = compress_network(&dense, BlockPolicy::uniform(4));

@@ -10,7 +10,7 @@
 use ernn_fft::stats;
 use ernn_fpga::exec::DatapathConfig;
 use ernn_fpga::XCKU060;
-use ernn_model::{compress_network, BlockPolicy, CellType, NetworkBuilder};
+use ernn_model::{compress_network, BlockPolicy, CellType, ModelSpec};
 use ernn_serve::loadgen::synthetic_utterances;
 use ernn_serve::sched::{ModelRegistry, SchedPolicy, SchedRuntime};
 use ernn_serve::{CompiledModel, ExecutorKind, Request, RuntimeConfig};
@@ -19,7 +19,7 @@ use rand::SeedableRng;
 #[test]
 fn weight_spectra_are_computed_at_load_not_per_request() {
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(17);
-    let dense = NetworkBuilder::new(CellType::Lstm, 8, 5)
+    let dense = ModelSpec::new(CellType::Lstm, 8, 5)
         .layer_dims(&[16])
         .build(&mut rng);
     let net = compress_network(&dense, BlockPolicy::uniform(4));

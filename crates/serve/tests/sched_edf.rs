@@ -14,7 +14,7 @@
 
 use ernn_fpga::exec::DatapathConfig;
 use ernn_fpga::{ADM_PCIE_7V3, XCKU060};
-use ernn_model::{compress_network, BlockPolicy, CellType, NetworkBuilder};
+use ernn_model::{compress_network, BlockPolicy, CellType, ModelSpec};
 use ernn_serve::loadgen::{open_loop_poisson, synthetic_utterances, with_uniform_slo};
 use ernn_serve::sched::{
     AdmissionPolicy, CostModel, DeviceResidency, ModelRegistry, PaddingModel, QueueDiscipline,
@@ -28,7 +28,7 @@ const DIM: usize = 8;
 
 fn compiled(seed: u64, hidden: usize) -> CompiledModel {
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-    let dense = NetworkBuilder::new(CellType::Gru, DIM, 5)
+    let dense = ModelSpec::new(CellType::Gru, DIM, 5)
         .layer_dims(&[hidden])
         .build(&mut rng);
     let net = compress_network(&dense, BlockPolicy::uniform(4));

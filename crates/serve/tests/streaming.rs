@@ -15,7 +15,7 @@
 
 use ernn_fpga::exec::DatapathConfig;
 use ernn_fpga::{ADM_PCIE_7V3, XCKU060};
-use ernn_model::{compress_network, BlockPolicy, CellType, NetworkBuilder};
+use ernn_model::{compress_network, BlockPolicy, CellType, ModelSpec};
 use ernn_serve::loadgen::{open_loop_sessions, synthetic_utterances, SessionLoad};
 use ernn_serve::sched::{ModelRegistry, SchedPolicy, SchedRuntime};
 use ernn_serve::{CompiledModel, ExecutorKind, Request, RuntimeConfig, TraceConfig, Workload};
@@ -26,7 +26,7 @@ const DIM: usize = 8;
 
 fn compiled(seed: u64, cell: CellType, hidden: usize) -> CompiledModel {
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-    let dense = NetworkBuilder::new(cell, DIM, 5)
+    let dense = ModelSpec::new(cell, DIM, 5)
         .layer_dims(&[hidden])
         .build(&mut rng);
     let net = compress_network(&dense, BlockPolicy::uniform(4));

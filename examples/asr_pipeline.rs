@@ -8,7 +8,7 @@ use ernn::asr::phones::PhoneSet;
 use ernn::asr::synth::{render_utterance, Speaker};
 use ernn::asr::{decode_frames, edit_distance, SynthCorpus, SynthCorpusConfig};
 use ernn::model::trainer::{train, TrainOptions};
-use ernn::model::{CellType, NetworkBuilder, Sgd};
+use ernn::model::{CellType, ModelSpec, Sgd};
 use rand::SeedableRng;
 
 fn main() {
@@ -40,7 +40,7 @@ fn main() {
 
     // 3. Train a small GRU acoustic model on a corpus of such utterances.
     let corpus = SynthCorpus::generate(&SynthCorpusConfig::standard(9));
-    let mut net = NetworkBuilder::new(CellType::Gru, corpus.feature_dim, corpus.num_classes())
+    let mut net = ModelSpec::new(CellType::Gru, corpus.feature_dim, corpus.num_classes())
         .layer_dims(&[64])
         .build(&mut rng);
     let mut opt = Sgd::new(0.08).momentum(0.9).clip_norm(2.0);

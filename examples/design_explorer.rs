@@ -6,8 +6,9 @@
 //! Run with: `cargo run --release --example design_explorer`
 //! (add `--full` for the experiment-scale configuration)
 
-use ernn::core::explore::{block_size_bounds, Fig8Curve};
+use ernn::core::explore::block_size_bounds;
 use ernn::core::flow::{run_flow_to_artifact, FlowConfig};
+use ernn::fft::cost::{fig8_curve, CostModel};
 use ernn::fpga::XCKU060;
 
 fn main() {
@@ -19,7 +20,11 @@ fn main() {
         "block-size bounds on {}: BRAM floor {} .. compute ceiling {} ({} candidates)",
         XCKU060.name, bounds.lower, bounds.upper, bounds.candidates
     );
-    println!("{}", Fig8Curve::paper(1024).render());
+    println!("Layer size 1024\n  Lb    norm. mults");
+    for p in fig8_curve(CostModel::paper(), 1024, 256) {
+        println!("  {:<5} {:.4}", p.block_size, p.normalized_mults);
+    }
+    println!();
 
     // The full flow: Phase I (real ADMM training trials on the synthetic
     // corpus) + Phase II (quantization scan + hardware report), carried

@@ -7,14 +7,14 @@ use ernn::admm::{AdmmConfig, AdmmTrainer};
 use ernn::asr::{evaluate_per, SynthCorpus, SynthCorpusConfig};
 use ernn::baselines::{magnitude_prune, train_circulant_direct};
 use ernn::model::trainer::{train, TrainOptions};
-use ernn::model::{compress_network, BlockPolicy, CellType, NetworkBuilder, Sgd};
+use ernn::model::{compress_network, BlockPolicy, CellType, ModelSpec, Sgd};
 use rand::SeedableRng;
 
 #[test]
 fn three_compression_methods_produce_working_models() {
     let corpus = SynthCorpus::generate(&SynthCorpusConfig::tiny(13));
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(2);
-    let mut dense = NetworkBuilder::new(CellType::Lstm, corpus.feature_dim, corpus.num_classes())
+    let mut dense = ModelSpec::new(CellType::Lstm, corpus.feature_dim, corpus.num_classes())
         .layer_dims(&[16])
         .build(&mut rng);
     let data = corpus.train_sequences();

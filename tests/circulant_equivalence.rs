@@ -3,7 +3,7 @@
 //! same linear map.
 
 use ernn::linalg::{BlockCirculantMatrix, MatVec, Matrix, WeightMatrix};
-use ernn::model::{compress_network, BlockPolicy, CellType, NetworkBuilder};
+use ernn::model::{compress_network, BlockPolicy, CellType, ModelSpec};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
@@ -59,7 +59,7 @@ fn compressed_network_forward_matches_projected_dense() {
     // framewise logits (FFT rounding aside) for both cell types.
     for cell in [CellType::Lstm, CellType::Gru] {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(9);
-        let mut net = NetworkBuilder::new(cell, 6, 4)
+        let mut net = ModelSpec::new(cell, 6, 4)
             .layer_dims(&[8, 8])
             .peephole(true)
             .build(&mut rng);

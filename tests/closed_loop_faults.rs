@@ -7,7 +7,7 @@
 
 use ernn::fpga::exec::DatapathConfig;
 use ernn::fpga::XCKU060;
-use ernn::model::{compress_network, BlockPolicy, CellType, NetworkBuilder};
+use ernn::model::{compress_network, BlockPolicy, CellType, ModelSpec};
 use ernn::serve::sched::{
     AdmissionPolicy, CostModel, DeviceResidency, ModelRegistry, SchedPolicy, SchedReport,
     SchedRuntime,
@@ -28,7 +28,7 @@ const TOTAL: usize = 90;
 
 fn registry() -> ModelRegistry {
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(83);
-    let dense = NetworkBuilder::new(CellType::Gru, DIM, 5)
+    let dense = ModelSpec::new(CellType::Gru, DIM, 5)
         .layer_dims(&[16])
         .build(&mut rng);
     let net = compress_network(&dense, BlockPolicy::uniform(4));

@@ -30,7 +30,7 @@
 
 use ernn::fpga::exec::DatapathConfig;
 use ernn::fpga::{TransferModel, ADM_PCIE_7V3, XCKU060};
-use ernn::model::{compress_network, BlockPolicy, CellType, NetworkBuilder};
+use ernn::model::{compress_network, BlockPolicy, CellType, ModelSpec};
 use ernn::serve::loadgen::{
     open_loop_poisson, open_loop_sessions, synthetic_utterances, SessionLoad,
 };
@@ -53,7 +53,7 @@ const BUDGET_PER_REQUEST: f64 = 5.0;
 
 fn gru8(seed: u64) -> CompiledModel {
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-    let dense = NetworkBuilder::new(CellType::Gru, DIM, 8)
+    let dense = ModelSpec::new(CellType::Gru, DIM, 8)
         .layer_dims(&[8])
         .build(&mut rng);
     let net = compress_network(&dense, BlockPolicy::uniform(4));

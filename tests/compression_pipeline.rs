@@ -5,13 +5,13 @@ use ernn::admm::{AdmmConfig, AdmmTrainer};
 use ernn::asr::{evaluate_per, SynthCorpus, SynthCorpusConfig};
 use ernn::fpga::exec::{DatapathConfig, QuantizedNetwork};
 use ernn::model::trainer::{train, TrainOptions};
-use ernn::model::{compress_network, BlockPolicy, CellType, NetworkBuilder, Sgd};
+use ernn::model::{compress_network, BlockPolicy, CellType, ModelSpec, Sgd};
 use rand::SeedableRng;
 
 fn pipeline(cell: CellType) {
     let corpus = SynthCorpus::generate(&SynthCorpusConfig::tiny(5));
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
-    let mut net = NetworkBuilder::new(cell, corpus.feature_dim, corpus.num_classes())
+    let mut net = ModelSpec::new(cell, corpus.feature_dim, corpus.num_classes())
         .layer_dims(&[16])
         .build(&mut rng);
     let data = corpus.train_sequences();

@@ -55,7 +55,7 @@
 use ernn::fpga::exec::{DatapathConfig, ExecScratch, QuantizedNetwork};
 use ernn::fpga::{FaultPlan, FaultTimeline, XCKU060};
 use ernn::linalg::{split_stats, BlockCirculantMatrix, MatVecScratch};
-use ernn::model::{compress_network, BlockPolicy, CellType, NetworkBuilder};
+use ernn::model::{compress_network, BlockPolicy, CellType, ModelSpec};
 use ernn::serve::trace::{
     FlightRecorder, LatencyHistogram, StageAttribution, StageBreakdown, TraceConfig, TraceEvent,
 };
@@ -104,7 +104,7 @@ fn lane_kernel_scratch_is_grow_only(rng: &mut impl Rng) {
 /// allocates nothing on any thread. Windows repeat until one of them saw
 /// the helper run a delegated half (on a machine with a second core).
 fn lstm1024_forward_with_the_helper_is_allocation_free(rng: &mut impl Rng) {
-    let dense = NetworkBuilder::new(CellType::Lstm, 153, 61)
+    let dense = ModelSpec::new(CellType::Lstm, 153, 61)
         .layer_dims(&[1024])
         .projection(512)
         .peephole(true)
@@ -155,7 +155,7 @@ fn steady_state_batched_inference_performs_zero_allocations() {
     lane_kernel_scratch_is_grow_only(&mut rng);
     lstm1024_forward_with_the_helper_is_allocation_free(&mut rng);
     for cell in [CellType::Gru, CellType::Lstm] {
-        let dense = NetworkBuilder::new(cell, 12, 7)
+        let dense = ModelSpec::new(cell, 12, 7)
             .layer_dims(&[16, 16])
             .build(&mut rng);
         let net = compress_network(&dense, BlockPolicy::uniform(8));
@@ -288,7 +288,7 @@ fn steady_state_batched_inference_performs_zero_allocations() {
 
         // More classes than features: each frame row is replaced by one
         // exactly-sized logits row, and that is every allocation there is.
-        let wide = NetworkBuilder::new(cell, 12, 20)
+        let wide = ModelSpec::new(cell, 12, 20)
             .layer_dims(&[16])
             .build(&mut rng);
         let wide = compress_network(&wide, BlockPolicy::uniform(8));

@@ -12,7 +12,7 @@
 
 use ernn::fpga::exec::{DatapathConfig, QuantizedNetwork};
 use ernn::fpga::XCKU060;
-use ernn::model::{compress_network, BlockPolicy, CellType, NetworkBuilder};
+use ernn::model::{compress_network, BlockPolicy, CellType, ModelSpec};
 use ernn::serve::loadgen::{open_loop_poisson, synthetic_utterances};
 use ernn::serve::sched::{ModelRegistry, SchedPolicy, SchedReport, SchedRuntime};
 use ernn::serve::{CompiledModel, ExecutorKind, RuntimeConfig};
@@ -34,7 +34,7 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
 
 fn compiled(cell: CellType) -> CompiledModel {
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(71);
-    let dense = NetworkBuilder::new(cell, INPUT_DIM, 6)
+    let dense = ModelSpec::new(cell, INPUT_DIM, 6)
         .layer_dims(&[16])
         .build(&mut rng);
     let net = compress_network(&dense, BlockPolicy::uniform(4));
@@ -65,7 +65,7 @@ fn batched_results_are_bit_identical_to_sequential_exec() {
     for cell in [CellType::Lstm, CellType::Gru] {
         // Reference: the raw quantized datapath, one utterance at a time.
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(71);
-        let dense = NetworkBuilder::new(cell, INPUT_DIM, 6)
+        let dense = ModelSpec::new(cell, INPUT_DIM, 6)
             .layer_dims(&[16])
             .build(&mut rng);
         let net = compress_network(&dense, BlockPolicy::uniform(4));
@@ -146,7 +146,7 @@ fn two_devices_beat_one_under_the_same_open_loop_load() {
 /// event-loop bookkeeping — the regime the thread pool targets.
 fn compiled_heavy() -> CompiledModel {
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(3);
-    let dense = NetworkBuilder::new(CellType::Gru, 52, 40)
+    let dense = ModelSpec::new(CellType::Gru, 52, 40)
         .layer_dims(&[64])
         .build(&mut rng);
     let net = compress_network(&dense, BlockPolicy::uniform(8));
