@@ -9,38 +9,48 @@
 //! Phase II).
 
 use ernn_linalg::{BlockCirculantMatrix, Matrix};
+use ernn_model::{BlockPolicy, RnnNetwork};
 
-/// Block-circulant structure with a fixed block size (paper Eqn. 6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CirculantConstraint {
-    /// Block size `L_b` (power of two).
-    pub block_size: usize,
+/// The Euclidean projection `Π(m)` onto the block-circulant matrices of
+/// block size `block_size` (the identity at 0 and 1). They form a linear
+/// subspace, so the same diagonal averaging also projects a *gradient*
+/// onto it: updating with projected gradients keeps weights exactly on
+/// the manifold — the "retrain" phase of the paper's Fig. 6.
+///
+/// # Panics
+///
+/// Panics if `block_size` is above 1 and not a power of two.
+pub(crate) fn project(m: &Matrix, block_size: usize) -> Matrix {
+    if block_size <= 1 {
+        return m.clone();
+    }
+    BlockCirculantMatrix::project_dense(m, block_size).to_dense()
 }
 
-impl CirculantConstraint {
-    /// Creates the constraint.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block_size` is not a power of two.
-    pub fn new(block_size: usize) -> Self {
-        assert!(
-            block_size.is_power_of_two(),
-            "block size must be a power of two, got {block_size}"
-        );
-        CirculantConstraint { block_size }
-    }
+/// One block size per compressible weight matrix (aligned with
+/// `RnnNetwork::weight_matrices`): the one its layer's policy gives its
+/// role.
+///
+/// # Panics
+///
+/// Panics if `policies.len()` differs from the network's layer count.
+pub(crate) fn block_sizes(net: &RnnNetwork<Matrix>, policies: &[BlockPolicy]) -> Vec<usize> {
+    assert_eq!(
+        policies.len(),
+        net.num_layers(),
+        "need one block policy per layer"
+    );
+    net.weight_matrices()
+        .into_iter()
+        .map(|(layer, role, _)| policies[layer].for_role(role))
+        .collect()
+}
 
-    /// The Euclidean projection `Π(m)` onto the block-circulant matrices
-    /// (the identity at block size 1). They form a linear subspace, so the
-    /// same diagonal averaging also projects a *gradient* onto it:
-    /// updating with projected gradients keeps weights exactly on the
-    /// manifold — the "retrain" phase of the paper's Fig. 6.
-    pub fn project(&self, m: &Matrix) -> Matrix {
-        if self.block_size <= 1 {
-            return m.clone();
-        }
-        BlockCirculantMatrix::project_dense(m, self.block_size).to_dense()
+/// Snaps every compressible weight matrix onto its constraint set
+/// (`W ← Π(W)`), `blocks` as [`block_sizes`] returns them.
+pub(crate) fn project_matrices(net: &mut RnnNetwork<Matrix>, blocks: &[usize]) {
+    for (w, &b) in net.weight_matrices_mut().into_iter().zip(blocks) {
+        *w = project(w, b);
     }
 }
 
@@ -53,9 +63,8 @@ mod tests {
     fn circulant_projection_is_idempotent() {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
         let m = Matrix::xavier(8, 8, &mut rng);
-        let c = CirculantConstraint::new(4);
-        let once = c.project(&m);
-        let twice = c.project(&once);
+        let once = project(&m, 4);
+        let twice = project(&once, 4);
         for (a, b) in once.as_slice().iter().zip(twice.as_slice()) {
             assert!((a - b).abs() < 1e-6);
         }
@@ -67,8 +76,7 @@ mod tests {
         // point is the closest structured matrix.
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(2);
         let m = Matrix::xavier(8, 8, &mut rng);
-        let c = CirculantConstraint::new(4);
-        let p = c.project(&m);
+        let p = project(&m, 4);
         let d_direct: f32 = p
             .as_slice()
             .iter()
@@ -85,13 +93,14 @@ mod tests {
     fn block_size_one_is_identity() {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(3);
         let m = Matrix::xavier(5, 7, &mut rng);
-        let c = CirculantConstraint::new(1);
-        assert_eq!(c.project(&m), m);
+        assert_eq!(project(&m, 1), m);
+        assert_eq!(project(&m, 0), m);
     }
 
     #[test]
     #[should_panic(expected = "power of two")]
     fn circulant_rejects_bad_block() {
-        let _ = CirculantConstraint::new(6);
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(4);
+        let _ = project(&Matrix::xavier(6, 6, &mut rng), 6);
     }
 }

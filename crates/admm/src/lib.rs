@@ -14,12 +14,15 @@
 //!    this repository does not reproduce that remark.
 //! 3. **Dual update** — `U ← U + W − Z`.
 //!
-//! On convergence `W ≈ Z` and [`AdmmTrainer::finalize`] snaps the weights
-//! exactly onto the constraint set (the "retrain to obtain the block
-//! circulant model" box of Fig. 6), after which the compression in
-//! `ernn-model` is lossless. [`Recipe`] is the whole of Fig. 6 — dense
-//! pre-training, this loop, the constrained retraining and the extraction
-//! — with the hyperparameters every caller shares.
+//! [`Recipe`] is the whole of Fig. 6 and the only way into this loop:
+//! [`Recipe::pretrain`] trains the dense model, and [`Recipe::compress`]
+//! runs the ADMM iterations, then [`train_projected`] — the hard
+//! projection `W ← Π(W)` that snaps the weights exactly onto the
+//! constraint set, and the constrained retraining (the "retrain to obtain
+//! the block circulant model" box) — and the block-circulant extraction,
+//! which is lossless on those weights. [`train_projected`] is also
+//! C-LSTM-style direct block-circulant training, the baseline the paper
+//! compares ADMM against.
 
 #![forbid(unsafe_code)]
 
@@ -27,9 +30,5 @@ mod constraint;
 pub mod recipe;
 mod trainer;
 
-pub use constraint::CirculantConstraint;
 pub use recipe::Recipe;
-pub use trainer::{
-    circulant_constraints, project_weights, train_projected, AdmmConfig, AdmmIterStats, AdmmReport,
-    AdmmTrainer,
-};
+pub use trainer::{train_projected, AdmmConfig, AdmmIterStats, AdmmReport};

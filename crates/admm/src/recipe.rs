@@ -7,16 +7,14 @@
 //! rng, which is drawn in the order build → pre-training shuffles → ADMM
 //! shuffles → retraining shuffles.
 
-use crate::trainer::{AdmmConfig, AdmmReport, AdmmTrainer};
+use crate::trainer::{admm, train_projected, AdmmConfig, AdmmReport};
 use ernn_linalg::{Matrix, WeightMatrix};
 use ernn_model::trainer::{train, Sequence, TrainOptions};
 use ernn_model::{compress_network_layers, BlockPolicy, ModelSpec, RnnNetwork, Sgd};
 use rand::Rng;
 
-/// SGD momentum of every training phase.
-pub const MOMENTUM: f32 = 0.9;
-/// Global gradient-norm clip of every training phase.
-pub const CLIP_NORM: f32 = 2.0;
+/// Multiplicative growth of ADMM's `ρ` per outer iteration.
+pub const RHO_GROWTH: f32 = 1.5;
 /// Per-epoch learning-rate decay of dense pre-training (the ADMM and
 /// retraining phases run at a constant rate).
 pub const PRETRAIN_LR_DECAY: f32 = 0.92;
@@ -44,7 +42,6 @@ impl Recipe {
             pretrain_lr: 0.08,
             admm: AdmmConfig {
                 rho: 0.05,
-                rho_growth: 1.5,
                 iterations: 8,
                 epochs_per_iter: 2,
                 retrain_epochs: 6,
@@ -70,10 +67,6 @@ impl Recipe {
         }
     }
 
-    fn sgd(lr: f32) -> Sgd {
-        Sgd::new(lr).momentum(MOMENTUM).clip_norm(CLIP_NORM)
-    }
-
     /// Builds the spec's network and pre-trains it densely ("Pretrained
     /// model" in Fig. 6).
     ///
@@ -91,20 +84,17 @@ impl Recipe {
             epochs: self.pretrain_epochs,
             lr_decay: PRETRAIN_LR_DECAY,
         };
-        train(
-            &mut net,
-            data,
-            opts,
-            &mut Recipe::sgd(self.pretrain_lr),
-            rng,
-        );
+        train(&mut net, data, opts, &mut Sgd::new(self.pretrain_lr), rng);
         net
     }
 
     /// Compresses a pre-trained network under one block policy per
-    /// layer: [`AdmmTrainer::fit`], then the (lossless) block-circulant
-    /// extraction. `dense` is left holding the exactly structured dense
-    /// weights.
+    /// layer: the ADMM iterations, then [`train_projected`] for the hard
+    /// projection and `retrain_epochs` of constrained retraining at
+    /// [`RETRAIN_LR_FACTOR`] of the ADMM learning rate, then the
+    /// (lossless) block-circulant extraction. `rng` is drawn for the ADMM
+    /// shuffles and then the retraining shuffles. `dense` is left holding
+    /// the exactly structured dense weights.
     ///
     /// # Panics
     ///
@@ -117,14 +107,20 @@ impl Recipe {
         data: &[Sequence],
         rng: &mut impl Rng,
     ) -> (RnnNetwork<WeightMatrix>, AdmmReport) {
-        let mut trainer = AdmmTrainer::with_layer_policies(dense, policies, self.admm);
-        let report = trainer.fit(
+        let report = admm(
             dense,
+            policies,
+            &self.admm,
             data,
-            &mut Recipe::sgd(self.admm_lr),
-            &mut Recipe::sgd(self.admm_lr * RETRAIN_LR_FACTOR),
+            &mut Sgd::new(self.admm_lr),
             rng,
         );
+        let retrain = TrainOptions {
+            epochs: self.admm.retrain_epochs,
+            lr_decay: 1.0,
+        };
+        let mut retrain_opt = Sgd::new(self.admm_lr * RETRAIN_LR_FACTOR);
+        train_projected(dense, policies, data, retrain, &mut retrain_opt, rng);
         (compress_network_layers(dense, policies), report)
     }
 }
@@ -144,9 +140,9 @@ impl Default for Recipe {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::constraint::CirculantConstraint;
+    use crate::constraint::project;
     use ernn_model::CellType;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
     fn toy_data(n: usize, len: usize, seed: u64) -> Vec<Sequence> {
@@ -170,11 +166,25 @@ mod tests {
             .collect()
     }
 
-    /// The sequence `Recipe::compress` replaced at its three call sites,
-    /// chained from the primitives with its own optimizers: per-layer
-    /// blocks 4-8, io block ≠ block, both cells.
+    /// Per-layer blocks 4-8, io block ≠ block, both cells.
+    fn policies() -> [BlockPolicy; 2] {
+        [
+            BlockPolicy::with_io_block(4, 8),
+            BlockPolicy::with_io_block(8, 4),
+        ]
+    }
+
+    fn spec(cell: CellType) -> ModelSpec {
+        ModelSpec::new(cell, 8, 3)
+            .layer_dims(&[16, 16])
+            .peephole(true)
+    }
+
+    /// `Recipe::compress` is the ADMM loop and then `train_projected` on
+    /// one rng: the retraining shuffles follow the ADMM shuffles, at the
+    /// recipe's learning rates.
     #[test]
-    fn compress_equals_the_hand_chained_primitives_bit_for_bit() {
+    fn compress_draws_the_admm_shuffles_then_the_retrain_shuffles() {
         let recipe = Recipe {
             pretrain_epochs: 2,
             admm: AdmmConfig {
@@ -184,46 +194,85 @@ mod tests {
             ..Recipe::quick()
         };
         let data = toy_data(6, 8, 1);
-        let policies = [
-            BlockPolicy::with_io_block(4, 8),
-            BlockPolicy::with_io_block(8, 4),
-        ];
+        let policies = policies();
         for cell in [CellType::Lstm, CellType::Gru] {
-            let spec = ModelSpec::new(cell, 8, 3)
-                .layer_dims(&[16, 16])
-                .peephole(true);
-            let dense = recipe.pretrain(&spec, &data, &mut ChaCha8Rng::seed_from_u64(2));
+            let dense = recipe.pretrain(&spec(cell), &data, &mut ChaCha8Rng::seed_from_u64(2));
 
             let mut by_recipe = dense.clone();
-            let mut rng = ChaCha8Rng::seed_from_u64(3);
-            let (compressed, report) = recipe.compress(&mut by_recipe, &policies, &data, &mut rng);
+            let mut rng_recipe = ChaCha8Rng::seed_from_u64(3);
+            let (compressed, report) =
+                recipe.compress(&mut by_recipe, &policies, &data, &mut rng_recipe);
 
-            let mut by_hand = dense.clone();
+            let mut by_steps = dense.clone();
             let mut rng = ChaCha8Rng::seed_from_u64(3);
-            let constraints = by_hand
-                .weight_matrices()
-                .into_iter()
-                .map(|(layer, role, _)| CirculantConstraint::new(policies[layer].for_role(role)))
-                .collect();
-            let mut trainer = AdmmTrainer::with_constraints(&by_hand, constraints, recipe.admm);
-            let mut opt = Sgd::new(0.02).momentum(0.9).clip_norm(2.0);
-            let expected_report = trainer.run(&mut by_hand, &data, &mut opt, &mut rng);
-            trainer.finalize(&mut by_hand);
-            let mut retrain_opt = Sgd::new(0.02 * 0.75).momentum(0.9).clip_norm(2.0);
-            let epochs = recipe.admm.retrain_epochs;
-            trainer.retrain_constrained(&mut by_hand, &data, epochs, &mut retrain_opt, &mut rng);
-            let expected = compress_network_layers(&by_hand, &policies);
+            let mut opt = Sgd::new(0.02);
+            let expected_report = admm(
+                &mut by_steps,
+                &policies,
+                &recipe.admm,
+                &data,
+                &mut opt,
+                &mut rng,
+            );
+            let retrain = TrainOptions {
+                epochs: recipe.admm.retrain_epochs,
+                lr_decay: 1.0,
+            };
+            let mut retrain_opt = Sgd::new(0.02 * 0.75);
+            train_projected(
+                &mut by_steps,
+                &policies,
+                &data,
+                retrain,
+                &mut retrain_opt,
+                &mut rng,
+            );
 
             assert_eq!(report, expected_report, "{cell}");
             assert_eq!(report.iterations.len(), 3, "{cell}: the loop ran");
             assert_ne!(bits(&mut by_recipe), bits(&mut dense.clone()), "{cell}");
-            assert_eq!(bits(&mut by_recipe), bits(&mut by_hand), "{cell}");
+            assert_eq!(bits(&mut by_recipe), bits(&mut by_steps), "{cell}");
+            assert_eq!(rng_recipe.next_u64(), rng.next_u64(), "{cell}: draw count");
+            let expected = compress_network_layers(&by_steps, &policies);
             assert_eq!(compressed.layers(), expected.layers(), "{cell}");
-            let logit_bits = |net: &RnnNetwork<WeightMatrix>| -> Vec<u32> {
-                let logits = net.forward_logits(&data[0].0);
-                logits.iter().flatten().map(|v| v.to_bits()).collect()
+        }
+    }
+
+    /// At zero epochs `train_projected` is one projection of each weight
+    /// matrix onto its role's block size, and draws nothing.
+    #[test]
+    fn train_projected_at_zero_epochs_is_exactly_one_projection() {
+        let policies = policies();
+        for cell in [CellType::Lstm, CellType::Gru] {
+            let mut net = spec(cell).build(&mut ChaCha8Rng::seed_from_u64(4));
+            let mut expected = net.clone();
+            let blocks: Vec<usize> = net
+                .weight_matrices()
+                .into_iter()
+                .map(|(layer, role, _)| policies[layer].for_role(role))
+                .collect();
+            for (w, &b) in expected.weight_matrices_mut().into_iter().zip(&blocks) {
+                *w = project(w, b);
+            }
+            let mut rng = ChaCha8Rng::seed_from_u64(5);
+            let zero = TrainOptions {
+                epochs: 0,
+                lr_decay: 1.0,
             };
-            assert_eq!(logit_bits(&compressed), logit_bits(&expected), "{cell}");
+            let stats =
+                train_projected(&mut net, &policies, &[], zero, &mut Sgd::new(0.1), &mut rng);
+            assert!(stats.is_empty());
+            assert_ne!(
+                bits(&mut net),
+                bits(&mut spec(cell).build(&mut ChaCha8Rng::seed_from_u64(4))),
+                "{cell}"
+            );
+            assert_eq!(bits(&mut net), bits(&mut expected), "{cell}");
+            assert_eq!(
+                rng.next_u64(),
+                ChaCha8Rng::seed_from_u64(5).next_u64(),
+                "{cell}"
+            );
         }
     }
 }

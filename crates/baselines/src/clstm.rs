@@ -1,4 +1,4 @@
-//! C-LSTM-style direct circulant training.
+//! C-LSTM-style direct circulant training, tested against ADMM.
 //!
 //! C-LSTM (Wang et al., FPGA'18) trains the block-circulant weights
 //! *directly*: the model is parameterized by the defining vectors and
@@ -8,51 +8,20 @@
 //! relaxation reaches better minima ("ADMM-based training provides an
 //! effective means to deal with the structure requirement ... enhancing
 //! accuracy and training speed"), which is the accuracy delta of Table III
-//! (0.14% vs 0.32% at block 8).
-//!
-//! Implementation note: training in the circulant parameterization is
-//! mathematically identical to dense training with (a) weights that start
-//! on the circulant manifold and (b) gradients orthogonally projected onto
-//! it each step — the projection of a gradient onto the circulant subspace
-//! *is* the diagonal averaging. That is how [`train_circulant_direct`]
-//! proceeds, reusing the dense BPTT engine.
-
-use ernn_admm::{circulant_constraints, project_weights, train_projected};
-use ernn_linalg::Matrix;
-use ernn_model::trainer::{EpochStats, Sequence, TrainOptions};
-use ernn_model::{BlockPolicy, RnnNetwork, Sgd};
-
-/// Trains a network in the block-circulant parameterization, C-LSTM style:
-/// hard-project the initial weights, then keep every update on the
-/// manifold via gradient projection.
-///
-/// Returns the per-epoch statistics. The network's weight matrices are
-/// exactly block-circulant afterwards, so `ernn_model::compress_network`
-/// is lossless on the result.
-pub fn train_circulant_direct(
-    net: &mut RnnNetwork<Matrix>,
-    policy: BlockPolicy,
-    data: &[Sequence],
-    opts: TrainOptions,
-    optimizer: &mut Sgd,
-    rng: &mut impl rand::Rng,
-) -> Vec<EpochStats> {
-    let constraints = circulant_constraints(net, &vec![policy; net.num_layers()]);
-    // Hard projection onto the manifold (C-LSTM initializes the circulant
-    // parameters from the pretrained dense weights the same way).
-    project_weights(net, &constraints);
-    train_projected(net, data, opts, optimizer, rng, &constraints)
-}
+//! (0.14% vs 0.32% at block 8). `ernn_admm::train_projected` is that
+//! training: weights hard-projected onto the manifold (C-LSTM initializes
+//! the circulant parameters from the pretrained dense weights the same
+//! way), then dense BPTT with every gradient projected onto it.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use ernn_admm::{AdmmConfig, AdmmTrainer, CirculantConstraint};
-    use ernn_model::{compress_network, CellType, ModelSpec};
-    use rand::SeedableRng;
+    use ernn_admm::{train_projected, AdmmConfig, Recipe};
+    use ernn_linalg::{BlockCirculantMatrix, Matrix};
+    use ernn_model::trainer::{evaluate_set, train, Sequence, TrainOptions};
+    use ernn_model::{compress_network, BlockPolicy, CellType, ModelSpec, RnnNetwork, Sgd};
+    use rand::{Rng, SeedableRng};
 
     fn toy_data(n_seqs: usize, seq_len: usize, seed: u64) -> Vec<Sequence> {
-        use rand::Rng;
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
         (0..n_seqs)
             .map(|_| {
@@ -70,6 +39,20 @@ mod tests {
             .collect()
     }
 
+    /// C-LSTM-style direct training: [`train_projected`] with one policy
+    /// on every layer.
+    fn train_direct(
+        net: &mut RnnNetwork<Matrix>,
+        policy: BlockPolicy,
+        data: &[Sequence],
+        opts: TrainOptions,
+        lr: f32,
+        rng: &mut impl Rng,
+    ) -> Vec<ernn_model::trainer::EpochStats> {
+        let policies = vec![policy; net.num_layers()];
+        train_projected(net, &policies, data, opts, &mut Sgd::new(lr), rng)
+    }
+
     #[test]
     fn result_is_exactly_circulant() {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
@@ -77,21 +60,20 @@ mod tests {
             .layer_dims(&[8])
             .build(&mut rng);
         let data = toy_data(8, 8, 2);
-        let mut opt = Sgd::new(0.05).momentum(0.9).clip_norm(5.0);
-        train_circulant_direct(
+        let opts = TrainOptions {
+            epochs: 3,
+            lr_decay: 1.0,
+        };
+        train_direct(
             &mut net,
             BlockPolicy::uniform(4),
             &data,
-            TrainOptions {
-                epochs: 3,
-                ..TrainOptions::default()
-            },
-            &mut opt,
+            opts,
+            0.05,
             &mut rng,
         );
-        let c = CirculantConstraint::new(4);
         for (_, _, w) in net.weight_matrices() {
-            let p = c.project(w);
+            let p = BlockCirculantMatrix::project_dense(w, 4).to_dense();
             for (a, b) in w.as_slice().iter().zip(p.as_slice()) {
                 assert!((a - b).abs() < 1e-5);
             }
@@ -116,16 +98,16 @@ mod tests {
             .layer_dims(&[8])
             .build(&mut rng);
         let data = toy_data(20, 10, 4);
-        let mut opt = Sgd::new(0.1).momentum(0.9).clip_norm(5.0);
-        let stats = train_circulant_direct(
+        let opts = TrainOptions {
+            epochs: 8,
+            lr_decay: 0.9,
+        };
+        let stats = train_direct(
             &mut net,
             BlockPolicy::uniform(4),
             &data,
-            TrainOptions {
-                epochs: 8,
-                lr_decay: 0.9,
-            },
-            &mut opt,
+            opts,
+            0.1,
             &mut rng,
         );
         assert!(
@@ -144,51 +126,43 @@ mod tests {
             .build(&mut rng);
         let train_data = toy_data(24, 12, 6);
         let test_data = toy_data(12, 12, 7);
-        let mut opt = Sgd::new(0.1).momentum(0.9).clip_norm(5.0);
-        ernn_model::trainer::train(
+        let opts = TrainOptions {
+            epochs: 6,
+            lr_decay: 0.9,
+        };
+        train(
             &mut pretrained,
             &train_data,
-            TrainOptions {
-                epochs: 6,
-                lr_decay: 0.9,
-            },
-            &mut opt,
+            opts,
+            &mut Sgd::new(0.1),
             &mut rng,
         );
 
         // C-LSTM-style.
         let mut direct = pretrained.clone();
-        let mut opt_d = Sgd::new(0.05).momentum(0.9).clip_norm(5.0);
-        train_circulant_direct(
-            &mut direct,
-            BlockPolicy::uniform(4),
-            &train_data,
-            TrainOptions {
-                epochs: 10,
-                lr_decay: 0.95,
-            },
-            &mut opt_d,
-            &mut rng,
-        );
-        let direct_acc = ernn_model::trainer::evaluate_set(&direct, &test_data).frame_accuracy;
-
-        // ADMM pipeline with the same total epoch budget.
-        let mut admm_net = pretrained.clone();
-        let cfg = AdmmConfig {
-            rho: 0.05,
-            rho_growth: 1.5,
-            iterations: 4,
-            epochs_per_iter: 2,
-            retrain_epochs: 2,
-            residual_tol: 1e-5,
+        let opts = TrainOptions {
+            epochs: 10,
+            lr_decay: 0.95,
         };
-        let mut trainer = AdmmTrainer::new(&admm_net, BlockPolicy::uniform(4), cfg);
-        let mut opt_a = Sgd::new(0.05).momentum(0.9).clip_norm(5.0);
-        trainer.run(&mut admm_net, &train_data, &mut opt_a, &mut rng);
-        trainer.finalize(&mut admm_net);
-        let mut opt_r = Sgd::new(0.05).momentum(0.9).clip_norm(5.0);
-        trainer.retrain_constrained(&mut admm_net, &train_data, 2, &mut opt_r, &mut rng);
-        let admm_acc = ernn_model::trainer::evaluate_set(&admm_net, &test_data).frame_accuracy;
+        let policy = BlockPolicy::uniform(4);
+        train_direct(&mut direct, policy, &train_data, opts, 0.05, &mut rng);
+        let direct_acc = evaluate_set(&direct, &test_data).frame_accuracy;
+
+        // The Fig. 6 ADMM pipeline with the same total epoch budget.
+        let mut admm_net = pretrained.clone();
+        let recipe = Recipe {
+            admm: AdmmConfig {
+                rho: 0.05,
+                iterations: 4,
+                epochs_per_iter: 2,
+                retrain_epochs: 2,
+                residual_tol: 1e-5,
+            },
+            admm_lr: 0.05,
+            ..Recipe::default()
+        };
+        recipe.compress(&mut admm_net, &[policy], &train_data, &mut rng);
+        let admm_acc = evaluate_set(&admm_net, &test_data).frame_accuracy;
 
         // On a toy task both land close; the corpus-scale comparison
         // (where ADMM's advantage shows, per the paper) lives in the

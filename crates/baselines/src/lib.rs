@@ -6,18 +6,20 @@
 //!   (Han et al.'s "learning both weights and connections" recipe) and
 //!   index-aware compression accounting (the paper's 4.5:1 effective
 //!   ratio for a 9× pruned model).
-//! * [`clstm`] — C-LSTM-style training: the weights are *directly*
-//!   parameterized as block-circulant (gradients projected onto the
-//!   circulant subspace every step) without ADMM's dual variables. The
-//!   paper's accuracy comparison (0.14% vs 0.32% PER degradation at block
-//!   8) is between `ernn-admm` and this trainer.
+//!
+//! C-LSTM-style training — the weights *directly* parameterized as
+//! block-circulant (gradients projected onto the circulant subspace every
+//! step) without ADMM's dual variables — is `ernn_admm::train_projected`,
+//! the same loop as Fig. 6's constrained retraining. The paper's accuracy
+//! comparison (0.14% vs 0.32% PER degradation at block 8) is between
+//! `ernn_admm::Recipe::compress` and that loop; the `clstm` module's
+//! tests hold the two side by side.
 
 #![forbid(unsafe_code)]
 
-pub mod clstm;
+mod clstm;
 pub mod prune;
 pub mod sparse;
 
-pub use clstm::train_circulant_direct;
 pub use prune::{magnitude_prune, PruneReport, PrunedNetwork};
 pub use sparse::CsrMatrix;

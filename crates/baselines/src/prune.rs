@@ -222,7 +222,7 @@ mod tests {
         let net = toy_net();
         let mut pruned = magnitude_prune(&net, 0.8);
         let data = toy_data(4, 2);
-        let mut opt = Sgd::new(0.05).momentum(0.9);
+        let mut opt = Sgd::new(0.05);
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(3);
         pruned.retrain(&data, 2, &mut opt, &mut rng);
         let report = pruned.report(12, 12);
@@ -234,13 +234,13 @@ mod tests {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(4);
         let mut net = toy_net();
         let data = toy_data(16, 5);
-        let mut opt = Sgd::new(0.1).momentum(0.9).clip_norm(5.0);
+        let mut opt = Sgd::new(0.1);
         ernn_model::trainer::train(
             &mut net,
             &data,
             TrainOptions {
                 epochs: 6,
-                ..TrainOptions::default()
+                lr_decay: 1.0,
             },
             &mut opt,
             &mut rng,
@@ -248,7 +248,7 @@ mod tests {
         let dense_loss = ernn_model::trainer::evaluate_set(&net, &data).mean_loss;
         let mut pruned = magnitude_prune(&net, 0.8);
         let pruned_loss = ernn_model::trainer::evaluate_set(&pruned.net, &data).mean_loss;
-        let mut opt2 = Sgd::new(0.05).momentum(0.9).clip_norm(5.0);
+        let mut opt2 = Sgd::new(0.05);
         pruned.retrain(&data, 4, &mut opt2, &mut rng);
         let retrained_loss = ernn_model::trainer::evaluate_set(&pruned.net, &data).mean_loss;
         assert!(

@@ -231,8 +231,6 @@ pub fn run_flow_to_artifact(
     let stage = report
         .phase1
         .into_pipeline(input_dim, classes)?
-        // The oracle pre-trains with peepholes on (ignored for GRU).
-        .peephole(report.phase1.chosen.cell == CellType::Lstm)
         .device(device)
         .source("ernn_core::flow::run_flow_to_artifact");
     let out = stage

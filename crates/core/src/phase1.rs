@@ -136,15 +136,17 @@ impl Phase1Result {
     /// provenance records the full trial log — so the design-optimization
     /// flow *produces* deployable artifacts instead of dead-ending in a
     /// report. `input_dim`/`classes` come from the corpus the oracle
-    /// trained on (the candidate spec does not carry them).
+    /// trained on (the candidate spec does not carry them); an LSTM gets
+    /// the peepholes the oracle pre-trains with.
     pub fn into_pipeline(
         &self,
         input_dim: usize,
         classes: usize,
     ) -> Result<SpecStage, PipelineError> {
         let spec = ModelSpec::new(self.chosen.cell, input_dim, classes)
-            .layer_dims(&self.chosen.layer_dims);
-        Ok(Pipeline::spec(spec)?
+            .layer_dims(&self.chosen.layer_dims)
+            .peephole(self.chosen.cell == CellType::Lstm);
+        Ok(Pipeline::paper(spec)?
             .block_policy(BlockPolicy::with_io_block(
                 self.chosen.block,
                 self.chosen.io_block,

@@ -3,22 +3,23 @@
 //!
 //! Every stage of the E-RNN lifecycle — specify, train, compress with
 //! ADMM, quantize, compile — used to be a hand-chained sequence of free
-//! functions (`ModelSpec::build → compress_network → AdmmTrainer →
+//! functions (`ModelSpec::build → compress_network → ADMM →
 //! QuantizedNetwork → CompiledModel::compile`) with configuration
 //! literals duplicated at every call site. This module replaces that
 //! with a **typestate builder**: each stage is its own type and only
 //! offers the operations that are legal next, so an unquantized model
 //! cannot be compiled and a spec cannot be compressed before it has
 //! weights. Failures are values — every stage returns
-//! [`PipelineError`] instead of panicking. The two training stages are
-//! the two halves of the Fig. 6 [`Recipe`], which owns their
-//! hyperparameters.
+//! [`PipelineError`] instead of panicking, malformed training data
+//! included. The two training stages are the two halves of the Fig. 6
+//! [`Recipe`], which owns their hyperparameters.
 //!
 //! ```text
-//! Pipeline::spec(s)?                          SpecStage
-//!   .train(data, &recipe, rng)? / .init(rng) / .with_pretrained(..)?   TrainedStage
+//! Pipeline::paper(s)?                         SpecStage
+//!   .train(data, &recipe, rng)? / .init(rng)  TrainedStage
+//!     (or .with_compressed(net)?)             CompressedStage
 //!   .compress(data, &recipe, rng)? / .project()?   CompressedStage
-//!   .quantize()? / .quantize_with(..)?        QuantizedStage
+//!   .quantize()? / .quantize_chosen(..)?      QuantizedStage
 //!   .compile()?                               PipelineModel
 //! ```
 //!
@@ -29,9 +30,9 @@
 //! tier with zero re-quantization and zero extra weight-spectrum
 //! refreshes.
 //!
-//! [`PipelineSettings::paper`] is the single source of truth for the
-//! paper's deployment defaults (block 8, 12-bit datapath, XCKU060) that
-//! examples and benches previously spelled out literal by literal.
+//! [`Pipeline::paper`] is the single source of truth for the paper's
+//! deployment defaults (block 8, 12-bit datapath, XCKU060) that examples
+//! and benches previously spelled out literal by literal.
 
 use ernn_admm::{AdmmReport, Recipe};
 use ernn_fpga::artifact::{
@@ -48,37 +49,11 @@ use rand::Rng;
 pub use ernn_fpga::artifact::PipelineError;
 
 /// Lifecycle settings a pipeline carries from spec to compile: the block
-/// policy for compression, the datapath for quantization, the target
-/// platform for compilation. Stages consume these unless an explicit
-/// `_with` variant overrides them.
+/// policy for compression and the target platform for compilation.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PipelineSettings {
-    /// Block-circulant policy applied by the compression stage.
-    pub block: BlockPolicy,
-    /// Fixed-point/PWL datapath applied by the quantization stage.
-    pub datapath: DatapathConfig,
-    /// Platform the compile stage targets.
-    pub device: Device,
-}
-
-impl PipelineSettings {
-    /// The paper's deployment configuration — block size 8
-    /// (Table I's accuracy/compression sweet spot), the 12-bit datapath
-    /// of Sec. VII-D, and the XCKU060 platform. The one place these
-    /// defaults are written down.
-    pub fn paper() -> Self {
-        PipelineSettings {
-            block: BlockPolicy::uniform(8),
-            datapath: DatapathConfig::paper_12bit(),
-            device: ernn_fpga::XCKU060,
-        }
-    }
-}
-
-impl Default for PipelineSettings {
-    fn default() -> Self {
-        PipelineSettings::paper()
-    }
+struct PipelineSettings {
+    block: BlockPolicy,
+    device: Device,
 }
 
 /// A Phase-II outcome carried into the pipeline: the chosen datapath
@@ -95,23 +70,63 @@ pub struct DatapathChoice {
 pub struct Pipeline;
 
 impl Pipeline {
-    /// Starts a pipeline from a model spec with the
-    /// [`PipelineSettings::paper`] defaults.
-    pub fn spec(spec: ModelSpec) -> Result<SpecStage, PipelineError> {
+    /// Starts a pipeline from a model spec with the paper's deployment
+    /// configuration — block size 8 (Table I's accuracy/compression sweet
+    /// spot), the 12-bit datapath of Sec. VII-D
+    /// ([`DatapathConfig::paper_12bit`], which [`CompressedStage::quantize`]
+    /// applies), and the XCKU060 platform. The block policy and the
+    /// platform can be overridden on the returned stage.
+    pub fn paper(spec: ModelSpec) -> Result<SpecStage, PipelineError> {
         validate_spec(&spec)?;
         Ok(SpecStage {
             spec,
-            settings: PipelineSettings::paper(),
+            settings: PipelineSettings {
+                block: BlockPolicy::uniform(8),
+                device: ernn_fpga::XCKU060,
+            },
             provenance: Provenance::default(),
         })
     }
+}
 
-    /// [`Self::spec`] spelled as what it is at the call sites that only
-    /// need the paper's deployment defaults — the preset examples and
-    /// benches route their configuration through.
-    pub fn paper(spec: ModelSpec) -> Result<SpecStage, PipelineError> {
-        Pipeline::spec(spec)
+/// Checks a training set against the spec before any stage trains on it:
+/// non-empty, every sequence non-empty with one label per frame, every
+/// frame `input_dim` wide and every label below `classes`.
+fn validate_data(spec: &ModelSpec, data: &[Sequence]) -> Result<(), PipelineError> {
+    let invalid = |why: String| Err(PipelineError::InvalidTrainingData(why));
+    if data.is_empty() {
+        return invalid("the training set is empty".into());
     }
+    for (i, (frames, labels)) in data.iter().enumerate() {
+        if frames.is_empty() {
+            return invalid(format!("sequence {i} has no frames"));
+        }
+        if frames.len() != labels.len() {
+            return invalid(format!(
+                "sequence {i} has {} frames but {} labels",
+                frames.len(),
+                labels.len()
+            ));
+        }
+        if let Some((t, f)) = frames
+            .iter()
+            .enumerate()
+            .find(|(_, f)| f.len() != spec.input_dim)
+        {
+            return invalid(format!(
+                "sequence {i} frame {t} has width {}, the spec's input_dim is {}",
+                f.len(),
+                spec.input_dim
+            ));
+        }
+        if let Some((t, &l)) = labels.iter().enumerate().find(|(_, &l)| l >= spec.classes) {
+            return invalid(format!(
+                "sequence {i} label {t} is {l}, the spec has {} classes",
+                spec.classes
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Stage 0: the model is specified but has no weights yet.
@@ -126,12 +141,6 @@ impl SpecStage {
     /// Overrides the compression block policy.
     pub fn block_policy(mut self, policy: BlockPolicy) -> Self {
         self.settings.block = policy;
-        self
-    }
-
-    /// Overrides the quantization datapath.
-    pub fn datapath(mut self, datapath: DatapathConfig) -> Self {
-        self.settings.datapath = datapath;
         self
     }
 
@@ -155,12 +164,6 @@ impl SpecStage {
         self
     }
 
-    /// Enables LSTM peepholes on the spec (ignored for GRU).
-    pub fn peephole(mut self, on: bool) -> Self {
-        self.spec = self.spec.peephole(on);
-        self
-    }
-
     /// Instantiates the spec with seeded random weights and **no**
     /// training — the serving-bench path, where random weights exercise
     /// exactly the same downstream lifecycle as trained ones.
@@ -175,31 +178,16 @@ impl SpecStage {
     }
 
     /// Instantiates the spec and pre-trains it densely
-    /// ([`Recipe::pretrain`], the start of the paper's Fig. 6).
+    /// ([`Recipe::pretrain`], the start of the paper's Fig. 6). Malformed
+    /// data is a [`PipelineError::InvalidTrainingData`].
     pub fn train(
         self,
         data: &[Sequence],
         recipe: &Recipe,
         rng: &mut impl Rng,
     ) -> Result<TrainedStage, PipelineError> {
-        if data.is_empty() {
-            return Err(PipelineError::EmptyTrainingSet);
-        }
+        validate_data(&self.spec, data)?;
         let net = recipe.pretrain(&self.spec, data, rng);
-        Ok(TrainedStage {
-            spec: self.spec,
-            settings: self.settings,
-            provenance: self.provenance,
-            net,
-        })
-    }
-
-    /// Adopts an externally trained dense network, checking it actually
-    /// has the declared shape.
-    pub fn with_pretrained(self, net: RnnNetwork<Matrix>) -> Result<TrainedStage, PipelineError> {
-        self.spec
-            .matches(&net)
-            .map_err(PipelineError::ShapeMismatch)?;
         Ok(TrainedStage {
             spec: self.spec,
             settings: self.settings,
@@ -245,7 +233,8 @@ impl TrainedStage {
     /// Compresses with the rest of Fig. 6 ([`Recipe::compress`]: ADMM
     /// iterations, hard projection, constrained retraining) under the
     /// pipeline's block policy, recording the residual trace as
-    /// provenance.
+    /// provenance. Malformed data is a
+    /// [`PipelineError::InvalidTrainingData`].
     pub fn compress(
         mut self,
         data: &[Sequence],
@@ -253,9 +242,7 @@ impl TrainedStage {
         rng: &mut impl Rng,
     ) -> Result<CompressedStage, PipelineError> {
         validate_policy(&self.settings.block)?;
-        if data.is_empty() {
-            return Err(PipelineError::EmptyTrainingSet);
-        }
+        validate_data(&self.spec, data)?;
         let policies = vec![self.settings.block; self.net.num_layers()];
         let (net, report) = recipe.compress(&mut self.net, &policies, data, rng);
         let stage = CompressedStage {
@@ -309,10 +296,10 @@ impl CompressedStage {
         self
     }
 
-    /// Fixes the datapath from the pipeline settings.
+    /// Fixes the paper's 12-bit datapath
+    /// ([`DatapathConfig::paper_12bit`]).
     pub fn quantize(self) -> Result<QuantizedStage, PipelineError> {
-        let datapath = self.settings.datapath.clone();
-        self.quantize_with(datapath)
+        self.quantize_with(DatapathConfig::paper_12bit())
     }
 
     /// Fixes the datapath Phase II chose, recording its quantization
@@ -326,8 +313,7 @@ impl CompressedStage {
         self.quantize_with(choice.datapath)
     }
 
-    /// Fixes an explicit datapath.
-    pub fn quantize_with(self, datapath: DatapathConfig) -> Result<QuantizedStage, PipelineError> {
+    fn quantize_with(self, datapath: DatapathConfig) -> Result<QuantizedStage, PipelineError> {
         validate_datapath(&datapath)?;
         Ok(QuantizedStage {
             spec: self.spec,
@@ -477,7 +463,7 @@ mod tests {
             },
             ..Recipe::default()
         };
-        let out = Pipeline::spec(spec)
+        let out = Pipeline::paper(spec)
             .expect("valid spec")
             .block_policy(BlockPolicy::uniform(4))
             .source("pipeline unit test")
@@ -528,19 +514,19 @@ mod tests {
         // Invalid spec.
         let empty = ModelSpec::new(CellType::Gru, 0, 4);
         assert!(matches!(
-            Pipeline::spec(empty),
+            Pipeline::paper(empty),
             Err(PipelineError::InvalidSpec(_))
         ));
         // Empty training set.
         let spec = ModelSpec::new(CellType::Gru, 4, 3).layer_dims(&[8]);
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
-        let err = Pipeline::spec(spec.clone())
+        let err = Pipeline::paper(spec.clone())
             .expect("valid")
             .train(&[], &Recipe::default(), &mut rng)
             .unwrap_err();
-        assert_eq!(err, PipelineError::EmptyTrainingSet);
+        assert!(matches!(err, PipelineError::InvalidTrainingData(_)));
         // Non-power-of-two block.
-        let err = Pipeline::spec(spec.clone())
+        let err = Pipeline::paper(spec.clone())
             .expect("valid")
             .block_policy(BlockPolicy::uniform(6))
             .init(&mut rng)
@@ -548,7 +534,7 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, PipelineError::InvalidBlockPolicy(_)));
         // Degenerate datapath.
-        let err = Pipeline::spec(spec.clone())
+        let err = Pipeline::paper(spec.clone())
             .expect("valid")
             .block_policy(BlockPolicy::uniform(4))
             .init(&mut rng)
@@ -561,14 +547,74 @@ mod tests {
             })
             .unwrap_err();
         assert!(matches!(err, PipelineError::InvalidDatapath(_)));
-        // Mismatched pretrained network.
+        // Mismatched compressed network.
         let other = ModelSpec::new(CellType::Lstm, 4, 3)
             .layer_dims(&[8])
             .build(&mut rng);
-        let err = Pipeline::spec(spec)
+        let err = Pipeline::paper(spec)
             .expect("valid")
-            .with_pretrained(other)
+            .with_compressed(compress_network(&other, BlockPolicy::uniform(8)))
             .unwrap_err();
         assert!(matches!(err, PipelineError::ShapeMismatch(_)));
+    }
+
+    /// Both training stages reject `bad` with an `InvalidTrainingData`
+    /// naming `needle`, before training starts.
+    fn assert_rejected(bad: &[Sequence], needle: &str) {
+        let spec = ModelSpec::new(CellType::Gru, 4, 3).layer_dims(&[8]);
+        let recipe = Recipe {
+            pretrain_epochs: 1,
+            ..Recipe::quick()
+        };
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(2);
+        let trained = Pipeline::paper(spec.clone())
+            .expect("valid")
+            .train(bad, &recipe, &mut rng)
+            .map(|_| ());
+        let compressed = Pipeline::paper(spec)
+            .expect("valid")
+            .block_policy(BlockPolicy::uniform(4))
+            .init(&mut rng)
+            .compress(bad, &recipe, &mut rng)
+            .map(|_| ());
+        for result in [trained, compressed] {
+            match result {
+                Err(PipelineError::InvalidTrainingData(why)) => {
+                    assert!(why.contains(needle), "{why:?} lacks {needle:?}")
+                }
+                other => panic!("expected InvalidTrainingData, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_label_out_of_range_is_invalid_training_data() {
+        let mut data = toy_data(3, 5, 11);
+        data[2].1[4] = 3;
+        assert_rejected(&data, "sequence 2 label 4 is 3, the spec has 3 classes");
+    }
+
+    #[test]
+    fn a_frame_label_length_mismatch_is_invalid_training_data() {
+        let mut data = toy_data(3, 5, 12);
+        data[1].1.pop();
+        assert_rejected(&data, "sequence 1 has 5 frames but 4 labels");
+    }
+
+    #[test]
+    fn an_empty_sequence_is_invalid_training_data() {
+        let mut data = toy_data(3, 5, 13);
+        data[0] = (Vec::new(), Vec::new());
+        assert_rejected(&data, "sequence 0 has no frames");
+    }
+
+    #[test]
+    fn a_frame_of_the_wrong_width_is_invalid_training_data() {
+        let mut data = toy_data(3, 5, 14);
+        data[1].0[3].push(0.5);
+        assert_rejected(
+            &data,
+            "sequence 1 frame 3 has width 5, the spec's input_dim is 4",
+        );
     }
 }

@@ -57,8 +57,10 @@ pub enum PipelineError {
     InvalidDatapath(String),
     /// A supplied network does not match the declared spec.
     ShapeMismatch(String),
-    /// A training or compression stage was given no data.
-    EmptyTrainingSet,
+    /// A training or compression stage was given no data, or data the
+    /// spec cannot train on (an empty sequence, a frame/label count
+    /// mismatch, a frame of the wrong width, a label out of range).
+    InvalidTrainingData(String),
 }
 
 impl std::fmt::Display for PipelineError {
@@ -83,7 +85,7 @@ impl std::fmt::Display for PipelineError {
             PipelineError::InvalidBlockPolicy(why) => write!(f, "invalid block policy: {why}"),
             PipelineError::InvalidDatapath(why) => write!(f, "invalid datapath: {why}"),
             PipelineError::ShapeMismatch(why) => write!(f, "shape mismatch: {why}"),
-            PipelineError::EmptyTrainingSet => write!(f, "training data is empty"),
+            PipelineError::InvalidTrainingData(why) => write!(f, "invalid training data: {why}"),
         }
     }
 }

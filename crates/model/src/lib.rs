@@ -91,7 +91,7 @@ pub use layer::RnnLayer;
 pub use loss::softmax_cross_entropy;
 pub use lstm::{LstmConfig, LstmLayer};
 pub use network::{CellType, RnnNetwork, WeightRole};
-pub use optim::Sgd;
+pub use optim::{Sgd, CLIP_NORM, MOMENTUM};
 pub use seq::{ExecScratch, LayerTape, NetworkState};
 pub use spec::ModelSpec;
 

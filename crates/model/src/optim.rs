@@ -12,6 +12,11 @@
 //! [`crate::RnnNetwork::param_slices`] yield from that one list, in one
 //! order, keeping its momentum in a single flat buffer.
 
+/// SGD momentum of every training phase.
+pub const MOMENTUM: f32 = 0.9;
+/// Global gradient-norm clip of every training phase.
+pub const CLIP_NORM: f32 = 2.0;
+
 fn global_norm(grads: &[&[f32]]) -> f32 {
     grads
         .iter()
@@ -21,51 +26,40 @@ fn global_norm(grads: &[&[f32]]) -> f32 {
         .sqrt()
 }
 
-/// SGD with classical momentum and global-norm gradient clipping.
+/// SGD with classical momentum [`MOMENTUM`] and the global-norm gradient
+/// clip [`CLIP_NORM`] (standard for RNN training). [`Sgd::step`] holds
+/// the only clip.
 ///
 /// ```
 /// use ernn_model::Sgd;
-/// let mut opt = Sgd::new(0.1).momentum(0.9).clip_norm(5.0);
+/// let mut opt = Sgd::new(0.5);
 /// let mut w = vec![1.0f32, -1.0];
-/// let g = vec![0.5f32, -0.5];
-/// opt.step(&mut [&mut w], &[&g]);
-/// assert!(w[0] < 1.0 && w[1] > -1.0);
+/// // Below the clip the first step is lr·g ...
+/// opt.step(&mut [&mut w], &[&[0.5, -0.5]]);
+/// assert_eq!(w, [0.75, -0.75]);
+/// // ... and a gradient of norm 50 is scaled to norm 2.
+/// let mut v = vec![0.0f32, 0.0];
+/// Sgd::new(0.5).step(&mut [&mut v], &[&[30.0, 40.0]]);
+/// assert!((v[0] + 0.6).abs() < 1e-6 && (v[1] + 0.8).abs() < 1e-6);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Sgd {
     lr: f32,
-    momentum: f32,
-    clip: Option<f32>,
     velocity: Vec<f32>,
 }
 
 impl Sgd {
-    /// Plain SGD with the given learning rate.
+    /// SGD with the given learning rate.
     pub fn new(lr: f32) -> Self {
         assert!(lr > 0.0, "learning rate must be positive");
         Sgd {
             lr,
-            momentum: 0.0,
-            clip: None,
             velocity: Vec::new(),
         }
     }
 
-    /// Enables classical momentum.
-    pub fn momentum(mut self, m: f32) -> Self {
-        assert!((0.0..1.0).contains(&m), "momentum must be in [0, 1)");
-        self.momentum = m;
-        self
-    }
-
-    /// Enables global-norm gradient clipping (standard for RNN training).
-    pub fn clip_norm(mut self, limit: f32) -> Self {
-        assert!(limit > 0.0, "clip limit must be positive");
-        self.clip = Some(limit);
-        self
-    }
-
-    /// Applies one update step.
+    /// Applies one update step: the gradients are scaled down to global
+    /// norm [`CLIP_NORM`] when above it, then folded into the momentum.
     ///
     /// `params[i]` and `grads[i]` must have identical lengths and identical
     /// ordering across calls (the momentum is kept positionally).
@@ -79,23 +73,18 @@ impl Sgd {
         if self.velocity.len() != n {
             self.velocity = vec![0.0; n];
         }
-        let scale = match self.clip {
-            Some(limit) => {
-                let norm = global_norm(grads);
-                if norm > limit {
-                    limit / norm
-                } else {
-                    1.0
-                }
-            }
-            None => 1.0,
+        let norm = global_norm(grads);
+        let scale = if norm > CLIP_NORM {
+            CLIP_NORM / norm
+        } else {
+            1.0
         };
         let mut off = 0usize;
         for (p, g) in params.iter_mut().zip(grads.iter()) {
             assert_eq!(p.len(), g.len(), "param/grad length mismatch");
             for (k, (pv, gv)) in p.iter_mut().zip(g.iter()).enumerate() {
                 let v = &mut self.velocity[off + k];
-                *v = self.momentum * *v + scale * gv;
+                *v = MOMENTUM * *v + scale * gv;
                 *pv -= self.lr * *v;
             }
             off += p.len();
@@ -137,33 +126,48 @@ mod tests {
 
     #[test]
     fn sgd_momentum_converges() {
-        let mut opt = Sgd::new(0.05).momentum(0.9);
+        // The first gradient (norm ≈ 3.6) is clipped; momentum carries the
+        // iterate the rest of the way.
+        let mut opt = Sgd::new(0.05);
         let w = run_to_convergence(&mut opt, 300);
         assert!((w[1] + 2.0).abs() < 1e-2, "{w:?}");
     }
 
     #[test]
+    fn first_step_below_the_clip_is_lr_times_g() {
+        let mut opt = Sgd::new(0.25);
+        let mut w = vec![1.0f32, 0.0];
+        let g = [1.0f32, -1.5];
+        opt.step(&mut [&mut w], &[&g]);
+        assert_eq!(w, [1.0 - 0.25, 0.375]);
+    }
+
+    #[test]
     fn clipping_bounds_update_magnitude() {
-        let mut opt = Sgd::new(1.0).clip_norm(1.0);
+        let mut opt = Sgd::new(1.0);
         let mut w = vec![0.0f32; 2];
         let g = vec![100.0f32, 0.0];
         opt.step(&mut [&mut w], &[&g]);
-        // Clipped gradient has norm 1, so the update is exactly lr · 1.
-        assert!((w[0] + 1.0).abs() < 1e-5, "{w:?}");
+        // The clipped gradient has norm CLIP_NORM, so the update is
+        // exactly lr · 2.
+        assert_eq!(w, [-CLIP_NORM, 0.0]);
     }
 
     #[test]
     fn multiple_groups_share_state_positionally() {
-        let mut opt = Sgd::new(0.5).momentum(0.5);
+        let mut opt = Sgd::new(0.5);
         let mut a = vec![0.0f32];
         let mut b = vec![0.0f32];
-        let ga = vec![1.0f32];
-        let gb = vec![2.0f32];
+        // Global norm ≈ 1.12, below the clip.
+        let ga = vec![0.5f32];
+        let gb = vec![1.0f32];
         opt.step(&mut [&mut a, &mut b], &[&ga, &gb]);
         opt.step(&mut [&mut a, &mut b], &[&ga, &gb]);
-        // Momentum accumulates separately per position.
+        // Momentum accumulates separately per position: the second
+        // velocity is 0.9·g + g.
         assert!(a[0] != b[0]);
-        assert!((a[0] - (-0.5 - 0.75)).abs() < 1e-6);
+        assert!((a[0] - (-0.25 - 0.475)).abs() < 1e-6, "{a:?}");
+        assert!((b[0] - (-0.5 - 0.95)).abs() < 1e-6, "{b:?}");
     }
 
     #[test]

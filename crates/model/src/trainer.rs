@@ -25,15 +25,6 @@ pub struct TrainOptions {
     pub lr_decay: f32,
 }
 
-impl Default for TrainOptions {
-    fn default() -> Self {
-        TrainOptions {
-            epochs: 5,
-            lr_decay: 1.0,
-        }
-    }
-}
-
 /// Per-epoch summary returned by the training loop.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpochStats {
@@ -161,7 +152,7 @@ mod tests {
             let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0);
             let mut net = ModelSpec::new(cell, 2, 2).layer_dims(&[8]).build(&mut rng);
             let data = toy_data(20, 12, 1);
-            let mut opt = Sgd::new(0.1).momentum(0.9).clip_norm(5.0);
+            let mut opt = Sgd::new(0.1);
             let stats = train(
                 &mut net,
                 &data,
@@ -198,7 +189,7 @@ mod tests {
             &data,
             TrainOptions {
                 epochs: 1,
-                ..TrainOptions::default()
+                lr_decay: 1.0,
             },
             &mut opt,
             &mut rng,
@@ -232,6 +223,10 @@ mod tests {
             .layer_dims(&[4])
             .build(&mut rng);
         let mut opt = Sgd::new(0.1);
-        let _ = train(&mut net, &[], TrainOptions::default(), &mut opt, &mut rng);
+        let opts = TrainOptions {
+            epochs: 1,
+            lr_decay: 1.0,
+        };
+        let _ = train(&mut net, &[], opts, &mut opt, &mut rng);
     }
 }

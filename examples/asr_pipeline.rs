@@ -43,7 +43,7 @@ fn main() {
     let mut net = ModelSpec::new(CellType::Gru, corpus.feature_dim, corpus.num_classes())
         .layer_dims(&[64])
         .build(&mut rng);
-    let mut opt = Sgd::new(0.08).momentum(0.9).clip_norm(2.0);
+    let mut opt = Sgd::new(0.08);
     train(
         &mut net,
         &corpus.train_sequences(),

@@ -19,7 +19,8 @@
 //! * [`admm`] — ADMM-based structured training (the paper's Sec. III-B)
 //!   and [`admm::Recipe`], the Fig. 6 recipe every training caller shares.
 //! * [`asr`] — synthetic speech corpus, DSP front end, PER scoring.
-//! * [`baselines`] — ESE-style pruned LSTM and C-LSTM-style training.
+//! * [`baselines`] — ESE-style pruned LSTM (C-LSTM-style direct circulant
+//!   training is [`admm::train_projected`]).
 //! * [`fpga`] — device models, PE/CU designs, cycle simulator, power model,
 //!   and the versioned [`fpga::artifact::ModelArtifact`].
 //! * [`hls`] — operation graphs, scheduling and C-like code generation.

@@ -3,10 +3,10 @@
 //! ADMM — all must produce working compressed models, and the structured
 //! ones must execute on the FFT path.
 
-use ernn::admm::{AdmmConfig, AdmmTrainer};
+use ernn::admm::{train_projected, AdmmConfig, Recipe};
 use ernn::asr::{evaluate_per, SynthCorpus, SynthCorpusConfig};
-use ernn::baselines::{magnitude_prune, train_circulant_direct};
-use ernn::model::trainer::{train, TrainOptions};
+use ernn::baselines::magnitude_prune;
+use ernn::model::trainer::TrainOptions;
 use ernn::model::{compress_network, BlockPolicy, CellType, ModelSpec, Sgd};
 use rand::SeedableRng;
 
@@ -14,61 +14,50 @@ use rand::SeedableRng;
 fn three_compression_methods_produce_working_models() {
     let corpus = SynthCorpus::generate(&SynthCorpusConfig::tiny(13));
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(2);
-    let mut dense = ModelSpec::new(CellType::Lstm, corpus.feature_dim, corpus.num_classes())
-        .layer_dims(&[16])
-        .build(&mut rng);
+    let spec =
+        ModelSpec::new(CellType::Lstm, corpus.feature_dim, corpus.num_classes()).layer_dims(&[16]);
     let data = corpus.train_sequences();
-    let mut opt = Sgd::new(0.06).momentum(0.9).clip_norm(2.0);
-    train(
-        &mut dense,
-        &data,
-        TrainOptions {
-            epochs: 4,
-            ..TrainOptions::default()
+    let recipe = Recipe {
+        pretrain_epochs: 4,
+        pretrain_lr: 0.06,
+        admm: AdmmConfig {
+            iterations: 2,
+            epochs_per_iter: 1,
+            retrain_epochs: 1,
+            ..AdmmConfig::default()
         },
-        &mut opt,
-        &mut rng,
-    );
+        admm_lr: 0.03,
+    };
+    let dense = recipe.pretrain(&spec, &data, &mut rng);
 
     // (a) ESE: 8x pruning + masked retraining.
     let mut pruned = magnitude_prune(&dense, 1.0 - 1.0 / 8.0);
-    let mut opt_p = Sgd::new(0.03).momentum(0.9).clip_norm(2.0);
-    pruned.retrain(&data, 2, &mut opt_p, &mut rng);
+    pruned.retrain(&data, 2, &mut Sgd::new(0.03), &mut rng);
     let prune_report = pruned.report(12, 12);
     assert!(prune_report.weight_compression > 6.0);
     assert!(prune_report.effective_compression < prune_report.weight_compression);
     let per_pruned = evaluate_per(|f| pruned.net.forward_logits(f), &corpus.test);
 
     // (b) C-LSTM: direct circulant training.
+    let policy = BlockPolicy::uniform(4);
     let mut clstm = dense.clone();
-    let mut opt_c = Sgd::new(0.03).momentum(0.9).clip_norm(2.0);
-    train_circulant_direct(
+    let opts = TrainOptions {
+        epochs: 3,
+        lr_decay: 1.0,
+    };
+    train_projected(
         &mut clstm,
-        BlockPolicy::uniform(4),
+        &[policy],
         &data,
-        TrainOptions {
-            epochs: 3,
-            ..TrainOptions::default()
-        },
-        &mut opt_c,
+        opts,
+        &mut Sgd::new(0.03),
         &mut rng,
     );
-    let clstm_compressed = compress_network(&clstm, BlockPolicy::uniform(4));
+    let clstm_compressed = compress_network(&clstm, policy);
     let per_clstm = evaluate_per(|f| clstm_compressed.forward_logits(f), &corpus.test);
 
-    // (c) E-RNN: ADMM.
-    let mut admm_net = dense.clone();
-    let cfg = AdmmConfig {
-        iterations: 2,
-        epochs_per_iter: 1,
-        retrain_epochs: 1,
-        ..AdmmConfig::default()
-    };
-    let mut trainer = AdmmTrainer::new(&admm_net, BlockPolicy::uniform(4), cfg);
-    let mut opt_a = Sgd::new(0.03).momentum(0.9).clip_norm(2.0);
-    trainer.run(&mut admm_net, &data, &mut opt_a, &mut rng);
-    trainer.finalize(&mut admm_net);
-    let admm_compressed = compress_network(&admm_net, BlockPolicy::uniform(4));
+    // (c) E-RNN: the Fig. 6 recipe.
+    let (admm_compressed, _) = recipe.compress(&mut dense.clone(), &[policy], &data, &mut rng);
     let per_admm = evaluate_per(|f| admm_compressed.forward_logits(f), &corpus.test);
 
     // All three produce finite, comparable PERs on the same corpus.

@@ -1,52 +1,40 @@
 //! Cross-crate integration: dense training → ADMM → compression →
 //! quantized execution, verifying the representations agree end to end.
 
-use ernn::admm::{AdmmConfig, AdmmTrainer};
+use ernn::admm::{AdmmConfig, Recipe};
 use ernn::asr::{evaluate_per, SynthCorpus, SynthCorpusConfig};
 use ernn::fpga::exec::{DatapathConfig, QuantizedNetwork};
-use ernn::model::trainer::{train, TrainOptions};
-use ernn::model::{compress_network, BlockPolicy, CellType, ModelSpec, Sgd};
+use ernn::model::{compress_network, BlockPolicy, CellType, ModelSpec};
 use rand::SeedableRng;
 
 fn pipeline(cell: CellType) {
     let corpus = SynthCorpus::generate(&SynthCorpusConfig::tiny(5));
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
-    let mut net = ModelSpec::new(cell, corpus.feature_dim, corpus.num_classes())
-        .layer_dims(&[16])
-        .build(&mut rng);
+    let spec = ModelSpec::new(cell, corpus.feature_dim, corpus.num_classes()).layer_dims(&[16]);
     let data = corpus.train_sequences();
-    let mut opt = Sgd::new(0.05).momentum(0.9).clip_norm(2.0);
-    train(
-        &mut net,
-        &data,
-        TrainOptions {
-            epochs: 3,
-            ..TrainOptions::default()
-        },
-        &mut opt,
-        &mut rng,
-    );
-
-    // ADMM onto block size 4, then snap and compress.
-    let policy = BlockPolicy::uniform(4);
-    let mut trainer = AdmmTrainer::new(
-        &net,
-        policy,
-        AdmmConfig {
+    // ADMM onto block size 4, then the snap (no retraining).
+    let recipe = Recipe {
+        pretrain_epochs: 3,
+        pretrain_lr: 0.05,
+        admm: AdmmConfig {
             iterations: 2,
             epochs_per_iter: 1,
+            retrain_epochs: 0,
             ..AdmmConfig::default()
         },
-    );
-    let mut opt2 = Sgd::new(0.02).momentum(0.9).clip_norm(2.0);
-    trainer.run(&mut net, &data, &mut opt2, &mut rng);
-    trainer.finalize(&mut net);
+        admm_lr: 0.02,
+    };
+    let mut net = recipe.pretrain(&spec, &data, &mut rng);
+    let dense_params = net.param_count();
+    let policy = BlockPolicy::uniform(4);
+    let (by_recipe, _) = recipe.compress(&mut net, &[policy], &data, &mut rng);
 
     let compressed = compress_network(&net, policy);
-    assert!(compressed.param_count() < net.param_count());
+    assert_eq!(compressed.layers(), by_recipe.layers());
+    assert!(compressed.param_count() < dense_params);
 
     // The compressed model computes the same function as the snapped
-    // dense model (projection was lossless after finalize).
+    // dense model (projection was lossless after the snap).
     let frames = &corpus.test[0].features;
     let dense_logits = net.forward_logits(frames);
     let comp_logits = compressed.forward_logits(frames);

@@ -8,7 +8,7 @@
 
 use ernn::fpga::artifact::{ModelArtifact, PipelineError, ARTIFACT_VERSION};
 use ernn::model::{BlockPolicy, CellType, ModelSpec};
-use ernn::pipeline::Pipeline;
+use ernn::pipeline::{DatapathChoice, Pipeline};
 use ernn::serve::sched::ModelRegistry;
 use ernn::serve::CompiledModel;
 use proptest::prelude::*;
@@ -29,18 +29,21 @@ fn build(
     let spec = ModelSpec::new(cell, 6, 5)
         .layer_dims(&dims)
         .peephole(cell == CellType::Lstm);
-    let built = Pipeline::spec(spec)
-        .expect("valid spec")
-        .block_policy(BlockPolicy::uniform(block))
-        .datapath(ernn::fpga::exec::DatapathConfig {
+    let datapath = DatapathChoice {
+        datapath: ernn::fpga::exec::DatapathConfig {
             weight_bits: bits,
             activation_bits: bits,
             pwl_segments: 64,
-        })
+        },
+        quant_trials: Vec::new(),
+    };
+    let built = Pipeline::paper(spec)
+        .expect("valid spec")
+        .block_policy(BlockPolicy::uniform(block))
         .init(&mut rng)
         .project()
         .expect("pow2 block")
-        .quantize()
+        .quantize_chosen(datapath)
         .expect("valid datapath")
         .compile()
         .expect("known device");
