@@ -15,8 +15,12 @@
 //! runtime submits one job per request at dispatch time and collects
 //! every result once the virtual-time event loop has drained:
 //!
-//! * [`InlineExecutor`] computes each job synchronously at submit, on the
-//!   event-loop thread — the deterministic reference.
+//! * [`InlineExecutor`], the default, only logs each job at submit and
+//!   computes the whole run at [`Executor::finish`]: nothing reads a
+//!   logit before then, and virtual time never depends on one. Runs that
+//!   carry session chunks go in submission order on the calling thread;
+//!   stateless runs are shared between the caller and scoped threads, up
+//!   to one per host core.
 //! * [`ThreadPoolExecutor`] fans jobs out to a pool of `std::thread`
 //!   workers over channels (no external async runtime), one worker per
 //!   device slot, with jobs pinned to their batch's device so per-worker
@@ -25,22 +29,25 @@
 //!
 //! Logits are a pure function of (model, frames) (`f32` arithmetic, no
 //! reductions across threads), so both executors produce **bit-identical**
-//! outputs; only wall-clock host time differs. Per-worker FFT activity is
-//! tracked exactly via the thread-local counters in [`ernn_fft::stats`].
+//! outputs; only wall-clock host time differs. FFT activity is tracked
+//! exactly via the thread-local counters in [`ernn_fft::stats`]: the pool
+//! reports it per worker, the inline executor charges its scoped threads'
+//! counts to the caller.
 
 use crate::cache::CompiledModel;
 use ernn_fft::stats::{self, FftStats};
 use ernn_fpga::exec::{ExecScratch, NetworkState};
 use std::collections::HashMap;
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::panic;
+use std::sync::{mpsc, Arc, Mutex, OnceLock, PoisonError};
 use std::thread;
 
 /// Which host-side executor a [`SchedRuntime`](crate::sched::SchedRuntime)
 /// uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecutorKind {
-    /// Compute logits inline at dispatch, on the event-loop thread.
+    /// Log jobs at dispatch and compute them at `finish`, on the
+    /// event-loop thread and up to one scoped thread per further core.
     #[default]
     Inline,
     /// One worker thread per device slot, fed over channels.
@@ -86,8 +93,9 @@ pub struct InferenceJob {
 pub struct ExecutorReport {
     /// `(slot, logits)` for every submitted job, in arbitrary order.
     pub outputs: Vec<(usize, Vec<Vec<f32>>)>,
-    /// Host FFT activity per worker ([`InlineExecutor`] has one entry).
-    /// The entries always sum to the run's global FFT delta.
+    /// Host FFT activity per worker ([`InlineExecutor`] has one entry:
+    /// the calling thread's, its scoped threads' work charged to it). The
+    /// entries always sum to the run's global FFT delta.
     pub worker_fft: Vec<FftStats>,
 }
 
@@ -104,9 +112,10 @@ pub trait Executor {
     /// Accepts every job of one dispatched batch at once, so the
     /// executor can batch-fuse host inference across them (the runtime
     /// dispatches a formed batch to a single device with a single model,
-    /// so batch members share both). May compute them immediately
-    /// (inline) or hand them to a worker and return at once (thread
-    /// pool); either way logits are bit-identical to one-job batches.
+    /// so batch members share both). May defer them to
+    /// [`Self::finish`] (inline) or hand them to a worker and return at
+    /// once (thread pool); either way logits are bit-identical to one-job
+    /// batches.
     fn submit_batch(&mut self, jobs: Vec<InferenceJob>);
 
     /// An empty job list to fill for the next [`Self::submit_batch`].
@@ -149,8 +158,8 @@ fn same_run(a: &InferenceJob, b: &InferenceJob) -> bool {
 /// largest run's capacity.
 #[derive(Debug, Default)]
 struct RunScratch {
-    /// The run's frame buffers, moved out of its jobs in job order; after
-    /// inference they hold the run's logits for the caller to drain.
+    /// The run's frame buffers, moved out of its jobs in job order while
+    /// inference turns them into logits.
     utterances: Vec<Vec<Vec<f32>>>,
     /// Per-lane recurrent state of a run that carries session chunks.
     states: Vec<Option<NetworkState>>,
@@ -158,12 +167,12 @@ struct RunScratch {
 
 /// Computes one fusable run's logits with a single batch-fused, in-place
 /// inference call: every job's frame buffer is moved into
-/// `run.utterances` and comes back as that job's logits, one entry per
-/// job. All jobs must share a model (see [`same_run`]). Runs with no
-/// session chunks take the stateless path; runs with chunks pull each
-/// session's [`NetworkState`] out of `sessions` (materializing a fresh one
-/// on first touch), thread it through the lockstep kernel, and store it
-/// back unless the chunk was the session's last.
+/// `run.utterances` and comes back to the job as its logits. All jobs
+/// must share a model (see [`same_run`]). Runs with no session chunks
+/// take the stateless path; runs with chunks pull each session's
+/// [`NetworkState`] out of `sessions` (materializing a fresh one on first
+/// touch), thread it through the lockstep kernel, and store it back
+/// unless the chunk was the session's last.
 fn infer_run(
     models: &[Arc<CompiledModel>],
     jobs: &mut [InferenceJob],
@@ -208,16 +217,55 @@ fn infer_run(
             }
         }
     }
+    for (job, logits) in jobs.iter_mut().zip(run.utterances.drain(..)) {
+        job.frames = logits;
+    }
 }
 
-/// The deterministic reference executor: jobs run synchronously at submit
-/// on the caller's thread, in submission order, with one persistent
-/// [`ExecScratch`] so the FFT/matvec kernels stop allocating after the
-/// first job warms the buffers.
+/// The host's core count, read once per process.
+fn host_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| thread::available_parallelism().map_or(1, usize::from))
+}
+
+/// Runs stateless runs from `queue` until it is empty. Any number of
+/// threads may drain one queue; each brings its own scratch.
+fn drain_stateless<'a>(
+    models: &[Arc<CompiledModel>],
+    queue: &Mutex<impl Iterator<Item = &'a mut [InferenceJob]>>,
+    scratch: &mut ExecScratch,
+    run: &mut RunScratch,
+) {
+    loop {
+        let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+        let Some(jobs) = next else { return };
+        infer_run(models, jobs, scratch, &mut HashMap::new(), run);
+    }
+}
+
+/// The default executor: `submit_batch` only logs a batch's jobs and
+/// [`Executor::finish`] computes them all, with one persistent
+/// [`ExecScratch`] on the calling thread so the FFT/matvec kernels stop
+/// allocating after the first run warms the buffers.
+///
+/// At `finish`, runs that carry session chunks go in submission order on
+/// the calling thread, through its one session table (so a session's
+/// state needs no migration between devices). Stateless runs are
+/// order-free: the caller and `min(host cores, runs) − 1` scoped threads
+/// pull them from one shared queue, and no thread is spawned when there
+/// is nothing to share. The scoped threads are off the FFT ledger
+/// ([`stats::detach_thread`]) and the caller [`stats::charge`]s their
+/// counts to itself, so the calling thread counts what a serial run
+/// counts. A panic on a scoped thread resurfaces from `finish` with its
+/// original payload.
 #[derive(Debug)]
 pub struct InlineExecutor {
     models: Vec<Arc<CompiledModel>>,
-    outputs: Vec<(usize, Vec<Vec<f32>>)>,
+    /// Every submitted job, in submission order; `finish` turns each
+    /// one's frames into its logits.
+    jobs: Vec<InferenceJob>,
+    /// Where each fusable run in `jobs` ends.
+    run_ends: Vec<usize>,
     scratch: ExecScratch,
     run: RunScratch,
     sessions: HashMap<u64, NetworkState>,
@@ -227,8 +275,8 @@ pub struct InlineExecutor {
 }
 
 impl InlineExecutor {
-    /// An executor computing on the calling thread over the given model
-    /// set (jobs index into it).
+    /// An executor computing on the calling thread, and on scoped threads
+    /// for stateless runs, over the given model set (jobs index into it).
     ///
     /// # Panics
     ///
@@ -237,7 +285,8 @@ impl InlineExecutor {
         assert!(!models.is_empty(), "executor needs at least one model");
         InlineExecutor {
             models,
-            outputs: Vec::new(),
+            jobs: Vec::new(),
+            run_ends: Vec::new(),
             scratch: ExecScratch::new(),
             run: RunScratch::default(),
             sessions: HashMap::new(),
@@ -249,19 +298,12 @@ impl InlineExecutor {
 
 impl Executor for InlineExecutor {
     fn submit_batch(&mut self, mut jobs: Vec<InferenceJob>) {
-        for run in jobs.chunk_by_mut(same_run) {
-            infer_run(
-                &self.models,
-                run,
-                &mut self.scratch,
-                &mut self.sessions,
-                &mut self.run,
-            );
-            let logits = self.run.utterances.drain(..);
-            self.outputs
-                .extend(run.iter().map(|job| job.slot).zip(logits));
+        let mut end = self.jobs.len();
+        for run in jobs.chunk_by(same_run) {
+            end += run.len();
+            self.run_ends.push(end);
         }
-        jobs.clear();
+        self.jobs.append(&mut jobs);
         self.spare_jobs = jobs;
     }
 
@@ -270,8 +312,56 @@ impl Executor for InlineExecutor {
     }
 
     fn finish(&mut self) -> ExecutorReport {
+        let mut session_runs = Vec::new();
+        let mut stateless = Vec::new();
+        let (mut rest, mut start) = (&mut self.jobs[..], 0);
+        for &end in &self.run_ends {
+            let (run, tail) = std::mem::take(&mut rest).split_at_mut(end - start);
+            (rest, start) = (tail, end);
+            if run.iter().any(|j| j.session.is_some()) {
+                session_runs.push(run);
+            } else {
+                stateless.push(run);
+            }
+        }
+        let threads = host_cores()
+            .min(self.run_ends.len())
+            .saturating_sub(1)
+            .min(stateless.len());
+        let queue = Mutex::new(stateless.into_iter());
+        let models = &self.models;
+        thread::scope(|scope| {
+            let helpers: Vec<_> = (0..threads)
+                .map(|_| {
+                    scope.spawn(|| {
+                        stats::detach_thread();
+                        let start = stats::thread_snapshot();
+                        let (mut scratch, mut run) = (ExecScratch::new(), RunScratch::default());
+                        drain_stateless(models, &queue, &mut scratch, &mut run);
+                        stats::thread_snapshot().since(&start)
+                    })
+                })
+                .collect();
+            for jobs in session_runs {
+                infer_run(
+                    models,
+                    jobs,
+                    &mut self.scratch,
+                    &mut self.sessions,
+                    &mut self.run,
+                );
+            }
+            drain_stateless(models, &queue, &mut self.scratch, &mut self.run);
+            for helper in helpers {
+                match helper.join() {
+                    Ok(fft) => stats::charge(&fft),
+                    Err(payload) => panic::resume_unwind(payload),
+                }
+            }
+        });
+        self.run_ends.clear();
         ExecutorReport {
-            outputs: std::mem::take(&mut self.outputs),
+            outputs: self.jobs.drain(..).map(|j| (j.slot, j.frames)).collect(),
             worker_fft: vec![stats::thread_snapshot().since(&self.fft_start)],
         }
     }
@@ -356,8 +446,11 @@ impl ThreadPoolExecutor {
                     match cmd {
                         WorkerCmd::Batch(mut jobs) => {
                             infer_run(&models, &mut jobs, &mut scratch, &mut sessions, &mut run);
-                            for (job, l) in jobs.iter().zip(run.utterances.drain(..)) {
-                                if result_tx.send(WorkerMessage::Output(job.slot, l)).is_err() {
+                            for job in jobs {
+                                if result_tx
+                                    .send(WorkerMessage::Output(job.slot, job.frames))
+                                    .is_err()
+                                {
                                     // Receiver gone: the executor was
                                     // dropped without finish(); nothing
                                     // left to report to.
@@ -645,10 +738,13 @@ mod tests {
         let utt: Vec<Vec<f32>> = (0..12).map(|t| vec![0.05 * t as f32; 8]).collect();
         let whole = m.infer(&utt);
         // Two interleaved sessions, chunked 4+4+4, mixed with a stateless
-        // utterance lane in the same submissions.
+        // utterance lane in the same submissions, and after each chunk a
+        // batch of stateless prefixes on both devices: two more runs for
+        // the inline executor's shared queue.
+        let prefix = |k: usize, device: usize| &utt[..4 * k + 2 * device + 1];
         let chunk_jobs = |base_slot: usize| -> Vec<Vec<InferenceJob>> {
             (0..3)
-                .map(|k| {
+                .flat_map(|k| {
                     let mut batch: Vec<InferenceJob> = (0..2u64)
                         .map(|sess| InferenceJob {
                             slot: base_slot + (k * 2) + sess as usize,
@@ -668,7 +764,16 @@ mod tests {
                         frames: utt.clone(),
                         session: None,
                     });
-                    batch
+                    let prefixes = (0..2)
+                        .map(|device| InferenceJob {
+                            slot: base_slot + 9 + k * 2 + device,
+                            device,
+                            model: 0,
+                            frames: prefix(k, device).to_vec(),
+                            session: None,
+                        })
+                        .collect();
+                    [batch, prefixes]
                 })
                 .collect()
         };
@@ -692,6 +797,13 @@ mod tests {
         // streaming chunks.
         for k in 0..3 {
             assert_eq!(inline[6 + k].1, whole, "stateless lane {k}");
+            for device in 0..2 {
+                assert_eq!(
+                    inline[9 + k * 2 + device].1,
+                    m.infer(prefix(k, device)),
+                    "stateless prefix {k} on device {device}"
+                );
+            }
         }
     }
 
@@ -774,5 +886,32 @@ mod tests {
             session: None,
         }]);
         let _ = pool.finish();
+    }
+
+    #[test]
+    #[should_panic(expected = "input length")]
+    fn scoped_thread_panics_resurface_with_the_original_message() {
+        // A long session run keeps the calling thread busy, so on two or
+        // more cores the scoped thread takes the first stateless run: the
+        // bad one. finish() must re-raise that panic, not the scope's
+        // generic one. (On one core the caller hits it itself.)
+        let mut inline = InlineExecutor::new(vec![model()]);
+        inline.submit_batch(vec![InferenceJob {
+            slot: 0,
+            device: 0,
+            model: 0,
+            frames: vec![vec![0.1; 8]; 4000],
+            session: Some(SessionSlot { id: 1, last: true }),
+        }]);
+        for (slot, dim) in [(1, 3), (2, 8)] {
+            inline.submit_batch(vec![InferenceJob {
+                slot,
+                device: 1,
+                model: 0,
+                frames: vec![vec![0.0; dim]], // the model expects dim 8
+                session: None,
+            }]);
+        }
+        let _ = inline.finish();
     }
 }

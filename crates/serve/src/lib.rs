@@ -55,7 +55,9 @@
 //!   buffer into its logits buffer, and post-warmup the FFT/matvec
 //!   kernels perform zero heap allocations.
 //! * [`Executor`] — where host-side inference runs: [`InlineExecutor`]
-//!   (deterministic reference, compute at dispatch) or
+//!   (the default: logs jobs at dispatch and computes the whole run at
+//!   `finish`, session runs in order on the calling thread, stateless
+//!   runs shared with scoped threads across the host's cores) or
 //!   [`ThreadPoolExecutor`] (one std-thread worker per device slot, jobs
 //!   over channels), selected per runtime via [`ExecutorKind`]. Virtual
 //!   -time results are bit-identical either way; only the wall-clock

@@ -69,8 +69,9 @@ pub struct SchedReport {
     pub host_us: f64,
     /// Exact host FFT activity per executor worker
     /// ([`ExecutorKind::Inline`](crate::ExecutorKind::Inline) reports a
-    /// single entry). The entries sum to the run's total inference FFT
-    /// work.
+    /// single entry: the event-loop thread's, with its scoped threads'
+    /// work charged to it). The entries sum to the run's total inference
+    /// FFT work.
     pub worker_fft: Vec<FftStats>,
     /// Observability capture: the virtual-time event journal (when
     /// [`RuntimeConfig::tracing`](crate::RuntimeConfig::tracing) enables

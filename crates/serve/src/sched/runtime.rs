@@ -34,8 +34,10 @@
 //! time this process spent producing the run; it is the one number an
 //! [`Executor`] is allowed to change. The event loop settles timing
 //! first (dispatch is pure arithmetic) and hands the functional work to
-//! the executor as [`InferenceJob`]s, so with
-//! [`ExecutorKind::ThreadPool`] host inference for one batch overlaps
+//! the executor as [`InferenceJob`]s. Nothing reads a logit before the
+//! run ends, so the default [`ExecutorKind::Inline`] defers every job to
+//! the end and computes the run on all of the host's cores, while
+//! [`ExecutorKind::ThreadPool`] overlaps host inference for one batch
 //! with event-loop processing of the next. Logits are stitched back into
 //! the responses before metrics are computed, and come from the
 //! quantized datapath per request, so batching changes *when* work

@@ -4,8 +4,10 @@
 //! This file deliberately holds a single `#[test]` so the process-wide
 //! sum of the FFT counters in [`ernn_fft::stats`] sees no concurrent
 //! activity and exact-delta assertions are sound. The same test therefore
-//! also checks that sum against a thread-pool run: it must equal the
-//! workers' own ledgers added up, read after the workers have exited.
+//! also checks that sum against the calling thread's own delta on the
+//! default executor (whose scoped threads charge their counts to it) and
+//! against a thread-pool run: it must equal the workers' own ledgers
+//! added up, read after the workers have exited.
 
 use ernn_fft::stats;
 use ernn_fpga::exec::DatapathConfig;
@@ -67,6 +69,7 @@ fn weight_spectra_are_computed_at_load_not_per_request() {
     // transforms — i.e. zero weight-spectrum recomputation amortized in.
     let n = 16u64;
     let before_batch = stats::snapshot();
+    let caller_before = stats::thread_snapshot();
     let reqs: Vec<Request> = (0..n)
         .map(|i| Request::new(i, probe.clone(), i as f64 * 10.0))
         .collect();
@@ -84,6 +87,16 @@ fn weight_spectra_are_computed_at_load_not_per_request() {
         "inverse FFTs must scale with requests only"
     );
     assert_eq!(delta.plans_created, 0);
+    // The default executor shares the batches' stateless runs with scoped
+    // threads that are off the ledger and charge their counts back: the
+    // calling thread's delta is the whole run's, as a serial run's is.
+    assert_eq!(report.worker_fft.len(), 1);
+    assert_eq!(
+        stats::thread_snapshot().since(&caller_before),
+        delta,
+        "the scoped threads' counts were not charged to the caller"
+    );
+    assert_eq!(delta, report.host_fft());
 
     // The same requests on the thread pool: the process-wide delta is
     // exactly the sum of the workers' own ledgers — the event-loop thread

@@ -2,9 +2,9 @@
 //! model into block-circulant form, compile it for the accelerator, and
 //! serve an open-loop Poisson request stream across a pool of simulated
 //! devices — printing latency percentiles, throughput, device occupancy,
-//! the FFT'd-weight cache statistics, and the wall-clock effect of the
-//! parallel host executor (virtual-time results are bit-identical by
-//! construction; only `host_us` moves).
+//! the FFT'd-weight cache statistics, and the wall-clock host time of the
+//! default executor against the channel pool (virtual-time results are
+//! bit-identical by construction; only `host_us` moves).
 //!
 //! Run with: `cargo run --release --example serving_demo`
 
@@ -109,10 +109,10 @@ fn main() {
         single_report.metrics.makespan_us / report.metrics.makespan_us
     );
 
-    // 5. The same load through the parallel host executor: one worker
-    //    per device slot, host inference overlapped across devices. The
-    //    virtual-time report is bit-identical; only wall-clock host time
-    //    changes (a real speedup on multi-core hosts).
+    // 5. The same load through the channel pool: one worker thread per
+    //    device slot, fed over channels. The virtual-time report is
+    //    bit-identical; only wall-clock host time changes (the default
+    //    executor already computes the run on every core at its end).
     let pooled_report = runtime(&model, 2, ExecutorKind::ThreadPool).run(with_uniform_slo(
         open_loop_poisson(&utterances, 400, 500_000.0, 11),
         5_000.0,
@@ -124,8 +124,8 @@ fn main() {
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     println!(
         "\n== host executor ({cores} cores) ==\n\
-         inline:     {:.1} ms wall-clock host time\n\
-         threadpool: {:.1} ms wall-clock host time ({:.2}× vs inline; \
+         default executor: {:.1} ms wall-clock host time\n\
+         channel pool:     {:.1} ms wall-clock host time ({:.2}× the default's speed; \
          virtual metrics bit-identical)",
         report.host_us / 1e3,
         pooled_report.host_us / 1e3,
@@ -137,7 +137,7 @@ fn main() {
         .map(|w| format!("{}", w.forward_transforms))
         .collect();
     println!(
-        "per-worker forward FFTs: [{}] (sum = inline's {})",
+        "per-worker forward FFTs: [{}] (sum = the default's {})",
         worker_loads.join(", "),
         report.host_fft().forward_transforms
     );

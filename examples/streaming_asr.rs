@@ -14,7 +14,7 @@ use ernn::model::{CellType, ModelSpec};
 use ernn::pipeline::Pipeline;
 use ernn::serve::loadgen::paced_session;
 use ernn::serve::sched::{ModelRegistry, SchedPolicy, SchedRuntime};
-use ernn::serve::{ExecutorKind, Request, Response, RuntimeConfig, Workload};
+use ernn::serve::{Request, Response, RuntimeConfig, Workload};
 use rand::SeedableRng;
 use std::sync::Arc;
 
@@ -69,7 +69,7 @@ fn main() {
     }
     requests.sort_by(|a, b| a.arrival_us.total_cmp(&b.arrival_us).then(a.id.cmp(&b.id)));
 
-    // 3. Serve on two devices with the thread-pool executor. A session
+    // 3. Serve on two devices with the default executor. A session
     //    is pinned where its first chunk lands (state never migrates);
     //    batches may span sessions but close at chunk boundaries.
     let model = Arc::new(model);
@@ -79,9 +79,7 @@ fn main() {
         registry,
         vec![XCKU060; 2],
         SchedPolicy::fifo_earliest_free(4, 60.0),
-        RuntimeConfig::new()
-            .executor(ExecutorKind::ThreadPool)
-            .max_live_sessions(8),
+        RuntimeConfig::new().max_live_sessions(8),
     );
     let report = runtime.run(requests);
     println!(

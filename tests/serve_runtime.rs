@@ -194,7 +194,7 @@ fn executors_agree_bit_for_bit_on_the_same_seeded_load() {
 }
 
 #[test]
-fn thread_pool_beats_inline_on_wall_clock_for_cpu_bound_load() {
+fn default_executor_keeps_pace_with_the_pool_on_wall_clock_for_cpu_bound_load() {
     let _quiet = serial();
     let utterances = synthetic_utterances(12, (30, 60), 52, 601);
     let requests = open_loop_poisson(&utterances, 64, 400_000.0, 602);
@@ -204,35 +204,31 @@ fn thread_pool_beats_inline_on_wall_clock_for_cpu_bound_load() {
         fifo_runtime(Arc::clone(&model), 4, (8, 200.0), kind).run(requests.clone())
     };
 
-    // Best-of-three wall clocks to damp scheduler noise; virtual-time
-    // results are deterministic so any run serves as the reference.
-    let inline_runs = [run(ExecutorKind::Inline), run(ExecutorKind::Inline)];
-    let pool_runs = [run(ExecutorKind::ThreadPool), run(ExecutorKind::ThreadPool)];
+    // Best-of-three wall clocks, the two sides alternated, to damp
+    // scheduler noise; virtual-time results are deterministic so any run
+    // serves as the reference.
+    let (mut inline_runs, mut pool_runs) = (Vec::new(), Vec::new());
+    for _ in 0..3 {
+        inline_runs.push(run(ExecutorKind::Inline));
+        pool_runs.push(run(ExecutorKind::ThreadPool));
+    }
     assert_reports_bit_identical(&inline_runs[0], &pool_runs[0]);
-    let best = |runs: &[SchedReport], extra: &SchedReport| {
-        runs.iter().map(|r| r.host_us).fold(extra.host_us, f64::min)
-    };
-    let inline_us = best(&inline_runs, &run(ExecutorKind::Inline));
-    let pool_us = best(&pool_runs, &run(ExecutorKind::ThreadPool));
+    let best = |runs: &[SchedReport]| runs.iter().map(|r| r.host_us).fold(f64::INFINITY, f64::min);
+    let (inline_us, pool_us) = (best(&inline_runs), best(&pool_runs));
 
-    // Every threshold is deliberately generous versus the expected
-    // ~min(cores, 4)× speedup, so transient load on shared CI runners
-    // can't turn an unrelated PR red (the `serial()` guard above already
-    // keeps sibling tests in this binary off the cores).
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-    if cores >= 4 {
-        // Standard CI runner shape (4 vCPUs): the 4-worker overlap must
-        // show a real win on the wall clock.
+    if cores >= 2 {
+        // The default executor computes the run at `finish` on every
+        // core, with no channel hop per batch. On an otherwise idle
+        // 2-core host it takes 0.90–0.99 of the pool's time in a debug
+        // build (≈ 0.7 in release); where the second core is shared with
+        // other work the two read within ±10 % of each other either way
+        // round. An executor computing on one thread reads ≥ 1.6× here,
+        // so the bound sits between the two.
         assert!(
-            pool_us < 0.9 * inline_us,
-            "thread pool must beat inline on {cores} cores: {pool_us:.0} µs vs {inline_us:.0} µs"
-        );
-    } else if cores >= 2 {
-        // Some parallelism available (expected ~1.8× at 2 cores): only
-        // require the pool not to lose.
-        assert!(
-            pool_us < inline_us,
-            "thread pool must not lose on {cores} cores: {pool_us:.0} µs vs {inline_us:.0} µs"
+            inline_us < 1.3 * pool_us,
+            "the default executor must keep pace with the pool on {cores} cores: \
+             {inline_us:.0} µs vs {pool_us:.0} µs"
         );
     } else {
         // Single-core host (no parallelism to exploit): only require that
