@@ -25,11 +25,13 @@
 //! oracle the differential test below compares against.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Instant;
 
 use super::placement::{splitmix64, PlacementMap};
 use super::shard::ShardSim;
 use super::{ClusterReport, ClusterRuntime, ClusterStats, ShardReport, Steering};
+use crate::executor::{lane_scope, Lane};
 use crate::metrics::ServeMetrics;
 use crate::request::{validate_load, Request, Response, ShedReason, Workload};
 use crate::sched::SchedEngine;
@@ -403,6 +405,25 @@ impl ClusterRuntime {
     pub fn run(&self, requests: Vec<Request>) -> ClusterReport {
         let host_start = Instant::now();
         validate_load(&self.registry, &requests);
+        // Every shard runs under the one shard configuration, so any
+        // shard's executor kind sizes the one lane they all feed.
+        let threads = self
+            .shard_runtimes
+            .iter()
+            .flatten()
+            .next()
+            .map_or(0, |rt| rt.config().executor.lane_threads());
+        lane_scope(threads, |lane| self.route(requests, lane, host_start))
+    }
+
+    /// [`Self::run`] after validation, with every shard's executor
+    /// feeding `lane`.
+    fn route(
+        &self,
+        requests: Vec<Request>,
+        lane: &Arc<Lane>,
+        host_start: Instant,
+    ) -> ClusterReport {
         let total = requests.len();
 
         // The route table: every request's cluster-global metadata in
@@ -427,7 +448,7 @@ impl ClusterRuntime {
             let device_count = self.shard_platforms[s].len();
             sims.push(ShardSim {
                 shard: s,
-                engine: rt.as_ref().map(SchedEngine::new),
+                engine: rt.as_ref().map(|rt| SchedEngine::new(rt, lane)),
                 placed: self.placement.models_on(s),
                 alive: true,
                 device_base,
@@ -528,6 +549,8 @@ impl ClusterRuntime {
         // Drain survivors to completion, snapshot gauges while the
         // engines still exist, then finish everything (dead shards too
         // — their dispatched batches' responses are already committed).
+        // The first shard to finish closes the lane, so the rest find
+        // their logits computed.
         router.advance(f64::INFINITY);
         let gauges: Vec<ShardGauges> = router.sims.iter().map(|s| s.gauges()).collect();
         let mut busy: Vec<f64> = Vec::new();

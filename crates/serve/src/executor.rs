@@ -15,12 +15,13 @@
 //! runtime submits one job per request at dispatch time and collects
 //! every result once the virtual-time event loop has drained:
 //!
-//! * [`InlineExecutor`], the default, only logs each job at submit and
-//!   computes the whole run at [`Executor::finish`]: nothing reads a
-//!   logit before then, and virtual time never depends on one. Runs that
-//!   carry session chunks go in submission order on the calling thread;
-//!   stateless runs are shared between the caller and scoped threads, up
-//!   to one per host core.
+//! * [`InlineExecutor`], the default, hands each dispatched run to the
+//!   run's inference lane (`lane.rs`): one queue that `host cores − 1`
+//!   scoped threads serve while the event loop keeps dispatching, so host
+//!   inference overlaps routing. A [`ClusterRuntime`](crate::ClusterRuntime)
+//!   opens one lane for all its shards. At [`Executor::finish`] the caller
+//!   closes the lane and helps drain it; on one core no lane thread
+//!   exists and the caller computes the whole run there.
 //! * [`ThreadPoolExecutor`] fans jobs out to a pool of `std::thread`
 //!   workers over channels (no external async runtime), one worker per
 //!   device slot, with jobs pinned to their batch's device so per-worker
@@ -31,27 +32,44 @@
 //! reductions across threads), so both executors produce **bit-identical**
 //! outputs; only wall-clock host time differs. FFT activity is tracked
 //! exactly via the thread-local counters in [`ernn_fft::stats`]: the pool
-//! reports it per worker, the inline executor charges its scoped threads'
-//! counts to the caller.
+//! reports it per worker, the lane credits each run's counts to the
+//! executor that submitted it and charges its threads' totals to the
+//! closing caller.
+
+mod lane;
+
+pub(crate) use lane::{scope as lane_scope, Lane};
 
 use crate::cache::CompiledModel;
 use ernn_fft::stats::{self, FftStats};
 use ernn_fpga::exec::{ExecScratch, NetworkState};
 use std::collections::HashMap;
-use std::panic;
-use std::sync::{mpsc, Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{mpsc, Arc, OnceLock};
 use std::thread;
 
 /// Which host-side executor a [`SchedRuntime`](crate::sched::SchedRuntime)
 /// uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecutorKind {
-    /// Log jobs at dispatch and compute them at `finish`, on the
-    /// event-loop thread and up to one scoped thread per further core.
+    /// Hand each dispatched run to the run's inference lane, which one
+    /// scoped thread per further host core serves while the event loop
+    /// runs; the event-loop thread helps drain it at `finish`.
     #[default]
     Inline,
     /// One worker thread per device slot, fed over channels.
     ThreadPool,
+}
+
+impl ExecutorKind {
+    /// How many threads a run's inference lane gets: one per host core
+    /// beside the caller's for the inline executor, none for the pool,
+    /// which brings its own workers.
+    pub(crate) fn lane_threads(self) -> usize {
+        match self {
+            ExecutorKind::Inline => host_cores() - 1,
+            ExecutorKind::ThreadPool => 0,
+        }
+    }
 }
 
 /// Session identity of one streaming-chunk job.
@@ -94,8 +112,9 @@ pub struct ExecutorReport {
     /// `(slot, logits)` for every submitted job, in arbitrary order.
     pub outputs: Vec<(usize, Vec<Vec<f32>>)>,
     /// Host FFT activity per worker ([`InlineExecutor`] has one entry:
-    /// the calling thread's, its scoped threads' work charged to it). The
-    /// entries always sum to the run's global FFT delta.
+    /// the work of exactly its own runs, whichever lane thread ran them).
+    /// Over every executor of a run the entries sum to the run's global
+    /// FFT delta.
     pub worker_fft: Vec<FftStats>,
 }
 
@@ -112,10 +131,9 @@ pub trait Executor {
     /// Accepts every job of one dispatched batch at once, so the
     /// executor can batch-fuse host inference across them (the runtime
     /// dispatches a formed batch to a single device with a single model,
-    /// so batch members share both). May defer them to
-    /// [`Self::finish`] (inline) or hand them to a worker and return at
-    /// once (thread pool); either way logits are bit-identical to one-job
-    /// batches.
+    /// so batch members share both). Queues them and returns at once —
+    /// on the run's inference lane (inline) or with a worker (thread
+    /// pool); either way logits are bit-identical to one-job batches.
     fn submit_batch(&mut self, jobs: Vec<InferenceJob>);
 
     /// An empty job list to fill for the next [`Self::submit_batch`].
@@ -153,6 +171,16 @@ fn same_run(a: &InferenceJob, b: &InferenceJob) -> bool {
     (a.device, a.model) == (b.device, b.model)
 }
 
+/// Hands each maximal fusable run of `jobs` to `each`, in order. A list
+/// that is one run — every runtime batch — goes on whole, unallocated.
+fn for_each_run(mut jobs: Vec<InferenceJob>, mut each: impl FnMut(Vec<InferenceJob>)) {
+    while let Some(first) = jobs.first() {
+        let len = jobs.iter().take_while(|j| same_run(first, j)).count();
+        let rest = jobs.split_off(len);
+        each(std::mem::replace(&mut jobs, rest));
+    }
+}
+
 /// [`infer_run`]'s grow-once bookkeeping, one per worker next to its
 /// [`ExecScratch`]: both lists are empty between runs and keep the
 /// largest run's capacity.
@@ -165,22 +193,20 @@ struct RunScratch {
     states: Vec<Option<NetworkState>>,
 }
 
-/// Computes one fusable run's logits with a single batch-fused, in-place
-/// inference call: every job's frame buffer is moved into
-/// `run.utterances` and comes back to the job as its logits. All jobs
-/// must share a model (see [`same_run`]). Runs with no session chunks
-/// take the stateless path; runs with chunks pull each session's
-/// [`NetworkState`] out of `sessions` (materializing a fresh one on first
-/// touch), thread it through the lockstep kernel, and store it back
-/// unless the chunk was the session's last.
+/// Computes one fusable run's logits on `model` with a single
+/// batch-fused, in-place inference call: every job's frame buffer is
+/// moved into `run.utterances` and comes back to the job as its logits.
+/// Runs with no session chunks take the stateless path; runs with chunks
+/// pull each session's [`NetworkState`] out of `sessions` (materializing
+/// a fresh one on first touch), thread it through the lockstep kernel,
+/// and store it back unless the chunk was the session's last.
 fn infer_run(
-    models: &[Arc<CompiledModel>],
+    model: &CompiledModel,
     jobs: &mut [InferenceJob],
     scratch: &mut ExecScratch,
     sessions: &mut HashMap<u64, NetworkState>,
     run: &mut RunScratch,
 ) {
-    let model = &models[jobs[0].model];
     debug_assert!(
         run.utterances.is_empty(),
         "the previous run was not drained"
@@ -228,83 +254,65 @@ fn host_cores() -> usize {
     *CORES.get_or_init(|| thread::available_parallelism().map_or(1, usize::from))
 }
 
-/// Runs stateless runs from `queue` until it is empty. Any number of
-/// threads may drain one queue; each brings its own scratch.
-fn drain_stateless<'a>(
-    models: &[Arc<CompiledModel>],
-    queue: &Mutex<impl Iterator<Item = &'a mut [InferenceJob]>>,
-    scratch: &mut ExecScratch,
-    run: &mut RunScratch,
-) {
-    loop {
-        let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
-        let Some(jobs) = next else { return };
-        infer_run(models, jobs, scratch, &mut HashMap::new(), run);
-    }
-}
-
-/// The default executor: `submit_batch` only logs a batch's jobs and
-/// [`Executor::finish`] computes them all, with one persistent
-/// [`ExecScratch`] on the calling thread so the FFT/matvec kernels stop
-/// allocating after the first run warms the buffers.
+/// The default executor: `submit_batch` hands each fusable run to an
+/// inference lane and [`Executor::finish`] closes the lane, helps drain
+/// it and collects this executor's logits.
 ///
-/// At `finish`, runs that carry session chunks go in submission order on
-/// the calling thread, through its one session table (so a session's
-/// state needs no migration between devices). Stateless runs are
-/// order-free: the caller and `min(host cores, runs) − 1` scoped threads
-/// pull them from one shared queue, and no thread is spawned when there
-/// is nothing to share. The scoped threads are off the FFT ledger
-/// ([`stats::detach_thread`]) and the caller [`stats::charge`]s their
-/// counts to itself, so the calling thread counts what a serial run
-/// counts. A panic on a scoped thread resurfaces from `finish` with its
-/// original payload.
+/// Inside a runtime the lane is the run's own (see
+/// [`ExecutorKind::Inline`]): its threads compute runs while the event
+/// loop is still dispatching, and a cluster's shards all feed one lane.
+/// Runs that carry session chunks go in submission order to one owner
+/// thread, which keeps this executor's session table (so a session's
+/// state needs no migration between devices); stateless runs go to any
+/// lane thread or to the caller at `finish`. The FFT work of this
+/// executor's runs is credited to it, whichever thread ran them, and the
+/// lane threads' totals are charged to the caller at close, so the
+/// calling thread counts what a serial run counts. A panic on a lane
+/// thread resurfaces from `finish` with its original payload.
+///
+/// Built with [`InlineExecutor::new`], the executor gets a lane of its
+/// own that no thread serves: `finish` computes every run on the calling
+/// thread, in submission order.
 #[derive(Debug)]
 pub struct InlineExecutor {
     models: Vec<Arc<CompiledModel>>,
-    /// Every submitted job, in submission order; `finish` turns each
-    /// one's frames into its logits.
-    jobs: Vec<InferenceJob>,
-    /// Where each fusable run in `jobs` ends.
-    run_ends: Vec<usize>,
-    scratch: ExecScratch,
-    run: RunScratch,
-    sessions: HashMap<u64, NetworkState>,
+    lane: Arc<Lane>,
+    /// This executor's account in the lane.
+    account: usize,
     /// The last batch's job list, emptied — see [`Executor::job_buffer`].
     spare_jobs: Vec<InferenceJob>,
-    fft_start: FftStats,
 }
 
 impl InlineExecutor {
-    /// An executor computing on the calling thread, and on scoped threads
-    /// for stateless runs, over the given model set (jobs index into it).
+    /// An executor computing on the calling thread at `finish`, over the
+    /// given model set (jobs index into it).
     ///
     /// # Panics
     ///
     /// Panics if `models` is empty.
     pub fn new(models: Vec<Arc<CompiledModel>>) -> Self {
+        Self::on_lane(models, &Lane::serial())
+    }
+
+    /// An executor feeding `lane`, which a runtime opened for one run.
+    pub(crate) fn on_lane(models: Vec<Arc<CompiledModel>>, lane: &Arc<Lane>) -> Self {
         assert!(!models.is_empty(), "executor needs at least one model");
         InlineExecutor {
             models,
-            jobs: Vec::new(),
-            run_ends: Vec::new(),
-            scratch: ExecScratch::new(),
-            run: RunScratch::default(),
-            sessions: HashMap::new(),
+            account: lane.open_account(),
+            lane: Arc::clone(lane),
             spare_jobs: Vec::new(),
-            fft_start: stats::thread_snapshot(),
         }
     }
 }
 
 impl Executor for InlineExecutor {
-    fn submit_batch(&mut self, mut jobs: Vec<InferenceJob>) {
-        let mut end = self.jobs.len();
-        for run in jobs.chunk_by(same_run) {
-            end += run.len();
-            self.run_ends.push(end);
-        }
-        self.jobs.append(&mut jobs);
-        self.spare_jobs = jobs;
+    fn submit_batch(&mut self, jobs: Vec<InferenceJob>) {
+        for_each_run(jobs, |mut run| {
+            let model = Arc::clone(&self.models[run[0].model]);
+            self.lane.submit(self.account, model, &mut run);
+            self.spare_jobs = run;
+        });
     }
 
     fn job_buffer(&mut self) -> Vec<InferenceJob> {
@@ -312,58 +320,8 @@ impl Executor for InlineExecutor {
     }
 
     fn finish(&mut self) -> ExecutorReport {
-        let mut session_runs = Vec::new();
-        let mut stateless = Vec::new();
-        let (mut rest, mut start) = (&mut self.jobs[..], 0);
-        for &end in &self.run_ends {
-            let (run, tail) = std::mem::take(&mut rest).split_at_mut(end - start);
-            (rest, start) = (tail, end);
-            if run.iter().any(|j| j.session.is_some()) {
-                session_runs.push(run);
-            } else {
-                stateless.push(run);
-            }
-        }
-        let threads = host_cores()
-            .min(self.run_ends.len())
-            .saturating_sub(1)
-            .min(stateless.len());
-        let queue = Mutex::new(stateless.into_iter());
-        let models = &self.models;
-        thread::scope(|scope| {
-            let helpers: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(|| {
-                        stats::detach_thread();
-                        let start = stats::thread_snapshot();
-                        let (mut scratch, mut run) = (ExecScratch::new(), RunScratch::default());
-                        drain_stateless(models, &queue, &mut scratch, &mut run);
-                        stats::thread_snapshot().since(&start)
-                    })
-                })
-                .collect();
-            for jobs in session_runs {
-                infer_run(
-                    models,
-                    jobs,
-                    &mut self.scratch,
-                    &mut self.sessions,
-                    &mut self.run,
-                );
-            }
-            drain_stateless(models, &queue, &mut self.scratch, &mut self.run);
-            for helper in helpers {
-                match helper.join() {
-                    Ok(fft) => stats::charge(&fft),
-                    Err(payload) => panic::resume_unwind(payload),
-                }
-            }
-        });
-        self.run_ends.clear();
-        ExecutorReport {
-            outputs: self.jobs.drain(..).map(|j| (j.slot, j.frames)).collect(),
-            worker_fft: vec![stats::thread_snapshot().since(&self.fft_start)],
-        }
+        self.lane.close();
+        self.lane.settle(self.account)
     }
 }
 
@@ -445,7 +403,8 @@ impl ThreadPoolExecutor {
                 while let Ok(cmd) = job_rx.recv() {
                     match cmd {
                         WorkerCmd::Batch(mut jobs) => {
-                            infer_run(&models, &mut jobs, &mut scratch, &mut sessions, &mut run);
+                            let model = &models[jobs[0].model];
+                            infer_run(model, &mut jobs, &mut scratch, &mut sessions, &mut run);
                             for job in jobs {
                                 if result_tx
                                     .send(WorkerMessage::Output(job.slot, job.frames))
@@ -521,15 +480,9 @@ impl ThreadPoolExecutor {
 }
 
 impl Executor for ThreadPoolExecutor {
-    fn submit_batch(&mut self, mut jobs: Vec<InferenceJob>) {
-        // Runtime batches share (device, model) and go out whole, but
-        // stay correct for arbitrary callers: split off each fusable run
-        // so it lands on its pinned worker as one fused batch.
-        while let Some(first) = jobs.first() {
-            let len = jobs.iter().take_while(|j| same_run(first, j)).count();
-            let rest = jobs.split_off(len);
-            self.send_run(std::mem::replace(&mut jobs, rest));
-        }
+    fn submit_batch(&mut self, jobs: Vec<InferenceJob>) {
+        // Each fusable run lands on its pinned worker as one fused batch.
+        for_each_run(jobs, |run| self.send_run(run));
     }
 
     fn migrate_session(&mut self, session: u64, from_device: usize, to_device: usize) {
@@ -621,6 +574,7 @@ mod tests {
     use ernn_fpga::exec::DatapathConfig;
     use ernn_fpga::XCKU060;
     use ernn_model::{compress_network, BlockPolicy, CellType, ModelSpec};
+    use lane::WAKE_AT;
     use rand::SeedableRng;
 
     fn model_seeded(seed: u64) -> Arc<CompiledModel> {
@@ -888,30 +842,139 @@ mod tests {
         let _ = pool.finish();
     }
 
+    /// A stateless job on `device` over `frames` frames of `dim` values.
+    fn stateless(slot: usize, device: usize, frames: usize, dim: usize) -> InferenceJob {
+        InferenceJob {
+            slot,
+            device,
+            model: 0,
+            frames: vec![vec![0.01 * (slot % 50) as f32; dim]; frames],
+            session: None,
+        }
+    }
+
+    #[test]
+    fn lane_sessions_interleaved_with_stateless_runs_match_infer_bit_for_bit() {
+        // Two executors on one lane with three threads, as two shards
+        // feed a cluster's lane: each streams the *same* session ids, one
+        // chunk of each per batch, with many stateless runs between the
+        // chunks, and the caller helps drain at close. Every chunk must
+        // chain its own executor's state in submission order, and every
+        // stateless run must match direct inference.
+        let models = [model_seeded(17), model_seeded(99)];
+        const CHUNKS: usize = 16;
+        const SESSION_SLOTS: usize = 100_000;
+        let utt: Vec<Vec<f32>> = (0..3 * CHUNKS).map(|t| vec![0.02 * t as f32; 8]).collect();
+        let batches = |k: usize| -> Vec<Vec<InferenceJob>> {
+            let chunks = (0..2u64)
+                .map(|id| InferenceJob {
+                    slot: SESSION_SLOTS + 2 * k + id as usize,
+                    device: 0,
+                    model: 0,
+                    frames: utt[k * 3..(k + 1) * 3].to_vec(),
+                    session: Some(SessionSlot {
+                        id,
+                        last: k == CHUNKS - 1,
+                    }),
+                })
+                .collect();
+            let runs = (0..2 * WAKE_AT).map(|i| vec![stateless(k * 100 + i, 1, 1 + i % 5, 8)]);
+            std::iter::once(chunks).chain(runs).collect()
+        };
+        let (outputs, ffts) = lane_scope(3, |lane| {
+            let mut execs: Vec<InlineExecutor> = models
+                .iter()
+                .map(|m| InlineExecutor::on_lane(vec![Arc::clone(m)], lane))
+                .collect();
+            for k in 0..CHUNKS {
+                for exec in &mut execs {
+                    for batch in batches(k) {
+                        exec.submit_batch(batch);
+                    }
+                }
+            }
+            let caller = stats::thread_snapshot();
+            let reports: Vec<ExecutorReport> = execs.iter_mut().map(|e| e.finish()).collect();
+            let ffts: Vec<FftStats> = reports.iter().map(|r| r.worker_fft[0]).collect();
+            assert_eq!(
+                stats::thread_snapshot().since(&caller),
+                ffts[0].plus(&ffts[1]),
+                "the lane threads' counts were not charged to the closing caller"
+            );
+            (
+                reports.into_iter().map(sorted_outputs).collect::<Vec<_>>(),
+                ffts,
+            )
+        });
+        for ((m, out), fft) in models.iter().zip(&outputs).zip(&ffts) {
+            let whole = m.infer(&utt);
+            for id in 0..2 {
+                let stitched: Vec<Vec<f32>> = out
+                    .iter()
+                    .filter(|(slot, _)| *slot >= SESSION_SLOTS && slot % 2 == id)
+                    .flat_map(|(_, logits)| logits.clone())
+                    .collect();
+                assert_eq!(stitched, whole, "session {id}: chunked != whole");
+            }
+            // The same batches through a serial executor: the same
+            // logits, and exactly the FFT work credited to the lane's.
+            let mut serial = InlineExecutor::new(vec![Arc::clone(m)]);
+            for batch in (0..CHUNKS).flat_map(batches) {
+                serial.submit_batch(batch);
+            }
+            let serial = serial.finish();
+            assert_eq!(&serial.worker_fft[0], fft, "FFT work credited elsewhere");
+            assert_eq!(out, &sorted_outputs(serial));
+            for (slot, logits) in out.iter().filter(|(slot, _)| *slot < SESSION_SLOTS) {
+                let job = stateless(*slot, 1, 1 + slot % 100 % 5, 8);
+                assert_eq!(logits, &m.infer(&job.frames), "stateless slot {slot}");
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "input length")]
     fn scoped_thread_panics_resurface_with_the_original_message() {
-        // A long session run keeps the calling thread busy, so on two or
-        // more cores the scoped thread takes the first stateless run: the
-        // bad one. finish() must re-raise that panic, not the scope's
-        // generic one. (On one core the caller hits it itself.)
-        let mut inline = InlineExecutor::new(vec![model()]);
-        inline.submit_batch(vec![InferenceJob {
-            slot: 0,
-            device: 0,
-            model: 0,
-            frames: vec![vec![0.1; 8]; 4000],
-            session: Some(SessionSlot { id: 1, last: true }),
-        }]);
-        for (slot, dim) in [(1, 3), (2, 8)] {
-            inline.submit_batch(vec![InferenceJob {
-                slot,
-                device: 1,
-                model: 0,
-                frames: vec![vec![0.0; dim]], // the model expects dim 8
-                session: None,
-            }]);
-        }
-        let _ = inline.finish();
+        // The bad-dimension job is the first run a lane thread takes
+        // (the test waits until the thread has taken it), and the caller
+        // runs only good ones at close: `finish` must re-raise the lane
+        // thread's own panic, not a generic one.
+        lane_scope(1, |lane| {
+            let mut inline = InlineExecutor::on_lane(vec![model()], lane);
+            inline.submit_batch(vec![stateless(0, 0, 1, 3)]); // the model expects dim 8
+            for slot in 1..WAKE_AT {
+                inline.submit_batch(vec![stateless(slot, 0, 2, 8)]);
+            }
+            while lane.queued() == WAKE_AT {
+                thread::yield_now();
+            }
+            let _ = inline.finish();
+        });
+    }
+
+    #[test]
+    fn an_event_loop_that_unwinds_leaves_the_lane_promptly() {
+        // The lane threads sleep (fewer runs than wake them are queued)
+        // when the event loop panics; the scope must still join them
+        // and hand the panic on, instead of waiting for a close.
+        let (done_tx, done_rx) = mpsc::channel();
+        let event_loop = thread::spawn(move || {
+            let outcome = std::panic::catch_unwind(|| {
+                lane_scope(2, |lane| {
+                    let mut inline = InlineExecutor::on_lane(vec![model()], lane);
+                    inline.submit_batch(vec![stateless(0, 0, 2, 8)]);
+                    panic!("event loop failed");
+                })
+            });
+            let _ = done_tx.send(outcome.map_err(|p| p.downcast::<&str>().map(|s| *s)));
+        });
+        let outcome = done_rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the scope hung on a lane that was never closed");
+        event_loop.join().expect("the panic was caught inside");
+        assert!(
+            matches!(outcome, Err(Ok("event loop failed"))),
+            "{outcome:?}"
+        );
     }
 }

@@ -55,12 +55,14 @@
 //!   buffer into its logits buffer, and post-warmup the FFT/matvec
 //!   kernels perform zero heap allocations.
 //! * [`Executor`] — where host-side inference runs: [`InlineExecutor`]
-//!   (the default: logs jobs at dispatch and computes the whole run at
-//!   `finish`, session runs in order on the calling thread, stateless
-//!   runs shared with scoped threads across the host's cores) or
-//!   [`ThreadPoolExecutor`] (one std-thread worker per device slot, jobs
-//!   over channels), selected per runtime via [`ExecutorKind`]. Virtual
-//!   -time results are bit-identical either way; only the wall-clock
+//!   (the default: hands each dispatched batch to the run's inference
+//!   lane, one queue that a scoped thread per further host core serves
+//!   while the event loop keeps routing — a cluster's shards all feed
+//!   one lane — with session runs kept in order on one thread and the
+//!   caller helping drain at `finish`) or [`ThreadPoolExecutor`] (one
+//!   std-thread worker per device slot, jobs over channels), selected
+//!   per runtime via [`ExecutorKind`]. Virtual-time results are
+//!   bit-identical either way; only the wall-clock
 //!   [`sched::SchedReport::host_us`] and the per-worker FFT ledger
 //!   ([`sched::SchedReport::worker_fft`]) differ.
 //! * [`trace`] — the observability layer: a zero-steady-state-allocation

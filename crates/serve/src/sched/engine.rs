@@ -15,7 +15,7 @@ use super::registry::ModelId;
 use super::residency::DeviceResidency;
 use super::runtime::{Feedback, SchedRuntime};
 use super::{SchedReport, SchedStats};
-use crate::executor::Executor;
+use crate::executor::{Executor, Lane};
 use crate::health::HealthMonitor;
 use crate::request::{validate_request, Request, Response, ShedReason, Workload};
 use crate::timeline::{MetricsTimeline, TimelineSample};
@@ -23,6 +23,7 @@ use crate::trace::{Observer, TraceEvent};
 use ernn_fpga::FaultTimeline;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// A timed arrival in the event queue (min-heap by time, then sequence).
@@ -166,17 +167,19 @@ pub(crate) struct SchedEngine<'rt, 'p> {
 impl<'rt, 'p> SchedEngine<'rt, 'p> {
     /// An engine with an empty arrival stream and no closed-loop
     /// feedback — the cluster-shard shape, where every request arrives
-    /// later via [`offer`](Self::offer).
-    pub(crate) fn new(rt: &'rt SchedRuntime) -> Self {
-        Self::start(rt, std::iter::empty(), None)
+    /// later via [`offer`](Self::offer). Its executor feeds `lane`.
+    pub(crate) fn new(rt: &'rt SchedRuntime, lane: &Arc<Lane>) -> Self {
+        Self::start(rt, lane, std::iter::empty(), None)
     }
 
     /// Builds the run state and executor for one run over an initial
     /// arrival stream (already validated; equal timestamps pop in
-    /// iteration order). Virtual time starts at zero; nothing executes
-    /// until [`run_until`](Self::run_until).
+    /// iteration order), the executor feeding the run's inference
+    /// `lane`. Virtual time starts at zero; nothing executes until
+    /// [`run_until`](Self::run_until).
     pub(super) fn start(
         rt: &'rt SchedRuntime,
+        lane: &Arc<Lane>,
         initial: impl Iterator<Item = Request>,
         feedback: Option<Feedback<'p>>,
     ) -> Self {
@@ -192,7 +195,7 @@ impl<'rt, 'p> SchedEngine<'rt, 'p> {
         }
         SchedEngine {
             rt,
-            executor: rt.make_executor(),
+            executor: rt.make_executor(lane),
             host_start,
             offer_seq: arrivals.len() as u64,
             cost: CostModel::build(rt.platforms(), rt.registry()),

@@ -69,9 +69,10 @@ pub struct SchedReport {
     pub host_us: f64,
     /// Exact host FFT activity per executor worker
     /// ([`ExecutorKind::Inline`](crate::ExecutorKind::Inline) reports a
-    /// single entry: the event-loop thread's, with its scoped threads'
-    /// work charged to it). The entries sum to the run's total inference
-    /// FFT work.
+    /// single entry: the work of exactly this scheduler's runs, whichever
+    /// lane thread ran them). The entries sum to the run's total inference
+    /// FFT work. That holds per shard too: over a cluster run the shards'
+    /// entries add up to the run's FFT work with no run counted twice.
     pub worker_fft: Vec<FftStats>,
     /// Observability capture: the virtual-time event journal (when
     /// [`RuntimeConfig::tracing`](crate::RuntimeConfig::tracing) enables

@@ -35,10 +35,13 @@
 //! [`Executor`] is allowed to change. The event loop settles timing
 //! first (dispatch is pure arithmetic) and hands the functional work to
 //! the executor as [`InferenceJob`]s. Nothing reads a logit before the
-//! run ends, so the default [`ExecutorKind::Inline`] defers every job to
-//! the end and computes the run on all of the host's cores, while
-//! [`ExecutorKind::ThreadPool`] overlaps host inference for one batch
-//! with event-loop processing of the next. Logits are stitched back into
+//! run ends, so the default [`ExecutorKind::Inline`] queues each batch
+//! on the run's inference lane, which one scoped thread per further host
+//! core drains while the event loop keeps dispatching (the event-loop
+//! thread helps with what is left at the end), and
+//! [`ExecutorKind::ThreadPool`] hands each batch to the worker pinned to
+//! its device. Either way host inference overlaps event-loop work.
+//! Logits are stitched back into
 //! the responses before metrics are computed, and come from the
 //! quantized datapath per request, so batching changes *when* work
 //! happens, never *what* is computed.
@@ -101,7 +104,9 @@ use super::queue::{PaddingModel, QueueDiscipline};
 use super::registry::{ModelId, ModelRegistry};
 use super::SchedReport;
 use crate::config::RuntimeConfig;
-use crate::executor::{Executor, ExecutorKind, InlineExecutor, ThreadPoolExecutor};
+use crate::executor::{
+    lane_scope, Executor, ExecutorKind, InlineExecutor, Lane, ThreadPoolExecutor,
+};
 use crate::request::{validate_load, validate_request, Request};
 use ernn_fpga::Device;
 use std::fmt;
@@ -392,7 +397,9 @@ impl SchedRuntime {
     /// and on duplicate request ids.
     pub fn run(&self, requests: Vec<Request>) -> SchedReport {
         validate_load(&self.registry, &requests);
-        SchedEngine::start(self, requests.into_iter(), None).run_to_drain()
+        lane_scope(self.config.executor.lane_threads(), |lane| {
+            SchedEngine::start(self, lane, requests.into_iter(), None).run_to_drain()
+        })
     }
 
     /// Serves `total_requests` in a closed loop: `concurrency` clients
@@ -432,15 +439,18 @@ impl SchedRuntime {
             issued: initial,
             ..feedback
         };
-        SchedEngine::start(self, first, Some((live, payloads))).run_to_drain()
+        lane_scope(self.config.executor.lane_threads(), |lane| {
+            SchedEngine::start(self, lane, first, Some((live, payloads))).run_to_drain()
+        })
     }
 
     /// The executor instance for one run, sharing the registry's model
-    /// snapshot (one worker per device slot for the thread pool).
-    pub(super) fn make_executor(&self) -> Box<dyn Executor> {
+    /// snapshot: feeding the run's inference `lane` (inline), or one
+    /// worker per device slot (thread pool).
+    pub(super) fn make_executor(&self, lane: &Arc<Lane>) -> Box<dyn Executor> {
         let models: Vec<Arc<crate::CompiledModel>> = self.registry.models();
         match self.config.executor {
-            ExecutorKind::Inline => Box::new(InlineExecutor::new(models)),
+            ExecutorKind::Inline => Box::new(InlineExecutor::on_lane(models, lane)),
             ExecutorKind::ThreadPool => {
                 Box::new(ThreadPoolExecutor::new(models, self.platforms.len()))
             }

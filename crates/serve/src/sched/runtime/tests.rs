@@ -791,7 +791,11 @@ fn stepped_offers_reject_infinite_arrivals() {
         vec![XCKU060],
         SchedPolicy::edf_cost_model(1, 0.0),
     );
-    SchedEngine::new(&rt).offer(Request::new(4, vec![vec![0.0; DIM]], f64::INFINITY));
+    SchedEngine::new(&rt, &Lane::serial()).offer(Request::new(
+        4,
+        vec![vec![0.0; DIM]],
+        f64::INFINITY,
+    ));
 }
 
 /// Two requests sharing an id would share one retry record: the first
@@ -901,7 +905,7 @@ proptest! {
         let base = StageCycles { stage1: s1, stage2: s2, stage3: s3 };
         let stages = if browned { base.scaled(brownout) } else { base };
         let rt = SchedRuntime::new(registry(), vec![XCKU060], SchedPolicy::edf_cost_model(1, 0.0));
-        let mut engine = SchedEngine::new(&rt);
+        let mut engine = SchedEngine::new(&rt, &Lane::serial());
         // Three batches back to back, so later ones queue behind the
         // clock the earlier ones left.
         for (i, (&at, &stall)) in dispatch.iter().zip(&setup).enumerate() {
@@ -925,7 +929,7 @@ fn device_clock_charges_setup_before_compute() {
         vec![XCKU060, XCKU060],
         SchedPolicy::edf_cost_model(1, 0.0),
     );
-    let mut engine = SchedEngine::new(&rt);
+    let mut engine = SchedEngine::new(&rt, &Lane::serial());
     // Device 0 stalls 7.5 µs for a load first; device 1 starts warm.
     book(&mut engine, 0, 0.0, 7.5, slow_stages(), &[2, 3]);
     let cold = engine.complete_us.clone();
@@ -967,7 +971,7 @@ fn each_device_clock_keeps_its_own_timing() {
         vec![XCKU060, ADM_PCIE_7V3, XCKU060],
         SchedPolicy::edf_cost_model(1, 0.0),
     );
-    let mut engine = SchedEngine::new(&rt);
+    let mut engine = SchedEngine::new(&rt, &Lane::serial());
     // Same batch, per-platform timing: the fast device finishes in half
     // the cycles.
     book(&mut engine, 0, 0.0, 0.0, slow_stages(), &[4]);
@@ -982,7 +986,7 @@ fn busy_time_tracks_only_the_work_a_device_ran() {
         vec![XCKU060, XCKU060],
         SchedPolicy::edf_cost_model(1, 0.0),
     );
-    let mut engine = SchedEngine::new(&rt);
+    let mut engine = SchedEngine::new(&rt, &Lane::serial());
     book(&mut engine, 0, 0.0, 0.0, slow_stages(), &[3]);
     // A device busy from t = 0 was busy until it freed; one nobody used
     // stays idle.
@@ -1003,7 +1007,10 @@ fn two_device_clocks_drain_sooner_than_one() {
         vec![XCKU060, XCKU060],
         SchedPolicy::edf_cost_model(1, 0.0),
     );
-    let (mut one, mut two) = (SchedEngine::new(&one_rt), SchedEngine::new(&two_rt));
+    let (mut one, mut two) = (
+        SchedEngine::new(&one_rt, &Lane::serial()),
+        SchedEngine::new(&two_rt, &Lane::serial()),
+    );
     for i in 0..8 {
         book(&mut one, 0, 0.0, 0.0, slow_stages(), &[5]);
         book(&mut two, i % 2, 0.0, 0.0, slow_stages(), &[5]);
@@ -1019,7 +1026,7 @@ fn one_device_clock_times_each_batch_with_its_own_stages() {
         vec![XCKU060],
         SchedPolicy::edf_cost_model(1, 0.0),
     );
-    let mut engine = SchedEngine::new(&rt);
+    let mut engine = SchedEngine::new(&rt, &Lane::serial());
     // One device, two "models": the batch booked with the slow model's
     // stages occupies the device longer than the fast model's did.
     book(&mut engine, 0, 0.0, 0.0, fast_stages(), &[4]);
@@ -1069,7 +1076,7 @@ fn run_until_short_of_the_next_event_mutates_nothing() {
             SchedPolicy::fifo_earliest_free(max_batch, max_wait_us)
         };
         let rt = SchedRuntime::new(registry(), vec![XCKU060, ADM_PCIE_7V3], policy);
-        let mut engine = SchedEngine::new(&rt);
+        let mut engine = SchedEngine::new(&rt, &Lane::serial());
         let (mut t, mut next_id, mut probes, mut wakes) = (0.0f64, 0u64, 0, 0);
         // One streaming session open at a time: (id, next chunk
         // index, last chunk's arrival — a session's arrivals must

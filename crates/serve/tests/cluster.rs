@@ -11,6 +11,8 @@
 //! * **Bit-identity across executors** — responses, metrics, router
 //!   stats, per-shard gauges and the rendered router journal are equal
 //!   under `Inline` and `ThreadPool` execution, kill included.
+//! * **Exact per-shard FFT ledgers** — the shards' `host_fft()` add up
+//!   to the calling thread's count over the run.
 //! * **Bad input fails at the door** — a non-finite arrival time is
 //!   rejected naming the request (it used to surface as "cluster
 //!   answered N−1 of N"), every malformed load the scheduler rejects
@@ -23,6 +25,7 @@
 //!   times, two identical runs produce byte-identical journals and
 //!   equal responses, and a shard kill never loses a request.
 
+use ernn_fft::stats::{self, FftStats};
 use ernn_fpga::exec::DatapathConfig;
 use ernn_fpga::{ADM_PCIE_7V3, XCKU060};
 use ernn_model::{compress_network, BlockPolicy, CellType, ModelSpec};
@@ -233,6 +236,34 @@ fn cluster_is_bit_identical_across_executors() {
             _ => panic!("shard {} placement differs across executors", sa.shard),
         }
     }
+}
+
+/// Each shard's FFT ledger counts its own runs only, wherever they ran:
+/// the shards' ledgers add up to what the calling thread counted over
+/// the run (the lane's threads charge theirs to it), and every shard
+/// that answered a request ran transforms. `fft_cache.rs`, a binary
+/// with no other test running beside it, checks the same total against
+/// the process-wide counters.
+#[test]
+fn shard_fft_ledgers_add_up_to_the_callers_count() {
+    let cluster = four_shard_cluster(FaultPlan::empty(), ExecutorKind::Inline);
+    let caller = stats::thread_snapshot();
+    let report = cluster.run(mixed_load(40, 6, 2));
+    let counted = stats::thread_snapshot().since(&caller);
+    let mut total = FftStats::default();
+    for shard in &report.shards {
+        let fft = shard
+            .report
+            .as_ref()
+            .map(|r| r.host_fft())
+            .unwrap_or_default();
+        if shard.answered > 0 {
+            assert!(fft.forward_transforms > 0, "shard {}: {fft:?}", shard.shard);
+        }
+        total = total.plus(&fft);
+    }
+    assert!(counted.forward_transforms > 0);
+    assert_eq!(total, counted, "the shards' ledgers overlap or miss work");
 }
 
 #[test]

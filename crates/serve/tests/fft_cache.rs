@@ -5,9 +5,10 @@
 //! sum of the FFT counters in [`ernn_fft::stats`] sees no concurrent
 //! activity and exact-delta assertions are sound. The same test therefore
 //! also checks that sum against the calling thread's own delta on the
-//! default executor (whose scoped threads charge their counts to it) and
-//! against a thread-pool run: it must equal the workers' own ledgers
-//! added up, read after the workers have exited.
+//! default executor (whose inference lane's threads charge their counts
+//! to it), against a cluster run's shard ledgers added up (every shard
+//! feeds one lane), and against a thread-pool run: it must equal the
+//! workers' own ledgers added up, read after the workers have exited.
 
 use ernn_fft::stats;
 use ernn_fpga::exec::DatapathConfig;
@@ -15,7 +16,9 @@ use ernn_fpga::XCKU060;
 use ernn_model::{compress_network, BlockPolicy, CellType, ModelSpec};
 use ernn_serve::loadgen::synthetic_utterances;
 use ernn_serve::sched::{ModelRegistry, SchedPolicy, SchedRuntime};
-use ernn_serve::{CompiledModel, ExecutorKind, Request, RuntimeConfig};
+use ernn_serve::{
+    ClusterConfig, ClusterRuntime, CompiledModel, ExecutorKind, Request, RuntimeConfig,
+};
 use rand::SeedableRng;
 
 #[test]
@@ -87,16 +90,51 @@ fn weight_spectra_are_computed_at_load_not_per_request() {
         "inverse FFTs must scale with requests only"
     );
     assert_eq!(delta.plans_created, 0);
-    // The default executor shares the batches' stateless runs with scoped
-    // threads that are off the ledger and charge their counts back: the
-    // calling thread's delta is the whole run's, as a serial run's is.
+    // The default executor hands the batches to the run's inference
+    // lane, whose threads are off the ledger and charge their counts
+    // back at close: the calling thread's delta is the whole run's, as a
+    // serial run's is.
     assert_eq!(report.worker_fft.len(), 1);
     assert_eq!(
         stats::thread_snapshot().since(&caller_before),
         delta,
-        "the scoped threads' counts were not charged to the caller"
+        "the lane threads' counts were not charged to the caller"
     );
     assert_eq!(delta, report.host_fft());
+
+    // The same requests through a four-shard cluster, whose shards all
+    // feed one lane: the process-wide delta is the caller's, and the
+    // shards' ledgers add up to it with no run counted twice.
+    let cluster = ClusterRuntime::new(
+        {
+            let mut registry = ModelRegistry::new();
+            registry.register_shared(
+                "lstm-16",
+                std::sync::Arc::clone(runtime.registry().model(0)),
+            );
+            registry
+        },
+        vec![vec![XCKU060]; 4],
+        SchedPolicy::fifo_earliest_free(4, 50.0),
+        RuntimeConfig::new(),
+        ClusterConfig::new().replication(4),
+    );
+    let before_cluster = stats::snapshot();
+    let caller_before = stats::thread_snapshot();
+    let report = cluster.run(
+        (0..n)
+            .map(|i| Request::new(i, probe.clone(), i as f64 * 10.0))
+            .collect(),
+    );
+    let delta = stats::snapshot().since(&before_cluster);
+    assert_eq!(delta.forward_transforms, per_request.forward_transforms * n);
+    assert_eq!(stats::thread_snapshot().since(&caller_before), delta);
+    let shards = report
+        .shards
+        .iter()
+        .filter_map(|s| s.report.as_ref())
+        .fold(stats::FftStats::default(), |acc, r| acc.plus(&r.host_fft()));
+    assert_eq!(shards, delta, "the shards' ledgers != the run's FFT work");
 
     // The same requests on the thread pool: the process-wide delta is
     // exactly the sum of the workers' own ledgers — the event-loop thread

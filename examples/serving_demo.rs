@@ -112,7 +112,8 @@ fn main() {
     // 5. The same load through the channel pool: one worker thread per
     //    device slot, fed over channels. The virtual-time report is
     //    bit-identical; only wall-clock host time changes (the default
-    //    executor already computes the run on every core at its end).
+    //    executor already computes batches on every further core while
+    //    the event loop runs).
     let pooled_report = runtime(&model, 2, ExecutorKind::ThreadPool).run(with_uniform_slo(
         open_loop_poisson(&utterances, 400, 500_000.0, 11),
         5_000.0,

@@ -22,15 +22,19 @@
 //! times fill engine scratch, so a round is ≈ 3.05: the clone of the
 //! load, and ≈ 0.7 inside `run` that is per batch (≈ 0.32 batches per
 //! request) — the formed batch and B-tree nodes of a queue that keeps
-//! running empty — plus per-run tables. Since the default executor logs
-//! jobs at dispatch and computes them at `finish`, with one scoped
-//! thread per shard beside the caller, a round is ≈ 3.16 (24 421 → 25 258
-//! allocations, 5 579 → 6 416 inside `run`): per shard, the growing job
-//! log and run list, the thread and its grow-once scratch.
+//! running empty — plus per-run tables. When the default executor logged
+//! jobs at dispatch and computed each shard's run at its `finish` on a
+//! scoped thread beside the caller, a round was ≈ 3.16 (25 258
+//! allocations, 6 416 inside `run`). Since the whole cluster feeds one
+//! inference lane, whose queue holds the jobs back to back and hands each
+//! batch's job list straight back, a round is ≈ 3.01 (24 047–24 095,
+//! 5 205–5 253 inside `run`), on two cores and on one: one lane thread
+//! and its scratch per round instead of one thread per shard, and the
+//! lane's queue and outputs growing once.
 //!
 //! A regression here is what a per-request `Vec` in `Router::steer`, a
-//! per-batch `collect()` in `SchedRuntime::dispatch` or a fresh run
-//! list in the executor looks like.
+//! per-batch `collect()` in `SchedRuntime::dispatch`, or a lane that
+//! keeps a batch's job list until `finish` looks like.
 
 use ernn::fpga::exec::DatapathConfig;
 use ernn::fpga::{TransferModel, ADM_PCIE_7V3, XCKU060};

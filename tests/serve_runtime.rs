@@ -218,13 +218,12 @@ fn default_executor_keeps_pace_with_the_pool_on_wall_clock_for_cpu_bound_load() 
 
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     if cores >= 2 {
-        // The default executor computes the run at `finish` on every
-        // core, with no channel hop per batch. On an otherwise idle
-        // 2-core host it takes 0.90–0.99 of the pool's time in a debug
-        // build (≈ 0.7 in release); where the second core is shared with
-        // other work the two read within ±10 % of each other either way
-        // round. An executor computing on one thread reads ≥ 1.6× here,
-        // so the bound sits between the two.
+        // The default executor computes the run on every core, on its
+        // inference lane, with no channel hop per batch. On a 2-core
+        // host it takes 0.85–1.08 of the pool's time in a debug build
+        // and 0.80–0.96 in release (three runs each, the second core
+        // shared with other work). An executor computing on one thread
+        // reads ≥ 1.6× here, so the bound sits between the two.
         assert!(
             inline_us < 1.3 * pool_us,
             "the default executor must keep pace with the pool on {cores} cores: \
