@@ -213,13 +213,13 @@ fn main() {
         ("failover", &failover, true),
         ("no-failover", &stranded, false),
     ] {
-        let pooled = run(
+        let serial = run(
             &trace.requests,
             &plan,
             failover_on,
             ExecutorKind::ThreadPool,
         );
-        assert_executor_blind(label, report, &pooled);
+        assert_executor_blind(label, report, &serial);
     }
 
     // The failover run's journal is the interesting one: the crash, the

@@ -163,8 +163,8 @@ fn main() {
         };
         let report = run(ExecutorKind::Inline);
 
-        // Correctness harness: the thread-pool executor must reproduce
-        // every virtual-time result bit for bit.
+        // Correctness harness: the serial lane must reproduce every
+        // virtual-time result bit for bit.
         assert_executor_blind(config.label, &report, &run(ExecutorKind::ThreadPool));
         assert_counters_match_responses(config.label, &report);
         assert_eq!(

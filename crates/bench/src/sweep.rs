@@ -156,9 +156,10 @@ pub fn acoustic_gru(seed: u64, hidden: usize) -> CompiledModel {
     )
 }
 
-/// Asserts two runs of one load under different host executors agree on
-/// everything a [`SchedReport`] carries except wall-clock `host_us` and
-/// the per-worker FFT ledger: responses, metrics, scheduler stats, the
+/// Asserts two runs of one load — on the served inference lane and on
+/// the serial one ([`ExecutorKind::ThreadPool`](ernn_serve::ExecutorKind))
+/// — agree on everything a [`SchedReport`] carries except wall-clock
+/// `host_us`: responses, metrics, scheduler stats, the
 /// journal and attribution, the journal's Chrome rendering byte for
 /// byte, the timeline and the health report.
 pub fn assert_executor_blind(label: &str, a: &SchedReport, b: &SchedReport) {

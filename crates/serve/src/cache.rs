@@ -41,9 +41,9 @@ pub struct LoadStats {
 ///
 /// `CompiledModel` is plain owned data with no interior mutability —
 /// weight spectra are baked in at compile time and [`Self::infer`] takes
-/// `&self` — so it is `Send + Sync` and can be shared read-only across a
-/// worker pool behind an `Arc` (the parallel executor in `ernn-serve`
-/// relies on this; the assertion below makes the guarantee compile-time).
+/// `&self` — so it is `Send + Sync` and can be shared read-only across
+/// threads behind an `Arc` (the inference lane's threads rely on this;
+/// the assertion below makes the guarantee compile-time).
 #[derive(Debug, Clone)]
 pub struct CompiledModel {
     qnet: QuantizedNetwork,
@@ -54,9 +54,9 @@ pub struct CompiledModel {
     pub load_stats: LoadStats,
 }
 
-// Compile-time proof that a loaded model can be shared across executor
-// workers; a regression (e.g. an Rc or RefCell smuggled into the weight
-// path) fails the build here rather than deep inside the thread pool.
+// Compile-time proof that a loaded model can be shared across the lane's
+// threads; a regression (e.g. an Rc or RefCell smuggled into the weight
+// path) fails the build here rather than deep inside the lane.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<CompiledModel>();

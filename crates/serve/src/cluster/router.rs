@@ -804,4 +804,60 @@ mod tests {
             }
         }
     }
+
+    /// A four-shard cluster with a shard kill through a lane that three
+    /// threads serve and through a lane no thread serves: every shard
+    /// feeds the one lane, so the shards' runs race for its threads, and
+    /// the reports must agree bit for bit, every observer on.
+    #[test]
+    fn three_lane_threads_match_the_serial_lane_across_a_shard_kill() {
+        let requests = load(7, 8, 80);
+        let rt = ClusterRuntime::new(
+            registry(),
+            vec![vec![XCKU060]; 4],
+            SchedPolicy::edf_cost_model(4, 60.0),
+            RuntimeConfig::new()
+                .tracing(TraceConfig::enabled(4096))
+                .timeline(TimelineConfig::enabled(40.0, 4096))
+                .health(HealthConfig::enabled()),
+            ClusterConfig::new()
+                .replication(2)
+                .shard_faults(FaultPlan::new(vec![FaultEvent {
+                    t_us: 500.0,
+                    device: 1,
+                    fault: DeviceFault::Crash {
+                        down_us: f64::INFINITY,
+                    },
+                }]))
+                .tracing(TraceConfig::enabled(8192)),
+        );
+        let run = |threads: usize| {
+            lane_scope(threads, |lane| {
+                rt.route(requests.clone(), lane, Instant::now())
+            })
+        };
+        let (laned, serial) = (run(3), run(0));
+        assert_eq!(laned.responses, serial.responses);
+        assert_eq!(laned.metrics, serial.metrics);
+        assert_eq!(laned.stats, serial.stats);
+        assert_eq!(laned.trace, serial.trace);
+        assert_eq!(laned.shards.len(), serial.shards.len());
+        for (a, b) in laned.shards.iter().zip(&serial.shards) {
+            assert_eq!(
+                (a.alive, &a.placed, a.gauges),
+                (b.alive, &b.placed, b.gauges)
+            );
+            assert_eq!(a.answered, b.answered);
+            let (ra, rb) = (a.report.as_ref(), b.report.as_ref());
+            assert_eq!(ra.map(|r| &r.metrics), rb.map(|r| &r.metrics));
+            assert_eq!(ra.map(|r| &r.sched), rb.map(|r| &r.sched));
+            assert_eq!(ra.map(|r| &r.trace), rb.map(|r| &r.trace));
+            assert_eq!(ra.map(|r| &r.timeline), rb.map(|r| &r.timeline));
+            assert_eq!(ra.map(|r| &r.health), rb.map(|r| &r.health));
+            assert_eq!(ra.map(|r| r.host_fft()), rb.map(|r| r.host_fft()));
+        }
+        // The kill struck a shard that was serving.
+        assert_eq!(serial.stats.shard_kills, 1);
+        assert!(serial.stats.rerouted + serial.stats.sessions_rerouted > 0);
+    }
 }

@@ -33,7 +33,7 @@ pub fn backoff_us(attempt: u32) -> f64 {
     (BASE_BACKOFF_US * (1u64 << exp) as f64).min(MAX_BACKOFF_US)
 }
 
-/// Builder-style run options: executor choice, tracing,
+/// Builder-style run options: lane threads, tracing,
 /// streaming-session limits, and fault injection.
 ///
 /// `#[non_exhaustive]`: construct with [`RuntimeConfig::new`] and the
@@ -41,7 +41,8 @@ pub fn backoff_us(attempt: u32) -> f64 {
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct RuntimeConfig {
-    /// Where host-side inference executes.
+    /// Whether threads serve the run's inference lane (the default) or
+    /// the caller computes every run at the end (the serial reference).
     pub executor: ExecutorKind,
     /// Flight-recorder tracing; disabled by default.
     pub trace: TraceConfig,
@@ -86,13 +87,13 @@ impl Default for RuntimeConfig {
 }
 
 impl RuntimeConfig {
-    /// The default configuration: inline executor, tracing disabled, no
+    /// The default configuration: a served inference lane, tracing disabled, no
     /// session limit, no faults, failover enabled.
     pub fn new() -> Self {
         RuntimeConfig::default()
     }
 
-    /// Selects the executor.
+    /// Selects the served or the serial inference lane.
     pub fn executor(mut self, executor: ExecutorKind) -> Self {
         self.executor = executor;
         self

@@ -1,4 +1,4 @@
-//! Host-side inference executors: *where* `forward_logits` runs.
+//! Host-side inference: *where* `forward_logits` runs.
 //!
 //! The serving runtime separates two clocks. The **virtual clock** decides
 //! when batches form and how long devices take (the scheduler's device
@@ -9,61 +9,58 @@
 //! the pre/post-processing work the host must overlap with device
 //! execution to keep every accelerator fed.
 //!
-//! An [`Executor`] owns the host side of that split. It is constructed
-//! over the run's model set — the scheduler passes its whole registry —
-//! and each [`InferenceJob`] names the model it targets by index. The
-//! runtime submits one job per request at dispatch time and collects
-//! every result once the virtual-time event loop has drained:
-//!
-//! * [`InlineExecutor`], the default, hands each dispatched run to the
-//!   run's inference lane (`lane.rs`): one queue that `host cores − 1`
-//!   scoped threads serve while the event loop keeps dispatching, so host
-//!   inference overlaps routing. A [`ClusterRuntime`](crate::ClusterRuntime)
-//!   opens one lane for all its shards. At [`Executor::finish`] the caller
-//!   closes the lane and helps drain it; on one core no lane thread
-//!   exists and the caller computes the whole run there.
-//! * [`ThreadPoolExecutor`] fans jobs out to a pool of `std::thread`
-//!   workers over channels (no external async runtime), one worker per
-//!   device slot, with jobs pinned to their batch's device so per-worker
-//!   accounting is deterministic. Host inference for batch k+1 then
-//!   overlaps with event-loop work for batch k.
+//! An [`InlineExecutor`] owns the host side of that split. It is
+//! constructed over the run's model set — the scheduler passes its whole
+//! registry — and each [`InferenceJob`] names the model it targets by
+//! index. The runtime submits one job per request at dispatch time and
+//! collects every result once the virtual-time event loop has drained.
+//! The executor hands each dispatched run to the run's inference lane
+//! (`lane.rs`): one queue that `host cores − 1` scoped threads serve
+//! while the event loop keeps dispatching, so host inference overlaps
+//! routing. A [`ClusterRuntime`](crate::ClusterRuntime) opens one lane for
+//! all its shards. At [`Executor::finish`] the caller closes the lane and
+//! helps drain it; on one core, or under [`ExecutorKind::ThreadPool`], no
+//! lane thread exists and the caller computes the whole run there — the
+//! serial reference the default is checked against.
 //!
 //! Logits are a pure function of (model, frames) (`f32` arithmetic, no
-//! reductions across threads), so both executors produce **bit-identical**
-//! outputs; only wall-clock host time differs. FFT activity is tracked
-//! exactly via the thread-local counters in [`ernn_fft::stats`]: the pool
-//! reports it per worker, the lane credits each run's counts to the
-//! executor that submitted it and charges its threads' totals to the
-//! closing caller.
+//! reductions across threads), so every lane produces **bit-identical**
+//! outputs whatever its thread count; only wall-clock host time differs.
+//! FFT activity is tracked exactly via the thread-local counters in
+//! [`ernn_fft::stats`]: the lane credits each run's counts to the executor
+//! that submitted it and charges its threads' totals to the closing
+//! caller.
 
 mod lane;
 
 pub(crate) use lane::{scope as lane_scope, Lane};
 
 use crate::cache::CompiledModel;
-use ernn_fft::stats::{self, FftStats};
+use ernn_fft::stats::FftStats;
 use ernn_fpga::exec::{ExecScratch, NetworkState};
 use std::collections::HashMap;
-use std::sync::{mpsc, Arc, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::thread;
 
-/// Which host-side executor a [`SchedRuntime`](crate::sched::SchedRuntime)
-/// uses.
+/// How many threads serve a [`SchedRuntime`](crate::sched::SchedRuntime)
+/// run's inference lane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecutorKind {
-    /// Hand each dispatched run to the run's inference lane, which one
-    /// scoped thread per further host core serves while the event loop
-    /// runs; the event-loop thread helps drain it at `finish`.
+    /// One scoped thread per further host core serves the lane while the
+    /// event loop runs; the event-loop thread helps drain it at `finish`.
     #[default]
     Inline,
-    /// One worker thread per device slot, fed over channels.
+    /// No lane thread: the caller computes every run at `finish`, in
+    /// submission order. The serial reference the default is checked
+    /// against; it keeps this name only because
+    /// `benchmark/src/workloads.rs` uses it.
     ThreadPool,
 }
 
 impl ExecutorKind {
     /// How many threads a run's inference lane gets: one per host core
-    /// beside the caller's for the inline executor, none for the pool,
-    /// which brings its own workers.
+    /// beside the caller's for the default, none for the serial
+    /// reference.
     pub(crate) fn lane_threads(self) -> usize {
         match self {
             ExecutorKind::Inline => host_cores() - 1,
@@ -74,16 +71,16 @@ impl ExecutorKind {
 
 /// Session identity of one streaming-chunk job.
 ///
-/// Executors keep per-worker `session id → NetworkState` tables; because
-/// the scheduler pins every chunk of a session to one device (and jobs
-/// route to workers by device), a session's state lives on exactly one
-/// worker and chunk jobs arrive there in dispatch order — which is what
-/// makes streaming results bit-identical across executors.
+/// An executor keeps one `session id → NetworkState` table, whichever
+/// device a chunk ran on, and its lane runs every session run in
+/// submission order on one owner thread — which is what makes streaming
+/// results bit-identical across lanes, and what lets a failover re-pin a
+/// session to another device with no state to move.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SessionSlot {
     /// The streaming session this chunk belongs to.
     pub id: u64,
-    /// Final chunk: the worker drops the session's state after it.
+    /// Final chunk: the executor drops the session's state after it.
     pub last: bool,
 }
 
@@ -92,7 +89,7 @@ pub struct SessionSlot {
 pub struct InferenceJob {
     /// Index of the response this job's logits belong to.
     pub slot: usize,
-    /// Device slot the batch ran on; doubles as the worker affinity key.
+    /// Device slot the batch ran on; one fusable run shares it.
     pub device: usize,
     /// Index into the executor's model set.
     pub model: usize,
@@ -111,14 +108,15 @@ pub struct InferenceJob {
 pub struct ExecutorReport {
     /// `(slot, logits)` for every submitted job, in arbitrary order.
     pub outputs: Vec<(usize, Vec<Vec<f32>>)>,
-    /// Host FFT activity per worker ([`InlineExecutor`] has one entry:
-    /// the work of exactly its own runs, whichever lane thread ran them).
-    /// Over every executor of a run the entries sum to the run's global
-    /// FFT delta.
-    pub worker_fft: Vec<FftStats>,
+    /// Host FFT activity of exactly this executor's runs, whichever lane
+    /// thread ran them. Over every executor of a run these sum to the
+    /// run's global FFT delta.
+    pub fft: FftStats,
 }
 
-/// Runs host-side inference for a serving run.
+/// Runs host-side inference for a serving run. [`InlineExecutor`] is the
+/// executor; the trait is what `benchmark/src/ledger.rs` drives it
+/// through (`&mut dyn Executor`).
 ///
 /// The contract the runtime relies on:
 ///
@@ -131,32 +129,9 @@ pub trait Executor {
     /// Accepts every job of one dispatched batch at once, so the
     /// executor can batch-fuse host inference across them (the runtime
     /// dispatches a formed batch to a single device with a single model,
-    /// so batch members share both). Queues them and returns at once —
-    /// on the run's inference lane (inline) or with a worker (thread
-    /// pool); either way logits are bit-identical to one-job batches.
+    /// so batch members share both). Queues them on the inference lane
+    /// and returns at once; logits are bit-identical to one-job batches.
     fn submit_batch(&mut self, jobs: Vec<InferenceJob>);
-
-    /// An empty job list to fill for the next [`Self::submit_batch`].
-    /// An executor that is done with a batch when `submit_batch` returns
-    /// hands the previous batch's (emptied) list back here, so the
-    /// runtime's dispatch path stops allocating one per batch; the
-    /// default is a fresh list.
-    fn job_buffer(&mut self) -> Vec<InferenceJob> {
-        Vec::new()
-    }
-
-    /// Moves a streaming session's host-side [`NetworkState`] from the
-    /// worker serving `from_device` to the worker serving `to_device` —
-    /// the host half of a failover: when the runtime re-pins a crashed
-    /// device's session, the chunk jobs start routing to a different
-    /// worker, and the state must already be there for logits to stay
-    /// bit-identical. Must be called *before* submitting the first job
-    /// of the migrated session on the new device. A no-op when both
-    /// devices map to the same worker (including the inline executor,
-    /// whose single table serves every device).
-    fn migrate_session(&mut self, session: u64, from_device: usize, to_device: usize) {
-        let _ = (session, from_device, to_device);
-    }
 
     /// Waits for every submitted job and returns the collected outputs.
     /// Must be called exactly once, after the last `submit_batch`.
@@ -164,9 +139,8 @@ pub trait Executor {
 }
 
 /// Whether two jobs may share one batch-fused inference call: same
-/// device (one worker) and same model. Runtime batches are one such run;
-/// the executors split arbitrary callers' job lists into maximal
-/// contiguous runs.
+/// device and same model. Runtime batches are one such run; the executor
+/// splits arbitrary callers' job lists into maximal contiguous runs.
 fn same_run(a: &InferenceJob, b: &InferenceJob) -> bool {
     (a.device, a.model) == (b.device, b.model)
 }
@@ -181,7 +155,7 @@ fn for_each_run(mut jobs: Vec<InferenceJob>, mut each: impl FnMut(Vec<InferenceJ
     }
 }
 
-/// [`infer_run`]'s grow-once bookkeeping, one per worker next to its
+/// [`infer_run`]'s grow-once bookkeeping, one per lane thread next to its
 /// [`ExecScratch`]: both lists are empty between runs and keep the
 /// largest run's capacity.
 #[derive(Debug, Default)]
@@ -254,21 +228,21 @@ fn host_cores() -> usize {
     *CORES.get_or_init(|| thread::available_parallelism().map_or(1, usize::from))
 }
 
-/// The default executor: `submit_batch` hands each fusable run to an
-/// inference lane and [`Executor::finish`] closes the lane, helps drain
-/// it and collects this executor's logits.
+/// The executor: `submit_batch` hands each fusable run to an inference
+/// lane and [`Executor::finish`] closes the lane, helps drain it and
+/// collects this executor's logits.
 ///
-/// Inside a runtime the lane is the run's own (see
-/// [`ExecutorKind::Inline`]): its threads compute runs while the event
-/// loop is still dispatching, and a cluster's shards all feed one lane.
-/// Runs that carry session chunks go in submission order to one owner
-/// thread, which keeps this executor's session table (so a session's
-/// state needs no migration between devices); stateless runs go to any
-/// lane thread or to the caller at `finish`. The FFT work of this
-/// executor's runs is credited to it, whichever thread ran them, and the
-/// lane threads' totals are charged to the caller at close, so the
-/// calling thread counts what a serial run counts. A panic on a lane
-/// thread resurfaces from `finish` with its original payload.
+/// Inside a runtime the lane is the run's own (see [`ExecutorKind`]): its
+/// threads compute runs while the event loop is still dispatching, and a
+/// cluster's shards all feed one lane. Runs that carry session chunks go
+/// in submission order to one owner thread, which keeps this executor's
+/// session table (one per executor, not per device, so a session whose
+/// device changes needs no migration); stateless runs go to any lane
+/// thread or to the caller at `finish`. The FFT work of this executor's
+/// runs is credited to it, whichever thread ran them, and the lane
+/// threads' totals are charged to the caller at close, so the calling
+/// thread counts what a serial run counts. A panic on a lane thread
+/// resurfaces from `finish` with its original payload.
 ///
 /// Built with [`InlineExecutor::new`], the executor gets a lane of its
 /// own that no thread serves: `finish` computes every run on the calling
@@ -279,7 +253,7 @@ pub struct InlineExecutor {
     lane: Arc<Lane>,
     /// This executor's account in the lane.
     account: usize,
-    /// The last batch's job list, emptied — see [`Executor::job_buffer`].
+    /// The last batch's job list, emptied — see [`Self::job_buffer`].
     spare_jobs: Vec<InferenceJob>,
 }
 
@@ -304,6 +278,13 @@ impl InlineExecutor {
             spare_jobs: Vec::new(),
         }
     }
+
+    /// An empty job list to fill for the next [`Executor::submit_batch`]:
+    /// the previous batch's, emptied once the lane took its jobs, so the
+    /// runtime's dispatch path stops allocating one per batch.
+    pub(crate) fn job_buffer(&mut self) -> Vec<InferenceJob> {
+        std::mem::take(&mut self.spare_jobs)
+    }
 }
 
 impl Executor for InlineExecutor {
@@ -315,267 +296,49 @@ impl Executor for InlineExecutor {
         });
     }
 
-    fn job_buffer(&mut self) -> Vec<InferenceJob> {
-        std::mem::take(&mut self.spare_jobs)
-    }
-
     fn finish(&mut self) -> ExecutorReport {
         self.lane.close();
         self.lane.settle(self.account)
     }
 }
 
-/// Message a worker sends back to the submitting thread.
-enum WorkerMessage {
-    /// Finished logits for one job slot.
-    Output(usize, Vec<Vec<f32>>),
-    /// Worker `i` drained its queue and exited; carries its exact FFT
-    /// activity (thread-local delta over the worker's lifetime).
-    Done(usize, FftStats),
-}
-
-/// Command sent to one pool worker over its job channel. Keeping state
-/// migration on the same FIFO channel as batches is what makes failover
-/// deterministic: an `Extract` queued after a session's last pre-crash
-/// batch is guaranteed to observe that batch's output state.
-enum WorkerCmd {
-    /// One fusable run of inference jobs.
-    Batch(Vec<InferenceJob>),
-    /// Remove `session`'s state and send it back (None if absent).
-    Extract {
-        /// Session whose state to remove.
-        session: u64,
-        /// One-shot reply channel.
-        reply: mpsc::Sender<Option<NetworkState>>,
-    },
-    /// Install `session`'s state (it migrated from another worker).
-    Inject {
-        /// Session whose state arrives.
-        session: u64,
-        /// The migrated recurrent state.
-        state: Box<NetworkState>,
-    },
-}
-
-/// A fixed pool of `std::thread` workers consuming jobs over channels.
-///
-/// Jobs are routed by `job.device % workers`, so all inference for one
-/// virtual device lands on one worker (deterministic per-worker load and
-/// FFT accounting) while distinct devices proceed in parallel. Each
-/// worker owns a persistent [`ExecScratch`] for its whole lifetime, so
-/// steady-state inference stops allocating in the FFT/matvec kernels, and
-/// batch submissions ([`Executor::submit_batch`]) are batch-fused: one
-/// pass over the cached weight spectra serves the whole batch. Every
-/// worker shares the full model set read-only, so a heterogeneous pool
-/// can run any registered model on any device slot.
+/// The serial [`InlineExecutor::new`] under the name
+/// `benchmark/src/ledger.rs` calls; it has no behaviour of its own.
 #[derive(Debug)]
-pub struct ThreadPoolExecutor {
-    /// Per-worker command senders; `None` once `finish` closed the
-    /// queues.
-    job_txs: Vec<Option<mpsc::Sender<WorkerCmd>>>,
-    result_rx: mpsc::Receiver<WorkerMessage>,
-    handles: Vec<thread::JoinHandle<()>>,
-    submitted: usize,
-}
+pub struct ThreadPoolExecutor(InlineExecutor);
 
 impl ThreadPoolExecutor {
-    /// Spawns `workers` threads sharing the model set read-only.
+    /// [`InlineExecutor::new`] over `models`; `_workers` is ignored.
     ///
     /// # Panics
     ///
-    /// Panics if `workers == 0` or `models` is empty.
-    pub fn new(models: Vec<Arc<CompiledModel>>, workers: usize) -> Self {
-        assert!(workers > 0, "thread pool needs at least one worker");
-        assert!(!models.is_empty(), "executor needs at least one model");
-        let models = Arc::new(models);
-        let (result_tx, result_rx) = mpsc::channel();
-        let mut job_txs = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let (job_tx, job_rx) = mpsc::channel::<WorkerCmd>();
-            let models = Arc::clone(&models);
-            let result_tx = result_tx.clone();
-            handles.push(thread::spawn(move || {
-                let fft_start = stats::thread_snapshot();
-                let mut scratch = ExecScratch::new();
-                let mut run = RunScratch::default();
-                let mut sessions = HashMap::new();
-                while let Ok(cmd) = job_rx.recv() {
-                    match cmd {
-                        WorkerCmd::Batch(mut jobs) => {
-                            let model = &models[jobs[0].model];
-                            infer_run(model, &mut jobs, &mut scratch, &mut sessions, &mut run);
-                            for job in jobs {
-                                if result_tx
-                                    .send(WorkerMessage::Output(job.slot, job.frames))
-                                    .is_err()
-                                {
-                                    // Receiver gone: the executor was
-                                    // dropped without finish(); nothing
-                                    // left to report to.
-                                    return;
-                                }
-                            }
-                        }
-                        WorkerCmd::Extract { session, reply } => {
-                            // Sent synchronously by migrate_session; a
-                            // dropped reply means the executor is gone.
-                            let _ = reply.send(sessions.remove(&session));
-                        }
-                        WorkerCmd::Inject { session, state } => {
-                            sessions.insert(session, *state);
-                        }
-                    }
-                }
-                let delta = stats::thread_snapshot().since(&fft_start);
-                let _ = result_tx.send(WorkerMessage::Done(w, delta));
-            }));
-            job_txs.push(Some(job_tx));
-        }
-        ThreadPoolExecutor {
-            job_txs,
-            result_rx,
-            handles,
-            submitted: 0,
-        }
-    }
-
-    /// Number of worker threads.
-    pub fn workers(&self) -> usize {
-        self.job_txs.len()
-    }
-
-    /// Sends one fusable run to its pinned worker.
-    fn send_run(&mut self, run: Vec<InferenceJob>) {
-        let device = run[0].device;
-        self.submitted += run.len();
-        let w = device % self.job_txs.len();
-        let sent = self.job_txs[w]
-            .as_ref()
-            .expect("submit after finish")
-            .send(WorkerCmd::Batch(run));
-        if sent.is_err() {
-            self.propagate_worker_panic();
-        }
-    }
-
-    /// A closed channel means a worker died mid-run: close the remaining
-    /// queues, join everyone, and re-raise the *original* worker panic so
-    /// the failure points at the actual fault, not at the channel.
-    fn propagate_worker_panic(&mut self) -> ! {
-        for tx in &mut self.job_txs {
-            tx.take();
-        }
-        let mut payload = None;
-        for handle in self.handles.drain(..) {
-            if let Err(panic) = handle.join() {
-                payload.get_or_insert(panic);
-            }
-        }
-        match payload {
-            Some(panic) => std::panic::resume_unwind(panic),
-            None => unreachable!("executor channel closed but no worker panicked"),
-        }
+    /// Panics if `models` is empty.
+    pub fn new(models: Vec<Arc<CompiledModel>>, _workers: usize) -> Self {
+        ThreadPoolExecutor(InlineExecutor::new(models))
     }
 }
 
 impl Executor for ThreadPoolExecutor {
     fn submit_batch(&mut self, jobs: Vec<InferenceJob>) {
-        // Each fusable run lands on its pinned worker as one fused batch.
-        for_each_run(jobs, |run| self.send_run(run));
-    }
-
-    fn migrate_session(&mut self, session: u64, from_device: usize, to_device: usize) {
-        let workers = self.job_txs.len();
-        let (from_w, to_w) = (from_device % workers, to_device % workers);
-        if from_w == to_w {
-            return;
-        }
-        // Synchronous round-trip: Extract rides the old worker's FIFO
-        // queue (so it sees every pre-crash chunk's output state), and
-        // Inject is enqueued before any post-migration job can be.
-        let (reply_tx, reply_rx) = mpsc::channel();
-        let sent = self.job_txs[from_w]
-            .as_ref()
-            .expect("migrate after finish")
-            .send(WorkerCmd::Extract {
-                session,
-                reply: reply_tx,
-            });
-        if sent.is_err() {
-            self.propagate_worker_panic();
-        }
-        let state = match reply_rx.recv() {
-            Ok(state) => state,
-            Err(_) => self.propagate_worker_panic(),
-        };
-        // Absent state is legal: the session never actually computed on
-        // the old worker (e.g. its first chunk was aborted pre-commit).
-        if let Some(state) = state {
-            let sent = self.job_txs[to_w]
-                .as_ref()
-                .expect("migrate after finish")
-                .send(WorkerCmd::Inject {
-                    session,
-                    state: Box::new(state),
-                });
-            if sent.is_err() {
-                self.propagate_worker_panic();
-            }
-        }
+        self.0.submit_batch(jobs);
     }
 
     fn finish(&mut self) -> ExecutorReport {
-        // Closing the job queues is what tells workers to drain and exit.
-        for tx in &mut self.job_txs {
-            tx.take();
-        }
-        let workers = self.handles.len();
-        let mut outputs = Vec::with_capacity(self.submitted);
-        let mut worker_fft = vec![FftStats::default(); workers];
-        let mut done = 0usize;
-        while done < workers {
-            match self.result_rx.recv() {
-                Ok(WorkerMessage::Output(slot, logits)) => outputs.push((slot, logits)),
-                Ok(WorkerMessage::Done(w, fft)) => {
-                    worker_fft[w] = fft;
-                    done += 1;
-                }
-                Err(_) => self.propagate_worker_panic(),
-            }
-        }
-        for handle in self.handles.drain(..) {
-            handle.join().expect("worker thread panicked");
-        }
-        debug_assert_eq!(outputs.len(), self.submitted, "every job must report");
-        ExecutorReport {
-            outputs,
-            worker_fft,
-        }
-    }
-}
-
-impl Drop for ThreadPoolExecutor {
-    /// Dropping without `finish` (e.g. an event-loop panic) still closes
-    /// the queues and joins the workers so no thread outlives the run.
-    fn drop(&mut self) {
-        for tx in &mut self.job_txs {
-            tx.take();
-        }
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
+        self.0.finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ernn_fft::stats;
     use ernn_fpga::exec::DatapathConfig;
     use ernn_fpga::XCKU060;
     use ernn_model::{compress_network, BlockPolicy, CellType, ModelSpec};
     use lane::WAKE_AT;
     use rand::SeedableRng;
+    use std::sync::{Condvar, Mutex};
+    use std::time::Duration;
 
     fn model_seeded(seed: u64) -> Arc<CompiledModel> {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
@@ -594,48 +357,70 @@ mod tests {
         model_seeded(17)
     }
 
-    fn jobs(n: usize, devices: usize) -> Vec<InferenceJob> {
-        (0..n)
-            .map(|i| InferenceJob {
-                slot: i,
-                device: i % devices,
-                model: 0,
-                frames: vec![vec![0.1 * (i as f32 + 1.0); 8]; 3 + i % 4],
-                session: None,
-            })
-            .collect()
-    }
+    /// `(slot, logits)` of every job, sorted by slot.
+    type Outputs = Vec<(usize, Vec<Vec<f32>>)>;
 
-    fn sorted_outputs(mut report: ExecutorReport) -> Vec<(usize, Vec<Vec<f32>>)> {
+    fn sorted_outputs(mut report: ExecutorReport) -> Outputs {
         report.outputs.sort_by_key(|(slot, _)| *slot);
         report.outputs
     }
 
+    /// `batches` through an executor on a lane that three threads serve,
+    /// and through a serial one: both reports, outputs sorted by slot.
+    fn on_three_threads_and_serially(
+        models: &[Arc<CompiledModel>],
+        batches: impl Fn() -> Vec<Vec<InferenceJob>>,
+    ) -> [(Outputs, FftStats); 2] {
+        let drive = |mut exec: InlineExecutor| {
+            for batch in batches() {
+                exec.submit_batch(batch);
+            }
+            let mut report = exec.finish();
+            let fft = report.fft;
+            report.outputs.sort_by_key(|(slot, _)| *slot);
+            (report.outputs, fft)
+        };
+        let laned = lane_scope(3, |lane| {
+            drive(InlineExecutor::on_lane(models.to_vec(), lane))
+        });
+        [laned, drive(InlineExecutor::new(models.to_vec()))]
+    }
+
     #[test]
-    fn inline_and_pool_outputs_are_bit_identical() {
+    fn lane_and_serial_outputs_are_bit_identical_to_infer() {
         let m = model();
-        let mut inline = InlineExecutor::new(vec![Arc::clone(&m)]);
-        let mut pool = ThreadPoolExecutor::new(vec![Arc::clone(&m)], 3);
-        for job in jobs(10, 3) {
-            inline.submit_batch(vec![job]);
+        // Enough one-job batches over three devices to wake the lane
+        // threads before the close.
+        let n = 2 * WAKE_AT + 3;
+        let batches = || {
+            (0..n)
+                .map(|i| {
+                    vec![InferenceJob {
+                        slot: i,
+                        device: i % 3,
+                        model: 0,
+                        frames: vec![vec![0.1 * (i as f32 + 1.0); 8]; 3 + i % 4],
+                        session: None,
+                    }]
+                })
+                .collect()
+        };
+        let [laned, serial] = on_three_threads_and_serially(&[Arc::clone(&m)], batches);
+        assert_eq!(laned, serial, "bit-identical logits and FFT work");
+        assert_eq!(laned.0.len(), n);
+        for ((slot, logits), batch) in laned.0.iter().zip(batches()) {
+            assert_eq!(logits, &m.infer(&batch[0].frames), "slot {slot}");
         }
-        for job in jobs(10, 3) {
-            pool.submit_batch(vec![job]);
-        }
-        let a = sorted_outputs(inline.finish());
-        let b = sorted_outputs(pool.finish());
-        assert_eq!(a.len(), 10);
-        // Bit-identical logits, slot for slot.
-        assert_eq!(a, b);
     }
 
     #[test]
     fn multi_model_jobs_route_to_their_model_on_both_executors() {
         let models = vec![model_seeded(17), model_seeded(99)];
         // Same frames against two different models must give different
-        // logits, and both executors must agree per slot.
-        let make_jobs = || {
-            (0..8)
+        // logits, and the lane and the serial executor must agree per
+        // slot.
+        let batches = || {
+            vec![(0..8)
                 .map(|i| InferenceJob {
                     slot: i,
                     device: i % 2,
@@ -643,15 +428,9 @@ mod tests {
                     frames: vec![vec![0.3; 8]; 4],
                     session: None,
                 })
-                .collect::<Vec<_>>()
+                .collect()]
         };
-        let mut inline = InlineExecutor::new(models.clone());
-        inline.submit_batch(make_jobs());
-        let a = sorted_outputs(inline.finish());
-
-        let mut pool = ThreadPoolExecutor::new(models.clone(), 2);
-        pool.submit_batch(make_jobs());
-        let b = sorted_outputs(pool.finish());
+        let [(a, _), (b, _)] = on_three_threads_and_serially(&models, batches);
         assert_eq!(a, b);
 
         // Model identity matters: slot 0 (model 0) differs from slot 1
@@ -664,29 +443,6 @@ mod tests {
     }
 
     #[test]
-    fn pool_routes_by_device_and_accounts_fft_per_worker() {
-        let m = model();
-        let mut pool = ThreadPoolExecutor::new(vec![Arc::clone(&m)], 2);
-        assert_eq!(pool.workers(), 2);
-        // Devices 0 and 1 → workers 0 and 1; both must show FFT activity.
-        for job in jobs(8, 2) {
-            pool.submit_batch(vec![job]);
-        }
-        let report = pool.finish();
-        assert_eq!(report.outputs.len(), 8);
-        assert_eq!(report.worker_fft.len(), 2);
-        for (w, fft) in report.worker_fft.iter().enumerate() {
-            assert!(
-                fft.forward_transforms > 0,
-                "worker {w} ran no FFTs: {fft:?}"
-            );
-            // Workers only infer; they never build plans (spectra and
-            // plans are baked into the shared model at compile time).
-            assert_eq!(fft.plans_created, 0, "worker {w}: {fft:?}");
-        }
-    }
-
-    #[test]
     fn session_chunks_chain_state_identically_on_both_executors() {
         let m = model();
         let utt: Vec<Vec<f32>> = (0..12).map(|t| vec![0.05 * t as f32; 8]).collect();
@@ -694,14 +450,14 @@ mod tests {
         // Two interleaved sessions, chunked 4+4+4, mixed with a stateless
         // utterance lane in the same submissions, and after each chunk a
         // batch of stateless prefixes on both devices: two more runs for
-        // the inline executor's shared queue.
+        // the lane's shared queue.
         let prefix = |k: usize, device: usize| &utt[..4 * k + 2 * device + 1];
-        let chunk_jobs = |base_slot: usize| -> Vec<Vec<InferenceJob>> {
+        let chunk_jobs = || -> Vec<Vec<InferenceJob>> {
             (0..3)
                 .flat_map(|k| {
                     let mut batch: Vec<InferenceJob> = (0..2u64)
                         .map(|sess| InferenceJob {
-                            slot: base_slot + (k * 2) + sess as usize,
+                            slot: (k * 2) + sess as usize,
                             device: sess as usize,
                             model: 0,
                             frames: utt[k * 4..(k + 1) * 4].to_vec(),
@@ -712,7 +468,7 @@ mod tests {
                         })
                         .collect();
                     batch.push(InferenceJob {
-                        slot: base_slot + 6 + k,
+                        slot: 6 + k,
                         device: 0,
                         model: 0,
                         frames: utt.clone(),
@@ -720,7 +476,7 @@ mod tests {
                     });
                     let prefixes = (0..2)
                         .map(|device| InferenceJob {
-                            slot: base_slot + 9 + k * 2 + device,
+                            slot: 9 + k * 2 + device,
                             device,
                             model: 0,
                             frames: prefix(k, device).to_vec(),
@@ -731,29 +487,22 @@ mod tests {
                 })
                 .collect()
         };
-        let run = |mut exec: Box<dyn Executor>| -> Vec<(usize, Vec<Vec<f32>>)> {
-            for batch in chunk_jobs(0) {
-                exec.submit_batch(batch);
-            }
-            sorted_outputs(exec.finish())
-        };
-        let inline = run(Box::new(InlineExecutor::new(vec![Arc::clone(&m)])));
-        let pool = run(Box::new(ThreadPoolExecutor::new(vec![Arc::clone(&m)], 2)));
-        assert_eq!(inline, pool, "executors must agree bit for bit");
+        let [laned, serial] = on_three_threads_and_serially(&[Arc::clone(&m)], chunk_jobs);
+        assert_eq!(laned, serial, "executors must agree bit for bit");
+        let laned = laned.0;
         // Each session's chunk logits concatenate to the whole utterance.
         for sess in 0..2 {
-            let chunks: Vec<Vec<f32>> = (0..3)
-                .flat_map(|k| inline[k * 2 + sess].1.clone())
-                .collect();
+            let chunks: Vec<Vec<f32>> =
+                (0..3).flat_map(|k| laned[k * 2 + sess].1.clone()).collect();
             assert_eq!(chunks, whole, "session {sess}: chunked != whole");
         }
         // The stateless lanes are unaffected by sharing batches with
         // streaming chunks.
         for k in 0..3 {
-            assert_eq!(inline[6 + k].1, whole, "stateless lane {k}");
+            assert_eq!(laned[6 + k].1, whole, "stateless lane {k}");
             for device in 0..2 {
                 assert_eq!(
-                    inline[9 + k * 2 + device].1,
+                    laned[9 + k * 2 + device].1,
                     m.infer(prefix(k, device)),
                     "stateless prefix {k} on device {device}"
                 );
@@ -762,84 +511,50 @@ mod tests {
     }
 
     #[test]
-    fn migrated_sessions_keep_chaining_state_bit_identically() {
+    fn a_session_whose_device_changes_keeps_chaining_with_no_migration_call() {
+        // A failover re-pins a session: chunks 0–1 ran on device 0, chunk
+        // 2 runs on device 1, and nothing tells the executor. The one
+        // session table per executor must still hand chunk 2 the state
+        // chunk 1 left.
         let m = model();
         let utt: Vec<Vec<f32>> = (0..12).map(|t| vec![0.07 * t as f32; 8]).collect();
         let whole = m.infer(&utt);
-        let chunk = |slot: usize, device: usize, k: usize| InferenceJob {
-            slot,
-            device,
-            model: 0,
-            frames: utt[k * 4..(k + 1) * 4].to_vec(),
-            session: Some(SessionSlot {
-                id: 5,
-                last: k == 2,
-            }),
+        let chunks = || {
+            [0, 0, 1]
+                .into_iter()
+                .enumerate()
+                .map(|(k, device)| {
+                    vec![InferenceJob {
+                        slot: k,
+                        device,
+                        model: 0,
+                        frames: utt[k * 4..(k + 1) * 4].to_vec(),
+                        session: Some(SessionSlot {
+                            id: 5,
+                            last: k == 2,
+                        }),
+                    }]
+                })
+                .collect()
         };
-        // Chunks 0–1 on device 0, then the session migrates to device 1
-        // (different worker) for chunk 2.
-        let mut pool = ThreadPoolExecutor::new(vec![Arc::clone(&m)], 2);
-        pool.submit_batch(vec![chunk(0, 0, 0)]);
-        pool.submit_batch(vec![chunk(1, 0, 1)]);
-        pool.migrate_session(5, 0, 1);
-        pool.submit_batch(vec![chunk(2, 1, 2)]);
-        let out = sorted_outputs(pool.finish());
-        let stitched: Vec<Vec<f32>> = out.into_iter().flat_map(|(_, l)| l).collect();
-        assert_eq!(stitched, whole, "migrated session: stitched != whole");
-        // Migrating a session that never computed is a clean no-op.
-        let mut pool = ThreadPoolExecutor::new(vec![Arc::clone(&m)], 2);
-        pool.migrate_session(99, 0, 1);
-        let report = pool.finish();
-        assert!(report.outputs.is_empty());
-    }
-
-    #[test]
-    fn pool_with_zero_jobs_finishes_cleanly() {
-        let mut pool = ThreadPoolExecutor::new(vec![model()], 4);
-        let report = pool.finish();
-        assert!(report.outputs.is_empty());
-        assert_eq!(report.worker_fft.len(), 4);
-        assert_eq!(report.worker_fft[0], FftStats::default());
-    }
-
-    #[test]
-    fn dropping_an_unfinished_pool_joins_workers() {
-        let m = model();
-        let mut pool = ThreadPoolExecutor::new(vec![m], 2);
-        for job in jobs(4, 2) {
-            pool.submit_batch(vec![job]);
+        for (out, _) in on_three_threads_and_serially(&[Arc::clone(&m)], chunks) {
+            let stitched: Vec<Vec<f32>> = out.into_iter().flat_map(|(_, l)| l).collect();
+            assert_eq!(stitched, whole, "re-pinned session: stitched != whole");
         }
-        drop(pool); // must not hang or leak threads
     }
 
     #[test]
-    #[should_panic(expected = "at least one worker")]
-    fn zero_workers_is_rejected() {
-        let _ = ThreadPoolExecutor::new(vec![model()], 0);
+    fn zero_job_finish_is_clean() {
+        for (outputs, fft) in on_three_threads_and_serially(&[model()], Vec::new) {
+            assert!(outputs.is_empty());
+            assert_eq!(fft, FftStats::default());
+        }
     }
 
     #[test]
     #[should_panic(expected = "at least one model")]
     fn empty_model_set_is_rejected() {
         let _ = InlineExecutor::new(Vec::new());
-    }
-
-    #[test]
-    #[should_panic(expected = "input length")]
-    fn worker_panics_resurface_with_the_original_message() {
-        // Bad frame dimension slips past the executor (the runtime
-        // validates at admission; raw executor use does not) and panics
-        // inside the worker's matvec. finish() must re-raise that panic,
-        // not a generic channel error.
-        let mut pool = ThreadPoolExecutor::new(vec![model()], 2);
-        pool.submit_batch(vec![InferenceJob {
-            slot: 0,
-            device: 0,
-            model: 0,
-            frames: vec![vec![0.0; 3]], // model expects dim 8
-            session: None,
-        }]);
-        let _ = pool.finish();
     }
 
     /// A stateless job on `device` over `frames` frames of `dim` values.
@@ -895,7 +610,7 @@ mod tests {
             }
             let caller = stats::thread_snapshot();
             let reports: Vec<ExecutorReport> = execs.iter_mut().map(|e| e.finish()).collect();
-            let ffts: Vec<FftStats> = reports.iter().map(|r| r.worker_fft[0]).collect();
+            let ffts: Vec<FftStats> = reports.iter().map(|r| r.fft).collect();
             assert_eq!(
                 stats::thread_snapshot().since(&caller),
                 ffts[0].plus(&ffts[1]),
@@ -923,7 +638,7 @@ mod tests {
                 serial.submit_batch(batch);
             }
             let serial = serial.finish();
-            assert_eq!(&serial.worker_fft[0], fft, "FFT work credited elsewhere");
+            assert_eq!(&serial.fft, fft, "FFT work credited elsewhere");
             assert_eq!(out, &sorted_outputs(serial));
             for (slot, logits) in out.iter().filter(|(slot, _)| *slot < SESSION_SLOTS) {
                 let job = stateless(*slot, 1, 1 + slot % 100 % 5, 8);
@@ -953,28 +668,59 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "input length")]
+    fn a_submit_after_a_lane_thread_panicked_resurfaces_the_original_message() {
+        // The lane thread takes the bad-dimension job, panics and
+        // abandons the lane while the event loop is still dispatching:
+        // the next submit must re-raise that panic, not report a closed
+        // lane.
+        lane_scope(1, |lane| {
+            let mut inline = InlineExecutor::on_lane(vec![model()], lane);
+            inline.submit_batch(vec![stateless(0, 0, 1, 3)]); // the model expects dim 8
+            for slot in 1..WAKE_AT {
+                inline.submit_batch(vec![stateless(slot, 0, 2, 8)]);
+            }
+            while lane.queued() > 0 {
+                thread::yield_now();
+            }
+            inline.submit_batch(vec![stateless(WAKE_AT, 0, 2, 8)]);
+        });
+    }
+
+    #[test]
     fn an_event_loop_that_unwinds_leaves_the_lane_promptly() {
         // The lane threads sleep (fewer runs than wake them are queued)
         // when the event loop panics; the scope must still join them
-        // and hand the panic on, instead of waiting for a close.
-        let (done_tx, done_rx) = mpsc::channel();
-        let event_loop = thread::spawn(move || {
-            let outcome = std::panic::catch_unwind(|| {
-                lane_scope(2, |lane| {
-                    let mut inline = InlineExecutor::on_lane(vec![model()], lane);
-                    inline.submit_batch(vec![stateless(0, 0, 2, 8)]);
-                    panic!("event loop failed");
-                })
-            });
-            let _ = done_tx.send(outcome.map_err(|p| p.downcast::<&str>().map(|s| *s)));
-        });
-        let outcome = done_rx
-            .recv_timeout(std::time::Duration::from_secs(60))
+        // and hand the panic on, instead of waiting for a close. The
+        // event loop runs on a thread of its own so that a hang fails
+        // the test instead of stalling it.
+        let outcome = Arc::new((Mutex::new(None), Condvar::new()));
+        let report = Arc::clone(&outcome);
+        let event_loop = thread::Builder::new()
+            .name("event-loop".into())
+            .spawn(move || {
+                let result = std::panic::catch_unwind(|| {
+                    lane_scope(2, |lane| {
+                        let mut inline = InlineExecutor::on_lane(vec![model()], lane);
+                        inline.submit_batch(vec![stateless(0, 0, 2, 8)]);
+                        panic!("event loop failed");
+                    })
+                });
+                let (slot, done) = &*report;
+                *slot.lock().unwrap() = Some(result.map_err(|p| p.downcast::<&str>().map(|s| *s)));
+                done.notify_all();
+            })
+            .expect("the test thread starts");
+        let (slot, done) = &*outcome;
+        let (mut result, _) = done
+            .wait_timeout_while(slot.lock().unwrap(), Duration::from_secs(60), |r| {
+                r.is_none()
+            })
+            .unwrap();
+        let result = result
+            .take()
             .expect("the scope hung on a lane that was never closed");
         event_loop.join().expect("the panic was caught inside");
-        assert!(
-            matches!(outcome, Err(Ok("event loop failed"))),
-            "{outcome:?}"
-        );
+        assert!(matches!(result, Err(Ok("event loop failed"))), "{result:?}");
     }
 }

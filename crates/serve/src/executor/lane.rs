@@ -26,7 +26,8 @@
 //!   batch's emptied job list goes straight back to its executor for the
 //!   next batch, and dispatch allocates nothing once the queue has grown.
 //! * **Panics.** A panic on a lane thread abandons the queue and
-//!   resurfaces from [`Lane::close`] with its original payload. A
+//!   resurfaces with its original payload from the next
+//!   [`Lane::submit`] or from [`Lane::close`], whichever comes first. A
 //!   [`scope`] whose body unwinds abandons the lane, so the scope's join
 //!   cannot wait on a thread that waits for more work.
 
@@ -247,7 +248,8 @@ impl Lane {
     ///
     /// # Panics
     ///
-    /// Panics if the lane is closed.
+    /// Resurfaces a lane thread's panic with its original payload, and
+    /// panics if the lane is otherwise closed.
     pub(crate) fn submit(
         &self,
         account: usize,
@@ -256,6 +258,10 @@ impl Lane {
     ) {
         let session = jobs.iter().any(|j| j.session.is_some());
         let mut s = self.lock();
+        if let Some(payload) = s.panic.take() {
+            drop(s);
+            panic::resume_unwind(payload);
+        }
         assert!(!s.closed, "submit after the lane closed");
         if session {
             s.sessions.push(account, model, jobs);
@@ -346,16 +352,12 @@ impl Lane {
     }
 
     /// Hands back everything `account`'s runs produced: their outputs
-    /// and, as its one worker entry, their FFT work. Call after
-    /// [`Self::close`].
+    /// and their FFT work. Call after [`Self::close`].
     pub(crate) fn settle(&self, account: usize) -> ExecutorReport {
         let mut s = self.lock();
         debug_assert!(s.closed && s.queued() == 0, "settle before close");
         let Account { outputs, fft } = std::mem::take(&mut s.accounts[account]);
-        ExecutorReport {
-            outputs,
-            worker_fft: vec![fft],
-        }
+        ExecutorReport { outputs, fft }
     }
 
     /// Closes the lane and drops what is queued: nothing will wait for it.

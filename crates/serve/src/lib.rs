@@ -22,7 +22,7 @@
 //!   scheduler's BRAM LRU; evictions charge traced state-load stalls on
 //!   the virtual clock. Batches form across sessions at chunk
 //!   boundaries, giving EDF a preemption point every chunk. Session
-//!   limits, executor kind, and tracing are declared once via
+//!   limits, lane threads, and tracing are declared once via
 //!   [`RuntimeConfig`]. See `docs/streaming.md`.
 //! * [`sched::SchedRuntime`] — the one deterministic event loop. A
 //!   [`sched::ModelRegistry`] names the models a run serves, a platform
@@ -48,23 +48,21 @@
 //!   once at compile time and only input-side FFTs run per request
 //!   (observable via [`CompiledModel::weight_spectrum_refreshes`] and
 //!   [`ernn_fft::stats`]). Inference runs on the zero-allocation,
-//!   batch-fused kernel stack: executors keep one [`ExecScratch`] per
-//!   worker, a dispatched batch is computed with one fused
+//!   batch-fused kernel stack: the executor keeps one [`ExecScratch`] per
+//!   lane thread, a dispatched batch is computed with one fused
 //!   [`CompiledModel::infer_batch_in_place`] call (one pass over the
 //!   cached weight spectra per batch) that turns each request's frame
 //!   buffer into its logits buffer, and post-warmup the FFT/matvec
 //!   kernels perform zero heap allocations.
-//! * [`Executor`] — where host-side inference runs: [`InlineExecutor`]
-//!   (the default: hands each dispatched batch to the run's inference
-//!   lane, one queue that a scoped thread per further host core serves
-//!   while the event loop keeps routing — a cluster's shards all feed
-//!   one lane — with session runs kept in order on one thread and the
-//!   caller helping drain at `finish`) or [`ThreadPoolExecutor`] (one
-//!   std-thread worker per device slot, jobs over channels), selected
-//!   per runtime via [`ExecutorKind`]. Virtual-time results are
-//!   bit-identical either way; only the wall-clock
-//!   [`sched::SchedReport::host_us`] and the per-worker FFT ledger
-//!   ([`sched::SchedReport::worker_fft`]) differ.
+//! * [`InlineExecutor`] — where host-side inference runs: it hands each
+//!   dispatched batch to the run's inference lane, one queue that a
+//!   scoped thread per further host core serves while the event loop
+//!   keeps routing — a cluster's shards all feed one lane — with session
+//!   runs kept in order on one thread and the caller helping drain at
+//!   `finish`. [`ExecutorKind::ThreadPool`] gives the lane no thread, so
+//!   the caller computes every run at `finish`: the serial reference.
+//!   Virtual-time results are bit-identical either way; only the
+//!   wall-clock [`sched::SchedReport::host_us`] differs.
 //! * [`trace`] — the observability layer: a zero-steady-state-allocation
 //!   flight recorder ([`FlightRecorder`]) capturing the full request
 //!   lifecycle ([`TraceEvent`]) on the virtual clock, streaming
@@ -73,7 +71,7 @@
 //!   critical-path analysis ([`trace::analyze`]), and exporters
 //!   to Chrome trace-event JSON ([`chrome_trace_json`], loadable in
 //!   Perfetto) and Prometheus text ([`prometheus_snapshot`]). Journals
-//!   are bit-identical across executors.
+//!   are bit-identical across lanes.
 //! * [`timeline`] + [`health`] — the operational-judgment layer on top
 //!   of tracing: a pre-sized, zero-steady-state-allocation
 //!   [`MetricsTimeline`] ring of fixed-interval virtual-clock samples

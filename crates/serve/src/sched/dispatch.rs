@@ -10,7 +10,7 @@ use super::registry::ModelId;
 use super::residency::{DeviceResidency, ImageKey};
 use super::runtime::Placement;
 use crate::config::{backoff_us, MAX_RETRY_ATTEMPTS};
-use crate::executor::{InferenceJob, SessionSlot};
+use crate::executor::{Executor, InferenceJob, SessionSlot};
 use crate::request::{Request, Response, ShedReason, Workload};
 use crate::trace::TraceEvent;
 use ernn_fpga::StageCycles;
@@ -195,10 +195,10 @@ impl SchedEngine<'_, '_> {
         // (the zero state is fabricated on-device); re-materializing an
         // evicted state streams it back and stalls the device like a
         // weight load. Stalls queue after the weight load. A session
-        // unbound by a crash re-pins here: the executor migrates its
-        // host-side recurrent state before the chunk's job is
-        // submitted, and the reload charge above doubles as the
-        // migration's streaming cost.
+        // unbound by a crash re-pins here, and the reload charge above
+        // doubles as the migration's streaming cost. Its host-side
+        // recurrent state stays where it is: the executor keeps one
+        // session table whatever the device.
         let mut state_us = 0.0;
         self.state_loads.clear();
         for r in &batch {
@@ -237,7 +237,6 @@ impl SchedEngine<'_, '_> {
                     to_device: device,
                     reload_us: ev.load_us,
                 });
-                self.executor.migrate_session(session, old, device);
             }
         }
         self.residency[device].unpin_all();

@@ -15,7 +15,7 @@ use super::registry::ModelId;
 use super::residency::DeviceResidency;
 use super::runtime::{Feedback, SchedRuntime};
 use super::{SchedReport, SchedStats};
-use crate::executor::{Executor, Lane};
+use crate::executor::{InlineExecutor, Lane};
 use crate::health::HealthMonitor;
 use crate::request::{validate_request, Request, Response, ShedReason, Workload};
 use crate::timeline::{MetricsTimeline, TimelineSample};
@@ -113,7 +113,7 @@ pub(super) struct RetryInfo {
 /// undispatched backlog with [`take_pending`](Self::take_pending).
 pub(crate) struct SchedEngine<'rt, 'p> {
     pub(super) rt: &'rt SchedRuntime,
-    pub(super) executor: Box<dyn Executor>,
+    pub(super) executor: InlineExecutor,
     pub(super) host_start: Instant,
     /// Sequence counter for offered arrivals, so equal-timestamp offers
     /// pop in offer order.

@@ -3,6 +3,7 @@
 
 use super::admission::AdmissionRecord;
 use super::engine::SchedEngine;
+use crate::executor::Executor;
 use crate::health::HealthReport;
 use crate::metrics::ServeMetrics;
 use crate::request::Response;
@@ -67,13 +68,9 @@ pub struct SchedReport {
     /// Wall-clock host time for the whole run (µs) — the only
     /// nondeterministic number here.
     pub host_us: f64,
-    /// Exact host FFT activity per executor worker
-    /// ([`ExecutorKind::Inline`](crate::ExecutorKind::Inline) reports a
-    /// single entry: the work of exactly this scheduler's runs, whichever
-    /// lane thread ran them). The entries sum to the run's total inference
-    /// FFT work. That holds per shard too: over a cluster run the shards'
-    /// entries add up to the run's FFT work with no run counted twice.
-    pub worker_fft: Vec<FftStats>,
+    /// Exact host FFT activity of this scheduler's runs, whichever lane
+    /// thread ran them; read it with [`Self::host_fft`].
+    fft: FftStats,
     /// Observability capture: the virtual-time event journal (when
     /// [`RuntimeConfig::tracing`](crate::RuntimeConfig::tracing) enables
     /// it) plus the always-on per-(device, model) stage-time attribution.
@@ -91,11 +88,11 @@ pub struct SchedReport {
 }
 
 impl SchedReport {
-    /// Total host FFT activity across all executor workers.
+    /// Exact host FFT activity of this run's inference, whichever lane
+    /// thread ran it. Over a cluster run the shards' counts add up to the
+    /// run's FFT work with no run counted twice.
     pub fn host_fft(&self) -> FftStats {
-        self.worker_fft
-            .iter()
-            .fold(FftStats::default(), |acc, w| acc.plus(w))
+        self.fft
     }
 }
 
@@ -131,7 +128,7 @@ impl SchedEngine<'_, '_> {
             metrics,
             sched: self.stats,
             host_us: self.host_start.elapsed().as_secs_f64() * 1e6,
-            worker_fft: exec_report.worker_fft,
+            fft: exec_report.fft,
             trace: self.obs.into_trace(),
             timeline,
             health,

@@ -4,7 +4,7 @@
 //! [`SchedRuntime`] advances a virtual clock over three event kinds —
 //! request arrival, batch-full dispatch, and max-wait flush — places
 //! formed batches on simulated devices, and hands host inference to an
-//! [`Executor`]. Every decision point is a scheduler component:
+//! [`InlineExecutor`]. Every decision point is a scheduler component:
 //!
 //! * a [`SchedQueue`] (EDF or FIFO) with per-model, padding-gated batch
 //!   formation;
@@ -29,19 +29,20 @@
 //! `*_us` field on [`Response`] and [`ServeMetrics`]) is the simulated
 //! deployment's clock: arrival processes, batching waits, and CGPipe
 //! device timing advance it deterministically, and no host-side property
-//! — thread scheduling, CPU load, executor choice — can move a virtual
+//! — thread scheduling, CPU load, lane threads — can move a virtual
 //! timestamp. **Wall clock** ([`SchedReport::host_us`]) is the real CPU
-//! time this process spent producing the run; it is the one number an
-//! [`Executor`] is allowed to change. The event loop settles timing
+//! time this process spent producing the run; it is the one number the
+//! [`InlineExecutor`] is allowed to change. The event loop settles timing
 //! first (dispatch is pure arithmetic) and hands the functional work to
-//! the executor as [`InferenceJob`]s. Nothing reads a logit before the
-//! run ends, so the default [`ExecutorKind::Inline`] queues each batch
-//! on the run's inference lane, which one scoped thread per further host
-//! core drains while the event loop keeps dispatching (the event-loop
-//! thread helps with what is left at the end), and
-//! [`ExecutorKind::ThreadPool`] hands each batch to the worker pinned to
-//! its device. Either way host inference overlaps event-loop work.
-//! Logits are stitched back into
+//! the executor as [`InferenceJob`](crate::InferenceJob)s. Nothing reads
+//! a logit before the run ends, so the executor queues each batch on the
+//! run's inference lane. Under the default [`ExecutorKind::Inline`](crate::ExecutorKind::Inline) one
+//! scoped thread per further host core drains it while the event loop
+//! keeps dispatching, so host inference overlaps event-loop work, and the
+//! event-loop thread helps with what is left at the end; under
+//! [`ExecutorKind::ThreadPool`](crate::ExecutorKind::ThreadPool) no thread serves the lane and the
+//! event-loop thread computes every batch at the end, the serial
+//! reference. Logits are stitched back into
 //! the responses before metrics are computed, and come from the
 //! quantized datapath per request, so batching changes *when* work
 //! happens, never *what* is computed.
@@ -64,7 +65,8 @@
 //!
 //! All scheduling decisions live on the virtual clock, so responses,
 //! metrics, and [`SchedStats`] are bit-identical across
-//! [`ExecutorKind::Inline`] and [`ExecutorKind::ThreadPool`].
+//! [`ExecutorKind::Inline`](crate::ExecutorKind::Inline) and [`ExecutorKind::ThreadPool`](crate::ExecutorKind::ThreadPool), and whatever
+//! the host's core count.
 //!
 //! # Fault injection and recovery
 //!
@@ -84,9 +86,9 @@
 //!   reload on recovery, charged as usual) and, when
 //!   [`RuntimeConfig::failover`] is on, unbinds every streaming
 //!   session pinned there — the next chunk re-pins on a surviving
-//!   device, re-charges its state image, and the executor migrates
-//!   the host-side recurrent state so stitched logits stay
-//!   bit-identical to whole-utterance inference
+//!   device and re-charges its state image; the executor's one session
+//!   table keeps the host-side recurrent state whatever the device, so
+//!   stitched logits stay bit-identical to whole-utterance inference
 //!   ([`TraceEvent::StateMigration`](crate::trace::TraceEvent));
 //! * placement and the admission predictor price faults in: a down
 //!   device's ready time is its recovery point (infinite for a
@@ -104,9 +106,7 @@ use super::queue::{PaddingModel, QueueDiscipline};
 use super::registry::{ModelId, ModelRegistry};
 use super::SchedReport;
 use crate::config::RuntimeConfig;
-use crate::executor::{
-    lane_scope, Executor, ExecutorKind, InlineExecutor, Lane, ThreadPoolExecutor,
-};
+use crate::executor::{lane_scope, InlineExecutor, Lane};
 use crate::request::{validate_load, validate_request, Request};
 use ernn_fpga::Device;
 use std::fmt;
@@ -444,17 +444,10 @@ impl SchedRuntime {
         })
     }
 
-    /// The executor instance for one run, sharing the registry's model
-    /// snapshot: feeding the run's inference `lane` (inline), or one
-    /// worker per device slot (thread pool).
-    pub(super) fn make_executor(&self, lane: &Arc<Lane>) -> Box<dyn Executor> {
-        let models: Vec<Arc<crate::CompiledModel>> = self.registry.models();
-        match self.config.executor {
-            ExecutorKind::Inline => Box::new(InlineExecutor::on_lane(models, lane)),
-            ExecutorKind::ThreadPool => {
-                Box::new(ThreadPoolExecutor::new(models, self.platforms.len()))
-            }
-        }
+    /// The executor for one run, sharing the registry's model snapshot
+    /// and feeding the run's inference `lane`.
+    pub(super) fn make_executor(&self, lane: &Arc<Lane>) -> InlineExecutor {
+        InlineExecutor::on_lane(self.registry.models(), lane)
     }
 }
 

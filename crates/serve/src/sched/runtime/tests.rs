@@ -5,7 +5,7 @@
 use super::*;
 use crate::loadgen::{open_loop_poisson, paced_session, synthetic_utterances};
 use crate::sched::{CostModel, DeviceResidency};
-use crate::{CompiledModel, Response, TraceConfig};
+use crate::{CompiledModel, ExecutorKind, Response, TraceConfig};
 use ernn_fpga::exec::DatapathConfig;
 use ernn_fpga::sim::simulate_batch;
 use ernn_fpga::{StageCycles, ADM_PCIE_7V3, XCKU060};
@@ -216,9 +216,9 @@ fn timeline_tracks_queue_residency_and_counters() {
     let report = run(captured(ExecutorKind::Inline));
     // Samples and rule firings are virtual-time-derived: identical
     // across executors.
-    let pooled = run(captured(ExecutorKind::ThreadPool));
-    assert_eq!(report.timeline, pooled.timeline);
-    assert_eq!(report.health, pooled.health);
+    let serial = run(captured(ExecutorKind::ThreadPool));
+    assert_eq!(report.timeline, serial.timeline);
+    assert_eq!(report.health, serial.health);
     // Disabled capture leaves both report fields empty.
     let off = run(RuntimeConfig::new());
     assert!(off.timeline.samples.is_empty());
@@ -434,9 +434,9 @@ fn closed_loop_respects_budget_and_mints_on_completion() {
     }
     // Completion feedback lives on the virtual clock, so the closed
     // loop is as executor-independent as an open one.
-    let pooled = run(ExecutorKind::ThreadPool);
-    assert_eq!(report.responses, pooled.responses);
-    assert_eq!(report.metrics, pooled.metrics);
+    let serial = run(ExecutorKind::ThreadPool);
+    assert_eq!(report.responses, serial.responses);
+    assert_eq!(report.metrics, serial.metrics);
 }
 
 // ----- one model, FIFO + earliest-free: plain dynamic batching -----
@@ -582,13 +582,13 @@ fn streaming_sessions_pin_one_device_and_match_whole_utterances() {
         .run(requests.clone())
     };
     let inline = run(ExecutorKind::Inline);
-    let pooled = run(ExecutorKind::ThreadPool);
+    let serial = run(ExecutorKind::ThreadPool);
     // Virtual-time results and the trace journal are bit-identical
     // across executors, streaming state included.
-    assert_eq!(inline.responses, pooled.responses);
-    assert_eq!(inline.metrics, pooled.metrics);
-    assert_eq!(inline.sched, pooled.sched);
-    assert_eq!(inline.trace, pooled.trace);
+    assert_eq!(inline.responses, serial.responses);
+    assert_eq!(inline.metrics, serial.metrics);
+    assert_eq!(inline.sched, serial.sched);
+    assert_eq!(inline.trace, serial.trace);
     // Every chunk of a session ran on that session's one device, and
     // stitching the per-chunk logits reproduces the whole-utterance
     // inference bit-exactly.
@@ -1422,13 +1422,13 @@ fn permanent_crash_fails_over_sessions_and_migrates_state() {
         .run(requests.clone())
     };
     let inline = run(ExecutorKind::Inline, true);
-    let pooled = run(ExecutorKind::ThreadPool, true);
+    let serial = run(ExecutorKind::ThreadPool, true);
     // Migration is part of the virtual-time contract: bit-identical
     // across executors, journal included.
-    assert_eq!(inline.responses, pooled.responses);
-    assert_eq!(inline.metrics, pooled.metrics);
-    assert_eq!(inline.sched, pooled.sched);
-    assert_eq!(inline.trace, pooled.trace);
+    assert_eq!(inline.responses, serial.responses);
+    assert_eq!(inline.metrics, serial.metrics);
+    assert_eq!(inline.sched, serial.sched);
+    assert_eq!(inline.trace, serial.trace);
     assert!(inline.responses.iter().all(|r| !r.shed));
     assert_eq!(inline.sched.state_migrations, 1);
     let migration = inline
@@ -1582,11 +1582,11 @@ fn faulted_runs_are_bit_identical_across_executors() {
         .run(requests)
     };
     let inline = run(ExecutorKind::Inline);
-    let pooled = run(ExecutorKind::ThreadPool);
-    assert_eq!(inline.responses, pooled.responses);
-    assert_eq!(inline.metrics, pooled.metrics);
-    assert_eq!(inline.sched, pooled.sched);
-    assert_eq!(inline.trace, pooled.trace);
+    let serial = run(ExecutorKind::ThreadPool);
+    assert_eq!(inline.responses, serial.responses);
+    assert_eq!(inline.metrics, serial.metrics);
+    assert_eq!(inline.sched, serial.sched);
+    assert_eq!(inline.trace, serial.trace);
     // Every request resolves exactly once: served + shed partitions
     // the id space.
     let mut ids: Vec<u64> = inline.responses.iter().map(|r| r.id).collect();
@@ -1594,4 +1594,62 @@ fn faulted_runs_are_bit_identical_across_executors() {
     ids.dedup();
     assert_eq!(ids.len(), 40);
     assert_final_sample_matches_responses(&inline);
+}
+
+/// One load through a lane that three threads serve and through a lane
+/// no thread serves: the reports must agree bit for bit. This runs more
+/// than one lane thread whatever the host's core count, with stateless
+/// runs racing on every thread while session runs must keep their order
+/// on one — across a crash that re-pins sessions, every observer on.
+#[test]
+fn three_lane_threads_match_the_serial_lane_bit_for_bit() {
+    use crate::health::HealthConfig;
+    let mut requests = load(64, 100_000.0);
+    let utts = synthetic_utterances(6, (12, 24), DIM, 91);
+    for (s, utt) in utts.iter().enumerate() {
+        let first_id = requests.len() as u64;
+        let start_us = 37.0 * s as f64;
+        requests.extend(paced_session(
+            utt,
+            s as u64,
+            first_id,
+            start_us,
+            150.0,
+            4,
+            Some(20_000.0),
+        ));
+    }
+    let plan = FaultPlan::new(vec![FaultEvent {
+        t_us: 400.0,
+        device: 0,
+        fault: DeviceFault::Crash { down_us: 600.0 },
+    }]);
+    let rt = SchedRuntime::with_config(
+        registry(),
+        vec![XCKU060, ADM_PCIE_7V3],
+        SchedPolicy::edf_cost_model(4, 100.0),
+        RuntimeConfig::new()
+            .fault_plan(plan)
+            .tracing(TraceConfig::enabled(1 << 14))
+            .timeline(sampled())
+            .health(HealthConfig::enabled()),
+    );
+    let run = |threads: usize| {
+        lane_scope(threads, |lane| {
+            SchedEngine::start(&rt, lane, requests.clone().into_iter(), None).run_to_drain()
+        })
+    };
+    let (laned, serial) = (run(3), run(0));
+    assert_eq!(laned.responses, serial.responses);
+    assert_eq!(laned.metrics, serial.metrics);
+    assert_eq!(laned.sched, serial.sched);
+    assert_eq!(laned.trace, serial.trace);
+    assert_eq!(laned.timeline, serial.timeline);
+    assert_eq!(laned.health, serial.health);
+    assert_eq!(laned.host_fft(), serial.host_fft());
+    // The load exercised what it is meant to: a crash that re-pinned a
+    // live session, and chunks that chained through it.
+    assert_eq!(serial.sched.device_crashes, 1);
+    assert!(serial.sched.state_migrations > 0, "{:?}", serial.sched);
+    assert!(serial.responses.iter().all(|r| !r.shed));
 }

@@ -6,9 +6,9 @@
 //! residency loads, device dispatch, completion — is stamped on the
 //! **virtual clock** and kept in a bounded [`FlightRecorder`] ring buffer.
 //! Because every timestamp is virtual, the journal inherits the
-//! executor-determinism contract: the same run traced under
-//! [`ExecutorKind::Inline`](crate::ExecutorKind) and
-//! [`ExecutorKind::ThreadPool`](crate::ExecutorKind) produces a
+//! executor-determinism contract: the same run traced with the served
+//! lane ([`ExecutorKind::Inline`](crate::ExecutorKind)) and the serial
+//! one ([`ExecutorKind::ThreadPool`](crate::ExecutorKind)) produces a
 //! bit-identical event sequence (asserted by `sched_sweep` and the
 //! `trace_journal` proptests).
 //!

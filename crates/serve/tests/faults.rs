@@ -81,10 +81,10 @@ proptest! {
             .run(requests.clone())
         };
         let inline = run(ExecutorKind::Inline);
-        let pooled = run(ExecutorKind::ThreadPool);
-        prop_assert_eq!(&inline.responses, &pooled.responses);
-        prop_assert_eq!(&inline.metrics, &pooled.metrics);
-        prop_assert_eq!(&inline.sched, &pooled.sched);
+        let serial = run(ExecutorKind::ThreadPool);
+        prop_assert_eq!(&inline.responses, &serial.responses);
+        prop_assert_eq!(&inline.metrics, &serial.metrics);
+        prop_assert_eq!(&inline.sched, &serial.sched);
         // Zero requests lost: every chunk answered exactly once, served.
         prop_assert_eq!(inline.responses.len(), n_chunks);
         let mut ids: Vec<u64> = inline.responses.iter().map(|r| r.id).collect();

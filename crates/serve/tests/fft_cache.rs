@@ -7,8 +7,8 @@
 //! also checks that sum against the calling thread's own delta on the
 //! default executor (whose inference lane's threads charge their counts
 //! to it), against a cluster run's shard ledgers added up (every shard
-//! feeds one lane), and against a thread-pool run: it must equal the
-//! workers' own ledgers added up, read after the workers have exited.
+//! feeds one lane), and against a run on the serial lane, whose caller
+//! computes every run itself.
 
 use ernn_fft::stats;
 use ernn_fpga::exec::DatapathConfig;
@@ -94,7 +94,6 @@ fn weight_spectra_are_computed_at_load_not_per_request() {
     // lane, whose threads are off the ledger and charge their counts
     // back at close: the calling thread's delta is the whole run's, as a
     // serial run's is.
-    assert_eq!(report.worker_fft.len(), 1);
     assert_eq!(
         stats::thread_snapshot().since(&caller_before),
         delta,
@@ -136,11 +135,10 @@ fn weight_spectra_are_computed_at_load_not_per_request() {
         .fold(stats::FftStats::default(), |acc, r| acc.plus(&r.host_fft()));
     assert_eq!(shards, delta, "the shards' ledgers != the run's FFT work");
 
-    // The same requests on the thread pool: the process-wide delta is
-    // exactly the sum of the workers' own ledgers — the event-loop thread
-    // runs no FFT — and it is read after `run` has joined them, so a
-    // worker that has exited has kept its counts.
-    let pooled = SchedRuntime::with_config(
+    // The same requests on the serial lane: no thread serves it, so the
+    // event-loop thread computes every run at the end, and its own delta
+    // is the process-wide delta and the report's.
+    let serial = SchedRuntime::with_config(
         {
             let mut registry = ModelRegistry::new();
             registry.register_shared(
@@ -153,19 +151,17 @@ fn weight_spectra_are_computed_at_load_not_per_request() {
         SchedPolicy::fifo_earliest_free(4, 50.0),
         RuntimeConfig::new().executor(ExecutorKind::ThreadPool),
     );
-    let before_pool = stats::snapshot();
+    let before_serial = stats::snapshot();
     let loop_thread_before = stats::thread_snapshot();
-    let report = pooled.run(
+    let report = serial.run(
         (0..n)
             .map(|i| Request::new(i, probe.clone(), i as f64 * 10.0))
             .collect(),
     );
-    let delta = stats::snapshot().since(&before_pool);
-    assert_eq!(report.worker_fft.len(), 2);
-    assert!(report.worker_fft.iter().all(|w| w.forward_transforms > 0));
-    assert_eq!(delta, report.host_fft(), "snapshot != sum of worker deltas");
+    let delta = stats::snapshot().since(&before_serial);
+    assert_eq!(delta, report.host_fft(), "snapshot != the report's count");
     assert_eq!(delta.forward_transforms, per_request.forward_transforms * n);
-    assert_eq!(stats::thread_snapshot(), loop_thread_before);
+    assert_eq!(stats::thread_snapshot().since(&loop_thread_before), delta);
 
     // The per-matrix refresh counters are the direct cache witness: no
     // weight spectrum was recomputed by any of the requests above.

@@ -86,7 +86,7 @@ proptest! {
         seed in 0u64..1000,
         sizes in proptest::collection::vec(1usize..7, 1..4),
         devices in 1usize..3,
-        exec_pool in 0u8..2,
+        serial_lane in 0u8..2,
     ) {
         let model = compiled(3, CellType::Lstm, 16);
         let utts = synthetic_utterances(2, (9, 18), DIM, seed);
@@ -101,7 +101,7 @@ proptest! {
                 120.0,
             ));
         }
-        let exec = if exec_pool == 1 { ExecutorKind::ThreadPool } else { ExecutorKind::Inline };
+        let exec = if serial_lane == 1 { ExecutorKind::ThreadPool } else { ExecutorKind::Inline };
         let rt = fifo_runtime(
             &model,
             devices,
@@ -151,11 +151,11 @@ proptest! {
             .run(requests.clone())
         };
         let inline = run(ExecutorKind::Inline);
-        let pooled = run(ExecutorKind::ThreadPool);
-        prop_assert_eq!(&inline.responses, &pooled.responses);
-        prop_assert_eq!(&inline.metrics, &pooled.metrics);
-        prop_assert_eq!(&inline.sched, &pooled.sched);
-        prop_assert_eq!(&inline.trace, &pooled.trace);
+        let serial = run(ExecutorKind::ThreadPool);
+        prop_assert_eq!(&inline.responses, &serial.responses);
+        prop_assert_eq!(&inline.metrics, &serial.metrics);
+        prop_assert_eq!(&inline.sched, &serial.sched);
+        prop_assert_eq!(&inline.trace, &serial.trace);
         // Sessions stay pinned: every served chunk of a session names
         // one device.
         for s in 0..5u64 {

@@ -89,10 +89,10 @@ proptest! {
         let mk = || load(n, rate_k as f64 * 1_000.0, slo_us as f64, 41);
         let (inline_trace, inline_json) =
             traced_run(ExecutorKind::Inline, capacity, mk());
-        let (pool_trace, pool_json) =
+        let (serial_trace, serial_json) =
             traced_run(ExecutorKind::ThreadPool, capacity, mk());
-        prop_assert_eq!(&inline_trace, &pool_trace);
-        prop_assert_eq!(inline_json, pool_json);
+        prop_assert_eq!(&inline_trace, &serial_trace);
+        prop_assert_eq!(inline_json, serial_json);
         // The ring never exceeds its capacity and accounts for every
         // offered event as kept + dropped.
         let journal = &inline_trace.journal;

@@ -1,14 +1,13 @@
 //! Hardware modelling tour: configure the paper's accelerators, simulate
-//! the CGPipe cycle by cycle, schedule the operation graph, and emit the
-//! C-like code the HLS framework would hand to the synthesis backend.
+//! the CGPipe cycle by cycle, and compare against the ESE and C-LSTM
+//! baselines.
 //!
 //! Run with: `cargo run --release --example hardware_sim`
 
 use ernn::fpga::baseline::{clstm_report, EseModel};
 use ernn::fpga::power::{board_power, energy_efficiency};
 use ernn::fpga::sim::simulate_batch;
-use ernn::fpga::{Accelerator, HwCell, RnnSpec, ADM_PCIE_7V3, XCKU060};
-use ernn::hls::{generate_code, generate_report, graph_for_spec, schedule, ResourcePool};
+use ernn::fpga::{Accelerator, RnnSpec, ADM_PCIE_7V3, XCKU060};
 
 fn main() {
     // 1. The paper's flagship design: E-RNN GRU, block 16, KU060.
@@ -52,21 +51,4 @@ fn main() {
         "C-LSTM FFT16: {:.1} µs, {:.0} FPS",
         clstm.latency_us, clstm.fps
     );
-
-    // 4. HLS on a small GRU: graph -> schedule -> code.
-    let small = RnnSpec {
-        cell: HwCell::Gru,
-        input_dim: 16,
-        hidden_dim: 32,
-        block_size: 8,
-        io_block_size: 8,
-        weight_bits: 12,
-        layers: 1,
-    };
-    let graph = graph_for_spec(&small);
-    let sched = schedule(&graph, ResourcePool::uniform(4));
-    println!("\n{}", generate_report(&graph, &sched));
-    let code = generate_code(&graph, &sched);
-    let preview: String = code.lines().take(18).collect::<Vec<_>>().join("\n");
-    println!("generated code (first lines):\n{preview}\n...");
 }

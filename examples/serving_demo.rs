@@ -3,7 +3,7 @@
 //! serve an open-loop Poisson request stream across a pool of simulated
 //! devices — printing latency percentiles, throughput, device occupancy,
 //! the FFT'd-weight cache statistics, and the wall-clock host time of the
-//! default executor against the channel pool (virtual-time results are
+//! served inference lane against the serial one (virtual-time results are
 //! bit-identical by construction; only `host_us` moves).
 //!
 //! Run with: `cargo run --release --example serving_demo`
@@ -109,37 +109,32 @@ fn main() {
         single_report.metrics.makespan_us / report.metrics.makespan_us
     );
 
-    // 5. The same load through the channel pool: one worker thread per
-    //    device slot, fed over channels. The virtual-time report is
-    //    bit-identical; only wall-clock host time changes (the default
-    //    executor already computes batches on every further core while
-    //    the event loop runs).
-    let pooled_report = runtime(&model, 2, ExecutorKind::ThreadPool).run(with_uniform_slo(
+    // 5. The same load on the serial lane: no thread serves it, so the
+    //    event loop computes every batch at the end. The virtual-time
+    //    report is bit-identical; only wall-clock host time changes (the
+    //    served lane computes batches on every further core while the
+    //    event loop runs).
+    let serial_report = runtime(&model, 2, ExecutorKind::ThreadPool).run(with_uniform_slo(
         open_loop_poisson(&utterances, 400, 500_000.0, 11),
         5_000.0,
     ));
     assert_eq!(
-        pooled_report.metrics, report.metrics,
-        "virtual-time metrics must not depend on the host executor"
+        serial_report.metrics, report.metrics,
+        "virtual-time metrics must not depend on the host's lane threads"
     );
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     println!(
-        "\n== host executor ({cores} cores) ==\n\
-         default executor: {:.1} ms wall-clock host time\n\
-         channel pool:     {:.1} ms wall-clock host time ({:.2}× the default's speed; \
+        "\n== host inference lane ({cores} cores) ==\n\
+         served lane: {:.1} ms wall-clock host time\n\
+         serial lane: {:.1} ms wall-clock host time ({:.2}× the served lane's speed; \
          virtual metrics bit-identical)",
         report.host_us / 1e3,
-        pooled_report.host_us / 1e3,
-        report.host_us / pooled_report.host_us
+        serial_report.host_us / 1e3,
+        report.host_us / serial_report.host_us
     );
-    let worker_loads: Vec<String> = pooled_report
-        .worker_fft
-        .iter()
-        .map(|w| format!("{}", w.forward_transforms))
-        .collect();
     println!(
-        "per-worker forward FFTs: [{}] (sum = the default's {})",
-        worker_loads.join(", "),
-        report.host_fft().forward_transforms
+        "forward FFTs: {} served, {} serial",
+        report.host_fft().forward_transforms,
+        serial_report.host_fft().forward_transforms
     );
 }

@@ -16,14 +16,13 @@
 //! * [`quant`] — fixed-point arithmetic and piecewise-linear activations.
 //! * [`model`] — LSTM/GRU cells, stacked networks, BPTT training, and the
 //!   declarative [`model::ModelSpec`].
-//! * [`admm`] — ADMM-based structured training (the paper's Sec. III-B)
-//!   and [`admm::Recipe`], the Fig. 6 recipe every training caller shares.
+//! * [`admm`] — ADMM-based structured training (the paper's Sec. III-B),
+//!   [`admm::Recipe`], the Fig. 6 recipe every training caller shares, and
+//!   [`admm::train_projected`], which is also C-LSTM-style direct
+//!   circulant training.
 //! * [`asr`] — synthetic speech corpus, DSP front end, PER scoring.
-//! * [`baselines`] — ESE-style pruned LSTM (C-LSTM-style direct circulant
-//!   training is [`admm::train_projected`]).
 //! * [`fpga`] — device models, PE/CU designs, cycle simulator, power model,
 //!   and the versioned [`fpga::artifact::ModelArtifact`].
-//! * [`hls`] — operation graphs, scheduling and C-like code generation.
 //! * [`core`] — the Phase I / Phase II E-RNN framework itself.
 //! * [`pipeline`] — the typed model-lifecycle builder (see below).
 //! * [`serve`] — batched multi-accelerator inference serving: dynamic
@@ -97,12 +96,10 @@
 
 pub use ernn_admm as admm;
 pub use ernn_asr as asr;
-pub use ernn_baselines as baselines;
 pub use ernn_core as core;
 pub use ernn_core::pipeline;
 pub use ernn_fft as fft;
 pub use ernn_fpga as fpga;
-pub use ernn_hls as hls;
 pub use ernn_linalg as linalg;
 pub use ernn_model as model;
 pub use ernn_quant as quant;

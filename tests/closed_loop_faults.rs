@@ -74,7 +74,7 @@ fn closed_loop_through_a_crash_with_shedding_answers_every_request_once() {
         .run_closed_loop(&payloads, CLIENTS, TOTAL, Some(slo_us))
     };
     let inline = run(ExecutorKind::Inline);
-    let pool = run(ExecutorKind::ThreadPool);
+    let serial = run(ExecutorKind::ThreadPool);
 
     // The closed loop mints ids 0..TOTAL, one per client turn.
     let minted: Vec<Request> = (0..TOTAL as u64)
@@ -82,7 +82,7 @@ fn closed_loop_through_a_crash_with_shedding_answers_every_request_once() {
         .collect();
     assert_answered_once("closed loop × crash × shed", &minted, &inline.responses);
     assert_counters_match_responses("closed loop × crash × shed", &inline);
-    assert_executor_blind("closed loop × crash × shed", &inline, &pool);
+    assert_executor_blind("closed loop × crash × shed", &inline, &serial);
 
     // All three ingredients took part in the run being checked.
     let stats = &inline.sched;

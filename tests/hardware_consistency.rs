@@ -1,10 +1,8 @@
-//! Cross-crate integration: the analytical accelerator model, the
-//! cycle-level simulator and the HLS scheduler must tell one consistent
-//! story.
+//! Cross-crate integration: the analytical accelerator model and the
+//! cycle-level simulator must tell one consistent story.
 
 use ernn::fpga::sim::simulate_batch;
 use ernn::fpga::{Accelerator, RnnSpec, ADM_PCIE_7V3, XCKU060};
-use ernn::hls::{graph_for_spec, schedule, ResourcePool};
 
 #[test]
 fn simulator_confirms_analytical_ii_and_latency() {
@@ -27,24 +25,6 @@ fn simulator_confirms_analytical_ii_and_latency() {
             }
         }
     }
-}
-
-#[test]
-fn hls_schedule_is_no_faster_than_dependency_bound() {
-    let spec = RnnSpec {
-        cell: ernn::fpga::HwCell::Gru,
-        input_dim: 16,
-        hidden_dim: 32,
-        block_size: 8,
-        io_block_size: 8,
-        weight_bits: 12,
-        layers: 1,
-    };
-    let graph = graph_for_spec(&spec);
-    let constrained = schedule(&graph, ResourcePool::uniform(2));
-    let unconstrained = schedule(&graph, ResourcePool::uniform(4096));
-    assert!(constrained.makespan >= unconstrained.makespan);
-    assert_eq!(unconstrained.makespan, graph.critical_path());
 }
 
 #[test]
