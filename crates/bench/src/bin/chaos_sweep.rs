@@ -334,7 +334,7 @@ fn main() {
             label,
             miss * 100.0,
             served,
-            report.sched.shed,
+            report.metrics.shed,
             report.sched.batches_aborted,
             report.sched.retries_scheduled,
             report.sched.failovers,
@@ -346,7 +346,7 @@ fn main() {
                 .str("mode", label)
                 .num("miss_rate", miss)
                 .int("served", served as i64)
-                .int("shed", report.sched.shed as i64)
+                .int("shed", report.metrics.shed as i64)
                 .int("device_crashes", report.sched.device_crashes as i64)
                 .int("device_brownouts", report.sched.device_brownouts as i64)
                 .int("device_transients", report.sched.device_transients as i64)

@@ -35,8 +35,8 @@ use ernn_fpga::{ADM_PCIE_7V3, XCKU060};
 use ernn_serve::loadgen::{open_loop_poisson, synthetic_utterances};
 use ernn_serve::sched::{AdmissionPolicy, ModelRegistry, PaddingModel, SchedPolicy, SchedRuntime};
 use ernn_serve::{
-    analyze, ExecutorKind, HealthConfig, HealthRuleKind, Request, RuntimeConfig, TimelineConfig,
-    TraceConfig,
+    analyze, ExecutorKind, HealthConfig, HealthRuleKind, Request, Response, RuntimeConfig,
+    ShedReason, TimelineConfig, TraceConfig, TraceEvent,
 };
 
 /// Interactive tenant: model 0, short utterances, tight SLO.
@@ -272,19 +272,37 @@ fn main() {
                 .latency("", &pm.latency)
                 .render()
         }));
-        // The predictor's audit trail: every shed decision with the
-        // prediction that justified it, so calibration is inspectable
-        // per run straight from the artifact.
-        let log = &report.sched.admission_log;
-        let admitted = log.iter().filter(|r| r.admitted).count();
-        let admission_shed = array(log.iter().filter(|r| !r.admitted).map(|r| {
-            JsonObject::new()
-                .int("id", r.id as i64)
-                .int("model", r.model as i64)
-                .num("predicted_us", r.predicted_us)
-                .num("deadline_us", r.deadline_us.unwrap_or(f64::INFINITY))
-                .render()
-        }));
+        // The predictor's audit trail, read from the journal (it dropped
+        // nothing, asserted above): every decision, and every shed with
+        // the prediction that justified it, so calibration is inspectable
+        // per run straight from the artifact. No capacity is lost here,
+        // so every journaled `Shed` is an admission decision.
+        let lost = |r: &Response| r.shed_reason == Some(ShedReason::CapacityLoss);
+        let admission_only = !report.responses.iter().any(lost);
+        assert!(admission_only, "{}: capacity lost", config.label);
+        let (mut admitted, mut shed_decisions) = (0, Vec::new());
+        for e in &report.trace.journal.events {
+            match *e {
+                TraceEvent::Admit { .. } => admitted += 1,
+                TraceEvent::Shed {
+                    id,
+                    model,
+                    predicted_us,
+                    deadline_us,
+                    ..
+                } => shed_decisions.push(
+                    JsonObject::new()
+                        .int("id", id as i64)
+                        .int("model", model as i64)
+                        .num("predicted_us", predicted_us)
+                        .num("deadline_us", deadline_us)
+                        .render(),
+                ),
+                _ => {}
+            }
+        }
+        let decisions = admitted + shed_decisions.len();
+        let admission_shed = array(shed_decisions);
         // Per-(device, model) stage-time attribution from the trace:
         // where each cell's µs went (queueing, weight loads, compute,
         // batch padding).
@@ -312,7 +330,7 @@ fn main() {
                 .int("model_loads", report.sched.model_loads as i64)
                 .int("model_evictions", report.sched.model_evictions as i64)
                 .num("load_us_total", report.sched.load_us_total)
-                .int("admission_decisions", log.len() as i64)
+                .int("admission_decisions", decisions as i64)
                 .int("admission_admitted", admitted as i64)
                 .raw("admission_shed", admission_shed)
                 .raw("attribution", attribution)

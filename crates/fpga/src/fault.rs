@@ -12,12 +12,15 @@
 //! test rather than a flake generator.
 //!
 //! The plan itself is immutable. Runtimes compile it into a
-//! [`FaultTimeline`] — a per-device, pre-sized query structure whose
-//! lookups ([`FaultTimeline::is_down`],
+//! [`FaultTimeline`]: the plan's own events, one record per planned
+//! fault with its progress flags. Its lookups ([`FaultTimeline::is_down`],
 //! [`FaultTimeline::cycle_multiplier`],
 //! [`FaultTimeline::abort_between`]) never allocate, so the steady-state
 //! serve path stays zero-alloc with fault injection enabled (proved in
-//! `tests/kernel_alloc.rs`).
+//! `tests/kernel_alloc.rs`). As virtual time advances, one cursor,
+//! [`FaultTimeline::pop_due`], yields each [`FaultEffect`] once; a fault
+//! that aborts a batch ahead of the clock acts through
+//! [`FaultTimeline::strike`] instead.
 
 /// One kind of injected device fault.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -166,11 +169,6 @@ impl FaultPlan {
         self.events.is_empty()
     }
 
-    /// Number of scheduled faults.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
     /// The scheduled events, sorted by `(t_us, device)`.
     pub fn events(&self) -> &[FaultEvent] {
         &self.events
@@ -181,66 +179,56 @@ impl FaultPlan {
     pub fn max_device(&self) -> Option<usize> {
         self.events.iter().map(|e| e.device).max()
     }
-
-    /// Compiles the plan into a per-run, per-device query structure.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan names a device `>= devices`.
-    pub fn timeline(&self, devices: usize) -> FaultTimeline {
-        FaultTimeline::new(self, devices)
-    }
 }
 
 /// An abort hazard found by [`FaultTimeline::abort_between`]: the first
-/// crash start or unconsumed transient inside a prospective batch
-/// window.
+/// unapplied crash or unstruck transient inside a prospective batch
+/// window. A batch it aborts hands it back to [`FaultTimeline::strike`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultHit {
     /// Virtual time the fault strikes (µs).
     pub t_us: f64,
-    /// True for a crash (BRAM wiped, device down), false for a
-    /// transient (batch lost, device survives).
-    pub is_crash: bool,
+    /// The fault's position in the plan.
+    index: usize,
 }
 
+/// What a fault does to the pool when it acts: yielded by
+/// [`FaultTimeline::pop_due`] as virtual time reaches it, or by
+/// [`FaultTimeline::strike`] when it aborts a batch.
 #[derive(Debug, Clone, Copy, PartialEq)]
-struct CrashRec {
-    start_us: f64,
-    end_us: f64,
-    /// The crash's effects (BRAM wipe, down transition) were applied.
-    applied: bool,
-    /// The recovery (up transition) was observed, for finite crashes.
+pub enum FaultEffect {
+    /// A planned fault acts: a crash lands, a brownout window opens, or a
+    /// transient aborts a batch (only through [`FaultTimeline::strike`]:
+    /// an upset on an idle device is harmless).
+    Strike(FaultEvent),
+    /// A finite crash's down interval ends; the device rejoins cold.
+    Recovery {
+        /// Pool index of the device.
+        device: usize,
+        /// When the device comes back up (µs).
+        t_us: f64,
+    },
+}
+
+/// One planned fault with its progress through the run.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Planned {
+    event: FaultEvent,
+    /// The fault has acted: a crash's effects were applied, a brownout's
+    /// onset noted, a transient spent on the one batch it kills.
+    fired: bool,
+    /// A finite crash's recovery was observed.
     recovered: bool,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct BrownoutRec {
-    start_us: f64,
-    end_us: f64,
-    multiplier: f64,
-    /// The onset was observed (for counters).
-    noted: bool,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct TransientRec {
-    t_us: f64,
-    /// The upset already aborted a batch; each transient kills at most
-    /// one.
-    consumed: bool,
-}
-
-/// Per-run compiled view of a [`FaultPlan`]: per-device crash/brownout/
-/// transient records, fully pre-sized at construction so every query is
-/// allocation-free. The structure is mutable only in its bookkeeping
-/// flags (which crash has been applied, which transient consumed) —
-/// the schedule itself never changes mid-run.
+/// Per-run view of a [`FaultPlan`]: the plan's own `(t_us, device)`-sorted
+/// events, each with its progress flags, sized at construction so every
+/// query is allocation-free. Only the flags change mid-run — the
+/// schedule itself never does.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultTimeline {
-    crashes: Vec<Vec<CrashRec>>,
-    brownouts: Vec<Vec<BrownoutRec>>,
-    transients: Vec<Vec<TransientRec>>,
+    devices: usize,
+    faults: Vec<Planned>,
 }
 
 impl FaultTimeline {
@@ -256,177 +244,127 @@ impl FaultTimeline {
                 "fault plan names device {max} but the pool has {devices} devices"
             );
         }
-        let mut tl = FaultTimeline {
-            crashes: vec![Vec::new(); devices],
-            brownouts: vec![Vec::new(); devices],
-            transients: vec![Vec::new(); devices],
-        };
-        for e in plan.events() {
-            match e.fault {
-                DeviceFault::Crash { down_us } => tl.crashes[e.device].push(CrashRec {
-                    start_us: e.t_us,
-                    end_us: e.t_us + down_us,
-                    applied: false,
-                    recovered: false,
-                }),
-                DeviceFault::Brownout {
-                    cycle_multiplier,
-                    duration_us,
-                } => tl.brownouts[e.device].push(BrownoutRec {
-                    start_us: e.t_us,
-                    end_us: e.t_us + duration_us,
-                    multiplier: cycle_multiplier,
-                    noted: false,
-                }),
-                DeviceFault::Transient => tl.transients[e.device].push(TransientRec {
-                    t_us: e.t_us,
-                    consumed: false,
-                }),
-            }
-        }
-        tl
+        let faults = plan
+            .events()
+            .iter()
+            .map(|&event| Planned {
+                event,
+                fired: false,
+                recovered: false,
+            })
+            .collect();
+        FaultTimeline { devices, faults }
     }
 
-    /// Number of devices the timeline covers.
-    pub fn devices(&self) -> usize {
-        self.crashes.len()
+    /// The faults on device `d` that started by `t`, in plan order.
+    fn started_on(&self, d: usize, t: f64) -> impl Iterator<Item = &Planned> {
+        self.faults
+            .iter()
+            .take_while(move |f| f.event.t_us <= t)
+            .filter(move |f| f.event.device == d)
     }
 
     /// Whether device `d` is inside a crash's down interval at time `t`
     /// (down intervals are half-open `[start, start + down_us)`).
     pub fn is_down(&self, d: usize, t: f64) -> bool {
-        self.crashes[d]
-            .iter()
-            .any(|c| t >= c.start_us && t < c.end_us)
+        self.started_on(d, t).any(|f| {
+            matches!(f.event.fault, DeviceFault::Crash { down_us } if t < f.event.t_us + down_us)
+        })
     }
 
     /// The stage-cycle stretch factor in force on device `d` at time
     /// `t`: the multiplier of the first active brownout, or `1.0` when
     /// the device is healthy.
     pub fn cycle_multiplier(&self, d: usize, t: f64) -> f64 {
-        self.brownouts[d]
-            .iter()
-            .find(|b| t >= b.start_us && t < b.end_us)
-            .map_or(1.0, |b| b.multiplier)
+        self.started_on(d, t)
+            .find_map(|f| match f.event.fault {
+                DeviceFault::Brownout {
+                    cycle_multiplier,
+                    duration_us,
+                } if t < f.event.t_us + duration_us => Some(cycle_multiplier),
+                _ => None,
+            })
+            .unwrap_or(1.0)
     }
 
     /// The first abort hazard for device `d` inside the prospective
     /// occupancy window `[from, to)`: an unapplied crash start or an
-    /// unconsumed transient. Returns `None` when the window is clear
-    /// and the batch may commit.
+    /// unstruck transient, the earlier first and a crash before a
+    /// transient at the same instant. Returns `None` when the window is
+    /// clear and the batch may commit.
     pub fn abort_between(&self, d: usize, from: f64, to: f64) -> Option<FaultHit> {
+        let crash = |i: usize| matches!(self.faults[i].event.fault, DeviceFault::Crash { .. });
         let mut hit: Option<FaultHit> = None;
-        for c in &self.crashes[d] {
-            if !c.applied
-                && c.start_us >= from
-                && c.start_us < to
-                && hit.is_none_or(|h| c.start_us < h.t_us)
-            {
-                hit = Some(FaultHit {
-                    t_us: c.start_us,
-                    is_crash: true,
-                });
+        for (index, f) in self.faults.iter().enumerate() {
+            let e = f.event;
+            if e.t_us >= to || hit.is_some_and(|h| e.t_us > h.t_us) {
+                break;
             }
-        }
-        for tr in &self.transients[d] {
-            if !tr.consumed
-                && tr.t_us >= from
-                && tr.t_us < to
-                && hit.is_none_or(|h| tr.t_us < h.t_us)
+            if e.device == d
+                && !f.fired
+                && e.t_us >= from
+                && !matches!(e.fault, DeviceFault::Brownout { .. })
+                && hit.is_none_or(|h| crash(index) && !crash(h.index))
             {
                 hit = Some(FaultHit {
-                    t_us: tr.t_us,
-                    is_crash: false,
+                    t_us: e.t_us,
+                    index,
                 });
             }
         }
         hit
     }
 
-    /// Marks the transient on device `d` at exactly `t` consumed (it
-    /// aborted a batch). No-op if no such transient exists.
-    pub fn consume_transient(&mut self, d: usize, t: f64) {
-        if let Some(tr) = self.transients[d]
-            .iter_mut()
-            .find(|tr| !tr.consumed && tr.t_us == t)
-        {
-            tr.consumed = true;
-        }
+    /// Spends the fault `hit` names on the batch it aborted, ahead of the
+    /// clock: a crash is applied at the abort instant (the abort *is* the
+    /// crash landing) and a transient kills no other batch.
+    pub fn strike(&mut self, hit: FaultHit) -> FaultEffect {
+        self.fire(hit.index)
     }
 
-    /// Marks the crash on device `d` starting at exactly `t` applied
-    /// and returns its down interval. Used when a look-ahead abort
-    /// applies a crash's effects at the abort instant, ahead of the
-    /// lazy cursor.
-    pub fn mark_crash_applied(&mut self, d: usize, t: f64) -> Option<(f64, f64)> {
-        self.crashes[d]
-            .iter_mut()
-            .find(|c| !c.applied && c.start_us == t)
-            .map(|c| {
-                c.applied = true;
-                (c.start_us, c.end_us)
-            })
+    /// Marks fault `i` fired and returns it.
+    fn fire(&mut self, i: usize) -> FaultEffect {
+        debug_assert!(!self.faults[i].fired, "a planned fault acts once");
+        self.faults[i].fired = true;
+        FaultEffect::Strike(self.faults[i].event)
     }
 
-    /// Pops the globally earliest unapplied crash with `start <= t`,
-    /// marking it applied: `(device, start, end)`. Drives the runtime's
-    /// lazy fault cursor as virtual time advances.
-    pub fn pop_crash_through(&mut self, t: f64) -> Option<(usize, f64, f64)> {
-        let mut best: Option<(usize, usize, f64)> = None;
-        for (d, crashes) in self.crashes.iter().enumerate() {
-            for (i, c) in crashes.iter().enumerate() {
-                if !c.applied && c.start_us <= t && best.is_none_or(|(_, _, bt)| c.start_us < bt) {
-                    best = Some((d, i, c.start_us));
+    /// The next fault effect the clock has reached at `t`, marked done so
+    /// each is yielded exactly once — the runtime's lazy fault cursor.
+    /// Every due crash comes first, then every due recovery of an applied
+    /// crash, then every due brownout onset; crashes and onsets go by
+    /// start time, recoveries by end time, ties by device, then by plan
+    /// order.
+    pub fn pop_due(&mut self, t: f64) -> Option<FaultEffect> {
+        let mut recovery: Option<(usize, f64)> = None;
+        let mut onset: Option<usize> = None;
+        // The plan is sorted by start and nothing that starts after `t`
+        // is due (a recovery ends after its crash starts), so the first
+        // unfired crash is the earliest and the scan stops at `t`.
+        for (i, f) in self.faults.iter().enumerate() {
+            let e = f.event;
+            if e.t_us > t {
+                break;
+            }
+            match e.fault {
+                DeviceFault::Crash { .. } if !f.fired => return Some(self.fire(i)),
+                DeviceFault::Crash { down_us } if !f.recovered && e.t_us + down_us <= t => {
+                    let end = e.t_us + down_us;
+                    let dev = |r: usize| self.faults[r].event.device;
+                    if recovery.is_none_or(|(r, r_end)| (end, e.device) < (r_end, dev(r))) {
+                        recovery = Some((i, end));
+                    }
                 }
+                DeviceFault::Brownout { .. } if !f.fired => onset = onset.or(Some(i)),
+                _ => {}
             }
         }
-        best.map(|(d, i, _)| {
-            let c = &mut self.crashes[d][i];
-            c.applied = true;
-            (d, c.start_us, c.end_us)
-        })
-    }
-
-    /// Pops the globally earliest unobserved recovery of an *applied*,
-    /// finite crash with `end <= t`: `(device, end)`.
-    pub fn pop_recovery_through(&mut self, t: f64) -> Option<(usize, f64)> {
-        let mut best: Option<(usize, usize, f64)> = None;
-        for (d, crashes) in self.crashes.iter().enumerate() {
-            for (i, c) in crashes.iter().enumerate() {
-                if c.applied
-                    && !c.recovered
-                    && c.end_us <= t
-                    && best.is_none_or(|(_, _, bt)| c.end_us < bt)
-                {
-                    best = Some((d, i, c.end_us));
-                }
-            }
+        if let Some((i, t_us)) = recovery {
+            self.faults[i].recovered = true;
+            let device = self.faults[i].event.device;
+            return Some(FaultEffect::Recovery { device, t_us });
         }
-        best.map(|(d, i, _)| {
-            let c = &mut self.crashes[d][i];
-            c.recovered = true;
-            (d, c.end_us)
-        })
-    }
-
-    /// Pops the globally earliest unnoted brownout onset with
-    /// `start <= t`: `(device, start, multiplier)`. Used for fault
-    /// counters — brownouts need no other runtime reaction, their
-    /// stretch is picked up by [`Self::cycle_multiplier`].
-    pub fn pop_brownout_through(&mut self, t: f64) -> Option<(usize, f64, f64)> {
-        let mut best: Option<(usize, usize, f64)> = None;
-        for (d, brownouts) in self.brownouts.iter().enumerate() {
-            for (i, b) in brownouts.iter().enumerate() {
-                if !b.noted && b.start_us <= t && best.is_none_or(|(_, _, bt)| b.start_us < bt) {
-                    best = Some((d, i, b.start_us));
-                }
-            }
-        }
-        best.map(|(d, i, _)| {
-            let b = &mut self.brownouts[d][i];
-            b.noted = true;
-            (d, b.start_us, b.multiplier)
-        })
+        onset.map(|i| self.fire(i))
     }
 
     /// Number of devices that are *up* at time `t` (not inside any down
@@ -434,7 +372,7 @@ impl FaultTimeline {
     /// of the nominal pool size, tightening estimates under capacity
     /// loss.
     pub fn devices_up(&self, t: f64) -> usize {
-        (0..self.devices()).filter(|&d| !self.is_down(d, t)).count()
+        (0..self.devices).filter(|&d| !self.is_down(d, t)).count()
     }
 }
 
@@ -467,6 +405,7 @@ impl SplitMix64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn crash(t: f64, device: usize, down: f64) -> FaultEvent {
         FaultEvent {
@@ -476,10 +415,25 @@ mod tests {
         }
     }
 
+    /// Plan indices `due` sorted by `key`, then device, then plan order.
+    fn sorted(ev: &[FaultEvent], key: impl Fn(usize) -> f64, mut due: Vec<usize>) -> Vec<usize> {
+        due.sort_by(|&a, &b| {
+            key(a)
+                .total_cmp(&key(b))
+                .then(ev[a].device.cmp(&ev[b].device))
+                .then(a.cmp(&b))
+        });
+        due
+    }
+
+    /// Everything the cursor yields at `t`.
+    fn drain(tl: &mut FaultTimeline, t: f64) -> Vec<FaultEffect> {
+        std::iter::from_fn(|| tl.pop_due(t)).collect()
+    }
+
     #[test]
     fn plans_sort_events_by_time() {
         let plan = FaultPlan::new(vec![crash(50.0, 1, 10.0), crash(10.0, 0, 5.0)]);
-        assert_eq!(plan.len(), 2);
         assert_eq!(plan.events()[0].t_us, 10.0);
         assert_eq!(plan.max_device(), Some(1));
         assert!(FaultPlan::empty().is_empty());
@@ -490,7 +444,7 @@ mod tests {
         let a = FaultPlan::seeded(42, 3, 10_000.0, 16);
         let b = FaultPlan::seeded(42, 3, 10_000.0, 16);
         assert_eq!(a, b);
-        assert_eq!(a.len(), 16);
+        assert_eq!(a.events().len(), 16);
         for e in a.events() {
             assert!(e.t_us >= 0.0 && e.t_us < 10_000.0);
             assert!(e.device < 3);
@@ -501,7 +455,7 @@ mod tests {
 
     #[test]
     fn down_intervals_and_next_up() {
-        let tl = FaultPlan::new(vec![crash(100.0, 0, 50.0)]).timeline(2);
+        let tl = FaultTimeline::new(&FaultPlan::new(vec![crash(100.0, 0, 50.0)]), 2);
         assert!(!tl.is_down(0, 99.9));
         assert!(tl.is_down(0, 100.0));
         assert!(tl.is_down(0, 149.9));
@@ -513,11 +467,12 @@ mod tests {
 
     #[test]
     fn permanent_crashes_never_recover() {
-        let mut tl = FaultPlan::new(vec![crash(10.0, 0, f64::INFINITY)]).timeline(1);
+        let mut tl = FaultTimeline::new(&FaultPlan::new(vec![crash(10.0, 0, f64::INFINITY)]), 1);
         assert!(tl.is_down(0, 10.0) && tl.is_down(0, f64::MAX));
-        assert_eq!(tl.pop_crash_through(20.0), Some((0, 10.0, f64::INFINITY)));
+        let down = crash(10.0, 0, f64::INFINITY);
+        assert_eq!(tl.pop_due(20.0), Some(FaultEffect::Strike(down)));
         // An infinite crash's recovery never arrives.
-        assert_eq!(tl.pop_recovery_through(f64::MAX), None);
+        assert_eq!(tl.pop_due(f64::MAX), None);
     }
 
     #[test]
@@ -530,13 +485,16 @@ mod tests {
                 duration_us: 50.0,
             },
         }]);
-        let mut tl = plan.timeline(1);
+        let mut tl = FaultTimeline::new(&plan, 1);
         assert_eq!(tl.cycle_multiplier(0, 99.0), 1.0);
         assert_eq!(tl.cycle_multiplier(0, 100.0), 2.0);
         assert_eq!(tl.cycle_multiplier(0, 149.9), 2.0);
         assert_eq!(tl.cycle_multiplier(0, 150.0), 1.0);
-        assert_eq!(tl.pop_brownout_through(100.0), Some((0, 100.0, 2.0)));
-        assert_eq!(tl.pop_brownout_through(1e9), None);
+        assert_eq!(
+            tl.pop_due(100.0),
+            Some(FaultEffect::Strike(plan.events()[0]))
+        );
+        assert_eq!(tl.pop_due(1e9), None);
     }
 
     #[test]
@@ -549,36 +507,147 @@ mod tests {
             },
             crash(140.0, 0, 30.0),
         ]);
-        let mut tl = plan.timeline(1);
+        let mut tl = FaultTimeline::new(&plan, 1);
         let hit = tl.abort_between(0, 100.0, 200.0).unwrap();
         assert_eq!(hit.t_us, 120.0);
-        assert!(!hit.is_crash);
-        tl.consume_transient(0, 120.0);
+        assert_eq!(tl.strike(hit), FaultEffect::Strike(plan.events()[0]));
         // Transient spent: the crash is next.
         let hit = tl.abort_between(0, 100.0, 200.0).unwrap();
         assert_eq!(hit.t_us, 140.0);
-        assert!(hit.is_crash);
-        assert_eq!(tl.mark_crash_applied(0, 140.0), Some((140.0, 170.0)));
-        // Applied crash no longer aborts.
+        assert_eq!(tl.strike(hit), FaultEffect::Strike(plan.events()[1]));
+        // Applied crash no longer aborts, and the cursor skips it.
         assert_eq!(tl.abort_between(0, 100.0, 200.0), None);
+        let up = FaultEffect::Recovery {
+            device: 0,
+            t_us: 170.0,
+        };
+        assert_eq!(drain(&mut tl, 200.0), [up]);
     }
 
     #[test]
     fn lazy_cursor_pops_in_time_order_exactly_once() {
         let plan = FaultPlan::new(vec![crash(30.0, 1, 10.0), crash(10.0, 0, 5.0)]);
-        let mut tl = plan.timeline(2);
-        assert_eq!(tl.pop_crash_through(100.0), Some((0, 10.0, 15.0)));
-        assert_eq!(tl.pop_crash_through(100.0), Some((1, 30.0, 40.0)));
-        assert_eq!(tl.pop_crash_through(100.0), None);
-        assert_eq!(tl.pop_recovery_through(100.0), Some((0, 15.0)));
-        assert_eq!(tl.pop_recovery_through(100.0), Some((1, 40.0)));
-        assert_eq!(tl.pop_recovery_through(100.0), None);
+        let mut tl = FaultTimeline::new(&plan, 2);
+        let down = |i: usize| FaultEffect::Strike(plan.events()[i]);
+        let up = |device, t_us| FaultEffect::Recovery { device, t_us };
+        assert_eq!(
+            drain(&mut tl, 100.0),
+            [down(0), down(1), up(0, 15.0), up(1, 40.0)]
+        );
+        assert_eq!(tl.pop_due(100.0), None);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// The timeline against a naive scan of the plan, over random
+        /// plans and non-decreasing query times: `pop_due` yields every
+        /// crash, every finite crash's recovery and every brownout onset
+        /// exactly once — due crashes, then due recoveries, then due
+        /// onsets, ties by device then plan order — and `abort_between`
+        /// returns the earliest unstruck crash or transient, a crash
+        /// winning a tie.
+        #[test]
+        fn the_timeline_matches_a_naive_scan_of_the_plan(
+            raw_faults in collection::vec(any::<u64>(), 0..24),
+            raw_steps in collection::vec(any::<u64>(), 1..24),
+        ) {
+            const DEVICES: usize = 3;
+            // Coarse times, so ties at one instant are common.
+            let plan = FaultPlan::new(raw_faults.iter().map(|&v| {
+                let span = ((v >> 16) % 4 + 1) as f64 * 10.0;
+                let fault = match (v >> 24) % 5 {
+                    0 => DeviceFault::Crash { down_us: f64::INFINITY },
+                    1 | 2 => DeviceFault::Crash { down_us: span },
+                    3 => DeviceFault::Brownout {
+                        cycle_multiplier: 2.0,
+                        duration_us: span,
+                    },
+                    _ => DeviceFault::Transient,
+                };
+                let device = ((v >> 8) % DEVICES as u64) as usize;
+                FaultEvent { t_us: (v % 16) as f64 * 10.0, device, fault }
+            }).collect());
+            let ev = plan.events();
+            let is_crash = |i: usize| matches!(ev[i].fault, DeviceFault::Crash { .. });
+            let is_brownout = |i: usize| matches!(ev[i].fault, DeviceFault::Brownout { .. });
+            let start = |i: usize| ev[i].t_us;
+            let end = |i: usize| match ev[i].fault {
+                DeviceFault::Crash { down_us } => ev[i].t_us + down_us,
+                DeviceFault::Brownout { duration_us, .. } => ev[i].t_us + duration_us,
+                DeviceFault::Transient => ev[i].t_us,
+            };
+            let strike = |i: usize| FaultEffect::Strike(ev[i]);
+            let mut tl = FaultTimeline::new(&plan, DEVICES);
+            let mut fired = vec![false; ev.len()];
+            let mut recovered = vec![false; ev.len()];
+            let mut t = 0.0;
+            for (step, &v) in raw_steps.iter().enumerate() {
+                let last = step + 1 == raw_steps.len();
+                t = if last { 1e9 } else { t + (v % 4) as f64 * 5.0 };
+                let d = ((v >> 8) % DEVICES as u64) as usize;
+                let to = t + ((v >> 16) % 8) as f64 * 10.0;
+                let on_d = |i: usize| ev[i].device == d;
+                let covers = |i: usize| on_d(i) && start(i) <= t && t < end(i);
+                let down = (0..ev.len()).any(|i| is_crash(i) && covers(i));
+                let stretch = (0..ev.len()).any(|i| is_brownout(i) && covers(i));
+                prop_assert_eq!(tl.is_down(d, t), down);
+                prop_assert_eq!(tl.cycle_multiplier(d, t), if stretch { 2.0 } else { 1.0 });
+
+                // The hazard in [t, to): earliest, a crash before a
+                // transient, then plan order. Half of them strike.
+                let want = (0..ev.len())
+                    .filter(|&i| on_d(i) && !fired[i] && !is_brownout(i))
+                    .filter(|&i| start(i) >= t && start(i) < to)
+                    .min_by(|&a, &b| {
+                        start(a)
+                            .total_cmp(&start(b))
+                            .then(is_crash(b).cmp(&is_crash(a)))
+                            .then(a.cmp(&b))
+                    });
+                let hit = tl.abort_between(d, t, to);
+                prop_assert_eq!(hit.map(|h| h.index), want);
+                if let Some(hit) = hit.filter(|_| (v >> 24) % 2 == 0) {
+                    let i = hit.index;
+                    prop_assert_eq!(hit.t_us, start(i));
+                    prop_assert_eq!(tl.strike(hit), strike(i));
+                    fired[i] = true;
+                }
+
+                // The cursor: an explicit sort of what is due, by kind.
+                let mut want = Vec::new();
+                let due = (0..ev.len()).filter(|&i| is_crash(i) && !fired[i] && start(i) <= t);
+                for i in sorted(ev, start, due.collect()) {
+                    fired[i] = true;
+                    want.push(strike(i));
+                }
+                let due = (0..ev.len())
+                    .filter(|&i| is_crash(i) && fired[i] && !recovered[i] && end(i) <= t);
+                for i in sorted(ev, end, due.collect()) {
+                    recovered[i] = true;
+                    want.push(FaultEffect::Recovery { device: ev[i].device, t_us: end(i) });
+                }
+                let due = (0..ev.len()).filter(|&i| is_brownout(i) && !fired[i] && start(i) <= t);
+                for i in sorted(ev, start, due.collect()) {
+                    fired[i] = true;
+                    want.push(strike(i));
+                }
+                prop_assert_eq!(drain(&mut tl, t), want);
+            }
+            // By the last query every crash and onset acted once and every
+            // finite crash recovered once.
+            for i in 0..ev.len() {
+                if is_crash(i) || is_brownout(i) {
+                    prop_assert!(fired[i]);
+                }
+                prop_assert_eq!(recovered[i], is_crash(i) && end(i).is_finite());
+            }
+        }
     }
 
     #[test]
     #[should_panic(expected = "names device 3")]
     fn timelines_reject_out_of_range_devices() {
-        let _ = FaultPlan::new(vec![crash(1.0, 3, 1.0)]).timeline(2);
+        let _ = FaultTimeline::new(&FaultPlan::new(vec![crash(1.0, 3, 1.0)]), 2);
     }
 
     #[test]

@@ -28,9 +28,10 @@
 //!   (circulant without E-RNN's PE optimizations) for the Table III
 //!   comparison.
 //! * [`fault`] — deterministic, seeded device-fault schedules
-//!   ([`FaultPlan`]) and their pre-compiled per-run query form
-//!   ([`FaultTimeline`]), the data model behind the serving tier's
-//!   chaos testing and failover.
+//!   ([`FaultPlan`]) and their per-run form ([`FaultTimeline`]: one
+//!   record per planned fault, whose cursor yields each [`FaultEffect`]
+//!   once), the data model behind the serving tier's chaos testing and
+//!   failover.
 //! * [`transfer`] — the inter-node transfer-latency model
 //!   ([`TransferModel`]): the cluster tier's analogue of the BRAM
 //!   weight-streaming charge, pricing request forwarding and artifact
@@ -57,6 +58,6 @@ pub mod transfer;
 pub use accelerator::{AccelReport, Accelerator, HwCell, RnnSpec, StageCycles, RESOURCE_BUDGET};
 pub use artifact::{ModelArtifact, PipelineError};
 pub use device::{Device, ADM_PCIE_7V3, KNOWN_DEVICES, XCKU060};
-pub use fault::{DeviceFault, FaultEvent, FaultHit, FaultPlan, FaultTimeline};
+pub use fault::{DeviceFault, FaultEffect, FaultEvent, FaultHit, FaultPlan, FaultTimeline};
 pub use pe::PeDesign;
 pub use transfer::TransferModel;

@@ -171,7 +171,7 @@ pub use health::{
 pub use metrics::{LatencySummary, ModelMetrics, ServeMetrics};
 pub use request::{Request, Response, ShedReason, Workload};
 pub use timeline::{timeline_json, MetricsTimeline, Timeline, TimelineConfig, TimelineSample};
-pub use trace::analyze::{analyze, PathTotals, RequestSpan, SlowRequest, TraceAnalysis};
+pub use trace::analyze::{analyze, PathTotals, RequestSpan, TraceAnalysis};
 pub use trace::{
     chrome_trace_json, prometheus_snapshot, FlightRecorder, LatencyHistogram, RunTrace,
     ShardGauges, StageAttribution, StageBreakdown, TraceConfig, TraceEvent, TraceJournal,

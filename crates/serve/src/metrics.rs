@@ -41,7 +41,7 @@ pub struct LatencySummary {
 pub struct ModelMetrics {
     /// Requests served (excludes shed).
     pub completed: usize,
-    /// Requests rejected by admission control.
+    /// Requests shed, for any [`ShedReason`](crate::ShedReason).
     pub shed: usize,
     /// End-to-end latency over served requests.
     pub latency: LatencySummary,
@@ -59,16 +59,19 @@ pub struct ModelMetrics {
 /// [`SchedReport::host_us`](crate::sched::SchedReport::host_us) instead, keeping
 /// nondeterminism out of this struct entirely.
 ///
-/// Shed responses (admission-control rejections) are excluded from the
-/// latency/queue summaries, throughput and the batch histogram — no
-/// service happened — but count toward [`ServeMetrics::shed`], the
+/// Shed responses (any [`ShedReason`](crate::ShedReason)) are excluded
+/// from the latency/queue summaries, throughput and the batch histogram —
+/// no service happened — but count toward [`ServeMetrics::shed`], the
 /// deadline-miss rate, and the per-model breakdowns.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeMetrics {
     /// Requests served to completion (excludes shed).
     pub completed: usize,
-    /// Requests rejected by admission control (early deadline-miss
-    /// returns; zero for runtimes without admission control).
+    /// Requests shed, for any [`ShedReason`](crate::ShedReason):
+    /// refused at admission or by the cluster router, capacity lost at
+    /// dispatch, retries exhausted, or a cancelled or over-limit
+    /// session. Each is an early return; a deadline-carrying one counts
+    /// as a deadline miss.
     pub shed: usize,
     /// Streaming chunks among the served requests (zero for pure
     /// utterance loads).

@@ -6,9 +6,11 @@
 //! [`SchedRuntime`](crate::sched::SchedRuntime) for the exact formula):
 //! best-device ready time (device free time plus a cold-load stall if the
 //! model isn't resident) plus the solo service estimate plus the queued
-//! backlog spread across the pool. Every decision is recorded in an
-//! [`AdmissionRecord`] so tests can assert the shed set is *exactly* the
-//! predicted-late set and sweeps can audit the predictor's calibration.
+//! backlog spread across the pool. With tracing on, every decision is
+//! journaled with its prediction (an [`Admit`](crate::TraceEvent::Admit)
+//! or a [`Shed`](crate::TraceEvent::Shed)), so tests can assert the shed
+//! set is *exactly* the predicted-late set and sweeps can audit the
+//! predictor's calibration.
 
 /// What admission control does with predicted-late arrivals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -20,20 +22,4 @@ pub enum AdmissionPolicy {
     /// return ([`Response::shed`](crate::Response::shed)) instead of a
     /// late answer.
     ShedPredictedLate,
-}
-
-/// One admission decision, in arrival order — the audit trail of the
-/// predictor.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AdmissionRecord {
-    /// The request's id.
-    pub id: u64,
-    /// The model it targeted.
-    pub model: usize,
-    /// Predicted completion time (absolute µs) at arrival.
-    pub predicted_us: f64,
-    /// The request's deadline, if any.
-    pub deadline_us: Option<f64>,
-    /// True when the request entered the queue; false when it was shed.
-    pub admitted: bool,
 }

@@ -13,47 +13,54 @@ use crate::config::{backoff_us, MAX_RETRY_ATTEMPTS};
 use crate::executor::{Executor, InferenceJob, SessionSlot};
 use crate::request::{Request, Response, ShedReason, Workload};
 use crate::trace::TraceEvent;
-use ernn_fpga::StageCycles;
+use ernn_fpga::{DeviceFault, FaultEffect, FaultHit, StageCycles};
 
 impl SchedEngine<'_, '_> {
-    /// Applies every fault whose effect time the virtual clock has
-    /// reached: crashes take their device down (residency wiped, free
-    /// time pushed to the recovery point, pinned sessions unbound when
-    /// failover is on), recoveries bring it back, and brownout onsets
-    /// are counted. Idempotent — each fault applies exactly once.
+    /// Applies every fault effect the virtual clock has reached.
+    /// Idempotent — each fault applies exactly once.
     pub(super) fn apply_faults_up_to(&mut self) {
-        let t = self.now_us;
-        while let Some((device, start_us, end_us)) = self.faults.pop_crash_through(t) {
-            self.crash_effects(device, start_us, end_us);
-        }
-        while let Some((device, t_us)) = self.faults.pop_recovery_through(t) {
-            self.obs.record(TraceEvent::DeviceUp { t_us, device });
-        }
-        while self.faults.pop_brownout_through(t).is_some() {
-            self.stats.device_brownouts += 1;
+        while let Some(effect) = self.faults.pop_due(self.now_us) {
+            self.apply_fault(effect);
         }
     }
 
-    /// One crash lands: wipe the device's images, journal the outage,
-    /// make the device unavailable until recovery, and (under
-    /// failover) unbind every streaming session pinned to it so their
-    /// next chunks re-place and migrate.
-    fn crash_effects(&mut self, device: usize, start_us: f64, end_us: f64) {
-        self.stats.device_crashes += 1;
-        self.residency[device].wipe();
-        self.obs.record(TraceEvent::DeviceDown {
-            t_us: start_us,
-            device,
-            down_us: end_us - start_us,
-        });
-        self.free_at_us[device] = self.free_at_us[device].max(end_us);
-        if self.rt.config().failover {
-            for entry in self.sessions.values_mut() {
-                if entry.device == Some(device) && !entry.cancelled {
-                    entry.last_device = Some(device);
-                    entry.device = None;
+    /// One fault effect lands. A crash wipes its device's images,
+    /// journals the outage, makes the device unavailable until recovery
+    /// and (under failover) unbinds every streaming session pinned to it
+    /// so their next chunks re-place and migrate; a recovery brings the
+    /// device back; brownout onsets and transients are counted.
+    fn apply_fault(&mut self, effect: FaultEffect) {
+        let event = match effect {
+            FaultEffect::Strike(event) => event,
+            FaultEffect::Recovery { device, t_us } => {
+                self.obs.record(TraceEvent::DeviceUp { t_us, device });
+                return;
+            }
+        };
+        let (device, start_us) = (event.device, event.t_us);
+        match event.fault {
+            DeviceFault::Crash { down_us } => {
+                let end_us = start_us + down_us;
+                self.stats.device_crashes += 1;
+                self.residency[device].wipe();
+                self.obs.record(TraceEvent::DeviceDown {
+                    t_us: start_us,
+                    device,
+                    // The width the recovery instant implies, rounding included.
+                    down_us: end_us - start_us,
+                });
+                self.free_at_us[device] = self.free_at_us[device].max(end_us);
+                if self.rt.config().failover {
+                    for entry in self.sessions.values_mut() {
+                        if entry.device == Some(device) && !entry.cancelled {
+                            entry.last_device = Some(device);
+                            entry.device = None;
+                        }
+                    }
                 }
             }
+            DeviceFault::Brownout { .. } => self.stats.device_brownouts += 1,
+            DeviceFault::Transient => self.stats.device_transients += 1,
         }
     }
 
@@ -382,7 +389,7 @@ impl SchedEngine<'_, '_> {
         device: usize,
         model: ModelId,
         start_us: f64,
-        hit: ernn_fpga::FaultHit,
+        hit: FaultHit,
     ) {
         self.stats.batches_aborted += 1;
         let f = hit.t_us;
@@ -393,16 +400,11 @@ impl SchedEngine<'_, '_> {
             self.free_at_us[device] = self.free_at_us[device].max(f);
             self.obs.batch_aborted(device, model, f - start_us);
         }
-        if hit.is_crash {
-            // Apply the crash right now rather than waiting for the
-            // clock cursor: the abort IS the crash landing.
-            if let Some((start, end)) = self.faults.mark_crash_applied(device, f) {
-                self.crash_effects(device, start, end);
-            }
-        } else {
-            self.faults.consume_transient(device, f);
-            self.stats.device_transients += 1;
-        }
+        // Apply the fault right now rather than waiting for the clock
+        // cursor: the abort IS the crash landing, or the transient's one
+        // victim.
+        let effect = self.faults.strike(hit);
+        self.apply_fault(effect);
         for request in batch {
             let info = self.retries.entry(request.id).or_insert(RetryInfo {
                 attempts: 0,

@@ -8,7 +8,7 @@
 //! placement, commit and fault reaction are in `dispatch.rs`, report
 //! assembly in `report.rs`.
 
-use super::admission::{AdmissionPolicy, AdmissionRecord};
+use super::admission::AdmissionPolicy;
 use super::cost::CostModel;
 use super::queue::SchedQueue;
 use super::registry::ModelId;
@@ -160,6 +160,8 @@ pub(crate) struct SchedEngine<'rt, 'p> {
     pub(super) state_loads: Vec<(u64, f64, usize)>,
     /// Requests served to completion so far (sheds excluded).
     pub(super) completed: u64,
+    /// Requests shed so far, at admission or at dispatch.
+    sheds: u64,
     /// Deadline-carrying requests that missed (sheds included).
     pub(super) deadline_misses: u64,
 }
@@ -215,7 +217,7 @@ impl<'rt, 'p> SchedEngine<'rt, 'p> {
             admit_seq: 0,
             sessions: HashMap::new(),
             live_sessions: 0,
-            faults: rt.config().fault_plan.timeline(devices),
+            faults: FaultTimeline::new(&rt.config().fault_plan, devices),
             retries: HashMap::new(),
             obs: Observer::new(rt.config().trace),
             timeline: MetricsTimeline::new(rt.config().timeline, devices),
@@ -225,6 +227,7 @@ impl<'rt, 'p> SchedEngine<'rt, 'p> {
             seen_sessions: Vec::new(),
             state_loads: Vec::new(),
             completed: 0,
+            sheds: 0,
             deadline_misses: 0,
         }
     }
@@ -520,13 +523,6 @@ impl<'rt, 'p> SchedEngine<'rt, 'p> {
             && !over_cap
             && (self.rt.policy.admission == AdmissionPolicy::AdmitAll
                 || request.deadline_us.is_none_or(|d| predicted_us <= d));
-        self.stats.admission_log.push(AdmissionRecord {
-            id: request.id,
-            model: request.model,
-            predicted_us,
-            deadline_us: request.deadline_us,
-            admitted,
-        });
         if !admitted {
             // Classify the rejection. A predictor shed while a device
             // this request depends on is down is capacity loss, not an
@@ -592,7 +588,7 @@ impl<'rt, 'p> SchedEngine<'rt, 'p> {
         if let Some(session) = request.session() {
             self.cancel_session(session);
         }
-        self.stats.shed += 1;
+        self.sheds += 1;
         if request.deadline_us.is_some() {
             self.deadline_misses += 1;
         }
@@ -650,7 +646,7 @@ impl<'rt, 'p> SchedEngine<'rt, 'p> {
             weights_bytes,
             state_bytes,
             completed: self.completed,
-            shed: self.stats.shed as u64,
+            shed: self.sheds,
             deadline_misses: self.deadline_misses,
             weight_loads: self.stats.model_loads,
             state_loads: self.stats.state_loads,

@@ -29,8 +29,9 @@
 //!   formation, gated by a [`PaddingModel`] that closes a batch when
 //!   mixing unequal utterance lengths stops paying.
 //! * [`AdmissionPolicy`] — shed predicted-late arrivals with an immediate
-//!   deadline-miss response; every decision is logged in an
-//!   [`AdmissionRecord`].
+//!   deadline-miss response; with tracing on, every decision is
+//!   journaled as a [`TraceEvent::Admit`](crate::trace::TraceEvent::Admit)
+//!   or a [`TraceEvent::Shed`](crate::trace::TraceEvent::Shed).
 //! * [`SchedRuntime`] — the event loop combining all of the above, under
 //!   the virtual-time determinism contract: responses,
 //!   [`ServeMetrics`](crate::ServeMetrics) and [`SchedStats`] are
@@ -135,7 +136,7 @@ mod report;
 mod residency;
 mod runtime;
 
-pub use admission::{AdmissionPolicy, AdmissionRecord};
+pub use admission::AdmissionPolicy;
 pub use cost::CostModel;
 pub(crate) use engine::SchedEngine;
 pub use queue::{PaddingModel, QueueDiscipline, SchedQueue, TakenBatch};

@@ -1,7 +1,6 @@
 //! What a scheduler run hands back: [`SchedStats`], [`SchedReport`], and
 //! the engine's closing step that assembles them.
 
-use super::admission::AdmissionRecord;
 use super::engine::SchedEngine;
 use crate::executor::Executor;
 use crate::health::HealthReport;
@@ -17,8 +16,6 @@ use ernn_fft::stats::FftStats;
 pub struct SchedStats {
     /// Requests that entered the queue.
     pub admitted: usize,
-    /// Requests shed by admission control.
-    pub shed: usize,
     /// Cold model loads across all devices (residency misses).
     pub model_loads: u64,
     /// Models evicted to make room for a load.
@@ -51,8 +48,6 @@ pub struct SchedStats {
     pub failovers: u64,
     /// Streaming sessions re-pinned to a new device after a crash.
     pub state_migrations: u64,
-    /// Every admission decision, in arrival order.
-    pub admission_log: Vec<AdmissionRecord>,
 }
 
 /// Outcome of one scheduler run.

@@ -59,8 +59,10 @@
 //!
 //! where `est` is the closed-form service estimate (exact against the
 //! device sim) and `queue_backlog_us` sums the queued requests'
-//! best-device solo estimates. Every decision lands in
-//! [`SchedStats::admission_log`], and `tests/sched_edf.rs` asserts the
+//! best-device solo estimates. With tracing on, every decision is
+//! journaled as a [`TraceEvent::Admit`](crate::trace::TraceEvent::Admit)
+//! or a [`TraceEvent::Shed`](crate::trace::TraceEvent::Shed) carrying the
+//! prediction, and `tests/sched_edf.rs` asserts from the journal that the
 //! shed set is exactly the predicted-late set.
 //!
 //! All scheduling decisions live on the virtual clock, so responses,

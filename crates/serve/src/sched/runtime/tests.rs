@@ -43,10 +43,12 @@ fn load(n: usize, rate: f64) -> Vec<Request> {
 
 #[test]
 fn mixed_model_load_completes_exactly_once() {
-    let rt = SchedRuntime::new(
+    use crate::trace::TraceEvent;
+    let rt = SchedRuntime::with_config(
         registry(),
         vec![XCKU060, ADM_PCIE_7V3],
         SchedPolicy::edf_cost_model(4, 100.0),
+        RuntimeConfig::new().tracing(TraceConfig::enabled(4096)),
     );
     let report = rt.run(load(48, 100_000.0));
     assert_eq!(report.responses.len(), 48);
@@ -59,8 +61,14 @@ fn mixed_model_load_completes_exactly_once() {
         assert!(r.complete_us > r.arrival_us);
     }
     assert_eq!(report.sched.admitted, 48);
-    assert_eq!(report.sched.shed, 0);
-    assert_eq!(report.sched.admission_log.len(), 48);
+    assert_eq!(report.metrics.shed, 0);
+    // Every admission decision is journaled, and all 48 admitted.
+    let events = &report.trace.journal.events;
+    let admits = events
+        .iter()
+        .filter(|e| matches!(e, TraceEvent::Admit { .. }));
+    assert_eq!(admits.count(), 48);
+    assert!(!events.iter().any(|e| matches!(e, TraceEvent::Shed { .. })));
     // Both models served, both counted in the per-model breakdown.
     assert_eq!(report.metrics.per_model.len(), 2);
     assert_eq!(report.metrics.per_model[&0].completed, 24);
@@ -617,7 +625,9 @@ fn live_session_cap_sheds_excess_sessions_whole() {
         registry(),
         vec![XCKU060],
         SchedPolicy::edf_cost_model(2, 50.0),
-        RuntimeConfig::new().max_live_sessions(1),
+        RuntimeConfig::new()
+            .max_live_sessions(1)
+            .tracing(TraceConfig::enabled(4096)),
     );
     assert_eq!(rt.config().max_live_sessions, Some(1));
     let report = rt.run(requests);
@@ -633,13 +643,14 @@ fn live_session_cap_sheds_excess_sessions_whole() {
             _ => unreachable!("only chunks in this load"),
         }
     }
-    assert_eq!(report.sched.shed, 3);
-    // Shed chunks are logged as rejected admissions.
+    assert_eq!(report.metrics.shed, 3);
+    // Shed chunks are journaled as rejected admissions.
     let rejected = report
-        .sched
-        .admission_log
+        .trace
+        .journal
+        .events
         .iter()
-        .filter(|a| !a.admitted)
+        .filter(|e| matches!(e, crate::trace::TraceEvent::Shed { .. }))
         .count();
     assert_eq!(rejected, 3);
 }
@@ -1302,8 +1313,14 @@ fn transient_fault_aborts_the_batch_and_retries_serve_everything() {
     assert_eq!(report.sched.retries_scheduled, 1);
     assert_eq!(report.sched.retries_exhausted, 0);
     assert_eq!(report.sched.device_crashes, 0);
-    // The retried request re-enters admission, so the log grows.
-    assert_eq!(report.sched.admission_log.len(), 3);
+    // The retried request re-enters admission, so it is admitted twice.
+    let admits = report
+        .trace
+        .journal
+        .events
+        .iter()
+        .filter(|e| matches!(e, TraceEvent::Admit { .. }));
+    assert_eq!(admits.count(), 3);
     let retries = report
         .trace
         .journal
@@ -1471,6 +1488,9 @@ fn permanent_crash_fails_over_sessions_and_migrates_state() {
         assert!(r.shed, "chunk {} strands on the dead device", r.id);
         assert_eq!(r.shed_reason, Some(ShedReason::CapacityLoss));
     }
+    // The policy admits everything, yet the metrics count these
+    // capacity-loss sheds like any other.
+    assert_eq!(stranded.metrics.shed, by_id.len() - 2);
     // Shed at dispatch (the batch is pinned to a device that never comes
     // back), counted as a deadline miss all the same.
     assert_final_sample_matches_responses(&inline);

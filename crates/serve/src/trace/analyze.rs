@@ -19,17 +19,9 @@
 //! paths, not a cost attribution (that is
 //! [`StageAttribution`](crate::trace::StageAttribution)'s job).
 //!
-//! [`analyze`] also surfaces the top-[`TOP_K`] slowest requests as
-//! exemplars, each with its event slice (everything mentioning the
-//! request plus its batch's device-side events), which is what you want
-//! in hand when a p99.9 regresses.
-//!
 //! [`Response`]: crate::Response
 
 use crate::trace::{TraceEvent, TraceJournal};
-
-/// How many slow-request exemplars [`analyze`] keeps.
-pub const TOP_K: usize = 8;
 
 /// One served request's critical-path decomposition.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -71,17 +63,6 @@ impl RequestSpan {
     }
 }
 
-/// A slow-request exemplar: the span plus every journal event that
-/// mentions the request or its batch's device-side activity.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SlowRequest {
-    /// The request's decomposed span.
-    pub span: RequestSpan,
-    /// The event slice: id-matching events plus device events inside
-    /// the request's dispatch window, in journal order.
-    pub events: Vec<TraceEvent>,
-}
-
 /// Run-wide sums of the per-request stages (µs each).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PathTotals {
@@ -93,8 +74,6 @@ pub struct PathTotals {
     pub state_us: f64,
     /// Total compute across spans.
     pub compute_us: f64,
-    /// Total observed latency across spans (the sum of the other four).
-    pub latency_us: f64,
 }
 
 /// What [`analyze`] reconstructs from one journal.
@@ -102,9 +81,6 @@ pub struct PathTotals {
 pub struct TraceAnalysis {
     /// One span per `Complete` event, in completion (journal) order.
     pub spans: Vec<RequestSpan>,
-    /// The [`TOP_K`] slowest spans with their event slices, slowest
-    /// first.
-    pub slowest: Vec<SlowRequest>,
     /// Run-wide stage sums.
     pub totals: PathTotals,
 }
@@ -216,56 +192,10 @@ pub fn analyze(journal: &TraceJournal) -> TraceAnalysis {
         totals.load_us += load_us;
         totals.state_us += state_us;
         totals.compute_us += compute_us;
-        totals.latency_us += span.latency_us();
         spans.push(span);
     }
 
-    // Top-k slowest, ties broken by id for determinism.
-    let mut order: Vec<usize> = (0..spans.len()).collect();
-    order.sort_by(|&a, &b| {
-        spans[b]
-            .latency_us()
-            .total_cmp(&spans[a].latency_us())
-            .then(spans[a].id.cmp(&spans[b].id))
-    });
-    let slowest = order
-        .iter()
-        .take(TOP_K)
-        .map(|&i| {
-            let span = spans[i];
-            let events = journal
-                .events
-                .iter()
-                .filter(|e| match **e {
-                    TraceEvent::Admit { id, .. }
-                    | TraceEvent::Shed { id, .. }
-                    | TraceEvent::Enqueue { id, .. }
-                    | TraceEvent::Dequeue { id, .. }
-                    | TraceEvent::Complete { id, .. }
-                    | TraceEvent::RetryScheduled { id, .. }
-                    | TraceEvent::Failover { id, .. } => id == span.id,
-                    TraceEvent::Dispatch {
-                        device, start_us, ..
-                    } => device == span.device && start_us == span.dispatch_us,
-                    TraceEvent::ResidencyLoad { t_us, device, .. }
-                    | TraceEvent::SessionStateLoad { t_us, device, .. } => {
-                        device == span.device
-                            && t_us >= span.dispatch_us
-                            && t_us <= span.complete_us
-                    }
-                    _ => false,
-                })
-                .copied()
-                .collect();
-            SlowRequest { span, events }
-        })
-        .collect();
-
-    TraceAnalysis {
-        spans,
-        slowest,
-        totals,
-    }
+    TraceAnalysis { spans, totals }
 }
 
 #[cfg(test)]
@@ -387,44 +317,14 @@ mod tests {
         assert_eq!(s2.queue_us, 6.0);
         assert_eq!(s2.load_us, 10.0);
         assert_eq!(s2.compute_us, 12.0);
+        let latency_us: f64 = analysis.spans.iter().map(|s| s.latency_us()).sum();
         assert_eq!(
-            analysis.totals.latency_us,
+            latency_us,
             analysis.totals.queue_us
                 + analysis.totals.load_us
                 + analysis.totals.state_us
                 + analysis.totals.compute_us
         );
-    }
-
-    #[test]
-    fn slowest_exemplars_carry_their_event_slices() {
-        let analysis = analyze(&journal());
-        assert_eq!(analysis.slowest.len(), 2);
-        // Request 1 is slower end-to-end (30 µs vs 30 − 4 = 30... id 1:
-        // 30, id 2: 30). Equal latency ties break by id.
-        assert_eq!(analysis.slowest[0].span.id, 1);
-        let kinds: Vec<&str> = analysis.slowest[0]
-            .events
-            .iter()
-            .map(|e| e.kind())
-            .collect();
-        assert_eq!(
-            kinds,
-            vec![
-                "admit",
-                "enqueue",
-                "dequeue",
-                "residency_load",
-                "session_state_load",
-                "dispatch",
-                "complete"
-            ]
-        );
-        // The other member's id-events don't leak into this slice.
-        assert!(!analysis.slowest[0].events.iter().any(|e| matches!(
-            e,
-            TraceEvent::Enqueue { id: 2, .. } | TraceEvent::Complete { id: 2, .. }
-        )));
     }
 
     #[test]
@@ -453,7 +353,6 @@ mod tests {
     fn empty_journal_analyzes_to_nothing() {
         let analysis = analyze(&TraceJournal::default());
         assert!(analysis.spans.is_empty());
-        assert!(analysis.slowest.is_empty());
         assert_eq!(analysis.totals, PathTotals::default());
     }
 }

@@ -23,7 +23,8 @@ pub enum TraceEvent {
         /// The admission predictor's completion estimate (µs).
         predicted_us: f64,
     },
-    /// An arrival was rejected by admission control (predicted late).
+    /// A request was shed: refused at admission, at dispatch once
+    /// capacity is gone, or by the cluster router.
     Shed {
         /// Virtual time of the decision (µs).
         t_us: f64,
@@ -31,9 +32,10 @@ pub enum TraceEvent {
         id: u64,
         /// Target model.
         model: usize,
-        /// The admission predictor's completion estimate (µs).
+        /// The admission predictor's completion estimate (µs;
+        /// `INFINITY` when no prediction applies).
         predicted_us: f64,
-        /// The deadline the estimate overshot (µs).
+        /// The request's deadline (µs; `INFINITY` when it has none).
         deadline_us: f64,
     },
     /// A request entered the scheduling queue.
@@ -292,31 +294,6 @@ impl TraceEvent {
             | TraceEvent::Replicate { t_us, .. }
             | TraceEvent::ShardDown { t_us, .. }
             | TraceEvent::SessionReroute { t_us, .. } => t_us,
-        }
-    }
-
-    /// A short stable name for the event kind (used by exporters).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            TraceEvent::Admit { .. } => "admit",
-            TraceEvent::Shed { .. } => "shed",
-            TraceEvent::Enqueue { .. } => "enqueue",
-            TraceEvent::Dequeue { .. } => "dequeue",
-            TraceEvent::BatchFormed { .. } => "batch_formed",
-            TraceEvent::ResidencyLoad { .. } => "residency_load",
-            TraceEvent::SessionStateLoad { .. } => "session_state_load",
-            TraceEvent::Dispatch { .. } => "dispatch",
-            TraceEvent::Complete { .. } => "complete",
-            TraceEvent::DeviceDown { .. } => "device_down",
-            TraceEvent::DeviceUp { .. } => "device_up",
-            TraceEvent::RetryScheduled { .. } => "retry_scheduled",
-            TraceEvent::Failover { .. } => "failover",
-            TraceEvent::StateMigration { .. } => "state_migration",
-            TraceEvent::Health { .. } => "health",
-            TraceEvent::Forward { .. } => "forward",
-            TraceEvent::Replicate { .. } => "replicate",
-            TraceEvent::ShardDown { .. } => "shard_down",
-            TraceEvent::SessionReroute { .. } => "session_reroute",
         }
     }
 }

@@ -57,7 +57,7 @@ pub fn prometheus_snapshot(
     counter(
         &mut out,
         "ernn_requests_shed_total",
-        "Requests rejected by admission control.",
+        "Requests shed for any reason: admission, lost capacity, spent retries, sessions.",
         metrics.shed.to_string(),
     );
     counter(
@@ -134,11 +134,6 @@ pub fn prometheus_snapshot(
                 "ernn_sched_admitted_total",
                 "Arrivals admitted into the scheduler queue.",
                 s.admitted as u64,
-            ),
-            (
-                "ernn_sched_shed_total",
-                "Arrivals shed by admission control.",
-                s.shed as u64,
             ),
             (
                 "ernn_sched_model_loads_total",

@@ -351,7 +351,6 @@ fn full_prometheus_export_merges_sched_timeline_and_health() {
     let trace = RunTrace::default();
     let sched = SchedStats {
         admitted: 10,
-        shed: 2,
         model_loads: 3,
         state_loads: 1,
         retries_scheduled: 4,
@@ -398,7 +397,7 @@ fn full_prometheus_export_merges_sched_timeline_and_health() {
     );
     for needle in [
         "ernn_sched_admitted_total 10",
-        "ernn_sched_shed_total 2",
+        "ernn_requests_shed_total 0",
         "ernn_sched_model_loads_total 3",
         "ernn_sched_retries_scheduled_total 4",
         "ernn_sched_failovers_total 1",

@@ -7,7 +7,7 @@
 //! * **Admission control sheds exactly the predicted-late requests** —
 //!   a saturating burst whose shed set is computed by hand from the
 //!   documented predictor, and a saturating closed loop whose shed set
-//!   must coincide with the predictor's audit log.
+//!   must coincide with the predictor's decisions as journaled.
 //! * **Virtual-time determinism across executors** — responses, metrics
 //!   and scheduler stats are bit-identical between `Inline` and
 //!   `ThreadPool`.
@@ -18,9 +18,9 @@ use ernn_model::{compress_network, BlockPolicy, CellType, ModelSpec};
 use ernn_serve::loadgen::{open_loop_poisson, synthetic_utterances, with_uniform_slo};
 use ernn_serve::sched::{
     AdmissionPolicy, CostModel, DeviceResidency, ModelRegistry, PaddingModel, QueueDiscipline,
-    SchedPolicy, SchedQueue, SchedRuntime,
+    SchedPolicy, SchedQueue, SchedReport, SchedRuntime,
 };
-use ernn_serve::{CompiledModel, ExecutorKind, Request, RuntimeConfig};
+use ernn_serve::{CompiledModel, ExecutorKind, Request, RuntimeConfig, TraceConfig, TraceEvent};
 use proptest::prelude::*;
 use rand::SeedableRng;
 
@@ -120,6 +120,40 @@ proptest! {
     }
 }
 
+/// A one-device runtime that sheds predicted-late arrivals and journals
+/// every decision.
+fn shedding_runtime(reg: ModelRegistry) -> SchedRuntime {
+    SchedRuntime::with_config(
+        reg,
+        vec![XCKU060],
+        SchedPolicy::edf_cost_model(1, 0.0).with_admission(AdmissionPolicy::ShedPredictedLate),
+        RuntimeConfig::new().tracing(TraceConfig::enabled(4096)),
+    )
+}
+
+/// The admission decisions a run journaled, in decision order:
+/// `(id, predicted_us, admitted)`. Only admission sheds happen in these
+/// fault-free runs, so every `Shed` is a decision.
+fn decisions(report: &SchedReport) -> Vec<(u64, f64, bool)> {
+    assert_eq!(report.trace.journal.dropped, 0, "the journal holds the run");
+    let decision = |e: &TraceEvent| match *e {
+        TraceEvent::Admit {
+            id, predicted_us, ..
+        } => Some((id, predicted_us, true)),
+        TraceEvent::Shed {
+            id, predicted_us, ..
+        } => Some((id, predicted_us, false)),
+        _ => None,
+    };
+    report
+        .trace
+        .journal
+        .events
+        .iter()
+        .filter_map(decision)
+        .collect()
+}
+
 /// Admission control must shed *exactly* the requests the documented
 /// predictor marks late — hand-computed here for a t = 0 burst on one
 /// device: request i (admission order) is predicted to complete at
@@ -140,12 +174,7 @@ fn admission_sheds_exactly_the_predicted_late_requests() {
         .map(|i| Request::new(i, utt.clone(), 0.0).with_deadline(deadline))
         .collect();
 
-    let rt = SchedRuntime::new(
-        reg,
-        vec![XCKU060],
-        SchedPolicy::edf_cost_model(1, 0.0).with_admission(AdmissionPolicy::ShedPredictedLate),
-    );
-    let report = rt.run(requests);
+    let report = shedding_runtime(reg).run(requests);
 
     assert_eq!(report.responses.len(), 12);
     let mut shed: Vec<u64> = report
@@ -161,18 +190,19 @@ fn admission_sheds_exactly_the_predicted_late_requests() {
     for r in report.responses.iter().filter(|r| !r.shed) {
         assert!(r.deadline_met, "request {} missed: {r:?}", r.id);
     }
-    assert_eq!(report.sched.shed, 9);
+    assert_eq!(report.metrics.shed, 9);
     assert_eq!(report.sched.admitted, 3);
     assert!((report.metrics.deadline_miss_rate - 9.0 / 12.0).abs() < 1e-9);
-    // The audit log agrees with the decisions.
-    for rec in &report.sched.admission_log {
-        let late = rec.predicted_us > rec.deadline_us.unwrap();
-        assert_eq!(rec.admitted, !late, "{rec:?}");
+    // The journaled decisions agree with the predictions.
+    let decisions = decisions(&report);
+    assert_eq!(decisions.len(), 12);
+    for (id, predicted_us, admitted) in decisions {
+        assert_eq!(admitted, predicted_us <= deadline, "request {id}");
     }
 }
 
 /// Under a saturating closed loop the shed set must coincide with the
-/// predictor's audit log, and shedding must keep the loop live (every
+/// predictor's journaled decisions, and shedding must keep the loop live (every
 /// shed mints the client's next request immediately).
 #[test]
 fn saturating_closed_loop_sheds_consistently_with_the_predictor() {
@@ -184,26 +214,21 @@ fn saturating_closed_loop_sheds_consistently_with_the_predictor() {
     let slo = load + 2.5 * est;
 
     let payloads = vec![(0usize, vec![vec![0.1f32; DIM]; 40])];
-    let rt = SchedRuntime::new(
-        reg,
-        vec![XCKU060],
-        SchedPolicy::edf_cost_model(1, 0.0).with_admission(AdmissionPolicy::ShedPredictedLate),
-    );
-    let report = rt.run_closed_loop(&payloads, 6, 60, Some(slo));
+    let report = shedding_runtime(reg).run_closed_loop(&payloads, 6, 60, Some(slo));
 
     assert_eq!(report.responses.len(), 60);
-    assert!(report.sched.shed > 0, "saturation must shed: {:?}", {
-        &report.sched
+    assert!(report.metrics.shed > 0, "saturation must shed: {:?}", {
+        &report.metrics
     });
     assert!(report.metrics.completed > 0, "but not starve the queue");
-    assert_eq!(report.sched.shed + report.metrics.completed, 60);
-    assert_eq!(report.sched.admission_log.len(), 60);
+    assert_eq!(report.metrics.shed + report.metrics.completed, 60);
+    let decisions = decisions(&report);
+    assert_eq!(decisions.len(), 60);
     // Decision ⟺ prediction, for every single arrival.
-    for rec in &report.sched.admission_log {
-        let late = rec.deadline_us.is_some_and(|d| rec.predicted_us > d);
-        assert_eq!(rec.admitted, !late, "{rec:?}");
+    for &(id, predicted_us, admitted) in &decisions {
+        assert_eq!(admitted, predicted_us <= slo, "request {id}");
     }
-    // And the response-level shed set matches the log.
+    // And the response-level shed set matches the journal.
     use std::collections::BTreeSet;
     let shed_responses: BTreeSet<u64> = report
         .responses
@@ -211,14 +236,12 @@ fn saturating_closed_loop_sheds_consistently_with_the_predictor() {
         .filter(|r| r.shed)
         .map(|r| r.id)
         .collect();
-    let shed_logged: BTreeSet<u64> = report
-        .sched
-        .admission_log
+    let shed_journaled: BTreeSet<u64> = decisions
         .iter()
-        .filter(|r| !r.admitted)
-        .map(|r| r.id)
+        .filter(|&&(_, _, admitted)| !admitted)
+        .map(|&(id, _, _)| id)
         .collect();
-    assert_eq!(shed_responses, shed_logged);
+    assert_eq!(shed_responses, shed_journaled);
 }
 
 #[test]

@@ -168,7 +168,7 @@ fn main() {
             report.sched.model_loads,
             report.sched.model_evictions,
             report.sched.load_us_total,
-            report.sched.shed
+            report.metrics.shed
         );
         let h = &report.health;
         println!(

@@ -96,13 +96,17 @@ fn closed_loop_through_a_crash_with_shedding_answers_every_request_once() {
         stats.batches_aborted,
         stats.retries_scheduled,
         inline.metrics.completed,
-        stats.shed,
+        inline.metrics.shed,
         shed_for(ShedReason::DeadlineInfeasible),
     );
     assert_eq!(stats.device_crashes, 1, "{summary}");
     assert!(stats.batches_aborted > 0, "{summary}");
     assert!(shed_for(ShedReason::DeadlineInfeasible) > 0, "{summary}");
     assert!(inline.metrics.completed > TOTAL / 3, "{summary}");
-    assert_eq!(stats.shed + inline.metrics.completed, TOTAL, "{summary}");
+    assert_eq!(
+        inline.metrics.shed + inline.metrics.completed,
+        TOTAL,
+        "{summary}"
+    );
     println!("{summary}");
 }

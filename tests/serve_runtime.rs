@@ -200,17 +200,24 @@ fn facade_exposes_the_scheduler() {
     // The facade path (`ernn::serve::sched`) must expose the scheduling
     // subsystem end to end: registry, policy, runtime, per-model metrics.
     use ernn::serve::sched::{ModelRegistry, SchedPolicy, SchedRuntime};
+    use ernn::serve::{TraceConfig, TraceEvent};
     let mut registry = ModelRegistry::new();
     registry.register("gru", compiled(CellType::Gru));
-    let rt = SchedRuntime::new(
+    let rt = SchedRuntime::with_config(
         registry,
         vec![XCKU060, ernn::fpga::ADM_PCIE_7V3],
         SchedPolicy::edf_cost_model(2, 50.0),
+        RuntimeConfig::new().tracing(TraceConfig::enabled(1024)),
     );
     let utterances = synthetic_utterances(2, (3, 5), INPUT_DIM, 7);
     let report = rt.run(open_loop_poisson(&utterances, 6, 50_000.0, 8));
     assert_eq!(report.responses.len(), 6);
     assert!(report.metrics.latency.p999_us > 0.0);
     assert_eq!(report.metrics.per_model.len(), 1);
-    assert_eq!(report.sched.admission_log.len(), 6);
+    // Every admission decision is journaled.
+    let events = &report.trace.journal.events;
+    let admits = events
+        .iter()
+        .filter(|e| matches!(e, TraceEvent::Admit { .. }));
+    assert_eq!(admits.count(), 6);
 }
