@@ -47,11 +47,14 @@ pub struct SynthCorpusConfig {
 }
 
 impl SynthCorpusConfig {
-    /// The default experiment-scale corpus.
+    /// The default experiment-scale corpus. Its 1 056 test utterances
+    /// (≈ 8 400 phones) put the binomial standard error of a 30 % PER
+    /// near 0.5 pp; the test split is drawn after the training split, so
+    /// its size does not move the trained weights.
     pub fn standard(seed: u64) -> Self {
         SynthCorpusConfig {
             train_utterances: 160,
-            test_utterances: 96,
+            test_utterances: 1_056,
             train_speakers: 16,
             test_speakers: 8,
             phones_per_utterance: (6, 10),

@@ -36,7 +36,7 @@ type RefState = Vec<(Vec<f32>, Vec<f32>)>;
 
 impl QuantizedNetwork {
     fn q(&self, x: f32) -> f32 {
-        let fmt = self.activation_format;
+        let fmt = self.datapath.activation_format;
         fmt.dequantize_raw(fmt.quantize_raw(x))
     }
 
@@ -48,7 +48,7 @@ impl QuantizedNetwork {
         scratch: &mut RefScratch,
     ) {
         let n = utterances.len();
-        let in_dim = self.net.input_dim();
+        let in_dim = self.datapath.net.input_dim();
 
         // Quantized input frames into ping-pong buffer `a`. `off` holds
         // n+1 frame offsets (total as the sentinel), so per-sequence
@@ -72,7 +72,7 @@ impl QuantizedNetwork {
         }
 
         // Through the stack: each layer consumes `a`, produces `b`, swap.
-        for (li, layer) in self.net.layers().iter().enumerate() {
+        for (li, layer) in self.datapath.net.layers().iter().enumerate() {
             let st = states.as_deref_mut();
             match layer {
                 RnnLayer::Lstm(l) => self.lstm_seq_batch_reference(l, li, n, st, scratch),
@@ -83,20 +83,21 @@ impl QuantizedNetwork {
 
         // Classifier head, reusing `out`'s allocations when shapes match.
         let top_dim = self
+            .datapath
             .net
             .layers()
             .last()
             .expect("network has at least one layer")
             .output_dim();
-        let classes = self.net.classifier_b.len();
+        let classes = self.datapath.net.classifier_b.len();
         out.resize(n, Vec::new());
         for (s, seq) in out.iter_mut().enumerate() {
             seq.resize(utterances[s].len(), Vec::new());
             for (t, row) in seq.iter_mut().enumerate() {
                 let h = &scratch.a[(scratch.off[s] + t) * top_dim..][..top_dim];
                 row.resize(classes, 0.0);
-                self.classifier_panel.matvec_into(h, row);
-                for (v, b) in row.iter_mut().zip(self.net.classifier_b.iter()) {
+                self.datapath.classifier_panel.matvec_into(h, row);
+                for (v, b) in row.iter_mut().zip(self.datapath.net.classifier_b.iter()) {
                     *v = self.q(*v + b);
                 }
             }
@@ -185,11 +186,11 @@ impl QuantizedNetwork {
                     }
                 }
                 for k in 0..h {
-                    let i_gate = self.sigmoid.eval(pre[k]);
-                    let f_gate = self.sigmoid.eval(pre[h + k]);
+                    let i_gate = self.datapath.sigmoid.eval(pre[k]);
+                    let f_gate = self.datapath.sigmoid.eval(pre[h + k]);
                     let g_cell = match cfg.cell_activation {
-                        ernn_model::Act::Sigmoid => self.sigmoid.eval(pre[2 * h + k]),
-                        ernn_model::Act::Tanh => self.tanh.eval(pre[2 * h + k]),
+                        ernn_model::Act::Sigmoid => self.datapath.sigmoid.eval(pre[2 * h + k]),
+                        ernn_model::Act::Tanh => self.datapath.tanh.eval(pre[2 * h + k]),
                     };
                     c_new[k] = self.q(f_gate * c[k] + g_cell * i_gate);
                 }
@@ -198,8 +199,8 @@ impl QuantizedNetwork {
                     if let Some([_, _, p_o]) = &l.peepholes {
                         po = self.q(po + p_o[k] * c_new[k]);
                     }
-                    let o_gate = self.sigmoid.eval(po);
-                    m[k] = self.q(o_gate * self.tanh.eval(c_new[k]));
+                    let o_gate = self.datapath.sigmoid.eval(po);
+                    m[k] = self.q(o_gate * self.datapath.tanh.eval(c_new[k]));
                 }
             }
             match &l.wym {
@@ -293,8 +294,8 @@ impl QuantizedNetwork {
                     *p = self.q(*p + rv + bias);
                 }
                 for k in 0..h {
-                    z[bi * h + k] = self.sigmoid.eval(pre[k]);
-                    rc[bi * h + k] = self.q(self.sigmoid.eval(pre[h + k]) * c[k]);
+                    z[bi * h + k] = self.datapath.sigmoid.eval(pre[k]);
+                    rc[bi * h + k] = self.q(self.datapath.sigmoid.eval(pre[h + k]) * c[k]);
                 }
             }
             g.wcx.matvec_batch_into(xb, pre_c, bsz, mv);
@@ -309,8 +310,8 @@ impl QuantizedNetwork {
                 }
                 for k in 0..h {
                     let c_tilde = match g.candidate_activation {
-                        ernn_model::Act::Sigmoid => self.sigmoid.eval(pre_c[k]),
-                        ernn_model::Act::Tanh => self.tanh.eval(pre_c[k]),
+                        ernn_model::Act::Sigmoid => self.datapath.sigmoid.eval(pre_c[k]),
+                        ernn_model::Act::Tanh => self.datapath.tanh.eval(pre_c[k]),
                     };
                     c_new[k] = self.q((1.0 - z[bi * h + k]) * c[k] + z[bi * h + k] * c_tilde);
                 }

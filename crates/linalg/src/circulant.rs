@@ -81,19 +81,84 @@
 //! records the measured ways a lane loop silently falls back to scalar
 //! code, and what AVX2 costs to wake.
 
-use crate::helper::{self, Helper, Job};
+use crate::helper::{Claim, Helper, HelperJob, SplitStats};
 use crate::lanes::{
     lane_tile, lane_tiles, lanes, lanes_mut, padded_lanes, with_lane_width, LaneTile, TILE,
 };
 use crate::{MatVec, MatVecScratch, Matrix};
 use ernn_fft::{is_power_of_two, stats, Complex32, RealFft};
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The least work, `p·q·batch` block MACs, at which a call of at least
 /// two tiles hands the upper half of them to the helper thread (see the
 /// crate docs, "Two cores").
 pub const SPLIT_MIN_WORK: usize = 8192;
+
+/// Tiles delegated to the tile helper, with everything it needs to run
+/// them.
+#[derive(Debug, Default)]
+pub(crate) struct TileJob {
+    /// The matrix the tiles belong to: a clone, whose buffers are shared.
+    matrix: Option<BlockCirculantMatrix>,
+    /// Tile indices to run.
+    tiles: Range<usize>,
+    /// Inputs in the call.
+    batch: usize,
+    /// The caller's input spectra in `x_spectra`, the helper's own planes
+    /// in the rest.
+    scratch: MatVecScratch,
+    /// `batch × rows` outputs; the helper writes its tiles' rows only.
+    ys: Vec<f32>,
+}
+
+impl HelperJob for TileJob {
+    fn run(&mut self) {
+        let matrix = self.matrix.as_ref().expect("a posted job holds its matrix");
+        let ys = &mut self.ys[..self.batch * matrix.rows()];
+        matrix.run_tiles(self.tiles.clone(), ys, self.batch, &mut self.scratch);
+    }
+
+    fn release(&mut self) {
+        self.matrix = None;
+    }
+}
+
+static TILE_HELPER: OnceLock<Option<&'static Helper<TileJob>>> = OnceLock::new();
+
+/// The process-wide tile helper: started by the first call large enough
+/// to split, `None` when the machine has one core.
+fn tile_helper() -> Option<&'static Helper<TileJob>> {
+    Helper::process(&TILE_HELPER, "ernn-matvec-helper")
+}
+
+/// The tile helper's [`SplitStats`]; all zero until a call large enough
+/// to split has run, and forever on a one-core machine.
+pub fn split_stats() -> SplitStats {
+    let helper = TILE_HELPER.get().copied().flatten();
+    helper.map_or_else(SplitStats::default, Helper::stats)
+}
+
+/// The tile helper held for a caller's scope (see [`claim_tiles`]).
+#[derive(Debug)]
+pub struct TileClaim {
+    _claim: Option<Claim<'static, TileJob>>,
+}
+
+/// Holds the tile helper so that no matvec, on any thread, posts tiles
+/// while the returned claim lives: a caller that keeps the second core
+/// busy with work of its own takes it first, so two cores never serve
+/// three threads. `None` when the tile helper is claimed elsewhere or
+/// still on a job (counted as busy in [`split_stats`]); a resting one can
+/// be held. A claim that holds nothing on a one-core machine, which has
+/// no tile helper.
+pub fn claim_tiles() -> Option<TileClaim> {
+    let claim = match tile_helper() {
+        Some(helper) => Some(helper.try_hold()?),
+        None => None,
+    };
+    Some(TileClaim { _claim: claim })
+}
 
 /// A block-circulant matrix with cached weight spectra.
 ///
@@ -427,7 +492,7 @@ impl BlockCirculantMatrix {
         stats::count_spectrum_block_reads((self.p * self.q) as u64);
         let tiles = self.p.div_ceil(TILE);
         if self.p * self.q * batch >= SPLIT_MIN_WORK && tiles >= 2 {
-            if let Some(helper) = helper::process_helper() {
+            if let Some(helper) = tile_helper() {
                 return self.run_tiles_split(helper, tiles, ys, batch, scratch);
             }
         }
@@ -460,7 +525,7 @@ impl BlockCirculantMatrix {
     /// so the bits never depend on which thread ran it.
     pub(crate) fn run_tiles_split(
         &self,
-        helper: &Helper,
+        helper: &Helper<TileJob>,
         tiles: usize,
         ys: &mut [f32],
         batch: usize,
@@ -476,8 +541,7 @@ impl BlockCirculantMatrix {
         self.run_tiles(0..split, ys, batch, scratch);
         match claim.collect() {
             Some(job) => {
-                // Rows of the delegated tiles, per input; the helper's FFT
-                // work is this call's, so this thread's ledger carries it.
+                // Rows of the delegated tiles, per input.
                 let first = split * TILE * self.block_size;
                 for (y, done) in ys
                     .chunks_exact_mut(self.rows)
@@ -485,7 +549,6 @@ impl BlockCirculantMatrix {
                 {
                     y[first..].copy_from_slice(&done[first..]);
                 }
-                stats::charge(&job.fft);
             }
             None => self.run_tiles(split..tiles, ys, batch, scratch),
         };
@@ -495,7 +558,13 @@ impl BlockCirculantMatrix {
     /// shares its buffers), stage 1's input spectra from `scratch`, and
     /// every buffer the helper writes grown to size here, on the caller,
     /// so the helper thread never allocates.
-    fn delegate(&self, job: &mut Job, tiles: Range<usize>, batch: usize, scratch: &MatVecScratch) {
+    fn delegate(
+        &self,
+        job: &mut TileJob,
+        tiles: Range<usize>,
+        batch: usize,
+        scratch: &MatVecScratch,
+    ) {
         let lb = self.block_size;
         let bins = self.rfft.spectrum_len();
         let spectra = padded_lanes(batch * self.q) * bins * 2;
@@ -922,7 +991,6 @@ impl MatVec for BlockCirculantMatrix {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::helper::SplitStats;
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
     use std::cell::Cell;
@@ -1046,7 +1114,7 @@ pub(crate) mod tests {
         m: &BlockCirculantMatrix,
         xs: &[f32],
         batch: usize,
-        helper: &Helper,
+        helper: &Helper<TileJob>,
         scratch: &mut MatVecScratch,
     ) -> Vec<f32> {
         let mut ys = vec![f32::NAN; batch * m.rows];
@@ -1057,13 +1125,13 @@ pub(crate) mod tests {
 
     /// A started helper of the split proptest's own, so its counts are
     /// the proptest's.
-    fn free_helper() -> &'static Helper {
-        static FREE: OnceLock<&'static Helper> = OnceLock::new();
-        FREE.get_or_init(Helper::spawn)
+    fn free_helper() -> &'static Helper<TileJob> {
+        static FREE: OnceLock<&'static Helper<TileJob>> = OnceLock::new();
+        FREE.get_or_init(|| Helper::spawn("test"))
     }
 
     /// `f` while another thread holds `helper`'s claim.
-    fn while_claimed<T>(helper: &Helper, f: impl FnOnce() -> T) -> T {
+    fn while_claimed<T>(helper: &Helper<TileJob>, f: impl FnOnce() -> T) -> T {
         thread::scope(|s| {
             let (claimed, release) = (mpsc::channel(), mpsc::channel::<()>());
             s.spawn(move || {
@@ -1359,7 +1427,7 @@ pub(crate) mod tests {
         let (bc, mut rng) = random_bc(520, 300, 8, 43);
         let xs = tricky_inputs(&mut rng, 2 * 300, 8);
         let want = bits(&reference_matvec_batch(&bc, &xs, 2));
-        let (helper, mut scratch) = (Helper::spawn(), MatVecScratch::new());
+        let (helper, mut scratch) = (Helper::<TileJob>::spawn("test"), MatVecScratch::new());
         let before = helper.stats();
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
         while helper.stats().since(&before).helper_ran == 0 {
@@ -1438,7 +1506,7 @@ pub(crate) mod tests {
             let (calls, mut ys) = (SPLIT_CALLS.with(Cell::get), vec![f32::NAN; batch * rows]);
             bc.matvec_batch_into(&xs, &mut ys, batch, &mut scratch);
             prop_assert_eq!(&bits(&ys), &want);
-            let splits = p * q * batch >= SPLIT_MIN_WORK && helper::process_helper().is_some();
+            let splits = p * q * batch >= SPLIT_MIN_WORK && tile_helper().is_some();
             prop_assert_eq!(SPLIT_CALLS.with(Cell::get) - calls, u64::from(splits));
 
             // Helper free: it ran the upper half, or the caller took it

@@ -1,28 +1,30 @@
-//! The second core: one process-wide helper thread that runs the upper
-//! half of a large block-circulant matvec's tiles (see the crate docs,
-//! "Two cores").
+//! The second core: the one protocol by which a caller hands part of
+//! its work to a helper thread (see the crate docs, "Two cores"). It is
+//! generic over the work, [`HelperJob`], and has two instances: the
+//! block-circulant matvec's tiles (this crate) and a quantized forward's
+//! lanes (`ernn_fpga::exec`). Each instance is one process-wide thread
+//! with one job slot; the protocol is written once, here.
 //!
 //! A caller *claims* the helper with one atomic try-claim, *posts* a job
-//! into the one job slot, runs its own half and then *collects*: if the
+//! into the one job slot, runs its own part and then *collects*: if the
 //! helper has not started the job by then, the caller takes it back and
 //! runs it itself, so a sleeping, busy or descheduled helper costs the
 //! call the posting and nothing more. A helper that started but is not
-//! done once the caller has waited as long again as its own half took —
+//! done once the caller has waited as long again as its own part took —
 //! descheduled mid-job — is left to finish into its own buffers while the
-//! caller runs the tiles too, so no call takes longer than one and a half
-//! serial calls whatever the helper does. A caller that loses the
-//! claim, or finds the helper still on a job it was left with, runs every
-//! tile itself. The job slot is a `Mutex` that is never contended: the
-//! claimant locks it only while no job is running, and the helper only
+//! caller runs the job's work too, so no call takes longer than one and a
+//! half serial calls whatever the helper does. A caller that loses the
+//! claim, or finds the helper still on a job it was left with, runs
+//! everything itself. The job slot is a `Mutex` that is never contended:
+//! the claimant locks it only while no job is running, and the helper only
 //! while one is.
 //!
 //! The helper is off the FFT ledger ([`stats::detach_thread`]); it measures
-//! what one job counted and the caller [`stats::charge`]s it to itself,
-//! so a split call's counts are the serial call's on the calling thread.
+//! what one job counted and [`Claim::collect`] [`stats::charge`]s it to
+//! the caller, so a delegated job's counts land on the calling thread.
 
-use crate::{BlockCirculantMatrix, MatVecScratch};
 use ernn_fft::stats::{self, FftStats};
-use std::ops::Range;
+use std::ops::{Deref, DerefMut};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
@@ -43,7 +45,7 @@ use std::time::{Duration, Instant};
 pub const HELPER_SPIN: Duration = Duration::from_micros(100);
 
 /// Misses in excess of helped calls at which the helper *rests*. A miss is
-/// a job the caller ran itself: not started by the time its own half was
+/// a job the caller ran itself: not started by the time its own part was
 /// done, or not finished after as long again. While the helper rests,
 /// split-size calls run serially and post nothing, so it parks and its
 /// core goes idle: on a machine whose second core is not really free — a
@@ -70,21 +72,23 @@ const DONE: u8 = 3;
 /// A spawned worker that has not finished setting itself up.
 const STARTING: u8 = 4;
 
-/// What the two-core split has done since the process started: the
-/// process-wide helper's counts (see [`split_stats`]).
+/// What one helper has done since the process started (see
+/// [`crate::split_stats`] for the tile helper's).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SplitStats {
-    /// Calls whose upper half of tiles the helper ran.
+    /// Calls whose delegated part the helper ran.
     pub helper_ran: u64,
-    /// Calls that posted their upper half and ran it themselves because
-    /// the helper had not started it by the time their own half was done,
-    /// or had not finished it after the caller waited as long again.
+    /// Calls that posted their delegated part and ran it themselves
+    /// because the helper had not started it by the time their own part
+    /// was done, or had not finished it after the caller waited as long
+    /// again.
     pub taken_back: u64,
-    /// Split-size calls that found the helper claimed by another thread,
-    /// or still running a half its caller stopped waiting for, and ran
-    /// every tile themselves.
+    /// Split-size calls that found the helper claimed by another thread
+    /// (or, for the tile helper, held by a forward that splits its lanes),
+    /// or still running a part its caller stopped waiting for, and ran
+    /// everything themselves.
     pub busy: u64,
-    /// Split-size calls that ran every tile themselves because the helper
+    /// Split-size calls that ran everything themselves because the helper
     /// was resting after repeated misses.
     pub rested: u64,
 }
@@ -101,65 +105,33 @@ impl SplitStats {
     }
 }
 
-/// The process-wide helper's [`SplitStats`]; all zero until a call large
-/// enough to split has run, and forever on a one-core machine.
-pub fn split_stats() -> SplitStats {
-    match PROCESS_HELPER.get().copied().flatten() {
-        Some(helper) => helper.stats(),
-        None => SplitStats::default(),
-    }
+/// Work a [`Helper`] runs for the caller that posted it. The caller fills
+/// the job in [`Claim::post`] — growing every buffer the job writes, so
+/// the helper thread never allocates — and reads it back from
+/// [`Claim::collect`].
+pub trait HelperJob: Default + Send + 'static {
+    /// Runs the job on the helper thread.
+    fn run(&mut self);
+
+    /// Drops what the job shares with its caller for one run (a matrix's
+    /// weights, a network), so an idle slot keeps nothing alive. Called
+    /// once the job ran or was taken back.
+    fn release(&mut self);
 }
 
-static PROCESS_HELPER: OnceLock<Option<&'static Helper>> = OnceLock::new();
-
-/// The process-wide helper: started by the first call large enough to
-/// split, `None` when the machine has one core.
-pub(crate) fn process_helper() -> Option<&'static Helper> {
-    *PROCESS_HELPER.get_or_init(|| {
-        let cores = thread::available_parallelism().map_or(1, usize::from);
-        (cores >= 2).then(Helper::spawn)
-    })
-}
-
-/// Tiles delegated to the helper, with everything it needs to run them.
+/// A job and what running it on the helper thread came to.
 #[derive(Debug, Default)]
-pub(crate) struct Job {
-    /// The matrix the tiles belong to: a clone, whose buffers are shared.
-    pub(crate) matrix: Option<BlockCirculantMatrix>,
-    /// Tile indices to run.
-    pub(crate) tiles: Range<usize>,
-    /// Inputs in the call.
-    pub(crate) batch: usize,
-    /// The caller's input spectra in `x_spectra`, the helper's own planes
-    /// in the rest.
-    pub(crate) scratch: MatVecScratch,
-    /// `batch × rows` outputs; the helper writes its tiles' rows only.
-    pub(crate) ys: Vec<f32>,
-    /// What running the tiles counted on the helper's ledger.
-    pub(crate) fft: FftStats,
-    /// The tiles panicked on the helper thread.
-    pub(crate) panicked: bool,
+struct Slot<J> {
+    job: J,
+    /// What running the job counted on the helper's ledger.
+    fft: FftStats,
+    /// The job panicked on the helper thread.
+    panicked: bool,
 }
 
-impl Job {
-    fn run(&mut self) {
-        let Job {
-            matrix,
-            tiles,
-            batch,
-            scratch,
-            ys,
-            ..
-        } = self;
-        let matrix = matrix.as_ref().expect("a posted job holds its matrix");
-        let ys = &mut ys[..*batch * matrix.rows()];
-        matrix.run_tiles(tiles.clone(), ys, *batch, scratch);
-    }
-}
-
-/// One helper thread and its job slot.
+/// One helper thread and its job slot, for jobs of type `J`.
 #[derive(Debug)]
-pub(crate) struct Helper {
+pub struct Helper<J> {
     /// Held by the one caller that may post: taken with `Acquire`, freed
     /// with `Release`, so each claimant sees what the last one left.
     claimed: AtomicBool,
@@ -168,7 +140,7 @@ pub(crate) struct Helper {
     /// is `Release` (or `SeqCst`) and each load that acts on it `Acquire`;
     /// the job's contents travel under its `Mutex` besides.
     state: AtomicU8,
-    job: Mutex<Job>,
+    slot: Mutex<Slot<J>>,
     /// The worker thread, once started.
     thread: OnceLock<Thread>,
     /// The worker is parked, or about to park.
@@ -188,14 +160,20 @@ pub(crate) struct Helper {
     rested: AtomicU64,
 }
 
-impl Helper {
+impl<J: HelperJob> Default for Helper<J> {
+    fn default() -> Self {
+        Helper::new()
+    }
+}
+
+impl<J: HelperJob> Helper<J> {
     /// A helper with no thread behind it: every job posted to it is taken
     /// back.
-    pub(crate) fn new() -> Self {
+    pub fn new() -> Self {
         Helper {
             claimed: AtomicBool::new(false),
             state: AtomicU8::new(IDLE),
-            job: Mutex::new(Job::default()),
+            slot: Mutex::new(Slot::default()),
             thread: OnceLock::new(),
             parked: AtomicBool::new(false),
             misses: AtomicU32::new(0),
@@ -209,16 +187,17 @@ impl Helper {
         }
     }
 
-    /// A helper that lives as long as the process, its thread started.
-    /// Returns once the thread has done everything it allocates for, so
-    /// whatever the caller counts after this is the jobs alone.
-    pub(crate) fn spawn() -> &'static Helper {
-        let helper: &'static Helper = Box::leak(Box::new(Helper::new()));
+    /// A helper that lives as long as the process, its thread (named
+    /// `name`) started. Returns once the thread has done everything it
+    /// allocates for, so whatever the caller counts after this is the jobs
+    /// alone.
+    pub fn spawn(name: &str) -> &'static Self {
+        let helper: &'static Self = Box::leak(Box::new(Helper::new()));
         helper.state.store(STARTING, Ordering::Relaxed);
         let worker = thread::Builder::new()
-            .name("ernn-matvec-helper".into())
+            .name(name.into())
             .spawn(|| helper.serve())
-            .expect("spawn the matvec helper thread");
+            .expect("spawn a helper thread");
         helper
             .thread
             .set(worker.thread().clone())
@@ -229,7 +208,21 @@ impl Helper {
         helper
     }
 
-    pub(crate) fn stats(&self) -> SplitStats {
+    /// The process-wide helper kept in `cell`: spawned by the first call,
+    /// `None` forever when the machine has one core. Each instance of the
+    /// protocol owns one such cell.
+    pub fn process(
+        cell: &'static OnceLock<Option<&'static Self>>,
+        name: &str,
+    ) -> Option<&'static Self> {
+        *cell.get_or_init(|| {
+            let cores = thread::available_parallelism().map_or(1, usize::from);
+            (cores >= 2).then(|| Self::spawn(name))
+        })
+    }
+
+    /// What this helper has done so far.
+    pub fn stats(&self) -> SplitStats {
         SplitStats {
             helper_ran: self.ran.load(Ordering::Relaxed),
             taken_back: self.taken_back.load(Ordering::Relaxed),
@@ -241,20 +234,9 @@ impl Helper {
     /// The right to post one job, or `None` when another thread holds it
     /// or the helper is still on a job its caller stopped waiting for
     /// (counted as busy), or the helper is resting (counted as rested).
-    pub(crate) fn try_claim(&self) -> Option<Claim<'_>> {
-        if self
-            .claimed
-            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-            .is_err()
-        {
-            self.busy.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
+    pub fn try_claim(&self) -> Option<Claim<'_, J>> {
+        let claim = self.try_hold()?;
         // From here on, returning `None` drops `claim` and so releases it.
-        let claim = Claim {
-            helper: self,
-            posted_at: None,
-        };
         let rest_until = self.rest_until.load(Ordering::Relaxed);
         if rest_until > 0 {
             if self.now_ns() < rest_until {
@@ -263,6 +245,25 @@ impl Helper {
             }
             self.rest_until.store(0, Ordering::Relaxed);
         }
+        Some(claim)
+    }
+
+    /// [`Self::try_claim`] for a caller that only keeps others off the
+    /// helper and never posts: a resting helper can be held (its rest is
+    /// about its own misses), one still on a job cannot (its core is busy).
+    pub(crate) fn try_hold(&self) -> Option<Claim<'_, J>> {
+        if self
+            .claimed
+            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
+            .is_err()
+        {
+            self.busy.fetch_add(1, Ordering::Relaxed);
+            return None;
+        }
+        let claim = Claim {
+            helper: self,
+            posted_at: None,
+        };
         if self.state.load(Ordering::Acquire) == RUNNING {
             self.busy.fetch_add(1, Ordering::Relaxed);
             return None;
@@ -307,15 +308,15 @@ impl Helper {
             .compare_exchange(POSTED, IDLE, Ordering::Acquire, Ordering::Relaxed)
             .is_ok();
         if taken {
-            self.lock_job().matrix = None;
+            self.lock_slot().job.release();
         }
         taken
     }
 
     /// The job slot, poisoned or not: a panic in a job is caught before it
     /// can unwind through the guard.
-    fn lock_job(&self) -> MutexGuard<'_, Job> {
-        self.job.lock().unwrap_or_else(PoisonError::into_inner)
+    fn lock_slot(&self) -> MutexGuard<'_, Slot<J>> {
+        self.slot.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The worker loop: wait for a job, start it unless it was taken back,
@@ -333,12 +334,12 @@ impl Helper {
             {
                 continue;
             }
-            let (mut job, started) = (self.lock_job(), Instant::now());
+            let (mut slot, started) = (self.lock_slot(), Instant::now());
             let start = stats::thread_snapshot();
-            job.panicked = panic::catch_unwind(AssertUnwindSafe(|| job.run())).is_err();
-            job.fft = stats::thread_snapshot().since(&start);
-            job.matrix = None;
-            drop(job);
+            slot.panicked = panic::catch_unwind(AssertUnwindSafe(|| slot.job.run())).is_err();
+            slot.fft = stats::thread_snapshot().since(&start);
+            slot.job.release();
+            drop(slot);
             spin = HELPER_SPIN.min(started.elapsed());
             self.state.store(DONE, Ordering::Release);
         }
@@ -371,18 +372,19 @@ impl Helper {
 }
 
 /// The right to post one job; dropping it frees the helper for the next
-/// caller.
+/// caller. Held without posting, it keeps every other caller off the
+/// helper.
 #[derive(Debug)]
-pub(crate) struct Claim<'a> {
-    helper: &'a Helper,
+pub struct Claim<'a, J: HelperJob> {
+    helper: &'a Helper<J>,
     /// When the outstanding job was posted.
     posted_at: Option<Instant>,
 }
 
-impl Claim<'_> {
+impl<'a, J: HelperJob> Claim<'a, J> {
     /// Fills the job slot with `fill` and hands it to the helper.
-    pub(crate) fn post(&mut self, fill: impl FnOnce(&mut Job)) {
-        fill(&mut self.helper.lock_job());
+    pub fn post(&mut self, fill: impl FnOnce(&mut J)) {
+        fill(&mut self.helper.lock_slot().job);
         self.posted_at = Some(Instant::now());
         self.helper.state.store(POSTED, Ordering::SeqCst);
         if self.helper.parked.load(Ordering::SeqCst) {
@@ -392,15 +394,15 @@ impl Claim<'_> {
         }
     }
 
-    /// The finished job, or `None` when the caller is to run it: the
-    /// helper had not started it (taken back), or had not finished it
-    /// after the caller waited as long as its own half took (left to
-    /// finish into its own buffers).
+    /// The finished job, its FFT counts charged to this thread, or `None`
+    /// when the caller is to do its work: the helper had not started it
+    /// (taken back), or had not finished it after the caller waited as
+    /// long as its own part took (left to finish into its own buffers).
     ///
     /// # Panics
     ///
     /// Panics if the job panicked on the helper thread.
-    pub(crate) fn collect(&mut self) -> Option<MutexGuard<'_, Job>> {
+    pub fn collect(&mut self) -> Option<Done<'_, J>> {
         let posted_at = self.posted_at.take()?;
         let helper = self.helper;
         let done = !helper.take_back() && {
@@ -420,16 +422,18 @@ impl Claim<'_> {
             return None;
         }
         helper.ran.fetch_add(1, Ordering::Relaxed);
-        let job = helper.lock_job();
+        let slot = helper.lock_slot();
         assert!(
-            !job.panicked,
-            "a delegated matvec tile panicked on the helper thread"
+            !slot.panicked,
+            "a delegated {} panicked on the helper thread",
+            std::any::type_name::<J>()
         );
-        Some(job)
+        stats::charge(&slot.fft);
+        Some(Done(slot))
     }
 }
 
-impl Drop for Claim<'_> {
+impl<J: HelperJob> Drop for Claim<'_, J> {
     /// Releases the claim; a job still posted (the caller unwound before
     /// collecting) is withdrawn, one already running is left to finish.
     fn drop(&mut self) {
@@ -440,15 +444,35 @@ impl Drop for Claim<'_> {
     }
 }
 
+/// A job the helper finished, borrowed from its slot until dropped.
+#[derive(Debug)]
+pub struct Done<'a, J>(MutexGuard<'a, Slot<J>>);
+
+impl<J> Deref for Done<'_, J> {
+    type Target = J;
+
+    fn deref(&self) -> &J {
+        &self.0.job
+    }
+}
+
+impl<J> DerefMut for Done<'_, J> {
+    fn deref_mut(&mut self) -> &mut J {
+        &mut self.0.job
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::circulant::tests::split_matvec_batch;
+    use crate::circulant::TileJob;
+    use crate::{BlockCirculantMatrix, MatVecScratch};
 
     #[test]
     fn an_idle_helper_parks_after_its_spin_and_wakes_for_the_next_post() {
         let m = BlockCirculantMatrix::from_blocks(520, 64, 8, vec![0.25; 65 * 8 * 8]);
-        let (helper, mut scratch) = (Helper::spawn(), MatVecScratch::new());
+        let (helper, mut scratch) = (Helper::<TileJob>::spawn("test"), MatVecScratch::new());
         let xs = vec![0.5; 64];
         let want = split_matvec_batch(&m, &xs, 1, &Helper::new(), &mut scratch);
         for round in 0..2 {
@@ -476,7 +500,7 @@ mod tests {
 
     #[test]
     fn a_job_the_helper_started_but_did_not_finish_is_left_to_it() {
-        let helper = Helper::new();
+        let helper = Helper::<TileJob>::new();
         let mut claim = helper.try_claim().expect("a free helper");
         claim.post(|_| {});
         // Stand in for a worker that started the job and stalled.
@@ -485,7 +509,7 @@ mod tests {
                 .state
                 .compare_exchange(POSTED, RUNNING, Ordering::Acquire, Ordering::Relaxed);
         assert!(started.is_ok());
-        assert!(claim.collect().is_none(), "the caller runs the tiles");
+        assert!(claim.collect().is_none(), "the caller runs the work");
         drop(claim);
         let left = SplitStats {
             taken_back: 1,
@@ -502,7 +526,7 @@ mod tests {
     #[test]
     fn repeated_misses_rest_the_helper_for_a_while() {
         // No worker: every post is taken back, a miss.
-        let helper = Helper::new();
+        let helper = Helper::<TileJob>::new();
         for _ in 0..MISS_LIMIT {
             let mut claim = helper.try_claim().expect("not resting yet");
             claim.post(|_| {});

@@ -100,44 +100,62 @@
 //!
 //! # Two cores
 //!
-//! Fig. 10's PEs also work on different output blocks at once. The host
-//! does the same with a second core, under a rule as narrow as the one
-//! above:
+//! Fig. 10's PEs work on different output blocks at once, and on
+//! independent inputs side by side. The host does both with its second
+//! core, through **one protocol with two grains**, under a rule as narrow
+//! as the one above:
 //!
-//! * **One tile body, two runners.** The block-circulant tile loop is
-//!   partitioned, not rewritten: the caller runs the lower half of a
-//!   call's tiles and one process-wide helper thread the upper half, each
-//!   through the same tile stage. Tiles are independent, so **the bits
-//!   never depend on which thread ran a tile** (the tests hold the split
-//!   path `to_bits` to the serial path and the scalar oracle, helper free
-//!   and held).
-//! * **Selected only from what the kernel observes:** at least two tiles,
-//!   `p·q·batch` ≥ [`SPLIT_MIN_WORK`] (below it a call pays one
-//!   comparison; GRU-8 never gets there), a second core
-//!   (`available_parallelism`), and a helper that is free — not claimed
-//!   by another thread, not finishing a job its caller stopped waiting
-//!   for, not resting. No option, env var, Cargo feature or `cfg`.
+//! * **One protocol, two instances.** [`Helper`] is the protocol, written
+//!   once and generic over its job ([`HelperJob`], static dispatch):
+//!   try-claim, post, collect, take back a job not yet started, a bounded
+//!   wait for one started, rests after repeated misses, spin then park,
+//!   and the helper's FFT counts charged to the caller. Each grain is one
+//!   process-wide thread with one job slot:
+//!   * **tiles, at B = 1** (this crate): a block-circulant call hands the
+//!     upper half of its tiles to the tile helper when it has at least
+//!     two tiles and `p·q·batch` ≥ [`SPLIT_MIN_WORK`];
+//!   * **lanes, at B ≥ 2** (`ernn_fpga::exec`, "Two cores"): a quantized
+//!     forward over at least two utterances and `Σ frames × Σ p·q` ≥
+//!     `ernn_fpga::exec::LANE_SPLIT_MIN_WORK` block MACs walks one
+//!     contiguous part of its lanes on the lane helper. It holds the tile
+//!     helper meanwhile ([`claim_tiles`]), so neither part posts tiles and
+//!     two cores never serve three threads.
+//! * **One body, two runners.** The split work is partitioned, not
+//!   rewritten: tiles run the one tile stage, lanes the one sequence
+//!   walker. Tiles and lanes are independent, so **the bits never depend
+//!   on which thread ran them** (the tests hold each split path `to_bits`
+//!   to its serial path, helper free, claimed elsewhere and never
+//!   starting).
+//! * **Selected only from what the call observes:** its size, a second
+//!   core (`available_parallelism`) and a helper that is free — not
+//!   claimed by another thread, not finishing a job its caller stopped
+//!   waiting for, not resting. Below a threshold a call pays one
+//!   comparison; GRU-8 never gets there. No option, env var, Cargo
+//!   feature or `cfg`.
 //! * **A busy second core cannot stall a call.** A caller that finishes
-//!   its half before the helper has started takes the job back (the loss
+//!   its part before the helper has started takes the job back (the loss
 //!   is the handoff); one whose helper has not finished after as long
-//!   again runs the tiles itself (at most ≈ 1.5 serial calls); repeated
-//!   misses rest the helper so its core goes idle (see `helper.rs`). After a job the helper spins no longer than the job
-//!   took (at most [`HELPER_SPIN`]), then parks. [`split_stats`] counts
-//!   what happened to every split-size call.
-//! * **No `unsafe`.** The matrix's blocks and spectra are `Arc<[f32]>`, so
-//!   the job holds a clone without copying them; the job slot is a
-//!   `Mutex` that is never contended; callers claim the helper with an
-//!   atomic try-claim.
-//! * **Nothing else moves:** the helper spawns once, on the first call
+//!   again does the work itself (at most ≈ 1.5 serial calls); repeated
+//!   misses rest the helper so its core goes idle (see `helper.rs`).
+//!   After a job the helper spins no longer than the job took (at most
+//!   [`HELPER_SPIN`]), then parks. [`split_stats`] counts what happened to
+//!   every split-size call of the tile helper.
+//! * **No `unsafe`.** A job holds what it shares with the caller as an
+//!   `Arc` clone — a matrix's blocks and spectra are `Arc<[f32]>` —
+//!   without copying it; the job slot is a `Mutex` that is never
+//!   contended; callers claim a helper with an atomic try-claim.
+//! * **Nothing else moves:** each helper spawns once, on the first call
 //!   that qualifies; the caller grows every buffer the helper writes, so
-//!   steady state allocates nothing on either thread; the helper is off
-//!   the FFT ledger and its work is charged to the caller
-//!   (`ernn_fft::stats::charge`), so a split call counts exactly what the
-//!   serial call counts, on the calling thread.
+//!   steady state allocates nothing on either thread; a helper is off the
+//!   FFT ledger and its work is charged to the caller
+//!   (`ernn_fft::stats::charge`), so a tile-split call counts exactly what
+//!   the serial call counts, on the calling thread. (A lane-split forward
+//!   counts the serial transforms too, but reads the weight spectra once
+//!   per part; `ernn_fpga::exec` states the formula.)
 
 // The one exception is the tile dispatch in `circulant.rs` (see "Two
 // instantiations" above); a second `unsafe` anywhere is a compile error,
-// the helper thread of "Two cores" included.
+// the helper threads of "Two cores" included.
 #![deny(unsafe_code)]
 
 mod circulant;
@@ -148,9 +166,9 @@ pub mod ops;
 mod scratch;
 mod weight;
 
-pub use circulant::{BlockCirculantMatrix, SPLIT_MIN_WORK};
+pub use circulant::{claim_tiles, split_stats, BlockCirculantMatrix, TileClaim, SPLIT_MIN_WORK};
 pub use dense::{LanePanel, Matrix};
-pub use helper::{split_stats, SplitStats, HELPER_SPIN};
+pub use helper::{Claim, Done, Helper, HelperJob, SplitStats, HELPER_SPIN};
 pub use lanes::lane_isa;
 pub use scratch::MatVecScratch;
 pub use weight::{MatVec, WeightMatrix};

@@ -68,16 +68,45 @@ impl ExecScratch {
 /// a fresh state is bit-identical to walking it stateless; carrying the
 /// state across chunk boundaries continues the recurrence exactly where
 /// the previous chunk left off.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct NetworkState {
     layers: Vec<LayerState>,
 }
 
 /// Recurrent state of a single stacked layer.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 struct LayerState {
     c: Vec<f32>,
     y: Vec<f32>,
+}
+
+// By hand for `clone_from`, which copies into the buffers a state of the
+// same shape already has: a forward that hands lanes to another thread
+// copies their states without allocating.
+impl Clone for NetworkState {
+    fn clone(&self) -> Self {
+        NetworkState {
+            layers: self.layers.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.layers.clone_from(&source.layers);
+    }
+}
+
+impl Clone for LayerState {
+    fn clone(&self) -> Self {
+        LayerState {
+            c: self.c.clone(),
+            y: self.y.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.c.clone_from(&source.c);
+        self.y.clone_from(&source.y);
+    }
 }
 
 impl NetworkState {
@@ -147,6 +176,44 @@ impl<M: MatVec> RnnNetwork<M> {
         NetworkState { layers }
     }
 
+    /// What [`Self::hidden_batch_with`] asks of its inputs, checked before
+    /// anything is written: one state slot per utterance, each state shaped
+    /// like the network, each frame `input_dim` wide. A caller that walks a
+    /// batch in parts checks the whole batch here first, so a bad lane in
+    /// one part cannot leave another part's states written.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the first mismatch, naming it.
+    pub fn check_batch<'u>(
+        &self,
+        utterances: impl ExactSizeIterator<Item = &'u [Vec<f32>]>,
+        states: Option<&[Option<NetworkState>]>,
+    ) {
+        if let Some(states) = states {
+            assert_eq!(
+                states.len(),
+                utterances.len(),
+                "one state slot per utterance"
+            );
+            let want = self.layers().iter().map(RnnLayer::state_dims);
+            for (s, ns) in states.iter().enumerate() {
+                let Some(ns) = ns else { continue };
+                let have = ns.layers.iter().map(|l| (l.c.len(), l.y.len()));
+                assert!(
+                    have.clone().eq(want.clone()),
+                    "lane {s}: state has (|c|, |y|) per layer {:?}, the network {:?}",
+                    have.collect::<Vec<_>>(),
+                    want.collect::<Vec<_>>()
+                );
+            }
+        }
+        let in_dim = self.input_dim();
+        for f in utterances.flatten() {
+            assert_eq!(f.len(), in_dim, "input length must equal the feature dim");
+        }
+    }
+
     /// The sequence walker: rounds every frame into `scratch`
     /// (`arith.round`: the identity in float, the activation quantizer in
     /// fixed point) and steps the `utterances` through the layer stack in
@@ -181,21 +248,11 @@ impl<M: MatVec> RnnNetwork<M> {
         mut tape: Option<&mut Vec<LayerTape>>,
     ) {
         let n = utterances.len();
-        if let Some(states) = &states {
-            assert_eq!(states.len(), n, "one state slot per utterance");
-            assert!(tape.is_none(), "a taped lane starts from the zero state");
-            let want = self.layers().iter().map(RnnLayer::state_dims);
-            for (s, ns) in states.iter().enumerate() {
-                let Some(ns) = ns else { continue };
-                let have = ns.layers.iter().map(|l| (l.c.len(), l.y.len()));
-                assert!(
-                    have.clone().eq(want.clone()),
-                    "lane {s}: state has (|c|, |y|) per layer {:?}, the network {:?}",
-                    have.collect::<Vec<_>>(),
-                    want.collect::<Vec<_>>()
-                );
-            }
-        }
+        self.check_batch(utterances.clone(), states.as_deref());
+        assert!(
+            states.is_none() || tape.is_none(),
+            "a taped lane starts from the zero state"
+        );
         if let Some(tape) = tape.as_deref_mut() {
             tape.clear();
             tape.resize_with(self.num_layers(), LayerTape::default);
@@ -229,7 +286,6 @@ impl<M: MatVec> RnnNetwork<M> {
         a.resize(total * in_dim, 0.0);
         for (s, u) in utterances.enumerate() {
             for (t, f) in u.iter().enumerate() {
-                assert_eq!(f.len(), in_dim, "input length must equal the feature dim");
                 let dst = &mut a[(off[s] + t) * in_dim..][..in_dim];
                 for (d, &v) in dst.iter_mut().zip(f.iter()) {
                     *d = arith.round(v);

@@ -46,13 +46,19 @@
 //! the helper spawns inside warm-up and every buffer it writes is grown
 //! by the caller that posts to it.
 //!
+//! The same holds for a forward that splits its lanes between the caller
+//! and the lane helper thread (`ernn_fpga::exec`'s module docs, "Two
+//! cores"): a GRU-1024 forward over 16 utterances allocates nothing once
+//! warm — the job's scratch, frame rows and states are grown once and the
+//! network travels as an `Arc` clone.
+//!
 //! ISSUE 21 adds the path the executors actually run,
 //! [`CompiledModel::infer_batch_in_place`]: a request's frame rows become
 //! its logits rows, so answering it allocates nothing when the feature
 //! dimension holds the class count — and exactly one exactly-sized row
 //! per frame, nothing else, when it does not.
 
-use ernn::fpga::exec::{DatapathConfig, ExecScratch, QuantizedNetwork};
+use ernn::fpga::exec::{lane_split_stats, DatapathConfig, ExecScratch, QuantizedNetwork};
 use ernn::fpga::{FaultPlan, FaultTimeline, XCKU060};
 use ernn::linalg::{split_stats, BlockCirculantMatrix, MatVecScratch};
 use ernn::model::{compress_network, BlockPolicy, CellType, ModelSpec};
@@ -149,11 +155,74 @@ fn lstm1024_forward_with_the_helper_is_allocation_free(rng: &mut impl Rng) {
     }
 }
 
+/// The paper's GRU-1024 (153 inputs, 61 classes, `L_b = 8`, 12 bits) at
+/// B = 16, the `asr_gru1024_batch16` shape: after warm-up a forward that
+/// splits its lanes allocates nothing on any thread, through the `_into`
+/// kernel and the in-place one. Windows repeat until one of them saw the
+/// lane helper run a delegated half (on a machine with a second core).
+fn gru1024_batch16_forward_splitting_its_lanes_is_allocation_free(rng: &mut impl Rng) {
+    let dense = ModelSpec::new(CellType::Gru, 153, 61)
+        .layer_dims(&[1024])
+        .build(rng);
+    let net = QuantizedNetwork::new(
+        &compress_network(&dense, BlockPolicy::uniform(8)),
+        &DatapathConfig::paper_12bit(),
+    );
+    let utterances: Vec<Vec<Vec<f32>>> = (0..16)
+        .map(|s| {
+            (0..1 + s % 2)
+                .map(|_| (0..153).map(|_| rng.gen_range(-1.0f32..1.0)).collect())
+                .collect()
+        })
+        .collect();
+    let batch: Vec<&[Vec<f32>]> = utterances.iter().map(Vec::as_slice).collect();
+    let (mut out, mut scratch) = (Vec::new(), ExecScratch::new());
+    let mut in_place = utterances.clone();
+    for _ in 0..3 {
+        net.forward_logits_batch_into(&batch, &mut out, &mut scratch);
+        in_place.clone_from(&utterances);
+        net.forward_logits_batch_in_place(&mut in_place, None, &mut scratch);
+    }
+    let reference = out.clone();
+    assert_eq!(in_place, reference);
+
+    let two_cores = std::thread::available_parallelism().map_or(1, usize::from) >= 2;
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
+    loop {
+        let (before, split) = (allocation_count(), lane_split_stats());
+        net.forward_logits_batch_into(&batch, &mut out, &mut scratch);
+        for (rows, frames) in in_place.iter_mut().zip(&utterances) {
+            for (row, frame) in rows.iter_mut().zip(frames) {
+                row.clear();
+                row.extend_from_slice(frame);
+            }
+        }
+        net.forward_logits_batch_in_place(&mut in_place, None, &mut scratch);
+        let delta = allocation_count() - before;
+        let split = lane_split_stats().since(&split);
+        assert_eq!(
+            delta, 0,
+            "warm GRU-1024 B = 16 forwards allocated {delta} times ({split:?})"
+        );
+        assert_eq!(out, reference);
+        assert_eq!(in_place, reference);
+        if split.helper_ran > 0 || !two_cores {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the lane helper ran no delegated half: {:?}",
+            lane_split_stats()
+        );
+    }
+}
+
 #[test]
 fn steady_state_batched_inference_performs_zero_allocations() {
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(29);
     lane_kernel_scratch_is_grow_only(&mut rng);
     lstm1024_forward_with_the_helper_is_allocation_free(&mut rng);
+    gru1024_batch16_forward_splitting_its_lanes_is_allocation_free(&mut rng);
     for cell in [CellType::Gru, CellType::Lstm] {
         let dense = ModelSpec::new(cell, 12, 7)
             .layer_dims(&[16, 16])
