@@ -2,60 +2,29 @@
 //! (ESE, C-LSTM, E-RNN FFT8/FFT16, LSTM and GRU, both platforms).
 //!
 //! Hardware numbers come from the resource/cycle/power models in
-//! `ernn-fpga`. PER-degradation rows are taken from the paper for the
-//! baselines we cannot train (TIMIT) and measured on the synthetic corpus
-//! for E-RNN when `--accuracy` is passed (`--quick`: the reduced recipe).
-//! `--json PATH` writes one row per design point, the headline ratios and,
-//! under `--accuracy`, the trained rows.
+//! `ernn-fpga`. This bin trains nothing: the PER-degradation column
+//! carries the paper's published values for the baselines we cannot
+//! train (ESE, C-LSTM, on TIMIT) and `--` for E-RNN, whose measured
+//! degradations are the 64-64 8-8 and 16-16 rows of `table1` (LSTM) and
+//! `table2` (GRU). `--json PATH` writes one row per design point and the
+//! headline ratios.
 
-use ernn_asr::{SynthCorpus, SynthCorpusConfig};
 use ernn_bench::json::{array, JsonObject};
 use ernn_bench::sweep::SweepArgs;
-use ernn_bench::{paper_rows, run_grid, ModelRow, RowResult};
 use ernn_fpga::baseline::{clstm_report, EseModel};
 use ernn_fpga::power::{board_power, energy_efficiency};
 use ernn_fpga::{AccelReport, Accelerator, RnnSpec, ADM_PCIE_7V3, XCKU060};
-use ernn_model::{BlockPolicy, CellType, ModelSpec};
+use ernn_model::CellType;
 
 struct Row {
     report: AccelReport,
     power_w: f64,
-    per_degradation: Option<f64>,
+    /// The paper's published PER degradation (pp); `None` for E-RNN.
+    paper_per_degradation: Option<f64>,
 }
 
 fn main() {
     let args = SweepArgs::from_env();
-
-    // Optional accuracy measurements (E-RNN LSTM/GRU at block 8/16): per
-    // cell a 64-64 baseline and one row per block size, whose id — and so
-    // whose seed offset — is the block size.
-    let mut trained: Vec<RowResult> = Vec::new();
-    if args.accuracy {
-        eprintln!("measuring PER degradation on the synthetic corpus ...");
-        let corpus = SynthCorpus::generate(&SynthCorpusConfig::standard(42));
-        for cell in [CellType::Lstm, CellType::Gru] {
-            let spec = ModelSpec::new(cell, corpus.feature_dim, corpus.num_classes())
-                .layer_dims(&[64, 64])
-                .peephole(cell == CellType::Lstm);
-            let rows = [0usize, 8, 16]
-                .map(|block| ModelRow {
-                    id: block,
-                    spec: spec.clone(),
-                    policies: (block > 0).then(|| vec![BlockPolicy::uniform(block); 2]),
-                })
-                .to_vec();
-            trained.extend(run_grid(rows, &corpus, &args.recipe(), 7));
-        }
-    }
-    let doc = paper_rows(&args, "table3", &trained);
-    trained.retain(|r| r.row.policies.is_some());
-    let lookup = |cell: CellType, block: usize| -> Option<f64> {
-        trained
-            .iter()
-            .find(|r| r.row.spec.cell == cell && r.row.id == block)
-            .map(RowResult::degradation)
-    };
-
     let mut rows: Vec<Row> = Vec::new();
 
     // ESE (KU060) — published utilization/power, modelled latency/FPS.
@@ -86,7 +55,7 @@ fn main() {
             ff_pct: ff,
         },
         power_w: EseModel::published_power_w(),
-        per_degradation: Some(0.30),
+        paper_per_degradation: Some(0.30),
     });
 
     // C-LSTM FFT8 and FFT16 (7V3).
@@ -95,7 +64,7 @@ fn main() {
         rows.push(Row {
             power_w: board_power(&r, &ADM_PCIE_7V3, false),
             report: r,
-            per_degradation: Some(if block == 8 { 0.32 } else { 0.41 }),
+            paper_per_degradation: Some(if block == 8 { 0.32 } else { 0.41 }),
         });
     }
 
@@ -110,7 +79,7 @@ fn main() {
                 let r = Accelerator::new(spec, dev).report(format!("E-RNN FFT{block} {label}"));
                 rows.push(Row {
                     power_w: board_power(&r, &dev, false),
-                    per_degradation: lookup(cell, block),
+                    paper_per_degradation: None,
                     report: r,
                 });
             }
@@ -141,7 +110,7 @@ fn main() {
     for row in &rows {
         let r = &row.report;
         let deg = row
-            .per_degradation
+            .paper_per_degradation
             .map(|d| format!("{d:+.2}"))
             .unwrap_or_else(|| "--".into());
         println!(
@@ -174,17 +143,16 @@ fn main() {
                 .num("bram_pct", r.bram_pct)
                 .num("lut_pct", r.lut_pct)
                 .num("ff_pct", r.ff_pct)
-                .num("per_degradation", row.per_degradation.unwrap_or(f64::NAN))
+                .num(
+                    "paper_per_degradation",
+                    row.paper_per_degradation.unwrap_or(f64::NAN),
+                )
                 .render(),
         );
     }
-    if !trained.is_empty() {
-        println!("\nmeasured PER degradation (synthetic corpus, pp):");
-        for r in &trained {
-            let (cell, block) = (r.row.spec.cell, r.row.id);
-            println!("  {cell:?}-FFT{block}: {:+.2}", r.degradation());
-        }
-    }
+    println!(
+        "PERdeg: published (pp); E-RNN's -- are measured by the 64-64 8-8 / 16-16 rows of table1 (LSTM) and table2 (GRU)"
+    );
 
     // Headline ratios (paper: 37.4x vs ESE, >2x vs C-LSTM, GRU best)
     // over rows 0 (ESE) and 1 (C-LSTM FFT8).
@@ -204,7 +172,9 @@ fn main() {
         gru16 / clstm_eff
     );
     args.write_bench(
-        doc.raw("designs", array(designs))
+        JsonObject::new()
+            .bench_header("table3")
+            .raw("designs", array(designs))
             .num("gru16_over_ese_fps_per_w", gru16 / ese_eff)
             .num("gru16_over_clstm8_fps_per_w", gru16 / clstm_eff),
     );

@@ -17,8 +17,11 @@ use std::fmt::Write as _;
 /// 2 = adds `schema_version`, stage-time attribution, and the admission
 /// audit export; 3 = the serving sweeps' rows drop wall-clock `host_us`,
 /// so their artifacts are pure functions of the code; 4 = the paper bins'
-/// trained rows drop wall-clock `wall_s` likewise.
-pub const BENCH_SCHEMA_VERSION: i64 = 4;
+/// trained rows drop wall-clock `wall_s` likewise; 5 = `table3` trains
+/// nothing: it drops `quick` and `rows`, and its design rows'
+/// `per_degradation` becomes `paper_per_degradation` (published values,
+/// `null` for E-RNN).
+pub const BENCH_SCHEMA_VERSION: i64 = 5;
 
 /// A flat JSON object built field by field, rendered in insertion order.
 #[derive(Debug, Default, Clone)]
@@ -196,6 +199,6 @@ mod tests {
     #[test]
     fn bench_header_stamps_the_schema_version() {
         let doc = JsonObject::new().bench_header("sched_sweep").render();
-        assert_eq!(doc, r#"{"bench":"sched_sweep","schema_version":4}"#);
+        assert_eq!(doc, r#"{"bench":"sched_sweep","schema_version":5}"#);
     }
 }

@@ -7,7 +7,7 @@
 //! |-----------------|------------------------------------------|---------------|
 //! | `table1`        | Table I   (LSTM PER vs layer/block size) | trained rows |
 //! | `table2`        | Table II  (GRU PER vs layer/block size)  | trained rows |
-//! | `table3`        | Table III (hardware comparison)          | design points, headline ratios; trained rows with `--accuracy` |
+//! | `table3`        | Table III (hardware comparison)          | design points, headline ratios |
 //! | `table4`        | Table IV  (platform resources)           | one per platform |
 //! | `fig5`          | Fig. 5    (Euclidean mapping example)    | matrices, block vectors, distance² |
 //! | `fig8`          | Fig. 8    (multiplication-count curves)  | `(layer, Lb, model)` points, upper bounds |
@@ -15,9 +15,10 @@
 //!
 //! No row carries a wall-clock field, so each `--quick` artifact is
 //! compared byte for byte with its baseline in `crates/bench/baselines/`.
-//! The four that train (`table1`, `table2`, `table3 --accuracy`,
-//! `phase1_trials`) do so through [`ernn_admm::Recipe`] and share this
-//! crate's row type, grid runner and [`paper_rows`].
+//! The three that train (`table1`, `table2`, `phase1_trials`) do so
+//! through [`ernn_admm::Recipe`] and share this crate's row type and
+//! [`paper_rows`]; no two train the same row. `table3` trains nothing:
+//! its E-RNN PER degradations are `table1` / `table2` rows.
 
 // The one exception is the `GlobalAlloc` impl in `alloc.rs`.
 #![deny(unsafe_code)]
@@ -125,7 +126,11 @@ pub fn dims_label(dims: &[usize]) -> String {
 /// The Table I (LSTM) / Table II (GRU) grid, layer sizes scaled ÷8 from
 /// the paper's: per layer-size group one baseline row, then one row per
 /// block-size combination. The paper's LSTMs add peepholes from 512 up
-/// and a projection at 1024; GRUs have neither.
+/// and a projection at 1024; GRUs have neither. The 64-64 group ends
+/// with 16-16 so that, with 8-8, it carries both of Table III's E-RNN
+/// block sizes (FFT8 / FFT16) and `--quick` trains them; last in its
+/// group, it leaves the ids (and so the seeds) of the rows before it
+/// unchanged.
 pub fn model_grid(cell: CellType, corpus: &SynthCorpus) -> Vec<ModelRow> {
     let lstm = cell == CellType::Lstm;
     let spec = ModelSpec::new(cell, corpus.feature_dim, corpus.num_classes());
@@ -144,7 +149,7 @@ pub fn model_grid(cell: CellType, corpus: &SynthCorpus) -> Vec<ModelRow> {
         // 512-512 -> 64-64.
         (
             spec.layer_dims(&[64, 64]).peephole(lstm),
-            &[&[4, 4], &[4, 8], &[8, 4], &[8, 8]],
+            &[&[4, 4], &[4, 8], &[8, 4], &[8, 8], &[16, 16]],
         ),
         // 1024-1024 -> 128-128.
         (
@@ -314,4 +319,55 @@ pub fn run_model_table(cell: CellType, bench: &str, title: &str) -> Vec<RowResul
     println!("{}", render_model_table(title, &results));
     args.write_bench(paper_rows(&args, bench, &results));
     results
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn model_grid_trains_each_row_once_and_carries_table_iii_blocks() {
+        // `model_grid` reads only the corpus's feature and class counts.
+        let corpus = SynthCorpus::generate(&SynthCorpusConfig::tiny(1));
+        for cell in [CellType::Lstm, CellType::Gru] {
+            let grid = model_grid(cell, &corpus);
+            let ids: Vec<usize> = grid.iter().map(|r| r.id).collect();
+            assert_eq!(ids, (1..=grid.len()).collect::<Vec<_>>(), "{cell:?}");
+
+            let key = |r: &ModelRow| {
+                (
+                    dims_label(&r.spec.layer_dims),
+                    r.blocks_label(|p| p.recurrent),
+                    r.blocks_label(|p| p.input),
+                )
+            };
+            let mut keys: Vec<_> = grid.iter().map(key).collect();
+            keys.sort();
+            keys.dedup();
+            assert_eq!(keys.len(), grid.len(), "{cell:?}: a row is listed twice");
+
+            // `run_grid` finds each compressed row's baseline by spec.
+            for row in grid.iter().filter(|r| r.policies.is_some()) {
+                assert!(
+                    grid.iter()
+                        .any(|b| b.policies.is_none() && b.spec == row.spec),
+                    "{cell:?}: row {} has no baseline",
+                    row.id
+                );
+            }
+
+            // Table III's FFT8 / FFT16 degradations come from these rows.
+            let blocks_64: Vec<String> = grid
+                .iter()
+                .filter(|r| r.spec.layer_dims == [64, 64])
+                .map(|r| r.blocks_label(|p| p.recurrent))
+                .collect();
+            for blocks in ["8-8", "16-16"] {
+                assert!(
+                    blocks_64.iter().any(|b| b == blocks),
+                    "{cell:?}: 64-64 lacks {blocks}"
+                );
+            }
+        }
+    }
 }

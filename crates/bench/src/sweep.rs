@@ -21,14 +21,12 @@ use rand::SeedableRng;
 pub const DIM: usize = 52;
 
 /// The flags every sweep and paper bin takes: `--quick` (smoke-sized
-/// load), `--json PATH` (bench artifact), `--trace-out PATH` (journal
-/// export) and `--accuracy` (`table3`: train the E-RNN rows).
+/// load), `--json PATH` (bench artifact) and `--trace-out PATH` (journal
+/// export).
 #[derive(Debug, Default)]
 pub struct SweepArgs {
     /// Shrink the load for smoke runs.
     pub quick: bool,
-    /// Measure the trained rows as well (`table3`).
-    pub accuracy: bool,
     json: Option<String>,
     trace_out: Option<String>,
 }
@@ -40,7 +38,7 @@ impl SweepArgs {
         let args: Vec<String> = std::env::args().skip(1).collect();
         Self::parse(&args).unwrap_or_else(|err| {
             eprintln!("usage error: {err}");
-            eprintln!("usage: [--quick] [--json PATH] [--trace-out PATH] [--accuracy]");
+            eprintln!("usage: [--quick] [--json PATH] [--trace-out PATH]");
             std::process::exit(2)
         })
     }
@@ -49,7 +47,7 @@ impl SweepArgs {
     ///
     /// # Errors
     ///
-    /// An argument that is not one of the four flags, or a `--json` /
+    /// An argument that is not one of the three flags, or a `--json` /
     /// `--trace-out` with nothing after it or with another `--flag`
     /// there, is a usage error naming it.
     pub fn parse(args: &[String]) -> Result<Self, String> {
@@ -62,7 +60,6 @@ impl SweepArgs {
         while let Some(arg) = args.next() {
             match arg.as_str() {
                 "--quick" => parsed.quick = true,
-                "--accuracy" => parsed.accuracy = true,
                 "--json" => parsed.json = path(arg, args.next())?,
                 "--trace-out" => parsed.trace_out = path(arg, args.next())?,
                 _ => return Err(format!("unknown argument {arg:?}")),
@@ -277,15 +274,15 @@ mod tests {
     fn parse_finds_the_json_path() {
         let args = parse(&["--quick", "--json", "out.json"]).unwrap();
         assert_eq!(args.json.as_deref(), Some("out.json"));
-        assert!(args.quick && !args.accuracy);
+        assert!(args.quick);
         assert_eq!(parse(&["--quick"]).unwrap().json, None);
     }
 
     #[test]
     fn parse_finds_the_trace_path() {
-        let args = parse(&["--trace-out", "TRACE_sched.json", "--accuracy"]).unwrap();
+        let args = parse(&["--trace-out", "TRACE_sched.json"]).unwrap();
         assert_eq!(args.trace_out.as_deref(), Some("TRACE_sched.json"));
-        assert!(args.accuracy && !args.quick);
+        assert!(!args.quick);
         assert_eq!(parse(&[]).unwrap().trace_out, None);
     }
 
@@ -306,5 +303,9 @@ mod tests {
         assert!(err.contains("--quik"), "{err}");
         let err = parse(&["--quick", "out.json"]).unwrap_err();
         assert!(err.contains("out.json"), "{err}");
+        // `table3` trains nothing: a stale `--accuracy` fails loudly
+        // instead of writing a table without its trained rows.
+        let err = parse(&["--quick", "--accuracy"]).unwrap_err();
+        assert!(err.contains("--accuracy"), "{err}");
     }
 }
