@@ -123,6 +123,45 @@ impl Recipe {
         train_projected(dense, policies, data, retrain, &mut retrain_opt, rng);
         (compress_network_layers(dense, policies), report)
     }
+
+    /// The equal-budget control of [`Self::compress`]: a clone of the
+    /// pre-trained `dense` trained for the same epochs at the same rates,
+    /// with neither the proximal term nor any projection. Each ADMM
+    /// iteration's `epochs_per_iter` epochs at [`Self::admm_lr`] (one
+    /// optimizer across iterations, as in the ADMM loop), then
+    /// `retrain_epochs` at [`RETRAIN_LR_FACTOR`] of it, so an `rng` seeded
+    /// as `compress`'s draws the same shuffles. The schedule is the
+    /// configured one: an ADMM loop that converges early trains fewer
+    /// epochs than its control. A compressed row's degradation is its PER
+    /// minus its control's, which leaves out what the extra epochs alone
+    /// would have changed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data` is empty.
+    pub fn control(
+        &self,
+        dense: &RnnNetwork<Matrix>,
+        data: &[Sequence],
+        rng: &mut impl Rng,
+    ) -> RnnNetwork<Matrix> {
+        let mut net = dense.clone();
+        let mut opt = Sgd::new(self.admm_lr);
+        for _ in 0..self.admm.iterations {
+            let opts = TrainOptions {
+                epochs: self.admm.epochs_per_iter,
+                lr_decay: 1.0,
+            };
+            train(&mut net, data, opts, &mut opt, rng);
+        }
+        let retrain = TrainOptions {
+            epochs: self.admm.retrain_epochs,
+            lr_decay: 1.0,
+        };
+        let mut retrain_opt = Sgd::new(self.admm_lr * RETRAIN_LR_FACTOR);
+        train(&mut net, data, retrain, &mut retrain_opt, rng);
+        net
+    }
 }
 
 /// The lifecycle pipeline's recipe: a short pre-training pass and
@@ -235,6 +274,63 @@ mod tests {
             assert_eq!(rng_recipe.next_u64(), rng.next_u64(), "{cell}: draw count");
             let expected = compress_network_layers(&by_steps, &policies);
             assert_eq!(compressed.layers(), expected.layers(), "{cell}");
+        }
+    }
+
+    /// `Recipe::control` is plain `train` on `compress`'s schedule: it
+    /// draws the shuffles `compress` draws, leaves `dense` alone, and
+    /// trains to other weights than the compressed row's.
+    #[test]
+    fn control_trains_compress_s_epochs_without_the_constraint() {
+        let recipe = Recipe {
+            pretrain_epochs: 2,
+            ..Recipe::quick()
+        };
+        let data = toy_data(6, 8, 1);
+        for cell in [CellType::Lstm, CellType::Gru] {
+            let dense = recipe.pretrain(&spec(cell), &data, &mut ChaCha8Rng::seed_from_u64(2));
+            let mut rng_control = ChaCha8Rng::seed_from_u64(3);
+            let control = recipe.control(&dense, &data, &mut rng_control);
+
+            let mut by_steps = dense.clone();
+            let mut rng = ChaCha8Rng::seed_from_u64(3);
+            let mut opt = Sgd::new(0.02);
+            for _ in 0..3 {
+                let opts = TrainOptions {
+                    epochs: 1,
+                    lr_decay: 1.0,
+                };
+                train(&mut by_steps, &data, opts, &mut opt, &mut rng);
+            }
+            let retrain = TrainOptions {
+                epochs: 2,
+                lr_decay: 1.0,
+            };
+            train(
+                &mut by_steps,
+                &data,
+                retrain,
+                &mut Sgd::new(0.015),
+                &mut rng,
+            );
+            assert_eq!(bits(&mut control.clone()), bits(&mut by_steps), "{cell}");
+
+            let mut compressed = dense.clone();
+            let mut rng_compress = ChaCha8Rng::seed_from_u64(3);
+            let (_, report) =
+                recipe.compress(&mut compressed, &policies(), &data, &mut rng_compress);
+            assert!(!report.converged, "{cell}: the full schedule ran");
+            assert_eq!(
+                rng_control.next_u64(),
+                rng_compress.next_u64(),
+                "{cell}: draw count"
+            );
+            assert_ne!(bits(&mut control.clone()), bits(&mut compressed), "{cell}");
+            assert_ne!(
+                bits(&mut control.clone()),
+                bits(&mut dense.clone()),
+                "{cell}"
+            );
         }
     }
 

@@ -67,6 +67,7 @@ fn main() {
                 },
                 seed: SEED,
                 baseline_per: report.phase1.baseline_per,
+                control_per: None,
                 per: t.per,
                 admm: Some(admm.clone()),
             }

@@ -20,8 +20,10 @@ use std::fmt::Write as _;
 /// trained rows drop wall-clock `wall_s` likewise; 5 = `table3` trains
 /// nothing: it drops `quick` and `rows`, and its design rows'
 /// `per_degradation` becomes `paper_per_degradation` (published values,
-/// `null` for E-RNN).
-pub const BENCH_SCHEMA_VERSION: i64 = 5;
+/// `null` for E-RNN); 6 = `table1` / `table2`'s compressed rows add
+/// `control_per`, and their `degradation` is measured against it
+/// (`per − control_per`) rather than against `baseline_per`.
+pub const BENCH_SCHEMA_VERSION: i64 = 6;
 
 /// A flat JSON object built field by field, rendered in insertion order.
 #[derive(Debug, Default, Clone)]
@@ -199,6 +201,6 @@ mod tests {
     #[test]
     fn bench_header_stamps_the_schema_version() {
         let doc = JsonObject::new().bench_header("sched_sweep").render();
-        assert_eq!(doc, r#"{"bench":"sched_sweep","schema_version":5}"#);
+        assert_eq!(doc, r#"{"bench":"sched_sweep","schema_version":6}"#);
     }
 }

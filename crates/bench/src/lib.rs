@@ -33,6 +33,7 @@ use ernn_model::{BlockPolicy, CellType, ModelSpec};
 use json::{array, JsonObject};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use sweep::SweepArgs;
 
 /// One row of a Table I/II-style model grid.
@@ -56,6 +57,10 @@ pub struct RowResult {
     pub seed: u64,
     /// Test PER (%) of the row's dense baseline.
     pub baseline_per: f64,
+    /// Test PER (%) of the row's equal-budget control
+    /// ([`Recipe::control`]); `None` on baseline rows and on rows trained
+    /// without one.
+    pub control_per: Option<f64>,
     /// Measured test PER (%); the baseline's own on baseline rows.
     pub per: f64,
     /// The ADMM record of a compressed row.
@@ -63,25 +68,30 @@ pub struct RowResult {
 }
 
 impl RowResult {
-    /// PER degradation versus the row's baseline (percentage points);
-    /// zero on baseline rows.
+    /// PER degradation (percentage points) versus the row's control, or
+    /// versus its baseline when it has no control; zero on baseline rows.
     pub fn degradation(&self) -> f64 {
-        self.per - self.baseline_per
+        self.per - self.control_per.unwrap_or(self.baseline_per)
     }
 
     /// The row as a `--json` record, keyed by (cell, layer dims, blocks,
-    /// io blocks, seed). A compressed row adds its ADMM summary and
+    /// io blocks, seed). A row with a control adds `control_per` after
+    /// `baseline_per`. A compressed row adds its ADMM summary and
     /// `admm_trace`: one `{iteration, mean_loss, residual}` per outer
     /// iteration, numbered from 1. No field is wall-clock, so the
     /// record is a pure function of the code and the platform's libm.
     pub fn json(&self) -> JsonObject {
-        let doc = JsonObject::new()
+        let mut doc = JsonObject::new()
             .str("cell", &format!("{:?}", self.row.spec.cell))
             .str("layer_dims", &dims_label(&self.row.spec.layer_dims))
             .str("blocks", &self.row.blocks_label(|p| p.recurrent))
             .str("io_blocks", &self.row.blocks_label(|p| p.input))
             .int("seed", self.seed as i64)
-            .num("baseline_per", self.baseline_per)
+            .num("baseline_per", self.baseline_per);
+        if let Some(control_per) = self.control_per {
+            doc = doc.num("control_per", control_per);
+        }
+        let doc = doc
             .num("per", self.per)
             .num("degradation", self.degradation());
         match &self.admm {
@@ -181,7 +191,10 @@ pub fn model_grid(cell: CellType, corpus: &SynthCorpus) -> Vec<ModelRow> {
 
 /// Runs a whole grid through `recipe`: each baseline row is pre-trained
 /// with an rng seeded `seed` and shared by the compressed rows of its
-/// shape, which run on two worker threads with rngs seeded `seed + id`.
+/// shape. Each compressed row and its [`Recipe::control`] are two jobs,
+/// each with its own rng seeded `seed + id`; two worker threads pull the
+/// jobs from one shared index, largest network first, so no result
+/// depends on which worker ran it.
 ///
 /// # Panics
 ///
@@ -207,55 +220,81 @@ pub fn run_grid(
             row: row.clone(),
             seed,
             baseline_per: per,
+            control_per: None,
             per,
             admm: None,
         });
     }
+    let baseline = |row: &ModelRow| {
+        baselines
+            .iter()
+            .find(|(spec, ..)| *spec == &row.spec)
+            .expect("a baseline row for every shape")
+    };
 
-    // Compressed rows in parallel (2 workers — the host has 2 cores).
-    let jobs: Vec<(usize, &ModelRow)> = rows
-        .iter()
-        .enumerate()
-        .filter(|(_, r)| r.policies.is_some())
+    // (row index, is the control), largest network first and, within a
+    // size, the compressions (which also project) before the controls.
+    let mut jobs: Vec<(usize, bool)> = (0..rows.len())
+        .filter(|&i| rows[i].policies.is_some())
+        .flat_map(|i| [(i, false), (i, true)])
         .collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = jobs
-            .chunks(jobs.len().div_ceil(2).max(1))
-            .map(|chunk| {
-                let (baselines, data) = (&baselines, &data);
-                scope.spawn(move || {
-                    chunk
-                        .iter()
-                        .map(|&(i, row)| {
-                            let (_, baseline, baseline_per) = baselines
-                                .iter()
-                                .find(|(spec, ..)| *spec == &row.spec)
-                                .expect("a baseline row for every shape");
-                            let policies = row.policies.as_ref().expect("compressed row");
-                            let seed = seed.wrapping_add(row.id as u64);
-                            let mut rng = ChaCha8Rng::seed_from_u64(seed);
-                            let (compressed, admm) =
-                                recipe.compress(&mut baseline.clone(), policies, data, &mut rng);
-                            let per = evaluate_per(|f| compressed.forward_logits(f), &corpus.test);
-                            let result = RowResult {
-                                row: row.clone(),
-                                seed,
-                                baseline_per: *baseline_per,
-                                per,
-                                admm: Some(admm),
-                            };
-                            (i, result)
-                        })
+    jobs.sort_by_key(|&(i, control)| {
+        let params = baseline(&rows[i]).1.param_count();
+        (std::cmp::Reverse(params), control)
+    });
+    // The shared index publishes nothing else: the jobs are read-only and
+    // each result comes back through its worker's join.
+    let next = AtomicUsize::new(0);
+    let run = |(i, control): (usize, bool)| {
+        let row = &rows[i];
+        let (_, dense, _) = baseline(row);
+        let mut rng = ChaCha8Rng::seed_from_u64(seed.wrapping_add(row.id as u64));
+        if control {
+            let net = recipe.control(dense, &data, &mut rng);
+            (evaluate_per(|f| net.forward_logits(f), &corpus.test), None)
+        } else {
+            let policies = row.policies.as_ref().expect("compressed row");
+            let (net, admm) = recipe.compress(&mut dense.clone(), policies, &data, &mut rng);
+            (
+                evaluate_per(|f| net.forward_logits(f), &corpus.test),
+                Some(admm),
+            )
+        }
+    };
+    let done: Vec<_> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..2)
+            .map(|_| {
+                scope.spawn(|| {
+                    std::iter::from_fn(|| jobs.get(next.fetch_add(1, Ordering::Relaxed)))
+                        .map(|&job| (job, run(job)))
                         .collect::<Vec<_>>()
                 })
             })
             .collect();
-        for h in handles {
-            for (i, result) in h.join().expect("worker thread") {
-                results[i] = Some(result);
-            }
-        }
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("worker thread"))
+            .collect()
     });
+    let mut control_pers = vec![None; rows.len()];
+    for &((i, control), (per, _)) in &done {
+        if control {
+            control_pers[i] = Some(per);
+        }
+    }
+    for ((i, _), (per, admm)) in done {
+        if let Some(admm) = admm {
+            let row = &rows[i];
+            results[i] = Some(RowResult {
+                row: row.clone(),
+                seed: seed.wrapping_add(row.id as u64),
+                baseline_per: baseline(row).2,
+                control_per: control_pers[i],
+                per,
+                admm: Some(admm),
+            });
+        }
+    }
     results
         .into_iter()
         .map(|r| r.expect("every row ran"))
@@ -266,11 +305,13 @@ pub fn run_grid(
 pub fn render_model_table(title: &str, results: &[RowResult]) -> String {
     let mut out = String::new();
     out.push_str(&format!("{title}\n"));
-    out.push_str("ID  Layer Size   Block Size  Peep  Proj  PER (%)  PER degradation (pp)\n");
+    out.push_str(
+        "ID  Layer Size   Block Size  Peep  Proj  PER (%)  Control (%)  PER degradation (pp)\n",
+    );
     for r in results {
         let spec = &r.row.spec;
         out.push_str(&format!(
-            "{:<3} {:<12} {:<11} {:<5} {:<5} {:<8.2} {}\n",
+            "{:<3} {:<12} {:<11} {:<5} {:<5} {:<8.2} {:<12} {}\n",
             r.row.id,
             dims_label(&spec.layer_dims),
             r.row.blocks_label(|p| p.recurrent),
@@ -279,6 +320,7 @@ pub fn render_model_table(title: &str, results: &[RowResult]) -> String {
                 .map(|p| p.to_string())
                 .unwrap_or_else(|| "n".into()),
             r.per,
+            r.control_per.map_or("-".to_string(), |c| format!("{c:.2}")),
             if r.row.policies.is_none() {
                 "-".to_string()
             } else {
@@ -324,6 +366,54 @@ pub fn run_model_table(cell: CellType, bench: &str, title: &str) -> Vec<RowResul
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Whichever worker pulls a job, its row is what the job computes
+    /// alone: `compress` and `control` on the shared baseline, each with
+    /// an rng seeded `seed + id`, and the degradation is against control.
+    #[test]
+    fn run_grid_rows_are_each_job_run_alone() {
+        let corpus = SynthCorpus::generate(&SynthCorpusConfig::tiny(3));
+        let spec = ModelSpec::new(CellType::Gru, corpus.feature_dim, corpus.num_classes())
+            .layer_dims(&[8]);
+        let rows: Vec<ModelRow> = [None, Some(2), Some(4), Some(8)]
+            .into_iter()
+            .enumerate()
+            .map(|(i, block)| ModelRow {
+                id: i + 1,
+                spec: spec.clone(),
+                policies: block.map(|b| vec![BlockPolicy::uniform(b)]),
+            })
+            .collect();
+        let recipe = Recipe {
+            pretrain_epochs: 1,
+            ..Recipe::quick()
+        };
+        let results = run_grid(rows.clone(), &corpus, &recipe, 5);
+
+        let data = corpus.train_sequences();
+        let dense = recipe.pretrain(&spec, &data, &mut ChaCha8Rng::seed_from_u64(5));
+        let dense_per = evaluate_per(|f| dense.forward_logits(f), &corpus.test);
+        assert_eq!(results[0].per, dense_per);
+        assert_eq!(results[0].control_per, None);
+        for (row, result) in rows.iter().zip(&results).skip(1) {
+            let seed = 5 + row.id as u64;
+            let policies = row.policies.as_ref().unwrap();
+            let (net, admm) = recipe.compress(
+                &mut dense.clone(),
+                policies,
+                &data,
+                &mut ChaCha8Rng::seed_from_u64(seed),
+            );
+            let control = recipe.control(&dense, &data, &mut ChaCha8Rng::seed_from_u64(seed));
+            assert_eq!(result.seed, seed);
+            let per = evaluate_per(|f| net.forward_logits(f), &corpus.test);
+            let control_per = evaluate_per(|f| control.forward_logits(f), &corpus.test);
+            assert_eq!(result.per, per, "row {}", row.id);
+            assert_eq!(result.admm.as_ref(), Some(&admm), "row {}", row.id);
+            assert_eq!(result.control_per, Some(control_per), "row {}", row.id);
+            assert_eq!(result.degradation(), per - control_per);
+        }
+    }
 
     #[test]
     fn model_grid_trains_each_row_once_and_carries_table_iii_blocks() {

@@ -256,29 +256,48 @@ impl BlockCirculantMatrix {
             is_power_of_two(block_size),
             "block size must be a power of two, got {block_size}"
         );
-        let rows = dense.rows();
-        let cols = dense.cols();
-        let p = rows.div_ceil(block_size);
-        let q = cols.div_ceil(block_size);
-        let lb = block_size;
+        let (rows, cols, lb) = (dense.rows(), dense.cols(), block_size);
+        let (p, q) = (rows.div_ceil(lb), cols.div_ceil(lb));
+        // Entry (r, c) of a block lies on diagonal (c − r) mod L_b. One
+        // pass over each block row's rows adds row r to every diagonal
+        // sum at once, so each sum still runs over r = 0.. in order.
         let mut blocks = vec![0.0f32; p * q * lb];
-        for bi in 0..p {
-            for bj in 0..q {
-                let base = (bi * q + bj) * lb;
-                for k in 0..lb {
-                    // Average along the diagonal (r, (r + k) mod L_b),
-                    // counting only entries inside the logical matrix.
-                    let mut sum = 0.0f32;
-                    let mut count = 0usize;
-                    for r in 0..lb {
-                        let rr = bi * lb + r;
-                        let cc = bj * lb + (r + k) % lb;
-                        if rr < rows && cc < cols {
-                            sum += dense.get(rr, cc);
-                            count += 1;
-                        }
+        let ragged = cols % lb;
+        for (bi, sums) in blocks.chunks_exact_mut(q * lb).enumerate() {
+            let height = lb.min(rows - bi * lb);
+            for r in 0..height {
+                let row = dense.row(bi * lb + r);
+                let mut rest = sums.chunks_exact_mut(lb);
+                for (x, sum) in row.chunks_exact(lb).zip(&mut rest) {
+                    // Columns r.. are diagonals 0..L_b − r, columns ..r
+                    // the rest.
+                    let (wrapped, straight) = x.split_at(r);
+                    let (head, tail) = sum.split_at_mut(lb - r);
+                    for (s, v) in head.iter_mut().zip(straight) {
+                        *s += v;
                     }
-                    blocks[base + k] = if count > 0 { sum / count as f32 } else { 0.0 };
+                    for (s, v) in tail.iter_mut().zip(wrapped) {
+                        *s += v;
+                    }
+                }
+                if ragged > 0 {
+                    let sum = rest.next().expect("the ragged block column");
+                    for (c, v) in row[cols - ragged..].iter().enumerate() {
+                        sum[(c + lb - r) % lb] += v;
+                    }
+                }
+            }
+            // The mean over each diagonal's in-bounds entries: all L_b of
+            // them in an interior block, fewer in an edge block.
+            for (bj, sum) in sums.chunks_exact_mut(lb).enumerate() {
+                let width = lb.min(cols - bj * lb);
+                for (k, s) in sum.iter_mut().enumerate() {
+                    let count = if height == lb && width == lb {
+                        lb
+                    } else {
+                        (0..height).filter(|r| (r + k) % lb < width).count()
+                    };
+                    *s = if count > 0 { *s / count as f32 } else { 0.0 };
                 }
             }
         }
@@ -1004,6 +1023,38 @@ pub(crate) mod tests {
         pub(super) static SPLIT_CALLS: Cell<u64> = const { Cell::new(0) };
     }
 
+    /// The diagonal walk `project_dense` replaced: per block and
+    /// diagonal, a bounds-checked mean over `r = 0..L_b` in order.
+    fn project_dense_per_diagonal(dense: &Matrix, block_size: usize) -> BlockCirculantMatrix {
+        let rows = dense.rows();
+        let cols = dense.cols();
+        let p = rows.div_ceil(block_size);
+        let q = cols.div_ceil(block_size);
+        let lb = block_size;
+        let mut blocks = vec![0.0f32; p * q * lb];
+        for bi in 0..p {
+            for bj in 0..q {
+                let base = (bi * q + bj) * lb;
+                for k in 0..lb {
+                    // Average along the diagonal (r, (r + k) mod L_b),
+                    // counting only entries inside the logical matrix.
+                    let mut sum = 0.0f32;
+                    let mut count = 0usize;
+                    for r in 0..lb {
+                        let rr = bi * lb + r;
+                        let cc = bj * lb + (r + k) % lb;
+                        if rr < rows && cc < cols {
+                            sum += dense.get(rr, cc);
+                            count += 1;
+                        }
+                    }
+                    blocks[base + k] = if count > 0 { sum / count as f32 } else { 0.0 };
+                }
+            }
+        }
+        BlockCirculantMatrix::from_blocks(rows, cols, block_size, blocks)
+    }
+
     fn random_bc(
         rows: usize,
         cols: usize,
@@ -1472,6 +1523,26 @@ pub(crate) mod tests {
                 });
             }
         });
+    }
+
+    proptest! {
+        #[test]
+        fn one_pass_projection_is_bitwise_the_diagonal_walk(
+            rows in 1usize..70,
+            cols in 1usize..70,
+            lb in 0usize..5,
+            seed in any::<u64>(),
+        ) {
+            // Ragged shapes on every L_b: interior and edge blocks, and
+            // matrices narrower or shorter than one block.
+            let lb = [1, 2, 4, 8, 16][lb];
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let dense = Matrix::from_fn(rows, cols, |_, _| rng.gen_range(-3.0f32..3.0));
+            let got = BlockCirculantMatrix::project_dense(&dense, lb);
+            let want = project_dense_per_diagonal(&dense, lb);
+            let bits = |m: &BlockCirculantMatrix| m.blocks.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&got), bits(&want));
+        }
     }
 
     proptest! {

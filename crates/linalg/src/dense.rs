@@ -76,9 +76,15 @@ impl Matrix {
     /// Xavier/Glorot-uniform initialization: `U(-a, a)` with
     /// `a = sqrt(6 / (rows + cols))`, the standard choice for tanh/sigmoid
     /// RNNs.
+    ///
+    /// The entries are drawn in row-major order by one
+    /// [`RngCore::fill_f32_range`](rand::RngCore::fill_f32_range), which
+    /// draws what one `gen_range(-a..a)` per entry would.
     pub fn xavier(rows: usize, cols: usize, rng: &mut impl Rng) -> Self {
         let a = (6.0 / (rows + cols) as f32).sqrt();
-        Matrix::from_fn(rows, cols, |_, _| rng.gen_range(-a..a))
+        let mut m = Matrix::zeros(rows, cols);
+        rng.fill_f32_range(&mut m.data, -a, a);
+        m
     }
 
     /// Number of rows.
@@ -425,6 +431,30 @@ mod tests {
     fn frobenius_norm_of_identity_like() {
         let m = Matrix::from_rows(&[&[3.0, 0.0], &[0.0, 4.0]]);
         assert!((m.frobenius_norm() - 5.0).abs() < 1e-6);
+    }
+
+    /// The per-entry loop `xavier` replaced: one `gen_range` per entry,
+    /// row-major.
+    fn xavier_per_draw(rows: usize, cols: usize, rng: &mut impl Rng) -> Matrix {
+        let a = (6.0 / (rows + cols) as f32).sqrt();
+        Matrix::from_fn(rows, cols, |_, _| rng.gen_range(-a..a))
+    }
+
+    #[test]
+    fn xavier_draws_what_the_per_entry_loop_draws() {
+        use rand::RngCore;
+        // Both sides of the bulk fill's two-thread threshold, after an
+        // odd number of words.
+        for (rows, cols) in [(3, 5), (64, 153), (512, 1024)] {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(11);
+            rng.next_u32();
+            let mut oracle = rng.clone();
+            let m = Matrix::xavier(rows, cols, &mut rng);
+            let want = xavier_per_draw(rows, cols, &mut oracle);
+            let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&m), bits(&want), "{rows}x{cols}");
+            assert_eq!(rng.next_u64(), oracle.next_u64(), "{rows}x{cols}");
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! [`SchedRuntime::run_closed_loop`](crate::sched::SchedRuntime::run_closed_loop).
 
 use crate::request::Request;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 /// Shape of an open-loop streaming-session load: how sessions start, how
@@ -183,7 +183,11 @@ pub fn synthetic_utterances(
         .map(|_| {
             let len = rng.gen_range(frames.0..=frames.1);
             (0..len)
-                .map(|_| (0..dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect())
+                .map(|_| {
+                    let mut frame = vec![0.0; dim];
+                    rng.fill_f32_range(&mut frame, -1.0, 1.0);
+                    frame
+                })
                 .collect()
         })
         .collect()
