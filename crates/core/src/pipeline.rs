@@ -42,9 +42,14 @@ use ernn_fpga::artifact::{
 use ernn_fpga::exec::DatapathConfig;
 use ernn_fpga::Device;
 use ernn_model::trainer::Sequence;
-use ernn_model::{compress_network, BlockPolicy, Matrix, ModelSpec, RnnNetwork, WeightMatrix};
+use ernn_model::{
+    compress_network, BlockCirculantMatrix, BlockPolicy, Matrix, ModelSpec, RnnNetwork,
+    WeightMatrix,
+};
 use ernn_serve::CompiledModel;
 use rand::Rng;
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 pub use ernn_fpga::artifact::PipelineError;
 
@@ -167,13 +172,38 @@ impl SpecStage {
     /// Instantiates the spec with seeded random weights and **no**
     /// training — the serving-bench path, where random weights exercise
     /// exactly the same downstream lifecycle as trained ones.
-    pub fn init(self, rng: &mut impl Rng) -> TrainedStage {
-        let net = self.spec.build(rng);
+    ///
+    /// Each weight matrix is drawn straight into its block-circulant form
+    /// under the pipeline's block policy, in runs of whole block rows
+    /// ([`BlockCirculantMatrix::project_xavier`]), so no dense network
+    /// exists: [`TrainedStage::project`] returns, bit for bit,
+    /// `compress_network(&spec.build(rng), policy)`, and `rng` advances
+    /// exactly as [`ModelSpec::build`] advances it. The stage keeps a
+    /// copy of `rng` from before the draws, from which
+    /// [`TrainedStage::network`] and [`TrainedStage::compress`] draw the
+    /// dense network when they need it. Under a policy `project` rejects,
+    /// nothing is projected and the dense network is drawn here.
+    pub fn init<R: Rng + Clone + Send + Sync + 'static>(self, rng: &mut R) -> TrainedStage {
+        let block = self.settings.block;
+        let weights = if validate_policy(&block).is_ok() {
+            let seed = rng.clone();
+            let projected = self.spec.build_with(rng, |role, rows, cols, rng| {
+                seeded_matrix(rows, cols, block.for_role(role), rng)
+            });
+            let spec = self.spec.clone();
+            Weights::Seeded {
+                projected,
+                dense: OnceLock::new(),
+                redraw: Redraw(Arc::new(move || spec.build(&mut seed.clone()))),
+            }
+        } else {
+            Weights::Dense(self.spec.build(rng))
+        };
         TrainedStage {
             spec: self.spec,
             settings: self.settings,
             provenance: self.provenance,
-            net,
+            weights,
         }
     }
 
@@ -192,7 +222,7 @@ impl SpecStage {
             spec: self.spec,
             settings: self.settings,
             provenance: self.provenance,
-            net,
+            weights: Weights::Dense(net),
         })
     }
 
@@ -215,19 +245,76 @@ impl SpecStage {
     }
 }
 
-/// Stage 1 complete: a dense network exists (trained or initialized).
+/// `compress_network`'s image of one [`Matrix::xavier`] draw under
+/// `block`: dense at block 1, else projected without the dense matrix.
+fn seeded_matrix(rows: usize, cols: usize, block: usize, rng: &mut impl Rng) -> WeightMatrix {
+    if block <= 1 {
+        WeightMatrix::Dense(Matrix::xavier(rows, cols, rng))
+    } else {
+        WeightMatrix::Circulant(BlockCirculantMatrix::project_xavier(rows, cols, block, rng))
+    }
+}
+
+/// Stage 1 complete: the network has its weights, trained or seeded.
+///
+/// A trained stage ([`SpecStage::train`]) holds its dense network. A
+/// seeded one ([`SpecStage::init`]) holds the network already projected
+/// under the pipeline's block policy; its dense network exists only once
+/// [`Self::network`] or [`Self::compress`] has asked for it.
 #[derive(Debug, Clone)]
 pub struct TrainedStage {
     spec: ModelSpec,
     settings: PipelineSettings,
     provenance: Provenance,
-    net: RnnNetwork<Matrix>,
+    weights: Weights,
+}
+
+/// A [`TrainedStage`]'s weights.
+#[derive(Debug, Clone)]
+enum Weights {
+    /// Trained, or seeded under a block policy `project` rejects.
+    Dense(RnnNetwork<Matrix>),
+    /// Seeded and projected as drawn.
+    Seeded {
+        /// `compress_network(&dense, policy)`, bit for bit.
+        projected: RnnNetwork<WeightMatrix>,
+        /// The dense network, once something has asked for it.
+        dense: OnceLock<RnnNetwork<Matrix>>,
+        /// Draws the dense network from a copy of the seed `rng`.
+        redraw: Redraw,
+    },
+}
+
+impl Weights {
+    fn into_dense(self) -> RnnNetwork<Matrix> {
+        match self {
+            Weights::Dense(net) => net,
+            Weights::Seeded { dense, redraw, .. } => {
+                dense.into_inner().unwrap_or_else(|| redraw.0())
+            }
+        }
+    }
+}
+
+/// `spec.build` from the rng [`SpecStage::init`] was given, as it was
+/// before the draws.
+#[derive(Clone)]
+struct Redraw(Arc<dyn Fn() -> RnnNetwork<Matrix> + Send + Sync>);
+
+impl fmt::Debug for Redraw {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("Redraw")
+    }
 }
 
 impl TrainedStage {
-    /// The dense network at this stage.
+    /// The dense network at this stage. A seeded stage draws it on the
+    /// first call, from its copy of the seed rng, and keeps it.
     pub fn network(&self) -> &RnnNetwork<Matrix> {
-        &self.net
+        match &self.weights {
+            Weights::Dense(net) => net,
+            Weights::Seeded { dense, redraw, .. } => dense.get_or_init(|| redraw.0()),
+        }
     }
 
     /// Compresses with the rest of Fig. 6 ([`Recipe::compress`]: ADMM
@@ -236,15 +323,16 @@ impl TrainedStage {
     /// provenance. Malformed data is a
     /// [`PipelineError::InvalidTrainingData`].
     pub fn compress(
-        mut self,
+        self,
         data: &[Sequence],
         recipe: &Recipe,
         rng: &mut impl Rng,
     ) -> Result<CompressedStage, PipelineError> {
         validate_policy(&self.settings.block)?;
         validate_data(&self.spec, data)?;
-        let policies = vec![self.settings.block; self.net.num_layers()];
-        let (net, report) = recipe.compress(&mut self.net, &policies, data, rng);
+        let mut dense = self.weights.into_dense();
+        let policies = vec![self.settings.block; dense.num_layers()];
+        let (net, report) = recipe.compress(&mut dense, &policies, data, rng);
         let stage = CompressedStage {
             spec: self.spec,
             settings: self.settings,
@@ -256,10 +344,14 @@ impl TrainedStage {
 
     /// Projects directly onto the block-circulant manifold **without**
     /// ADMM training — lossy on trained weights (run [`Self::compress`]
-    /// for those); exact for the random-weight bench path.
+    /// for those); exact for the random-weight bench path, whose seeded
+    /// stage was projected as it was drawn.
     pub fn project(self) -> Result<CompressedStage, PipelineError> {
         validate_policy(&self.settings.block)?;
-        let net = compress_network(&self.net, self.settings.block);
+        let net = match self.weights {
+            Weights::Dense(net) => compress_network(&net, self.settings.block),
+            Weights::Seeded { projected, .. } => projected,
+        };
         Ok(CompressedStage {
             spec: self.spec,
             settings: self.settings,
@@ -401,6 +493,7 @@ mod tests {
     use ernn_admm::AdmmConfig;
     use ernn_model::{CellType, ModelSpec};
     use ernn_serve::sched::{ModelRegistry, SchedPolicy, SchedRuntime};
+    use proptest::prelude::*;
     use rand::SeedableRng;
 
     fn toy_data(n: usize, len: usize, seed: u64) -> Vec<Sequence> {
@@ -446,6 +539,95 @@ mod tests {
         assert_eq!(out.model().infer(&frames), by_hand.infer(&frames));
         assert_eq!(out.model().stage_cycles(), by_hand.stage_cycles());
         assert_eq!(out.model().spec(), by_hand.spec());
+    }
+
+    /// Each weight matrix's block size and stored parameters, as bits.
+    fn weight_bits(net: &RnnNetwork<WeightMatrix>) -> Vec<(usize, Vec<u32>)> {
+        let weights = net.weight_matrices().into_iter().map(|(_, _, w)| {
+            let params = match w {
+                WeightMatrix::Dense(m) => m.as_slice(),
+                WeightMatrix::Circulant(c) => c.blocks(),
+            };
+            (w.block_size(), params.iter().map(|x| x.to_bits()).collect())
+        });
+        let head = net.classifier_w.as_slice().iter().map(|x| x.to_bits());
+        weights.chain([(1, head.collect())]).collect()
+    }
+
+    /// Seeds `spec` under `policy` after `skip` words, and holds the
+    /// seeded stage to the dense path from a twin of the rng: the
+    /// projection bit for bit, the dense network, and the rng after.
+    fn assert_seeded_is_the_dense_path(
+        spec: &ModelSpec,
+        policy: BlockPolicy,
+        seed: u64,
+        skip: usize,
+    ) {
+        use rand::RngCore;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        for _ in 0..skip {
+            rng.next_u32();
+        }
+        let mut twin = rng.clone();
+        let stage = Pipeline::paper(spec.clone())
+            .expect("valid spec")
+            .block_policy(policy)
+            .init(&mut rng);
+        let dense = spec.build(&mut twin);
+        let want = compress_network(&dense, policy);
+        let got = stage.clone().project().expect("valid policy");
+        let case = format!("{spec:?} {policy:?} seed {seed}");
+        assert_eq!(weight_bits(got.network()), weight_bits(&want), "{case}");
+        assert_eq!(got.network(), &want, "{case}");
+        for _ in 0..40 {
+            assert_eq!(rng.next_u32(), twin.next_u32(), "{case}");
+        }
+        assert_eq!(stage.network(), &dense, "{case}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn a_seeded_stage_is_the_projected_dense_build_bit_for_bit(
+            cell in 0usize..5,
+            dims in collection::vec(0usize..3, 3..5),
+            seed in any::<u64>(),
+            skip in 0usize..3,
+        ) {
+            // Ragged widths (input, classes, then one or two layers) on
+            // every cell shape and policy, starting on and off a keystream
+            // block boundary.
+            let width = |i: usize| [13, 61, 153][dims[i]];
+            let layers: Vec<usize> = (2..dims.len()).map(width).collect();
+            let spec = ModelSpec::new(CellType::Lstm, width(0), width(1)).layer_dims(&layers);
+            let spec = match cell {
+                0 => ModelSpec { cell: CellType::Gru, ..spec },
+                1 => spec,
+                2 => spec.peephole(true),
+                3 => spec.projection(width(0)),
+                _ => spec.peephole(true).projection(width(0)),
+            };
+            let policies = [1, 2, 4, 8, 16].map(BlockPolicy::uniform);
+            for policy in policies.into_iter().chain([BlockPolicy::with_io_block(4, 8)]) {
+                assert_seeded_is_the_dense_path(&spec, policy, seed, skip);
+            }
+        }
+    }
+
+    #[test]
+    fn a_seeded_stage_draws_across_run_boundaries_bit_for_bit() {
+        // At L_b = 8 a 1024-wide matrix is drawn 256 rows at a time and a
+        // 384-wide one 680 rows at a time, so this GRU's `wzr_x`
+        // (768 × 1024) is three whole runs, `wcx` (384 × 1024) ends
+        // mid-run after a boundary inside it, and so does `wzr_c`
+        // (768 × 384).
+        let run_rows = |cols: usize| ernn_linalg::DRAW_CHUNK / (8 * cols) * 8;
+        assert_eq!((run_rows(1024), run_rows(384)), (256, 680));
+        let spec = ModelSpec::new(CellType::Gru, 1024, 40).layer_dims(&[384]);
+        for policy in [BlockPolicy::uniform(8), BlockPolicy::with_io_block(4, 8)] {
+            assert_seeded_is_the_dense_path(&spec, policy, 2019, 1);
+        }
     }
 
     #[test]

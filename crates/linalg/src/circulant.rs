@@ -81,12 +81,14 @@
 //! records the measured ways a lane loop silently falls back to scalar
 //! code, and what AVX2 costs to wake.
 
+use crate::dense::xavier_bound;
 use crate::helper::{Claim, Helper, HelperJob, SplitStats};
 use crate::lanes::{
     lane_tile, lane_tiles, lanes, lanes_mut, padded_lanes, with_lane_width, LaneTile, TILE,
 };
 use crate::{MatVec, MatVecScratch, Matrix};
 use ernn_fft::{is_power_of_two, stats, Complex32, RealFft};
+use rand::Rng;
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
@@ -94,6 +96,14 @@ use std::sync::{Arc, OnceLock};
 /// two tiles hands the upper half of them to the helper thread (see the
 /// crate docs, "Two cores").
 pub const SPLIT_MIN_WORK: usize = 8192;
+
+/// The most entries [`BlockCirculantMatrix::project_xavier`] holds drawn
+/// at once, 1 MiB of `f32`, unless one block row is longer. A matrix's
+/// runs of whole block rows, all but its last, are at least half of this:
+/// ≥ 16 384 ChaCha8 blocks, so their bulk fills split across two cores
+/// (from 2 048 blocks) and pay the split's thread spawn a few times per
+/// matrix, not a few dozen (GRU-1024 draws in 15 runs; 56 at 2¹⁶).
+pub const DRAW_CHUNK: usize = 1 << 18;
 
 /// Tiles delegated to the tile helper, with everything it needs to run
 /// them.
@@ -257,48 +267,51 @@ impl BlockCirculantMatrix {
             "block size must be a power of two, got {block_size}"
         );
         let (rows, cols, lb) = (dense.rows(), dense.cols(), block_size);
-        let (p, q) = (rows.div_ceil(lb), cols.div_ceil(lb));
-        // Entry (r, c) of a block lies on diagonal (c − r) mod L_b. One
-        // pass over each block row's rows adds row r to every diagonal
-        // sum at once, so each sum still runs over r = 0.. in order.
-        let mut blocks = vec![0.0f32; p * q * lb];
-        let ragged = cols % lb;
-        for (bi, sums) in blocks.chunks_exact_mut(q * lb).enumerate() {
-            let height = lb.min(rows - bi * lb);
-            for r in 0..height {
-                let row = dense.row(bi * lb + r);
-                let mut rest = sums.chunks_exact_mut(lb);
-                for (x, sum) in row.chunks_exact(lb).zip(&mut rest) {
-                    // Columns r.. are diagonals 0..L_b − r, columns ..r
-                    // the rest.
-                    let (wrapped, straight) = x.split_at(r);
-                    let (head, tail) = sum.split_at_mut(lb - r);
-                    for (s, v) in head.iter_mut().zip(straight) {
-                        *s += v;
-                    }
-                    for (s, v) in tail.iter_mut().zip(wrapped) {
-                        *s += v;
-                    }
-                }
-                if ragged > 0 {
-                    let sum = rest.next().expect("the ragged block column");
-                    for (c, v) in row[cols - ragged..].iter().enumerate() {
-                        sum[(c + lb - r) % lb] += v;
-                    }
-                }
-            }
-            // The mean over each diagonal's in-bounds entries: all L_b of
-            // them in an interior block, fewer in an edge block.
-            for (bj, sum) in sums.chunks_exact_mut(lb).enumerate() {
-                let width = lb.min(cols - bj * lb);
-                for (k, s) in sum.iter_mut().enumerate() {
-                    let count = if height == lb && width == lb {
-                        lb
-                    } else {
-                        (0..height).filter(|r| (r + k) % lb < width).count()
-                    };
-                    *s = if count > 0 { *s / count as f32 } else { 0.0 };
-                }
+        let q = cols.div_ceil(lb);
+        let mut blocks = vec![0.0f32; rows.div_ceil(lb) * q * lb];
+        let block_rows = dense.as_slice().chunks((lb * cols).max(1));
+        for (dense, sums) in block_rows.zip(blocks.chunks_exact_mut(q * lb)) {
+            project_block_row(dense, cols, lb, sums);
+        }
+        BlockCirculantMatrix::from_blocks(rows, cols, block_size, blocks)
+    }
+
+    /// [`Self::project_dense`] of [`Matrix::xavier`]`(rows, cols, rng)`,
+    /// bit for bit and draw for draw, without the dense matrix: the
+    /// entries are drawn a run of whole block rows at a time, at most
+    /// [`DRAW_CHUNK`] entries (at least one block row), and each run is
+    /// projected as soon as it is drawn.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block_size` is not a power of two or a dimension is
+    /// zero.
+    pub fn project_xavier(rows: usize, cols: usize, block_size: usize, rng: &mut impl Rng) -> Self {
+        let run = (DRAW_CHUNK / (block_size * cols).max(1)).max(1);
+        Self::project_xavier_in_runs(rows, cols, block_size, run, rng)
+    }
+
+    /// [`Self::project_xavier`], drawing `run` block rows at a time.
+    fn project_xavier_in_runs(
+        rows: usize,
+        cols: usize,
+        block_size: usize,
+        run: usize,
+        rng: &mut impl Rng,
+    ) -> Self {
+        assert!(
+            is_power_of_two(block_size),
+            "block size must be a power of two, got {block_size}"
+        );
+        let (lb, a) = (block_size, xavier_bound(rows, cols));
+        let q = cols.div_ceil(lb);
+        let mut blocks = vec![0.0f32; rows.div_ceil(lb) * q * lb];
+        let mut drawn = vec![0.0f32; rows.min(run * lb) * cols];
+        for (i, sums) in blocks.chunks_mut(run * q * lb).enumerate() {
+            let dense = &mut drawn[..(rows - i * run * lb).min(run * lb) * cols];
+            rng.fill_f32_range(dense, -a, a);
+            for (dense, sums) in dense.chunks(lb * cols).zip(sums.chunks_exact_mut(q * lb)) {
+                project_block_row(dense, cols, lb, sums);
             }
         }
         BlockCirculantMatrix::from_blocks(rows, cols, block_size, blocks)
@@ -911,6 +924,51 @@ impl BlockCirculantMatrix {
             .zip(dense.as_slice())
             .map(|(a, b)| (a - b) * (a - b))
             .sum()
+    }
+}
+
+/// Eqn. 6 for one block row: `dense` holds its rows (`L_b` of them,
+/// fewer in the last block row), `cols` wide, and `sums` (`q·L_b`
+/// zeros) receives its defining vectors.
+///
+/// Entry (r, c) of a block lies on diagonal (c − r) mod L_b. One pass
+/// over the rows adds row r to every diagonal sum at once, so each sum
+/// still runs over r = 0.. in order.
+fn project_block_row(dense: &[f32], cols: usize, lb: usize, sums: &mut [f32]) {
+    let height = dense.len() / cols;
+    let ragged = cols % lb;
+    for (r, row) in dense.chunks_exact(cols).enumerate() {
+        let mut rest = sums.chunks_exact_mut(lb);
+        for (x, sum) in row.chunks_exact(lb).zip(&mut rest) {
+            // Columns r.. are diagonals 0..L_b − r, columns ..r the rest.
+            let (wrapped, straight) = x.split_at(r);
+            let (head, tail) = sum.split_at_mut(lb - r);
+            for (s, v) in head.iter_mut().zip(straight) {
+                *s += v;
+            }
+            for (s, v) in tail.iter_mut().zip(wrapped) {
+                *s += v;
+            }
+        }
+        if ragged > 0 {
+            let sum = rest.next().expect("the ragged block column");
+            for (c, v) in row[cols - ragged..].iter().enumerate() {
+                sum[(c + lb - r) % lb] += v;
+            }
+        }
+    }
+    // The mean over each diagonal's in-bounds entries: all L_b of them in
+    // an interior block, fewer in an edge block.
+    for (bj, sum) in sums.chunks_exact_mut(lb).enumerate() {
+        let width = lb.min(cols - bj * lb);
+        for (k, s) in sum.iter_mut().enumerate() {
+            let count = if height == lb && width == lb {
+                lb
+            } else {
+                (0..height).filter(|r| (r + k) % lb < width).count()
+            };
+            *s = if count > 0 { *s / count as f32 } else { 0.0 };
+        }
     }
 }
 
@@ -1542,6 +1600,37 @@ pub(crate) mod tests {
             let want = project_dense_per_diagonal(&dense, lb);
             let bits = |m: &BlockCirculantMatrix| m.blocks.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             prop_assert_eq!(bits(&got), bits(&want));
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn drawn_runs_project_to_the_projected_xavier_draw(
+            rows in 1usize..70,
+            cols in 1usize..70,
+            lb in 0usize..5,
+            run in 0usize..4,
+            skip in 0usize..3,
+            seed in any::<u64>(),
+        ) {
+            // Runs of one block row, of two, of as many as the matrix has
+            // (a boundary at its end only) and of more; after 0–2 words so
+            // that a run may start mid keystream block.
+            use rand::RngCore;
+            let lb = [1, 2, 4, 8, 16][lb];
+            let p = rows.div_ceil(lb);
+            let run = [1, 2, p, p + 1][run];
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            for _ in 0..skip {
+                rng.next_u32();
+            }
+            let mut twin = rng.clone();
+            let got = BlockCirculantMatrix::project_xavier_in_runs(rows, cols, lb, run, &mut rng);
+            let want = BlockCirculantMatrix::project_dense(&Matrix::xavier(rows, cols, &mut twin), lb);
+            prop_assert_eq!(bits(&got.blocks), bits(&want.blocks));
+            for _ in 0..40 {
+                prop_assert_eq!(rng.next_u32(), twin.next_u32());
+            }
         }
     }
 

@@ -81,7 +81,7 @@ impl Matrix {
     /// [`RngCore::fill_f32_range`](rand::RngCore::fill_f32_range), which
     /// draws what one `gen_range(-a..a)` per entry would.
     pub fn xavier(rows: usize, cols: usize, rng: &mut impl Rng) -> Self {
-        let a = (6.0 / (rows + cols) as f32).sqrt();
+        let a = xavier_bound(rows, cols);
         let mut m = Matrix::zeros(rows, cols);
         rng.fill_f32_range(&mut m.data, -a, a);
         m
@@ -264,6 +264,11 @@ impl Matrix {
     pub fn max_abs(&self) -> f32 {
         self.data.iter().fold(0.0f32, |m, a| m.max(a.abs()))
     }
+}
+
+/// The `a` of [`Matrix::xavier`]'s `U(-a, a)`: `sqrt(6 / (rows + cols))`.
+pub(crate) fn xavier_bound(rows: usize, cols: usize) -> f32 {
+    (6.0 / (rows + cols) as f32).sqrt()
 }
 
 impl fmt::Display for Matrix {

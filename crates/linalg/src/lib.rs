@@ -166,7 +166,9 @@ pub mod ops;
 mod scratch;
 mod weight;
 
-pub use circulant::{claim_tiles, split_stats, BlockCirculantMatrix, TileClaim, SPLIT_MIN_WORK};
+pub use circulant::{
+    claim_tiles, split_stats, BlockCirculantMatrix, TileClaim, DRAW_CHUNK, SPLIT_MIN_WORK,
+};
 pub use dense::{LanePanel, Matrix};
 pub use helper::{Claim, Done, Helper, HelperJob, SplitStats, HELPER_SPIN};
 pub use lanes::lane_isa;

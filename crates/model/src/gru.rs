@@ -336,6 +336,34 @@ impl<M: MatVec> GruLayer<M> {
             }
         }
     }
+
+    /// A fresh layer whose weight matrices `weight(role, rows, cols, rng)`
+    /// makes, in the order every seeded model depends on: `wzr_x`,
+    /// `wzr_c`, `wcx`, `wcc`. Every bias is 0.
+    pub(crate) fn new_with<R: Rng>(
+        input_dim: usize,
+        hidden_dim: usize,
+        rng: &mut R,
+        mut weight: impl FnMut(WeightRole, usize, usize, &mut R) -> M,
+    ) -> Self {
+        let h = hidden_dim;
+        let wzr_x = weight(WeightRole::Input, 2 * h, input_dim, rng);
+        let wzr_c = weight(WeightRole::Recurrent, 2 * h, h, rng);
+        let wcx = weight(WeightRole::Input, h, input_dim, rng);
+        let wcc = weight(WeightRole::Recurrent, h, h, rng);
+        let (bias_zr, bias_c) = (vec![0.0; 2 * h], vec![0.0; h]);
+        GruLayer::from_parts(
+            input_dim,
+            h,
+            Act::Tanh,
+            wzr_x,
+            wzr_c,
+            bias_zr,
+            wcx,
+            wcc,
+            bias_c,
+        )
+    }
 }
 
 impl GruLayer<WeightMatrix> {
@@ -352,17 +380,9 @@ impl GruLayer<WeightMatrix> {
 impl GruLayer<Matrix> {
     /// Creates a dense GRU layer with Xavier-initialized weights.
     pub fn new_dense(input_dim: usize, hidden_dim: usize, rng: &mut impl Rng) -> Self {
-        GruLayer {
-            input_dim,
-            hidden_dim,
-            candidate_activation: Act::Tanh,
-            wzr_x: Matrix::xavier(2 * hidden_dim, input_dim, rng),
-            wzr_c: Matrix::xavier(2 * hidden_dim, hidden_dim, rng),
-            bias_zr: vec![0.0; 2 * hidden_dim],
-            wcx: Matrix::xavier(hidden_dim, input_dim, rng),
-            wcc: Matrix::xavier(hidden_dim, hidden_dim, rng),
-            bias_c: vec![0.0; hidden_dim],
-        }
+        Self::new_with(input_dim, hidden_dim, rng, |_, rows, cols, rng| {
+            Matrix::xavier(rows, cols, rng)
+        })
     }
 
     /// Backpropagation through time over `tape`; see

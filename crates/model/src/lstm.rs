@@ -322,12 +322,16 @@ impl<M: MatVec> LstmLayer<M> {
             None => y_next.copy_from_slice(m),
         }
     }
-}
 
-impl LstmLayer<Matrix> {
-    /// Creates a dense layer with Xavier-initialized weights and the forget
-    /// gate bias set to 1 (standard practice for gradient flow).
-    pub fn new_dense(cfg: LstmConfig, rng: &mut impl Rng) -> Self {
+    /// A fresh layer whose weight matrices `weight(role, rows, cols, rng)`
+    /// makes, drawn in the order every seeded model depends on: the
+    /// peepholes, then `wym`, `wx` and `wr`. The forget gate bias is 1
+    /// (standard practice for gradient flow), every other bias 0.
+    pub(crate) fn new_with<R: Rng>(
+        cfg: LstmConfig,
+        rng: &mut R,
+        mut weight: impl FnMut(WeightRole, usize, usize, &mut R) -> M,
+    ) -> Self {
         let h = cfg.hidden_dim;
         let mut bias = vec![0.0; 4 * h];
         bias[h..2 * h].iter_mut().for_each(|b| *b = 1.0);
@@ -340,15 +344,20 @@ impl LstmLayer<Matrix> {
         });
         let wym = cfg
             .has_projection()
-            .then(|| Matrix::xavier(cfg.output_dim, h, rng));
-        LstmLayer {
-            cfg,
-            wx: Matrix::xavier(4 * h, cfg.input_dim, rng),
-            wr: Matrix::xavier(4 * h, cfg.output_dim, rng),
-            bias,
-            peepholes,
-            wym,
-        }
+            .then(|| weight(WeightRole::Output, cfg.output_dim, h, rng));
+        let wx = weight(WeightRole::Input, 4 * h, cfg.input_dim, rng);
+        let wr = weight(WeightRole::Recurrent, 4 * h, cfg.output_dim, rng);
+        LstmLayer::from_parts(cfg, wx, wr, bias, peepholes, wym)
+    }
+}
+
+impl LstmLayer<Matrix> {
+    /// Creates a dense layer with Xavier-initialized weights and the forget
+    /// gate bias set to 1 (standard practice for gradient flow).
+    pub fn new_dense(cfg: LstmConfig, rng: &mut impl Rng) -> Self {
+        Self::new_with(cfg, rng, |_, rows, cols, rng| {
+            Matrix::xavier(rows, cols, rng)
+        })
     }
 
     /// Backpropagation through time over `tape`, what

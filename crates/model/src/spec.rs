@@ -8,7 +8,7 @@
 //! a serialized artifact as provenance of the deployed shape.
 
 use crate::layer::RnnLayer;
-use crate::network::{CellType, RnnNetwork};
+use crate::network::{CellType, RnnNetwork, WeightRole};
 use crate::{Act, GruLayer, LstmConfig, LstmLayer};
 use ernn_linalg::{MatVec, Matrix};
 use rand::Rng;
@@ -104,8 +104,8 @@ impl ModelSpec {
     }
 
     /// Instantiates the dense network with seeded random initialization:
-    /// one Xavier draw per weight tensor, layer by layer, then the
-    /// classifier.
+    /// [`Self::build_with`] with one [`Matrix::xavier`] draw per weight
+    /// matrix.
     ///
     /// ```
     /// use ernn_model::{CellType, ModelSpec};
@@ -123,6 +123,25 @@ impl ModelSpec {
     ///
     /// Panics if the spec is invalid (see [`Self::validate`]).
     pub fn build(&self, rng: &mut impl Rng) -> RnnNetwork<Matrix> {
+        self.build_with(rng, |_, rows, cols, rng| Matrix::xavier(rows, cols, rng))
+    }
+
+    /// Instantiates the network with seeded random initialization, each
+    /// weight matrix made by `weight(role, rows, cols, rng)`: layer by
+    /// layer (an LSTM layer draws its peepholes, then `wym`, `wx`, `wr`; a
+    /// GRU layer `wzr_x`, `wzr_c`, `wcx`, `wcc`), then the classifier, one
+    /// [`Matrix::xavier`] draw. This is the one definition of the order in
+    /// which a seeded model draws from `rng`: a `weight` that draws what
+    /// `Matrix::xavier` draws leaves `rng` where [`Self::build`] does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the spec is invalid (see [`Self::validate`]).
+    pub fn build_with<M: MatVec, R: Rng>(
+        &self,
+        rng: &mut R,
+        mut weight: impl FnMut(WeightRole, usize, usize, &mut R) -> M,
+    ) -> RnnNetwork<M> {
         self.validate().unwrap_or_else(|e| panic!("{e}"));
         let mut layers = Vec::with_capacity(self.layer_dims.len());
         let mut in_dim = self.input_dim;
@@ -136,9 +155,9 @@ impl ModelSpec {
                         peephole: self.peephole,
                         cell_activation: self.cell_activation,
                     };
-                    RnnLayer::Lstm(LstmLayer::new_dense(cfg, rng))
+                    RnnLayer::Lstm(LstmLayer::new_with(cfg, rng, &mut weight))
                 }
-                CellType::Gru => RnnLayer::Gru(GruLayer::new_dense(in_dim, h, rng)),
+                CellType::Gru => RnnLayer::Gru(GruLayer::new_with(in_dim, h, rng, &mut weight)),
             };
             in_dim = layer.output_dim();
             layers.push(layer);

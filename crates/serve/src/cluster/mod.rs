@@ -73,7 +73,7 @@ use ernn_fpga::Device;
 
 /// The former name of the cluster's tenant set, which is a plain
 /// [`ModelRegistry`]; kept only because `benchmark/` still names it, and
-/// deleted by ROADMAP item 9 (a).
+/// deleted by ROADMAP item 7 (a).
 pub type ClusterSpec = ModelRegistry;
 
 /// How the router picks among a model's live replica shards.
