@@ -2,10 +2,10 @@
 //! then ADMM iterations → hard projection → constrained retraining →
 //! block-circulant extraction.
 //!
-//! Tables I–III, the Phase-I oracle and the lifecycle pipeline all train
-//! through [`Recipe::pretrain`] and [`Recipe::compress`] with their own
-//! rng, which is drawn in the order build → pre-training shuffles → ADMM
-//! shuffles → retraining shuffles.
+//! Tables I and II (`ernn_bench::run_grid`, which also trains each row's
+//! [`Recipe::control`]), the Phase-I oracle and the lifecycle pipeline
+//! train through [`Recipe::pretrain`] and [`Recipe::compress`] with their
+//! own rng, drawn build → pre-training → ADMM → retraining shuffles.
 
 use crate::trainer::{admm, train_projected, AdmmConfig, AdmmReport};
 use ernn_linalg::{Matrix, WeightMatrix};

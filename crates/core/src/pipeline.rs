@@ -16,12 +16,17 @@
 //!
 //! ```text
 //! Pipeline::paper(s)?                         SpecStage
-//!   .train(data, &recipe, rng)? / .init(rng)  TrainedStage
-//!     (or .with_compressed(net)?)             CompressedStage
-//!   .compress(data, &recipe, rng)? / .project()?   CompressedStage
+//!   .train(data, &recipe, rng)?               TrainedStage
+//!     .compress(data, &recipe, rng)?          CompressedStage
+//!   or .init(rng)                             SeededStage
+//!     .project()?                             CompressedStage
+//!   or .with_compressed(net)?                 CompressedStage
 //!   .quantize()? / .quantize_chosen(..)?      QuantizedStage
 //!   .compile()?                               PipelineModel
 //! ```
+//!
+//! Each stage holds one network: a [`TrainedStage`] its dense weights, a
+//! [`SeededStage`] its weights already in block-circulant form.
 //!
 //! The terminal [`PipelineModel`] pairs the in-memory
 //! [`CompiledModel`] (ready to serve) with its [`ModelArtifact`] (ready
@@ -42,14 +47,9 @@ use ernn_fpga::artifact::{
 use ernn_fpga::exec::DatapathConfig;
 use ernn_fpga::Device;
 use ernn_model::trainer::Sequence;
-use ernn_model::{
-    compress_network, BlockCirculantMatrix, BlockPolicy, Matrix, ModelSpec, RnnNetwork,
-    WeightMatrix,
-};
+use ernn_model::{BlockCirculantMatrix, BlockPolicy, Matrix, ModelSpec, RnnNetwork, WeightMatrix};
 use ernn_serve::CompiledModel;
 use rand::Rng;
-use std::fmt;
-use std::sync::{Arc, OnceLock};
 
 pub use ernn_fpga::artifact::PipelineError;
 
@@ -176,34 +176,23 @@ impl SpecStage {
     /// Each weight matrix is drawn straight into its block-circulant form
     /// under the pipeline's block policy, in runs of whole block rows
     /// ([`BlockCirculantMatrix::project_xavier`]), so no dense network
-    /// exists: [`TrainedStage::project`] returns, bit for bit,
+    /// exists: [`SeededStage::project`] returns, bit for bit,
     /// `compress_network(&spec.build(rng), policy)`, and `rng` advances
-    /// exactly as [`ModelSpec::build`] advances it. The stage keeps a
-    /// copy of `rng` from before the draws, from which
-    /// [`TrainedStage::network`] and [`TrainedStage::compress`] draw the
-    /// dense network when they need it. Under a policy `project` rejects,
-    /// nothing is projected and the dense network is drawn here.
-    pub fn init<R: Rng + Clone + Send + Sync + 'static>(self, rng: &mut R) -> TrainedStage {
+    /// exactly as [`ModelSpec::build`] advances it. Under a policy
+    /// `project` rejects, every matrix is drawn at block 1, which draws
+    /// what `build` draws.
+    pub fn init(self, rng: &mut impl Rng) -> SeededStage {
         let block = self.settings.block;
-        let weights = if validate_policy(&block).is_ok() {
-            let seed = rng.clone();
-            let projected = self.spec.build_with(rng, |role, rows, cols, rng| {
-                seeded_matrix(rows, cols, block.for_role(role), rng)
-            });
-            let spec = self.spec.clone();
-            Weights::Seeded {
-                projected,
-                dense: OnceLock::new(),
-                redraw: Redraw(Arc::new(move || spec.build(&mut seed.clone()))),
-            }
-        } else {
-            Weights::Dense(self.spec.build(rng))
-        };
-        TrainedStage {
+        let valid = validate_policy(&block).is_ok();
+        let net = self.spec.build_with(rng, |role, rows, cols, rng| {
+            let block = if valid { block.for_role(role) } else { 1 };
+            seeded_matrix(rows, cols, block, rng)
+        });
+        SeededStage {
             spec: self.spec,
             settings: self.settings,
             provenance: self.provenance,
-            weights,
+            net,
         }
     }
 
@@ -222,7 +211,7 @@ impl SpecStage {
             spec: self.spec,
             settings: self.settings,
             provenance: self.provenance,
-            weights: Weights::Dense(net),
+            net,
         })
     }
 
@@ -255,66 +244,20 @@ fn seeded_matrix(rows: usize, cols: usize, block: usize, rng: &mut impl Rng) -> 
     }
 }
 
-/// Stage 1 complete: the network has its weights, trained or seeded.
-///
-/// A trained stage ([`SpecStage::train`]) holds its dense network. A
-/// seeded one ([`SpecStage::init`]) holds the network already projected
-/// under the pipeline's block policy; its dense network exists only once
-/// [`Self::network`] or [`Self::compress`] has asked for it.
+/// Stage 1 complete, trained: the dense network after
+/// [`Recipe::pretrain`].
 #[derive(Debug, Clone)]
 pub struct TrainedStage {
     spec: ModelSpec,
     settings: PipelineSettings,
     provenance: Provenance,
-    weights: Weights,
-}
-
-/// A [`TrainedStage`]'s weights.
-#[derive(Debug, Clone)]
-enum Weights {
-    /// Trained, or seeded under a block policy `project` rejects.
-    Dense(RnnNetwork<Matrix>),
-    /// Seeded and projected as drawn.
-    Seeded {
-        /// `compress_network(&dense, policy)`, bit for bit.
-        projected: RnnNetwork<WeightMatrix>,
-        /// The dense network, once something has asked for it.
-        dense: OnceLock<RnnNetwork<Matrix>>,
-        /// Draws the dense network from a copy of the seed `rng`.
-        redraw: Redraw,
-    },
-}
-
-impl Weights {
-    fn into_dense(self) -> RnnNetwork<Matrix> {
-        match self {
-            Weights::Dense(net) => net,
-            Weights::Seeded { dense, redraw, .. } => {
-                dense.into_inner().unwrap_or_else(|| redraw.0())
-            }
-        }
-    }
-}
-
-/// `spec.build` from the rng [`SpecStage::init`] was given, as it was
-/// before the draws.
-#[derive(Clone)]
-struct Redraw(Arc<dyn Fn() -> RnnNetwork<Matrix> + Send + Sync>);
-
-impl fmt::Debug for Redraw {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("Redraw")
-    }
+    net: RnnNetwork<Matrix>,
 }
 
 impl TrainedStage {
-    /// The dense network at this stage. A seeded stage draws it on the
-    /// first call, from its copy of the seed rng, and keeps it.
+    /// The dense network at this stage.
     pub fn network(&self) -> &RnnNetwork<Matrix> {
-        match &self.weights {
-            Weights::Dense(net) => net,
-            Weights::Seeded { dense, redraw, .. } => dense.get_or_init(|| redraw.0()),
-        }
+        &self.net
     }
 
     /// Compresses with the rest of Fig. 6 ([`Recipe::compress`]: ADMM
@@ -323,16 +266,15 @@ impl TrainedStage {
     /// provenance. Malformed data is a
     /// [`PipelineError::InvalidTrainingData`].
     pub fn compress(
-        self,
+        mut self,
         data: &[Sequence],
         recipe: &Recipe,
         rng: &mut impl Rng,
     ) -> Result<CompressedStage, PipelineError> {
         validate_policy(&self.settings.block)?;
         validate_data(&self.spec, data)?;
-        let mut dense = self.weights.into_dense();
-        let policies = vec![self.settings.block; dense.num_layers()];
-        let (net, report) = recipe.compress(&mut dense, &policies, data, rng);
+        let policies = vec![self.settings.block; self.net.num_layers()];
+        let (net, report) = recipe.compress(&mut self.net, &policies, data, rng);
         let stage = CompressedStage {
             spec: self.spec,
             settings: self.settings,
@@ -341,22 +283,29 @@ impl TrainedStage {
         };
         Ok(stage.admm_provenance(&report))
     }
+}
 
-    /// Projects directly onto the block-circulant manifold **without**
-    /// ADMM training — lossy on trained weights (run [`Self::compress`]
-    /// for those); exact for the random-weight bench path, whose seeded
-    /// stage was projected as it was drawn.
+/// Stage 1 complete, seeded: the network [`SpecStage::init`] drew, already
+/// projected under the pipeline's block policy.
+#[derive(Debug, Clone)]
+pub struct SeededStage {
+    spec: ModelSpec,
+    settings: PipelineSettings,
+    provenance: Provenance,
+    net: RnnNetwork<WeightMatrix>,
+}
+
+impl SeededStage {
+    /// Moves the network on to the compressed stage; it was projected as
+    /// it was drawn. A block policy that is not a power of two is a
+    /// [`PipelineError::InvalidBlockPolicy`].
     pub fn project(self) -> Result<CompressedStage, PipelineError> {
         validate_policy(&self.settings.block)?;
-        let net = match self.weights {
-            Weights::Dense(net) => compress_network(&net, self.settings.block),
-            Weights::Seeded { projected, .. } => projected,
-        };
         Ok(CompressedStage {
             spec: self.spec,
             settings: self.settings,
             provenance: self.provenance,
-            net,
+            net: self.net,
         })
     }
 }
@@ -491,7 +440,7 @@ impl PipelineModel {
 mod tests {
     use super::*;
     use ernn_admm::AdmmConfig;
-    use ernn_model::{CellType, ModelSpec};
+    use ernn_model::{compress_network, CellType, ModelSpec};
     use ernn_serve::sched::{ModelRegistry, SchedPolicy, SchedRuntime};
     use proptest::prelude::*;
     use rand::SeedableRng;
@@ -556,7 +505,8 @@ mod tests {
 
     /// Seeds `spec` under `policy` after `skip` words, and holds the
     /// seeded stage to the dense path from a twin of the rng: the
-    /// projection bit for bit, the dense network, and the rng after.
+    /// projection bit for bit (`InvalidBlockPolicy` under a policy
+    /// `project` rejects), and the rng after.
     fn assert_seeded_is_the_dense_path(
         spec: &ModelSpec,
         policy: BlockPolicy,
@@ -569,20 +519,28 @@ mod tests {
             rng.next_u32();
         }
         let mut twin = rng.clone();
-        let stage = Pipeline::paper(spec.clone())
+        let got = Pipeline::paper(spec.clone())
             .expect("valid spec")
             .block_policy(policy)
-            .init(&mut rng);
+            .init(&mut rng)
+            .project();
         let dense = spec.build(&mut twin);
-        let want = compress_network(&dense, policy);
-        let got = stage.clone().project().expect("valid policy");
         let case = format!("{spec:?} {policy:?} seed {seed}");
-        assert_eq!(weight_bits(got.network()), weight_bits(&want), "{case}");
-        assert_eq!(got.network(), &want, "{case}");
+        if validate_policy(&policy).is_ok() {
+            let got = got.unwrap_or_else(|e| panic!("{case}: {e:?}"));
+            let want = compress_network(&dense, policy);
+            assert_eq!(weight_bits(got.network()), weight_bits(&want), "{case}");
+            assert_eq!(got.network(), &want, "{case}");
+        } else {
+            let err = got.expect_err(&case);
+            assert!(
+                matches!(err, PipelineError::InvalidBlockPolicy(_)),
+                "{case}: {err:?}"
+            );
+        }
         for _ in 0..40 {
             assert_eq!(rng.next_u32(), twin.next_u32(), "{case}");
         }
-        assert_eq!(stage.network(), &dense, "{case}");
     }
 
     proptest! {
@@ -608,8 +566,11 @@ mod tests {
                 3 => spec.projection(width(0)),
                 _ => spec.peephole(true).projection(width(0)),
             };
-            let policies = [1, 2, 4, 8, 16].map(BlockPolicy::uniform);
-            for policy in policies.into_iter().chain([BlockPolicy::with_io_block(4, 8)]) {
+            // `uniform(6)` and `with_io_block(4, 12)` are rejected by
+            // `project` and drawn at block 1.
+            let policies = [1, 2, 4, 6, 8, 16].map(BlockPolicy::uniform);
+            let io = [(4, 8), (4, 12)].map(|(base, io)| BlockPolicy::with_io_block(base, io));
+            for policy in policies.into_iter().chain(io) {
                 assert_seeded_is_the_dense_path(&spec, policy, seed, skip);
             }
         }
@@ -756,7 +717,8 @@ mod tests {
         let compressed = Pipeline::paper(spec)
             .expect("valid")
             .block_policy(BlockPolicy::uniform(4))
-            .init(&mut rng)
+            .train(&toy_data(3, 5, 1), &recipe, &mut rng)
+            .expect("valid data")
             .compress(bad, &recipe, &mut rng)
             .map(|_| ());
         for result in [trained, compressed] {
