@@ -22,8 +22,13 @@ use std::fmt::Write as _;
 /// `per_degradation` becomes `paper_per_degradation` (published values,
 /// `null` for E-RNN); 6 = `table1` / `table2`'s compressed rows add
 /// `control_per`, and their `degradation` is measured against it
-/// (`per − control_per`) rather than against `baseline_per`.
-pub const BENCH_SCHEMA_VERSION: i64 = 6;
+/// (`per − control_per`) rather than against `baseline_per`; 7 =
+/// `table1` / `table2` train every row from several base seeds: the
+/// document adds `base_seeds`, and each row keeps its key fields, adds
+/// `degradation_min` / `degradation_max` beside `degradation` (now the
+/// median over seeds) and moves the rest of its fields into `seeds`, one
+/// object per base seed.
+pub const BENCH_SCHEMA_VERSION: i64 = 7;
 
 /// A flat JSON object built field by field, rendered in insertion order.
 #[derive(Debug, Default, Clone)]
@@ -201,6 +206,6 @@ mod tests {
     #[test]
     fn bench_header_stamps_the_schema_version() {
         let doc = JsonObject::new().bench_header("sched_sweep").render();
-        assert_eq!(doc, r#"{"bench":"sched_sweep","schema_version":6}"#);
+        assert_eq!(doc, r#"{"bench":"sched_sweep","schema_version":7}"#);
     }
 }

@@ -36,6 +36,21 @@ use rand_chacha::ChaCha8Rng;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use sweep::SweepArgs;
 
+/// Base seeds `table1` / `table2` train each row from under `--quick`:
+/// the largest count that kept both within ≈ 4 min on a 2-core machine
+/// (two took 183 s, three 321 s).
+const QUICK_SEEDS: usize = 2;
+
+/// Base seeds of a full `table1` / `table2` run.
+const FULL_SEEDS: usize = 5;
+
+/// The first `n` base seeds of a Table I/II run: 7, 1 007, 2 007, …. A
+/// row's rng is seeded `base + id` and ids run 1–17, so bases 1 000 apart
+/// never share a stream, and base 7 trains exactly what one seed did.
+fn base_seeds(n: usize) -> Vec<u64> {
+    (0..n as u64).map(|i| 7 + 1000 * i).collect()
+}
+
 /// One row of a Table I/II-style model grid.
 #[derive(Debug, Clone)]
 pub struct ModelRow {
@@ -74,18 +89,20 @@ impl RowResult {
         self.per - self.control_per.unwrap_or(self.baseline_per)
     }
 
-    /// The row as a `--json` record, keyed by (cell, layer dims, blocks,
-    /// io blocks, seed). A row with a control adds `control_per` after
-    /// `baseline_per`. A compressed row adds its ADMM summary and
-    /// `admm_trace`: one `{iteration, mean_loss, residual}` per outer
-    /// iteration, numbered from 1. No field is wall-clock, so the
-    /// record is a pure function of the code and the platform's libm.
+    /// The row as a `--json` record: its key ([`ModelRow::key_json`])
+    /// then [`Self::seed_json`]'s fields.
     pub fn json(&self) -> JsonObject {
-        let mut doc = JsonObject::new()
-            .str("cell", &format!("{:?}", self.row.spec.cell))
-            .str("layer_dims", &dims_label(&self.row.spec.layer_dims))
-            .str("blocks", &self.row.blocks_label(|p| p.recurrent))
-            .str("io_blocks", &self.row.blocks_label(|p| p.input))
+        self.seed_json(self.row.key_json())
+    }
+
+    /// Appends this seed's fields to `doc`: `seed` and `baseline_per`; a
+    /// row with a control adds `control_per`; then `per` and
+    /// `degradation`. A compressed row adds its ADMM summary and
+    /// `admm_trace`: one `{iteration, mean_loss, residual}` per outer
+    /// iteration, numbered from 1. No field is wall-clock, so the record
+    /// is a pure function of the code and the platform's libm.
+    pub fn seed_json(&self, doc: JsonObject) -> JsonObject {
+        let mut doc = doc
             .int("seed", self.seed as i64)
             .num("baseline_per", self.baseline_per);
         if let Some(control_per) = self.control_per {
@@ -114,7 +131,82 @@ impl RowResult {
     }
 }
 
+/// One grid row trained from each base seed.
+#[derive(Debug, Clone)]
+pub struct SeededRow {
+    /// The row's result from each base seed, in seed order (never empty).
+    pub runs: Vec<RowResult>,
+}
+
+impl SeededRow {
+    /// The row definition.
+    pub fn row(&self) -> &ModelRow {
+        &self.runs[0].row
+    }
+
+    /// The median of the per-seed degradations (the mean of the middle
+    /// two for an even count): the row's degradation.
+    pub fn degradation(&self) -> f64 {
+        median(self.runs.iter().map(RowResult::degradation))
+    }
+
+    /// The least and the greatest per-seed degradation.
+    pub fn degradation_range(&self) -> (f64, f64) {
+        let ds = self.runs.iter().map(RowResult::degradation);
+        (
+            ds.clone().fold(f64::INFINITY, f64::min),
+            ds.fold(f64::NEG_INFINITY, f64::max),
+        )
+    }
+
+    /// The row as a `--json` record: its key, `degradation` (the median),
+    /// `degradation_min`, `degradation_max` and `seeds`, one
+    /// [`RowResult::seed_json`] object per base seed.
+    pub fn json(&self) -> JsonObject {
+        let (min, max) = self.degradation_range();
+        self.row()
+            .key_json()
+            .num("degradation", self.degradation())
+            .num("degradation_min", min)
+            .num("degradation_max", max)
+            .raw(
+                "seeds",
+                array(
+                    self.runs
+                        .iter()
+                        .map(|r| r.seed_json(JsonObject::new()).render()),
+                ),
+            )
+    }
+}
+
+/// The median of `xs` (the mean of the middle two for an even count).
+///
+/// # Panics
+///
+/// Panics if `xs` is empty.
+pub fn median(xs: impl IntoIterator<Item = f64>) -> f64 {
+    let mut xs: Vec<f64> = xs.into_iter().collect();
+    assert!(!xs.is_empty(), "median of no values");
+    xs.sort_by(f64::total_cmp);
+    let mid = xs.len() / 2;
+    if xs.len() % 2 == 1 {
+        xs[mid]
+    } else {
+        (xs[mid - 1] + xs[mid]) / 2.0
+    }
+}
+
 impl ModelRow {
+    /// The row's `--json` key: cell, layer dims, blocks and io blocks.
+    pub fn key_json(&self) -> JsonObject {
+        JsonObject::new()
+            .str("cell", &format!("{:?}", self.spec.cell))
+            .str("layer_dims", &dims_label(&self.spec.layer_dims))
+            .str("blocks", &self.blocks_label(|p| p.recurrent))
+            .str("io_blocks", &self.blocks_label(|p| p.input))
+    }
+
     /// Formats one block size per layer like the paper ("4-8", "-" for
     /// baselines).
     pub fn blocks_label(&self, block: impl Fn(&BlockPolicy) -> usize) -> String {
@@ -189,66 +281,93 @@ pub fn model_grid(cell: CellType, corpus: &SynthCorpus) -> Vec<ModelRow> {
     rows
 }
 
-/// Runs a whole grid through `recipe`: each baseline row is pre-trained
-/// with an rng seeded `seed` and shared by the compressed rows of its
-/// shape. Each compressed row and its [`Recipe::control`] are two jobs,
-/// each with its own rng seeded `seed + id`; two worker threads pull the
-/// jobs from one shared index, largest network first, so no result
-/// depends on which worker ran it.
+/// Runs `jobs` on two threads and returns `run(job)` for each, in job
+/// order. The threads take the jobs in list order from one shared index,
+/// so put the longest first; no result depends on which thread ran it,
+/// and a job's panic resurfaces on the caller.
+pub(crate) fn run_jobs<J: Sync, T: Send>(jobs: &[J], run: impl Fn(&J) -> T + Sync) -> Vec<T> {
+    // The shared index publishes nothing else: the jobs are read-only and
+    // each result comes back through its thread's join.
+    let next = AtomicUsize::new(0);
+    let mut done: Vec<(usize, T)> = std::thread::scope(|scope| {
+        let threads: Vec<_> = (0..2)
+            .map(|_| {
+                scope.spawn(|| {
+                    std::iter::from_fn(|| {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        jobs.get(i).map(|job| (i, run(job)))
+                    })
+                    .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        threads
+            .into_iter()
+            .flat_map(|t| t.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    });
+    done.sort_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, result)| result).collect()
+}
+
+/// Runs a whole grid through `recipe` once per base seed, in two rounds of
+/// jobs on two threads, largest network first. First each baseline row is
+/// pre-trained per seed, with an rng seeded `seed`, and shared by the
+/// compressed rows of its shape. Then each compressed row and its
+/// [`Recipe::control`] are two jobs per seed, each with its own rng seeded
+/// `seed + id`. Returns one [`SeededRow`] per row, its runs in `seeds`
+/// order.
 ///
 /// # Panics
 ///
-/// Panics if a compressed row's shape has no baseline row.
+/// Panics if `seeds` is empty or a compressed row's shape has no baseline
+/// row.
 pub fn run_grid(
     rows: Vec<ModelRow>,
     corpus: &SynthCorpus,
     recipe: &Recipe,
-    seed: u64,
-) -> Vec<RowResult> {
+    seeds: &[u64],
+) -> Vec<SeededRow> {
+    assert!(!seeds.is_empty(), "run_grid needs a seed");
     let data = corpus.train_sequences();
-    let mut results: Vec<Option<RowResult>> = vec![None; rows.len()];
-    let mut baselines = Vec::new();
-    for (i, row) in rows.iter().enumerate() {
-        if row.policies.is_some() {
-            continue;
-        }
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let net = recipe.pretrain(&row.spec, &data, &mut rng);
+    let params = |row: &ModelRow| {
+        row.spec
+            .build(&mut ChaCha8Rng::seed_from_u64(0))
+            .param_count()
+    };
+    let largest_first = |i: usize| std::cmp::Reverse(params(&rows[i]));
+
+    // (baseline row index, seed index).
+    let mut pretrain: Vec<(usize, usize)> = (0..rows.len())
+        .filter(|&i| rows[i].policies.is_none())
+        .flat_map(|i| (0..seeds.len()).map(move |k| (i, k)))
+        .collect();
+    pretrain.sort_by_cached_key(|&(i, _)| largest_first(i));
+    let pretrained = run_jobs(&pretrain, |&(i, k)| {
+        let mut rng = ChaCha8Rng::seed_from_u64(seeds[k]);
+        let net = recipe.pretrain(&rows[i].spec, &data, &mut rng);
         let per = evaluate_per(|f| net.forward_logits(f), &corpus.test);
-        baselines.push((&row.spec, net, per));
-        results[i] = Some(RowResult {
-            row: row.clone(),
-            seed,
-            baseline_per: per,
-            control_per: None,
-            per,
-            admm: None,
-        });
-    }
-    let baseline = |row: &ModelRow| {
-        baselines
+        (net, per)
+    });
+    let baseline = |row: &ModelRow, k: usize| {
+        let job = pretrain
             .iter()
-            .find(|(spec, ..)| *spec == &row.spec)
-            .expect("a baseline row for every shape")
+            .position(|&(i, kk)| kk == k && rows[i].spec == row.spec)
+            .expect("a baseline row for every shape");
+        &pretrained[job]
     };
 
-    // (row index, is the control), largest network first and, within a
-    // size, the compressions (which also project) before the controls.
-    let mut jobs: Vec<(usize, bool)> = (0..rows.len())
+    // (compressed row index, seed index, is the control): within a size,
+    // the compressions (which also project) before the controls.
+    let mut jobs: Vec<(usize, usize, bool)> = (0..rows.len())
         .filter(|&i| rows[i].policies.is_some())
-        .flat_map(|i| [(i, false), (i, true)])
+        .flat_map(|i| (0..seeds.len()).flat_map(move |k| [(i, k, false), (i, k, true)]))
         .collect();
-    jobs.sort_by_key(|&(i, control)| {
-        let params = baseline(&rows[i]).1.param_count();
-        (std::cmp::Reverse(params), control)
-    });
-    // The shared index publishes nothing else: the jobs are read-only and
-    // each result comes back through its worker's join.
-    let next = AtomicUsize::new(0);
-    let run = |(i, control): (usize, bool)| {
+    jobs.sort_by_cached_key(|&(i, _, control)| (largest_first(i), control));
+    let trained = run_jobs(&jobs, |&(i, k, control)| {
         let row = &rows[i];
-        let (_, dense, _) = baseline(row);
-        let mut rng = ChaCha8Rng::seed_from_u64(seed.wrapping_add(row.id as u64));
+        let (dense, _) = baseline(row, k);
+        let mut rng = ChaCha8Rng::seed_from_u64(seeds[k].wrapping_add(row.id as u64));
         if control {
             let net = recipe.control(dense, &data, &mut rng);
             (evaluate_per(|f| net.forward_logits(f), &corpus.test), None)
@@ -260,71 +379,73 @@ pub fn run_grid(
                 Some(admm),
             )
         }
-    };
-    let done: Vec<_> = std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..2)
-            .map(|_| {
-                scope.spawn(|| {
-                    std::iter::from_fn(|| jobs.get(next.fetch_add(1, Ordering::Relaxed)))
-                        .map(|&job| (job, run(job)))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        workers
-            .into_iter()
-            .flat_map(|w| w.join().expect("worker thread"))
-            .collect()
     });
-    let mut control_pers = vec![None; rows.len()];
-    for &((i, control), (per, _)) in &done {
-        if control {
-            control_pers[i] = Some(per);
-        }
-    }
-    for ((i, _), (per, admm)) in done {
-        if let Some(admm) = admm {
-            let row = &rows[i];
-            results[i] = Some(RowResult {
+
+    let result = |i: usize, k: usize| {
+        let row = &rows[i];
+        let baseline_per = baseline(row, k).1;
+        let find = |control| {
+            let job = jobs.iter().position(|&job| job == (i, k, control));
+            &trained[job.expect("every compressed row ran")]
+        };
+        match &row.policies {
+            None => RowResult {
                 row: row.clone(),
-                seed: seed.wrapping_add(row.id as u64),
-                baseline_per: baseline(row).2,
-                control_per: control_pers[i],
-                per,
-                admm: Some(admm),
-            });
+                seed: seeds[k],
+                baseline_per,
+                control_per: None,
+                per: baseline_per,
+                admm: None,
+            },
+            Some(_) => RowResult {
+                row: row.clone(),
+                seed: seeds[k].wrapping_add(row.id as u64),
+                baseline_per,
+                control_per: Some(find(true).0),
+                per: find(false).0,
+                admm: find(false).1.clone(),
+            },
         }
-    }
-    results
-        .into_iter()
-        .map(|r| r.expect("every row ran"))
+    };
+    (0..rows.len())
+        .map(|i| SeededRow {
+            runs: (0..seeds.len()).map(|k| result(i, k)).collect(),
+        })
         .collect()
 }
 
-/// Renders a Table I/II-style report.
-pub fn render_model_table(title: &str, results: &[RowResult]) -> String {
+/// Renders a Table I/II-style report: per row the median PER and control
+/// PER over the seeds, and the median degradation with its range.
+pub fn render_model_table(title: &str, rows: &[SeededRow]) -> String {
     let mut out = String::new();
     out.push_str(&format!("{title}\n"));
     out.push_str(
-        "ID  Layer Size   Block Size  Peep  Proj  PER (%)  Control (%)  PER degradation (pp)\n",
+        "ID  Layer Size   Block Size  Peep  Proj  PER (%)  Control (%)  PER degradation (pp) [min, max]\n",
     );
-    for r in results {
-        let spec = &r.row.spec;
+    for r in rows {
+        let row = r.row();
+        let spec = &row.spec;
+        let controls: Vec<f64> = r.runs.iter().filter_map(|s| s.control_per).collect();
+        let (min, max) = r.degradation_range();
         out.push_str(&format!(
             "{:<3} {:<12} {:<11} {:<5} {:<5} {:<8.2} {:<12} {}\n",
-            r.row.id,
+            row.id,
             dims_label(&spec.layer_dims),
-            r.row.blocks_label(|p| p.recurrent),
+            row.blocks_label(|p| p.recurrent),
             if spec.peephole { "y" } else { "n" },
             spec.projection
                 .map(|p| p.to_string())
                 .unwrap_or_else(|| "n".into()),
-            r.per,
-            r.control_per.map_or("-".to_string(), |c| format!("{c:.2}")),
-            if r.row.policies.is_none() {
+            median(r.runs.iter().map(|s| s.per)),
+            if controls.is_empty() {
                 "-".to_string()
             } else {
-                format!("{:+.2}", r.degradation())
+                format!("{:.2}", median(controls))
+            },
+            if row.policies.is_none() {
+                "-".to_string()
+            } else {
+                format!("{:+.2} [{min:+.2}, {max:+.2}]", r.degradation())
             },
         ));
     }
@@ -341,35 +462,46 @@ pub fn paper_rows(args: &SweepArgs, bench: &str, results: &[RowResult]) -> JsonO
 }
 
 /// The body of `table1` / `table2`: trains the cell's [`model_grid`] on
-/// the standard corpus (`--quick`: the reduced recipe, 64-64 group
-/// only), prints the table, writes the `--json` rows and returns the
-/// results.
-pub fn run_model_table(cell: CellType, bench: &str, title: &str) -> Vec<RowResult> {
+/// the standard corpus from two base seeds under `--quick` (with the
+/// reduced recipe, 64-64 group only), else five;
+/// prints the table, writes the `--json` document (the bench header,
+/// `quick`, `base_seeds` and one [`SeededRow::json`] per row) and returns
+/// the rows.
+pub fn run_model_table(cell: CellType, bench: &str, title: &str) -> Vec<SeededRow> {
     let args = SweepArgs::from_env();
     let corpus = SynthCorpus::generate(&SynthCorpusConfig::standard(42));
     let mut grid = model_grid(cell, &corpus);
     if args.quick {
         grid.retain(|r| r.spec.layer_dims == [64, 64]);
     }
+    let seeds = base_seeds(if args.quick { QUICK_SEEDS } else { FULL_SEEDS });
     eprintln!(
-        "{bench}: {} rows ({} corpus utterances){}",
+        "{bench}: {} rows × {} seeds ({} corpus utterances){}",
         grid.len(),
+        seeds.len(),
         corpus.train.len(),
         if args.quick { " [quick]" } else { "" }
     );
-    let results = run_grid(grid, &corpus, &args.recipe(), 7);
-    println!("{}", render_model_table(title, &results));
-    args.write_bench(paper_rows(&args, bench, &results));
-    results
+    let rows = run_grid(grid, &corpus, &args.recipe(), &seeds);
+    println!("{}", render_model_table(title, &rows));
+    args.write_bench(
+        JsonObject::new()
+            .bench_header(bench)
+            .raw("quick", args.quick.to_string())
+            .raw("base_seeds", array(seeds.iter().map(u64::to_string)))
+            .raw("rows", array(rows.iter().map(|r| r.json().render()))),
+    );
+    rows
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Whichever worker pulls a job, its row is what the job computes
-    /// alone: `compress` and `control` on the shared baseline, each with
-    /// an rng seeded `seed + id`, and the degradation is against control.
+    /// Whichever thread runs a job, each seed's row is what its jobs
+    /// compute alone: the baseline pre-trained with an rng seeded `seed`,
+    /// `compress` and `control` on it, each with an rng seeded
+    /// `seed + id`, and the degradation is against control.
     #[test]
     fn run_grid_rows_are_each_job_run_alone() {
         let corpus = SynthCorpus::generate(&SynthCorpusConfig::tiny(3));
@@ -388,31 +520,98 @@ mod tests {
             pretrain_epochs: 1,
             ..Recipe::quick()
         };
-        let results = run_grid(rows.clone(), &corpus, &recipe, 5);
+        let seeds = [5, 1005];
+        let grid = run_grid(rows.clone(), &corpus, &recipe, &seeds);
+        assert_eq!(grid.len(), rows.len());
 
         let data = corpus.train_sequences();
-        let dense = recipe.pretrain(&spec, &data, &mut ChaCha8Rng::seed_from_u64(5));
-        let dense_per = evaluate_per(|f| dense.forward_logits(f), &corpus.test);
-        assert_eq!(results[0].per, dense_per);
-        assert_eq!(results[0].control_per, None);
-        for (row, result) in rows.iter().zip(&results).skip(1) {
-            let seed = 5 + row.id as u64;
-            let policies = row.policies.as_ref().unwrap();
-            let (net, admm) = recipe.compress(
-                &mut dense.clone(),
-                policies,
-                &data,
-                &mut ChaCha8Rng::seed_from_u64(seed),
-            );
-            let control = recipe.control(&dense, &data, &mut ChaCha8Rng::seed_from_u64(seed));
-            assert_eq!(result.seed, seed);
-            let per = evaluate_per(|f| net.forward_logits(f), &corpus.test);
-            let control_per = evaluate_per(|f| control.forward_logits(f), &corpus.test);
-            assert_eq!(result.per, per, "row {}", row.id);
-            assert_eq!(result.admm.as_ref(), Some(&admm), "row {}", row.id);
-            assert_eq!(result.control_per, Some(control_per), "row {}", row.id);
-            assert_eq!(result.degradation(), per - control_per);
+        for (k, &base) in seeds.iter().enumerate() {
+            let dense = recipe.pretrain(&spec, &data, &mut ChaCha8Rng::seed_from_u64(base));
+            let dense_per = evaluate_per(|f| dense.forward_logits(f), &corpus.test);
+            assert_eq!(grid[0].runs[k].seed, base);
+            assert_eq!(grid[0].runs[k].per, dense_per);
+            assert_eq!(grid[0].runs[k].control_per, None);
+            for (row, seeded) in rows.iter().zip(&grid).skip(1) {
+                let result = &seeded.runs[k];
+                let seed = base + row.id as u64;
+                let policies = row.policies.as_ref().unwrap();
+                let (net, admm) = recipe.compress(
+                    &mut dense.clone(),
+                    policies,
+                    &data,
+                    &mut ChaCha8Rng::seed_from_u64(seed),
+                );
+                let control = recipe.control(&dense, &data, &mut ChaCha8Rng::seed_from_u64(seed));
+                assert_eq!(result.seed, seed);
+                assert_eq!(result.baseline_per, dense_per);
+                let per = evaluate_per(|f| net.forward_logits(f), &corpus.test);
+                let control_per = evaluate_per(|f| control.forward_logits(f), &corpus.test);
+                assert_eq!(result.per, per, "row {}", row.id);
+                assert_eq!(result.admm.as_ref(), Some(&admm), "row {}", row.id);
+                assert_eq!(result.control_per, Some(control_per), "row {}", row.id);
+                assert_eq!(result.degradation(), per - control_per);
+            }
         }
+    }
+
+    /// Results come back in job order, whichever thread ran each job.
+    #[test]
+    fn run_jobs_returns_results_in_job_order() {
+        let jobs: Vec<u64> = (0..40).collect();
+        let slow_evens = |&j: &u64| {
+            if j % 2 == 0 {
+                std::thread::sleep(std::time::Duration::from_micros(200));
+            }
+            j * j
+        };
+        let want: Vec<u64> = jobs.iter().map(|j| j * j).collect();
+        assert_eq!(run_jobs(&jobs, slow_evens), want);
+        assert!(run_jobs(&[] as &[u64], slow_evens).is_empty());
+    }
+
+    /// A row's degradation is the median over its seeds, with the range
+    /// beside it, and each seed's record is [`RowResult::json`] without
+    /// the row key.
+    #[test]
+    fn a_seeded_row_reports_the_median_and_range_of_its_seeds() {
+        let spec = ModelSpec::new(CellType::Lstm, 4, 3).layer_dims(&[8]);
+        let run = |seed: u64, per: f64, control_per: f64| RowResult {
+            row: ModelRow {
+                id: 2,
+                spec: spec.clone(),
+                policies: Some(vec![BlockPolicy::uniform(4)]),
+            },
+            seed,
+            baseline_per: 40.0,
+            control_per: Some(control_per),
+            per,
+            admm: None,
+        };
+        let mut row = SeededRow {
+            runs: vec![
+                run(9, 30.0, 25.0),
+                run(1009, 31.0, 30.0),
+                run(2009, 40.0, 28.0),
+            ],
+        };
+        assert_eq!(row.degradation(), 5.0);
+        assert_eq!(row.degradation_range(), (1.0, 12.0));
+        let doc = row.json().render();
+        let key = r#"{"cell":"Lstm","layer_dims":"8","blocks":"4","io_blocks":"4","#;
+        assert!(doc.starts_with(key), "{doc}");
+        assert!(
+            doc.contains(
+                r#""degradation":5,"degradation_min":1,"degradation_max":12,"seeds":[{"seed":9,"#
+            ),
+            "{doc}"
+        );
+        let flat = row.runs[1].json().render();
+        let seed_record = format!("{{{}", &flat[key.len()..]);
+        assert!(doc.contains(&seed_record), "{doc}");
+
+        row.runs.pop();
+        assert_eq!(row.degradation(), 3.0);
+        assert_eq!(median([7.5]), 7.5);
     }
 
     #[test]

@@ -101,7 +101,7 @@ pub const SPLIT_MIN_WORK: usize = 8192;
 /// at once, 1 MiB of `f32`, unless one block row is longer. A matrix's
 /// runs of whole block rows, all but its last, are at least half of this:
 /// ≥ 16 384 ChaCha8 blocks, so their bulk fills split across two cores
-/// (from 2 048 blocks) and pay the split's thread spawn a few times per
+/// (from 6 144 blocks) and pay the split's thread spawn a few times per
 /// matrix, not a few dozen (GRU-1024 draws in 15 runs; 56 at 2¹⁶).
 pub const DRAW_CHUNK: usize = 1 << 18;
 

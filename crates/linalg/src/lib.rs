@@ -95,8 +95,9 @@
 //!
 //! The call into the `#[target_feature]` caller is the only `unsafe` in
 //! product code (the `GlobalAlloc` impl of `ernn-bench`'s counting
-//! allocator aside): this crate is `#![deny(unsafe_code)]` with a single
-//! `allow` on the dispatch, every other library crate `forbid`s it.
+//! allocator and the vendored `rand_chacha`'s AVX2 fill aside): this
+//! crate is `#![deny(unsafe_code)]` with a single `allow` on the dispatch,
+//! every other library crate `forbid`s it.
 //!
 //! # Two cores
 //!
