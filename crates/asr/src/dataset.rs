@@ -25,6 +25,10 @@ impl Utterance {
     }
 }
 
+/// Half-width of the uniform noise added to every normalized feature
+/// (simulating channel variation).
+const NOISE_LEVEL: f32 = 0.05;
+
 /// Corpus generation parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct SynthCorpusConfig {
@@ -40,8 +44,6 @@ pub struct SynthCorpusConfig {
     pub phones_per_utterance: (usize, usize),
     /// Phone duration in milliseconds (min, max).
     pub phone_ms: (f32, f32),
-    /// Additive feature-level noise (simulating channel variation).
-    pub noise_level: f32,
     /// RNG seed (corpora are fully reproducible).
     pub seed: u64,
 }
@@ -59,7 +61,6 @@ impl SynthCorpusConfig {
             test_speakers: 8,
             phones_per_utterance: (6, 10),
             phone_ms: (60.0, 140.0),
-            noise_level: 0.05,
             seed,
         }
     }
@@ -73,7 +74,6 @@ impl SynthCorpusConfig {
             test_speakers: 1,
             phones_per_utterance: (3, 5),
             phone_ms: (50.0, 80.0),
-            noise_level: 0.05,
             seed,
         }
     }
@@ -96,7 +96,7 @@ impl SynthCorpus {
     /// Generates a corpus. Deterministic in `config.seed`.
     pub fn generate(config: &SynthCorpusConfig) -> Self {
         let phones = PhoneSet::standard();
-        let fe = FrontEnd::standard().with_deltas(true);
+        let fe = FrontEnd::standard();
         let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
 
         let train_speakers: Vec<Speaker> = (0..config.train_speakers)
@@ -169,11 +169,9 @@ fn generate_utterance(
     let (wave, sample_align) = render_utterance(&segs, &speaker, rng);
     let mut features = fe.extract(&wave);
     // Channel / environment noise on the normalized features.
-    if config.noise_level > 0.0 {
-        for f in &mut features {
-            for v in f.iter_mut() {
-                *v += rng.gen_range(-config.noise_level..config.noise_level);
-            }
+    for f in &mut features {
+        for v in f.iter_mut() {
+            *v += rng.gen_range(-NOISE_LEVEL..NOISE_LEVEL);
         }
     }
     // Map per-sample segment indices to phone ids, then to frames.

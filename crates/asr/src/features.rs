@@ -3,21 +3,27 @@
 //! The standard ASR pipeline (and the same operations a Kaldi/ESE front end
 //! performs): pre-emphasis, 25 ms Hamming-windowed frames at a 10 ms hop,
 //! FFT power spectrum (using `ernn-fft`'s real FFT), triangular mel
-//! filterbank, log compression, and per-utterance cepstral mean/variance
-//! normalization.
+//! filterbank, log compression, first-order deltas, and per-utterance
+//! cepstral mean/variance normalization.
 
 use crate::synth::SAMPLE_RATE;
 use ernn_fft::RealFft;
 
-/// Front-end configuration and precomputed state (FFT plan, mel filters,
-/// window).
+/// Frame length in samples: 25 ms at 16 kHz.
+const FRAME_LEN: usize = 400;
+/// Frame hop in samples: 10 ms at 16 kHz.
+const HOP: usize = 160;
+/// FFT size: the smallest power of two covering a frame.
+const N_FFT: usize = 512;
+/// Mel filterbank bins.
+const N_MELS: usize = 26;
+
+/// The front end's precomputed state (FFT plan, mel filters, window). Its
+/// configuration is fixed: 25 ms Hamming frames at a 10 ms hop, a
+/// 512-point FFT and 26 mel bins, each frame followed by its first-order
+/// deltas.
 #[derive(Debug, Clone)]
 pub struct FrontEnd {
-    frame_len: usize,
-    hop: usize,
-    n_fft: usize,
-    n_mels: usize,
-    deltas: bool,
     window: Vec<f32>,
     /// Triangular filters: per mel bin, list of `(fft_bin, weight)`.
     filters: Vec<Vec<(usize, f32)>>,
@@ -25,73 +31,36 @@ pub struct FrontEnd {
 }
 
 impl FrontEnd {
-    /// The standard configuration: 25 ms frames, 10 ms hop, 512-point FFT,
-    /// 26 mel bins — a typical filterbank front end at 16 kHz.
+    /// The front end: 25 ms frames, 10 ms hop, 512-point FFT, 26 mel bins
+    /// plus their deltas — a typical filterbank front end at 16 kHz.
     pub fn standard() -> Self {
-        FrontEnd::new(400, 160, 512, 26)
-    }
-
-    /// Creates a front end with explicit parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_fft` is not a power of two or smaller than `frame_len`.
-    pub fn new(frame_len: usize, hop: usize, n_fft: usize, n_mels: usize) -> Self {
-        assert!(
-            ernn_fft::is_power_of_two(n_fft),
-            "FFT size must be a power of two"
-        );
-        assert!(n_fft >= frame_len, "FFT size must cover the frame");
-        assert!(hop > 0, "hop must be positive");
-        let window: Vec<f32> = (0..frame_len)
+        let window: Vec<f32> = (0..FRAME_LEN)
             .map(|n| {
-                0.54 - 0.46 * (2.0 * std::f32::consts::PI * n as f32 / (frame_len - 1) as f32).cos()
+                0.54 - 0.46 * (2.0 * std::f32::consts::PI * n as f32 / (FRAME_LEN - 1) as f32).cos()
             })
             .collect();
-        let filters = mel_filterbank(n_fft, n_mels, SAMPLE_RATE);
         FrontEnd {
-            frame_len,
-            hop,
-            n_fft,
-            n_mels,
-            deltas: false,
             window,
-            filters,
-            rfft: RealFft::new(n_fft),
+            filters: mel_filterbank(N_FFT, N_MELS, SAMPLE_RATE),
+            rfft: RealFft::new(N_FFT),
         }
     }
 
-    /// Appends first-order delta (temporal derivative) coefficients to each
-    /// frame, doubling the feature dimension — sharpens phone boundaries
-    /// for framewise classifiers.
-    pub fn with_deltas(mut self, on: bool) -> Self {
-        self.deltas = on;
-        self
-    }
-
-    /// Feature dimension per frame.
+    /// Feature dimension per frame: the mel bins and their deltas.
     pub fn feature_dim(&self) -> usize {
-        if self.deltas {
-            2 * self.n_mels
-        } else {
-            self.n_mels
-        }
-    }
-
-    /// Frame hop in samples.
-    pub fn hop(&self) -> usize {
-        self.hop
+        2 * N_MELS
     }
 
     /// Frame length in samples.
     pub fn frame_len(&self) -> usize {
-        self.frame_len
+        FRAME_LEN
     }
 
-    /// Extracts log-mel features with per-utterance mean/variance
-    /// normalization. Returns one `n_mels`-dim vector per frame.
+    /// Extracts log-mel features and their deltas with per-utterance
+    /// mean/variance normalization. Returns one
+    /// [`Self::feature_dim`]-dim vector per frame.
     pub fn extract(&self, waveform: &[f32]) -> Vec<Vec<f32>> {
-        if waveform.len() < self.frame_len {
+        if waveform.len() < FRAME_LEN {
             return Vec::new();
         }
         // Pre-emphasis y[n] = x[n] − 0.97·x[n−1].
@@ -101,27 +70,25 @@ impl FrontEnd {
             pre.push(waveform[n] - 0.97 * waveform[n - 1]);
         }
 
-        let n_frames = (pre.len() - self.frame_len) / self.hop + 1;
+        let n_frames = (pre.len() - FRAME_LEN) / HOP + 1;
         let mut feats = Vec::with_capacity(n_frames);
-        let mut buf = vec![0.0f32; self.n_fft];
+        let mut buf = vec![0.0f32; N_FFT];
         for f in 0..n_frames {
-            let start = f * self.hop;
+            let start = f * HOP;
             buf.iter_mut().for_each(|v| *v = 0.0);
             for (i, w) in self.window.iter().enumerate() {
                 buf[i] = pre[start + i] * w;
             }
             let spec = self.rfft.forward(&buf);
             let power: Vec<f32> = spec.iter().map(|c| c.norm_sqr()).collect();
-            let mut mel = Vec::with_capacity(self.n_mels);
+            let mut mel = Vec::with_capacity(N_MELS);
             for filt in &self.filters {
                 let e: f32 = filt.iter().map(|&(b, w)| power[b] * w).sum();
                 mel.push((e.max(1e-10)).ln());
             }
             feats.push(mel);
         }
-        if self.deltas {
-            append_deltas(&mut feats);
-        }
+        append_deltas(&mut feats);
         cmvn(&mut feats);
         feats
     }
@@ -129,12 +96,12 @@ impl FrontEnd {
     /// Maps a per-sample alignment to per-frame labels (label of the frame
     /// center), matching the frames produced by [`Self::extract`].
     pub fn frame_labels(&self, sample_labels: &[usize]) -> Vec<usize> {
-        if sample_labels.len() < self.frame_len {
+        if sample_labels.len() < FRAME_LEN {
             return Vec::new();
         }
-        let n_frames = (sample_labels.len() - self.frame_len) / self.hop + 1;
+        let n_frames = (sample_labels.len() - FRAME_LEN) / HOP + 1;
         (0..n_frames)
-            .map(|f| sample_labels[f * self.hop + self.frame_len / 2])
+            .map(|f| sample_labels[f * HOP + FRAME_LEN / 2])
             .collect()
     }
 }
@@ -232,7 +199,8 @@ mod tests {
         let wave = vec![0.01f32; 16_000]; // 1 second
         let feats = fe.extract(&wave);
         assert_eq!(feats.len(), (16_000 - 400) / 160 + 1);
-        assert_eq!(feats[0].len(), 26);
+        assert_eq!(feats[0].len(), 2 * 26);
+        assert_eq!(fe.feature_dim(), 2 * 26);
     }
 
     #[test]
@@ -249,7 +217,7 @@ mod tests {
         let wave: Vec<f32> = (0..8000).map(|_| rng.gen_range(-0.1..0.1)).collect();
         let feats = fe.extract(&wave);
         let n = feats.len() as f32;
-        for d in 0..26 {
+        for d in 0..fe.feature_dim() {
             let mean: f32 = feats.iter().map(|f| f[d]).sum::<f32>() / n;
             let var: f32 = feats.iter().map(|f| f[d] * f[d]).sum::<f32>() / n;
             assert!(mean.abs() < 1e-3, "dim {d} mean {mean}");

@@ -10,8 +10,9 @@
 //!    excitation through biquad resonator cascades, with per-speaker pitch
 //!    and vocal-tract-length variation.
 //! 3. [`features`] — pre-emphasis, Hamming windowing, FFT power spectra
-//!    (via `ernn-fft`), mel filterbank, log compression and utterance-level
-//!    mean/variance normalization.
+//!    (via `ernn-fft`), mel filterbank, log compression, first-order deltas
+//!    and utterance-level mean/variance normalization: one fixed front end,
+//!    26 mel bins plus their deltas per frame.
 //! 4. [`dataset`] — seeded corpus generation with speaker-disjoint
 //!    train/test splits, yielding framewise-labelled utterances.
 //! 5. [`decode`] — greedy framewise decoding, collapse, and phone error

@@ -6,7 +6,7 @@
 
 use ernn_bench::json::{array, JsonObject};
 use ernn_bench::sweep::SweepArgs;
-use ernn_fft::cost::{block_size_upper_bound, fig8_curve, CostModel, DEFAULT_MIN_GAIN};
+use ernn_fft::cost::{block_size_upper_bound, fig8_curve, CostModel};
 
 const ALL: &str = "all optimizations";
 
@@ -26,11 +26,11 @@ fn main() {
     for layer in [512usize, 1024] {
         println!("=== Fig. 8 ({layer}) — paper model (all optimizations) ===");
         println!("Layer size {layer}\n  Lb    norm. mults");
-        for p in fig8_curve(CostModel::paper(), layer, 256) {
+        for p in fig8_curve(layer, 256) {
             println!("  {:<5} {:.4}", p.block_size, p.normalized_mults);
             points.push(point(layer, p.block_size, ALL, p.normalized_mults));
         }
-        let ub = block_size_upper_bound(CostModel::paper(), layer, DEFAULT_MIN_GAIN);
+        let ub = block_size_upper_bound(layer);
         println!("convergence (block-size upper bound): {ub}  [paper: 32-64]\n");
         doc = doc.int(&format!("upper_bound_{layer}"), ub as i64);
     }

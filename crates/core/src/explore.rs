@@ -7,7 +7,6 @@
 //! * **Storage floor** (Fig. 2 step 1): the smallest block size whose
 //!   compressed model fits in on-chip BRAM is the search's lower bound.
 
-use ernn_fft::cost::{CostModel, DEFAULT_MIN_GAIN};
 use ernn_fpga::{Device, RnnSpec};
 
 /// Block-size search bounds for Phase I.
@@ -26,8 +25,7 @@ pub struct BlockSizeBounds {
 /// size deployed on `device` (the paper's step 1 starts "from the LSTM RNN
 /// baseline model due to its high reliability").
 pub fn block_size_bounds(deploy_hidden: usize, device: &Device) -> BlockSizeBounds {
-    let upper =
-        ernn_fft::cost::block_size_upper_bound(CostModel::paper(), deploy_hidden, DEFAULT_MIN_GAIN);
+    let upper = ernn_fft::cost::block_size_upper_bound(deploy_hidden);
     let mut lower = 1usize;
     while lower < upper {
         let spec = RnnSpec {

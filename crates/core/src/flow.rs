@@ -8,7 +8,7 @@
 //! scale.
 
 use crate::phase1::{run_phase1, CandidateSpec, Phase1Config, Phase1Result, TrainOracle};
-use crate::phase2::{run_phase2, Phase2Config, Phase2Result};
+use crate::phase2::{run_phase2, Phase2Result};
 use crate::pipeline::{PipelineError, PipelineModel};
 use ernn_admm::{AdmmReport, Recipe};
 use ernn_asr::{evaluate_per, SynthCorpus, SynthCorpusConfig};
@@ -314,15 +314,7 @@ fn flow_phases(
         weight_bits: 12,
         layers: 2,
     };
-    let phase2 = run_phase2(
-        hw_spec,
-        phase1.chosen_per,
-        quant_oracle,
-        &Phase2Config {
-            device,
-            ..Phase2Config::default()
-        },
-    );
+    let phase2 = run_phase2(hw_spec, phase1.chosen_per, quant_oracle, device);
 
     let report = FlowReport {
         phase1,

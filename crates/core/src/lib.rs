@@ -40,5 +40,5 @@ pub mod pipeline;
 
 pub use explore::{block_size_bounds, BlockSizeBounds};
 pub use phase1::{run_phase1, CandidateSpec, Phase1Config, Phase1Result, TrainOracle, Trial};
-pub use phase2::{run_phase2, Phase2Config, Phase2Result};
+pub use phase2::{run_phase2, Phase2Result};
 pub use pipeline::{Pipeline, PipelineError, PipelineModel};

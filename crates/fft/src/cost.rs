@@ -37,10 +37,11 @@ pub struct CostModel {
     pub real_symmetry: bool,
     /// Skip multiplications by the trivial twiddles `1, −1, i, −i`.
     pub trivial_twiddles: bool,
-    /// Real multiplications per general complex multiplication (4 for the
-    /// schoolbook product the paper's PE uses; 3 with the Karatsuba trick).
-    pub real_mults_per_complex: u32,
 }
+
+/// Real multiplications per general complex multiplication: the schoolbook
+/// product the paper's PE uses.
+const REAL_MULTS_PER_COMPLEX: u64 = 4;
 
 impl CostModel {
     /// The full set of optimizations assumed by Fig. 8 of the paper.
@@ -49,7 +50,6 @@ impl CostModel {
             fft_decoupling: true,
             real_symmetry: true,
             trivial_twiddles: true,
-            real_mults_per_complex: 4,
         }
     }
 
@@ -59,7 +59,6 @@ impl CostModel {
             fft_decoupling: false,
             real_symmetry: false,
             trivial_twiddles: false,
-            real_mults_per_complex: 4,
         }
     }
 
@@ -103,7 +102,7 @@ impl CostModel {
     /// level of IFFT can be reduced by half" generalizes to half the
     /// complex work for real data).
     pub fn fft_real_mults(&self, n: usize) -> u64 {
-        let complex = self.fft_complex_mults(n) * self.real_mults_per_complex as u64;
+        let complex = self.fft_complex_mults(n) * REAL_MULTS_PER_COMPLEX;
         if self.real_symmetry {
             complex / 2
         } else {
@@ -118,7 +117,7 @@ impl CostModel {
     /// the two endpoint bins are purely real (1 real multiply each).
     pub fn elementwise_real_mults(&self, lb: usize) -> u64 {
         assert!(is_power_of_two(lb), "block size must be a power of two");
-        let c = self.real_mults_per_complex as u64;
+        let c = REAL_MULTS_PER_COMPLEX;
         if !self.real_symmetry {
             return lb as u64 * c;
         }
@@ -176,21 +175,22 @@ pub struct MultCurvePoint {
     pub normalized_mults: f64,
 }
 
-/// Computes the Fig. 8 curve for a square layer of the given size over block
-/// sizes `2, 4, …, max_block`.
+/// Computes the Fig. 8 curve of [`CostModel::paper`] for a square layer of
+/// the given size over block sizes `2, 4, …, max_block`.
 ///
 /// ```
-/// use ernn_fft::cost::{fig8_curve, CostModel};
-/// let curve = fig8_curve(CostModel::paper(), 512, 256);
+/// use ernn_fft::cost::fig8_curve;
+/// let curve = fig8_curve(512, 256);
 /// // Compression improves rapidly up to block size ~32 and then converges
 /// // (paper Sec. V-B).
 /// assert!(curve[0].normalized_mults > curve.last().unwrap().normalized_mults);
 /// ```
-pub fn fig8_curve(model: CostModel, layer_size: usize, max_block: usize) -> Vec<MultCurvePoint> {
+pub fn fig8_curve(layer_size: usize, max_block: usize) -> Vec<MultCurvePoint> {
     assert!(
         is_power_of_two(max_block),
         "max block must be a power of two"
     );
+    let model = CostModel::paper();
     let mut points = Vec::new();
     let mut lb = 2;
     while lb <= max_block && lb <= layer_size {
@@ -203,25 +203,25 @@ pub fn fig8_curve(model: CostModel, layer_size: usize, max_block: usize) -> Vec<
     points
 }
 
-/// Default absolute-gain threshold for [`block_size_upper_bound`]: doubling
-/// the block size must save at least 1.5% of the dense multiply count.
+/// Absolute-gain threshold of [`block_size_upper_bound`]: doubling the
+/// block size must save at least 1.5% of the dense multiply count.
 /// Calibrated so the bound lands at 32–64 for the paper's 512/1024 layers.
-pub const DEFAULT_MIN_GAIN: f64 = 0.015;
+const MIN_GAIN: f64 = 0.015;
 
 /// The block-size upper bound implied by the bottom-up exploration
-/// (Sec. V-B): the largest block size whose *absolute* multiply-count
-/// reduction (as a fraction of the dense baseline) still exceeds
-/// `min_gain`. Past this point the curve has converged — larger blocks buy
-/// almost nothing while costing accuracy.
+/// (Sec. V-B): the largest block size on [`fig8_curve`] whose *absolute*
+/// multiply-count reduction (as a fraction of the dense baseline) still
+/// exceeds 1.5 % of it. Past this point the curve has converged — larger
+/// blocks buy almost nothing while costing accuracy.
 ///
 /// The paper observes the convergence at 32 or 64 for ASR layer sizes and
 /// uses it to cap Phase-I training trials.
-pub fn block_size_upper_bound(model: CostModel, layer_size: usize, min_gain: f64) -> usize {
-    let curve = fig8_curve(model, layer_size, layer_size.min(1024));
+pub fn block_size_upper_bound(layer_size: usize) -> usize {
+    let curve = fig8_curve(layer_size, layer_size.min(1024));
     let mut best = curve.first().map_or(2, |p| p.block_size);
     for pair in curve.windows(2) {
         let improvement = pair[0].normalized_mults - pair[1].normalized_mults;
-        if improvement > min_gain {
+        if improvement > MIN_GAIN {
             best = pair[1].block_size;
         } else {
             break;
@@ -303,7 +303,7 @@ mod tests {
         // reaches 32 or 64. Check the big drops happen before 32 and the
         // marginal improvement after 64 is small.
         for &layer in &[512usize, 1024] {
-            let curve = fig8_curve(CostModel::paper(), layer, 256);
+            let curve = fig8_curve(layer, 256);
             let at = |lb: usize| {
                 curve
                     .iter()
@@ -324,7 +324,7 @@ mod tests {
 
     #[test]
     fn fig8_curve_is_monotone_until_convergence() {
-        let curve = fig8_curve(CostModel::paper(), 512, 256);
+        let curve = fig8_curve(512, 256);
         for pair in curve.windows(2) {
             assert!(
                 pair[1].normalized_mults <= pair[0].normalized_mults + 1e-9,
@@ -354,7 +354,7 @@ mod tests {
     #[test]
     fn upper_bound_lands_in_paper_range() {
         for &layer in &[512usize, 1024] {
-            let ub = block_size_upper_bound(CostModel::paper(), layer, DEFAULT_MIN_GAIN);
+            let ub = block_size_upper_bound(layer);
             assert!(
                 (32..=64).contains(&ub),
                 "layer {layer}: upper bound {ub} outside the paper's 32–64 window"
@@ -373,15 +373,5 @@ mod tests {
         let tall = m.matvec_real_mults(1024, 256, 16);
         let wide = m.matvec_real_mults(256, 1024, 16);
         assert_eq!(tall, wide, "FFT+IFFT counts are symmetric for transposes");
-    }
-
-    #[test]
-    fn karatsuba_reduces_real_mults() {
-        let school = CostModel::paper();
-        let karatsuba = CostModel {
-            real_mults_per_complex: 3,
-            ..CostModel::paper()
-        };
-        assert!(karatsuba.matvec_real_mults(512, 512, 16) < school.matvec_real_mults(512, 512, 16));
     }
 }

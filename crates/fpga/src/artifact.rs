@@ -20,7 +20,7 @@ use crate::device::Device;
 use crate::exec::{DatapathConfig, QuantizationReport, QuantizedNetwork};
 use ernn_linalg::{BlockCirculantMatrix, Matrix, WeightMatrix};
 use ernn_model::{
-    Act, BlockPolicy, CellType, GruLayer, LstmConfig, LstmLayer, ModelSpec, RnnLayer, RnnNetwork,
+    BlockPolicy, CellType, GruLayer, LstmConfig, LstmLayer, ModelSpec, RnnLayer, RnnNetwork,
 };
 
 /// The single error type of the model-lifecycle pipeline: stage
@@ -214,8 +214,10 @@ pub struct ModelArtifact {
     net: RnnNetwork<WeightMatrix>,
 }
 
-/// Format version written by [`ModelArtifact::save_bytes`].
-pub const ARTIFACT_VERSION: u32 = 1;
+/// Format version written by [`ModelArtifact::save_bytes`], and the only
+/// one [`ModelArtifact::load_bytes`] reads. Version 2 records carry no
+/// activation tag: every cell input is tanh.
+pub const ARTIFACT_VERSION: u32 = 2;
 const MAGIC: &[u8; 8] = b"ERNN-ART";
 
 impl ModelArtifact {
@@ -279,7 +281,6 @@ impl ModelArtifact {
         }
         e.u8(u8::from(self.spec.peephole));
         e.opt_u64(self.spec.projection.map(|p| p as u64));
-        e.u8(act_tag(self.spec.cell_activation));
         // Quantization report.
         e.f32(self.report.max_weight_error);
         e.f32(self.report.max_saturation);
@@ -326,7 +327,6 @@ impl ModelArtifact {
                     e.u64(cfg.hidden_dim as u64);
                     e.u64(cfg.output_dim as u64);
                     e.u8(u8::from(cfg.peephole));
-                    e.u8(act_tag(cfg.cell_activation));
                     e.weight(&l.wx);
                     e.weight(&l.wr);
                     e.f32s(&l.bias);
@@ -351,7 +351,6 @@ impl ModelArtifact {
                     e.u8(1);
                     e.u64(g.input_dim() as u64);
                     e.u64(g.hidden_dim() as u64);
-                    e.u8(act_tag(g.candidate_activation));
                     e.weight(&g.wzr_x);
                     e.weight(&g.wzr_c);
                     e.f32s(&g.bias_zr);
@@ -406,7 +405,6 @@ impl ModelArtifact {
         }
         let peephole = d.bool()?;
         let projection = d.opt_u64()?.map(|p| p as usize);
-        let cell_activation = act_from_tag(d.u8()?)?;
         let spec = ModelSpec {
             cell,
             input_dim,
@@ -414,7 +412,6 @@ impl ModelArtifact {
             layer_dims,
             peephole,
             projection,
-            cell_activation,
         };
         // Quantization report.
         let report = QuantizationReport {
@@ -479,7 +476,6 @@ impl ModelArtifact {
                         hidden_dim: d.usize()?,
                         output_dim: d.usize()?,
                         peephole: d.bool()?,
-                        cell_activation: act_from_tag(d.u8()?)?,
                     };
                     check_dim(cfg.input_dim, i)?;
                     check_dim(cfg.hidden_dim, i)?;
@@ -519,7 +515,6 @@ impl ModelArtifact {
                     let h = d.usize()?;
                     check_dim(in_dim, i)?;
                     check_dim(h, i)?;
-                    let act = act_from_tag(d.u8()?)?;
                     let wzr_x = d.weight(2 * h, in_dim, &format!("layer {i} wzr_x"))?;
                     let wzr_c = d.weight(2 * h, h, &format!("layer {i} wzr_c"))?;
                     let bias_zr = d.f32s_exact(2 * h, &format!("layer {i} bias_zr"))?;
@@ -527,7 +522,7 @@ impl ModelArtifact {
                     let wcc = d.weight(h, h, &format!("layer {i} wcc"))?;
                     let bias_c = d.f32s_exact(h, &format!("layer {i} bias_c"))?;
                     RnnLayer::Gru(GruLayer::from_parts(
-                        in_dim, h, act, wzr_x, wzr_c, bias_zr, wcx, wcc, bias_c,
+                        in_dim, h, wzr_x, wzr_c, bias_zr, wcx, wcc, bias_c,
                     ))
                 }
                 t => {
@@ -629,23 +624,6 @@ fn cell_from_tag(tag: u8) -> Result<CellType, PipelineError> {
         0 => Ok(CellType::Lstm),
         1 => Ok(CellType::Gru),
         t => Err(PipelineError::Corrupt(format!("unknown cell tag {t}"))),
-    }
-}
-
-fn act_tag(act: Act) -> u8 {
-    match act {
-        Act::Sigmoid => 0,
-        Act::Tanh => 1,
-    }
-}
-
-fn act_from_tag(tag: u8) -> Result<Act, PipelineError> {
-    match tag {
-        0 => Ok(Act::Sigmoid),
-        1 => Ok(Act::Tanh),
-        t => Err(PipelineError::Corrupt(format!(
-            "unknown activation tag {t}"
-        ))),
     }
 }
 
@@ -992,13 +970,13 @@ mod tests {
         // still fits, but layer 1 now reads 12 of layer 0's 16 outputs.
         let whole = artifact_with_layers(CellType::Gru, &[16, 16]).save_bytes();
         let donor = artifact_with_layers(CellType::Gru, &[12, 16]).save_bytes();
-        // A GRU layer record opens with its tag, input dim, hidden dim and
-        // activation, then `wzr_x`'s own tag and row count.
+        // A GRU layer record opens with its tag, input dim and hidden dim,
+        // then `wzr_x`'s own tag and row count.
         let layer_1 = |bytes: &[u8], in_dim: u64| {
             let mut head = vec![1u8];
             head.extend_from_slice(&in_dim.to_le_bytes());
             head.extend_from_slice(&16u64.to_le_bytes());
-            head.extend_from_slice(&[act_tag(Act::Tanh), 1]);
+            head.push(1);
             head.extend_from_slice(&32u64.to_le_bytes());
             let at = bytes.windows(head.len()).rposition(|w| w == head);
             at.expect("layer 1 record")

@@ -5,8 +5,8 @@
 //!   channel structure (32 channels in the published design) rather than
 //!   by dense streaming; activations live in off-chip lookup tables.
 //!   The paper's Table III quotes ESE's *theoretical* computation time
-//!   (footnote b), which corresponds to perfectly load-balanced channels
-//!   — we model both that and the imbalanced reality.
+//!   (footnote b), which corresponds to perfectly load-balanced channels;
+//!   that is the time modelled here (ESE reports ~1.2× more in practice).
 //! * **C-LSTM** (Wang et al., FPGA'18): the same block-circulant framework
 //!   as E-RNN but trained without ADMM and implemented without E-RNN's
 //!   PE-level optimization. Per the paper's Sec. VIII-B2, the efficiency
@@ -31,9 +31,6 @@ pub struct EseModel {
     /// Table III footnote a is a pessimistic estimate that prices indices
     /// at the weight width, which is what reproduces its 4.5:1 figure.
     pub index_bits: u8,
-    /// Load-imbalance factor across channels (1.0 = the theoretical
-    /// number the paper quotes; ESE reports ~1.2× in practice).
-    pub load_imbalance: f64,
 }
 
 impl EseModel {
@@ -45,7 +42,6 @@ impl EseModel {
             mac_channels: 32,
             weight_bits: 12,
             index_bits: 12,
-            load_imbalance: 1.0,
         }
     }
 
@@ -64,10 +60,10 @@ impl EseModel {
     }
 
     /// Per-frame computation cycles: every non-zero weight is one MAC,
-    /// spread over the channels, inflated by load imbalance (irregular
-    /// rows cannot be balanced perfectly).
+    /// spread evenly over the channels (the theoretical, load-balanced
+    /// time Table III quotes).
     pub fn cycles_per_frame(&self) -> u64 {
-        (self.nnz() as f64 / self.mac_channels as f64 * self.load_imbalance) as u64
+        (self.nnz() as f64 / self.mac_channels as f64) as u64
     }
 
     /// Frame latency in µs. ESE does not overlap its phases the way
@@ -151,16 +147,6 @@ mod tests {
             "{}",
             ese.fps()
         );
-    }
-
-    #[test]
-    fn load_imbalance_degrades_ese() {
-        let ideal = EseModel::table_iii();
-        let real = EseModel {
-            load_imbalance: 1.2,
-            ..ideal
-        };
-        assert!(real.fps() < ideal.fps());
     }
 
     #[test]

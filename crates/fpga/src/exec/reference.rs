@@ -1,8 +1,8 @@
 //! The cell datapath as it stood before the slice passes, and the sequence
 //! walker as it stood before it moved into `ernn-model`, kept word for
 //! word as the oracle the vectorised [`QuantizedNetwork`] is held to: the
-//! quantizer and the PWL units called once per `k` inside mixed loops,
-//! `match cell_activation` inside them. The quantizer here is its `i64`
+//! quantizer and the PWL units called once per `k` inside mixed loops.
+//! The quantizer here is its `i64`
 //! definition rather than the lane kernel; the PWL units' scalar `eval`
 //! has its own oracle in `ernn-quant`. The walker's buffers and carried
 //! states, which [`ExecScratch`] and [`NetworkState`] keep to themselves,
@@ -11,7 +11,7 @@
 
 use super::*;
 use ernn_linalg::{MatVec, MatVecScratch};
-use ernn_model::{compress_network, Act, BlockPolicy, CellType, GruLayer, LstmLayer, ModelSpec};
+use ernn_model::{compress_network, BlockPolicy, CellType, GruLayer, LstmLayer, ModelSpec};
 use rand::{Rng, SeedableRng};
 
 /// The walker's buffers, as [`ExecScratch`] declares them.
@@ -188,10 +188,7 @@ impl QuantizedNetwork {
                 for k in 0..h {
                     let i_gate = self.datapath.sigmoid.eval(pre[k]);
                     let f_gate = self.datapath.sigmoid.eval(pre[h + k]);
-                    let g_cell = match cfg.cell_activation {
-                        ernn_model::Act::Sigmoid => self.datapath.sigmoid.eval(pre[2 * h + k]),
-                        ernn_model::Act::Tanh => self.datapath.tanh.eval(pre[2 * h + k]),
-                    };
+                    let g_cell = self.datapath.tanh.eval(pre[2 * h + k]);
                     c_new[k] = self.q(f_gate * c[k] + g_cell * i_gate);
                 }
                 for k in 0..h {
@@ -309,10 +306,7 @@ impl QuantizedNetwork {
                     *p = self.q(*p + rv + bias);
                 }
                 for k in 0..h {
-                    let c_tilde = match g.candidate_activation {
-                        ernn_model::Act::Sigmoid => self.datapath.sigmoid.eval(pre_c[k]),
-                        ernn_model::Act::Tanh => self.datapath.tanh.eval(pre_c[k]),
-                    };
+                    let c_tilde = self.datapath.tanh.eval(pre_c[k]);
                     c_new[k] = self.q((1.0 - z[bi * h + k]) * c[k] + z[bi * h + k] * c_tilde);
                 }
             }
@@ -339,7 +333,6 @@ struct Shape {
     layers: usize,
     peephole: bool,
     projection: Option<usize>,
-    act: Act,
     block: usize,
 }
 
@@ -347,17 +340,11 @@ impl Shape {
     fn build(self, rng: &mut impl Rng) -> QuantizedNetwork {
         let mut builder = ModelSpec::new(self.cell, IN_DIM, 5)
             .layer_dims(&vec![self.hidden; self.layers])
-            .peephole(self.peephole)
-            .cell_activation(self.act);
+            .peephole(self.peephole);
         if let Some(r) = self.projection {
             builder = builder.projection(r);
         }
-        let mut dense = builder.build(rng);
-        for layer in dense.layers_mut() {
-            if let RnnLayer::Gru(g) = layer {
-                g.candidate_activation = self.act;
-            }
-        }
+        let dense = builder.build(rng);
         let net = compress_network(&dense, BlockPolicy::uniform(self.block));
         QuantizedNetwork::new(&net, &DatapathConfig::paper_12bit())
     }
@@ -418,32 +405,28 @@ fn assert_bitwise_equal_to_reference(shape: Shape, max_frames: usize) {
 fn slice_passes_are_bitwise_the_per_element_datapath_on_small_cells() {
     // 8 is two SSE lanes, 20 is not a multiple of the lane width.
     for hidden in [8, 20] {
-        for act in [Act::Tanh, Act::Sigmoid] {
-            for peephole in [false, true] {
-                for projection in [None, Some(hidden / 2)] {
-                    let shape = Shape {
-                        cell: CellType::Lstm,
-                        hidden,
-                        layers: 2,
-                        peephole,
-                        projection,
-                        act,
-                        block: 4,
-                    };
-                    assert_bitwise_equal_to_reference(shape, 7);
-                }
+        for peephole in [false, true] {
+            for projection in [None, Some(hidden / 2)] {
+                let shape = Shape {
+                    cell: CellType::Lstm,
+                    hidden,
+                    layers: 2,
+                    peephole,
+                    projection,
+                    block: 4,
+                };
+                assert_bitwise_equal_to_reference(shape, 7);
             }
-            let shape = Shape {
-                cell: CellType::Gru,
-                hidden,
-                layers: 2,
-                peephole: false,
-                projection: None,
-                act,
-                block: 4,
-            };
-            assert_bitwise_equal_to_reference(shape, 7);
         }
+        let shape = Shape {
+            cell: CellType::Gru,
+            hidden,
+            layers: 2,
+            peephole: false,
+            projection: None,
+            block: 4,
+        };
+        assert_bitwise_equal_to_reference(shape, 7);
     }
 }
 
@@ -455,7 +438,6 @@ fn slice_passes_are_bitwise_the_per_element_datapath_on_the_paper_cells() {
         layers: 1,
         peephole: true,
         projection: Some(512),
-        act: Act::Tanh,
         block: 8,
     };
     assert_bitwise_equal_to_reference(lstm, 2);

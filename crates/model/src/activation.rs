@@ -6,12 +6,13 @@ pub fn sigmoid(x: f32) -> f32 {
     1.0 / (1.0 + (-x).exp())
 }
 
-/// An activation function choice.
+/// One of the two activation units a cell step evaluates: σ for the
+/// gates, tanh for the LSTM cell input and output and the GRU candidate.
 ///
 /// The paper writes the cell-input activation of Eqn. 1c with `σ`; the Sak
-/// et al. architecture it cites uses `tanh` there. Both are supported: the
-/// default network uses [`Act::Tanh`] (better conditioning for training)
-/// and the literal-paper variant is one configuration flag away.
+/// et al. architecture it cites uses `tanh` there, and so does every cell
+/// here (better conditioning for training). The choice is fixed, not a
+/// setting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Act {
     /// Logistic sigmoid, output in `(0, 1)`.

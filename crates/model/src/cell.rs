@@ -28,7 +28,8 @@ pub trait CellArith {
     /// gate plane.
     fn peephole(&self, gate: &mut [f32], w: &[f32], c: &[f32]);
 
-    /// The cell-input / candidate / output activation unit, in place.
+    /// The activation unit `act`, in place: tanh for the cell input,
+    /// candidate and output, σ for the gates.
     fn activate(&self, act: Act, xs: &mut [f32]);
 
     /// The σ unit of the gates, in place: the activation unit at

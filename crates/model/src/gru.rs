@@ -18,12 +18,11 @@ use rand::Rng;
 /// One GRU layer, generic over the weight representation.
 ///
 /// Lane order in the fused gate matrices is `z` (update) then `r` (reset).
+/// The candidate-state activation `h` of Eqn. 2c is tanh, as in the paper.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GruLayer<M> {
     input_dim: usize,
     hidden_dim: usize,
-    /// Candidate-state activation `h` of Eqn. 2c (tanh in the paper).
-    pub candidate_activation: Act,
     /// Fused gate input weights `(2H × I)`.
     pub wzr_x: M,
     /// Fused gate recurrent weights `(2H × H)`.
@@ -61,7 +60,6 @@ impl<M: MatVec> GruLayer<M> {
     pub fn from_parts(
         input_dim: usize,
         hidden_dim: usize,
-        candidate_activation: Act,
         wzr_x: M,
         wzr_c: M,
         bias_zr: Vec<f32>,
@@ -94,7 +92,6 @@ impl<M: MatVec> GruLayer<M> {
         GruLayer {
             input_dim,
             hidden_dim,
-            candidate_activation,
             wzr_x,
             wzr_c,
             bias_zr,
@@ -162,7 +159,6 @@ impl<M: MatVec> GruLayer<M> {
         GruLayer::from_parts(
             self.input_dim,
             self.hidden_dim,
-            self.candidate_activation,
             weight(WeightRole::Input, &self.wzr_x),
             weight(WeightRole::Recurrent, &self.wzr_c),
             vector(&self.bias_zr),
@@ -314,10 +310,10 @@ impl<M: MatVec> GruLayer<M> {
             }
         }
 
-        // c̃ = h(W_c̃x·x + W_c̃c·(r ⊙ c_{t-1}) + b_c̃)   (2c).
+        // c̃ = tanh(W_c̃x·x + W_c̃c·(r ⊙ c_{t-1}) + b_c̃)   (2c, h = tanh).
         self.wcc.matvec_batch_into(rc, rec_c, batch, mv);
         arith.accumulate(pre_c, rec_c, &self.bias_c);
-        arith.activate(self.candidate_activation, pre_c);
+        arith.activate(Act::Tanh, pre_c);
 
         // c_t = (1 − z) ⊙ c_{t-1} + z ⊙ c̃   (2d).
         for (((c_new, zr), c), c_tilde) in c_next
@@ -352,17 +348,7 @@ impl<M: MatVec> GruLayer<M> {
         let wcx = weight(WeightRole::Input, h, input_dim, rng);
         let wcc = weight(WeightRole::Recurrent, h, h, rng);
         let (bias_zr, bias_c) = (vec![0.0; 2 * h], vec![0.0; h]);
-        GruLayer::from_parts(
-            input_dim,
-            h,
-            Act::Tanh,
-            wzr_x,
-            wzr_c,
-            bias_zr,
-            wcx,
-            wcc,
-            bias_c,
-        )
+        GruLayer::from_parts(input_dim, h, wzr_x, wzr_c, bias_zr, wcx, wcc, bias_c)
     }
 }
 
@@ -431,9 +417,9 @@ impl GruLayer<Matrix> {
                 dc_prev[k] = dct[k] * (1.0 - gate_z[k]);
             }
 
-            // Through c̃ = h(pre_c).
+            // Through c̃ = tanh(pre_c).
             let dpre_c: Vec<f32> = (0..h)
-                .map(|k| dc_tilde[k] * self.candidate_activation.deriv_from_output(c_tilde[k]))
+                .map(|k| dc_tilde[k] * Act::Tanh.deriv_from_output(c_tilde[k]))
                 .collect();
             grads.wcx.add_outer(1.0, &dpre_c, x);
             grads.wcc.add_outer(1.0, &dpre_c, rc);

@@ -34,17 +34,14 @@ impl<M: MatVec> GruLayer<M> {
         let z: Vec<f32> = pre[..h].iter().map(|&v| sigmoid(v)).collect();
         let r: Vec<f32> = pre[h..].iter().map(|&v| sigmoid(v)).collect();
 
-        // c̃ = h(W_c̃x·x + W_c̃c·(r ⊙ c_{t-1}) + b_c̃)   (2c).
+        // c̃ = tanh(W_c̃x·x + W_c̃c·(r ⊙ c_{t-1}) + b_c̃)   (2c, h = tanh).
         let rc: Vec<f32> = r.iter().zip(c_prev.iter()).map(|(a, b)| a * b).collect();
         let mut pre_c = self.wcx.matvec(x);
         let rec_c = self.wcc.matvec(&rc);
         for ((p, r), b) in pre_c.iter_mut().zip(rec_c.iter()).zip(self.bias_c.iter()) {
             *p += r + b;
         }
-        let c_tilde: Vec<f32> = pre_c
-            .iter()
-            .map(|&v| self.candidate_activation.eval(v))
-            .collect();
+        let c_tilde: Vec<f32> = pre_c.iter().map(|&v| v.tanh()).collect();
 
         // c_t = (1 − z) ⊙ c_{t-1} + z ⊙ c̃   (2d).
         let c: Vec<f32> = (0..h)
@@ -116,27 +113,20 @@ fn assert_bitwise_equal_to_reference<M: MatVec>(layer: &GruLayer<M>, what: &str)
 #[test]
 fn shared_step_at_float_is_bitwise_the_per_element_step() {
     for (hidden, block) in [(8, 4), (20, 4), (256, 8)] {
-        for act in [Act::Tanh, Act::Sigmoid] {
-            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(41);
-            let mut dense = ModelSpec::new(CellType::Gru, IN_DIM, 5)
-                .layer_dims(&[hidden])
-                .build(&mut rng);
-            for layer in dense.layers_mut() {
-                if let RnnLayer::Gru(g) = layer {
-                    g.candidate_activation = act;
-                }
-            }
-            let what = format!("H={hidden} {act:?}");
-            let RnnLayer::Gru(layer) = &dense.layers()[0] else {
-                unreachable!("built as a GRU");
-            };
-            assert_bitwise_equal_to_reference(layer, &format!("dense {what}"));
-            let compressed = compress_network(&dense, BlockPolicy::uniform(block));
-            let RnnLayer::Gru(layer) = &compressed.layers()[0] else {
-                unreachable!("built as a GRU");
-            };
-            assert_bitwise_equal_to_reference(layer, &format!("circulant {what}"));
-        }
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(41);
+        let dense = ModelSpec::new(CellType::Gru, IN_DIM, 5)
+            .layer_dims(&[hidden])
+            .build(&mut rng);
+        let what = format!("H={hidden}");
+        let RnnLayer::Gru(layer) = &dense.layers()[0] else {
+            unreachable!("built as a GRU");
+        };
+        assert_bitwise_equal_to_reference(layer, &format!("dense {what}"));
+        let compressed = compress_network(&dense, BlockPolicy::uniform(block));
+        let RnnLayer::Gru(layer) = &compressed.layers()[0] else {
+            unreachable!("built as a GRU");
+        };
+        assert_bitwise_equal_to_reference(layer, &format!("circulant {what}"));
     }
 }
 
@@ -209,7 +199,6 @@ fn operands_of_different_kinds_have_no_input_stack() {
     let mixed = GruLayer::from_parts(
         g.input_dim(),
         g.hidden_dim(),
-        g.candidate_activation,
         g.wzr_x.clone(),
         g.wzr_c.clone(),
         g.bias_zr.clone(),

@@ -31,20 +31,17 @@ pub struct LstmConfig {
     pub output_dim: usize,
     /// Whether the diagonal peephole connections of Eqn. 1a/1b/1e exist.
     pub peephole: bool,
-    /// Activation for the cell input `g_t` (Eqn. 1c — see [`Act`]).
-    pub cell_activation: Act,
 }
 
 impl LstmConfig {
     /// A plain LSTM: no projection (`output_dim == hidden_dim`), no
-    /// peepholes, tanh cell input.
+    /// peepholes.
     pub fn simple(input_dim: usize, hidden_dim: usize) -> Self {
         LstmConfig {
             input_dim,
             hidden_dim,
             output_dim: hidden_dim,
             peephole: false,
-            cell_activation: Act::Tanh,
         }
     }
 
@@ -283,7 +280,7 @@ impl<M: MatVec> LstmLayer<M> {
                 arith.peephole(f_gate, pf, c_prev);
             }
             arith.sigmoid(gates_if);
-            arith.activate(self.cfg.cell_activation, g_cell);
+            arith.activate(Act::Tanh, g_cell);
 
             // c_t = f ⊙ c_{t-1} + g ⊙ i   (Eqn. 1d)
             let (i_gate, f_gate) = gates_if.split_at(h);
@@ -447,7 +444,7 @@ impl LstmLayer<Matrix> {
                 dc_prev[k] = dc[k] * gate_f[k];
                 dpre_i[k] = di * gate_i[k] * (1.0 - gate_i[k]);
                 dpre_f[k] = df * gate_f[k] * (1.0 - gate_f[k]);
-                dpre_g[k] = dg * self.cfg.cell_activation.deriv_from_output(gate_g[k]);
+                dpre_g[k] = dg * Act::Tanh.deriv_from_output(gate_g[k]);
             }
             if let Some([p_i, p_f, _]) = &self.peepholes {
                 let g_peep = grads.peepholes.as_mut().expect("grads shaped like layer");
@@ -498,7 +495,6 @@ mod tests {
             hidden_dim: 4,
             output_dim: if projection { 2 } else { 4 },
             peephole,
-            cell_activation: Act::Tanh,
         };
         LstmLayer::new_dense(cfg, &mut rng)
     }

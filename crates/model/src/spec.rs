@@ -9,7 +9,7 @@
 
 use crate::layer::RnnLayer;
 use crate::network::{CellType, RnnNetwork, WeightRole};
-use crate::{Act, GruLayer, LstmConfig, LstmLayer};
+use crate::{GruLayer, LstmConfig, LstmLayer};
 use ernn_linalg::{MatVec, Matrix};
 use rand::Rng;
 
@@ -36,14 +36,12 @@ pub struct ModelSpec {
     pub peephole: bool,
     /// LSTM recurrent projection dimension (ignored for GRU).
     pub projection: Option<usize>,
-    /// Cell-input activation (Eqn. 1c).
-    pub cell_activation: Act,
 }
 
 impl ModelSpec {
     /// A spec mapping `input_dim` features to `classes` framewise
     /// posteriors, with the defaults: one 128-wide layer, no peepholes, no
-    /// projection, tanh cell input.
+    /// projection.
     pub fn new(cell: CellType, input_dim: usize, classes: usize) -> Self {
         ModelSpec {
             cell,
@@ -52,7 +50,6 @@ impl ModelSpec {
             layer_dims: vec![128],
             peephole: false,
             projection: None,
-            cell_activation: Act::Tanh,
         }
     }
 
@@ -73,12 +70,6 @@ impl ModelSpec {
     /// (ignored for GRU).
     pub fn projection(mut self, dim: usize) -> Self {
         self.projection = Some(dim);
-        self
-    }
-
-    /// Sets the cell-input activation (Eqn. 1c); see [`Act`].
-    pub fn cell_activation(mut self, act: Act) -> Self {
-        self.cell_activation = act;
         self
     }
 
@@ -153,7 +144,6 @@ impl ModelSpec {
                         hidden_dim: h,
                         output_dim: self.layer_output_dim(i),
                         peephole: self.peephole,
-                        cell_activation: self.cell_activation,
                     };
                     RnnLayer::Lstm(LstmLayer::new_with(cfg, rng, &mut weight))
                 }
@@ -239,9 +229,6 @@ impl ModelSpec {
                     if cfg.peephole != self.peephole {
                         return Err(format!("layer {i} peephole presence mismatch"));
                     }
-                    if cfg.cell_activation != self.cell_activation {
-                        return Err(format!("layer {i} cell activation mismatch"));
-                    }
                 }
                 (CellType::Gru, RnnLayer::Gru(g)) => {
                     if g.hidden_dim() != self.layer_dims[i] {
@@ -291,7 +278,6 @@ mod tests {
             hidden_dim,
             output_dim: 4,
             peephole: true,
-            cell_activation: Act::Tanh,
         };
         let l0 = RnnLayer::Lstm(LstmLayer::new_dense(cfg(5, 8), &mut b));
         let l1 = RnnLayer::Lstm(LstmLayer::new_dense(cfg(4, 6), &mut b));
@@ -371,7 +357,6 @@ mod tests {
             GruLayer::from_parts(
                 in_dim,
                 h,
-                Act::Tanh,
                 Matrix::zeros(2 * h, in_dim),
                 Matrix::zeros(2 * h, h),
                 vec![0.0; 2 * h],

@@ -30,7 +30,7 @@ fn main() {
     );
 
     // 2. Front end: log-mel features with deltas.
-    let fe = FrontEnd::standard().with_deltas(true);
+    let fe = FrontEnd::standard();
     let feats = fe.extract(&wave);
     println!(
         "front end: {} frames x {} coefficients (25 ms window / 10 ms hop)",

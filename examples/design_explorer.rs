@@ -8,7 +8,7 @@
 
 use ernn::core::explore::block_size_bounds;
 use ernn::core::flow::{run_flow_to_artifact, FlowConfig};
-use ernn::fft::cost::{fig8_curve, CostModel};
+use ernn::fft::cost::fig8_curve;
 use ernn::fpga::XCKU060;
 
 fn main() {
@@ -21,7 +21,7 @@ fn main() {
         XCKU060.name, bounds.lower, bounds.upper, bounds.candidates
     );
     println!("Layer size 1024\n  Lb    norm. mults");
-    for p in fig8_curve(CostModel::paper(), 1024, 256) {
+    for p in fig8_curve(1024, 256) {
         println!("  {:<5} {:.4}", p.block_size, p.normalized_mults);
     }
     println!();

@@ -6,7 +6,7 @@
 //! paper picked, and that is all these tests say.
 
 use ernn::core::phase1::{run_phase1, CandidateSpec, Phase1Config, TrainOracle};
-use ernn::core::phase2::{run_phase2, Phase2Config};
+use ernn::core::phase2::run_phase2;
 use ernn::fpga::{RnnSpec, ADM_PCIE_7V3, XCKU060};
 use ernn::model::CellType;
 
@@ -75,12 +75,7 @@ fn phase2_scan_fed_the_12_bit_knee_stops_at_12_bits() {
             _ => 20.05,
         }
     };
-    let result = run_phase2(
-        RnnSpec::gru_1024(16, 12),
-        20.0,
-        quant,
-        &Phase2Config::default(),
-    );
+    let result = run_phase2(RnnSpec::gru_1024(16, 12), 20.0, quant, XCKU060);
     assert_eq!(result.datapath.weight_bits, 12);
     // The full design point is the paper's flagship: check the headline
     // energy-efficiency band (Table III: 15,300-16,020 FPS/W region; our

@@ -119,6 +119,16 @@ fn wrong_version_and_magic_are_typed_errors() {
         }
         other => panic!("expected UnsupportedVersion, got {other:?}"),
     }
+    // Version 1 carried activation tags this build no longer reads.
+    let mut version_1 = bytes.clone();
+    version_1[8..12].copy_from_slice(&1u32.to_le_bytes());
+    assert_eq!(
+        ModelArtifact::load_bytes(&version_1).unwrap_err(),
+        PipelineError::UnsupportedVersion {
+            found: 1,
+            supported: 2
+        }
+    );
     let mut wrong_magic = bytes.clone();
     wrong_magic[0] = b'X';
     assert!(matches!(
