@@ -77,6 +77,8 @@ pub fn run_phase2(
 
     // PWL resolution: smallest segment count whose max error is below the
     // datapath quantization step (so activations never dominate error).
+    // The fallback never runs: the widest count meets both bounds at every
+    // listed width, which `the_widest_segment_count_fits_every_width` pins.
     let act_step = FixedFormat::for_range(chosen_bits, 8.0).step();
     let chosen_segments = SEGMENT_OPTIONS
         .into_iter()
@@ -151,6 +153,18 @@ mod tests {
         assert!(PiecewiseLinear::sigmoid(64).max_error(2048) > step);
         let scanned: Vec<u8> = result.quant_trials.iter().map(|&(bits, _)| bits).collect();
         assert_eq!(scanned, [8, 10, 12, 16]);
+    }
+
+    #[test]
+    fn the_widest_segment_count_fits_every_width() {
+        let segs = SEGMENT_OPTIONS[SEGMENT_OPTIONS.len() - 1];
+        let sigmoid = PiecewiseLinear::sigmoid(segs).max_error(2048);
+        let tanh = PiecewiseLinear::tanh(segs).max_error(2048);
+        for bits in BIT_OPTIONS {
+            let step = FixedFormat::for_range(bits, 8.0).step();
+            assert!(sigmoid <= step, "sigmoid at {bits} bits");
+            assert!(tanh <= 2.0 * step, "tanh at {bits} bits");
+        }
     }
 
     #[test]

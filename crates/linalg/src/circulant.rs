@@ -258,6 +258,11 @@ impl BlockCirculantMatrix {
     /// Euclidean minimizer over the *represented* (truncated) matrix and —
     /// crucially for ADMM — idempotent.
     ///
+    /// Every block runs one body, `sum_block_diagonals`, which sums its
+    /// `L_b` diagonals over `r = 0..` in order, one block at a time in
+    /// registers; the test oracle `project_block_row_by_segments` is the
+    /// per-row segment loop it replaced, and the two are `to_bits`-equal.
+    ///
     /// # Panics
     ///
     /// Panics if `block_size` is not a power of two.
@@ -931,31 +936,22 @@ impl BlockCirculantMatrix {
 /// fewer in the last block row), `cols` wide, and `sums` (`q·L_b`
 /// zeros) receives its defining vectors.
 ///
-/// Entry (r, c) of a block lies on diagonal (c − r) mod L_b. One pass
-/// over the rows adds row r to every diagonal sum at once, so each sum
-/// still runs over r = 0.. in order.
+/// Every width runs the one body [`sum_block_diagonals`]; the arms only
+/// hand it `L_b` as a literal, so each width up to 32 gets its loops
+/// unrolled and its sums in registers. Wider blocks run it at the runtime
+/// width as a scalar loop, 2–4× slower at `L_b` 64–128 than the per-row
+/// segment loop it replaced; no model here uses those widths.
 fn project_block_row(dense: &[f32], cols: usize, lb: usize, sums: &mut [f32]) {
     let height = dense.len() / cols;
-    let ragged = cols % lb;
-    for (r, row) in dense.chunks_exact(cols).enumerate() {
-        let mut rest = sums.chunks_exact_mut(lb);
-        for (x, sum) in row.chunks_exact(lb).zip(&mut rest) {
-            // Columns r.. are diagonals 0..L_b − r, columns ..r the rest.
-            let (wrapped, straight) = x.split_at(r);
-            let (head, tail) = sum.split_at_mut(lb - r);
-            for (s, v) in head.iter_mut().zip(straight) {
-                *s += v;
-            }
-            for (s, v) in tail.iter_mut().zip(wrapped) {
-                *s += v;
-            }
-        }
-        if ragged > 0 {
-            let sum = rest.next().expect("the ragged block column");
-            for (c, v) in row[cols - ragged..].iter().enumerate() {
-                sum[(c + lb - r) % lb] += v;
-            }
-        }
+    let scratch = &mut [0.0f32; 64];
+    match lb {
+        1 => sum_diagonals(dense, cols, 1, sums, scratch),
+        2 => sum_diagonals(dense, cols, 2, sums, scratch),
+        4 => sum_diagonals(dense, cols, 4, sums, scratch),
+        8 => sum_diagonals(dense, cols, 8, sums, scratch),
+        16 => sum_diagonals(dense, cols, 16, sums, scratch),
+        32 => sum_diagonals(dense, cols, 32, sums, scratch),
+        _ => sum_diagonals(dense, cols, lb, sums, &mut vec![0.0; 2 * lb]),
     }
     // The mean over each diagonal's in-bounds entries: all L_b of them in
     // an interior block, fewer in an edge block.
@@ -970,6 +966,71 @@ fn project_block_row(dense: &[f32], cols: usize, lb: usize, sums: &mut [f32]) {
             *s = if count > 0 { *s / count as f32 } else { 0.0 };
         }
     }
+}
+
+/// The diagonal sums of each block of one block row into `sums`, with
+/// `scratch` of at least `2·L_b` entries.
+#[inline(always)]
+fn sum_diagonals(dense: &[f32], cols: usize, lb: usize, sums: &mut [f32], scratch: &mut [f32]) {
+    let whole = cols / lb;
+    let (interior, ragged) = sums.split_at_mut(whole * lb);
+    for (bj, sum) in interior.chunks_exact_mut(lb).enumerate() {
+        sum_block_diagonals(dense, cols, bj * lb, lb, lb, sum, scratch);
+    }
+    if !ragged.is_empty() {
+        let width = cols - whole * lb;
+        sum_block_diagonals(dense, cols, whole * lb, width, lb, ragged, scratch);
+    }
+}
+
+/// The `L_b` diagonal sums of the block whose columns start at `first`,
+/// `width` of them in bounds, into `sum`: entry (r, c) lies on diagonal
+/// (c − r) mod L_b, and each sum runs over r = 0.. in order.
+///
+/// The sums build up in `acc`, turned so that the rows of each group of
+/// `g` read at fixed shifts 0..g: before row r = a·g + b, `acc[c]` holds
+/// diagonal (c − a·g) mod L_b, which takes column (c + b) mod L_b; after
+/// each group `acc` turns right by `g`. With `g·L_b ≤ 128` a literal
+/// `L_b` unrolls a whole group. Columns past `width` add nothing.
+#[inline(always)]
+fn sum_block_diagonals(
+    dense: &[f32],
+    cols: usize,
+    first: usize,
+    width: usize,
+    lb: usize,
+    sum: &mut [f32],
+    scratch: &mut [f32],
+) {
+    let (acc, rotated) = scratch[..2 * lb].split_at_mut(lb);
+    let height = dense.len() / cols;
+    let g = (128 / lb).clamp(1, 8).min(lb);
+    let row = |r: usize| &dense[r * cols + first..][..width];
+    let add_shifted = |acc: &mut [f32], x: &[f32], b: usize| {
+        for (k, s) in acc.iter_mut().enumerate() {
+            let c = (k + b) & (lb - 1);
+            if c < width {
+                *s += x[c];
+            }
+        }
+    };
+    acc.fill(0.0);
+    for a in 0..height / g {
+        for b in 0..g {
+            add_shifted(acc, row(a * g + b), b);
+        }
+        rotated.copy_from_slice(acc);
+        acc[g..].copy_from_slice(&rotated[..lb - g]);
+        acc[..g].copy_from_slice(&rotated[lb - g..]);
+    }
+    let done = height / g * g;
+    for b in 0..height % g {
+        add_shifted(acc, row(done + b), b);
+    }
+    // acc[c] holds diagonal (c − done) mod L_b.
+    let s = done & (lb - 1);
+    sum[..lb - s].copy_from_slice(&acc[s..]);
+    sum[lb - s..].copy_from_slice(&acc[..s]);
 }
 
 /// The first `n` entries of a grow-only scratch buffer.
@@ -1111,6 +1172,59 @@ pub(crate) mod tests {
             }
         }
         BlockCirculantMatrix::from_blocks(rows, cols, block_size, blocks)
+    }
+
+    /// The segment loop `project_block_row` replaced: per row and block,
+    /// columns r.. into diagonals 0..L_b − r and columns ..r into the
+    /// rest, then the same means.
+    fn project_block_row_by_segments(dense: &[f32], cols: usize, lb: usize, sums: &mut [f32]) {
+        let height = dense.len() / cols;
+        let ragged = cols % lb;
+        for (r, row) in dense.chunks_exact(cols).enumerate() {
+            let mut rest = sums.chunks_exact_mut(lb);
+            for (x, sum) in row.chunks_exact(lb).zip(&mut rest) {
+                // Columns r.. are diagonals 0..L_b − r, columns ..r the rest.
+                let (wrapped, straight) = x.split_at(r);
+                let (head, tail) = sum.split_at_mut(lb - r);
+                for (s, v) in head.iter_mut().zip(straight) {
+                    *s += v;
+                }
+                for (s, v) in tail.iter_mut().zip(wrapped) {
+                    *s += v;
+                }
+            }
+            if ragged > 0 {
+                let sum = rest.next().expect("the ragged block column");
+                for (c, v) in row[cols - ragged..].iter().enumerate() {
+                    sum[(c + lb - r) % lb] += v;
+                }
+            }
+        }
+        // The mean over each diagonal's in-bounds entries: all L_b of them in
+        // an interior block, fewer in an edge block.
+        for (bj, sum) in sums.chunks_exact_mut(lb).enumerate() {
+            let width = lb.min(cols - bj * lb);
+            for (k, s) in sum.iter_mut().enumerate() {
+                let count = if height == lb && width == lb {
+                    lb
+                } else {
+                    (0..height).filter(|r| (r + k) % lb < width).count()
+                };
+                *s = if count > 0 { *s / count as f32 } else { 0.0 };
+            }
+        }
+    }
+
+    /// `project_dense`'s defining vectors through the segment loop.
+    fn project_dense_by_segments(dense: &Matrix, lb: usize) -> Vec<f32> {
+        let cols = dense.cols();
+        let q = cols.div_ceil(lb);
+        let mut blocks = vec![0.0f32; dense.rows().div_ceil(lb) * q * lb];
+        let block_rows = dense.as_slice().chunks(lb * cols);
+        for (dense, sums) in block_rows.zip(blocks.chunks_exact_mut(q * lb)) {
+            project_block_row_by_segments(dense, cols, lb, sums);
+        }
+        blocks
     }
 
     fn random_bc(
@@ -1600,6 +1714,38 @@ pub(crate) mod tests {
             let want = project_dense_per_diagonal(&dense, lb);
             let bits = |m: &BlockCirculantMatrix| m.blocks.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             prop_assert_eq!(bits(&got), bits(&want));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn block_at_a_time_projection_is_bitwise_the_segment_loop(
+            lb in 0usize..8,
+            p in 1usize..4,
+            q in 1usize..4,
+            short in any::<u16>(),
+            ragged in any::<u16>(),
+            run in 0usize..4,
+            seed in any::<u64>(),
+        ) {
+            // Every literal width and two runtime ones (64, 128), with a short
+            // last block row and a ragged last block column of any size,
+            // through the dense projection and through drawn runs of one,
+            // two, all and more block rows.
+            let lb = [1, 2, 4, 8, 16, 32, 64, 128][lb];
+            let rows = p * lb - usize::from(short) % lb;
+            let cols = q * lb - usize::from(ragged) % lb;
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let dense = Matrix::from_fn(rows, cols, |_, _| rng.gen_range(-3.0f32..3.0));
+            let mut twin = rng.clone();
+            let got = BlockCirculantMatrix::project_dense(&dense, lb);
+            prop_assert_eq!(bits(&got.blocks), bits(&project_dense_by_segments(&dense, lb)));
+            let run = [1, 2, p, p + 1][run];
+            let drawn = BlockCirculantMatrix::project_xavier_in_runs(rows, cols, lb, run, &mut rng);
+            let want = project_dense_by_segments(&Matrix::xavier(rows, cols, &mut twin), lb);
+            prop_assert_eq!(bits(&drawn.blocks), bits(&want));
         }
     }
 

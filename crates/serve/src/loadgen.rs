@@ -171,6 +171,11 @@ pub fn with_uniform_slo(requests: Vec<Request>, slo_us: f64) -> Vec<Request> {
 /// Synthesizes `count` random utterances of `dim`-dimensional frames with
 /// lengths drawn from `frames` (inclusive). Deterministic in `seed`;
 /// useful for benches and tests that don't need the full ASR corpus.
+///
+/// The stream: per utterance, one `gen_range` draw of its length, then
+/// its `len·dim` frame values in `[-1, 1)` as one run of the stream (one
+/// bulk fill, split into frames in order). That is the per-frame draw
+/// bit for bit, since consecutive fills continue one run.
 pub fn synthetic_utterances(
     count: usize,
     frames: (usize, usize),
@@ -179,16 +184,13 @@ pub fn synthetic_utterances(
 ) -> Vec<Vec<Vec<f32>>> {
     assert!(frames.0 >= 1 && frames.0 <= frames.1, "bad frame range");
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut drawn = Vec::new();
     (0..count)
         .map(|_| {
             let len = rng.gen_range(frames.0..=frames.1);
-            (0..len)
-                .map(|_| {
-                    let mut frame = vec![0.0; dim];
-                    rng.fill_f32_range(&mut frame, -1.0, 1.0);
-                    frame
-                })
-                .collect()
+            drawn.resize(len * dim, 0.0);
+            rng.fill_f32_range(&mut drawn, -1.0, 1.0);
+            (0..len).map(|f| drawn[f * dim..][..dim].to_vec()).collect()
         })
         .collect()
 }
@@ -196,6 +198,53 @@ pub fn synthetic_utterances(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The per-frame draw `synthetic_utterances` replaced: one fill per
+    /// frame.
+    fn synthetic_utterances_per_frame(
+        count: usize,
+        frames: (usize, usize),
+        dim: usize,
+        seed: u64,
+    ) -> Vec<Vec<Vec<f32>>> {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        (0..count)
+            .map(|_| {
+                let len = rng.gen_range(frames.0..=frames.1);
+                (0..len)
+                    .map(|_| {
+                        let mut frame = vec![0.0; dim];
+                        rng.fill_f32_range(&mut frame, -1.0, 1.0);
+                        frame
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    proptest! {
+        #[test]
+        fn one_fill_per_utterance_is_the_per_frame_draw(
+            count in 0usize..25,
+            range in 0usize..4,
+            dim in 0usize..6,
+            seed in any::<u64>(),
+        ) {
+            // Single frames, short and long utterances; frames of no
+            // value, of one, below, at and above one keystream block.
+            let frames = [(1, 1), (2, 9), (5, 15), (30, 60)][range];
+            let dim = [0, 1, 7, 8, 39, 153][dim];
+            let bits = |utts: &[Vec<Vec<f32>>]| -> Vec<Vec<Vec<u32>>> {
+                utts.iter()
+                    .map(|u| u.iter().map(|f| f.iter().map(|x| x.to_bits()).collect()).collect())
+                    .collect()
+            };
+            let got = synthetic_utterances(count, frames, dim, seed);
+            let want = synthetic_utterances_per_frame(count, frames, dim, seed);
+            prop_assert_eq!(bits(&got), bits(&want));
+        }
+    }
 
     #[test]
     fn poisson_arrivals_are_increasing_and_rate_matched() {
