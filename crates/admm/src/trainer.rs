@@ -489,4 +489,49 @@ mod tests {
             "ADMM {admm_acc} vs direct {direct_acc}"
         );
     }
+
+    /// Forward transforms `f` counts on this thread's FFT ledger, and what
+    /// it returns.
+    fn forward_ffts<T>(f: impl FnOnce() -> T) -> (u64, T) {
+        let before = ernn_fft::stats::thread_snapshot();
+        let out = f();
+        let delta = ernn_fft::stats::thread_snapshot().since(&before);
+        (delta.forward_transforms, out)
+    }
+
+    #[test]
+    fn projection_runs_no_fft_until_a_forward_reads_the_spectra() {
+        use ernn_linalg::WeightMatrix;
+        let policies = [BlockPolicy::uniform(4)];
+        let zero = TrainOptions {
+            epochs: 0,
+            lr_decay: 1.0,
+        };
+        for cell in [CellType::Lstm, CellType::Gru] {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(48);
+            let dense = ModelSpec::new(cell, 8, 3).layer_dims(&[16]).build(&mut rng);
+            // ADMM's Z-step projection, and Fig. 6's retrain at zero epochs.
+            let w = Matrix::xavier(16, 8, &mut rng);
+            assert_eq!(forward_ffts(|| project(&w, 4)).0, 0, "{cell}");
+            let (mut projected, mut opt) = (dense.clone(), Sgd::new(0.1));
+            let (ffts, _) = forward_ffts(|| {
+                train_projected(&mut projected, &policies, &[], zero, &mut opt, &mut rng)
+            });
+            assert_eq!(ffts, 0, "{cell}");
+            // The compressed network's spectra wait for its first forward,
+            // which computes each block's once.
+            let (ffts, net) = forward_ffts(|| compress_network(&dense, policies[0]));
+            assert_eq!(ffts, 0, "{cell}");
+            let blocks: usize = (net.weight_matrices().into_iter())
+                .map(|(_, _, w)| match w {
+                    WeightMatrix::Circulant(c) => c.grid().0 * c.grid().1,
+                    WeightMatrix::Dense(_) => 0,
+                })
+                .sum();
+            let frames = vec![vec![0.1f32; 8]; 3];
+            let (first, _) = forward_ffts(|| net.forward_logits(&frames));
+            let (second, _) = forward_ffts(|| net.forward_logits(&frames));
+            assert_eq!(first - second, blocks as u64, "{cell}");
+        }
+    }
 }

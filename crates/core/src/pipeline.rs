@@ -32,8 +32,8 @@
 //! [`CompiledModel`] (ready to serve) with its [`ModelArtifact`] (ready
 //! to persist): `save_bytes → load_bytes → ModelRegistry::
 //! register_artifact` round-trips bit-identically into the serving
-//! tier with zero re-quantization and zero extra weight-spectrum
-//! refreshes.
+//! tier with zero re-quantization, and the load computes each weight
+//! spectrum once, as compiling does.
 //!
 //! [`Pipeline::paper`] is the single source of truth for the paper's
 //! deployment defaults (block 8, 12-bit datapath, XCKU060) that examples
@@ -490,6 +490,34 @@ mod tests {
         assert_eq!(out.model().spec(), by_hand.spec());
     }
 
+    #[test]
+    fn each_weight_block_is_ffted_once_from_seed_to_serving() {
+        use ernn_fft::stats::thread_snapshot;
+        let lstm = ModelSpec::new(CellType::Lstm, 26, 40)
+            .layer_dims(&[64])
+            .peephole(true)
+            .projection(32);
+        let gru = ModelSpec::new(CellType::Gru, 26, 40).layer_dims(&[64]);
+        for spec in [lstm, gru] {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(49);
+            let before = thread_snapshot();
+            let ffts = || thread_snapshot().since(&before).forward_transforms;
+            let quantized = Pipeline::paper(spec.clone())
+                .expect("valid spec")
+                .init(&mut rng)
+                .project()
+                .expect("paper block policy")
+                .quantize()
+                .expect("paper datapath");
+            assert_eq!(ffts(), 0, "{spec:?}: through init, project, quantize");
+            let model = quantized.compile().expect("paper platform").into_model();
+            let cached = model.load_stats.cached_spectra as u64;
+            assert!(cached > 0, "{spec:?}");
+            assert_eq!(ffts(), cached, "{spec:?}: seed to serving");
+            assert_eq!(model.load_stats.fft.forward_transforms, cached, "{spec:?}");
+        }
+    }
+
     /// Each weight matrix's block size and stored parameters, as bits.
     fn weight_bits(net: &RnnNetwork<WeightMatrix>) -> Vec<(usize, Vec<u32>)> {
         let weights = net.weight_matrices().into_iter().map(|(_, _, w)| {
@@ -633,14 +661,15 @@ mod tests {
         assert_eq!(reloaded.infer(&frames), out.model().infer(&frames));
         assert_eq!(reloaded.stage_cycles(), out.model().stage_cycles());
 
-        // Registering the decoded artifact refreshes no weight spectra
-        // (decoding was the load event), and the registry serves.
+        // Loading the artifact, into a model or into a registry, computes
+        // what compiling did, and the registry serves.
+        let stats = out.model().load_stats;
+        assert_eq!(stats.fft.forward_transforms, stats.cached_spectra as u64);
+        assert_eq!(reloaded.load_stats.fft, stats.fft);
         let mut registry = ModelRegistry::new();
-        let id = registry.register_artifact("trained", &loaded);
-        assert_eq!(
-            registry.model(id).weight_spectrum_refreshes(),
-            reloaded.weight_spectrum_refreshes()
-        );
+        let decoded = ModelArtifact::load_bytes(&bytes).expect("decodes");
+        let id = registry.register_artifact("trained", &decoded);
+        assert_eq!(registry.model(id).load_stats.fft, stats.fft);
         let runtime = SchedRuntime::new(
             registry,
             vec![ernn_fpga::XCKU060],

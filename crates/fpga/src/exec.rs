@@ -68,7 +68,9 @@
 //! [`lane_split_stats`] counts where the upper walk of every split forward
 //! ran.
 
-use ernn_linalg::{claim_tiles, Helper, HelperJob, LanePanel, SplitStats, WeightMatrix};
+use ernn_linalg::{
+    claim_tiles, BlockCirculantMatrix, Helper, HelperJob, LanePanel, SplitStats, WeightMatrix,
+};
 use ernn_model::{Act, CellArith, GruInputStack, RnnLayer, RnnNetwork};
 use ernn_quant::{FixedFormat, PiecewiseLinear, Quantizer};
 use std::ops::Range;
@@ -138,10 +140,17 @@ fn quantize_weight(m: &WeightMatrix, bits: u8, report: &mut QuantizationReport) 
             let stats = Quantizer::new(fmt).apply(&mut blocks);
             report.max_weight_error = report.max_weight_error.max(stats.max_abs_error);
             report.max_saturation = report.max_saturation.max(stats.saturation_rate);
-            let mut q = c.clone();
-            q.set_blocks(&blocks);
-            WeightMatrix::Circulant(q)
+            let (rows, cols, lb) = (c.rows(), c.cols(), c.block_size());
+            WeightMatrix::Circulant(BlockCirculantMatrix::from_blocks(rows, cols, lb, blocks))
         }
+    }
+}
+
+/// `p·q` of a block-circulant matrix, 0 for a dense one.
+fn blocks(w: &WeightMatrix) -> usize {
+    match w {
+        WeightMatrix::Circulant(c) => c.grid().0 * c.grid().1,
+        WeightMatrix::Dense(_) => 0,
     }
 }
 
@@ -279,10 +288,7 @@ impl QuantizedNetwork {
         let block_macs = net
             .weight_matrices()
             .into_iter()
-            .map(|(_, _, w)| match w {
-                WeightMatrix::Circulant(c) => c.grid().0 * c.grid().1,
-                WeightMatrix::Dense(_) => 0,
-            })
+            .map(|(_, _, w)| blocks(w))
             .sum();
         let datapath = Datapath {
             classifier_panel: LanePanel::from_matrix(&net.classifier_w),
@@ -301,6 +307,23 @@ impl QuantizedNetwork {
             datapath: Arc::new(datapath),
             report,
         }
+    }
+
+    /// Computes the weight spectra that no read has yet (neither
+    /// constructor computes any) of every block-circulant operand a forward
+    /// reads — the network's matrices in list order, then each GRU layer's
+    /// stacked input — and returns their block count `Σ p·q`.
+    pub fn cache_spectra(&self) -> usize {
+        let d = &*self.datapath;
+        let matrices = d.net.weight_matrices().into_iter().map(|(_, _, w)| w);
+        let stacks = d.input_stacks.iter().flatten().map(GruInputStack::weights);
+        let cache = |w: &WeightMatrix| {
+            if let WeightMatrix::Circulant(c) = w {
+                c.cache_spectra();
+            }
+            blocks(w)
+        };
+        matrices.chain(stacks).map(cache).sum()
     }
 
     /// The quantized network (weights only; activation handling lives in
@@ -900,6 +923,7 @@ mod tests {
                 let net = compress_network(&dense, policy);
                 let q = QuantizedNetwork::new(&net, &DatapathConfig::paper_12bit());
                 assert!(q.datapath.input_stacks.iter().all(Option::is_some));
+                q.cache_spectra();
                 // Ragged lengths: the active set shrinks to a tail of one.
                 let utts: Vec<Vec<Vec<f32>>> = (0..5)
                     .map(|s| {
@@ -1198,35 +1222,48 @@ mod tests {
                 .peephole(true)
                 .projection(8)
                 .build(&mut rng);
-            let mut net = compress_network(&dense, policy);
-            // Matrix `i` carries `i` extra spectrum refreshes, which its
-            // quantized clone inherits: a matrix out of place shows.
-            for (i, w) in net.weight_matrices_mut().into_iter().enumerate() {
-                if let WeightMatrix::Circulant(c) = w {
-                    (0..i).for_each(|_| c.refresh_spectra());
-                }
-            }
+            let net = compress_network(&dense, policy);
+            // Quantizing runs no FFT: the quantized matrices are new
+            // values whose spectra wait for their first read.
+            let before = ernn_fft::stats::thread_snapshot();
             let q = QuantizedNetwork::new(&net, &config);
+            let ffts = |since| {
+                ernn_fft::stats::thread_snapshot()
+                    .since(since)
+                    .forward_transforms
+            };
+            assert_eq!(ffts(&before), 0, "{cell}");
             let (listed, quantized) = (net.weight_matrices(), q.network().weight_matrices());
             assert_eq!(listed.len(), quantized.len(), "{cell}");
             let mut report = QuantizationReport::default();
-            for (i, ((li, role, w), (qli, qrole, qw))) in
-                listed.into_iter().zip(quantized).enumerate()
-            {
+            let mut listed_blocks = 0;
+            for ((li, role, w), (qli, qrole, qw)) in listed.into_iter().zip(quantized) {
                 assert_eq!((qli, qrole), (li, role), "{cell}");
                 assert_eq!(*qw, quantize_weight(w, config.weight_bits, &mut report));
-                if let WeightMatrix::Circulant(c) = qw {
-                    assert_eq!(c.spectrum_refresh_count(), i as u64 + 2, "{cell}");
-                }
+                listed_blocks += blocks(qw);
             }
             assert_eq!(q.report, report, "{cell}");
+            // Caching FFTs each block of the list and of the GRU stacks
+            // once, and never again.
+            let stacks = q.datapath.input_stacks.iter().flatten();
+            let stacked: usize = stacks.map(|s| blocks(s.weights())).sum();
+            assert_eq!(stacked > 0, cell == CellType::Gru, "{cell}");
+            let all = listed_blocks + stacked;
+            let before = ernn_fft::stats::thread_snapshot();
+            assert_eq!(q.cache_spectra(), all, "{cell}");
+            assert_eq!(ffts(&before), all as u64, "{cell}");
+            let before = ernn_fft::stats::thread_snapshot();
+            assert_eq!(q.cache_spectra(), all, "{cell}");
+            assert_eq!(ffts(&before), 0, "{cell}");
             let bias = quantize_vec(&net.classifier_b, config.weight_bits);
             assert_eq!(q.network().classifier_b, bias, "{cell}");
         }
     }
 
     /// A small two-layer network of `cell` (8 features, 5 classes,
-    /// hidden 16, `L_b = 4`; a GRU's layers stack their input pairs).
+    /// hidden 16, `L_b = 4`; a GRU's layers stack their input pairs), its
+    /// spectra cached as a compiled model's are, so that a forward counts
+    /// only its own transforms.
     fn small_net(cell: CellType, seed: u64) -> QuantizedNetwork {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
         let dense = ModelSpec::new(cell, 8, 5)
@@ -1238,6 +1275,7 @@ mod tests {
         );
         let stacks = q.datapath.input_stacks.iter().filter(|s| s.is_some());
         assert_eq!(stacks.count(), if cell == CellType::Gru { 2 } else { 0 });
+        q.cache_spectra();
         q
     }
 

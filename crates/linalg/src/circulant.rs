@@ -125,8 +125,9 @@ pub(crate) struct TileJob {
 impl HelperJob for TileJob {
     fn run(&mut self) {
         let matrix = self.matrix.as_ref().expect("a posted job holds its matrix");
-        let ys = &mut self.ys[..self.batch * matrix.rows()];
-        matrix.run_tiles(self.tiles.clone(), ys, self.batch, &mut self.scratch);
+        let (tiles, batch) = (self.tiles.clone(), self.batch);
+        let ys = &mut self.ys[..batch * matrix.rows()];
+        matrix.run_tiles(matrix.spectra(), tiles, ys, batch, &mut self.scratch);
     }
 
     fn release(&mut self) {
@@ -170,12 +171,16 @@ pub fn claim_tiles() -> Option<TileClaim> {
     Some(TileClaim { _claim: claim })
 }
 
-/// A block-circulant matrix with cached weight spectra.
+/// A block-circulant matrix: an immutable value whose weight spectra are
+/// derived state.
 ///
 /// Construct one either from explicit defining vectors
 /// ([`BlockCirculantMatrix::from_blocks`]) or by Euclidean projection of a
 /// dense matrix ([`BlockCirculantMatrix::project_dense`], the paper's
 /// Eqn. 6 — the optimal solution of ADMM's second subproblem).
+/// Construction runs no FFT: `FFT(w_ij)` of every block is computed at
+/// most once, by the first read — the first FFT matvec, or
+/// [`Self::cache_spectra`] — and clones share that one computation.
 #[derive(Debug, Clone)]
 pub struct BlockCirculantMatrix {
     /// Logical output dimension (rows of the represented matrix).
@@ -188,23 +193,26 @@ pub struct BlockCirculantMatrix {
     p: usize,
     /// Number of block columns, `⌈cols / L_b⌉`.
     q: usize,
-    /// Defining first-row vectors, `p*q` blocks × `L_b` entries, block
-    /// row-major. Shared by clones, as are the spectra, so the helper
-    /// thread can hold the matrix without copying it.
-    blocks: Arc<[f32]>,
-    /// Cached `FFT(w_ij)` as lane-major planes, `[tile][j][plane][lane]`
-    /// (see the module docs): `L_b` planes per block, block *rows* in the
-    /// stride-1 lane axis, the tail tile zero-padded to its lane width.
-    spectra: Arc<[f32]>,
+    /// The defining vectors and their spectra, shared by clones, so the
+    /// helper thread can hold the matrix without copying it.
+    weights: Arc<Weights>,
     /// Process-wide shared real-FFT plan of size `L_b` (see
     /// [`RealFft::shared`]); clones of this matrix share the plan instead
     /// of recomputing twiddle tables.
     rfft: Arc<RealFft>,
-    /// How many times the weight spectra have been (re)computed over this
-    /// instance's lifetime (clones inherit the count). Construction counts
-    /// as one; a steady count across matvecs is the observable guarantee
-    /// that weight FFTs are cached rather than recomputed per request.
-    refreshes: u64,
+}
+
+/// What a [`BlockCirculantMatrix`] and its clones share.
+#[derive(Debug)]
+struct Weights {
+    /// Defining first-row vectors, `p*q` blocks × `L_b` entries, block
+    /// row-major.
+    blocks: Box<[f32]>,
+    /// `FFT(w_ij)` as lane-major planes, `[tile][j][plane][lane]` (see the
+    /// module docs): `L_b` planes per block, block *rows* in the stride-1
+    /// lane axis, the tail tile zero-padded to its lane width. Set by the
+    /// first read.
+    spectra: OnceLock<Box<[f32]>>,
 }
 
 impl BlockCirculantMatrix {
@@ -232,20 +240,18 @@ impl BlockCirculantMatrix {
             p * q * block_size,
             blocks.len()
         );
-        let rfft = RealFft::shared(block_size);
-        let mut m = BlockCirculantMatrix {
+        BlockCirculantMatrix {
             rows,
             cols,
             block_size,
             p,
             q,
-            blocks: blocks.into(),
-            spectra: Arc::new([]),
-            rfft,
-            refreshes: 0,
-        };
-        m.refresh_spectra();
-        m
+            weights: Arc::new(Weights {
+                blocks: blocks.into(),
+                spectra: OnceLock::new(),
+            }),
+            rfft: RealFft::shared(block_size),
+        }
     }
 
     /// Euclidean projection of a dense matrix onto the block-circulant
@@ -335,7 +341,7 @@ impl BlockCirculantMatrix {
         if (self.block_size, self.cols) != (below.block_size, below.cols) {
             return None;
         }
-        let blocks = [&self.blocks[..], &below.blocks].concat();
+        let blocks = [self.blocks(), below.blocks()].concat();
         Some(Self::from_blocks(
             self.p * self.block_size + below.rows,
             self.cols,
@@ -371,7 +377,7 @@ impl BlockCirculantMatrix {
     /// The stored defining vectors (block row-major, `L_b` per block).
     #[inline]
     pub fn blocks(&self) -> &[f32] {
-        &self.blocks
+        &self.weights.blocks
     }
 
     /// The defining vector of block `(i, j)`.
@@ -382,7 +388,7 @@ impl BlockCirculantMatrix {
     pub fn block(&self, i: usize, j: usize) -> &[f32] {
         assert!(i < self.p && j < self.q, "block index out of range");
         let base = (i * self.q + j) * self.block_size;
-        &self.blocks[base..base + self.block_size]
+        &self.blocks()[base..base + self.block_size]
     }
 
     /// Compression ratio versus dense storage of the logical matrix.
@@ -390,32 +396,22 @@ impl BlockCirculantMatrix {
         (self.rows * self.cols) as f64 / self.param_count() as f64
     }
 
-    /// Overwrites the defining vectors and refreshes the cached spectra.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `blocks.len()` differs from [`Self::param_count`].
-    pub fn set_blocks(&mut self, blocks: &[f32]) {
-        assert_eq!(blocks.len(), self.blocks.len(), "block length mismatch");
-        Arc::make_mut(&mut self.blocks).copy_from_slice(blocks);
-        self.refresh_spectra();
+    /// Computes the weight spectra now, unless a read already has: what a
+    /// caller does at deploy time so that no matvec computes them later.
+    /// Counts `p·q` forward transforms on this thread's FFT ledger the
+    /// first time, nothing after.
+    pub fn cache_spectra(&self) {
+        self.spectra();
     }
 
-    /// Lifetime count of weight-spectrum recomputations (see the field
-    /// docs); serving-layer tests use this to prove the FFT'd-weight cache
-    /// is hit rather than rebuilt per request.
-    #[inline]
-    pub fn spectrum_refresh_count(&self) -> u64 {
-        self.refreshes
+    /// The weight spectra, computed on first read.
+    fn spectra(&self) -> &[f32] {
+        self.weights.spectra.get_or_init(|| self.compute_spectra())
     }
 
-    /// Recomputes the cached weight spectra from the defining vectors and
-    /// bumps [`Self::spectrum_refresh_count`]. Values are unchanged (the
-    /// FFT of the same blocks); callers use this to model re-streaming a
-    /// weight image — e.g. the serving registry loading a model into an
-    /// accelerator's BRAM — while keeping the refresh counter honest.
-    pub fn refresh_spectra(&mut self) {
-        self.refreshes += 1;
+    /// `FFT(w_ij)` of every block, packed as the lane-major planes the
+    /// tile stage reads.
+    fn compute_spectra(&self) -> Box<[f32]> {
         let lb = self.block_size;
         let mut spectra = vec![0.0; padded_lanes(self.p) * self.q * lb];
         let (mut time, mut bins) = (Vec::new(), Vec::new());
@@ -425,7 +421,7 @@ impl BlockCirculantMatrix {
             planes = rest;
             with_lane_width!(tile.width, W => self.pack_tile::<W>(tile, head, &mut time, &mut bins));
         }
-        self.spectra = spectra.into();
+        spectra.into()
     }
 
     /// FFTs the defining vectors of one tile of block rows and packs the
@@ -486,8 +482,9 @@ impl BlockCirculantMatrix {
     /// out contiguously (`xs` is `batch × cols` row-major, `ys` is
     /// `batch × rows`).
     ///
-    /// All `batch · q` input blocks are FFT'd first; the cached weight
-    /// spectra are then streamed **once per batch** — each `(i, j)` block
+    /// All `batch · q` input blocks are FFT'd first; the weight spectra
+    /// (computed here on this thread if this is their first read) are
+    /// then streamed **once per batch** — each `(i, j)` block
     /// visit accumulates into all `batch` frequency-domain accumulators
     /// (observable via
     /// [`spectrum_block_reads`](ernn_fft::stats::FftStats::spectrum_block_reads):
@@ -519,6 +516,7 @@ impl BlockCirculantMatrix {
             batch * self.rows,
             "output length must equal batch × rows"
         );
+        let spectra = self.spectra();
         self.input_spectra(xs, batch, scratch);
 
         // Stage 2+3: one pass over the weight planes per batch — every
@@ -530,24 +528,26 @@ impl BlockCirculantMatrix {
         let tiles = self.p.div_ceil(TILE);
         if self.p * self.q * batch >= SPLIT_MIN_WORK && tiles >= 2 {
             if let Some(helper) = tile_helper() {
-                return self.run_tiles_split(helper, tiles, ys, batch, scratch);
+                return self.run_tiles_split(spectra, helper, tiles, ys, batch, scratch);
             }
         }
-        self.run_tiles(0..tiles, ys, batch, scratch);
+        self.run_tiles(spectra, 0..tiles, ys, batch, scratch);
     }
 
-    /// Stages 2+3 for tiles `tiles` of block rows. Inlined: called once
-    /// out of line, it put ≈ 5 ns on GRU-8's ≈ 65 ns 8×8 call.
+    /// Stages 2+3 for tiles `tiles` of block rows, reading the weight
+    /// planes from `spectra`. Inlined: called once out of line, it put
+    /// ≈ 5 ns on GRU-8's ≈ 65 ns 8×8 call.
     #[inline(always)]
     pub(crate) fn run_tiles(
         &self,
+        spectra: &[f32],
         tiles: Range<usize>,
         ys: &mut [f32],
         batch: usize,
         scratch: &mut MatVecScratch,
     ) {
         for t in tiles {
-            let (tile, planes) = self.weight_tile(t);
+            let (tile, planes) = self.weight_tile(spectra, t);
             with_lane_width!(tile.width, W => {
                 self.matvec_tile::<W>(tile, planes, ys, batch, scratch);
             });
@@ -562,6 +562,7 @@ impl BlockCirculantMatrix {
     /// so the bits never depend on which thread ran it.
     pub(crate) fn run_tiles_split(
         &self,
+        spectra: &[f32],
         helper: &Helper<TileJob>,
         tiles: usize,
         ys: &mut [f32],
@@ -571,11 +572,11 @@ impl BlockCirculantMatrix {
         #[cfg(test)]
         tests::SPLIT_CALLS.with(|n| n.set(n.get() + 1));
         let Some(mut claim) = helper.try_claim() else {
-            return self.run_tiles(0..tiles, ys, batch, scratch);
+            return self.run_tiles(spectra, 0..tiles, ys, batch, scratch);
         };
         let split = tiles.div_ceil(2);
         claim.post(|job| self.delegate(job, split..tiles, batch, scratch));
-        self.run_tiles(0..split, ys, batch, scratch);
+        self.run_tiles(spectra, 0..split, ys, batch, scratch);
         match claim.collect() {
             Some(job) => {
                 // Rows of the delegated tiles, per input.
@@ -587,7 +588,7 @@ impl BlockCirculantMatrix {
                     y[first..].copy_from_slice(&done[first..]);
                 }
             }
-            None => self.run_tiles(split..tiles, ys, batch, scratch),
+            None => self.run_tiles(spectra, split..tiles, ys, batch, scratch),
         };
     }
 
@@ -643,12 +644,12 @@ impl BlockCirculantMatrix {
         }
     }
 
-    /// Tile `t` of block rows with its weight planes (`[j][plane][lane]`);
-    /// every tile but the last is [`TILE`] lanes wide.
-    fn weight_tile(&self, t: usize) -> (LaneTile, &[f32]) {
+    /// Tile `t` of block rows with its weight planes (`[j][plane][lane]`)
+    /// in `spectra`; every tile but the last is [`TILE`] lanes wide.
+    fn weight_tile<'s>(&self, spectra: &'s [f32], t: usize) -> (LaneTile, &'s [f32]) {
         let tile = lane_tile(self.p, t * TILE);
         let len = self.q * self.block_size;
-        (tile, &self.spectra[t * TILE * len..][..tile.width * len])
+        (tile, &spectra[t * TILE * len..][..tile.width * len])
     }
 
     /// Stages 2+3 for one tile: picks the instantiation of
@@ -870,7 +871,7 @@ impl BlockCirculantMatrix {
             "output-gradient length must equal rows"
         );
         let lb = self.block_size;
-        let mut grad = vec![0.0f32; self.blocks.len()];
+        let mut grad = vec![0.0f32; self.param_count()];
         for i in 0..self.p {
             let ibase = i * lb;
             let rlimit = lb.min(self.rows - ibase);
@@ -1094,7 +1095,7 @@ impl PartialEq for BlockCirculantMatrix {
         self.rows == other.rows
             && self.cols == other.cols
             && self.block_size == other.block_size
-            && self.blocks == other.blocks
+            && self.blocks() == other.blocks()
     }
 }
 
@@ -1107,7 +1108,7 @@ impl MatVec for BlockCirculantMatrix {
     }
     /// `p·q·L_b`.
     fn param_count(&self) -> usize {
-        self.blocks.len()
+        self.blocks().len()
     }
     fn matvec(&self, x: &[f32]) -> Vec<f32> {
         BlockCirculantMatrix::matvec(self, x)
@@ -1258,7 +1259,7 @@ pub(crate) mod tests {
             m.rfft.forward_into(&padded, &mut spec, &mut fft);
             spec
         };
-        let w: Vec<Vec<Complex32>> = m.blocks.chunks(lb).map(&mut spectrum_of).collect();
+        let w: Vec<Vec<Complex32>> = m.blocks().chunks(lb).map(&mut spectrum_of).collect();
         let mut ys = vec![0.0f32; batch * m.rows];
         for (x, y) in xs.chunks(m.cols).zip(ys.chunks_mut(m.rows)) {
             let x_spectra: Vec<Vec<Complex32>> = x.chunks(lb).map(&mut spectrum_of).collect();
@@ -1311,7 +1312,7 @@ pub(crate) mod tests {
         let mut ys = vec![f32::NAN; batch * m.rows];
         m.input_spectra(xs, batch, scratch);
         for t in 0..m.p.div_ceil(TILE) {
-            let (tile, planes) = m.weight_tile(t);
+            let (tile, planes) = m.weight_tile(m.spectra(), t);
             with_lane_width!(tile.width, W => {
                 m.matvec_tile_baseline::<W>(tile, planes, &mut ys, batch, scratch);
             });
@@ -1328,7 +1329,7 @@ pub(crate) mod tests {
     ) -> Vec<f32> {
         let mut ys = vec![f32::NAN; batch * m.rows];
         m.input_spectra(xs, batch, scratch);
-        m.run_tiles(0..m.p.div_ceil(TILE), &mut ys, batch, scratch);
+        m.run_tiles(m.spectra(), 0..m.p.div_ceil(TILE), &mut ys, batch, scratch);
         ys
     }
 
@@ -1342,7 +1343,14 @@ pub(crate) mod tests {
     ) -> Vec<f32> {
         let mut ys = vec![f32::NAN; batch * m.rows];
         m.input_spectra(xs, batch, scratch);
-        m.run_tiles_split(helper, m.p.div_ceil(TILE), &mut ys, batch, scratch);
+        m.run_tiles_split(
+            m.spectra(),
+            helper,
+            m.p.div_ceil(TILE),
+            &mut ys,
+            batch,
+            scratch,
+        );
         ys
     }
 
@@ -1557,27 +1565,21 @@ pub(crate) mod tests {
 
     #[test]
     fn grad_blocks_matches_finite_difference() {
-        let (mut bc, mut rng) = random_bc(8, 8, 4, 29);
+        let (bc, mut rng) = random_bc(8, 8, 4, 29);
         let x: Vec<f32> = (0..8).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let dy: Vec<f32> = (0..8).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let grad = bc.grad_blocks(&x, &dy);
         // L = dy · (W x); compare to central differences on each parameter.
         let eps = 1e-3f32;
-        let n = bc.param_count();
-        for k in (0..n).step_by(3) {
+        let loss_at = |k: usize, v: f32| {
+            let mut blocks = bc.blocks().to_vec();
+            blocks[k] = v;
+            let moved = BlockCirculantMatrix::from_blocks(8, 8, 4, blocks);
+            crate::ops::dot(&dy, &moved.matvec_direct(&x))
+        };
+        for k in (0..bc.param_count()).step_by(3) {
             let orig = bc.blocks()[k];
-            let mut plus = bc.blocks().to_vec();
-            plus[k] = orig + eps;
-            bc.set_blocks(&plus);
-            let lp: f32 = crate::ops::dot(&dy, &bc.matvec_direct(&x));
-            let mut minus = plus;
-            minus[k] = orig - eps;
-            bc.set_blocks(&minus);
-            let lm: f32 = crate::ops::dot(&dy, &bc.matvec_direct(&x));
-            let mut restore = minus;
-            restore[k] = orig;
-            bc.set_blocks(&restore);
-            let fd = (lp - lm) / (2.0 * eps);
+            let fd = (loss_at(k, orig + eps) - loss_at(k, orig - eps)) / (2.0 * eps);
             assert!(
                 (fd - grad[k]).abs() < 1e-2 * (1.0 + fd.abs()),
                 "param {k}: fd={fd} grad={}",
@@ -1598,17 +1600,72 @@ pub(crate) mod tests {
         let _ = BlockCirculantMatrix::from_blocks(6, 6, 3, vec![0.0; 12]);
     }
 
+    /// Forward transforms `f` counts on this thread's FFT ledger.
+    fn forward_ffts(f: impl FnOnce()) -> u64 {
+        let before = ernn_fft::stats::thread_snapshot();
+        f();
+        ernn_fft::stats::thread_snapshot()
+            .since(&before)
+            .forward_transforms
+    }
+
     #[test]
-    fn update_blocks_refreshes_spectra() {
-        let (mut bc, mut rng) = random_bc(8, 8, 4, 37);
-        let x: Vec<f32> = (0..8).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let doubled: Vec<f32> = bc.blocks().iter().map(|v| v * 2.0).collect();
-        bc.set_blocks(&doubled);
-        let got = bc.matvec(&x);
-        let expected = bc.matvec_direct(&x);
-        for (a, b) in got.iter().zip(expected.iter()) {
-            assert!((a - b).abs() < 1e-4);
+    fn spectra_are_computed_once_on_first_read_and_shared_by_clones() {
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(37);
+        let dense = Matrix::xavier(20, 12, &mut rng);
+        let mut built = Vec::new();
+        // No constructor runs an FFT.
+        let none = forward_ffts(|| {
+            let (bc, _) = random_bc(20, 12, 4, 37);
+            let stacked = bc.stack_block_rows(&bc).expect("same columns");
+            let projected = BlockCirculantMatrix::project_dense(&dense, 4);
+            let drawn = BlockCirculantMatrix::project_xavier(20, 12, 4, &mut rng);
+            built.extend([bc, stacked, projected, drawn]);
+        });
+        assert_eq!(none, 0);
+        let x: Vec<f32> = (0..12).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        for bc in built {
+            let (p, q) = bc.grid();
+            let want = bc.matvec_direct(&x);
+            let clone = bc.clone();
+            let per_call = q as u64;
+            // The first read, through a clone, computes the p·q spectra…
+            let first = forward_ffts(|| {
+                let y = clone.matvec(&x);
+                assert!(y.iter().zip(&want).all(|(a, b)| (a - b).abs() < 1e-4));
+            });
+            assert_eq!(first, (p * q) as u64 + per_call);
+            // …once, for the original too; forcing them again is free.
+            assert_eq!(forward_ffts(|| drop(bc.matvec(&x))), per_call);
+            assert_eq!(forward_ffts(|| bc.cache_spectra()), 0);
         }
+    }
+
+    #[test]
+    fn racing_first_reads_compute_the_spectra_once() {
+        let (bc, mut rng) = random_bc(64, 48, 8, 39);
+        let (p, q) = bc.grid();
+        let x: Vec<f32> = (0..48).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let want = bits(&reference_matvec_batch(&bc, &x, 1));
+        // All four threads leave the barrier before any has read.
+        let start = std::sync::Barrier::new(4);
+        let counts: Vec<u64> = thread::scope(|s| {
+            let threads: Vec<_> = (0..4)
+                .map(|_| {
+                    let (bc, x, want, start) = (bc.clone(), &x, &want, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        forward_ffts(|| assert_eq!(&bits(&bc.matvec(x)), want))
+                    })
+                })
+                .collect();
+            threads
+                .into_iter()
+                .map(|t| t.join().expect("a reader panicked"))
+                .collect()
+        });
+        // Each call FFTs its q input blocks; one of them also the weights.
+        assert_eq!(counts.iter().sum::<u64>(), (4 * q + p * q) as u64);
     }
 
     #[test]
@@ -1621,6 +1678,9 @@ pub(crate) mod tests {
             .collect();
         let mut ys = vec![0.0f32; batch * bc.rows()];
         let mut scratch = MatVecScratch::new();
+        // The first read computes the weight spectra; read them before
+        // counting.
+        bc.matvec_batch_into(&xs, &mut ys, batch, &mut scratch);
 
         // Sequential: one pass over the weight spectra per input.
         let before = ernn_fft::stats::thread_snapshot();
@@ -1712,7 +1772,7 @@ pub(crate) mod tests {
             let dense = Matrix::from_fn(rows, cols, |_, _| rng.gen_range(-3.0f32..3.0));
             let got = BlockCirculantMatrix::project_dense(&dense, lb);
             let want = project_dense_per_diagonal(&dense, lb);
-            let bits = |m: &BlockCirculantMatrix| m.blocks.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let bits = |m: &BlockCirculantMatrix| m.blocks().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             prop_assert_eq!(bits(&got), bits(&want));
         }
     }
@@ -1741,11 +1801,11 @@ pub(crate) mod tests {
             let dense = Matrix::from_fn(rows, cols, |_, _| rng.gen_range(-3.0f32..3.0));
             let mut twin = rng.clone();
             let got = BlockCirculantMatrix::project_dense(&dense, lb);
-            prop_assert_eq!(bits(&got.blocks), bits(&project_dense_by_segments(&dense, lb)));
+            prop_assert_eq!(bits(got.blocks()), bits(&project_dense_by_segments(&dense, lb)));
             let run = [1, 2, p, p + 1][run];
             let drawn = BlockCirculantMatrix::project_xavier_in_runs(rows, cols, lb, run, &mut rng);
             let want = project_dense_by_segments(&Matrix::xavier(rows, cols, &mut twin), lb);
-            prop_assert_eq!(bits(&drawn.blocks), bits(&want));
+            prop_assert_eq!(bits(drawn.blocks()), bits(&want));
         }
     }
 
@@ -1773,7 +1833,7 @@ pub(crate) mod tests {
             let mut twin = rng.clone();
             let got = BlockCirculantMatrix::project_xavier_in_runs(rows, cols, lb, run, &mut rng);
             let want = BlockCirculantMatrix::project_dense(&Matrix::xavier(rows, cols, &mut twin), lb);
-            prop_assert_eq!(bits(&got.blocks), bits(&want.blocks));
+            prop_assert_eq!(bits(got.blocks()), bits(want.blocks()));
             for _ in 0..40 {
                 prop_assert_eq!(rng.next_u32(), twin.next_u32());
             }

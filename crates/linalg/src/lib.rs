@@ -142,8 +142,9 @@
 //!   [`HELPER_SPIN`]), then parks. [`split_stats`] counts what happened to
 //!   every split-size call of the tile helper.
 //! * **No `unsafe`.** A job holds what it shares with the caller as an
-//!   `Arc` clone — a matrix's blocks and spectra are `Arc<[f32]>` —
-//!   without copying it; the job slot is a `Mutex` that is never
+//!   `Arc` clone — a matrix's blocks and spectra sit behind one `Arc`,
+//!   the spectra read by the caller before it posts a tile — without
+//!   copying it; the job slot is a `Mutex` that is never
 //!   contended; callers claim a helper with an atomic try-claim.
 //! * **Nothing else moves:** each helper spawns once, on the first call
 //!   that qualifies; the caller grows every buffer the helper writes, so

@@ -352,6 +352,13 @@ impl<M: MatVec> GruLayer<M> {
     }
 }
 
+impl GruInputStack {
+    /// The stacked operand, `[wzr_x; wcx]`.
+    pub fn weights(&self) -> &WeightMatrix {
+        &self.w
+    }
+}
+
 impl GruLayer<WeightMatrix> {
     /// The x-side operands stacked for [`Self::step_batch_stacked_with`],
     /// or `None` when `wzr_x` and `wcx` do not share a representation and

@@ -90,8 +90,8 @@ impl<M: MatVec> RnnNetwork<M> {
         &self.layers
     }
 
-    /// Mutable access to the stacked layers (weight surgery: quantization
-    /// rewrites, serving-side weight-cache refreshes).
+    /// Mutable access to the stacked layers (weight surgery: swapping a
+    /// layer for a well-shaped replacement).
     pub fn layers_mut(&mut self) -> &mut [RnnLayer<M>] {
         &mut self.layers
     }

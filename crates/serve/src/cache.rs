@@ -3,47 +3,47 @@
 //! [`CompiledModel`] is what the runtime serves: the quantized functional
 //! twin of a compressed network ([`ernn_fpga::exec::QuantizedNetwork`])
 //! plus the cycle-timing model of the accelerator that would run it
-//! ([`ernn_fpga::Accelerator`]). Compilation is the *only* point where
-//! block-circulant weight spectra are computed — every
-//! [`BlockCirculantMatrix`](ernn_linalg::BlockCirculantMatrix) carries its
-//! spectra from construction, and serving only ever calls `matvec`
-//! (input-side FFTs). [`CompiledModel::weight_spectrum_refreshes`] exposes
-//! the per-matrix refresh counters so tests can prove the cache holds:
-//! the counts must not move between requests.
+//! ([`ernn_fpga::Accelerator`]). Loading — [`CompiledModel::compile`] or
+//! [`CompiledModel::from_artifact`] — is the *only* point where
+//! block-circulant weight spectra are computed: a
+//! [`BlockCirculantMatrix`](ernn_linalg::BlockCirculantMatrix) computes
+//! its spectra once, on first read, and the load reads those of every
+//! operand a forward reads
+//! ([`QuantizedNetwork::cache_spectra`]), so serving only ever runs
+//! input-side FFTs. [`LoadStats`] records the load's transforms, one per
+//! cached spectrum; tests prove the cache holds on the FFT ledger
+//! ([`ernn_fft::stats`]): requests count the same transforms every time.
 
 use ernn_fft::stats::{self, FftStats};
 use ernn_fpga::artifact::ModelArtifact;
 use ernn_fpga::exec::{DatapathConfig, ExecScratch, NetworkState, QuantizedNetwork};
 use ernn_fpga::{Accelerator, Device, HwCell, RnnSpec, StageCycles};
-use ernn_linalg::{BlockCirculantMatrix, WeightMatrix};
+use ernn_linalg::WeightMatrix;
 use ernn_model::{RnnLayer, RnnNetwork};
 
 /// FFT activity recorded while compiling a model.
 #[derive(Debug, Clone, Copy)]
 pub struct LoadStats {
-    /// FFT plan constructions and transforms performed during load
-    /// (weight-spectrum computation dominates the forward count).
-    ///
-    /// Derived from the process-global counters in [`ernn_fft::stats`]:
-    /// FFT activity on *other* threads during compilation leaks into
-    /// this delta, so treat it as diagnostic unless compilation is the
-    /// only FFT user at the time (the per-instance
-    /// [`spectrum_refresh_count`](ernn_linalg::BlockCirculantMatrix::spectrum_refresh_count)
-    /// counters are the race-free cache witness).
+    /// FFT plan constructions and transforms of computing the weight
+    /// spectra, on the loading thread's ledger
+    /// ([`ernn_fft::stats::thread_snapshot`]): one forward transform per
+    /// cached spectrum, whether the model was compiled or decoded.
     pub fft: FftStats,
     /// Number of block-circulant weight matrices in the model.
     pub circulant_matrices: usize,
-    /// Total cached weight-spectrum count (`p·q` blocks per matrix).
+    /// Total cached weight-spectrum count: `p·q` blocks per
+    /// block-circulant matrix, and per GRU layer's stacked input operand.
     pub cached_spectra: usize,
 }
 
 /// A loaded, quantized, timing-annotated model ready to serve.
 ///
-/// `CompiledModel` is plain owned data with no interior mutability —
-/// weight spectra are baked in at compile time and [`Self::infer`] takes
-/// `&self` — so it is `Send + Sync` and can be shared read-only across
-/// threads behind an `Arc` (the inference lane's threads rely on this;
-/// the assertion below makes the guarantee compile-time).
+/// `CompiledModel` is immutable once loaded — its weight spectra are
+/// computed during the load, each behind a set-once cell that no later
+/// read writes, and [`Self::infer`] takes `&self` — so it is
+/// `Send + Sync` and can be shared read-only across threads behind an
+/// `Arc` (the inference lane's threads rely on this; the assertion below
+/// makes the guarantee compile-time).
 #[derive(Debug, Clone)]
 pub struct CompiledModel {
     qnet: QuantizedNetwork,
@@ -65,7 +65,8 @@ const _: () = {
 impl CompiledModel {
     /// Quantizes `net` for `datapath` and derives the accelerator timing
     /// model for `device`. All block-circulant weight spectra are
-    /// computed here, once.
+    /// computed here, once: quantization makes new matrices, whose
+    /// spectra the load computes.
     ///
     /// # Panics
     ///
@@ -75,57 +76,29 @@ impl CompiledModel {
         datapath: &DatapathConfig,
         device: Device,
     ) -> Self {
-        let before = stats::snapshot();
         let qnet = QuantizedNetwork::new(net, datapath);
-        Self::finish_load(qnet, datapath.weight_bits, device, before)
+        Self::from_quantized(qnet, datapath.weight_bits, device)
     }
 
     /// Wraps an **already quantized** functional model for serving —
-    /// the artifact-loading path: no quantization pass runs and no
-    /// weight spectra are recomputed beyond what constructing `qnet`
-    /// already did. The accelerator timing model is derived exactly as
+    /// the artifact-loading path: no quantization pass runs, and the
+    /// weight spectra `qnet` has not read yet are computed here, once.
+    /// The accelerator timing model is derived exactly as
     /// [`Self::compile`] derives it, so a model loaded from a
     /// [`ModelArtifact`] reports the same [`StageCycles`] as its
     /// in-process twin.
     pub fn from_quantized(qnet: QuantizedNetwork, weight_bits: u8, device: Device) -> Self {
-        let before = stats::snapshot();
-        Self::finish_load(qnet, weight_bits, device, before)
-    }
-
-    /// Loads a deserialized [`ModelArtifact`] into serving form. The
-    /// artifact's weights are already quantized; reconstructing their
-    /// block-circulant matrices (done while decoding the artifact) was
-    /// the load event of the FFT'd-weight cache, so this adds **zero**
-    /// spectrum refreshes — `tests/pipeline_artifact.rs` and `ernn-core`'s
-    /// `trained_compressed_pipeline_round_trips_through_bytes` pin that
-    /// down.
-    pub fn from_artifact(artifact: &ModelArtifact) -> Self {
-        Self::from_quantized(
-            artifact.to_quantized(),
-            artifact.datapath.weight_bits,
-            artifact.device,
-        )
-    }
-
-    fn finish_load(
-        qnet: QuantizedNetwork,
-        weight_bits: u8,
-        device: Device,
-        before: FftStats,
-    ) -> Self {
         let spec = derive_spec(qnet.network(), weight_bits);
         let accel = Accelerator::new(spec, device);
         let stages = accel.stage_cycles();
-        let (circulant_matrices, cached_spectra) =
-            circulant_matrices(qnet.network())
-                .iter()
-                .fold((0, 0), |(n, s), m| {
-                    let (p, q) = m.grid();
-                    (n + 1, s + p * q)
-                });
+        let before = stats::thread_snapshot();
+        let cached_spectra = qnet.cache_spectra();
+        let weights = qnet.network().weight_matrices().into_iter();
         let load_stats = LoadStats {
-            fft: stats::snapshot().since(&before),
-            circulant_matrices,
+            fft: stats::thread_snapshot().since(&before),
+            circulant_matrices: weights
+                .filter(|(_, _, w)| matches!(w, WeightMatrix::Circulant(_)))
+                .count(),
             cached_spectra,
         };
         CompiledModel {
@@ -135,6 +108,21 @@ impl CompiledModel {
             stages,
             load_stats,
         }
+    }
+
+    /// Loads a deserialized [`ModelArtifact`] into serving form. The
+    /// artifact's weights are already quantized; decoding them runs no
+    /// FFT, and this load computes each spectrum once, so its
+    /// [`LoadStats`] equal those of [`Self::compile`] —
+    /// `tests/pipeline_artifact.rs` and `ernn-core`'s
+    /// `trained_compressed_pipeline_round_trips_through_bytes` pin that
+    /// down.
+    pub fn from_artifact(artifact: &ModelArtifact) -> Self {
+        Self::from_quantized(
+            artifact.to_quantized(),
+            artifact.datapath.weight_bits,
+            artifact.device,
+        )
     }
 
     /// The quantized functional model.
@@ -211,17 +199,6 @@ impl CompiledModel {
         self.qnet.state_bytes()
     }
 
-    /// Lifetime spectrum-refresh count of every block-circulant weight
-    /// matrix in the model, in layer order. Serving must not change
-    /// these: a moving count would mean weight FFTs are being recomputed
-    /// per request instead of cached.
-    pub fn weight_spectrum_refreshes(&self) -> Vec<u64> {
-        circulant_matrices(self.qnet.network())
-            .iter()
-            .map(|m| m.spectrum_refresh_count())
-            .collect()
-    }
-
     /// On-chip bytes this model's weight image occupies (all layers'
     /// block-circulant spectra at the datapath word length) — the
     /// quantity the scheduler's per-device residency tracking charges
@@ -229,17 +206,6 @@ impl CompiledModel {
     pub fn weight_bytes(&self) -> u64 {
         self.spec.weight_bytes()
     }
-}
-
-/// Every block-circulant weight matrix, in list order
-/// ([`RnnNetwork::weight_matrices`]).
-fn circulant_matrices(net: &RnnNetwork<WeightMatrix>) -> Vec<&BlockCirculantMatrix> {
-    let weights = net.weight_matrices().into_iter();
-    let circulant = weights.filter_map(|(_, _, w)| match w {
-        WeightMatrix::Circulant(c) => Some(c),
-        WeightMatrix::Dense(_) => None,
-    });
-    circulant.collect()
 }
 
 /// Derives the hardware workload spec from the network's top RNN layer
@@ -294,44 +260,27 @@ mod tests {
 
     #[test]
     fn compile_fills_the_spectrum_cache_once() {
-        let m = model(CellType::Lstm);
-        assert!(m.load_stats.circulant_matrices > 0);
-        assert!(m.load_stats.cached_spectra > 0);
-        // Quantization clones the training-time matrix (1 refresh at
-        // construction) and rewrites its blocks (1 more); serving adds none.
-        let baseline = m.weight_spectrum_refreshes();
-        assert!(!baseline.is_empty());
-        for _ in 0..10 {
-            let _ = m.infer(&[vec![0.1; 8], vec![-0.2; 8]]);
-        }
-        assert_eq!(m.weight_spectrum_refreshes(), baseline);
-    }
-
-    #[test]
-    fn spectrum_refreshes_follow_the_list_order() {
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(6);
-        let policy = BlockPolicy {
-            recurrent: 4,
-            input: 1,
-            output: 4,
-        };
         for cell in [CellType::Lstm, CellType::Gru] {
-            let dense = ModelSpec::new(cell, 8, 5)
-                .layer_dims(&[16, 16])
-                .projection(8)
-                .build(&mut rng);
-            let mut net = compress_network(&dense, policy);
-            // Matrix `i` carries `i` extra refreshes; quantization adds one.
-            let mut expected = Vec::new();
-            for (i, w) in net.weight_matrices_mut().into_iter().enumerate() {
-                if let WeightMatrix::Circulant(c) = w {
-                    (0..i).for_each(|_| c.refresh_spectra());
-                    expected.push(i as u64 + 2);
-                }
+            let m = model(cell);
+            assert!(m.load_stats.circulant_matrices > 0);
+            assert!(m.load_stats.cached_spectra > 0);
+            // The load FFTs each cached spectrum once; every request then
+            // counts the same input-side transforms, none of the weights'.
+            let load = m.load_stats.fft.forward_transforms;
+            assert_eq!(load, m.load_stats.cached_spectra as u64, "{cell}");
+            let frames = [vec![0.1; 8], vec![-0.2; 8]];
+            let per_request = |m: &CompiledModel| {
+                let before = stats::thread_snapshot();
+                let _ = m.infer(&frames);
+                stats::thread_snapshot().since(&before)
+            };
+            let first = per_request(&m);
+            assert!(first.forward_transforms > 0);
+            for _ in 0..10 {
+                assert_eq!(per_request(&m), first, "{cell}");
             }
-            let m = CompiledModel::compile(&net, &DatapathConfig::paper_12bit(), XCKU060);
-            assert_eq!(m.weight_spectrum_refreshes(), expected, "{cell}");
-            assert_eq!(m.load_stats.circulant_matrices, expected.len(), "{cell}");
+            // A clone shares the spectra, as the registry's `Arc`s do.
+            assert_eq!(per_request(&m.clone()), first, "{cell}");
         }
     }
 

@@ -22,7 +22,7 @@ use ernn_fpga::Device;
 /// Builds one shard's scheduler: a local registry holding the shard's
 /// placed models — local id = position in `placed` (sorted global-id
 /// order) — sharing the cluster registry's compiled models, so sharding
-/// adds zero weight-spectrum refreshes. Returns `None` when placement put
+/// computes no weight spectrum. Returns `None` when placement put
 /// nothing on the shard: an idle shard holds no scheduler at all.
 pub(crate) fn shard_runtime(
     cluster: &ModelRegistry,

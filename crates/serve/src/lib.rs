@@ -44,12 +44,13 @@
 //!   while outputs come from the quantized datapath ([`ernn_fpga::exec`]),
 //!   so batched results are bit-identical to sequential execution.
 //! * [`CompiledModel`] — model load with a once-per-load FFT'd-weight
-//!   cache: every block-circulant weight spectrum is computed exactly
-//!   once at compile time and only input-side FFTs run per request
-//!   (observable via [`CompiledModel::weight_spectrum_refreshes`] and
-//!   [`ernn_fft::stats`]). Inference runs on the zero-allocation,
-//!   batch-fused kernel stack: the executor keeps one [`ExecScratch`] per
-//!   lane thread, a dispatched batch is computed with one fused
+//!   cache: the load — a compile or an artifact's — computes every
+//!   block-circulant weight spectrum a forward reads exactly once, and
+//!   only input-side FFTs run per request (observable on the
+//!   [`ernn_fft::stats`] ledger; [`LoadStats`] counts the load's).
+//!   Inference runs on the zero-allocation, batch-fused kernel stack:
+//!   the executor keeps one [`ExecScratch`] per lane thread, a
+//!   dispatched batch is computed with one fused
 //!   [`CompiledModel::infer_batch_in_place`] call (one pass over the
 //!   cached weight spectra per batch) that turns each request's frame
 //!   buffer into its logits buffer, and post-warmup the FFT/matvec

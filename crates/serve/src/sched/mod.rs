@@ -9,9 +9,8 @@
 //!
 //! * [`ModelRegistry`] — the model set a run (or a whole cluster)
 //!   serves, one unique name per model. Registration
-//!   freezes a model behind an `Arc` for the executors and recomputes
-//!   nothing: its FFT'd weight spectra date from compilation
-//!   (`spectrum_refresh_count` does not move).
+//!   freezes a model behind an `Arc` for the executors and runs no FFT:
+//!   its weight spectra date from the model's load.
 //! * [`DeviceResidency`] — per-device image residency against the
 //!   platform's BRAM budget ([`RnnSpec::weight_bytes`] vs Table IV),
 //!   holding two [`ImageKey`] classes behind one LRU: **weight images**

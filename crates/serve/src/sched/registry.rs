@@ -3,12 +3,11 @@
 //!
 //! Registration is the moment a model enters the serving tier: the
 //! registry freezes it behind an `Arc` so executors and devices share it
-//! read-only. Every block-circulant weight spectrum was computed when the
-//! model was compiled (or decoded from its artifact), and registration —
-//! by any of the three entry points — adds **zero** refreshes: each
-//! matrix's
-//! [`spectrum_refresh_count`](ernn_linalg::BlockCirculantMatrix::spectrum_refresh_count),
-//! the cache-observability counter, stays where construction left it.
+//! read-only. Every block-circulant weight spectrum is computed once, by
+//! the model's load: [`CompiledModel::compile`] before
+//! [`ModelRegistry::register`] or [`ModelRegistry::register_shared`],
+//! which run no FFT, or the [`CompiledModel::from_artifact`] inside
+//! [`ModelRegistry::register_artifact`].
 //! From that point on, device-level evict/reload cycles are a
 //! *virtual-time* affair tracked by
 //! [`DeviceResidency`](crate::sched::DeviceResidency): the host-side
@@ -62,13 +61,12 @@ impl ModelRegistry {
     }
 
     /// Registers a model loaded from a serialized [`ModelArtifact`] — the
-    /// deployment path: no recompression, no requantization, and **zero
-    /// additional spectrum refreshes**. Decoding the artifact already
-    /// computed every weight spectrum once (that construction *was* the
-    /// load into the serving tier); each matrix's
-    /// [`spectrum_refresh_count`](ernn_linalg::BlockCirculantMatrix::spectrum_refresh_count)
-    /// stays exactly where artifact decoding left it. The artifact's
-    /// encoded length becomes the model's [`Self::artifact_bytes`].
+    /// deployment path: no recompression, no requantization, and each
+    /// weight spectrum computed once, by
+    /// [`CompiledModel::from_artifact`] (that load *is* the entry into the
+    /// serving tier; its [`LoadStats`](crate::LoadStats) equal a compile's).
+    /// The artifact's encoded length becomes the model's
+    /// [`Self::artifact_bytes`].
     pub fn register_artifact(
         &mut self,
         name: impl Into<String>,
@@ -173,22 +171,30 @@ mod tests {
         CompiledModel::compile(&net, &DatapathConfig::paper_12bit(), XCKU060)
     }
 
+    /// Forward transforms `f` counts on this thread's FFT ledger, and what
+    /// it returns.
+    fn forward_ffts<T>(f: impl FnOnce() -> T) -> (u64, T) {
+        let before = ernn_fft::stats::thread_snapshot();
+        let out = f();
+        let delta = ernn_fft::stats::thread_snapshot().since(&before);
+        (delta.forward_transforms, out)
+    }
+
     #[test]
     fn registration_assigns_dense_ids_and_bumps_spectra_once() {
-        let a = model(1);
-        let baseline = a.weight_spectrum_refreshes();
+        let (a, b) = (model(1), model(2));
         let mut reg = ModelRegistry::new();
-        let ia = reg.register("gru-a", a);
-        let ib = reg.register("gru-b", model(2));
+        // Once in all — at compile: entering the serving tier computes
+        // nothing.
+        let (ffts, (ia, ib)) =
+            forward_ffts(|| (reg.register("gru-a", a), reg.register("gru-b", b)));
+        assert_eq!(ffts, 0);
         assert_eq!((ia, ib), (0, 1));
         assert_eq!(reg.len(), 2);
         assert_eq!(reg.name(0), "gru-a");
         assert!(reg.weight_bytes(0) > 0);
         // Without an artifact, replication ships the weight image.
         assert_eq!(reg.artifact_bytes(0), reg.weight_bytes(0));
-        // Once in all — at compile: entering the serving tier recomputes
-        // nothing.
-        assert_eq!(reg.model(0).weight_spectrum_refreshes(), baseline);
         assert_eq!(reg.models().len(), 2);
     }
 
@@ -222,33 +228,35 @@ mod tests {
         .expect("valid artifact");
         let bytes = artifact.save_bytes();
 
-        // Decoding is the load: every spectrum is computed exactly once.
-        let loaded = ModelArtifact::load_bytes(&bytes).expect("decodes");
-        let model = CompiledModel::from_artifact(&loaded);
-        let at_load = model.weight_spectrum_refreshes();
-        assert!(at_load.iter().all(|&c| c == 1), "{at_load:?}");
-
-        // Registration adds zero further refreshes, and records the
+        // Decoding runs no FFT. Registration loads the artifact, which
+        // computes every spectrum once, as compiling did, and records the
         // encoded length as the bytes replication ships.
+        let (decoding, loaded) =
+            forward_ffts(|| ModelArtifact::load_bytes(&bytes).expect("decodes"));
+        assert_eq!(decoding, 0);
         let mut reg = ModelRegistry::new();
-        let id = reg.register_artifact("from-bytes", &loaded);
-        assert_eq!(reg.model(id).weight_spectrum_refreshes(), at_load);
+        let (registering, id) = forward_ffts(|| reg.register_artifact("from-bytes", &loaded));
+        let cached = compiled.load_stats.cached_spectra;
+        assert_eq!(registering, cached as u64);
+        let at_load = reg.model(id).load_stats;
+        assert_eq!(at_load.fft, compiled.load_stats.fft);
+        assert_eq!(at_load.cached_spectra, cached);
         assert_eq!(reg.artifact_bytes(id), bytes.len() as u64);
         assert_eq!(reg.weight_bytes(id), compiled.weight_bytes());
 
         // And the loaded model is functionally the compiled one, bit for
-        // bit.
+        // bit, with the same per-request transforms.
         let frames = vec![vec![0.2f32; 8]; 5];
-        assert_eq!(reg.model(id).infer(&frames), compiled.infer(&frames));
+        let (served, logits) = forward_ffts(|| reg.model(id).infer(&frames));
+        assert_eq!(forward_ffts(|| compiled.infer(&frames)), (served, logits));
         assert_eq!(reg.model(id).stage_cycles(), compiled.stage_cycles());
     }
 
     #[test]
     fn register_shared_leaves_spectra_alone() {
         let m = Arc::new(model(3));
-        let baseline = m.weight_spectrum_refreshes();
         let mut reg = ModelRegistry::new();
-        reg.register_shared("warm", Arc::clone(&m));
-        assert_eq!(m.weight_spectrum_refreshes(), baseline);
+        let (ffts, _) = forward_ffts(|| reg.register_shared("warm", Arc::clone(&m)));
+        assert_eq!(ffts, 0);
     }
 }

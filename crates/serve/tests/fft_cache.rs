@@ -29,25 +29,33 @@ fn weight_spectra_are_computed_at_load_not_per_request() {
         .build(&mut rng);
     let net = compress_network(&dense, BlockPolicy::uniform(4));
 
-    // ---- Load: the cache fill. Quantization clones the compressed
-    // matrices (reusing their FFT plans) and rewrites the blocks, which
-    // re-FFTs every weight block exactly once. ----
+    // ---- Load: the cache fill. Quantization makes new matrices, whose
+    // spectra nothing has read; the load FFTs every weight block exactly
+    // once, and nothing before it did. ----
+    let before_load = stats::snapshot();
     let model = CompiledModel::compile(&net, &DatapathConfig::paper_12bit(), XCKU060);
-    assert!(
-        model.load_stats.fft.forward_transforms as usize >= model.load_stats.cached_spectra,
+    let load = stats::snapshot().since(&before_load);
+    assert_eq!(
+        model.load_stats.fft.forward_transforms as usize, model.load_stats.cached_spectra,
         "compilation FFTs every weight block once: {:?} vs {} spectra",
-        model.load_stats.fft,
-        model.load_stats.cached_spectra
+        model.load_stats.fft, model.load_stats.cached_spectra
     );
-    let refreshes_after_load = model.weight_spectrum_refreshes();
-    assert!(!refreshes_after_load.is_empty());
+    assert_eq!(
+        load.forward_transforms,
+        model.load_stats.fft.forward_transforms
+    );
 
     // ---- Serve: only input-side transforms may run. ----
     // (`register_shared`: the compile above already was the load, so
-    // registration must not refresh the spectra again.)
+    // registration must not compute the spectra again.)
     let utterances = synthetic_utterances(4, (5, 9), 8, 3);
     let mut registry = ModelRegistry::new();
+    let before_register = stats::snapshot();
     registry.register_shared("lstm-16", std::sync::Arc::new(model));
+    assert_eq!(
+        stats::snapshot().since(&before_register),
+        stats::FftStats::default()
+    );
     let runtime = SchedRuntime::new(
         registry,
         vec![XCKU060; 2],
@@ -163,11 +171,13 @@ fn weight_spectra_are_computed_at_load_not_per_request() {
     assert_eq!(delta.forward_transforms, per_request.forward_transforms * n);
     assert_eq!(stats::thread_snapshot().since(&loop_thread_before), delta);
 
-    // The per-matrix refresh counters are the direct cache witness: no
-    // weight spectrum was recomputed by any of the requests above.
+    // The first request counted what every later one did: no weight
+    // spectrum was computed by any of the requests above.
+    let before_last = stats::snapshot();
+    let _ = runtime.run(vec![Request::new(0, probe, 0.0)]);
     assert_eq!(
-        runtime.registry().model(0).weight_spectrum_refreshes(),
-        refreshes_after_load,
-        "weight spectra must not be refreshed during serving"
+        stats::snapshot().since(&before_last),
+        per_request,
+        "weight spectra must not be computed during serving"
     );
 }

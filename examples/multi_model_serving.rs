@@ -14,8 +14,8 @@
 //!
 //! Both tenants are built through the `ernn::pipeline` lifecycle and
 //! deployed as serialized `ModelArtifact` bytes — the registry loads
-//! them with `register_artifact`, i.e. without retraining, recompressing
-//! or refreshing weight spectra beyond the decode itself.
+//! them with `register_artifact`, i.e. without retraining or
+//! recompressing, each weight spectrum computed once by the load.
 //!
 //! Each run has the full observability surface on: the flight recorder,
 //! the sampled metrics timeline, and the health monitor. The per-config
@@ -68,7 +68,7 @@ fn build_artifact(seed: u64, hidden: usize) -> Vec<u8> {
 }
 
 /// Loads the serialized tenants into a registry — no retraining, no
-/// recompression, zero extra weight-spectrum refreshes.
+/// recompression, each weight spectrum computed once.
 fn registry(tenants: &[(&str, &[u8])]) -> ModelRegistry {
     let mut reg = ModelRegistry::new();
     for (name, bytes) in tenants {

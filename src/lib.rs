@@ -63,8 +63,8 @@
 //! // 2. Persist: a deterministic, versioned byte image.
 //! let bytes = built.save_bytes();
 //!
-//! // 3. Deploy: decode and register — zero requantization, zero extra
-//! //    weight-spectrum refreshes.
+//! // 3. Deploy: decode and register — zero requantization; the load
+//! //    computes each weight spectrum once, as compiling did.
 //! let artifact = ModelArtifact::load_bytes(&bytes)?;
 //! let mut registry = ModelRegistry::new();
 //! registry.register_artifact("gru-16", &artifact);

@@ -87,6 +87,8 @@ fn lane_kernel_scratch_is_grow_only(rng: &mut impl Rng) {
     let mut scratch = MatVecScratch::new();
     big.matvec_batch_into(&xs, &mut ys, 16, &mut scratch);
     let reference = ys.clone();
+    // The first read of `small` computes (and allocates) its spectra.
+    small.cache_spectra();
 
     let before = allocation_count();
     for batch in [3usize, 16, 1, 16] {

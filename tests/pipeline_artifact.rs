@@ -1,11 +1,14 @@
 //! The artifact round-trip contract, property-tested end to end:
 //! `save_bytes → load_bytes → CompiledModel` must produce **bit-equal
 //! logits** and **equal `StageCycles`** versus the in-process pipeline
-//! for any model shape, and registering a loaded artifact must perform
-//! **zero** additional weight-spectrum refreshes. Corrupted, truncated
+//! for any model shape, and loading an artifact must compute each weight
+//! spectrum once, as compiling does: both loads report the same
+//! `LoadStats`, one forward transform per cached spectrum. Corrupted,
+//! truncated
 //! and wrong-version bytes must surface as `PipelineError`s, never
 //! panics.
 
+use ernn::fft::stats;
 use ernn::fpga::artifact::{ModelArtifact, PipelineError, ARTIFACT_VERSION};
 use ernn::model::{BlockPolicy, CellType, ModelSpec};
 use ernn::pipeline::{DatapathChoice, Pipeline};
@@ -88,12 +91,22 @@ proptest! {
         prop_assert_eq!(loaded.spec(), model.spec());
         prop_assert_eq!(loaded.weight_bytes(), model.weight_bytes());
 
-        // Registration of the loaded artifact: zero additional spectrum
-        // refreshes (decode was the load event).
+        // Both loads computed each spectrum once and counted it.
+        let cached = model.load_stats.cached_spectra;
+        prop_assert_eq!(model.load_stats.fft.forward_transforms, cached as u64);
+        prop_assert_eq!(loaded.load_stats.fft, model.load_stats.fft);
+        prop_assert_eq!(loaded.load_stats.cached_spectra, cached);
+
+        // Registering a freshly decoded artifact: decoding runs no FFT,
+        // and the registration's load runs exactly the cached spectra.
         let mut reg = ModelRegistry::new();
-        let before = CompiledModel::from_artifact(&artifact).weight_spectrum_refreshes();
-        let id = reg.register_artifact("roundtrip", &artifact);
-        prop_assert_eq!(reg.model(id).weight_spectrum_refreshes(), before);
+        let before = stats::thread_snapshot();
+        let decoded = ModelArtifact::load_bytes(&bytes).expect("artifact decodes");
+        prop_assert_eq!(stats::thread_snapshot().since(&before).forward_transforms, 0);
+        let id = reg.register_artifact("roundtrip", &decoded);
+        let registering = stats::thread_snapshot().since(&before).forward_transforms;
+        prop_assert_eq!(registering, cached as u64);
+        prop_assert_eq!(reg.model(id).load_stats.fft, model.load_stats.fft);
     }
 
     #[test]
