@@ -57,9 +57,35 @@
 //! helper's start, its rows copied back. The LSTM-1024 matrices are tall —
 //! 4096×512 issues 16 inverse tiles, 4096×153 another 16 — which is where
 //! the plan's ≈ 210–260 ns per inverse tile was ≈ 7 µs of a frame; they
-//! split eight and eight (4096×512: ≈ 31 → 18–22 µs). What stage 3 still
-//! pays per frame there is the scatter out of the `[sample][lane]` planes,
-//! ≈ 6.5 µs on one core.
+//! split eight and eight (4096×512: ≈ 31 → 18–22 µs).
+//!
+//! Around the MAC sit two transposes, pure data movement: stage 1 gathers
+//! each input block into the `[sample][lane]` planes the lane FFT reads
+//! (`gather_lanes`), and stage 3 scatters each output block back out of
+//! them (`scatter_lanes`). At the paper's `L_b` 8 and 16 both run a whole
+//! block with the block size a literal as well as the lane width. While
+//! their loops took `L_b` at run time the scatter cost ≈ 0.9 ns per
+//! output. One core (`taskset -c 0`), AVX2 tiles, `L_b = 8`, µs per call,
+//! best of 2 000 calls and the median of three rounds, before → after.
+//! A part is what a build without it saves, so the parts overlap: at
+//! `B = 8` a saving can move between columns (the IFFT did not change),
+//! and "≈ 0" is a saving below the noise. "MAC" is the rest of the call,
+//! stage 1's forward FFT included.
+//!
+//! | shape | B | call | MAC | IFFT | scatter | gather |
+//! |---|---|---|---|---|---|---|
+//! | 4096×153 | 1 | 14.1 → 11.6 | 9.3 → 9.8 | 0.8 → 0.8 | 3.5 → 1.0 | 0.5 → ≈ 0 |
+//! | 4096×153 | 8 | 108.7 → 89.8 | 74.9 → 73.2 | 3.3 → 8.0 | 27.0 → 8.2 | 3.5 → 0.5 |
+//! | 4096×512 | 1 | 35.3 → 32.8 | 29.6 → 29.6 | 1.0 → 1.5 | 3.9 → 1.3 | 0.9 → 0.4 |
+//! | 4096×512 | 8 | 273.6 → 251.2 | 241.9 → 237.0 | 3.8 → 10.7 | 22.0 → 0.5 | 5.9 → 3.1 |
+//! | 512×1024 | 1 | 10.0 → 9.4 | 7.6 → 7.4 | ≈ 0 → 0.3 | 1.5 → 1.2 | 1.1 → 0.4 |
+//! | 512×1024 | 8 | 73.0 → 66.1 | 60.6 → 60.3 | 0.3 → 1.6 | 3.6 → 0.3 | 8.5 → 4.0 |
+//! | 768×39 | 1 | 1.30 → 0.91 | 0.45 → 0.54 | 0.23 → 0.16 | 0.55 → 0.19 | 0.07 → 0.02 |
+//! | 768×39 | 8 | 10.2 → 6.9 | 3.5 → 3.6 | 0.9 → 1.4 | 4.9 → 1.8 | 0.8 → 0.1 |
+//!
+//! The MAC is what is left: 53–94 % of every call above. The short-`q`
+//! stacks that serve GRU-64 and GRU-256 on 39 inputs gained most, since
+//! their scatter had cost more than their MAC.
 //!
 //! # Two instantiations
 //!
@@ -441,7 +467,7 @@ impl BlockCirculantMatrix {
         let bins = grown(bins, self.rfft.spectrum_len() * 2 * W);
         for (j, packed) in planes.chunks_exact_mut(lb * W).enumerate() {
             let blocks = (0..tile.live).map(|l| self.block(tile.first + l, j));
-            gather_lanes::<W>(time, blocks);
+            gather_lanes::<W>(time, lb, blocks);
             self.rfft.forward_lanes::<W>(time, bins, tile.live);
             // re[0], re[L_b/2], then (re, im) of bins 1..L_b/2: the im
             // planes of the two real bins are +0.0 and are not stored.
@@ -638,7 +664,7 @@ impl BlockCirculantMatrix {
             });
             with_lane_width!(chunk.width, W => {
                 let time = grown(time, lb * W);
-                gather_lanes::<W>(time, blocks);
+                gather_lanes::<W>(time, lb, blocks);
                 self.rfft.forward_lanes::<W>(time, head, chunk.live);
             });
         }
@@ -761,13 +787,7 @@ impl BlockCirculantMatrix {
             .zip(ys.chunks_exact_mut(self.rows))
         {
             self.rfft.inverse_lanes::<W>(acc, time, tile.live);
-            // Rows past the logical edge of the last block are dropped.
-            let blocks = y[tile.first * lb..].chunks_mut(lb).take(tile.live);
-            for (l, block) in blocks.enumerate() {
-                for (n, out) in block.iter_mut().enumerate() {
-                    *out = time[n * W + l];
-                }
-            }
+            scatter_lanes::<W>(time, lb, &mut y[tile.first * lb..], tile.live);
         }
     }
 
@@ -1042,15 +1062,101 @@ fn grown(buf: &mut Vec<f32>, n: usize) -> &mut [f32] {
     &mut buf[..n]
 }
 
-/// Transposes up to `W` blocks into `[sample][lane]` planes; a ragged
-/// last block and the padding lanes read `+0.0`.
+/// Stage 1's transpose: up to `W` blocks of `L_b` samples into the
+/// `[sample][lane]` planes `time` (`L_b · W` floats); a ragged last block
+/// and the padding lanes read `+0.0`.
+///
+/// Every block goes through [`gather_block`]. At the paper's `L_b` 8 and
+/// 16 a whole block reaches it as arrays, so its loop runs with the block
+/// size a literal as well as the lane width; a ragged block and every
+/// other `L_b` run it at the runtime length.
 #[inline(always)]
-fn gather_lanes<'a, const W: usize>(time: &mut [f32], blocks: impl Iterator<Item = &'a [f32]>) {
+fn gather_lanes<'a, const W: usize>(
+    time: &mut [f32],
+    lb: usize,
+    blocks: impl Iterator<Item = &'a [f32]>,
+) {
     time.fill(0.0);
-    for (l, block) in blocks.enumerate() {
-        for (n, &v) in block.iter().enumerate() {
-            time[n * W + l] = v;
+    let (planes, _) = time.as_chunks_mut::<W>();
+    match lb {
+        8 => gather_blocks::<W, 8>(planes, blocks),
+        16 => gather_blocks::<W, 16>(planes, blocks),
+        _ => {
+            for (l, block) in blocks.enumerate() {
+                gather_block(planes, l, block);
+            }
         }
+    }
+}
+
+/// [`gather_lanes`] at a literal `L_b` (see [`scatter_blocks`] for why the
+/// lane index is not zipped from `0..W`).
+#[inline(always)]
+fn gather_blocks<'a, const W: usize, const LB: usize>(
+    planes: &mut [[f32; W]],
+    blocks: impl Iterator<Item = &'a [f32]>,
+) {
+    let planes: &mut [[f32; W]; LB] = planes.try_into().expect("L_b planes");
+    for (l, block) in blocks.enumerate() {
+        match <&[f32; LB]>::try_from(block) {
+            Ok(whole) => gather_block(planes, l, whole),
+            Err(_) => gather_block(planes, l, block),
+        }
+    }
+}
+
+/// Sample `n` of `block` into lane `l` of plane `n`.
+#[inline(always)]
+fn gather_block<const W: usize>(planes: &mut [[f32; W]], l: usize, block: &[f32]) {
+    for (plane, &v) in planes.iter_mut().zip(block) {
+        plane[l] = v;
+    }
+}
+
+/// Stage 3's transpose: lane `l` of the `[sample][lane]` planes `time`
+/// (`L_b · W` floats) into block `l` of `y`, for the first `live` blocks.
+/// `y` ends at the logical edge, so a ragged last block takes its rows
+/// only and nothing past the edge is written.
+///
+/// Every block goes through [`scatter_block`], at a literal `L_b` for a
+/// whole block at the paper's 8 and 16, as [`gather_lanes`] does.
+#[inline(always)]
+fn scatter_lanes<const W: usize>(time: &[f32], lb: usize, y: &mut [f32], live: usize) {
+    let (planes, _) = time.as_chunks::<W>();
+    let blocks = y.chunks_mut(lb).take(live);
+    match lb {
+        8 => scatter_blocks::<W, 8>(planes, blocks),
+        16 => scatter_blocks::<W, 16>(planes, blocks),
+        _ => {
+            for (l, block) in blocks.enumerate() {
+                scatter_block(planes, l, block);
+            }
+        }
+    }
+}
+
+/// [`scatter_lanes`] at a literal `L_b`. The lane index comes from
+/// `enumerate`: zipped from `0..W`, the four-lane tiles unrolled and put
+/// ≈ 20 ns on GRU-8's ≈ 70 ns 8×8 call.
+#[inline(always)]
+fn scatter_blocks<'a, const W: usize, const LB: usize>(
+    planes: &[[f32; W]],
+    blocks: impl Iterator<Item = &'a mut [f32]>,
+) {
+    let planes: &[[f32; W]; LB] = planes.try_into().expect("L_b planes");
+    for (l, block) in blocks.enumerate() {
+        match <&mut [f32; LB]>::try_from(&mut *block) {
+            Ok(whole) => scatter_block(planes, l, whole),
+            Err(_) => scatter_block(planes, l, block),
+        }
+    }
+}
+
+/// Lane `l` of plane `n` into sample `n` of `block`.
+#[inline(always)]
+fn scatter_block<const W: usize>(planes: &[[f32; W]], l: usize, block: &mut [f32]) {
+    for (out, plane) in block.iter_mut().zip(planes) {
+        *out = plane[l];
     }
 }
 
@@ -1226,6 +1332,36 @@ pub(crate) mod tests {
             project_block_row_by_segments(dense, cols, lb, sums);
         }
         blocks
+    }
+
+    /// Stage 1's gather before the literal block widths, verbatim: the
+    /// oracle of [`gather_lanes`].
+    fn gather_lanes_by_elements<'a, const W: usize>(
+        time: &mut [f32],
+        blocks: impl Iterator<Item = &'a [f32]>,
+    ) {
+        time.fill(0.0);
+        for (l, block) in blocks.enumerate() {
+            for (n, &v) in block.iter().enumerate() {
+                time[n * W + l] = v;
+            }
+        }
+    }
+
+    /// Stage 3's scatter before the literal block widths, verbatim (with
+    /// the tile's rows of `y` as `y`): the oracle of [`scatter_lanes`].
+    fn scatter_lanes_by_elements<const W: usize>(
+        time: &[f32],
+        lb: usize,
+        y: &mut [f32],
+        live: usize,
+    ) {
+        let blocks = y.chunks_mut(lb).take(live);
+        for (l, block) in blocks.enumerate() {
+            for (n, out) in block.iter_mut().enumerate() {
+                *out = time[n * W + l];
+            }
+        }
     }
 
     fn random_bc(
@@ -1806,6 +1942,65 @@ pub(crate) mod tests {
             let drawn = BlockCirculantMatrix::project_xavier_in_runs(rows, cols, lb, run, &mut rng);
             let want = project_dense_by_segments(&Matrix::xavier(rows, cols, &mut twin), lb);
             prop_assert_eq!(bits(drawn.blocks()), bits(&want));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn literal_width_transposes_are_bitwise_the_element_loops(
+            lb in 0usize..7,
+            width in 0usize..4,
+            live in any::<u16>(),
+            short in any::<u16>(),
+            first in 0usize..3,
+            after in any::<u16>(),
+            seed in any::<u64>(),
+        ) {
+            // Every tile width with 1..=W live lanes, every L_b the kernel
+            // runs (the literal 8 and 16 and the runtime width), a ragged
+            // last block of any length, and a tile that starts past row 0
+            // with rows after it when its last block is whole.
+            let lb = [1, 2, 4, 8, 16, 32, 64][lb];
+            let width = [4, 8, 16, 32][width];
+            let live = 1 + usize::from(live) % width;
+            let short = usize::from(short) % lb;
+            let after = if short == 0 { usize::from(after) % (2 * lb) } else { 0 };
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let mut draw = |n: usize| (0..n).map(|_| rng.gen_range(-1.0f32..1.0)).collect::<Vec<_>>();
+            let sentinel = f32::from_bits(0x7fc0_dead);
+            with_lane_width!(width, W => {
+                // Stage 1: `live` blocks, the last `short` samples short,
+                // into planes that start out as sentinels.
+                let x = draw(live * lb - short);
+                let blocks = || x.chunks(lb);
+                let mut want = vec![sentinel; lb * W];
+                gather_lanes_by_elements::<W>(&mut want, blocks());
+                let mut got = vec![sentinel; lb * W];
+                gather_lanes::<W>(&mut got, lb, blocks());
+                prop_assert_eq!(bits(&got), bits(&want));
+                for (i, v) in got.iter().enumerate() {
+                    let (n, l) = (i / W, i % W);
+                    let sample = x.get(l * lb + n).filter(|_| l < live && n < lb);
+                    prop_assert_eq!(v.to_bits(), sample.map_or(0, |s| s.to_bits()), "n {} l {}", n, l);
+                }
+
+                // Stage 3: the tile's rows start `first` blocks into a
+                // sentinel-filled `y`, which ends `short` rows short of
+                // `live` blocks (the logical edge) or `after` rows past them.
+                let time = draw(lb * W);
+                let (start, end) = (first * lb, (first + live) * lb - short);
+                let mut want = vec![sentinel; end + after];
+                scatter_lanes_by_elements::<W>(&time, lb, &mut want[start..], live);
+                let mut got = vec![sentinel; end + after];
+                scatter_lanes::<W>(&time, lb, &mut got[start..], live);
+                prop_assert_eq!(bits(&got), bits(&want));
+                for (r, v) in got.iter().enumerate() {
+                    let row = (start..end).contains(&r).then(|| (r - start) % lb * W + (r - start) / lb);
+                    prop_assert_eq!(v.to_bits(), row.map_or(sentinel.to_bits(), |i| time[i].to_bits()), "row {}", r);
+                }
+            });
         }
     }
 

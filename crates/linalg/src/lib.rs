@@ -154,6 +154,16 @@
 //!   the serial call counts, on the calling thread. (A lane-split forward
 //!   counts the serial transforms too, but reads the weight spectra once
 //!   per part; `ernn_fpga::exec` states the formula.)
+//! * **What the tile split halves is the MAC.** One core, `L_b = 8`,
+//!   B = 1, µs per call before → after the transposes around the MAC took
+//!   a literal block width (`circulant.rs`, "Where the time goes", has
+//!   B = 8 and the method): 4096×153 14.1 → 11.6 (MAC 9.3 → 9.8, IFFT
+//!   0.8 → 0.8, scatter 3.5 → 1.0, gather 0.5 → ≈ 0); 4096×512 35.3 → 32.8
+//!   (29.6 → 29.6, 1.0 → 1.5, 3.9 → 1.3, 0.9 → 0.4); 512×1024 10.0 → 9.4
+//!   (7.6 → 7.4, ≈ 0 → 0.3, 1.5 → 1.2, 1.1 → 0.4); 768×39 1.30 → 0.91
+//!   (0.45 → 0.54, 0.23 → 0.16, 0.55 → 0.19, 0.07 → 0.02). Each tile's
+//!   scatter runs on the thread that ran the tile, so a split call splits
+//!   it too; the MAC is 79–90 % of the large calls at B = 1.
 
 // The one exception is the tile dispatch in `circulant.rs` (see "Two
 // instantiations" above); a second `unsafe` anywhere is a compile error,
