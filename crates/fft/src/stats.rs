@@ -1,4 +1,4 @@
-//! FFT invocation counters, process-wide and per thread.
+//! FFT invocation counters, one set per thread.
 //!
 //! The serving runtime's weight-spectrum cache (see `ernn-serve`) claims
 //! that block-circulant weight FFTs run once per model load rather than
@@ -7,9 +7,10 @@
 //! a test or a demo can snapshot the counters around a serving run and
 //! show that only input-side transforms grow with request count.
 //!
-//! There is one set of counter cells per thread and nothing else. A
-//! thread registers its cells on first use and is their only writer, so
-//! an increment is a plain load and a plain store — no locked
+//! Each thread has its own counter cells, a `const`-initialised thread
+//! local with no destructor, and nothing else: there is no process-wide
+//! sum. A thread is the only reader and writer of its cells, so an
+//! increment is a plain load and a plain store — no locked
 //! read-modify-write sits inside `forward_lanes`, `inverse_lanes` or the
 //! block-circulant matvec, which count three to five times per 8 × 8
 //! call (`kernel_sweep` prints what one count costs next to the call it
@@ -17,127 +18,53 @@
 //! adjective). [`thread_snapshot`] reads the caller's cells: a delta
 //! between two of them is exactly the FFT work that thread did, whatever
 //! other threads are doing, which is how the parallel host executor
-//! attributes work to its workers. [`snapshot`] sums every thread's cells
-//! under the registry lock; a thread that exits folds its counts into a
-//! retired total on the way out, so the sum never loses them and the
-//! registry stays as small as the set of live threads.
+//! attributes work to its workers and why exact-delta tests may share a
+//! test binary.
 //!
 //! Work one thread does on another's behalf is charged to the thread it
-//! was done for. The block-circulant matvec's helper thread (the second
-//! core of `ernn-linalg`) [`detach_thread`]s itself, so neither
-//! [`snapshot`] nor any other thread sees its cells; the caller whose
-//! tiles it ran adds the helper's measured delta to its own cells with
+//! was done for. The helper threads of the two-core mechanisms (the
+//! block-circulant matvec's in `ernn-linalg`, the inference lane's in
+//! `ernn-serve`) measure their work with [`thread_snapshot`], and the
+//! caller it was done for adds that delta to its own cells with
 //! [`charge`]. A call's counts are therefore the same whichever thread
 //! ran which part of it.
 //!
 //! Counters are monotonically increasing; consumers should compare
-//! [`FftStats`] snapshots rather than absolute values, and tests that
-//! assert exact [`snapshot`] deltas must not run concurrently with other
-//! FFT-using tests in the same process.
+//! [`FftStats`] snapshots rather than absolute values.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// One thread's counters. Atomics only so that [`snapshot`] may read them
-/// from another thread; the owner is the sole writer (see [`bump`]).
-#[derive(Debug, Default)]
+/// One thread's counters; only that thread touches them (see [`bump`]).
 struct Cells {
-    plans_created: AtomicU64,
-    plan_cache_hits: AtomicU64,
-    forward_transforms: AtomicU64,
-    inverse_transforms: AtomicU64,
-    spectrum_block_reads: AtomicU64,
-}
-
-impl Cells {
-    fn read(&self) -> FftStats {
-        FftStats {
-            plans_created: self.plans_created.load(Ordering::Relaxed),
-            plan_cache_hits: self.plan_cache_hits.load(Ordering::Relaxed),
-            forward_transforms: self.forward_transforms.load(Ordering::Relaxed),
-            inverse_transforms: self.inverse_transforms.load(Ordering::Relaxed),
-            spectrum_block_reads: self.spectrum_block_reads.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Every live thread's cells, plus the folded counts of threads that
-/// have exited.
-struct Registry {
-    live: Vec<Arc<Cells>>,
-    retired: FftStats,
-}
-
-static REGISTRY: Mutex<Registry> = Mutex::new(Registry {
-    live: Vec::new(),
-    retired: FftStats {
-        plans_created: 0,
-        plan_cache_hits: 0,
-        forward_transforms: 0,
-        inverse_transforms: 0,
-        spectrum_block_reads: 0,
-    },
-});
-
-/// The registry, poisoned or not: every update below leaves it valid at
-/// each step (a push, an addition, a removal), so a panic elsewhere on a
-/// thread holding the lock cannot have left it half-written.
-fn registry() -> MutexGuard<'static, Registry> {
-    REGISTRY.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// A thread's handle on its cells.
-struct Owner {
-    cells: Arc<Cells>,
-    /// The cells are still in the registry (see [`detach_thread`]).
-    registered: Cell<bool>,
-}
-
-impl Owner {
-    fn register() -> Self {
-        let cells = Arc::new(Cells::default());
-        registry().live.push(Arc::clone(&cells));
-        Owner {
-            cells,
-            registered: Cell::new(true),
-        }
-    }
-
-    /// Moves the counts from the live list to the retired total in one
-    /// critical section, so no [`snapshot`] sees them twice or not at all.
-    fn retire(&self) {
-        if self.registered.replace(false) {
-            let mut reg = registry();
-            reg.retired = reg.retired.plus(&self.cells.read());
-            reg.live.retain(|cells| !Arc::ptr_eq(cells, &self.cells));
-        }
-    }
-}
-
-impl Drop for Owner {
-    /// Thread exit: [`Owner::retire`], unless the thread detached first.
-    fn drop(&mut self) {
-        self.retire();
-    }
+    plans_created: Cell<u64>,
+    plan_cache_hits: Cell<u64>,
+    forward_transforms: Cell<u64>,
+    inverse_transforms: Cell<u64>,
+    spectrum_block_reads: Cell<u64>,
 }
 
 thread_local! {
-    static CELLS: Owner = Owner::register();
+    static CELLS: Cells = const {
+        Cells {
+            plans_created: Cell::new(0),
+            plan_cache_hits: Cell::new(0),
+            forward_transforms: Cell::new(0),
+            inverse_transforms: Cell::new(0),
+            spectrum_block_reads: Cell::new(0),
+        }
+    };
 }
 
-/// Adds `n` to one of the calling thread's cells. The thread is the
-/// cell's only writer, so load-then-store loses nothing, and `Relaxed`
-/// suffices because the value publishes no other data.
+/// Adds `n` to one of the calling thread's cells.
 #[inline]
-fn bump(cell: impl FnOnce(&Cells) -> &AtomicU64, n: u64) {
-    CELLS.with(|owner| {
-        let cell = cell(&owner.cells);
-        cell.store(cell.load(Ordering::Relaxed) + n, Ordering::Relaxed);
+fn bump(cell: impl FnOnce(&Cells) -> &Cell<u64>, n: u64) {
+    CELLS.with(|cells| {
+        let cell = cell(cells);
+        cell.set(cell.get() + n);
     });
 }
 
-/// A snapshot of the process-wide FFT counters.
+/// A snapshot of one thread's FFT counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FftStats {
     /// [`crate::FftPlan`] / [`crate::RealFft`] constructions.
@@ -188,15 +115,6 @@ impl FftStats {
     }
 }
 
-/// Takes a snapshot of the process-wide counters: the sum over every
-/// thread that has ever counted, exited threads included.
-pub fn snapshot() -> FftStats {
-    let reg = registry();
-    reg.live
-        .iter()
-        .fold(reg.retired, |sum, cells| sum.plus(&cells.read()))
-}
-
 /// Takes a snapshot of the *calling thread's* counters.
 ///
 /// Deltas between two `thread_snapshot` calls on the same thread count
@@ -204,18 +122,16 @@ pub fn snapshot() -> FftStats {
 /// what other threads are doing — so exact-delta assertions are safe even
 /// in multi-threaded test binaries.
 pub fn thread_snapshot() -> FftStats {
-    CELLS.with(|owner| owner.cells.read())
+    CELLS.with(|cells| FftStats {
+        plans_created: cells.plans_created.get(),
+        plan_cache_hits: cells.plan_cache_hits.get(),
+        forward_transforms: cells.forward_transforms.get(),
+        inverse_transforms: cells.inverse_transforms.get(),
+        spectrum_block_reads: cells.spectrum_block_reads.get(),
+    })
 }
 
-/// Takes the calling thread off the ledger for good: its counts so far
-/// are retired as at thread exit, and what it counts from now on reaches
-/// only its own [`thread_snapshot`], never [`snapshot`]. For a helper
-/// thread whose work the threads it serves [`charge`] to themselves.
-pub fn detach_thread() {
-    CELLS.with(Owner::retire);
-}
-
-/// Adds `delta` to the calling thread's cells: work a detached helper
+/// Adds `delta` to the calling thread's cells: work a helper thread
 /// measured with [`thread_snapshot`] while doing it for this thread.
 pub fn charge(delta: &FftStats) {
     bump(|c| &c.plans_created, delta.plans_created);
@@ -263,22 +179,20 @@ mod tests {
 
     #[test]
     fn counters_track_plan_and_transform_activity() {
-        // Other tests may run concurrently in this process, so assert
-        // monotone growth by at-least the local activity, not equality.
-        let before = snapshot();
+        let before = thread_snapshot();
         let rfft = RealFft::new(16);
         let spec = rfft.forward(&[0.5f32; 16]);
         let _ = rfft.inverse(&spec);
-        let delta = snapshot().since(&before);
+        let delta = thread_snapshot().since(&before);
         assert!(delta.plans_created >= 1, "{delta:?}");
-        assert!(delta.forward_transforms >= 1, "{delta:?}");
-        assert!(delta.inverse_transforms >= 1, "{delta:?}");
+        assert_eq!(delta.forward_transforms, 1, "{delta:?}");
+        assert_eq!(delta.inverse_transforms, 1, "{delta:?}");
     }
 
     #[test]
     fn thread_counters_are_exact_under_concurrency() {
         // Thread-local deltas are immune to other tests' FFT activity, so
-        // exact equality is safe here (unlike the global counters above).
+        // exact equality is safe here.
         let before = thread_snapshot();
         let rfft = RealFft::new(8); // size 8 => one extra half plan inside
         let spec = rfft.forward(&[1.0f32; 8]);

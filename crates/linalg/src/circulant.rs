@@ -1804,6 +1804,30 @@ pub(crate) mod tests {
         assert_eq!(counts.iter().sum::<u64>(), (4 * q + p * q) as u64);
     }
 
+    /// The GRU-8 call (8×8, `L_b = 8`, B = 1) counts once per counter:
+    /// one input FFT, one block read, one output IFFT. Only the first call
+    /// also FFTs the one weight block.
+    #[test]
+    fn an_8x8_call_counts_once_per_counter_after_its_first_read() {
+        let (bc, mut rng) = random_bc(8, 8, 8, 47);
+        let x: Vec<f32> = (0..8).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let (mut y, mut scratch) = ([0.0f32; 8], MatVecScratch::new());
+        let mut counts = || {
+            let before = ernn_fft::stats::thread_snapshot();
+            bc.matvec_into(&x, &mut y, &mut scratch);
+            let d = ernn_fft::stats::thread_snapshot().since(&before);
+            (
+                d.forward_transforms,
+                d.spectrum_block_reads,
+                d.inverse_transforms,
+            )
+        };
+        assert_eq!(counts(), (2, 1, 1), "the first call FFTs the weight block");
+        for call in 1..4 {
+            assert_eq!(counts(), (1, 1, 1), "call {call}");
+        }
+    }
+
     #[test]
     fn batched_matvec_streams_weight_spectra_once_per_batch() {
         let (bc, mut rng) = random_bc(16, 24, 8, 41);

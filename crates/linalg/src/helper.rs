@@ -19,9 +19,10 @@
 //! the claimant locks it only while no job is running, and the helper only
 //! while one is.
 //!
-//! The helper is off the FFT ledger ([`stats::detach_thread`]); it measures
-//! what one job counted and [`Claim::collect`] [`stats::charge`]s it to
-//! the caller, so a delegated job's counts land on the calling thread.
+//! The helper measures what one job counted on its own FFT ledger
+//! ([`stats::thread_snapshot`]) and [`Claim::collect`] [`stats::charge`]s
+//! it to the caller, so a delegated job's counts land on the calling
+//! thread.
 
 use ernn_fft::stats::{self, FftStats};
 use std::ops::{Deref, DerefMut};
@@ -322,7 +323,6 @@ impl<J: HelperJob> Helper<J> {
     /// The worker loop: wait for a job, start it unless it was taken back,
     /// run it, publish it.
     fn serve(&self) {
-        stats::detach_thread();
         self.state.store(IDLE, Ordering::Release);
         let mut spin = HELPER_SPIN;
         loop {

@@ -148,10 +148,10 @@
 //!   contended; callers claim a helper with an atomic try-claim.
 //! * **Nothing else moves:** each helper spawns once, on the first call
 //!   that qualifies; the caller grows every buffer the helper writes, so
-//!   steady state allocates nothing on either thread; a helper is off the
-//!   FFT ledger and its work is charged to the caller
-//!   (`ernn_fft::stats::charge`), so a tile-split call counts exactly what
-//!   the serial call counts, on the calling thread. (A lane-split forward
+//!   steady state allocates nothing on either thread; a helper's FFT
+//!   work is charged to the caller (`ernn_fft::stats::charge`), so a
+//!   tile-split call counts exactly what the serial call counts, on the
+//!   calling thread. (A lane-split forward
 //!   counts the serial transforms too, but reads the weight spectra once
 //!   per part; `ernn_fpga::exec` states the formula.)
 //! * **What the tile split halves is the MAC.** One core, `L_b = 8`,

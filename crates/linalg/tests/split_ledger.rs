@@ -1,10 +1,5 @@
-//! A split call's FFT ledger is the serial call's, on the calling thread
-//! and in the process-wide sum: the helper thread is off the ledger and
-//! its work is charged to the caller it did it for.
-//!
-//! This file deliberately holds a single `#[test]` so no other test's FFT
-//! activity reaches the process-wide sum and exact equality is sound
-//! (see `crates/fft/tests/stats_registry.rs` for the same arrangement).
+//! A split call's FFT ledger is the serial call's, on the calling thread:
+//! the helper thread's work is charged to the caller it did it for.
 
 use ernn_fft::stats::{self, FftStats};
 use ernn_linalg::{split_stats, BlockCirculantMatrix, MatVecScratch, SPLIT_MIN_WORK};
@@ -35,15 +30,13 @@ fn a_split_call_counts_exactly_what_the_serial_call_counts() {
     let deadline = Instant::now() + Duration::from_secs(10);
     let mut helped = 0;
     for call in 0.. {
-        let (process, this_thread, split) =
-            (stats::snapshot(), stats::thread_snapshot(), split_stats());
+        let (this_thread, split) = (stats::thread_snapshot(), split_stats());
         m.matvec_batch_into(&xs, &mut ys, batch, &mut scratch);
         assert_eq!(
             stats::thread_snapshot().since(&this_thread),
             want,
             "call {call}"
         );
-        assert_eq!(stats::snapshot().since(&process), want, "call {call}");
         helped += split_stats().since(&split).helper_ran;
         if helped > 0 || !two_cores {
             break;

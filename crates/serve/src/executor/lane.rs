@@ -16,10 +16,10 @@
 //!   lane), which takes them in submission order and keeps one session
 //!   table per account. Stateless runs go to any thread.
 //! * **FFT ledger.** Each run's [`stats::thread_snapshot`] delta is
-//!   credited to the account that queued it. Lane threads are off the
-//!   ledger ([`stats::detach_thread`]) and the closing caller
-//!   [`stats::charge`]s their totals to itself, so the caller counts what
-//!   a serial run counts and each account exactly its own runs.
+//!   credited to the account that queued it. Each lane thread measures its
+//!   total on its own ledger and the closing caller [`stats::charge`]s
+//!   those totals to itself, so the caller counts what a serial run counts
+//!   and each account exactly its own runs.
 //! * **Wake-ups.** A producer wakes sleeping lane threads only once
 //!   [`WAKE_AT`] runs are queued, and at close; no thread spins.
 //! * **Allocations.** The queue keeps the jobs back to back, so a queued
@@ -292,11 +292,11 @@ impl Lane {
         s
     }
 
-    /// A lane thread's life: off the FFT ledger, it drains the queue,
-    /// sleeps until woken, and exits once the lane is closed and holds
-    /// nothing it may take. A panic is kept for [`Self::close`].
+    /// A lane thread's life: it drains the queue, sleeps until woken, and
+    /// exits once the lane is closed and holds nothing it may take; its
+    /// FFT count goes to the lane's total for [`Self::close`] to charge.
+    /// A panic is kept for [`Self::close`].
     fn serve(&self, owner: bool) {
-        stats::detach_thread();
         let start = stats::thread_snapshot();
         let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
             let mut worker = Worker::default();

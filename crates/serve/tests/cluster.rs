@@ -241,9 +241,8 @@ fn cluster_is_bit_identical_across_executors() {
 /// Each shard's FFT ledger counts its own runs only, wherever they ran:
 /// the shards' ledgers add up to what the calling thread counted over
 /// the run (the lane's threads charge theirs to it), and every shard
-/// that answered a request ran transforms. `fft_cache.rs`, a binary
-/// with no other test running beside it, checks the same total against
-/// the process-wide counters.
+/// that answered a request ran transforms. `fft_cache.rs` checks the
+/// same total against `n ×` one request measured on the serial lane.
 #[test]
 fn shard_fft_ledgers_add_up_to_the_callers_count() {
     let cluster = four_shard_cluster(FaultPlan::empty(), ExecutorKind::Inline);

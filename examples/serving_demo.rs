@@ -81,9 +81,9 @@ fn main() {
     //    5 ms latency SLO.
     let requests = with_uniform_slo(open_loop_poisson(&utterances, 400, 500_000.0, 11), 5_000.0);
 
-    let before = stats::snapshot();
+    let before = stats::thread_snapshot();
     let report = runtime(&model, 2, ExecutorKind::Inline).run(requests);
-    let during = stats::snapshot().since(&before);
+    let during = stats::thread_snapshot().since(&before);
 
     println!("\n== serving report (2 devices, batch ≤ 8, wait ≤ 200 µs) ==");
     println!("{}", report.metrics);

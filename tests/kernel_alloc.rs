@@ -37,7 +37,9 @@
 //! [`MatVecScratch`]'s plane buffers (lane-batched FFT workspace, input
 //! spectra, tile accumulators) are grow-only, so a batch that shrinks
 //! 16 → 3 → 16 and a tiny matrix sharing the scratch with a large one
-//! allocate nothing once the largest shape has been seen.
+//! allocate nothing once the largest shape has been seen. Below them,
+//! `RealFft::forward_into` / `inverse_into` allocate nothing once their
+//! scratch is warm, at the codelet sizes and on the radix-2 plan.
 //!
 //! The same window covers the matvec's helper thread (the counting
 //! allocator is global, so it sees every thread): an LSTM-1024-shaped
@@ -58,6 +60,7 @@
 //! dimension holds the class count — and exactly one exactly-sized row
 //! per frame, nothing else, when it does not.
 
+use ernn::fft::{Complex32, RealFft, RealFftScratch};
 use ernn::fpga::exec::{lane_split_stats, DatapathConfig, ExecScratch, QuantizedNetwork};
 use ernn::fpga::{FaultPlan, FaultTimeline, XCKU060};
 use ernn::linalg::{split_stats, BlockCirculantMatrix, MatVecScratch};
@@ -77,9 +80,17 @@ static ALLOC: CountingAllocator = CountingAllocator;
 /// One scratch, two matrices on opposite sides of the 32-lane tile width
 /// (ragged edges included), batches 16 → 3 → 16: after the warm-up call
 /// nothing allocates, and a shrunken batch leaves no stale lanes behind.
+/// The large matrix runs at `L_b` = 8 and 16 (both codelet widths).
 fn lane_kernel_scratch_is_grow_only(rng: &mut impl Rng) {
+    for lb in [8usize, 16] {
+        grow_only_at(lb, rng);
+    }
+}
+
+fn grow_only_at(lb: usize, rng: &mut impl Rng) {
     let mut random = |n: usize| -> Vec<f32> { (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect() };
-    let big = BlockCirculantMatrix::from_blocks(300, 153, 8, random(38 * 20 * 8));
+    let blocks = 300usize.div_ceil(lb) * 153usize.div_ceil(lb) * lb;
+    let big = BlockCirculantMatrix::from_blocks(300, 153, lb, random(blocks));
     let small = BlockCirculantMatrix::from_blocks(8, 8, 8, random(8));
     let xs = random(16 * 153);
     let mut ys = vec![0.0f32; 16 * 300];
@@ -103,8 +114,34 @@ fn lane_kernel_scratch_is_grow_only(rng: &mut impl Rng) {
         assert_eq!(ys[..batch * 300], reference[..batch * 300], "batch {batch}");
     }
     let delta = allocation_count() - before;
-    assert_eq!(delta, 0, "warm lane-major matvecs allocated {delta} times");
+    assert_eq!(
+        delta, 0,
+        "warm lane-major matvecs (L_b = {lb}) allocated {delta} times"
+    );
     assert_eq!(small_y.to_vec(), small.matvec(&xs[..8]));
+}
+
+/// `RealFft::forward_into` / `inverse_into` with a warm scratch allocate
+/// nothing: at the codelet sizes 8 and 16 and on the radix-2 plan.
+fn fft_into_kernels_are_allocation_free() {
+    for n in [8usize, 16, 256, 1024] {
+        let rfft = RealFft::new(n);
+        let signal: Vec<f32> = (0..n).map(|i| (i as f32 * 0.7).sin()).collect();
+        let mut spec = vec![Complex32::ZERO; rfft.spectrum_len()];
+        let mut back = vec![0.0f32; n];
+        let mut scratch = RealFftScratch::new();
+        rfft.forward_into(&signal, &mut spec, &mut scratch);
+        rfft.inverse_into(&spec, &mut back, &mut scratch);
+
+        let before = allocation_count();
+        rfft.forward_into(&signal, &mut spec, &mut scratch);
+        rfft.inverse_into(&spec, &mut back, &mut scratch);
+        let delta = allocation_count() - before;
+        assert_eq!(
+            delta, 0,
+            "warm RealFft({n}) _into kernels allocated {delta} times"
+        );
+    }
 }
 
 /// The paper's LSTM-1024 (153 inputs, projection 512, peepholes, 61
@@ -222,6 +259,7 @@ fn gru1024_batch16_forward_splitting_its_lanes_is_allocation_free(rng: &mut impl
 #[test]
 fn steady_state_batched_inference_performs_zero_allocations() {
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(29);
+    fft_into_kernels_are_allocation_free();
     lane_kernel_scratch_is_grow_only(&mut rng);
     lstm1024_forward_with_the_helper_is_allocation_free(&mut rng);
     gru1024_batch16_forward_splitting_its_lanes_is_allocation_free(&mut rng);
